@@ -154,6 +154,67 @@ func DecodeAdvertisement(d *wire.Decoder) (Advertisement, error) {
 	return a, d.Err()
 }
 
+// DecodeAdvertisements consumes n advertisements as one directory: the
+// result is a single exact-size slice, every attribute list is a slice of
+// one arena (capacity clipped to its length, so appending to one never
+// writes into its neighbour), and every string is a substring of one copy
+// of the message (wire.Decoder.SharedStringField — the directory pins that
+// copy, and the copy holds little but the directory's strings). It equals n
+// calls of DecodeAdvertisement field for field and error for error.
+//
+// A first pass walks a copy of the decoder making every check
+// DecodeAdvertisement makes and counting attributes; nothing is allocated
+// until the whole input has validated, so a hostile count costs nothing.
+func DecodeAdvertisements(d *wire.Decoder, n uint64) ([]Advertisement, error) {
+	scan := *d
+	var attrs uint64
+	for i := uint64(0); i < n; i++ {
+		scan.Byte()
+		idb := scan.BytesField()
+		scan.BytesField()
+		scan.BytesField()
+		scan.Time()
+		k := scan.Uint64()
+		if err := scan.Err(); err != nil {
+			return nil, err
+		}
+		if len(idb) != len(ID{}) {
+			return nil, fmt.Errorf("%w: advertisement id of %d bytes", wire.ErrCorrupt, len(idb))
+		}
+		if k > uint64(scan.Remaining()) {
+			return nil, fmt.Errorf("%w: %d attrs exceed remaining input", wire.ErrCorrupt, k)
+		}
+		for j := uint64(0); j < k; j++ {
+			scan.BytesField()
+			scan.BytesField()
+			if err := scan.Err(); err != nil {
+				return nil, err
+			}
+		}
+		attrs += k
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	advs := make([]Advertisement, n)
+	arena := make([]Attr, attrs)
+	for i := range advs {
+		a := &advs[i]
+		a.Kind = AdvKind(d.Byte())
+		copy(a.ID[:], d.BytesField())
+		a.Name = d.SharedStringField()
+		a.Addr = d.SharedStringField()
+		a.Expires = d.Time()
+		if k := d.Uint64(); k > 0 {
+			a.Attrs, arena = arena[:k:k], arena[k:]
+			for j := range a.Attrs {
+				a.Attrs[j] = Attr{d.SharedStringField(), d.SharedStringField()}
+			}
+		}
+	}
+	return advs, nil
+}
+
 // Cache is a thread-safe advertisement store with TTL expiry and bounded
 // size (oldest-expiry eviction), as kept by rendezvous peers and local
 // discovery services.
@@ -177,12 +238,13 @@ type Cache struct {
 	// version matches and no included entry has expired. Selection queries
 	// the full peer directory far more often than leases renew it, so the
 	// memo turns the common Query("") from an O(n log n) scan-and-sort
-	// into a copy of a prebuilt slice.
+	// into handing out a prebuilt slice.
 	version uint64
 	memo    map[AdvKind]*kindMemo
 }
 
-// kindMemo is one memoized whole-kind query result.
+// kindMemo is one memoized whole-kind query result. Query hands result out,
+// so a memo is immutable once built.
 type kindMemo struct {
 	result  []Advertisement
 	version uint64
@@ -281,8 +343,10 @@ func (c *Cache) Lookup(id ID) (Advertisement, bool) {
 
 // Query returns live advertisements of the kind whose Name matches name
 // exactly; empty name matches all. Results are sorted by Name then ID for
-// determinism. The returned slice is the caller's to keep (whole-kind
-// queries copy out of a memo rebuilt only when the directory changes).
+// determinism. A whole-kind result is the cache's own memo, shared by every
+// caller until the directory next changes: it must only be read (slicing it
+// is fine). It stays valid and unchanged for as long as the caller holds
+// it — a change builds a new memo and never writes the old one.
 func (c *Cache) Query(kind AdvKind, name string) []Advertisement {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -292,12 +356,7 @@ func (c *Cache) Query(kind AdvKind, name string) []Advertisement {
 		if m == nil || m.version != c.version || !(m.validUntil.IsZero() || now.Before(m.validUntil)) {
 			m = c.buildMemoLocked(kind, now)
 		}
-		if len(m.result) == 0 {
-			return nil
-		}
-		out := make([]Advertisement, len(m.result))
-		copy(out, m.result)
-		return out
+		return m.result
 	}
 	var out []Advertisement
 	for _, a := range c.byID {

@@ -186,20 +186,17 @@ func (b *Broker) Registry() *stats.Union { return b.registry }
 // Shards reports the broker's shard count.
 func (b *Broker) Shards() int { return len(b.shards) }
 
-// Advertisements queries the sharded advertisement directory: per-shard
-// results merged back into canonical (Name, ID) order.
-func (b *Broker) Advertisements(kind jxta.AdvKind, name string) []jxta.Advertisement {
+// queryShards appends to parts the non-empty per-shard answers to a
+// directory query — each in canonical order, and for a whole-kind query each
+// the owning cache's shared read-only memo — and returns them with their
+// total length. A named query touches only the owning shard.
+func (b *Broker) queryShards(kind jxta.AdvKind, name string, parts [][]jxta.Advertisement) ([][]jxta.Advertisement, int) {
 	if name != "" {
-		// A named query touches only the owning shard.
-		return b.shardOf(name).cache.Query(kind, name)
+		if p := b.shardOf(name).cache.Query(kind, name); len(p) > 0 {
+			return append(parts, p), len(p)
+		}
+		return parts, 0
 	}
-	if len(b.shards) == 1 {
-		return b.shards[0].cache.Query(kind, name)
-	}
-	// Each shard answers in canonical order already; a k-way merge (k =
-	// shard count, small) restores the global order without re-sorting the
-	// whole directory on every selection.
-	parts := make([][]jxta.Advertisement, 0, len(b.shards))
 	total := 0
 	for _, sh := range b.shards {
 		if p := sh.cache.Query(kind, name); len(p) > 0 {
@@ -207,22 +204,30 @@ func (b *Broker) Advertisements(kind jxta.AdvKind, name string) []jxta.Advertise
 			total += len(p)
 		}
 	}
-	if len(parts) == 1 {
+	return parts, total
+}
+
+// Advertisements queries the sharded advertisement directory: per-shard
+// results merged back into canonical (Name, ID) order. The result is
+// read-only: when one shard holds every match it is that shard's own answer
+// (see jxta.Cache.Query).
+func (b *Broker) Advertisements(kind jxta.AdvKind, name string) []jxta.Advertisement {
+	var buf [8][]jxta.Advertisement
+	parts, total := b.queryShards(kind, name, buf[:0])
+	switch len(parts) {
+	case 0:
+		return nil
+	case 1:
 		return parts[0]
 	}
+	// Each shard answers in canonical order already; a k-way merge restores
+	// the global order without re-sorting the whole directory on every
+	// selection.
 	out := make([]jxta.Advertisement, 0, total)
 	for len(parts) > 0 {
-		min := 0
-		for i := 1; i < len(parts); i++ {
-			if jxta.CompareAdvertisements(parts[i][0], parts[min][0]) < 0 {
-				min = i
-			}
-		}
-		out = append(out, parts[min][0])
-		if parts[min] = parts[min][1:]; len(parts[min]) == 0 {
-			parts[min] = parts[len(parts)-1]
-			parts = parts[:len(parts)-1]
-		}
+		var a *jxta.Advertisement
+		a, parts = popMin(parts)
+		out = append(out, *a)
 	}
 	return out
 }
@@ -489,7 +494,7 @@ func (b *Broker) handleRegister(conn *pipe.Conn, d *wire.Decoder) {
 	}
 	b.armSweep()
 	ack := registerAck{OK: true, Broker: b.host.Name(), KnownPeers: b.knownPeers()}
-	conn.Send(ack.encode())
+	sendReply(conn, ack.encodeTo)
 }
 
 // handleRegisterBatch serves the batched boot frame: the effects of
@@ -519,7 +524,7 @@ func (b *Broker) handleRegisterBatch(conn *pipe.Conn, d *wire.Decoder) {
 	}
 	b.armSweep()
 	ack := registerAck{OK: true, Broker: b.host.Name(), KnownPeers: b.knownPeers()}
-	conn.Send(ack.encode())
+	sendReply(conn, ack.encodeTo)
 }
 
 // ControlRPCs reports how many well-formed control frames the broker has
@@ -562,7 +567,7 @@ func (b *Broker) handleStatsReport(conn *pipe.Conn, d *wire.Decoder) {
 	adv.Expires = b.host.Now().Add(b.cfg.AdvTTL)
 	sh.cache.Publish(adv)
 	b.armSweep()
-	conn.Send(ackBytes())
+	conn.Send(ackFrame)
 }
 
 func (b *Broker) handleDiscover(conn *pipe.Conn, d *wire.Decoder) {
@@ -570,8 +575,16 @@ func (b *Broker) handleDiscover(conn *pipe.Conn, d *wire.Decoder) {
 	if err != nil {
 		return
 	}
-	res := discoverResult{Advs: b.Advertisements(req.Kind, req.Name)}
-	conn.Send(res.encode())
+	sendReply(conn, func(e *wire.Encoder) { b.encodeDirectory(e, req.Kind, req.Name) })
+}
+
+// encodeDirectory appends the discover reply for (kind, name). The shards'
+// answers merge straight into the encoder: nothing between the caches' memos
+// and the frame on the wire is built or copied.
+func (b *Broker) encodeDirectory(e *wire.Encoder, kind jxta.AdvKind, name string) {
+	var buf [8][]jxta.Advertisement
+	parts, total := b.queryShards(kind, name, buf[:0])
+	encodeDiscoverResult(e, parts, total)
 }
 
 func (b *Broker) handleSelect(conn *pipe.Conn, d *wire.Decoder) {
@@ -584,7 +597,7 @@ func (b *Broker) handleSelect(conn *pipe.Conn, d *wire.Decoder) {
 	if serr != nil {
 		res.Err = serr.Error()
 	}
-	conn.Send(res.encode())
+	sendReply(conn, res.encodeTo)
 }
 
 // candPool recycles candidate slices across selections: at thousands of
@@ -710,7 +723,7 @@ func (b *Broker) handleReportTransfer(conn *pipe.Conn, d *wire.Decoder) {
 	if from := conn.Remote().Node(); from != "" {
 		b.shardOf(from).registry.Peer(from).RecordTransferOriginated(rep.OK, rep.Bytes)
 	}
-	conn.Send(ackBytes())
+	conn.Send(ackFrame)
 }
 
 // handlePieceReport folds a disseminating peer's piece inventory and choke
@@ -746,7 +759,7 @@ func (b *Broker) handlePieceReport(conn *pipe.Conn, d *wire.Decoder) {
 	adv.Expires = b.host.Now().Add(b.cfg.AdvTTL)
 	sh.cache.Publish(adv)
 	b.armSweep()
-	conn.Send(ackBytes())
+	conn.Send(ackFrame)
 }
 
 func (b *Broker) handleReportTask(conn *pipe.Conn, d *wire.Decoder) {
@@ -759,7 +772,7 @@ func (b *Broker) handleReportTask(conn *pipe.Conn, d *wire.Decoder) {
 	if rep.Accepted {
 		ps.RecordTaskExecution(rep.OK, rep.SecondsPerUnit)
 	}
-	conn.Send(ackBytes())
+	conn.Send(ackFrame)
 }
 
 func (b *Broker) handleReportMessage(conn *pipe.Conn, d *wire.Decoder) {
@@ -768,5 +781,5 @@ func (b *Broker) handleReportMessage(conn *pipe.Conn, d *wire.Decoder) {
 		return
 	}
 	b.shardOf(rep.Peer).registry.Peer(rep.Peer).RecordMessage(rep.OK)
-	conn.Send(ackBytes())
+	conn.Send(ackFrame)
 }

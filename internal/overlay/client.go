@@ -323,14 +323,14 @@ func (c *Client) serveControl(conn *pipe.Conn) {
 				_ = err // best-effort
 			}
 		})
-		if err := conn.Send(dec.encode()); err != nil || submitErr != nil {
+		if err := sendReply(conn, dec.encodeTo); err != nil || submitErr != nil {
 			return
 		}
 		v, err := done.Pop()
 		if err != nil {
 			return
 		}
-		conn.Send(taskDone{Result: v.(task.Result)}.encode())
+		sendReply(conn, taskDone{Result: v.(task.Result)}.encodeTo)
 		c.host.Go(func() {
 			if err := c.ReportStats(); err != nil {
 				_ = err // best-effort
@@ -345,7 +345,7 @@ func (c *Client) serveControl(conn *pipe.Conn) {
 		if c.cfg.OnInstant != nil {
 			c.cfg.OnInstant(im.From, im.Text)
 		}
-		conn.Send(instantAckBytes())
+		conn.Send(instantAckFrame)
 	}
 }
 
@@ -385,8 +385,10 @@ func (c *Client) currentStats() statsReport {
 }
 
 // Discover queries the broker's directory for peer advertisements. A
-// successful result also refreshes the client's cached directory — the
-// snapshot degraded selection falls back to when the broker is gone.
+// successful result also becomes the client's cached directory — the
+// snapshot degraded selection falls back to when the broker is gone — so
+// the returned slice is shared with the client and must only be read. The
+// next Discover replaces the cached directory; it never writes this one.
 func (c *Client) Discover() ([]jxta.Advertisement, error) {
 	reply, err := c.call(c.broker, discover{Kind: jxta.AdvPeer}.encode())
 	if err != nil {
@@ -396,12 +398,12 @@ func (c *Client) Discover() ([]jxta.Advertisement, error) {
 	if err != nil || kind != mtDiscoverResult {
 		return nil, fmt.Errorf("%w: discover", ErrBadReply)
 	}
-	res, err := decodeDiscoverResult(d)
+	advs, err := decodeDiscoverResult(d)
 	if err != nil {
 		return nil, err
 	}
-	c.res.setDir(res.Advs)
-	return res.Advs, nil
+	c.res.setDir(advs)
+	return advs, nil
 }
 
 // resolve returns the transfer address of a named peer. When the broker
@@ -421,14 +423,14 @@ func (c *Client) resolve(peer string) (transport.Addr, error) {
 	if err != nil || kind != mtDiscoverResult {
 		return "", fmt.Errorf("%w: discover", ErrBadReply)
 	}
-	res, err := decodeDiscoverResult(d)
-	if err != nil || len(res.Advs) == 0 {
+	advs, err := decodeDiscoverResult(d)
+	if err != nil || len(advs) == 0 {
 		if addr, ok := c.cachedAddr(peer); ok {
 			return addr, nil
 		}
 		return "", fmt.Errorf("%w: %q", ErrPeerUnknown, peer)
 	}
-	return transport.Addr(res.Advs[0].Addr), nil
+	return transport.Addr(advs[0].Addr), nil
 }
 
 // SendFile transmits a file to the named peer in `parts` parts and reports

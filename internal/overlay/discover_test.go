@@ -1,0 +1,336 @@
+package overlay
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"peerlab/internal/jxta"
+	"peerlab/internal/simnet"
+	"peerlab/internal/wire"
+)
+
+// randomPeerAdvs draws n peer advertisements with distinct names, 0–3
+// attributes each and the occasional empty address, key or value.
+func randomPeerAdvs(rng *rand.Rand, n int) []jxta.Advertisement {
+	str := func() string {
+		if rng.Intn(5) == 0 {
+			return ""
+		}
+		b := make([]byte, 1+rng.Intn(20))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		return string(b)
+	}
+	advs := make([]jxta.Advertisement, n)
+	for i := range advs {
+		name := fmt.Sprintf("%s-%d", str(), i)
+		a := jxta.Advertisement{Kind: jxta.AdvPeer, ID: jxta.NewID("peer", name), Name: name, Addr: str()}
+		for k := rng.Intn(4); k > 0; k-- {
+			a.Attrs = append(a.Attrs, jxta.Attr{Key: str(), Value: str()})
+		}
+		advs[i] = a
+	}
+	return advs
+}
+
+// bareBroker is a 4-shard broker on a simnet of its own, roomy enough for
+// every directory these tests publish.
+func bareBroker(t *testing.T) *Broker {
+	t.Helper()
+	host := simnet.New(21).MustAddNode("broker0", simnet.DefaultProfile())
+	b, err := NewBroker(host, BrokerConfig{Shards: 4, CacheLimit: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// publishAll puts advs into the broker's shards the way registration does.
+func publishAll(b *Broker, advs []jxta.Advertisement) {
+	for _, a := range advs {
+		a.Expires = b.host.Now().Add(time.Hour)
+		b.shardOf(a.Name).cache.Publish(a)
+	}
+}
+
+// referenceDiscoverFrame is the reply as it was built before the merge went
+// straight into the encoder: one merged, sorted slice, encoded in order.
+func referenceDiscoverFrame(advs []jxta.Advertisement) []byte {
+	e := wire.NewEncoder(64 * len(advs))
+	e.Byte(mtDiscoverResult)
+	e.Uint64(uint64(len(advs)))
+	for _, a := range advs {
+		a.Encode(e)
+	}
+	return e.Bytes()
+}
+
+// referenceDecodeDiscoverResult is the decoder the bulk decode replaced: one
+// jxta.DecodeAdvertisement per counted entry, then the trailing-byte check.
+func referenceDecodeDiscoverResult(d *wire.Decoder) ([]jxta.Advertisement, error) {
+	n := d.Uint64()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	var advs []jxta.Advertisement
+	for i := uint64(0); i < n; i++ {
+		a, err := jxta.DecodeAdvertisement(d)
+		if err != nil {
+			return nil, err
+		}
+		advs = append(advs, a)
+	}
+	return advs, d.Finish()
+}
+
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "nil"
+	case errors.Is(err, wire.ErrShort):
+		return "short"
+	case errors.Is(err, wire.ErrCorrupt):
+		return "corrupt"
+	default:
+		return "other: " + err.Error()
+	}
+}
+
+// checkDecodeSameAsReference decodes a discoverResult frame body both ways
+// and reports any difference in advertisements or error class.
+func checkDecodeSameAsReference(body []byte) error {
+	want, wantErr := referenceDecodeDiscoverResult(wire.NewDecoder(body))
+	got, err := decodeDiscoverResult(wire.NewDecoder(body))
+	if errClass(err) != errClass(wantErr) {
+		return fmt.Errorf("bulk error %v, reference error %v", err, wantErr)
+	}
+	if err != nil && got != nil {
+		return fmt.Errorf("advertisements returned beside error %v", err)
+	}
+	if err == nil && !reflect.DeepEqual(got, want) {
+		return errors.New("bulk decode differs from the reference field for field")
+	}
+	return nil
+}
+
+// TestDiscoverReplyFrameAndDecode checks both ends of the directory reply
+// against their pre-refactor definitions, over seeded random directories on
+// a 4-shard broker: the frame the streaming merge encodes is byte-identical
+// to encoding the merged sorted slice, and decoding it (whole, truncated at
+// every offset, with trailing garbage) equals the per-advertisement loop.
+func TestDiscoverReplyFrameAndDecode(t *testing.T) {
+	for _, n := range []int{0, 1, 128, 4096} {
+		b := bareBroker(t)
+		advs := randomPeerAdvs(rand.New(rand.NewSource(int64(n)+1)), n)
+		publishAll(b, advs)
+		sorted := b.Advertisements(jxta.AdvPeer, "")
+		if len(sorted) != n {
+			t.Fatalf("n=%d: directory holds %d", n, len(sorted))
+		}
+		e := wire.NewEncoder(1024)
+		b.encodeDirectory(e, jxta.AdvPeer, "")
+		frame := e.Bytes()
+		if !bytes.Equal(frame, referenceDiscoverFrame(sorted)) {
+			t.Fatalf("n=%d: streamed frame differs from the merged-slice encoding", n)
+		}
+		body := frame[1:]
+		if err := checkDecodeSameAsReference(body); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		garbage := append(body[:len(body):len(body)], 0x00)
+		if _, err := decodeDiscoverResult(wire.NewDecoder(garbage)); !errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("n=%d: trailing byte accepted: %v", n, err)
+		}
+		if err := checkDecodeSameAsReference(garbage); err != nil {
+			t.Fatalf("n=%d + trailing byte: %v", n, err)
+		}
+		step := 1
+		if n > 128 {
+			step = len(body)/256 + 1
+		}
+		for cut := 0; cut < len(body); cut += step {
+			if err := checkDecodeSameAsReference(body[:cut]); err != nil {
+				t.Fatalf("n=%d cut at %d of %d: %v", n, cut, len(body), err)
+			}
+		}
+		// A named query answers from the owning shard alone.
+		if n > 0 {
+			e.Reset()
+			b.encodeDirectory(e, jxta.AdvPeer, advs[0].Name)
+			one, err := decodeDiscoverResult(wire.NewDecoder(e.Bytes()[1:]))
+			if err != nil || len(one) != 1 || one[0].Name != advs[0].Name {
+				t.Fatalf("n=%d: named query = %+v, %v", n, one, err)
+			}
+		}
+	}
+}
+
+// allocatedBytes reports the heap bytes allocated while fn runs.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzDecodeDiscoverResult feeds arbitrary frame bodies to the bulk decode:
+// it must never panic, must agree with the reference decoder, and must not
+// allocate more than a constant factor of its input whatever count the
+// input claims (32x covers an advertisement of empty fields, 104 bytes from
+// 22, and an attribute of two empty strings, 32 bytes from 2).
+func FuzzDecodeDiscoverResult(f *testing.F) {
+	for _, n := range []int{0, 1, 5} {
+		frame := referenceDiscoverFrame(randomPeerAdvs(rand.New(rand.NewSource(int64(n))), n))
+		f.Add(frame[1:])
+		f.Add(frame[1 : len(frame)/2+1])
+	}
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})                      // 2^63-1 advertisements, nothing else
+	f.Add(append([]byte{0x01, 0x01, 0x10}, make([]byte, 16+3)...))                           // one adv, zero attrs
+	f.Add(append(append([]byte{0x01, 0x01, 0x10}, make([]byte, 16+3)...), 0xFF, 0xFF, 0x03)) // attr count beyond the input
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// The counter is process-wide and the fuzz worker's own goroutines
+		// allocate now and then, which only ever adds: over the limit, look
+		// again, and fail on the least of three readings.
+		var err error
+		limit, spent := uint64(32*len(body)+4096), ^uint64(0)
+		for try := 0; try < 3 && spent > limit; try++ {
+			spent = min(spent, allocatedBytes(func() { _, err = decodeDiscoverResult(wire.NewDecoder(body)) }))
+		}
+		if spent > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d, err %v)", len(body), spent, limit, err)
+		}
+		if err := checkDecodeSameAsReference(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestDecodePieceReportBoundsCount is the regression test for the remote
+// memory amplification: a 6-byte frame claiming 2^24 pieces used to grow a
+// 16 M-entry slice before the decoder reported that the input was short.
+func TestDecodePieceReportBoundsCount(t *testing.T) {
+	e := wire.NewEncoder(16)
+	e.Byte(mtPieceReport)
+	e.String("")
+	e.Int(1 << 24)
+	frame := e.Bytes()
+	if len(frame) != 6 {
+		t.Fatalf("hostile frame is %d bytes, want 6", len(frame))
+	}
+	var err error
+	spent := allocatedBytes(func() {
+		_, d, _ := kindOf(frame)
+		_, err = decodePieceReport(d)
+	})
+	if !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if spent > 4096 {
+		t.Fatalf("rejecting a 6-byte frame allocated %d bytes", spent)
+	}
+	// A count the input could hold, but whose entries are cut short, stops
+	// at the first short read.
+	e.Reset()
+	e.String("sc1")
+	e.Int(2)
+	e.Int(7)
+	if _, err := decodePieceReport(wire.NewDecoder(append(e.Bytes(), 0x80))); !errors.Is(err, wire.ErrShort) {
+		t.Fatalf("truncated entry: err = %v, want ErrShort", err)
+	}
+	// And the honest frame still round-trips.
+	in := pieceReport{Peer: "sc1", Have: []int{0, 5, 7}, Unchoked: []string{"sc2"}}
+	_, d, _ := kindOf(in.encode())
+	out, err := decodePieceReport(d)
+	if err != nil || !reflect.DeepEqual(out, in) {
+		t.Fatalf("roundtrip = %+v, %v", out, err)
+	}
+}
+
+// TestCachedDirectoryUnchangedByNextDiscover: the client's degraded-selection
+// cache now owns the decoded slice Discover also returns, so a later
+// Discover must replace it, never write it.
+func TestCachedDirectoryUnchangedByNextDiscover(t *testing.T) {
+	d := deployShards(t, 2, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile(), "sc3": clientProfile()})
+	var first, second, want []jxta.Advertisement
+	d.net.Run(func() {
+		d.startAll(t)
+		c := d.clients["sc1"]
+		var err error
+		if first, err = c.Discover(); err != nil {
+			t.Errorf("Discover: %v", err)
+			return
+		}
+		want = append([]jxta.Advertisement(nil), first...)
+		for i := range want {
+			want[i].Attrs = append([]jxta.Attr(nil), first[i].Attrs...)
+		}
+		if got := c.res.snapshotDir(); len(got) == 0 || &got[0] != &first[0] {
+			t.Error("the cached directory is not the slice Discover returned")
+		}
+		d.clients["sc2"].Stop()
+		d.broker.Restart()
+		if err := d.clients["sc3"].ReportStats(); err != nil { // resurrects sc3 alone
+			t.Errorf("ReportStats: %v", err)
+		}
+		if second, err = c.Discover(); err != nil {
+			t.Errorf("second Discover: %v", err)
+		}
+	})
+	if len(first) != 3 || len(second) != 1 || second[0].Name != "sc3" {
+		t.Fatalf("first = %d advertisements, second = %+v", len(first), second)
+	}
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("the first directory changed under the second Discover:\n got %+v\nwant %+v", first, want)
+	}
+}
+
+// TestDiscoverAllocBudgets gates what the directory refresh costs in
+// allocations on each side, pipe and network aside, for the 128-peer
+// directory of the faults benchmark on 4 shards. Exact small counts: the
+// next copy or per-field string shows up here, not in a profile.
+func TestDiscoverAllocBudgets(t *testing.T) {
+	b := bareBroker(t)
+	publishAll(b, randomPeerAdvs(rand.New(rand.NewSource(128)), 128))
+	request := discover{Kind: jxta.AdvPeer}.encode()
+	e := wire.NewEncoder(64 << 10) // stands in for the pooled encoder sendReply supplies
+	serve := func() {
+		_, dec, err := kindOf(request)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := decodeDiscover(dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Reset()
+		b.encodeDirectory(e, req.Kind, req.Name)
+	}
+	if allocs := testing.AllocsPerRun(50, serve); allocs > 4 {
+		t.Errorf("broker side: %v allocations to answer a 128-peer discover on 4 shards, budget 4", allocs)
+	}
+	reply := append([]byte(nil), e.Bytes()...)
+	var advs []jxta.Advertisement
+	decode := func() {
+		_, dec, err := kindOf(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if advs, err = decodeDiscoverResult(dec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, decode); allocs > 4 {
+		t.Errorf("client side: %v allocations to decode a 128-peer reply, budget 4", allocs)
+	}
+	if len(advs) != 128 {
+		t.Fatalf("decoded %d advertisements", len(advs))
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"peerlab/internal/jxta"
+	"peerlab/internal/pipe"
 	"peerlab/internal/task"
 	"peerlab/internal/wire"
 )
@@ -65,14 +66,11 @@ type registerAck struct {
 	KnownPeers int
 }
 
-func (m registerAck) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
+func (m registerAck) encodeTo(e *wire.Encoder) {
 	e.Byte(mtRegisterAck)
 	e.Bool(m.OK)
 	e.String(m.Broker)
 	e.Int(m.KnownPeers)
-	return e.Detach()
 }
 
 // statsReport carries a client's self-reported load.
@@ -137,20 +135,37 @@ func (m discover) encode() []byte {
 	return e.Detach()
 }
 
-// discoverResult returns matching advertisements.
-type discoverResult struct {
-	Advs []jxta.Advertisement
-}
-
-func (m discoverResult) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
+// encodeDiscoverResult appends the reply to a discover: the advertisements
+// of parts — each in canonical order, total in all — merged into canonical
+// order as they are encoded, so no merged slice is ever built. parts is
+// consumed.
+func encodeDiscoverResult(e *wire.Encoder, parts [][]jxta.Advertisement, total int) {
 	e.Byte(mtDiscoverResult)
-	e.Uint64(uint64(len(m.Advs)))
-	for _, a := range m.Advs {
+	e.Uint64(uint64(total))
+	for len(parts) > 0 {
+		var a *jxta.Advertisement
+		a, parts = popMin(parts)
 		a.Encode(e)
 	}
-	return e.Detach()
+}
+
+// popMin removes the canonical-order minimum among the heads of parts (each
+// non-empty and in canonical order) and returns it with what is left of
+// parts, an exhausted part dropped: the step of a k-way merge, k = shard
+// count, small.
+func popMin(parts [][]jxta.Advertisement) (*jxta.Advertisement, [][]jxta.Advertisement) {
+	min := 0
+	for i := 1; i < len(parts); i++ {
+		if jxta.CompareAdvertisements(parts[i][0], parts[min][0]) < 0 {
+			min = i
+		}
+	}
+	a := &parts[min][0]
+	if parts[min] = parts[min][1:]; len(parts[min]) == 0 {
+		parts[min] = parts[len(parts)-1]
+		parts = parts[:len(parts)-1]
+	}
+	return a, parts
 }
 
 // selectReq asks the broker's selection service to rank peers.
@@ -187,14 +202,11 @@ type selectResult struct {
 	Err   string
 }
 
-func (m selectResult) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
+func (m selectResult) encodeTo(e *wire.Encoder) {
 	e.Byte(mtSelectResult)
 	e.StringSlice(m.Peers)
 	e.StringSlice(m.Addrs)
 	e.String(m.Err)
-	return e.Detach()
 }
 
 // reportTransfer carries a sender's observations of one transfer. Peer is
@@ -307,14 +319,11 @@ type taskDecision struct {
 	Reason   string
 }
 
-func (m taskDecision) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
+func (m taskDecision) encodeTo(e *wire.Encoder) {
 	e.Byte(mtTaskDecision)
 	e.Uint64(m.TaskID)
 	e.Bool(m.Accepted)
 	e.String(m.Reason)
-	return e.Detach()
 }
 
 // taskDone returns the execution result.
@@ -322,16 +331,13 @@ type taskDone struct {
 	Result task.Result
 }
 
-func (m taskDone) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
+func (m taskDone) encodeTo(e *wire.Encoder) {
 	e.Byte(mtTaskDone)
 	e.Uint64(m.Result.TaskID)
 	e.Bool(m.Result.OK)
 	e.String(m.Result.Detail)
 	e.Duration(m.Result.Elapsed)
 	e.String(m.Result.Peer)
-	return e.Detach()
 }
 
 // instant is a one-line instant message between peers.
@@ -349,11 +355,24 @@ func (m instant) encode() []byte {
 	return e.Detach()
 }
 
-// ackBytes is the generic acknowledgment payload.
-func ackBytes() []byte { return []byte{mtAck} }
+// The generic acknowledgment and the instant-message acknowledgment, as the
+// frames every sender shares: Send only reads its argument.
+var (
+	ackFrame        = []byte{mtAck}
+	instantAckFrame = []byte{mtInstantAck}
+)
 
-// instantAckBytes acknowledges an instant message.
-func instantAckBytes() []byte { return []byte{mtInstantAck} }
+// sendReply sends the message fill encodes, straight from a pooled encoder:
+// Conn.Send returns only once the peer has acknowledged the message (or the
+// conn broke) and keeps no reference to its argument — every transmission
+// copies the payload into its own frame — so the encoder goes back to the
+// pool with no detached copy in between.
+func sendReply(conn *pipe.Conn, fill func(*wire.Encoder)) error {
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	fill(e)
+	return conn.Send(e.Bytes())
+}
 
 // --- decoding ---
 
@@ -406,20 +425,19 @@ func decodeDiscover(d *wire.Decoder) (discover, error) {
 	return m, d.Finish()
 }
 
-func decodeDiscoverResult(d *wire.Decoder) (discoverResult, error) {
+func decodeDiscoverResult(d *wire.Decoder) ([]jxta.Advertisement, error) {
 	n := d.Uint64()
 	if err := d.Err(); err != nil {
-		return discoverResult{}, err
+		return nil, err
 	}
-	m := discoverResult{}
-	for i := uint64(0); i < n; i++ {
-		a, err := jxta.DecodeAdvertisement(d)
-		if err != nil {
-			return discoverResult{}, err
-		}
-		m.Advs = append(m.Advs, a)
+	advs, err := jxta.DecodeAdvertisements(d, n)
+	if err == nil {
+		err = d.Finish()
 	}
-	return m, d.Finish()
+	if err != nil {
+		return nil, err
+	}
+	return advs, nil
 }
 
 func decodeSelectReq(d *wire.Decoder) (selectReq, error) {
@@ -458,11 +476,15 @@ func decodePieceReport(d *wire.Decoder) (pieceReport, error) {
 	if err := d.Err(); err != nil {
 		return pieceReport{}, err
 	}
-	if n < 0 {
-		return pieceReport{}, fmt.Errorf("overlay: piece report with %d pieces", n)
+	if n < 0 || n > d.Remaining() { // each piece index needs at least 1 byte
+		return pieceReport{}, fmt.Errorf("%w: piece report of %d pieces in %d bytes", wire.ErrCorrupt, n, d.Remaining())
 	}
 	for i := 0; i < n; i++ {
-		m.Have = append(m.Have, d.Int())
+		p := d.Int()
+		if err := d.Err(); err != nil {
+			return pieceReport{}, err
+		}
+		m.Have = append(m.Have, p)
 	}
 	m.Unchoked = d.StringSlice()
 	return m, d.Finish()

@@ -122,11 +122,12 @@ type resilience struct {
 	degraded atomic.Int64
 }
 
-// setDir replaces the cached directory with a copy of advs.
+// setDir replaces the cached directory with advs, taking ownership: the
+// slice is freshly decoded and from here on only read.
 func (r *resilience) setDir(advs []jxta.Advertisement) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.dir = append([]jxta.Advertisement(nil), advs...)
+	r.dir = advs
 }
 
 // snapshotDir returns the cached directory (shared slice; callers only

@@ -106,6 +106,9 @@ func (o Options) withDefaults() Options {
 
 // Message is one application message received from a Conn.
 type Message struct {
+	// Payload belongs to the receiver: it is the tail of the frame the
+	// transport delivered (transport.Message.Payload is the receiver's),
+	// which nothing else reads or writes again.
 	Payload []byte
 	// Size is the wire size of the message (>= len(Payload)); see
 	// transport.Message.Size.
@@ -299,7 +302,8 @@ func (m *Mux) sendFrame(peer transport.Addr, kind byte, dirTheirs bool, id, seq,
 	e.Uint64(ack)
 	hdrLen := e.Len() + uvarintLen(uint64(len(payload)))
 	e.BytesField(payload)
-	// Detach: the simulated transport retains the buffer until delivery.
+	// Detach: the transport hands the buffer to the receiver, who owns it
+	// from then on (see transport.Message).
 	return m.ep.SendSized(peer, e.Detach(), hdrLen+size)
 }
 
@@ -367,6 +371,9 @@ func (c *Conn) Retransmissions() int64 {
 }
 
 // Send transmits payload reliably, blocking until the peer acknowledges it.
+// It only reads payload and keeps no reference to it once it returns: every
+// transmission copies it into a frame of its own, so the caller may reuse the
+// buffer (or return it to a pool) as soon as Send comes back.
 func (c *Conn) Send(payload []byte) error {
 	return c.SendSized(payload, len(payload))
 }
@@ -618,17 +625,15 @@ func (c *Conn) handleData(seq uint64, payload []byte, size int) {
 	if seq >= c.recvNext {
 		if seq == c.recvNext && len(c.recvBuf) == 0 {
 			// In-order fast path — the reorder buffer stays untouched (and,
-			// on a conn that never saw a gap, unallocated). Payload copied:
-			// it aliases the transport buffer.
-			c.inbox.Push(Message{Payload: append([]byte(nil), payload...), Size: size})
+			// on a conn that never saw a gap, unallocated).
+			c.inbox.Push(Message{Payload: payload, Size: size})
 			c.recvNext++
 		} else {
 			if c.recvBuf == nil {
 				c.recvBuf = make(map[uint64]Message)
 			}
 			if _, dup := c.recvBuf[seq]; !dup {
-				// Copy: the payload aliases the transport buffer.
-				c.recvBuf[seq] = Message{Payload: append([]byte(nil), payload...), Size: size}
+				c.recvBuf[seq] = Message{Payload: payload, Size: size}
 			}
 			for {
 				m, ok := c.recvBuf[c.recvNext]

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"peerlab/internal/overlay"
+	"peerlab/internal/pipe"
 	"peerlab/internal/task"
 	"peerlab/internal/transfer"
 	"peerlab/internal/transport"
@@ -222,5 +223,66 @@ func TestReturnRouteLearned(t *testing.T) {
 		c.Stop()
 		peerHost.Close()
 		brokerHost.Close()
+	}
+}
+
+// TestReceiverOwnsPayloadOverTCP is the real-socket half of the buffer rule
+// pipe relies on (transport.Message): once Conn.Send has returned, the
+// sender may scribble over its buffer, and the messages the receiver holds
+// are untouched — here because every frame is read off the socket into a
+// buffer of its own.
+func TestReceiverOwnsPayloadOverTCP(t *testing.T) {
+	a, b := twoHosts(t)
+	epA, err := a.Endpoint("pipe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epB, err := b.Endpoint("pipe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	muxA, muxB := pipe.NewMux(a, epA, pipe.Options{}), pipe.NewMux(b, epB, pipe.Options{})
+	t.Cleanup(func() { muxA.Close(); muxB.Close() })
+
+	const n, size = 32, 256
+	want := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, size) }
+	received := make(chan []pipe.Message, 1)
+	go func() {
+		var got []pipe.Message
+		defer func() { received <- got }()
+		conn, err := muxB.Accept()
+		if err != nil {
+			return
+		}
+		for i := 0; i < n; i++ {
+			m, err := conn.RecvTimeout(10 * time.Second)
+			if err != nil {
+				return
+			}
+			got = append(got, m)
+		}
+	}()
+	conn, err := muxA.Dial("beta/pipe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, size)
+	for i := 0; i < n; i++ {
+		copy(buf, want(i))
+		if err := conn.Send(buf); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+		for j := range buf {
+			buf[j] = 0xEE
+		}
+	}
+	got := <-received
+	if len(got) != n {
+		t.Fatalf("received %d messages, want %d", len(got), n)
+	}
+	for i, m := range got {
+		if !bytes.Equal(m.Payload, want(i)) {
+			t.Fatalf("message %d corrupted after the sender reused its buffer: % x", i, m.Payload[:8])
+		}
 	}
 }

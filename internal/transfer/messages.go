@@ -128,12 +128,22 @@ func decodePiecePetition(d *wire.Decoder) (piecePetition, error) {
 		Pieces:     d.Int(),
 	}
 	n := d.Int()
+	if err := d.Err(); err != nil {
+		return piecePetition{}, err
+	}
 	if n < 0 || n > p.Pieces {
 		return piecePetition{}, fmt.Errorf("transfer: piece petition names %d of %d pieces", n, p.Pieces)
 	}
-	p.Indices = make([]int, 0, max(n, 0))
+	if n > d.Remaining() { // each index needs at least 1 byte
+		return piecePetition{}, fmt.Errorf("%w: %d piece indices in %d bytes", wire.ErrCorrupt, n, d.Remaining())
+	}
+	p.Indices = make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		p.Indices = append(p.Indices, d.Int())
+		idx := d.Int()
+		if err := d.Err(); err != nil {
+			return piecePetition{}, err
+		}
+		p.Indices = append(p.Indices, idx)
 	}
 	p.Sender = d.StringField()
 	p.SentAt = d.Time()

@@ -3,12 +3,14 @@ package transfer
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"peerlab/internal/pipe"
 	"peerlab/internal/simnet"
+	"peerlab/internal/wire"
 )
 
 func TestSplitExact(t *testing.T) {
@@ -494,5 +496,34 @@ func TestMetricsDerivations(t *testing.T) {
 	}
 	if got := m.Throughput(); got < 800_000 || got > 900_000 {
 		t.Fatalf("Throughput = %v, want ~833333", got)
+	}
+}
+
+// TestDecodePiecePetitionBoundsCount: the index count is checked against
+// the input before anything is sized by it. Pieces is the sender's word
+// too, so a frame of a few bytes claiming 2^30 indices of 2^30 pieces used
+// to reserve 8 GB.
+func TestDecodePiecePetitionBoundsCount(t *testing.T) {
+	e := wire.NewEncoder(32)
+	e.Uint64(1)
+	e.String("f")
+	e.String("")
+	e.Int(1 << 30)
+	e.Int(1 << 30) // Pieces
+	e.Int(1 << 30) // index count, and then no indices
+	if _, err := decodePiecePetition(wire.NewDecoder(e.Bytes())); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("hostile count: err = %v, want ErrCorrupt", err)
+	}
+	in := piecePetition{TransferID: 9, FileName: "f", Checksum: "c", TotalSize: 1000, Pieces: 8,
+		Indices: []int{1, 5, 7}, Sender: "sc1", SentAt: time.Unix(0, 12345).UTC()}
+	raw := in.encode()
+	out, err := decodePiecePetition(wire.NewDecoder(raw[1:]))
+	if err != nil || !reflect.DeepEqual(out, in) {
+		t.Fatalf("roundtrip = %+v, %v", out, err)
+	}
+	for cut := 1; cut < len(raw); cut++ {
+		if _, err := decodePiecePetition(wire.NewDecoder(raw[1:cut])); err == nil {
+			t.Fatalf("petition cut at %d of %d decoded without error", cut, len(raw))
+		}
 	}
 }

@@ -52,8 +52,13 @@ func (a Addr) Service() string {
 
 // Message is one datagram handed to an Endpoint.
 type Message struct {
-	From    Addr
-	To      Addr
+	From Addr
+	To   Addr
+	// Payload of a received message belongs to the receiver, which may keep
+	// slices of it without copying: no one else reads or writes the buffer
+	// after delivery. Both transports hold to this — simnet delivers the
+	// very buffer the sender gave up (see Endpoint.Send), realnet a fresh
+	// one read off the socket.
 	Payload []byte
 	// Size is the number of bytes the message occupies on the wire. It is
 	// at least len(Payload); the transfer engine sends file parts with a
@@ -76,7 +81,9 @@ type Endpoint interface {
 	Addr() Addr
 	// Send transmits payload to the destination. It blocks for the
 	// serialization time of the message on the sender's uplink (virtual time
-	// under simnet). Delivery is not guaranteed.
+	// under simnet). Delivery is not guaranteed. The caller gives payload
+	// up: it must not write to it after Send is called, because the
+	// receiver may be handed that very buffer (Message.Payload).
 	Send(to Addr, payload []byte) error
 	// SendSized is Send with an explicit wire size; size must be >=
 	// len(payload). The simulated transport uses size for timing and loss;

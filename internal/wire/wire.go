@@ -41,7 +41,9 @@ func NewEncoder(n int) *Encoder {
 }
 
 // Bytes returns the encoded buffer. The encoder retains ownership; the caller
-// must copy if it will keep the slice across further encoder use.
+// must copy if it will keep the slice across further encoder use. Handing it
+// to a call that does not retain its argument (pipe.Conn.Send) and returning
+// the encoder to the pool afterwards needs no copy.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of encoded bytes so far.
@@ -154,6 +156,8 @@ type Decoder struct {
 	buf []byte
 	off int
 	err error
+	// str is string(buf) once SharedStringField has needed it.
+	str string
 }
 
 // NewDecoder returns a decoder over buf. The decoder does not copy buf.
@@ -288,6 +292,23 @@ func (d *Decoder) BytesField() []byte {
 // StringField consumes a length-prefixed string.
 func (d *Decoder) StringField() string {
 	return string(d.BytesField())
+}
+
+// SharedStringField is StringField returning a substring of one string copy
+// of the whole message, made the first time a non-empty field asks: one
+// allocation however many fields follow. That copy lives as long as any one
+// field decoded from it, so this is for bulk messages whose strings are kept
+// together (a directory reply), not for a message from which one short
+// string outlives the rest.
+func (d *Decoder) SharedStringField() string {
+	b := d.BytesField()
+	if len(b) == 0 {
+		return ""
+	}
+	if d.str == "" {
+		d.str = string(d.buf)
+	}
+	return d.str[d.off-len(b) : d.off]
 }
 
 // StringSlice consumes a count-prefixed slice of strings.

@@ -346,3 +346,85 @@ func TestPutEncoderDropsOversizedBuffers(t *testing.T) {
 		t.Fatalf("encoder from pool not reset: %d bytes", got.Len())
 	}
 }
+
+// sharedAndCopied decodes b as: n strings, a string slice, one more string —
+// once with SharedStringField and once with StringField.
+func sharedAndCopied(b []byte, n int) (shared, copied []string, sharedErr, copiedErr error) {
+	decode := func(share bool) ([]string, error) {
+		d := NewDecoder(b)
+		field := d.StringField
+		if share {
+			field = d.SharedStringField
+		}
+		var out []string
+		for i := 0; i < n; i++ {
+			out = append(out, field())
+		}
+		out = append(out, d.StringSlice()...)
+		out = append(out, field())
+		return out, d.Finish()
+	}
+	shared, sharedErr = decode(true)
+	copied, copiedErr = decode(false)
+	return
+}
+
+func TestSharedStringFieldDecodesWhatStringFieldDecodes(t *testing.T) {
+	words := []string{"", "a", "sc1.planetlab", "", "héllo", string(bytes.Repeat([]byte{'x'}, 300))}
+	e := NewEncoder(512)
+	for _, w := range words {
+		e.String(w)
+	}
+	e.StringSlice(words)
+	e.String("")
+	full := e.Bytes()
+	// Every truncation too: the two must agree on values and errors.
+	for cut := 0; cut <= len(full); cut++ {
+		shared, copied, sErr, cErr := sharedAndCopied(full[:cut], len(words))
+		if (sErr == nil) != (cErr == nil) || errors.Is(sErr, ErrShort) != errors.Is(cErr, ErrShort) ||
+			errors.Is(sErr, ErrCorrupt) != errors.Is(cErr, ErrCorrupt) {
+			t.Fatalf("cut %d: shared error %v, copying error %v", cut, sErr, cErr)
+		}
+		if len(shared) != len(copied) {
+			t.Fatalf("cut %d: %d strings shared, %d copied", cut, len(shared), len(copied))
+		}
+		for i := range shared {
+			if shared[i] != copied[i] {
+				t.Fatalf("cut %d: string %d = %q shared, %q copied", cut, i, shared[i], copied[i])
+			}
+		}
+	}
+	// The decoded strings survive the input buffer being overwritten: they
+	// are substrings of a copy, not of the caller's bytes.
+	shared, _, _, _ := sharedAndCopied(full, len(words))
+	for i := range full {
+		full[i] = 0xEE
+	}
+	for i, w := range words {
+		if shared[i] != w {
+			t.Fatalf("string %d = %q after the buffer was overwritten, want %q", i, shared[i], w)
+		}
+	}
+}
+
+func TestSharedStringFieldAllocatesOnce(t *testing.T) {
+	e := NewEncoder(4096)
+	const n = 200
+	for i := 0; i < n; i++ {
+		e.String("peer-name-of-some-length")
+	}
+	b := e.Bytes()
+	var keep [n]string
+	allocs := testing.AllocsPerRun(50, func() {
+		d := NewDecoder(b)
+		for i := range keep {
+			keep[i] = d.SharedStringField()
+		}
+		if err := d.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("%v allocations to decode %d shared strings, want 1", allocs, n)
+	}
+}
