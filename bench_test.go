@@ -245,8 +245,7 @@ func BenchmarkScale(b *testing.B) {
 		}, 64)
 	})
 	// boot-65536 isolates the boot wave itself: 64k peers registering
-	// through the batched frame and the coalesced accept loop, no workload
-	// afterwards. The ctlRPCs/peer metric pins the control-plane cost of
+	// through the batched frame, no workload afterwards. The ctlRPCs/peer metric pins the control-plane cost of
 	// admission — 1.0 batched against 2.0 for the legacy register+report
 	// pair (the +1 in the numerator is the controller's own registration).
 	b.Run("boot-65536", func(b *testing.B) {
@@ -291,7 +290,7 @@ func BenchmarkAblationGranularitySweep(b *testing.B) {
 		b.Run(fmt.Sprintf("%dparts", parts), func(b *testing.B) {
 			var mins float64
 			for i := 0; i < b.N; i++ {
-				d, err := Deploy(Config{Seed: int64(100 + i), UsePlanetLab: true})
+				d, err := Deploy(Config{Seed: int64(100 + i), Scenario: ScenarioTable1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -448,7 +447,7 @@ func BenchmarkAblationStaleQuickPeer(b *testing.B) {
 	run := func(b *testing.B, remembered []string) float64 {
 		var secs float64
 		for i := 0; i < b.N; i++ {
-			d, err := Deploy(Config{Seed: int64(400 + i), UsePlanetLab: true})
+			d, err := Deploy(Config{Seed: int64(400 + i), Scenario: ScenarioTable1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -485,7 +484,7 @@ func BenchmarkAblationStaleQuickPeer(b *testing.B) {
 // messages simulated per wall second on a busy 8-peer slice.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d, err := Deploy(Config{Seed: int64(500 + i), UsePlanetLab: true})
+		d, err := Deploy(Config{Seed: int64(500 + i), Scenario: ScenarioTable1})
 		if err != nil {
 			b.Fatal(err)
 		}

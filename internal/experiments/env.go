@@ -229,9 +229,8 @@ func (e *Env) RunPeers(labels []string, fn func(ctl *overlay.Client, sc map[stri
 		clients := make(map[string]*overlay.Client, len(e.Slice.Catalog))
 		if e.batchBoot {
 			// The boot wave: one concurrent boot process per peer, each a
-			// single batched control RPC, drained by the broker's coalesced
-			// accept loop. Catalog order fixes spec order, so the wave is
-			// as deterministic as the serial boot below.
+			// single batched control RPC. Catalog order fixes spec order,
+			// so the wave is as deterministic as the serial boot below.
 			specs := make([]overlay.BootSpec, 0, len(e.Slice.Catalog))
 			booted := make([]string, 0, len(e.Slice.Catalog))
 			for _, p := range e.Slice.Catalog {

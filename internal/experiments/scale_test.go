@@ -76,9 +76,9 @@ func TestScaleSmoke(t *testing.T) {
 
 // TestScaleSmokeSwarm16384 is the largest CI-checked scale point: 256
 // broker-selected flows over a 16384-peer heterogeneous directory on 8
-// shards. The boot wave admits ~16k pooled processes in one batch and every
+// shards. The boot wave admits ~16k pooled processes at one instant and every
 // selection call ranks the full directory, so this is where a dispatcher or
-// timer-wheel regression shows first. One serial run and one
+// timer-heap regression shows first. One serial run and one
 // parallel+resharded run instead of TestScaleSmoke's three-way matrix: at
 // this size the pair already covers both invariance axes, and CI's
 // -timeout flag is the hang detector.

@@ -1,12 +1,14 @@
 package overlay
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"peerlab/internal/jxta"
+	"peerlab/internal/pipe"
 	"peerlab/internal/simnet"
 	"peerlab/internal/transport"
 	"peerlab/internal/wire"
@@ -196,6 +198,76 @@ func TestBootPeersWave(t *testing.T) {
 	for _, n := range names {
 		if s := d.broker.Registry().Peer(n).Snapshot(); s.ReadyAt.IsZero() {
 			t.Fatalf("%s: wave boot did not seed stats", n)
+		}
+	}
+}
+
+// TestAcceptBurstServedInArrivalOrder dials the broker from more nodes than
+// it keeps resident handlers, all at one instant, twice: the first burst
+// finds no handler parked (every conn spawns one), the second finds the
+// resident pool parked (the head of the burst wakes them, the rest spawn).
+// Each ack's KnownPeers counts the registrations served before it, so it
+// must number the burst in dial order on both paths.
+func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
+	const burst = brokerResidentHandlers + 8
+	d := deploy(t, nil)
+	known := make([]int, 2*burst)
+	dial := func(i int, host transport.Host) func() {
+		return func() {
+			ep, err := host.Endpoint(ServiceClient)
+			if err != nil {
+				t.Errorf("%s: %v", host.Name(), err)
+				return
+			}
+			mux := pipe.NewMux(host, ep, pipe.Options{})
+			defer mux.Close()
+			conn, err := mux.Dial(d.broker.Addr())
+			if err != nil {
+				t.Errorf("%s: dial: %v", host.Name(), err)
+				return
+			}
+			defer conn.Close()
+			if err := conn.Send(register{Adv: testAdv(host.Name())}.encode()); err != nil {
+				t.Errorf("%s: send: %v", host.Name(), err)
+				return
+			}
+			msg, err := conn.Recv()
+			if err != nil {
+				t.Errorf("%s: recv: %v", host.Name(), err)
+				return
+			}
+			_, dec, _ := kindOf(msg.Payload)
+			ack, err := decodeRegisterAck(dec)
+			if err != nil {
+				t.Errorf("%s: ack: %v", host.Name(), err)
+				return
+			}
+			known[i] = ack.KnownPeers
+		}
+	}
+	hosts := make([]transport.Host, 2*burst)
+	for i := range hosts {
+		hosts[i] = d.net.MustAddNode(fmt.Sprintf("b%02d", i), clientProfile())
+	}
+	d.net.Run(func() {
+		spawner := d.net.Node("broker0")
+		for i := 0; i < burst; i++ {
+			spawner.Go(dial(i, hosts[i]))
+		}
+		spawner.Sleep(time.Minute) // first burst served; resident handlers parked
+		d.broker.workMu.Lock()
+		idle := d.broker.idle
+		d.broker.workMu.Unlock()
+		if idle != brokerResidentHandlers {
+			t.Errorf("%d handlers parked after the first burst, want %d", idle, brokerResidentHandlers)
+		}
+		for i := burst; i < 2*burst; i++ {
+			spawner.Go(dial(i, hosts[i]))
+		}
+	})
+	for i, got := range known {
+		if got != i+1 {
+			t.Fatalf("ack %d saw %d known peers, want %d: burst not served in dial order (all acks: %v)", i, got, i+1, known)
 		}
 	}
 }

@@ -348,71 +348,29 @@ func (b *Broker) sweep() {
 	b.armSweep()
 }
 
-// acceptLoop dispatches accepted conns to an elastic pool of handler
-// processes. A conn goes to a parked resident handler when one is idle and
-// to a freshly spawned process otherwise, so a same-instant burst larger
-// than the idle pool never serializes behind one handler's park points.
-//
-// Conns already buffered behind the first Accept — a same-instant dial
-// burst the mux dispatcher has queued up — are drained into one admission
-// batch before any handler is admitted. The drain is free of scheduling
-// points (Accept on a non-empty queue returns without yielding), and the
-// admission mechanics are the legacy ones: waking a parked handler
-// (Queue.Push) and spawning a process (host.Go / GoBatch, proven
-// event-equivalent to a Go loop) admit runnables in arrival order at the
-// same point in the loop, and idle handlers cannot re-park mid-batch
-// because nothing between admissions yields. The per-conn admission
-// sequence the scheduler observes is therefore byte-identical to the
-// one-at-a-time loop, and with it every golden figure.
+// acceptLoop dispatches accepted conns, one per iteration, to an elastic
+// pool of handler processes. A conn goes to a parked resident handler when
+// one is idle and to a freshly spawned process otherwise, so a same-instant
+// burst larger than the idle pool never serializes behind one handler's
+// park points.
 func (b *Broker) acceptLoop() {
-	var batch []*pipe.Conn
-	var fns []func()
 	for {
 		conn, err := b.mux.Accept()
 		if err != nil {
 			b.work.Close()
 			return
 		}
-		batch = append(batch[:0], conn)
-		for b.mux.Pending() > 0 {
-			c, err := b.mux.Accept()
-			if err != nil {
-				break
-			}
-			batch = append(batch, c)
-		}
-		// Parked handlers take the head of the batch in arrival order —
-		// exactly the assignment the per-conn loop makes, since idle can
-		// only shrink while admitting.
 		b.workMu.Lock()
-		wake := len(batch)
-		if wake > b.idle {
-			wake = b.idle
-		}
-		b.idle -= wake
-		b.workMu.Unlock()
-		for _, c := range batch[:wake] {
+		if b.idle > 0 {
+			b.idle--
+			b.workMu.Unlock()
 			// A parked handler exists (idle is exact, see Broker.idle), so
 			// Push never buffers: the conn is handed straight to its waiter.
-			_ = b.work.Push(c)
-		}
-		rest := batch[wake:]
-		if len(rest) == 0 {
+			_ = b.work.Push(conn)
 			continue
 		}
-		if bs, ok := b.host.(transport.BatchSpawner); ok && len(rest) > 1 {
-			fns = fns[:0]
-			for _, c := range rest {
-				c := c
-				fns = append(fns, func() { b.handlerLoop(c) })
-			}
-			bs.GoBatch(fns)
-		} else {
-			for _, c := range rest {
-				c := c
-				b.host.Go(func() { b.handlerLoop(c) })
-			}
-		}
+		b.workMu.Unlock()
+		b.host.Go(func() { b.handlerLoop(conn) })
 	}
 }
 

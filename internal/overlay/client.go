@@ -139,12 +139,10 @@ type BootSpec struct {
 }
 
 // BootPeers boots a wave of clients concurrently: one boot process per
-// spec, admitted through one batch when the spawner supports it, each
-// registering through the batched boot frame (one control RPC per peer —
-// no separate ReportStats; the frame carries the initial stats). The
-// broker's accept loop drains the resulting same-instant dial burst into
-// coalesced handler admissions, so a 64k wave costs 64k control RPCs
-// instead of 128k serialized ones.
+// spec, each registering through the batched boot frame (one control RPC
+// per peer — no separate ReportStats; the frame carries the initial
+// stats), so a 64k wave costs 64k control RPCs instead of 128k serialized
+// ones.
 //
 // On any failure the whole wave is stopped — BootPeer's no-half-booted-
 // client rule, wave-wide — and the lowest-index failure is returned.
@@ -153,24 +151,15 @@ func BootPeers(spawner transport.Host, broker transport.Addr, specs []BootSpec) 
 	clients := make([]*Client, len(specs))
 	errs := make([]error, len(specs))
 	join := spawner.NewQueue()
-	fns := make([]func(), len(specs))
 	for i, sp := range specs {
-		i := i
 		cfg := sp.Config
 		cfg.BatchBoot = true
 		c := NewClient(sp.Host, broker, cfg)
 		clients[i] = c
-		fns[i] = func() {
+		spawner.Go(func() {
 			errs[i] = c.Start()
 			join.Push(nil)
-		}
-	}
-	if bs, ok := spawner.(transport.BatchSpawner); ok {
-		bs.GoBatch(fns)
-	} else {
-		for _, fn := range fns {
-			spawner.Go(fn)
-		}
+		})
 	}
 	for range specs {
 		if _, err := join.Pop(); err != nil {

@@ -177,12 +177,6 @@ func (m *Mux) Accept() (*Conn, error) {
 	return v.(*Conn), nil
 }
 
-// Pending reports how many inbound conns are already buffered awaiting
-// Accept. While it stays positive the next Accept returns without blocking
-// (only the accept loop pops the queue), which lets a server drain a burst
-// of same-instant dials into one admission batch.
-func (m *Mux) Pending() int { return m.accepts.Len() }
-
 // Close tears down the mux, every conn, and the endpoint.
 func (m *Mux) Close() error {
 	m.mu.Lock()

@@ -255,10 +255,6 @@ func (nd *Node) Profile() Profile { return nd.profile }
 // Go starts fn as a process on the network's scheduler.
 func (nd *Node) Go(fn func()) { nd.net.sched.Go(fn) }
 
-// GoBatch starts every closure as a scheduler process under one admission
-// (see transport.BatchSpawner).
-func (nd *Node) GoBatch(fns []func()) { nd.net.sched.GoBatch(fns) }
-
 // Now returns the current virtual time.
 func (nd *Node) Now() time.Time { return nd.net.sched.Now() }
 

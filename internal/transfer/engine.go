@@ -20,6 +20,12 @@ var (
 // the most pessimistic service rate either side plans timeouts around.
 const assumedFloorRate = 100_000
 
+// maxParts is the largest part count a Receiver accepts in a petition. It
+// covers every granularity a scenario or sweep spec can name (the sweep
+// grammar's axis bound is 1_000_000) and caps what a few petition bytes can
+// make the receiver allocate.
+const maxParts = 1 << 20
+
 // PartTiming records one part's lifecycle as observed by the sender, plus
 // the receiver-reported delivery instant.
 type PartTiming struct {
@@ -537,8 +543,12 @@ func (r *Receiver) handle(conn *pipe.Conn) {
 	}
 	receivedAt := r.host.Now()
 
+	// Parts sizes the reassembly buffers below and comes straight off the
+	// wire: refuse a count no sender of ours produces before allocating.
 	accept, reason := true, ""
-	if r.opts.Accept != nil {
+	if pet.Parts < 0 || pet.Parts > maxParts {
+		accept, reason = false, fmt.Sprintf("part count %d outside [0, %d]", pet.Parts, maxParts)
+	} else if r.opts.Accept != nil {
 		accept, reason = r.opts.Accept(pet.FileName, pet.TotalSize, pet.Parts, pet.Sender)
 	}
 	ack := petitionAck{

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -163,6 +164,7 @@ func TestPropertySplitJoinRoundtrip(t *testing.T) {
 
 type xferRig struct {
 	net      *simnet.Network
+	mux      *pipe.Mux // the sender's, for tests that speak the protocol raw
 	sender   *Sender
 	received []Received
 }
@@ -187,6 +189,7 @@ func newXferRigOpts(t *testing.T, src, dst simnet.Profile, sopts SenderOptions, 
 	rig := &xferRig{net: n}
 	muxA := pipe.NewMux(a, epA, pipe.Options{MaxRetries: 12})
 	muxB := pipe.NewMux(b, epB, pipe.Options{MaxRetries: 12})
+	rig.mux = muxA
 	rig.sender = NewSender(a, muxA, sopts)
 	userOnFile := ropts.OnFile
 	ropts.OnFile = func(rc Received) {
@@ -295,6 +298,58 @@ func TestPetitionRejected(t *testing.T) {
 	}
 	if len(rig.received) != 0 {
 		t.Fatal("rejected transfer delivered a file")
+	}
+}
+
+// TestPetitionPartCountOutOfRangeRefused sends hand-built petitions whose
+// part count would panic (negative) or exhaust memory (2^30) if the receiver
+// sized its reassembly buffers from it: each must come back refused, with
+// the accept callback never consulted and nothing of that size allocated,
+// and the receiver must still serve the next, honest transfer.
+func TestPetitionPartCountOutOfRangeRefused(t *testing.T) {
+	consulted := 0
+	rig := newXferRig(t, fastProfile(), fastProfile(), ReceiverOptions{
+		Accept: func(string, int, int, string) (bool, string) { consulted++; return true, "" },
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rig.net.Run(func() {
+		for _, parts := range []int{-1, 1 << 30} {
+			conn, err := rig.mux.Dial("dst/xfer")
+			if err != nil {
+				t.Errorf("parts=%d: dial: %v", parts, err)
+				return
+			}
+			pet := petition{TransferID: 7, FileName: "evil", TotalSize: 1 << 40, Parts: parts, Sender: "src"}
+			if err := conn.Send(pet.encode()); err != nil {
+				t.Errorf("parts=%d: send: %v", parts, err)
+				return
+			}
+			msg, err := conn.Recv()
+			if err != nil {
+				t.Errorf("parts=%d: no ack: %v", parts, err)
+				return
+			}
+			_, d, _ := decodeKind(msg.Payload)
+			ack, err := decodePetitionAck(d)
+			if err != nil || ack.Accept || ack.Reason == "" {
+				t.Errorf("parts=%d: ack = %+v, %v; want a refusal with a reason", parts, ack, err)
+			}
+			conn.Close()
+		}
+		if _, err := rig.sender.Send("dst/xfer", NewVirtualFile("ok", Mb, 1), 2); err != nil {
+			t.Errorf("honest transfer after the refusals: %v", err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("refusing the petitions allocated %d MB", grew>>20)
+	}
+	if consulted != 1 {
+		t.Fatalf("accept callback consulted %d times, want 1 (the honest transfer only)", consulted)
+	}
+	if len(rig.received) != 1 {
+		t.Fatalf("%d files delivered, want 1", len(rig.received))
 	}
 }
 

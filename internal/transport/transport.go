@@ -148,11 +148,3 @@ type Host interface {
 	// NewQueue returns a scheduler-aware FIFO (see Queue).
 	NewQueue() Queue
 }
-
-// BatchSpawner is an optional Host capability: spawn many processes in one
-// scheduler admission, in slice order — exactly equivalent to calling Go in
-// a loop, minus the per-spawn overhead. Large fan-outs (a workload starting
-// one process per flow) probe for it and fall back to Go.
-type BatchSpawner interface {
-	GoBatch(fns []func())
-}

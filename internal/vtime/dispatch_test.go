@@ -38,38 +38,6 @@ func TestSameInstantWakeOrderGoldenThroughHandoff(t *testing.T) {
 	}
 }
 
-// TestGoBatchMatchesGoLoop proves the batch spawn path is event-for-event
-// identical to a Go loop: same wake order, same virtual timestamps.
-func TestGoBatchMatchesGoLoop(t *testing.T) {
-	run := func(batch bool) []string {
-		s := NewScheduler()
-		var order []string
-		fns := make([]func(), 6)
-		for i := range fns {
-			i := i
-			fns[i] = func() {
-				s.Sleep(time.Duration(i%3) * time.Millisecond)
-				order = append(order, fmt.Sprintf("p%d@%v", i, s.Elapsed()))
-			}
-		}
-		s.Go(func() {
-			if batch {
-				s.GoBatch(fns)
-			} else {
-				for _, fn := range fns {
-					s.Go(fn)
-				}
-			}
-		})
-		s.Wait()
-		return order
-	}
-	loop, batch := run(false), run(true)
-	if strings.Join(loop, " ") != strings.Join(batch, " ") {
-		t.Fatalf("GoBatch order %v differs from Go loop order %v", batch, loop)
-	}
-}
-
 // TestOnDeadlockFiresWhenAllWorkersParked parks every process on queues with
 // no pending timer and checks the hook fires exactly once, with a message
 // naming the parked count, and that Wait still returns (parked processes are

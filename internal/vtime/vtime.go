@@ -16,7 +16,8 @@
 // peers transferring simultaneously) bit-reproducible for a given seed:
 // same-instant contention for a link, a broker, or a queue always resolves
 // the same way. A single-driver simulation pays nothing for the gate; it
-// was never parallel to begin with.
+// was never parallel to begin with. Timers live in one min-heap ordered by
+// (instant, schedule sequence); that order is the whole firing contract.
 //
 // Two mechanisms keep the serialized dispatch cheap at 10k–100k processes.
 // First, handoffs are direct: when the running process parks and another is
@@ -34,7 +35,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -52,8 +52,7 @@ type Scheduler struct {
 	running int           // processes currently runnable (not parked)
 	started int           // processes ever started
 	parked  int           // processes parked on queues with no wake scheduled
-	timers  timerHeap     // overflow beyond the wheel horizon (see wheel.go)
-	wheel   timerWheel    // short-horizon timers, the common case
+	timers  timerHeap     // every live timer, ordered by (at, seq)
 	seq     int64
 	batch   []*timerEntry // reused fire batch, see advanceLocked
 	free    []*timerEntry // recycled entries, see getEntryLocked
@@ -214,18 +213,6 @@ func (s *Scheduler) Go(fn func()) {
 	s.mu.Unlock()
 }
 
-// GoBatch starts every closure in fns as a scheduler process under one lock
-// acquisition, in slice order — equivalent to calling Go in a loop, minus
-// the per-spawn lock traffic. Large fan-outs (a workload launching one
-// process per flow) should spawn through it.
-func (s *Scheduler) GoBatch(fns []func()) {
-	s.mu.Lock()
-	for _, fn := range fns {
-		s.spawnLocked(fn)
-	}
-	s.mu.Unlock()
-}
-
 func (s *Scheduler) exit() {
 	s.mu.Lock()
 	s.running--
@@ -320,7 +307,7 @@ func (s *Scheduler) getEntryLocked() *timerEntry {
 
 // putEntryLocked recycles e: the generation bump invalidates any Timer still
 // holding it, and dropping fire unpins the callback closure. Caller holds
-// s.mu; e must already be out of the wheel and heap.
+// s.mu; e must already be out of the heap.
 func (s *Scheduler) putEntryLocked(e *timerEntry) {
 	e.gen++
 	e.fire = nil
@@ -328,38 +315,30 @@ func (s *Scheduler) putEntryLocked(e *timerEntry) {
 }
 
 // scheduleLocked enqueues a timer entry. Every caller schedules at or after
-// the current instant (Sleep and AfterFunc add to now, callbackAt clamps),
-// which the wheel's slot-assignment invariants rely on. Caller holds s.mu.
+// the current instant (Sleep and AfterFunc add to now, callbackAt clamps);
+// advanceLocked panics on an entry that breaks this. Caller holds s.mu.
 func (s *Scheduler) scheduleLocked(at time.Duration, fn func()) *timerEntry {
 	s.seq++
 	s.deadlockNotified = false
 	e := s.getEntryLocked()
 	e.at, e.seq, e.fire = at, s.seq, fn
-	s.placeLocked(e)
+	s.timers.push(e)
 	return e
 }
 
-// cancelLocked marks e cancelled and removes it from whichever structure
-// holds it — wheel slot (O(1) swap-remove) or heap (via the maintained
-// index). Eager removal keeps the invariant that every stored entry is live,
-// which makes Pending O(1). An entry already extracted into the current fire
-// batch (locBatch) is only marked; advanceLocked skips and recycles it.
-// Caller holds s.mu.
+// cancelLocked marks e cancelled and removes it from the heap through its
+// maintained index. Eager removal keeps the invariant that every stored
+// entry is live, which makes Pending O(1). An entry already popped into the
+// current fire batch (index < 0) is only marked; advanceLocked skips it and
+// recycles it after the batch completes. Caller holds s.mu.
 func (s *Scheduler) cancelLocked(e *timerEntry) {
 	if e == nil || e.cancelled {
 		return
 	}
 	e.cancelled = true
-	switch e.loc {
-	case locHeap:
-		heap.Remove(&s.timers, e.index)
+	if e.index >= 0 {
+		s.timers.remove(e.index)
 		s.putEntryLocked(e)
-	case locFine, locCoarse:
-		s.wheel.remove(e)
-		s.putEntryLocked(e)
-	case locBatch:
-		// A callback in the current batch cancelled it; advanceLocked
-		// skips it and recycles the entry after the batch completes.
 	}
 }
 
@@ -369,8 +348,7 @@ func (s *Scheduler) cancelLocked(e *timerEntry) {
 // holds s.mu.
 func (s *Scheduler) advanceLocked() {
 	for s.running == 0 {
-		at, ok := s.nextTimerLocked()
-		if !ok {
+		if len(s.timers) == 0 {
 			// Quiescent: no runnable process, no pending event. Remaining
 			// parked processes (queue waiters) are daemons — unless a
 			// deadlock handler wants to hear about them.
@@ -381,35 +359,25 @@ func (s *Scheduler) advanceLocked() {
 			s.quiet.Broadcast()
 			return
 		}
+		at := s.timers[0].at
 		if at < s.now {
 			panic(fmt.Sprintf("vtime: timer in the past: %v < %v", at, s.now))
 		}
-		oldCoarse := s.now >> coarseShift
 		s.now = at
-		if c := at >> coarseShift; c != oldCoarse {
-			// Entering a new coarse tick: its slot's entries all fit the
-			// fine window now (see wheel.go), restoring the invariant that
-			// the current coarse slot is empty. Slots skipped over held
-			// nothing, or their entries would have been the earlier minimum.
-			s.cascadeLocked(int(c) & coarseMask)
-		}
-		// Collect every entry at this instant: same-instant entries share a
-		// fine slot (same at ⇒ same fine tick), and the heap may hold more
-		// (scheduled when the instant was beyond the wheel horizon). The
-		// merged batch is sorted back into schedule (seq) order; the batch
-		// slice is reused across advances (detached from s while firing, in
-		// case a callback re-enters the scheduler).
+		// Pop every entry at this instant before firing any: the heap yields
+		// the run in (at, seq) order, which is schedule order, and a timer a
+		// callback schedules for this same instant waits for the next pass.
+		// The batch slice is reused across advances (detached from s while
+		// firing, in case a callback re-enters the scheduler).
 		batch := s.batch[:0]
 		s.batch = nil
-		batch = s.wheel.extract(at, batch)
 		for len(s.timers) > 0 && s.timers[0].at == at {
-			batch = append(batch, heap.Pop(&s.timers).(*timerEntry))
+			batch = append(batch, s.timers.remove(0))
 		}
-		sortBatchBySeq(batch)
 		for _, e := range batch {
 			if e.cancelled {
 				// A callback earlier in this batch cancelled e after it was
-				// already extracted (e.g. a same-instant push beating a pop
+				// already popped (e.g. a same-instant push beating a pop
 				// deadline): firing it anyway would double-wake its waiter.
 				continue
 			}
@@ -447,11 +415,11 @@ func (s *Scheduler) Wait() {
 	}
 }
 
-// pendingLocked counts live timers. Cancelled entries are removed from the
-// wheel and heap eagerly (see cancelLocked), so the stored count is the live
-// count — O(1) instead of a scan. Caller holds s.mu.
+// pendingLocked counts live timers. Cancelled entries leave the heap eagerly
+// (see cancelLocked), so its length is the live count — O(1) instead of a
+// scan. Caller holds s.mu.
 func (s *Scheduler) pendingLocked() int {
-	return s.wheel.count + len(s.timers)
+	return len(s.timers)
 }
 
 // Pending reports the number of live timers; useful in tests.
@@ -468,56 +436,87 @@ func (s *Scheduler) Running() int {
 	return s.running
 }
 
-// Timer entry location: which structure currently holds the entry, so
-// cancellation knows where to remove it from. locBatch doubles as "nowhere"
-// — extracted into the current fire batch, or sitting on the free list.
-const (
-	locBatch int8 = iota
-	locHeap
-	locFine
-	locCoarse
-)
-
 type timerEntry struct {
 	at        time.Duration
 	seq       int64
 	fire      func()
 	cancelled bool
 	gen       uint64 // bumped on recycle; guards stale Timer handles
-	loc       int8   // which structure holds the entry
-	index     int    // position within that structure
+	index     int    // position in the heap; -1 once popped or removed
 }
 
-// timerHeap is the overflow store for entries beyond the wheel horizon
-// (~17s out). It orders by (at, seq) like the wheel's batch sort, so the two
-// stores fire interchangeably.
+// before is the firing order: earlier instant first, ties in schedule order.
+func (e *timerEntry) before(o *timerEntry) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// timerHeap is the scheduler's one timer store: a 4-ary min-heap ordered by
+// (at, seq) whose entries record their own position, so the root is the next
+// timer to fire and a cancelled entry is removed in O(log n) without a
+// search. It is written out rather than built on the standard library's
+// heap to spare the hot path the interface boxing and dynamic Less/Swap
+// calls.
 type timerHeap []*timerEntry
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *timerHeap) Push(x any) {
-	e := x.(*timerEntry)
-	e.loc = locHeap
-	e.index = len(*h)
+const heapArity = 4
+
+func (h *timerHeap) push(e *timerEntry) {
 	*h = append(*h, e)
+	h.up(e, len(*h)-1)
 }
-func (h *timerHeap) Pop() any {
+
+// remove takes the entry at position i out of the heap and returns it. The
+// last entry fills the hole and sifts whichever way restores order.
+func (h *timerHeap) remove(i int) *timerEntry {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.loc = locBatch // no longer stored; cancelLocked must not remove it
+	n := len(old) - 1
+	e, last := old[i], old[n]
+	old[n] = nil
+	*h = old[:n]
 	e.index = -1
-	*h = old[:n-1]
+	if i < n {
+		h.down(last, i)
+		h.up(last, last.index)
+	}
 	return e
+}
+
+// up places e at position i or above, shifting later ancestors down.
+func (h timerHeap) up(e *timerEntry, i int) {
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = e
+	e.index = i
+}
+
+// down places e at position i or below, shifting each level's earliest
+// child up.
+func (h timerHeap) down(e *timerEntry, i int) {
+	for {
+		first := heapArity*i + 1
+		if first >= len(h) {
+			break
+		}
+		c := first
+		for j := first + 1; j < first+heapArity && j < len(h); j++ {
+			if h[j].before(h[c]) {
+				c = j
+			}
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = e
+	e.index = i
 }

@@ -303,10 +303,8 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Dis
 		}
 		results := make([]result, len(assigns))
 		join := env.Host.NewQueue()
-		spawn := make([]func(), len(assigns))
 		for gi, g := range assigns {
-			gi, g := gi, g
-			spawn[gi] = func() {
+			env.Host.Go(func() {
 				src := env.Control
 				if g.holder >= 0 {
 					src = env.clientOf(peers[g.holder].label)
@@ -318,9 +316,8 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Dis
 					results[gi] = result{m, err}
 				}
 				join.Push(gi)
-			}
+			})
 		}
-		spawnBatch(env.Host, spawn)
 		for range assigns {
 			if _, err := join.Pop(); err != nil {
 				return DissemOutcome{}, fmt.Errorf("workload: dissemination join queue: %w", err)

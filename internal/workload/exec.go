@@ -149,10 +149,11 @@ func Execute(env Env, flows []Flow, seed int64) ([]Result, error) {
 	errs := make([]error, len(flows))
 	warns := new(RelaunchWarnings) // one exhaustion event per flow index
 	join := env.Host.NewQueue()
-	spawn := make([]func(), len(flows))
+	// All flows launch at t=0 (stagger happens inside runFlow). Spawned
+	// processes are pooled and lazily started, so even 100k flows queue
+	// closures rather than a cold-start burst of goroutines.
 	for i, f := range flows {
-		i, f := i, f
-		spawn[i] = func() {
+		env.Host.Go(func() {
 			res, err := runFlow(env, f, seed, warns)
 			if err != nil && env.RecordFailures {
 				// Keep everything the failed flow did establish — the sink
@@ -164,13 +165,8 @@ func Execute(env Env, flows []Flow, seed int64) ([]Result, error) {
 			}
 			out[i], errs[i] = res, err
 			join.Push(i)
-		}
+		})
 	}
-	// All flows launch at t=0 (stagger happens inside runFlow), so spawn
-	// them as one batch: one dispatcher admission per flow under a single
-	// lock acquisition, and — through the scheduler's pooled, lazily
-	// started processes — no 100k-goroutine cold-start burst.
-	spawnBatch(env.Host, spawn)
 	for range flows {
 		if _, err := join.Pop(); err != nil {
 			return nil, fmt.Errorf("workload: join queue: %w", err)
@@ -182,20 +178,6 @@ func Execute(env Env, flows []Flow, seed int64) ([]Result, error) {
 		}
 	}
 	return out, nil
-}
-
-// spawnBatch starts every closure as a host process. Hosts whose scheduler
-// exposes batch spawning (simnet nodes do) take the single-admission fast
-// path; spawn order — hence wake order, hence the event stream — is
-// identical either way.
-func spawnBatch(h transport.Host, fns []func()) {
-	if b, ok := h.(transport.BatchSpawner); ok {
-		b.GoBatch(fns)
-		return
-	}
-	for _, fn := range fns {
-		h.Go(fn)
-	}
 }
 
 // runFlow executes one flow: wait out its start offset (churn staggering),

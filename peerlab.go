@@ -121,14 +121,8 @@ func RunSweep(cfg Config, reps, workers int) (*SweepReport, error) {
 		return nil, err
 	}
 	ecfg := experiments.Config{Seed: cfg.Seed, Reps: reps, Workers: workers}
-	if len(sw.Scenarios) == 0 {
-		spec := cfg.Scenario
-		if spec == "" && cfg.UsePlanetLab {
-			spec = ScenarioTable1
-		}
-		if spec != "" {
-			sw.Scenarios = []string{spec}
-		}
+	if len(sw.Scenarios) == 0 && cfg.Scenario != "" {
+		sw.Scenarios = []string{cfg.Scenario}
 	}
 	if len(sw.Workloads) == 0 && cfg.Workload != "" {
 		sw.Workloads = []string{cfg.Workload}
@@ -173,10 +167,6 @@ type Config struct {
 	// ignores it: a sweep deploys one fresh slice per grid cell rather than
 	// running inside a live deployment.
 	Sweep string
-	// UsePlanetLab is a shorthand for Scenario: ScenarioTable1.
-	//
-	// Deprecated: set Scenario instead.
-	UsePlanetLab bool
 }
 
 // Deployment is a running simulated overlay: one broker ("governor"), one
@@ -227,9 +217,6 @@ func Deploy(cfg Config) (*Deployment, error) {
 		sc      scenario.Scenario
 		catalog []scenario.Peer
 	)
-	if cfg.Scenario == "" && cfg.UsePlanetLab {
-		cfg.Scenario = ScenarioTable1
-	}
 	if cfg.Scenario != "" {
 		var err error
 		sc, err = scenario.Parse(cfg.Scenario)

@@ -40,7 +40,7 @@ func TestCustomDeploymentTransfer(t *testing.T) {
 }
 
 func TestPlanetLabDeployment(t *testing.T) {
-	d, err := Deploy(Config{Seed: 7, UsePlanetLab: true})
+	d, err := Deploy(Config{Seed: 7, Scenario: ScenarioTable1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestReproduceScenarioSmoke(t *testing.T) {
 }
 
 func TestSelectionThroughFacade(t *testing.T) {
-	d, err := Deploy(Config{Seed: 7, UsePlanetLab: true})
+	d, err := Deploy(Config{Seed: 7, Scenario: ScenarioTable1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestTasksAndMessagingThroughFacade(t *testing.T) {
 
 func TestDeterministicAcrossDeployments(t *testing.T) {
 	run := func() time.Duration {
-		d, err := Deploy(Config{Seed: 11, UsePlanetLab: true})
+		d, err := Deploy(Config{Seed: 11, Scenario: ScenarioTable1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,13 +20,8 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "cmdsmoke: building cmd/broker cmd/peer cmd/slicectl"
-go build -o "$bin/" ./cmd/broker ./cmd/peer ./cmd/slicectl
-
-# slicectl is pure output: it must print the Table 1 catalog and profiles.
-"$bin/slicectl" -profiles | grep -q "planetlab" || {
-    echo "cmdsmoke: slicectl printed no catalog" >&2; exit 1
-}
+echo "cmdsmoke: building cmd/broker cmd/peer"
+go build -o "$bin/" ./cmd/broker ./cmd/peer
 
 "$bin/broker" -name nozomi -listen 127.0.0.1:7390 -shards 2 &
 broker_pid=$!
