@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"peerlab/internal/metrics"
 	"peerlab/internal/scenario"
 	"peerlab/internal/sweeptest"
 	"peerlab/internal/workload"
@@ -19,214 +20,200 @@ func goldenJSON(t *testing.T, v any) []byte {
 	return append(b, '\n')
 }
 
-// TestGoldenFig2Table1 locks the figure engine's determinism claim into a
-// committed artifact: Figure 2 on the calibrated table1 scenario must
-// reproduce the golden JSON byte for byte — and re-running the identical
-// config at other worker and shard counts must reproduce the same bytes,
-// so "bit-identical at any parallelism" is a tier-1 test, not a
-// verification note. `go test -update` re-records after a deliberate
-// engine change.
-func TestGoldenFig2Table1(t *testing.T) {
-	base := Config{Seed: 2007, Reps: 2, Workers: 1, Shards: 1}
-	fig, err := Fig2PetitionTime(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := goldenJSON(t, fig)
-	sweeptest.Golden(t, "fig2-table1.golden.json", golden)
-
-	for _, alt := range []Config{
-		{Seed: 2007, Reps: 2, Workers: 4, Shards: 1},
-		{Seed: 2007, Reps: 2, Workers: 4, Shards: 3},
-	} {
-		fig, err := Fig2PetitionTime(alt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sweeptest.Diff(golden, goldenJSON(t, fig)); err != nil {
-			t.Fatalf("fig2 at workers=%d shards=%d diverged from golden: %v", alt.Workers, alt.Shards, err)
-		}
-	}
+// goldenCase is one committed artifact: a seed-2007 run rendered to JSON.
+// Every row locks the engine's determinism claim the same way — the run
+// must reproduce testdata/<file> byte for byte at workers=1/shards=1, and
+// re-running the identical config at workers=4 and at workers=4/shards=3
+// must reproduce the same bytes, so "bit-identical at any parallelism" is
+// a tier-1 test, not a verification note. `go test -update` re-records
+// after a deliberate engine change.
+type goldenCase struct {
+	file string
+	// scenario and workload are specs; "" leaves the Config field unset
+	// (the run's own default world).
+	scenario, workload string
+	reps               int
+	run                func(Config) (any, error)
+	// check asserts the run actually exercised the machinery the row is
+	// named for, before its bytes are compared.
+	check func(t *testing.T, v any)
 }
 
-// TestGoldenChurnSwarm is the churn-path golden: a swarm:16 workload over
-// the churn:16 scenario — live membership, lease expiry, staggered
-// launches, per-flow failures — reproduces its committed report at
-// workers=1/4 and shards=1/3.
-func TestGoldenChurnSwarm(t *testing.T) {
-	sc, err := scenario.Parse("churn:16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Config{Seed: 2007, Reps: 1, Workers: 1, Shards: 1, Scenario: sc, Workload: workload.Swarm(16)}
-	report, err := RunWorkload(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := goldenJSON(t, report)
-	sweeptest.Golden(t, "churn16-swarm16.golden.json", golden)
+func workloadRun(c Config) (any, error) { return RunWorkload(c) }
 
-	for _, alt := range []Config{
-		{Seed: 2007, Reps: 1, Workers: 4, Shards: 1, Scenario: sc, Workload: workload.Swarm(16)},
-		{Seed: 2007, Reps: 1, Workers: 4, Shards: 3, Scenario: sc, Workload: workload.Swarm(16)},
-	} {
-		report, err := RunWorkload(alt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sweeptest.Diff(golden, goldenJSON(t, report)); err != nil {
-			t.Fatalf("churn swarm at workers=%d shards=%d diverged from golden: %v", alt.Workers, alt.Shards, err)
-		}
-	}
+func figureRun(fig func(Config) (*metrics.Figure, error)) func(Config) (any, error) {
+	return func(c Config) (any, error) { return fig(c) }
 }
 
-// TestGoldenFaultSwarm is the robustness-path golden: a swarm:16 workload
-// over the faults:16 scenario — broker blackouts with cold-cache restarts,
-// site partitions, control-link loss bursts, retried and degraded
-// selections — reproduces its committed report at workers=1/4 and
-// shards=1/3, and actually exercises the resilience machinery (degraded
-// and recovered counters strictly positive).
-func TestGoldenFaultSwarm(t *testing.T) {
-	sc, err := scenario.Parse("faults:16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Config{Seed: 2007, Reps: 1, Workers: 1, Shards: 1, Scenario: sc, Workload: workload.Swarm(16)}
-	report, err := RunWorkload(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Summary.SelectionsDegraded == 0 {
-		t.Fatal("fault golden exercised no degraded selections")
-	}
-	if report.Summary.FlowsRecovered == 0 {
-		t.Fatal("fault golden recovered no flows")
-	}
-	if report.Summary.BrokerDownSeconds <= 0 {
-		t.Fatal("fault golden reports no broker downtime")
-	}
-	golden := goldenJSON(t, report)
-	sweeptest.Golden(t, "faults16-swarm16.golden.json", golden)
+func summaryOf(v any) WorkloadSummary { return v.(*WorkloadReport).Summary }
 
-	for _, alt := range []Config{
-		{Seed: 2007, Reps: 1, Workers: 4, Shards: 1, Scenario: sc, Workload: workload.Swarm(16)},
-		{Seed: 2007, Reps: 1, Workers: 4, Shards: 3, Scenario: sc, Workload: workload.Swarm(16)},
-	} {
-		report, err := RunWorkload(alt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sweeptest.Diff(golden, goldenJSON(t, report)); err != nil {
-			t.Fatalf("fault swarm at workers=%d shards=%d diverged from golden: %v", alt.Workers, alt.Shards, err)
-		}
-	}
-}
-
-// dissemGoldenRun runs one dissemination workload repetition on zipf:16 —
-// the bandwidth-skewed world where piece exchange and choking have classes
-// to discriminate — at the given worker/shard counts.
-func dissemGoldenRun(t *testing.T, spec string, workers, shards int) *WorkloadReport {
-	t.Helper()
-	sc, err := scenario.Parse("zipf:16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := workload.Parse(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := RunWorkload(Config{Seed: 2007, Reps: 1, Workers: workers, Shards: shards, Scenario: sc, Workload: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return report
-}
-
-// TestGoldenDisseminate is the piece-engine golden: a disseminate:16 swarm
-// over zipf:16 — multi-round piece exchange, re-origination, tit-for-tat
-// choking — reproduces its committed report at workers=1/4 and shards=1/3,
-// and actually swarms (peers re-originated, peer-pair bytes split across
-// bandwidth classes, nothing failed or stalled).
-func TestGoldenDisseminate(t *testing.T) {
-	const spec = "disseminate:16;pick=rarest;choke=tft"
-	report := dissemGoldenRun(t, spec, 1, 1)
-	s := report.Summary
-	if s.FailedFlows != 0 || s.StalledFlows != 0 {
-		t.Fatalf("dissemination golden has failed/stalled flows: %+v", s)
-	}
-	if s.PeersReOriginated == 0 {
-		t.Fatal("dissemination golden re-originated nothing; swarm degenerated to fanout")
-	}
-	if s.LikePairBytes == 0 || s.CrossPairBytes == 0 {
-		t.Fatalf("dissemination golden has a degenerate pair split: like=%d cross=%d", s.LikePairBytes, s.CrossPairBytes)
-	}
-	golden := goldenJSON(t, report)
-	sweeptest.Golden(t, "zipf16-disseminate16.golden.json", golden)
-
-	for _, alt := range [][2]int{{4, 1}, {4, 3}} {
-		report := dissemGoldenRun(t, spec, alt[0], alt[1])
-		if err := sweeptest.Diff(golden, goldenJSON(t, report)); err != nil {
-			t.Fatalf("dissemination at workers=%d shards=%d diverged from golden: %v", alt[0], alt[1], err)
-		}
-	}
-}
-
-// TestGoldenStream is the streaming golden: stream:16 over zipf:16 — the
-// same swarm under playback deadlines, sequential picking — reproduces its
-// committed report at workers=1/4 and shards=1/3.
-func TestGoldenStream(t *testing.T) {
-	const spec = "stream:16;pick=sequential;choke=tft"
-	report := dissemGoldenRun(t, spec, 1, 1)
-	if report.Summary.PiecesMoved == 0 {
-		t.Fatal("streaming golden moved no pieces")
-	}
-	if report.Summary.FailedFlows != 0 {
-		t.Fatalf("streaming golden has failed flows: %+v", report.Summary)
-	}
-	golden := goldenJSON(t, report)
-	sweeptest.Golden(t, "zipf16-stream16.golden.json", golden)
-
-	for _, alt := range [][2]int{{4, 1}, {4, 3}} {
-		report := dissemGoldenRun(t, spec, alt[0], alt[1])
-		if err := sweeptest.Diff(golden, goldenJSON(t, report)); err != nil {
-			t.Fatalf("streaming at workers=%d shards=%d diverged from golden: %v", alt[0], alt[1], err)
-		}
-	}
-}
-
-// TestGoldenClusterFigure locks the incentive result itself into a golden:
-// the clustering figure on its default world must show tit-for-tat pairing
-// fast peers with fast peers (like/cross ratio above 1 — Legout's
-// clustering) and more strongly than the policy-neutral baseline, and the
-// figure must reproduce byte-for-byte at other worker and shard counts.
-func TestGoldenClusterFigure(t *testing.T) {
-	fig, err := FigBandwidthClustering(Config{Seed: 2007, Reps: 1, Workers: 1, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratios := map[string]float64{}
+// seriesByLabel reads one series of a figure into a label → value map.
+func seriesByLabel(v any, series int) map[string]float64 {
+	fig := v.(*metrics.Figure)
+	out := map[string]float64{}
 	for i, label := range fig.Labels {
-		ratios[label] = fig.Series[0].Values[i]
+		out[label] = fig.Series[series].Values[i]
 	}
-	if ratios["choke=tft"] <= 1 {
-		t.Fatalf("tft pairing ratio %.3f not above 1; no bandwidth clustering", ratios["choke=tft"])
-	}
-	if ratios["choke=tft"] <= ratios["choke=none"] {
-		t.Fatalf("tft pairing ratio %.3f not above the unchoked baseline %.3f", ratios["choke=tft"], ratios["choke=none"])
-	}
-	golden := goldenJSON(t, fig)
-	sweeptest.Golden(t, "figcluster-zipf16.golden.json", golden)
+	return out
+}
 
-	for _, alt := range []Config{
-		{Seed: 2007, Reps: 1, Workers: 4, Shards: 1},
-		{Seed: 2007, Reps: 1, Workers: 4, Shards: 3},
-	} {
-		fig, err := FigBandwidthClustering(alt)
+// The dissemination rows run on zipf:16 — the bandwidth-skewed world where
+// piece exchange and choking have classes to discriminate.
+var goldenCases = []goldenCase{
+	{file: "fig2-table1.golden.json", reps: 2, run: figureRun(Fig2PetitionTime)},
+	// The churn path: live membership, lease expiry, staggered launches,
+	// per-flow failures.
+	{file: "churn16-swarm16.golden.json", scenario: "churn:16", workload: "swarm:16", reps: 1, run: workloadRun},
+	// The robustness path: broker blackouts with cold-cache restarts, site
+	// partitions, control-link loss bursts, retried and degraded
+	// selections — and the resilience machinery must actually fire.
+	{file: "faults16-swarm16.golden.json", scenario: "faults:16", workload: "swarm:16", reps: 1, run: workloadRun,
+		check: func(t *testing.T, v any) {
+			s := summaryOf(v)
+			if s.SelectionsDegraded == 0 {
+				t.Fatal("fault golden exercised no degraded selections")
+			}
+			if s.FlowsRecovered == 0 {
+				t.Fatal("fault golden recovered no flows")
+			}
+			if s.BrokerDownSeconds <= 0 {
+				t.Fatal("fault golden reports no broker downtime")
+			}
+		}},
+	// The piece engine: multi-round exchange, re-origination, tit-for-tat
+	// choking — and it must actually swarm (peers re-originated, pair bytes
+	// split across bandwidth classes, nothing failed or stalled).
+	{file: "zipf16-disseminate16.golden.json", scenario: "zipf:16", workload: "disseminate:16;pick=rarest;choke=tft", reps: 1, run: workloadRun,
+		check: func(t *testing.T, v any) {
+			s := summaryOf(v)
+			if s.FailedFlows != 0 || s.StalledFlows != 0 {
+				t.Fatalf("dissemination golden has failed/stalled flows: %+v", s)
+			}
+			if s.PeersReOriginated == 0 {
+				t.Fatal("dissemination golden re-originated nothing; swarm degenerated to fanout")
+			}
+			if s.LikePairBytes == 0 || s.CrossPairBytes == 0 {
+				t.Fatalf("dissemination golden has a degenerate pair split: like=%d cross=%d", s.LikePairBytes, s.CrossPairBytes)
+			}
+		}},
+	// The same swarm under playback deadlines, sequential picking.
+	{file: "zipf16-stream16.golden.json", scenario: "zipf:16", workload: "stream:16;pick=sequential;choke=tft", reps: 1, run: workloadRun,
+		check: func(t *testing.T, v any) {
+			s := summaryOf(v)
+			if s.PiecesMoved == 0 {
+				t.Fatal("streaming golden moved no pieces")
+			}
+			if s.FailedFlows != 0 {
+				t.Fatalf("streaming golden has failed flows: %+v", s)
+			}
+		}},
+	// The incentive result itself: on its default world tit-for-tat must
+	// pair fast peers with fast peers (like/cross ratio above 1 — Legout's
+	// clustering) and more strongly than the policy-neutral baseline.
+	{file: "figcluster-zipf16.golden.json", reps: 1, run: figureRun(FigBandwidthClustering),
+		check: func(t *testing.T, v any) {
+			ratios := seriesByLabel(v, 0)
+			if ratios["choke=tft"] <= 1 {
+				t.Fatalf("tft pairing ratio %.3f not above 1; no bandwidth clustering", ratios["choke=tft"])
+			}
+			if ratios["choke=tft"] <= ratios["choke=none"] {
+				t.Fatalf("tft pairing ratio %.3f not above the unchoked baseline %.3f", ratios["choke=tft"], ratios["choke=none"])
+			}
+		}},
+	// The piece engine under a membership schedule: downloaders depart and
+	// rejoin mid-swarm, failures are recorded, delivered pieces stay
+	// counted.
+	{file: "churn16-disseminate16.golden.json", scenario: "churn:16", workload: "disseminate:16", reps: 1, run: workloadRun,
+		check: func(t *testing.T, v any) {
+			s := summaryOf(v)
+			if s.PeersDeparted == 0 {
+				t.Fatal("churned dissemination golden saw no departures")
+			}
+			if s.PiecesMoved == 0 || s.PeersReOriginated == 0 {
+				t.Fatalf("churned dissemination golden did not swarm: %+v", s)
+			}
+		}},
+	// Streaming under the fault scenario's conductor, injector and
+	// resilient call policy (this cell's plan draws partitions and loss
+	// bursts but no blackout, so broker_down_seconds is 0 here).
+	{file: "faults16-stream16.golden.json", scenario: "faults:16", workload: "stream:16", reps: 1, run: workloadRun,
+		check: func(t *testing.T, v any) {
+			s := summaryOf(v)
+			if s.PiecesMoved == 0 || s.TotalStalls == 0 {
+				t.Fatalf("fault streaming golden moved no pieces or missed no deadline: %+v", s)
+			}
+		}},
+	// The four marginal figures and the paper suite, as rendered.
+	{file: "figchurn-churn16.golden.json", scenario: "churn:16", reps: 1, run: figureRun(FigChurnQuality)},
+	{file: "figfault-faults16.golden.json", scenario: "faults:16", reps: 1, run: figureRun(FigFaultResilience),
+		check: func(t *testing.T, v any) {
+			degraded := seriesByLabel(v, 1)
+			if degraded["×4"] <= 0 {
+				t.Fatalf("fault figure shows no degraded selections at ×4: %v", degraded)
+			}
+		}},
+	{file: "figstream-zipf16.golden.json", reps: 1, run: figureRun(FigStreamStalls)},
+	{file: "suite-table1.golden.json", reps: 1, run: func(c Config) (any, error) { return FigureSuite(c) }},
+}
+
+// runGolden runs the goldenCases row recorded in file.
+func runGolden(t *testing.T, file string) {
+	t.Helper()
+	var gc *goldenCase
+	for i := range goldenCases {
+		if goldenCases[i].file == file {
+			gc = &goldenCases[i]
+		}
+	}
+	if gc == nil {
+		t.Fatalf("no golden case records %s", file)
+	}
+	cfg := Config{Seed: 2007, Reps: gc.reps}
+	if gc.scenario != "" {
+		sc, err := scenario.Parse(gc.scenario)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sweeptest.Diff(golden, goldenJSON(t, fig)); err != nil {
-			t.Fatalf("clustering figure at workers=%d shards=%d diverged from golden: %v", alt.Workers, alt.Shards, err)
+		cfg.Scenario = sc
+	}
+	if gc.workload != "" {
+		w, err := workload.Parse(gc.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workload = w
+	}
+	var golden []byte
+	for _, alt := range [][2]int{{1, 1}, {4, 1}, {4, 3}} {
+		cfg.Workers, cfg.Shards = alt[0], alt[1]
+		v, err := gc.run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := goldenJSON(t, v)
+		if golden == nil {
+			if gc.check != nil {
+				gc.check(t, v)
+			}
+			golden = got
+			sweeptest.Golden(t, gc.file, golden)
+			continue
+		}
+		if err := sweeptest.Diff(golden, got); err != nil {
+			t.Fatalf("%s at workers=%d shards=%d diverged from golden: %v", gc.file, alt[0], alt[1], err)
 		}
 	}
 }
+
+func TestGoldenFig2Table1(t *testing.T)       { runGolden(t, "fig2-table1.golden.json") }
+func TestGoldenChurnSwarm(t *testing.T)       { runGolden(t, "churn16-swarm16.golden.json") }
+func TestGoldenFaultSwarm(t *testing.T)       { runGolden(t, "faults16-swarm16.golden.json") }
+func TestGoldenDisseminate(t *testing.T)      { runGolden(t, "zipf16-disseminate16.golden.json") }
+func TestGoldenStream(t *testing.T)           { runGolden(t, "zipf16-stream16.golden.json") }
+func TestGoldenClusterFigure(t *testing.T)    { runGolden(t, "figcluster-zipf16.golden.json") }
+func TestGoldenChurnDisseminate(t *testing.T) { runGolden(t, "churn16-disseminate16.golden.json") }
+func TestGoldenFaultStream(t *testing.T)      { runGolden(t, "faults16-stream16.golden.json") }
+func TestGoldenChurnFigure(t *testing.T)      { runGolden(t, "figchurn-churn16.golden.json") }
+func TestGoldenFaultFigure(t *testing.T)      { runGolden(t, "figfault-faults16.golden.json") }
+func TestGoldenStreamFigure(t *testing.T)     { runGolden(t, "figstream-zipf16.golden.json") }
+func TestGoldenFigureSuite(t *testing.T)      { runGolden(t, "suite-table1.golden.json") }
