@@ -28,8 +28,8 @@
 // the broker ages departed peers out via short advertisement leases, and
 // the summary gains peers_departed / selections_lagged / selections_stale
 // counters (stale — a selection of a peer whose lease had certainly
-// expired — must always be zero). Figures ignore churn schedules; workloads
-// are the churn-aware path.
+// expired — is the lease machinery's audit). Figures ignore churn
+// schedules; workloads are the churn-aware path.
 //
 // A dissemination workload (disseminate:N, stream:N) splits one payload into
 // pieces and runs a multi-round swarm: every downloader re-originates the
@@ -108,7 +108,7 @@ type result struct {
 
 func main() {
 	var (
-		exp      = flag.String("experiment", "all", "which exhibit to regenerate (all, table1, fig2..fig7, figchurn, figfault, figcluster, figstream)")
+		exp      = flag.String("experiment", "all", "which exhibit to regenerate ("+experiments.ExperimentNames()+")")
 		scen     = flag.String("scenario", "table1", "slice scenario: table1 (the paper's calibrated world), uniform:N, heterogeneous:N, zipf:N, churn:N, faults:N")
 		wl       = flag.String("workload", "", "run a flow workload instead of the figures: controller-fanout, swarm:N, allpairs:N, disseminate:N, stream:N")
 		sweep    = flag.String("sweep", "", `run a sweep grid instead: "scenario=table1,churn:64;model=all;rep=5" (axes: scenario, workload, model, granularity, size, pick, choke, churn, fault, rep)`)
@@ -139,27 +139,22 @@ func main() {
 	for i := range expNames {
 		expNames[i] = strings.TrimSpace(expNames[i])
 	}
-	// figchurn and figfault cannot run the -scenario flag's static default;
-	// with no explicit choice, run the library's default dynamic scenario —
-	// rewritten here, before the run record is built, so the emitted
-	// scenario field names the world the figure actually measured. A mixed
-	// experiment list shares one scenario and one run record, so it needs
-	// the choice made explicitly; failing up front beats burning the other
-	// figures' runs and aborting.
-	for name, def := range map[string]string{
-		"figchurn":   experiments.DefaultChurnScenario,
-		"figfault":   experiments.DefaultFaultScenario,
-		"figcluster": experiments.DefaultClusterScenario,
-		"figstream":  experiments.DefaultClusterScenario,
-	} {
-		if flagWasSet("scenario") || !slices.Contains(expNames, name) {
+	// A figure with a world of its own (figchurn, figfault, ...) cannot run
+	// the -scenario flag's static default; with no explicit choice it runs
+	// the registry's default — rewritten here, before the run record is
+	// built, so the emitted scenario field names the world the figure
+	// measured. A mixed experiment list shares one scenario and one run
+	// record, so it needs the choice made explicitly; failing up front
+	// beats burning the other figures' runs and aborting.
+	for _, f := range experiments.Figures {
+		if f.Scenario == "" || flagWasSet("scenario") || !slices.Contains(expNames, f.Name) {
 			continue
 		}
 		if len(expNames) > 1 {
-			fmt.Fprintf(os.Stderr, "p2pbench: %s alongside other experiments needs an explicit -scenario\n", name)
+			fmt.Fprintf(os.Stderr, "p2pbench: %s alongside other experiments needs an explicit -scenario\n", f.Name)
 			exit(2)
 		}
-		*scen = def
+		*scen = f.Scenario
 	}
 	sc, err := scenario.Parse(*scen)
 	if err != nil {
@@ -229,31 +224,20 @@ func main() {
 		out.Table1 = suite.Table1
 		out.Figures = suite.Figures
 	} else {
-		figs := map[string]func(experiments.Config) (*metrics.Figure, error){
-			"fig2":     experiments.Fig2PetitionTime,
-			"fig3":     experiments.Fig3Transmission50Mb,
-			"fig4":     experiments.Fig4LastMb,
-			"fig5":     experiments.Fig5Granularity,
-			"fig6":     experiments.Fig6SelectionModels,
-			"fig7":     experiments.Fig7ExecVsTransferExec,
-			"figchurn":   experiments.FigChurnQuality,
-			"figfault":   experiments.FigFaultResilience,
-			"figcluster": experiments.FigBandwidthClustering,
-			"figstream":  experiments.FigStreamStalls,
-		}
 		for _, name := range expNames {
+			f, isFigure := experiments.FigureByName(name)
 			switch {
 			case name == "table1":
 				out.Table1 = experiments.Table1()
-			case figs[name] != nil:
-				fig, err := figs[name](cfg)
+			case isFigure:
+				fig, err := f.Run(cfg)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "p2pbench: %s: %v\n", name, err)
 					exit(1)
 				}
 				out.Figures = append(out.Figures, experiments.SuiteFigure{Name: name, Figure: fig})
 			default:
-				fmt.Fprintf(os.Stderr, "p2pbench: unknown experiment %q (want all, table1, fig2..fig7, figchurn, figfault, figcluster, figstream)\n", name)
+				fmt.Fprintf(os.Stderr, "p2pbench: unknown experiment %q (want %s)\n", name, experiments.ExperimentNames())
 				exit(2)
 			}
 		}

@@ -10,7 +10,7 @@
 //	peer ... -route sc2=127.0.0.1:7002 -msg sc2:hello
 //
 // Without an action flag, the peer serves until interrupted. -batchboot
-// registers with the batched frame (one control RPC instead of the legacy
+// registers with the batched frame (one control RPC instead of the
 // register + stats-report pair).
 package main
 

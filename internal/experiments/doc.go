@@ -33,10 +33,14 @@
 // from its own slice's deterministic scheduler — never from the wall
 // clock, package-level state, or another cell.
 //
-// Churning scenarios keep the same contract: the membership schedule is
-// pure (scenario.Churn(seed)), its execution is the cell's own Conductor,
-// and the stale/lagged selection audit compares broker behavior against the
-// schedule — PeersDeparted, SelectionsLagged and SelectionsStale aggregate
-// per-cell results, and SelectionsStale must be zero (the broker never
-// hands out an expired lease).
+// There is one workload cell (workloadCell): RunWorkload, every sweep cell
+// and every marginal figure run through it. It reads two independent
+// choices off its inputs — membership (static participants, or the
+// scenario's churn schedule executed by workload.StartDynamics) and engine
+// (workload.Run: the piece engine for a dissemination workload, the
+// single-round executor otherwise) — and owns what surrounds them: the
+// slice, the per-cell warning capture, and the stale/lagged audit that
+// compares the broker's selections against the pure schedule. Figures are
+// data: experiments.Figures is the registry, and the marginal figures are
+// rows of one table (figures.go).
 package experiments

@@ -55,7 +55,7 @@ type Config struct {
 	// boot processes, each registering with the batched frame (register +
 	// initial stats in one control RPC). The broker converges to the same
 	// state, but the boot wave's virtual-time event stream differs from
-	// the legacy serial two-RPC boot — so this is a scale switch, off on
+	// the serial two-RPC boot — so this is a scale switch, off on
 	// every golden path. Runs with BatchBoot set remain deterministic and
 	// worker/shard-count invariant among themselves.
 	BatchBoot bool
@@ -112,9 +112,8 @@ var SCLabels = []string{"SC1", "SC2", "SC3", "SC4", "SC5", "SC6", "SC7", "SC8"}
 
 // Env is one deployed experiment environment.
 type Env struct {
-	Slice      *scenario.Slice
-	Broker     *overlay.Broker
-	Controller *overlay.Client
+	Slice  *scenario.Slice
+	Broker *overlay.Broker
 	// Clients maps peer label to the running client for every peer the
 	// current RunPeers call started (set for the duration of fn).
 	Clients map[string]*overlay.Client
@@ -202,12 +201,6 @@ func (e *Env) Host(label string) string { return e.hostOf[label] }
 // Label returns the peer label behind a hostname (the inverse of Host).
 func (e *Env) Label(host string) string { return e.labelOf[host] }
 
-// Run executes fn as the experiment driver process with every catalog peer
-// started; see RunPeers.
-func (e *Env) Run(fn func(ctl *overlay.Client, sc map[string]*overlay.Client) error) error {
-	return e.RunPeers(nil, fn)
-}
-
 // RunPeers executes fn as the experiment driver process: it starts the
 // controller client and one client per named peer label (nil = every
 // catalog peer), runs fn, and returns when the network quiesces. Cells that
@@ -225,7 +218,6 @@ func (e *Env) RunPeers(labels []string, fn func(ctl *overlay.Client, sc map[stri
 			runErr = fmt.Errorf("experiments: controller start: %w", err)
 			return
 		}
-		e.Controller = ctl
 		clients := make(map[string]*overlay.Client, len(e.Slice.Catalog))
 		if e.batchBoot {
 			// The boot wave: one concurrent boot process per peer, each a

@@ -68,36 +68,27 @@ func Fig2PetitionTime(cfg Config) (*metrics.Figure, error) {
 // Fig3Transmission50Mb reproduces Figure 3: the transmission time of a
 // 50 Mb file (one part of the paper's larger files) to each SC peer.
 func Fig3Transmission50Mb(cfg Config) (*metrics.Figure, error) {
-	cfg = cfg.withDefaults()
-	fig := &metrics.Figure{
-		Title:  "Figure 3 — Transmission time for a file of 50 Mb",
-		Unit:   "minutes",
-		Labels: cfg.labels(),
-	}
-	values, _, err := fig50mbResults(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := fig.AddSeries("transmission time", values); err != nil {
-		return nil, err
-	}
-	return fig, nil
+	return fig50mb(cfg, "Figure 3 — Transmission time for a file of 50 Mb", "minutes", "transmission time", false)
 }
 
 // Fig4LastMb reproduces Figure 4: the time to complete the reception of the
 // last Mb of a 50 Mb transfer.
 func Fig4LastMb(cfg Config) (*metrics.Figure, error) {
+	return fig50mb(cfg, "Figure 4 — Transmission time of the last Mb", "seconds", "last Mb", true)
+}
+
+// fig50mb renders one of the two views of the shared 50 Mb batch.
+func fig50mb(cfg Config, title, unit, series string, lastMb bool) (*metrics.Figure, error) {
 	cfg = cfg.withDefaults()
-	fig := &metrics.Figure{
-		Title:  "Figure 4 — Transmission time of the last Mb",
-		Unit:   "seconds",
-		Labels: cfg.labels(),
-	}
-	_, lastMb, err := fig50mbResults(cfg)
+	fig := &metrics.Figure{Title: title, Unit: unit, Labels: cfg.labels()}
+	values, last, err := fig50mbResults(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := fig.AddSeries("last Mb", lastMb); err != nil {
+	if lastMb {
+		values = last
+	}
+	if err := fig.AddSeries(series, values); err != nil {
 		return nil, err
 	}
 	return fig, nil

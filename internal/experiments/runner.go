@@ -142,46 +142,39 @@ func (s *Suite) Figure(name string) *metrics.Figure {
 	return nil
 }
 
-// suiteGenerators lists the figure generators in paper order.
-var suiteGenerators = []struct {
-	name string
-	fn   func(Config) (*metrics.Figure, error)
-}{
-	{"fig2", Fig2PetitionTime},
-	{"fig3", Fig3Transmission50Mb},
-	{"fig4", Fig4LastMb},
-	{"fig5", Fig5Granularity},
-	{"fig6", Fig6SelectionModels},
-	{"fig7", Fig7ExecVsTransferExec},
-}
-
-// FigureSuite regenerates Table 1 and Figures 2–7. All figures run
-// concurrently over one shared worker pool of cfg.Workers slots, so the
-// whole suite saturates the machine without oversubscribing it; per-cell
-// seed derivation keeps every figure's values identical to a Workers: 1 run.
+// FigureSuite regenerates Table 1 and Figures 2–7 — the registry rows with
+// no default world of their own. All figures run concurrently over one
+// shared worker pool of cfg.Workers slots, so the whole suite saturates the
+// machine without oversubscribing it; per-cell seed derivation keeps every
+// figure's values identical to a Workers: 1 run.
 func FigureSuite(cfg Config) (*Suite, error) {
 	cfg = cfg.withDefaults()
 	if cfg.pool == nil {
 		cfg.pool = newWorkerPool(cfg.Workers)
 	}
 	cfg.fig50 = &fig50Cache{}
-	figs := make([]*metrics.Figure, len(suiteGenerators))
-	errs := make([]error, len(suiteGenerators))
+	var specs []FigureSpec
+	for _, f := range Figures {
+		if f.Scenario == "" {
+			specs = append(specs, f)
+		}
+	}
+	suite := &Suite{Table1: Table1(), Figures: make([]SuiteFigure, len(specs))}
+	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
-	for i, g := range suiteGenerators {
+	for i, f := range specs {
 		wg.Add(1)
-		go func(i int, fn func(Config) (*metrics.Figure, error)) {
+		go func() {
 			defer wg.Done()
-			figs[i], errs[i] = fn(cfg)
-		}(i, g.fn)
+			suite.Figures[i].Name = f.Name
+			suite.Figures[i].Figure, errs[i] = f.Run(cfg)
+		}()
 	}
 	wg.Wait()
-	suite := &Suite{Table1: Table1(), Figures: make([]SuiteFigure, 0, len(suiteGenerators))}
-	for i, g := range suiteGenerators {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", g.name, errs[i])
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", specs[i].Name, err)
 		}
-		suite.Figures = append(suite.Figures, SuiteFigure{Name: g.name, Figure: figs[i]})
 	}
 	return suite, nil
 }

@@ -102,9 +102,9 @@ func TestFigureSuiteDeterministicAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Figures) != len(suiteGenerators) || len(parallel.Figures) != len(serial.Figures) {
-		t.Fatalf("suite sizes: serial %d, parallel %d, want %d",
-			len(serial.Figures), len(parallel.Figures), len(suiteGenerators))
+	if len(serial.Figures) != 6 || len(parallel.Figures) != len(serial.Figures) {
+		t.Fatalf("suite sizes: serial %d, parallel %d, want 6 (Figures 2–7)",
+			len(serial.Figures), len(parallel.Figures))
 	}
 	for i, sf := range serial.Figures {
 		pf := parallel.Figures[i]

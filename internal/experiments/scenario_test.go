@@ -74,8 +74,8 @@ func TestScenarioSuiteSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(suite.Figures) != len(suiteGenerators) {
-		t.Fatalf("suite has %d figures, want %d", len(suite.Figures), len(suiteGenerators))
+	if len(suite.Figures) != 6 {
+		t.Fatalf("suite has %d figures, want 6 (Figures 2–7)", len(suite.Figures))
 	}
 	for _, name := range []string{"fig2", "fig3", "fig5", "fig7"} {
 		fig := suite.Figure(name)

@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"peerlab/internal/core"
-	"peerlab/internal/metrics"
 	"peerlab/internal/scenario"
 	"peerlab/internal/transfer"
 	"peerlab/internal/workload"
@@ -358,16 +357,16 @@ func (sw Sweep) Spec() string {
 // repetition. Its key — not its position in the grid — derives the cell's
 // seed.
 type SweepCell struct {
-	Scenario  string
-	Workload  string
-	Model     string
-	Parts     int
-	SizeMb    int
-	Pick      string
-	Choke     string
-	ChurnRate float64
-	FaultRate float64
-	Rep       int
+	Scenario  string  `json:"scenario"`
+	Workload  string  `json:"workload"`
+	Model     string  `json:"model,omitempty"`
+	Parts     int     `json:"parts,omitempty"`
+	SizeMb    int     `json:"size_mb,omitempty"`
+	Pick      string  `json:"pick,omitempty"`
+	Choke     string  `json:"choke,omitempty"`
+	ChurnRate float64 `json:"churn_rate"`
+	FaultRate float64 `json:"fault_rate"`
+	Rep       int     `json:"rep"`
 }
 
 // key is the cell's seed-derivation identity: every axis coordinate, in
@@ -390,18 +389,9 @@ func (c SweepCell) key() string {
 // cell's flows logged (relaunch-budget exhaustion), captured per cell so
 // parallel sweeps don't interleave them on stderr.
 type SweepRecord struct {
-	Scenario  string          `json:"scenario"`
-	Workload  string          `json:"workload"`
-	Model     string          `json:"model,omitempty"`
-	Parts     int             `json:"parts,omitempty"`
-	SizeMb    int             `json:"size_mb,omitempty"`
-	Pick      string          `json:"pick,omitempty"`
-	Choke     string          `json:"choke,omitempty"`
-	ChurnRate float64         `json:"churn_rate"`
-	FaultRate float64         `json:"fault_rate"`
-	Rep       int             `json:"rep"`
-	Summary   WorkloadSummary `json:"summary"`
-	Warnings  []string        `json:"warnings,omitempty"`
+	SweepCell
+	Summary  WorkloadSummary `json:"summary"`
+	Warnings []string        `json:"warnings,omitempty"`
 }
 
 // SweepMarginal aggregates every cell sharing one value of one axis — the
@@ -477,10 +467,7 @@ func expandSweep(cfg Config, sw Sweep) ([]sweepPlan, int, error) {
 			scenarios = append(scenarios, sc)
 		}
 	}
-	rates := sw.ChurnRates
-	if len(rates) == 0 {
-		rates = []float64{1}
-	}
+	rates := axisOr(sw.ChurnRates, 1)
 	for _, r := range rates {
 		if r == 1 {
 			continue
@@ -492,10 +479,7 @@ func expandSweep(cfg Config, sw Sweep) ([]sweepPlan, int, error) {
 			}
 		}
 	}
-	faultRates := sw.FaultRates
-	if len(faultRates) == 0 {
-		faultRates = []float64{1}
-	}
+	faultRates := axisOr(sw.FaultRates, 1)
 	for _, r := range faultRates {
 		if r == 1 {
 			continue
@@ -513,20 +497,13 @@ func expandSweep(cfg Config, sw Sweep) ([]sweepPlan, int, error) {
 	// obtained — enters the cell key, so a sweep that spells the hint out
 	// is cell-for-cell identical to one that relies on it.
 	workloadsFor := func(sc scenario.Scenario) ([]workload.Workload, error) {
-		specs := sw.Workloads
-		if len(specs) == 0 {
-			switch {
-			case !cfg.Workload.IsZero():
-				return []workload.Workload{cfg.Workload}, nil
-			case sc.Workload != "":
-				specs = []string{sc.Workload}
-			default:
-				return []workload.Workload{workload.ControllerFanout()}, nil
-			}
+		if len(sw.Workloads) == 0 {
+			w, err := resolveWorkload(cfg.Workload, sc)
+			return []workload.Workload{w}, err
 		}
-		ws := make([]workload.Workload, 0, len(specs))
-		seen := make(map[string]bool, len(specs))
-		for _, spec := range specs {
+		ws := make([]workload.Workload, 0, len(sw.Workloads))
+		seen := make(map[string]bool, len(sw.Workloads))
+		for _, spec := range sw.Workloads {
 			w, err := workload.Parse(spec)
 			if err != nil {
 				return nil, err
@@ -540,26 +517,11 @@ func expandSweep(cfg Config, sw Sweep) ([]sweepPlan, int, error) {
 		}
 		return ws, nil
 	}
-	models := sw.Models
-	if len(models) == 0 {
-		models = []string{""}
-	}
-	grans := sw.Granularities
-	if len(grans) == 0 {
-		grans = []int{0}
-	}
-	sizes := sw.Sizes
-	if len(sizes) == 0 {
-		sizes = []int{0}
-	}
-	picks := sw.Picks
-	if len(picks) == 0 {
-		picks = []string{""}
-	}
-	chokes := sw.Chokes
-	if len(chokes) == 0 {
-		chokes = []string{""}
-	}
+	models := axisOr(sw.Models, "")
+	grans := axisOr(sw.Granularities, 0)
+	sizes := axisOr(sw.Sizes, 0)
+	picks := axisOr(sw.Picks, "")
+	chokes := axisOr(sw.Chokes, "")
 	reps := sw.Reps
 	if reps <= 0 {
 		reps = cfg.Reps
@@ -651,6 +613,15 @@ func expandSweep(cfg Config, sw Sweep) ([]sweepPlan, int, error) {
 	return plans, reps, nil
 }
 
+// axisOr returns an axis's values, or the single coordinate an unset axis
+// contributes to the grid (the zero value means "keep the workload's own").
+func axisOr[T any](vals []T, unset T) []T {
+	if len(vals) == 0 {
+		return []T{unset}
+	}
+	return vals
+}
+
 // RunSweep expands the sweep against cfg's defaults and executes every cell
 // — one workload repetition on its own freshly deployed slice — across the
 // worker pool. Cell seeds derive from (cfg.Seed, cell key), so the report is
@@ -704,26 +675,8 @@ func sweepCell(cellCfg Config, p sweepPlan) (SweepRecord, error) {
 	if err != nil {
 		return SweepRecord{}, fmt.Errorf("cell %s: %w", p.cell.key(), err)
 	}
-	rec := SweepRecord{
-		Scenario:  p.cell.Scenario,
-		Workload:  p.cell.Workload,
-		Model:     p.cell.Model,
-		Parts:     p.cell.Parts,
-		SizeMb:    p.cell.SizeMb,
-		Pick:      p.cell.Pick,
-		Choke:     p.cell.Choke,
-		ChurnRate: p.cell.ChurnRate,
-		FaultRate: p.cell.FaultRate,
-		Rep:       p.cell.Rep,
-		Summary:   summarize(res.recs),
-		Warnings:  warnings,
-	}
-	rec.Summary.PeersDeparted = res.departed
-	rec.Summary.SelectionsStale = res.stale
-	rec.Summary.SelectionsLagged = res.lagged
-	rec.Summary.BrokerDownSeconds = res.brokerDown
-	rec.Summary.LikePairBytes = res.like
-	rec.Summary.CrossPairBytes = res.cross
+	rec := SweepRecord{SweepCell: p.cell, Summary: summarize(res.recs), Warnings: warnings}
+	rec.Summary.addCell(res)
 	return rec, nil
 }
 
@@ -805,157 +758,4 @@ func marginals(records []SweepRecord) []SweepMarginal {
 		}
 	}
 	return out
-}
-
-// ---- the churn figure ----------------------------------------------------
-
-// ChurnFigureRates are the intensity multipliers the churn figure sweeps —
-// half the written schedule up to four times it.
-var ChurnFigureRates = []float64{0.5, 1, 2, 4}
-
-// DefaultChurnScenario is the churning scenario FigChurnQuality measures
-// when the Config leaves the scenario unset; surfaces that default on the
-// figure's behalf (the CLI) must name the same world.
-const DefaultChurnScenario = "churn:32"
-
-// FigChurnQuality is the churn-aware figure the ROADMAP called for:
-// selection quality versus churn rate. It sweeps the configured churning
-// scenario (default churn:32 when the Config leaves the scenario unset)
-// over ChurnFigureRates with its hinted workload, and reads the sweep's
-// churn marginals into a figure: failed-flow, lagged-selection and
-// stale-selection percentages per intensity. The stale series is the lease
-// machinery's audit and must stay at zero at every rate — the broker never
-// hands out an expired lease, however hard the membership churns. A
-// configured scenario without dynamics is an error, not a silent
-// substitution: a figure labeled with the requested scenario must measure
-// that scenario.
-func FigChurnQuality(cfg Config) (*metrics.Figure, error) {
-	if cfg.Scenario.IsZero() {
-		def, err := scenario.Parse(DefaultChurnScenario)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: figchurn: %w", err)
-		}
-		cfg.Scenario = def
-	}
-	cfg = cfg.withDefaults()
-	if cfg.Scenario.ChurnRate == nil {
-		return nil, fmt.Errorf("experiments: figchurn: scenario %q has no churn dynamics to sweep (want churn:N)", cfg.Scenario.Name)
-	}
-	report, err := RunSweep(cfg, Sweep{ChurnRates: ChurnFigureRates, Reps: cfg.Reps})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: figchurn: %w", err)
-	}
-	byRate := map[string]SweepMarginal{}
-	for _, m := range report.Marginals {
-		if m.Axis == "churn" {
-			byRate[m.Value] = m
-		}
-	}
-	fig := &metrics.Figure{
-		Title:  fmt.Sprintf("Selection quality vs churn rate — %s", cfg.Scenario.Name),
-		Unit:   "percent of flows",
-		Labels: make([]string, 0, len(ChurnFigureRates)),
-	}
-	failed := make([]float64, 0, len(ChurnFigureRates))
-	lagged := make([]float64, 0, len(ChurnFigureRates))
-	stale := make([]float64, 0, len(ChurnFigureRates))
-	for _, r := range ChurnFigureRates {
-		m, ok := byRate[formatRate(r)]
-		if !ok {
-			return nil, fmt.Errorf("experiments: figchurn: no marginal for rate %s", formatRate(r))
-		}
-		fig.Labels = append(fig.Labels, "×"+formatRate(r))
-		failed = append(failed, m.FailedPct)
-		lagged = append(lagged, m.LaggedPct)
-		stale = append(stale, m.StalePct)
-	}
-	for _, s := range []struct {
-		name   string
-		values []float64
-	}{
-		{"failed flows", failed},
-		{"selections lagged", lagged},
-		{"selections stale", stale},
-	} {
-		if err := fig.AddSeries(s.name, s.values); err != nil {
-			return nil, err
-		}
-	}
-	return fig, nil
-}
-
-// ---- the fault figure ----------------------------------------------------
-
-// FaultFigureRates are the intensity multipliers the fault figure sweeps —
-// half the written fault plan up to four times it.
-var FaultFigureRates = []float64{0.5, 1, 2, 4}
-
-// DefaultFaultScenario is the faulty scenario FigFaultResilience measures
-// when the Config leaves the scenario unset; surfaces that default on the
-// figure's behalf (the CLI) must name the same world.
-const DefaultFaultScenario = "faults:32"
-
-// FigFaultResilience is the robustness figure: flow outcome versus
-// control-plane fault intensity. It sweeps the configured faulty scenario
-// (default faults:32 when the Config leaves the scenario unset) over
-// FaultFigureRates with its hinted workload, and reads the sweep's fault
-// marginals into a figure: failed-flow, degraded-selection and
-// recovered-flow percentages per intensity. Degraded and recovered climbing
-// with intensity while failures stay low is the resilience story — flows
-// route around a broken control plane instead of dying with it. A
-// configured scenario without faults is an error, not a silent
-// substitution, exactly like FigChurnQuality's rule.
-func FigFaultResilience(cfg Config) (*metrics.Figure, error) {
-	if cfg.Scenario.IsZero() {
-		def, err := scenario.Parse(DefaultFaultScenario)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: figfault: %w", err)
-		}
-		cfg.Scenario = def
-	}
-	cfg = cfg.withDefaults()
-	if cfg.Scenario.FaultRate == nil {
-		return nil, fmt.Errorf("experiments: figfault: scenario %q has no fault plan to sweep (want faults:N)", cfg.Scenario.Name)
-	}
-	report, err := RunSweep(cfg, Sweep{FaultRates: FaultFigureRates, Reps: cfg.Reps})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: figfault: %w", err)
-	}
-	byRate := map[string]SweepMarginal{}
-	for _, m := range report.Marginals {
-		if m.Axis == "fault" {
-			byRate[m.Value] = m
-		}
-	}
-	fig := &metrics.Figure{
-		Title:  fmt.Sprintf("Flow resilience vs fault rate — %s", cfg.Scenario.Name),
-		Unit:   "percent of flows",
-		Labels: make([]string, 0, len(FaultFigureRates)),
-	}
-	failed := make([]float64, 0, len(FaultFigureRates))
-	degraded := make([]float64, 0, len(FaultFigureRates))
-	recovered := make([]float64, 0, len(FaultFigureRates))
-	for _, r := range FaultFigureRates {
-		m, ok := byRate[formatRate(r)]
-		if !ok {
-			return nil, fmt.Errorf("experiments: figfault: no marginal for rate %s", formatRate(r))
-		}
-		fig.Labels = append(fig.Labels, "×"+formatRate(r))
-		failed = append(failed, m.FailedPct)
-		degraded = append(degraded, m.DegradedPct)
-		recovered = append(recovered, m.RecoveredPct)
-	}
-	for _, s := range []struct {
-		name   string
-		values []float64
-	}{
-		{"failed flows", failed},
-		{"selections degraded", degraded},
-		{"flows recovered", recovered},
-	} {
-		if err := fig.AddSeries(s.name, s.values); err != nil {
-			return nil, err
-		}
-	}
-	return fig, nil
 }

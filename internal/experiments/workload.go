@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"time"
 
-	"peerlab/internal/faults"
 	"peerlab/internal/metrics"
 	"peerlab/internal/overlay"
 	"peerlab/internal/scenario"
@@ -74,8 +73,9 @@ type WorkloadSummary struct {
 	// SelectionsStale counts model-selected sinks that were departed AND
 	// whose advertisement lease had certainly expired at selection time
 	// (down throughout the whole TTL window before the selection). The
-	// broker filters expired leases from every candidate set, so this must
-	// be zero — it is the lease machinery's audit, not a workload metric.
+	// broker filters expired leases from every candidate set, so a nonzero
+	// count is a finding — it is the lease machinery's audit, not a
+	// workload metric.
 	SelectionsStale int `json:"selections_stale,omitempty"`
 	// SelectionsLagged counts model-selected sinks that were departed at
 	// selection time but still inside their lease window — the inherent
@@ -125,12 +125,12 @@ type WorkloadReport struct {
 
 // resolveWorkload picks the configured workload, the scenario's hint, or the
 // controller-fanout default, in that order.
-func resolveWorkload(cfg Config) (workload.Workload, error) {
-	if !cfg.Workload.IsZero() {
-		return cfg.Workload, nil
+func resolveWorkload(configured workload.Workload, sc scenario.Scenario) (workload.Workload, error) {
+	if !configured.IsZero() {
+		return configured, nil
 	}
-	if cfg.Scenario.Workload != "" {
-		return workload.Parse(cfg.Scenario.Workload)
+	if sc.Workload != "" {
+		return workload.Parse(sc.Workload)
 	}
 	return workload.ControllerFanout(), nil
 }
@@ -175,7 +175,7 @@ type workloadCellResult struct {
 // repetition, and returns the per-flow records in (rep, flow-index) order.
 func RunWorkload(cfg Config) (*WorkloadReport, error) {
 	cfg = cfg.withDefaults()
-	w, err := resolveWorkload(cfg)
+	w, err := resolveWorkload(cfg.Workload, cfg.Scenario)
 	if err != nil {
 		return nil, err
 	}
@@ -192,14 +192,20 @@ func RunWorkload(cfg Config) (*WorkloadReport, error) {
 	}
 	report.Summary = summarize(report.Flows)
 	for _, cell := range cells {
-		report.Summary.PeersDeparted += cell.departed
-		report.Summary.SelectionsStale += cell.stale
-		report.Summary.SelectionsLagged += cell.lagged
-		report.Summary.BrokerDownSeconds += cell.brokerDown
-		report.Summary.LikePairBytes += cell.like
-		report.Summary.CrossPairBytes += cell.cross
+		report.Summary.addCell(cell)
 	}
 	return report, nil
+}
+
+// addCell folds one cell's schedule-, plan- and pair-derived counters —
+// the ones that are not sums over flow records — into the summary.
+func (s *WorkloadSummary) addCell(c workloadCellResult) {
+	s.PeersDeparted += c.departed
+	s.SelectionsStale += c.stale
+	s.SelectionsLagged += c.lagged
+	s.BrokerDownSeconds += c.brokerDown
+	s.LikePairBytes += c.like
+	s.CrossPairBytes += c.cross
 }
 
 // rememberedHosts maps a scenario's Remembered labels — the "user memory"
@@ -215,39 +221,78 @@ func rememberedHosts(env *Env, sc scenario.Scenario) []string {
 }
 
 // workloadCell deploys one repetition's slice and runs every flow of the
-// workload as a concurrent simulation process. Churning scenarios route to
-// churnWorkloadCell.
+// workload over it. It is the only cell runner; what a cell does is two
+// independent choices read off its inputs.
+//
+// Membership: a static scenario boots exactly the flows' participants and
+// a failing flow aborts the run. Under a churn schedule no static peer
+// boots — workload.StartDynamics owns membership — per-flow failures are
+// recorded instead of aborting, and every model-selected sink is audited
+// against the schedule (auditSelections).
+//
+// Engine: workload.Run picks the piece engine for a dissemination workload
+// and the single-round executor otherwise; only the piece engine produces
+// the pair matrix clusterBytes folds.
 func workloadCell(cellCfg Config, w workload.Workload, rep int) (workloadCellResult, error) {
-	flows := w.Flows(cellCfg.Scenario.Labels, cellCfg.Seed)
+	sc := cellCfg.Scenario
+	flows := w.Flows(sc.Labels, cellCfg.Seed)
 	if len(flows) == 0 {
 		return workloadCellResult{}, fmt.Errorf("workload %s produced no flows", w.Name)
 	}
-	if w.Disseminate != nil {
-		// The piece-level family runs the multi-round engine — on static and
-		// churning scenarios alike — instead of the single-round executor.
-		return disseminateCell(cellCfg, w, flows, rep)
+	peers := participants(flows)
+	if sc.Churn != nil {
+		peers = noStaticPeers
+		// The broker must run the TTL the dynamics reason about
+		// (scenarioLeases makes NewEnv apply sc.EffectiveAdvTTL): the
+		// heartbeat and the staleness audit both divide it — a zero here
+		// would disable renewals and flag every briefly-down sink as a
+		// (false) stale selection.
+		cellCfg.scenarioLeases = true
 	}
-	if cellCfg.Scenario.Churn != nil {
-		return churnWorkloadCell(cellCfg, flows, rep)
-	}
-	recs, err := envCell(cellCfg, participants(flows), func(env *Env, ctl *overlay.Client) ([]FlowRecord, error) {
-		results, err := workload.Execute(workload.Env{
+	var dyn *workload.Dynamics
+	res, err := envCell(cellCfg, peers, func(env *Env, ctl *overlay.Client) (workloadCellResult, error) {
+		var res workloadCellResult
+		wenv := workload.Env{
 			Host:         env.Slice.Control,
 			Control:      ctl,
 			Clients:      env.Clients,
 			HostOf:       env.Host,
 			LabelOf:      env.Label,
 			ExcludeSinks: []string{env.Slice.Control.Name()},
-			Preferred:    rememberedHosts(env, cellCfg.Scenario),
-			IdleGap:      cellCfg.IdleGap,
+			Preferred:    rememberedHosts(env, sc),
 			Logf:         cellCfg.Logf,
-		}, flows, cellCfg.Seed)
-		if err != nil {
-			return nil, err
 		}
-		return flowRecords(results, rep), nil
+		if sc.Churn == nil {
+			wenv.IdleGap = cellCfg.IdleGap
+		} else {
+			var err error
+			if dyn, err = workload.StartDynamics(env.Slice, env.Broker, sc, cellCfg.Seed); err != nil {
+				return res, err
+			}
+			res.departed = dyn.Schedule.Departures()
+			if dyn.Plan != nil {
+				res.brokerDown = dyn.Plan.BrokerDowntime().Seconds()
+			}
+		}
+		outcome, err := workload.Run(wenv, dyn, w, flows, cellCfg.Seed)
+		if err != nil {
+			return res, err
+		}
+		res.recs = flowRecords(outcome.Results, rep)
+		if w.Disseminate != nil {
+			res.like, res.cross = clusterBytes(env.Slice.Catalog, outcome.PairBytes)
+		}
+		if dyn != nil {
+			res.stale, res.lagged = auditSelections(outcome.Results, dyn, sc.EffectiveAdvTTL())
+		}
+		return res, nil
 	})
-	return workloadCellResult{recs: recs}, err
+	// envCell returns at quiescence — the schedule has fully drained, so
+	// even a join failure after the flows finished is captured.
+	if err == nil && dyn != nil {
+		err = dyn.Err()
+	}
+	return res, err
 }
 
 // staleSlack absorbs the gap between a schedule's leave offset and the last
@@ -265,121 +310,37 @@ const staleSlack = 10 * time.Second
 // request by this much.
 const selectFlight = 5 * time.Second
 
-// churnWorkloadCell is workloadCell on a churning scenario: membership is
-// driven by the scenario's schedule through a workload.Conductor (initial
-// population booted before traffic, joins and leaves executed as a
-// virtual-time process), flow launches are staggered across the horizon,
-// per-flow failures are recorded instead of aborting, and every
-// model-selected sink is audited against the schedule — departed-but-leased
-// sinks count as lagged, departed-and-expired sinks as stale (always zero:
-// the broker never hands out a dead lease).
-func churnWorkloadCell(cellCfg Config, flows []workload.Flow, rep int) (workloadCellResult, error) {
-	sc := cellCfg.Scenario
-	schedule := workload.NewSchedule(sc.Churn(cellCfg.Seed))
-	stagger := workload.Stagger(cellCfg.Seed, sc.Horizon)
-	// Fault scenarios draw their plan from the cell seed like the churn
-	// schedule, boot peers with the resilient CallPolicy, and start the
-	// injector alongside the conductor.
-	var plan *faults.Plan
-	var policy overlay.CallPolicy
-	if sc.Faults != nil {
-		plan = faults.NewPlan(sc.Faults(cellCfg.Seed))
-		policy = overlay.DefaultCallPolicy()
+// auditSelections classifies every model-selected sink that the schedule
+// says was departed at selection time: still inside its lease window is
+// lagged — the inherent staleness a TTL'd directory admits — and down
+// throughout the whole window is stale, a selection the broker's lease
+// filter should have made impossible. Fixed-sink flows (dissemination
+// downloaders among them) select nothing and are skipped.
+func auditSelections(results []workload.Result, dyn *workload.Dynamics, advTTL time.Duration) (stale, lagged int) {
+	for _, r := range results {
+		if r.Flow.Model == "" || r.Sink == "" || r.SelectedAt.IsZero() {
+			continue
+		}
+		at := r.SelectedAt.Sub(dyn.StartedAt())
+		if dyn.Schedule.LiveAt(r.Sink, at) {
+			continue
+		}
+		// The window extends selectFlight past the request instant:
+		// the broker decides one request leg later, and a rejoin
+		// registering inside that flight legitimately puts the sink
+		// back in the candidate set.
+		if dyn.Schedule.DownThroughout(r.Sink, at-advTTL-staleSlack, at+selectFlight) {
+			stale++
+		} else {
+			lagged++
+		}
 	}
-	// The TTL the broker actually runs with (scenarioLeases makes NewEnv
-	// apply the same value): the heartbeat and the staleness audit must
-	// both reason about it — a zero here would disable renewals and flag
-	// every briefly-down sink as a (false) stale selection.
-	advTTL := sc.EffectiveAdvTTL()
-	cellCfg.scenarioLeases = true
-
-	// The non-nil empty peer list is load-bearing: RunPeers boots every
-	// catalog peer for nil, and *no* static peer for an empty slice —
-	// membership here belongs exclusively to the conductor.
-	var cond *workload.Conductor
-	res, err := envCell(cellCfg, noStaticPeers, func(env *Env, ctl *overlay.Client) (workloadCellResult, error) {
-		res := workloadCellResult{departed: schedule.Departures()}
-		cpuOf := make(map[string]float64, len(env.Slice.Catalog))
-		for _, p := range env.Slice.Catalog {
-			cpuOf[p.Label] = p.Profile.CPUScore
-		}
-		cond = workload.NewConductor(env.Slice.Control, schedule, workload.RenewalInterval(advTTL), sc.Horizon, func(label string) (*overlay.Client, error) {
-			node := env.Slice.Peers[label]
-			if node == nil {
-				return nil, fmt.Errorf("churn schedule names unknown peer %q", label)
-			}
-			return overlay.BootPeerWith(node, env.Broker.Addr(), overlay.ClientConfig{
-				CPUScore: cpuOf[label],
-				Call:     policy,
-			})
-		})
-		if err := cond.BootInitial(); err != nil {
-			return res, err
-		}
-		cond.Start()
-		if plan != nil {
-			res.brokerDown = plan.BrokerDowntime().Seconds()
-			sites := make(map[string][]string)
-			for _, p := range env.Slice.Catalog {
-				if p.Site != "" {
-					sites[p.Site] = append(sites[p.Site], p.Hostname)
-				}
-			}
-			faults.NewInjector(env.Slice.Control, env.Slice.Net, env.Broker,
-				env.Slice.Control.Name(), sites, plan).Start()
-		}
-		// BootInitial consumed virtual time before the flows launch;
-		// ChurnLaunch rebases the schedule-relative stagger offsets and
-		// re-resolves sources at each flow's actual launch instant.
-		flows, startOf := workload.ChurnLaunch(flows, schedule, sc.Labels, stagger,
-			env.Slice.Control.Now().Sub(cond.StartedAt()))
-		results, err := workload.Execute(workload.Env{
-			Host:           env.Slice.Control,
-			Control:        ctl,
-			ClientOf:       cond.ClientOf,
-			HostOf:         env.Host,
-			LabelOf:        env.Label,
-			ExcludeSinks:   []string{env.Slice.Control.Name()},
-			Preferred:      rememberedHosts(env, sc),
-			StartOf:        startOf,
-			RecordFailures: true,
-			Logf:           cellCfg.Logf,
-		}, flows, cellCfg.Seed)
-		if err != nil {
-			return res, err
-		}
-		res.recs = flowRecords(results, rep)
-		for _, r := range results {
-			if r.Flow.Model == "" || r.Sink == "" || r.SelectedAt.IsZero() {
-				continue
-			}
-			at := r.SelectedAt.Sub(cond.StartedAt())
-			if schedule.LiveAt(r.Sink, at) {
-				continue
-			}
-			// The window extends selectFlight past the request instant:
-			// the broker decides one request leg later, and a rejoin
-			// registering inside that flight legitimately puts the sink
-			// back in the candidate set.
-			if schedule.DownThroughout(r.Sink, at-advTTL-staleSlack, at+selectFlight) {
-				res.stale++
-			} else {
-				res.lagged++
-			}
-		}
-		return res, nil
-	})
-	// envCell returns at quiescence — the schedule has fully drained, so
-	// even a join failure after the flows finished is captured.
-	if err == nil && cond != nil {
-		err = cond.Err()
-	}
-	return res, err
+	return stale, lagged
 }
 
 // noStaticPeers is RunPeers' "boot no catalog peer" argument (non-nil and
-// empty; nil would boot all). Named so the distinction cannot be refactored
-// away silently.
+// empty; nil would boot all — membership then belongs exclusively to the
+// conductor). Named so the distinction cannot be refactored away silently.
 var noStaticPeers = []string{}
 
 // flowRecords maps executed flow results into records for one repetition.

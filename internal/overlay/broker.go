@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -458,7 +457,7 @@ func (b *Broker) handleRegister(conn *pipe.Conn, d *wire.Decoder) {
 // handleRegisterBatch serves the batched boot frame: the effects of
 // handleRegister and handleStatsReport applied in that order under one
 // exchange and one ack. The lease is published once with the batch
-// instant's expiry (the legacy pair publishes twice, one RPC apart), which
+// instant's expiry (the two-RPC boot publishes twice, one RPC apart), which
 // is why batched boot is scale-gated rather than a golden-path default.
 func (b *Broker) handleRegisterBatch(conn *pipe.Conn, d *wire.Decoder) {
 	req, err := decodeRegisterBatch(d)
@@ -486,8 +485,8 @@ func (b *Broker) handleRegisterBatch(conn *pipe.Conn, d *wire.Decoder) {
 }
 
 // ControlRPCs reports how many well-formed control frames the broker has
-// received since construction. A legacy boot costs two (register + stats
-// report); a batched boot costs one.
+// received since construction. A boot costs two (register + stats report),
+// a batched boot one.
 func (b *Broker) ControlRPCs() int64 { return b.ctlRPCs.Load() }
 
 func (b *Broker) handleStatsReport(conn *pipe.Conn, d *wire.Decoder) {
@@ -563,98 +562,30 @@ func (b *Broker) handleSelect(conn *pipe.Conn, d *wire.Decoder) {
 // selection-heavy swarm would otherwise spend a quarter of its time in GC.
 var candPool = sync.Pool{New: func() any { return new([]core.Candidate) }}
 
-// selectPeers runs the requested model over the registered peers. Models
-// that assert purity (core.PureRanker) route through the rank index
-// (rankindex.go), which replays a memoized full-directory ranking while the
-// directory and every statistic are provably unchanged; everything else —
-// the stateful blind cursor, per-request preference models, custom
-// selectors — takes the scan path. Both paths return byte-identical
-// results; the index only removes CPU work.
+// selectPeers resolves the requested model and runs it over the registered
+// peers through selectRanked (rankindex.go). Only a registered model that
+// asserts purity (core.PureRanker) and ranks (core.Ranker) is memoized in
+// the rank index; everything else — the stateful blind cursor, per-request
+// preference models, custom selectors — passes a nil capability and is
+// ranked from scratch every time.
 func (b *Broker) selectPeers(req selectReq) (peers, addrs []string, err error) {
 	sel, ok := b.selectors[req.Model]
+	var pure core.PureRanker
 	if core.UsesPreferences(req.Model) {
 		// Built per request from the user's own ranking.
 		sel, ok = core.NewUserPreference(req.Preferred), true
+	} else if _, isRanker := sel.(core.Ranker); isRanker {
+		pure, _ = sel.(core.PureRanker)
 	}
 	if !ok {
 		return nil, nil, fmt.Errorf("overlay: unknown selection model %q", req.Model)
 	}
-	creq := core.Request{
+	return b.selectRanked(req, core.Request{
 		Kind:      core.RequestKind(req.Kind),
 		SizeBytes: req.SizeBytes,
 		WorkUnits: req.WorkUnits,
 		Now:       b.host.Now(),
-	}
-	if !core.UsesPreferences(req.Model) {
-		if pure, isPure := sel.(core.PureRanker); isPure {
-			if r, isRanker := sel.(core.Ranker); isRanker {
-				return b.selectIndexed(req, creq, r, pure)
-			}
-		}
-	}
-	return b.selectScan(req, creq, sel)
-}
-
-// selectScan is the unindexed selection path: build the candidate set from
-// scratch and run the model over it.
-func (b *Broker) selectScan(req selectReq, creq core.Request, sel core.Selector) (peers, addrs []string, err error) {
-	var excluded map[string]bool
-	if len(req.Exclude) > 0 {
-		excluded = make(map[string]bool, len(req.Exclude))
-		for _, p := range req.Exclude {
-			excluded[p] = true
-		}
-	}
-	// The candidate set spans the whole network: advertisements merge from
-	// every shard in canonical order, and each candidate's statistics come
-	// from its owning shard, so a sharded broker ranks exactly as a single
-	// one would.
-	advs := b.Advertisements(jxta.AdvPeer, "")
-	candsp := candPool.Get().(*[]core.Candidate)
-	defer func() {
-		clear(*candsp)
-		*candsp = (*candsp)[:0]
-		candPool.Put(candsp)
-	}()
-	cands := (*candsp)[:0]
-	if cap(cands) < len(advs) {
-		cands = make([]core.Candidate, 0, len(advs))
-	}
-	for _, a := range advs {
-		if excluded[a.Name] {
-			continue
-		}
-		cands = append(cands, core.Candidate{Snapshot: b.shardOf(a.Name).registry.Peer(a.Name).Snapshot()})
-	}
-	*candsp = cands
-
-	var ranked []string
-	if r, isRanker := sel.(core.Ranker); isRanker {
-		ranked, err = r.Rank(creq, cands)
-	} else {
-		var one string
-		one, err = sel.Select(creq, cands)
-		ranked = []string{one}
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	max := req.MaxResults
-	if max <= 0 || max > len(ranked) {
-		max = len(ranked)
-	}
-	ranked = ranked[:max]
-	// Addresses only for the winners: advs is in canonical (Name, ID) order
-	// and peer names are unique (one advertisement per peer), so a binary
-	// search replaces the per-request name→addr map over the whole
-	// directory.
-	addrs = make([]string, len(ranked))
-	for i, p := range ranked {
-		if j, found := sort.Find(len(advs), func(k int) int { return strings.Compare(p, advs[k].Name) }); found {
-			addrs[i] = advs[j].Addr
-		}
-	}
-	return ranked, addrs, nil
+	}, sel, pure)
 }
 
 func (b *Broker) handleReportTransfer(conn *pipe.Conn, d *wire.Decoder) {

@@ -33,14 +33,14 @@ type ClientConfig struct {
 	// Pipe tunes reliable pipes.
 	Pipe pipe.Options
 	// Call bounds control RPCs (deadline, retries, backoff, degraded-mode
-	// selection). The zero value is the legacy single blocking exchange —
-	// see CallPolicy.
+	// selection). The zero value is one attempt with no deadline — see
+	// CallPolicy.
 	Call CallPolicy
 	// BatchBoot registers through the batched boot frame: registration and
 	// the initial stats report in ONE control RPC instead of two. The
 	// broker ends up in the same state, but the control-plane event count
 	// halves — so this is scale-gating, not a default: golden paths keep
-	// the legacy two-exchange boot and their event streams byte-identical.
+	// the two-exchange boot and their event streams byte-identical.
 	BatchBoot bool
 	// Sender tunes the client's transfer sender (e.g. Pipelined). The zero
 	// value is the paper's stop-and-wait protocol.
@@ -229,7 +229,7 @@ func (c *Client) Start() error {
 	return nil
 }
 
-// register announces this client to the broker: the legacy single-frame
+// register announces this client to the broker: the single-frame
 // registration, or — under BatchBoot — the batched frame that folds the
 // initial stats report into the same exchange.
 func (c *Client) register() error {

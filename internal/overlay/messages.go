@@ -98,7 +98,7 @@ func (m statsReport) encode() []byte {
 
 // registerBatch is the batched boot frame: registration and the client's
 // initial load report in one exchange, acknowledged by a registerAck. It
-// collapses the legacy register + statsReport pair to one control RPC per
+// collapses the register + statsReport pair to one control RPC per
 // boot; because that halves the control-plane event count it is opt-in
 // (ClientConfig.BatchBoot) and stays off on golden paths.
 type registerBatch struct {

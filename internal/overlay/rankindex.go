@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -109,67 +110,60 @@ func (b *Broker) rankLookupLocked(key rankKey, now time.Time) *rankEntry {
 	return nil
 }
 
-// rankInstallLocked inserts e into the ring, replacing slots in insertion
-// order. Caller holds b.rankMu.
-func (b *Broker) rankInstallLocked(e *rankEntry) {
-	b.rankRing[b.rankNext] = e
-	b.rankNext = (b.rankNext + 1) % rankIndexSlots
-}
-
-// selectIndexed serves a selection through the rank index: replay the
-// memoized ranking when every stamp matches, rebuild it otherwise. Output
-// is byte-identical to selectScan in every case, including the
-// empty-after-exclusion error.
-func (b *Broker) selectIndexed(req selectReq, creq core.Request, r core.Ranker, pure core.PureRanker) (peers, addrs []string, err error) {
-	subsetStable := pure.RankSubsetStable()
-	key := rankKey{
-		model:     req.Model,
-		kind:      req.Kind,
-		sizeBytes: req.SizeBytes,
-		workUnits: req.WorkUnits,
-	}
-	if !subsetStable && len(req.Exclude) > 0 {
-		key.excludeKey = strings.Join(req.Exclude, "\x00")
-	}
-
-	b.rankMu.Lock()
-	e := b.rankLookupLocked(key, creq.Now)
-	b.rankMu.Unlock()
-	if e == nil {
-		if e, err = b.rankBuild(key, creq, r, pure, subsetStable, req.Exclude); err != nil {
-			return nil, nil, err
+// selectRanked is the one selection path: replay the memoized ranking when
+// the model is pure and every stamp matches, rank from scratch otherwise,
+// then filter, truncate and resolve addresses. pure is nil for a model that
+// must not be memoized (see selectPeers): every lookup is then a miss,
+// exclusions are baked into the candidate set, and nothing is installed.
+func (b *Broker) selectRanked(req selectReq, creq core.Request, sel core.Selector, pure core.PureRanker) (peers, addrs []string, err error) {
+	subsetStable := pure != nil && pure.RankSubsetStable()
+	var key rankKey
+	var e *rankEntry
+	if pure != nil {
+		key = rankKey{
+			model:     req.Model,
+			kind:      req.Kind,
+			sizeBytes: req.SizeBytes,
+			workUnits: req.WorkUnits,
 		}
+		if !subsetStable && len(req.Exclude) > 0 {
+			key.excludeKey = strings.Join(req.Exclude, "\x00")
+		}
+		b.rankMu.Lock()
+		e = b.rankLookupLocked(key, creq.Now)
+		b.rankMu.Unlock()
+	}
+	var ranked []string
+	var advs []jxta.Advertisement
+	if e != nil {
+		ranked, advs = e.ranked, e.advs
+	} else if ranked, advs, err = b.rankBuild(key, creq, sel, pure, subsetStable, req.Exclude); err != nil {
+		return nil, nil, err
 	}
 
-	ranked := e.ranked
 	if subsetStable && len(req.Exclude) > 0 {
 		// Filtration: subset stability says deleting the excluded names
 		// from the full ranking IS the ranking of the reduced set.
 		filtered := make([]string, 0, len(ranked))
 		for _, p := range ranked {
-			drop := false
-			for _, x := range req.Exclude {
-				if p == x {
-					drop = true
-					break
-				}
-			}
-			if !drop {
+			if !slices.Contains(req.Exclude, p) {
 				filtered = append(filtered, p)
 			}
 		}
 		ranked = filtered
-	}
-	if len(ranked) == 0 {
-		// Exactly what ranking an empty candidate set returns.
-		return nil, nil, core.ErrNoCandidates
+		if len(ranked) == 0 {
+			// Exactly what ranking an empty candidate set returns.
+			return nil, nil, core.ErrNoCandidates
+		}
 	}
 	max := req.MaxResults
 	if max <= 0 || max > len(ranked) {
 		max = len(ranked)
 	}
 	ranked = ranked[:max]
-	advs := e.advs
+	// Addresses only for the winners: advs is in canonical (Name, ID) order
+	// and peer names are unique (one advertisement per peer), so a binary
+	// search replaces a name→addr map over the whole directory.
 	addrs = make([]string, len(ranked))
 	for i, p := range ranked {
 		if j, found := sort.Find(len(advs), func(k int) int { return strings.Compare(p, advs[k].Name) }); found {
@@ -179,18 +173,27 @@ func (b *Broker) selectIndexed(req selectReq, creq core.Request, r core.Ranker, 
 	return ranked, addrs, nil
 }
 
-// rankBuild ranks from scratch and installs the result. Stamps are read
-// BEFORE the directory and snapshots: a mutation racing the build (realnet
-// brokers serve concurrently; registry entries created on first Snapshot
-// bump the version) then leaves the entry already stale and the next
-// lookup rebuilds, which is the safe direction. Under the serialized
-// simulation scheduler nothing intervenes and the stamps are exact.
-func (b *Broker) rankBuild(key rankKey, creq core.Request, r core.Ranker, pure core.PureRanker, subsetStable bool, exclude []string) (*rankEntry, error) {
-	stamps := make([]rankStamp, len(b.shards))
-	for i, sh := range b.shards {
-		stamps[i] = rankStamp{cache: sh.cache.Stamp(), reg: sh.registry.Version()}
+// rankBuild ranks from scratch and, for a pure model, installs the result.
+// Stamps are read BEFORE the directory and snapshots: a mutation racing the
+// build (realnet brokers serve concurrently; registry entries created on
+// first Snapshot bump the version) then leaves the entry already stale and
+// the next lookup rebuilds, which is the safe direction. Under the
+// serialized simulation scheduler nothing intervenes and the stamps are
+// exact. The returned slices are immutable once installed: callers may
+// alias them but never write.
+func (b *Broker) rankBuild(key rankKey, creq core.Request, sel core.Selector, pure core.PureRanker, subsetStable bool, exclude []string) (ranked []string, advs []jxta.Advertisement, err error) {
+	var stamps []rankStamp
+	if pure != nil {
+		stamps = make([]rankStamp, len(b.shards))
+		for i, sh := range b.shards {
+			stamps[i] = rankStamp{cache: sh.cache.Stamp(), reg: sh.registry.Version()}
+		}
 	}
-	advs := b.Advertisements(jxta.AdvPeer, "")
+	// The candidate set spans the whole network: advertisements merge from
+	// every shard in canonical order, and each candidate's statistics come
+	// from its owning shard, so a sharded broker ranks exactly as a single
+	// one would.
+	advs = b.Advertisements(jxta.AdvPeer, "")
 	var excluded map[string]bool
 	if !subsetStable && len(exclude) > 0 {
 		excluded = make(map[string]bool, len(exclude))
@@ -221,25 +224,34 @@ func (b *Broker) rankBuild(key rankKey, creq core.Request, r core.Ranker, pure c
 	}
 	*candsp = cands
 
-	ranked, err := r.Rank(creq, cands)
+	if r, isRanker := sel.(core.Ranker); isRanker {
+		ranked, err = r.Rank(creq, cands)
+	} else {
+		var one string
+		one, err = sel.Select(creq, cands)
+		ranked = []string{one}
+	}
 	if err != nil {
 		// ErrNoCandidates (empty directory, or everything excluded for a
-		// non-subset-stable model) and any model error pass through
-		// uncached, exactly as the scan path reports them.
-		return nil, err
+		// model that is not subset-stable) and any model error pass through
+		// uncached.
+		return nil, nil, err
 	}
-	e := &rankEntry{
-		key:     key,
-		builtAt: creq.Now,
-		anyTime: pure.RankNowShiftInvariant() &&
-			creq.Deadline.IsZero() && creq.Budget <= 0 &&
-			!creq.Now.Before(maxReadyAt),
-		stamps: stamps,
-		ranked: ranked,
-		advs:   advs,
+	if pure != nil {
+		e := &rankEntry{
+			key:     key,
+			builtAt: creq.Now,
+			anyTime: pure.RankNowShiftInvariant() &&
+				creq.Deadline.IsZero() && creq.Budget <= 0 &&
+				!creq.Now.Before(maxReadyAt),
+			stamps: stamps,
+			ranked: ranked,
+			advs:   advs,
+		}
+		b.rankMu.Lock()
+		b.rankRing[b.rankNext] = e // slots are replaced in insertion order
+		b.rankNext = (b.rankNext + 1) % rankIndexSlots
+		b.rankMu.Unlock()
 	}
-	b.rankMu.Lock()
-	b.rankInstallLocked(e)
-	b.rankMu.Unlock()
-	return e, nil
+	return ranked, advs, nil
 }

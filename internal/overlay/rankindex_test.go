@@ -34,17 +34,17 @@ func rankDeploy(t *testing.T) *deployment {
 	return d
 }
 
-// scanOf runs the unindexed path for req at the same instant selectPeers
-// would — the oracle every indexed result must match byte for byte.
+// scanOf is the always-miss call — pure = nil: exclusions baked into the
+// candidate set, ranked from scratch, nothing replayed or installed — at
+// the same instant selectPeers would run: the oracle every indexed result
+// must match byte for byte.
 func scanOf(b *Broker, req selectReq) ([]string, []string, error) {
-	sel := b.selectors[req.Model]
-	creq := core.Request{
+	return b.selectRanked(req, core.Request{
 		Kind:      core.RequestKind(req.Kind),
 		SizeBytes: req.SizeBytes,
 		WorkUnits: req.WorkUnits,
 		Now:       b.host.Now(),
-	}
-	return b.selectScan(req, creq, sel)
+	}, b.selectors[req.Model], nil)
 }
 
 func mustMatchScan(t *testing.T, b *Broker, req selectReq) ([]string, []string) {
@@ -173,5 +173,39 @@ func TestRankIndexBlindBypass(t *testing.T) {
 	}
 	if first[1] != second[0] {
 		t.Fatalf("blind rotation broken: %v then %v", first, second)
+	}
+}
+
+// TestRankIndexUntouchedByNonPure: a selection whose model is not memoizable
+// — the stateful blind cursor, a preference model built per request, the
+// always-miss oracle itself — must leave the ring exactly as it found it:
+// nothing installed, nothing evicted, the insertion cursor unmoved.
+func TestRankIndexUntouchedByNonPure(t *testing.T) {
+	d := rankDeploy(t)
+	b := d.broker
+	eco := selectReq{Model: "economic", Kind: 1, SizeBytes: 5 << 20}
+	ranked, _ := mustMatchScan(t, b, eco)
+	ring, next := b.rankRing, b.rankNext
+	if next != 1 || ring[0] == nil {
+		t.Fatalf("economic selection installed nothing: next=%d ring[0]=%v", next, ring[0])
+	}
+	for _, req := range []selectReq{
+		{Model: "blind", Kind: 1},
+		{Model: "blind", Kind: 1, Exclude: ranked[:2]},
+		{Model: "quick-peer", Kind: 1, SizeBytes: 5 << 20, Preferred: []string{ranked[3], ranked[1]}},
+		{Model: "user-preference", Kind: 1, Preferred: ranked[2:], Exclude: ranked[:1], MaxResults: 2},
+	} {
+		if _, _, err := b.selectPeers(req); err != nil {
+			t.Fatalf("%s: %v", req.Model, err)
+		}
+		if b.rankRing != ring || b.rankNext != next {
+			t.Fatalf("%s selection touched the rank index: next %d -> %d", req.Model, next, b.rankNext)
+		}
+	}
+	if _, _, err := scanOf(b, eco); err != nil {
+		t.Fatal(err)
+	}
+	if b.rankRing != ring || b.rankNext != next {
+		t.Fatal("the always-miss oracle installed an entry")
 	}
 }

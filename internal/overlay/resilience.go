@@ -2,9 +2,10 @@
 // retries, deterministic backoff jitter), the typed error taxonomy for
 // broker replies, and degraded-mode selection over the cached directory.
 //
-// The zero CallPolicy is the legacy behavior — one blocking exchange, no
-// timer, no extra RPCs, no random draws — so static deployments that never
-// set a policy keep byte-identical event streams.
+// The zero CallPolicy is a value on the one call path, not a second path:
+// one attempt and no deadline, hence no timer, no extra RPC and no random
+// draw — which is why static deployments, which never set a policy, have
+// the event stream of a single blocking exchange.
 
 package overlay
 
@@ -63,13 +64,13 @@ func selectionError(s string) error {
 	}
 }
 
-// CallPolicy bounds a client's control RPCs. The zero value is the legacy
-// single blocking exchange: no deadline, no retries, no fallback — and no
-// extra virtual-time events or random draws, which is what keeps static
-// scenarios byte-identical to the pre-policy harness.
+// CallPolicy bounds a client's control RPCs. The zero value is one attempt
+// with no deadline: no retries, no fallback — hence no timer and no draw
+// from the node's seed stream, so a static scenario's event stream is that
+// of a single blocking exchange.
 type CallPolicy struct {
 	// Timeout is the whole-call deadline per attempt (dial + send +
-	// reply). Zero waits forever (legacy).
+	// reply). Zero waits forever.
 	Timeout time.Duration
 	// Retries is how many times a failed call is re-attempted (total
 	// attempts = Retries+1). Zero means one attempt.

@@ -1,14 +1,18 @@
 // Churn runtime: Schedule (the pure, queryable view of a scenario's
-// membership schedule) and Conductor (the virtual-time process that
-// executes it). See the package comment's ownership rules for the split.
+// membership schedule), Conductor (the virtual-time process that executes
+// it) and Dynamics (the one place a scenario's schedule, conductor, fault
+// plan and injector are wired together). See the package comment's
+// ownership rules for the split.
 
 package workload
 
 import (
+	"fmt"
 	"log"
 	"sort"
 	"time"
 
+	"peerlab/internal/faults"
 	"peerlab/internal/overlay"
 	"peerlab/internal/scenario"
 	"peerlab/internal/transport"
@@ -130,19 +134,12 @@ type Conductor struct {
 	err        error
 }
 
-// RenewalInterval is the lease-renewal heartbeat period for a broker lease
-// TTL: renewals land several times inside every TTL window, which the
-// churn staleness audit relies on (a live peer's lease must never lapse
-// between heartbeats). Every conductor must derive its renewEvery from the
-// TTL the broker actually runs with, through this one function.
-func RenewalInterval(advTTL time.Duration) time.Duration { return advTTL / 3 }
-
 // NewConductor builds a conductor over host's scheduler. boot creates and
 // starts the client for a label (register + initial stats report included);
 // it runs inside the simulation whenever the schedule joins that peer.
 //
-// renewEvery is the lease-renewal heartbeat (derive it with
-// RenewalInterval): every renewEvery of virtual time (until horizon) each
+// renewEvery is the lease-renewal heartbeat: every renewEvery of virtual
+// time (until horizon) each
 // live client pushes a stats report, which renews its broker lease — the
 // JXTA re-publish that keeps a *live* peer in the directory while departed
 // peers age out. Zero disables the heartbeat (leases then only renew on
@@ -279,6 +276,105 @@ func (c *Conductor) StartedAt() time.Time { return c.start }
 // is gone).
 func (c *Conductor) Err() error { return c.err }
 
+// Dynamics is the live side of a scenario whose membership — and, on fault
+// scenarios, control plane — moves while a session runs: the schedule, the
+// conductor executing it, and the fault plan the injector executes beside
+// it. Experiment cells and the public facade both get theirs from
+// StartDynamics, so the two cannot wire a churning world differently.
+type Dynamics struct {
+	*Conductor
+	Schedule *Schedule
+	// Plan is the fault plan the injector runs; nil when the scenario has
+	// none.
+	Plan *faults.Plan
+	sc   scenario.Scenario
+	seed int64
+}
+
+// StartDynamics brings sc's dynamics to life on a deployed slice: it draws
+// the churn schedule (and the fault plan, when sc carries one) from seed,
+// boots the initial population — with the resilient call policy on fault
+// scenarios — and starts the conductor and the injector. Call it from the
+// driver process before launching traffic, on a broker that runs
+// sc.EffectiveAdvTTL. Conductor.Err is final only at quiescence.
+func StartDynamics(slice *scenario.Slice, broker *overlay.Broker, sc scenario.Scenario, seed int64) (*Dynamics, error) {
+	d := &Dynamics{Schedule: NewSchedule(sc.Churn(seed)), sc: sc, seed: seed}
+	var policy overlay.CallPolicy
+	if sc.Faults != nil {
+		d.Plan = faults.NewPlan(sc.Faults(seed))
+		policy = overlay.DefaultCallPolicy()
+	}
+	cpuOf := make(map[string]float64, len(slice.Catalog))
+	for _, p := range slice.Catalog {
+		cpuOf[p.Label] = p.Profile.CPUScore
+	}
+	// Renewals land three times inside every TTL window of the lease the
+	// broker runs with: the staleness audit relies on a live peer's lease
+	// never lapsing between heartbeats.
+	d.Conductor = NewConductor(slice.Control, d.Schedule, sc.EffectiveAdvTTL()/3, sc.Horizon,
+		func(label string) (*overlay.Client, error) {
+			node := slice.Peers[label]
+			if node == nil {
+				return nil, fmt.Errorf("workload: churn schedule names unknown peer %q", label)
+			}
+			// BootPeerWith gives a rebooted incarnation a fresh conn-id
+			// space, so its messages are not mistaken for the previous
+			// one's retransmits.
+			c, err := overlay.BootPeerWith(node, broker.Addr(), overlay.ClientConfig{CPUScore: cpuOf[label], Call: policy})
+			if err != nil {
+				return nil, fmt.Errorf("workload: churn boot %s: %w", label, err)
+			}
+			return c, nil
+		})
+	if err := d.BootInitial(); err != nil {
+		return d, err
+	}
+	d.Start()
+	if d.Plan != nil {
+		// Only named sites can be partitioned.
+		sites := make(map[string][]string)
+		for _, p := range slice.Catalog {
+			if p.Site != "" {
+				sites[p.Site] = append(sites[p.Site], p.Hostname)
+			}
+		}
+		faults.NewInjector(slice.Control, slice.Net, broker, slice.Control.Name(), sites, d.Plan).Start()
+	}
+	return d, nil
+}
+
+// Run executes flows with the engine w names — the piece engine for a
+// dissemination workload, the single-round executor otherwise — over static
+// membership (dyn nil: env.Clients) or over dyn's live membership. Under
+// dynamics sources resolve through the conductor and per-flow failures are
+// recorded rather than aborting: a departed sink is a measurement, not a
+// crash. The piece engine paces itself by rounds; single-round launches are
+// spread across the horizon.
+func Run(env Env, dyn *Dynamics, w Workload, flows []Flow, seed int64) (Outcome, error) {
+	if dyn != nil {
+		env.ClientOf = dyn.ClientOf
+		env.RecordFailures = true
+		if w.Disseminate == nil {
+			// Stagger offsets are schedule-relative (zero = the conductor's
+			// start), but traffic launches elapsed later (initial boots, or
+			// a driver that slept mid-session): a flow whose slot already
+			// passed launches immediately, and sources are re-resolved
+			// against the membership scheduled at each flow's actual launch
+			// instant.
+			stagger := Stagger(dyn.seed, dyn.sc.Horizon)
+			elapsed := env.Host.Now().Sub(dyn.StartedAt())
+			at := func(f Flow) time.Duration { return max(stagger(f), elapsed) }
+			flows = ResolveSources(flows, dyn.Schedule, dyn.sc.Labels, at)
+			env.StartOf = func(f Flow) time.Duration { return at(f) - elapsed }
+		}
+	}
+	if w.Disseminate != nil {
+		return ExecuteDisseminate(env, *w.Disseminate, flows, seed)
+	}
+	results, err := Execute(env, flows, seed)
+	return Outcome{Results: results}, err
+}
+
 // ResolveSources returns a copy of flows with every peer-sourced flow whose
 // source is scheduled down at the flow's start offset remapped to the next
 // catalog peer (wrapping) scheduled live then — "whoever is online
@@ -313,27 +409,6 @@ func ResolveSources(flows []Flow, s *Schedule, labels []string, startOf func(Flo
 		}
 	}
 	return out
-}
-
-// ChurnLaunch prepares a flow set for execution over churning membership.
-// Stagger offsets are schedule-relative (zero = the conductor's start), but
-// traffic launches elapsed later (initial boots, or a driver that slept
-// mid-session): offsets are rebased so a flow whose slot already passed
-// launches immediately, and sources are re-resolved against the membership
-// scheduled at each flow's actual launch instant. Returns the resolved
-// flows and the Env.StartOf launch-delay function — every churn executor
-// (the experiment cells, the public facade) must wire launches through
-// here, so the rebase rule cannot drift between them.
-func ChurnLaunch(flows []Flow, s *Schedule, labels []string,
-	stagger func(Flow) time.Duration, elapsed time.Duration) ([]Flow, func(Flow) time.Duration) {
-	at := func(f Flow) time.Duration {
-		if o := stagger(f); o > elapsed {
-			return o
-		}
-		return elapsed
-	}
-	startOf := func(f Flow) time.Duration { return at(f) - elapsed }
-	return ResolveSources(flows, s, labels, at), startOf
 }
 
 // Stagger returns a per-flow start-offset function spreading flow launches

@@ -48,10 +48,11 @@ type PairBytes struct {
 	Bytes int64
 }
 
-// DissemOutcome is ExecuteDisseminate's cell-level result: per-downloader
-// Results in flow order plus the peer-pair throughput matrix the
-// bandwidth-clustering figure is built from.
-type DissemOutcome struct {
+// Outcome is Run's cell-level result: Results in flow order plus, from the
+// piece engine, the peer-pair throughput matrix the bandwidth-clustering
+// figure is built from (the single-round executor leaves both piece fields
+// zero).
+type Outcome struct {
 	Results []Result
 	// PairBytes lists every pair that moved bytes, in canonical
 	// (uploader, downloader) index order — control first, then flow order.
@@ -122,18 +123,18 @@ type dissemPeer struct {
 // choice among eligible holders is policy-neutral (least-loaded, peers
 // before the origin, then index order), so bandwidth clustering in the
 // pair matrix can only come from the choking policy itself.
-func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (DissemOutcome, error) {
+func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Outcome, error) {
 	d = d.withDefaults()
 	if len(flows) == 0 {
-		return DissemOutcome{}, fmt.Errorf("workload: dissemination with no flows")
+		return Outcome{}, fmt.Errorf("workload: dissemination with no flows")
 	}
 	if env.Control == nil {
-		return DissemOutcome{}, fmt.Errorf("workload: dissemination needs a control client to seed the swarm")
+		return Outcome{}, fmt.Errorf("workload: dissemination needs a control client to seed the swarm")
 	}
 	payload := transfer.NewVirtualFile(flows[0].FileName, flows[0].SizeBytes, FlowSeed(seed, 0))
 	split, err := transfer.Split(payload, flows[0].Parts)
 	if err != nil {
-		return DissemOutcome{}, fmt.Errorf("workload: dissemination payload: %w", err)
+		return Outcome{}, fmt.Errorf("workload: dissemination payload: %w", err)
 	}
 	pieceCount := len(split)
 
@@ -320,7 +321,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Dis
 		}
 		for range assigns {
 			if _, err := join.Pop(); err != nil {
-				return DissemOutcome{}, fmt.Errorf("workload: dissemination join queue: %w", err)
+				return Outcome{}, fmt.Errorf("workload: dissemination join queue: %w", err)
 			}
 		}
 
@@ -369,7 +370,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Dis
 		}
 	}
 
-	out := DissemOutcome{Results: make([]Result, n), Rounds: rounds}
+	out := Outcome{Results: make([]Result, n), Rounds: rounds}
 	spacing := time.Duration(float64(payload.Size) / float64(pieceCount) / streamPlayRate * float64(time.Second))
 	for i, f := range flows {
 		q := peers[i]
@@ -408,7 +409,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Dis
 		if q.got < pieceCount {
 			err := fmt.Errorf("incomplete: %d of %d pieces after %d rounds (departed?)", q.got, pieceCount, rounds)
 			if !env.RecordFailures {
-				return DissemOutcome{}, fmt.Errorf("workload: flow %d (%s): %w", f.Index, q.label, err)
+				return Outcome{}, fmt.Errorf("workload: flow %d (%s): %w", f.Index, q.label, err)
 			}
 			res.Metrics.Failed = true
 			res.Err = err.Error()

@@ -96,11 +96,11 @@ func dissemFlows(t *testing.T, rig *execRig, d Dissemination) ([]Flow, Dissemina
 	return flows, *w.Disseminate
 }
 
-func runDisseminate(t *testing.T, seed int64, n int, d Dissemination) (DissemOutcome, *execRig) {
+func runDisseminate(t *testing.T, seed int64, n int, d Dissemination) (Outcome, *execRig) {
 	t.Helper()
 	rig := newExecRig(t, seed, n)
 	flows, dd := dissemFlows(t, rig, d)
-	var out DissemOutcome
+	var out Outcome
 	var err error
 	rig.net.Run(func() {
 		rig.start(t)

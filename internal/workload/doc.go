@@ -3,14 +3,12 @@
 // Workload is a deterministic, seed-derived set of flows that an experiment
 // cell — or an interactive session — executes over a deployed slice.
 //
-// The paper only ever measures controller→peer flows; the hard-wired
-// assumption that the control node is the sole traffic source was baked into
-// the transfer harness, the experiment cells and the public Session. The
-// workload layer removes it: "controller-fanout" reproduces the paper's
-// traffic shape, while "swarm:N" and "allpairs:N" drive peer↔peer transfers
-// in which each source client calls the broker's selection service itself
-// before transmitting — the multi-source regime BitTorrent-style studies
-// (Rao et al., Legout et al.) require.
+// The paper only ever measures controller→peer flows: "controller-fanout"
+// reproduces that shape, while "swarm:N" and "allpairs:N" drive peer↔peer
+// transfers in which each source client calls the broker's selection
+// service itself before transmitting — the multi-source regime
+// BitTorrent-style studies (Rao et al., Legout et al.) require — and
+// "disseminate:N" / "stream:N" move one payload piece by piece.
 //
 // # Ownership rules
 //
@@ -19,18 +17,22 @@
 // cell from the cell's derived seed, and per-flow payload seeds derive via
 // SplitMix64 (FlowSeed), so workload output is bit-identical at any worker
 // or broker-shard count. Anything time-, order- or environment-dependent
-// belongs in execution (Execute), never in flow synthesis. The same split
-// governs churn: Schedule is the pure, queryable view of a scenario's
-// membership schedule (ResolveSources, staleness audits and tests consult
-// it freely), while the Conductor owns everything live — it alone boots and
-// stops clients, holds the live-client map executors read through
-// Env.ClientOf, and runs the lease-renewal heartbeat.
+// belongs in execution, never in flow synthesis. The same split governs
+// churn: Schedule is the pure, queryable view of a scenario's membership
+// schedule (ResolveSources, staleness audits and tests consult it freely),
+// while the Conductor owns everything live — it alone boots and stops
+// clients, holds the live-client map executors read through Env.ClientOf,
+// and runs the lease-renewal heartbeat.
 //
-// Any client may originate transfers; the overlay never had a
-// controller-only restriction, only the old harness did. Execute runs every
-// flow as its own virtual-time process, resolving the source's client and —
-// when the flow says so — the source's own SelectPeersFrom call, with the
-// control node excluded from sink candidacy.
+// Execution has one entry per decision, shared by the experiment cells and
+// the public facade: StartDynamics wires a scenario's schedule, conductor,
+// fault plan and injector (the only caller of NewConductor and
+// faults.NewInjector), and Run dispatches a flow set to its engine —
+// ExecuteDisseminate for a piece-level workload, Execute otherwise — over
+// static or live membership. Any client may originate transfers: every flow
+// is its own virtual-time process, resolving the source's client and —
+// when the flow says so — the source's own selection call, with the control
+// node excluded from sink candidacy.
 //
 // SendRelaunched owns the shared ≤Attempts relaunch budget for
 // transmissions the pipe layer abandons outright; the figure cells delegate

@@ -238,7 +238,7 @@ func runFlow(env Env, f Flow, seed int64, warns *RelaunchWarnings) (Result, erro
 
 	file := transfer.NewVirtualFile(f.FileName, f.SizeBytes, FlowSeed(seed, f.Index))
 	flowID := fmt.Sprintf("flow %d (%s -> %s)", f.Index, srcLabel, sinkLabel)
-	m, err := SendRelaunchedFlow(env.logf, env.Host.Sleep, env.IdleGap, src, sinkHost, file, f.Parts, flowID, warns, f.Index)
+	m, err := sendRelaunched(env.logf, env.Host.Sleep, env.IdleGap, src.SendFile, src.Name(), sinkHost, file, f.Parts, flowID, warns, f.Index)
 	res.Metrics = m // even on failure: Attempts carries the relaunches spent
 	if err != nil {
 		return res, fmt.Errorf("%s -> %s: %w", src.Name(), sinkLabel, err)
@@ -292,21 +292,12 @@ func (w *RelaunchWarnings) First(index int) bool {
 	return true
 }
 
-// SendRelaunchedFlow is SendRelaunched with the flow's index and a shared
-// exhaustion dedupe: engines that may relaunch the same flow through the
-// budget more than once pass one RelaunchWarnings for the whole run, so a
-// re-resolved flow's second exhaustion is returned as an error without
-// being double-counted in the operator log.
-func SendRelaunchedFlow(logf func(format string, args ...any),
-	sleep func(time.Duration), gap time.Duration, src *overlay.Client,
-	host string, f transfer.File, parts int, flowID string,
-	warns *RelaunchWarnings, index int) (transfer.Metrics, error) {
-	return sendRelaunched(logf, sleep, gap, src.SendFile, src.Name(), host, f, parts, flowID, warns, index)
-}
-
 // sendRelaunched is the shared relaunch loop, with the send entry point
 // injectable so the exhaustion path is testable without fabricating a
-// pathological network.
+// pathological network. A flow set's executor passes one RelaunchWarnings
+// for the whole run and the flow's index, so a re-resolved flow's second
+// exhaustion is returned as an error without being double-counted in the
+// operator log; warns nil logs every exhaustion.
 func sendRelaunched(logf func(format string, args ...any),
 	sleep func(time.Duration), gap time.Duration,
 	send func(string, transfer.File, int) (transfer.Metrics, error),

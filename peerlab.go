@@ -7,7 +7,6 @@ import (
 
 	"peerlab/internal/core"
 	"peerlab/internal/experiments"
-	"peerlab/internal/faults"
 	"peerlab/internal/metrics"
 	"peerlab/internal/overlay"
 	"peerlab/internal/planetlab"
@@ -157,9 +156,12 @@ type Config struct {
 	// Scenario to deploy a scenario instead.
 	Peers []PeerConfig
 	// Workload names the deployment's default flow set for
-	// Session.RunWorkload — "controller-fanout" (the paper's shape, the
-	// default), "swarm:N" or "allpairs:N" for peer↔peer traffic where each
-	// source peer consults the broker's selection service itself.
+	// Session.RunWorkload — "controller-fanout" (the paper's shape),
+	// "swarm:N" or "allpairs:N" for peer↔peer traffic where each source
+	// peer consults the broker's selection service itself, or
+	// "disseminate:N" / "stream:N" for a piece-level swarm. Empty means the
+	// scenario's own hint (zipf:N hints a dissemination workload, churn:N
+	// and faults:N a swarm), else controller-fanout.
 	Workload string
 	// Sweep is the grid spec RunSweep expands over this configuration —
 	// e.g. "granularity=1,4,16;size=50" or "model=all;churn=0.5,1,2,4".
@@ -183,25 +185,16 @@ type Deployment struct {
 	clients  map[string]*overlay.Client
 	seed     int64
 	workload workload.Workload
-	starters []starter
 
-	// Churn state (nil/zero on static deployments). peers then holds
-	// catalog labels rather than hostnames, hostOf/labelOf translate, and
-	// the conductor owns the live-client map for the session's duration.
-	schedule  *workload.Schedule
-	conductor *workload.Conductor
-	horizon   time.Duration
-	advTTL    time.Duration
-	hostOf    map[string]string
-	labelOf   map[string]string
-	bootCPU   map[string]float64
-
-	// Fault state (nil/zero unless the scenario carries a fault plan).
-	// Every client of a faulty deployment boots with the resilient call
-	// policy; the injector executes the plan alongside the session.
-	plan   *faults.Plan
-	sites  map[string][]string
-	policy overlay.CallPolicy
+	// Churn state (zero on static deployments). peers then holds catalog
+	// labels rather than hostnames, hostOf/labelOf translate, and dyn —
+	// started by Run from sc and slice — owns the schedule, the live-client
+	// map and, on fault scenarios, the injector.
+	sc      scenario.Scenario
+	slice   *scenario.Slice
+	dyn     *workload.Dynamics
+	hostOf  map[string]string
+	labelOf map[string]string
 }
 
 // ErrNoPeers is returned when a deployment is configured without peers.
@@ -215,7 +208,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 		ctlNode *simnet.Node
 		peers   []PeerConfig
 		sc      scenario.Scenario
-		catalog []scenario.Peer
+		slice   *scenario.Slice
 	)
 	if cfg.Scenario != "" {
 		var err error
@@ -223,18 +216,16 @@ func Deploy(cfg Config) (*Deployment, error) {
 		if err != nil {
 			return nil, err
 		}
-		slice, err := scenario.Deploy(sc, cfg.Seed)
+		slice, err = scenario.Deploy(sc, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
 		net, ctlNode = slice.Net, slice.Control
-		catalog = slice.Catalog
 		if sc.Churn == nil {
 			// Static scenario: every catalog peer becomes a pre-started
 			// client. Churning scenarios skip this — their membership
-			// belongs to the conductor, which boots straight off the
-			// catalog maps below.
-			for _, p := range catalog {
+			// belongs to the conductor, which boots straight off the slice.
+			for _, p := range slice.Catalog {
 				peers = append(peers, PeerConfig{Name: p.Hostname, Profile: p.Profile})
 			}
 		}
@@ -266,11 +257,10 @@ func Deploy(cfg Config) (*Deployment, error) {
 
 	// Static deployments keep the effectively-unbounded default lease TTL;
 	// a churning scenario supplies its own short TTL and eager-sweep hint
-	// so departed peers age out of the directory mid-session. The facade's
-	// renewal heartbeat (Run) divides the same effective value.
-	advTTL := sc.EffectiveAdvTTL()
+	// so departed peers age out of the directory mid-session. The renewal
+	// heartbeat (workload.StartDynamics) divides the same effective value.
 	broker, err := overlay.NewBroker(ctlNode, overlay.BrokerConfig{
-		AdvTTL:     advTTL,
+		AdvTTL:     sc.EffectiveAdvTTL(),
 		LeaseSweep: sc.LeaseSweep,
 	})
 	if err != nil {
@@ -283,37 +273,29 @@ func Deploy(cfg Config) (*Deployment, error) {
 		clients:  make(map[string]*overlay.Client),
 		seed:     cfg.Seed,
 		workload: wl,
-		advTTL:   advTTL,
+		sc:       sc,
+		slice:    slice,
 	}
+	// Where the control plane will fail on schedule the controller gets the
+	// resilient call policy, like every peer StartDynamics boots. Elsewhere
+	// the zero policy stands — one attempt, no deadline, hence no timer and
+	// no extra draw — so committed figures cannot move.
+	var policy overlay.CallPolicy
 	if sc.Faults != nil {
-		// The control plane will fail on schedule: arm the fault plan and
-		// give every client the resilient call policy (deadline, retries,
-		// degraded fallback). Static scenarios keep the zero policy — one
-		// blocking exchange, no timers, no extra draws — so their committed
-		// figures cannot move.
-		d.plan = faults.NewPlan(sc.Faults(cfg.Seed))
-		d.policy = overlay.DefaultCallPolicy()
-		d.sites = make(map[string][]string)
-		for _, p := range catalog {
-			d.sites[p.Site] = append(d.sites[p.Site], p.Hostname)
-		}
+		policy = overlay.DefaultCallPolicy()
 	}
-	d.ctl = overlay.NewClient(ctlNode, broker.Addr(), overlay.ClientConfig{CPUScore: 2, Call: d.policy})
+	d.ctl = overlay.NewClient(ctlNode, broker.Addr(), overlay.ClientConfig{CPUScore: 2, Call: policy})
 
 	if sc.Churn != nil {
-		// Membership belongs to the churn schedule: no static clients or
-		// starters. Peers are addressed by catalog label, and the conductor
-		// (created in Run) boots and stops their clients on schedule.
-		d.schedule = workload.NewSchedule(sc.Churn(cfg.Seed))
-		d.horizon = sc.Horizon
+		// Membership belongs to the churn schedule: no static clients.
+		// Peers are addressed by catalog label, and the conductor (started
+		// in Run) boots and stops their clients on schedule.
 		d.peers = append(d.peers, sc.Labels...)
-		d.hostOf = make(map[string]string, len(catalog))
-		d.labelOf = make(map[string]string, len(catalog))
-		d.bootCPU = make(map[string]float64, len(catalog))
-		for _, p := range catalog {
+		d.hostOf = make(map[string]string, len(slice.Catalog))
+		d.labelOf = make(map[string]string, len(slice.Catalog))
+		for _, p := range slice.Catalog {
 			d.hostOf[p.Label] = p.Hostname
 			d.labelOf[p.Hostname] = p.Label
-			d.bootCPU[p.Label] = p.Profile.CPUScore
 		}
 		return d, nil
 	}
@@ -331,39 +313,12 @@ func Deploy(cfg Config) (*Deployment, error) {
 				return nil, err
 			}
 		}
-		client := overlay.NewClient(node, broker.Addr(), overlay.ClientConfig{CPUScore: prof.CPUScore})
-		name := p.Name
-		d.peers = append(d.peers, name)
-		d.clients[name] = client
-		// Start inside the simulation; stash the starter.
-		d.starters = append(d.starters, func() error {
-			if err := client.Start(); err != nil {
-				return fmt.Errorf("peerlab: start %s: %w", name, err)
-			}
-			return client.ReportStats()
-		})
+		d.peers = append(d.peers, p.Name)
+		// Started by Run, inside the simulation.
+		d.clients[p.Name] = overlay.NewClient(node, broker.Addr(), overlay.ClientConfig{CPUScore: prof.CPUScore})
 	}
 	return d, nil
 }
-
-// bootPeer resolves one churn peer's node and boots its client through the
-// shared reboot protocol (overlay.BootPeer: fresh conn-id space so a
-// rebooted incarnation's messages are not mistaken for the previous one's
-// retransmits, registration, initial stats report).
-func (d *Deployment) bootPeer(label string) (*overlay.Client, error) {
-	node := d.net.Node(d.hostOf[label])
-	if node == nil {
-		return nil, fmt.Errorf("peerlab: churn schedule names unknown peer %q", label)
-	}
-	c, err := overlay.BootPeerWith(node, d.broker.Addr(), overlay.ClientConfig{CPUScore: d.bootCPU[label], Call: d.policy})
-	if err != nil {
-		return nil, fmt.Errorf("peerlab: churn boot %s: %w", label, err)
-	}
-	return c, nil
-}
-
-// starters are run at the beginning of Run, inside the scheduler.
-type starter = func() error
 
 // Session is the application's handle during Run: every method executes on
 // simulated time.
@@ -384,30 +339,28 @@ func (d *Deployment) Run(fn func(s *Session) error) error {
 			err = fmt.Errorf("peerlab: controller: %w", serr)
 			return
 		}
-		if d.schedule != nil {
-			cond := workload.NewConductor(d.ctlNode, d.schedule, workload.RenewalInterval(d.advTTL), d.horizon, d.bootPeer)
-			if serr := cond.BootInitial(); serr != nil {
-				err = serr
+		if d.sc.Churn != nil {
+			if d.dyn, err = workload.StartDynamics(d.slice, d.broker, d.sc, d.seed); err != nil {
 				return
 			}
-			cond.Start()
-			d.conductor = cond
 		}
-		if d.plan != nil {
-			faults.NewInjector(d.ctlNode, d.net, d.broker, d.ctlNode.Name(), d.sites, d.plan).Start()
-		}
-		for _, st := range d.starters {
-			if serr := st(); serr != nil {
-				err = serr
-				return
+		for _, name := range d.peers {
+			if c := d.clients[name]; c != nil {
+				if err = c.Start(); err != nil {
+					err = fmt.Errorf("peerlab: start %s: %w", name, err)
+					return
+				}
+				if err = c.ReportStats(); err != nil {
+					return
+				}
 			}
 		}
 		err = fn(&Session{d: d})
 	})
 	// Only now has the schedule fully drained (Run returns at quiescence):
 	// a rejoin that failed after fn returned is still captured here.
-	if err == nil && d.conductor != nil {
-		err = d.conductor.Err()
+	if err == nil && d.dyn != nil {
+		err = d.dyn.Err()
 	}
 	return err
 }
@@ -465,9 +418,14 @@ func (s *Session) SendInstant(peer, text string) error {
 // as its own concurrent simulation process, peer-sourced flows originate at
 // their peer's client, and flows without a fixed sink have their source call
 // the broker's selection service itself before transmitting. spec names the
-// workload ("controller-fanout", "swarm:N", "allpairs:N"); "" runs the
-// deployment's configured workload (Config.Workload, default
-// controller-fanout). Results come back in flow-index order,
+// workload — "controller-fanout", "swarm:N", "allpairs:N", or the
+// piece-level "disseminate:N" / "stream:N" (optionally with
+// ";pick=...;choke=...;pieces=..."), which run the multi-round piece engine
+// and report Pieces, Stalls and ReOriginated per downloader. "" runs the
+// deployment's configured workload: Config.Workload, else the scenario's
+// own hint, else controller-fanout. On a churning deployment flows resolve
+// against live membership and a failed flow is recorded in its result
+// (Err), not returned. Results come back in flow-index order,
 // deterministically for the deployment's seed.
 func (s *Session) RunWorkload(spec string) ([]FlowResult, error) {
 	d := s.d
@@ -478,36 +436,27 @@ func (s *Session) RunWorkload(spec string) ([]FlowResult, error) {
 			return nil, err
 		}
 	}
-	flows := wl.Flows(d.peers, d.seed)
 	env := workload.Env{
 		Host:         d.ctlNode,
 		Control:      d.ctl,
 		Clients:      d.clients,
 		ExcludeSinks: []string{d.ctl.Name()},
 	}
-	if d.conductor != nil {
-		// Churning deployment: resolve sources against live membership,
-		// spread launches across the horizon (ChurnLaunch rebases the
-		// schedule-relative offsets for a RunWorkload called mid-session),
-		// and record per-flow failures — a departed sink is a measurement,
-		// not a crash.
-		flows, env.StartOf = workload.ChurnLaunch(flows, d.schedule, d.peers,
-			workload.Stagger(d.seed, d.horizon), s.Now().Sub(d.conductor.StartedAt()))
-		env.ClientOf = d.conductor.ClientOf
+	if d.dyn != nil {
 		env.HostOf = func(label string) string { return d.hostOf[label] }
 		env.LabelOf = func(host string) string { return d.labelOf[host] }
-		env.RecordFailures = true
 	}
-	return workload.Execute(env, flows, d.seed)
+	out, err := workload.Run(env, d.dyn, wl, wl.Flows(d.peers, d.seed), d.seed)
+	return out.Results, err
 }
 
 // PeersDeparted reports how many departures (up→down transitions) the
 // deployment's churn schedule contains; zero on static deployments.
 func (s *Session) PeersDeparted() int {
-	if s.d.schedule == nil {
+	if s.d.dyn == nil {
 		return 0
 	}
-	return s.d.schedule.Departures()
+	return s.d.dyn.Schedule.Departures()
 }
 
 // SelectPeers asks the broker to rank peers with the named model (see the
@@ -518,7 +467,7 @@ func (s *Session) PeersDeparted() int {
 // other Session method.
 func (s *Session) SelectPeers(model string, req SelectionRequest, max int, preferred []string) ([]string, error) {
 	d := s.d
-	if d.conductor == nil {
+	if d.dyn == nil {
 		return d.ctl.SelectPeers(model, req, max, preferred)
 	}
 	pref := make([]string, len(preferred))

@@ -370,6 +370,63 @@ func TestChurnDeploymentThroughFacade(t *testing.T) {
 	}
 }
 
+// TestSessionRunsPieceEngine: a dissemination or streaming workload asked
+// of the facade — by scenario hint, explicit spec, or Config.Workload, on
+// static and churning deployments — must run the multi-round piece engine,
+// not the single-round executor: pieces move, downloaders re-originate, and
+// two runs of one seed agree.
+func TestSessionRunsPieceEngine(t *testing.T) {
+	run := func(cfg Config, spec string) []FlowResult {
+		t.Helper()
+		d, err := Deploy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var results []FlowResult
+		if err := d.Run(func(s *Session) error {
+			var rerr error
+			results, rerr = s.RunWorkload(spec)
+			return rerr
+		}); err != nil {
+			t.Fatalf("%+v RunWorkload(%q): %v", cfg, spec, err)
+		}
+		return results
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		spec string
+		// whole: membership is static, so every downloader must finish.
+		whole bool
+	}{
+		{"scenario hint", Config{Seed: 2007, Scenario: "zipf:8"}, "", true},
+		{"explicit stream", Config{Seed: 2007, Scenario: "zipf:8"}, "stream:4;pick=rarest", true},
+		{"Config.Workload", Config{Seed: 2007, Scenario: "heterogeneous:8", Workload: "disseminate:8;pieces=16"}, "", true},
+		{"churning", Config{Seed: 2007, Scenario: "churn:12"}, "disseminate:12;pieces=16", false},
+	} {
+		a := run(tc.cfg, tc.spec)
+		if len(a) == 0 {
+			t.Fatalf("%s: no flows", tc.name)
+		}
+		pieces, reoriginated := 0, 0
+		for _, r := range a {
+			if tc.whole && (r.Pieces == 0 || r.Err != "") {
+				t.Fatalf("%s: flow %d moved %d pieces (err %q); single-round executor ran?", tc.name, r.Flow.Index, r.Pieces, r.Err)
+			}
+			pieces += r.Pieces
+			if r.ReOriginated {
+				reoriginated++
+			}
+		}
+		if pieces == 0 || reoriginated == 0 {
+			t.Fatalf("%s: %d pieces moved, %d downloaders re-originated; not a swarm", tc.name, pieces, reoriginated)
+		}
+		if b := run(tc.cfg, tc.spec); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: identical deployments diverged", tc.name)
+		}
+	}
+}
+
 // TestStaticSessionHasNoChurn pins the static default: no schedule, no
 // departures, RunWorkload failures stay fatal.
 func TestStaticSessionHasNoChurn(t *testing.T) {

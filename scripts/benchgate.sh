@@ -1,23 +1,22 @@
 #!/bin/sh
 # benchgate: hold the perf trajectory. Records a fresh snapshot (same
-# collection as benchsnap: -benchtime=1x -benchmem -count=2, best-of kept)
-# and compares it against the latest committed BENCH_<n>.json. A benchmark
-# fails the gate when
+# collection as benchsnap: -benchtime=1x -benchmem -count=2) and compares
+# it against the latest committed BENCH_<n>.json. A benchmark fails the
+# gate when allocs_per_op regresses beyond TOL_ALLOCS_PCT (default 20% —
+# counts are near-deterministic at a fixed iteration count, so the band
+# only absorbs intentional small drifts between snapshot and gate runs).
 #
-#   - ns_per_op regresses beyond TOL_NS_PCT (default 50% — wall time at one
-#     iteration is noisy, so the band is wide; the gate catches cliffs, the
-#     committed snapshots track the fine trajectory), or
-#   - allocs_per_op regresses beyond TOL_ALLOCS_PCT (default 20% — counts
-#     are deterministic at a fixed iteration count, so the band only
-#     absorbs intentional small drifts between snapshot and gate runs).
+# ns_per_op is not gated: one iteration of wall time on a shared box drifts
+# ~40% over minutes, and a 50% band flagged the parent's own binary on two
+# consecutive PRs. Wall-time claims live in `go run ./bench -compare` with
+# alternating parent/change pairs.
 #
 # Benchmarks present on one side only are reported but never fail the gate:
 # new surfaces gate from their first committed snapshot onward. Baselines
-# older than BENCH_7 carry no alloc fields; those comparisons skip the
-# alloc check instead of failing.
+# older than BENCH_7 carry no alloc fields; those comparisons are skipped.
 #
 # Usage: sh scripts/benchgate.sh            # gate against latest BENCH_*.json
-#        TOL_NS_PCT=30 sh scripts/benchgate.sh
+#        TOL_ALLOCS_PCT=5 sh scripts/benchgate.sh
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -27,7 +26,6 @@ if [ -z "$base" ]; then
     exit 0
 fi
 
-tol_ns="${TOL_NS_PCT:-50}"
 tol_allocs="${TOL_ALLOCS_PCT:-20}"
 raw="$(mktemp)"
 cur="$(mktemp)"
@@ -65,8 +63,8 @@ awk '
     }
 ' "$raw" > "$cur"
 
-echo "benchgate: comparing against $base (ns +${tol_ns}%, allocs +${tol_allocs}%)"
-awk -v base="$base" -v tolns="$tol_ns" -v tolallocs="$tol_allocs" '
+echo "benchgate: comparing against $base (allocs +${tol_allocs}%)"
+awk -v base="$base" -v tolallocs="$tol_allocs" '
     # Baseline: one benchmark object per line in our hand-rolled JSON.
     NR == FNR && /"name"/ {
         name = $0; sub(/.*"name": "/, "", name); sub(/".*/, "", name)
@@ -81,11 +79,6 @@ awk -v base="$base" -v tolns="$tol_ns" -v tolallocs="$tol_allocs" '
     {
         name = $1; cns = $2; callocs = $3; seen[name] = 1
         if (!(name in bns)) { printf "  new      %-55s %12s ns/op (no baseline)\n", name, cns; next }
-        limit = bns[name] * (1 + tolns / 100)
-        if (cns + 0 > limit) {
-            printf "  FAIL ns  %-55s %12s ns/op > %.0f (baseline %s +%s%%)\n", name, cns, limit, bns[name], tolns
-            bad = 1
-        }
         if ((name in ballocs) && callocs != "" ) {
             alimit = ballocs[name] * (1 + tolallocs / 100)
             if (callocs + 0 > alimit) {
