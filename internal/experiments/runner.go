@@ -164,9 +164,9 @@ func FigureSuite(cfg Config) (*Suite, error) {
 	var wg sync.WaitGroup
 	for i, f := range specs {
 		wg.Add(1)
+		suite.Figures[i].Name = f.Name
 		go func() {
 			defer wg.Done()
-			suite.Figures[i].Name = f.Name
 			suite.Figures[i].Figure, errs[i] = f.Run(cfg)
 		}()
 	}

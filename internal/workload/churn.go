@@ -124,8 +124,10 @@ func (s *Schedule) DownThroughout(label string, from, to time.Duration) bool {
 // membership through ClientOf — and is safe under the serialized vtime
 // dispatcher (at most one process touches the map at a time).
 type Conductor struct {
-	host       transport.Host
-	schedule   *Schedule
+	host transport.Host
+	// Schedule is the pure view of what the conductor executes; audits
+	// query it.
+	Schedule   *Schedule
 	boot       func(label string) (*overlay.Client, error)
 	clients    map[string]*overlay.Client
 	start      time.Time
@@ -139,10 +141,9 @@ type Conductor struct {
 // it runs inside the simulation whenever the schedule joins that peer.
 //
 // renewEvery is the lease-renewal heartbeat: every renewEvery of virtual
-// time (until horizon) each
-// live client pushes a stats report, which renews its broker lease — the
-// JXTA re-publish that keeps a *live* peer in the directory while departed
-// peers age out. Zero disables the heartbeat (leases then only renew on
+// time (until horizon) each live client pushes a stats report, which renews
+// its broker lease — the JXTA re-publish that keeps a *live* peer in the
+// directory while departed peers age out. Zero disables the heartbeat (leases then only renew on
 // registration and task traffic, so every lease expires one TTL after its
 // peer's last report).
 func NewConductor(host transport.Host, schedule *Schedule,
@@ -150,7 +151,7 @@ func NewConductor(host transport.Host, schedule *Schedule,
 	boot func(label string) (*overlay.Client, error)) *Conductor {
 	return &Conductor{
 		host:       host,
-		schedule:   schedule,
+		Schedule:   schedule,
 		boot:       boot,
 		clients:    make(map[string]*overlay.Client),
 		renewEvery: renewEvery,
@@ -164,7 +165,7 @@ func NewConductor(host transport.Host, schedule *Schedule,
 // registrations.
 func (c *Conductor) BootInitial() error {
 	c.start = c.host.Now()
-	for _, label := range c.schedule.Initial() {
+	for _, label := range c.Schedule.Initial() {
 		cl, err := c.boot(label)
 		if err != nil {
 			return err
@@ -181,7 +182,7 @@ func (c *Conductor) BootInitial() error {
 // skipped.
 func (c *Conductor) Start() {
 	c.host.Go(func() {
-		for _, e := range c.schedule.events {
+		for _, e := range c.Schedule.events {
 			if e.At <= 0 {
 				continue
 			}
@@ -283,12 +284,11 @@ func (c *Conductor) Err() error { return c.err }
 // StartDynamics, so the two cannot wire a churning world differently.
 type Dynamics struct {
 	*Conductor
-	Schedule *Schedule
 	// Plan is the fault plan the injector runs; nil when the scenario has
 	// none.
-	Plan *faults.Plan
-	sc   scenario.Scenario
-	seed int64
+	Plan   *faults.Plan
+	labels []string // the scenario's measured peers, for source re-resolution
+	seed   int64
 }
 
 // StartDynamics brings sc's dynamics to life on a deployed slice: it draws
@@ -298,7 +298,7 @@ type Dynamics struct {
 // driver process before launching traffic, on a broker that runs
 // sc.EffectiveAdvTTL. Conductor.Err is final only at quiescence.
 func StartDynamics(slice *scenario.Slice, broker *overlay.Broker, sc scenario.Scenario, seed int64) (*Dynamics, error) {
-	d := &Dynamics{Schedule: NewSchedule(sc.Churn(seed)), sc: sc, seed: seed}
+	d := &Dynamics{labels: sc.Labels, seed: seed}
 	var policy overlay.CallPolicy
 	if sc.Faults != nil {
 		d.Plan = faults.NewPlan(sc.Faults(seed))
@@ -311,7 +311,7 @@ func StartDynamics(slice *scenario.Slice, broker *overlay.Broker, sc scenario.Sc
 	// Renewals land three times inside every TTL window of the lease the
 	// broker runs with: the staleness audit relies on a live peer's lease
 	// never lapsing between heartbeats.
-	d.Conductor = NewConductor(slice.Control, d.Schedule, sc.EffectiveAdvTTL()/3, sc.Horizon,
+	d.Conductor = NewConductor(slice.Control, NewSchedule(sc.Churn(seed)), sc.EffectiveAdvTTL()/3, sc.Horizon,
 		func(label string) (*overlay.Client, error) {
 			node := slice.Peers[label]
 			if node == nil {
@@ -361,10 +361,10 @@ func Run(env Env, dyn *Dynamics, w Workload, flows []Flow, seed int64) (Outcome,
 			// passed launches immediately, and sources are re-resolved
 			// against the membership scheduled at each flow's actual launch
 			// instant.
-			stagger := Stagger(dyn.seed, dyn.sc.Horizon)
+			stagger := Stagger(dyn.seed, dyn.horizon)
 			elapsed := env.Host.Now().Sub(dyn.StartedAt())
 			at := func(f Flow) time.Duration { return max(stagger(f), elapsed) }
-			flows = ResolveSources(flows, dyn.Schedule, dyn.sc.Labels, at)
+			flows = ResolveSources(flows, dyn.Schedule, dyn.labels, at)
 			env.StartOf = func(f Flow) time.Duration { return at(f) - elapsed }
 		}
 	}
