@@ -164,8 +164,8 @@ func BenchmarkFigureSuite(b *testing.B) {
 // BenchmarkScale runs whole-overlay sessions at directory sizes two to three
 // orders of magnitude past the paper's 8 peers — the scale surfaces this
 // repo's perf trajectory is measured against. uniform-1024 boots 1024
-// clients and runs the controller-fanout workload, so the boot wave
-// (registration acks with their known-peer counts, first stats reports)
+// clients and runs the controller-fanout workload, so the boot (one
+// register exchange per peer, acked with the known-peer count)
 // dominates; swarm-4096 boots a 4096-peer directory and drives 256
 // concurrent peer↔peer flows, each resolving its sink through the broker's
 // sharded selection service over the full 4096-candidate set (selection is
@@ -213,7 +213,7 @@ func BenchmarkScale(b *testing.B) {
 	// swarm-16384 quadruples the directory behind the same selection load —
 	// the point on the curve where O(directory) selection work and the boot
 	// wave's spawn burst dominate everything else. uniform-65536 is a pure
-	// boot-wave stressor: 64k clients register, ack, and report stats, with
+	// boot stressor: 64k clients register and are acked, with
 	// a small swarm (the flow set stays constant so the axis is directory
 	// size, not traffic). Both raise CacheLimit so the whole directory stays
 	// broker-resident — the measurement is selection over the full catalog,
@@ -244,10 +244,10 @@ func BenchmarkScale(b *testing.B) {
 			CacheLimit: 16384,
 		}, 64)
 	})
-	// boot-65536 isolates the boot wave itself: 64k peers registering
-	// through the batched frame, no workload afterwards. The ctlRPCs/peer metric pins the control-plane cost of
-	// admission — 1.0 batched against 2.0 for the legacy register+report
-	// pair (the +1 in the numerator is the controller's own registration).
+	// boot-65536 isolates the boot itself: 64k peers registering one after
+	// another, no workload afterwards. The ctlRPCs/peer metric pins the
+	// control-plane cost of admission at one register frame per peer (the
+	// +1 in the numerator is the controller's own registration).
 	b.Run("boot-65536", func(b *testing.B) {
 		if testing.Short() {
 			b.Skip("scale surface; run without -short (scripts/benchsnap.sh does)")
@@ -261,7 +261,6 @@ func BenchmarkScale(b *testing.B) {
 				Scenario:   scenario.Uniform(65536),
 				Shards:     8,
 				CacheLimit: 16384,
-				BatchBoot:  true,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -9,9 +9,7 @@
 //	peer ... -route sc2=127.0.0.1:7002 -task sc2:2.5
 //	peer ... -route sc2=127.0.0.1:7002 -msg sc2:hello
 //
-// Without an action flag, the peer serves until interrupted. -batchboot
-// registers with the batched frame (one control RPC instead of the
-// register + stats-report pair).
+// Without an action flag, the peer serves until interrupted.
 package main
 
 import (
@@ -36,7 +34,6 @@ func main() {
 		broker   = flag.String("broker", "broker0=127.0.0.1:7000", "broker as name=addr")
 		routes   = flag.String("route", "", "extra routes, comma-separated name=addr pairs")
 		cpu      = flag.Float64("cpu", 1.0, "advertised CPU score")
-		batch    = flag.Bool("batchboot", false, "register with the batched boot frame (register + initial stats in one control RPC)")
 		sendfile = flag.String("sendfile", "", "one-shot: peer:bytes:parts")
 		submit   = flag.String("task", "", "one-shot: peer:workunits")
 		msg      = flag.String("msg", "", "one-shot: peer:text")
@@ -62,15 +59,12 @@ func main() {
 		}
 	}
 
-	// BootPeerWith is the full boot: register (one batched control RPC with
-	// -batchboot, register + stats report otherwise) with everything torn
-	// down if any step fails — the CLI exercises the same boot surface the
-	// simulator does.
-	client, err := overlay.BootPeerWith(host,
+	// BootPeer, not NewClient + Start: a restarted peer reuses its name, and
+	// a long-lived broker tombstones the previous incarnation's conn ids.
+	client, err := overlay.BootPeer(host,
 		transport.MakeAddr(brokerName, overlay.ServiceBroker),
 		overlay.ClientConfig{
-			CPUScore:  *cpu,
-			BatchBoot: *batch,
+			CPUScore: *cpu,
 			OnFile: func(rc transfer.Received) {
 				fmt.Printf("received %q (%d bytes) from %s, verified=%v\n",
 					rc.File.Name, rc.File.Size, rc.Sender, rc.Verified)

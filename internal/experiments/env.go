@@ -8,13 +8,8 @@ import (
 	"peerlab/internal/overlay"
 	"peerlab/internal/planetlab"
 	"peerlab/internal/scenario"
-	"peerlab/internal/vtime"
 	"peerlab/internal/workload"
 )
-
-// cellPool is the shared process-pool handle every experiment cell's
-// scheduler runs on (see NewEnvFor).
-var cellPool = vtime.SharedPool()
 
 // Config controls an experiment run.
 type Config struct {
@@ -40,25 +35,17 @@ type Config struct {
 	// aggregate across shards in canonical order, so figures are identical
 	// at any shard count.
 	Shards int
-	// CacheLimit bounds each broker shard's advertisement directory (0 =
-	// the broker's default, 1024). Scale runs past a few thousand peers
-	// must raise it so the whole directory stays resident: once shards
-	// evict, which entries survive depends on how the catalog hashed
-	// across shards, and results stop being shard-count invariant.
+	// CacheLimit bounds each broker shard's advertisement directory. 0 =
+	// the broker's default, or the deployed catalog plus the controller
+	// when that is larger, so the whole directory stays resident: once
+	// shards evict, which entries survive depends on how the catalog
+	// hashed across shards, and results stop being shard-count invariant.
 	CacheLimit int
 	// Workload is the flow set RunWorkload executes — who sends to whom.
 	// The zero value resolves to the scenario's workload hint, and failing
 	// that to controller-fanout (the paper's traffic shape). Figures always
 	// measure controller-fanout traffic regardless of this field.
 	Workload workload.Workload
-	// BatchBoot boots the peer wave through overlay.BootPeers: concurrent
-	// boot processes, each registering with the batched frame (register +
-	// initial stats in one control RPC). The broker converges to the same
-	// state, but the boot wave's virtual-time event stream differs from
-	// the serial two-RPC boot — so this is a scale switch, off on
-	// every golden path. Runs with BatchBoot set remain deterministic and
-	// worker/shard-count invariant among themselves.
-	BatchBoot bool
 	// Logf receives operator-visible warnings from inside cells (relaunch
 	// budget exhaustion, see workload.SendRelaunched). nil falls back to the
 	// process default logger. Sweep runs install a per-cell collector here
@@ -124,9 +111,6 @@ type Env struct {
 	// retry and degrade like peer-sourced ones), zero everywhere else so
 	// static and churn-only event streams are untouched.
 	policy overlay.CallPolicy
-	// batchBoot makes RunPeers boot the peer wave through overlay.BootPeers
-	// (see Config.BatchBoot).
-	batchBoot bool
 }
 
 // NewEnv deploys the configured scenario and builds (but does not yet
@@ -155,12 +139,6 @@ func NewEnvFor(cfg Config, peers []string) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every cell's scheduler dispatches onto the one process-wide worker
-	// pool: consecutive sweep cells inherit each other's warm goroutine
-	// stacks instead of spawning tens of thousands apiece. Reuse is
-	// invisible to the event stream (see vtime.Pool), so cells stay
-	// byte-identical at any worker count.
-	s.Net.Scheduler().SetPool(cellPool)
 	// Leases must outlive the whole run by default — experiments span many
 	// virtual hours of idle gaps and figure cells never renew. Only the
 	// churn workload cells opt into the scenario's short TTL and eager
@@ -170,6 +148,11 @@ func NewEnvFor(cfg Config, peers []string) (*Env, error) {
 	// just expire every candidate across the idle gaps.
 	bcfg := overlay.BrokerConfig{AdvTTL: scenario.DefaultAdvTTL, Shards: cfg.Shards,
 		CacheLimit: cfg.CacheLimit}
+	if bcfg.CacheLimit == 0 {
+		// Every deployed peer plus the controller registers; the directory
+		// must hold them all or selection ranks whatever survived eviction.
+		bcfg.CacheLimit = max(overlay.DefaultCacheLimit, len(s.Catalog)+1)
+	}
 	if cfg.scenarioLeases {
 		bcfg.AdvTTL = cfg.Scenario.EffectiveAdvTTL()
 		bcfg.LeaseSweep = cfg.Scenario.LeaseSweep
@@ -179,11 +162,10 @@ func NewEnvFor(cfg Config, peers []string) (*Env, error) {
 		return nil, err
 	}
 	env := &Env{
-		Slice:     s,
-		Broker:    broker,
-		batchBoot: cfg.BatchBoot,
-		hostOf:    make(map[string]string, len(s.Catalog)),
-		labelOf:   make(map[string]string, len(s.Catalog)),
+		Slice:   s,
+		Broker:  broker,
+		hostOf:  make(map[string]string, len(s.Catalog)),
+		labelOf: make(map[string]string, len(s.Catalog)),
 	}
 	if cfg.scenarioLeases && cfg.Scenario.Faults != nil {
 		env.policy = overlay.DefaultCallPolicy()
@@ -219,49 +201,18 @@ func (e *Env) RunPeers(labels []string, fn func(ctl *overlay.Client, sc map[stri
 			return
 		}
 		clients := make(map[string]*overlay.Client, len(e.Slice.Catalog))
-		if e.batchBoot {
-			// The boot wave: one concurrent boot process per peer, each a
-			// single batched control RPC. Catalog order fixes spec order,
-			// so the wave is as deterministic as the serial boot below.
-			specs := make([]overlay.BootSpec, 0, len(e.Slice.Catalog))
-			booted := make([]string, 0, len(e.Slice.Catalog))
-			for _, p := range e.Slice.Catalog {
-				if labels != nil && !want[p.Label] {
-					continue
-				}
-				specs = append(specs, overlay.BootSpec{
-					Host:   e.Slice.Peers[p.Label],
-					Config: overlay.ClientConfig{CPUScore: p.Profile.CPUScore},
-				})
-				booted = append(booted, p.Label)
+		for _, p := range e.Slice.Catalog {
+			if labels != nil && !want[p.Label] {
+				continue
 			}
-			cs, err := overlay.BootPeers(e.Slice.Control, e.Broker.Addr(), specs)
-			if err != nil {
-				runErr = fmt.Errorf("experiments: boot wave: %w", err)
+			c := overlay.NewClient(e.Slice.Peers[p.Label], e.Broker.Addr(), overlay.ClientConfig{
+				CPUScore: p.Profile.CPUScore,
+			})
+			if err := c.Start(); err != nil {
+				runErr = fmt.Errorf("experiments: start %s: %w", p.Label, err)
 				return
 			}
-			for i, label := range booted {
-				clients[label] = cs[i]
-			}
-		} else {
-			for _, p := range e.Slice.Catalog {
-				if labels != nil && !want[p.Label] {
-					continue
-				}
-				node := e.Slice.Peers[p.Label]
-				c := overlay.NewClient(node, e.Broker.Addr(), overlay.ClientConfig{
-					CPUScore: p.Profile.CPUScore,
-				})
-				if err := c.Start(); err != nil {
-					runErr = fmt.Errorf("experiments: start %s: %w", p.Label, err)
-					return
-				}
-				if err := c.ReportStats(); err != nil {
-					runErr = fmt.Errorf("experiments: report %s: %w", p.Label, err)
-					return
-				}
-				clients[p.Label] = c
-			}
+			clients[p.Label] = c
 		}
 		e.Clients = clients
 		runErr = fn(ctl, clients)

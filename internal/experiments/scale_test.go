@@ -122,88 +122,58 @@ func TestScaleSmokeSwarm16384(t *testing.T) {
 	}
 }
 
-// TestScaleSmokeBatchedBoot pins the determinism contract of the batched
-// boot wave (Config.BatchBoot): a kilopeer run booted through
-// overlay.BootPeers completes with zero failures and stays bit-identical
-// across worker and shard counts. Batched runs are NOT compared against
-// legacy runs — the wave's virtual-time event stream legitimately differs
-// from the serial two-RPC boot — only against themselves.
-//
-// Runs only without -short: a kilopeer slice costs a few seconds.
-func TestScaleSmokeBatchedBoot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("kilopeer smoke; run without -short (CI's scale job does)")
-	}
-	cfg := Config{
-		Seed:      713,
-		Reps:      1,
-		Scenario:  scenario.Uniform(1024),
-		BatchBoot: true,
-		Workers:   1,
-	}
-	a, err := RunWorkload(cfg)
+// TestBatchBootCutsControlRPCs pins the boot's control-plane cost through
+// RunPeers: exactly one control RPC per booted peer — the register frame
+// carries the initial stats report, so nothing follows it. The controller's
+// own register is excluded from the per-peer rate.
+func TestBatchBootCutsControlRPCs(t *testing.T) {
+	const peers = 256
+	env, err := NewEnv(Config{Seed: 714, Reps: 1, Scenario: scenario.Uniform(peers)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Flows) != 1024 {
-		t.Fatalf("flows = %d, want 1024", len(a.Flows))
-	}
-	for _, f := range a.Flows {
-		if f.Failed || f.Error != "" {
-			t.Fatalf("flow failed under batched boot: %+v", f)
+	err = env.RunPeers(nil, func(ctl *overlay.Client, sc map[string]*overlay.Client) error {
+		if len(sc) != peers {
+			t.Errorf("booted %d peers, want %d", len(sc), peers)
 		}
-	}
-	cfg.Workers, cfg.Shards = 4, 3
-	b, err := RunWorkload(cfg)
+		// Every peer is rankable as booted: its statistics were seeded by
+		// the register frame itself.
+		for _, snap := range env.Broker.Registry().Snapshots() {
+			if snap.ReadyAt.IsZero() {
+				t.Errorf("%s booted without seeded statistics", snap.Peer)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Flows, b.Flows) {
-		t.Fatal("worker/shard counts diverged under batched boot")
-	}
-	if !reflect.DeepEqual(a.Summary, b.Summary) {
-		t.Fatalf("summaries diverged under batched boot: %+v vs %+v", a.Summary, b.Summary)
+	if perPeer := float64(env.Broker.ControlRPCs()-1) / peers; perPeer != 1.0 {
+		t.Fatalf("boot = %.2f control RPCs/peer, want 1.0", perPeer)
 	}
 }
 
-// TestBatchBootCutsControlRPCs is the boot-wave efficiency contract: the
-// legacy serial boot spends exactly two control RPCs per peer (register +
-// initial stats report) while the batched wave spends exactly one, a ≥2×
-// cut in control-plane traffic per booted peer. The controller always boots
-// legacy (one register, no report), so it is excluded from the per-peer
-// rate on both sides.
-func TestBatchBootCutsControlRPCs(t *testing.T) {
-	const peers = 256
-	bootRPCs := func(batch bool) int64 {
-		env, err := NewEnv(Config{
-			Seed:      714,
-			Reps:      1,
-			Scenario:  scenario.Uniform(peers),
-			BatchBoot: batch,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = env.RunPeers(nil, func(ctl *overlay.Client, sc map[string]*overlay.Client) error {
-			if len(sc) != peers {
-				t.Errorf("booted %d peers, want %d", len(sc), peers)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return env.Broker.ControlRPCs() - 1 // minus the controller's register
+// TestDirectoryHoldsWholeCatalogAcrossShards is the regression test for the
+// truncated directory on the experiments surface: a catalog past the
+// broker's default cache limit, run with no explicit CacheLimit, must rank
+// the same candidates at any shard count. Before NewEnvFor sized the
+// directory from the catalog, 1024 of 1501 registrants survived per shard
+// and the survivors — hence the selected sinks — depended on the shard hash.
+func TestDirectoryHoldsWholeCatalogAcrossShards(t *testing.T) {
+	cfg := Config{Seed: 715, Reps: 1, Workers: 1, Scenario: scenario.Uniform(1500), Workload: workload.Swarm(8)}
+	one, err := RunWorkload(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	legacy := bootRPCs(false)
-	batched := bootRPCs(true)
-	if perPeer := float64(legacy) / peers; perPeer != 2.0 {
-		t.Fatalf("legacy boot = %.2f control RPCs/peer, want 2.0", perPeer)
+	cfg.Shards = 3
+	three, err := RunWorkload(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if perPeer := float64(batched) / peers; perPeer != 1.0 {
-		t.Fatalf("batched boot = %.2f control RPCs/peer, want 1.0", perPeer)
+	if len(one.Flows) != 8 {
+		t.Fatalf("flows = %d, want 8", len(one.Flows))
 	}
-	if legacy < 2*batched {
-		t.Fatalf("batching cut control RPCs %d -> %d, want >=2x", legacy, batched)
+	if !reflect.DeepEqual(one.Flows, three.Flows) {
+		t.Fatalf("flows differ between 1 and 3 shards on a 1500-peer catalog:\n1: %+v\n3: %+v", one.Flows, three.Flows)
 	}
 }

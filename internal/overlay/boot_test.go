@@ -1,7 +1,9 @@
 package overlay
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"peerlab/internal/jxta"
 	"peerlab/internal/pipe"
 	"peerlab/internal/simnet"
+	"peerlab/internal/stats"
 	"peerlab/internal/transport"
 	"peerlab/internal/wire"
 )
@@ -53,7 +56,7 @@ func TestStartTeardownOnRegistrationFailure(t *testing.T) {
 	var bootErr error
 	d.net.Run(func() {
 		node := d.net.Node("sc1")
-		c, bootErr = BootPeer(node, d.broker.Addr(), 1.5)
+		c, bootErr = BootPeer(node, d.broker.Addr(), ClientConfig{CPUScore: 1.5})
 	})
 	if bootErr != nil {
 		t.Fatalf("reboot after failed Start: %v", bootErr)
@@ -66,22 +69,25 @@ func TestStartTeardownOnRegistrationFailure(t *testing.T) {
 	}
 }
 
+// TestRegisterBatchRoundtrip round-trips the register frame — advertisement
+// plus the initial load report — and rejects a truncated one.
 func TestRegisterBatchRoundtrip(t *testing.T) {
-	in := registerBatch{
+	in := register{
 		Adv: testAdv("sc9"),
 		Stats: statsReport{
 			Peer: "sc9", InboxLen: 3, OutboxLen: 7, QueueLen: 2,
 			ReadyIn: 1500 * time.Millisecond, CPUScore: 2.25,
 		},
 	}
-	kind, dec, err := kindOf(in.encode())
+	raw := in.encode()
+	kind, dec, err := kindOf(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != mtRegisterBatch {
-		t.Fatalf("kind = %d, want %d", kind, mtRegisterBatch)
+	if kind != mtRegister {
+		t.Fatalf("kind = %d, want %d", kind, mtRegister)
 	}
-	out, err := decodeRegisterBatch(dec)
+	out, err := decodeRegister(dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,34 +97,45 @@ func TestRegisterBatchRoundtrip(t *testing.T) {
 	if out.Adv.Name != in.Adv.Name || out.Adv.ID != in.Adv.ID || out.Adv.Addr != in.Adv.Addr {
 		t.Fatalf("adv roundtrip: got %+v want %+v", out.Adv, in.Adv)
 	}
-	// A truncated frame must error, not panic.
-	raw := in.encode()
-	if _, err := decodeRegisterBatch(wire.NewDecoder(raw[1 : len(raw)-4])); err == nil {
-		t.Fatal("truncated registerBatch decoded without error")
+	// A truncated frame must error, not panic — at every cut, including the
+	// one that drops the whole load report and leaves a bare advertisement.
+	advOnly := wire.GetEncoder()
+	in.Adv.Encode(advOnly)
+	for _, cut := range []int{len(raw) - 4, 1 + advOnly.Len(), 3} {
+		if _, err := decodeRegister(wire.NewDecoder(raw[1:cut])); err == nil {
+			t.Fatalf("register truncated to %d of %d bytes decoded without error", cut, len(raw))
+		}
+	}
+	// Trailing garbage is malformed too.
+	if _, err := decodeRegister(wire.NewDecoder(append(raw[1:len(raw):len(raw)], 0))); err == nil {
+		t.Fatal("register with a trailing byte decoded without error")
 	}
 }
 
-// TestBatchBootStateAndRPCCount proves the batched frame leaves the broker
-// in the legacy post-boot state (registered, stats seeded) at exactly one
-// control RPC per peer, against two for the legacy register+report pair.
+// TestBatchBootStateAndRPCCount pins the one boot: a Start costs exactly one
+// control RPC, and the load report its register frame carries leaves the
+// broker where an immediate ReportStats would — same directory, same
+// statistics snapshots — apart from the lease expiry the second publish
+// pushes out.
 func TestBatchBootStateAndRPCCount(t *testing.T) {
-	const peers = 4
-	boot := func(batch bool) (*deployment, int64) {
+	names := []string{"sc1", "sc2", "sc3", "sc4"}
+	boot := func(report bool) *deployment {
 		profiles := map[string]simnet.Profile{}
-		names := []string{"sc1", "sc2", "sc3", "sc4"}
 		for _, n := range names {
 			profiles[n] = clientProfile()
 		}
 		d := deploy(t, profiles)
 		d.net.Run(func() {
-			for _, n := range names {
+			for i, n := range names {
 				c := d.clients[n]
-				c.cfg.BatchBoot = batch
 				if err := c.Start(); err != nil {
 					t.Errorf("start %s: %v", n, err)
 					return
 				}
-				if !batch {
+				if got := d.broker.ControlRPCs(); !report && got != int64(i+1) {
+					t.Errorf("after %d Starts: %d control RPCs, want one each", i+1, got)
+				}
+				if report {
 					if err := c.ReportStats(); err != nil {
 						t.Errorf("report %s: %v", n, err)
 						return
@@ -126,79 +143,45 @@ func TestBatchBootStateAndRPCCount(t *testing.T) {
 				}
 			}
 		})
-		return d, d.broker.ControlRPCs()
+		return d
 	}
-
-	dLegacy, legacyRPCs := boot(false)
-	dBatch, batchRPCs := boot(true)
-
-	if legacyRPCs != 2*peers {
-		t.Fatalf("legacy boot control RPCs = %d, want %d", legacyRPCs, 2*peers)
+	dStart, dBoth := boot(false), boot(true)
+	if got := dBoth.broker.ControlRPCs(); got != int64(2*len(names)) {
+		t.Fatalf("Start+ReportStats control RPCs = %d, want %d", got, 2*len(names))
 	}
-	if batchRPCs != peers {
-		t.Fatalf("batched boot control RPCs = %d, want %d", batchRPCs, peers)
+	sa := dStart.broker.Advertisements(jxta.AdvPeer, "")
+	ba := dBoth.broker.Advertisements(jxta.AdvPeer, "")
+	if len(sa) != len(names) || len(ba) != len(names) {
+		t.Fatalf("directory: Start %d entries, Start+ReportStats %d, want %d", len(sa), len(ba), len(names))
 	}
-	// The broker state the selection service reads must match: same
-	// directory, same statistics.
-	lp, bp := dLegacy.broker.Peers(), dBatch.broker.Peers()
-	if len(lp) != peers || len(bp) != peers {
-		t.Fatalf("peers: legacy %v batch %v", lp, bp)
-	}
-	for i := range lp {
-		if lp[i] != bp[i] {
-			t.Fatalf("directory order differs: legacy %v batch %v", lp, bp)
+	for i := range sa {
+		if !ba[i].Expires.After(sa[i].Expires) {
+			t.Fatalf("%s: a later report did not push the lease out (%v vs %v)", sa[i].Name, ba[i].Expires, sa[i].Expires)
 		}
-		ls := dLegacy.broker.Registry().Peer(lp[i]).Snapshot()
-		bs := dBatch.broker.Registry().Peer(bp[i]).Snapshot()
-		if ls.CPUScore != bs.CPUScore || ls.QueueLen != bs.QueueLen ||
-			ls.InboxNow != bs.InboxNow || ls.OutboxNow != bs.OutboxNow {
-			t.Fatalf("%s: legacy snapshot %+v != batch snapshot %+v", lp[i], ls, bs)
-		}
-		if bs.ReadyAt.IsZero() {
-			t.Fatalf("%s: batched boot did not seed ReadyAt", bp[i])
+		sa[i].Expires, ba[i].Expires = time.Time{}, time.Time{}
+		if !reflect.DeepEqual(sa[i], ba[i]) {
+			t.Fatalf("directory entry %d: Start %+v != Start+ReportStats %+v", i, sa[i], ba[i])
 		}
 	}
-}
-
-// TestBootPeersWave boots a wave through BootPeers and checks the whole
-// wave lands registered with one control RPC per peer.
-func TestBootPeersWave(t *testing.T) {
-	d := deploy(t, nil)
-	names := []string{"w1", "w2", "w3", "w4", "w5"}
-	specs := make([]BootSpec, len(names))
-	for i, n := range names {
-		host := d.net.MustAddNode(n, clientProfile())
-		specs[i] = BootSpec{Host: host, Config: ClientConfig{CPUScore: 1 + float64(i)}}
+	ss, bs := dStart.broker.Registry().Snapshots(), dBoth.broker.Registry().Snapshots()
+	if len(ss) != len(names) {
+		t.Fatalf("Start alone left %d statistics records, want %d", len(ss), len(names))
 	}
-	var clients []*Client
-	var bootErr error
-	d.net.Run(func() {
-		clients, bootErr = BootPeers(d.net.Node("broker0"), d.broker.Addr(), specs)
-	})
-	if bootErr != nil {
-		t.Fatal(bootErr)
-	}
-	if len(clients) != len(names) {
-		t.Fatalf("booted %d clients, want %d", len(clients), len(names))
-	}
-	for i, c := range clients {
-		if c.Name() != names[i] {
-			t.Fatalf("clients[%d] = %s, want %s (spec order)", i, c.Name(), names[i])
+	for i := range ss {
+		if ss[i].ReadyAt.IsZero() {
+			t.Fatalf("%s: Start did not seed ReadyAt", ss[i].Peer)
 		}
-		if !c.Registered() {
-			t.Fatalf("%s not registered", c.Name())
+		// Instants move with the extra exchange (ReadyAt is "report instant
+		// + ReadyIn"); nothing else may.
+		if !bs[i].ReadyAt.After(ss[i].ReadyAt) {
+			t.Fatalf("%s: ReadyAt %v not after %v", ss[i].Peer, bs[i].ReadyAt, ss[i].ReadyAt)
+		}
+		for _, sn := range []*stats.Snapshot{&ss[i], &bs[i]} {
+			sn.ReadyAt, sn.LastUpdated, sn.Taken = time.Time{}, time.Time{}, time.Time{}
 		}
 	}
-	if got := d.broker.ControlRPCs(); got != int64(len(names)) {
-		t.Fatalf("wave control RPCs = %d, want %d (one per peer)", got, len(names))
-	}
-	if got := d.broker.Peers(); len(got) != len(names) {
-		t.Fatalf("broker peers = %v", got)
-	}
-	for _, n := range names {
-		if s := d.broker.Registry().Peer(n).Snapshot(); s.ReadyAt.IsZero() {
-			t.Fatalf("%s: wave boot did not seed stats", n)
-		}
+	if !reflect.DeepEqual(ss, bs) {
+		t.Fatalf("statistics differ:\nStart            %+v\nStart+ReportStats %+v", ss, bs)
 	}
 }
 
@@ -272,45 +255,6 @@ func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestBootPeersFailureStopsWave: a wave booted into a blackout must stop
-// every client it started — no half-booted incarnation may survive, so the
-// same nodes boot cleanly afterwards.
-func TestBootPeersFailureStopsWave(t *testing.T) {
-	d := deploy(t, nil)
-	names := []string{"w1", "w2", "w3"}
-	specs := make([]BootSpec, len(names))
-	for i, n := range names {
-		specs[i] = BootSpec{Host: d.net.MustAddNode(n, clientProfile()), Config: ClientConfig{CPUScore: 1}}
-	}
-	d.broker.SetDown(true)
-	var bootErr error
-	d.net.Run(func() {
-		_, bootErr = BootPeers(d.net.Node("broker0"), d.broker.Addr(), specs)
-	})
-	if bootErr == nil {
-		t.Fatal("BootPeers succeeded under a blackout")
-	}
-	d.broker.SetDown(false)
-	// Every node must be fully re-bootable: endpoints free, no leaked
-	// incarnation answering its name.
-	var retryErr error
-	var retried []*Client
-	d.net.Run(func() {
-		for i := range specs {
-			specs[i].Config.Pipe = FreshConnIDs(specs[i].Host)
-		}
-		retried, retryErr = BootPeers(d.net.Node("broker0"), d.broker.Addr(), specs)
-	})
-	if retryErr != nil {
-		t.Fatalf("re-boot after failed wave: %v", retryErr)
-	}
-	for _, c := range retried {
-		if !c.Registered() {
-			t.Fatalf("%s not registered after retry", c.Name())
-		}
-	}
-}
-
 // TestRestartRacesSweepAndRejoin hammers Broker.Restart from a raw
 // goroutine while lease sweeps fire and a rejoin wave re-registers — the
 // blackout/rejoin overlap: sweeps landing in a just-cleared cache, clears
@@ -352,10 +296,7 @@ func TestRestartRacesSweepAndRejoin(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			clients := make([]*Client, 0, peers)
 			for _, h := range hosts {
-				c, err := BootPeerWith(h, broker.Addr(), ClientConfig{
-					CPUScore:  1,
-					BatchBoot: round%2 == 1,
-				})
+				c, err := BootPeer(h, broker.Addr(), ClientConfig{CPUScore: 1})
 				if err != nil {
 					t.Errorf("round %d boot %s: %v", round, h.Name(), err)
 					return
@@ -378,18 +319,26 @@ func TestRestartRacesSweepAndRejoin(t *testing.T) {
 	// inside the run, right after the wave — quiescing the network drains
 	// the pending sweep timer, which (correctly) evicts the unrenewed
 	// leases again.
-	var final []*Client
 	var finalErr error
 	registered := -1
 	n.Run(func() {
-		specs := make([]BootSpec, len(hosts))
+		final := make([]*Client, len(hosts))
+		errs := make([]error, len(hosts))
+		join := bhost.NewQueue()
 		for i, h := range hosts {
-			specs[i] = BootSpec{Host: h, Config: ClientConfig{CPUScore: 1, Pipe: FreshConnIDs(h)}}
+			bhost.Go(func() {
+				final[i], errs[i] = BootPeer(h, broker.Addr(), ClientConfig{CPUScore: 1})
+				join.Push(nil)
+			})
 		}
-		final, finalErr = BootPeers(bhost, broker.Addr(), specs)
-		if finalErr == nil {
+		for range hosts {
+			join.Pop()
+		}
+		if finalErr = errors.Join(errs...); finalErr == nil {
 			registered = len(broker.Peers())
-			for _, c := range final {
+		}
+		for _, c := range final {
+			if c != nil {
 				c.Stop()
 			}
 		}

@@ -46,12 +46,18 @@ type BrokerConfig struct {
 	Pipe pipe.Options
 }
 
+// DefaultCacheLimit is the per-shard directory bound of a zero
+// BrokerConfig.CacheLimit. A deployer that knows it will register more peers
+// than this must raise the limit: past it shards evict, and which entries
+// survive depends on eviction order and the shard hash.
+const DefaultCacheLimit = 1024
+
 func (c BrokerConfig) withDefaults() BrokerConfig {
 	if c.AdvTTL <= 0 {
 		c.AdvTTL = time.Hour
 	}
 	if c.CacheLimit <= 0 {
-		c.CacheLimit = 1024
+		c.CacheLimit = DefaultCacheLimit
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -104,8 +110,8 @@ type Broker struct {
 	idle   int
 
 	// ctlRPCs counts well-formed control frames received (including frames
-	// dropped by a blackout). Boot-wave instrumentation reads it to prove
-	// batched registration halves the per-peer RPC count.
+	// dropped by a blackout); tests and benchmarks read it to pin the boot
+	// at one RPC per peer.
 	ctlRPCs atomic.Int64
 
 	// Rank index (see rankindex.go): memoized full-directory rankings keyed
@@ -417,8 +423,6 @@ func (b *Broker) serve(conn *pipe.Conn) {
 	switch kind {
 	case mtRegister:
 		b.handleRegister(conn, d)
-	case mtRegisterBatch:
-		b.handleRegisterBatch(conn, d)
 	case mtStatsReport:
 		b.handleStatsReport(conn, d)
 	case mtDiscover:
@@ -436,94 +440,80 @@ func (b *Broker) serve(conn *pipe.Conn) {
 	}
 }
 
+// handleRegister publishes the client's advertisement under a fresh lease,
+// then applies the load report the frame carries — publish-then-report in
+// one exchange and one ack, so the peer is rankable when Start returns.
 func (b *Broker) handleRegister(conn *pipe.Conn, d *wire.Decoder) {
 	req, err := decodeRegister(d)
 	if err != nil {
 		return
 	}
-	adv := req.Adv
-	adv.Expires = b.host.Now().Add(b.cfg.AdvTTL)
-	sh := b.shardOf(adv.Name)
-	sh.cache.Publish(adv)
-	ps := sh.registry.Peer(adv.Name)
-	if cpu, err := strconv.ParseFloat(adv.Attr(jxta.AttrCPUScore), 64); err == nil && cpu > 0 {
+	sh := b.shardOf(req.Adv.Name)
+	b.publish(sh, req.Adv)
+	ps := sh.registry.Peer(req.Adv.Name)
+	if cpu, err := strconv.ParseFloat(req.Adv.Attr(jxta.AttrCPUScore), 64); err == nil && cpu > 0 {
 		ps.SetCPUScore(cpu)
 	}
-	b.armSweep()
+	b.applyStats(ps, req.Stats)
 	ack := registerAck{OK: true, Broker: b.host.Name(), KnownPeers: b.knownPeers()}
 	sendReply(conn, ack.encodeTo)
 }
 
-// handleRegisterBatch serves the batched boot frame: the effects of
-// handleRegister and handleStatsReport applied in that order under one
-// exchange and one ack. The lease is published once with the batch
-// instant's expiry (the two-RPC boot publishes twice, one RPC apart), which
-// is why batched boot is scale-gated rather than a golden-path default.
-func (b *Broker) handleRegisterBatch(conn *pipe.Conn, d *wire.Decoder) {
-	req, err := decodeRegisterBatch(d)
-	if err != nil {
-		return
-	}
-	adv := req.Adv
-	adv.Expires = b.host.Now().Add(b.cfg.AdvTTL)
-	sh := b.shardOf(adv.Name)
-	sh.cache.Publish(adv)
-	ps := sh.registry.Peer(adv.Name)
-	if cpu, err := strconv.ParseFloat(adv.Attr(jxta.AttrCPUScore), 64); err == nil && cpu > 0 {
-		ps.SetCPUScore(cpu)
-	}
-	rep := req.Stats
+// ControlRPCs reports how many well-formed control frames the broker has
+// received since construction. A boot costs one (register).
+func (b *Broker) ControlRPCs() int64 { return b.ctlRPCs.Load() }
+
+// applyStats folds a client's self-reported load into its statistics record.
+func (b *Broker) applyStats(ps *stats.PeerStats, rep statsReport) {
 	ps.SetQueues(rep.InboxLen, rep.OutboxLen)
 	ps.SetQueueLen(rep.QueueLen)
 	ps.SetReadyAt(b.host.Now().Add(rep.ReadyIn))
 	if rep.CPUScore > 0 {
 		ps.SetCPUScore(rep.CPUScore)
 	}
-	b.armSweep()
-	ack := registerAck{OK: true, Broker: b.host.Name(), KnownPeers: b.knownPeers()}
-	sendReply(conn, ack.encodeTo)
 }
 
-// ControlRPCs reports how many well-formed control frames the broker has
-// received since construction. A boot costs two (register + stats report),
-// a batched boot one.
-func (b *Broker) ControlRPCs() int64 { return b.ctlRPCs.Load() }
+// publish (re)publishes adv under a fresh lease and re-arms the sweep.
+func (b *Broker) publish(sh *shard, adv jxta.Advertisement) {
+	adv.Expires = b.host.Now().Add(b.cfg.AdvTTL)
+	sh.cache.Publish(adv)
+	b.armSweep()
+}
 
+// leaseOf returns the advertisement a report from peer renews. A reporting
+// peer whose lease already lapsed (a heartbeat delayed past the TTL under
+// churn) is resurrected, not dropped forever: the advertisement is rebuilt
+// exactly as registration builds it — name, content-derived ID, transfer
+// address from the reporting conn — and lapsed is set, so a live peer's
+// directory entry survives one late renewal. Static deployments never
+// rebuild (their leases outlive the run).
+func (b *Broker) leaseOf(sh *shard, peer string, conn *pipe.Conn) (adv jxta.Advertisement, lapsed bool) {
+	id := jxta.NewID("peer", peer)
+	if adv, ok := sh.cache.Lookup(id); ok {
+		return adv, false
+	}
+	return jxta.Advertisement{
+		Kind: jxta.AdvPeer,
+		ID:   id,
+		Name: peer,
+		Addr: string(transport.MakeAddr(conn.Remote().Node(), ServiceTransfer)),
+	}, true
+}
+
+// handleStatsReport applies a heartbeat: the load report, and a renewal of
+// the peer's advertisement lease.
 func (b *Broker) handleStatsReport(conn *pipe.Conn, d *wire.Decoder) {
 	rep, err := decodeStatsReport(d)
 	if err != nil {
 		return
 	}
 	sh := b.shardOf(rep.Peer)
-	ps := sh.registry.Peer(rep.Peer)
-	ps.SetQueues(rep.InboxLen, rep.OutboxLen)
-	ps.SetQueueLen(rep.QueueLen)
-	ps.SetReadyAt(b.host.Now().Add(rep.ReadyIn))
-	if rep.CPUScore > 0 {
-		ps.SetCPUScore(rep.CPUScore)
+	b.applyStats(sh.registry.Peer(rep.Peer), rep)
+	adv, lapsed := b.leaseOf(sh, rep.Peer, conn)
+	if lapsed && rep.CPUScore > 0 {
+		adv = adv.WithAttr(jxta.AttrCPUScore, strconv.FormatFloat(rep.CPUScore, 'f', -1, 64))
 	}
-	// A live report also renews the peer's advertisement lease. A reporting
-	// peer whose lease already lapsed (a heartbeat delayed past the TTL
-	// under churn) is resurrected, not dropped forever: the advertisement
-	// is rebuilt exactly as registration builds it — name, content-derived
-	// ID, transfer address from the reporting conn — so a live peer's
-	// directory entry survives one late renewal. Static deployments never
-	// hit this branch (their leases outlive the run).
-	adv, ok := sh.cache.Lookup(jxta.NewID("peer", rep.Peer))
-	if !ok {
-		adv = jxta.Advertisement{
-			Kind: jxta.AdvPeer,
-			ID:   jxta.NewID("peer", rep.Peer),
-			Name: rep.Peer,
-			Addr: string(transport.MakeAddr(conn.Remote().Node(), ServiceTransfer)),
-		}
-		if rep.CPUScore > 0 {
-			adv = adv.WithAttr(jxta.AttrCPUScore, strconv.FormatFloat(rep.CPUScore, 'f', -1, 64))
-		}
-	}
-	adv.Expires = b.host.Now().Add(b.cfg.AdvTTL)
-	sh.cache.Publish(adv)
-	b.armSweep()
+	b.publish(sh, adv)
 	conn.Send(ackFrame)
 }
 
@@ -627,15 +617,7 @@ func (b *Broker) handlePieceReport(conn *pipe.Conn, d *wire.Decoder) {
 		return
 	}
 	sh := b.shardOf(rep.Peer)
-	adv, ok := sh.cache.Lookup(jxta.NewID("peer", rep.Peer))
-	if !ok {
-		adv = jxta.Advertisement{
-			Kind: jxta.AdvPeer,
-			ID:   jxta.NewID("peer", rep.Peer),
-			Name: rep.Peer,
-			Addr: string(transport.MakeAddr(conn.Remote().Node(), ServiceTransfer)),
-		}
-	}
+	adv, _ := b.leaseOf(sh, rep.Peer, conn)
 	var have strings.Builder
 	for i, p := range rep.Have {
 		if i > 0 {
@@ -645,9 +627,7 @@ func (b *Broker) handlePieceReport(conn *pipe.Conn, d *wire.Decoder) {
 	}
 	adv = adv.WithAttr(jxta.AttrPieces, have.String())
 	adv = adv.WithAttr(jxta.AttrUnchoked, strings.Join(rep.Unchoked, ","))
-	adv.Expires = b.host.Now().Add(b.cfg.AdvTTL)
-	sh.cache.Publish(adv)
-	b.armSweep()
+	b.publish(sh, adv)
 	conn.Send(ackFrame)
 }
 

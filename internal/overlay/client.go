@@ -36,12 +36,6 @@ type ClientConfig struct {
 	// selection). The zero value is one attempt with no deadline — see
 	// CallPolicy.
 	Call CallPolicy
-	// BatchBoot registers through the batched boot frame: registration and
-	// the initial stats report in ONE control RPC instead of two. The
-	// broker ends up in the same state, but the control-plane event count
-	// halves — so this is scale-gating, not a default: golden paths keep
-	// the two-exchange boot and their event streams byte-identical.
-	BatchBoot bool
 	// Sender tunes the client's transfer sender (e.g. Pipelined). The zero
 	// value is the paper's stop-and-wait protocol.
 	Sender transfer.SenderOptions
@@ -106,82 +100,24 @@ func FreshConnIDs(host transport.Host) pipe.Options {
 	return pipe.Options{FirstID: uint64(host.Now().UnixNano())}
 }
 
-// BootPeer runs the full (re)boot protocol of a churn peer's client: a
-// fresh conn-id space, service binding and registration, and the initial
-// stats report that seeds the broker's view. Both the experiment harness
-// and the public facade boot joining peers through it, so the rejoin
-// protocol cannot drift between them.
-func BootPeer(host transport.Host, broker transport.Addr, cpuScore float64) (*Client, error) {
-	c := NewClient(host, broker, ClientConfig{
-		CPUScore: cpuScore,
-		Pipe:     FreshConnIDs(host),
-	})
+// BootPeer is the reboot rule: NewClient + Start on a conn-id space unique
+// to this boot instant (see FreshConnIDs), whatever else cfg.Pipe says. A
+// client that may follow an earlier incarnation on its node — a churn
+// rejoin, a restarted cmd/peer — comes up through it; first boots on fresh
+// nodes keep the zero-based space and call NewClient + Start themselves.
+func BootPeer(host transport.Host, broker transport.Addr, cfg ClientConfig) (*Client, error) {
+	cfg.Pipe.FirstID = FreshConnIDs(host).FirstID
+	c := NewClient(host, broker, cfg)
 	if err := c.Start(); err != nil {
-		return nil, err
-	}
-	if err := c.ReportStats(); err != nil {
-		// Never hand back a half-booted client: it is already registered
-		// and serving, and a caller that drops it on error would leak a
-		// live incarnation holding the node's service endpoints.
-		c.Stop()
 		return nil, err
 	}
 	return c, nil
 }
 
-// BootSpec names one client of a BootPeers wave.
-type BootSpec struct {
-	// Host is the node the client lives on.
-	Host transport.Host
-	// Config tunes the client. BatchBoot is forced on: the wave exists to
-	// cut the boot to one control RPC per peer.
-	Config ClientConfig
-}
-
-// BootPeers boots a wave of clients concurrently: one boot process per
-// spec, each registering through the batched boot frame (one control RPC
-// per peer — no separate ReportStats; the frame carries the initial
-// stats), so a 64k wave costs 64k control RPCs instead of 128k serialized
-// ones.
-//
-// On any failure the whole wave is stopped — BootPeer's no-half-booted-
-// client rule, wave-wide — and the lowest-index failure is returned.
-// Clients come back in spec order.
-func BootPeers(spawner transport.Host, broker transport.Addr, specs []BootSpec) ([]*Client, error) {
-	clients := make([]*Client, len(specs))
-	errs := make([]error, len(specs))
-	join := spawner.NewQueue()
-	for i, sp := range specs {
-		cfg := sp.Config
-		cfg.BatchBoot = true
-		c := NewClient(sp.Host, broker, cfg)
-		clients[i] = c
-		spawner.Go(func() {
-			errs[i] = c.Start()
-			join.Push(nil)
-		})
-	}
-	for range specs {
-		if _, err := join.Pop(); err != nil {
-			return nil, err
-		}
-	}
-	for i, bootErr := range errs {
-		if bootErr == nil {
-			continue
-		}
-		for j, c := range clients {
-			if errs[j] == nil {
-				c.Stop()
-			}
-		}
-		return nil, fmt.Errorf("overlay: boot %s: %w", specs[i].Host.Name(), bootErr)
-	}
-	return clients, nil
-}
-
-// Start binds the client's services, starts its executor and receiver, and
-// registers with the broker.
+// Start is the whole boot: it binds the client's services, starts its
+// executor and receiver, and registers with the broker in one control RPC
+// that also carries the initial load report. On failure everything it
+// started is torn down before it returns.
 func (c *Client) Start() error {
 	ctlEP, err := c.host.Endpoint(ServiceClient)
 	if err != nil {
@@ -208,13 +144,13 @@ func (c *Client) Start() error {
 	c.host.Go(c.controlLoop)
 	regErr := c.register()
 	if regErr != nil {
-		// Never leave a half-booted incarnation behind (BootPeer's rule,
-		// applied at the source): the receiver, executor, control loop and
-		// both muxes are already live, and a caller that drops the client
-		// on error would leak them — the node's service endpoints stay
-		// bound and the next boot on the node fails. Closing the muxes
-		// unblocks the control loop's Accept and the receiver, so the
-		// failed incarnation quiesces and frees its endpoints.
+		// Never leave a half-booted incarnation behind: the receiver,
+		// executor, control loop and both muxes are already live, and a
+		// caller that drops the client on error would leak them — the
+		// node's service endpoints stay bound and the next boot on the
+		// node fails. Closing the muxes unblocks the control loop's Accept
+		// and the receiver, so the failed incarnation quiesces and frees
+		// its endpoints.
 		c.Stop()
 		return regErr
 	}
@@ -229,9 +165,9 @@ func (c *Client) Start() error {
 	return nil
 }
 
-// register announces this client to the broker: the single-frame
-// registration, or — under BatchBoot — the batched frame that folds the
-// initial stats report into the same exchange.
+// register announces this client to the broker — advertisement and current
+// load in one frame. Boot and the re-registration after a broker restart
+// (see SelectDetailed) both go through it.
 func (c *Client) register() error {
 	adv := jxta.Advertisement{
 		Kind: jxta.AdvPeer,
@@ -240,13 +176,7 @@ func (c *Client) register() error {
 		Addr: string(transport.MakeAddr(c.host.Name(), ServiceTransfer)),
 	}
 	adv = adv.WithAttr(jxta.AttrCPUScore, strconv.FormatFloat(c.cfg.CPUScore, 'f', -1, 64))
-	var payload []byte
-	if c.cfg.BatchBoot {
-		payload = registerBatch{Adv: adv, Stats: c.currentStats()}.encode()
-	} else {
-		payload = register{Adv: adv}.encode()
-	}
-	reply, err := c.call(c.broker, payload)
+	reply, err := c.call(c.broker, register{Adv: adv, Stats: c.currentStats()}.encode())
 	if err != nil {
 		return err
 	}

@@ -43,12 +43,15 @@ const (
 	mtInstant        byte = 15
 	mtInstantAck     byte = 16
 	mtPieceReport    byte = 17
-	mtRegisterBatch  byte = 18
 )
 
-// register announces a client to its broker.
+// register announces a client to its broker: its advertisement and its
+// current load report in one exchange, acknowledged by a registerAck. The
+// broker applies publish-then-report, so a registered peer is rankable
+// without a follow-up statsReport.
 type register struct {
-	Adv jxta.Advertisement
+	Adv   jxta.Advertisement
+	Stats statsReport
 }
 
 func (m register) encode() []byte {
@@ -56,6 +59,7 @@ func (m register) encode() []byte {
 	defer wire.PutEncoder(e)
 	e.Byte(mtRegister)
 	m.Adv.Encode(e)
+	m.Stats.encodeTo(e)
 	return e.Detach()
 }
 
@@ -87,37 +91,19 @@ func (m statsReport) encode() []byte {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
 	e.Byte(mtStatsReport)
+	m.encodeTo(e)
+	return e.Detach()
+}
+
+// encodeTo appends the report's fields, untagged: the body of a statsReport
+// frame and the tail of a register frame.
+func (m statsReport) encodeTo(e *wire.Encoder) {
 	e.String(m.Peer)
 	e.Int(m.InboxLen)
 	e.Int(m.OutboxLen)
 	e.Int(m.QueueLen)
 	e.Duration(m.ReadyIn)
 	e.Float64(m.CPUScore)
-	return e.Detach()
-}
-
-// registerBatch is the batched boot frame: registration and the client's
-// initial load report in one exchange, acknowledged by a registerAck. It
-// collapses the register + statsReport pair to one control RPC per
-// boot; because that halves the control-plane event count it is opt-in
-// (ClientConfig.BatchBoot) and stays off on golden paths.
-type registerBatch struct {
-	Adv   jxta.Advertisement
-	Stats statsReport
-}
-
-func (m registerBatch) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(mtRegisterBatch)
-	m.Adv.Encode(e)
-	e.String(m.Stats.Peer)
-	e.Int(m.Stats.InboxLen)
-	e.Int(m.Stats.OutboxLen)
-	e.Int(m.Stats.QueueLen)
-	e.Duration(m.Stats.ReadyIn)
-	e.Float64(m.Stats.CPUScore)
-	return e.Detach()
 }
 
 // discover queries the broker's advertisement directory.
@@ -381,7 +367,7 @@ func decodeRegister(d *wire.Decoder) (register, error) {
 	if err != nil {
 		return register{}, err
 	}
-	return register{Adv: adv}, d.Finish()
+	return register{Adv: adv, Stats: decodeStatsFields(d)}, d.Finish()
 }
 
 func decodeRegisterAck(d *wire.Decoder) (registerAck, error) {
@@ -390,7 +376,13 @@ func decodeRegisterAck(d *wire.Decoder) (registerAck, error) {
 }
 
 func decodeStatsReport(d *wire.Decoder) (statsReport, error) {
-	m := statsReport{
+	return decodeStatsFields(d), d.Finish()
+}
+
+// decodeStatsFields reads what statsReport.encodeTo wrote; the caller's
+// Finish reports truncation.
+func decodeStatsFields(d *wire.Decoder) statsReport {
+	return statsReport{
 		Peer:      d.StringField(),
 		InboxLen:  d.Int(),
 		OutboxLen: d.Int(),
@@ -398,26 +390,6 @@ func decodeStatsReport(d *wire.Decoder) (statsReport, error) {
 		ReadyIn:   d.Duration(),
 		CPUScore:  d.Float64(),
 	}
-	return m, d.Finish()
-}
-
-func decodeRegisterBatch(d *wire.Decoder) (registerBatch, error) {
-	adv, err := jxta.DecodeAdvertisement(d)
-	if err != nil {
-		return registerBatch{}, err
-	}
-	m := registerBatch{
-		Adv: adv,
-		Stats: statsReport{
-			Peer:      d.StringField(),
-			InboxLen:  d.Int(),
-			OutboxLen: d.Int(),
-			QueueLen:  d.Int(),
-			ReadyIn:   d.Duration(),
-			CPUScore:  d.Float64(),
-		},
-	}
-	return m, d.Finish()
 }
 
 func decodeDiscover(d *wire.Decoder) (discover, error) {

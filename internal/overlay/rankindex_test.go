@@ -137,7 +137,7 @@ func TestRankIndexMatchesScan(t *testing.T) {
 
 	// A directory mutation (new registration) must invalidate too.
 	d.net.Run(func() {
-		if _, err := BootPeer(d.net.MustAddNode("rz", clientProfile()), b.Addr(), 9); err != nil {
+		if _, err := BootPeer(d.net.MustAddNode("rz", clientProfile()), b.Addr(), ClientConfig{CPUScore: 9}); err != nil {
 			t.Errorf("boot rz: %v", err)
 		}
 	})

@@ -344,25 +344,3 @@ func (c *Client) cachedAddr(peer string) (transport.Addr, bool) {
 	}
 	return "", false
 }
-
-// BootPeerWith is BootPeer with an explicit client configuration — the
-// fault-scenario boot path, where joining peers carry a CallPolicy. The
-// conn-id space is made unique to this boot instant (see FreshConnIDs)
-// whatever else the config says, and the boot protocol is BootPeer's:
-// bind + register, then the initial stats report, tearing down on failure.
-func BootPeerWith(host transport.Host, broker transport.Addr, cfg ClientConfig) (*Client, error) {
-	cfg.Pipe.FirstID = uint64(host.Now().UnixNano())
-	c := NewClient(host, broker, cfg)
-	if err := c.Start(); err != nil {
-		return nil, err
-	}
-	if cfg.BatchBoot {
-		// The batched register frame already carried the initial stats.
-		return c, nil
-	}
-	if err := c.ReportStats(); err != nil {
-		c.Stop()
-		return nil, err
-	}
-	return c, nil
-}

@@ -192,37 +192,37 @@ func TestOverlayOverTCP(t *testing.T) {
 // TestReturnRouteLearned: a host with no table entry for its caller must
 // answer over the socket the request arrived on — cmd/broker serves peers
 // this way, since operators give peers the broker's address but never give
-// the broker a peer list. The peer here boots (registers + reports stats)
-// against a broker whose table is empty, once legacy and once batched.
+// the broker a peer list. The peer here boots (one register frame carrying
+// its stats) against a broker whose table is empty.
 func TestReturnRouteLearned(t *testing.T) {
-	for _, batch := range []bool{false, true} {
-		brokerHost, err := NewHost("nozomi", "127.0.0.1:0", nil, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		peerHost, err := NewHost("sc1", "127.0.0.1:0",
-			map[string]string{"nozomi": brokerHost.AddrOf()}, 21)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := overlay.NewBroker(brokerHost, overlay.BrokerConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := overlay.BootPeerWith(peerHost, "nozomi/broker",
-			overlay.ClientConfig{CPUScore: 1, BatchBoot: batch})
-		if err != nil {
-			t.Fatalf("batch=%v: boot against route-less broker: %v", batch, err)
-		}
-		if got := b.Peers(); len(got) != 1 || got[0] != "sc1" {
-			t.Fatalf("batch=%v: broker peers = %v", batch, got)
-		}
-		if s := b.Registry().Peer("sc1").Snapshot(); s.ReadyAt.IsZero() {
-			t.Fatalf("batch=%v: boot did not seed stats", batch)
-		}
-		c.Stop()
-		peerHost.Close()
-		brokerHost.Close()
+	brokerHost, err := NewHost("nozomi", "127.0.0.1:0", nil, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer brokerHost.Close()
+	peerHost, err := NewHost("sc1", "127.0.0.1:0",
+		map[string]string{"nozomi": brokerHost.AddrOf()}, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peerHost.Close()
+	b, err := overlay.NewBroker(brokerHost, overlay.BrokerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := overlay.BootPeer(peerHost, "nozomi/broker", overlay.ClientConfig{CPUScore: 1})
+	if err != nil {
+		t.Fatalf("boot against route-less broker: %v", err)
+	}
+	defer c.Stop()
+	if got := b.Peers(); len(got) != 1 || got[0] != "sc1" {
+		t.Fatalf("broker peers = %v", got)
+	}
+	if s := b.Registry().Peer("sc1").Snapshot(); s.ReadyAt.IsZero() {
+		t.Fatal("boot did not seed stats")
+	}
+	if got := b.ControlRPCs(); got != 1 {
+		t.Fatalf("boot cost %d control RPCs, want 1", got)
 	}
 }
 

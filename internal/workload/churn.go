@@ -137,7 +137,7 @@ type Conductor struct {
 }
 
 // NewConductor builds a conductor over host's scheduler. boot creates and
-// starts the client for a label (register + initial stats report included);
+// starts the client for a label (overlay.BootPeer, for StartDynamics);
 // it runs inside the simulation whenever the schedule joins that peer.
 //
 // renewEvery is the lease-renewal heartbeat: every renewEvery of virtual
@@ -317,10 +317,10 @@ func StartDynamics(slice *scenario.Slice, broker *overlay.Broker, sc scenario.Sc
 			if node == nil {
 				return nil, fmt.Errorf("workload: churn schedule names unknown peer %q", label)
 			}
-			// BootPeerWith gives a rebooted incarnation a fresh conn-id
-			// space, so its messages are not mistaken for the previous
-			// one's retransmits.
-			c, err := overlay.BootPeerWith(node, broker.Addr(), overlay.ClientConfig{CPUScore: cpuOf[label], Call: policy})
+			// BootPeer gives a rebooted incarnation a fresh conn-id space,
+			// so its messages are not mistaken for the previous one's
+			// retransmits.
+			c, err := overlay.BootPeer(node, broker.Addr(), overlay.ClientConfig{CPUScore: cpuOf[label], Call: policy})
 			if err != nil {
 				return nil, fmt.Errorf("workload: churn boot %s: %w", label, err)
 			}

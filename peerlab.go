@@ -259,9 +259,15 @@ func Deploy(cfg Config) (*Deployment, error) {
 	// a churning scenario supplies its own short TTL and eager-sweep hint
 	// so departed peers age out of the directory mid-session. The renewal
 	// heartbeat (workload.StartDynamics) divides the same effective value.
+	// The directory holds every peer that will register, plus the controller.
+	registrants := len(peers) + 1
+	if slice != nil {
+		registrants = len(slice.Catalog) + 1
+	}
 	broker, err := overlay.NewBroker(ctlNode, overlay.BrokerConfig{
 		AdvTTL:     sc.EffectiveAdvTTL(),
 		LeaseSweep: sc.LeaseSweep,
+		CacheLimit: max(overlay.DefaultCacheLimit, registrants),
 	})
 	if err != nil {
 		return nil, err
@@ -348,9 +354,6 @@ func (d *Deployment) Run(fn func(s *Session) error) error {
 			if c := d.clients[name]; c != nil {
 				if err = c.Start(); err != nil {
 					err = fmt.Errorf("peerlab: start %s: %w", name, err)
-					return
-				}
-				if err = c.ReportStats(); err != nil {
 					return
 				}
 			}

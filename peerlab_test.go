@@ -154,6 +154,32 @@ func TestSelectionThroughFacade(t *testing.T) {
 	}
 }
 
+// TestDirectoryHoldsWholeCatalog is the regression test for the silently
+// truncated directory: a deployment larger than the broker's default cache
+// limit must still hold — and rank — every registered peer. Before the fix
+// the broker kept 1024 of 1500 advertisements and which ones survived was
+// an accident of eviction order.
+func TestDirectoryHoldsWholeCatalog(t *testing.T) {
+	const peers = 1500
+	d, err := Deploy(Config{Seed: 11, Scenario: "uniform:1500"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = d.Run(func(s *Session) error {
+		ranked, err := s.SelectPeers(ModelEconomic, SelectionRequest{Kind: KindFileTransfer, SizeBytes: Mb}, 0, nil)
+		if err != nil {
+			return err
+		}
+		if len(ranked) != peers {
+			t.Errorf("economic ranked %d peers, want all %d", len(ranked), peers)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTasksAndMessagingThroughFacade(t *testing.T) {
 	d, err := Deploy(Config{Seed: 3, Peers: []PeerConfig{{Name: "w1"}}})
 	if err != nil {

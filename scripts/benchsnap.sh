@@ -14,8 +14,8 @@
 # (BenchmarkFigureSuite/heterogeneous, BenchmarkScale/*) skip themselves
 # under -short and exist precisely to be pinned here. Expect the full run
 # to take a while: the 65536-peer points (uniform-65536 and boot-65536,
-# the batched boot wave with its ctlRPCs/peer column) each cost minutes
-# of wall clock per iteration.
+# the boot alone with its ctlRPCs/peer column) each cost minutes of wall
+# clock per iteration.
 #
 # Usage: sh scripts/benchsnap.sh <n>    # writes BENCH_<n>.json
 set -eu

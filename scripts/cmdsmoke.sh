@@ -2,10 +2,10 @@
 # cmdsmoke: build the operator CLIs and smoke a real-TCP session — the
 # simulator-validated code paths on actual sockets. Boots a broker, parks
 # one serving peer, then drives one-shot peers through the three actions
-# (instant message, task submission, chunked file transfer), once with the
-# legacy two-RPC boot and once with the batched boot frame. Any failed
-# registration, undelivered action, or hung process fails the script (the
-# serving peer's received-file line is asserted, not just exit codes).
+# (instant message, task submission, chunked file transfer), each a fresh
+# boot under the same name. Any failed registration, undelivered action, or
+# hung process fails the script (the serving peer's received-file line is
+# asserted, not just exit codes).
 #
 # Usage: sh scripts/cmdsmoke.sh
 set -eu
@@ -36,12 +36,11 @@ kill -0 "$peer_pid" 2>/dev/null || {
     echo "cmdsmoke: serving peer died during boot" >&2; cat "$srvlog" >&2; exit 1
 }
 
-# One-shot actions from sc1, each a fresh boot: message and task over the
-# legacy boot, the file transfer over the batched boot frame.
+# One-shot actions from sc1, each a fresh boot.
 common="-name sc1 -listen 127.0.0.1:7391 -broker nozomi=127.0.0.1:7390 -route sc2=127.0.0.1:7392"
 "$bin/peer" $common -msg sc2:hello-from-cmdsmoke
 "$bin/peer" $common -task sc2:0.5
-"$bin/peer" $common -batchboot -sendfile sc2:1000000:4
+"$bin/peer" $common -sendfile sc2:1000000:4
 
 grep -q "instant from sc1: hello-from-cmdsmoke" "$srvlog" || {
     echo "cmdsmoke: instant message never reached sc2" >&2; cat "$srvlog" >&2; exit 1
