@@ -100,6 +100,7 @@ func TestRegisterBatchRoundtrip(t *testing.T) {
 	// A truncated frame must error, not panic — at every cut, including the
 	// one that drops the whole load report and leaves a bare advertisement.
 	advOnly := wire.GetEncoder()
+	defer wire.PutEncoder(advOnly)
 	in.Adv.Encode(advOnly)
 	for _, cut := range []int{len(raw) - 4, 1 + advOnly.Len(), 3} {
 		if _, err := decodeRegister(wire.NewDecoder(raw[1:cut])); err == nil {
