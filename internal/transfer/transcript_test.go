@@ -1,0 +1,253 @@
+package transfer
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"peerlab/internal/pipe"
+	"peerlab/internal/simnet"
+	"peerlab/internal/sweeptest"
+	"peerlab/internal/wire"
+)
+
+// transcript is one scenario's world: a sender node, a receiver node, and a
+// log of every pipe frame either mux dispatched, stamped with the virtual
+// instant it arrived.
+type transcript struct {
+	net    *simnet.Network
+	t0     time.Time
+	src    *pipe.Mux
+	dst    *pipe.Mux
+	dstN   *simnet.Node
+	sender *Sender
+	mu     sync.Mutex
+	out    bytes.Buffer
+}
+
+// newTranscript builds the two-node world. The frame observer is a package
+// global in pipe, so scenarios run one after another, never in parallel.
+func newTranscript(t *testing.T, name string, popts pipe.Options, sopts SenderOptions) *transcript {
+	t.Helper()
+	n := simnet.New(11)
+	a := n.MustAddNode("src", fastProfile())
+	b := n.MustAddNode("dst", fastProfile())
+	epA, err := a.Endpoint("xfer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epB, err := b.Endpoint("xfer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &transcript{net: n, t0: n.Now(), dstN: b}
+	tr.src = pipe.NewMux(a, epA, popts)
+	tr.dst = pipe.NewMux(b, epB, popts)
+	tr.sender = NewSender(a, tr.src, sopts)
+	fmt.Fprintf(&tr.out, "== %s\n", name)
+	pipe.SetDebugDispatch(func(local string, kind byte, id, seq, ack uint64, size int) {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		fmt.Fprintf(&tr.out, "%s %s %s id=%d seq=%d ack=%d size=%d\n",
+			tr.at(n.Now()), local, [...]string{"?", "data", "ack", "fin"}[kind], id, seq, ack, size)
+	})
+	return tr
+}
+
+func (tr *transcript) at(ts time.Time) string {
+	if ts.IsZero() {
+		return "-"
+	}
+	return fmt.Sprintf("%.6fs", ts.Sub(tr.t0).Seconds())
+}
+
+func (tr *transcript) logf(format string, args ...any) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	fmt.Fprintf(&tr.out, format+"\n", args...)
+}
+
+// outcome appends what the caller of Send/SendPieces got back.
+func (tr *transcript) outcome(m Metrics, err error) {
+	tr.logf("metrics parts=%d failed=%v attempts=%d bytes=%d granularity=%d petition=%s/%s/%s done=%s",
+		len(m.Parts), m.Failed, m.Attempts, m.TotalBytes, m.Granularity,
+		tr.at(m.PetitionSent), tr.at(m.PetitionReceived), tr.at(m.PetitionAcked), tr.at(m.Done))
+	for slot, pt := range m.Parts {
+		tr.logf("  slot %d index=%d size=%d started=%s delivered=%s confirmed=%s",
+			slot, pt.Index, pt.Size, tr.at(pt.Started), tr.at(pt.Delivered), tr.at(pt.Confirmed))
+	}
+	tr.logf("error %v", err)
+}
+
+// serve starts the real Receiver on dst; refuse makes it turn every petition
+// down.
+func (tr *transcript) serve(refuse bool) {
+	opts := ReceiverOptions{OnFile: func(rc Received) {
+		tr.logf("%s delivered %q size=%d verified=%v", tr.at(tr.net.Now()), rc.File.Name, rc.File.Size, rc.Verified)
+	}}
+	if refuse {
+		opts.Accept = func(string, int, int, string) (bool, string) { return false, "quota exceeded" }
+	}
+	NewReceiver(tr.dstN, tr.dst, opts).Start()
+}
+
+// serveFirstPartOnly stands a scripted receiver on dst that accepts the
+// petition, confirms the first part it is handed and then goes silent with
+// the conn open: the sender's part-ack wait is what ends the transfer.
+func (tr *transcript) serveFirstPartOnly() {
+	tr.dstN.Go(func() {
+		conn, err := tr.dst.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		first, err := conn.Recv()
+		if err != nil {
+			return
+		}
+		// Both petition kinds open with the transfer id.
+		_, d, _ := decodeKind(first.Payload)
+		id := d.Uint64()
+		if conn.Send(petitionAck{TransferID: id, Accept: true, ReceivedAt: tr.dstN.Now()}.encode()) != nil {
+			return
+		}
+		for n := 0; ; n++ {
+			msg, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			if n > 0 {
+				continue
+			}
+			_, d, _ := decodeKind(msg.Payload)
+			ph, _ := decodePart(d)
+			if conn.Send(partAck{TransferID: id, Index: ph.Index, OK: true, DeliveredAt: tr.dstN.Now(), Ready: true}.encode()) != nil {
+				return
+			}
+		}
+	})
+}
+
+// rawRepeat speaks the protocol by hand against the real Receiver: the
+// already-encoded petition, then the same part twice. It logs each ack as
+// decoded, so the receiver's refusal text is pinned verbatim.
+func (tr *transcript) rawRepeat(petitionFrame []byte, part partHeader) {
+	conn, err := tr.src.Dial("dst/xfer")
+	if err != nil {
+		tr.logf("dial: %v", err)
+		return
+	}
+	defer conn.Close()
+	if err := conn.Send(petitionFrame); err != nil {
+		tr.logf("petition: %v", err)
+		return
+	}
+	msg, err := conn.Recv()
+	if err != nil {
+		tr.logf("petition ack: %v", err)
+		return
+	}
+	_, d, _ := decodeKind(msg.Payload)
+	ack, err := decodePetitionAck(d)
+	tr.logf("petitionAck accept=%v reason=%q received=%s err=%v", ack.Accept, ack.Reason, tr.at(ack.ReceivedAt), err)
+	for i := 0; i < 2; i++ {
+		if err := conn.SendSized(part.encode(), part.Size); err != nil {
+			tr.logf("part: %v", err)
+			return
+		}
+		msg, err := conn.Recv()
+		if err != nil {
+			tr.logf("part ack: %v", err)
+			return
+		}
+		_, d, _ := decodeKind(msg.Payload)
+		pa, err := decodePartAck(d)
+		tr.logf("partAck index=%d ok=%v reason=%q delivered=%s ready=%v err=%v",
+			pa.Index, pa.OK, pa.Reason, tr.at(pa.DeliveredAt), pa.Ready, err)
+	}
+}
+
+// TestTransferTranscript pins the protocol as the wire and the caller see
+// it: every frame either side's mux dispatches (virtual instant, local
+// address, kind, conn, seq, ack, size), the Metrics Send/SendPieces return
+// and the exact error text, over the successful and the failing paths. The
+// error and reason strings reach flow records and the frames reach every
+// digest, so a change to the engine that moves a line here moved a result.
+func TestTransferTranscript(t *testing.T) {
+	t.Cleanup(func() { pipe.SetDebugDispatch(nil) })
+	live := pipe.Options{MaxRetries: 12}
+	dead := pipe.Options{MaxRetries: 2, InitialRTT: 100 * time.Millisecond}
+	file := NewVirtualFile("f.bin", 2*Mb, 5)
+	var all bytes.Buffer
+
+	run := func(name string, popts pipe.Options, sopts SenderOptions, setup func(*transcript), body func(*transcript)) {
+		tr := newTranscript(t, name, popts, sopts)
+		if setup != nil {
+			setup(tr)
+		}
+		tr.net.Run(func() { body(tr) })
+		all.Write(tr.out.Bytes())
+	}
+	send := func(parts int) func(*transcript) {
+		return func(tr *transcript) { tr.outcome(tr.sender.Send("dst/xfer", file, parts)) }
+	}
+	sendPieces := func(tr *transcript) {
+		tr.outcome(tr.sender.SendPieces("dst/xfer", file, 8, []int{1, 5, 7}))
+	}
+	accepting := func(tr *transcript) { tr.serve(false) }
+	refusing := func(tr *transcript) { tr.serve(true) }
+	halfSilent := func(tr *transcript) { tr.serveFirstPartOnly() }
+	down := func(tr *transcript) { tr.net.SetDown("dst", true) }
+	// dying takes dst off the network 200 ms into body.
+	dying := func(body func(*transcript)) func(*transcript) {
+		return func(tr *transcript) {
+			tr.dstN.AfterFunc(200*time.Millisecond, func() { tr.net.SetDown("dst", true) })
+			body(tr)
+		}
+	}
+	impatient := SenderOptions{PartAckTimeout: 20 * time.Second}
+
+	run("send whole", live, SenderOptions{}, accepting, send(1))
+	run("send 4 parts", live, SenderOptions{}, accepting, send(4))
+	run("send pieces 1,5,7 of 8", live, SenderOptions{}, accepting, sendPieces)
+	run("petition refused", live, SenderOptions{}, refusing, send(4))
+	run("piece petition refused", live, SenderOptions{}, refusing, sendPieces)
+	run("send to dead peer", dead, SenderOptions{}, down, send(1))
+	run("send pieces to dead peer", dead, SenderOptions{}, down, sendPieces)
+	run("petition never answered", live, SenderOptions{PetitionTimeout: 30 * time.Second}, nil, send(1))
+	run("piece petition never answered", live, SenderOptions{PetitionTimeout: 30 * time.Second}, nil, sendPieces)
+	run("part ack times out after part 0 of 4", live, impatient, halfSilent, send(4))
+	run("piece acks time out after 1 of 3", live, impatient, halfSilent, sendPieces)
+	run("peer dies with part 0 of 4 in flight", dead, SenderOptions{}, accepting, dying(send(4)))
+	run("peer dies while pieces stream", dead, SenderOptions{}, accepting, dying(sendPieces))
+	run("bad piece indices", live, SenderOptions{}, accepting, func(tr *transcript) {
+		tr.outcome(tr.sender.SendPieces("dst/xfer", file, 8, []int{1, 1}))
+		tr.outcome(tr.sender.SendPieces("dst/xfer", file, 8, []int{8}))
+		tr.outcome(tr.sender.SendPieces("dst/xfer", file, 8, nil))
+		tr.outcome(tr.sender.Send("dst/xfer", file, 0))
+	})
+	run("receiver rejects a repeated part", live, SenderOptions{}, accepting, func(tr *transcript) {
+		pet := petition{TransferID: 41, FileName: "f.bin", Checksum: file.Checksum(), TotalSize: file.Size, Parts: 2, Sender: "src"}
+		tr.rawRepeat(pet.encode(), partHeader{TransferID: 41, Index: 0, Offset: 0, Size: Mb})
+	})
+	run("receiver rejects a repeated piece", live, SenderOptions{}, accepting, func(tr *transcript) {
+		// The piece petition frame, field by field: pieces 1 and 5 of 8.
+		e := wire.NewEncoder(64)
+		e.Byte(msgPiecePetition)
+		e.Uint64(42)
+		e.String("f.bin")
+		e.String(file.Checksum())
+		e.Int(file.Size)
+		e.Int(8)
+		e.Int(2)
+		e.Int(1)
+		e.Int(5)
+		e.String("src")
+		e.Time(time.Time{})
+		tr.rawRepeat(e.Bytes(), partHeader{TransferID: 42, Index: 1, Offset: 250_000, Size: 250_000})
+	})
+
+	sweeptest.Golden(t, "transcript.golden", all.Bytes())
+}
