@@ -379,11 +379,11 @@ func renderSweep(report *experiments.SweepReport, format string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(report)
 	case "csv":
-		fmt.Println("scenario,workload,model,parts,size_mb,churn_rate,fault_rate,rep,flows,failed,departed,lagged,stale,degraded,recovered,retries,mean_xmit_seconds")
+		fmt.Println("scenario,workload,model,parts,size_mb,pick,choke,churn_rate,fault_rate,rep,flows,failed,departed,lagged,stale,degraded,recovered,retries,mean_xmit_seconds")
 		for _, c := range report.Cells {
 			s := c.Summary
-			fmt.Printf("%s,%s,%s,%d,%d,%g,%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.6f\n",
-				c.Scenario, c.Workload, c.Model, c.Parts, c.SizeMb, c.ChurnRate, c.FaultRate, c.Rep,
+			fmt.Printf("%s,%s,%s,%d,%d,%s,%s,%g,%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.6f\n",
+				c.Scenario, c.Workload, c.Model, c.Parts, c.SizeMb, c.Pick, c.Choke, c.ChurnRate, c.FaultRate, c.Rep,
 				s.Flows, s.FailedFlows, s.PeersDeparted, s.SelectionsLagged, s.SelectionsStale,
 				s.SelectionsDegraded, s.FlowsRecovered, s.RetriesSpent,
 				s.MeanTransmissionSeconds)
@@ -392,11 +392,11 @@ func renderSweep(report *experiments.SweepReport, format string) error {
 	default:
 		t := &metrics.Table{
 			Title:   fmt.Sprintf("Sweep %s (seed %d)", report.Sweep, report.Seed),
-			Columns: []string{"scenario", "workload", "model", "parts", "Mb", "churn", "fault", "rep", "flows", "failed", "lagged", "stale", "degraded", "recovered", "mean xmit s"},
+			Columns: []string{"scenario", "workload", "model", "parts", "Mb", "pick", "choke", "churn", "fault", "rep", "flows", "failed", "lagged", "stale", "degraded", "recovered", "mean xmit s"},
 		}
 		for _, c := range report.Cells {
 			s := c.Summary
-			t.AddRow(c.Scenario, c.Workload, c.Model, fmt.Sprint(c.Parts), fmt.Sprint(c.SizeMb),
+			t.AddRow(c.Scenario, c.Workload, c.Model, fmt.Sprint(c.Parts), fmt.Sprint(c.SizeMb), c.Pick, c.Choke,
 				fmt.Sprintf("%g", c.ChurnRate), fmt.Sprintf("%g", c.FaultRate), fmt.Sprint(c.Rep), fmt.Sprint(s.Flows),
 				fmt.Sprint(s.FailedFlows), fmt.Sprint(s.SelectionsLagged), fmt.Sprint(s.SelectionsStale),
 				fmt.Sprint(s.SelectionsDegraded), fmt.Sprint(s.FlowsRecovered),

@@ -36,9 +36,6 @@ type ClientConfig struct {
 	// selection). The zero value is one attempt with no deadline — see
 	// CallPolicy.
 	Call CallPolicy
-	// Sender tunes the client's transfer sender (e.g. Pipelined). The zero
-	// value is the paper's stop-and-wait protocol.
-	Sender transfer.SenderOptions
 	// AcceptFile decides on inbound petitions; nil accepts all.
 	AcceptFile func(name string, size, parts int, from string) (bool, string)
 	// OnFile observes completed inbound transfers.
@@ -129,7 +126,7 @@ func (c *Client) Start() error {
 	}
 	c.ctlMux = pipe.NewMux(c.host, ctlEP, c.cfg.Pipe)
 	c.xferMux = pipe.NewMux(c.host, xferEP, c.cfg.Pipe)
-	c.sender = transfer.NewSender(c.host, c.xferMux, c.cfg.Sender)
+	c.sender = transfer.NewSender(c.host, c.xferMux, transfer.SenderOptions{})
 	c.receiver = transfer.NewReceiver(c.host, c.xferMux, transfer.ReceiverOptions{
 		Accept: c.cfg.AcceptFile,
 		OnFile: c.cfg.OnFile,
@@ -355,25 +352,9 @@ func (c *Client) resolve(peer string) (transport.Addr, error) {
 // SendFile transmits a file to the named peer in `parts` parts and reports
 // the outcome to the broker's statistics service.
 func (c *Client) SendFile(peer string, f transfer.File, parts int) (transfer.Metrics, error) {
-	addr, err := c.resolve(peer)
-	if err != nil {
-		return transfer.Metrics{}, err
-	}
-	m, sendErr := c.sender.Send(addr, f, parts)
-	c.msgsOut.Add(int64(len(m.Parts) + 1))
-	rep := reportTransfer{
-		Peer:          peer,
-		OK:            sendErr == nil,
-		Cancelled:     sendErr != nil && !errors.Is(sendErr, transfer.ErrRejected),
-		Bytes:         f.Size,
-		Duration:      m.TransmissionTime(),
-		PetitionDelay: m.PetitionDelay(),
-	}
-	if _, err := c.call(c.broker, rep.encode()); err != nil {
-		// Statistics are best-effort; the transfer outcome stands.
-		_ = err
-	}
-	return m, sendErr
+	return c.sendReported(peer, func(addr transport.Addr) (transfer.Metrics, error) {
+		return c.sender.Send(addr, f, parts)
+	})
 }
 
 // SendPieces transmits the pieces of f named by indices (positions in the
@@ -384,11 +365,20 @@ func (c *Client) SendFile(peer string, f transfer.File, parts int) (transfer.Met
 // broker's union registry with no new accounting machinery; Bytes counts
 // only the pieces actually moved.
 func (c *Client) SendPieces(peer string, f transfer.File, pieces int, indices []int) (transfer.Metrics, error) {
+	return c.sendReported(peer, func(addr transport.Addr) (transfer.Metrics, error) {
+		return c.sender.SendPieces(addr, f, pieces, indices)
+	})
+}
+
+// sendReported resolves the peer, runs one transmission to it and reports
+// the outcome to the broker. A part counts as a message out whether or not
+// it was confirmed; Bytes is what the transmission set out to move.
+func (c *Client) sendReported(peer string, send func(transport.Addr) (transfer.Metrics, error)) (transfer.Metrics, error) {
 	addr, err := c.resolve(peer)
 	if err != nil {
 		return transfer.Metrics{}, err
 	}
-	m, sendErr := c.sender.SendPieces(addr, f, pieces, indices)
+	m, sendErr := send(addr)
 	c.msgsOut.Add(int64(len(m.Parts) + 1))
 	rep := reportTransfer{
 		Peer:          peer,

@@ -121,13 +121,6 @@ type SenderOptions struct {
 	// PetitionTimeout bounds the wait for the petition ack. Default 5
 	// minutes (the petition itself is tiny; only wake lag delays it).
 	PetitionTimeout time.Duration
-	// Pipelined streams every part without waiting for its application-level
-	// confirmation before sending the next; confirmations are collected
-	// after the last part leaves. The default (false) is the paper's
-	// stop-and-wait protocol — each part confirmed before the next is sent —
-	// which every figure measures. Pipelined mode isolates the protocol cost
-	// the paper never did.
-	Pipelined bool
 }
 
 func (o SenderOptions) withDefaults() SenderOptions {
@@ -159,128 +152,25 @@ func NewSender(host transport.Host, mux *pipe.Mux, opts SenderOptions) *Sender {
 // timing metrics; on error the metrics record everything up to the failure
 // with Failed set.
 func (s *Sender) Send(remote transport.Addr, f File, parts int) (Metrics, error) {
-	m := Metrics{
-		TransferID:  s.nextID.Add(1),
-		Peer:        remote.Node(),
-		FileName:    f.Name,
-		TotalBytes:  f.Size,
-		Granularity: parts,
-		Attempts:    1,
-	}
+	m := s.newMetrics(remote, f.Name, parts)
+	m.TotalBytes = f.Size
 	split, err := Split(f, parts)
 	if err != nil {
 		m.Failed = true
 		return m, err
 	}
-	conn, err := s.mux.Dial(remote)
-	if err != nil {
-		m.Failed = true
-		return m, fmt.Errorf("%w: %v", ErrFailed, err)
-	}
-	defer conn.Close()
-
-	// Petition.
-	m.PetitionSent = s.host.Now()
-	pet := petition{
-		TransferID: m.TransferID,
-		FileName:   f.Name,
-		Checksum:   f.Checksum(),
-		TotalSize:  f.Size,
-		Parts:      len(split),
-		Sender:     s.host.Name(),
-		SentAt:     m.PetitionSent,
-	}
-	if err := conn.Send(pet.encode()); err != nil {
-		m.Failed = true
-		return m, fmt.Errorf("%w: petition: %v", ErrFailed, err)
-	}
-	ackMsg, err := conn.RecvTimeout(s.opts.PetitionTimeout)
-	if err != nil {
-		m.Failed = true
-		return m, fmt.Errorf("%w: waiting petition ack: %v", ErrFailed, err)
-	}
-	kind, d, err := decodeKind(ackMsg.Payload)
-	if err != nil || kind != msgPetitionAck {
-		m.Failed = true
-		return m, fmt.Errorf("%w: unexpected reply %d to petition", ErrFailed, kind)
-	}
-	ack, err := decodePetitionAck(d)
-	if err != nil {
-		m.Failed = true
-		return m, fmt.Errorf("%w: petition ack: %v", ErrFailed, err)
-	}
-	m.PetitionAcked = s.host.Now()
-	m.PetitionReceived = ack.ReceivedAt
-	if !ack.Accept {
-		m.Failed = true
-		return m, fmt.Errorf("%w: %s", ErrRejected, ack.Reason)
-	}
-
-	if s.opts.Pipelined {
-		return s.sendPipelined(conn, m, split)
-	}
-
-	// Parts, stop-and-wait at the application level.
-	for _, p := range split {
-		pt := PartTiming{Index: p.Index, Size: p.Size, Started: s.host.Now()}
-		hdr := partHeader{
-			TransferID: m.TransferID,
-			Index:      p.Index,
-			Offset:     p.Offset,
-			Size:       p.Size,
-			Data:       p.Data,
-		}
-		if err := conn.SendSized(hdr.encode(), p.Size); err != nil {
-			m.Failed = true
-			m.Parts = append(m.Parts, pt)
-			return m, fmt.Errorf("%w: part %d: %v", ErrFailed, p.Index, err)
-		}
-		reply, err := conn.RecvTimeout(s.opts.PartAckTimeout)
-		if err != nil {
-			m.Failed = true
-			m.Parts = append(m.Parts, pt)
-			return m, fmt.Errorf("%w: waiting ack for part %d: %v", ErrFailed, p.Index, err)
-		}
-		kind, d, err := decodeKind(reply.Payload)
-		if err != nil || kind != msgPartAck {
-			m.Failed = true
-			m.Parts = append(m.Parts, pt)
-			return m, fmt.Errorf("%w: unexpected reply %d to part %d", ErrFailed, kind, p.Index)
-		}
-		pa, err := decodePartAck(d)
-		if err != nil {
-			m.Failed = true
-			m.Parts = append(m.Parts, pt)
-			return m, fmt.Errorf("%w: part ack: %v", ErrFailed, err)
-		}
-		if !pa.OK {
-			m.Failed = true
-			m.Parts = append(m.Parts, pt)
-			return m, fmt.Errorf("%w: receiver rejected part %d: %s", ErrFailed, p.Index, pa.Reason)
-		}
-		pt.Delivered = pa.DeliveredAt
-		pt.Confirmed = s.host.Now()
-		m.Parts = append(m.Parts, pt)
-	}
-	m.Done = s.host.Now()
-	return m, nil
+	return s.transmit(remote, m, f, len(split), nil, split)
 }
 
 // SendPieces transmits the pieces of f named by indices — positions in the
 // canonical pieces-way split — to the remote transfer service. Pieces are
-// always pipelined: a dissemination round batches every piece one holder
+// always streamed: a dissemination round batches every piece one holder
 // owes one downloader into a single conn, and the per-piece stop-and-wait
 // round-trip is exactly the protocol cost a swarm does not pay. Metrics
 // slots follow the order of indices; each PartTiming keeps the piece's
 // original index. TotalBytes counts only the selected pieces.
 func (s *Sender) SendPieces(remote transport.Addr, f File, pieces int, indices []int) (Metrics, error) {
-	m := Metrics{
-		TransferID:  s.nextID.Add(1),
-		Peer:        remote.Node(),
-		FileName:    f.Name,
-		Granularity: len(indices),
-		Attempts:    1,
-	}
+	m := s.newMetrics(remote, f.Name, len(indices))
 	split, err := Split(f, pieces)
 	if err != nil {
 		m.Failed = true
@@ -301,165 +191,186 @@ func (s *Sender) SendPieces(remote transport.Addr, f File, pieces int, indices [
 		m.Failed = true
 		return m, fmt.Errorf("transfer: no pieces selected for %q", f.Name)
 	}
+	return s.transmit(remote, m, f, len(split), indices, selected)
+}
+
+func (s *Sender) newMetrics(remote transport.Addr, fileName string, granularity int) Metrics {
+	return Metrics{
+		TransferID:  s.nextID.Add(1),
+		Peer:        remote.Node(),
+		FileName:    fileName,
+		Granularity: granularity,
+		Attempts:    1,
+	}
+}
+
+// transmit is the one path every transmission takes: a fresh conn, the
+// handshake, then parts — split's, or those of them indices names, in that
+// order — through the part stream. The call decides the mode: the whole
+// file (indices nil, Send) goes stop-and-wait, a selection (SendPieces)
+// streams.
+func (s *Sender) transmit(remote transport.Addr, m Metrics, f File, split int, indices []int, parts []Part) (Metrics, error) {
 	conn, err := s.mux.Dial(remote)
 	if err != nil {
 		m.Failed = true
 		return m, fmt.Errorf("%w: %v", ErrFailed, err)
 	}
 	defer conn.Close()
-
 	m.PetitionSent = s.host.Now()
-	pet := piecePetition{
+	pet := petition{
 		TransferID: m.TransferID,
 		FileName:   f.Name,
 		Checksum:   f.Checksum(),
 		TotalSize:  f.Size,
-		Pieces:     len(split),
+		Parts:      split,
 		Indices:    indices,
 		Sender:     s.host.Name(),
 		SentAt:     m.PetitionSent,
 	}
-	if err := conn.Send(pet.encode()); err != nil {
-		m.Failed = true
-		return m, fmt.Errorf("%w: piece petition: %v", ErrFailed, err)
+	if err = s.handshake(conn, &m, pet); err == nil {
+		m.Parts, err = s.stream(conn, m.TransferID, parts, indices != nil)
 	}
-	ackMsg, err := conn.RecvTimeout(s.opts.PetitionTimeout)
 	if err != nil {
 		m.Failed = true
-		return m, fmt.Errorf("%w: waiting piece petition ack: %v", ErrFailed, err)
-	}
-	kind, d, err := decodeKind(ackMsg.Payload)
-	if err != nil || kind != msgPetitionAck {
-		m.Failed = true
-		return m, fmt.Errorf("%w: unexpected reply %d to piece petition", ErrFailed, kind)
-	}
-	ack, err := decodePetitionAck(d)
-	if err != nil {
-		m.Failed = true
-		return m, fmt.Errorf("%w: piece petition ack: %v", ErrFailed, err)
-	}
-	m.PetitionAcked = s.host.Now()
-	m.PetitionReceived = ack.ReceivedAt
-	if !ack.Accept {
-		m.Failed = true
-		return m, fmt.Errorf("%w: %s", ErrRejected, ack.Reason)
-	}
-
-	// Pipelined part streams, confirmations collected as they land. Acks
-	// carry original piece indices; map them back to metric slots.
-	slotOf := make(map[int]int, len(selected))
-	for slot, p := range selected {
-		slotOf[p.Index] = slot
-	}
-	m.Parts = make([]PartTiming, len(selected))
-	sendErrs := s.host.NewQueue()
-	for slot, p := range selected {
-		slot, p := slot, p
-		s.host.Go(func() {
-			m.Parts[slot] = PartTiming{Index: p.Index, Size: p.Size, Started: s.host.Now()}
-			hdr := partHeader{
-				TransferID: m.TransferID,
-				Index:      p.Index,
-				Offset:     p.Offset,
-				Size:       p.Size,
-				Data:       p.Data,
-			}
-			if err := conn.SendSized(hdr.encode(), p.Size); err != nil {
-				sendErrs.Push(fmt.Errorf("%w: piece %d: %v", ErrFailed, p.Index, err))
-			}
-		})
-	}
-	fail := func(err error) (Metrics, error) {
-		m.Failed = true
-		if sendErrs.Len() > 0 {
-			if v, perr := sendErrs.Pop(); perr == nil {
-				return m, v.(error)
-			}
-		}
 		return m, err
-	}
-	for confirmed := 0; confirmed < len(selected); confirmed++ {
-		reply, err := conn.RecvTimeout(s.opts.PartAckTimeout)
-		if err != nil {
-			return fail(fmt.Errorf("%w: waiting piece acks (%d/%d): %v", ErrFailed, confirmed, len(selected), err))
-		}
-		kind, d, err := decodeKind(reply.Payload)
-		if err != nil || kind != msgPartAck {
-			return fail(fmt.Errorf("%w: unexpected reply %d while awaiting piece acks", ErrFailed, kind))
-		}
-		pa, err := decodePartAck(d)
-		if err != nil {
-			return fail(fmt.Errorf("%w: piece ack: %v", ErrFailed, err))
-		}
-		slot, known := slotOf[pa.Index]
-		if !pa.OK || !known {
-			return fail(fmt.Errorf("%w: receiver rejected piece %d: %s", ErrFailed, pa.Index, pa.Reason))
-		}
-		m.Parts[slot].Delivered = pa.DeliveredAt
-		m.Parts[slot].Confirmed = s.host.Now()
 	}
 	m.Done = s.host.Now()
 	return m, nil
 }
 
-// sendPipelined streams the parts through concurrent sender processes (the
-// pipe's Send blocks until the peer's pipe-level acknowledgment, so filling
-// its window takes concurrency), while the calling process collects the
-// application-level confirmations as they come back, in whatever order the
-// parts landed. The receiver still acknowledges each part as it arrives —
-// the same receive loop serves both modes; only the sender stops paying a
-// confirmation round-trip per part.
-func (s *Sender) sendPipelined(conn *pipe.Conn, m Metrics, split []Part) (Metrics, error) {
-	m.Parts = make([]PartTiming, len(split))
-	sendErrs := s.host.NewQueue()
-	for _, p := range split {
-		p := p
-		s.host.Go(func() {
-			m.Parts[p.Index] = PartTiming{Index: p.Index, Size: p.Size, Started: s.host.Now()}
-			hdr := partHeader{
-				TransferID: m.TransferID,
-				Index:      p.Index,
-				Offset:     p.Offset,
-				Size:       p.Size,
-				Data:       p.Data,
+// handshake sends the petition and waits for the receiver's decision,
+// stamping the petition instants as they become known. A refusal is
+// ErrRejected; everything else that goes wrong is ErrFailed.
+func (s *Sender) handshake(conn *pipe.Conn, m *Metrics, pet petition) error {
+	what := "petition"
+	if pet.Indices != nil {
+		what = "piece petition"
+	}
+	if err := conn.Send(pet.encode()); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrFailed, what, err)
+	}
+	ackMsg, err := conn.RecvTimeout(s.opts.PetitionTimeout)
+	if err != nil {
+		return fmt.Errorf("%w: waiting %s ack: %v", ErrFailed, what, err)
+	}
+	kind, d, err := decodeKind(ackMsg.Payload)
+	if err != nil || kind != msgPetitionAck {
+		return fmt.Errorf("%w: unexpected reply %d to %s", ErrFailed, kind, what)
+	}
+	ack, err := decodePetitionAck(d)
+	if err != nil {
+		return fmt.Errorf("%w: %s ack: %v", ErrFailed, what, err)
+	}
+	m.PetitionAcked = s.host.Now()
+	m.PetitionReceived = ack.ReceivedAt
+	if !ack.Accept {
+		return fmt.Errorf("%w: %s", ErrRejected, ack.Reason)
+	}
+	return nil
+}
+
+// stream is the part stream. Stop-and-wait is the paper's protocol: the
+// calling process sends one part at a time and waits for its confirmation
+// before the next leaves; on failure the timings stop at the part that
+// failed. Streamed, every part gets its own sending process (the pipe's
+// Send blocks until the peer's pipe-level acknowledgment, so filling its
+// window takes concurrency), spawned in slice order, while the calling
+// process collects the confirmations in whatever order the parts landed.
+// The receiver cannot tell the two apart: it confirms each part as it
+// arrives either way.
+func (s *Sender) stream(conn *pipe.Conn, id uint64, parts []Part, streamed bool) ([]PartTiming, error) {
+	timings := make([]PartTiming, len(parts))
+	if !streamed {
+		for n, p := range parts {
+			err := s.sendPart(conn, id, p, &timings[n], "part")
+			if err == nil {
+				err = s.awaitAck(conn, timings, nil, n)
 			}
-			if err := conn.SendSized(hdr.encode(), p.Size); err != nil {
-				sendErrs.Push(fmt.Errorf("%w: part %d: %v", ErrFailed, p.Index, err))
+			if err != nil {
+				return timings[:n+1], err
+			}
+		}
+		return timings, nil
+	}
+	// Acks carry original part indices; map them back to timing slots.
+	slotOf := make(map[int]int, len(parts))
+	sendErrs := s.host.NewQueue()
+	for slot, p := range parts {
+		slotOf[p.Index] = slot
+		s.host.Go(func() {
+			if err := s.sendPart(conn, id, p, &timings[slot], "piece"); err != nil {
+				sendErrs.Push(err)
 			}
 		})
 	}
-	fail := func(err error) (Metrics, error) {
-		m.Failed = true
-		// A send failure is the likelier root cause than the ack silence
-		// that follows it; surface it when one has been reported.
-		if sendErrs.Len() > 0 {
-			if v, perr := sendErrs.Pop(); perr == nil {
-				return m, v.(error)
+	for confirmed := range parts {
+		if err := s.awaitAck(conn, timings, slotOf, confirmed); err != nil {
+			// A send failure is the likelier root cause than the ack silence
+			// that follows it; surface it when one has been reported.
+			if sendErrs.Len() > 0 {
+				if v, perr := sendErrs.Pop(); perr == nil {
+					return timings, v.(error)
+				}
 			}
+			return timings, err
 		}
-		return m, err
 	}
-	for confirmed := 0; confirmed < len(split); confirmed++ {
-		reply, err := conn.RecvTimeout(s.opts.PartAckTimeout)
-		if err != nil {
-			return fail(fmt.Errorf("%w: waiting part acks (%d/%d): %v", ErrFailed, confirmed, len(split), err))
-		}
-		kind, d, err := decodeKind(reply.Payload)
-		if err != nil || kind != msgPartAck {
-			return fail(fmt.Errorf("%w: unexpected reply %d while awaiting part acks", ErrFailed, kind))
-		}
-		pa, err := decodePartAck(d)
-		if err != nil {
-			return fail(fmt.Errorf("%w: part ack: %v", ErrFailed, err))
-		}
-		if !pa.OK || pa.Index < 0 || pa.Index >= len(split) {
-			return fail(fmt.Errorf("%w: receiver rejected part %d: %s", ErrFailed, pa.Index, pa.Reason))
-		}
-		m.Parts[pa.Index].Delivered = pa.DeliveredAt
-		m.Parts[pa.Index].Confirmed = s.host.Now()
+	return timings, nil
+}
+
+// sendPart puts one part on the wire, stamping when it started.
+func (s *Sender) sendPart(conn *pipe.Conn, id uint64, p Part, pt *PartTiming, noun string) error {
+	*pt = PartTiming{Index: p.Index, Size: p.Size, Started: s.host.Now()}
+	hdr := partHeader{
+		TransferID: id,
+		Index:      p.Index,
+		Offset:     p.Offset,
+		Size:       p.Size,
+		Data:       p.Data,
 	}
-	m.Done = s.host.Now()
-	return m, nil
+	if err := conn.SendSized(hdr.encode(), p.Size); err != nil {
+		return fmt.Errorf("%w: %s %d: %v", ErrFailed, noun, p.Index, err)
+	}
+	return nil
+}
+
+// awaitAck waits for the next part confirmation and stamps the slot it
+// confirms. A stop-and-wait sender (slotOf nil) is blocked on slot n and
+// takes a confirmation of that part only; a streaming one has n
+// confirmations in and takes any part slotOf knows.
+func (s *Sender) awaitAck(conn *pipe.Conn, timings []PartTiming, slotOf map[int]int, n int) error {
+	noun := "part"
+	if slotOf != nil {
+		noun = "piece"
+	}
+	reply, err := conn.RecvTimeout(s.opts.PartAckTimeout)
+	if err != nil {
+		if slotOf != nil {
+			return fmt.Errorf("%w: waiting piece acks (%d/%d): %v", ErrFailed, n, len(timings), err)
+		}
+		return fmt.Errorf("%w: waiting ack for part %d: %v", ErrFailed, timings[n].Index, err)
+	}
+	kind, d, err := decodeKind(reply.Payload)
+	if err != nil || kind != msgPartAck {
+		if slotOf != nil {
+			return fmt.Errorf("%w: unexpected reply %d while awaiting piece acks", ErrFailed, kind)
+		}
+		return fmt.Errorf("%w: unexpected reply %d to part %d", ErrFailed, kind, timings[n].Index)
+	}
+	pa, err := decodePartAck(d)
+	if err != nil {
+		return fmt.Errorf("%w: %s ack: %v", ErrFailed, noun, err)
+	}
+	slot, known := n, pa.Index == timings[n].Index
+	if slotOf != nil {
+		slot, known = slotOf[pa.Index]
+	}
+	if !pa.OK || !known {
+		return fmt.Errorf("%w: receiver rejected %s %d: %s", ErrFailed, noun, pa.Index, pa.Reason)
+	}
+	timings[slot].Delivered = pa.DeliveredAt
+	timings[slot].Confirmed = s.host.Now()
+	return nil
 }
 
 // Received describes a completed inbound transfer handed to the receiver's
@@ -515,29 +426,19 @@ func (r *Receiver) Start() {
 	})
 }
 
-// handle serves one transfer conn.
+// handle serves one transfer conn, whichever petition opens it: admit,
+// answer, then receive, validate and confirm each announced part. A whole
+// file is reassembled and handed to OnFile; pieces are partial coverage by
+// construction, so there is no Join and no callback — the dissemination
+// engine owns the piece inventory on the driver side, and the receiver only
+// has to pace, validate and confirm.
 func (r *Receiver) handle(conn *pipe.Conn) {
 	defer conn.Close()
 	first, err := conn.RecvTimeout(r.opts.PartTimeout)
 	if err != nil {
 		return
 	}
-	kind, d, err := decodeKind(first.Payload)
-	if err != nil {
-		return
-	}
-	if kind == msgPiecePetition {
-		pp, err := decodePiecePetition(d)
-		if err != nil {
-			return
-		}
-		r.handlePieces(conn, pp)
-		return
-	}
-	if kind != msgPetition {
-		return
-	}
-	pet, err := decodePetition(d)
+	in, err := decodePetition(first.Payload)
 	if err != nil {
 		return
 	}
@@ -546,13 +447,13 @@ func (r *Receiver) handle(conn *pipe.Conn) {
 	// Parts sizes the reassembly buffers below and comes straight off the
 	// wire: refuse a count no sender of ours produces before allocating.
 	accept, reason := true, ""
-	if pet.Parts < 0 || pet.Parts > maxParts {
-		accept, reason = false, fmt.Sprintf("part count %d outside [0, %d]", pet.Parts, maxParts)
+	if in.Parts < 0 || in.Parts > maxParts {
+		accept, reason = false, fmt.Sprintf("part count %d outside [0, %d]", in.Parts, maxParts)
 	} else if r.opts.Accept != nil {
-		accept, reason = r.opts.Accept(pet.FileName, pet.TotalSize, pet.Parts, pet.Sender)
+		accept, reason = r.opts.Accept(in.FileName, in.TotalSize, in.Parts, in.Sender)
 	}
 	ack := petitionAck{
-		TransferID: pet.TransferID,
+		TransferID: in.TransferID,
 		Accept:     accept,
 		Reason:     reason,
 		ReceivedAt: receivedAt,
@@ -566,21 +467,36 @@ func (r *Receiver) handle(conn *pipe.Conn) {
 	// plus a conservative retransmission timeout, several times over.
 	// Giving up earlier leaves the sender talking to a dead conn (and the
 	// transfer failing long after it could have recovered).
-	partSize := pet.TotalSize
-	if pet.Parts > 0 {
-		partSize = pet.TotalSize / pet.Parts
+	partSize := in.TotalSize
+	if in.Parts > 0 {
+		partSize = in.TotalSize / in.Parts
 	}
 	perPart := r.opts.PartTimeout +
 		time.Duration(10*float64(partSize)/assumedFloorRate*float64(time.Second))
 
 	// Parts are accepted in any index order: a stop-and-wait sender delivers
-	// them strictly in order, a pipelined sender's concurrent part streams
+	// them strictly in order, a streaming sender's concurrent part streams
 	// may land interleaved. Each valid part is acknowledged as it arrives;
-	// an index outside the petition (or a repeat) rejects the transfer.
+	// an index outside the petition (or a repeat) rejects the transfer. A
+	// whole file expects every index of the split, tracked in a bitmap; a
+	// piece selection is sparse in a split of up to maxParts, so it is
+	// tracked as a set that shrinks.
 	start := r.host.Now()
-	parts := make([]Part, pet.Parts)
-	got := make([]bool, pet.Parts)
-	for i := 0; i < pet.Parts; i++ {
+	whole, expected := in.Indices == nil, len(in.Indices)
+	var parts []Part
+	var got []bool
+	var wanted map[int]bool
+	if whole {
+		expected = in.Parts
+		parts = make([]Part, expected)
+		got = make([]bool, expected)
+	} else {
+		wanted = make(map[int]bool, expected)
+		for _, i := range in.Indices {
+			wanted[i] = true
+		}
+	}
+	for i := 0; i < expected; i++ {
 		msg, err := conn.RecvTimeout(perPart)
 		if err != nil {
 			return
@@ -594,109 +510,48 @@ func (r *Receiver) handle(conn *pipe.Conn) {
 			return
 		}
 		delivered := r.host.Now()
-		ok, why := ph.Index >= 0 && ph.Index < pet.Parts && !got[ph.Index], ""
-		if !ok {
-			why = fmt.Sprintf("unexpected part %d of %d", ph.Index, pet.Parts)
+		ok, why := false, ""
+		if whole {
+			if ok = ph.Index >= 0 && ph.Index < expected && !got[ph.Index]; !ok {
+				why = fmt.Sprintf("unexpected part %d of %d", ph.Index, expected)
+			}
+		} else if ok = wanted[ph.Index]; !ok {
+			why = fmt.Sprintf("unexpected piece %d", ph.Index)
 		}
 		pa := partAck{
-			TransferID:  pet.TransferID,
+			TransferID:  in.TransferID,
 			Index:       ph.Index,
 			OK:          ok,
 			Reason:      why,
 			DeliveredAt: delivered,
-			Ready:       i+1 < pet.Parts,
+			Ready:       i+1 < expected,
 		}
-		if err := conn.Send(pa.encode()); err != nil {
+		if err := conn.Send(pa.encode()); err != nil || !ok {
 			return
 		}
-		if !ok {
-			return
+		if whole {
+			parts[ph.Index] = Part{Index: ph.Index, Offset: ph.Offset, Size: ph.Size, Data: ph.Data}
+			got[ph.Index] = true
+		} else {
+			delete(wanted, ph.Index)
 		}
-		parts[ph.Index] = Part{Index: ph.Index, Offset: ph.Offset, Size: ph.Size, Data: ph.Data}
-		got[ph.Index] = true
+	}
+	if !whole {
+		return
 	}
 
-	f, err := Join(pet.FileName, pet.TotalSize, parts)
+	f, err := Join(in.FileName, in.TotalSize, parts)
 	verified := err == nil
 	if verified && f.Data != nil {
-		verified = f.Checksum() == pet.Checksum
+		verified = f.Checksum() == in.Checksum
 	}
 	if r.opts.OnFile != nil {
 		r.opts.OnFile(Received{
-			TransferID: pet.TransferID,
-			Sender:     pet.Sender,
+			TransferID: in.TransferID,
+			Sender:     in.Sender,
 			File:       f,
 			Elapsed:    r.host.Now().Sub(start),
 			Verified:   verified,
 		})
-	}
-}
-
-// handlePieces serves one piece-indexed transmission: a piecePetition
-// followed by the named pieces in any order, each acknowledged exactly like
-// a whole-file part. The pieces are partial coverage by construction, so
-// there is no Join and no OnFile callback — the dissemination engine owns
-// the piece inventory on the driver side, and the receiver only has to
-// pace, validate, and confirm.
-func (r *Receiver) handlePieces(conn *pipe.Conn, pet piecePetition) {
-	receivedAt := r.host.Now()
-	accept, reason := true, ""
-	if r.opts.Accept != nil {
-		accept, reason = r.opts.Accept(pet.FileName, pet.TotalSize, pet.Pieces, pet.Sender)
-	}
-	ack := petitionAck{
-		TransferID: pet.TransferID,
-		Accept:     accept,
-		Reason:     reason,
-		ReceivedAt: receivedAt,
-	}
-	if err := conn.Send(ack.encode()); err != nil || !accept {
-		return
-	}
-
-	// Expected set doubles as the dedup filter: a repeat piece rejects.
-	expected := make(map[int]bool, len(pet.Indices))
-	for _, i := range pet.Indices {
-		expected[i] = true
-	}
-	partSize := pet.TotalSize
-	if pet.Pieces > 0 {
-		partSize = pet.TotalSize / pet.Pieces
-	}
-	perPart := r.opts.PartTimeout +
-		time.Duration(10*float64(partSize)/assumedFloorRate*float64(time.Second))
-	for i := 0; i < len(pet.Indices); i++ {
-		msg, err := conn.RecvTimeout(perPart)
-		if err != nil {
-			return
-		}
-		kind, d, err := decodeKind(msg.Payload)
-		if err != nil || kind != msgPart {
-			return
-		}
-		ph, err := decodePart(d)
-		if err != nil {
-			return
-		}
-		delivered := r.host.Now()
-		ok, why := expected[ph.Index], ""
-		if !ok {
-			why = fmt.Sprintf("unexpected piece %d", ph.Index)
-		}
-		pa := partAck{
-			TransferID:  pet.TransferID,
-			Index:       ph.Index,
-			OK:          ok,
-			Reason:      why,
-			DeliveredAt: delivered,
-			Ready:       i+1 < len(pet.Indices),
-		}
-		if err := conn.Send(pa.encode()); err != nil {
-			return
-		}
-		if !ok {
-			return
-		}
-		delete(expected, ph.Index)
 	}
 }

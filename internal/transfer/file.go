@@ -98,14 +98,12 @@ func Split(f File, n int) ([]Part, error) {
 }
 
 // Join reassembles parts (sorted by Index) and validates coverage. For
-// virtual files it checks offsets/sizes only.
+// virtual files it checks offsets/sizes only. totalSize and the parts'
+// fields may come straight off the wire: every check runs before anything
+// is allocated, and the buffer is then sized by bytes actually in hand.
 func Join(name string, totalSize int, parts []Part) (File, error) {
 	covered := 0
-	var data []byte
 	real := len(parts) > 0 && parts[0].Data != nil
-	if real {
-		data = make([]byte, totalSize)
-	}
 	for i, p := range parts {
 		if p.Index != i {
 			return File{}, fmt.Errorf("transfer: part %d out of order (index %d)", i, p.Index)
@@ -116,17 +114,20 @@ func Join(name string, totalSize int, parts []Part) (File, error) {
 		if p.Size <= 0 {
 			return File{}, fmt.Errorf("transfer: part %d has size %d", i, p.Size)
 		}
-		if real {
-			if len(p.Data) != p.Size {
-				return File{}, fmt.Errorf("transfer: part %d data length %d != size %d", i, len(p.Data), p.Size)
-			}
-			copy(data[p.Offset:], p.Data)
+		if real && len(p.Data) != p.Size {
+			return File{}, fmt.Errorf("transfer: part %d data length %d != size %d", i, len(p.Data), p.Size)
 		}
 		covered += p.Size
 	}
 	if covered != totalSize {
 		return File{}, fmt.Errorf("transfer: parts cover %d of %d bytes", covered, totalSize)
 	}
-	f := File{Name: name, Size: totalSize, Data: data}
+	f := File{Name: name, Size: totalSize}
+	if real {
+		f.Data = make([]byte, 0, totalSize)
+		for _, p := range parts {
+			f.Data = append(f.Data, p.Data...)
+		}
+	}
 	return f, nil
 }

@@ -16,41 +16,86 @@ const (
 	msgPiecePetition byte = 5
 )
 
-// petition announces an incoming file and its granularity.
+// petition announces an incoming transmission: the file, the part count of
+// its canonical split and, when only some parts of that split follow, which.
+// It travels as one of two frames. msgPetition, the whole file, has no
+// index list — the paper's petition keeps its exact frame bytes, so the
+// simulated timing (and with it every pre-dissemination golden) is
+// untouched. msgPiecePetition lists Indices after Parts. The receiver
+// answers either with the standard petitionAck and then standard partAcks.
 type petition struct {
 	TransferID uint64
 	FileName   string
 	Checksum   string
 	TotalSize  int
 	Parts      int
-	Sender     string
-	SentAt     time.Time
+	// Indices names the parts this transmission carries, by position in the
+	// split. nil means all of them, to be reassembled: the two frame kinds
+	// differ in exactly this, so a decoded piece petition is never nil here.
+	Indices []int
+	Sender  string
+	SentAt  time.Time
 }
 
 func (p petition) encode() []byte {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
-	e.Byte(msgPetition)
+	if p.Indices == nil {
+		e.Byte(msgPetition)
+	} else {
+		e.Byte(msgPiecePetition)
+	}
 	e.Uint64(p.TransferID)
 	e.String(p.FileName)
 	e.String(p.Checksum)
 	e.Int(p.TotalSize)
 	e.Int(p.Parts)
+	if p.Indices != nil {
+		e.Int(len(p.Indices))
+		for _, i := range p.Indices {
+			e.Int(i)
+		}
+	}
 	e.String(p.Sender)
 	e.Time(p.SentAt)
 	return e.Detach()
 }
 
-func decodePetition(d *wire.Decoder) (petition, error) {
+// decodePetition decodes the frame that opens a transfer conn: either
+// petition kind, and nothing else.
+func decodePetition(payload []byte) (petition, error) {
+	kind, d, err := decodeKind(payload)
+	if err != nil {
+		return petition{}, err
+	}
+	if kind != msgPetition && kind != msgPiecePetition {
+		return petition{}, fmt.Errorf("transfer: message %d where a petition was expected", kind)
+	}
 	p := petition{
 		TransferID: d.Uint64(),
 		FileName:   d.StringField(),
 		Checksum:   d.StringField(),
 		TotalSize:  d.Int(),
 		Parts:      d.Int(),
-		Sender:     d.StringField(),
-		SentAt:     d.Time(),
 	}
+	if kind == msgPiecePetition {
+		n := d.Int()
+		if err := d.Err(); err != nil {
+			return petition{}, err
+		}
+		if n < 0 || n > p.Parts {
+			return petition{}, fmt.Errorf("transfer: piece petition names %d of %d pieces", n, p.Parts)
+		}
+		if n > d.Remaining() { // each index needs at least 1 byte
+			return petition{}, fmt.Errorf("%w: %d piece indices in %d bytes", wire.ErrCorrupt, n, d.Remaining())
+		}
+		p.Indices = make([]int, 0, n)
+		for i := 0; i < n; i++ {
+			p.Indices = append(p.Indices, d.Int())
+		}
+	}
+	p.Sender = d.StringField()
+	p.SentAt = d.Time()
 	return p, d.Finish()
 }
 
@@ -81,72 +126,6 @@ func decodePetitionAck(d *wire.Decoder) (petitionAck, error) {
 		Reason:     d.StringField(),
 		ReceivedAt: d.Time(),
 	}
-	return p, d.Finish()
-}
-
-// piecePetition announces a piece-indexed transmission: a subset of the
-// file's canonical split, identified by original piece indices. It is a
-// new message kind — the whole-file petition keeps its exact frame bytes,
-// so the simulated timing (and with it every pre-dissemination golden) is
-// untouched. The receiver replies with the standard petitionAck and then
-// standard partAcks.
-type piecePetition struct {
-	TransferID uint64
-	FileName   string
-	Checksum   string
-	TotalSize  int
-	Pieces     int   // the canonical split's piece count
-	Indices    []int // which pieces this transmission carries
-	Sender     string
-	SentAt     time.Time
-}
-
-func (p piecePetition) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(msgPiecePetition)
-	e.Uint64(p.TransferID)
-	e.String(p.FileName)
-	e.String(p.Checksum)
-	e.Int(p.TotalSize)
-	e.Int(p.Pieces)
-	e.Int(len(p.Indices))
-	for _, i := range p.Indices {
-		e.Int(i)
-	}
-	e.String(p.Sender)
-	e.Time(p.SentAt)
-	return e.Detach()
-}
-
-func decodePiecePetition(d *wire.Decoder) (piecePetition, error) {
-	p := piecePetition{
-		TransferID: d.Uint64(),
-		FileName:   d.StringField(),
-		Checksum:   d.StringField(),
-		TotalSize:  d.Int(),
-		Pieces:     d.Int(),
-	}
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return piecePetition{}, err
-	}
-	if n < 0 || n > p.Pieces {
-		return piecePetition{}, fmt.Errorf("transfer: piece petition names %d of %d pieces", n, p.Pieces)
-	}
-	if n > d.Remaining() { // each index needs at least 1 byte
-		return piecePetition{}, fmt.Errorf("%w: %d piece indices in %d bytes", wire.ErrCorrupt, n, d.Remaining())
-	}
-	p.Indices = make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		idx := d.Int()
-		if err := d.Err(); err != nil {
-			return piecePetition{}, err
-		}
-		p.Indices = append(p.Indices, idx)
-	}
-	p.Sender = d.StringField()
-	p.SentAt = d.Time()
 	return p, d.Finish()
 }
 

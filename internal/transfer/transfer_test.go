@@ -170,10 +170,6 @@ type xferRig struct {
 }
 
 func newXferRig(t *testing.T, src, dst simnet.Profile, ropts ReceiverOptions) *xferRig {
-	return newXferRigOpts(t, src, dst, SenderOptions{}, ropts)
-}
-
-func newXferRigOpts(t *testing.T, src, dst simnet.Profile, sopts SenderOptions, ropts ReceiverOptions) *xferRig {
 	t.Helper()
 	n := simnet.New(11)
 	a := n.MustAddNode("src", src)
@@ -190,7 +186,7 @@ func newXferRigOpts(t *testing.T, src, dst simnet.Profile, sopts SenderOptions, 
 	muxA := pipe.NewMux(a, epA, pipe.Options{MaxRetries: 12})
 	muxB := pipe.NewMux(b, epB, pipe.Options{MaxRetries: 12})
 	rig.mux = muxA
-	rig.sender = NewSender(a, muxA, sopts)
+	rig.sender = NewSender(a, muxA, SenderOptions{})
 	userOnFile := ropts.OnFile
 	ropts.OnFile = func(rc Received) {
 		rig.received = append(rig.received, rc)
@@ -353,6 +349,56 @@ func TestPetitionPartCountOutOfRangeRefused(t *testing.T) {
 	}
 }
 
+// TestPetitionTotalSizeOutOfRangeNotAllocated: a petition's TotalSize is the
+// sender's word and reaches Join, which used to size the reassembly buffer
+// from it before looking at the parts — a negative size panicked the
+// receiver (makeslice: len out of range) and 2^40 asked for a terabyte. One
+// real byte follows each hostile petition: the part is confirmed, the join
+// fails on coverage with nothing of that size allocated, no verified file
+// is delivered, and the receiver still serves the next, honest transfer.
+func TestPetitionTotalSizeOutOfRangeNotAllocated(t *testing.T) {
+	rig := newXferRig(t, fastProfile(), fastProfile(), ReceiverOptions{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rig.net.Run(func() {
+		for _, total := range []int{-1, 1 << 40} {
+			conn, err := rig.mux.Dial("dst/xfer")
+			if err != nil {
+				t.Errorf("total=%d: dial: %v", total, err)
+				return
+			}
+			pet := petition{TransferID: 7, FileName: "evil", TotalSize: total, Parts: 1, Sender: "src"}
+			part := partHeader{TransferID: 7, Index: 0, Offset: 0, Size: 1, Data: []byte{0xff}}
+			for _, frame := range [][]byte{pet.encode(), part.encode()} {
+				if err := conn.Send(frame); err != nil {
+					t.Errorf("total=%d: send: %v", total, err)
+					return
+				}
+				if _, err := conn.Recv(); err != nil {
+					t.Errorf("total=%d: no ack: %v", total, err)
+					return
+				}
+			}
+			conn.Close()
+		}
+		if _, err := rig.sender.Send("dst/xfer", NewFile("ok", []byte("honest bytes")), 2); err != nil {
+			t.Errorf("honest transfer after the hostile ones: %v", err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("joining the hostile transfers allocated %d MB", grew>>20)
+	}
+	if len(rig.received) != 3 {
+		t.Fatalf("%d transfers completed, want 3", len(rig.received))
+	}
+	for i, rc := range rig.received {
+		if want := i == 2; rc.Verified != want {
+			t.Fatalf("transfer %d (%q): verified = %v, want %v", i, rc.File.Name, rc.Verified, want)
+		}
+	}
+}
+
 func TestAcceptCallbackSeesPetitionFields(t *testing.T) {
 	var gotName, gotFrom string
 	var gotSize, gotParts int
@@ -428,65 +474,64 @@ func TestSendToDeadPeerFails(t *testing.T) {
 	}
 }
 
-// pipelinedRun measures one 8-part transfer on a high-latency path in the
-// given sender mode and returns its metrics and the received files.
-func pipelinedRun(t *testing.T, pipelined bool) (Metrics, []Received) {
+// confirmationRun sends one 8-part file on a high-latency path — stop-and-wait
+// through Send, or all eight pieces streamed through SendPieces — and returns
+// its metrics.
+func confirmationRun(t *testing.T, streamed bool) Metrics {
 	t.Helper()
 	src, dst := fastProfile(), fastProfile()
 	src.LatencyOneWay = 150 * time.Millisecond
 	dst.LatencyOneWay = 150 * time.Millisecond
-	rig := newXferRigOpts(t, src, dst, SenderOptions{Pipelined: pipelined}, ReceiverOptions{})
+	rig := newXferRig(t, src, dst, ReceiverOptions{})
+	file := NewVirtualFile("stream.bin", 4*Mb, 7)
 	var m Metrics
 	var err error
 	rig.net.Run(func() {
-		m, err = rig.sender.Send("dst/xfer", NewVirtualFile("stream.bin", 4*Mb, 7), 8)
+		if streamed {
+			m, err = rig.sender.SendPieces("dst/xfer", file, 8, []int{0, 1, 2, 3, 4, 5, 6, 7})
+		} else {
+			m, err = rig.sender.Send("dst/xfer", file, 8)
+		}
 	})
 	if err != nil {
-		t.Fatalf("pipelined=%v: %v", pipelined, err)
+		t.Fatalf("streamed=%v: %v", streamed, err)
 	}
-	return m, rig.received
+	return m
 }
 
 // TestPipelinedIsolatesConfirmationCost quantifies what the paper never
 // isolated: the application-level stop-and-wait confirmation burns one
-// round-trip per part, which a pipelined sender does not pay. The default
-// mode's results are untouched — TestGranularityWholeSlowerThanParts and the
-// experiment harness's Fig5 shape test pin the Figure-5 shape in the default
-// (stop-and-wait) protocol, and the acceptance run checks figure output is
-// byte-identical to the pre-pipelining engine.
+// round-trip per part, which a streaming sender does not pay. Both calls run
+// the same part stream against the same receive loop, so the difference is
+// the confirmation wait and nothing else. The stop-and-wait results are
+// pinned by TestGranularityWholeSlowerThanParts, the experiment harness's
+// Fig5 shape test and TestTransferTranscript.
 func TestPipelinedIsolatesConfirmationCost(t *testing.T) {
-	stopWait, recvSW := pipelinedRun(t, false)
-	piped, recvP := pipelinedRun(t, true)
-	if len(recvSW) != 1 || !recvSW[0].Verified || len(recvP) != 1 || !recvP[0].Verified {
-		t.Fatalf("files not delivered intact: %d/%d", len(recvSW), len(recvP))
-	}
+	stopWait := confirmationRun(t, false)
+	piped := confirmationRun(t, true)
 	// 8 parts at 300ms RTT: stop-and-wait pays ~7 extra round-trips.
 	saved := stopWait.TransmissionTime() - piped.TransmissionTime()
 	if saved < time.Second {
-		t.Fatalf("pipelining saved only %v (stop-and-wait %v, pipelined %v); expected >=1s of confirmation RTTs",
+		t.Fatalf("streaming saved only %v (stop-and-wait %v, streamed %v); expected >=1s of confirmation RTTs",
 			saved, stopWait.TransmissionTime(), piped.TransmissionTime())
 	}
-	// Pipelined metrics are still complete: every part delivered, confirmed,
-	// in order, and counted as one attempt.
-	if piped.Attempts != 1 || stopWait.Attempts != 1 {
-		t.Fatalf("attempts = %d/%d, want 1", piped.Attempts, stopWait.Attempts)
-	}
-	if len(piped.Parts) != 8 {
-		t.Fatalf("pipelined parts = %d", len(piped.Parts))
-	}
-	for i, pt := range piped.Parts {
-		if pt.Delivered.IsZero() || pt.Confirmed.Before(pt.Started) {
-			t.Fatalf("pipelined part %d timing incomplete: %+v", i, pt)
+	// Both records are complete: every part delivered, confirmed, in slot
+	// order, and counted as one attempt.
+	for name, m := range map[string]Metrics{"stop-and-wait": stopWait, "streamed": piped} {
+		if m.Attempts != 1 || m.Done.IsZero() || m.Failed || len(m.Parts) != 8 {
+			t.Fatalf("%s metrics = %+v", name, m)
 		}
-	}
-	if piped.Done.IsZero() || piped.Failed {
-		t.Fatalf("pipelined metrics = %+v", piped)
+		for i, pt := range m.Parts {
+			if pt.Index != i || pt.Delivered.IsZero() || pt.Confirmed.Before(pt.Started) {
+				t.Fatalf("%s part %d timing incomplete: %+v", name, i, pt)
+			}
+		}
 	}
 }
 
-// TestDefaultModeDeterministicRegression pins the default (stop-and-wait)
-// path across the pipelining refactor: identical seeds produce bit-identical
-// metrics, the shape Figure 5 is built from.
+// TestDefaultModeDeterministicRegression pins the stop-and-wait path:
+// identical seeds produce bit-identical metrics, the shape Figure 5 is built
+// from.
 func TestDefaultModeDeterministicRegression(t *testing.T) {
 	run := func() Metrics {
 		rig := newXferRig(t, fastProfile(), fastProfile(), ReceiverOptions{})
@@ -560,25 +605,39 @@ func TestMetricsDerivations(t *testing.T) {
 // to reserve 8 GB.
 func TestDecodePiecePetitionBoundsCount(t *testing.T) {
 	e := wire.NewEncoder(32)
+	e.Byte(msgPiecePetition)
 	e.Uint64(1)
 	e.String("f")
 	e.String("")
 	e.Int(1 << 30)
 	e.Int(1 << 30) // Pieces
 	e.Int(1 << 30) // index count, and then no indices
-	if _, err := decodePiecePetition(wire.NewDecoder(e.Bytes())); !errors.Is(err, wire.ErrCorrupt) {
+	if _, err := decodePetition(e.Bytes()); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("hostile count: err = %v, want ErrCorrupt", err)
 	}
-	in := piecePetition{TransferID: 9, FileName: "f", Checksum: "c", TotalSize: 1000, Pieces: 8,
+	in := petition{TransferID: 9, FileName: "f", Checksum: "c", TotalSize: 1000, Parts: 8,
 		Indices: []int{1, 5, 7}, Sender: "sc1", SentAt: time.Unix(0, 12345).UTC()}
 	raw := in.encode()
-	out, err := decodePiecePetition(wire.NewDecoder(raw[1:]))
-	if err != nil || !reflect.DeepEqual(out, in) {
-		t.Fatalf("roundtrip = %+v, %v", out, err)
+	out, err := decodePetition(raw)
+	if raw[0] != msgPiecePetition || err != nil || !reflect.DeepEqual(out, in) {
+		t.Fatalf("roundtrip = kind %d, %+v, %v", raw[0], out, err)
 	}
-	for cut := 1; cut < len(raw); cut++ {
-		if _, err := decodePiecePetition(wire.NewDecoder(raw[1:cut])); err == nil {
+	for cut := 0; cut < len(raw); cut++ {
+		if _, err := decodePetition(raw[:cut]); err == nil {
 			t.Fatalf("petition cut at %d of %d decoded without error", cut, len(raw))
 		}
+	}
+	// The whole-file frame is the same struct without the index list, and a
+	// piece petition that names nothing still decodes as a piece petition.
+	in.Indices = nil
+	raw = in.encode()
+	out, err = decodePetition(raw)
+	if raw[0] != msgPetition || err != nil || !reflect.DeepEqual(out, in) {
+		t.Fatalf("whole-file roundtrip = kind %d, %+v, %v", raw[0], out, err)
+	}
+	in.Indices = []int{}
+	raw = in.encode()
+	if out, err = decodePetition(raw); raw[0] != msgPiecePetition || err != nil || out.Indices == nil {
+		t.Fatalf("empty selection roundtrip = kind %d, %+v, %v", raw[0], out, err)
 	}
 }
