@@ -10,9 +10,11 @@ import (
 
 // TestSameInstantWakeOrderGoldenThroughHandoff pins the exact dispatch order
 // of a mixed same-instant batch — sleepers scheduled in one order, AfterFunc
-// callbacks in another, fresh spawns racing both — through the direct-handoff
-// path. The golden sequence is schedule (seq) order, which is the contract
-// every experiment's byte-identical event stream rests on.
+// callbacks in another, fresh spawns racing both — as the driver hands the
+// execution slot from one coroutine to the next. The golden sequence is
+// schedule (seq) order, which is the contract every experiment's
+// byte-identical event stream rests on; it predates the coroutine driver
+// and did not move with it.
 func TestSameInstantWakeOrderGoldenThroughHandoff(t *testing.T) {
 	s := NewScheduler()
 	var order []string
@@ -160,10 +162,11 @@ func TestPoolSharedAcrossSchedulers(t *testing.T) {
 	}
 }
 
-// TestHandoffUnderConcurrentPush hammers the grant handoff from a real OS
-// thread racing the scheduler: an external producer pushes while pooled
-// processes pop and exit. Run with -race, this covers the pool's channel
-// handoff and the waiter's v-field publication.
+// TestHandoffUnderConcurrentPush races a real OS thread against the
+// scheduler's lock: an external producer pushes — filling park slots and
+// appending to the ready ring — before and while a driver runs pooled
+// processes that pop and exit. Run with -race, this covers the park slot's
+// publication from a foreign goroutine through the driver to the coroutine.
 func TestHandoffUnderConcurrentPush(t *testing.T) {
 	s := NewScheduler()
 	q := NewQueue(s)
@@ -190,9 +193,99 @@ func TestHandoffUnderConcurrentPush(t *testing.T) {
 			s.Go(func() { s.Sleep(time.Microsecond) })
 		}
 	})
+	s.Wait() // drives while the producer may still be pushing
 	wg.Wait()
-	s.Wait()
+	s.Wait() // whatever the producer pushed after the first driver quiesced
 	if want := n * (n - 1) / 2; sum != want {
 		t.Fatalf("sum of popped values = %d, want %d", sum, want)
+	}
+}
+
+// mustPanic runs fn and returns the value it panicked with, failing the
+// test if it returned normally.
+func mustPanic(t *testing.T, what string, fn func()) (r any) {
+	t.Helper()
+	defer func() {
+		if r = recover(); r == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+	return nil
+}
+
+// TestBlockingOutsideProcessPanics: a goroutine that is not a scheduler
+// process has no driver to yield to, so parking it could only hang. Each
+// blocking primitive must panic instead, release the lock on the way out,
+// and leave the scheduler usable.
+func TestBlockingOutsideProcessPanics(t *testing.T) {
+	const want = "vtime: blocking primitive called from outside a scheduler process"
+	s := NewScheduler()
+	q := NewQueue(s)
+	for what, fn := range map[string]func(){
+		"Sleep":      func() { s.Sleep(time.Second) },
+		"Pop":        func() { q.Pop() },
+		"PopTimeout": func() { q.PopTimeout(time.Second) },
+	} {
+		if got := mustPanic(t, what+" from the test goroutine", fn); got != want {
+			t.Errorf("%s panicked with %q, want %q", what, got, want)
+		}
+	}
+	// Not parking is fine from anywhere: a buffered value pops at once.
+	q.Push(7)
+	if v, err := q.Pop(); v != 7 || err != nil {
+		t.Fatalf("Pop of a buffered value from outside = %v, %v", v, err)
+	}
+	ran := false
+	s.Go(func() { s.Sleep(time.Second); ran = true })
+	s.Wait()
+	if !ran || s.Pending() != 0 || s.Elapsed() != time.Second {
+		t.Fatalf("scheduler unusable after the panics: ran=%v pending=%d elapsed=%v", ran, s.Pending(), s.Elapsed())
+	}
+}
+
+// TestWaitInsideProcessPanics: the driver is blocked inside resume while a
+// process runs, so a process that waits for quiescence waits for itself. The
+// panic crosses the coroutine boundary and surfaces in the driving Wait.
+func TestWaitInsideProcessPanics(t *testing.T) {
+	s := NewScheduler()
+	s.SetPool(NewPool()) // the panicking coroutine is lost to its pool
+	s.Go(func() { s.Wait() })
+	got := mustPanic(t, "Wait from inside a process", s.Wait)
+	if want := "vtime: Wait called from inside a scheduler process"; got != want {
+		t.Fatalf("panicked with %q, want %q", got, want)
+	}
+	if s.Running() != 0 {
+		t.Fatalf("Running = %d after the process died, want 0", s.Running())
+	}
+	s.Wait() // the failed driver stepped down; a new one may drive
+}
+
+// TestSecondWaitBlocksUntilDriverQuiesces: with one goroutine driving, a
+// second Wait caller is not a process calling Wait — it must neither panic
+// nor drive, and it returns only once the world has quiesced.
+func TestSecondWaitBlocksUntilDriverQuiesces(t *testing.T) {
+	s := NewScheduler()
+	started, gate := make(chan struct{}), make(chan struct{})
+	finished := false
+	s.Go(func() {
+		close(started)
+		<-gate // holds the first driver inside this process, in real time
+		s.Sleep(time.Hour)
+		finished = true
+	})
+	first, second := make(chan struct{}), make(chan bool)
+	go func() { s.Wait(); close(first) }()
+	<-started
+	go func() { s.Wait(); second <- finished }()
+	select {
+	case <-second:
+		t.Fatal("second Wait returned while the first was still driving")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	<-first
+	if sawFinished := <-second; !sawFinished {
+		t.Fatal("second Wait returned before the world quiesced")
 	}
 }

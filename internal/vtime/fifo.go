@@ -1,0 +1,54 @@
+package vtime
+
+// fifo is a head-indexed FIFO over one backing array: pop advances the head
+// instead of re-slicing (which would give the array's capacity away and
+// make the next push allocate), the array resets when the queue drains, and
+// a push that finds it full with at least half of it dead slides the live
+// region down rather than growing. A queue that fills and drains over and
+// over — a socket buffer, a wait list, the ready ring — settles on one
+// allocation.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+// live returns the queued values, oldest first. The slice aliases the
+// backing array and is valid until the next push, pop or remove.
+func (f *fifo[T]) live() []T { return f.buf[f.head:] }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && f.head >= len(f.buf)/2 {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// pop removes and returns the oldest value; ok is false on an empty queue.
+func (f *fifo[T]) pop() (v T, ok bool) {
+	if f.head == len(f.buf) {
+		return v, false
+	}
+	var zero T
+	v, f.buf[f.head] = f.buf[f.head], zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v, true
+}
+
+// remove deletes live()[i], keeping the order of the rest.
+func (f *fifo[T]) remove(i int) {
+	var zero T
+	live := f.live()
+	copy(live[i:], live[i+1:])
+	live[len(live)-1] = zero
+	f.buf = f.buf[:len(f.buf)-1]
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+}

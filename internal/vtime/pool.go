@@ -1,34 +1,39 @@
 package vtime
 
-import "sync"
+import (
+	"iter"
+	"sync"
+)
 
-// Pool is a reservoir of worker goroutines that scheduler processes execute
-// on. Simulations at 10k–100k peers start and finish millions of short
-// processes (flows, timer fires, per-connection handlers); without a pool
-// each one costs a goroutine spawn and teardown, and the transient stacks
-// dominate both allocation and GC stack-scanning time. A pool keeps exited
-// processes' warm stacks on an idle list (most recently parked first, for
-// cache locality) and runs the next process on one of them.
+// Pool is a reservoir of the coroutines scheduler processes execute on.
+// Simulations at 10k–100k peers start and finish millions of short
+// processes (flows, timer fires, per-connection handlers); a coroutine costs
+// a stack and some fifteen allocations to create, so without a pool the
+// transient stacks would dominate both allocation and GC stack-scanning
+// time. A pool keeps finished processes' coroutines on an idle list (most
+// recently finished first, for cache locality) and runs the next process on
+// one of them.
 //
-// Reuse is invisible to the simulation by construction: the dispatcher
-// orders processes by their admission to the ready ring (spawn order, wake
-// order), and which goroutine a closure happens to run on plays no part in
-// that order. A pool may therefore be shared freely — by every scheduler in
-// the process (the default, see SharedPool), and in particular across sweep
+// Reuse is invisible to the simulation by construction: a scheduler orders
+// processes by their admission to its ready ring (spawn order, wake order),
+// and which coroutine a closure happens to run on plays no part in that
+// order. A pool may therefore be shared freely — by every scheduler in the
+// program (the default, see SharedPool), and in particular across sweep
 // cells, so a 65k-peer cell inherits the previous cell's warm stacks
-// instead of spawning its own.
+// instead of growing its own.
 //
-// Pool is safe for concurrent use. A worker that picks up a job for one
-// scheduler parks inside that scheduler's primitives as usual; it returns
-// to the idle list only after its process exits.
+// Pool is safe for concurrent use. A coroutine belongs to whichever
+// scheduler's driver last took it; it parks inside that scheduler's
+// primitives as usual and returns to the idle list only when its process
+// returns.
 type Pool struct {
 	mu      sync.Mutex
 	idle    *pworker // LIFO free list
 	spawned int64    // workers ever created
-	reused  int64    // dispatches served by an idle worker
+	reused  int64    // processes served by an idle worker
 }
 
-// NewPool returns an empty pool. Workers are spawned on demand and never
+// NewPool returns an empty pool. Workers are created on demand and never
 // expire; a pool's high-water mark is the peak number of simultaneously
 // live processes it ever served.
 func NewPool() *Pool { return &Pool{} }
@@ -40,66 +45,72 @@ var sharedPool = NewPool()
 // stacks.
 func SharedPool() *Pool { return sharedPool }
 
-// Stats reports how many workers the pool ever spawned and how many
-// dispatches were served by reusing an idle worker. Useful in tests
-// asserting that recycling actually happens.
+// Stats reports how many workers the pool ever created and how many
+// processes were served by reusing an idle one. Useful in tests asserting
+// that recycling actually happens.
 func (p *Pool) Stats() (spawned, reused int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.spawned, p.reused
 }
 
-// pworker is one pooled worker goroutine, identified by its job channel.
+// pworker is one pooled coroutine and, while a process runs on it, that
+// process's identity to the scheduler. A process is parked in at most one
+// place at a time, so the state of that park lives here rather than in a
+// waiter allocated per Pop.
 type pworker struct {
-	next *pworker
-	job  chan poolJob
+	next   *pworker                // idle list link
+	resume func() (struct{}, bool) // driver side: run until the next yield
+	yield  func(struct{}) bool     // coroutine side: switch back to the driver
+	fn     func()                  // the process, handed over by the driver; nil once it returned
+
+	// Park slot. A waker stores the result of a Pop in v before making the
+	// process runnable; deadline is that Pop's armed timeout, if any. Both
+	// are guarded by the parking scheduler's lock until the process resumes.
+	v        any
+	deadline *timerEntry
 }
 
-// poolJob is one process to run: fn under scheduler s's process accounting.
-type poolJob struct {
-	s  *Scheduler
-	fn func()
-}
-
-// dispatch hands j to an idle worker, spawning one if none is parked. The
-// job channel has capacity 1, so dispatch never blocks and is safe to call
-// with a scheduler's mutex held (the pool mutex is a leaf lock: workers
-// take it only after releasing every scheduler lock).
-func (p *Pool) dispatch(j poolJob) {
+// get takes an idle worker, creating one if none is parked. The pool mutex
+// is a leaf lock, so get is safe to call with a scheduler's mutex held.
+func (p *Pool) get() *pworker {
 	p.mu.Lock()
 	if w := p.idle; w != nil {
 		p.idle = w.next
 		p.reused++
 		p.mu.Unlock()
 		w.next = nil
-		w.job <- j
-		return
+		return w
 	}
 	p.spawned++
 	p.mu.Unlock()
-	w := &pworker{job: make(chan poolJob, 1)}
-	w.job <- j
-	go p.work(w)
+	w := &pworker{}
+	// The stop function is dropped: workers never expire.
+	w.resume, _ = iter.Pull(w.loop)
+	return w
 }
 
-func (p *Pool) work(w *pworker) {
-	for j := range w.job {
-		j.run(p, w)
+// loop is the body of the coroutine: run the process the driver handed
+// over, yield — and when resumed again, a new process is waiting in fn. If
+// a process panics, the panic surfaces in the driver's resume call and the
+// coroutine is gone.
+func (w *pworker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.fn()
+		w.fn = nil
+		yield(struct{}{})
 	}
 }
 
-// run executes one process. The deferred calls run in order: the worker
-// rejoins the idle list first, then the process exits (handing the
-// execution slot to the next ready process — possibly a closure dispatched
-// right back onto this worker's buffered job channel, which is the direct
-// handoff degenerating into "the same stack keeps going"). If fn panics the
-// program is crashing; the worker goroutine dies with it.
-func (j poolJob) run(p *Pool, w *pworker) {
-	defer j.s.exit()
-	defer p.put(w)
-	j.fn()
-}
+// park switches from the running process back to its driver; it returns
+// when the driver resumes the process.
+func (w *pworker) park() { w.yield(struct{}{}) }
 
+// put returns a worker whose process has returned to the idle list. The
+// driver calls it once the coroutine has yielded, never the coroutine
+// itself: a worker visible on the list may be resumed by another
+// scheduler's driver at once.
 func (p *Pool) put(w *pworker) {
 	p.mu.Lock()
 	w.next = p.idle

@@ -2,7 +2,6 @@ package vtime
 
 import (
 	"errors"
-	"sync"
 	"time"
 )
 
@@ -10,33 +9,21 @@ import (
 var ErrClosed = errors.New("vtime: queue closed")
 
 // Queue is an unbounded FIFO of values integrated with the scheduler: Pop
-// parks the calling process without stalling virtual time, and Push (from a
-// process or a link-delivery callback) wakes the oldest waiter.
+// parks the calling process — a yield to the driver, which runs whatever is
+// ready next — without stalling virtual time, and Push (from a process, a
+// timer or any other goroutine) hands the value to the oldest waiter and
+// makes it runnable.
 //
 // Queue is the rendezvous point between simulated network links and protocol
 // code: it plays the role a socket receive buffer plays in a real host.
+// Buffered values and parked processes both sit in head-indexed FIFOs that
+// keep their backing arrays, so a queue in steady use allocates nothing.
 type Queue struct {
 	s      *Scheduler
-	items  []any
-	waits  []*qwaiter
+	items  fifo[any]
+	waits  fifo[*pworker] // parked Pops, oldest first; each waiter's slot is in its pworker
 	closed bool
 }
-
-// qwaiter is one parked Pop. The waker stores the result in v under the
-// scheduler lock and sends the single wake signal (directly, or later from
-// the dispatch ring via yieldLocked); the parked process receives once and
-// reads v — one channel operation and one goroutine wakeup per handoff.
-type qwaiter struct {
-	wake     chan struct{}
-	v        any
-	deadline *timerEntry // non-nil if a Pop timeout is armed
-}
-
-// qwaiterPool recycles waiters (and their cap-1 wake channels). A waiter is
-// referenced only by its parked process and q.waits; by the time the process
-// has received the wake the waker has dropped its reference, so the process
-// owns the waiter and may return it.
-var qwaiterPool = sync.Pool{New: func() any { return &qwaiter{wake: make(chan struct{}, 1)} }}
 
 // NewQueue returns an empty queue bound to the scheduler.
 func NewQueue(s *Scheduler) *Queue {
@@ -51,25 +38,42 @@ func (q *Queue) Push(v any) error {
 	return q.pushLocked(v)
 }
 
-// pushLocked is Push with the scheduler lock held; link-delivery callbacks
-// use it directly.
+// pushLocked is Push with the scheduler lock held; a PushAt timer fires
+// through it.
 func (q *Queue) pushLocked(v any) error {
 	if q.closed {
 		return ErrClosed
 	}
-	if len(q.waits) > 0 {
-		w := q.waits[0]
-		q.waits = q.waits[1:]
-		q.s.cancelLocked(w.deadline)
-		w.deadline = nil
-		w.v = v
-		q.s.parked--
-		q.s.running++
-		q.s.wakeLocked(w.wake)
+	if w, ok := q.waits.pop(); ok {
+		q.deliverLocked(w, v)
 		return nil
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	return nil
+}
+
+// deliverLocked ends w's park with result v: its deadline, if armed, is
+// dropped and it joins the ready ring. w is already off the wait list.
+// Caller holds the scheduler lock.
+func (q *Queue) deliverLocked(w *pworker, v any) {
+	q.s.cancelLocked(w.deadline)
+	w.deadline = nil
+	w.v = v
+	q.s.parked--
+	q.s.admitLocked(readyItem{w: w})
+}
+
+// expireLocked fires w's Pop deadline: w leaves the wait list, wherever in
+// it it stands, and wakes with ErrTimeout. Caller holds the scheduler lock.
+func (q *Queue) expireLocked(w *pworker) {
+	for i, other := range q.waits.live() {
+		if other == w {
+			q.waits.remove(i)
+			break
+		}
+	}
+	w.deadline = nil // it is the entry being fired
+	q.deliverLocked(w, errTimeoutMarker{})
 }
 
 // Pop removes and returns the oldest value, parking the calling process until
@@ -89,43 +93,29 @@ func (q *Queue) PopTimeout(d time.Duration) (any, error) {
 var ErrTimeout = errors.New("vtime: pop timeout")
 
 func (q *Queue) pop(timeout time.Duration) (any, error) {
-	q.s.mu.Lock()
-	if len(q.items) > 0 {
-		v := q.items[0]
-		q.items = q.items[1:]
-		q.s.mu.Unlock()
+	s := q.s
+	s.mu.Lock()
+	if v, ok := q.items.pop(); ok {
+		s.mu.Unlock()
 		return v, nil
 	}
 	if q.closed {
-		q.s.mu.Unlock()
+		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	w := qwaiterPool.Get().(*qwaiter)
+	w := s.parkingLocked()
 	if timeout >= 0 {
-		w.deadline = q.s.scheduleLocked(q.s.now+timeout, func() {
-			// Remove w from the wait list and wake it with a timeout marker.
-			for i, other := range q.waits {
-				if other == w {
-					q.waits = append(q.waits[:i], q.waits[i+1:]...)
-					break
-				}
-			}
-			w.v = errTimeoutMarker{}
-			q.s.parked--
-			q.s.running++
-			q.s.wakeLocked(w.wake)
-		})
+		w.deadline = s.scheduleLocked(s.now+timeout, nil)
+		w.deadline.q, w.deadline.wake = q, w
 	}
-	q.waits = append(q.waits, w)
-	q.s.parked++
-	q.s.running--
-	q.s.yieldLocked()
-	q.s.mu.Unlock()
+	q.waits.push(w)
+	s.parked++
+	s.mu.Unlock()
+	w.park()
 
-	<-w.wake
+	// The waker filled the slot before the driver resumed this process.
 	v := w.v
-	w.v, w.deadline = nil, nil
-	qwaiterPool.Put(w)
+	w.v = nil
 	switch v.(type) {
 	case errTimeoutMarker:
 		return nil, ErrTimeout
@@ -145,21 +135,23 @@ type errClosedMarker struct{}
 // is closed by then — exactly the semantics of a datagram arriving at a dead
 // socket.
 func (q *Queue) PushAt(v any, at time.Time) {
-	q.s.callbackAt(at.Sub(Epoch), func() {
-		_ = q.pushLocked(v)
-	})
+	s := q.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.scheduleLocked(max(at.Sub(Epoch), s.now), nil)
+	e.q, e.v = q, v
 }
 
 // Len reports the number of buffered values.
 func (q *Queue) Len() int {
 	q.s.mu.Lock()
 	defer q.s.mu.Unlock()
-	return len(q.items)
+	return q.items.len()
 }
 
-// Close marks the queue closed and wakes every waiter with ErrClosed.
-// Values already buffered remain poppable; once drained, Pop reports
-// ErrClosed.
+// Close marks the queue closed and wakes every waiter, oldest first, with
+// ErrClosed. Values already buffered remain poppable; once drained, Pop
+// reports ErrClosed.
 func (q *Queue) Close() {
 	q.s.mu.Lock()
 	defer q.s.mu.Unlock()
@@ -167,13 +159,7 @@ func (q *Queue) Close() {
 		return
 	}
 	q.closed = true
-	for _, w := range q.waits {
-		q.s.cancelLocked(w.deadline)
-		w.deadline = nil
-		w.v = errClosedMarker{}
-		q.s.parked--
-		q.s.running++
-		q.s.wakeLocked(w.wake)
+	for w, ok := q.waits.pop(); ok; w, ok = q.waits.pop() {
+		q.deliverLocked(w, errClosedMarker{})
 	}
-	q.waits = nil
 }

@@ -1,33 +1,34 @@
 // Package vtime implements a conservative virtual-time scheduler.
 //
-// The scheduler coordinates a set of goroutines ("processes") over a shared
-// virtual clock. Processes advance the clock only by blocking in one of the
-// scheduler's primitives (Sleep, Queue.Pop, Timer callbacks). When every
-// registered process is parked, the scheduler advances the clock to the
-// earliest pending timer and wakes its waiters. Virtual time therefore moves
-// in discrete, deterministic jumps, and a simulated minute costs no wall
-// time.
+// The scheduler coordinates a set of processes over a shared virtual clock.
+// Processes advance the clock only by blocking in one of the scheduler's
+// primitives (Sleep, Queue.Pop, Timer callbacks). When every process is
+// parked, the scheduler advances the clock to the earliest pending timer
+// and wakes its waiters. Virtual time therefore moves in discrete,
+// deterministic jumps, and a simulated minute costs no wall time.
 //
 // Execution is serialized and deterministic: at most one process runs at a
 // time, and processes that become runnable at the same virtual instant
 // execute in the order they were woken (timer schedule order) — never in
-// whatever order the Go runtime happens to schedule their goroutines. This
-// is what makes simulations with many concurrent processes (a swarm of
-// peers transferring simultaneously) bit-reproducible for a given seed:
+// whatever order the Go runtime happens to schedule goroutines. This is what
+// makes simulations with many concurrent processes (a swarm of peers
+// transferring simultaneously) bit-reproducible for a given seed:
 // same-instant contention for a link, a broker, or a queue always resolves
-// the same way. A single-driver simulation pays nothing for the gate; it
-// was never parallel to begin with. Timers live in one min-heap ordered by
-// (instant, schedule sequence); that order is the whole firing contract.
+// the same way. Timers live in one min-heap ordered by (instant, schedule
+// sequence); that order is the whole firing contract.
 //
-// Two mechanisms keep the serialized dispatch cheap at 10k–100k processes.
-// First, handoffs are direct: when the running process parks and another is
-// ready, the parker signals the successor's single wake channel in its own
-// unlock path — the execution slot never goes idle, and the woken goroutine
-// wakes exactly once with its value already in place. Second, processes run
-// on pooled worker goroutines (see Pool): a spawned process occupies no
-// goroutine until its first turn arrives, and a finished process's warm
-// stack is reused by the next spawn, so churn-heavy simulations stop paying
-// goroutine creation and teardown per peer, flow, and timer fire.
+// A world runs on one thread. Every process is a coroutine (iter.Pull), and
+// the goroutine that calls Wait is the driver: it pops the FIFO ready ring,
+// resumes that process's coroutine, and gets control back when the process
+// parks (Sleep, Queue.Pop) or returns — each of those is a yield to the
+// driver, a direct switch that never touches the Go run queue, a futex or a
+// second OS thread. When the ring is empty the driver advances the clock to
+// the next timer instant and fires it. Everything else — Go, Push,
+// AfterFunc, a timer firing — only appends to the ring, so the ring's order
+// is the dispatch order and nothing runs until some goroutine drives.
+// Coroutines are pooled (see Pool): a spawned process occupies none until
+// its first turn arrives, and a finished process's coroutine, warm stack
+// included, runs the next spawn.
 //
 // The package underpins internal/simnet: network links schedule message
 // deliveries as timers, and protocol code written against the transport
@@ -36,6 +37,8 @@ package vtime
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"time"
 )
@@ -47,26 +50,23 @@ var Epoch = time.Date(2007, time.March, 1, 0, 0, 0, 0, time.UTC)
 // Scheduler is a conservative virtual-clock process scheduler. The zero value
 // is not usable; call NewScheduler.
 type Scheduler struct {
-	mu      sync.Mutex
-	now     time.Duration // virtual time since Epoch
-	running int           // processes currently runnable (not parked)
-	started int           // processes ever started
-	parked  int           // processes parked on queues with no wake scheduled
-	timers  timerHeap     // every live timer, ordered by (at, seq)
-	seq     int64
-	batch   []*timerEntry // reused fire batch, see advanceLocked
-	free    []*timerEntry // recycled entries, see getEntryLocked
-	quiet   *sync.Cond    // signalled when the system quiesces
-	pool    *Pool         // worker goroutines processes run on
+	mu     sync.Mutex
+	now    time.Duration // virtual time since Epoch
+	parked int           // processes parked on queues with no wake scheduled
+	timers timerHeap     // every live timer, ordered by (at, seq)
+	seq    int64
+	batch  []*timerEntry // reused fire batch, see advanceLocked
+	free   []*timerEntry // recycled entries, see getEntryLocked
+	pool   *Pool         // coroutines processes run on
 
-	// Serialized dispatch (see the package comment): active marks the one
-	// process currently executing; ready is a ring buffer (live region
-	// ready[readyHead:]) of processes that are runnable but waiting their
-	// deterministic turn, in wake order. Invariant throughout:
-	// running == (active ? 1 : 0) + len(ready) - readyHead.
-	active    bool
-	ready     []readyItem
-	readyHead int
+	// Serialized dispatch (see the package comment): ready holds the
+	// runnable processes in wake order; the driver — the goroutine inside
+	// Wait, at most one — pops it and resumes cur, the one process
+	// executing. mu is released while cur runs and while nobody drives.
+	ready   fifo[readyItem]
+	cur     *pworker
+	driving bool
+	quiet   *sync.Cond // signalled when the driver quiesces and leaves Wait
 
 	// OnDeadlock, if non-nil, is invoked (once per quiescence, with
 	// scheduler internals locked — the callback must not re-enter the
@@ -83,13 +83,12 @@ type Scheduler struct {
 }
 
 // readyItem is one entry in the dispatch ring: either a parked process to
-// signal (wake non-nil) or a process that was spawned but never started —
-// its closure is dispatched onto a pooled worker only when its turn
-// arrives, so spawning 100k flows queues 100k closures, not 100k blocked
-// goroutines.
+// resume (w non-nil) or a process that was spawned but never started — its
+// closure is handed a pooled coroutine only when its turn arrives, so
+// spawning 100k flows queues 100k closures, not 100k stacks.
 type readyItem struct {
-	wake chan struct{}
-	fn   func()
+	w  *pworker
+	fn func()
 }
 
 // NewScheduler returns a scheduler with the clock at Epoch and no processes.
@@ -123,121 +122,49 @@ func (s *Scheduler) Elapsed() time.Duration {
 	return s.now
 }
 
-// grantPool recycles wake channels. Each channel carries exactly one
-// buffered signal per use, so a receiver that drained it may return it for
-// reuse. Reuse cannot perturb wake order: which channel a waiter holds is
-// invisible to the dispatcher, which only tracks the FIFO of ready items.
-var grantPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
-
-func putGrant(g chan struct{}) { grantPool.Put(g) }
-
-// pushReadyLocked appends a ready item to the dispatch ring. When the live
-// region no longer starts at 0 and the backing array is full, the live
-// items slide down instead of growing the array, so a long-lived scheduler
-// reuses one allocation. Caller holds s.mu.
-func (s *Scheduler) pushReadyLocked(it readyItem) {
-	if s.readyHead > 0 && len(s.ready) == cap(s.ready) {
-		n := copy(s.ready, s.ready[s.readyHead:])
-		clear(s.ready[n:])
-		s.ready = s.ready[:n]
-		s.readyHead = 0
-	}
-	s.ready = append(s.ready, it)
-}
-
-// wakeLocked hands the execution slot to a parked process whose wake channel
-// is ch, or queues it behind the currently active process. Caller holds s.mu
-// and has already incremented s.running. The single buffered send is the
-// entire wake: the process's value (queue item, timeout marker) was stored
-// in its waiter before this call, so the goroutine wakes exactly once.
-func (s *Scheduler) wakeLocked(ch chan struct{}) {
+// admitLocked appends to the ready ring — the one way anything becomes
+// runnable: a parked process (w) whose park slot the waker has already
+// filled, or a fresh spawn (fn). Caller holds s.mu.
+func (s *Scheduler) admitLocked(it readyItem) {
 	s.deadlockNotified = false
-	if s.active {
-		s.pushReadyLocked(readyItem{wake: ch})
-		return
-	}
-	s.active = true
-	ch <- struct{}{}
-}
-
-// spawnLocked registers fn as a new process. If the execution slot is free
-// it is dispatched onto a pooled worker immediately; otherwise the closure
-// itself waits in the ready ring and only occupies a worker once its turn
-// arrives. Caller holds s.mu.
-func (s *Scheduler) spawnLocked(fn func()) {
-	s.running++
-	s.started++
-	s.deadlockNotified = false
-	if s.active {
-		s.pushReadyLocked(readyItem{fn: fn})
-		return
-	}
-	s.active = true
-	s.pool.dispatch(poolJob{s: s, fn: fn})
-}
-
-// yieldLocked releases the execution slot when the active process parks or
-// exits. The oldest ready process takes over directly in this, the parker's,
-// unlock path — the slot stays occupied through the handoff (active never
-// flips false), and the successor is either signalled on its wake channel or,
-// if it never ran, dispatched onto a pooled worker. When nothing is ready the
-// clock advances to the next timer instant. Caller holds s.mu and has already
-// decremented s.running.
-func (s *Scheduler) yieldLocked() {
-	if s.readyHead < len(s.ready) {
-		it := s.ready[s.readyHead]
-		s.ready[s.readyHead] = readyItem{}
-		s.readyHead++
-		if s.readyHead == len(s.ready) {
-			s.ready = s.ready[:0]
-			s.readyHead = 0
-		}
-		if it.wake != nil {
-			it.wake <- struct{}{}
-		} else {
-			s.pool.dispatch(poolJob{s: s, fn: it.fn})
-		}
-		return
-	}
-	s.active = false
-	s.advanceLocked()
+	s.ready.push(it)
 }
 
 // Go starts fn as a scheduler process. The process counts as runnable until
 // it returns or parks in a scheduler primitive. Processes may spawn further
 // processes; a spawned process executes after its spawner parks, in spawn
-// order.
+// order. Called from outside any process, Go only queues fn: it runs once
+// some goroutine calls Wait.
 func (s *Scheduler) Go(fn func()) {
 	s.mu.Lock()
-	s.spawnLocked(fn)
+	s.admitLocked(readyItem{fn: fn})
 	s.mu.Unlock()
 }
 
-func (s *Scheduler) exit() {
-	s.mu.Lock()
-	s.running--
-	s.yieldLocked()
-	s.mu.Unlock()
+// parkingLocked returns the process about to park: the one the driver has
+// resumed. There is none when the caller is not a scheduler process, and
+// with nobody to switch back to the call could only hang. Caller holds s.mu,
+// which a panic releases.
+func (s *Scheduler) parkingLocked() *pworker {
+	if s.cur == nil {
+		s.mu.Unlock()
+		panic("vtime: blocking primitive called from outside a scheduler process")
+	}
+	return s.cur
 }
 
 // Sleep parks the calling process for d of virtual time. Non-positive d
-// yields without advancing the clock. Sleep must only be called from a
-// process started via Go (or a Timer/AfterFunc callback).
+// returns at once without yielding. Sleep must only be called from a process
+// started via Go (or an AfterFunc callback); anywhere else it panics.
 func (s *Scheduler) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	ch := grantPool.Get().(chan struct{})
 	s.mu.Lock()
-	s.scheduleLocked(s.now+d, func() {
-		s.running++
-		s.wakeLocked(ch)
-	})
-	s.running--
-	s.yieldLocked()
+	w := s.parkingLocked()
+	s.scheduleLocked(s.now+d, nil).wake = w
 	s.mu.Unlock()
-	<-ch
-	putGrant(ch)
+	w.park()
 }
 
 // Timer is a cancellable virtual-time timer created by AfterFunc.
@@ -271,22 +198,9 @@ func (s *Scheduler) AfterFunc(d time.Duration, fn func()) *Timer {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entry := s.scheduleLocked(s.now+d, func() {
-		s.spawnLocked(fn)
-	})
+	entry := s.scheduleLocked(s.now+d, nil)
+	entry.spawn = fn
 	return &Timer{s: s, entry: entry, gen: entry.gen}
-}
-
-// callbackAt schedules fn to run with the scheduler lock held at virtual time
-// at. It is the low-level hook used by queues and simnet links; fn must not
-// block or re-enter the scheduler other than waking queue waiters.
-func (s *Scheduler) callbackAt(at time.Duration, fn func()) *timerEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if at < s.now {
-		at = s.now
-	}
-	return s.scheduleLocked(at, fn)
 }
 
 // getEntryLocked pops a recycled timer entry off the free list, or allocates
@@ -306,16 +220,18 @@ func (s *Scheduler) getEntryLocked() *timerEntry {
 }
 
 // putEntryLocked recycles e: the generation bump invalidates any Timer still
-// holding it, and dropping fire unpins the callback closure. Caller holds
+// holding it, and clearing the target unpins whatever it named. Caller holds
 // s.mu; e must already be out of the heap.
 func (s *Scheduler) putEntryLocked(e *timerEntry) {
 	e.gen++
-	e.fire = nil
+	e.fire, e.spawn, e.wake, e.q, e.v = nil, nil, nil, nil, nil
 	s.free = append(s.free, e)
 }
 
-// scheduleLocked enqueues a timer entry. Every caller schedules at or after
-// the current instant (Sleep and AfterFunc add to now, callbackAt clamps);
+// scheduleLocked enqueues a timer entry for instant at. A non-nil fn makes
+// it a raw callback; otherwise the caller names the entry's target (see
+// timerEntry) before releasing the lock. Every caller schedules at or after
+// the current instant (Sleep, AfterFunc and Pop add to now, PushAt clamps);
 // advanceLocked panics on an entry that breaks this. Caller holds s.mu.
 func (s *Scheduler) scheduleLocked(at time.Duration, fn func()) *timerEntry {
 	s.seq++
@@ -342,104 +258,183 @@ func (s *Scheduler) cancelLocked(e *timerEntry) {
 	}
 }
 
-// advanceLocked is called whenever running may have dropped to zero. If no
-// process is runnable it advances the clock to the earliest pending timer and
-// fires every entry scheduled for that instant, in schedule order. Caller
-// holds s.mu.
-func (s *Scheduler) advanceLocked() {
-	for s.running == 0 {
-		if len(s.timers) == 0 {
-			// Quiescent: no runnable process, no pending event. Remaining
-			// parked processes (queue waiters) are daemons — unless a
-			// deadlock handler wants to hear about them.
-			if s.parked > 0 && s.OnDeadlock != nil && !s.deadlockNotified {
-				s.deadlockNotified = true
-				s.OnDeadlock(fmt.Sprintf("vtime: deadlock at %v: %d process(es) parked on queues with no runnable process and no pending timer", Epoch.Add(s.now), s.parked))
-			}
-			s.quiet.Broadcast()
-			return
+// advanceLocked moves the clock to the earliest pending timer and fires
+// every entry scheduled for that instant, in schedule order. The driver
+// calls it when no process is runnable. It reports false, leaving the clock
+// alone, when no timer is pending: the system is quiescent. Caller holds
+// s.mu.
+func (s *Scheduler) advanceLocked() bool {
+	if len(s.timers) == 0 {
+		// Remaining parked processes (queue waiters) are daemons — unless a
+		// deadlock handler wants to hear about them.
+		if s.parked > 0 && s.OnDeadlock != nil && !s.deadlockNotified {
+			s.deadlockNotified = true
+			s.OnDeadlock(fmt.Sprintf("vtime: deadlock at %v: %d process(es) parked on queues with no runnable process and no pending timer", Epoch.Add(s.now), s.parked))
 		}
-		at := s.timers[0].at
-		if at < s.now {
-			panic(fmt.Sprintf("vtime: timer in the past: %v < %v", at, s.now))
+		return false
+	}
+	at := s.timers[0].at
+	if at < s.now {
+		panic(fmt.Sprintf("vtime: timer in the past: %v < %v", at, s.now))
+	}
+	s.now = at
+	// Pop every entry at this instant before firing any: the heap yields
+	// the run in (at, seq) order, which is schedule order, and a timer a
+	// callback schedules for this same instant waits for the next pass.
+	// The batch slice is reused across advances (detached from s while
+	// firing, in case a callback re-enters the scheduler).
+	batch := s.batch[:0]
+	s.batch = nil
+	for len(s.timers) > 0 && s.timers[0].at == at {
+		batch = append(batch, s.timers.remove(0))
+	}
+	for _, e := range batch {
+		// A callback earlier in this batch may have cancelled e after it
+		// was already popped (e.g. a same-instant push beating a pop
+		// deadline): firing it anyway would double-wake its waiter.
+		if !e.cancelled {
+			s.fireLocked(e)
 		}
-		s.now = at
-		// Pop every entry at this instant before firing any: the heap yields
-		// the run in (at, seq) order, which is schedule order, and a timer a
-		// callback schedules for this same instant waits for the next pass.
-		// The batch slice is reused across advances (detached from s while
-		// firing, in case a callback re-enters the scheduler).
-		batch := s.batch[:0]
-		s.batch = nil
-		for len(s.timers) > 0 && s.timers[0].at == at {
-			batch = append(batch, s.timers.remove(0))
-		}
-		for _, e := range batch {
-			if e.cancelled {
-				// A callback earlier in this batch cancelled e after it was
-				// already popped (e.g. a same-instant push beating a pop
-				// deadline): firing it anyway would double-wake its waiter.
-				continue
-			}
-			e.fire()
-		}
-		// Recycle only after every callback has run: a callback may schedule
-		// new timers, which must not be handed an entry still pending in this
-		// batch.
-		for i, e := range batch {
-			s.putEntryLocked(e)
-			batch[i] = nil
-		}
-		s.batch = batch[:0]
-		// Firing may have made processes runnable; if not, loop to the next
-		// instant.
+	}
+	// Recycle only after every entry has fired: firing may schedule new
+	// timers, which must not be handed an entry still pending in this
+	// batch.
+	for i, e := range batch {
+		s.putEntryLocked(e)
+		batch[i] = nil
+	}
+	s.batch = batch[:0]
+	return true
+}
+
+// fireLocked does what e names (see timerEntry). None of it runs a process:
+// a wake or a spawn is an append to the ready ring. Caller holds s.mu.
+func (s *Scheduler) fireLocked(e *timerEntry) {
+	switch {
+	case e.fire != nil:
+		e.fire()
+	case e.spawn != nil:
+		s.admitLocked(readyItem{fn: e.spawn})
+	case e.q == nil:
+		s.admitLocked(readyItem{w: e.wake})
+	case e.wake != nil:
+		e.q.expireLocked(e.wake)
+	default:
+		_ = e.q.pushLocked(e.v)
 	}
 }
 
-// Wait blocks the caller (which must NOT be a scheduler process) until the
-// system quiesces: no runnable process and no pending timer. Processes parked
-// on queues may still exist; they are treated as daemons. Wait also drives
-// the clock when timers were registered from outside any process (e.g. a test
-// calling AfterFunc directly).
+// Wait drives the scheduler from the calling goroutine (which must NOT be a
+// scheduler process — that panics) until the system quiesces: no runnable
+// process and no pending timer. It runs every ready process in ring order,
+// each until it parks or returns, and advances the clock whenever the ring
+// is empty. Processes parked on queues may still exist when it returns;
+// they are treated as daemons. If another goroutine is already driving, Wait
+// blocks until that one quiesces and then checks for itself.
 func (s *Scheduler) Wait() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if s.running == 0 {
-			s.advanceLocked()
-			if s.running == 0 && s.pendingLocked() == 0 {
-				return
-			}
+	for s.driving {
+		if onWorker() {
+			panic("vtime: Wait called from inside a scheduler process")
 		}
 		s.quiet.Wait()
 	}
+	s.driving = true
+	defer func() {
+		s.driving = false
+		s.quiet.Broadcast()
+	}()
+	for {
+		for it, ok := s.ready.pop(); ok; it, ok = s.ready.pop() {
+			s.runLocked(it)
+		}
+		if !s.advanceLocked() {
+			return
+		}
+	}
 }
 
-// pendingLocked counts live timers. Cancelled entries leave the heap eagerly
-// (see cancelLocked), so its length is the live count — O(1) instead of a
-// scan. Caller holds s.mu.
-func (s *Scheduler) pendingLocked() int {
-	return len(s.timers)
+// runLocked gives one ready process its turn: a fresh spawn is handed a
+// pooled coroutine first, then the coroutine is resumed and the driver stays
+// inside resume until the process parks or returns. Caller holds s.mu,
+// which is released for the duration of the turn (and retaken even if the
+// process panics through resume, so Wait unwinds cleanly).
+func (s *Scheduler) runLocked(it readyItem) {
+	w := it.w
+	if w == nil {
+		w = s.pool.get()
+		w.fn = it.fn
+	}
+	s.cur = w
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.cur = nil
+	}()
+	w.resume()
+	if w.fn == nil {
+		s.pool.put(w) // the process returned; its coroutine is free again
+	}
 }
 
-// Pending reports the number of live timers; useful in tests.
+// onWorker reports whether the calling goroutine is a pooled coroutine, by
+// looking for the worker loop on its stack. Go offers no cheaper goroutine
+// identity; only a Wait that finds a driver already at work pays for this.
+func onWorker() bool {
+	pcs := make([]uintptr, 64)
+	for skip := 2; ; skip += len(pcs) {
+		n := runtime.Callers(skip, pcs)
+		frames := runtime.CallersFrames(pcs[:n])
+		for more := n > 0; more; {
+			var f runtime.Frame
+			if f, more = frames.Next(); strings.HasSuffix(f.Function, "vtime.(*pworker).loop") {
+				return true
+			}
+		}
+		if n < len(pcs) {
+			return false
+		}
+	}
+}
+
+// Pending reports the number of live timers; useful in tests. Cancelled
+// entries leave the heap eagerly (see cancelLocked), so its length is the
+// live count.
 func (s *Scheduler) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pendingLocked()
+	return len(s.timers)
 }
 
-// Running reports the number of runnable processes; useful in tests.
+// Running reports the number of runnable processes — the one executing, if
+// any, plus those in the ready ring; useful in tests.
 func (s *Scheduler) Running() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.running
+	n := s.ready.len()
+	if s.cur != nil {
+		n++
+	}
+	return n
 }
 
+// timerEntry is one pending timer. Besides its instant it names what firing
+// it does, so that arming a timer allocates nothing:
+//
+//	fire            a raw callback, run with the scheduler lock held
+//	spawn           AfterFunc: the function becomes a new process
+//	wake            Sleep: the parked process becomes runnable
+//	q and wake      a Pop deadline: the process leaves q's wait list with ErrTimeout
+//	q and v         PushAt: v is pushed onto q
 type timerEntry struct {
 	at        time.Duration
 	seq       int64
 	fire      func()
+	spawn     func()
+	wake      *pworker
+	q         *Queue
+	v         any
 	cancelled bool
 	gen       uint64 // bumped on recycle; guards stale Timer handles
 	index     int    // position in the heap; -1 once popped or removed

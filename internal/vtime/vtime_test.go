@@ -677,3 +677,11 @@ func TestSpawnedProcessRunsAfterSpawnerParks(t *testing.T) {
 		t.Fatalf("trace = %v, want %v", trace, want)
 	}
 }
+
+// callbackAt schedules fn to run with the scheduler lock held at virtual time
+// at (clamped to now): the raw timer-callback form, which only tests use.
+func (s *Scheduler) callbackAt(at time.Duration, fn func()) *timerEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.scheduleLocked(max(at, s.now), fn)
+}
