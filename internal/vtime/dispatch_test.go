@@ -251,9 +251,14 @@ func TestWaitInsideProcessPanics(t *testing.T) {
 	s := NewScheduler()
 	s.SetPool(NewPool()) // the panicking coroutine is lost to its pool
 	s.Go(func() { s.Wait() })
-	got := mustPanic(t, "Wait from inside a process", s.Wait)
-	if want := "vtime: Wait called from inside a scheduler process"; got != want {
-		t.Fatalf("panicked with %q, want %q", got, want)
+	// The value a process panics with reaches the driver with the process's
+	// own stack attached, the offending call on it.
+	got := fmt.Sprint(mustPanic(t, "Wait from inside a process", s.Wait))
+	if want := "vtime: Wait called from inside a scheduler process\n"; !strings.HasPrefix(got, want) {
+		t.Fatalf("panicked with %q, want prefix %q", got, want)
+	}
+	if !strings.Contains(got, "TestWaitInsideProcessPanics") {
+		t.Fatalf("panic lost the process's stack: %q", got)
 	}
 	if s.Running() != 0 {
 		t.Fatalf("Running = %d after the process died, want 0", s.Running())

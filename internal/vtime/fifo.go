@@ -1,12 +1,11 @@
 package vtime
 
 // fifo is a head-indexed FIFO over one backing array: pop advances the head
-// instead of re-slicing (which would give the array's capacity away and
-// make the next push allocate), the array resets when the queue drains, and
-// a push that finds it full with at least half of it dead slides the live
-// region down rather than growing. A queue that fills and drains over and
-// over — a socket buffer, a wait list, the ready ring — settles on one
-// allocation.
+// instead of re-slicing (which gives the array's capacity away and makes the
+// next push allocate), the array resets when the queue drains, and a push
+// that finds it full and at least half dead slides the live region down
+// rather than growing. A queue that fills and drains over and over — a
+// socket buffer, a wait list, the ready ring — settles on one allocation.
 type fifo[T any] struct {
 	buf  []T
 	head int

@@ -1,7 +1,9 @@
 package vtime
 
 import (
+	"fmt"
 	"iter"
+	"runtime/debug"
 	"sync"
 )
 
@@ -91,16 +93,26 @@ func (p *Pool) get() *pworker {
 }
 
 // loop is the body of the coroutine: run the process the driver handed
-// over, yield — and when resumed again, a new process is waiting in fn. If
-// a process panics, the panic surfaces in the driver's resume call and the
-// coroutine is gone.
+// over, yield — and when resumed again, a new process is waiting in fn.
 func (w *pworker) loop(yield func(struct{}) bool) {
 	w.yield = yield
 	for {
-		w.fn()
-		w.fn = nil
+		w.run()
 		yield(struct{}{})
 	}
+}
+
+// run executes the process in fn. If it panics the coroutine is gone and
+// iter.Pull re-raises the value in the driver's resume, on the driver's
+// stack; the stack that explains the panic is this one, so it rides along.
+func (w *pworker) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("%v\n\nvtime process stack:\n%s", r, debug.Stack()))
+		}
+	}()
+	w.fn()
+	w.fn = nil
 }
 
 // park switches from the running process back to its driver; it returns

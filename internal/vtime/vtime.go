@@ -61,12 +61,11 @@ type Scheduler struct {
 
 	// Serialized dispatch (see the package comment): ready holds the
 	// runnable processes in wake order; the driver — the goroutine inside
-	// Wait, at most one — pops it and resumes cur, the one process
-	// executing. mu is released while cur runs and while nobody drives.
-	ready   fifo[readyItem]
-	cur     *pworker
-	driving bool
-	quiet   *sync.Cond // signalled when the driver quiesces and leaves Wait
+	// Wait, which holds drive for as long as it is — pops it and resumes
+	// cur, the one process executing. mu is released while cur runs.
+	drive sync.Mutex
+	ready fifo[readyItem]
+	cur   *pworker
 
 	// OnDeadlock, if non-nil, is invoked (once per quiescence, with
 	// scheduler internals locked — the callback must not re-enter the
@@ -94,11 +93,7 @@ type readyItem struct {
 // NewScheduler returns a scheduler with the clock at Epoch and no processes.
 // Its processes run on the process-wide shared worker pool; SetPool installs
 // a private one.
-func NewScheduler() *Scheduler {
-	s := &Scheduler{pool: SharedPool()}
-	s.quiet = sync.NewCond(&s.mu)
-	return s
-}
+func NewScheduler() *Scheduler { return &Scheduler{pool: SharedPool()} }
 
 // SetPool makes the scheduler run its processes on p instead of the shared
 // pool. It must be called before any process is started.
@@ -142,9 +137,8 @@ func (s *Scheduler) Go(fn func()) {
 }
 
 // parkingLocked returns the process about to park: the one the driver has
-// resumed. There is none when the caller is not a scheduler process, and
-// with nobody to switch back to the call could only hang. Caller holds s.mu,
-// which a panic releases.
+// resumed. A caller that is not a scheduler process has nobody to switch
+// back to and could only hang. Caller holds s.mu, which a panic releases.
 func (s *Scheduler) parkingLocked() *pworker {
 	if s.cur == nil {
 		s.mu.Unlock()
@@ -330,21 +324,17 @@ func (s *Scheduler) fireLocked(e *timerEntry) {
 // each until it parks or returns, and advances the clock whenever the ring
 // is empty. Processes parked on queues may still exist when it returns;
 // they are treated as daemons. If another goroutine is already driving, Wait
-// blocks until that one quiesces and then checks for itself.
+// blocks until that one quiesces and then drives whatever is left.
 func (s *Scheduler) Wait() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.driving {
+	if !s.drive.TryLock() {
 		if onWorker() {
 			panic("vtime: Wait called from inside a scheduler process")
 		}
-		s.quiet.Wait()
+		s.drive.Lock()
 	}
-	s.driving = true
-	defer func() {
-		s.driving = false
-		s.quiet.Broadcast()
-	}()
+	defer s.drive.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
 		for it, ok := s.ready.pop(); ok; it, ok = s.ready.pop() {
 			s.runLocked(it)
@@ -356,10 +346,9 @@ func (s *Scheduler) Wait() {
 }
 
 // runLocked gives one ready process its turn: a fresh spawn is handed a
-// pooled coroutine first, then the coroutine is resumed and the driver stays
-// inside resume until the process parks or returns. Caller holds s.mu,
-// which is released for the duration of the turn (and retaken even if the
-// process panics through resume, so Wait unwinds cleanly).
+// pooled coroutine first, then the driver stays inside resume until the
+// process parks or returns. Caller holds s.mu, which is released for the
+// turn (and retaken even if the process panics, so Wait unwinds cleanly).
 func (s *Scheduler) runLocked(it readyItem) {
 	w := it.w
 	if w == nil {
