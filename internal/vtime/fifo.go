@@ -1,5 +1,7 @@
 package vtime
 
+import "slices"
+
 // fifo is a head-indexed FIFO over one backing array: pop advances the head
 // instead of re-slicing (which gives the array's capacity away and makes the
 // next push allocate), the array resets when the queue drains, and a push
@@ -42,11 +44,7 @@ func (f *fifo[T]) pop() (v T, ok bool) {
 
 // remove deletes live()[i], keeping the order of the rest.
 func (f *fifo[T]) remove(i int) {
-	var zero T
-	live := f.live()
-	copy(live[i:], live[i+1:])
-	live[len(live)-1] = zero
-	f.buf = f.buf[:len(f.buf)-1]
+	f.buf = slices.Delete(f.buf, f.head+i, f.head+i+1)
 	if f.head == len(f.buf) {
 		f.buf, f.head = f.buf[:0], 0
 	}

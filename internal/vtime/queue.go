@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"errors"
+	"slices"
 	"time"
 )
 
@@ -66,11 +67,8 @@ func (q *Queue) deliverLocked(w *pworker, v any) {
 // expireLocked fires w's Pop deadline: w leaves the wait list, wherever in
 // it it stands, and wakes with ErrTimeout. Caller holds the scheduler lock.
 func (q *Queue) expireLocked(w *pworker) {
-	for i, other := range q.waits.live() {
-		if other == w {
-			q.waits.remove(i)
-			break
-		}
+	if i := slices.Index(q.waits.live(), w); i >= 0 {
+		q.waits.remove(i)
 	}
 	w.deadline = nil // it is the entry being fired
 	q.deliverLocked(w, errTimeoutMarker{})
