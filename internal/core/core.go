@@ -22,9 +22,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -131,8 +134,30 @@ type PureRanker interface {
 // names extracts candidate names preserving order.
 func names(cands []Candidate) []string {
 	out := make([]string, len(cands))
-	for i, c := range cands {
-		out[i] = c.Snapshot.Peer
+	for i := range cands {
+		out[i] = cands[i].Snapshot.Peer
+	}
+	return out
+}
+
+// rankedNames sorts the candidate positions by before — a three-way
+// comparison of two positions, ties going to the earlier candidate, which
+// is the order a stable sort returns — and emits the names in that order.
+// Only the 4-byte positions move; whatever before reads stays where it is.
+func rankedNames(cands []Candidate, before func(a, b int32) int) []string {
+	perm := make([]int32, len(cands))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := before(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	out := make([]string, len(perm))
+	for i, at := range perm {
+		out[i] = cands[at].Snapshot.Peer
 	}
 	return out
 }
@@ -253,8 +278,8 @@ func NewEconomic(cfg EconomicConfig) *Economic {
 // Name implements Selector.
 func (e *Economic) Name() string { return "economic" }
 
-// RankSubsetStable implements PureRanker. Estimates is a stable sort under
-// a pairwise comparator (feasibility, completion, CPU, cost) where each
+// RankSubsetStable implements PureRanker. Rank is a stable sort under a
+// pairwise comparator (feasibility, completion, CPU, cost) where each
 // estimate reads only its own candidate's snapshot — never the rest of the
 // set — so deleting candidates never reorders the survivors.
 func (e *Economic) RankSubsetStable() bool { return true }
@@ -279,7 +304,22 @@ type Estimate struct {
 
 // Estimate appraises a single candidate for the request.
 func (e *Economic) Estimate(req Request, c Candidate) Estimate {
-	s := c.Snapshot
+	return e.estimate(&req, &c.Snapshot)
+}
+
+// addSeconds returns d plus s seconds, saturating at the largest Duration. A
+// remote report can put a peer's rate near zero, and converting the
+// out-of-range quotient would wrap to a service time in the past: the
+// slowest peer would complete first.
+func addSeconds(d time.Duration, s float64) time.Duration {
+	ns := s * float64(time.Second)
+	if !(ns < float64(math.MaxInt64-d)) {
+		return math.MaxInt64
+	}
+	return d + time.Duration(ns)
+}
+
+func (e *Economic) estimate(req *Request, s *stats.Snapshot) Estimate {
 	ready := req.Now
 	if s.ReadyAt.After(ready) {
 		ready = s.ReadyAt
@@ -289,16 +329,16 @@ func (e *Economic) Estimate(req Request, c Candidate) Estimate {
 
 	var dur time.Duration
 	if req.WorkUnits > 0 {
-		dur += time.Duration(req.WorkUnits * s.SecondsPerUnit / s.CPUScore * float64(time.Second))
+		dur = addSeconds(dur, req.WorkUnits*s.SecondsPerUnit/s.CPUScore)
 		// Tasks behind it in the queue delay the start.
-		dur += time.Duration(s.QueueLen * s.SecondsPerUnit * float64(time.Second))
+		dur = addSeconds(dur, s.QueueLen*s.SecondsPerUnit)
 	}
 	if req.SizeBytes > 0 {
 		rate := s.TransferRate
 		if rate <= 0 {
 			rate = e.cfg.FallbackRate
 		}
-		dur += time.Duration(float64(req.SizeBytes) / rate * float64(time.Second))
+		dur = addSeconds(dur, float64(req.SizeBytes)/rate)
 	}
 
 	completion := ready.Add(dur)
@@ -320,60 +360,50 @@ func (e *Economic) Estimate(req Request, c Candidate) Estimate {
 	}
 }
 
-// Estimates appraises every candidate, ordered best-first: feasible before
-// infeasible, then earliest completion, then faster CPU, then lower cost.
-func (e *Economic) Estimates(req Request, cands []Candidate) []Estimate {
-	ests := make([]Estimate, len(cands))
-	cpu := make([]float64, len(cands))
-	for i, c := range cands {
-		ests[i] = e.Estimate(req, c)
-		cpu[i] = c.Snapshot.CPUScore
-	}
-	// Stable sort over a concrete interface: candidate sets reach the tens
-	// of thousands and the reflection-based sort.SliceStable spends more
-	// time in the generated swapper than in the comparison. The CPU score
-	// rides in a parallel slice so tie-breaking costs an index, not a map
-	// lookup per comparison.
-	sort.Stable(&estSorter{ests: ests, cpu: cpu})
-	return ests
+// ecoKey is what the economic order reads of one appraisal.
+type ecoKey struct {
+	completion time.Time
+	cpu, cost  float64
+	feasible   bool
 }
 
-// estSorter orders estimates best-first with their candidates' CPU scores
-// alongside (see Estimates).
-type estSorter struct {
-	ests []Estimate
-	cpu  []float64
+func (e *Economic) key(req *Request, s *stats.Snapshot) ecoKey {
+	est := e.estimate(req, s)
+	return ecoKey{completion: est.Completion, cpu: s.CPUScore, cost: est.Cost, feasible: est.Feasible}
 }
 
-func (s *estSorter) Len() int { return len(s.ests) }
-func (s *estSorter) Swap(i, j int) {
-	s.ests[i], s.ests[j] = s.ests[j], s.ests[i]
-	s.cpu[i], s.cpu[j] = s.cpu[j], s.cpu[i]
-}
-func (s *estSorter) Less(i, j int) bool {
-	a, b := &s.ests[i], &s.ests[j]
-	if a.Feasible != b.Feasible {
-		return a.Feasible
+// before orders appraisals best-first: feasible before infeasible, then
+// earliest completion, then faster CPU, then lower cost.
+func (k *ecoKey) before(o *ecoKey) int {
+	switch {
+	case k.feasible != o.feasible:
+		if k.feasible {
+			return -1
+		}
+		return 1
+	case !k.completion.Equal(o.completion):
+		return k.completion.Compare(o.completion)
+	case k.cpu != o.cpu:
+		return cmp.Compare(o.cpu, k.cpu)
 	}
-	if !a.Completion.Equal(b.Completion) {
-		return a.Completion.Before(b.Completion)
-	}
-	if s.cpu[i] != s.cpu[j] {
-		return s.cpu[i] > s.cpu[j]
-	}
-	return a.Cost < b.Cost
+	return cmp.Compare(k.cost, o.cost)
 }
 
-// Select implements Selector.
+// Select implements Selector: the first candidate no other comes before.
 func (e *Economic) Select(req Request, cands []Candidate) (string, error) {
 	if len(cands) == 0 {
 		return "", ErrNoCandidates
 	}
-	ests := e.Estimates(req, cands)
-	if !ests[0].Feasible {
-		return "", fmt.Errorf("%w: best completion %v", ErrInfeasible, ests[0].Completion)
+	best, at := e.key(&req, &cands[0].Snapshot), 0
+	for i := 1; i < len(cands); i++ {
+		if k := e.key(&req, &cands[i].Snapshot); k.before(&best) < 0 {
+			best, at = k, i
+		}
 	}
-	return ests[0].Peer, nil
+	if !best.feasible {
+		return "", fmt.Errorf("%w: best completion %v", ErrInfeasible, best.completion)
+	}
+	return cands[at].Snapshot.Peer, nil
 }
 
 // Rank implements Ranker. Infeasible candidates rank last but are included:
@@ -382,12 +412,11 @@ func (e *Economic) Rank(req Request, cands []Candidate) ([]string, error) {
 	if len(cands) == 0 {
 		return nil, ErrNoCandidates
 	}
-	ests := e.Estimates(req, cands)
-	out := make([]string, len(ests))
-	for i, est := range ests {
-		out[i] = est.Peer
+	keys := make([]ecoKey, len(cands))
+	for i := range cands {
+		keys[i] = e.key(&req, &cands[i].Snapshot)
 	}
-	return out, nil
+	return rankedNames(cands, func(a, b int32) int { return keys[a].before(&keys[b]) }), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -398,13 +427,22 @@ func (e *Economic) Rank(req Request, cands []Candidate) ([]string, error) {
 // drawback, visible in Figure 6 where "quick peer" trails the informed
 // models.
 type UserPreference struct {
-	prefs []string
-	mode  string
+	// rank maps each preferred peer to its place in the user's list (the
+	// first, if the list names it twice); listed is the list's length.
+	rank   map[string]int32
+	listed int
+	mode   string
 }
 
 // NewUserPreference selects by an explicit preference order.
 func NewUserPreference(prefs []string) *UserPreference {
-	return &UserPreference{prefs: append([]string(nil), prefs...), mode: "user-preference"}
+	rank := make(map[string]int32, len(prefs))
+	for i, p := range prefs {
+		if _, dup := rank[p]; !dup {
+			rank[p] = int32(i)
+		}
+	}
+	return &UserPreference{rank: rank, listed: len(prefs), mode: "user-preference"}
 }
 
 // NewQuickPeer builds the preference order from the user's remembered
@@ -429,7 +467,9 @@ func NewQuickPeer(remembered map[string]time.Duration) *UserPreference {
 	for i, e := range list {
 		prefs[i] = e.peer
 	}
-	return &UserPreference{prefs: prefs, mode: "quick-peer"}
+	u := NewUserPreference(prefs)
+	u.mode = "quick-peer"
+	return u
 }
 
 // Name implements Selector.
@@ -441,16 +481,13 @@ func (u *UserPreference) Select(_ Request, cands []Candidate) (string, error) {
 	if len(cands) == 0 {
 		return "", ErrNoCandidates
 	}
-	avail := make(map[string]bool, len(cands))
-	for _, c := range cands {
-		avail[c.Snapshot.Peer] = true
-	}
-	for _, p := range u.prefs {
-		if avail[p] {
-			return p, nil
+	best, at := int32(u.listed), 0
+	for i := range cands {
+		if r, ok := u.rank[cands[i].Snapshot.Peer]; ok && r < best {
+			best, at = r, i
 		}
 	}
-	return cands[0].Snapshot.Peer, nil
+	return cands[at].Snapshot.Peer, nil
 }
 
 // Rank implements Ranker: preferred peers in preference order, then the
@@ -459,23 +496,13 @@ func (u *UserPreference) Rank(_ Request, cands []Candidate) ([]string, error) {
 	if len(cands) == 0 {
 		return nil, ErrNoCandidates
 	}
-	avail := make(map[string]bool, len(cands))
-	for _, c := range cands {
-		avail[c.Snapshot.Peer] = true
-	}
-	var out []string
-	seen := make(map[string]bool)
-	for _, p := range u.prefs {
-		if avail[p] && !seen[p] {
-			out = append(out, p)
-			seen[p] = true
+	place := make([]int32, len(cands))
+	for i := range cands {
+		r, ok := u.rank[cands[i].Snapshot.Peer]
+		if !ok {
+			r = int32(u.listed)
 		}
+		place[i] = r
 	}
-	for _, c := range cands {
-		if !seen[c.Snapshot.Peer] {
-			out = append(out, c.Snapshot.Peer)
-			seen[c.Snapshot.Peer] = true
-		}
-	}
-	return out, nil
+	return rankedNames(cands, func(a, b int32) int { return cmp.Compare(place[a], place[b]) }), nil
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -324,9 +326,9 @@ func TestDataEvaluatorScoresBounded(t *testing.T) {
 	for _, w := range SamePriority() {
 		total += w
 	}
-	for peer, score := range de.Scores(cands) {
+	for i, score := range de.Scores(cands) {
 		if score < 0 || score > total {
-			t.Fatalf("score[%s] = %v outside [0,%v]", peer, score, total)
+			t.Fatalf("score[%s] = %v outside [0,%v]", cands[i].Snapshot.Peer, score, total)
 		}
 	}
 }
@@ -340,6 +342,61 @@ func TestDataEvaluatorValidate(t *testing.T) {
 	}
 	if err := NewSamePriority().Validate(); err != nil {
 		t.Fatalf("same-priority invalid: %v", err)
+	}
+	// w < 0 is false of a NaN, and a NaN or infinite weight makes NaN scores,
+	// under which the ranking's comparator is no order at all.
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := NewDataEvaluator(Weights{CritMsgSession: w}).Validate(); err == nil {
+			t.Fatalf("weight %v accepted", w)
+		}
+	}
+	std := StandardCriteria()
+	twice := NewDataEvaluatorCustom(append(std[:2:2], std[0]), Weights{std[0].Key: 1}, "")
+	if err := twice.Validate(); err == nil {
+		t.Fatalf("a catalog listing %s twice accepted", std[0].Key)
+	}
+}
+
+// TestEconomicSlowPeerRanksLast: one transfer report of a byte in an hour
+// puts a peer's rate at 2.8e-4 B/s; the service time of a 100 Mb request at
+// that rate is past what a time.Duration holds, and converted unchecked it
+// wrapped negative — the request "completed" centuries ago and the slowest
+// peer won. Each term of the service time, and their sum, must saturate
+// instead, and the peer rank last.
+func TestEconomicSlowPeerRanksLast(t *testing.T) {
+	crawl := stats.NewPeerStats("slow", func() time.Time { return now })
+	crawl.ObserveTransferRate(1, time.Hour)
+	file := Request{Kind: KindFileTransfer, SizeBytes: 100_000_000 / 8, Now: now}
+	job := Request{Kind: KindTask, WorkUnits: 30, Now: now}
+	both := Request{Kind: KindTask, SizeBytes: file.SizeBytes, WorkUnits: 30, Now: now}
+	for _, c := range []struct {
+		name string
+		req  Request
+		slow Candidate
+	}{
+		{"a reported rate", file, Candidate{Snapshot: crawl.Snapshot()}},
+		{"transfer term", file, snap("slow", func(s *stats.Snapshot) { s.TransferRate = 1e-6 })},
+		{"task term", job, snap("slow", func(s *stats.Snapshot) { s.SecondsPerUnit = 1e15 })},
+		{"queue term", job, snap("slow", func(s *stats.Snapshot) { s.QueueLen = 1e15 })},
+		// 6e18 ns each: either fits, their sum does not.
+		{"sum of terms", both, snap("slow", func(s *stats.Snapshot) { s.SecondsPerUnit = 2e8; s.TransferRate = 12.5e6 / 6e9 })},
+	} {
+		cands := []Candidate{
+			c.slow, // first, so a tie would not hide it
+			snap("modem", func(s *stats.Snapshot) { s.TransferRate = 7_000; s.SecondsPerUnit = 50 }),
+			snap("fibre", func(s *stats.Snapshot) { s.TransferRate = 1e8 }),
+		}
+		e := NewEconomic(EconomicConfig{})
+		if est := e.Estimate(c.req, c.slow); est.Duration != math.MaxInt64 || !est.Completion.After(now) {
+			t.Errorf("%s: duration %v, completion %v: not saturated", c.name, est.Duration, est.Completion)
+		}
+		ranked, err := e.Rank(c.req, cands)
+		if err != nil || !reflect.DeepEqual(ranked, []string{"fibre", "modem", "slow"}) {
+			t.Errorf("%s: ranked %v, %v, want fibre, modem, slow", c.name, ranked, err)
+		}
+		if got, err := e.Select(c.req, cands); err != nil || got != "fibre" {
+			t.Errorf("%s: selected %q, %v, want fibre", c.name, got, err)
+		}
 	}
 }
 

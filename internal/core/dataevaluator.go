@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"strings"
 
 	"peerlab/internal/stats"
 )
@@ -11,8 +12,10 @@ import (
 type Criterion struct {
 	// Key names the criterion; weights are keyed by it.
 	Key string
-	// Value extracts the raw value from a snapshot.
-	Value func(stats.Snapshot) float64
+	// Value extracts the raw value from a snapshot. It takes a pointer: a
+	// rank build calls it once per candidate per criterion, and a Snapshot
+	// is some 300 bytes.
+	Value func(*stats.Snapshot) float64
 	// Benefit marks higher-is-better criteria; the rest are costs.
 	Benefit bool
 }
@@ -46,24 +49,24 @@ const (
 // every call; callers may filter it.
 func StandardCriteria() []Criterion {
 	return []Criterion{
-		{CritMsgSession, func(s stats.Snapshot) float64 { return s.PctMsgSession }, true},
-		{CritMsgTotal, func(s stats.Snapshot) float64 { return s.PctMsgTotal }, true},
-		{CritMsgLastK, func(s stats.Snapshot) float64 { return s.PctMsgLastK }, true},
-		{CritOutboxNow, func(s stats.Snapshot) float64 { return s.OutboxNow }, false},
-		{CritOutboxAvg, func(s stats.Snapshot) float64 { return s.OutboxAvg }, false},
-		{CritInboxNow, func(s stats.Snapshot) float64 { return s.InboxNow }, false},
-		{CritInboxAvg, func(s stats.Snapshot) float64 { return s.InboxAvg }, false},
-		{CritTaskExecSess, func(s stats.Snapshot) float64 { return s.PctTaskExecSession }, true},
-		{CritTaskExecTotal, func(s stats.Snapshot) float64 { return s.PctTaskExecTotal }, true},
-		{CritTaskAccSess, func(s stats.Snapshot) float64 { return s.PctTaskAcceptSession }, true},
-		{CritTaskAccTotal, func(s stats.Snapshot) float64 { return s.PctTaskAcceptTotal }, true},
-		{CritFileSentSess, func(s stats.Snapshot) float64 { return s.PctFileSentSession }, true},
-		{CritFileSentTotal, func(s stats.Snapshot) float64 { return s.PctFileSentTotal }, true},
-		{CritCancelSess, func(s stats.Snapshot) float64 { return s.PctCancelSession }, false},
-		{CritCancelTotal, func(s stats.Snapshot) float64 { return s.PctCancelTotal }, false},
-		{CritPendingXfer, func(s stats.Snapshot) float64 { return s.PendingTransfers }, false},
-		{CritTransferRate, func(s stats.Snapshot) float64 { return s.TransferRate }, true},
-		{CritPetitionDelay, func(s stats.Snapshot) float64 { return s.PetitionDelay.Seconds() }, false},
+		{CritMsgSession, func(s *stats.Snapshot) float64 { return s.PctMsgSession }, true},
+		{CritMsgTotal, func(s *stats.Snapshot) float64 { return s.PctMsgTotal }, true},
+		{CritMsgLastK, func(s *stats.Snapshot) float64 { return s.PctMsgLastK }, true},
+		{CritOutboxNow, func(s *stats.Snapshot) float64 { return s.OutboxNow }, false},
+		{CritOutboxAvg, func(s *stats.Snapshot) float64 { return s.OutboxAvg }, false},
+		{CritInboxNow, func(s *stats.Snapshot) float64 { return s.InboxNow }, false},
+		{CritInboxAvg, func(s *stats.Snapshot) float64 { return s.InboxAvg }, false},
+		{CritTaskExecSess, func(s *stats.Snapshot) float64 { return s.PctTaskExecSession }, true},
+		{CritTaskExecTotal, func(s *stats.Snapshot) float64 { return s.PctTaskExecTotal }, true},
+		{CritTaskAccSess, func(s *stats.Snapshot) float64 { return s.PctTaskAcceptSession }, true},
+		{CritTaskAccTotal, func(s *stats.Snapshot) float64 { return s.PctTaskAcceptTotal }, true},
+		{CritFileSentSess, func(s *stats.Snapshot) float64 { return s.PctFileSentSession }, true},
+		{CritFileSentTotal, func(s *stats.Snapshot) float64 { return s.PctFileSentTotal }, true},
+		{CritCancelSess, func(s *stats.Snapshot) float64 { return s.PctCancelSession }, false},
+		{CritCancelTotal, func(s *stats.Snapshot) float64 { return s.PctCancelTotal }, false},
+		{CritPendingXfer, func(s *stats.Snapshot) float64 { return s.PendingTransfers }, false},
+		{CritTransferRate, func(s *stats.Snapshot) float64 { return s.TransferRate }, true},
+		{CritPetitionDelay, func(s *stats.Snapshot) float64 { return s.PetitionDelay.Seconds() }, false},
 	}
 }
 
@@ -152,20 +155,29 @@ func NewDataEvaluatorCustom(criteria []Criterion, w Weights, label string) *Data
 func (de *DataEvaluator) Name() string { return de.label }
 
 // Scores returns each candidate's aggregate utility in [0, totalWeight],
-// keyed by peer name.
-func (de *DataEvaluator) Scores(cands []Candidate) map[string]float64 {
-	scores := make(map[string]float64, len(cands))
-	for _, c := range cands {
-		scores[c.Snapshot.Peer] = 0
-	}
-	for _, crit := range de.criteria {
+// indexed by candidate position. One pass per weighted criterion reads the
+// column and finds its range together; a second normalizes it into the sums.
+func (de *DataEvaluator) Scores(cands []Candidate) []float64 {
+	scores := make([]float64, len(cands))
+	col := make([]float64, len(cands))
+	for k := range de.criteria {
+		crit := &de.criteria[k]
 		w := de.weights[crit.Key]
 		if w <= 0 {
 			continue
 		}
-		lo, hi := rangeOf(cands, crit)
-		for _, c := range cands {
-			v := crit.Value(c.Snapshot)
+		var lo, hi float64
+		for i := range cands {
+			v := crit.Value(&cands[i].Snapshot)
+			col[i] = v
+			if i == 0 || v < lo {
+				lo = v
+			}
+			if i == 0 || v > hi {
+				hi = v
+			}
+		}
+		for i, v := range col {
 			var norm float64
 			if hi > lo {
 				norm = (v - lo) / (hi - lo)
@@ -175,33 +187,37 @@ func (de *DataEvaluator) Scores(cands []Candidate) map[string]float64 {
 			if !crit.Benefit {
 				norm = 1 - norm
 			}
-			scores[c.Snapshot.Peer] += w * norm
+			scores[i] += w * norm
 		}
 	}
 	return scores
 }
 
-func rangeOf(cands []Candidate, crit Criterion) (lo, hi float64) {
-	for i, c := range cands {
-		v := crit.Value(c.Snapshot)
-		if i == 0 || v < lo {
-			lo = v
+// better reports whether candidate a outranks candidate b: the higher score,
+// then the peer name, so exact ties break deterministically.
+func better(cands []Candidate, scores []float64, a, b int32) int {
+	if scores[a] != scores[b] {
+		if scores[a] > scores[b] {
+			return -1
 		}
-		if i == 0 || v > hi {
-			hi = v
-		}
+		return 1
 	}
-	return lo, hi
+	return strings.Compare(cands[a].Snapshot.Peer, cands[b].Snapshot.Peer)
 }
 
-// Select implements Selector: the candidate with the best aggregate score;
-// peer name breaks exact ties deterministically.
+// Select implements Selector: the candidate with the best aggregate score.
 func (de *DataEvaluator) Select(_ Request, cands []Candidate) (string, error) {
-	ranked, err := de.Rank(Request{}, cands)
-	if err != nil {
-		return "", err
+	if len(cands) == 0 {
+		return "", ErrNoCandidates
 	}
-	return ranked[0], nil
+	scores := de.Scores(cands)
+	best := int32(0)
+	for i := int32(1); int(i) < len(cands); i++ {
+		if better(cands, scores, i, best) < 0 {
+			best = i
+		}
+	}
+	return cands[best].Snapshot.Peer, nil
 }
 
 // Rank implements Ranker.
@@ -210,29 +226,27 @@ func (de *DataEvaluator) Rank(_ Request, cands []Candidate) ([]string, error) {
 		return nil, ErrNoCandidates
 	}
 	scores := de.Scores(cands)
-	out := names(cands)
-	sort.SliceStable(out, func(i, j int) bool {
-		if scores[out[i]] != scores[out[j]] {
-			return scores[out[i]] > scores[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out, nil
+	return rankedNames(cands, func(a, b int32) int { return better(cands, scores, a, b) }), nil
 }
 
-// Validate reports an error if a weight references an unknown criterion —
-// a config-time guard for user-supplied weight maps.
+// Validate reports an error if a weight references an unknown criterion, is
+// negative or not finite (a NaN score leaves the ranking without an order),
+// or the catalog lists a criterion twice (it would count double) — a
+// config-time guard for user-supplied weight maps and catalogs.
 func (de *DataEvaluator) Validate() error {
 	known := make(map[string]bool, len(de.criteria))
 	for _, c := range de.criteria {
+		if known[c.Key] {
+			return fmt.Errorf("core: criterion %q listed twice", c.Key)
+		}
 		known[c.Key] = true
 	}
 	for k, w := range de.weights {
 		if !known[k] {
 			return fmt.Errorf("core: weight for unknown criterion %q", k)
 		}
-		if w < 0 {
-			return fmt.Errorf("core: negative weight %v for criterion %q", w, k)
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("core: weight %v for criterion %q is not a finite non-negative number", w, k)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -120,6 +121,10 @@ type Broker struct {
 	rankMu   sync.Mutex
 	rankRing [rankIndexSlots]*rankEntry
 	rankNext int
+
+	// dir is the last whole-kind directory merge (see mergedDir).
+	dirMu sync.Mutex
+	dir   mergedDir
 }
 
 // brokerResidentHandlers caps how many idle handler processes stay parked
@@ -212,10 +217,23 @@ func (b *Broker) queryShards(kind jxta.AdvKind, name string, parts [][]jxta.Adve
 	return parts, total
 }
 
+// mergedDir is a whole-kind directory merged across shards, with the shard
+// memos it was merged from (jxta.Cache.Query's whole-kind results, in shard
+// order, empty ones left out). A cache never writes a memo it has handed out
+// — a change builds a new one — and the broker keeps these referenced, so
+// their storage cannot be reused: while every shard still answers with the
+// very same slice, the merge is current. Immutable once built.
+type mergedDir struct {
+	kind jxta.AdvKind
+	from [][]jxta.Advertisement
+	advs []jxta.Advertisement
+}
+
 // Advertisements queries the sharded advertisement directory: per-shard
 // results merged back into canonical (Name, ID) order. The result is
 // read-only: when one shard holds every match it is that shard's own answer
-// (see jxta.Cache.Query).
+// (see jxta.Cache.Query), and a whole-kind merge is shared by every caller
+// until some shard's answer changes.
 func (b *Broker) Advertisements(kind jxta.AdvKind, name string) []jxta.Advertisement {
 	var buf [8][]jxta.Advertisement
 	parts, total := b.queryShards(kind, name, buf[:0])
@@ -225,17 +243,26 @@ func (b *Broker) Advertisements(kind jxta.AdvKind, name string) []jxta.Advertise
 	case 1:
 		return parts[0]
 	}
+	// Several shards answered, so this is a whole-kind query.
+	b.dirMu.Lock()
+	defer b.dirMu.Unlock()
+	if d := &b.dir; d.kind == kind && slices.EqualFunc(d.from, parts, sameSlice) {
+		return d.advs
+	}
 	// Each shard answers in canonical order already; a k-way merge restores
-	// the global order without re-sorting the whole directory on every
-	// selection.
-	out := make([]jxta.Advertisement, 0, total)
+	// the global order without re-sorting the whole directory.
+	d := mergedDir{kind: kind, from: slices.Clone(parts), advs: make([]jxta.Advertisement, 0, total)}
 	for len(parts) > 0 {
 		var a *jxta.Advertisement
 		a, parts = popMin(parts)
-		out = append(out, *a)
+		d.advs = append(d.advs, *a)
 	}
-	return out
+	b.dir = d
+	return d.advs
 }
+
+// sameSlice reports whether two non-empty slices are the same memory.
+func sameSlice(a, b []jxta.Advertisement) bool { return len(a) == len(b) && &a[0] == &b[0] }
 
 // RegisterSelector installs (or replaces) a selection model under its name.
 func (b *Broker) RegisterSelector(s core.Selector) {

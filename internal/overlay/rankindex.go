@@ -194,13 +194,6 @@ func (b *Broker) rankBuild(key rankKey, creq core.Request, sel core.Selector, pu
 	// from its owning shard, so a sharded broker ranks exactly as a single
 	// one would.
 	advs = b.Advertisements(jxta.AdvPeer, "")
-	var excluded map[string]bool
-	if !subsetStable && len(exclude) > 0 {
-		excluded = make(map[string]bool, len(exclude))
-		for _, p := range exclude {
-			excluded[p] = true
-		}
-	}
 	candsp := candPool.Get().(*[]core.Candidate)
 	defer func() {
 		clear(*candsp)
@@ -211,16 +204,20 @@ func (b *Broker) rankBuild(key rankKey, creq core.Request, sel core.Selector, pu
 	if cap(cands) < len(advs) {
 		cands = make([]core.Candidate, 0, len(advs))
 	}
+	// Each candidate's slot is filled where it lies, as of the one instant
+	// the request carries.
 	var maxReadyAt time.Time
-	for _, a := range advs {
-		if excluded[a.Name] {
+	for i := range advs {
+		name := advs[i].Name
+		if !subsetStable && slices.Contains(exclude, name) {
 			continue
 		}
-		snap := b.shardOf(a.Name).registry.Peer(a.Name).Snapshot()
+		cands = cands[:len(cands)+1]
+		snap := &cands[len(cands)-1].Snapshot
+		b.shardOf(name).registry.Peer(name).SnapshotInto(snap, creq.Now, 24)
 		if snap.ReadyAt.After(maxReadyAt) {
 			maxReadyAt = snap.ReadyAt
 		}
-		cands = append(cands, core.Candidate{Snapshot: snap})
 	}
 	*candsp = cands
 

@@ -389,53 +389,62 @@ type Snapshot struct {
 }
 
 // SnapshotK is Snapshot with the message window set to the last k hours.
-func (p *PeerStats) SnapshotK(k int) Snapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	now := p.now()
-	cpu := p.cpuScore
-	if cpu <= 0 {
-		cpu = 1
-	}
-	return Snapshot{
-		Peer:  p.peer,
-		Taken: now,
-
-		PctMsgSession: p.msgSession.PercentOr(100),
-		PctMsgTotal:   p.msgTotal.PercentOr(100),
-		PctMsgLastK:   p.msgHourly.percentLast(now, k, 100),
-		OutboxNow:     p.outbox.Now,
-		OutboxAvg:     p.outbox.Avg(),
-		InboxNow:      p.inbox.Now,
-		InboxAvg:      p.inbox.Avg(),
-
-		PctTaskExecSession:   p.taskExecSession.PercentOr(100),
-		PctTaskExecTotal:     p.taskExecTotal.PercentOr(100),
-		PctTaskAcceptSession: p.taskAcceptSession.PercentOr(100),
-		PctTaskAcceptTotal:   p.taskAcceptTotal.PercentOr(100),
-		SecondsPerUnit:       p.execTime.Value(1),
-		QueueLen:             float64(p.queueLen),
-		ReadyAt:              p.readyAt,
-
-		PctFileSentSession: p.fileSentSession.PercentOr(100),
-		PctFileSentTotal:   p.fileSentTotal.PercentOr(100),
-		PctCancelSession:   p.cancelSession.PercentOr(0),
-		PctCancelTotal:     p.cancelTotal.PercentOr(0),
-		PendingTransfers:   float64(p.pendingTransfer),
-
-		TransfersOriginated:    float64(p.originated.Total),
-		PctTransfersOriginated: p.originated.PercentOr(100),
-		BytesOriginated:        float64(p.bytesOriginated),
-
-		CPUScore:      cpu,
-		TransferRate:  p.transferRate.Value(0),
-		PetitionDelay: time.Duration(p.petitionDelay.Value(0) * float64(time.Second)),
-		LastUpdated:   p.lastUpdate,
-	}
+func (p *PeerStats) SnapshotK(k int) (s Snapshot) {
+	p.SnapshotInto(&s, p.now(), k)
+	return s
 }
 
 // Snapshot uses the default 24-hour message window.
 func (p *PeerStats) Snapshot() Snapshot { return p.SnapshotK(24) }
+
+// SnapshotInto sets every field of dst to what SnapshotK(k) returns at now.
+// A caller filling one slot per peer at one instant (the broker's rank
+// build) reads the clock once and copies no Snapshot.
+func (p *PeerStats) SnapshotInto(dst *Snapshot, now time.Time, k int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	dst.Peer = p.peer
+	dst.Taken = now
+
+	dst.PctMsgSession = p.msgSession.PercentOr(100)
+	dst.PctMsgTotal = p.msgTotal.PercentOr(100)
+	// Every hourly record is also a total record: a peer with no message
+	// history has 48 empty buckets and no need to walk them.
+	dst.PctMsgLastK = 100
+	if p.msgTotal.Total > 0 {
+		dst.PctMsgLastK = p.msgHourly.percentLast(now, k, 100)
+	}
+	dst.OutboxNow = p.outbox.Now
+	dst.OutboxAvg = p.outbox.Avg()
+	dst.InboxNow = p.inbox.Now
+	dst.InboxAvg = p.inbox.Avg()
+
+	dst.PctTaskExecSession = p.taskExecSession.PercentOr(100)
+	dst.PctTaskExecTotal = p.taskExecTotal.PercentOr(100)
+	dst.PctTaskAcceptSession = p.taskAcceptSession.PercentOr(100)
+	dst.PctTaskAcceptTotal = p.taskAcceptTotal.PercentOr(100)
+	dst.SecondsPerUnit = p.execTime.Value(1)
+	dst.QueueLen = float64(p.queueLen)
+	dst.ReadyAt = p.readyAt
+
+	dst.PctFileSentSession = p.fileSentSession.PercentOr(100)
+	dst.PctFileSentTotal = p.fileSentTotal.PercentOr(100)
+	dst.PctCancelSession = p.cancelSession.PercentOr(0)
+	dst.PctCancelTotal = p.cancelTotal.PercentOr(0)
+	dst.PendingTransfers = float64(p.pendingTransfer)
+
+	dst.TransfersOriginated = float64(p.originated.Total)
+	dst.PctTransfersOriginated = p.originated.PercentOr(100)
+	dst.BytesOriginated = float64(p.bytesOriginated)
+
+	dst.CPUScore = p.cpuScore
+	if dst.CPUScore <= 0 {
+		dst.CPUScore = 1
+	}
+	dst.TransferRate = p.transferRate.Value(0)
+	dst.PetitionDelay = time.Duration(p.petitionDelay.Value(0) * float64(time.Second))
+	dst.LastUpdated = p.lastUpdate
+}
 
 // Registry is a thread-safe collection of PeerStats, one per peer.
 type Registry struct {

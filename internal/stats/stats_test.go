@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -385,6 +386,53 @@ func TestNeutralDefaultsForUnknownPeer(t *testing.T) {
 	}
 	if s.SecondsPerUnit != 1 {
 		t.Errorf("SecondsPerUnit = %v, want default 1", s.SecondsPerUnit)
+	}
+}
+
+// TestSnapshotIntoSetsEveryField: the broker fills recycled candidate slots
+// through SnapshotInto, so whatever a slot held before, every field — one
+// added to Snapshot later included — must come out as SnapshotK returns it.
+func TestSnapshotIntoSetsEveryField(t *testing.T) {
+	clock, advance := fixedClock(t0)
+	busy := NewPeerStats("busy", clock)
+	busy.RecordMessage(true)
+	busy.RecordMessage(false)
+	busy.SetQueues(3, 5)
+	busy.RecordTaskOffer(true)
+	busy.RecordTaskExecution(true, 2.5)
+	busy.SetQueueLen(4)
+	busy.SetReadyAt(t0.Add(time.Minute))
+	busy.RecordFileSent(true)
+	busy.RecordTransferOutcome(true)
+	busy.RecordTransferOriginated(true, 1<<20)
+	busy.AddPendingTransfers(2)
+	busy.SetCPUScore(1.5)
+	busy.ObserveTransferRate(1<<20, time.Second)
+	busy.ObservePetitionDelay(40 * time.Millisecond)
+	advance(3 * time.Hour)
+	for _, p := range []*PeerStats{busy, NewPeerStats("ghost", clock)} {
+		for _, k := range []int{2, 24} {
+			var dirty Snapshot
+			v := reflect.ValueOf(&dirty).Elem()
+			for i := 0; i < v.NumField(); i++ {
+				switch f := v.Field(i); f.Kind() {
+				case reflect.Float64:
+					f.SetFloat(-7)
+				case reflect.Int64:
+					f.SetInt(-7)
+				case reflect.String:
+					f.SetString("stale")
+				case reflect.Struct:
+					f.Set(reflect.ValueOf(t0.Add(-time.Hour)))
+				default:
+					t.Fatalf("Snapshot.%s: a kind this test does not dirty", v.Type().Field(i).Name)
+				}
+			}
+			p.SnapshotInto(&dirty, clock(), k)
+			if want := p.SnapshotK(k); dirty != want {
+				t.Errorf("%s, k = %d:\n got %+v\nwant %+v", p.Peer(), k, dirty, want)
+			}
+		}
 	}
 }
 
