@@ -1,0 +1,89 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"peerlab/internal/stats"
+)
+
+// benchCandidates builds n candidates the way a broker's registry would hold
+// them after some traffic: spread CPU scores, rates and delays, a few
+// message and file records each, so no criterion is flat and scores tie
+// only now and then.
+func benchCandidates(n int) []Candidate {
+	cands := make([]Candidate, n)
+	for i := range cands {
+		ps := stats.NewPeerStats(fmt.Sprintf("n%05d", i), func() time.Time { return now })
+		ps.SetCPUScore(0.5 + float64(i%7)/4)
+		ps.ObserveTransferRate(1_000_000+(i*7919)%9_000_000, time.Second)
+		ps.ObservePetitionDelay(time.Duration(10+(i*31)%500) * time.Millisecond)
+		for j := 0; j <= i%5; j++ {
+			ps.RecordMessage(j%3 != 0)
+			ps.RecordFileSent(true)
+		}
+		cands[i] = Candidate{Snapshot: ps.Snapshot()}
+	}
+	return cands
+}
+
+// benchRankers are the three models of Figure 6; quick-peer remembers eight
+// of the candidates, as a user would.
+func benchRankers(cands []Candidate) []Ranker {
+	remembered := map[string]time.Duration{}
+	for i := 0; i < len(cands); i += len(cands) / 8 {
+		remembered[cands[i].Snapshot.Peer] = time.Duration(i+1) * time.Millisecond
+	}
+	return []Ranker{NewEconomic(EconomicConfig{}), NewSamePriority(), NewQuickPeer(remembered)}
+}
+
+var benchReq = Request{Kind: KindFileTransfer, SizeBytes: 2_000_000, Now: now}
+
+var rankSink []string
+
+// BenchmarkRank is the core layer's share of a selection miss: one full
+// ranking over a directory-sized candidate set, per model.
+func BenchmarkRank(b *testing.B) {
+	for _, n := range []int{4096, 16384} {
+		cands := benchCandidates(n)
+		for _, r := range benchRankers(cands) {
+			b.Run(fmt.Sprintf("%s/%d", r.(Selector).Name(), n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ranked, err := r.Rank(benchReq, cands)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rankSink = ranked
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/cand")
+			})
+		}
+	}
+}
+
+// TestRankAllocBudgets pins what a ranking allocates: a handful of flat
+// slices whose number does not depend on the candidate count. A map sized by
+// the candidates would show as a count that grows from 4 096 to 16 384 (a
+// map that large is many tables), so equal small counts at both sizes also
+// say no such map is built.
+func TestRankAllocBudgets(t *testing.T) {
+	budgets := map[string]float64{"economic": 6, "same-priority": 6, "quick-peer": 4}
+	small, large := benchCandidates(4096), benchCandidates(16384)
+	for i, r := range benchRankers(small) {
+		name := r.(Selector).Name()
+		count := func(r Ranker, cands []Candidate) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := r.Rank(benchReq, cands); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		atSmall, atLarge := count(r, small), count(benchRankers(large)[i], large)
+		if atSmall != atLarge || atSmall > budgets[name] {
+			t.Errorf("%s: %v allocations to rank 4096 candidates, %v to rank 16384; budget %v at both",
+				name, atSmall, atLarge, budgets[name])
+		}
+	}
+}

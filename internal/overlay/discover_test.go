@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -333,4 +334,102 @@ func TestDiscoverAllocBudgets(t *testing.T) {
 	if len(advs) != 128 {
 		t.Fatalf("decoded %d advertisements", len(advs))
 	}
+}
+
+// TestDirectoryMergeReused: the whole-kind merge is kept while every shard
+// still answers with the memo it was merged from, and only then. Two calls
+// with nothing published between them return the same backing array; after
+// each kind of directory change the result is a new slice equal to a merge
+// made from nothing. Readers run beside the changes (the race detector's
+// part) and must always see a sorted directory without duplicates.
+func TestDirectoryMergeReused(t *testing.T) {
+	n := simnet.New(21)
+	host := n.MustAddNode("broker0", simnet.DefaultProfile())
+	b, err := NewBroker(host, BrokerConfig{Shards: 4, CacheLimit: 8192, AdvTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	advs := randomPeerAdvs(rand.New(rand.NewSource(4)), 200)
+	late, extra := advs[100:199], advs[199] // advs[:100] are never renewed
+	publish := func(advs ...jxta.Advertisement) {
+		for _, a := range advs {
+			b.publish(b.shardOf(a.Name), a)
+		}
+	}
+
+	// Readers race the changes, not the checks: a reader that collected the
+	// shards' answers before a change may finish its merge after it and take
+	// the kept slot back to the older directory (the next call notices and
+	// merges again), which is correct and would fail the identity checks.
+	var checking sync.RWMutex
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				checking.RLock()
+				dir := b.Advertisements(jxta.AdvPeer, "")
+				checking.RUnlock()
+				for i := 1; i < len(dir); i++ {
+					if jxta.CompareAdvertisements(dir[i-1], dir[i]) >= 0 {
+						t.Errorf("a reader saw %s before %s", dir[i-1].Name, dir[i].Name)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	var prev []jxta.Advertisement
+	changed := func(step string, wantLen int) {
+		t.Helper()
+		checking.Lock()
+		defer checking.Unlock()
+		var scratch []jxta.Advertisement
+		for _, sh := range b.shards {
+			scratch = append(scratch, sh.cache.Query(jxta.AdvPeer, "")...)
+		}
+		jxta.SortAdvertisements(scratch)
+		got := b.Advertisements(jxta.AdvPeer, "")
+		if len(got) != wantLen || !reflect.DeepEqual(got, scratch) {
+			t.Fatalf("after %s: %d advertisements, a merge from nothing has %d (want %d), or they differ", step, len(got), len(scratch), wantLen)
+		}
+		if len(got) > 0 && len(prev) > 0 && &got[0] == &prev[0] {
+			t.Fatalf("after %s: the directory is still the previous merge", step)
+		}
+		if again := b.Advertisements(jxta.AdvPeer, ""); len(again) != len(got) || (len(got) > 0 && &again[0] != &got[0]) {
+			t.Fatalf("after %s: merged again with nothing published in between", step)
+		}
+		prev = got
+	}
+	n.Run(func() {
+		publish(advs[:199]...)
+		changed("publish", 199)
+		publish(extra)
+		changed("one more publish", 200)
+		host.Sleep(30 * time.Second)
+		publish(late...)
+		changed("renew", 200)
+		b.shardOf(extra.Name).cache.Remove(extra.ID)
+		changed("Remove", 199)
+		host.Sleep(31 * time.Second) // early's leases are over, late's have 29 s left
+		changed("lease expiry", 99)
+		for _, sh := range b.shards {
+			sh.cache.Sweep(host.Now())
+		}
+		changed("Sweep", 99)
+		b.Restart()
+		changed("Restart", 0)
+		publish(late...) // the very advertisements the last merge held
+		changed("publish after Restart", 99)
+	})
+	close(stop)
+	readers.Wait()
 }

@@ -2,11 +2,13 @@ package overlay
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"peerlab/internal/core"
+	"peerlab/internal/jxta"
 	"peerlab/internal/simnet"
 )
 
@@ -207,5 +209,45 @@ func TestRankIndexUntouchedByNonPure(t *testing.T) {
 	}
 	if b.rankRing != ring || b.rankNext != next {
 		t.Fatal("the always-miss oracle installed an entry")
+	}
+}
+
+// BenchmarkRankBuild is the broker's selection miss path at the size of the
+// swarm-4096 benchmark: 4 096 peers on 8 shards, and one statistics report
+// between selections, so every selection finds the rank index stale and
+// rebuilds — merged directory, a snapshot per candidate, the model's ranking.
+func BenchmarkRankBuild(b *testing.B) {
+	const peers = 4096
+	host := simnet.New(21).MustAddNode("broker0", simnet.DefaultProfile())
+	br, err := NewBroker(host, BrokerConfig{Shards: 8, CacheLimit: 2 * peers})
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := make([]string, peers)
+	for i := range names {
+		name := fmt.Sprintf("n%05d.bench.slice.peerlab", i)
+		names[i] = name
+		sh := br.shardOf(name)
+		br.publish(sh, jxta.Advertisement{Kind: jxta.AdvPeer, ID: jxta.NewID("peer", name), Name: name, Addr: name + "/transfer"})
+		ps := sh.registry.Peer(name)
+		ps.SetCPUScore(0.5 + float64(i%7)/4)
+		ps.ObserveTransferRate(1_000_000+(i*7919)%9_000_000, time.Second)
+		if i%3 == 0 {
+			ps.RecordMessage(i%2 == 0)
+		}
+	}
+	for _, model := range []string{"economic", "same-priority"} {
+		b.Run(model, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				from := names[(i*31)%peers]
+				br.shardOf(from).registry.Peer(from).RecordFileSent(true)
+				req := selectReq{Model: model, Kind: byte(core.KindFileTransfer), SizeBytes: 2 << 20, MaxResults: 1, Exclude: []string{from}}
+				if _, _, err := br.selectPeers(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/peers, "ns/cand")
+		})
 	}
 }
