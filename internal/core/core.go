@@ -430,7 +430,7 @@ type UserPreference struct {
 	// rank maps each preferred peer to its place in the user's list (the
 	// first, if the list names it twice); listed is the list's length.
 	rank   map[string]int32
-	listed int
+	listed int32
 	mode   string
 }
 
@@ -442,7 +442,7 @@ func NewUserPreference(prefs []string) *UserPreference {
 			rank[p] = int32(i)
 		}
 	}
-	return &UserPreference{rank: rank, listed: len(prefs), mode: "user-preference"}
+	return &UserPreference{rank: rank, listed: int32(len(prefs)), mode: "user-preference"}
 }
 
 // NewQuickPeer builds the preference order from the user's remembered
@@ -481,7 +481,7 @@ func (u *UserPreference) Select(_ Request, cands []Candidate) (string, error) {
 	if len(cands) == 0 {
 		return "", ErrNoCandidates
 	}
-	best, at := int32(u.listed), 0
+	best, at := u.listed, 0
 	for i := range cands {
 		if r, ok := u.rank[cands[i].Snapshot.Peer]; ok && r < best {
 			best, at = r, i
@@ -500,7 +500,7 @@ func (u *UserPreference) Rank(_ Request, cands []Candidate) ([]string, error) {
 	for i := range cands {
 		r, ok := u.rank[cands[i].Snapshot.Peer]
 		if !ok {
-			r = int32(u.listed)
+			r = u.listed
 		}
 		place[i] = r
 	}

@@ -193,8 +193,8 @@ func (de *DataEvaluator) Scores(cands []Candidate) []float64 {
 	return scores
 }
 
-// better reports whether candidate a outranks candidate b: the higher score,
-// then the peer name, so exact ties break deterministically.
+// better orders candidates a and b best-first: the higher score, then the
+// peer name, so exact ties break deterministically.
 func better(cands []Candidate, scores []float64, a, b int32) int {
 	if scores[a] != scores[b] {
 		if scores[a] > scores[b] {

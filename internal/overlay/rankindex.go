@@ -8,6 +8,7 @@ import (
 
 	"peerlab/internal/core"
 	"peerlab/internal/jxta"
+	"peerlab/internal/stats"
 )
 
 // Rank index: memoized full-directory rankings for pure selection models.
@@ -214,7 +215,7 @@ func (b *Broker) rankBuild(key rankKey, creq core.Request, sel core.Selector, pu
 		}
 		cands = cands[:len(cands)+1]
 		snap := &cands[len(cands)-1].Snapshot
-		b.shardOf(name).registry.Peer(name).SnapshotInto(snap, creq.Now, 24)
+		b.shardOf(name).registry.Peer(name).SnapshotInto(snap, creq.Now, stats.DefaultWindowHours)
 		if snap.ReadyAt.After(maxReadyAt) {
 			maxReadyAt = snap.ReadyAt
 		}

@@ -394,8 +394,11 @@ func (p *PeerStats) SnapshotK(k int) (s Snapshot) {
 	return s
 }
 
+// DefaultWindowHours is the message window of Snapshot.
+const DefaultWindowHours = 24
+
 // Snapshot uses the default 24-hour message window.
-func (p *PeerStats) Snapshot() Snapshot { return p.SnapshotK(24) }
+func (p *PeerStats) Snapshot() Snapshot { return p.SnapshotK(DefaultWindowHours) }
 
 // SnapshotInto sets every field of dst to what SnapshotK(k) returns at now.
 // A caller filling one slot per peer at one instant (the broker's rank
