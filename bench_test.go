@@ -37,6 +37,15 @@ func benchCfg(i int) experiments.Config {
 	return experiments.Config{Seed: int64(3000 + i), Reps: 2}
 }
 
+// benchFigure runs one registry figure — the path the CLI and the suite take.
+func benchFigure(name string, cfg experiments.Config) (*metrics.Figure, error) {
+	f, ok := experiments.FigureByName(name)
+	if !ok {
+		return nil, fmt.Errorf("no figure %q", name)
+	}
+	return f.Run(cfg)
+}
+
 func BenchmarkTable1Catalog(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tab := experiments.Table1()
@@ -49,7 +58,7 @@ func BenchmarkTable1Catalog(b *testing.B) {
 func BenchmarkFig2PetitionTime(b *testing.B) {
 	var sc7 float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig2PetitionTime(benchCfg(i))
+		fig, err := benchFigure("fig2", benchCfg(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +70,7 @@ func BenchmarkFig2PetitionTime(b *testing.B) {
 func BenchmarkFig3Transmission50Mb(b *testing.B) {
 	var sc7 float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig3Transmission50Mb(benchCfg(i))
+		fig, err := benchFigure("fig3", benchCfg(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +82,7 @@ func BenchmarkFig3Transmission50Mb(b *testing.B) {
 func BenchmarkFig4LastMb(b *testing.B) {
 	var sc7 float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig4LastMb(benchCfg(i))
+		fig, err := benchFigure("fig4", benchCfg(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +94,7 @@ func BenchmarkFig4LastMb(b *testing.B) {
 func BenchmarkFig5Granularity(b *testing.B) {
 	var whole, sixteen float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig5Granularity(benchCfg(i))
+		fig, err := benchFigure("fig5", benchCfg(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +115,7 @@ func BenchmarkFig5Granularity(b *testing.B) {
 func BenchmarkFig6SelectionModels(b *testing.B) {
 	var eco, quick float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig6SelectionModels(benchCfg(i))
+		fig, err := benchFigure("fig6", benchCfg(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +129,7 @@ func BenchmarkFig6SelectionModels(b *testing.B) {
 func BenchmarkFig7ExecVsTransferExec(b *testing.B) {
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Fig7ExecVsTransferExec(benchCfg(i))
+		fig, err := benchFigure("fig7", benchCfg(i))
 		if err != nil {
 			b.Fatal(err)
 		}

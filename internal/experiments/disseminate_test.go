@@ -73,7 +73,7 @@ func TestDisseminateChurn(t *testing.T) {
 // rarest-first — playback consumes pieces in index order, so in-order
 // delivery is the policy that serves it.
 func TestFigStreamOrdering(t *testing.T) {
-	fig, err := FigStreamStalls(Config{Seed: 2007, Reps: 1, Workers: 4, Shards: 1})
+	fig, err := figure("figstream", Config{Seed: 2007, Reps: 1, Workers: 4, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

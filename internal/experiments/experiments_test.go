@@ -41,7 +41,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	fig, err := Fig2PetitionTime(testCfg)
+	fig, err := figure("fig2", testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	fig, err := Fig3Transmission50Mb(testCfg)
+	fig, err := figure("fig3", testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	fig, err := Fig4LastMb(testCfg)
+	fig, err := figure("fig4", testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	fig, err := Fig5Granularity(testCfg)
+	fig, err := figure("fig5", testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	fig, err := Fig6SelectionModels(testCfg)
+	fig, err := figure("fig6", testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	fig, err := Fig7ExecVsTransferExec(testCfg)
+	fig, err := figure("fig7", testCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,11 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestExperimentsAreSeedDeterministic(t *testing.T) {
-	a, err := Fig2PetitionTime(Config{Seed: 99, Reps: 2})
+	a, err := figure("fig2", Config{Seed: 99, Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig2PetitionTime(Config{Seed: 99, Reps: 2})
+	b, err := figure("fig2", Config{Seed: 99, Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +217,11 @@ func TestExperimentsAreSeedDeterministic(t *testing.T) {
 }
 
 func TestDifferentSeedsDiffer(t *testing.T) {
-	a, err := Fig2PetitionTime(Config{Seed: 1, Reps: 2})
+	a, err := figure("fig2", Config{Seed: 1, Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig2PetitionTime(Config{Seed: 2, Reps: 2})
+	b, err := figure("fig2", Config{Seed: 2, Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

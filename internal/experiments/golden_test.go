@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"peerlab/internal/metrics"
@@ -41,8 +42,15 @@ type goldenCase struct {
 
 func workloadRun(c Config) (any, error) { return RunWorkload(c) }
 
-func figureRun(fig func(Config) (*metrics.Figure, error)) func(Config) (any, error) {
-	return func(c Config) (any, error) { return fig(c) }
+// figureRun runs the registry row with the given key.
+func figureRun(name string) func(Config) (any, error) {
+	return func(c Config) (any, error) {
+		f, ok := FigureByName(name)
+		if !ok {
+			return nil, fmt.Errorf("no figure %q", name)
+		}
+		return f.Run(c)
+	}
 }
 
 func summaryOf(v any) WorkloadSummary { return v.(*WorkloadReport).Summary }
@@ -60,7 +68,7 @@ func seriesByLabel(v any, series int) map[string]float64 {
 // The dissemination rows run on zipf:16 — the bandwidth-skewed world where
 // piece exchange and choking have classes to discriminate.
 var goldenCases = []goldenCase{
-	{file: "fig2-table1.golden.json", reps: 2, run: figureRun(Fig2PetitionTime)},
+	{file: "fig2-table1.golden.json", reps: 2, run: figureRun("fig2")},
 	// The churn path: live membership, lease expiry, staggered launches,
 	// per-flow failures.
 	{file: "churn16-swarm16.golden.json", scenario: "churn:16", workload: "swarm:16", reps: 1, run: workloadRun},
@@ -110,7 +118,7 @@ var goldenCases = []goldenCase{
 	// The incentive result itself: on its default world tit-for-tat must
 	// pair fast peers with fast peers (like/cross ratio above 1 — Legout's
 	// clustering) and more strongly than the policy-neutral baseline.
-	{file: "figcluster-zipf16.golden.json", reps: 1, run: figureRun(FigBandwidthClustering),
+	{file: "figcluster-zipf16.golden.json", reps: 1, run: figureRun("figcluster"),
 		check: func(t *testing.T, v any) {
 			ratios := seriesByLabel(v, 0)
 			if ratios["choke=tft"] <= 1 {
@@ -144,16 +152,30 @@ var goldenCases = []goldenCase{
 			}
 		}},
 	// The four marginal figures and the paper suite, as rendered.
-	{file: "figchurn-churn16.golden.json", scenario: "churn:16", reps: 1, run: figureRun(FigChurnQuality)},
-	{file: "figfault-faults16.golden.json", scenario: "faults:16", reps: 1, run: figureRun(FigFaultResilience),
+	{file: "figchurn-churn16.golden.json", scenario: "churn:16", reps: 1, run: figureRun("figchurn")},
+	{file: "figfault-faults16.golden.json", scenario: "faults:16", reps: 1, run: figureRun("figfault"),
 		check: func(t *testing.T, v any) {
 			degraded := seriesByLabel(v, 1)
 			if degraded["×4"] <= 0 {
 				t.Fatalf("fault figure shows no degraded selections at ×4: %v", degraded)
 			}
 		}},
-	{file: "figstream-zipf16.golden.json", reps: 1, run: figureRun(FigStreamStalls)},
+	{file: "figstream-zipf16.golden.json", reps: 1, run: figureRun("figstream")},
 	{file: "suite-table1.golden.json", reps: 1, run: func(c Config) (any, error) { return FigureSuite(c) }},
+	// A paper figure on a churning scenario measures the catalog with
+	// static membership under the default 30-day lease: every model must
+	// find a candidate after the warm-up's idle gaps, which a 90 s lease
+	// with no renewals would have expired.
+	{file: "fig6-churn8.golden.json", scenario: "churn:8", reps: 1, run: figureRun("fig6"),
+		check: func(t *testing.T, v any) {
+			for series := range v.(*metrics.Figure).Series {
+				for model, secs := range seriesByLabel(v, series) {
+					if secs <= 0 {
+						t.Fatalf("fig6 on churn:8: %s transmitted in %v s; selection found no live lease", model, secs)
+					}
+				}
+			}
+		}},
 }
 
 // runGolden runs the goldenCases row recorded in file.
@@ -217,3 +239,4 @@ func TestGoldenChurnFigure(t *testing.T)      { runGolden(t, "figchurn-churn16.g
 func TestGoldenFaultFigure(t *testing.T)      { runGolden(t, "figfault-faults16.golden.json") }
 func TestGoldenStreamFigure(t *testing.T)     { runGolden(t, "figstream-zipf16.golden.json") }
 func TestGoldenFigureSuite(t *testing.T)      { runGolden(t, "suite-table1.golden.json") }
+func TestGoldenFig6Churn(t *testing.T)        { runGolden(t, "fig6-churn8.golden.json") }

@@ -15,21 +15,21 @@ func TestScenarioFiguresWorkerInvariant(t *testing.T) {
 	serial.Workers = 1
 	parallel.Workers = 4
 
-	a, err := Fig2PetitionTime(serial)
+	a, err := figure("fig2", serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig2PetitionTime(parallel)
+	b, err := figure("fig2", parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameFigure(t, "fig2/heterogeneous:6", a, b)
 
-	a, err = Fig6SelectionModels(serial)
+	a, err = figure("fig6", serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err = Fig6SelectionModels(parallel)
+	b, err = figure("fig6", parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestShardedBrokerFigureInvariant(t *testing.T) {
 		one.Shards = 1
 		many.Shards = 4
 
-		a, err := Fig6SelectionModels(one)
+		a, err := figure("fig6", one)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Fig6SelectionModels(many)
+		b, err := figure("fig6", many)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -365,7 +365,7 @@ func TestChurnRateScalesDepartures(t *testing.T) {
 // rejected rather than silently substituted: the figure must measure what
 // its title names.
 func TestFigChurnQuality(t *testing.T) {
-	if _, err := FigChurnQuality(Config{Seed: 1, Reps: 1, Scenario: scenario.Uniform(4)}); err == nil ||
+	if _, err := figure("figchurn", Config{Seed: 1, Reps: 1, Scenario: scenario.Uniform(4)}); err == nil ||
 		!strings.Contains(err.Error(), "no churn dynamics") {
 		t.Fatalf("static scenario not rejected: %v", err)
 	}
@@ -373,7 +373,7 @@ func TestFigChurnQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := FigChurnQuality(Config{Seed: 2007, Reps: 1, Scenario: sc})
+	fig, err := figure("figchurn", Config{Seed: 2007, Reps: 1, Scenario: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestFigFaultResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := FigFaultResilience(Config{Seed: 2007, Reps: 1, Scenario: sc})
+	fig, err := figure("figfault", Config{Seed: 2007, Reps: 1, Scenario: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestFigFaultResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FigFaultResilience(Config{Seed: 1, Reps: 1, Scenario: static}); err == nil {
+	if _, err := figure("figfault", Config{Seed: 1, Reps: 1, Scenario: static}); err == nil {
 		t.Fatal("figfault accepted a scenario with no fault plan")
 	}
 }
