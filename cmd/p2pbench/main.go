@@ -77,6 +77,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -162,11 +163,11 @@ func main() {
 		exit(2)
 	}
 
-	cfg := experiments.Config{Seed: *seed, Reps: *reps, Workers: *parallel, Scenario: sc, Shards: *shards}
-	out := result{Scenario: sc.Name, Seed: *seed, Reps: *reps, Workers: *parallel, Shards: *shards}
-	if out.Workers <= 0 {
-		out.Workers = runtime.GOMAXPROCS(0)
-	}
+	// The run record names the inputs the cells actually derive from: a
+	// defaulted flag (-seed 0, -reps 0, -parallel 0, -shards 0) is reported
+	// as what it resolved to.
+	cfg := experiments.Config{Seed: *seed, Reps: *reps, Workers: *parallel, Scenario: sc, Shards: *shards}.WithDefaults()
+	out := result{Scenario: sc.Name, Seed: cfg.Seed, Reps: cfg.Reps, Workers: cfg.Workers, Shards: cfg.Shards}
 
 	if *wl != "" {
 		// Parsed before the sweep branch: -workload fills the sweep's
@@ -213,35 +214,17 @@ func main() {
 		return
 	}
 
-	if *exp == "all" {
-		// The suite entry point runs all figures concurrently over one
-		// shared worker pool.
-		suite, err := experiments.FigureSuite(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
-			exit(1)
+	// One path for "all", a single exhibit and a list: the figures share
+	// one worker pool and one run of every cell batch two of them view.
+	suite, err := experiments.RunFigures(cfg, expNames)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
+		if errors.Is(err, experiments.ErrUnknownExperiment) {
+			exit(2)
 		}
-		out.Table1 = suite.Table1
-		out.Figures = suite.Figures
-	} else {
-		for _, name := range expNames {
-			f, isFigure := experiments.FigureByName(name)
-			switch {
-			case name == "table1":
-				out.Table1 = experiments.Table1()
-			case isFigure:
-				fig, err := f.Run(cfg)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "p2pbench: %s: %v\n", name, err)
-					exit(1)
-				}
-				out.Figures = append(out.Figures, experiments.SuiteFigure{Name: name, Figure: fig})
-			default:
-				fmt.Fprintf(os.Stderr, "p2pbench: unknown experiment %q (want %s)\n", name, experiments.ExperimentNames())
-				exit(2)
-			}
-		}
+		exit(1)
 	}
+	out.Table1, out.Figures = suite.Table1, suite.Figures
 
 	if err := render(out, *format); err != nil {
 		fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)

@@ -53,21 +53,16 @@ type Config struct {
 	// instead of interleaving on stderr.
 	Logf func(format string, args ...any)
 
-	// pool, when set, is shared across figures so a whole-suite run is
-	// bounded by one worker budget (see FigureSuite).
+	// pool and memo, when set, are shared across the figures of one
+	// RunFigures call: one worker budget, and one run of every cell batch
+	// two figures are views of.
 	pool *workerPool
-	// fig50, when set, shares the 50 Mb transfer cells between Figures 3
-	// and 4 within one suite run (see fig50mbResults).
-	fig50 *fig50Cache
-	// scenarioLeases, when set, applies the scenario's AdvTTL/LeaseSweep
-	// hints to the deployed broker. Only churn workload cells set it —
-	// they run the renewal heartbeat that keeps live peers leased; figure
-	// cells always deploy with the static TTL (figures ignore churn
-	// schedules).
-	scenarioLeases bool
+	memo *batchMemo
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults resolves every defaulted input — the values the cells
+// actually derive from, and the ones a run record must name.
+func (c Config) WithDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 2007
 	}
@@ -89,73 +84,68 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// labels returns the measured-peer labels — the X axis of the per-peer
-// figures for the configured scenario.
-func (c Config) labels() []string { return c.Scenario.Labels }
-
 // SCLabels is the fixed X axis of the per-peer figures on the default
 // table1 scenario.
 var SCLabels = []string{"SC1", "SC2", "SC3", "SC4", "SC5", "SC6", "SC7", "SC8"}
 
-// Env is one deployed experiment environment.
+// Env is one deployed world: the slice, its broker and — for the duration of
+// a RunPeers call — its running clients and dynamics. It is the only place a
+// broker or an overlay client is built on a simulated slice: experiment
+// cells, the public facade and the repository benchmark's staged replay all
+// get their world here.
 type Env struct {
 	Slice  *scenario.Slice
 	Broker *overlay.Broker
 	// Clients maps peer label to the running client for every peer the
 	// current RunPeers call started (set for the duration of fn).
 	Clients map[string]*overlay.Client
-	hostOf  map[string]string // peer label -> hostname
-	labelOf map[string]string // hostname -> peer label
-	// policy is the CallPolicy RunPeers gives the controller client: the
-	// resilient default on fault scenarios (controller-sourced flows must
-	// retry and degrade like peer-sourced ones), zero everywhere else so
-	// static and churn-only event streams are untouched.
-	policy overlay.CallPolicy
+	// Dynamics is the scenario's live membership and fault plan, started by
+	// RunPeers before fn runs; nil on a static scenario.
+	Dynamics *workload.Dynamics
+	sc       scenario.Scenario
+	seed     int64
+	hostOf   map[string]string // peer label -> hostname
+	labelOf  map[string]string // hostname -> peer label
 }
 
 // NewEnv deploys the configured scenario and builds (but does not yet
-// start) the overlay. Start must run inside the network's scheduler (see
-// Run).
+// start) the overlay; RunPeers boots it inside the network's scheduler. cfg
+// is taken as given — Seed 0 is seed 0 — so callers that want the
+// experiment defaults resolve them first (Config.WithDefaults).
 func NewEnv(cfg Config) (*Env, error) { return NewEnvFor(cfg, nil) }
 
 // NewEnvFor is NewEnv for a cell that interacts only with the named peer
 // labels: the deployment materializes just those peers
 // (scenario.DeployPeers), so a per-peer cell on a 100k-peer directory pays
-// for two nodes, not 100k. nil — or empty, the churn conductor's "membership
-// is mine alone" marker, whose joins may name any catalog peer — deploys
-// the full catalog. The scenario's Remembered peers ride along in every
-// subset: their hostnames appear in quick-peer selection requests
-// (Env.Preferred), so dropping them would change request bytes, and with
-// them virtual timing, relative to a full deployment.
+// for two nodes, not 100k. No labels — or a churning scenario, whose joins
+// may name any catalog peer — deploys the full catalog. The scenario's
+// Remembered peers ride along in every subset: their hostnames appear in
+// quick-peer selection requests (workload.Env.Preferred), so dropping them
+// would change request bytes, and with them virtual timing, relative to a
+// full deployment.
+//
+// What the broker runs is read off the scenario: its lease TTL (30 days
+// unless the scenario churns — experiments span many virtual hours of idle
+// gaps and static peers never renew), its eager lease sweep, and, where the
+// control plane fails on schedule, the resilient call policy for the
+// controller. A paper figure passes its scenario with the dynamics stripped
+// (scenario.Scenario.Static) and so measures any catalog as a static slice.
 func NewEnvFor(cfg Config, peers []string) (*Env, error) {
-	deploy := peers
-	if len(peers) == 0 {
-		deploy = nil
-	} else if len(cfg.Scenario.Remembered) > 0 {
-		deploy = append(append(make([]string, 0, len(peers)+len(cfg.Scenario.Remembered)), peers...),
-			cfg.Scenario.Remembered...)
+	sc := cfg.Scenario
+	var deploy []string
+	if len(peers) > 0 && sc.Churn == nil {
+		deploy = append(append(make([]string, 0, len(peers)+len(sc.Remembered)), peers...), sc.Remembered...)
 	}
-	s, err := scenario.DeployPeers(cfg.Scenario, cfg.Seed, deploy)
+	s, err := scenario.DeployPeers(sc, cfg.Seed, deploy)
 	if err != nil {
 		return nil, err
 	}
-	// Leases must outlive the whole run by default — experiments span many
-	// virtual hours of idle gaps and figure cells never renew. Only the
-	// churn workload cells opt into the scenario's short TTL and eager
-	// sweep (cfg.scenarioLeases): they run the renewal heartbeat that
-	// keeps live peers leased. Figure experiments on a churning scenario
-	// measure its catalog with static membership — a short TTL there would
-	// just expire every candidate across the idle gaps.
-	bcfg := overlay.BrokerConfig{AdvTTL: scenario.DefaultAdvTTL, Shards: cfg.Shards,
-		CacheLimit: cfg.CacheLimit}
+	bcfg := overlay.BrokerConfig{AdvTTL: sc.EffectiveAdvTTL(), LeaseSweep: sc.LeaseSweep,
+		Shards: cfg.Shards, CacheLimit: cfg.CacheLimit}
 	if bcfg.CacheLimit == 0 {
 		// Every deployed peer plus the controller registers; the directory
 		// must hold them all or selection ranks whatever survived eviction.
 		bcfg.CacheLimit = max(overlay.DefaultCacheLimit, len(s.Catalog)+1)
-	}
-	if cfg.scenarioLeases {
-		bcfg.AdvTTL = cfg.Scenario.EffectiveAdvTTL()
-		bcfg.LeaseSweep = cfg.Scenario.LeaseSweep
 	}
 	broker, err := overlay.NewBroker(s.Control, bcfg)
 	if err != nil {
@@ -164,11 +154,10 @@ func NewEnvFor(cfg Config, peers []string) (*Env, error) {
 	env := &Env{
 		Slice:   s,
 		Broker:  broker,
+		sc:      sc,
+		seed:    cfg.Seed,
 		hostOf:  make(map[string]string, len(s.Catalog)),
 		labelOf: make(map[string]string, len(s.Catalog)),
-	}
-	if cfg.scenarioLeases && cfg.Scenario.Faults != nil {
-		env.policy = overlay.DefaultCallPolicy()
 	}
 	for _, p := range s.Catalog {
 		env.hostOf[p.Label] = p.Hostname
@@ -183,11 +172,28 @@ func (e *Env) Host(label string) string { return e.hostOf[label] }
 // Label returns the peer label behind a hostname (the inverse of Host).
 func (e *Env) Label(host string) string { return e.labelOf[host] }
 
-// RunPeers executes fn as the experiment driver process: it starts the
-// controller client and one client per named peer label (nil = every
-// catalog peer), runs fn, and returns when the network quiesces. Cells that
-// touch a single peer pass just that label so a 100+ peer slice does not
-// pay a full overlay boot per data point.
+// Workload returns the flow-execution environment of the running world —
+// the one place a workload.Env is built: who the clients are, how labels map
+// to hostnames, and that the control node is never a model-selected sink.
+// Pacing, user memory and warning capture are the caller's to add.
+func (e *Env) Workload(ctl *overlay.Client) workload.Env {
+	return workload.Env{
+		Host:         e.Slice.Control,
+		Control:      ctl,
+		Clients:      e.Clients,
+		HostOf:       e.Host,
+		LabelOf:      e.Label,
+		ExcludeSinks: []string{e.Slice.Control.Name()},
+	}
+}
+
+// RunPeers boots the world and executes fn as the experiment driver
+// process: it starts the controller client, then either one client per named
+// peer label (nil = every catalog peer) or — on a churning scenario, where
+// membership belongs to the schedule alone — the scenario's dynamics, runs
+// fn, and returns when the network quiesces. Cells that touch a single peer
+// pass just that label so a 100+ peer slice does not pay a full overlay boot
+// per data point.
 func (e *Env) RunPeers(labels []string, fn func(ctl *overlay.Client, sc map[string]*overlay.Client) error) error {
 	want := make(map[string]bool, len(labels))
 	for _, l := range labels {
@@ -195,27 +201,46 @@ func (e *Env) RunPeers(labels []string, fn func(ctl *overlay.Client, sc map[stri
 	}
 	var runErr error
 	e.Slice.Net.Run(func() {
-		ctl := overlay.NewClient(e.Slice.Control, e.Broker.Addr(), overlay.ClientConfig{CPUScore: 2, Call: e.policy})
+		// The controller retries and degrades like the peers StartDynamics
+		// boots where the control plane fails on schedule; elsewhere the
+		// zero policy stands — one attempt, no deadline, hence no timer and
+		// no extra draw — so static and churn-only event streams are
+		// untouched.
+		var policy overlay.CallPolicy
+		if e.sc.Faults != nil {
+			policy = overlay.DefaultCallPolicy()
+		}
+		ctl := overlay.NewClient(e.Slice.Control, e.Broker.Addr(), overlay.ClientConfig{CPUScore: 2, Call: policy})
 		if err := ctl.Start(); err != nil {
 			runErr = fmt.Errorf("experiments: controller start: %w", err)
 			return
 		}
-		clients := make(map[string]*overlay.Client, len(e.Slice.Catalog))
-		for _, p := range e.Slice.Catalog {
-			if labels != nil && !want[p.Label] {
-				continue
-			}
-			c := overlay.NewClient(e.Slice.Peers[p.Label], e.Broker.Addr(), overlay.ClientConfig{
-				CPUScore: p.Profile.CPUScore,
-			})
-			if err := c.Start(); err != nil {
-				runErr = fmt.Errorf("experiments: start %s: %w", p.Label, err)
+		e.Clients = make(map[string]*overlay.Client, len(e.Slice.Catalog))
+		if e.sc.Churn != nil {
+			if e.Dynamics, runErr = workload.StartDynamics(e.Slice, e.Broker, e.sc, e.seed); runErr != nil {
 				return
 			}
-			clients[p.Label] = c
+		} else {
+			for _, p := range e.Slice.Catalog {
+				if labels != nil && !want[p.Label] {
+					continue
+				}
+				c := overlay.NewClient(e.Slice.Peers[p.Label], e.Broker.Addr(), overlay.ClientConfig{
+					CPUScore: p.Profile.CPUScore,
+				})
+				if err := c.Start(); err != nil {
+					runErr = fmt.Errorf("experiments: start %s: %w", p.Label, err)
+					return
+				}
+				e.Clients[p.Label] = c
+			}
 		}
-		e.Clients = clients
-		runErr = fn(ctl, clients)
+		runErr = fn(ctl, e.Clients)
 	})
+	// Only now has the schedule fully drained (Run returns at quiescence):
+	// a rejoin that failed after fn returned is still captured here.
+	if runErr == nil && e.Dynamics != nil {
+		runErr = e.Dynamics.Err()
+	}
 	return runErr
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"peerlab/internal/core"
 	"peerlab/internal/metrics"
@@ -30,77 +29,27 @@ func Table1() *metrics.Table {
 	return t
 }
 
-// Fig2PetitionTime reproduces Figure 2: the time each SC peer takes to
-// receive the petition for a file transmission, averaged over Reps
-// repetitions with idle gaps before each one (an engaged peer would not pay
-// its wake-up lag, and the paper's peers were idle when petitioned). The
-// figure is a 1-D sweep over the peer axis — a (peer, rep) grid on the
-// sweep engine's cell-expansion primitive.
-func Fig2PetitionTime(cfg Config) (*metrics.Figure, error) {
-	cfg = cfg.withDefaults()
-	labels := cfg.labels()
-	fig := &metrics.Figure{
-		Title:  "Figure 2 — Time in receiving the petition for file transmission",
-		Unit:   "seconds",
-		Labels: labels,
-	}
-	samples, err := runGrid(cfg, "fig2", axes{len(labels), cfg.Reps},
-		func(c []int, cellCfg Config) (float64, error) {
-			label, rep := labels[c[0]], c[1]
-			return envCell(cellCfg, []string{label}, func(env *Env, ctl *overlay.Client) (float64, error) {
-				env.Slice.Control.Sleep(cellCfg.IdleGap)
-				m, err := ctl.SendFile(env.Host(label), transfer.NewVirtualFile("petition-probe", transfer.Mb, int64(rep)), 1)
-				if err != nil {
-					return 0, fmt.Errorf("fig2 %s rep %d: %w", label, rep, err)
-				}
-				return m.PetitionDelay().Seconds(), nil
-			})
-		})
-	if err != nil {
-		return nil, err
-	}
-	if err := fig.AddSeries("petition time", meansOf(samples, cfg.Reps)); err != nil {
-		return nil, err
-	}
-	return fig, nil
+// The cells of the paper's figures (the rows of paperFigures, figures.go):
+// each runs one (granularity, label, repetition) point in a world of its own
+// and returns a short vector of measures.
+
+// petitionCell is Figure 2's cell: the time one peer takes to receive the
+// petition for a file transmission, after an idle gap (an engaged peer would
+// not pay its wake-up lag, and the paper's peers were idle when petitioned).
+func petitionCell(cfg Config, _ int, label string, rep int) ([]float64, error) {
+	return envCell(cfg, []string{label}, func(env *Env, ctl *overlay.Client) ([]float64, error) {
+		env.Slice.Control.Sleep(cfg.IdleGap)
+		m, err := ctl.SendFile(env.Host(label), transfer.NewVirtualFile("petition-probe", transfer.Mb, int64(rep)), 1)
+		if err != nil {
+			return nil, fmt.Errorf("fig2 %s rep %d: %w", label, rep, err)
+		}
+		return []float64{m.PetitionDelay().Seconds()}, nil
+	})
 }
 
-// Fig3Transmission50Mb reproduces Figure 3: the transmission time of a
-// 50 Mb file (one part of the paper's larger files) to each SC peer.
-func Fig3Transmission50Mb(cfg Config) (*metrics.Figure, error) {
-	return fig50mb(cfg, "Figure 3 — Transmission time for a file of 50 Mb", "minutes", "transmission time", false)
-}
-
-// Fig4LastMb reproduces Figure 4: the time to complete the reception of the
-// last Mb of a 50 Mb transfer.
-func Fig4LastMb(cfg Config) (*metrics.Figure, error) {
-	return fig50mb(cfg, "Figure 4 — Transmission time of the last Mb", "seconds", "last Mb", true)
-}
-
-// fig50mb renders one of the two views of the shared 50 Mb batch.
-func fig50mb(cfg Config, title, unit, series string, lastMb bool) (*metrics.Figure, error) {
-	cfg = cfg.withDefaults()
-	fig := &metrics.Figure{Title: title, Unit: unit, Labels: cfg.labels()}
-	values, last, err := fig50mbResults(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if lastMb {
-		values = last
-	}
-	if err := fig.AddSeries(series, values); err != nil {
-		return nil, err
-	}
-	return fig, nil
-}
-
-// transferSample is one cell's measurement of a single transfer.
-type transferSample struct {
-	minutes    float64
-	lastMbSecs float64
-}
-
-// transferCell runs one (peer, rep) transfer in its own environment.
+// transferCell returns the cell of Figures 3–5: one transfer of size bytes
+// in the group's parts to one peer, measured as {transmission minutes,
+// last-Mb seconds}.
 //
 // A whole-file transmission to a pathological sliver can die even after the
 // pipe's retries: every retransmission of a 100 Mb message re-rolls the
@@ -111,124 +60,28 @@ type transferSample struct {
 // figure measures the completed transmission (the cost of whole-file
 // fragility is Figure 5's finding, carried by the surviving attempt's
 // stretched time, not by aborting the experiment).
-func transferCell(cellCfg Config, label string, rep, size, parts int) (transferSample, error) {
-	return envCell(cellCfg, []string{label}, func(env *Env, ctl *overlay.Client) (transferSample, error) {
-		m, err := workload.SendRelaunched(cellCfg.Logf, env.Slice.Control.Sleep, cellCfg.IdleGap, ctl,
-			env.Host(label), transfer.NewVirtualFile("payload", size, int64(rep)), parts,
-			fmt.Sprintf("figure cell (control -> %s, rep %d)", label, rep))
-		if err != nil {
-			return transferSample{}, fmt.Errorf("transfer to %s rep %d: %w", label, rep, err)
-		}
-		return transferSample{
-			minutes:    m.TransmissionTime().Minutes(),
-			lastMbSecs: m.LastMbTime().Seconds(),
-		}, nil
-	})
-}
-
-// fig50Cache memoizes the "fig50mb" cell batch: Figures 3 and 4 are two
-// views of the very same 50 Mb transfers (transmission time and last-Mb
-// time), so a suite run simulates them once. The cached values are the
-// deterministic transferPerPeer output, hence identical to an uncached run.
-type fig50Cache struct {
-	once    sync.Once
-	minutes []float64
-	lastMb  []float64
-	err     error
-}
-
-// fig50mbResults returns the per-peer 50 Mb whole-file transfer results,
-// through the suite's cache when one is attached to cfg.
-func fig50mbResults(cfg Config) (minutes, lastMb []float64, err error) {
-	run := func() ([]float64, []float64, error) {
-		return transferPerPeer(cfg, "fig50mb", 50*transfer.Mb, 1)
-	}
-	c := cfg.fig50
-	if c == nil {
-		return run()
-	}
-	c.once.Do(func() { c.minutes, c.lastMb, c.err = run() })
-	return c.minutes, c.lastMb, c.err
-}
-
-// transferPerPeer sends a file of the given size/granularity to every SC
-// peer Reps times — a (peer, rep) grid on the sweep engine's cell-expansion
-// primitive — and returns mean transmission minutes and mean last-Mb seconds
-// per peer. figure tags the cell seed derivation.
-func transferPerPeer(cfg Config, figure string, size, parts int) (minutes, lastMb []float64, err error) {
-	labels := cfg.labels()
-	samples, err := runGrid(cfg, figure, axes{len(labels), cfg.Reps},
-		func(c []int, cellCfg Config) (transferSample, error) {
-			return transferCell(cellCfg, labels[c[0]], c[1], size, parts)
+func transferCell(size int) func(cfg Config, parts int, label string, rep int) ([]float64, error) {
+	return func(cfg Config, parts int, label string, rep int) ([]float64, error) {
+		return envCell(cfg, []string{label}, func(env *Env, ctl *overlay.Client) ([]float64, error) {
+			m, err := workload.SendRelaunched(cfg.Logf, env.Slice.Control.Sleep, cfg.IdleGap, ctl,
+				env.Host(label), transfer.NewVirtualFile("payload", size, int64(rep)), parts,
+				fmt.Sprintf("figure cell (control -> %s, rep %d)", label, rep))
+			if err != nil {
+				return nil, fmt.Errorf("transfer to %s rep %d: %w", label, rep, err)
+			}
+			return []float64{m.TransmissionTime().Minutes(), m.LastMbTime().Seconds()}, nil
 		})
-	if err != nil {
-		return nil, nil, err
 	}
-	minutes = make([]float64, 0, len(labels))
-	lastMb = make([]float64, 0, len(labels))
-	for p := 0; p < len(labels); p++ {
-		var mins, lasts []float64
-		for r := 0; r < cfg.Reps; r++ {
-			s := samples[p*cfg.Reps+r]
-			mins = append(mins, s.minutes)
-			lasts = append(lasts, s.lastMbSecs)
-		}
-		minutes = append(minutes, metrics.Mean(mins))
-		lastMb = append(lastMb, metrics.Mean(lasts))
-	}
-	return minutes, lastMb, nil
-}
-
-// fig5Granularities are Figure 5's series, in the paper's order.
-var fig5Granularities = []struct {
-	name  string
-	parts int
-}{
-	{"complete file", 1},
-	{"division into 4 parts", 4},
-	{"division into 16 parts", 16},
-}
-
-// Fig5Granularity reproduces Figure 5: a 100 Mb file sent whole, in 4 parts
-// and in 16 parts, per peer, in minutes — the paper's hand-rolled
-// granularity sweep, expressed as a (granularity, peer, rep) grid on the
-// sweep engine's cell-expansion primitive.
-func Fig5Granularity(cfg Config) (*metrics.Figure, error) {
-	cfg = cfg.withDefaults()
-	labels := cfg.labels()
-	fig := &metrics.Figure{
-		Title:  "Figure 5 — 100 Mb file: whole vs 4 parts vs 16 parts",
-		Unit:   "minutes",
-		Labels: labels,
-	}
-	perGran := len(labels) * cfg.Reps
-	samples, err := runGrid(cfg, "fig5", axes{len(fig5Granularities), len(labels), cfg.Reps},
-		func(c []int, cellCfg Config) (transferSample, error) {
-			return transferCell(cellCfg, labels[c[1]], c[2],
-				100*transfer.Mb, fig5Granularities[c[0]].parts)
-		})
-	if err != nil {
-		return nil, fmt.Errorf("fig5: %w", err)
-	}
-	minutes := make([]float64, len(samples))
-	for i, s := range samples {
-		minutes[i] = s.minutes
-	}
-	for gi, g := range fig5Granularities {
-		if err := fig.AddSeries(g.name, meansOf(minutes[gi*perGran:(gi+1)*perGran], cfg.Reps)); err != nil {
-			return nil, err
-		}
-	}
-	return fig, nil
 }
 
 // Fig6Models are the three selection models of Figure 6, in the paper's
 // order.
 var Fig6Models = []string{"economic", "same-priority", "quick-peer"}
 
-// Fig6SelectionModels reproduces Figure 6: per-part transmission time when
-// the target peer is chosen by each selection model, for a 1 Mb file split
-// into 4 and into 16 parts.
+// selectionCell is Figure 6's cell: one (parts, model) combination in its
+// own freshly warmed-up environment, measured as the mean per-part
+// transmission seconds of Reps transfers of a 1 Mb file to the peer the
+// model selects.
 //
 // The environment is warmed up the way the paper's platform would be after
 // a working session: the controller has transferred files to every peer
@@ -240,162 +93,89 @@ var Fig6Models = []string{"economic", "same-priority", "quick-peer"}
 // on a clean mid-tier peer; the user's quick-peer memory predates the
 // current session entirely and points at a slower peer. That disagreement
 // is the paper's point: the models embody different judgments.
-// fig6Granularities are Figure 6's two part counts, in the paper's order.
-var fig6Granularities = []int{4, 16}
-
-// fig6Cell measures one (parts, model) combination in its own freshly
-// warmed-up environment: broker statistics from a working session,
-// blemished records on the fastest peers, then one selection and Reps
-// transfers to the chosen peer.
-func fig6Cell(cellCfg Config, parts int, model string) (float64, error) {
-	return envCell(cellCfg, nil, func(env *Env, ctl *overlay.Client) (float64, error) {
+func selectionCell(cfg Config, parts int, model string, _ int) ([]float64, error) {
+	return envCell(cfg, nil, func(env *Env, ctl *overlay.Client) ([]float64, error) {
 		// Warm-up: give the broker statistics about every peer.
-		for _, label := range cellCfg.labels() {
+		for _, label := range cfg.Scenario.Labels {
 			for rep := 0; rep < 2; rep++ {
 				if _, err := ctl.SendFile(env.Host(label),
 					transfer.NewVirtualFile("warmup", transfer.Mb, int64(rep)), 2); err != nil {
-					return 0, fmt.Errorf("fig6 warmup %s: %w", label, err)
+					return nil, fmt.Errorf("fig6 warmup %s: %w", label, err)
 				}
 			}
 		}
 		// History from earlier sessions: the scenario's fast links carry
 		// blemished records (the paper's loaded-sliver reality: fast links
 		// on peers that drop messages under load).
-		for _, label := range cellCfg.Scenario.Blemished {
+		for _, label := range cfg.Scenario.Blemished {
 			ps := env.Broker.Registry().Peer(env.Host(label))
 			for i := 0; i < 4; i++ {
 				ps.RecordMessage(false)
 			}
 			ps.RecordTransferOutcome(true) // one cancelled transfer
 		}
-		// The user's stale memory (quick-peer mode) predates this session.
-		remembered := make([]string, 0, len(cellCfg.Scenario.Remembered))
-		for _, label := range cellCfg.Scenario.Remembered {
-			remembered = append(remembered, env.Host(label))
-		}
 
-		env.Slice.Control.Sleep(cellCfg.IdleGap)
+		env.Slice.Control.Sleep(cfg.IdleGap)
 		req := core.Request{Kind: core.KindFileTransfer, SizeBytes: transfer.Mb}
 		var preferred []string
 		if model == "quick-peer" {
-			preferred = remembered
+			// The user's stale memory predates this session.
+			preferred = rememberedHosts(env, cfg.Scenario)
 		}
 		peers, err := ctl.SelectPeers(model, req, 1, preferred)
 		if err != nil {
-			return 0, fmt.Errorf("fig6 select %s: %w", model, err)
+			return nil, fmt.Errorf("fig6 select %s: %w", model, err)
 		}
 		if len(peers) == 0 {
-			return 0, fmt.Errorf("fig6 select %s: empty result", model)
+			return nil, fmt.Errorf("fig6 select %s: empty result", model)
 		}
 		var samples []float64
-		for rep := 0; rep < cellCfg.Reps; rep++ {
-			env.Slice.Control.Sleep(cellCfg.IdleGap)
+		for rep := 0; rep < cfg.Reps; rep++ {
+			env.Slice.Control.Sleep(cfg.IdleGap)
 			m, err := ctl.SendFile(peers[0],
 				transfer.NewVirtualFile("selected", transfer.Mb, int64(rep)), parts)
 			if err != nil {
-				return 0, fmt.Errorf("fig6 %s via %s: %w", model, peers[0], err)
+				return nil, fmt.Errorf("fig6 %s via %s: %w", model, peers[0], err)
 			}
 			samples = append(samples, m.TransmissionTime().Seconds()/float64(parts))
 		}
-		return metrics.Mean(samples), nil
+		return []float64{metrics.Mean(samples)}, nil
 	})
-}
-
-func Fig6SelectionModels(cfg Config) (*metrics.Figure, error) {
-	cfg = cfg.withDefaults()
-	fig := &metrics.Figure{
-		Title:  "Figure 6 — File transmission time per selection model",
-		Unit:   "seconds",
-		Labels: Fig6Models,
-	}
-	// The paper's model sweep: a (granularity, model) grid.
-	means, err := runGrid(cfg, "fig6", axes{len(fig6Granularities), len(Fig6Models)},
-		func(c []int, cellCfg Config) (float64, error) {
-			return fig6Cell(cellCfg, fig6Granularities[c[0]], Fig6Models[c[1]])
-		})
-	if err != nil {
-		return nil, err
-	}
-	for gi, parts := range fig6Granularities {
-		name := fmt.Sprintf("division into %d parts", parts)
-		if err := fig.AddSeries(name, means[gi*len(Fig6Models):(gi+1)*len(Fig6Models)]); err != nil {
-			return nil, err
-		}
-	}
-	return fig, nil
 }
 
 // Fig7Work is the processing demand used in Figure 7's runs: handling a
 // 50 Mb file costs 120 reference-seconds of compute.
 const Fig7Work = 120.0
 
-// fig7Sample is one cell's pair of measurements.
-type fig7Sample struct {
-	execMins float64
-	bothMins float64
-}
+// executionCell is Figure 7's cell: on one peer, {minutes of just executing
+// a processing task, minutes of transferring its 50 Mb input first and then
+// executing}.
+func executionCell(cfg Config, _ int, label string, rep int) ([]float64, error) {
+	return envCell(cfg, []string{label}, func(env *Env, ctl *overlay.Client) ([]float64, error) {
+		host := env.Host(label)
+		work := task.Task{
+			Name:      fmt.Sprintf("process-50Mb-%d", rep),
+			WorkUnits: Fig7Work,
+			InputSize: 50 * transfer.Mb,
+		}
+		env.Slice.Control.Sleep(cfg.IdleGap)
+		// Just execution: the input is already at the peer.
+		res, err := ctl.SubmitTask(host, work)
+		if err != nil {
+			return nil, fmt.Errorf("fig7 exec %s: %w", label, err)
+		}
 
-// Fig7ExecVsTransferExec reproduces Figure 7: per peer, the time of just
-// executing a processing task versus transferring its 50 Mb input first and
-// then executing. Each (peer, rep) pair is an independent runner cell that
-// measures both regimes.
-func Fig7ExecVsTransferExec(cfg Config) (*metrics.Figure, error) {
-	cfg = cfg.withDefaults()
-	labels := cfg.labels()
-	fig := &metrics.Figure{
-		Title:  "Figure 7 — Just execution vs transmission & execution",
-		Unit:   "minutes",
-		Labels: labels,
-	}
-	samples, err := runGrid(cfg, "fig7", axes{len(labels), cfg.Reps},
-		func(c []int, cellCfg Config) (fig7Sample, error) {
-			label, rep := labels[c[0]], c[1]
-			return envCell(cellCfg, []string{label}, func(env *Env, ctl *overlay.Client) (fig7Sample, error) {
-				host := env.Host(label)
-				env.Slice.Control.Sleep(cellCfg.IdleGap)
-				// Just execution: the input is already at the peer.
-				res, err := ctl.SubmitTask(host, taskFor(rep))
-				if err != nil {
-					return fig7Sample{}, fmt.Errorf("fig7 exec %s: %w", label, err)
-				}
-				out := fig7Sample{execMins: res.Elapsed.Minutes()}
-
-				env.Slice.Control.Sleep(cellCfg.IdleGap)
-				// Transmission & execution. The input travels in 4 parts —
-				// by Figure 5 the platform's users would not ship 50 Mb whole.
-				start := env.Slice.Control.Now()
-				if _, err := ctl.SendFile(host,
-					transfer.NewVirtualFile("input", 50*transfer.Mb, int64(rep)), 4); err != nil {
-					return fig7Sample{}, fmt.Errorf("fig7 transfer %s: %w", label, err)
-				}
-				if _, err := ctl.SubmitTask(host, taskFor(rep)); err != nil {
-					return fig7Sample{}, fmt.Errorf("fig7 exec-after-transfer %s: %w", label, err)
-				}
-				out.bothMins = env.Slice.Control.Now().Sub(start).Minutes()
-				return out, nil
-			})
-		})
-	if err != nil {
-		return nil, err
-	}
-	exec := make([]float64, len(samples))
-	both := make([]float64, len(samples))
-	for i, s := range samples {
-		exec[i], both[i] = s.execMins, s.bothMins
-	}
-	if err := fig.AddSeries("just execution", meansOf(exec, cfg.Reps)); err != nil {
-		return nil, err
-	}
-	if err := fig.AddSeries("transmission & execution", meansOf(both, cfg.Reps)); err != nil {
-		return nil, err
-	}
-	return fig, nil
-}
-
-func taskFor(rep int) task.Task {
-	return task.Task{
-		Name:      fmt.Sprintf("process-50Mb-%d", rep),
-		WorkUnits: Fig7Work,
-		InputSize: 50 * transfer.Mb,
-	}
+		env.Slice.Control.Sleep(cfg.IdleGap)
+		// Transmission & execution. The input travels in 4 parts —
+		// by Figure 5 the platform's users would not ship 50 Mb whole.
+		start := env.Slice.Control.Now()
+		if _, err := ctl.SendFile(host,
+			transfer.NewVirtualFile("input", 50*transfer.Mb, int64(rep)), 4); err != nil {
+			return nil, fmt.Errorf("fig7 transfer %s: %w", label, err)
+		}
+		if _, err := ctl.SubmitTask(host, work); err != nil {
+			return nil, fmt.Errorf("fig7 exec-after-transfer %s: %w", label, err)
+		}
+		return []float64{res.Elapsed.Minutes(), env.Slice.Control.Now().Sub(start).Minutes()}, nil
+	})
 }

@@ -1,15 +1,21 @@
-// Figures as data: the registry every surface lists figures from, and the
-// marginal figures — one sweep axis, one precondition and a few projections
-// of the sweep's marginals each — as rows run by one function.
+// Figures as data: every figure is a row of one of two tables — the paper's
+// per-peer figures (paperFigures: a batch of independent cells averaged per
+// label) and the marginal figures (marginalFigures: one sweep axis, one
+// precondition and a few projections of the sweep's marginals) — each table
+// run by one function. The registry every surface lists figures from is
+// derived from the two.
 
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"peerlab/internal/metrics"
 	"peerlab/internal/scenario"
+	"peerlab/internal/transfer"
 	"peerlab/internal/workload"
 )
 
@@ -22,21 +28,21 @@ type FigureSpec struct {
 	Scenario string
 }
 
-// Figures lists every figure in presentation order: the one list behind
-// FigureSuite and the CLI's dispatch, default-scenario rewrite and help
-// text. The rows with no world of their own are the paper's suite.
-var Figures = []FigureSpec{
-	{Name: "fig2", Run: Fig2PetitionTime},
-	{Name: "fig3", Run: Fig3Transmission50Mb},
-	{Name: "fig4", Run: Fig4LastMb},
-	{Name: "fig5", Run: Fig5Granularity},
-	{Name: "fig6", Run: Fig6SelectionModels},
-	{Name: "fig7", Run: Fig7ExecVsTransferExec},
-	{Name: "figchurn", Run: FigChurnQuality, Scenario: DefaultChurnScenario},
-	{Name: "figfault", Run: FigFaultResilience, Scenario: DefaultFaultScenario},
-	{Name: "figcluster", Run: FigBandwidthClustering, Scenario: DefaultClusterScenario},
-	{Name: "figstream", Run: FigStreamStalls, Scenario: DefaultClusterScenario},
-}
+// Figures lists every figure in presentation order, one entry per table
+// row: the one list behind RunFigures and the CLI's default-scenario rewrite
+// and help text. The rows with no world of their own are the paper's suite.
+var Figures = func() []FigureSpec {
+	var specs []FigureSpec
+	for i := range paperFigures {
+		f := &paperFigures[i]
+		specs = append(specs, FigureSpec{Name: f.name, Run: f.run})
+	}
+	for i := range marginalFigures {
+		f := &marginalFigures[i]
+		specs = append(specs, FigureSpec{Name: f.name, Run: f.run, Scenario: f.scenario})
+	}
+	return specs
+}()
 
 // FigureByName returns the registry row with the given key.
 func FigureByName(name string) (FigureSpec, bool) {
@@ -62,6 +68,215 @@ func ExperimentNames() string {
 	}
 	names := append([]string{"all", "table1", suite[0] + ".." + suite[len(suite)-1]}, rest...)
 	return strings.Join(names, ", ")
+}
+
+// ErrUnknownExperiment is what RunFigures wraps for a name that is neither
+// "all", "table1" nor a Figures key — a usage error, reported before any
+// cell runs.
+var ErrUnknownExperiment = errors.New("unknown experiment")
+
+// RunFigures regenerates the named exhibits in the order given: "table1",
+// any Figures key, or "all" — Table 1 plus the paper's Figures 2–7 (the rows
+// with no world of their own), expanded in place. All figures run
+// concurrently over one shared worker pool of cfg.Workers slots, so a whole
+// suite saturates the machine without oversubscribing it, and over one batch
+// memo, so two views of one cell batch (Figures 3 and 4) simulate it once;
+// per-cell seed derivation keeps every value identical to a Workers: 1 run
+// of that figure alone.
+func RunFigures(cfg Config, names []string) (*Suite, error) {
+	suite := &Suite{}
+	var specs []FigureSpec
+	for _, name := range names {
+		switch f, ok := FigureByName(name); {
+		case name == "all":
+			suite.Table1 = Table1()
+			for _, f := range Figures {
+				if f.Scenario == "" {
+					specs = append(specs, f)
+				}
+			}
+		case name == "table1":
+			suite.Table1 = Table1()
+		case ok:
+			specs = append(specs, f)
+		default:
+			return nil, fmt.Errorf("%w %q (want %s)", ErrUnknownExperiment, name, ExperimentNames())
+		}
+	}
+	// Scenario and Reps stay as given: a marginal figure substitutes its own
+	// default world for an unset one.
+	cfg.pool = newWorkerPool(cfg.Workers)
+	cfg.memo = &batchMemo{}
+	suite.Figures = make([]SuiteFigure, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i, f := range specs {
+		wg.Add(1)
+		suite.Figures[i].Name = f.Name
+		go func() {
+			defer wg.Done()
+			suite.Figures[i].Figure, errs[i] = f.Run(cfg)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return suite, nil
+}
+
+// paperFigure is one of the paper's Figures 2–7 as data: a batch of
+// independent cells — one per (group, label, repetition), expanded row-major
+// in that order — each returning a short vector of measures, averaged over
+// the repetitions and plotted one series per (group, measure) pair.
+type paperFigure struct {
+	name, title, unit string // name prefixes every error
+	// batch tags the cells' seeds: cell i runs on deriveSeed(seed, batch, i),
+	// the layout every committed figure value depends on. Rows that name the
+	// same batch are views of the same cells — they must agree on groups,
+	// labels and cell — and one RunFigures call simulates it once.
+	batch string
+	// groups are the series groups — the granularities of Figures 5 and 6 —
+	// each handing its part count to the cell; nil is one unnamed whole-file
+	// group.
+	groups []figureGroup
+	// labels fixes the X axis (Figure 6's models); nil is the scenario's
+	// measured peers.
+	labels []string
+	// cell measures one point. repsInCell marks a cell that runs its own
+	// cfg.Reps repetitions inside one warmed-up world (Figure 6): its batch
+	// has no repetition axis.
+	cell       func(cfg Config, parts int, label string, rep int) ([]float64, error)
+	repsInCell bool
+	// series names which measure of the cell's vector each series plots; a
+	// group's name prefixes it.
+	series []figureSeries
+}
+
+type figureGroup struct {
+	name  string
+	parts int
+}
+
+type figureSeries struct {
+	name    string
+	measure int
+}
+
+// wholeFile is the group of a figure that does not sweep granularity.
+var wholeFile = []figureGroup{{"", 1}}
+
+// Figures 3 and 4 share one batch: its cell, and the seed tag their
+// committed values derive from.
+var transfer50Mb = transferCell(50 * transfer.Mb)
+
+const batch50Mb = "fig50mb"
+
+// The paper's figures, one row each.
+var paperFigures = []paperFigure{
+	{name: "fig2", title: "Figure 2 — Time in receiving the petition for file transmission", unit: "seconds",
+		batch: "fig2", cell: petitionCell,
+		series: []figureSeries{{"petition time", 0}}},
+	// Figures 3 and 4 are two views of the very same 50 Mb transfers (one
+	// part of the paper's larger files): transmission time and the time to
+	// complete the reception of the last Mb.
+	{name: "fig3", title: "Figure 3 — Transmission time for a file of 50 Mb", unit: "minutes",
+		batch: batch50Mb, cell: transfer50Mb,
+		series: []figureSeries{{"transmission time", 0}}},
+	{name: "fig4", title: "Figure 4 — Transmission time of the last Mb", unit: "seconds",
+		batch: batch50Mb, cell: transfer50Mb,
+		series: []figureSeries{{"last Mb", 1}}},
+	// The paper's hand-rolled granularity sweep.
+	{name: "fig5", title: "Figure 5 — 100 Mb file: whole vs 4 parts vs 16 parts", unit: "minutes",
+		batch: "fig5", cell: transferCell(100 * transfer.Mb),
+		groups: []figureGroup{{"complete file", 1}, {"division into 4 parts", 4}, {"division into 16 parts", 16}},
+		series: []figureSeries{{"", 0}}},
+	// The paper's model sweep: per-part transmission time of a 1 Mb file
+	// when the target peer is chosen by each selection model.
+	{name: "fig6", title: "Figure 6 — File transmission time per selection model", unit: "seconds",
+		batch: "fig6", cell: selectionCell, repsInCell: true, labels: Fig6Models,
+		groups: []figureGroup{{"division into 4 parts", 4}, {"division into 16 parts", 16}},
+		series: []figureSeries{{"", 0}}},
+	{name: "fig7", title: "Figure 7 — Just execution vs transmission & execution", unit: "minutes",
+		batch: "fig7", cell: executionCell,
+		series: []figureSeries{{"just execution", 0}, {"transmission & execution", 1}}},
+}
+
+// batchMemo shares cell batches between the figures of one RunFigures call:
+// the first figure to ask for a batch runs it, the rest read its means. The
+// memoized values are the deterministic output of the batch, hence
+// identical to an unshared run.
+type batchMemo struct{ runs sync.Map } // batch tag -> func() ([][]float64, error)
+
+func (m *batchMemo) do(batch string, run func() ([][]float64, error)) ([][]float64, error) {
+	if m == nil {
+		return run()
+	}
+	once, _ := m.runs.LoadOrStore(batch, sync.OnceValues(run))
+	return once.(func() ([][]float64, error))()
+}
+
+// run measures the row's batch on cfg's scenario — its catalog, as a static
+// slice: figures ignore churn schedules — and reads the per-point means into
+// the figure's series.
+func (f *paperFigure) run(cfg Config) (*metrics.Figure, error) {
+	cfg = cfg.WithDefaults()
+	cfg.Scenario = cfg.Scenario.Static()
+	labels, groups := f.labels, f.groups
+	if labels == nil {
+		labels = cfg.Scenario.Labels
+	}
+	if groups == nil {
+		groups = wholeFile
+	}
+	means, err := cfg.memo.do(f.batch, func() ([][]float64, error) { return f.means(cfg, groups, labels) })
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", f.name, err)
+	}
+	fig := &metrics.Figure{Title: f.title, Unit: f.unit, Labels: labels}
+	for gi, g := range groups {
+		for _, s := range f.series {
+			values := make([]float64, len(labels))
+			for li := range labels {
+				values[li] = means[gi*len(labels)+li][s.measure]
+			}
+			if err := fig.AddSeries(g.name+s.name, values); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return fig, nil
+}
+
+// means runs the batch through runCells and folds each point's consecutive
+// repetitions into the mean of every measure, one vector per (group, label).
+func (f *paperFigure) means(cfg Config, groups []figureGroup, labels []string) ([][]float64, error) {
+	reps := cfg.Reps
+	if f.repsInCell {
+		reps = 1
+	}
+	samples, err := runCells(cfg, f.batch, len(groups)*len(labels)*reps,
+		func(i int, cellCfg Config) ([]float64, error) {
+			point := i / reps
+			return f.cell(cellCfg, groups[point/len(labels)].parts, labels[point%len(labels)], i%reps)
+		})
+	if err != nil {
+		return nil, err
+	}
+	means := make([][]float64, len(samples)/reps)
+	run := make([]float64, reps)
+	for p := range means {
+		means[p] = make([]float64, len(samples[p*reps]))
+		for k := range means[p] {
+			for r := range run {
+				run[r] = samples[p*reps+r][k]
+			}
+			means[p][k] = metrics.Mean(run)
+		}
+	}
+	return means, nil
 }
 
 // ChurnFigureRates and FaultFigureRates are the intensity multipliers the
@@ -110,11 +325,11 @@ type marginalSeries struct {
 }
 
 // The marginal figures, one row each.
-var (
+var marginalFigures = []marginalFigure{
 	// Selection quality versus churn rate. Stale is the lease machinery's
 	// audit carried into figure form: 0 at every rate on every committed
 	// golden.
-	figChurn = marginalFigure{
+	{
 		name: "figchurn", title: "Selection quality vs churn rate", unit: "percent of flows",
 		scenario: DefaultChurnScenario,
 		sweep:    func() Sweep { return Sweep{ChurnRates: ChurnFigureRates} },
@@ -130,11 +345,11 @@ var (
 			{"selections lagged", func(m SweepMarginal) float64 { return m.LaggedPct }},
 			{"selections stale", func(m SweepMarginal) float64 { return m.StalePct }},
 		},
-	}
+	},
 	// Flow outcome versus control-plane fault intensity. Degraded and
 	// recovered climbing while failures stay low is the resilience story:
 	// flows route around a broken control plane instead of dying with it.
-	figFault = marginalFigure{
+	{
 		name: "figfault", title: "Flow resilience vs fault rate", unit: "percent of flows",
 		scenario: DefaultFaultScenario,
 		sweep:    func() Sweep { return Sweep{FaultRates: FaultFigureRates} },
@@ -150,13 +365,13 @@ var (
 			{"selections degraded", func(m SweepMarginal) float64 { return m.DegradedPct }},
 			{"flows recovered", func(m SweepMarginal) float64 { return m.RecoveredPct }},
 		},
-	}
+	},
 	// The incentive figure: under tit-for-tat fast peers reciprocate with
 	// fast peers and the like/cross pair-byte ratio climbs above 1
 	// (Legout's clustering), while choke=none — with the deliberately
 	// policy-neutral partner choice — mixes the classes. Only the piece
 	// engine produces a pair matrix.
-	figCluster = marginalFigure{
+	{
 		name: "figcluster", title: "Bandwidth clustering vs choking policy", unit: "like/cross pair-byte ratio",
 		scenario: DefaultClusterScenario,
 		sweep:    func() Sweep { return Sweep{Chokes: workload.Chokes} },
@@ -170,14 +385,14 @@ var (
 		series: []marginalSeries{
 			{"pairing ratio", func(m SweepMarginal) float64 { return m.PairingRatio }},
 		},
-	}
+	},
 	// The streaming figure: sequential picking delivers pieces in playback
 	// order and stalls fewer viewers, rarest-first optimizes swarm health at
 	// the viewer's expense (Rodrigues & Druschel) — clearest in the
 	// stalled-flow share, since total stall counts concentrate on
 	// capacity-starved tail peers no picking order can save. Without
 	// deadlines there are no stalls to rank.
-	figStream = marginalFigure{
+	{
 		name: "figstream", title: "Playback stalls vs piece picking", unit: "stalls per flow; stalled flows %",
 		scenario: DefaultClusterScenario, workload: DefaultStreamWorkload,
 		sweep: func() Sweep { return Sweep{Picks: workload.Picks} },
@@ -192,13 +407,8 @@ var (
 			{"stalls per flow", func(m SweepMarginal) float64 { return m.StallsPerFlow }},
 			{"stalled flows %", func(m SweepMarginal) float64 { return m.StalledPct }},
 		},
-	}
-)
-
-func FigChurnQuality(cfg Config) (*metrics.Figure, error)        { return figChurn.run(cfg) }
-func FigFaultResilience(cfg Config) (*metrics.Figure, error)     { return figFault.run(cfg) }
-func FigBandwidthClustering(cfg Config) (*metrics.Figure, error) { return figCluster.run(cfg) }
-func FigStreamStalls(cfg Config) (*metrics.Figure, error)        { return figStream.run(cfg) }
+	},
+}
 
 // run resolves the row's world, sweeps its axis through RunSweep — the
 // figure's cells are ordinary sweep cells, seeded by their coordinates —
@@ -214,7 +424,7 @@ func (f *marginalFigure) run(cfg Config) (*metrics.Figure, error) {
 		}
 		cfg.Scenario = def
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if cfg.Workload.IsZero() && f.workload != "" {
 		w, err := workload.Parse(f.workload)
 		if err != nil {
@@ -222,7 +432,7 @@ func (f *marginalFigure) run(cfg Config) (*metrics.Figure, error) {
 		}
 		cfg.Workload = w
 	}
-	w, err := resolveWorkload(cfg.Workload, cfg.Scenario)
+	w, err := ResolveWorkload(cfg.Workload, cfg.Scenario)
 	if err != nil {
 		return fail(err)
 	}

@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -51,7 +50,7 @@ func (p *workerPool) release() { <-p.sem }
 // runCells executes n independent cells of one figure across the worker
 // pool and returns their results in cell order. Each cell receives a copy
 // of cfg with Seed replaced by its derived seed — deriveSeed over the
-// figure tag and the cell's linear index, the PR 1 layout every committed
+// figure tag and the cell's linear index, the layout every committed
 // figure value depends on.
 func runCells[T any](cfg Config, figure string, n int, cell func(i int, cellCfg Config) (T, error)) ([]T, error) {
 	return runCellsSeeded(cfg, n, func(i int) int64 { return deriveSeed(cfg.Seed, figure, i) }, cell)
@@ -109,24 +108,15 @@ func envCell[T any](cellCfg Config, peers []string, fn func(env *Env, ctl *overl
 	return out, err
 }
 
-// meansOf folds consecutive runs of reps samples into their means: cell
-// results arrive ordered (group-major, repetition-minor), one mean per group.
-func meansOf(samples []float64, reps int) []float64 {
-	out := make([]float64, 0, len(samples)/reps)
-	for i := 0; i+reps <= len(samples); i += reps {
-		out = append(out, metrics.Mean(samples[i:i+reps]))
-	}
-	return out
-}
-
-// SuiteFigure pairs a figure key ("fig2".."fig7") with its regenerated
-// figure.
+// SuiteFigure pairs a figure key ("fig2", "figchurn", ...) with its
+// regenerated figure.
 type SuiteFigure struct {
 	Name   string          `json:"name"`
 	Figure *metrics.Figure `json:"figure"`
 }
 
-// Suite is the paper's full regenerated evaluation.
+// Suite is RunFigures' result: Table 1 when asked for, and the figures in
+// the order they were named. FigureSuite's is the paper's full evaluation.
 type Suite struct {
 	Table1  *metrics.Table `json:"table1"`
 	Figures []SuiteFigure  `json:"figures"`
@@ -142,39 +132,5 @@ func (s *Suite) Figure(name string) *metrics.Figure {
 	return nil
 }
 
-// FigureSuite regenerates Table 1 and Figures 2–7 — the registry rows with
-// no default world of their own. All figures run concurrently over one
-// shared worker pool of cfg.Workers slots, so the whole suite saturates the
-// machine without oversubscribing it; per-cell seed derivation keeps every
-// figure's values identical to a Workers: 1 run.
-func FigureSuite(cfg Config) (*Suite, error) {
-	cfg = cfg.withDefaults()
-	if cfg.pool == nil {
-		cfg.pool = newWorkerPool(cfg.Workers)
-	}
-	cfg.fig50 = &fig50Cache{}
-	var specs []FigureSpec
-	for _, f := range Figures {
-		if f.Scenario == "" {
-			specs = append(specs, f)
-		}
-	}
-	suite := &Suite{Table1: Table1(), Figures: make([]SuiteFigure, len(specs))}
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for i, f := range specs {
-		wg.Add(1)
-		suite.Figures[i].Name = f.Name
-		go func() {
-			defer wg.Done()
-			suite.Figures[i].Figure, errs[i] = f.Run(cfg)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", specs[i].Name, err)
-		}
-	}
-	return suite, nil
-}
+// FigureSuite regenerates Table 1 and Figures 2–7: RunFigures over "all".
+func FigureSuite(cfg Config) (*Suite, error) { return RunFigures(cfg, []string{"all"}) }

@@ -36,7 +36,7 @@ func TestRunCellsReportsLowestIndexError(t *testing.T) {
 	// Error selection must be worker-count independent: always the lowest
 	// failing cell index, no matter which worker finishes first.
 	for _, workers := range []int{1, 4} {
-		cfg := Config{Seed: 1, Reps: 1, Workers: workers}.withDefaults()
+		cfg := Config{Seed: 1, Reps: 1, Workers: workers}.WithDefaults()
 		_, err := runCells(cfg, "errs", 8, func(i int, _ Config) (int, error) {
 			if i >= 3 {
 				return 0, fmt.Errorf("cell %d failed", i)
@@ -47,7 +47,7 @@ func TestRunCellsReportsLowestIndexError(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want cell 3 failed", workers, err)
 		}
 	}
-	cfg := Config{Seed: 1, Reps: 1, Workers: 2}.withDefaults()
+	cfg := Config{Seed: 1, Reps: 1, Workers: 2}.WithDefaults()
 	out, err := runCells(cfg, "ok", 5, func(i int, _ Config) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)

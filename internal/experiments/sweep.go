@@ -2,12 +2,10 @@
 // granularity × size × pick × choke × churn-rate × fault-rate × rep).
 //
 // The paper's figures are each a hand-rolled 1-D sweep — granularity for
-// Figure 5, selection model for Figure 6 — and the figure generators now
-// express those batches through this file's grid primitive (axes/runGrid),
-// keeping the PR 1 (figure, linear index) seed layout their committed
-// values depend on. The generic Sweep goes further: axis values are data,
-// the cross-product expands in one canonical axis order no matter how the
-// axes were specified, and every cell's seed derives from its full axis
+// Figure 5, selection model for Figure 6 — over per-peer cells, and stay
+// rows of their own table (figures.go). Here axis values are data, the
+// cross-product expands in one canonical axis order no matter how the axes
+// were specified, and every cell's seed derives from its full axis
 // coordinates — not its position in the grid — so a cell's simulated world
 // is invariant to worker count, shard count, axis ordering, and what else
 // happens to share the grid.
@@ -30,45 +28,6 @@ import (
 	"peerlab/internal/transfer"
 	"peerlab/internal/workload"
 )
-
-// ---- figure grid primitive ----------------------------------------------
-
-// axes is the cell-expansion primitive shared by the figure generators and
-// the generic sweep: an ordered list of axis lengths, linearized row-major
-// (last axis fastest) — exactly the cell order the figure generators have
-// always used, so a figure re-expressed over runGrid keeps its per-cell
-// seeds and therefore its committed values.
-type axes []int
-
-// cells returns the grid's cell count (the product of the axis lengths).
-func (a axes) cells() int {
-	n := 1
-	for _, d := range a {
-		n *= d
-	}
-	return n
-}
-
-// coord delinearizes a cell index into per-axis coordinates.
-func (a axes) coord(i int) []int {
-	c := make([]int, len(a))
-	for k := len(a) - 1; k >= 0; k-- {
-		c[k] = i % a[k]
-		i /= a[k]
-	}
-	return c
-}
-
-// runGrid executes the cross-product of a figure's axes across the worker
-// pool, handing each cell its axis coordinates instead of a raw linear
-// index. Seeds keep the (figure tag, linear index) derivation of runCells.
-func runGrid[T any](cfg Config, figure string, ax axes, cell func(coord []int, cellCfg Config) (T, error)) ([]T, error) {
-	return runCells(cfg, figure, ax.cells(), func(i int, cellCfg Config) (T, error) {
-		return cell(ax.coord(i), cellCfg)
-	})
-}
-
-// ---- the generic sweep ---------------------------------------------------
 
 // Sweep describes a grid of workload cells over orthogonal axes. Empty axes
 // default as documented per field; the cross-product of the remaining values
@@ -498,7 +457,7 @@ func expandSweep(cfg Config, sw Sweep) ([]sweepPlan, int, error) {
 	// is cell-for-cell identical to one that relies on it.
 	workloadsFor := func(sc scenario.Scenario) ([]workload.Workload, error) {
 		if len(sw.Workloads) == 0 {
-			w, err := resolveWorkload(cfg.Workload, sc)
+			w, err := ResolveWorkload(cfg.Workload, sc)
 			return []workload.Workload{w}, err
 		}
 		ws := make([]workload.Workload, 0, len(sw.Workloads))
@@ -629,7 +588,7 @@ func axisOr[T any](vals []T, unset T) []T {
 // the originating spec, and a cell's record does not change when other axis
 // values join the grid.
 func RunSweep(cfg Config, sw Sweep) (*SweepReport, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	plans, reps, err := expandSweep(cfg, sw)
 	if err != nil {
 		return nil, err

@@ -92,7 +92,7 @@ func TestSweepNormalizedSpecDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans, reps, err := expandSweep(Config{Seed: 1}.withDefaults(), sw)
+	plans, reps, err := expandSweep(Config{Seed: 1}.WithDefaults(), sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestSweepFaultRateOnStaticScenarioRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := expandSweep(Config{Seed: 1}.withDefaults(), sw); err == nil ||
+	if _, _, err := expandSweep(Config{Seed: 1}.WithDefaults(), sw); err == nil ||
 		!strings.Contains(err.Error(), "no faults to scale") {
 		t.Fatalf("expandSweep err = %v, want no-faults rejection", err)
 	}
@@ -428,7 +428,7 @@ func TestSweepFaultRateOnStaticScenarioRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := expandSweep(Config{Seed: 1}.withDefaults(), sw); err != nil {
+	if _, _, err := expandSweep(Config{Seed: 1}.WithDefaults(), sw); err != nil {
 		t.Fatalf("identity fault rate rejected: %v", err)
 	}
 }
@@ -441,7 +441,7 @@ func TestSweepFaultAxisExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans, _, err := expandSweep(Config{Seed: 1}.withDefaults(), sw)
+	plans, _, err := expandSweep(Config{Seed: 1}.WithDefaults(), sw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,9 +123,9 @@ type WorkloadReport struct {
 	Summary  WorkloadSummary `json:"summary"`
 }
 
-// resolveWorkload picks the configured workload, the scenario's hint, or the
+// ResolveWorkload picks the configured workload, the scenario's hint, or the
 // controller-fanout default, in that order.
-func resolveWorkload(configured workload.Workload, sc scenario.Scenario) (workload.Workload, error) {
+func ResolveWorkload(configured workload.Workload, sc scenario.Scenario) (workload.Workload, error) {
 	if !configured.IsZero() {
 		return configured, nil
 	}
@@ -174,8 +174,8 @@ type workloadCellResult struct {
 // RunWorkload executes cfg's workload over cfg's scenario, one cell per
 // repetition, and returns the per-flow records in (rep, flow-index) order.
 func RunWorkload(cfg Config) (*WorkloadReport, error) {
-	cfg = cfg.withDefaults()
-	w, err := resolveWorkload(cfg.Workload, cfg.Scenario)
+	cfg = cfg.WithDefaults()
+	w, err := ResolveWorkload(cfg.Workload, cfg.Scenario)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +209,8 @@ func (s *WorkloadSummary) addCell(c workloadCellResult) {
 }
 
 // rememberedHosts maps a scenario's Remembered labels — the "user memory"
-// the quick-peer model consults — to hostnames, the Env.Preferred form.
+// the quick-peer model consults — to hostnames, the workload.Env.Preferred
+// form.
 func rememberedHosts(env *Env, sc scenario.Scenario) []string {
 	hosts := make([]string, 0, len(sc.Remembered))
 	for _, label := range sc.Remembered {
@@ -226,9 +227,9 @@ func rememberedHosts(env *Env, sc scenario.Scenario) []string {
 //
 // Membership: a static scenario boots exactly the flows' participants and
 // a failing flow aborts the run. Under a churn schedule no static peer
-// boots — workload.StartDynamics owns membership — per-flow failures are
-// recorded instead of aborting, and every model-selected sink is audited
-// against the schedule (auditSelections).
+// boots — the world's dynamics own membership (Env.RunPeers) — per-flow
+// failures are recorded instead of aborting, and every model-selected sink
+// is audited against the schedule (auditSelections).
 //
 // Engine: workload.Run picks the piece engine for a dissemination workload
 // and the single-round executor otherwise; only the piece engine produces
@@ -239,36 +240,15 @@ func workloadCell(cellCfg Config, w workload.Workload, rep int) (workloadCellRes
 	if len(flows) == 0 {
 		return workloadCellResult{}, fmt.Errorf("workload %s produced no flows", w.Name)
 	}
-	peers := participants(flows)
-	if sc.Churn != nil {
-		peers = noStaticPeers
-		// The broker must run the TTL the dynamics reason about
-		// (scenarioLeases makes NewEnv apply sc.EffectiveAdvTTL): the
-		// heartbeat and the staleness audit both divide it — a zero here
-		// would disable renewals and flag every briefly-down sink as a
-		// (false) stale selection.
-		cellCfg.scenarioLeases = true
-	}
-	var dyn *workload.Dynamics
-	res, err := envCell(cellCfg, peers, func(env *Env, ctl *overlay.Client) (workloadCellResult, error) {
+	return envCell(cellCfg, participants(flows), func(env *Env, ctl *overlay.Client) (workloadCellResult, error) {
 		var res workloadCellResult
-		wenv := workload.Env{
-			Host:         env.Slice.Control,
-			Control:      ctl,
-			Clients:      env.Clients,
-			HostOf:       env.Host,
-			LabelOf:      env.Label,
-			ExcludeSinks: []string{env.Slice.Control.Name()},
-			Preferred:    rememberedHosts(env, sc),
-			Logf:         cellCfg.Logf,
-		}
-		if sc.Churn == nil {
+		wenv := env.Workload(ctl)
+		wenv.Preferred = rememberedHosts(env, sc)
+		wenv.Logf = cellCfg.Logf
+		dyn := env.Dynamics
+		if dyn == nil {
 			wenv.IdleGap = cellCfg.IdleGap
 		} else {
-			var err error
-			if dyn, err = workload.StartDynamics(env.Slice, env.Broker, sc, cellCfg.Seed); err != nil {
-				return res, err
-			}
 			res.departed = dyn.Schedule.Departures()
 			if dyn.Plan != nil {
 				res.brokerDown = dyn.Plan.BrokerDowntime().Seconds()
@@ -287,12 +267,6 @@ func workloadCell(cellCfg Config, w workload.Workload, rep int) (workloadCellRes
 		}
 		return res, nil
 	})
-	// envCell returns at quiescence — the schedule has fully drained, so
-	// even a join failure after the flows finished is captured.
-	if err == nil && dyn != nil {
-		err = dyn.Err()
-	}
-	return res, err
 }
 
 // staleSlack absorbs the gap between a schedule's leave offset and the last
@@ -337,11 +311,6 @@ func auditSelections(results []workload.Result, dyn *workload.Dynamics, advTTL t
 	}
 	return stale, lagged
 }
-
-// noStaticPeers is RunPeers' "boot no catalog peer" argument (non-nil and
-// empty; nil would boot all — membership then belongs exclusively to the
-// conductor). Named so the distinction cannot be refactored away silently.
-var noStaticPeers = []string{}
 
 // flowRecords maps executed flow results into records for one repetition.
 func flowRecords(results []workload.Result, rep int) []FlowRecord {

@@ -124,23 +124,6 @@ func ControlProfile() simnet.Profile {
 	}
 }
 
-// GenericProfile models a non-SC slice node (used when deploying the full
-// 25-node slice): mid-range everything.
-func GenericProfile() simnet.Profile {
-	p := ControlProfile()
-	p.LatencyOneWay = 30 * time.Millisecond
-	p.Jitter = 10 * time.Millisecond
-	p.Bandwidth = 1.2e6
-	p.CPUScore = 1.0
-	p.WakeLag = time.Second
-	p.WakeLagSpread = 0.3
-	p.EngagedWindow = 30 * time.Second
-	p.DegradeRefBytes = 50e6
-	p.DegradeExp = 1.5
-	p.MTBF = 120 * time.Minute
-	return p
-}
-
 // Scenario returns the paper's calibrated Table-1 world as a scenario: the
 // nozomi control node plus the eight SC peers, with the exact profiles of
 // SCPeers (the catalog is seed-independent — the calibration IS the data).
@@ -162,51 +145,4 @@ func Scenario() scenario.Scenario {
 		Remembered: []string{"SC3", "SC6", "SC5"},
 		Blemished:  []string{"SC2", "SC8"},
 	}
-}
-
-// Slice builds simnet nodes for a deployment.
-type Slice struct {
-	Net     *simnet.Network
-	Control *simnet.Node            // nozomi main node (broker/controller)
-	SC      map[string]*simnet.Node // by label SC1..SC8
-	Others  map[string]*simnet.Node // remaining catalog hosts, by hostname
-}
-
-// DeploySC creates a network with the control node and the eight SC peers —
-// the setup of every figure's experiment — by deploying the table1 scenario.
-func DeploySC(seed int64) (*Slice, error) {
-	sl, err := scenario.Deploy(Scenario(), seed)
-	if err != nil {
-		return nil, err
-	}
-	return &Slice{
-		Net:     sl.Net,
-		Control: sl.Control,
-		SC:      sl.Peers,
-		Others:  make(map[string]*simnet.Node),
-	}, nil
-}
-
-// DeployFull is DeploySC plus every other catalog host with the generic
-// profile — the whole Table 1 slice.
-func DeployFull(seed int64) (*Slice, error) {
-	s, err := DeploySC(seed)
-	if err != nil {
-		return nil, err
-	}
-	sc := make(map[string]bool)
-	for _, p := range SCPeers() {
-		sc[p.Hostname] = true
-	}
-	for _, info := range Catalog() {
-		if sc[info.Hostname] {
-			continue
-		}
-		node, err := s.Net.AddNode(info.Hostname, GenericProfile())
-		if err != nil {
-			return nil, err
-		}
-		s.Others[info.Hostname] = node
-	}
-	return s, nil
 }

@@ -115,41 +115,6 @@ func TestSCByLabel(t *testing.T) {
 	}
 }
 
-func TestDeploySC(t *testing.T) {
-	s, err := DeploySC(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Control == nil || s.Control.Name() != "nozomi.lsi.upc.edu" {
-		t.Fatalf("control node = %v", s.Control)
-	}
-	if len(s.SC) != 8 {
-		t.Fatalf("SC nodes = %d", len(s.SC))
-	}
-	for label, node := range s.SC {
-		p, _ := SCByLabel(label)
-		if node.Name() != p.Hostname {
-			t.Fatalf("%s node = %q, want %q", label, node.Name(), p.Hostname)
-		}
-	}
-}
-
-func TestDeployFullCoversCatalog(t *testing.T) {
-	s, err := DeployFull(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := len(s.SC) + len(s.Others)
-	if total != 25 {
-		t.Fatalf("deployed %d catalog nodes, want 25", total)
-	}
-	for host := range s.Others {
-		if s.Net.Node(host) == nil {
-			t.Fatalf("node %q not in network", host)
-		}
-	}
-}
-
 func TestControlProfileIsWellProvisioned(t *testing.T) {
 	cp := ControlProfile()
 	for _, p := range SCPeers() {

@@ -179,19 +179,60 @@ type Slice struct {
 	Catalog []Peer
 }
 
+// Static returns the scenario with its dynamics stripped — no membership
+// schedule, no fault plan, no lease hints — leaving the catalog a paper
+// figure measures: figures ignore churn schedules, and a short lease with
+// no renewal heartbeat behind it would just expire every candidate across
+// the idle gaps.
+func (s Scenario) Static() Scenario {
+	s.Churn, s.ChurnRate, s.Faults, s.FaultRate = nil, nil, nil, nil
+	s.Horizon, s.AdvTTL, s.LeaseSweep = 0, 0, 0
+	return s
+}
+
 // Deploy builds the simnet for a scenario. The seed drives both the catalog
 // synthesis and every network random draw, so a (scenario, seed) pair names
 // one reproducible world.
-func Deploy(sc Scenario, seed int64) (*Slice, error) {
+func Deploy(sc Scenario, seed int64) (*Slice, error) { return DeployPeers(sc, seed, nil) }
+
+// DeployPeers is Deploy restricted to the named peer labels: the control
+// node plus only those peers are synthesized and added, so a per-peer
+// experiment cell on a huge slice pays for the nodes it touches, not for
+// the directory size. The subset world is byte-identical to the full
+// Deploy as long as the run really interacts with the named peers alone:
+// per-peer synthesis streams are independent (see SynthesizeOne), and a
+// node that never sends or receives leaves no trace on the scheduler or on
+// any draw stream. A nil labels list — or a scenario without SynthesizeOne
+// — deploys the full catalog. The returned slice's Catalog and Peers hold
+// what was deployed, in catalog order.
+func DeployPeers(sc Scenario, seed int64, labels []string) (*Slice, error) {
 	if sc.IsZero() {
 		return nil, errors.New("scenario: Deploy of zero Scenario")
+	}
+	var catalog []Peer
+	if labels == nil || sc.SynthesizeOne == nil {
+		catalog = sc.Synthesize(seed)
+	} else {
+		want := make(map[string]bool, len(labels))
+		for _, l := range labels {
+			want[l] = true
+		}
+		catalog = make([]Peer, 0, len(want))
+		for i, l := range sc.Labels {
+			if want[l] {
+				delete(want, l)
+				catalog = append(catalog, sc.SynthesizeOne(seed, i))
+			}
+		}
+		for l := range want {
+			return nil, fmt.Errorf("scenario: DeployPeers: unknown peer label %q", l)
+		}
 	}
 	net := simnet.New(seed)
 	control, err := net.AddNode(sc.Control.Hostname, sc.Control.Profile)
 	if err != nil {
 		return nil, err
 	}
-	catalog := sc.Synthesize(seed)
 	s := &Slice{
 		Net:     net,
 		Control: control,
@@ -204,59 +245,6 @@ func Deploy(sc Scenario, seed int64) (*Slice, error) {
 			return nil, err
 		}
 		s.Peers[p.Label] = node
-	}
-	return s, nil
-}
-
-// DeployPeers is Deploy restricted to the named peer labels: the control
-// node plus only those peers are synthesized and added, so a per-peer
-// experiment cell on a huge slice pays for the nodes it touches, not for
-// the directory size. The subset world is byte-identical to the full
-// Deploy as long as the run really interacts with the named peers alone:
-// per-peer synthesis streams are independent (see SynthesizeOne), and a
-// node that never sends or receives leaves no trace on the scheduler or on
-// any draw stream. A nil labels list — or a scenario without SynthesizeOne
-// — falls back to the full Deploy. The returned slice's Catalog and Peers
-// hold only the subset, in catalog order.
-func DeployPeers(sc Scenario, seed int64, labels []string) (*Slice, error) {
-	if labels == nil || sc.SynthesizeOne == nil {
-		return Deploy(sc, seed)
-	}
-	if sc.IsZero() {
-		return nil, errors.New("scenario: Deploy of zero Scenario")
-	}
-	want := make(map[string]bool, len(labels))
-	for _, l := range labels {
-		want[l] = true
-	}
-	net := simnet.New(seed)
-	control, err := net.AddNode(sc.Control.Hostname, sc.Control.Profile)
-	if err != nil {
-		return nil, err
-	}
-	s := &Slice{
-		Net:     net,
-		Control: control,
-		Peers:   make(map[string]*simnet.Node, len(labels)),
-		Catalog: make([]Peer, 0, len(labels)),
-	}
-	for i, l := range sc.Labels {
-		if !want[l] {
-			continue
-		}
-		delete(want, l)
-		p := sc.SynthesizeOne(seed, i)
-		node, err := net.AddNode(p.Hostname, p.Profile)
-		if err != nil {
-			return nil, err
-		}
-		s.Catalog = append(s.Catalog, p)
-		s.Peers[p.Label] = node
-	}
-	if len(want) > 0 {
-		for l := range want {
-			return nil, fmt.Errorf("scenario: DeployPeers: unknown peer label %q", l)
-		}
 	}
 	return s, nil
 }

@@ -2,7 +2,7 @@ package peerlab
 
 import (
 	"errors"
-	"fmt"
+	"slices"
 	"time"
 
 	"peerlab/internal/core"
@@ -176,154 +176,82 @@ type Config struct {
 // each of which can originate transfers of its own (see Session.RunWorkload).
 // On a churning scenario ("churn:N") the peer set is not static: clients
 // join, leave and rejoin on the scenario's schedule while the session runs.
+//
+// The world underneath is an experiments.Env — the same deploy-and-boot path
+// every figure and sweep cell is measured in.
 type Deployment struct {
-	net      *simnet.Network
-	broker   *overlay.Broker
-	ctl      *overlay.Client
-	ctlNode  *simnet.Node
+	env *experiments.Env
+	// peers are the Peers() values, the world's peer labels: hostnames on a
+	// static deployment, catalog labels (the schedule's addressing unit) on
+	// a churning one.
 	peers    []string
-	clients  map[string]*overlay.Client
 	seed     int64
 	workload workload.Workload
-
-	// Churn state (zero on static deployments). peers then holds catalog
-	// labels rather than hostnames, hostOf/labelOf translate, and dyn —
-	// started by Run from sc and slice — owns the schedule, the live-client
-	// map and, on fault scenarios, the injector.
-	sc      scenario.Scenario
-	slice   *scenario.Slice
-	dyn     *workload.Dynamics
-	hostOf  map[string]string
-	labelOf map[string]string
+	ctl      *overlay.Client // the controller, running for the duration of Run
 }
 
 // ErrNoPeers is returned when a deployment is configured without peers.
 var ErrNoPeers = errors.New("peerlab: deployment needs at least one peer")
 
+// byHostname returns sc over the fixed peer list, each peer labeled by its
+// hostname — how a static deployment names its peers. The scenario's
+// label-keyed hints no longer resolve and are dropped.
+func byHostname(sc scenario.Scenario, peers []scenario.Peer) scenario.Scenario {
+	sc.Labels = make([]string, len(peers))
+	for i := range peers {
+		peers[i].Label = peers[i].Hostname
+		sc.Labels[i] = peers[i].Hostname
+	}
+	sc.Synthesize = func(int64) []scenario.Peer { return peers }
+	sc.SynthesizeOne, sc.Remembered, sc.Blemished = nil, nil, nil
+	return sc
+}
+
 // Deploy builds the network and returns the deployment. All interaction —
 // transfers, tasks, selection — must happen inside Run.
 func Deploy(cfg Config) (*Deployment, error) {
-	var (
-		net     *simnet.Network
-		ctlNode *simnet.Node
-		peers   []PeerConfig
-		sc      scenario.Scenario
-		slice   *scenario.Slice
-	)
+	var sc scenario.Scenario
 	if cfg.Scenario != "" {
 		var err error
-		sc, err = scenario.Parse(cfg.Scenario)
-		if err != nil {
+		if sc, err = scenario.Parse(cfg.Scenario); err != nil {
 			return nil, err
 		}
-		slice, err = scenario.Deploy(sc, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		net, ctlNode = slice.Net, slice.Control
 		if sc.Churn == nil {
-			// Static scenario: every catalog peer becomes a pre-started
-			// client. Churning scenarios skip this — their membership
-			// belongs to the conductor, which boots straight off the slice.
-			for _, p := range slice.Catalog {
-				peers = append(peers, PeerConfig{Name: p.Hostname, Profile: p.Profile})
-			}
+			sc = byHostname(sc, slices.Clone(sc.Synthesize(cfg.Seed)))
 		}
 	} else {
 		if len(cfg.Peers) == 0 {
 			return nil, ErrNoPeers
 		}
-		net = simnet.New(cfg.Seed)
-		var err error
-		ctlNode, err = net.AddNode("controller", planetlab.ControlProfile())
-		if err != nil {
-			return nil, err
-		}
-		peers = cfg.Peers
-	}
-
-	wlSpec := cfg.Workload
-	if wlSpec == "" {
-		if sc.Workload != "" {
-			wlSpec = sc.Workload
-		} else {
-			wlSpec = "controller-fanout"
-		}
-	}
-	wl, err := workload.Parse(wlSpec)
-	if err != nil {
-		return nil, err
-	}
-
-	// Static deployments keep the effectively-unbounded default lease TTL;
-	// a churning scenario supplies its own short TTL and eager-sweep hint
-	// so departed peers age out of the directory mid-session. The renewal
-	// heartbeat (workload.StartDynamics) divides the same effective value.
-	// The directory holds every peer that will register, plus the controller.
-	registrants := len(peers) + 1
-	if slice != nil {
-		registrants = len(slice.Catalog) + 1
-	}
-	broker, err := overlay.NewBroker(ctlNode, overlay.BrokerConfig{
-		AdvTTL:     sc.EffectiveAdvTTL(),
-		LeaseSweep: sc.LeaseSweep,
-		CacheLimit: max(overlay.DefaultCacheLimit, registrants),
-	})
-	if err != nil {
-		return nil, err
-	}
-	d := &Deployment{
-		net:      net,
-		broker:   broker,
-		ctlNode:  ctlNode,
-		clients:  make(map[string]*overlay.Client),
-		seed:     cfg.Seed,
-		workload: wl,
-		sc:       sc,
-		slice:    slice,
-	}
-	// Where the control plane will fail on schedule the controller gets the
-	// resilient call policy, like every peer StartDynamics boots. Elsewhere
-	// the zero policy stands — one attempt, no deadline, hence no timer and
-	// no extra draw — so committed figures cannot move.
-	var policy overlay.CallPolicy
-	if sc.Faults != nil {
-		policy = overlay.DefaultCallPolicy()
-	}
-	d.ctl = overlay.NewClient(ctlNode, broker.Addr(), overlay.ClientConfig{CPUScore: 2, Call: policy})
-
-	if sc.Churn != nil {
-		// Membership belongs to the churn schedule: no static clients.
-		// Peers are addressed by catalog label, and the conductor (started
-		// in Run) boots and stops their clients on schedule.
-		d.peers = append(d.peers, sc.Labels...)
-		d.hostOf = make(map[string]string, len(slice.Catalog))
-		d.labelOf = make(map[string]string, len(slice.Catalog))
-		for _, p := range slice.Catalog {
-			d.hostOf[p.Label] = p.Hostname
-			d.labelOf[p.Hostname] = p.Label
-		}
-		return d, nil
-	}
-
-	for _, p := range peers {
-		prof := p.Profile
-		if prof.Bandwidth <= 0 {
-			prof = simnet.DefaultProfile()
-		}
-		node := net.Node(p.Name)
-		if node == nil {
-			var err error
-			node, err = net.AddNode(p.Name, prof)
-			if err != nil {
-				return nil, err
+		peers := make([]scenario.Peer, len(cfg.Peers))
+		for i, p := range cfg.Peers {
+			peers[i] = scenario.Peer{Hostname: p.Name, Profile: p.Profile}
+			if p.Profile.Bandwidth <= 0 {
+				peers[i].Profile = simnet.DefaultProfile()
 			}
 		}
-		d.peers = append(d.peers, p.Name)
-		// Started by Run, inside the simulation.
-		d.clients[p.Name] = overlay.NewClient(node, broker.Addr(), overlay.ClientConfig{CPUScore: prof.CPUScore})
+		sc = byHostname(scenario.Scenario{
+			Name:    "peers",
+			Control: scenario.Peer{Label: "controller", Hostname: "controller", Profile: planetlab.ControlProfile()},
+		}, peers)
 	}
-	return d, nil
+	var wl workload.Workload
+	if cfg.Workload != "" {
+		var err error
+		if wl, err = workload.Parse(cfg.Workload); err != nil {
+			return nil, err
+		}
+	}
+	wl, err := experiments.ResolveWorkload(wl, sc)
+	if err != nil {
+		return nil, err
+	}
+	// The facade's Seed 0 is seed 0: NewEnv takes its Config as given.
+	env, err := experiments.NewEnv(experiments.Config{Seed: cfg.Seed, Scenario: sc})
+	if err != nil {
+		return nil, err
+	}
+	return &Deployment{env: env, peers: sc.Labels, seed: cfg.Seed, workload: wl}, nil
 }
 
 // Session is the application's handle during Run: every method executes on
@@ -339,38 +267,15 @@ type Session struct {
 // virtual time whether or not fn is watching. The elapsed virtual time is
 // available via Elapsed.
 func (d *Deployment) Run(fn func(s *Session) error) error {
-	var err error
-	d.net.Run(func() {
-		if serr := d.ctl.Start(); serr != nil {
-			err = fmt.Errorf("peerlab: controller: %w", serr)
-			return
-		}
-		if d.sc.Churn != nil {
-			if d.dyn, err = workload.StartDynamics(d.slice, d.broker, d.sc, d.seed); err != nil {
-				return
-			}
-		}
-		for _, name := range d.peers {
-			if c := d.clients[name]; c != nil {
-				if err = c.Start(); err != nil {
-					err = fmt.Errorf("peerlab: start %s: %w", name, err)
-					return
-				}
-			}
-		}
-		err = fn(&Session{d: d})
+	return d.env.RunPeers(nil, func(ctl *overlay.Client, _ map[string]*overlay.Client) error {
+		d.ctl = ctl
+		return fn(&Session{d: d})
 	})
-	// Only now has the schedule fully drained (Run returns at quiescence):
-	// a rejoin that failed after fn returned is still captured here.
-	if err == nil && d.dyn != nil {
-		err = d.dyn.Err()
-	}
-	return err
 }
 
 // Elapsed reports how much virtual time the deployment has consumed.
 func (d *Deployment) Elapsed() time.Duration {
-	return d.net.Scheduler().Elapsed()
+	return d.env.Slice.Net.Scheduler().Elapsed()
 }
 
 // Peers returns the deployed peer names.
@@ -380,25 +285,25 @@ func (d *Deployment) Peers() []string {
 
 // Snapshots returns the broker's current per-peer statistics.
 func (d *Deployment) Snapshots() []Snapshot {
-	return d.broker.Registry().Snapshots()
+	return d.env.Broker.Registry().Snapshots()
 }
 
 // Now returns the current virtual time.
-func (s *Session) Now() time.Time { return s.d.net.Now() }
+func (s *Session) Now() time.Time { return s.d.env.Slice.Net.Now() }
 
 // peerAddr resolves a Peers() value to the name the overlay addresses the
 // peer by. Static deployments already hand out hostnames; churn deployments
 // hand out catalog labels (the schedule's addressing unit), which direct
 // Session sends translate back to hostnames here.
 func (d *Deployment) peerAddr(peer string) string {
-	if host, ok := d.hostOf[peer]; ok {
+	if host := d.env.Host(peer); host != "" {
 		return host
 	}
 	return peer
 }
 
 // Sleep advances virtual time for the driver.
-func (s *Session) Sleep(dur time.Duration) { s.d.net.Scheduler().Sleep(dur) }
+func (s *Session) Sleep(dur time.Duration) { s.d.env.Slice.Net.Scheduler().Sleep(dur) }
 
 // SendFile transmits a file from the controller to the named peer (a
 // Peers() value), split into parts (1 = whole), confirming each part as in
@@ -439,27 +344,17 @@ func (s *Session) RunWorkload(spec string) ([]FlowResult, error) {
 			return nil, err
 		}
 	}
-	env := workload.Env{
-		Host:         d.ctlNode,
-		Control:      d.ctl,
-		Clients:      d.clients,
-		ExcludeSinks: []string{d.ctl.Name()},
-	}
-	if d.dyn != nil {
-		env.HostOf = func(label string) string { return d.hostOf[label] }
-		env.LabelOf = func(host string) string { return d.labelOf[host] }
-	}
-	out, err := workload.Run(env, d.dyn, wl, wl.Flows(d.peers, d.seed), d.seed)
+	out, err := workload.Run(d.env.Workload(d.ctl), d.env.Dynamics, wl, wl.Flows(d.peers, d.seed), d.seed)
 	return out.Results, err
 }
 
 // PeersDeparted reports how many departures (up→down transitions) the
 // deployment's churn schedule contains; zero on static deployments.
 func (s *Session) PeersDeparted() int {
-	if s.d.dyn == nil {
+	if s.d.env.Dynamics == nil {
 		return 0
 	}
-	return s.d.dyn.Schedule.Departures()
+	return s.d.env.Dynamics.Schedule.Departures()
 }
 
 // SelectPeers asks the broker to rank peers with the named model (see the
@@ -470,9 +365,6 @@ func (s *Session) PeersDeparted() int {
 // other Session method.
 func (s *Session) SelectPeers(model string, req SelectionRequest, max int, preferred []string) ([]string, error) {
 	d := s.d
-	if d.dyn == nil {
-		return d.ctl.SelectPeers(model, req, max, preferred)
-	}
 	pref := make([]string, len(preferred))
 	for i, p := range preferred {
 		pref[i] = d.peerAddr(p)
@@ -482,7 +374,7 @@ func (s *Session) SelectPeers(model string, req SelectionRequest, max int, prefe
 		return nil, err
 	}
 	for i, host := range ranked {
-		if label, ok := d.labelOf[host]; ok {
+		if label := d.env.Label(host); label != "" {
 			ranked[i] = label
 		}
 	}
@@ -491,7 +383,7 @@ func (s *Session) SelectPeers(model string, req SelectionRequest, max int, prefe
 
 // Snapshots returns the broker's statistics mid-run.
 func (s *Session) Snapshots() []Snapshot {
-	return s.d.broker.Registry().Snapshots()
+	return s.d.Snapshots()
 }
 
 // Group runs functions as concurrent simulation processes and joins them.
@@ -506,13 +398,13 @@ type Group struct {
 
 // Group returns an empty process group.
 func (s *Session) Group() *Group {
-	return &Group{s: s, join: vtime.NewQueue(s.d.net.Scheduler())}
+	return &Group{s: s, join: vtime.NewQueue(s.d.env.Slice.Net.Scheduler())}
 }
 
 // Go starts fn as a simulation process tracked by the group.
 func (g *Group) Go(fn func() error) {
 	g.n++
-	g.s.d.net.Scheduler().Go(func() {
+	g.s.d.env.Slice.Net.Scheduler().Go(func() {
 		g.join.Push(fn())
 	})
 }
