@@ -86,9 +86,10 @@ func ReproduceFigures(seed int64, reps, workers int) (*FigureSuite, error) {
 }
 
 // ReproduceScenario is ReproduceFigures on an arbitrary scenario spec —
-// ScenarioTable1, "uniform:N" or "heterogeneous:N" — so the same harness
-// that regenerates the paper's 8-peer figures measures slices of hundreds
-// of peers.
+// ScenarioTable1, "uniform:N", "heterogeneous:N", "zipf:N", or the catalog
+// of "churn:N" / "faults:N" as a static slice (figures ignore membership
+// schedules and fault plans) — so the same harness that regenerates the
+// paper's 8-peer figures measures slices of hundreds of peers.
 func ReproduceScenario(spec string, seed int64, reps, workers int) (*FigureSuite, error) {
 	sc, err := scenario.Parse(spec)
 	if err != nil {
@@ -105,15 +106,17 @@ type SweepReport = experiments.SweepReport
 
 // RunSweep expands cfg.Sweep — a grid spec like
 // "scenario=table1,churn:64;model=all" (axes: scenario, workload, model,
-// granularity, size, churn, rep) — and executes every cell, one workload
-// repetition per freshly deployed slice, across workers concurrent slots
-// (0 = GOMAXPROCS). Axes the spec leaves unset default from the rest of the
-// config: cfg.Scenario fills the scenario axis and cfg.Workload the
-// workload axis (each scenario's own hint when that is empty too). reps is
-// the repetitions per grid point (0 = the paper's 5) unless the spec's rep
-// axis overrides it. Cell seeds derive from (cfg.Seed, axis coordinates),
-// so the report is bit-identical at any workers value and invariant to the
-// spec's axis ordering.
+// granularity, size, pick, choke, churn, fault, rep) — and executes every
+// cell, one workload repetition per freshly deployed slice, across workers
+// concurrent slots (0 = GOMAXPROCS). pick and choke set a dissemination
+// workload's piece-picking and choking policies; churn and fault scale a
+// "churn:N" / "faults:N" scenario's dynamics. Axes the spec leaves unset
+// default from the rest of the config: cfg.Scenario fills the scenario axis
+// and cfg.Workload the workload axis (each scenario's own hint when that is
+// empty too). reps is the repetitions per grid point (0 = the paper's 5)
+// unless the spec's rep axis overrides it. Cell seeds derive from
+// (cfg.Seed, axis coordinates), so the report is bit-identical at any
+// workers value and invariant to the spec's axis ordering.
 func RunSweep(cfg Config, reps, workers int) (*SweepReport, error) {
 	sw, err := experiments.ParseSweep(cfg.Sweep)
 	if err != nil {
@@ -139,7 +142,8 @@ type PeerConfig struct {
 }
 
 // ScenarioTable1 is the paper's calibrated Table-1 scenario name. Synthetic
-// scenarios are specified as "uniform:N" or "heterogeneous:N" with N peers.
+// scenarios are specified as "uniform:N", "heterogeneous:N", "zipf:N",
+// "churn:N" or "faults:N" with N peers.
 const ScenarioTable1 = "table1"
 
 // Config describes a deployment.
@@ -149,8 +153,11 @@ type Config struct {
 	// per-peer profiles from it.
 	Seed int64
 	// Scenario deploys a named slice scenario — ScenarioTable1 for the
-	// paper's calibrated SC1..SC8 world, or "uniform:N"/"heterogeneous:N"
-	// for synthesized slices of N peers. When set, Peers is ignored.
+	// paper's calibrated SC1..SC8 world, or a synthesized slice of N peers:
+	// "uniform:N", "heterogeneous:N" (a three-class PlanetLab mixture),
+	// "zipf:N" (Zipf-distributed bandwidths), "churn:N" (peers join, leave
+	// and rejoin on a seed-derived schedule) or "faults:N" (the control
+	// plane fails on schedule). When set, Peers is ignored.
 	Scenario string
 	// Peers lists the client nodes explicitly. Leave empty and set
 	// Scenario to deploy a scenario instead.
@@ -164,7 +171,8 @@ type Config struct {
 	// and faults:N a swarm), else controller-fanout.
 	Workload string
 	// Sweep is the grid spec RunSweep expands over this configuration —
-	// e.g. "granularity=1,4,16;size=50" or "model=all;churn=0.5,1,2,4".
+	// e.g. "granularity=1,4,16;size=50", "model=all;churn=0.5,1,2,4",
+	// "pick=rarest,sequential;choke=tft,none" or "fault=0.5,1,2,4".
 	// Axes the spec leaves unset default from Scenario and Workload. Deploy
 	// ignores it: a sweep deploys one fresh slice per grid cell rather than
 	// running inside a live deployment.
