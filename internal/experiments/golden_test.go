@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"peerlab/internal/metrics"
@@ -44,13 +43,7 @@ func workloadRun(c Config) (any, error) { return RunWorkload(c) }
 
 // figureRun runs the registry row with the given key.
 func figureRun(name string) func(Config) (any, error) {
-	return func(c Config) (any, error) {
-		f, ok := FigureByName(name)
-		if !ok {
-			return nil, fmt.Errorf("no figure %q", name)
-		}
-		return f.Run(c)
-	}
+	return func(c Config) (any, error) { return figure(name, c) }
 }
 
 func summaryOf(v any) WorkloadSummary { return v.(*WorkloadReport).Summary }
