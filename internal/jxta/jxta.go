@@ -218,27 +218,29 @@ func DecodeAdvertisements(d *wire.Decoder, n uint64) ([]Advertisement, error) {
 // Cache is a thread-safe advertisement store with TTL expiry and bounded
 // size (oldest-expiry eviction), as kept by rendezvous peers and local
 // discovery services.
+//
+// It has one expiry rule: every method that reads or adds entries first
+// settles expiry as of the clock (gcLocked), and after that stored means
+// live. Nothing else compares an expiry with the clock.
 type Cache struct {
 	mu    sync.Mutex
 	now   func() time.Time
 	limit int
 	byID  map[ID]Advertisement
-	// kindLen counts entries per kind; after gcLocked every counted entry
-	// is live, so LiveLen answers in O(1).
+	// kindLen counts entries per kind, so LiveLen answers in O(1).
 	kindLen map[AdvKind]int
 	// minExpiry is a lower bound on the earliest expiry among entries (zero
 	// = unknown, forcing the next gc to scan). While now < minExpiry no
 	// entry can be expired, so gcLocked skips its scan — the O(1) fast path
-	// every Publish on a static deployment takes. Renewals leave the bound
+	// every call on a static deployment takes. Renewals leave the bound
 	// stale-but-valid: the scan it eventually triggers removes nothing and
 	// recomputes it.
 	minExpiry time.Time
 	// version counts mutations (publish, eviction, expiry removal); memo
-	// holds the last whole-kind query result per kind, valid while the
-	// version matches and no included entry has expired. Selection queries
-	// the full peer directory far more often than leases renew it, so the
-	// memo turns the common Query("") from an O(n log n) scan-and-sort
-	// into handing out a prebuilt slice.
+	// holds the last whole-kind query result per kind, current while the
+	// version matches. Selection queries the full peer directory far more
+	// often than leases renew it, so the memo turns the common Query("")
+	// from an O(n log n) scan-and-sort into handing out a prebuilt slice.
 	version uint64
 	memo    map[AdvKind]*kindMemo
 }
@@ -248,10 +250,6 @@ type Cache struct {
 type kindMemo struct {
 	result  []Advertisement
 	version uint64
-	// validUntil is the earliest expiry among result entries: strictly
-	// before it, the live set cannot have changed without a version bump.
-	// Zero when result is empty (nothing to expire).
-	validUntil time.Time
 }
 
 // NewCache returns a cache holding at most limit advertisements (default
@@ -334,11 +332,9 @@ func (c *Cache) evictOldestLocked() {
 func (c *Cache) Lookup(id ID) (Advertisement, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gcLocked(c.now())
 	a, ok := c.byID[id]
-	if !ok || !a.Expires.After(c.now()) {
-		return Advertisement{}, false
-	}
-	return a, true
+	return a, ok
 }
 
 // Query returns live advertisements of the kind whose Name matches name
@@ -350,43 +346,31 @@ func (c *Cache) Lookup(id ID) (Advertisement, bool) {
 func (c *Cache) Query(kind AdvKind, name string) []Advertisement {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
+	c.gcLocked(c.now())
 	if name == "" {
 		m := c.memo[kind]
-		if m == nil || m.version != c.version || !(m.validUntil.IsZero() || now.Before(m.validUntil)) {
-			m = c.buildMemoLocked(kind, now)
+		if m == nil || m.version != c.version {
+			m = c.buildMemoLocked(kind)
 		}
 		return m.result
 	}
 	var out []Advertisement
 	for _, a := range c.byID {
-		if !a.Expires.After(now) {
-			continue
+		if a.Kind == kind && a.Name == name {
+			out = append(out, a)
 		}
-		if a.Kind != kind {
-			continue
-		}
-		if a.Name != name {
-			continue
-		}
-		out = append(out, a)
 	}
 	SortAdvertisements(out)
 	return out
 }
 
-// buildMemoLocked scans and sorts the live entries of kind, recording the
-// directory version and the earliest expiry so hits stay exact. Caller
-// holds c.mu.
-func (c *Cache) buildMemoLocked(kind AdvKind, now time.Time) *kindMemo {
+// buildMemoLocked scans and sorts the entries of kind under the directory
+// version they were read at. Caller holds c.mu and has settled expiry.
+func (c *Cache) buildMemoLocked(kind AdvKind) *kindMemo {
 	m := &kindMemo{version: c.version}
 	for _, a := range c.byID {
-		if a.Kind != kind || !a.Expires.After(now) {
-			continue
-		}
-		m.result = append(m.result, a)
-		if m.validUntil.IsZero() || a.Expires.Before(m.validUntil) {
-			m.validUntil = a.Expires
+		if a.Kind == kind {
+			m.result = append(m.result, a)
 		}
 	}
 	SortAdvertisements(m.result)
@@ -430,11 +414,9 @@ func (c *Cache) NextExpiry() (time.Time, bool) {
 	return earliest, found
 }
 
-// Sweep eagerly evicts every advertisement expired at now and reports how
-// many were dropped. Lookups and queries already filter expired entries
-// (lazy expiry); Sweep additionally reclaims their memory without waiting
-// for the next Publish, so a broker under churn does not accumulate dead
-// leases between registrations.
+// Sweep evicts every advertisement expired at now and reports how many were
+// dropped: the settling every reader does first, on a timer, so a broker
+// under churn does not hold dead leases while nobody reads or registers.
 func (c *Cache) Sweep(now time.Time) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -475,9 +457,8 @@ func (c *Cache) Len() int {
 }
 
 // LiveLen reports the number of live advertisements of one kind without
-// materializing them: after expiry accounting the per-kind counters are
-// exact, so — unlike Query — this is O(1) on the static fast path. It always
-// equals len(Query(kind, "")).
+// materializing them — O(1) on the static fast path. It always equals
+// len(Query(kind, "")).
 func (c *Cache) LiveLen(kind AdvKind) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -485,14 +466,11 @@ func (c *Cache) LiveLen(kind AdvKind) int {
 	return c.kindLen[kind]
 }
 
-// Stamp settles expiry accounting as of now and returns the mutation
-// version. Because the internal gc removes every entry already expired at
-// now (bumping the version per removal) before the version is read, two
-// equal stamps guarantee the live set — entries and payloads — is
-// byte-identical at both instants: publishes, evictions, explicit removals
-// and lazy expiries all advance the version once gc has run. Like LiveLen
-// this is O(1) on the static fast path (nothing can have expired before
-// minExpiry). The broker's rank index keys on it.
+// Stamp returns the mutation version as of now. Stored means live and every
+// change to what is stored — publish, eviction, removal, expiry — advances
+// the version, so two equal stamps mean the live set, entries and payloads,
+// is identical at both instants. O(1) on the static fast path. The broker's
+// rank index and its merged directory key on it.
 func (c *Cache) Stamp() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -186,14 +186,13 @@ func TestBatchBootStateAndRPCCount(t *testing.T) {
 	}
 }
 
-// TestAcceptBurstServedInArrivalOrder dials the broker from more nodes than
-// it keeps resident handlers, all at one instant, twice: the first burst
-// finds no handler parked (every conn spawns one), the second finds the
-// resident pool parked (the head of the burst wakes them, the rest spawn).
-// Each ack's KnownPeers counts the registrations served before it, so it
-// must number the burst in dial order on both paths.
+// TestAcceptBurstServedInArrivalOrder dials the broker from 24 nodes at one
+// instant, twice: the first burst's serving processes start on fresh
+// coroutines, the second's on the ones the first handed back to the
+// scheduler's pool. Each ack's KnownPeers counts the registrations served
+// before it, so it must number both bursts in dial order.
 func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
-	const burst = brokerResidentHandlers + 8
+	const burst = 24
 	d := deploy(t, nil)
 	known := make([]int, 2*burst)
 	dial := func(i int, host transport.Host) func() {
@@ -238,13 +237,7 @@ func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
 		for i := 0; i < burst; i++ {
 			spawner.Go(dial(i, hosts[i]))
 		}
-		spawner.Sleep(time.Minute) // first burst served; resident handlers parked
-		d.broker.workMu.Lock()
-		idle := d.broker.idle
-		d.broker.workMu.Unlock()
-		if idle != brokerResidentHandlers {
-			t.Errorf("%d handlers parked after the first burst, want %d", idle, brokerResidentHandlers)
-		}
+		spawner.Sleep(time.Minute) // first burst served
 		for i := burst; i < 2*burst; i++ {
 			spawner.Go(dial(i, hosts[i]))
 		}

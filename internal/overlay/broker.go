@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,11 +36,11 @@ type BrokerConfig struct {
 	// LeaseSweep, when positive, enables eager lease eviction: a broker
 	// process sleeps until the earliest advertisement expiry (never waking
 	// more often than every LeaseSweep) and sweeps expired entries from
-	// every shard. Zero (the default) keeps expiry purely lazy — lookups
-	// and queries filter dead leases, but their memory is reclaimed only on
-	// the next Publish. Static deployments leave it zero so the sweep adds
-	// no virtual-time events; churning deployments set it so departed
-	// peers' leases are reclaimed even while no one re-registers.
+	// every shard. Zero (the default) leaves settling to the requests: a
+	// shard drops its dead leases when it is next read or published to (see
+	// jxta.Cache). Static deployments leave it zero so the sweep adds no
+	// virtual-time events; churning deployments set it so departed peers'
+	// leases are reclaimed even while no one asks.
 	LeaseSweep time.Duration
 	// Pipe tunes the broker's reliable pipes.
 	Pipe pipe.Options
@@ -101,15 +100,6 @@ type Broker struct {
 	lastSweep  time.Time
 	closed     bool
 
-	// Elastic handler pool (see acceptLoop). work carries accepted conns to
-	// parked resident handlers; idle counts handlers parked in work.Pop.
-	// Because the scheduler serializes dispatch, a handler increments idle
-	// and parks before any other process can run, so idle is always the
-	// exact number of parked handlers when acceptLoop reads it.
-	workMu sync.Mutex
-	work   transport.Queue
-	idle   int
-
 	// ctlRPCs counts well-formed control frames received (including frames
 	// dropped by a blackout); tests and benchmarks read it to pin the boot
 	// at one RPC per peer.
@@ -127,12 +117,6 @@ type Broker struct {
 	dir   mergedDir
 }
 
-// brokerResidentHandlers caps how many idle handler processes stay parked
-// awaiting the next conn. Handlers beyond the cap exit after serving; under
-// a same-instant burst the accept loop still spawns one process per conn
-// past the idle pool, exactly as the unpooled broker did.
-const brokerResidentHandlers = 16
-
 // NewBroker binds the broker service on host and starts serving.
 func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 	cfg = cfg.withDefaults()
@@ -146,7 +130,7 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 		mux:       pipe.NewMux(host, ep, cfg.Pipe),
 		shards:    make([]*shard, cfg.Shards),
 		selectors: make(map[string]core.Selector),
-		work:      host.NewQueue(),
+		dir:       mergedDir{stamps: make([]uint64, cfg.Shards)},
 	}
 	regs := make([]*stats.Registry, cfg.Shards)
 	for i := range b.shards {
@@ -196,73 +180,70 @@ func (b *Broker) Registry() *stats.Union { return b.registry }
 // Shards reports the broker's shard count.
 func (b *Broker) Shards() int { return len(b.shards) }
 
-// queryShards appends to parts the non-empty per-shard answers to a
-// directory query — each in canonical order, and for a whole-kind query each
-// the owning cache's shared read-only memo — and returns them with their
-// total length. A named query touches only the owning shard.
-func (b *Broker) queryShards(kind jxta.AdvKind, name string, parts [][]jxta.Advertisement) ([][]jxta.Advertisement, int) {
-	if name != "" {
-		if p := b.shardOf(name).cache.Query(kind, name); len(p) > 0 {
-			return append(parts, p), len(p)
-		}
-		return parts, 0
-	}
-	total := 0
-	for _, sh := range b.shards {
-		if p := sh.cache.Query(kind, name); len(p) > 0 {
-			parts = append(parts, p)
-			total += len(p)
-		}
-	}
-	return parts, total
-}
-
-// mergedDir is a whole-kind directory merged across shards, with the shard
-// memos it was merged from (jxta.Cache.Query's whole-kind results, in shard
-// order, empty ones left out). A cache never writes a memo it has handed out
-// — a change builds a new one — and the broker keeps these referenced, so
-// their storage cannot be reused: while every shard still answers with the
-// very same slice, the merge is current. Immutable once built.
+// mergedDir is a whole-kind directory merged across shards, with the stamp
+// every shard's cache carried when it was merged (jxta.Cache.Stamp, in shard
+// order): while every shard still returns that stamp its live set is the one
+// merged, so the merge is current. advs is immutable once built.
 type mergedDir struct {
-	kind jxta.AdvKind
-	from [][]jxta.Advertisement
-	advs []jxta.Advertisement
+	kind   jxta.AdvKind
+	stamps []uint64
+	advs   []jxta.Advertisement
 }
 
 // Advertisements queries the sharded advertisement directory: per-shard
-// results merged back into canonical (Name, ID) order. The result is
-// read-only: when one shard holds every match it is that shard's own answer
-// (see jxta.Cache.Query), and a whole-kind merge is shared by every caller
-// until some shard's answer changes.
+// results merged back into canonical (Name, ID) order. Discovery, selection
+// and Peers all read this one view. The result is read-only: a named query,
+// or any query of a one-shard broker, is the owning shard's own answer (see
+// jxta.Cache.Query), and a whole-kind merge is shared by every caller until
+// some shard's stamp moves.
 func (b *Broker) Advertisements(kind jxta.AdvKind, name string) []jxta.Advertisement {
-	var buf [8][]jxta.Advertisement
-	parts, total := b.queryShards(kind, name, buf[:0])
-	switch len(parts) {
-	case 0:
-		return nil
-	case 1:
-		return parts[0]
+	if name != "" || len(b.shards) == 1 {
+		return b.shardOf(name).cache.Query(kind, name)
 	}
-	// Several shards answered, so this is a whole-kind query.
 	b.dirMu.Lock()
 	defer b.dirMu.Unlock()
-	if d := &b.dir; d.kind == kind && slices.EqualFunc(d.from, parts, sameSlice) {
+	d := &b.dir
+	current := d.kind == kind
+	// Stamps are read before the shards' answers: a publish landing between
+	// the two leaves the merge newer than its stamps, and the next call
+	// merges again.
+	for i, sh := range b.shards {
+		if s := sh.cache.Stamp(); s != d.stamps[i] {
+			d.stamps[i], current = s, false
+		}
+	}
+	if current {
 		return d.advs
 	}
 	// Each shard answers in canonical order already; a k-way merge restores
 	// the global order without re-sorting the whole directory.
-	d := mergedDir{kind: kind, from: slices.Clone(parts), advs: make([]jxta.Advertisement, 0, total)}
-	for len(parts) > 0 {
-		var a *jxta.Advertisement
-		a, parts = popMin(parts)
-		d.advs = append(d.advs, *a)
+	parts, total := make([][]jxta.Advertisement, 0, len(b.shards)), 0
+	for _, sh := range b.shards {
+		if p := sh.cache.Query(kind, ""); len(p) > 0 {
+			parts, total = append(parts, p), total+len(p)
+		}
 	}
-	b.dir = d
+	d.kind, d.advs = kind, nil
+	if total > 0 {
+		d.advs = make([]jxta.Advertisement, 0, total)
+	}
+	for len(parts) > 0 {
+		// The step of the merge, k = shard count, small: take the least of
+		// the parts' heads and drop a part once it is exhausted.
+		least := 0
+		for i := 1; i < len(parts); i++ {
+			if jxta.CompareAdvertisements(parts[i][0], parts[least][0]) < 0 {
+				least = i
+			}
+		}
+		d.advs = append(d.advs, parts[least][0])
+		if parts[least] = parts[least][1:]; len(parts[least]) == 0 {
+			parts[least] = parts[len(parts)-1]
+			parts = parts[:len(parts)-1]
+		}
+	}
 	return d.advs
 }
-
-// sameSlice reports whether two non-empty slices are the same memory.
-func sameSlice(a, b []jxta.Advertisement) bool { return len(a) == len(b) && &a[0] == &b[0] }
 
 // RegisterSelector installs (or replaces) a selection model under its name.
 func (b *Broker) RegisterSelector(s core.Selector) {
@@ -380,51 +361,16 @@ func (b *Broker) sweep() {
 	b.armSweep()
 }
 
-// acceptLoop dispatches accepted conns, one per iteration, to an elastic
-// pool of handler processes. A conn goes to a parked resident handler when
-// one is idle and to a freshly spawned process otherwise, so a same-instant
-// burst larger than the idle pool never serializes behind one handler's
-// park points.
+// acceptLoop serves every accepted conn in a process of its own (the
+// scheduler pools the coroutines), so a same-instant burst never serializes
+// behind one handler's park points and is served in arrival order.
 func (b *Broker) acceptLoop() {
 	for {
 		conn, err := b.mux.Accept()
 		if err != nil {
-			b.work.Close()
 			return
 		}
-		b.workMu.Lock()
-		if b.idle > 0 {
-			b.idle--
-			b.workMu.Unlock()
-			// A parked handler exists (idle is exact, see Broker.idle), so
-			// Push never buffers: the conn is handed straight to its waiter.
-			_ = b.work.Push(conn)
-			continue
-		}
-		b.workMu.Unlock()
-		b.host.Go(func() { b.handlerLoop(conn) })
-	}
-}
-
-// handlerLoop serves conns until the resident pool is full or the broker
-// closes: serve one conn, then park in the work queue for the next. Idle
-// accounting must precede the park (and nothing between them may yield) so
-// acceptLoop's read of idle matches the parked population exactly.
-func (b *Broker) handlerLoop(conn *pipe.Conn) {
-	for {
-		b.serve(conn)
-		b.workMu.Lock()
-		if b.idle >= brokerResidentHandlers {
-			b.workMu.Unlock()
-			return
-		}
-		b.idle++
-		b.workMu.Unlock()
-		v, err := b.work.Pop()
-		if err != nil {
-			return
-		}
-		conn = v.(*pipe.Conn)
+		b.host.Go(func() { b.serve(conn) })
 	}
 }
 
@@ -552,13 +498,15 @@ func (b *Broker) handleDiscover(conn *pipe.Conn, d *wire.Decoder) {
 	sendReply(conn, func(e *wire.Encoder) { b.encodeDirectory(e, req.Kind, req.Name) })
 }
 
-// encodeDirectory appends the discover reply for (kind, name). The shards'
-// answers merge straight into the encoder: nothing between the caches' memos
-// and the frame on the wire is built or copied.
+// encodeDirectory appends the discover reply for (kind, name): the merged
+// directory, encoded in order.
 func (b *Broker) encodeDirectory(e *wire.Encoder, kind jxta.AdvKind, name string) {
-	var buf [8][]jxta.Advertisement
-	parts, total := b.queryShards(kind, name, buf[:0])
-	encodeDiscoverResult(e, parts, total)
+	advs := b.Advertisements(kind, name)
+	e.Byte(mtDiscoverResult)
+	e.Uint64(uint64(len(advs)))
+	for i := range advs {
+		advs[i].Encode(e)
+	}
 }
 
 func (b *Broker) handleSelect(conn *pipe.Conn, d *wire.Decoder) {

@@ -61,8 +61,8 @@ func publishAll(b *Broker, advs []jxta.Advertisement) {
 	}
 }
 
-// referenceDiscoverFrame is the reply as it was built before the merge went
-// straight into the encoder: one merged, sorted slice, encoded in order.
+// referenceDiscoverFrame is the reply spelled out: tag, count, then one
+// merged, sorted slice encoded in order.
 func referenceDiscoverFrame(advs []jxta.Advertisement) []byte {
 	e := wire.NewEncoder(64 * len(advs))
 	e.Byte(mtDiscoverResult)
@@ -123,8 +123,8 @@ func checkDecodeSameAsReference(body []byte) error {
 
 // TestDiscoverReplyFrameAndDecode checks both ends of the directory reply
 // against their pre-refactor definitions, over seeded random directories on
-// a 4-shard broker: the frame the streaming merge encodes is byte-identical
-// to encoding the merged sorted slice, and decoding it (whole, truncated at
+// a 4-shard broker: the frame the broker encodes is byte-identical to
+// encoding the merged sorted slice, and decoding it (whole, truncated at
 // every offset, with trailing garbage) equals the per-advertisement loop.
 func TestDiscoverReplyFrameAndDecode(t *testing.T) {
 	for _, n := range []int{0, 1, 128, 4096} {
@@ -139,7 +139,7 @@ func TestDiscoverReplyFrameAndDecode(t *testing.T) {
 		b.encodeDirectory(e, jxta.AdvPeer, "")
 		frame := e.Bytes()
 		if !bytes.Equal(frame, referenceDiscoverFrame(sorted)) {
-			t.Fatalf("n=%d: streamed frame differs from the merged-slice encoding", n)
+			t.Fatalf("n=%d: the broker's frame differs from the merged-slice encoding", n)
 		}
 		body := frame[1:]
 		if err := checkDecodeSameAsReference(body); err != nil {
@@ -337,11 +337,13 @@ func TestDiscoverAllocBudgets(t *testing.T) {
 }
 
 // TestDirectoryMergeReused: the whole-kind merge is kept while every shard
-// still answers with the memo it was merged from, and only then. Two calls
-// with nothing published between them return the same backing array; after
-// each kind of directory change the result is a new slice equal to a merge
-// made from nothing. Readers run beside the changes (the race detector's
-// part) and must always see a sorted directory without duplicates.
+// still returns the stamp it was merged under, and only then. Two calls with
+// nothing published between them return the same backing array; after each
+// kind of directory change the result is a new slice equal to a merge made
+// from nothing; and a sweep that finds nothing left to evict — the read that
+// first saw the expiry already settled it — is no change. Readers run beside
+// the changes (the race detector's part) and must always see a sorted
+// directory without duplicates.
 func TestDirectoryMergeReused(t *testing.T) {
 	n := simnet.New(21)
 	host := n.MustAddNode("broker0", simnet.DefaultProfile())
@@ -357,11 +359,10 @@ func TestDirectoryMergeReused(t *testing.T) {
 		}
 	}
 
-	// Readers race the changes, not the checks: a reader that collected the
-	// shards' answers before a change may finish its merge after it and take
-	// the kept slot back to the older directory (the next call notices and
-	// merges again), which is correct and would fail the identity checks.
-	var checking sync.RWMutex
+	// Readers race the changes and the checks alike: a reader that read the
+	// stamps before a change and the shards' answers after it leaves a merge
+	// the next call finds stale and makes again, under the lock that orders
+	// every merge, so the identity checks below hold beside them.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 3; r++ {
@@ -374,9 +375,7 @@ func TestDirectoryMergeReused(t *testing.T) {
 					return
 				default:
 				}
-				checking.RLock()
 				dir := b.Advertisements(jxta.AdvPeer, "")
-				checking.RUnlock()
 				for i := 1; i < len(dir); i++ {
 					if jxta.CompareAdvertisements(dir[i-1], dir[i]) >= 0 {
 						t.Errorf("a reader saw %s before %s", dir[i-1].Name, dir[i].Name)
@@ -388,10 +387,14 @@ func TestDirectoryMergeReused(t *testing.T) {
 	}
 
 	var prev []jxta.Advertisement
+	unchanged := func(step string) {
+		t.Helper()
+		if got := b.Advertisements(jxta.AdvPeer, ""); len(got) != len(prev) || &got[0] != &prev[0] {
+			t.Fatalf("after %s: merged again though no live set changed", step)
+		}
+	}
 	changed := func(step string, wantLen int) {
 		t.Helper()
-		checking.Lock()
-		defer checking.Unlock()
 		var scratch []jxta.Advertisement
 		for _, sh := range b.shards {
 			scratch = append(scratch, sh.cache.Query(jxta.AdvPeer, "")...)
@@ -422,9 +425,11 @@ func TestDirectoryMergeReused(t *testing.T) {
 		host.Sleep(31 * time.Second) // early's leases are over, late's have 29 s left
 		changed("lease expiry", 99)
 		for _, sh := range b.shards {
-			sh.cache.Sweep(host.Now())
+			if dropped := sh.cache.Sweep(host.Now()); dropped != 0 {
+				t.Errorf("a sweep after the expiry was read evicted %d", dropped)
+			}
 		}
-		changed("Sweep", 99)
+		unchanged("Sweep")
 		b.Restart()
 		changed("Restart", 0)
 		publish(late...) // the very advertisements the last merge held

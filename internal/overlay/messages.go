@@ -121,39 +121,6 @@ func (m discover) encode() []byte {
 	return e.Detach()
 }
 
-// encodeDiscoverResult appends the reply to a discover: the advertisements
-// of parts — each in canonical order, total in all — merged into canonical
-// order as they are encoded, so no merged slice is ever built. parts is
-// consumed.
-func encodeDiscoverResult(e *wire.Encoder, parts [][]jxta.Advertisement, total int) {
-	e.Byte(mtDiscoverResult)
-	e.Uint64(uint64(total))
-	for len(parts) > 0 {
-		var a *jxta.Advertisement
-		a, parts = popMin(parts)
-		a.Encode(e)
-	}
-}
-
-// popMin removes the canonical-order minimum among the heads of parts (each
-// non-empty and in canonical order) and returns it with what is left of
-// parts, an exhausted part dropped: the step of a k-way merge, k = shard
-// count, small.
-func popMin(parts [][]jxta.Advertisement) (*jxta.Advertisement, [][]jxta.Advertisement) {
-	min := 0
-	for i := 1; i < len(parts); i++ {
-		if jxta.CompareAdvertisements(parts[i][0], parts[min][0]) < 0 {
-			min = i
-		}
-	}
-	a := &parts[min][0]
-	if parts[min] = parts[min][1:]; len(parts[min]) == 0 {
-		parts[min] = parts[len(parts)-1]
-		parts = parts[:len(parts)-1]
-	}
-	return a, parts
-}
-
 // selectReq asks the broker's selection service to rank peers.
 type selectReq struct {
 	Model      string

@@ -18,13 +18,12 @@ import (
 // candidates. For models asserting core.PureRanker the ranking is a pure
 // function of (request shape, candidate set, candidate snapshots), all of
 // which are cheap to fingerprint: the candidate set is pinned by each
-// shard's cache mutation version (jxta.Cache.Stamp settles lazy expiries
-// before reading it, so version equality alone proves the live set and its
-// payloads unchanged — the same versioning the whole-kind query memo keys
-// on), and the snapshots by each shard's stats.Registry.Version. While
-// every stamp matches, replaying the memoized ranking is exact, not
-// approximate — so the index changes no wire bytes and no scheduling
-// points, and golden output is untouched at any hit rate.
+// shard's jxta.Cache.Stamp (equal stamps mean the live set and its payloads
+// unchanged — the same versioning the whole-kind query memo and the broker's
+// merged directory key on), and the snapshots by each shard's
+// stats.Registry.Version. While every stamp matches, replaying the memoized
+// ranking is exact, not approximate — so the index changes no wire bytes and
+// no scheduling points, and golden output is untouched at any hit rate.
 //
 // Two model capabilities stretch a memoized ranking further:
 //
@@ -84,8 +83,7 @@ type rankEntry struct {
 
 // rankLookupLocked returns a valid entry for key at now, or nil. Caller
 // holds b.rankMu. Validation re-stamps every shard: Stamp() settles expiry
-// accounting as of now, so a lazily expired lease surfaces as a version
-// bump and misses — the invalidation invariant DESIGN.md documents.
+// as of now, so an expired lease surfaces as a version bump and misses.
 func (b *Broker) rankLookupLocked(key rankKey, now time.Time) *rankEntry {
 	for _, e := range b.rankRing {
 		if e == nil || e.key != key {
