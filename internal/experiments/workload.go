@@ -11,6 +11,7 @@ package experiments
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"peerlab/internal/metrics"
@@ -246,9 +247,11 @@ func workloadCell(cellCfg Config, w workload.Workload, rep int) (workloadCellRes
 		wenv.Preferred = rememberedHosts(env, sc)
 		wenv.Logf = cellCfg.Logf
 		dyn := env.Dynamics
+		var booted time.Duration
 		if dyn == nil {
 			wenv.IdleGap = cellCfg.IdleGap
 		} else {
+			booted = env.Slice.Control.Now().Sub(dyn.StartedAt())
 			res.departed = dyn.Schedule.Departures()
 			if dyn.Plan != nil {
 				res.brokerDown = dyn.Plan.BrokerDowntime().Seconds()
@@ -264,6 +267,14 @@ func workloadCell(cellCfg Config, w workload.Workload, rep int) (workloadCellRes
 		}
 		if dyn != nil {
 			res.stale, res.lagged = auditSelections(outcome.Results, dyn, sc.EffectiveAdvTTL())
+			if lag := dyn.Lag(); lag > staleSlack {
+				logf := cellCfg.Logf
+				if logf == nil {
+					logf = log.Printf
+				}
+				logf("experiments: WARNING: %s: the churn schedule ran up to %v late (its %d initial peers took %v to boot, one registration at a time); the stale-selection audit allowed for that much",
+					sc.Name, lag, len(dyn.Schedule.Initial()), booted)
+			}
 		}
 		return res, nil
 	})
@@ -273,8 +284,10 @@ func workloadCell(cellCfg Config, w workload.Workload, rep int) (workloadCellRes
 // renewal the broker could still have processed for the departing peer (a
 // stats report in flight when the client stopped lands a network delay
 // later). A selection is counted stale only when the sink was down
-// throughout [selection−TTL−slack, selection] — beyond any such in-flight
-// renewal, so the lease was certainly expired.
+// throughout [selection−TTL−slack−lag, selection] — beyond any such in-flight
+// renewal, and beyond any renewal a peer sent while the conductor had yet to
+// apply its leave (Conductor.Lag), so the lease was certainly expired. A lag
+// the slack does not cover is the harness running late and is reported.
 const staleSlack = 10 * time.Second
 
 // selectFlight bounds how long a selection request is in flight before the
@@ -303,7 +316,7 @@ func auditSelections(results []workload.Result, dyn *workload.Dynamics, advTTL t
 		// the broker decides one request leg later, and a rejoin
 		// registering inside that flight legitimately puts the sink
 		// back in the candidate set.
-		if dyn.Schedule.DownThroughout(r.Sink, at-advTTL-staleSlack, at+selectFlight) {
+		if dyn.Schedule.DownThroughout(r.Sink, at-advTTL-staleSlack-dyn.Lag(), at+selectFlight) {
 			stale++
 		} else {
 			lagged++

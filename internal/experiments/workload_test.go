@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"peerlab/internal/scenario"
@@ -150,6 +152,9 @@ func TestChurnWorkloadInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Config{Seed: 2007, Reps: 2, Scenario: sc, Workload: workload.Swarm(16)}
+	// At this size the conductor keeps to its schedule, so no cell may warn
+	// (see TestLateScheduleIsLaggedNotStale for the size where it cannot).
+	base.Logf = func(format string, args ...any) { t.Errorf("warning from a churn:16 cell: "+format, args...) }
 
 	serial, parallel, sharded := base, base, base
 	serial.Workers = 1
@@ -201,6 +206,43 @@ func TestChurnWorkloadInvariants(t *testing.T) {
 	}
 	if s.FailedFlows != len(a.Flows)-completed {
 		t.Fatalf("summary counts %d failed, records show %d", s.FailedFlows, len(a.Flows)-completed)
+	}
+}
+
+// TestLateScheduleIsLaggedNotStale runs the cell that used to report 45 stale
+// selections, all of one sink. The conductor boots the ~2 300 initial peers
+// of churn:3072 one registration at a time, which takes longer than the
+// two-minute minimum session: the schedule and heartbeat processes start
+// 2m39 late, the missed heartbeat ticks fire back to back, and a peer whose
+// leave was due at 2m25 renews its lease at 3m00 before the leave is applied
+// at 3m04. The broker then hands it out for one more TTL, rightly — it was
+// up and renewing. The audit must allow for the lag the conductor reports
+// (lagged, not stale) and the cell must say that its schedule ran late.
+func TestLateScheduleIsLaggedNotStale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots 3 072 churning peers (~7 s)")
+	}
+	sc, err := scenario.Parse("churn:3072")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var warnings []string
+	report, err := RunWorkload(Config{Seed: 2, Reps: 1, Workers: 1, Scenario: sc, Workload: workload.Swarm(1024),
+		Logf: func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := report.Summary; s.SelectionsStale != 0 || s.SelectionsLagged == 0 {
+		t.Fatalf("%d stale and %d lagged selections, want none stale and some lagged", s.SelectionsStale, s.SelectionsLagged)
+	}
+	late := 0
+	for _, w := range warnings {
+		if strings.Contains(w, "the churn schedule ran up to") && strings.Contains(w, "initial peers took") {
+			late++
+		}
+	}
+	if late != 1 {
+		t.Fatalf("%d schedule-lag warnings among %q, want 1", late, warnings)
 	}
 }
 

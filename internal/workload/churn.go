@@ -133,6 +133,7 @@ type Conductor struct {
 	start      time.Time
 	renewEvery time.Duration
 	horizon    time.Duration
+	lag        time.Duration
 	err        error
 }
 
@@ -190,6 +191,7 @@ func (c *Conductor) Start() {
 				c.host.Sleep(d)
 			}
 			c.apply(e)
+			c.lag = max(c.lag, c.host.Now().Sub(c.start)-e.At)
 		}
 	})
 	if c.renewEvery > 0 {
@@ -271,6 +273,16 @@ func (c *Conductor) ClientOf(label string) *overlay.Client { return c.clients[la
 // StartedAt returns the session start instant BootInitial recorded;
 // schedule offsets are relative to it.
 func (c *Conductor) StartedAt() time.Time { return c.start }
+
+// Lag returns the worst lateness of a transition applied so far: how long
+// after its scheduled offset a leave or join took effect. The schedule
+// process starts only once BootInitial has booted the initial population one
+// registration at a time, and applies same-instant transitions one after
+// another, so on a large slice the membership the broker sees trails the
+// Schedule by this much — and a peer may renew a lease the Schedule says it
+// no longer holds. Audits that trust schedule offsets widen their certainty
+// windows by it.
+func (c *Conductor) Lag() time.Duration { return c.lag }
 
 // Err returns the first boot failure the schedule process hit (nil in
 // healthy runs; a rejoin cannot fail on a simulated slice unless the broker

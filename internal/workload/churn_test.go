@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"peerlab/internal/overlay"
 	"peerlab/internal/scenario"
+	"peerlab/internal/simnet"
 )
 
 func ev(at time.Duration, label string, kind scenario.ChurnEventKind) scenario.ChurnEvent {
@@ -146,5 +148,60 @@ func TestStaggerIsPureAndBounded(t *testing.T) {
 	}
 	if reflect.DeepEqual(a(Flow{Index: 1}), Stagger(8, horizon)(Flow{Index: 1})) {
 		t.Fatal("different seeds drew identical stagger")
+	}
+}
+
+// TestConductorLagRecordsLateLeave: boots are serial, so a slow one holds up
+// the schedule behind it. Here each boot takes 20 s: the two initial peers
+// are up at 40 s, only then do the schedule and the heartbeat start, and the
+// schedule process spends 40–60 s on c1's join (due at 10 s) while the 30 s
+// heartbeat tick, itself late, and the 60 s one renew a1 — whose leave was
+// due at 25 s and is applied just past 60 s, 35 s late. Lag is the worst of them, the 50 s between
+// c1's due join and its registration, and covers what it is for: the broker
+// lists a1 past 115 s, the last instant a lease renewed before its scheduled
+// leave could reach.
+func TestConductorLagRecordsLateLeave(t *testing.T) {
+	const ttl = 90 * time.Second
+	net := simnet.New(5)
+	ctl := net.MustAddNode("control", execProfile())
+	broker, err := overlay.NewBroker(ctl, overlay.BrokerConfig{AdvTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a1", "b1", "c1"} {
+		net.MustAddNode(name, execProfile())
+	}
+	c := NewConductor(ctl, NewSchedule([]scenario.ChurnEvent{
+		ev(0, "a1", scenario.ChurnJoin),
+		ev(0, "b1", scenario.ChurnJoin),
+		ev(10*time.Second, "c1", scenario.ChurnJoin),
+		ev(25*time.Second, "a1", scenario.ChurnLeave),
+	}), ttl/3, 3*time.Minute, func(label string) (*overlay.Client, error) {
+		ctl.Sleep(20 * time.Second)
+		return overlay.BootPeer(net.Node(label), broker.Addr(), overlay.ClientConfig{})
+	})
+	var at120, at155 []string
+	net.Run(func() {
+		if err := c.BootInitial(); err != nil {
+			t.Errorf("BootInitial: %v", err)
+			return
+		}
+		c.Start()
+		ctl.Sleep(c.StartedAt().Add(120 * time.Second).Sub(ctl.Now()))
+		at120 = broker.Peers()
+		ctl.Sleep(35 * time.Second)
+		at155 = broker.Peers()
+	})
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if lag := c.Lag(); lag < 50*time.Second || lag > 51*time.Second {
+		t.Fatalf("Lag = %v, want the 50 s c1's join took effect late (due 10 s, registered at 60 s)", lag)
+	}
+	if want := []string{"a1", "b1", "c1"}; !reflect.DeepEqual(at120, want) {
+		t.Fatalf("directory at 120 s = %v, want %v: the late heartbeat renewed a1 after its scheduled leave", at120, want)
+	}
+	if want := []string{"b1", "c1"}; !reflect.DeepEqual(at155, want) {
+		t.Fatalf("directory at 155 s = %v, want %v", at155, want)
 	}
 }
