@@ -4,17 +4,14 @@
 //
 // Ownership mirrors the churn split: the scenario layer *describes* faults
 // (scenario.FaultEvent, a pure function of the seed), this package turns a
-// described plan into a queryable Plan (downtime accounting, canonical spec
-// round-trip) and an Injector — the virtual-time process that applies each
+// described plan into a queryable Plan (canonical order, downtime
+// accounting) and an Injector — the virtual-time process that applies each
 // fault to the simulated network and broker on schedule. Everything here is
 // deterministic: the injector draws nothing, it only replays the plan.
 package faults
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"peerlab/internal/scenario"
@@ -40,22 +37,6 @@ func NewPlan(events []scenario.FaultEvent) *Plan {
 // callers must not mutate it.
 func (p *Plan) Events() []scenario.FaultEvent { return p.events }
 
-// Counts reports how many events of each kind the plan holds:
-// blackouts, partitions, loss bursts.
-func (p *Plan) Counts() (blackouts, partitions, bursts int) {
-	for _, e := range p.events {
-		switch e.Kind {
-		case scenario.FaultBrokerBlackout:
-			blackouts++
-		case scenario.FaultSitePartition:
-			partitions++
-		case scenario.FaultLossBurst:
-			bursts++
-		}
-	}
-	return
-}
-
 // BrokerDowntime returns the total broker-blackout time, with overlapping
 // blackout intervals merged — the session's broker-unavailable budget. It
 // is plan-derived, not runtime-observed, so it is identical at any worker
@@ -80,89 +61,6 @@ func (p *Plan) BrokerDowntime() time.Duration {
 		}
 	}
 	return total
-}
-
-// BrokerDownAt reports whether a blackout covers session offset at.
-func (p *Plan) BrokerDownAt(at time.Duration) bool {
-	for _, e := range p.events {
-		if e.Kind == scenario.FaultBrokerBlackout && e.At <= at && at < e.At+e.Dur {
-			return true
-		}
-	}
-	return false
-}
-
-// Spec renders the plan in the textual grammar ParsePlan accepts:
-// ";"-joined events, each "blackout@<at>+<dur>", "partition:<site>@<at>+<dur>"
-// or "loss:<rate>@<at>+<dur>" with durations in time.Duration notation.
-// ParsePlan(p.Spec()) reproduces the plan exactly (canonical order included),
-// so specs can archive a drawn plan or hand-author one for tests.
-func (p *Plan) Spec() string {
-	parts := make([]string, len(p.events))
-	for i, e := range p.events {
-		at, dur := e.At.String(), e.Dur.String()
-		switch e.Kind {
-		case scenario.FaultBrokerBlackout:
-			parts[i] = fmt.Sprintf("blackout@%s+%s", at, dur)
-		case scenario.FaultSitePartition:
-			parts[i] = fmt.Sprintf("partition:%s@%s+%s", e.Site, at, dur)
-		case scenario.FaultLossBurst:
-			parts[i] = fmt.Sprintf("loss:%s@%s+%s", strconv.FormatFloat(e.Loss, 'g', -1, 64), at, dur)
-		}
-	}
-	return strings.Join(parts, ";")
-}
-
-// ParsePlan parses the Spec grammar. The empty string is the empty plan.
-func ParsePlan(spec string) (*Plan, error) {
-	var events []scenario.FaultEvent
-	if spec == "" {
-		return NewPlan(nil), nil
-	}
-	for _, part := range strings.Split(spec, ";") {
-		head, when, ok := strings.Cut(part, "@")
-		if !ok {
-			return nil, fmt.Errorf("faults: %q: want <kind>@<at>+<dur>", part)
-		}
-		atS, durS, ok := strings.Cut(when, "+")
-		if !ok {
-			return nil, fmt.Errorf("faults: %q: want <at>+<dur> after @", part)
-		}
-		at, err := time.ParseDuration(atS)
-		if err != nil || at < 0 {
-			return nil, fmt.Errorf("faults: %q: bad start offset %q", part, atS)
-		}
-		dur, err := time.ParseDuration(durS)
-		if err != nil || dur <= 0 {
-			return nil, fmt.Errorf("faults: %q: bad duration %q", part, durS)
-		}
-		e := scenario.FaultEvent{At: at, Dur: dur}
-		kind, arg, _ := strings.Cut(head, ":")
-		switch kind {
-		case "blackout":
-			if arg != "" {
-				return nil, fmt.Errorf("faults: %q: blackout takes no argument", part)
-			}
-			e.Kind = scenario.FaultBrokerBlackout
-		case "partition":
-			if arg == "" || strings.ContainsAny(arg, "@+;:") {
-				return nil, fmt.Errorf("faults: %q: bad site %q", part, arg)
-			}
-			e.Kind = scenario.FaultSitePartition
-			e.Site = arg
-		case "loss":
-			rate, err := strconv.ParseFloat(arg, 64)
-			if err != nil || !(rate > 0) || rate > 1 {
-				return nil, fmt.Errorf("faults: %q: loss rate must be in (0, 1]", part)
-			}
-			e.Kind = scenario.FaultLossBurst
-			e.Loss = rate
-		default:
-			return nil, fmt.Errorf("faults: %q: unknown kind %q (want blackout, partition or loss)", part, kind)
-		}
-		events = append(events, e)
-	}
-	return NewPlan(events), nil
 }
 
 // Broker is the injector's view of the broker under test: enough to take

@@ -9,126 +9,42 @@ import (
 	"peerlab/internal/scenario"
 )
 
-func mustParse(t *testing.T, spec string) *faults.Plan {
-	t.Helper()
-	p, err := faults.ParsePlan(spec)
-	if err != nil {
-		t.Fatalf("ParsePlan(%q): %v", spec, err)
-	}
-	return p
+func blackout(at, dur time.Duration) scenario.FaultEvent {
+	return scenario.FaultEvent{At: at, Dur: dur, Kind: scenario.FaultBrokerBlackout}
 }
 
-func TestPlanSpecRoundTrip(t *testing.T) {
-	// Hand-authored out of order: NewPlan canonicalizes, Spec archives the
-	// canonical form, and parsing the spec reproduces the plan exactly.
-	plan := faults.NewPlan([]scenario.FaultEvent{
+// TestNewPlanCanonicalizes: a plan holds its events in canonical order
+// whatever order they were listed in, and leaves the caller's slice alone.
+func TestNewPlanCanonicalizes(t *testing.T) {
+	listed := []scenario.FaultEvent{
 		{At: 3 * time.Minute, Dur: 45 * time.Second, Kind: scenario.FaultSitePartition, Site: "site-2"},
-		{At: 30 * time.Second, Dur: time.Minute, Kind: scenario.FaultBrokerBlackout},
+		blackout(30*time.Second, time.Minute),
 		{At: 3 * time.Minute, Dur: 20 * time.Second, Kind: scenario.FaultLossBurst, Loss: 0.35},
-	})
-	back := mustParse(t, plan.Spec())
-	if !reflect.DeepEqual(plan.Events(), back.Events()) {
-		t.Fatalf("round trip changed the plan:\n%v\nvs\n%v", plan.Events(), back.Events())
 	}
-	if plan.Spec() != back.Spec() {
-		t.Fatalf("spec not a fixed point: %q vs %q", plan.Spec(), back.Spec())
+	given := append([]scenario.FaultEvent(nil), listed...)
+	plan := faults.NewPlan(listed)
+	if !reflect.DeepEqual(listed, given) {
+		t.Fatal("NewPlan reordered its argument")
 	}
-}
-
-func TestParsePlanEmpty(t *testing.T) {
-	p := mustParse(t, "")
-	if len(p.Events()) != 0 || p.Spec() != "" {
-		t.Fatalf("empty spec parsed to %v", p.Events())
-	}
-}
-
-func TestParsePlanRejects(t *testing.T) {
-	for _, spec := range []string{
-		"blackout",                      // no @
-		"blackout@5m",                   // no duration
-		"blackout@-5m+1m",               // negative start
-		"blackout@5m+0s",                // zero duration
-		"blackout:x@5m+1m",              // blackout takes no argument
-		"partition:@5m+1m",              // empty site
-		"partition:a@b@5m+1m",           // site with grammar chars
-		"loss:0@5m+1m",                  // loss must be positive
-		"loss:1.5@5m+1m",                // loss above 1
-		"loss:x@5m+1m",                  // loss not a number
-		"meteor@5m+1m",                  // unknown kind
-		"blackout@5m+1m;;loss:.2@6m+1m", // empty event
-	} {
-		if _, err := faults.ParsePlan(spec); err == nil {
-			t.Errorf("ParsePlan(%q) accepted", spec)
-		}
+	want := append([]scenario.FaultEvent(nil), listed...)
+	scenario.SortFaultEvents(want)
+	if !reflect.DeepEqual(plan.Events(), want) || reflect.DeepEqual(want, given) {
+		t.Fatalf("plan events = %v, want the canonical %v", plan.Events(), want)
 	}
 }
 
 func TestBrokerDowntimeMergesOverlaps(t *testing.T) {
-	plan := mustParse(t, "blackout@1m+2m;blackout@2m+2m;blackout@10m+1m")
-	// [1,4] merged with [2,4] is 3m, plus the disjoint 1m.
+	plan := faults.NewPlan([]scenario.FaultEvent{
+		blackout(time.Minute, 2*time.Minute),
+		blackout(2*time.Minute, 2*time.Minute),
+		blackout(10*time.Minute, time.Minute),
+		{At: 2 * time.Minute, Dur: time.Hour, Kind: scenario.FaultLossBurst, Loss: 0.5}, // not a blackout
+	})
+	// [1,3] merged with [2,4] is 3m, plus the disjoint 1m.
 	if got, want := plan.BrokerDowntime(), 4*time.Minute; got != want {
 		t.Fatalf("downtime %v, want %v", got, want)
 	}
-	for at, down := range map[time.Duration]bool{
-		0:                               false,
-		90 * time.Second:                true,
-		3 * time.Minute:                 true,
-		4 * time.Minute:                 false, // end is exclusive
-		10*time.Minute + 30*time.Second: true,
-	} {
-		if plan.BrokerDownAt(at) != down {
-			t.Errorf("BrokerDownAt(%v) = %v, want %v", at, !down, down)
-		}
+	if got := faults.NewPlan(nil).BrokerDowntime(); got != 0 {
+		t.Fatalf("empty plan is down for %v", got)
 	}
-}
-
-func TestCounts(t *testing.T) {
-	plan := mustParse(t, "blackout@1m+1m;partition:site-0@2m+1m;partition:site-1@2m+1m;loss:0.5@3m+1m")
-	b, p, l := plan.Counts()
-	if b != 1 || p != 2 || l != 1 {
-		t.Fatalf("Counts() = %d, %d, %d; want 1, 2, 1", b, p, l)
-	}
-}
-
-// TestDrawnPlanRoundTrips runs the Spec grammar over real drawn plans: every
-// seed-generated schedule must archive and parse back losslessly.
-func TestDrawnPlanRoundTrips(t *testing.T) {
-	sc := scenario.Faulty(32)
-	for seed := int64(1); seed <= 8; seed++ {
-		plan := faults.NewPlan(sc.Faults(seed))
-		back := mustParse(t, plan.Spec())
-		if !reflect.DeepEqual(plan.Events(), back.Events()) {
-			t.Fatalf("seed %d: drawn plan did not round-trip", seed)
-		}
-	}
-}
-
-// FuzzParsePlan locks the plan grammar: no input may panic the parser, and
-// any accepted spec must round-trip through the canonical form as a fixed
-// point.
-func FuzzParsePlan(f *testing.F) {
-	f.Add("")
-	f.Add("blackout@1m30s+45s")
-	f.Add("partition:site-3@2m+1m")
-	f.Add("loss:0.35@10s+1m;blackout@3m+30s")
-	f.Add("blackout@1m+1m;blackout@1m+1m")
-	f.Add("loss:2@1m+1m")
-	f.Add("partition:@1m+1m")
-	f.Fuzz(func(t *testing.T, spec string) {
-		plan, err := faults.ParsePlan(spec)
-		if err != nil {
-			return
-		}
-		canon := plan.Spec()
-		back, err := faults.ParsePlan(canon)
-		if err != nil {
-			t.Fatalf("canonical spec %q of %q rejected: %v", canon, spec, err)
-		}
-		if got := back.Spec(); got != canon {
-			t.Fatalf("canonical spec not a fixed point: %q -> %q -> %q", spec, canon, got)
-		}
-		if !reflect.DeepEqual(plan.Events(), back.Events()) {
-			t.Fatalf("round trip of %q changed the events", spec)
-		}
-	})
 }

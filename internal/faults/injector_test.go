@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"peerlab/internal/faults"
+	"peerlab/internal/scenario"
 	"peerlab/internal/simnet"
 	"peerlab/internal/transport"
 )
@@ -46,10 +47,10 @@ func TestInjectorExecutesPlanOnSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan, err := faults.ParsePlan("blackout@2s+3s;partition:site-0@10s+5s")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := faults.NewPlan([]scenario.FaultEvent{
+		blackout(2*time.Second, 3*time.Second),
+		{At: 10 * time.Second, Dur: 5 * time.Second, Kind: scenario.FaultSitePartition, Site: "site-0"},
+	})
 	broker := &recordingBroker{now: control.Now}
 	inj := faults.NewInjector(control, n, broker, "control",
 		map[string][]string{"site-0": {"peer-0"}}, plan)
@@ -104,10 +105,10 @@ func TestInjectorOverlappingLossBursts(t *testing.T) {
 
 	// Two bursts of 0.5 overlap on [2s, 4s]: summed loss 1 drops all
 	// control-bound traffic; after 6s everything flows again.
-	plan, err := faults.ParsePlan("loss:0.5@1s+3s;loss:0.5@2s+4s")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := faults.NewPlan([]scenario.FaultEvent{
+		{At: time.Second, Dur: 3 * time.Second, Kind: scenario.FaultLossBurst, Loss: 0.5},
+		{At: 2 * time.Second, Dur: 4 * time.Second, Kind: scenario.FaultLossBurst, Loss: 0.5},
+	})
 	inj := faults.NewInjector(control, n, nil, "control", nil, plan)
 
 	received := 0

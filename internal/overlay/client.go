@@ -502,19 +502,12 @@ func (c *Client) SendInstant(peer, text string) error {
 
 // SelectPeers asks the broker's selection service to rank peers with the
 // named model. Preferred carries the user's own ranking for the
-// user-preference/quick-peer model.
-func (c *Client) SelectPeers(model string, req core.Request, max int, preferred []string) ([]string, error) {
-	return c.SelectPeersFrom(model, req, max, preferred, nil)
-}
-
-// SelectPeersFrom is SelectPeers with extra peers removed from candidacy (the
-// requester itself is always excluded). Multi-source workloads use it to keep
-// the control node out of peer↔peer sink selection. Broker-side selection
-// failures come back as typed sentinels (ErrNoCandidates, ErrInfeasible,
-// ErrModelUnknown); SelectDetailed additionally reports degradation and
+// user-preference/quick-peer model. Broker-side selection failures come back
+// as typed sentinels (ErrNoCandidates, ErrInfeasible, ErrModelUnknown);
+// SelectDetailed additionally takes exclusions and reports degradation and
 // retry counts.
-func (c *Client) SelectPeersFrom(model string, req core.Request, max int, preferred, exclude []string) ([]string, error) {
-	sel, err := c.SelectDetailed(model, req, max, preferred, exclude)
+func (c *Client) SelectPeers(model string, req core.Request, max int, preferred []string) ([]string, error) {
+	sel, err := c.SelectDetailed(model, req, max, preferred, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -524,9 +517,6 @@ func (c *Client) SelectPeersFrom(model string, req core.Request, max int, prefer
 // Name returns the client's node name — how the broker and other peers know
 // it.
 func (c *Client) Name() string { return c.host.Name() }
-
-// Executor exposes the local task executor (for queue inspection).
-func (c *Client) Executor() *task.Executor { return c.exec }
 
 // Registered reports whether the client completed broker registration.
 func (c *Client) Registered() bool { return c.registered.Load() }

@@ -220,8 +220,11 @@ func (c *Client) callRetried(to transport.Addr, payload []byte) ([]byte, int, er
 	}
 }
 
-// SelectDetailed is SelectPeersFrom with the full outcome: the selected
-// peers plus whether the pick was degraded and how many retries it cost.
+// SelectDetailed is SelectPeers with extra peers removed from candidacy (the
+// requester itself is always excluded — multi-source workloads keep the
+// control node out of peer↔peer sink selection this way) and with the full
+// outcome: the selected peers plus whether the pick was degraded and how many
+// retries it cost.
 // When the broker cannot answer — transport failure, deadline expiry, or a
 // cold post-restart directory reporting no candidates — and the policy
 // enables degradation, the client picks locally from its cached directory

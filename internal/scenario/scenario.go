@@ -123,9 +123,9 @@ type Scenario struct {
 	// harness default (effectively unbounded for static scenarios).
 	AdvTTL time.Duration
 	// LeaseSweep, when positive, asks the broker for eager lease eviction
-	// at this minimum interval (overlay.BrokerConfig.LeaseSweep). Zero
-	// keeps expiry lazy — the static-scenario default, which schedules no
-	// extra virtual-time events.
+	// at this minimum interval (overlay.BrokerConfig.LeaseSweep). Zero arms
+	// no sweep timer — the static-scenario default, which schedules no extra
+	// virtual-time events.
 	LeaseSweep time.Duration
 	// ChurnRate, when non-nil, returns this scenario with its membership
 	// dynamics scaled by rate (sessions and downtimes shrink by 1/rate,
@@ -247,16 +247,6 @@ func DeployPeers(sc Scenario, seed int64, labels []string) (*Slice, error) {
 		s.Peers[p.Label] = node
 	}
 	return s, nil
-}
-
-// Host returns the hostname behind a peer label, or "".
-func (s *Slice) Host(label string) string {
-	for _, p := range s.Catalog {
-		if p.Label == label {
-			return p.Hostname
-		}
-	}
-	return ""
 }
 
 // ---- registry -----------------------------------------------------------

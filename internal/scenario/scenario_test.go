@@ -158,9 +158,6 @@ func TestDeploy(t *testing.T) {
 		if node == nil || node.Name() != p.Hostname {
 			t.Fatalf("peer %s not deployed as %s", p.Label, p.Hostname)
 		}
-		if sl.Host(p.Label) != p.Hostname {
-			t.Fatalf("Host(%s) = %q", p.Label, sl.Host(p.Label))
-		}
 	}
 	if _, err := scenario.Deploy(scenario.Scenario{}, 1); err == nil {
 		t.Fatal("Deploy of zero scenario accepted")
