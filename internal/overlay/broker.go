@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -223,10 +224,7 @@ func (b *Broker) Advertisements(kind jxta.AdvKind, name string) []jxta.Advertise
 			parts, total = append(parts, p), total+len(p)
 		}
 	}
-	d.kind, d.advs = kind, nil
-	if total > 0 {
-		d.advs = make([]jxta.Advertisement, 0, total)
-	}
+	d.kind, d.advs = kind, slices.Grow([]jxta.Advertisement(nil), total) // nil when empty
 	for len(parts) > 0 {
 		// The step of the merge, k = shard count, small: take the least of
 		// the parts' heads and drop a part once it is exhausted.
