@@ -1,8 +1,13 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"iter"
+	"math/bits"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"peerlab/internal/jxta"
@@ -69,16 +74,6 @@ func chokeDraw(seed int64, holder, round int) uint64 {
 	return scenario.Mix64(scenario.Mix64(uint64(seed)) ^ 0xc40cea1 ^ uint64(holder+1)<<24 ^ uint64(round))
 }
 
-// chokeTieRank breaks rate ties in a holder's tit-for-tat ranking: a
-// seed-pure per-(holder, round, peer) draw. It must rotate per round — a
-// static tie order (peer index, say) would have every holder unchoke the
-// same few peers while rates are still unobserved, the rest would never get
-// a chance to demonstrate their rates, and reciprocity would never latch
-// onto actual bandwidth (the clustering figure flatlines at random mixing).
-func chokeTieRank(seed int64, holder, round, q int) uint64 {
-	return scenario.Mix64(chokeDraw(seed, holder, round) ^ uint64(q+1)<<16)
-}
-
 // pieceTieRank is rarest-first's deterministic stand-in for BitTorrent's
 // "random among rarest": a seed-pure per-(downloader, piece) permutation
 // breaking rarity ties. It must differ per downloader — a global tie order
@@ -89,20 +84,14 @@ func pieceTieRank(seed int64, dl, piece int) uint64 {
 	return scenario.Mix64(scenario.Mix64(uint64(seed)) ^ 0x9a9e57 ^ uint64(dl)<<32 ^ uint64(piece))
 }
 
-// dissemPeer is the driver-side model of one downloader.
+// dissemPeer is the driver-side record of one downloader; what it holds
+// lives in the swarm.
 type dissemPeer struct {
-	label string
-	host  string
-	have  []bool
-	got   int
-	// firstAt/lastAt bracket the download (receiver-local delivery times).
-	firstAt, lastAt time.Time
-	// arrivals records each piece's delivery instant (streaming deadlines).
-	arrivals []time.Time
-	// fetchFails counts failed fetch groups (this peer as receiver).
-	fetchFails int
-	// uploads counts pieces this peer re-originated.
-	uploads int
+	label, host     string
+	firstAt, lastAt time.Time   // bracket the download (receiver-local delivery times)
+	arrivals        []time.Time // each piece's delivery instant (streaming deadlines)
+	fetchFails      int         // failed fetch groups (this peer as receiver)
+	uploads         int         // pieces this peer re-originated
 }
 
 // ExecuteDisseminate runs the piece-level dissemination workload: the
@@ -112,17 +101,8 @@ type dissemPeer struct {
 // view — move the payload until every live downloader holds it all. All
 // draws derive from (seed, coordinates) via SplitMix64 and all iteration is
 // in canonical index order, so the event stream is byte-identical at any
-// worker or shard count.
-//
-// Reciprocity: under choke=tft each holder serves only the interested
-// peers it unchoked — the top unchokeSlots-1 by the delivery rate that
-// holder observed from them while leeching, or by how fast each peer
-// absorbs its uploads once it holds everything (the seeder rule; the origin
-// always ranks this way) — plus one optimistic unchoke rotated by
-// chokeDraw. Under choke=none every interested peer is served. Partner
-// choice among eligible holders is policy-neutral (least-loaded, peers
-// before the origin, then index order), so bandwidth clustering in the
-// pair matrix can only come from the choking policy itself.
+// worker or shard count. choke states the reciprocity rule, planRound the
+// picking and partner rules.
 func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Outcome, error) {
 	d = d.withDefaults()
 	if len(flows) == 0 {
@@ -139,113 +119,62 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 	pieceCount := len(split)
 
 	n := len(flows)
-	peers := make([]*dissemPeer, n)
+	s := newSwarm(n, pieceCount)
+	peers := make([]dissemPeer, n)
 	hostIdx := make(map[string]int, n)
 	for i, f := range flows {
-		peers[i] = &dissemPeer{
-			label:    f.Sink,
-			host:     env.hostOf(f.Sink),
-			have:     make([]bool, pieceCount),
-			arrivals: make([]time.Time, pieceCount),
-		}
+		peers[i] = dissemPeer{label: f.Sink, host: env.hostOf(f.Sink), arrivals: make([]time.Time, pieceCount)}
 		hostIdx[peers[i].host] = i
 	}
-	ctlHost := env.Control.Name()
 
-	// recvBytes/recvSecs[q][h+1]: what holder h delivered to downloader q
-	// (h = -1 is the control node). Both sides of the tit-for-tat ranking
-	// read from here.
-	recvBytes := make([][]int64, n)
-	recvSecs := make([][]float64, n)
-	pairBytes := make([][]int64, n+1) // [h+1][q]
-	for q := 0; q < n; q++ {
-		recvBytes[q] = make([]int64, n+1)
-		recvSecs[q] = make([]float64, n+1)
-	}
-	for h := range pairBytes {
-		pairBytes[h] = make([]int64, n)
-	}
-
-	liveDL := func(q int) bool { return env.clientOf(peers[q].label) != nil }
-	done := func() bool {
-		for _, p := range peers {
-			if p.got < pieceCount {
-				return false
-			}
+	// readLive snapshots which downloaders are up right now. Membership moves
+	// whenever the driver blocks, so a snapshot holds until the next call into
+	// the overlay and no longer: one per holder's choke decision (the previous
+	// holder's report blocked), never one per round; one per plan.
+	live := make([]bool, n)
+	readLive := func() {
+		for q := range peers {
+			live[q] = env.clientOf(peers[q].label) != nil
 		}
-		return true
 	}
-	// recvRate is the delivery rate downloader dl observed from holder h
-	// (h = -1 is the control node). Both directions of the tit-for-tat
-	// ranking read it: a leeching holder scores q by recvRate(holder, q) —
-	// reciprocity — while a complete holder scores q by recvRate(q, holder),
-	// how fast q absorbs its uploads (BitTorrent's seeder rule; the physical
-	// transfer rate is what discriminates bandwidth classes).
-	recvRate := func(dl, h int) float64 {
-		bytes, secs := recvBytes[dl][h+1], recvSecs[dl][h+1]
-		if bytes == 0 {
-			return 0
-		}
-		if secs <= 0 {
-			secs = 1e-9
-		}
-		return float64(bytes) / secs
-	}
+	// Publish buffers, reused: ReportPieces encodes before it blocks.
+	var holders, haveIdx []int
+	var unchokedHosts []string
 
 	start := env.Host.Now()
 	warns := new(RelaunchWarnings)
-	gap := roundGap
-	dry := 0
-	rounds := 0
-	for !done() && dry < maxDryRounds {
+	gap, dry, rounds := roundGap, 0, 0
+	for ; s.missing > 0 && dry < maxDryRounds; rounds++ {
 		if rounds > 0 {
 			env.Host.Sleep(gap)
 		}
-		rounds++
-		round := rounds - 1
 
 		// Holders publish inventory and choke state through the broker —
 		// control first, then downloaders in flow order.
-		type holderState struct {
-			idx      int // -1 = control
-			has      []bool
-			unchoked map[int]bool
-		}
-		var holders []holderState
-		allHave := make([]bool, pieceCount)
-		for i := range allHave {
-			allHave[i] = true
-		}
-		holders = append(holders, holderState{idx: -1, has: allHave})
+		readLive()
+		holders = append(holders[:0], -1)
 		for q := 0; q < n; q++ {
-			if peers[q].got > 0 && liveDL(q) {
-				holders = append(holders, holderState{idx: q, has: peers[q].have})
+			if s.got[q+1] > 0 && live[q] {
+				holders = append(holders, q)
 			}
 		}
-		for hi := range holders {
-			h := &holders[hi]
-			h.unchoked = unchokeSet(d.Choke, h.idx, round, seed, h.has, peers, liveDL, recvRate, pieceCount)
-			var haveIdx []int
-			for p := 0; p < pieceCount; p++ {
-				if h.has[p] {
-					haveIdx = append(haveIdx, p)
-				}
+		for _, h := range holders {
+			readLive()
+			haveIdx, unchokedHosts = haveIdx[:0], unchokedHosts[:0]
+			for _, q := range s.choke(d.Choke, h, rounds, seed, live) {
+				unchokedHosts = append(unchokedHosts, peers[q].host)
 			}
-			var unchokedHosts []string
-			for q := 0; q < n; q++ {
-				if h.unchoked[q] {
-					unchokedHosts = append(unchokedHosts, peers[q].host)
-				}
+			for p := range bitsOf(s.inv(h)) {
+				haveIdx = append(haveIdx, p)
 			}
 			client := env.Control
-			if h.idx >= 0 {
-				client = env.clientOf(peers[h.idx].label)
+			if h >= 0 {
+				client = env.clientOf(peers[h].label)
 			}
-			if client == nil {
-				continue
-			}
-			if err := client.ReportPieces(haveIdx, unchokedHosts); err != nil {
-				_ = err // silent this round: the directory keeps its last state
+			if client != nil {
+				// A failed report is a holder silent this round: the
+				// directory keeps its last state.
+				_ = client.ReportPieces(haveIdx, unchokedHosts)
 			}
 		}
 
@@ -253,46 +182,12 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 		// directory — not private driver state — names who holds and who
 		// unchokes, so the broker's canonical cross-shard merge is on the
 		// deterministic path, exactly like selection.
-		advHas := make(map[int][]bool)    // holder idx (-1 control) → pieces
-		advUnchoke := make(map[int][]int) // holder idx → unchoked downloader idxs
-		advs, derr := env.Control.Discover()
-		if derr != nil {
-			advs = nil
-		}
-		for _, adv := range advs {
-			h, ok := -1, adv.Name == ctlHost
-			if !ok {
-				h, ok = hostIdx[adv.Name]
-				if !ok {
-					continue
-				}
-			}
-			pieces := adv.Attr(jxta.AttrPieces)
-			if pieces == "" {
-				continue
-			}
-			has := make([]bool, pieceCount)
-			for _, p := range splitInts(pieces) {
-				if p >= 0 && p < pieceCount {
-					has[p] = true
-				}
-			}
-			advHas[h] = has
-			var unchoked []int
-			for _, hn := range splitCSV(adv.Attr(jxta.AttrUnchoked)) {
-				if q, ok := hostIdx[hn]; ok {
-					unchoked = append(unchoked, q)
-				}
-			}
-			advUnchoke[h] = unchoked
-		}
-
-		assigns := planRound(d, seed, peers, liveDL, advHas, advUnchoke, pieceCount)
+		advs, _ := env.Control.Discover() // no answer, no advertisements: a dry round
+		s.readDirectory(advs, env.Control.Name(), hostIdx)
+		readLive()
+		assigns := s.planRound(d, seed, live)
 		if len(assigns) == 0 {
-			dry++
-			if gap < maxRoundGap {
-				gap *= 2
-			}
+			dry, gap = dry+1, min(2*gap, maxRoundGap)
 			continue
 		}
 
@@ -327,7 +222,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 
 		progress := false
 		for gi, g := range assigns {
-			q := peers[g.dl]
+			q := &peers[g.dl]
 			r := results[gi]
 			if r.err != nil {
 				q.fetchFails++
@@ -339,13 +234,10 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 			}
 			progress = true
 			for _, pt := range r.m.Parts {
-				p := pt.Index
-				if q.have[p] {
+				if !s.deliver(g.dl, pt.Index) {
 					continue
 				}
-				q.have[p] = true
-				q.got++
-				q.arrivals[p] = pt.Delivered
+				q.arrivals[pt.Index] = pt.Delivered
 				if q.firstAt.IsZero() || pt.Delivered.Before(q.firstAt) {
 					q.firstAt = pt.Delivered
 				}
@@ -356,37 +248,24 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 			if g.holder >= 0 {
 				peers[g.holder].uploads += len(g.pieces)
 			}
-			pairBytes[g.holder+1][g.dl] += int64(r.m.TotalBytes)
-			recvBytes[g.dl][g.holder+1] += int64(r.m.TotalBytes)
-			recvSecs[g.dl][g.holder+1] += r.m.TransmissionTime().Seconds()
+			s.credit(g.holder, g.dl, int64(r.m.TotalBytes), r.m.TransmissionTime().Seconds())
 		}
 		if progress {
 			dry, gap = 0, roundGap
 		} else {
-			dry++
-			if gap < maxRoundGap {
-				gap *= 2
-			}
+			dry, gap = dry+1, min(2*gap, maxRoundGap)
 		}
 	}
 
 	out := Outcome{Results: make([]Result, n), Rounds: rounds}
 	spacing := time.Duration(float64(payload.Size) / float64(pieceCount) / streamPlayRate * float64(time.Second))
 	for i, f := range flows {
-		q := peers[i]
-		res := Result{
-			Flow:         f,
-			Sink:         f.Sink,
-			SelectedAt:   start,
-			Pieces:       q.got,
-			ReOriginated: q.uploads > 0,
-		}
+		q, got := &peers[i], s.got[i+1]
 		var bytes int
-		for p := 0; p < pieceCount; p++ {
-			if q.have[p] {
-				bytes += split[p].Size
-			}
+		for p := range bitsOf(s.inv(i)) {
+			bytes += split[p].Size
 		}
+		res := Result{Flow: f, Sink: f.Sink, SelectedAt: start, Pieces: got, ReOriginated: q.uploads > 0}
 		res.Metrics = transfer.Metrics{
 			Peer:             q.host,
 			FileName:         payload.Name,
@@ -398,7 +277,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 			Done:             q.lastAt,
 			Attempts:         1 + q.fetchFails,
 		}
-		if q.got > 0 {
+		if got > 0 {
 			res.Metrics.Parts = []transfer.PartTiming{{
 				Size: bytes, Started: q.firstAt, Delivered: q.lastAt, Confirmed: q.lastAt,
 			}}
@@ -406,8 +285,8 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 		if d.Stream {
 			res.Stalls = countStalls(start, spacing, q.arrivals)
 		}
-		if q.got < pieceCount {
-			err := fmt.Errorf("incomplete: %d of %d pieces after %d rounds (departed?)", q.got, pieceCount, rounds)
+		if got < pieceCount {
+			err := fmt.Errorf("incomplete: %d of %d pieces after %d rounds (departed?)", got, pieceCount, rounds)
 			if !env.RecordFailures {
 				return Outcome{}, fmt.Errorf("workload: flow %d (%s): %w", f.Index, q.label, err)
 			}
@@ -416,82 +295,246 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 		}
 		out.Results[i] = res
 	}
-	for h := -1; h < n; h++ {
-		for q := 0; q < n; q++ {
-			if b := pairBytes[h+1][q]; b > 0 {
-				from := ""
-				if h >= 0 {
-					from = peers[h].label
-				}
-				out.PairBytes = append(out.PairBytes, PairBytes{From: from, To: peers[q].label, Bytes: b})
-			}
+	for i, b := range s.bytes {
+		if h, q := i/n-1, i%n; b > 0 && h < 0 {
+			out.PairBytes = append(out.PairBytes, PairBytes{To: peers[q].label, Bytes: b})
+		} else if b > 0 {
+			out.PairBytes = append(out.PairBytes, PairBytes{From: peers[h].label, To: peers[q].label, Bytes: b})
 		}
 	}
 	return out, nil
 }
 
-// unchokeSet computes holder h's unchoke set for a round. Interested means:
-// live, not the holder, and missing at least one piece the holder has.
-func unchokeSet(choke string, h, round int, seed int64, has []bool,
-	peers []*dissemPeer, liveDL func(int) bool, recvRate func(dl, h int) float64,
-	pieceCount int) map[int]bool {
-	var interested []int
-	for q := range peers {
-		if q == h || !liveDL(q) || peers[q].got == pieceCount {
+// swarm is the piece engine's state for one run, flat: holder h (-1 the
+// origin) is row h+1 of every per-holder table, downloader q column or bit q.
+// A round reads it in passes over contiguous rows, and the scratch at the
+// bottom is reused by every holder of every round.
+type swarm struct {
+	n, pieces int
+	pw, rw    int // words in a piece bitset and in a bitset of holder rows
+	missing   int // downloaders still short of a piece
+
+	// have row h+1 is holder h's inventory (row 0, the origin's, is full);
+	// got counts its bits. q is interested in h when inv(h) &^ inv(q) != 0.
+	have []uint64
+	got  []int
+	// bytes and secs accumulate what holder h delivered to downloader q, at
+	// [(h+1)*n+q]; bytes is the pair matrix. rate is their quotient in the
+	// same layout and rateT its transpose, [q*(n+1)+h+1], so either
+	// tit-for-tat ranking reads one contiguous row.
+	bytes       []int64
+	secs        []float64
+	rate, rateT []float64
+	// The directory as last read back: holder h advertises the pieces in row
+	// h+1 of advHas, and row q of grantedBy has a bit for every holder row
+	// that unchoked downloader q.
+	advertised        []bool
+	advHas, grantedBy []uint64
+
+	interested, granters, rarity, slots []int // slots: uploads assigned per holder row
+	unchoked                            [unchokeSlots]int
+	avail                               []uint64
+	cands                               []pieceCand
+}
+
+func newSwarm(n, pieces int) *swarm {
+	pw, rw := (pieces+63)/64, (n+64)/64
+	s := &swarm{
+		n: n, pieces: pieces, pw: pw, rw: rw, missing: n + 1, // the origin's row fills below
+		have: make([]uint64, (n+1)*pw), got: make([]int, n+1),
+		bytes: make([]int64, (n+1)*n), secs: make([]float64, (n+1)*n),
+		rate: make([]float64, (n+1)*n), rateT: make([]float64, (n+1)*n),
+		advertised: make([]bool, n+1), advHas: make([]uint64, (n+1)*pw), grantedBy: make([]uint64, n*rw),
+		interested: make([]int, 0, n), rarity: make([]int, pieces), slots: make([]int, n+1), avail: make([]uint64, pw),
+		granters: make([]int, 0, n+1), cands: make([]pieceCand, 0, pieces),
+	}
+	for p := 0; p < pieces; p++ {
+		s.deliver(-1, p)
+	}
+	return s
+}
+
+// inv is holder h's inventory (h = -1 is the origin).
+func (s *swarm) inv(h int) []uint64 { return s.have[(h+1)*s.pw : (h+2)*s.pw] }
+
+// deliver marks piece p held by downloader q; false when q already had it.
+func (s *swarm) deliver(q, p int) bool {
+	w, bit := &s.inv(q)[p>>6], uint64(1)<<(p&63)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	if s.got[q+1]++; s.got[q+1] == s.pieces {
+		s.missing--
+	}
+	return true
+}
+
+// credit records that holder h moved bytes to downloader q in secs, and
+// restates the delivery rate q observed from h in both layouts.
+func (s *swarm) credit(h, q int, bytes int64, secs float64) {
+	i := (h+1)*s.n + q
+	s.bytes[i] += bytes
+	s.secs[i] += secs
+	r, over := 0.0, s.secs[i]
+	if over <= 0 {
+		over = 1e-9 // delivered inside one clock tick
+	}
+	if s.bytes[i] != 0 {
+		r = float64(s.bytes[i]) / over
+	}
+	s.rate[i], s.rateT[q*(s.n+1)+h+1] = r, r
+}
+
+// bitsOf yields the indices of a bitset's set bits in ascending order.
+func bitsOf(set []uint64) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for w, m := range set {
+			for ; m != 0; m &= m - 1 {
+				if !yield(w<<6 + bits.TrailingZeros64(m)) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// chokeCand is one interested peer in a tit-for-tat ranking.
+type chokeCand struct {
+	pos, q int // position among the interested, downloader index
+	rate   float64
+	tie    uint64
+	tied   bool // tie is computed
+}
+
+// before reports whether a outranks b: rate descending, then a seed-pure
+// per-(holder, round, peer) draw off the holder's chokeDraw, then index. The
+// draw must rotate per round — a static tie order (peer index, say) would
+// have every holder unchoke the same few peers while rates are still
+// unobserved, the rest would never get a chance to demonstrate their rates,
+// and reciprocity would never latch onto actual bandwidth (the clustering
+// figure flatlines at random mixing). It is hashed only here, when two rates
+// tie, and kept, so a peer costs at most one hash per ranking.
+func (a *chokeCand) before(b *chokeCand, draw uint64) bool {
+	if a.rate != b.rate {
+		return a.rate > b.rate
+	}
+	for _, c := range [2]*chokeCand{a, b} {
+		if !c.tied {
+			c.tie, c.tied = scenario.Mix64(draw^uint64(c.q+1)<<16), true
+		}
+	}
+	if a.tie != b.tie {
+		return a.tie < b.tie
+	}
+	return a.q < b.q
+}
+
+// choke computes holder h's unchoke set for a round, as ascending downloader
+// indices in scratch the next call overwrites. Interested means: live (as of
+// the caller's snapshot), not the holder, and missing at least one piece the
+// holder has. Under choke=none every interested peer is served; under
+// choke=tft only the top unchokeSlots-1 by the delivery rate the holder
+// observed from them while leeching (reciprocity), or by how fast each
+// absorbs its uploads once it holds everything (the seeder rule; the origin
+// always ranks this way), plus one optimistic unchoke rotated by chokeDraw.
+// One pass reads each peer's inventory and rate once.
+func (s *swarm) choke(policy string, h, round int, seed int64, live []bool) []int {
+	has, in := s.inv(h), s.interested[:0]
+	for q := 0; q < s.n; q++ {
+		if q == h || !live[q] || s.got[q+1] == s.pieces {
 			continue
 		}
-		for p := 0; p < pieceCount; p++ {
-			if has[p] && !peers[q].have[p] {
-				interested = append(interested, q)
+		for w, m := range s.inv(q) {
+			if has[w]&^m != 0 {
+				in = append(in, q)
 				break
 			}
 		}
 	}
-	set := make(map[int]bool, len(interested))
-	if choke == "none" {
-		for _, q := range interested {
-			set[q] = true
-		}
-		return set
+	if policy == "none" {
+		return in
 	}
-	// Tit-for-tat: a leeching holder ranks by the rate it downloads from q
-	// (reciprocity); a complete holder — the origin included — ranks by the
-	// rate q absorbs its uploads (the seeder rule). Rate desc, ties by the
-	// per-round rotation, then index asc.
-	complete := h < 0 || peers[h].got == pieceCount
-	score := func(q int) float64 {
-		if complete {
-			return recvRate(q, h)
-		}
-		return recvRate(h, q)
+	rates := s.rate[(h+1)*s.n : (h+2)*s.n]
+	if s.got[h+1] < s.pieces {
+		rates = s.rateT[h*(s.n+1)+1 : (h+1)*(s.n+1)]
 	}
-	ranked := append([]int(nil), interested...)
-	sort.Slice(ranked, func(a, b int) bool {
-		qa, qb := ranked[a], ranked[b]
-		ra, rb := score(qa), score(qb)
-		if ra != rb {
-			return ra > rb
+	draw := chokeDraw(seed, h, round)
+	var top [unchokeSlots - 1]chokeCand
+	k := 0
+	for pos, q := range in {
+		c, i := chokeCand{pos: pos, q: q, rate: rates[q]}, k
+		for i > 0 && c.before(&top[i-1], draw) {
+			i--
 		}
-		ta, tb := chokeTieRank(seed, h, round, qa), chokeTieRank(seed, h, round, qb)
-		if ta != tb {
-			return ta < tb
-		}
-		return qa < qb
-	})
-	for i := 0; i < len(ranked) && i < unchokeSlots-1; i++ {
-		set[ranked[i]] = true
-	}
-	var rest []int
-	for _, q := range interested {
-		if !set[q] {
-			rest = append(rest, q)
+		if i < len(top) {
+			k = min(k+1, len(top))
+			copy(top[i+1:k], top[i:])
+			top[i] = c
 		}
 	}
-	if len(rest) > 0 {
-		sort.Ints(rest)
-		set[rest[chokeDraw(seed, h, round)%uint64(len(rest))]] = true
+	out := s.unchoked[:0]
+	for _, c := range top[:k] {
+		out = append(out, c.pos)
 	}
-	return set
+	// The optimistic slot is the draw-th interested peer not already chosen:
+	// step the draw over the chosen positions instead of building the rest.
+	if rest := len(in) - k; rest > 0 {
+		slices.Sort(out)
+		r := int(draw % uint64(rest))
+		for _, pos := range out {
+			if pos <= r {
+				r++
+			}
+		}
+		out = append(out, r)
+	}
+	slices.Sort(out)
+	for i, pos := range out {
+		out[i] = in[pos]
+	}
+	return out
+}
+
+// readDirectory replaces the advertised state with what the broker's
+// directory says now. Entries of peers outside the swarm, entries without
+// an inventory and fields that name no piece or no member are skipped; of
+// two entries under one name the later stands.
+func (s *swarm) readDirectory(advs []jxta.Advertisement, ctlHost string, hostIdx map[string]int) {
+	clear(s.advertised)
+	clear(s.grantedBy)
+	for _, adv := range advs {
+		row := 0
+		if adv.Name != ctlHost {
+			q, ok := hostIdx[adv.Name]
+			if !ok {
+				continue
+			}
+			row = q + 1
+		}
+		pieces := adv.Attr(jxta.AttrPieces)
+		if pieces == "" {
+			continue
+		}
+		has, w, bit := s.advHas[row*s.pw:(row+1)*s.pw], row>>6, uint64(1)<<(row&63)
+		clear(has)
+		for q := 0; s.advertised[row] && q < s.n; q++ {
+			s.grantedBy[q*s.rw+w] &^= bit // the earlier entry's grants
+		}
+		s.advertised[row] = true
+		// The attributes are client-chosen: a bounded parse, so a field of too
+		// many digits names no piece instead of wrapping round to one never held.
+		for f := range strings.SplitSeq(pieces, ",") {
+			if p, err := strconv.ParseUint(f, 10, 16); err == nil && int(p) < s.pieces {
+				has[p>>6] |= 1 << (p & 63)
+			}
+		}
+		for name := range strings.SplitSeq(adv.Attr(jxta.AttrUnchoked), ",") {
+			if q, ok := hostIdx[name]; ok {
+				s.grantedBy[q*s.rw+w] |= bit
+			}
+		}
+	}
 }
 
 // roundAssign is one group of pieces a holder owes a downloader this round.
@@ -501,120 +544,100 @@ type roundAssign struct {
 	pieces []int
 }
 
+// pieceCand is one piece a downloader could fetch this round, with its
+// rarest-first sort key (zero under sequential picking: index order stands).
+type pieceCand struct {
+	piece, rarity int
+	tie           uint64
+}
+
 // planRound computes the round's piece assignments from the advertised
 // swarm state: each incomplete live downloader, in flow order, picks up to
 // piecesPerRound pieces by its policy from the holders that unchoked it,
-// and each pick lands on the least-loaded eligible holder (peers before the
-// origin, then index order — deliberately policy-neutral).
-func planRound(d Dissemination, seed int64, peers []*dissemPeer,
-	liveDL func(int) bool, advHas map[int][]bool, advUnchoke map[int][]int,
-	pieceCount int) []roundAssign {
-	n := len(peers)
-	rarity := make([]int, pieceCount)
-	unchokedBy := make(map[int]map[int]bool, len(advUnchoke))
-	var holderIdxs []int
-	for h := -1; h < n; h++ {
-		has, ok := advHas[h]
-		if !ok {
-			continue
-		}
-		if h >= 0 && !liveDL(h) {
-			continue
-		}
-		holderIdxs = append(holderIdxs, h)
-		for p := 0; p < pieceCount; p++ {
-			if has[p] {
-				rarity[p]++
+// and each pick lands on the least loaded eligible holder, at equal load a
+// peer before the origin (re-origination is the point of the workload), then
+// the lowest index — deliberately policy-neutral, so bandwidth clustering in
+// the pair matrix can only come from the choking policy itself. It allocates
+// what it returns and nothing else.
+func (s *swarm) planRound(d Dissemination, seed int64, live []bool) []roundAssign {
+	n, pw := s.n, s.pw
+	holding := func(row int) bool { return s.advertised[row] && (row == 0 || live[row-1]) }
+	clear(s.rarity)
+	clear(s.slots)
+	for row := 0; row <= n; row++ {
+		if holding(row) {
+			for p := range bitsOf(s.advHas[row*pw : (row+1)*pw]) {
+				s.rarity[p]++
 			}
 		}
-		m := make(map[int]bool, len(advUnchoke[h]))
-		for _, q := range advUnchoke[h] {
-			m[q] = true
-		}
-		unchokedBy[h] = m
 	}
-
-	slots := make(map[int]int, len(holderIdxs))
-	grouped := make(map[[2]int]*roundAssign)
-	var order [][2]int
+	out := make([]roundAssign, 0, n)
 	for q := 0; q < n; q++ {
-		if !liveDL(q) || peers[q].got == pieceCount {
+		if !live[q] || s.got[q+1] == s.pieces {
 			continue
 		}
-		var cands []int
-		for p := 0; p < pieceCount; p++ {
-			if peers[q].have[p] {
-				continue
+		granters := s.granters[:0]
+		for row := range bitsOf(s.grantedBy[q*s.rw : (q+1)*s.rw]) {
+			if row != q+1 && holding(row) {
+				granters = append(granters, row)
 			}
-			for _, h := range holderIdxs {
-				if h != q && advHas[h][p] && unchokedBy[h][q] && slots[h] < uploadsPerRound {
-					cands = append(cands, p)
-					break
+		}
+		// What q can fetch: the pieces it lacks that some granting holder
+		// with an upload slot left advertises.
+		clear(s.avail)
+		for _, row := range granters {
+			if s.slots[row] < uploadsPerRound {
+				for w, m := range s.advHas[row*pw : (row+1)*pw] {
+					s.avail[w] |= m
 				}
 			}
 		}
-		if d.Pick == "sequential" {
-			sort.Ints(cands)
-		} else {
-			sort.Slice(cands, func(a, b int) bool {
-				pa, pb := cands[a], cands[b]
-				if rarity[pa] != rarity[pb] {
-					return rarity[pa] < rarity[pb]
-				}
-				ta, tb := pieceTieRank(seed, q, pa), pieceTieRank(seed, q, pb)
-				if ta != tb {
-					return ta < tb
-				}
-				return pa < pb
+		cands := s.cands[:0]
+		for w, m := range s.inv(q) {
+			s.avail[w] &^= m
+		}
+		for p := range bitsOf(s.avail) {
+			c := pieceCand{piece: p}
+			if d.Pick != "sequential" {
+				c.rarity, c.tie = s.rarity[p], pieceTieRank(seed, q, p)
+			}
+			cands = append(cands, c)
+		}
+		if d.Pick != "sequential" {
+			slices.SortFunc(cands, func(a, b pieceCand) int {
+				return cmp.Or(cmp.Compare(a.rarity, b.rarity), cmp.Compare(a.tie, b.tie), cmp.Compare(a.piece, b.piece))
 			})
 		}
-		taken := 0
-		for _, p := range cands {
+		first, taken := len(out), 0
+		for _, c := range cands {
 			if taken == piecesPerRound {
 				break
 			}
-			best, found := 0, false
-			for _, h := range holderIdxs {
-				if h == q || !advHas[h][p] || !unchokedBy[h][q] || slots[h] >= uploadsPerRound {
+			best, bestKey := -1, 0 // key: load, then row with the origin's 0 last
+			for _, row := range granters {
+				if s.slots[row] >= uploadsPerRound || s.advHas[row*pw+c.piece>>6]>>(c.piece&63)&1 == 0 {
 					continue
 				}
-				if !found || holderLess(h, slots[h], best, slots[best]) {
-					best, found = h, true
+				if key := s.slots[row]*(n+1) + (row+n)%(n+1); best < 0 || key < bestKey {
+					best, bestKey = row, key
 				}
 			}
-			if !found {
+			if best < 0 {
 				continue
 			}
-			key := [2]int{best, q}
-			g, ok := grouped[key]
-			if !ok {
-				g = &roundAssign{holder: best, dl: q}
-				grouped[key] = g
-				order = append(order, key)
+			g := first
+			for g < len(out) && out[g].holder != best-1 {
+				g++
 			}
-			g.pieces = append(g.pieces, p)
-			slots[best]++
+			if g == len(out) {
+				out = append(out, roundAssign{holder: best - 1, dl: q, pieces: make([]int, 0, piecesPerRound)})
+			}
+			out[g].pieces = append(out[g].pieces, c.piece)
+			s.slots[best]++
 			taken++
 		}
 	}
-	out := make([]roundAssign, 0, len(order))
-	for _, key := range order {
-		out = append(out, *grouped[key])
-	}
 	return out
-}
-
-// holderLess orders candidate holders: least loaded this round, then peers
-// before the origin (re-origination is the point of the workload), then
-// lowest index.
-func holderLess(h, hSlots, best, bestSlots int) bool {
-	if hSlots != bestSlots {
-		return hSlots < bestSlots
-	}
-	if (h >= 0) != (best >= 0) {
-		return h >= 0
-	}
-	return h < best
 }
 
 // countStalls plays the pieces back against the streaming deadline curve:
@@ -637,43 +660,4 @@ func countStalls(start time.Time, spacing time.Duration, arrivals []time.Time) i
 		pos = pos.Add(spacing)
 	}
 	return stalls
-}
-
-// splitInts parses a comma-joined index list (the AttrPieces encoding).
-func splitInts(s string) []int {
-	var out []int
-	for _, f := range splitCSV(s) {
-		v := 0
-		ok := len(f) > 0
-		for i := 0; i < len(f); i++ {
-			if f[i] < '0' || f[i] > '9' {
-				ok = false
-				break
-			}
-			v = v*10 + int(f[i]-'0')
-		}
-		if ok {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// splitCSV splits on commas, dropping empty fields.
-func splitCSV(s string) []string {
-	var out []string
-	for len(s) > 0 {
-		i := 0
-		for i < len(s) && s[i] != ',' {
-			i++
-		}
-		if i > 0 {
-			out = append(out, s[:i])
-		}
-		if i == len(s) {
-			break
-		}
-		s = s[i+1:]
-	}
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"peerlab/internal/jxta"
 	"peerlab/internal/transfer"
 )
 
@@ -279,5 +280,27 @@ func TestDisseminateGenerators(t *testing.T) {
 	reg := strings.Join(Registered(), " ")
 	if !strings.Contains(reg, "disseminate:N") || !strings.Contains(reg, "stream:N") {
 		t.Fatalf("Registered() = %q", reg)
+	}
+}
+
+// TestReadDirectoryBoundsPieceIndex is the regression test for the unbounded
+// index accumulator: 2^64 wrapped round to 0 and marked piece 0 held by a
+// peer that never had it. Fields that are not plain decimal indices below the
+// piece count name nothing.
+func TestReadDirectoryBoundsPieceIndex(t *testing.T) {
+	s := newSwarm(2, 8)
+	adv := jxta.Advertisement{Kind: jxta.AdvPeer, Name: "a", Attrs: []jxta.Attr{
+		{Key: jxta.AttrPieces, Value: "18446744073709551616,3,+1,-0,8,1024,36893488147419103232,x,,007"},
+		{Key: jxta.AttrUnchoked, Value: "b,,nobody"},
+	}}
+	s.readDirectory([]jxta.Advertisement{adv}, "ctl", map[string]int{"a": 0, "b": 1})
+	if got, want := s.advHas[1*s.pw], uint64(1<<3|1<<7); got != want {
+		t.Fatalf("advertised pieces = %#b, want %#b (pieces 3 and 7 only)", got, want)
+	}
+	if !s.advertised[1] || s.advertised[0] || s.advertised[2] {
+		t.Fatalf("advertised = %v, want the one named holder", s.advertised)
+	}
+	if got := s.grantedBy[1*s.rw]; got != 1<<1 {
+		t.Fatalf("downloader b is granted by rows %#b, want row 1 alone", got)
 	}
 }

@@ -267,7 +267,13 @@ func refSplitInts(s string) []int {
 				ok = false
 				break
 			}
-			v = v*10 + int(f[i]-'0')
+			if v = v*10 + int(f[i]-'0'); v >= MaxPieces {
+				// Not in the version this was copied from, which let a long
+				// digit string wrap round to a small index: a fix the engine
+				// and its oracle share.
+				ok = false
+				break
+			}
 		}
 		if ok {
 			out = append(out, v)
@@ -298,61 +304,32 @@ func refSplitCSV(s string) []string {
 // one model swarm, driven through the same deliveries, liveness reads and
 // directory contents as the reference.
 type prodRound struct {
-	peers     []*dissemPeer
-	recvBytes [][]int64
-	recvSecs  [][]float64
-	pieces    int
+	*swarm
+	live []bool
 }
 
 func newProdRound(n, pieces int) *prodRound {
-	p := &prodRound{pieces: pieces}
-	for q := 0; q < n; q++ {
-		p.peers = append(p.peers, &dissemPeer{have: make([]bool, pieces)})
-		p.recvBytes = append(p.recvBytes, make([]int64, n+1))
-		p.recvSecs = append(p.recvSecs, make([]float64, n+1))
-	}
-	return p
+	return &prodRound{swarm: newSwarm(n, pieces), live: make([]bool, n)}
 }
 
-// deliver marks piece p held by downloader q.
-func (p *prodRound) deliver(q, piece int) {
-	if !p.peers[q].have[piece] {
-		p.peers[q].have[piece] = true
-		p.peers[q].got++
+// snapshot reads liveness the way the driver does: once, into a buffer.
+func (p *prodRound) snapshot(liveDL func(int) bool) []bool {
+	for q := range p.live {
+		p.live[q] = liveDL(q)
 	}
-}
-
-// credit records that holder h (-1 the origin) moved bytes to q in secs.
-func (p *prodRound) credit(h, q int, bytes int64, secs float64) {
-	p.recvBytes[q][h+1] += bytes
-	p.recvSecs[q][h+1] += secs
-}
-
-func (p *prodRound) recvRate(dl, h int) float64 {
-	bytes, secs := p.recvBytes[dl][h+1], p.recvSecs[dl][h+1]
-	if bytes == 0 {
-		return 0
-	}
-	if secs <= 0 {
-		secs = 1e-9
-	}
-	return float64(bytes) / secs
+	return p.live
 }
 
 // choke is holder h's unchoke set as ascending downloader indices.
 func (p *prodRound) choke(choke string, h, round int, seed int64, liveDL func(int) bool) []int {
-	has := make([]bool, p.pieces)
-	for i := range has {
-		has[i] = h < 0 || p.peers[h].have[i]
-	}
-	return sortedKeys(unchokeSet(choke, h, round, seed, has, p.peers, liveDL, p.recvRate, p.pieces))
+	return p.swarm.choke(choke, h, round, seed, p.snapshot(liveDL))
 }
 
 // plan reads the directory back and plans the round.
 func (p *prodRound) plan(d Dissemination, seed int64, liveDL func(int) bool,
 	advs []jxta.Advertisement, ctlHost string, hostIdx map[string]int) []roundAssign {
-	advHas, advUnchoke := refReadDirectory(advs, ctlHost, hostIdx, p.pieces)
-	return planRound(d, seed, p.peers, liveDL, advHas, advUnchoke, p.pieces)
+	p.readDirectory(advs, ctlHost, hostIdx)
+	return p.planRound(d, seed, p.snapshot(liveDL))
 }
 
 func sortedKeys(set map[int]bool) []int {
@@ -567,7 +544,7 @@ func checkRoundCase(tc roundCase, maxRounds int, cov *roundCoverage) error {
 			}
 			if h >= 0 && rng.Intn(24) == 0 {
 				adv.Attrs = append([]jxta.Attr(nil), adv.Attrs...)
-				adv.Attrs[1].Value += ",,x7," + strconv.Itoa(pc) + ",-1,99999," + strconv.Itoa(rng.Intn(pc))
+				adv.Attrs[1].Value += ",,x7,+0,-0," + strconv.Itoa(pc) + ",-1,99999,18446744073709551616," + strconv.Itoa(rng.Intn(pc))
 				adv.Attrs[2].Value += ",nobody.example,," + hosts[h] + "," + hosts[rng.Intn(n)]
 				// And an earlier entry under the same name, which the later
 				// one must replace whole.
