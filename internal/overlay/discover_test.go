@@ -255,6 +255,54 @@ func TestDecodePieceReportBoundsCount(t *testing.T) {
 	}
 }
 
+// TestPieceReportRejectsWhatItsAttributesCannotHold: the broker comma-joins a
+// report's indices and names into attributes every reader re-parses, so a
+// negative index, one at or past maxPieces, or a name holding a comma is a
+// malformed frame — dropped without an ack, the directory untouched — while a
+// well-formed report still reads back exactly as written.
+func TestPieceReportRejectsWhatItsAttributesCannotHold(t *testing.T) {
+	for _, in := range []pieceReport{
+		{Peer: "sc1", Have: []int{0, -1}},
+		{Peer: "sc1", Have: []int{maxPieces}},
+		{Peer: "sc1", Have: []int{3}, Unchoked: []string{"sc2", "sc3,sc4"}},
+	} {
+		_, d, _ := kindOf(in.encode())
+		if _, err := decodePieceReport(d); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("decode(%+v): err = %v, want ErrCorrupt", in, err)
+		}
+	}
+	_, d, _ := kindOf(pieceReport{Peer: "sc1", Have: []int{0, maxPieces - 1}, Unchoked: []string{"sc2"}}.encode())
+	if _, err := decodePieceReport(d); err != nil {
+		t.Errorf("the last valid index is rejected: %v", err)
+	}
+
+	dep := deployShards(t, 2, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile()})
+	var advs []jxta.Advertisement
+	dep.net.Run(func() {
+		dep.startAll(t)
+		c := dep.clients["sc1"]
+		if err := c.ReportPieces([]int{0, 5, 7}, []string{"sc2"}); err != nil {
+			t.Errorf("well-formed report: %v", err)
+		}
+		if err := c.ReportPieces([]int{1}, []string{"sc2,sc1"}); err == nil {
+			t.Error("a report naming \"sc2,sc1\" was acknowledged")
+		}
+		if err := c.ReportPieces([]int{maxPieces}, nil); err == nil {
+			t.Errorf("a report of piece %d was acknowledged", maxPieces)
+		}
+		advs, _ = c.Discover()
+	})
+	for _, adv := range advs {
+		if adv.Name == "sc1" {
+			if got := adv.Attr(jxta.AttrPieces) + " / " + adv.Attr(jxta.AttrUnchoked); got != "0,5,7 / sc2" {
+				t.Fatalf("sc1 advertises %q, want the well-formed report \"0,5,7 / sc2\"", got)
+			}
+			return
+		}
+	}
+	t.Fatal("sc1 is not in the directory")
+}
+
 // TestCachedDirectoryUnchangedByNextDiscover: the client's degraded-selection
 // cache now owns the decoded slice Discover also returns, so a later
 // Discover must replace it, never write it.

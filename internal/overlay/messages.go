@@ -9,6 +9,8 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"peerlab/internal/jxta"
@@ -193,12 +195,17 @@ func (m reportTransfer) encode() []byte {
 // broker advertisement (a new message kind: registration and stats frames
 // keep their exact bytes, so pre-dissemination timing is untouched). Have
 // lists held piece indices; Unchoked lists the hostnames currently granted
-// upload service under the reporter's choking policy.
+// upload service under the reporter's choking policy. The broker joins both
+// with commas into attributes every reader re-parses, so an index outside
+// [0, maxPieces) or a name holding a comma is a malformed frame.
 type pieceReport struct {
 	Peer     string
 	Have     []int
 	Unchoked []string
 }
+
+// maxPieces is workload.MaxPieces, restated: overlay cannot import workload.
+const maxPieces = 1024
 
 func (m pieceReport) encode() []byte {
 	e := wire.GetEncoder()
@@ -426,6 +433,10 @@ func decodePieceReport(d *wire.Decoder) (pieceReport, error) {
 		m.Have = append(m.Have, p)
 	}
 	m.Unchoked = d.StringSlice()
+	if slices.ContainsFunc(m.Have, func(p int) bool { return p < 0 || p >= maxPieces }) ||
+		slices.ContainsFunc(m.Unchoked, func(name string) bool { return strings.Contains(name, ",") }) {
+		return pieceReport{}, fmt.Errorf("%w: piece report with an index or a name its attribute cannot hold", wire.ErrCorrupt)
+	}
 	return m, d.Finish()
 }
 
