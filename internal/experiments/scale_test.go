@@ -122,6 +122,44 @@ func TestScaleSmokeSwarm16384(t *testing.T) {
 	}
 }
 
+// TestScaleSmokeDisseminate1024 carries the piece engine's worker/shard
+// invariance from the 64 peers the CLI smoke checks to a kilopeer swarm:
+// disseminate:1024 over zipf:1024 must come back whole — no failed flow, no
+// stalled flow, sinks re-originating as sources — and bit-identical at
+// workers 1 vs 4 and shards 1 vs 3. A thousand holders publish and a
+// thousand downloaders plan every round, so a round that reads its state in
+// an order the world can perturb shows here first.
+//
+// Runs only without -short: three runs of a few seconds each.
+func TestScaleSmokeDisseminate1024(t *testing.T) {
+	if testing.Short() {
+		t.Skip("kilopeer dissemination smoke; run without -short (CI's scale job does)")
+	}
+	cfg := Config{Seed: 716, Reps: 1, Workers: 1, Shards: 1, Scenario: scenario.Zipf(1024), Workload: workload.Disseminate(1024)}
+	a, err := RunWorkload(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := a.Summary; len(a.Flows) != 1024 || s.FailedFlows != 0 || s.StalledFlows != 0 || s.PeersReOriginated == 0 {
+		t.Fatalf("flows = %d, summary %+v: want 1024 whole flows, none stalled, some re-originating", len(a.Flows), s)
+	}
+	for _, f := range a.Flows {
+		if f.Failed || f.Error != "" {
+			t.Fatalf("flow failed at scale: %+v", f)
+		}
+	}
+	for _, alt := range [][2]int{{4, 1}, {4, 3}} {
+		cfg.Workers, cfg.Shards = alt[0], alt[1]
+		b, err := RunWorkload(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a.Flows, b.Flows) || !reflect.DeepEqual(a.Summary, b.Summary) {
+			t.Fatalf("workers=%d shards=%d diverged from workers=1 shards=1 at 1024 peers", alt[0], alt[1])
+		}
+	}
+}
+
 // TestBatchBootCutsControlRPCs pins the boot's control-plane cost through
 // RunPeers: exactly one control RPC per booted peer — the register frame
 // carries the initial stats report, so nothing follows it. The controller's
