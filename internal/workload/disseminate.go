@@ -296,10 +296,12 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 		out.Results[i] = res
 	}
 	for i, b := range s.bytes {
-		if h, q := i/n-1, i%n; b > 0 && h < 0 {
-			out.PairBytes = append(out.PairBytes, PairBytes{To: peers[q].label, Bytes: b})
-		} else if b > 0 {
-			out.PairBytes = append(out.PairBytes, PairBytes{From: peers[h].label, To: peers[q].label, Bytes: b})
+		if b > 0 {
+			pair := PairBytes{To: peers[i%n].label, Bytes: b}
+			if i >= n { // past row 0, the control node's, whose From stays ""
+				pair.From = peers[i/n-1].label
+			}
+			out.PairBytes = append(out.PairBytes, pair)
 		}
 	}
 	return out, nil
@@ -518,8 +520,10 @@ func (s *swarm) readDirectory(advs []jxta.Advertisement, ctlHost string, hostIdx
 		}
 		has, w, bit := s.advHas[row*s.pw:(row+1)*s.pw], row>>6, uint64(1)<<(row&63)
 		clear(has)
-		for q := 0; s.advertised[row] && q < s.n; q++ {
-			s.grantedBy[q*s.rw+w] &^= bit // the earlier entry's grants
+		if s.advertised[row] { // a second entry under this name: drop the first one's grants
+			for q := range s.n {
+				s.grantedBy[q*s.rw+w] &^= bit
+			}
 		}
 		s.advertised[row] = true
 		// The attributes are client-chosen: a bounded parse, so a field of too
