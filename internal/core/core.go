@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"peerlab/internal/stats"
+	"peerlab/internal/transport"
 )
 
 // ErrNoCandidates is returned when selection is attempted over an empty
@@ -200,18 +201,22 @@ func NewBlindRandom(rng *rand.Rand) *Blind { return &Blind{Random: true, rng: rn
 // Name implements Selector.
 func (b *Blind) Name() string { return "blind" }
 
+// rand returns the random selector's stream: seed 1 unless NewBlindRandom
+// supplied one.
+func (b *Blind) rand() *rand.Rand {
+	if b.rng == nil {
+		b.rng = transport.NewRand(1)
+	}
+	return b.rng
+}
+
 // Select implements Selector.
 func (b *Blind) Select(_ Request, cands []Candidate) (string, error) {
 	if len(cands) == 0 {
 		return "", ErrNoCandidates
 	}
 	if b.Random {
-		rng := b.rng
-		if rng == nil {
-			rng = rand.New(rand.NewSource(1))
-			b.rng = rng
-		}
-		return cands[rng.Intn(len(cands))].Snapshot.Peer, nil
+		return cands[b.rand().Intn(len(cands))].Snapshot.Peer, nil
 	}
 	peer := cands[b.next%len(cands)].Snapshot.Peer
 	b.next++
@@ -225,12 +230,7 @@ func (b *Blind) Rank(_ Request, cands []Candidate) ([]string, error) {
 	}
 	ns := names(cands)
 	if b.Random {
-		rng := b.rng
-		if rng == nil {
-			rng = rand.New(rand.NewSource(1))
-			b.rng = rng
-		}
-		rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
+		b.rand().Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
 		return ns, nil
 	}
 	k := b.next % len(ns)

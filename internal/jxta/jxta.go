@@ -154,50 +154,62 @@ func DecodeAdvertisement(d *wire.Decoder) (Advertisement, error) {
 	return a, d.Err()
 }
 
-// DecodeAdvertisements consumes n advertisements as one directory: the
-// result is a single exact-size slice, every attribute list is a slice of
-// one arena (capacity clipped to its length, so appending to one never
-// writes into its neighbour), and every string is a substring of one copy
-// of the message (wire.Decoder.SharedStringField — the directory pins that
-// copy, and the copy holds little but the directory's strings). It equals n
-// calls of DecodeAdvertisement field for field and error for error.
-//
-// A first pass walks a copy of the decoder making every check
-// DecodeAdvertisement makes and counting attributes; nothing is allocated
-// until the whole input has validated, so a hostile count costs nothing.
-func DecodeAdvertisements(d *wire.Decoder, n uint64) ([]Advertisement, error) {
-	scan := *d
-	var attrs uint64
+// Directory is n encoded advertisements that ScanAdvertisements has
+// validated and nothing has decoded yet: what a receiver that may never read
+// its directory keeps of a reply it owns. It aliases the decoder's buffer.
+// A scan and its Decode equal n calls of DecodeAdvertisement field for field
+// and error for error.
+type Directory struct {
+	d        wire.Decoder // at the first advertisement
+	n, attrs uint64
+}
+
+// ScanAdvertisements consumes n advertisements making every check
+// DecodeAdvertisement makes, error for error, and allocating nothing — so a
+// hostile count costs nothing — and returns them for Decode.
+func ScanAdvertisements(d *wire.Decoder, n uint64) (Directory, error) {
+	dir := Directory{d: *d, n: n}
 	for i := uint64(0); i < n; i++ {
-		scan.Byte()
-		idb := scan.BytesField()
-		scan.BytesField()
-		scan.BytesField()
-		scan.Time()
-		k := scan.Uint64()
-		if err := scan.Err(); err != nil {
-			return nil, err
+		d.Byte()
+		idb := d.BytesField()
+		d.BytesField()
+		d.BytesField()
+		d.Time()
+		k := d.Uint64()
+		if err := d.Err(); err != nil {
+			return Directory{}, err
 		}
 		if len(idb) != len(ID{}) {
-			return nil, fmt.Errorf("%w: advertisement id of %d bytes", wire.ErrCorrupt, len(idb))
+			return Directory{}, fmt.Errorf("%w: advertisement id of %d bytes", wire.ErrCorrupt, len(idb))
 		}
-		if k > uint64(scan.Remaining()) {
-			return nil, fmt.Errorf("%w: %d attrs exceed remaining input", wire.ErrCorrupt, k)
+		if k > uint64(d.Remaining()) {
+			return Directory{}, fmt.Errorf("%w: %d attrs exceed remaining input", wire.ErrCorrupt, k)
 		}
 		for j := uint64(0); j < k; j++ {
-			scan.BytesField()
-			scan.BytesField()
-			if err := scan.Err(); err != nil {
-				return nil, err
+			d.BytesField()
+			d.BytesField()
+			if err := d.Err(); err != nil {
+				return Directory{}, err
 			}
 		}
-		attrs += k
+		dir.attrs += k
 	}
-	if n == 0 {
-		return nil, nil
+	return dir, nil
+}
+
+// Decode builds the directory: a single exact-size slice, every attribute
+// list a slice of one arena (capacity clipped to its length, so appending to
+// one never writes into its neighbour), and every string a substring of one
+// copy of the message (wire.Decoder.SharedStringField — the directory pins
+// that copy, and the copy holds little but the directory's strings). Each
+// call builds a new one; none writes the scanned buffer.
+func (dir Directory) Decode() []Advertisement {
+	if dir.n == 0 {
+		return nil
 	}
-	advs := make([]Advertisement, n)
-	arena := make([]Attr, attrs)
+	d := &dir.d
+	advs := make([]Advertisement, dir.n)
+	arena := make([]Attr, dir.attrs)
 	for i := range advs {
 		a := &advs[i]
 		a.Kind = AdvKind(d.Byte())
@@ -212,7 +224,7 @@ func DecodeAdvertisements(d *wire.Decoder, n uint64) ([]Advertisement, error) {
 			}
 		}
 	}
-	return advs, nil
+	return advs
 }
 
 // Cache is a thread-safe advertisement store with TTL expiry and bounded

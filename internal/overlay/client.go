@@ -16,10 +16,9 @@ import (
 
 // Client errors.
 var (
-	ErrNotRegistered = errors.New("overlay: client not registered")
-	ErrPeerUnknown   = errors.New("overlay: peer not found in directory")
-	ErrTaskRejected  = errors.New("overlay: task rejected by peer")
-	ErrBrokerDown    = errors.New("overlay: broker unreachable")
+	ErrPeerUnknown  = errors.New("overlay: peer not found in directory")
+	ErrTaskRejected = errors.New("overlay: task rejected by peer")
+	ErrBrokerDown   = errors.New("overlay: broker unreachable")
 )
 
 // ClientConfig tunes a SimpleClient.
@@ -152,12 +151,10 @@ func (c *Client) Start() error {
 		return regErr
 	}
 	if c.cfg.Call.Degrade {
-		// Seed the degraded-selection cache; later Discover calls (each
-		// stats heartbeat refreshes it) keep it current. Best-effort: a
-		// boot racing a blackout still succeeds once register did.
-		if _, err := c.Discover(); err != nil {
-			_ = err
-		}
+		// Seed the degraded-selection cache; each stats heartbeat
+		// refreshes it. Best-effort: a boot racing a blackout still
+		// succeeds once register did.
+		_ = c.refreshDir()
 	}
 	return nil
 }
@@ -234,11 +231,7 @@ func (c *Client) serveControl(conn *pipe.Conn) {
 		// Queue state changed: let the broker know, so scheduling-based
 		// selection plans with a fresh ready-time estimate. Runs as its own
 		// process so the task reply is not delayed.
-		c.host.Go(func() {
-			if err := c.ReportStats(); err != nil {
-				_ = err // best-effort
-			}
-		})
+		c.host.Go(func() { _ = c.ReportStats() }) // best-effort
 		if err := sendReply(conn, dec.encodeTo); err != nil || submitErr != nil {
 			return
 		}
@@ -247,11 +240,7 @@ func (c *Client) serveControl(conn *pipe.Conn) {
 			return
 		}
 		sendReply(conn, taskDone{Result: v.(task.Result)}.encodeTo)
-		c.host.Go(func() {
-			if err := c.ReportStats(); err != nil {
-				_ = err // best-effort
-			}
-		})
+		c.host.Go(func() { _ = c.ReportStats() }) // best-effort
 	case mtInstant:
 		im, err := decodeInstant(d)
 		if err != nil {
@@ -278,10 +267,8 @@ func (c *Client) ReportStats() error {
 	}
 	if c.cfg.Call.Degrade {
 		// The heartbeat doubles as the directory refresh keeping the
-		// degraded-selection cache current (Discover stores its result).
-		if _, err := c.Discover(); err != nil {
-			_ = err // best-effort: the cache just stays stale
-		}
+		// degraded-selection cache current.
+		_ = c.refreshDir() // best-effort: the cache just stays stale
 	}
 	return nil
 }
@@ -300,26 +287,26 @@ func (c *Client) currentStats() statsReport {
 	}
 }
 
-// Discover queries the broker's directory for peer advertisements. A
-// successful result also becomes the client's cached directory — the
-// snapshot degraded selection falls back to when the broker is gone — so
-// the returned slice is shared with the client and must only be read. The
-// next Discover replaces the cached directory; it never writes this one.
-func (c *Client) Discover() ([]jxta.Advertisement, error) {
+// refreshDir queries the broker's whole peer directory and makes the reply
+// the client's cached directory — the snapshot degraded selection falls back
+// to when the broker is gone.
+func (c *Client) refreshDir() error {
 	reply, err := c.call(c.broker, discover{Kind: jxta.AdvPeer}.encode())
 	if err != nil {
+		return err
+	}
+	return c.res.setDir(reply)
+}
+
+// Discover queries the broker's directory for peer advertisements. The
+// result is the client's cached directory after this refresh, so the
+// returned slice is shared with the client and must only be read. The next
+// refresh replaces the cached directory; it never writes this one.
+func (c *Client) Discover() ([]jxta.Advertisement, error) {
+	if err := c.refreshDir(); err != nil {
 		return nil, err
 	}
-	kind, d, err := kindOf(reply)
-	if err != nil || kind != mtDiscoverResult {
-		return nil, fmt.Errorf("%w: discover", ErrBadReply)
-	}
-	advs, err := decodeDiscoverResult(d)
-	if err != nil {
-		return nil, err
-	}
-	c.res.setDir(advs)
-	return advs, nil
+	return c.res.snapshotDir(), nil
 }
 
 // resolve returns the transfer address of a named peer. When the broker
@@ -388,10 +375,7 @@ func (c *Client) sendReported(peer string, send func(transport.Addr) (transfer.M
 		Duration:      m.TransmissionTime(),
 		PetitionDelay: m.PetitionDelay(),
 	}
-	if _, err := c.call(c.broker, rep.encode()); err != nil {
-		// Statistics are best-effort; the transfer outcome stands.
-		_ = err
-	}
+	_, _ = c.call(c.broker, rep.encode()) // statistics are best-effort; the transfer outcome stands
 	return m, sendErr
 }
 
@@ -474,9 +458,7 @@ func (c *Client) SubmitTask(peer string, t task.Task) (task.Result, error) {
 
 func (c *Client) reportTaskOutcome(peer string, accepted, ok bool, spu float64) {
 	rep := reportTask{Peer: peer, Accepted: accepted, OK: ok, SecondsPerUnit: spu}
-	if _, err := c.call(c.broker, rep.encode()); err != nil {
-		_ = err // best-effort statistics
-	}
+	_, _ = c.call(c.broker, rep.encode()) // best-effort statistics
 }
 
 // SendInstant delivers a one-line message to the named peer and records the
@@ -491,9 +473,7 @@ func (c *Client) SendInstant(peer, text string) error {
 	reply, sendErr := c.call(ctl, instant{From: c.host.Name(), Text: text}.encode())
 	ok := sendErr == nil && len(reply) > 0 && reply[0] == mtInstantAck
 	rep := reportMessage{Peer: peer, OK: ok}
-	if _, err := c.call(c.broker, rep.encode()); err != nil {
-		_ = err // best-effort statistics
-	}
+	_, _ = c.call(c.broker, rep.encode()) // best-effort statistics
 	if !ok {
 		return fmt.Errorf("overlay: instant to %s failed: %v", peer, sendErr)
 	}

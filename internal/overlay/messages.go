@@ -371,19 +371,29 @@ func decodeDiscover(d *wire.Decoder) (discover, error) {
 	return m, d.Finish()
 }
 
-func decodeDiscoverResult(d *wire.Decoder) ([]jxta.Advertisement, error) {
+// scanDiscoverResult makes every check a discover reply has to pass and
+// allocates nothing; the directory it returns decodes without further ones.
+func scanDiscoverResult(d *wire.Decoder) (jxta.Directory, error) {
 	n := d.Uint64()
 	if err := d.Err(); err != nil {
-		return nil, err
+		return jxta.Directory{}, err
 	}
-	advs, err := jxta.DecodeAdvertisements(d, n)
+	dir, err := jxta.ScanAdvertisements(d, n)
 	if err == nil {
 		err = d.Finish()
 	}
 	if err != nil {
+		return jxta.Directory{}, err
+	}
+	return dir, nil
+}
+
+func decodeDiscoverResult(d *wire.Decoder) ([]jxta.Advertisement, error) {
+	dir, err := scanDiscoverResult(d)
+	if err != nil {
 		return nil, err
 	}
-	return advs, nil
+	return dir.Decode(), nil
 }
 
 func decodeSelectReq(d *wire.Decoder) (selectReq, error) {

@@ -250,3 +250,74 @@ func TestDiscoverResultUnchangedByHeartbeatRefresh(t *testing.T) {
 		t.Fatalf("the directory Discover returned changed under later refreshes:\n got %+v\nwant %+v", first, want)
 	}
 }
+
+// refreshReply is the discover reply for an n-peer directory, as a 4-shard
+// broker frames it.
+func refreshReply(t testing.TB, n int) []byte {
+	host := simnet.New(21).MustAddNode("broker0", simnet.DefaultProfile())
+	b, err := NewBroker(host, BrokerConfig{Shards: 4, CacheLimit: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishAll(b, randomPeerAdvs(rand.New(rand.NewSource(int64(n))), n))
+	e := wire.NewEncoder(64 << 10)
+	b.encodeDirectory(e, jxta.AdvPeer, "")
+	return e.Bytes()
+}
+
+// TestRefreshAllocBudget gates what a heartbeat's directory refresh costs the
+// client, pipe aside, on the 128-peer directory of the faults benchmark:
+// keeping a reply allocates nothing; the first read after it pays the bulk
+// decode's 3 (slice, attribute arena, one string); reads after that and
+// before the next refresh pay nothing.
+func TestRefreshAllocBudget(t *testing.T) {
+	reply := refreshReply(t, 128)
+	var res resilience
+	refresh := func() {
+		if err := res.setDir(reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, refresh); allocs != 0 {
+		t.Errorf("%v allocations to keep a 128-peer reply, budget 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { refresh(); res.snapshotDir() }); allocs > 3 {
+		t.Errorf("%v allocations for a refresh and the first read after it, budget 3", allocs)
+	}
+	held := res.snapshotDir()
+	if allocs := testing.AllocsPerRun(50, func() { res.snapshotDir() }); allocs != 0 {
+		t.Errorf("%v allocations for a read after the first, budget 0", allocs)
+	}
+	if got := res.snapshotDir(); len(got) != 128 || &got[0] != &held[0] {
+		t.Fatalf("reads between refreshes returned different slices (%d advertisements)", len(got))
+	}
+}
+
+// BenchmarkDirectoryRefresh prices the client side of one heartbeat's
+// refresh, pipe aside: keeping the reply (validate), and keeping it and
+// reading it (validate+decode) — what every refresh cost while the cache held
+// the decoded slice.
+func BenchmarkDirectoryRefresh(b *testing.B) {
+	for _, n := range []int{128, 1024} {
+		reply := refreshReply(b, n)
+		for _, read := range []bool{false, true} {
+			name := fmt.Sprintf("entries=%d/validate", n)
+			if read {
+				name += "+decode"
+			}
+			b.Run(name, func(b *testing.B) {
+				var res resilience
+				b.ReportAllocs()
+				b.SetBytes(int64(len(reply)))
+				for i := 0; i < b.N; i++ {
+					if err := res.setDir(reply); err != nil {
+						b.Fatal(err)
+					}
+					if read && len(res.snapshotDir()) != n {
+						b.Fatal("short directory")
+					}
+				}
+			})
+		}
+	}
+}

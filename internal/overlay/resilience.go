@@ -22,6 +22,7 @@ import (
 	"peerlab/internal/core"
 	"peerlab/internal/jxta"
 	"peerlab/internal/transport"
+	"peerlab/internal/wire"
 )
 
 // Typed control-plane errors. ErrBrokerDown (client.go) remains the
@@ -116,26 +117,44 @@ type Selection struct {
 // audit counters. All fields are guarded for -race tests; under the
 // serialized simulation dispatcher contention never happens.
 type resilience struct {
-	mu  sync.Mutex
-	dir []jxta.Advertisement
+	mu sync.Mutex
+	// reply is the last discover reply that validated, kept as received
+	// (the client owns the payload); dir is its decoding, made by the first
+	// read after the refresh and handed to every read until the next one
+	// (nil until then; an empty reply decodes to nil, at no cost).
+	reply jxta.Directory
+	dir   []jxta.Advertisement
 
 	retries  atomic.Int64
 	degraded atomic.Int64
 }
 
-// setDir replaces the cached directory with advs, taking ownership: the
-// slice is freshly decoded and from here on only read.
-func (r *resilience) setDir(advs []jxta.Advertisement) {
+// setDir replaces the cached directory with a discover reply that passes
+// every check decoding it would make; one that fails any leaves the cache as
+// it was. A heartbeat refreshes the cache far more often than a blackout
+// reads it, so nothing is decoded, or allocated, here.
+func (r *resilience) setDir(reply []byte) error {
+	if len(reply) == 0 || reply[0] != mtDiscoverResult {
+		return fmt.Errorf("%w: discover", ErrBadReply)
+	}
+	dir, err := scanDiscoverResult(wire.NewDecoder(reply[1:]))
+	if err != nil {
+		return err
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.dir = advs
+	r.reply, r.dir = dir, nil
+	return nil
 }
 
 // snapshotDir returns the cached directory (shared slice; callers only
-// read it).
+// read it), decoding the reply if no read since the refresh has.
 func (r *resilience) snapshotDir() []jxta.Advertisement {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.dir == nil {
+		r.dir = r.reply.Decode()
+	}
 	return r.dir
 }
 
@@ -267,9 +286,7 @@ func (c *Client) SelectDetailed(model string, req core.Request, max int, preferr
 				// The broker answered but knows no peers — it likely
 				// restarted cold. Re-register (best-effort) so our own
 				// entry returns, and serve this pick from the cache.
-				if rerr := c.register(); rerr != nil {
-					_ = rerr
-				}
+				_ = c.register()
 				sel.Peers, sel.Degraded = peers, true
 				c.res.degraded.Add(1)
 				return sel, nil

@@ -52,7 +52,7 @@ func NewHost(name, listenAddr string, table map[string]string, seed int64) (*Hos
 		name:     name,
 		listener: ln,
 		table:    make(map[string]string, len(table)),
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      transport.NewRand(seed),
 		services: make(map[string]*endpoint),
 		outbound: make(map[string]net.Conn),
 	}
@@ -168,7 +168,7 @@ func (h *Host) readLoop(conn net.Conn) {
 		from := transport.Addr(d.StringField())
 		to := transport.Addr(d.StringField())
 		size := d.Int()
-		payload := append([]byte(nil), d.BytesField()...)
+		payload := d.BytesField() // the frame is this message's alone, so the receiver owns the alias
 		if d.Finish() != nil {
 			continue // corrupt frame; drop like a damaged datagram
 		}

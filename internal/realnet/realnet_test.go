@@ -286,3 +286,53 @@ func TestReceiverOwnsPayloadOverTCP(t *testing.T) {
 		}
 	}
 }
+
+// TestEndpointPayloadIsTheFramesOwn holds the transport to the receiver-owns
+// rule below the pipe: readLoop hands up an alias into the frame it read,
+// not a copy, so every delivered Payload must come from a frame of its own —
+// messages held together share no bytes, none changes when the receiver
+// writes another, and none changes when the sender reuses its buffer.
+func TestEndpointPayloadIsTheFramesOwn(t *testing.T) {
+	a, b := twoHosts(t)
+	epA, err := a.Endpoint("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epB, err := b.Endpoint("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, size = 16, 512
+	want := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, size) }
+	buf := make([]byte, size)
+	for i := 0; i < n; i++ {
+		copy(buf, want(i))
+		if err := epA.Send("beta/svc", buf); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+		for j := range buf {
+			buf[j] = 0xEE
+		}
+	}
+	var held [][]byte
+	for i := 0; i < n; i++ {
+		m, err := epB.RecvTimeout(10 * time.Second)
+		if err != nil {
+			t.Fatalf("Recv %d: %v", i, err)
+		}
+		held = append(held, m.Payload)
+	}
+	for i, p := range held {
+		if !bytes.Equal(p, want(i)) {
+			t.Fatalf("message %d arrived as % x", i, p[:8])
+		}
+		for j := range p { // the receiver owns it: writing one must reach no other
+			p[j] = 0
+		}
+		for k := i + 1; k < n; k++ {
+			if !bytes.Equal(held[k], want(k)) {
+				t.Fatalf("writing message %d's payload changed message %d's", i, k)
+			}
+		}
+	}
+}

@@ -11,6 +11,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"peerlab/internal/transport"
 )
 
 // FaultKind classifies a fault event.
@@ -155,7 +157,7 @@ const sitePartitionP = 0.45
 // decorrelate the blackout, burst and per-site streams from each other and
 // from the churn and profile streams.
 func faultRand(seed int64, tag uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(Mix64(Mix64(uint64(seed)^tag) + 1))))
+	return transport.NewRand(int64(Mix64(Mix64(uint64(seed)^tag) + 1)))
 }
 
 // blackoutRand returns the broker-blackout draw stream.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"peerlab/internal/simnet"
+	"peerlab/internal/transport"
 )
 
 // Peer is one catalog entry: a label (the figure axis name), the hostname
@@ -94,7 +95,7 @@ type Scenario struct {
 	// Labels[i] == SynthesizeOne(seed, i).Label. Generators whose per-peer
 	// draw streams are independent (every generator in this package) provide
 	// it so a subset deployment (DeployPeers) can materialize the two peers
-	// a cell touches instead of seeding a million draw streams.
+	// a cell touches instead of a million-entry catalog.
 	SynthesizeOne func(seed int64, i int) Peer
 	// Remembered is the stale "quick peers" user memory Figure 6's
 	// quick-peer model consults, fastest-remembered first.
@@ -335,7 +336,7 @@ func Mix64(x uint64) uint64 {
 
 // peerRand returns the deterministic draw stream for peer index i.
 func peerRand(seed int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(Mix64(Mix64(uint64(seed)) ^ uint64(i+1)))))
+	return transport.NewRand(int64(Mix64(Mix64(uint64(seed)) ^ uint64(i+1))))
 }
 
 func uniformIn(r *rand.Rand, lo, hi float64) float64 {
@@ -627,12 +628,12 @@ func atLeastTick(ns float64) time.Duration {
 // churnRand returns peer i's churn-schedule draw stream; the tag decorrelates
 // it from the same peer's profile stream (peerRand).
 func churnRand(seed int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(Mix64(Mix64(uint64(seed)^0xc452) ^ uint64(i+1)))))
+	return transport.NewRand(int64(Mix64(Mix64(uint64(seed)^0xc452) ^ uint64(i+1))))
 }
 
 // siteRand returns site s's outage draw stream.
 func siteRand(seed int64, s int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(Mix64(Mix64(uint64(seed)^0x517e) ^ uint64(s+1)))))
+	return transport.NewRand(int64(Mix64(Mix64(uint64(seed)^0x517e) ^ uint64(s+1))))
 }
 
 // churnSchedule draws the (join, leave, rejoin) schedule for every peer plus

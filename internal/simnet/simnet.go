@@ -228,18 +228,17 @@ type Node struct {
 	pairBusy   map[string]time.Duration // per destination node, uplink busy-until (lazy)
 	lastActive time.Duration            // last time the node did anything
 	wakeAt     time.Duration            // pending wake-up time, if any
-	rng        *rand.Rand               // lazily seeded; see randLocked
+	rng        *rand.Rand               // made on first use; see randLocked
 }
 
-// randLocked returns the node's deterministic random source, seeding it on
-// first use. Seeding is a pure function of (network seed, node name), so a
-// lazily seeded stream is identical to an eagerly seeded one — but a node
-// that never draws (most of a large directory in a per-peer experiment
-// cell) never pays the ~5 KB / 607-word seeding of Go's lagged-Fibonacci
-// source. Caller holds net.mu.
+// randLocked returns the node's deterministic random source, made on first
+// use: its seed is a pure function of (network seed, node name), so the
+// stream is the one an eager constructor would give, and a node that never
+// draws (most of a large directory in a per-peer experiment cell) holds
+// nothing. Caller holds net.mu.
 func (nd *Node) randLocked() *rand.Rand {
 	if nd.rng == nil {
-		nd.rng = rand.New(rand.NewSource(hashSeed(nd.net.seed, nd.name, "")))
+		nd.rng = transport.NewRand(hashSeed(nd.net.seed, nd.name, ""))
 	}
 	return nd.rng
 }
@@ -248,9 +247,6 @@ var _ transport.Host = (*Node)(nil)
 
 // Name returns the node name.
 func (nd *Node) Name() string { return nd.name }
-
-// Profile returns a copy of the node's profile.
-func (nd *Node) Profile() Profile { return nd.profile }
 
 // Go starts fn as a process on the network's scheduler.
 func (nd *Node) Go(fn func()) { nd.net.sched.Go(fn) }
@@ -313,15 +309,6 @@ func (sq simQueue) PopTimeout(d time.Duration) (any, error) {
 
 func (sq simQueue) Len() int { return sq.q.Len() }
 func (sq simQueue) Close()   { sq.q.Close() }
-
-// Work parks the caller for w work units scaled by the node's CPU score:
-// the simulated equivalent of spending CPU.
-func (nd *Node) Work(units float64) {
-	if units <= 0 {
-		return
-	}
-	nd.Sleep(time.Duration(units / nd.profile.CPUScore * float64(time.Second)))
-}
 
 // Endpoint binds the named service on this node.
 func (nd *Node) Endpoint(service string) (transport.Endpoint, error) {

@@ -425,34 +425,6 @@ func TestZeroBandwidthRejected(t *testing.T) {
 	}
 }
 
-func TestWorkScalesWithCPUScore(t *testing.T) {
-	n := New(1)
-	fast := DefaultProfile()
-	fast.CPUScore = 2.0
-	slow := DefaultProfile()
-	slow.CPUScore = 0.5
-	f := n.MustAddNode("fast", fast)
-	s := n.MustAddNode("slow", slow)
-	var tFast, tSlow time.Duration
-	n.Scheduler().Go(func() {
-		start := n.Scheduler().Elapsed()
-		f.Work(10)
-		tFast = n.Scheduler().Elapsed() - start
-	})
-	n.Scheduler().Go(func() {
-		start := n.Scheduler().Elapsed()
-		s.Work(10)
-		tSlow = n.Scheduler().Elapsed() - start
-	})
-	n.Wait()
-	if tFast != 5*time.Second {
-		t.Fatalf("fast node: 10 units took %v, want 5s", tFast)
-	}
-	if tSlow != 20*time.Second {
-		t.Fatalf("slow node: 10 units took %v, want 20s", tSlow)
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() (time.Duration, int64) {
 		pa := DefaultProfile()

@@ -562,10 +562,3 @@ func (u *Union) Snapshots() []Snapshot {
 	}
 	return out
 }
-
-// ResetSession starts a new session on every peer of every shard.
-func (u *Union) ResetSession() {
-	for _, r := range u.regs {
-		r.ResetSession()
-	}
-}

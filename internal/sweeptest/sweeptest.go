@@ -27,9 +27,6 @@ import (
 // puts every Golden call into record mode.
 var update = flag.Bool("update", false, "rewrite golden files instead of comparing")
 
-// Update reports whether the test run is in record mode.
-func Update() bool { return *update }
-
 // Golden compares got against the committed golden file testdata/<name>,
 // failing the test with a focused first-difference report on mismatch. In
 // record mode (-update) it writes the file instead and logs the path.

@@ -174,9 +174,6 @@ func (e *Executor) ReadyIn() time.Duration {
 	return time.Duration(e.backlog / e.opts.CPUScore * float64(time.Second))
 }
 
-// CPUScore reports the executor's configured speed.
-func (e *Executor) CPUScore() float64 { return e.opts.CPUScore }
-
 // Stop shuts the executor down; queued tasks are dropped.
 func (e *Executor) Stop() {
 	e.mu.Lock()

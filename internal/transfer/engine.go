@@ -75,11 +75,6 @@ func (m Metrics) TransmissionTime() time.Duration {
 	return m.Parts[len(m.Parts)-1].Confirmed.Sub(m.Parts[0].Started)
 }
 
-// TotalTime covers petition through completion.
-func (m Metrics) TotalTime() time.Duration {
-	return m.Done.Sub(m.PetitionSent)
-}
-
 // LastMbTime estimates the paper's Figure 4 quantity: the time to receive
 // the final Mb. Parts arrive as units, so the final part's service time is
 // scaled to one Mb (plus the confirmation round-trip actually observed).
@@ -101,15 +96,6 @@ func (m Metrics) LastMbTime() time.Duration {
 		confirm = 0
 	}
 	return time.Duration(float64(service)*frac) + confirm
-}
-
-// Throughput is the goodput over the transmission phase, bytes/second.
-func (m Metrics) Throughput() float64 {
-	tt := m.TransmissionTime().Seconds()
-	if tt <= 0 {
-		return 0
-	}
-	return float64(m.TotalBytes) / tt
 }
 
 // SenderOptions tunes a Sender.

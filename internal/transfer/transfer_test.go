@@ -591,12 +591,6 @@ func TestMetricsDerivations(t *testing.T) {
 	if got := m.TransmissionTime(); got != 12*time.Second {
 		t.Fatalf("TransmissionTime = %v", got)
 	}
-	if got := m.TotalTime(); got != 16*time.Second {
-		t.Fatalf("TotalTime = %v", got)
-	}
-	if got := m.Throughput(); got < 800_000 || got > 900_000 {
-		t.Fatalf("Throughput = %v, want ~833333", got)
-	}
 }
 
 // TestDecodePiecePetitionBoundsCount: the index count is checked against

@@ -141,14 +141,6 @@ func (e *Encoder) StringSlice(ss []string) {
 	}
 }
 
-// Float64Slice appends a count-prefixed slice of float64.
-func (e *Encoder) Float64Slice(fs []float64) {
-	e.Uint64(uint64(len(fs)))
-	for _, f := range fs {
-		e.Float64(f)
-	}
-}
-
 // Decoder consumes primitive values from a byte slice. Methods record the
 // first error and make every later call a no-op returning zero values, so
 // call sites can decode a full struct and check Err once.
@@ -311,7 +303,10 @@ func (d *Decoder) SharedStringField() string {
 	return d.str[d.off-len(b) : d.off]
 }
 
-// StringSlice consumes a count-prefixed slice of strings.
+// StringSlice consumes a count-prefixed slice of strings. The count sizes
+// nothing until every length prefix has been walked on a copy of the
+// decoder: a hostile count fails as the decode would, having allocated
+// nothing, and an honest one gets its exact-size slice.
 func (d *Decoder) StringSlice() []string {
 	n := d.Uint64()
 	if d.err != nil {
@@ -321,29 +316,16 @@ func (d *Decoder) StringSlice() []string {
 		d.fail(fmt.Errorf("%w: slice count %d exceeds remaining %d bytes", ErrCorrupt, n, d.Remaining()))
 		return nil
 	}
-	ss := make([]string, 0, n)
+	scan := *d
 	for i := uint64(0); i < n; i++ {
-		ss = append(ss, d.StringField())
-		if d.err != nil {
-			return nil
-		}
+		scan.BytesField()
+	}
+	if d.err = scan.err; d.err != nil {
+		return nil
+	}
+	ss := make([]string, n)
+	for i := range ss {
+		ss[i] = d.StringField()
 	}
 	return ss
-}
-
-// Float64Slice consumes a count-prefixed slice of float64.
-func (d *Decoder) Float64Slice() []float64 {
-	n := d.Uint64()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(d.Remaining())/8 {
-		d.fail(fmt.Errorf("%w: slice count %d exceeds remaining %d bytes", ErrCorrupt, n, d.Remaining()))
-		return nil
-	}
-	fs := make([]float64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		fs = append(fs, d.Float64())
-	}
-	return fs
 }

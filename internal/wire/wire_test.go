@@ -45,7 +45,6 @@ func TestMixedRoundtrip(t *testing.T) {
 	ts := time.Date(2007, 3, 1, 12, 0, 0, 0, time.UTC)
 	e.Time(ts)
 	e.StringSlice([]string{"a", "bb", ""})
-	e.Float64Slice([]float64{1.5, -2.5})
 
 	d := NewDecoder(e.Bytes())
 	if v := d.Uint64(); v != 42 {
@@ -77,9 +76,6 @@ func TestMixedRoundtrip(t *testing.T) {
 	}
 	if v := d.StringSlice(); len(v) != 3 || v[0] != "a" || v[1] != "bb" || v[2] != "" {
 		t.Fatalf("StringSlice = %v", v)
-	}
-	if v := d.Float64Slice(); len(v) != 2 || v[0] != 1.5 || v[1] != -2.5 {
-		t.Fatalf("Float64Slice = %v", v)
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatalf("Finish: %v", err)
@@ -128,13 +124,87 @@ func TestDecoderCorruptSliceCount(t *testing.T) {
 	if !errors.Is(d.Err(), ErrCorrupt) {
 		t.Fatalf("StringSlice err = %v, want ErrCorrupt", d.Err())
 	}
+}
 
-	e2 := NewEncoder(8)
-	e2.Uint64(1 << 30)
-	d2 := NewDecoder(e2.Bytes())
-	d2.Float64Slice()
-	if !errors.Is(d2.Err(), ErrCorrupt) {
-		t.Fatalf("Float64Slice err = %v, want ErrCorrupt", d2.Err())
+// referenceStringSlice is StringSlice as it read before the scan: one
+// StringField per counted entry, stopping at the first error.
+func referenceStringSlice(d *Decoder) []string {
+	n := d.Uint64()
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(d.Remaining()) {
+		d.fail(ErrCorrupt)
+		return nil
+	}
+	ss := []string{}
+	for i := uint64(0); i < n; i++ {
+		ss = append(ss, d.StringField())
+		if d.err != nil {
+			return nil
+		}
+	}
+	return ss
+}
+
+// TestStringSliceHostileCountAllocatesNothing: a frame whose claimed count
+// equals its length passes the count check, and used to reserve 16 bytes per
+// claimed entry before reading one. Now a count the entries do not bear out
+// allocates nothing and fails exactly where the entry-by-entry decode does;
+// a well-formed slice decodes to the same values in one allocation for the
+// slice plus one per non-empty string, as before.
+func TestStringSliceHostileCountAllocatesNothing(t *testing.T) {
+	hostile := make([]byte, 4096) // count 4094, then 4093 zero-length strings and a length of 0x80... cut short
+	hostile[0], hostile[1] = 0xFE, 0x1F
+	hostile[len(hostile)-1] = 0x80
+	if allocs := testing.AllocsPerRun(20, func() {
+		d := Decoder{buf: hostile}
+		if ss := d.StringSlice(); ss != nil || !errors.Is(d.Err(), ErrShort) {
+			t.Fatalf("StringSlice = %d strings, err %v; want ErrShort", len(ss), d.Err())
+		}
+	}); allocs > 0 {
+		t.Fatalf("%v allocations for a count the input does not bear out", allocs)
+	}
+	e := NewEncoder(64)
+	e.StringSlice([]string{"sc1", "", "planetlab1.hiit.fi", "sc4"})
+	good := e.Bytes()
+	var got []string
+	if allocs := testing.AllocsPerRun(20, func() { got = NewDecoder(good).StringSlice() }); allocs != 4 {
+		t.Errorf("%v allocations for a slice of three non-empty strings, want 4", allocs)
+	}
+	if len(got) != 4 || got[0] != "sc1" || got[1] != "" || got[2] != "planetlab1.hiit.fi" || got[3] != "sc4" {
+		t.Fatalf("StringSlice = %q", got)
+	}
+	// Every truncation and every single-byte corruption of the honest frame,
+	// and the empty slice: same strings, same error, as the reference.
+	inputs := [][]byte{{0x00}, hostile}
+	for cut := 0; cut < len(good); cut++ {
+		inputs = append(inputs, good[:cut])
+	}
+	for i := range good {
+		for _, v := range []byte{0x00, 0x7F, 0x80, 0xFF} {
+			buf := append([]byte(nil), good...)
+			buf[i] = v
+			inputs = append(inputs, buf)
+		}
+	}
+	for _, in := range inputs {
+		d, ref := NewDecoder(in), NewDecoder(in)
+		got, want := d.StringSlice(), referenceStringSlice(ref)
+		if (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Fatalf("%x: StringSlice = %q, reference %q", in, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%x: StringSlice = %q, reference %q", in, got, want)
+			}
+		}
+		if (d.Err() == nil) != (ref.Err() == nil) || errors.Is(d.Err(), ErrShort) != errors.Is(ref.Err(), ErrShort) {
+			t.Fatalf("%x: err %v, reference err %v", in, d.Err(), ref.Err())
+		}
+		if d.Err() == nil && d.Remaining() != ref.Remaining() {
+			t.Fatalf("%x: %d bytes left, reference leaves %d", in, d.Remaining(), ref.Remaining())
+		}
 	}
 }
 
@@ -264,7 +334,6 @@ func TestPropertyDecoderNeverPanics(t *testing.T) {
 		d.StringField()
 		d.BytesField()
 		d.StringSlice()
-		d.Float64Slice()
 		d.Time()
 		d.Duration()
 		_ = d.Finish()

@@ -226,9 +226,7 @@ func (c *Conductor) renewLoop() {
 			}
 			spawned++
 			c.host.Go(func() {
-				if err := cl.ReportStats(); err != nil {
-					_ = err // best-effort: the peer may have just departed
-				}
+				_ = cl.ReportStats() // best-effort: the peer may have just departed
 				join.Push(nil)
 			})
 		}

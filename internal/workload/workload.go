@@ -9,6 +9,7 @@ import (
 
 	"peerlab/internal/scenario"
 	"peerlab/internal/transfer"
+	"peerlab/internal/transport"
 )
 
 // Flow names one transfer: who sends, to whom (fixed sink or a selection
@@ -179,7 +180,7 @@ func FlowSeed(seed int64, i int) int64 {
 
 // flowRand returns flow i's deterministic draw stream.
 func flowRand(seed int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(FlowSeed(seed, i)))
+	return transport.NewRand(FlowSeed(seed, i))
 }
 
 // ControllerFanout is the paper's traffic shape as data: the control node
