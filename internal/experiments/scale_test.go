@@ -135,7 +135,7 @@ func TestScaleSmokeDisseminate1024(t *testing.T) {
 	if testing.Short() {
 		t.Skip("kilopeer dissemination smoke; run without -short (CI's scale job does)")
 	}
-	cfg := Config{Seed: 716, Reps: 1, Workers: 1, Shards: 1, Scenario: scenario.Zipf(1024), Workload: workload.Disseminate(1024)}
+	cfg := Config{Seed: 716, Reps: 1, Workers: 1, Shards: 1, Scenario: scenario.Zipf(1024), Workload: workload.DisseminateWith(1024, workload.Dissemination{})}
 	a, err := RunWorkload(cfg)
 	if err != nil {
 		t.Fatal(err)

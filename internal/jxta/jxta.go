@@ -493,9 +493,7 @@ func (c *Cache) Stamp() uint64 {
 // Standard attribute keys used by the overlay.
 const (
 	AttrCPUScore = "cpu-score"
-	AttrServices = "services"
 	AttrCountry  = "country"
-	AttrSite     = "site"
 	// AttrPieces and AttrUnchoked carry a disseminating peer's piece
 	// inventory (comma-joined indices) and currently unchoked hostnames
 	// (comma-joined); published by the broker's piece-report handler.

@@ -374,18 +374,11 @@ func decodeDiscover(d *wire.Decoder) (discover, error) {
 // scanDiscoverResult makes every check a discover reply has to pass and
 // allocates nothing; the directory it returns decodes without further ones.
 func scanDiscoverResult(d *wire.Decoder) (jxta.Directory, error) {
-	n := d.Uint64()
-	if err := d.Err(); err != nil {
-		return jxta.Directory{}, err
-	}
-	dir, err := jxta.ScanAdvertisements(d, n)
+	dir, err := jxta.ScanAdvertisements(d, d.Uint64())
 	if err == nil {
-		err = d.Finish()
+		err = d.Finish() // a count that failed to read scans as none and is reported here
 	}
-	if err != nil {
-		return jxta.Directory{}, err
-	}
-	return dir, nil
+	return dir, err
 }
 
 func decodeDiscoverResult(d *wire.Decoder) ([]jxta.Advertisement, error) {

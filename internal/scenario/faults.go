@@ -97,39 +97,22 @@ func FaultyRated(n int, rate float64) Scenario {
 	if !(rate > 0) || math.IsInf(rate, 1) {
 		rate = 1
 	}
-	labels := syntheticLabels(n)
-	remembered, blemished := fig6Hints(labels)
-	het := Heterogeneous(n)
-	one := func(seed int64, i int) Peer {
-		p := het.SynthesizeOne(seed, i)
-		p.Hostname = labels[i] + ".faults.slice.peerlab"
-		p.Site = churnSite(i)
-		return p
+	sc := synthetic("faults", "faults", n, churnSite, heterogeneousProfile)
+	labels := sc.Labels
+	sc.Workload = fmt.Sprintf("swarm:%d", n)
+	sc.Churn = func(seed int64) []ChurnEvent {
+		// Static membership, expressed as a schedule so the churn
+		// runtime (heartbeats, short leases) carries this scenario.
+		events := make([]ChurnEvent, len(labels))
+		for i, l := range labels {
+			events[i] = ChurnEvent{At: 0, Label: l, Kind: ChurnJoin}
+		}
+		return events
 	}
-	return Scenario{
-		Name:          fmt.Sprintf("faults:%d", n),
-		Control:       syntheticControl(),
-		Labels:        labels,
-		Synthesize:    synthesizeAll(n, one),
-		SynthesizeOne: one,
-		Remembered:    remembered,
-		Blemished:     blemished,
-		Workload:      fmt.Sprintf("swarm:%d", n),
-		Churn: func(seed int64) []ChurnEvent {
-			// Static membership, expressed as a schedule so the churn
-			// runtime (heartbeats, short leases) carries this scenario.
-			events := make([]ChurnEvent, len(labels))
-			for i, l := range labels {
-				events[i] = ChurnEvent{At: 0, Label: l, Kind: ChurnJoin}
-			}
-			return events
-		},
-		Horizon:    churnHorizon,
-		AdvTTL:     churnAdvTTL,
-		LeaseSweep: churnLeaseSweep,
-		Faults:     func(seed int64) []FaultEvent { return faultSchedule(labels, seed, rate) },
-		FaultRate:  func(r float64) Scenario { return FaultyRated(n, r) },
-	}
+	sc.Horizon, sc.AdvTTL, sc.LeaseSweep = churnHorizon, churnAdvTTL, churnLeaseSweep
+	sc.Faults = func(seed int64) []FaultEvent { return faultSchedule(labels, seed, rate) }
+	sc.FaultRate = func(r float64) Scenario { return FaultyRated(n, r) }
+	return sc
 }
 
 // Fault-schedule shape constants. The horizon (churnHorizon, 10 min) is cut

@@ -166,9 +166,6 @@ func (s Scenario) EffectiveAdvTTL() time.Duration {
 	return DefaultAdvTTL
 }
 
-// Catalog synthesizes the peer catalog for a seed.
-func (s Scenario) Catalog(seed int64) []Peer { return s.Synthesize(seed) }
-
 // Slice is one deployed scenario: a simnet with the control node and every
 // catalog peer added, ready for an overlay to boot on top.
 type Slice struct {
@@ -400,47 +397,49 @@ func baseProfile() simnet.Profile {
 	}
 }
 
+// synthetic builds the scenario every generator here is a variation of: n
+// peers p001..pN under "<label>.<domain>.slice.peerlab", catalog entry i
+// drawn by profile from peer i's own stream (peerRand) and placed by site
+// (nil: no sites). The streams are independent by construction, so entry i
+// is identical whether or not its neighbours were synthesized — which is
+// what lets SynthesizeOne stand in for Synthesize.
+func synthetic(name, domain string, n int, site func(i int) string, profile func(r *rand.Rand, i int) simnet.Profile) Scenario {
+	labels := syntheticLabels(n)
+	one := func(seed int64, i int) Peer {
+		p := Peer{Label: labels[i], Hostname: labels[i] + "." + domain + ".slice.peerlab", Profile: profile(peerRand(seed, i), i)}
+		if site != nil {
+			p.Site = site(i)
+		}
+		return p
+	}
+	sc := Scenario{
+		Name:          fmt.Sprintf("%s:%d", name, n),
+		Control:       syntheticControl(),
+		Labels:        labels,
+		SynthesizeOne: one,
+		Synthesize: func(seed int64) []Peer {
+			peers := make([]Peer, n)
+			for i := range peers {
+				peers[i] = one(seed, i)
+			}
+			return peers
+		},
+	}
+	sc.Remembered, sc.Blemished = fig6Hints(labels)
+	return sc
+}
+
 // Uniform describes a homogeneous slice of n well-behaved peers: profiles
 // drawn from narrow bands around the mid-tier calibrated SC peers.
 func Uniform(n int) Scenario {
-	labels := syntheticLabels(n)
-	remembered, blemished := fig6Hints(labels)
-	one := func(seed int64, i int) Peer {
-		r := peerRand(seed, i)
+	return synthetic("uniform", "uniform", n, nil, func(r *rand.Rand, _ int) simnet.Profile {
 		p := baseProfile()
 		p.LatencyOneWay = time.Duration(uniformIn(r, 15, 35) * float64(time.Millisecond))
 		p.Bandwidth = uniformIn(r, 1.0e6, 1.4e6)
 		p.CPUScore = uniformIn(r, 0.9, 1.1)
 		p.MTBF = 180 * time.Minute
-		return Peer{
-			Label:    labels[i],
-			Hostname: labels[i] + ".uniform.slice.peerlab",
-			Profile:  p,
-		}
-	}
-	return Scenario{
-		Name:          fmt.Sprintf("uniform:%d", n),
-		Control:       syntheticControl(),
-		Labels:        labels,
-		Synthesize:    synthesizeAll(n, one),
-		SynthesizeOne: one,
-		Remembered:    remembered,
-		Blemished:     blemished,
-	}
-}
-
-// synthesizeAll lifts a per-peer generator into the full-catalog Synthesize
-// shape. The per-peer draw streams (peerRand) are independent by
-// construction, so element i of the returned catalog is identical whether
-// its neighbours were synthesized or not.
-func synthesizeAll(n int, one func(seed int64, i int) Peer) func(seed int64) []Peer {
-	return func(seed int64) []Peer {
-		peers := make([]Peer, n)
-		for i := range peers {
-			peers[i] = one(seed, i)
-		}
-		return peers
-	}
+		return p
+	})
 }
 
 // Heterogeneous describes a PlanetLab-like slice of n peers drawn from a
@@ -449,45 +448,31 @@ func synthesizeAll(n int, one func(seed int64, i int) Peer) func(seed int64) []P
 // weak CPUs, frequent restarts). Class membership and every parameter are
 // drawn from the seed.
 func Heterogeneous(n int) Scenario {
-	labels := syntheticLabels(n)
-	remembered, blemished := fig6Hints(labels)
-	one := func(seed int64, i int) Peer {
-		r := peerRand(seed, i)
-		p := baseProfile()
-		switch class := r.Float64(); {
-		case class < 0.5: // healthy
-			p.LatencyOneWay = time.Duration(uniformIn(r, 10, 30) * float64(time.Millisecond))
-			p.Bandwidth = uniformIn(r, 1.2e6, 1.8e6)
-			p.CPUScore = uniformIn(r, 1.0, 1.3)
-			p.MTBF = 180 * time.Minute
-		case class < 0.8: // loaded sliver
-			p.LatencyOneWay = time.Duration(uniformIn(r, 20, 40) * float64(time.Millisecond))
-			p.Bandwidth = uniformIn(r, 0.6e6, 1.2e6)
-			p.CPUScore = uniformIn(r, 0.7, 1.0)
-			p.WakeLag = time.Duration(uniformIn(r, 1, 8) * float64(time.Second))
-			p.MTBF = 120 * time.Minute
-		default: // pathological (SC7-style)
-			p.LatencyOneWay = time.Duration(uniformIn(r, 30, 60) * float64(time.Millisecond))
-			p.Bandwidth = uniformIn(r, 0.2e6, 0.6e6)
-			p.CPUScore = uniformIn(r, 0.4, 0.7)
-			p.WakeLag = time.Duration(uniformIn(r, 8, 30) * float64(time.Second))
-			p.MTBF = time.Duration(uniformIn(r, 35, 60) * float64(time.Minute))
-		}
-		return Peer{
-			Label:    labels[i],
-			Hostname: labels[i] + ".hetero.slice.peerlab",
-			Profile:  p,
-		}
+	return synthetic("heterogeneous", "hetero", n, nil, heterogeneousProfile)
+}
+
+func heterogeneousProfile(r *rand.Rand, _ int) simnet.Profile {
+	p := baseProfile()
+	switch class := r.Float64(); {
+	case class < 0.5: // healthy
+		p.LatencyOneWay = time.Duration(uniformIn(r, 10, 30) * float64(time.Millisecond))
+		p.Bandwidth = uniformIn(r, 1.2e6, 1.8e6)
+		p.CPUScore = uniformIn(r, 1.0, 1.3)
+		p.MTBF = 180 * time.Minute
+	case class < 0.8: // loaded sliver
+		p.LatencyOneWay = time.Duration(uniformIn(r, 20, 40) * float64(time.Millisecond))
+		p.Bandwidth = uniformIn(r, 0.6e6, 1.2e6)
+		p.CPUScore = uniformIn(r, 0.7, 1.0)
+		p.WakeLag = time.Duration(uniformIn(r, 1, 8) * float64(time.Second))
+		p.MTBF = 120 * time.Minute
+	default: // pathological (SC7-style)
+		p.LatencyOneWay = time.Duration(uniformIn(r, 30, 60) * float64(time.Millisecond))
+		p.Bandwidth = uniformIn(r, 0.2e6, 0.6e6)
+		p.CPUScore = uniformIn(r, 0.4, 0.7)
+		p.WakeLag = time.Duration(uniformIn(r, 8, 30) * float64(time.Second))
+		p.MTBF = time.Duration(uniformIn(r, 35, 60) * float64(time.Minute))
 	}
-	return Scenario{
-		Name:          fmt.Sprintf("heterogeneous:%d", n),
-		Control:       syntheticControl(),
-		Labels:        labels,
-		Synthesize:    synthesizeAll(n, one),
-		SynthesizeOne: one,
-		Remembered:    remembered,
-		Blemished:     blemished,
-	}
+	return p
 }
 
 // Zipf describes a slice of n peers whose bandwidths follow a Zipf-like
@@ -499,10 +484,7 @@ func Heterogeneous(n int) Scenario {
 // per-peer figure doubles as the capacity rank; the seed draws only the
 // per-peer wobble around the rank curve.
 func Zipf(n int) Scenario {
-	labels := syntheticLabels(n)
-	remembered, blemished := fig6Hints(labels)
-	one := func(seed int64, i int) Peer {
-		r := peerRand(seed, i)
+	sc := synthetic("zipf", "zipf", n, nil, func(r *rand.Rand, i int) simnet.Profile {
 		p := baseProfile()
 		bw := zipfBaseBandwidth / math.Pow(float64(i+1), zipfExp)
 		if bw < zipfMinBandwidth {
@@ -512,29 +494,17 @@ func Zipf(n int) Scenario {
 		p.LatencyOneWay = time.Duration(uniformIn(r, 15, 40) * float64(time.Millisecond))
 		p.CPUScore = uniformIn(r, 0.8, 1.2)
 		p.MTBF = 150 * time.Minute
-		return Peer{
-			Label:    labels[i],
-			Hostname: labels[i] + ".zipf.slice.peerlab",
-			Profile:  p,
-		}
-	}
-	return Scenario{
-		Name:          fmt.Sprintf("zipf:%d", n),
-		Control:       syntheticControl(),
-		Labels:        labels,
-		Synthesize:    synthesizeAll(n, one),
-		SynthesizeOne: one,
-		Remembered:    remembered,
-		Blemished:     blemished,
-		// The capacity skew is where piece-level incentives are visible —
-		// fast-with-fast clustering needs bandwidth classes to cluster — so
-		// the hinted workload is the swarm dissemination over all n peers.
-		// 128 pieces keeps the swarm in its leeching phase long enough for
-		// tit-for-tat reciprocity to latch onto observed rates; with the
-		// 16-piece default the seeding transient dominates the pair matrix
-		// and the clustering signal drowns in it.
-		Workload: fmt.Sprintf("disseminate:%d;pieces=128", n),
-	}
+		return p
+	})
+	// The capacity skew is where piece-level incentives are visible —
+	// fast-with-fast clustering needs bandwidth classes to cluster — so
+	// the hinted workload is the swarm dissemination over all n peers.
+	// 128 pieces keeps the swarm in its leeching phase long enough for
+	// tit-for-tat reciprocity to latch onto observed rates; with the
+	// 16-piece default the seeding transient dominates the pair matrix
+	// and the clustering signal drowns in it.
+	sc.Workload = fmt.Sprintf("disseminate:%d;pieces=128", n)
+	return sc
 }
 
 // Zipf bandwidth curve: the head peer gets ~8 MB/s and rank r decays as
@@ -578,30 +548,12 @@ func ChurnRated(n int, rate float64) Scenario {
 	if !(rate > 0) || math.IsInf(rate, 1) {
 		rate = 1
 	}
-	labels := syntheticLabels(n)
-	remembered, blemished := fig6Hints(labels)
-	het := Heterogeneous(n)
-	one := func(seed int64, i int) Peer {
-		p := het.SynthesizeOne(seed, i)
-		p.Hostname = labels[i] + ".churn.slice.peerlab"
-		p.Site = churnSite(i)
-		return p
-	}
-	return Scenario{
-		Name:          fmt.Sprintf("churn:%d", n),
-		Control:       syntheticControl(),
-		Labels:        labels,
-		Synthesize:    synthesizeAll(n, one),
-		SynthesizeOne: one,
-		Remembered:    remembered,
-		Blemished:     blemished,
-		Workload:      fmt.Sprintf("swarm:%d", n),
-		Churn:         func(seed int64) []ChurnEvent { return churnSchedule(labels, seed, rate) },
-		Horizon:       churnHorizon,
-		AdvTTL:        churnAdvTTL,
-		LeaseSweep:    churnLeaseSweep,
-		ChurnRate:     func(r float64) Scenario { return ChurnRated(n, r) },
-	}
+	sc := synthetic("churn", "churn", n, churnSite, heterogeneousProfile)
+	sc.Workload = fmt.Sprintf("swarm:%d", n)
+	sc.Churn = func(seed int64) []ChurnEvent { return churnSchedule(sc.Labels, seed, rate) }
+	sc.Horizon, sc.AdvTTL, sc.LeaseSweep = churnHorizon, churnAdvTTL, churnLeaseSweep
+	sc.ChurnRate = func(r float64) Scenario { return ChurnRated(n, r) }
+	return sc
 }
 
 // churnSite groups catalog peers into sites of churnSiteSize consecutive

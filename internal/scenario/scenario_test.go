@@ -18,14 +18,14 @@ func TestParseGenerators(t *testing.T) {
 	if sc.Name != "uniform:16" || len(sc.Labels) != 16 {
 		t.Fatalf("uniform:16 parsed as %q with %d labels", sc.Name, len(sc.Labels))
 	}
-	if got := len(sc.Catalog(1)); got != 16 {
+	if got := len(sc.Synthesize(1)); got != 16 {
 		t.Fatalf("catalog has %d peers, want 16", got)
 	}
 	sc, err = scenario.Parse("heterogeneous:128")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sc.Catalog(7)) != 128 {
+	if len(sc.Synthesize(7)) != 128 {
 		t.Fatal("heterogeneous:128 did not synthesize 128 peers")
 	}
 	for _, bad := range []string{"uniform:0", "uniform:-3", "uniform:x", "pareto:9", "bogus"} {
@@ -48,7 +48,7 @@ func TestParseRegisteredTable1(t *testing.T) {
 	}
 	// The catalog is the calibration: seed-independent and identical to
 	// planetlab.SCPeers.
-	a, b := sc.Catalog(1), sc.Catalog(99)
+	a, b := sc.Synthesize(1), sc.Synthesize(99)
 	want := planetlab.SCPeers()
 	if len(a) != len(want) {
 		t.Fatalf("catalog size %d, want %d", len(a), len(want))
@@ -77,13 +77,13 @@ func TestSynthesisIsSeedDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := sc.Catalog(2007), sc.Catalog(2007)
+		a, b := sc.Synthesize(2007), sc.Synthesize(2007)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%s: same seed diverged at peer %d: %+v vs %+v", spec, i, a[i], b[i])
 			}
 		}
-		c := sc.Catalog(2008)
+		c := sc.Synthesize(2008)
 		same := true
 		for i := range a {
 			if a[i].Profile != c[i].Profile {
@@ -98,7 +98,7 @@ func TestSynthesisIsSeedDeterministic(t *testing.T) {
 
 func TestHeterogeneousMixture(t *testing.T) {
 	sc := scenario.Heterogeneous(128)
-	cat := sc.Catalog(2007)
+	cat := sc.Synthesize(2007)
 	var loaded, healthy int
 	minBW, maxBW := cat[0].Profile.Bandwidth, cat[0].Profile.Bandwidth
 	for _, p := range cat {
@@ -130,7 +130,7 @@ func TestHeterogeneousMixture(t *testing.T) {
 }
 
 func TestUniformIsNarrow(t *testing.T) {
-	cat := scenario.Uniform(64).Catalog(2007)
+	cat := scenario.Uniform(64).Synthesize(2007)
 	for _, p := range cat {
 		if p.Profile.WakeLag != 0 {
 			t.Fatalf("uniform peer %s has wake lag %v", p.Label, p.Profile.WakeLag)
@@ -198,7 +198,7 @@ func TestRegisteredNames(t *testing.T) {
 // Synthetic profiles must carry the substrate models the figures depend on
 // (degradation behind Figure 5, engaged windows behind Figure 2).
 func TestSyntheticProfilesCarrySubstrateModels(t *testing.T) {
-	for _, p := range scenario.Heterogeneous(16).Catalog(3) {
+	for _, p := range scenario.Heterogeneous(16).Synthesize(3) {
 		if p.Profile.DegradeRefBytes <= 0 || p.Profile.DegradeExp <= 0 {
 			t.Fatalf("%s missing degradation model", p.Label)
 		}
@@ -213,7 +213,7 @@ func TestZipfBandwidthSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := sc.Catalog(3)
+	cat := sc.Synthesize(3)
 	if len(cat) != 32 {
 		t.Fatalf("catalog has %d peers", len(cat))
 	}
@@ -224,7 +224,7 @@ func TestZipfBandwidthSkew(t *testing.T) {
 	// Identical seeds must redraw the identical catalog (purity), and the
 	// wobble must keep the curve monotone-ish only in expectation — but
 	// the head must always beat the deep tail.
-	if !reflect.DeepEqual(cat, sc.Catalog(3)) {
+	if !reflect.DeepEqual(cat, sc.Synthesize(3)) {
 		t.Fatal("zipf catalog is not a pure function of the seed")
 	}
 }
@@ -277,7 +277,7 @@ func TestChurnCatalogCarriesSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := sc.Catalog(5)
+	cat := sc.Synthesize(5)
 	sites := map[string]int{}
 	for _, p := range cat {
 		if p.Site == "" {

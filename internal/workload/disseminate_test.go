@@ -253,7 +253,7 @@ func TestRelaunchWarningsFirst(t *testing.T) {
 
 // TestDisseminateGenerators pins the generator shapes.
 func TestDisseminateGenerators(t *testing.T) {
-	w := Disseminate(6)
+	w := DisseminateWith(6, Dissemination{})
 	flows := w.Flows(labels(9), 3)
 	if len(flows) != 6 {
 		t.Fatalf("flows = %d, want 6", len(flows))
@@ -267,14 +267,14 @@ func TestDisseminateGenerators(t *testing.T) {
 		}
 	}
 	// Clamped to the slice.
-	if got := len(Disseminate(10).Flows(labels(3), 3)); got != 3 {
+	if got := len(DisseminateWith(10, Dissemination{}).Flows(labels(3), 3)); got != 3 {
 		t.Fatalf("clamped disseminate = %d flows, want 3", got)
 	}
-	if !strings.HasPrefix(Stream(4).Name, "stream:4") {
-		t.Fatalf("stream name = %q", Stream(4).Name)
+	if name := DisseminateWith(4, Dissemination{Stream: true}).Name; !strings.HasPrefix(name, "stream:4") {
+		t.Fatalf("stream name = %q", name)
 	}
-	if !Stream(4).Disseminate.Stream {
-		t.Fatal("Stream generator did not set Stream")
+	if w, err := Parse("stream:4"); err != nil || !w.Disseminate.Stream {
+		t.Fatalf("stream:4 parsed without Stream set: %v", err)
 	}
 	// Registered() advertises the new families.
 	reg := strings.Join(Registered(), " ")

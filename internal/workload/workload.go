@@ -264,19 +264,14 @@ func AllPairs(n int) Workload {
 	}
 }
 
-// Disseminate is the piece-level dissemination workload over the first n
-// measured peers: the control node originates one shared payload, every
-// peer is a downloader, and peers re-originate the pieces they hold.
-func Disseminate(n int) Workload { return DisseminateWith(n, Dissemination{}) }
-
-// Stream is Disseminate in streaming mode: piece arrivals are scored
-// against playback deadlines and late pieces count as stalls, ranking
-// pick policies the way Rodrigues' on-demand streaming study does.
-func Stream(n int) Workload { return DisseminateWith(n, Dissemination{Stream: true}) }
-
-// DisseminateWith is Disseminate (or Stream, when d.Stream) with explicit
-// policies. Each flow is one downloader with a fixed sink; pieces flow
-// peer-to-peer, so Source stays empty (the control node seeds the swarm).
+// DisseminateWith is the piece-level dissemination workload over the first
+// n measured peers under policies d: the control node originates one shared
+// payload, every peer is a downloader, and peers re-originate the pieces
+// they hold. With d.Stream, piece arrivals are scored against playback
+// deadlines and late pieces count as stalls, ranking pick policies the way
+// Rodrigues' on-demand streaming study does. Each flow is one downloader
+// with a fixed sink; pieces flow peer-to-peer, so Source stays empty (the
+// control node seeds the swarm).
 func DisseminateWith(n int, d Dissemination) Workload {
 	d = d.withDefaults()
 	return Workload{
