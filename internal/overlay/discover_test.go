@@ -43,7 +43,7 @@ func randomPeerAdvs(rng *rand.Rand, n int) []jxta.Advertisement {
 
 // bareBroker is a 4-shard broker on a simnet of its own, roomy enough for
 // every directory these tests publish.
-func bareBroker(t *testing.T) *Broker {
+func bareBroker(t testing.TB) *Broker {
 	t.Helper()
 	host := simnet.New(21).MustAddNode("broker0", simnet.DefaultProfile())
 	b, err := NewBroker(host, BrokerConfig{Shards: 4, CacheLimit: 8192})

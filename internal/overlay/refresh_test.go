@@ -254,11 +254,7 @@ func TestDiscoverResultUnchangedByHeartbeatRefresh(t *testing.T) {
 // refreshReply is the discover reply for an n-peer directory, as a 4-shard
 // broker frames it.
 func refreshReply(t testing.TB, n int) []byte {
-	host := simnet.New(21).MustAddNode("broker0", simnet.DefaultProfile())
-	b, err := NewBroker(host, BrokerConfig{Shards: 4, CacheLimit: 8192})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := bareBroker(t)
 	publishAll(b, randomPeerAdvs(rand.New(rand.NewSource(int64(n))), n))
 	e := wire.NewEncoder(64 << 10)
 	b.encodeDirectory(e, jxta.AdvPeer, "")

@@ -85,7 +85,7 @@ func (s *lazySource) Uint64() uint64 {
 	if s.real == nil {
 		if s.drawn < randTap {
 			s.drawn++
-			return randWord(s.x0, 334-s.drawn) + randWord(s.x0, randLen-s.drawn)
+			return randWord(s.x0, randLen-randTap-s.drawn) + randWord(s.x0, randLen-s.drawn)
 		}
 		s.real = rand.NewSource(int64(s.x0)).(rand.Source64)
 		for i := 0; i < randTap; i++ {
