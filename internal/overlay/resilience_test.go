@@ -2,10 +2,12 @@ package overlay
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"peerlab/internal/core"
+	"peerlab/internal/pipe"
 	"peerlab/internal/simnet"
 	"peerlab/internal/transfer"
 )
@@ -184,6 +186,94 @@ func TestBrokerRestartWipesLeases(t *testing.T) {
 	}
 	if advsAfter != 0 {
 		t.Fatalf("restart left %d advertisements in the cold cache", advsAfter)
+	}
+}
+
+// TestResilientCallProfilePinned pins the one resilience profile on a
+// selection through a scripted blackout: the broker sits on the first attempt
+// until the deadline fires and drops each retry unanswered, so the pick comes
+// from the cached directory. Every attempt's arrival at the broker, every
+// jittered backoff (drawn from the client node's own stream) and the degraded
+// outcome are the values the profile produced when it was DefaultCallPolicy.
+func TestResilientCallProfilePinned(t *testing.T) {
+	fast := clientProfile()
+	fast.CPUScore = 4
+	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile(), "sc3": fast})
+	for _, c := range d.clients {
+		c.cfg.Call = DefaultCallPolicy()
+	}
+	c := d.clients["sc1"]
+	host := d.net.MustAddNode("blackout0", simnet.DefaultProfile())
+	ep, err := host.Endpoint(ServiceBroker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := pipe.NewMux(host, ep, pipe.Options{})
+	var start time.Time
+	var arrivals []time.Duration
+	host.Go(func() {
+		for {
+			conn, err := mux.Accept()
+			if err != nil {
+				return
+			}
+			host.Go(func() {
+				defer conn.Close()
+				if _, err := conn.Recv(); err != nil {
+					return
+				}
+				arrivals = append(arrivals, host.Now().Sub(start))
+				if len(arrivals) == 1 {
+					host.Sleep(time.Minute) // silent: the caller's deadline fires
+				}
+			})
+		}
+	})
+	var sel Selection
+	var took time.Duration
+	d.net.Run(func() {
+		d.startAll(t)
+		if _, err := c.Discover(); err != nil {
+			t.Errorf("Discover: %v", err)
+			return
+		}
+		c.broker = ep.Addr()
+		start = d.net.Now()
+		sel, err = c.SelectDetailed("economic", core.Request{Kind: core.KindFileTransfer, SizeBytes: transfer.Mb}, 1, nil, nil)
+		took = d.net.Now().Sub(start)
+		mux.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arrivals) != 4 {
+		t.Fatalf("%d attempts reached the broker, want 4: %v", len(arrivals), arrivals)
+	}
+	// Nothing but the backoff draws reads a simnet node's stream, so a twin
+	// node of the same network seed and name replays the client's draws.
+	twin := simnet.New(21).MustAddNode("sc1", clientProfile()).Rand()
+	var backoffs []time.Duration
+	for i, base := range []time.Duration{2 * time.Second, 4 * time.Second, 8 * time.Second} {
+		backoffs = append(backoffs, time.Duration(float64(base)*(0.75+0.5*twin.Float64())))
+		// What a gap holds besides the backoff: the deadline after the silent
+		// first attempt, a reset and a resend after each dropped one.
+		floor := time.Duration(0)
+		if i == 0 {
+			floor = 10 * time.Second
+		}
+		if rest := arrivals[i+1] - arrivals[i] - backoffs[i]; rest <= floor || rest > floor+time.Second {
+			t.Errorf("retry %d: %v between arrivals besides its backoff %v", i+1, rest, backoffs[i])
+		}
+	}
+	wantArrivals := []time.Duration{30017500, 12410356653, 16811510551, 23525902504}
+	wantBackoffs := []time.Duration{2380336153, 4341127398, 6654365453}
+	const wantTook = 23555911504
+	if !reflect.DeepEqual(arrivals, wantArrivals) || !reflect.DeepEqual(backoffs, wantBackoffs) || took != wantTook {
+		t.Errorf("attempts at %v after backoffs %v, degraded pick at %v; want %v, %v, %v",
+			arrivals, backoffs, took, wantArrivals, wantBackoffs, time.Duration(wantTook))
+	}
+	if !sel.Degraded || sel.Retries != 3 || !reflect.DeepEqual(sel.Peers, []string{"sc3"}) {
+		t.Errorf("selection = %+v, want degraded [sc3] after 3 retries", sel)
 	}
 }
 

@@ -164,6 +164,49 @@ func TestDeploy(t *testing.T) {
 	}
 }
 
+// TestCatalogEntriesIndependent: catalog entry i does not depend on its
+// neighbours, so a subset deployment of any scenario holds, for every label
+// it was asked for, exactly the entry the whole catalog holds — node and all.
+func TestCatalogEntriesIndependent(t *testing.T) {
+	for _, spec := range []string{"table1", "uniform:24", "heterogeneous:24", "zipf:24", "churn:24", "faults:24"} {
+		sc, err := scenario.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{1, 2007} {
+			whole := sc.Synthesize(seed)
+			index := make(map[string]int, len(whole))
+			for i, p := range whole {
+				index[p.Label] = i
+			}
+			for _, pick := range [][]int{{0}, {len(whole) - 1}, {5, 2}, {1, 3, 4, 7}} {
+				var labels []string
+				for _, i := range pick {
+					labels = append(labels, sc.Labels[i])
+				}
+				sl, err := scenario.DeployPeers(sc, seed, labels)
+				if err != nil {
+					t.Fatalf("%s seed %d: DeployPeers(%v): %v", spec, seed, labels, err)
+				}
+				for _, l := range labels {
+					if sl.Peers[l] == nil {
+						t.Fatalf("%s seed %d: DeployPeers(%v) left %s out", spec, seed, labels, l)
+					}
+				}
+				for _, p := range sl.Catalog {
+					i, ok := index[p.Label]
+					if !ok || p != whole[i] || sl.Peers[p.Label].Name() != whole[i].Hostname {
+						t.Fatalf("%s seed %d: DeployPeers(%v) holds %+v, the catalog %+v", spec, seed, labels, p, whole[i])
+					}
+				}
+			}
+		}
+	}
+	if _, err := scenario.DeployPeers(scenario.Uniform(4), 1, []string{"p404"}); err == nil {
+		t.Fatal("DeployPeers accepted a label outside the catalog")
+	}
+}
+
 func TestFig6HintsAreInCatalog(t *testing.T) {
 	for _, spec := range []string{"table1", "uniform:3", "heterogeneous:128"} {
 		sc, err := scenario.Parse(spec)

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -277,6 +278,56 @@ func TestSessionResetKeepsTotals(t *testing.T) {
 	}
 	if want := 100.0 / 3.0; s.PctMsgTotal < want-0.01 || s.PctMsgTotal > want+0.01 {
 		t.Fatalf("total = %v, want ~%.2f", s.PctMsgTotal, want)
+	}
+}
+
+// TestSessionCriteriaEqualTotals: a run is one session, so each of the
+// paper's "current session" percentages reads what its "all sessions" twin
+// reads, whatever sequence of reports built the record and whatever message
+// window the snapshot takes.
+func TestSessionCriteriaEqualTotals(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clock, advance := fixedClock(t0)
+		r := NewRegistry(clock)
+		names := []string{"a", "b", "c"}
+		ops := []func(p *PeerStats){
+			func(p *PeerStats) { p.RecordMessage(rng.Intn(3) > 0) },
+			func(p *PeerStats) { p.SetQueues(rng.Intn(9), rng.Intn(9)) },
+			func(p *PeerStats) { p.RecordTaskOffer(rng.Intn(4) > 0) },
+			func(p *PeerStats) { p.RecordTaskExecution(rng.Intn(4) > 0, rng.Float64()*3) },
+			func(p *PeerStats) { p.SetQueueLen(rng.Intn(5)) },
+			func(p *PeerStats) { p.SetReadyAt(clock().Add(time.Duration(rng.Intn(60)) * time.Second)) },
+			func(p *PeerStats) { p.RecordFileSent(rng.Intn(5) > 0) },
+			func(p *PeerStats) { p.RecordTransferOutcome(rng.Intn(5) == 0) },
+			func(p *PeerStats) { p.RecordTransferOriginated(rng.Intn(2) == 0, rng.Intn(1<<20)) },
+			func(p *PeerStats) { p.AddPendingTransfers(rng.Intn(5) - 2) },
+			func(p *PeerStats) { p.SetCPUScore(rng.Float64() * 2) },
+			func(p *PeerStats) {
+				p.ObserveTransferRate(rng.Intn(1<<20), time.Duration(rng.Intn(5000))*time.Millisecond)
+			},
+			func(p *PeerStats) { p.ObservePetitionDelay(time.Duration(rng.Intn(900)) * time.Millisecond) },
+			func(*PeerStats) { advance(time.Duration(rng.Intn(90)) * time.Minute) },
+		}
+		for step := 0; step < 300; step++ {
+			ops[rng.Intn(len(ops))](r.Peer(names[rng.Intn(len(names))]))
+			for _, n := range names {
+				for _, k := range []int{1, DefaultWindowHours, windowHours} {
+					s := r.Peer(n).SnapshotK(k)
+					for _, pair := range [][2]float64{
+						{s.PctMsgSession, s.PctMsgTotal},
+						{s.PctTaskExecSession, s.PctTaskExecTotal},
+						{s.PctTaskAcceptSession, s.PctTaskAcceptTotal},
+						{s.PctFileSentSession, s.PctFileSentTotal},
+						{s.PctCancelSession, s.PctCancelTotal},
+					} {
+						if pair[0] != pair[1] {
+							t.Fatalf("seed %d step %d, %s k=%d: session %v, total %v in %+v", seed, step, n, k, pair[0], pair[1], s)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
