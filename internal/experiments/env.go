@@ -18,9 +18,6 @@ type Config struct {
 	// Reps is the number of repetitions averaged per data point (the paper
 	// uses 5).
 	Reps int
-	// IdleGap is the virtual-time gap between repetitions, long enough for
-	// peers to fall idle again (wake lag re-applies). Default 10 minutes.
-	IdleGap time.Duration
 	// Workers bounds how many experiment cells run concurrently, each on its
 	// own freshly deployed slice. 0 means GOMAXPROCS. Cell seeds derive from
 	// (Seed, figure, cell index), so results are bit-identical for a given
@@ -69,9 +66,6 @@ func (c Config) WithDefaults() Config {
 	if c.Reps <= 0 {
 		c.Reps = 5
 	}
-	if c.IdleGap <= 0 {
-		c.IdleGap = 10 * time.Minute
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -83,6 +77,10 @@ func (c Config) WithDefaults() Config {
 	}
 	return c
 }
+
+// IdleGap is the virtual-time gap between repetitions, long enough for peers
+// to fall idle again (wake lag re-applies).
+const IdleGap = 10 * time.Minute
 
 // SCLabels is the fixed X axis of the per-peer figures on the default
 // table1 scenario.
@@ -127,8 +125,7 @@ func NewEnv(cfg Config) (*Env, error) { return NewEnvFor(cfg, nil) }
 // What the broker runs is read off the scenario: its lease TTL (30 days
 // unless the scenario churns — experiments span many virtual hours of idle
 // gaps and static peers never renew), its eager lease sweep, and, where the
-// control plane fails on schedule, the resilient call policy for the
-// controller. A paper figure passes its scenario with the dynamics stripped
+// control plane fails on schedule, a Resilient controller. A paper figure passes its scenario with the dynamics stripped
 // (scenario.Scenario.Static) and so measures any catalog as a static slice.
 func NewEnvFor(cfg Config, peers []string) (*Env, error) {
 	sc := cfg.Scenario
@@ -201,16 +198,11 @@ func (e *Env) RunPeers(labels []string, fn func(ctl *overlay.Client, sc map[stri
 	}
 	var runErr error
 	e.Slice.Net.Run(func() {
-		// The controller retries and degrades like the peers StartDynamics
-		// boots where the control plane fails on schedule; elsewhere the
-		// zero policy stands — one attempt, no deadline, hence no timer and
-		// no extra draw — so static and churn-only event streams are
-		// untouched.
-		var policy overlay.CallPolicy
-		if e.sc.Faults != nil {
-			policy = overlay.DefaultCallPolicy()
-		}
-		ctl := overlay.NewClient(e.Slice.Control, e.Broker.Addr(), overlay.ClientConfig{CPUScore: 2, Call: policy})
+		// The controller is Resilient like the peers StartDynamics boots
+		// where the control plane fails on schedule; elsewhere a call is one
+		// attempt with no deadline, hence no timer and no extra draw, so
+		// static and churn-only event streams are untouched.
+		ctl := overlay.NewClient(e.Slice.Control, e.Broker.Addr(), overlay.ClientConfig{CPUScore: 2, Resilient: e.sc.Faults != nil})
 		if err := ctl.Start(); err != nil {
 			runErr = fmt.Errorf("experiments: controller start: %w", err)
 			return

@@ -38,7 +38,7 @@ func Table1() *metrics.Table {
 // not pay its wake-up lag, and the paper's peers were idle when petitioned).
 func petitionCell(cfg Config, _ int, label string, rep int) ([]float64, error) {
 	return envCell(cfg, []string{label}, func(env *Env, ctl *overlay.Client) ([]float64, error) {
-		env.Slice.Control.Sleep(cfg.IdleGap)
+		env.Slice.Control.Sleep(IdleGap)
 		m, err := ctl.SendFile(env.Host(label), transfer.NewVirtualFile("petition-probe", transfer.Mb, int64(rep)), 1)
 		if err != nil {
 			return nil, fmt.Errorf("fig2 %s rep %d: %w", label, rep, err)
@@ -63,7 +63,7 @@ func petitionCell(cfg Config, _ int, label string, rep int) ([]float64, error) {
 func transferCell(size int) func(cfg Config, parts int, label string, rep int) ([]float64, error) {
 	return func(cfg Config, parts int, label string, rep int) ([]float64, error) {
 		return envCell(cfg, []string{label}, func(env *Env, ctl *overlay.Client) ([]float64, error) {
-			m, err := workload.SendRelaunched(cfg.Logf, env.Slice.Control.Sleep, cfg.IdleGap, ctl,
+			m, err := workload.SendRelaunched(cfg.Logf, env.Slice.Control.Sleep, IdleGap, ctl,
 				env.Host(label), transfer.NewVirtualFile("payload", size, int64(rep)), parts,
 				fmt.Sprintf("figure cell (control -> %s, rep %d)", label, rep))
 			if err != nil {
@@ -115,7 +115,7 @@ func selectionCell(cfg Config, parts int, model string, _ int) ([]float64, error
 			ps.RecordTransferOutcome(true) // one cancelled transfer
 		}
 
-		env.Slice.Control.Sleep(cfg.IdleGap)
+		env.Slice.Control.Sleep(IdleGap)
 		req := core.Request{Kind: core.KindFileTransfer, SizeBytes: transfer.Mb}
 		var preferred []string
 		if model == "quick-peer" {
@@ -131,7 +131,7 @@ func selectionCell(cfg Config, parts int, model string, _ int) ([]float64, error
 		}
 		var samples []float64
 		for rep := 0; rep < cfg.Reps; rep++ {
-			env.Slice.Control.Sleep(cfg.IdleGap)
+			env.Slice.Control.Sleep(IdleGap)
 			m, err := ctl.SendFile(peers[0],
 				transfer.NewVirtualFile("selected", transfer.Mb, int64(rep)), parts)
 			if err != nil {
@@ -158,14 +158,14 @@ func executionCell(cfg Config, _ int, label string, rep int) ([]float64, error) 
 			WorkUnits: Fig7Work,
 			InputSize: 50 * transfer.Mb,
 		}
-		env.Slice.Control.Sleep(cfg.IdleGap)
+		env.Slice.Control.Sleep(IdleGap)
 		// Just execution: the input is already at the peer.
 		res, err := ctl.SubmitTask(host, work)
 		if err != nil {
 			return nil, fmt.Errorf("fig7 exec %s: %w", label, err)
 		}
 
-		env.Slice.Control.Sleep(cfg.IdleGap)
+		env.Slice.Control.Sleep(IdleGap)
 		// Transmission & execution. The input travels in 4 parts —
 		// by Figure 5 the platform's users would not ship 50 Mb whole.
 		start := env.Slice.Control.Now()

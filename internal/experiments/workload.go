@@ -249,7 +249,7 @@ func workloadCell(cellCfg Config, w workload.Workload, rep int) (workloadCellRes
 		dyn := env.Dynamics
 		var booted time.Duration
 		if dyn == nil {
-			wenv.IdleGap = cellCfg.IdleGap
+			wenv.IdleGap = IdleGap
 		} else {
 			booted = env.Slice.Control.Now().Sub(dyn.StartedAt())
 			res.departed = dyn.Schedule.Departures()

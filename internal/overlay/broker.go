@@ -43,8 +43,6 @@ type BrokerConfig struct {
 	// virtual-time events; churning deployments set it so departed peers'
 	// leases are reclaimed even while no one asks.
 	LeaseSweep time.Duration
-	// Pipe tunes the broker's reliable pipes.
-	Pipe pipe.Options
 }
 
 // DefaultCacheLimit is the per-shard directory bound of a zero
@@ -128,7 +126,7 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 	b := &Broker{
 		host:      host,
 		cfg:       cfg,
-		mux:       pipe.NewMux(host, ep, cfg.Pipe),
+		mux:       pipe.NewMux(host, ep, pipe.Options{}),
 		shards:    make([]*shard, cfg.Shards),
 		selectors: make(map[string]core.Selector),
 		dir:       mergedDir{stamps: make([]uint64, cfg.Shards)},
@@ -273,7 +271,7 @@ func (b *Broker) Peers() []string {
 // SetDown makes the broker stop answering requests (true) or resume
 // (false) without touching its state — the first half of a blackout. While
 // down, every request conn is dropped unanswered; the conn teardown resets
-// the caller, which then fails fast and retries under its CallPolicy.
+// the caller, which then fails fast and, if Resilient, retries.
 func (b *Broker) SetDown(down bool) { b.down.Store(down) }
 
 // Restart brings the broker back up after a blackout with a cold
@@ -413,7 +411,8 @@ func (b *Broker) serve(conn *pipe.Conn) {
 
 // handleRegister publishes the client's advertisement under a fresh lease,
 // then applies the load report the frame carries — publish-then-report in
-// one exchange and one ack, so the peer is rankable when Start returns.
+// one exchange and one ack, so the peer is rankable when Start returns. An
+// advertised CPU score counts only if it is finite and positive.
 func (b *Broker) handleRegister(conn *pipe.Conn, d *wire.Decoder) {
 	req, err := decodeRegister(d)
 	if err != nil {
@@ -422,7 +421,7 @@ func (b *Broker) handleRegister(conn *pipe.Conn, d *wire.Decoder) {
 	sh := b.shardOf(req.Adv.Name)
 	b.publish(sh, req.Adv)
 	ps := sh.registry.Peer(req.Adv.Name)
-	if cpu, err := strconv.ParseFloat(req.Adv.Attr(jxta.AttrCPUScore), 64); err == nil && cpu > 0 {
+	if cpu, err := strconv.ParseFloat(req.Adv.Attr(jxta.AttrCPUScore), 64); err == nil && cpu > 0 && finite(cpu) {
 		ps.SetCPUScore(cpu)
 	}
 	b.applyStats(ps, req.Stats)
@@ -434,12 +433,13 @@ func (b *Broker) handleRegister(conn *pipe.Conn, d *wire.Decoder) {
 // received since construction. A boot costs one (register).
 func (b *Broker) ControlRPCs() int64 { return b.ctlRPCs.Load() }
 
-// applyStats folds a client's self-reported load into its statistics record.
+// applyStats folds a client's self-reported load into its statistics record;
+// a reported CPU score counts only if it is finite and positive.
 func (b *Broker) applyStats(ps *stats.PeerStats, rep statsReport) {
 	ps.SetQueues(rep.InboxLen, rep.OutboxLen)
 	ps.SetQueueLen(rep.QueueLen)
 	ps.SetReadyAt(b.host.Now().Add(rep.ReadyIn))
-	if rep.CPUScore > 0 {
+	if rep.CPUScore > 0 && finite(rep.CPUScore) {
 		ps.SetCPUScore(rep.CPUScore)
 	}
 }
@@ -481,7 +481,7 @@ func (b *Broker) handleStatsReport(conn *pipe.Conn, d *wire.Decoder) {
 	sh := b.shardOf(rep.Peer)
 	b.applyStats(sh.registry.Peer(rep.Peer), rep)
 	adv, lapsed := b.leaseOf(sh, rep.Peer, conn)
-	if lapsed && rep.CPUScore > 0 {
+	if lapsed && rep.CPUScore > 0 && finite(rep.CPUScore) {
 		adv = adv.WithAttr(jxta.AttrCPUScore, strconv.FormatFloat(rep.CPUScore, 'f', -1, 64))
 	}
 	b.publish(sh, adv)

@@ -3,6 +3,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync/atomic"
 
@@ -23,20 +24,14 @@ var (
 
 // ClientConfig tunes a SimpleClient.
 type ClientConfig struct {
-	// CPUScore advertises the node's relative compute speed (default 1).
+	// CPUScore advertises the node's relative compute speed (default 1, which
+	// a NaN or infinite score gets too).
 	CPUScore float64
-	// MaxQueue bounds the local executor queue (default 16).
-	MaxQueue int
-	// FailEvery injects a failure every Nth executed task (0 = never).
-	FailEvery int
-	// Pipe tunes reliable pipes.
-	Pipe pipe.Options
-	// Call bounds control RPCs (deadline, retries, backoff, degraded-mode
-	// selection). The zero value is one attempt with no deadline — see
-	// CallPolicy.
-	Call CallPolicy
-	// AcceptFile decides on inbound petitions; nil accepts all.
-	AcceptFile func(name string, size, parts int, from string) (bool, string)
+	// Resilient runs every control RPC under the resilience profile
+	// (resilience.go): a deadline, jittered retries and degraded-mode
+	// selection from the cached directory. Otherwise a call is one attempt
+	// with no deadline — no timer and no random draw.
+	Resilient bool
 	// OnFile observes completed inbound transfers.
 	OnFile func(transfer.Received)
 	// OnInstant observes inbound instant messages.
@@ -44,14 +39,14 @@ type ClientConfig struct {
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
-	if c.CPUScore <= 0 {
+	if !(c.CPUScore > 0 && finite(c.CPUScore)) {
 		c.CPUScore = 1
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 16
 	}
 	return c
 }
+
+// finite reports whether f is neither NaN nor infinite.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // Client is a SimpleClient edge peer: it registers with a broker, serves
 // file receptions and task executions, and offers the overlay primitives
@@ -61,6 +56,8 @@ type Client struct {
 	host   transport.Host
 	broker transport.Addr
 	cfg    ClientConfig
+	// firstConnID offsets the client's conn-id space (see BootPeer).
+	firstConnID uint64
 
 	ctlMux   *pipe.Mux
 	xferMux  *pipe.Mux
@@ -84,26 +81,17 @@ func NewClient(host transport.Host, broker transport.Addr, cfg ClientConfig) *Cl
 	return &Client{host: host, broker: broker, cfg: cfg.withDefaults()}
 }
 
-// FreshConnIDs returns pipe options whose conn-id space is unique to this
-// boot instant. A client that reboots on the same node (churn rejoin) must
-// not reuse its previous incarnation's conn ids: long-lived remote muxes —
-// the broker's above all — tombstone every conn they have torn down, so a
-// reused id's first message is silently dropped as a stale retransmit and
-// the rebooted client can never register. Conn ids are varint-encoded;
-// first-boot clients keep the default zero-based space so static
-// deployments' frames stay byte-identical.
-func FreshConnIDs(host transport.Host) pipe.Options {
-	return pipe.Options{FirstID: uint64(host.Now().UnixNano())}
-}
-
 // BootPeer is the reboot rule: NewClient + Start on a conn-id space unique
-// to this boot instant (see FreshConnIDs), whatever else cfg.Pipe says. A
-// client that may follow an earlier incarnation on its node — a churn
-// rejoin, a restarted cmd/peer — comes up through it; first boots on fresh
-// nodes keep the zero-based space and call NewClient + Start themselves.
+// to this boot instant. A client that may follow an earlier incarnation on its
+// node — a churn rejoin, a restarted cmd/peer — comes up through it: long-lived
+// remote muxes, the broker's above all, tombstone every conn they have torn
+// down, so a reused id's first message would be dropped as a stale retransmit
+// and the rebooted client could never register. First boots on fresh nodes
+// call NewClient + Start themselves and keep the zero-based space; conn ids
+// are varint-encoded, so static deployments' frames stay byte-identical.
 func BootPeer(host transport.Host, broker transport.Addr, cfg ClientConfig) (*Client, error) {
-	cfg.Pipe.FirstID = FreshConnIDs(host).FirstID
 	c := NewClient(host, broker, cfg)
+	c.firstConnID = uint64(host.Now().UnixNano())
 	if err := c.Start(); err != nil {
 		return nil, err
 	}
@@ -123,19 +111,13 @@ func (c *Client) Start() error {
 	if err != nil {
 		return fmt.Errorf("overlay: transfer bind: %w", err)
 	}
-	c.ctlMux = pipe.NewMux(c.host, ctlEP, c.cfg.Pipe)
-	c.xferMux = pipe.NewMux(c.host, xferEP, c.cfg.Pipe)
+	opts := pipe.Options{FirstID: c.firstConnID}
+	c.ctlMux = pipe.NewMux(c.host, ctlEP, opts)
+	c.xferMux = pipe.NewMux(c.host, xferEP, opts)
 	c.sender = transfer.NewSender(c.host, c.xferMux, transfer.SenderOptions{})
-	c.receiver = transfer.NewReceiver(c.host, c.xferMux, transfer.ReceiverOptions{
-		Accept: c.cfg.AcceptFile,
-		OnFile: c.cfg.OnFile,
-	})
+	c.receiver = transfer.NewReceiver(c.host, c.xferMux, transfer.ReceiverOptions{OnFile: c.cfg.OnFile})
 	c.receiver.Start()
-	c.exec = task.NewExecutor(c.host, task.Options{
-		CPUScore:  c.cfg.CPUScore,
-		MaxQueue:  c.cfg.MaxQueue,
-		FailEvery: c.cfg.FailEvery,
-	})
+	c.exec = task.NewExecutor(c.host, c.cfg.CPUScore)
 	c.exec.Start()
 	c.host.Go(c.controlLoop)
 	regErr := c.register()
@@ -150,7 +132,7 @@ func (c *Client) Start() error {
 		c.Stop()
 		return regErr
 	}
-	if c.cfg.Call.Degrade {
+	if c.cfg.Resilient {
 		// Seed the degraded-selection cache; each stats heartbeat
 		// refreshes it. Best-effort: a boot racing a blackout still
 		// succeeds once register did.
@@ -186,9 +168,9 @@ func (c *Client) register() error {
 	return nil
 }
 
-// call performs one request/response exchange under the client's
-// CallPolicy (with the zero policy: a single unbounded exchange on a fresh
-// conn). Failures come back classified — see callRetried.
+// call performs one request/response exchange — under the resilience profile
+// when the client is Resilient, else a single unbounded exchange on a fresh
+// conn. Failures come back classified — see callRetried.
 func (c *Client) call(to transport.Addr, payload []byte) ([]byte, error) {
 	reply, _, err := c.callRetried(to, payload)
 	return reply, err
@@ -265,7 +247,7 @@ func (c *Client) ReportStats() error {
 	if len(reply) == 0 || reply[0] != mtAck {
 		return fmt.Errorf("%w: stats ack", ErrBadReply)
 	}
-	if c.cfg.Call.Degrade {
+	if c.cfg.Resilient {
 		// The heartbeat doubles as the directory refresh keeping the
 		// degraded-selection cache current.
 		_ = c.refreshDir() // best-effort: the cache just stays stale

@@ -2,11 +2,14 @@ package overlay
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
 	"peerlab/internal/core"
-	"peerlab/internal/pipe"
+	"peerlab/internal/jxta"
 	"peerlab/internal/simnet"
 	"peerlab/internal/task"
 	"peerlab/internal/transfer"
@@ -142,25 +145,23 @@ func TestSubmitTaskRoundtrip(t *testing.T) {
 func TestTaskRejectionRecorded(t *testing.T) {
 	p := clientProfile()
 	d := deploy(t, map[string]simnet.Profile{"sc1": p, "sc2": p})
-	d.clients["sc2"].cfg.MaxQueue = 1
+	// Two more concurrent tasks than the executor's queue bound of 16: one
+	// may start running, so at least one is refused.
+	const tasks = 18
 	var errs []error
 	d.net.Run(func() {
 		d.startAll(t)
-		done := d.net.Scheduler()
-		_ = done
-		// Fill the queue with a long task, then overflow it.
 		c := d.clients["sc1"]
-		results := make([]error, 3)
+		results := make([]error, tasks)
 		q := d.net.Node("sc1").NewQueue()
-		for i := 0; i < 3; i++ {
-			i := i
+		for i := 0; i < tasks; i++ {
 			d.net.Scheduler().Go(func() {
 				_, err := c.SubmitTask("sc2", task.Task{Name: "t", WorkUnits: 30})
 				results[i] = err
 				q.Push(i)
 			})
 		}
-		for i := 0; i < 3; i++ {
+		for i := 0; i < tasks; i++ {
 			q.Pop()
 		}
 		errs = results
@@ -172,7 +173,7 @@ func TestTaskRejectionRecorded(t *testing.T) {
 		}
 	}
 	if rejected == 0 {
-		t.Fatalf("no rejection with MaxQueue=1 and 3 concurrent tasks: %v", errs)
+		t.Fatalf("no rejection with %d concurrent tasks against a queue of 16: %v", tasks, errs)
 	}
 	snap := d.broker.Registry().Peer("sc2").Snapshot()
 	if snap.PctTaskAcceptSession == 100 {
@@ -386,9 +387,7 @@ func TestShardedBrokerEndToEnd(t *testing.T) {
 func TestClientStartFailsWithoutBroker(t *testing.T) {
 	n := simnet.New(5)
 	host := n.MustAddNode("lonely", clientProfile())
-	c := NewClient(host, "broker0/broker", ClientConfig{
-		Pipe: pipe.Options{MaxRetries: 2, InitialRTT: 100 * time.Millisecond},
-	})
+	c := NewClient(host, "broker0/broker", ClientConfig{})
 	var err error
 	n.Run(func() {
 		err = c.Start()
@@ -396,6 +395,66 @@ func TestClientStartFailsWithoutBroker(t *testing.T) {
 	if !errors.Is(err, ErrBrokerDown) {
 		t.Fatalf("err = %v, want ErrBrokerDown", err)
 	}
+}
+
+// TestNonFiniteCPUScoreIgnored: a CPU score from outside the process — an
+// advertised attribute or a reported load, over a real socket from any
+// cmd/peer — counts only if it is finite and positive. An infinite score would
+// give its peer a zero execution estimate (winning every economic task
+// selection) and turn same-priority's normalisation into NaN.
+func TestNonFiniteCPUScoreIgnored(t *testing.T) {
+	hostile := []string{"+Inf", "-Inf", "NaN", "Infinity", "0", "-2"}
+	for _, v := range append(hostile, "1e999") {
+		if cfg := (ClientConfig{CPUScore: parseScore(t, v)}).withDefaults(); cfg.CPUScore != 1 {
+			t.Errorf("ClientConfig{CPUScore: %s} defaults to %v, want 1", v, cfg.CPUScore)
+		}
+	}
+	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile()})
+	c := d.clients["sc1"]
+	c.cfg.Resilient = true
+	d.net.Run(func() {
+		d.startAll(t)
+		for i, v := range hostile {
+			name := fmt.Sprintf("h%d", i)
+			adv := testAdv(name).WithAttr(jxta.AttrCPUScore, v)
+			if _, err := c.call(d.broker.Addr(), register{Adv: adv, Stats: statsReport{Peer: name, CPUScore: parseScore(t, v)}}.encode()); err != nil {
+				t.Errorf("register %s: %v", name, err)
+			}
+			// A report from a peer whose lease is gone rebuilds its
+			// advertisement from the reported score.
+			lapsed := "lapsed" + name
+			if _, err := c.call(d.broker.Addr(), statsReport{Peer: lapsed, CPUScore: parseScore(t, v)}.encode()); err != nil {
+				t.Errorf("report %s: %v", lapsed, err)
+			}
+			for _, peer := range []string{name, lapsed} {
+				if got := d.broker.Registry().Peer(peer).Snapshot().CPUScore; got != 1 {
+					t.Errorf("%s advertised %s: registry score %v, want the neutral 1", peer, v, got)
+				}
+			}
+			if advs := d.broker.Advertisements(jxta.AdvPeer, lapsed); len(advs) != 1 || advs[0].Attr(jxta.AttrCPUScore) != "" {
+				t.Errorf("%s reported %s: rebuilt advertisement %+v", lapsed, v, advs)
+			}
+		}
+		// Degraded selection scores a cached non-finite attribute as 1.
+		if _, err := c.Discover(); err != nil {
+			t.Errorf("Discover: %v", err)
+		}
+		// sc1 itself is excluded; h4 ("0") and h5 ("-2") rank below the
+		// neutral peers, which tie at 1 and order by name.
+		want := []string{"h0", "h1", "h2", "h3", "lapsedh0", "lapsedh1", "lapsedh2", "lapsedh3", "lapsedh4", "lapsedh5", "h4", "h5"}
+		if got := c.degradedPick(0, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("degradedPick = %v, want %v", got, want)
+		}
+	})
+}
+
+// parseScore is how a CPU score string reaches the broker from outside.
+func parseScore(t *testing.T, v string) float64 {
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		t.Fatalf("ParseFloat(%q): %v", v, err)
+	}
+	return f
 }
 
 func TestTaskSubmissionRefreshesBrokerQueueView(t *testing.T) {

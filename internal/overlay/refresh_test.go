@@ -63,7 +63,7 @@ func degradingClient(t *testing.T) (*deployment, *Client) {
 	fast.CPUScore = 4
 	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile(), "sc3": fast})
 	for _, c := range d.clients {
-		c.cfg.Call = CallPolicy{Timeout: 2 * time.Second, Degrade: true}
+		c.cfg.Resilient = true
 	}
 	return d, d.clients["sc1"]
 }

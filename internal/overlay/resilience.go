@@ -1,11 +1,11 @@
-// Control-plane resilience: the client-side call policy (deadline, bounded
-// retries, deterministic backoff jitter), the typed error taxonomy for
-// broker replies, and degraded-mode selection over the cached directory.
+// Control-plane resilience: the one resilience profile (deadline, bounded
+// retries, deterministic backoff jitter, degraded-mode selection over the
+// cached directory) and the typed error taxonomy for broker replies.
 //
-// The zero CallPolicy is a value on the one call path, not a second path:
-// one attempt and no deadline, hence no timer, no extra RPC and no random
-// draw — which is why static deployments, which never set a policy, have
-// the event stream of a single blocking exchange.
+// A client that is not Resilient takes the same call path with one attempt
+// and no deadline, hence no timer, no extra RPC and no random draw — which is
+// why deployments without a fault plan have the event stream of a single
+// blocking exchange.
 
 package overlay
 
@@ -28,8 +28,8 @@ import (
 // Typed control-plane errors. ErrBrokerDown (client.go) remains the
 // transport-level classification; these refine what the broker itself said.
 var (
-	// ErrCallTimeout marks a control RPC that exhausted its per-call
-	// deadline (CallPolicy.Timeout). Broker-destined timeouts also match
+	// ErrCallTimeout marks a control RPC that exhausted its per-attempt
+	// deadline (callTimeout). Broker-destined timeouts also match
 	// ErrBrokerDown.
 	ErrCallTimeout = errors.New("overlay: call timed out")
 	// ErrBadReply marks a reply of the wrong message kind — a protocol
@@ -65,42 +65,20 @@ func selectionError(s string) error {
 	}
 }
 
-// CallPolicy bounds a client's control RPCs. The zero value is one attempt
-// with no deadline: no retries, no fallback — hence no timer and no draw
-// from the node's seed stream, so a static scenario's event stream is that
-// of a single blocking exchange.
-type CallPolicy struct {
-	// Timeout is the whole-call deadline per attempt (dial + send +
-	// reply). Zero waits forever.
-	Timeout time.Duration
-	// Retries is how many times a failed call is re-attempted (total
-	// attempts = Retries+1). Zero means one attempt.
-	Retries int
-	// Backoff is the sleep before the first retry; it doubles per retry.
-	// Each sleep is jittered to 75%–125% by a draw from the node's seed
-	// stream, so concurrent retriers desynchronize deterministically.
-	Backoff time.Duration
-	// MaxBackoff caps the doubled backoff; zero means uncapped.
-	MaxBackoff time.Duration
-	// Degrade enables graceful degradation: the client keeps its last
-	// Discover result and falls back to local selection over the cached
-	// advertisements when the broker cannot answer (unreachable, timed
-	// out, or freshly restarted with an empty directory).
-	Degrade bool
-}
-
-// DefaultCallPolicy is the resilience profile fault scenarios run with:
-// a 10s deadline, three retries backing off 2s→4s→8s (jittered), and
-// degraded-mode selection.
-func DefaultCallPolicy() CallPolicy {
-	return CallPolicy{
-		Timeout:    10 * time.Second,
-		Retries:    3,
-		Backoff:    2 * time.Second,
-		MaxBackoff: 16 * time.Second,
-		Degrade:    true,
-	}
-}
+// The resilience profile a Resilient client's control RPCs run under.
+const (
+	// callTimeout is the whole-call deadline per attempt: dial, send and
+	// reply.
+	callTimeout = 10 * time.Second
+	// callRetries is how many times a failed call is re-attempted.
+	callRetries = 3
+	// callBackoff is the sleep before the first retry; it doubles per retry
+	// up to maxCallBackoff. Each sleep is jittered to 75 %–125 % by a draw
+	// from the node's seed stream, so concurrent retriers desynchronize
+	// deterministically.
+	callBackoff    = 2 * time.Second
+	maxCallBackoff = 16 * time.Second
+)
 
 // Selection is one selection call's detailed outcome.
 type Selection struct {
@@ -193,34 +171,29 @@ func (c *Client) callOnce(to transport.Addr, payload []byte, timeout time.Durati
 	return msg.Payload, false, nil
 }
 
-// callRetried runs the client's CallPolicy over callOnce: bounded
-// re-attempts with doubling, jittered backoff. The returned count is the
-// retries spent (0 when the first attempt succeeded). Failures are
-// classified: a deadline expiry matches ErrCallTimeout, any broker-destined
-// failure matches ErrBrokerDown, and failures to other peers return
-// unwrapped (an instant message to a dead peer is not a broker fault).
+// callRetried runs one call over callOnce: a single unbounded attempt, or,
+// for a Resilient client, the profile's bounded re-attempts with doubling,
+// jittered backoff. The returned count is the retries spent (0 when the first
+// attempt succeeded). Failures are classified: a deadline expiry matches
+// ErrCallTimeout, any broker-destined failure matches ErrBrokerDown, and
+// failures to other peers return unwrapped (an instant message to a dead peer
+// is not a broker fault).
 func (c *Client) callRetried(to transport.Addr, payload []byte) ([]byte, int, error) {
-	pol := c.cfg.Call
-	attempts := pol.Retries + 1
-	if attempts < 1 {
-		attempts = 1
+	attempts, timeout := 1, time.Duration(0)
+	if c.cfg.Resilient {
+		attempts, timeout = callRetries+1, callTimeout
 	}
-	backoff := pol.Backoff
+	backoff := callBackoff
 	var lastErr error
 	lastTimeout := false
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			c.res.retries.Add(1)
-			if backoff > 0 {
-				f := 0.75 + 0.5*c.host.Rand().Float64()
-				c.host.Sleep(time.Duration(float64(backoff) * f))
-				backoff *= 2
-				if pol.MaxBackoff > 0 && backoff > pol.MaxBackoff {
-					backoff = pol.MaxBackoff
-				}
-			}
+			f := 0.75 + 0.5*c.host.Rand().Float64()
+			c.host.Sleep(time.Duration(float64(backoff) * f))
+			backoff = min(2*backoff, maxCallBackoff)
 		}
-		reply, timedOut, err := c.callOnce(to, payload, pol.Timeout)
+		reply, timedOut, err := c.callOnce(to, payload, timeout)
 		if err == nil {
 			return reply, attempt, nil
 		}
@@ -245,8 +218,8 @@ func (c *Client) callRetried(to transport.Addr, payload []byte) ([]byte, int, er
 // outcome: the selected peers plus whether the pick was degraded and how many
 // retries it cost.
 // When the broker cannot answer — transport failure, deadline expiry, or a
-// cold post-restart directory reporting no candidates — and the policy
-// enables degradation, the client picks locally from its cached directory
+// cold post-restart directory reporting no candidates — a Resilient client
+// picks locally from its cached directory
 // (best CPU score first) and the selection is counted degraded rather than
 // failed. A no-candidates reply additionally triggers a best-effort
 // re-registration, restoring the client's own directory entry after a
@@ -300,10 +273,11 @@ func (c *Client) SelectDetailed(model string, req core.Request, max int, preferr
 
 // degradedPick selects up to max peers from the cached directory, best CPU
 // score first (ties by name), excluding the client itself and the given
-// hostnames. Returns nil — "cannot degrade" — when degradation is disabled
-// or the cache yields no eligible peer.
+// hostnames; a score that is missing, unparsable, NaN or infinite counts as
+// the neutral 1. Returns nil — "cannot degrade" — when the client is not
+// Resilient or the cache yields no eligible peer.
 func (c *Client) degradedPick(max int, exclude []string) []string {
-	if !c.cfg.Call.Degrade {
+	if !c.cfg.Resilient {
 		return nil
 	}
 	dir := c.res.snapshotDir()
@@ -326,7 +300,7 @@ func (c *Client) degradedPick(max int, exclude []string) []string {
 		}
 		score := 1.0
 		if v := a.Attr(jxta.AttrCPUScore); v != "" {
-			if f, err := strconv.ParseFloat(v, 64); err == nil {
+			if f, err := strconv.ParseFloat(v, 64); err == nil && finite(f) {
 				score = f
 			}
 		}
@@ -351,10 +325,10 @@ func (c *Client) degradedPick(max int, exclude []string) []string {
 	return peers
 }
 
-// cachedAddr returns the cached transfer address of a named peer, if
-// degradation is enabled and the directory holds it.
+// cachedAddr returns the cached transfer address of a named peer, if the
+// client is Resilient and the directory holds it.
 func (c *Client) cachedAddr(peer string) (transport.Addr, bool) {
-	if !c.cfg.Call.Degrade {
+	if !c.cfg.Resilient {
 		return "", false
 	}
 	for _, a := range c.res.snapshotDir() {

@@ -50,7 +50,7 @@ func TestSelectionNoCandidatesIsTyped(t *testing.T) {
 func TestCallRetriesThroughBlackout(t *testing.T) {
 	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile()})
 	for _, c := range d.clients {
-		c.cfg.Call = CallPolicy{Timeout: 5 * time.Second, Retries: 4, Backoff: 2 * time.Second, MaxBackoff: 8 * time.Second}
+		c.cfg.Resilient = true
 	}
 	var sel Selection
 	var err error
@@ -95,7 +95,7 @@ func TestDegradedSelectionFallsBackToCache(t *testing.T) {
 	fast.CPUScore = 4
 	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile(), "sc3": fast})
 	for _, c := range d.clients {
-		c.cfg.Call = CallPolicy{Timeout: 2 * time.Second, Retries: 1, Backoff: time.Second, MaxBackoff: time.Second, Degrade: true}
+		c.cfg.Resilient = true
 	}
 	var sel Selection
 	var err error
@@ -124,11 +124,11 @@ func TestDegradedSelectionFallsBackToCache(t *testing.T) {
 	}
 }
 
+// TestSelectionWithoutDegradeFailsTyped: a client that is not Resilient makes
+// one attempt and has no cache to degrade to, so a blackout fails the
+// selection with the typed broker error.
 func TestSelectionWithoutDegradeFailsTyped(t *testing.T) {
 	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile()})
-	for _, c := range d.clients {
-		c.cfg.Call = CallPolicy{Timeout: 2 * time.Second, Retries: 1, Backoff: time.Second, MaxBackoff: time.Second}
-	}
 	var err error
 	d.net.Run(func() {
 		d.startAll(t)
@@ -143,7 +143,7 @@ func TestSelectionWithoutDegradeFailsTyped(t *testing.T) {
 func TestRegisterRetriesUntilBrokerReturns(t *testing.T) {
 	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile()})
 	c := d.clients["sc1"]
-	c.cfg.Call = CallPolicy{Timeout: 5 * time.Second, Retries: 4, Backoff: 2 * time.Second, MaxBackoff: 8 * time.Second}
+	c.cfg.Resilient = true
 	var err error
 	d.net.Run(func() {
 		d.broker.SetDown(true)
@@ -194,13 +194,13 @@ func TestBrokerRestartWipesLeases(t *testing.T) {
 // until the deadline fires and drops each retry unanswered, so the pick comes
 // from the cached directory. Every attempt's arrival at the broker, every
 // jittered backoff (drawn from the client node's own stream) and the degraded
-// outcome are the values the profile produced when it was DefaultCallPolicy.
+// outcome are pinned to the nanosecond.
 func TestResilientCallProfilePinned(t *testing.T) {
 	fast := clientProfile()
 	fast.CPUScore = 4
 	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile(), "sc3": fast})
 	for _, c := range d.clients {
-		c.cfg.Call = DefaultCallPolicy()
+		c.cfg.Resilient = true
 	}
 	c := d.clients["sc1"]
 	host := d.net.MustAddNode("blackout0", simnet.DefaultProfile())
@@ -274,18 +274,5 @@ func TestResilientCallProfilePinned(t *testing.T) {
 	}
 	if !sel.Degraded || sel.Retries != 3 || !reflect.DeepEqual(sel.Peers, []string{"sc3"}) {
 		t.Errorf("selection = %+v, want degraded [sc3] after 3 retries", sel)
-	}
-}
-
-func TestZeroCallPolicyHasNoTimers(t *testing.T) {
-	// The zero policy is the legacy path: one blocking exchange, no retry
-	// draws — the invariant that keeps static-scenario figures byte-stable.
-	var p CallPolicy
-	if p.Timeout != 0 || p.Retries != 0 || p.Degrade {
-		t.Fatal("zero CallPolicy is not inert")
-	}
-	def := DefaultCallPolicy()
-	if def.Timeout <= 0 || def.Retries <= 0 || def.Backoff <= 0 || def.MaxBackoff < def.Backoff || !def.Degrade {
-		t.Fatalf("DefaultCallPolicy() malformed: %+v", def)
 	}
 }

@@ -64,22 +64,13 @@ type Options struct {
 	MaxRetries int
 	// InitialRTT seeds the RTO estimator before any sample (default 500ms).
 	InitialRTT time.Duration
-	// MinRate (bytes/second) lower-bounds the assumed service rate when
-	// sizing timeouts for messages before a rate has been measured
-	// (default 100 KB/s — just below the slowest calibrated PlanetLab
-	// path). Too high causes spurious whole-message retransmissions on
-	// slow paths; too low makes loss recovery of large messages glacial.
-	MinRate float64
-	// MaxRTO caps a single attempt's timeout (default 30 minutes — a whole
-	// 100 Mb message on a degraded PlanetLab path is legitimately slow).
-	MaxRTO time.Duration
 	// FirstID offsets the mux's locally allocated conn-id space (ids start
 	// at FirstID+1; default 0). A long-lived remote mux tombstones the
 	// (addr, id) key of every conn it has torn down so late retransmits
 	// cannot resurrect phantom conns — which means a node that restarts
 	// its mux must not reuse its previous incarnation's ids, or its first
 	// messages are silently dropped as stale. Rebooted clients derive
-	// FirstID from the boot instant (see overlay.FreshConnIDs); conn ids
+	// FirstID from the boot instant (see overlay.BootPeer); conn ids
 	// are varint-encoded, so the default 0 keeps static deployments'
 	// frames byte-identical.
 	FirstID uint64
@@ -95,14 +86,19 @@ func (o Options) withDefaults() Options {
 	if o.InitialRTT <= 0 {
 		o.InitialRTT = 500 * time.Millisecond
 	}
-	if o.MinRate <= 0 {
-		o.MinRate = 100_000
-	}
-	if o.MaxRTO <= 0 {
-		o.MaxRTO = 30 * time.Minute
-	}
 	return o
 }
+
+// MinRate (bytes/second) lower-bounds the assumed service rate when sizing
+// timeouts for messages before a rate has been measured: 100 KB/s, just below
+// the slowest calibrated PlanetLab path. Higher causes spurious whole-message
+// retransmissions on slow paths; lower makes loss recovery of large messages
+// glacial. It is also the floor rate the transfer layer plans its waits on.
+const MinRate = 100_000
+
+// MaxRTO caps a single attempt's timeout: a whole 100 Mb message on a
+// degraded PlanetLab path is legitimately slow.
+const MaxRTO = 30 * time.Minute
 
 // Message is one application message received from a Conn.
 type Message struct {
@@ -425,8 +421,8 @@ func (c *Conn) SendTimeout(payload []byte, size int, attemptTimeout time.Duratio
 		}
 		// Exponential backoff on retries.
 		rto <<= uint(attempt)
-		if rto > c.mux.opts.MaxRTO {
-			rto = c.mux.opts.MaxRTO
+		if rto > MaxRTO {
+			rto = MaxRTO
 		}
 
 		txStart := c.mux.host.Now()
@@ -536,12 +532,12 @@ func (c *Conn) rtoFor(size int) time.Duration {
 	defer c.mu.Unlock()
 	rate := c.rate
 	if rate <= 0 {
-		rate = c.mux.opts.MinRate
+		rate = MinRate
 	}
 	tx := time.Duration(float64(size) / rate * float64(time.Second))
 	rto := c.srtt + 4*c.rttvar + 2*tx
-	if rto > c.mux.opts.MaxRTO {
-		rto = c.mux.opts.MaxRTO
+	if rto > MaxRTO {
+		rto = MaxRTO
 	}
 	return rto
 }

@@ -141,7 +141,7 @@ func Scenario() scenario.Scenario {
 		Name:       "table1",
 		Control:    scenario.Peer{Label: "nozomi", Hostname: "nozomi.lsi.upc.edu", Profile: ControlProfile()},
 		Labels:     labels,
-		Synthesize: func(int64) []scenario.Peer { return peers },
+		Entry:      func(_ int64, i int) scenario.Peer { return peers[i] },
 		Remembered: []string{"SC3", "SC6", "SC5"},
 		Blemished:  []string{"SC2", "SC8"},
 	}

@@ -20,9 +20,9 @@
 //
 // # Ownership rules
 //
-// "Pure seed-derived" is the package's contract: Synthesize and Churn must
-// be pure functions of the seed — no clocks, no shared state, no
-// environment. The parallel experiment runner deploys one fresh slice per
+// "Pure seed-derived" is the package's contract: Entry and Churn must be
+// pure functions of the seed (Entry of the seed and the entry's index) — no
+// clocks, no shared state, no environment. The parallel experiment runner deploys one fresh slice per
 // cell from the cell's derived seed and relies on identical output at any
 // worker count; per-peer draws come from SplitMix64-decorrelated streams
 // (Mix64), so catalogs and schedules are also independent of evaluation

@@ -86,17 +86,12 @@ type Scenario struct {
 	// Labels lists the measured peers — the X axis of every per-peer
 	// figure — in catalog order.
 	Labels []string
-	// Synthesize returns the full peer catalog for a seed. It must be a
-	// pure function of the seed: the runner calls it once per experiment
-	// cell and relies on identical output at any worker count.
-	Synthesize func(seed int64) []Peer
-	// SynthesizeOne, when non-nil, returns catalog entry i alone, and must
-	// satisfy SynthesizeOne(seed, i) == Synthesize(seed)[i] with
-	// Labels[i] == SynthesizeOne(seed, i).Label. Generators whose per-peer
-	// draw streams are independent (every generator in this package) provide
-	// it so a subset deployment (DeployPeers) can materialize the two peers
-	// a cell touches instead of a million-entry catalog.
-	SynthesizeOne func(seed int64, i int) Peer
+	// Entry returns catalog entry i (0 <= i < len(Labels)) for a seed, with
+	// Label Labels[i]. It must be a pure function of (seed, i) — entry i
+	// never depends on another entry — so the runner may build any subset of
+	// the catalog in any cell and rely on identical output at any worker
+	// count (Synthesize, DeployPeers).
+	Entry func(seed int64, i int) Peer
 	// Remembered is the stale "quick peers" user memory Figure 6's
 	// quick-peer model consults, fastest-remembered first.
 	Remembered []string
@@ -110,7 +105,7 @@ type Scenario struct {
 	// (controller-fanout, the paper's traffic shape).
 	Workload string
 	// Churn, when non-nil, returns the slice's membership schedule for a
-	// seed. Like Synthesize it must be a pure function of the seed. A peer
+	// seed. Like Entry it must be a pure function of the seed. A peer
 	// is absent until its first ChurnJoin; nil means static membership
 	// (every peer up for the whole session, the paper's assumption).
 	Churn func(seed int64) []ChurnEvent
@@ -137,7 +132,7 @@ type Scenario struct {
 	ChurnRate func(rate float64) Scenario
 	// Faults, when non-nil, returns the session's control-plane fault plan
 	// for a seed — broker blackouts, site partitions, loss bursts. Like
-	// Synthesize and Churn it must be a pure function of the seed; nil
+	// Entry and Churn it must be a pure function of the seed; nil
 	// means a perfectly reliable control plane (every static scenario).
 	Faults func(seed int64) []FaultEvent
 	// FaultRate, when non-nil, returns this scenario with its fault
@@ -148,7 +143,16 @@ type Scenario struct {
 }
 
 // IsZero reports whether the scenario is unset.
-func (s Scenario) IsZero() bool { return s.Synthesize == nil }
+func (s Scenario) IsZero() bool { return s.Entry == nil }
+
+// Synthesize returns the full peer catalog for a seed, in label order.
+func (s Scenario) Synthesize(seed int64) []Peer {
+	peers := make([]Peer, len(s.Labels))
+	for i := range peers {
+		peers[i] = s.Entry(seed, i)
+	}
+	return peers
+}
 
 // DefaultAdvTTL is the broker lease TTL of scenarios that do not set their
 // own: effectively unbounded, because a static slice's membership never
@@ -198,33 +202,30 @@ func Deploy(sc Scenario, seed int64) (*Slice, error) { return DeployPeers(sc, se
 // experiment cell on a huge slice pays for the nodes it touches, not for
 // the directory size. The subset world is byte-identical to the full
 // Deploy as long as the run really interacts with the named peers alone:
-// per-peer synthesis streams are independent (see SynthesizeOne), and a
-// node that never sends or receives leaves no trace on the scheduler or on
-// any draw stream. A nil labels list — or a scenario without SynthesizeOne
-// — deploys the full catalog. The returned slice's Catalog and Peers hold
-// what was deployed, in catalog order.
+// catalog entries are independent (see Scenario.Entry), and a node that never
+// sends or receives leaves no trace on the scheduler or on any draw stream.
+// A nil labels list deploys the full catalog. The returned slice's Catalog
+// and Peers hold what was deployed, in catalog order.
 func DeployPeers(sc Scenario, seed int64, labels []string) (*Slice, error) {
 	if sc.IsZero() {
 		return nil, errors.New("scenario: Deploy of zero Scenario")
 	}
-	var catalog []Peer
-	if labels == nil || sc.SynthesizeOne == nil {
-		catalog = sc.Synthesize(seed)
-	} else {
-		want := make(map[string]bool, len(labels))
+	var want map[string]bool
+	if labels != nil {
+		want = make(map[string]bool, len(labels))
 		for _, l := range labels {
 			want[l] = true
 		}
-		catalog = make([]Peer, 0, len(want))
-		for i, l := range sc.Labels {
-			if want[l] {
-				delete(want, l)
-				catalog = append(catalog, sc.SynthesizeOne(seed, i))
-			}
+	}
+	catalog := make([]Peer, 0, len(sc.Labels))
+	for i, l := range sc.Labels {
+		if want == nil || want[l] {
+			delete(want, l)
+			catalog = append(catalog, sc.Entry(seed, i))
 		}
-		for l := range want {
-			return nil, fmt.Errorf("scenario: DeployPeers: unknown peer label %q", l)
-		}
+	}
+	for l := range want {
+		return nil, fmt.Errorf("scenario: DeployPeers: unknown peer label %q", l)
 	}
 	net := simnet.New(seed)
 	control, err := net.AddNode(sc.Control.Hostname, sc.Control.Profile)
@@ -401,28 +402,19 @@ func baseProfile() simnet.Profile {
 // peers p001..pN under "<label>.<domain>.slice.peerlab", catalog entry i
 // drawn by profile from peer i's own stream (peerRand) and placed by site
 // (nil: no sites). The streams are independent by construction, so entry i
-// is identical whether or not its neighbours were synthesized — which is
-// what lets SynthesizeOne stand in for Synthesize.
+// is identical whether or not its neighbours were synthesized.
 func synthetic(name, domain string, n int, site func(i int) string, profile func(r *rand.Rand, i int) simnet.Profile) Scenario {
 	labels := syntheticLabels(n)
-	one := func(seed int64, i int) Peer {
-		p := Peer{Label: labels[i], Hostname: labels[i] + "." + domain + ".slice.peerlab", Profile: profile(peerRand(seed, i), i)}
-		if site != nil {
-			p.Site = site(i)
-		}
-		return p
-	}
 	sc := Scenario{
-		Name:          fmt.Sprintf("%s:%d", name, n),
-		Control:       syntheticControl(),
-		Labels:        labels,
-		SynthesizeOne: one,
-		Synthesize: func(seed int64) []Peer {
-			peers := make([]Peer, n)
-			for i := range peers {
-				peers[i] = one(seed, i)
+		Name:    fmt.Sprintf("%s:%d", name, n),
+		Control: syntheticControl(),
+		Labels:  labels,
+		Entry: func(seed int64, i int) Peer {
+			p := Peer{Label: labels[i], Hostname: labels[i] + "." + domain + ".slice.peerlab", Profile: profile(peerRand(seed, i), i)}
+			if site != nil {
+				p.Site = site(i)
 			}
-			return peers
+			return p
 		},
 	}
 	sc.Remembered, sc.Blemished = fig6Hints(labels)

@@ -145,27 +145,22 @@ type PeerStats struct {
 	ver *atomic.Uint64
 
 	// Messaging.
-	msgSession Ratio
-	msgTotal   Ratio
-	msgHourly  hourBuckets
-	outbox     Gauge
-	inbox      Gauge
+	msgTotal  Ratio
+	msgHourly hourBuckets
+	outbox    Gauge
+	inbox     Gauge
 
 	// Tasks.
-	taskExecSession   Ratio
-	taskExecTotal     Ratio
-	taskAcceptSession Ratio
-	taskAcceptTotal   Ratio
-	execTime          EWMA // seconds per work unit executions
-	queueLen          int  // tasks currently queued on the peer
-	readyAt           time.Time
+	taskExecTotal   Ratio
+	taskAcceptTotal Ratio
+	execTime        EWMA // seconds per work unit executions
+	queueLen        int  // tasks currently queued on the peer
+	readyAt         time.Time
 
 	// Files. fileSent/cancel describe the peer as a transfer sink;
 	// originated describes it as a source (multi-source workloads).
-	fileSentSession Ratio
 	fileSentTotal   Ratio
-	cancelSession   Ratio // Record(true) = a cancellation happened
-	cancelTotal     Ratio
+	cancelTotal     Ratio // Record(true) = a cancellation happened
 	pendingTransfer int
 	originated      Ratio
 	bytesOriginated int64
@@ -200,7 +195,6 @@ func (p *PeerStats) touch() {
 func (p *PeerStats) RecordMessage(ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.msgSession.Record(ok)
 	p.msgTotal.Record(ok)
 	p.msgHourly.record(p.now(), ok)
 	p.touch()
@@ -219,7 +213,6 @@ func (p *PeerStats) SetQueues(inbox, outbox int) {
 func (p *PeerStats) RecordTaskOffer(accepted bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.taskAcceptSession.Record(accepted)
 	p.taskAcceptTotal.Record(accepted)
 	p.touch()
 }
@@ -229,7 +222,6 @@ func (p *PeerStats) RecordTaskOffer(accepted bool) {
 func (p *PeerStats) RecordTaskExecution(ok bool, secondsPerUnit float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.taskExecSession.Record(ok)
 	p.taskExecTotal.Record(ok)
 	if ok && secondsPerUnit > 0 {
 		p.execTime.Observe(secondsPerUnit)
@@ -257,7 +249,6 @@ func (p *PeerStats) SetReadyAt(t time.Time) {
 func (p *PeerStats) RecordFileSent(ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.fileSentSession.Record(ok)
 	p.fileSentTotal.Record(ok)
 	p.touch()
 }
@@ -266,7 +257,6 @@ func (p *PeerStats) RecordFileSent(ok bool) {
 func (p *PeerStats) RecordTransferOutcome(cancelled bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cancelSession.Record(cancelled)
 	p.cancelTotal.Record(cancelled)
 	p.touch()
 }
@@ -327,24 +317,10 @@ func (p *PeerStats) ObservePetitionDelay(d time.Duration) {
 	p.touch()
 }
 
-// ResetSession clears session-scoped counters; totals and estimators remain.
-func (p *PeerStats) ResetSession() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.msgSession = Ratio{}
-	p.taskExecSession = Ratio{}
-	p.taskAcceptSession = Ratio{}
-	p.fileSentSession = Ratio{}
-	p.cancelSession = Ratio{}
-	// Deliberately not touch(): a session reset is not an observation, so
-	// lastUpdate stays put — but derived views still need invalidating.
-	if p.ver != nil {
-		p.ver.Add(1)
-	}
-}
-
 // Snapshot is an immutable view of a peer's statistics. Percentages are in
-// [0,100]; unknown values take the neutral defaults documented per field.
+// [0,100]; unknown values take the neutral defaults documented per field. A
+// run is one session, so each Pct*Session criterion reads what its Pct*Total
+// twin reads: the paper's "current session" and "all sessions" coincide.
 type Snapshot struct {
 	Peer  string
 	Taken time.Time
@@ -409,8 +385,8 @@ func (p *PeerStats) SnapshotInto(dst *Snapshot, now time.Time, k int) {
 	dst.Peer = p.peer
 	dst.Taken = now
 
-	dst.PctMsgSession = p.msgSession.PercentOr(100)
 	dst.PctMsgTotal = p.msgTotal.PercentOr(100)
+	dst.PctMsgSession = dst.PctMsgTotal
 	// Every hourly record is also a total record: a peer with no message
 	// history has 48 empty buckets and no need to walk them.
 	dst.PctMsgLastK = 100
@@ -422,18 +398,18 @@ func (p *PeerStats) SnapshotInto(dst *Snapshot, now time.Time, k int) {
 	dst.InboxNow = p.inbox.Now
 	dst.InboxAvg = p.inbox.Avg()
 
-	dst.PctTaskExecSession = p.taskExecSession.PercentOr(100)
 	dst.PctTaskExecTotal = p.taskExecTotal.PercentOr(100)
-	dst.PctTaskAcceptSession = p.taskAcceptSession.PercentOr(100)
+	dst.PctTaskExecSession = dst.PctTaskExecTotal
 	dst.PctTaskAcceptTotal = p.taskAcceptTotal.PercentOr(100)
+	dst.PctTaskAcceptSession = dst.PctTaskAcceptTotal
 	dst.SecondsPerUnit = p.execTime.Value(1)
 	dst.QueueLen = float64(p.queueLen)
 	dst.ReadyAt = p.readyAt
 
-	dst.PctFileSentSession = p.fileSentSession.PercentOr(100)
 	dst.PctFileSentTotal = p.fileSentTotal.PercentOr(100)
-	dst.PctCancelSession = p.cancelSession.PercentOr(0)
+	dst.PctFileSentSession = dst.PctFileSentTotal
 	dst.PctCancelTotal = p.cancelTotal.PercentOr(0)
+	dst.PctCancelSession = dst.PctCancelTotal
 	dst.PendingTransfers = float64(p.pendingTransfer)
 
 	dst.TransfersOriginated = float64(p.originated.Total)
@@ -507,13 +483,6 @@ func (r *Registry) Snapshots() []Snapshot {
 		out = append(out, r.Peer(n).Snapshot())
 	}
 	return out
-}
-
-// ResetSession starts a new session on every peer.
-func (r *Registry) ResetSession() {
-	for _, n := range r.Names() {
-		r.Peer(n).ResetSession()
-	}
 }
 
 // Union presents several shard Registries as one whole-network view — the

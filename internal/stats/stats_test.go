@@ -265,26 +265,6 @@ func TestMessagePercentages(t *testing.T) {
 	}
 }
 
-func TestSessionResetKeepsTotals(t *testing.T) {
-	clock, _ := fixedClock(t0)
-	p := NewPeerStats("sc1", clock)
-	p.RecordMessage(false)
-	p.RecordMessage(false)
-	p.ResetSession()
-	p.RecordMessage(true)
-	s := p.Snapshot()
-	if s.PctMsgSession != 100 {
-		t.Fatalf("session after reset = %v, want 100", s.PctMsgSession)
-	}
-	if want := 100.0 / 3.0; s.PctMsgTotal < want-0.01 || s.PctMsgTotal > want+0.01 {
-		t.Fatalf("total = %v, want ~%.2f", s.PctMsgTotal, want)
-	}
-}
-
-// TestSessionCriteriaEqualTotals: a run is one session, so each of the
-// paper's "current session" percentages reads what its "all sessions" twin
-// reads, whatever sequence of reports built the record and whatever message
-// window the snapshot takes.
 func TestSessionCriteriaEqualTotals(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -564,16 +544,6 @@ func TestRegistrySnapshotsSorted(t *testing.T) {
 	}
 	if snaps[0].PctMsgSession != 0 || snaps[1].PctMsgSession != 100 {
 		t.Fatal("snapshot data crossed peers")
-	}
-}
-
-func TestRegistryResetSession(t *testing.T) {
-	clock, _ := fixedClock(t0)
-	r := NewRegistry(clock)
-	r.Peer("a").RecordMessage(false)
-	r.ResetSession()
-	if got := r.Peer("a").Snapshot().PctMsgSession; got != 100 {
-		t.Fatalf("session pct after reset = %v, want neutral 100", got)
 	}
 }
 

@@ -10,7 +10,6 @@ package task
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -43,16 +42,9 @@ var ErrQueueFull = errors.New("task: executor queue full")
 // ErrStopped is returned after the executor shuts down.
 var ErrStopped = errors.New("task: executor stopped")
 
-// Options configures an Executor.
-type Options struct {
-	// CPUScore is the node's relative speed (reference = 1.0).
-	CPUScore float64
-	// MaxQueue bounds accepted-but-not-started tasks (default 16).
-	MaxQueue int
-	// FailEvery, if > 0, fails every Nth task — deterministic failure
-	// injection so reliability statistics have signal in tests and benches.
-	FailEvery int
-}
+// maxQueue bounds accepted-but-not-started tasks: admission control
+// rejects a submission while this many wait.
+const maxQueue = 16
 
 type submission struct {
 	t    Task
@@ -61,28 +53,25 @@ type submission struct {
 
 // Executor runs tasks one at a time on a host, FIFO.
 type Executor struct {
-	host transport.Host
-	opts Options
+	host     transport.Host
+	cpuScore float64 // the node's relative speed (reference = 1.0)
 
 	mu      sync.Mutex
 	queued  int
 	busy    bool
 	backlog float64 // queued + running work units
-	count   int     // tasks started, drives FailEvery
 	stopped bool
 
 	queue transport.Queue
 }
 
-// NewExecutor returns an executor; call Start to launch its worker.
-func NewExecutor(host transport.Host, opts Options) *Executor {
-	if opts.CPUScore <= 0 {
-		opts.CPUScore = 1.0
+// NewExecutor returns an executor running at cpuScore times the reference
+// speed (1 when cpuScore is not positive); call Start to launch its worker.
+func NewExecutor(host transport.Host, cpuScore float64) *Executor {
+	if cpuScore <= 0 {
+		cpuScore = 1.0
 	}
-	if opts.MaxQueue <= 0 {
-		opts.MaxQueue = 16
-	}
-	return &Executor{host: host, opts: opts, queue: host.NewQueue()}
+	return &Executor{host: host, cpuScore: cpuScore, queue: host.NewQueue()}
 }
 
 // Start launches the worker process.
@@ -107,7 +96,7 @@ func (e *Executor) Submit(t Task, done func(Result)) error {
 		e.mu.Unlock()
 		return ErrStopped
 	}
-	if e.queued >= e.opts.MaxQueue {
+	if e.queued >= maxQueue {
 		e.mu.Unlock()
 		return ErrQueueFull
 	}
@@ -125,12 +114,10 @@ func (e *Executor) run(sub submission) {
 	e.mu.Lock()
 	e.queued--
 	e.busy = true
-	e.count++
-	fail := e.opts.FailEvery > 0 && e.count%e.opts.FailEvery == 0
 	e.mu.Unlock()
 
 	start := e.host.Now()
-	dur := time.Duration(sub.t.WorkUnits / e.opts.CPUScore * float64(time.Second))
+	dur := time.Duration(sub.t.WorkUnits / e.cpuScore * float64(time.Second))
 	e.host.Sleep(dur)
 
 	e.mu.Lock()
@@ -143,12 +130,9 @@ func (e *Executor) run(sub submission) {
 
 	res := Result{
 		TaskID:  sub.t.ID,
-		OK:      !fail,
+		OK:      true,
 		Elapsed: e.host.Now().Sub(start),
 		Peer:    e.host.Name(),
-	}
-	if fail {
-		res.Detail = fmt.Sprintf("task %d: injected failure", sub.t.ID)
 	}
 	if sub.done != nil {
 		sub.done(res)
@@ -171,7 +155,7 @@ func (e *Executor) QueueLen() int {
 func (e *Executor) ReadyIn() time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return time.Duration(e.backlog / e.opts.CPUScore * float64(time.Second))
+	return time.Duration(e.backlog / e.cpuScore * float64(time.Second))
 }
 
 // Stop shuts the executor down; queued tasks are dropped.

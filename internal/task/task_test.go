@@ -20,7 +20,7 @@ func newHost(t *testing.T, cpu float64) (*simnet.Network, *simnet.Node) {
 func TestExecuteScalesWithCPU(t *testing.T) {
 	run := func(cpu float64) time.Duration {
 		net, host := newHost(t, cpu)
-		e := NewExecutor(host, Options{CPUScore: cpu})
+		e := NewExecutor(host, cpu)
 		e.Start()
 		var elapsed time.Duration
 		net.Run(func() {
@@ -46,7 +46,7 @@ func TestExecuteScalesWithCPU(t *testing.T) {
 
 func TestFIFOOrderAndQueueing(t *testing.T) {
 	net, host := newHost(t, 1)
-	e := NewExecutor(host, Options{CPUScore: 1, MaxQueue: 10})
+	e := NewExecutor(host, 1)
 	e.Start()
 	var order []uint64
 	var mu sync.Mutex
@@ -77,28 +77,31 @@ func TestFIFOOrderAndQueueing(t *testing.T) {
 
 func TestAdmissionControlRejectsWhenFull(t *testing.T) {
 	net, host := newHost(t, 1)
-	e := NewExecutor(host, Options{CPUScore: 1, MaxQueue: 2})
+	e := NewExecutor(host, 1)
 	e.Start()
 	var errFull error
 	net.Run(func() {
 		done := host.NewQueue()
 		cb := func(r Result) { done.Push(r) }
-		// Two fill the queue; the worker may not have started any yet.
-		e.Submit(Task{ID: 1, WorkUnits: 5}, cb)
-		e.Submit(Task{ID: 2, WorkUnits: 5}, cb)
-		errFull = e.Submit(Task{ID: 3, WorkUnits: 5}, cb)
-		for i := 0; i < 2; i++ {
+		// maxQueue fill the queue; the worker has not started any yet.
+		for i := 1; i <= maxQueue; i++ {
+			if err := e.Submit(Task{ID: uint64(i), WorkUnits: 5}, cb); err != nil {
+				t.Errorf("submit %d of %d: %v", i, maxQueue, err)
+			}
+		}
+		errFull = e.Submit(Task{ID: maxQueue + 1, WorkUnits: 5}, cb)
+		for i := 0; i < maxQueue; i++ {
 			done.Pop()
 		}
 	})
 	if !errors.Is(errFull, ErrQueueFull) {
-		t.Fatalf("third submit = %v, want ErrQueueFull", errFull)
+		t.Fatalf("submit past the bound = %v, want ErrQueueFull", errFull)
 	}
 }
 
 func TestReadyInTracksBacklog(t *testing.T) {
 	net, host := newHost(t, 2)
-	e := NewExecutor(host, Options{CPUScore: 2, MaxQueue: 10})
+	e := NewExecutor(host, 2)
 	e.Start()
 	var readyBefore, readyDuring time.Duration
 	net.Run(func() {
@@ -119,33 +122,9 @@ func TestReadyInTracksBacklog(t *testing.T) {
 	}
 }
 
-func TestFailureInjection(t *testing.T) {
-	net, host := newHost(t, 1)
-	e := NewExecutor(host, Options{CPUScore: 1, MaxQueue: 32, FailEvery: 3})
-	e.Start()
-	okCount, failCount := 0, 0
-	net.Run(func() {
-		done := host.NewQueue()
-		for i := 1; i <= 9; i++ {
-			e.Submit(Task{ID: uint64(i), WorkUnits: 0.1}, func(r Result) { done.Push(r) })
-		}
-		for i := 0; i < 9; i++ {
-			v, _ := done.Pop()
-			if v.(Result).OK {
-				okCount++
-			} else {
-				failCount++
-			}
-		}
-	})
-	if failCount != 3 || okCount != 6 {
-		t.Fatalf("ok/fail = %d/%d, want 6/3", okCount, failCount)
-	}
-}
-
 func TestSubmitAfterStop(t *testing.T) {
 	net, host := newHost(t, 1)
-	e := NewExecutor(host, Options{})
+	e := NewExecutor(host, 1)
 	e.Start()
 	var err error
 	net.Run(func() {
@@ -159,7 +138,7 @@ func TestSubmitAfterStop(t *testing.T) {
 
 func TestResultCarriesPeerName(t *testing.T) {
 	net, host := newHost(t, 1)
-	e := NewExecutor(host, Options{})
+	e := NewExecutor(host, 1)
 	e.Start()
 	var peer string
 	net.Run(func() {
@@ -175,7 +154,7 @@ func TestResultCarriesPeerName(t *testing.T) {
 
 func TestQueueLenIncludesRunning(t *testing.T) {
 	net, host := newHost(t, 1)
-	e := NewExecutor(host, Options{MaxQueue: 10})
+	e := NewExecutor(host, 1)
 	e.Start()
 	var lenDuring int
 	net.Run(func() {

@@ -16,9 +16,9 @@ var (
 	ErrFailed   = errors.New("transfer: transfer failed")
 )
 
-// assumedFloorRate (bytes/second) mirrors the pipe layer's MinRate default:
-// the most pessimistic service rate either side plans timeouts around.
-const assumedFloorRate = 100_000
+// partTimeout bounds a receiver's wait for the petition and, stretched by the
+// part's serialization time at pipe.MinRate, for each part.
+const partTimeout = 60 * time.Minute
 
 // maxParts is the largest part count a Receiver accepts in a petition. It
 // covers every granularity a scenario or sweep spec can name (the sweep
@@ -375,15 +375,6 @@ type ReceiverOptions struct {
 	Accept func(fileName string, totalSize, parts int, from string) (bool, string)
 	// OnFile is invoked after each completed transfer.
 	OnFile func(Received)
-	// PartTimeout bounds the wait for each part. Default 60 minutes.
-	PartTimeout time.Duration
-}
-
-func (o ReceiverOptions) withDefaults() ReceiverOptions {
-	if o.PartTimeout <= 0 {
-		o.PartTimeout = 60 * time.Minute
-	}
-	return o
 }
 
 // Receiver serves inbound transfers on a pipe mux. Start launches its accept
@@ -396,7 +387,7 @@ type Receiver struct {
 
 // NewReceiver returns a receiver; call Start to begin serving.
 func NewReceiver(host transport.Host, mux *pipe.Mux, opts ReceiverOptions) *Receiver {
-	return &Receiver{host: host, mux: mux, opts: opts.withDefaults()}
+	return &Receiver{host: host, mux: mux, opts: opts}
 }
 
 // Start launches the accept loop as a host process.
@@ -420,7 +411,7 @@ func (r *Receiver) Start() {
 // has to pace, validate and confirm.
 func (r *Receiver) handle(conn *pipe.Conn) {
 	defer conn.Close()
-	first, err := conn.RecvTimeout(r.opts.PartTimeout)
+	first, err := conn.RecvTimeout(partTimeout)
 	if err != nil {
 		return
 	}
@@ -457,8 +448,8 @@ func (r *Receiver) handle(conn *pipe.Conn) {
 	if in.Parts > 0 {
 		partSize = in.TotalSize / in.Parts
 	}
-	perPart := r.opts.PartTimeout +
-		time.Duration(10*float64(partSize)/assumedFloorRate*float64(time.Second))
+	perPart := partTimeout +
+		time.Duration(10*float64(partSize)/pipe.MinRate*float64(time.Second))
 
 	// Parts are accepted in any index order: a stop-and-wait sender delivers
 	// them strictly in order, a streaming sender's concurrent part streams

@@ -303,16 +303,13 @@ type Dynamics struct {
 
 // StartDynamics brings sc's dynamics to life on a deployed slice: it draws
 // the churn schedule (and the fault plan, when sc carries one) from seed,
-// boots the initial population — with the resilient call policy on fault
-// scenarios — and starts the conductor and the injector. Call it from the
+// boots the initial population — Resilient on fault scenarios — and starts the conductor and the injector. Call it from the
 // driver process before launching traffic, on a broker that runs
 // sc.EffectiveAdvTTL. Conductor.Err is final only at quiescence.
 func StartDynamics(slice *scenario.Slice, broker *overlay.Broker, sc scenario.Scenario, seed int64) (*Dynamics, error) {
 	d := &Dynamics{labels: sc.Labels, seed: seed}
-	var policy overlay.CallPolicy
 	if sc.Faults != nil {
 		d.Plan = faults.NewPlan(sc.Faults(seed))
-		policy = overlay.DefaultCallPolicy()
 	}
 	cpuOf := make(map[string]float64, len(slice.Catalog))
 	for _, p := range slice.Catalog {
@@ -330,7 +327,7 @@ func StartDynamics(slice *scenario.Slice, broker *overlay.Broker, sc scenario.Sc
 			// BootPeer gives a rebooted incarnation a fresh conn-id space,
 			// so its messages are not mistaken for the previous one's
 			// retransmits.
-			c, err := overlay.BootPeer(node, broker.Addr(), overlay.ClientConfig{CPUScore: cpuOf[label], Call: policy})
+			c, err := overlay.BootPeer(node, broker.Addr(), overlay.ClientConfig{CPUScore: cpuOf[label], Resilient: sc.Faults != nil})
 			if err != nil {
 				return nil, fmt.Errorf("workload: churn boot %s: %w", label, err)
 			}

@@ -125,8 +125,8 @@ type Result struct {
 	// Degraded reports the sink came from the source's cached directory
 	// because the broker could not answer the selection call.
 	Degraded bool
-	// Retries counts the extra selection-call attempts the flow spent
-	// under the source's CallPolicy.
+	// Retries counts the extra selection-call attempts the flow spent (a
+	// Resilient source's retries; zero elsewhere).
 	Retries int
 	// Pieces counts the pieces this downloader received (dissemination
 	// workloads only; zero elsewhere).

@@ -2,7 +2,6 @@ package peerlab
 
 import (
 	"errors"
-	"slices"
 	"time"
 
 	"peerlab/internal/core"
@@ -210,8 +209,8 @@ func byHostname(sc scenario.Scenario, peers []scenario.Peer) scenario.Scenario {
 		peers[i].Label = peers[i].Hostname
 		sc.Labels[i] = peers[i].Hostname
 	}
-	sc.Synthesize = func(int64) []scenario.Peer { return peers }
-	sc.SynthesizeOne, sc.Remembered, sc.Blemished = nil, nil, nil
+	sc.Entry = func(_ int64, i int) scenario.Peer { return peers[i] }
+	sc.Remembered, sc.Blemished = nil, nil
 	return sc
 }
 
@@ -225,7 +224,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 			return nil, err
 		}
 		if sc.Churn == nil {
-			sc = byHostname(sc, slices.Clone(sc.Synthesize(cfg.Seed)))
+			sc = byHostname(sc, sc.Synthesize(cfg.Seed))
 		}
 	} else {
 		if len(cfg.Peers) == 0 {
