@@ -219,11 +219,10 @@ func (c *Client) callRetried(to transport.Addr, payload []byte) ([]byte, int, er
 // retries it cost.
 // When the broker cannot answer — transport failure, deadline expiry, or a
 // cold post-restart directory reporting no candidates — a Resilient client
-// picks locally from its cached directory
-// (best CPU score first) and the selection is counted degraded rather than
-// failed. A no-candidates reply additionally triggers a best-effort
-// re-registration, restoring the client's own directory entry after a
-// broker restart wiped it.
+// picks locally from its cached directory (best CPU score first) and the
+// selection is counted degraded rather than failed. A no-candidates reply
+// additionally triggers a best-effort re-registration, restoring the client's
+// own directory entry after a broker restart wiped it.
 func (c *Client) SelectDetailed(model string, req core.Request, max int, preferred, exclude []string) (Selection, error) {
 	sreq := selectReq{
 		Model:      model,

@@ -210,14 +210,14 @@ func DeployPeers(sc Scenario, seed int64, labels []string) (*Slice, error) {
 	if sc.IsZero() {
 		return nil, errors.New("scenario: Deploy of zero Scenario")
 	}
-	var want map[string]bool
+	n, want := len(sc.Labels), map[string]bool(nil)
 	if labels != nil {
-		want = make(map[string]bool, len(labels))
+		n, want = len(labels), make(map[string]bool, len(labels))
 		for _, l := range labels {
 			want[l] = true
 		}
 	}
-	catalog := make([]Peer, 0, len(sc.Labels))
+	catalog := make([]Peer, 0, n)
 	for i, l := range sc.Labels {
 		if want == nil || want[l] {
 			delete(want, l)

@@ -45,7 +45,14 @@ common="-name sc1 -listen 127.0.0.1:7391 -broker nozomi=127.0.0.1:7390 -route sc
 grep -q "instant from sc1: hello-from-cmdsmoke" "$srvlog" || {
     echo "cmdsmoke: instant message never reached sc2" >&2; cat "$srvlog" >&2; exit 1
 }
-grep -q "received \"cli-payload\" (1000000 bytes) from sc1, verified=true" "$srvlog" || {
+# sc2 acknowledges the last part before it reassembles and prints the file,
+# so the sender can exit first: give the line a few seconds to land.
+received="received \"cli-payload\" (1000000 bytes) from sc1, verified=true"
+for _ in 1 2 3 4 5 6 7 8 9 10; do
+    grep -q "$received" "$srvlog" && break
+    sleep 0.5
+done
+grep -q "$received" "$srvlog" || {
     echo "cmdsmoke: file transfer not verified on sc2" >&2; cat "$srvlog" >&2; exit 1
 }
 echo "cmdsmoke: OK (msg, task, 4-part sendfile delivered over TCP)"
