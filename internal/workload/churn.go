@@ -302,10 +302,10 @@ type Dynamics struct {
 }
 
 // StartDynamics brings sc's dynamics to life on a deployed slice: it draws
-// the churn schedule (and the fault plan, when sc carries one) from seed,
-// boots the initial population — Resilient on fault scenarios — and starts the conductor and the injector. Call it from the
-// driver process before launching traffic, on a broker that runs
-// sc.EffectiveAdvTTL. Conductor.Err is final only at quiescence.
+// the churn schedule (and any fault plan) from seed, boots the initial
+// population (Resilient on fault scenarios), starts the conductor and the
+// injector. Call it from the driver process before traffic, on a broker that
+// runs sc.EffectiveAdvTTL. Conductor.Err is final only at quiescence.
 func StartDynamics(slice *scenario.Slice, broker *overlay.Broker, sc scenario.Scenario, seed int64) (*Dynamics, error) {
 	d := &Dynamics{labels: sc.Labels, seed: seed}
 	if sc.Faults != nil {
