@@ -202,7 +202,7 @@ func TestBulkDecodeAttrsDoNotAlias(t *testing.T) {
 }
 
 // TestWholeKindQueryResultIsNeverWritten holds a Query(kind, "") result —
-// the cache's shared memo — across every kind of later mutation, with
+// the kind's shared directory — across every kind of later mutation, with
 // readers scanning it concurrently so the race detector sees any write.
 func TestWholeKindQueryResultIsNeverWritten(t *testing.T) {
 	now, cur := clockAt(base)

@@ -11,10 +11,12 @@ package jxta
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -239,8 +241,9 @@ type Cache struct {
 	now   func() time.Time
 	limit int
 	byID  map[ID]Advertisement
-	// kindLen counts entries per kind, so LiveLen answers in O(1).
-	kindLen map[AdvKind]int
+	// dirs[kind] holds the kind's entries in canonical order, which every
+	// change keeps by binary search: no query scans or sorts.
+	dirs [256]kindDir
 	// minExpiry is a lower bound on the earliest expiry among entries (zero
 	// = unknown, forcing the next gc to scan). While now < minExpiry no
 	// entry can be expired, so gcLocked skips its scan — the O(1) fast path
@@ -248,20 +251,32 @@ type Cache struct {
 	// stale-but-valid: the scan it eventually triggers removes nothing and
 	// recomputes it.
 	minExpiry time.Time
-	// version counts mutations (publish, eviction, expiry removal); memo
-	// holds the last whole-kind query result per kind, current while the
-	// version matches. Selection queries the full peer directory far more
-	// often than leases renew it, so the memo turns the common Query("")
-	// from an O(n log n) scan-and-sort into handing out a prebuilt slice.
+	// version counts mutations (publish, eviction, removal, expiry).
 	version uint64
-	memo    map[AdvKind]*kindMemo
 }
 
-// kindMemo is one memoized whole-kind query result. Query hands result out,
-// so a memo is immutable once built.
-type kindMemo struct {
-	result  []Advertisement
-	version uint64
+// kindDir is one kind's entries in canonical (Name, ID) order. A whole-kind
+// Query hands advs out and marks it shared; the next change copies it first,
+// so a result once handed out is never written.
+type kindDir struct {
+	advs   []Advertisement
+	shared bool
+}
+
+// edit returns the entries for writing, copied first if handed out.
+func (d *kindDir) edit() []Advertisement {
+	if d.shared {
+		d.advs, d.shared = slices.Clone(d.advs), false
+	}
+	return d.advs
+}
+
+// search returns where (name, id) is or would be.
+func (d *kindDir) search(name string, id ID) int {
+	return sort.Search(len(d.advs), func(k int) bool {
+		c := strings.Compare(d.advs[k].Name, name)
+		return c > 0 || c == 0 && bytes.Compare(d.advs[k].ID[:], id[:]) >= 0
+	})
 }
 
 // NewCache returns a cache holding at most limit advertisements (default
@@ -273,7 +288,7 @@ func NewCache(limit int, now func() time.Time) *Cache {
 	if now == nil {
 		now = time.Now
 	}
-	return &Cache{now: now, limit: limit, byID: make(map[ID]Advertisement), kindLen: make(map[AdvKind]int, 3)}
+	return &Cache{now: now, limit: limit, byID: make(map[ID]Advertisement)}
 }
 
 // Publish inserts or refreshes an advertisement. Already-expired
@@ -288,12 +303,18 @@ func (c *Cache) Publish(a Advertisement) {
 	c.gcLocked(now)
 	old, exists := c.byID[a.ID]
 	if !exists && len(c.byID) >= c.limit {
-		c.evictOldestLocked()
+		c.dropLocked(c.oldestLocked())
+		c.version++
 	}
-	if exists {
-		c.kindLen[old.Kind]--
+	if exists && (old.Kind != a.Kind || old.Name != a.Name) {
+		c.dropLocked(old) // moved: inserted anew below
 	}
-	c.kindLen[a.Kind]++
+	d := &c.dirs[a.Kind]
+	if i := d.search(a.Name, a.ID); i < len(d.advs) && d.advs[i].ID == a.ID {
+		d.edit()[i] = a
+	} else {
+		d.advs = slices.Insert(d.edit(), i, a)
+	}
 	c.byID[a.ID] = a
 	c.version++
 	if c.minExpiry.IsZero() || a.Expires.Before(c.minExpiry) {
@@ -309,35 +330,41 @@ func (c *Cache) gcLocked(now time.Time) {
 		return
 	}
 	var min time.Time
-	for id, a := range c.byID {
-		if !a.Expires.After(now) {
-			delete(c.byID, id)
-			c.kindLen[a.Kind]--
-			c.version++
-			continue
+	expired := func(a Advertisement) bool { return !a.Expires.After(now) }
+	for k := range c.dirs {
+		d, n := &c.dirs[k], len(c.byID)
+		for _, a := range d.advs {
+			if expired(a) {
+				delete(c.byID, a.ID)
+				c.version++
+			} else if min.IsZero() || a.Expires.Before(min) {
+				min = a.Expires
+			}
 		}
-		if min.IsZero() || a.Expires.Before(min) {
-			min = a.Expires
+		if len(c.byID) < n { // one pass compacts the kind, copied first if handed out
+			d.advs = slices.DeleteFunc(d.edit(), expired)
 		}
 	}
 	c.minExpiry = min
 }
 
-// evictOldestLocked drops the entry closest to expiry. Caller holds c.mu.
-func (c *Cache) evictOldestLocked() {
-	var victim ID
-	var when time.Time
-	first := true
-	for id, a := range c.byID {
-		if first || a.Expires.Before(when) {
-			victim, when, first = id, a.Expires, false
+// oldestLocked returns the entry closest to expiry, the first in canonical
+// order among equals (the one a full cache evicts); zero when empty.
+func (c *Cache) oldestLocked() (oldest Advertisement) {
+	for _, a := range c.byID {
+		if oldest.Expires.IsZero() || cmp.Or(a.Expires.Compare(oldest.Expires), CompareAdvertisements(a, oldest)) < 0 {
+			oldest = a
 		}
 	}
-	if !first {
-		c.kindLen[c.byID[victim].Kind]--
-		delete(c.byID, victim)
-		c.version++
-	}
+	return oldest
+}
+
+// dropLocked deletes the stored entry a.
+func (c *Cache) dropLocked(a Advertisement) {
+	d := &c.dirs[a.Kind]
+	i := d.search(a.Name, a.ID)
+	d.advs = slices.Delete(d.edit(), i, i+1)
+	delete(c.byID, a.ID)
 }
 
 // Lookup returns the advertisement with the given ID, if present and live.
@@ -350,59 +377,29 @@ func (c *Cache) Lookup(id ID) (Advertisement, bool) {
 }
 
 // Query returns live advertisements of the kind whose Name matches name
-// exactly; empty name matches all. Results are sorted by Name then ID for
-// determinism. A whole-kind result is the cache's own memo, shared by every
-// caller until the directory next changes: it must only be read (slicing it
-// is fine). It stays valid and unchanged for as long as the caller holds
-// it — a change builds a new memo and never writes the old one.
+// exactly; empty name matches all, in the canonical (Name, ID) order. A
+// named result is the caller's own copy of the name's run, found by binary
+// search. A whole-kind result is the kind's directory itself, shared by every
+// caller: it must only be read (slicing it is fine), and it stays unchanged
+// for as long as the caller holds it — the next change copies the directory
+// before writing it.
 func (c *Cache) Query(kind AdvKind, name string) []Advertisement {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gcLocked(c.now())
+	d := &c.dirs[kind]
 	if name == "" {
-		m := c.memo[kind]
-		if m == nil || m.version != c.version {
-			m = c.buildMemoLocked(kind)
-		}
-		return m.result
+		d.shared = true
+		return slices.Clip(d.advs)
 	}
-	var out []Advertisement
-	for _, a := range c.byID {
-		if a.Kind == kind && a.Name == name {
-			out = append(out, a)
-		}
-	}
-	SortAdvertisements(out)
-	return out
-}
-
-// buildMemoLocked scans and sorts the entries of kind under the directory
-// version they were read at. Caller holds c.mu and has settled expiry.
-func (c *Cache) buildMemoLocked(kind AdvKind) *kindMemo {
-	m := &kindMemo{version: c.version}
-	for _, a := range c.byID {
-		if a.Kind == kind {
-			m.result = append(m.result, a)
-		}
-	}
-	SortAdvertisements(m.result)
-	if c.memo == nil {
-		c.memo = make(map[AdvKind]*kindMemo, 3)
-	}
-	c.memo[kind] = m
-	return m
-}
-
-// SortAdvertisements orders advertisements by Name then ID — the canonical
-// directory order. Every query returns it, and sharded directories restore
-// it after merging per-shard results, so a multi-shard cache answers
-// queries identically to a single one.
-func SortAdvertisements(advs []Advertisement) {
-	slices.SortFunc(advs, CompareAdvertisements)
+	i := d.search(name, ID{}) // the zero ID sorts first: the run's start
+	j := i + sort.Search(len(d.advs)-i, func(k int) bool { return d.advs[i+k].Name != name })
+	return append([]Advertisement(nil), d.advs[i:j]...)
 }
 
 // CompareAdvertisements is the canonical (Name, ID) directory order as a
-// three-way comparison.
+// three-way comparison. Every query answers in it and a sharded directory
+// merges by it, so any shard count answers alike.
 func CompareAdvertisements(a, b Advertisement) int {
 	if c := strings.Compare(a.Name, b.Name); c != 0 {
 		return c
@@ -416,14 +413,7 @@ func CompareAdvertisements(a, b Advertisement) int {
 func (c *Cache) NextExpiry() (time.Time, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var earliest time.Time
-	found := false
-	for _, a := range c.byID {
-		if !found || a.Expires.Before(earliest) {
-			earliest, found = a.Expires, true
-		}
-	}
-	return earliest, found
+	return c.oldestLocked().Expires, len(c.byID) > 0
 }
 
 // Sweep evicts every advertisement expired at now and reports how many were
@@ -444,7 +434,7 @@ func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.byID = make(map[ID]Advertisement)
-	c.kindLen = make(map[AdvKind]int, 3)
+	c.dirs = [256]kindDir{}
 	c.minExpiry = time.Time{}
 	c.version++
 }
@@ -454,8 +444,7 @@ func (c *Cache) Remove(id ID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if a, ok := c.byID[id]; ok {
-		c.kindLen[a.Kind]--
-		delete(c.byID, id)
+		c.dropLocked(a)
 		c.version++
 	}
 }
@@ -475,7 +464,7 @@ func (c *Cache) LiveLen(kind AdvKind) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gcLocked(c.now())
-	return c.kindLen[kind]
+	return len(c.dirs[kind].advs)
 }
 
 // Stamp returns the mutation version as of now. Stored means live and every

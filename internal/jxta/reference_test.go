@@ -2,6 +2,7 @@ package jxta
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -38,14 +39,16 @@ func (r *refCache) publish(a Advertisement, now time.Time) {
 	}
 	r.settle(now)
 	if _, ok := r.advs[a.ID]; !ok && len(r.advs) >= r.limit {
-		var victim Advertisement
-		first := true
-		for _, b := range r.advs {
-			if first || b.Expires.Before(victim.Expires) {
-				victim, first = b, false
+		// The victim is the entry closest to expiry, the first in canonical
+		// order among equals.
+		all := slices.Collect(maps.Values(r.advs))
+		slices.SortFunc(all, func(a, b Advertisement) int {
+			if c := a.Expires.Compare(b.Expires); c != 0 {
+				return c
 			}
-		}
-		delete(r.advs, victim.ID)
+			return CompareAdvertisements(a, b)
+		})
+		delete(r.advs, all[0].ID)
 		r.version++
 	}
 	r.advs[a.ID] = a
@@ -106,10 +109,10 @@ func checkCacheProgram(seed int64, limit, steps int) error {
 	publishes := 0
 	draw := func(id ID, kind AdvKind, name string) Advertisement {
 		publishes++
-		// Whole seconds, some already over, plus a nanosecond count no other
-		// publish shares: no two leases end at the same instant, so the entry
-		// closest to expiry is unique whenever the cache evicts.
-		ttl := time.Duration(rng.Intn(90)-5)*time.Second + time.Duration(publishes)
+		// One of eight leases, one of them already over: publishes between
+		// two clock advances often end at one instant, so evictions choose
+		// among equals.
+		ttl := time.Duration(rng.Intn(8)*10-5) * time.Second
 		return Advertisement{Kind: kind, ID: id, Name: name, Addr: name + "/transfer", Expires: cur.Add(ttl),
 			Attrs: []Attr{{"n", strconv.Itoa(publishes)}}}
 	}

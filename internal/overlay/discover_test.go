@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -447,7 +448,7 @@ func TestDirectoryMergeReused(t *testing.T) {
 		for _, sh := range b.shards {
 			scratch = append(scratch, sh.cache.Query(jxta.AdvPeer, "")...)
 		}
-		jxta.SortAdvertisements(scratch)
+		slices.SortFunc(scratch, jxta.CompareAdvertisements)
 		got := b.Advertisements(jxta.AdvPeer, "")
 		if len(got) != wantLen || !reflect.DeepEqual(got, scratch) {
 			t.Fatalf("after %s: %d advertisements, a merge from nothing has %d (want %d), or they differ", step, len(got), len(scratch), wantLen)

@@ -13,14 +13,14 @@ import (
 
 // Rank index: memoized full-directory rankings for pure selection models.
 //
-// The whole-kind query memo (jxta.kindMemo) already removes the per-request
-// directory scan-and-sort, but every selection still re-ranks O(directory)
-// candidates. For models asserting core.PureRanker the ranking is a pure
-// function of (request shape, candidate set, candidate snapshots), all of
-// which are cheap to fingerprint: the candidate set is pinned by each
-// shard's jxta.Cache.Stamp (equal stamps mean the live set and its payloads
-// unchanged — the same versioning the whole-kind query memo and the broker's
-// merged directory key on), and the snapshots by each shard's
+// Each cache keeps its directory in order, so no request scans or sorts it,
+// but every selection still re-ranks O(directory) candidates. For models
+// asserting core.PureRanker the ranking is a pure function of (request
+// shape, candidate set, candidate snapshots), all of which are cheap to
+// fingerprint: the candidate set is pinned by each shard's
+// jxta.Cache.Stamp (equal stamps mean the live set and its payloads
+// unchanged — the same versioning the broker's merged directory keys on),
+// and the snapshots by each shard's
 // stats.Registry.Version. While every stamp matches, replaying the memoized
 // ranking is exact, not approximate — so the index changes no wire bytes and
 // no scheduling points, and golden output is untouched at any hit rate.

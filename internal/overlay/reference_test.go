@@ -14,8 +14,8 @@ import (
 )
 
 // refDirectory is the reference lease directory the broker's sharded,
-// memoized one must match: one map, and a full scan and sort per query. It
-// keeps no memo, no expiry bound, no per-kind count and no shards, and it
+// indexed one must match: one map, and a full scan and sort per query. It
+// keeps no index, no expiry bound, no merge and no shards, and it
 // never removes an entry because time passed — whether an entry is live is
 // decided against the clock each time it is read.
 type refDirectory struct {
