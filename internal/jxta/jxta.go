@@ -28,9 +28,12 @@ import (
 type ID [16]byte
 
 // NewID derives a stable ID from a namespace and name (content addressing
-// keeps IDs reproducible across runs, which experiment logs rely on).
+// keeps IDs reproducible across runs, which experiment logs rely on). The
+// broker derives one per registration and renewal, so the hashed bytes sit in
+// a stack buffer while namespace and name fit in 79 bytes.
 func NewID(namespace, name string) ID {
-	sum := sha256.Sum256([]byte(namespace + "\x00" + name))
+	var buf [80]byte
+	sum := sha256.Sum256(append(append(append(buf[:0], namespace...), 0), name...))
 	var id ID
 	copy(id[:], sum[:16])
 	return id

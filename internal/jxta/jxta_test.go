@@ -1,6 +1,8 @@
 package jxta
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"strings"
 	"sync"
 	"testing"
@@ -27,6 +29,14 @@ func TestNewIDStableAndDistinct(t *testing.T) {
 	}
 	if a1 == b || a1 == c {
 		t.Fatal("different inputs collided")
+	}
+	// The ID is the first half of SHA-256 over namespace, a zero byte and
+	// name, for names that fit the stack buffer and for names that do not.
+	for _, name := range []string{"sc1", strings.Repeat("n00001.uniform.slice.peerlab", 8)} {
+		sum := sha256.Sum256([]byte("peer\x00" + name))
+		if id := NewID("peer", name); !bytes.Equal(id[:], sum[:16]) {
+			t.Fatalf("NewID(peer, %q) = %x, want %x", name, id, sum[:16])
+		}
 	}
 }
 

@@ -249,6 +249,60 @@ func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
 	}
 }
 
+// TestRegisterCannotDisplaceAnotherPeer: the broker stores a registration
+// under the kind and ID its name implies, whatever the frame claims, and
+// refuses one with no name. A register naming evil under sc2's ID would
+// replace sc2's entry (and sc2's heartbeats would then renew evil), one
+// carrying sc1's ID as a pipe advertisement would drop sc1 from the peer
+// directory, and an empty name would be listed as a peer.
+func TestRegisterCannotDisplaceAnotherPeer(t *testing.T) {
+	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile()})
+	send := func(adv jxta.Advertisement) registerAck {
+		reply, err := d.clients["sc1"].call(d.broker.Addr(), register{Adv: adv}.encode())
+		if err != nil {
+			t.Errorf("register %q: %v", adv.Name, err)
+			return registerAck{}
+		}
+		_, dec, _ := kindOf(reply)
+		ack, err := decodeRegisterAck(dec)
+		if err != nil {
+			t.Errorf("register %q: ack: %v", adv.Name, err)
+		}
+		return ack
+	}
+	var peers []string
+	var unnamed registerAck
+	entries := map[string][]jxta.Advertisement{}
+	d.net.Run(func() {
+		d.startAll(t)
+		evil := testAdv("evil")
+		evil.ID = jxta.NewID("peer", "sc2")
+		send(evil)
+		asPipe := testAdv("sc1")
+		asPipe.Kind = jxta.AdvPipe
+		send(asPipe)
+		unnamed = send(testAdv(""))
+		if err := d.clients["sc2"].ReportStats(); err != nil {
+			t.Errorf("sc2 heartbeat: %v", err)
+		}
+		peers = d.broker.Peers()
+		for _, name := range peers {
+			entries[name] = d.broker.Advertisements(jxta.AdvPeer, name)
+		}
+	})
+	if want := []string{"evil", "sc1", "sc2"}; !reflect.DeepEqual(peers, want) {
+		t.Fatalf("peers = %q, want %q", peers, want)
+	}
+	for _, name := range peers {
+		if got := entries[name]; len(got) != 1 || got[0].ID != jxta.NewID("peer", name) || got[0].Addr != string(transport.MakeAddr(name, ServiceTransfer)) {
+			t.Errorf("%s's directory entries: %+v", name, got)
+		}
+	}
+	if unnamed.OK {
+		t.Error("a register with an empty name was acknowledged")
+	}
+}
+
 // TestRestartRacesSweepAndRejoin hammers Broker.Restart from a raw
 // goroutine while lease sweeps fire and a rejoin wave re-registers — the
 // blackout/rejoin overlap: sweeps landing in a just-cleared cache, clears

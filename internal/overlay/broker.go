@@ -247,9 +247,9 @@ func (b *Broker) RegisterSelector(s core.Selector) {
 }
 
 // knownPeers counts live peer advertisements across shards — the value
-// len(Peers()) reports, computed from per-shard O(1) counters instead of
-// materializing and sorting the whole directory. Registration acks carry
-// it, so a boot wave of N peers must not pay O(N log N) per ack.
+// len(Peers()) reports, computed from per-shard O(1) counts instead of
+// listing the whole directory. Registration acks carry it, so a boot wave
+// of N peers must not pay O(N) per ack.
 func (b *Broker) knownPeers() int {
 	n := 0
 	for _, sh := range b.shards {
@@ -412,12 +412,19 @@ func (b *Broker) serve(conn *pipe.Conn) {
 // handleRegister publishes the client's advertisement under a fresh lease,
 // then applies the load report the frame carries — publish-then-report in
 // one exchange and one ack, so the peer is rankable when Start returns. An
-// advertised CPU score counts only if it is finite and positive.
+// advertised CPU score counts only if it is finite and positive. A register
+// speaks for its name alone: the broker stores the kind and ID the name
+// implies, as leaseOf rebuilds them, and refuses an empty name.
 func (b *Broker) handleRegister(conn *pipe.Conn, d *wire.Decoder) {
 	req, err := decodeRegister(d)
 	if err != nil {
 		return
 	}
+	if req.Adv.Name == "" {
+		sendReply(conn, registerAck{Broker: b.host.Name()}.encodeTo)
+		return
+	}
+	req.Adv.Kind, req.Adv.ID = jxta.AdvPeer, jxta.NewID("peer", req.Adv.Name)
 	sh := b.shardOf(req.Adv.Name)
 	b.publish(sh, req.Adv)
 	ps := sh.registry.Peer(req.Adv.Name)
