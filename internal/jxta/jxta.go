@@ -274,7 +274,7 @@ func (d *kindDir) edit() []Advertisement {
 	return d.advs
 }
 
-// search returns where (name, id) is or would be.
+// search returns where (name, id) is or would be, comparing entries in place.
 func (d *kindDir) search(name string, id ID) int {
 	return sort.Search(len(d.advs), func(k int) bool {
 		c := strings.Compare(d.advs[k].Name, name)
