@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"peerlab/internal/transport"
@@ -263,7 +264,8 @@ type endpoint struct {
 	addr   transport.Addr
 	queue  *queue
 	sendMu sync.Mutex
-	closed bool
+	// closed is set by Close under host.mu and read by SendSized without it.
+	closed atomic.Bool
 }
 
 func (ep *endpoint) Addr() transport.Addr { return ep.addr }
@@ -273,7 +275,7 @@ func (ep *endpoint) Send(to transport.Addr, payload []byte) error {
 }
 
 func (ep *endpoint) SendSized(to transport.Addr, payload []byte, size int) error {
-	if ep.closed {
+	if ep.closed.Load() {
 		return transport.ErrClosed
 	}
 	if size < len(payload) {
@@ -320,8 +322,7 @@ func (ep *endpoint) RecvTimeout(d time.Duration) (transport.Message, error) {
 
 func (ep *endpoint) Close() error {
 	ep.host.mu.Lock()
-	if !ep.closed {
-		ep.closed = true
+	if !ep.closed.Swap(true) {
 		delete(ep.host.services, ep.addr.Service())
 	}
 	ep.host.mu.Unlock()

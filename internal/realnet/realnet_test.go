@@ -336,3 +336,31 @@ func TestEndpointPayloadIsTheFramesOwn(t *testing.T) {
 		}
 	}
 }
+
+// TestSendRacesClose: Close marks an endpoint closed while another goroutine
+// sends on it. Run under -race, the check SendFrame makes of that mark must
+// not race the write.
+func TestSendRacesClose(t *testing.T) {
+	a, b := twoHosts(t)
+	epA, err := a.Endpoint("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Endpoint("svc"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for {
+			if err := epA.Send("beta/svc", []byte("x")); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	time.Sleep(time.Millisecond)
+	epA.Close()
+	if err := <-done; !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("Send after Close = %v, want ErrClosed", err)
+	}
+}
