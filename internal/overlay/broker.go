@@ -182,11 +182,14 @@ func (b *Broker) Shards() int { return len(b.shards) }
 // mergedDir is a whole-kind directory merged across shards, with the stamp
 // every shard's cache carried when it was merged (jxta.Cache.Stamp, in shard
 // order): while every shard still returns that stamp its live set is the one
-// merged, so the merge is current. advs is immutable once built.
+// merged, so the merge is current. advs is immutable once built, and so is
+// reply, the whole-kind discover reply encoding it, made by the first
+// discover that asks and sent to every one after it.
 type mergedDir struct {
 	kind   jxta.AdvKind
 	stamps []uint64
 	advs   []jxta.Advertisement
+	reply  []byte
 }
 
 // Advertisements queries the sharded advertisement directory: per-shard
@@ -196,11 +199,33 @@ type mergedDir struct {
 // jxta.Cache.Query), and a whole-kind merge is shared by every caller until
 // some shard's stamp moves.
 func (b *Broker) Advertisements(kind jxta.AdvKind, name string) []jxta.Advertisement {
-	if name != "" || len(b.shards) == 1 {
+	if name != "" {
 		return b.shardOf(name).cache.Query(kind, name)
 	}
 	b.dirMu.Lock()
 	defer b.dirMu.Unlock()
+	return b.dirLocked(kind).advs
+}
+
+// directoryReply returns the whole-kind discover reply for kind, encoded once
+// per directory version: every discover until some shard's stamp moves is
+// sent the same read-only bytes.
+func (b *Broker) directoryReply(kind jxta.AdvKind) []byte {
+	b.dirMu.Lock()
+	defer b.dirMu.Unlock()
+	d := b.dirLocked(kind)
+	if d.reply == nil {
+		e := wire.GetEncoder()
+		encodeDiscoverResult(e, d.advs)
+		d.reply = e.Detach()
+		wire.PutEncoder(e)
+	}
+	return d.reply
+}
+
+// dirLocked returns the whole-kind directory, merged again if some shard's
+// stamp moved since the last merge. Caller holds dirMu.
+func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 	d := &b.dir
 	current := d.kind == kind
 	// Stamps are read before the shards' answers: a publish landing between
@@ -212,7 +237,12 @@ func (b *Broker) Advertisements(kind jxta.AdvKind, name string) []jxta.Advertise
 		}
 	}
 	if current {
-		return d.advs
+		return d
+	}
+	d.kind, d.reply = kind, nil
+	if len(b.shards) == 1 {
+		d.advs = b.shards[0].cache.Query(kind, "")
+		return d
 	}
 	// Each shard answers in canonical order already; a k-way merge restores
 	// the global order without re-sorting the whole directory.
@@ -238,7 +268,7 @@ func (b *Broker) Advertisements(kind jxta.AdvKind, name string) []jxta.Advertise
 			parts = parts[:len(parts)-1]
 		}
 	}
-	return d.advs
+	return d
 }
 
 // RegisterSelector installs (or replaces) a selection model under its name.
@@ -500,18 +530,17 @@ func (b *Broker) handleDiscover(conn *pipe.Conn, d *wire.Decoder) {
 	if err != nil {
 		return
 	}
+	if req.Name == "" {
+		conn.Send(b.directoryReply(req.Kind))
+		return
+	}
 	sendReply(conn, func(e *wire.Encoder) { b.encodeDirectory(e, req.Kind, req.Name) })
 }
 
 // encodeDirectory appends the discover reply for (kind, name): the merged
 // directory, encoded in order.
 func (b *Broker) encodeDirectory(e *wire.Encoder, kind jxta.AdvKind, name string) {
-	advs := b.Advertisements(kind, name)
-	e.Byte(mtDiscoverResult)
-	e.Uint64(uint64(len(advs)))
-	for i := range advs {
-		advs[i].Encode(e)
-	}
+	encodeDiscoverResult(e, b.Advertisements(kind, name))
 }
 
 func (b *Broker) handleSelect(conn *pipe.Conn, d *wire.Decoder) {

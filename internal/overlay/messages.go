@@ -123,6 +123,15 @@ func (m discover) encode() []byte {
 	return e.Detach()
 }
 
+// encodeDiscoverResult appends the discover reply carrying advs, in order.
+func encodeDiscoverResult(e *wire.Encoder, advs []jxta.Advertisement) {
+	e.Byte(mtDiscoverResult)
+	e.Uint64(uint64(len(advs)))
+	for i := range advs {
+		advs[i].Encode(e)
+	}
+}
+
 // selectReq asks the broker's selection service to rank peers.
 type selectReq struct {
 	Model      string
@@ -316,22 +325,19 @@ func (m instant) encode() []byte {
 }
 
 // The generic acknowledgment and the instant-message acknowledgment, as the
-// frames every sender shares: Send only reads its argument.
+// frames every sender shares: a sent buffer is read-only.
 var (
 	ackFrame        = []byte{mtAck}
 	instantAckFrame = []byte{mtInstantAck}
 )
 
-// sendReply sends the message fill encodes, straight from a pooled encoder:
-// Conn.Send returns only once the peer has acknowledged the message (or the
-// conn broke) and keeps no reference to its argument — every transmission
-// copies the payload into its own frame — so the encoder goes back to the
-// pool with no detached copy in between.
+// sendReply sends the message fill encodes, detached from the pooled encoder
+// it was encoded in: Conn.Send gives its argument up to the receiver.
 func sendReply(conn *pipe.Conn, fill func(*wire.Encoder)) error {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
 	fill(e)
-	return conn.Send(e.Bytes())
+	return conn.Send(e.Detach())
 }
 
 // --- decoding ---

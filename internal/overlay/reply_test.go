@@ -164,3 +164,51 @@ func TestDirectoryReplyMatchesFreshEncode(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedReplyUnchangedByHeartbeatRound: a heartbeat round's reports
+// reach the broker before its discovers, so every Resilient client of the
+// round is sent, by reference, the one reply the broker encoded for that
+// directory version, and scans and keeps it. Every client then reads its
+// directory from it; the broker's reply must still be byte for byte the one
+// it encoded, and still the reply it sends.
+func TestCachedReplyUnchangedByHeartbeatRound(t *testing.T) {
+	profiles := make(map[string]simnet.Profile)
+	for i := 0; i < 8; i++ {
+		profiles[fmt.Sprintf("sc%d", i)] = clientProfile()
+	}
+	d := deployShards(t, 4, profiles)
+	for _, c := range d.clients {
+		c.cfg.Resilient = true
+	}
+	d.net.Run(func() {
+		d.startAll(t)
+		join := d.net.Node("broker0").NewQueue()
+		for name, c := range d.clients {
+			c.host.Go(func() {
+				if err := c.ReportStats(); err != nil {
+					t.Errorf("%s: ReportStats: %v", name, err)
+				}
+				join.Push(nil)
+			})
+		}
+		for range d.clients {
+			join.Pop()
+		}
+		reply := d.broker.directoryReply(jxta.AdvPeer)
+		saved := bytes.Clone(reply)
+		want := d.broker.Advertisements(jxta.AdvPeer, "")
+		for name, c := range d.clients {
+			if got := c.res.snapshotDir(); len(got) != len(profiles) || !sameAdvs(got, want) {
+				t.Errorf("%s kept a directory other than the round's last: %d entries", name, len(got))
+			}
+		}
+		if again := d.broker.directoryReply(jxta.AdvPeer); &again[0] != &reply[0] {
+			t.Error("the broker encoded its reply again with nothing changed")
+		}
+		fresh := wire.NewEncoder(0)
+		d.broker.encodeDirectory(fresh, jxta.AdvPeer, "")
+		if !bytes.Equal(reply, saved) || !bytes.Equal(reply, fresh.Bytes()) {
+			t.Error("the broker's reply changed while its clients kept and read it")
+		}
+	})
+}

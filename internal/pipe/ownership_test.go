@@ -9,77 +9,85 @@ import (
 	"peerlab/internal/vtime"
 )
 
-// TestReceiverOwnsPayload pins the buffer rule handleData relies on now that
-// it hands the frame's payload up without copying: whatever the sender does
-// to its buffer once Send has returned, and however a message reached the
-// inbox (in order, or parked in the reorder buffer behind a lost one), the
-// receiver's Message.Payload is the bytes that were sent.
-func TestReceiverOwnsPayload(t *testing.T) {
+// TestSentPayloadIsSharedNotWritten pins the send rule handleData relies on
+// now that a payload travels by reference: one buffer, sent on several conns
+// at once by several senders each, under loss that forces retransmissions
+// and parks messages in the reorder buffer behind lost ones, reaches every
+// receiver as the very bytes sent. At the end the buffer equals a copy saved
+// before the first send, so neither pipe nor transport wrote it, and a
+// receiver's append to its payload copies rather than writing past it.
+func TestSentPayloadIsSharedNotWritten(t *testing.T) {
 	r := newRig(t, lossyProfile(0.2), lossyProfile(0.2), Options{Window: 4, MaxRetries: 30})
-	const n, senders, size = 64, 4, 48
-	want := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, size) }
+	const conns, senders, n = 3, 4, 32
+	// Spare capacity past the sent bytes: an append that is not clipped
+	// would write there.
+	shared := append(make([]byte, 0, 64), bytes.Repeat([]byte{0x5A, 0xA5, 0x3C}, 16)...)
+	saved := bytes.Clone(shared)
 	var got []Message
 	reordered := false
-	r.net.Scheduler().Go(func() {
-		conn, err := r.muxB.Accept()
-		if err != nil {
-			t.Errorf("Accept: %v", err)
-			return
-		}
-		for i := 0; i < n; i++ {
-			m, err := conn.Recv()
+	for c := 0; c < conns; c++ {
+		r.net.Scheduler().Go(func() {
+			conn, err := r.muxB.Accept()
 			if err != nil {
-				t.Errorf("Recv %d: %v", i, err)
+				t.Errorf("Accept: %v", err)
 				return
 			}
-			got = append(got, m)
-		}
-		conn.mu.Lock()
-		reordered = conn.recvBuf != nil
-		conn.mu.Unlock()
-	})
-	r.net.Run(func() {
-		conn, err := r.muxA.Dial("b/pipe")
-		if err != nil {
-			t.Errorf("Dial: %v", err)
-			return
-		}
-		join := vtime.NewQueue(r.net.Scheduler())
-		for w := 0; w < senders; w++ {
-			w := w
-			r.net.Scheduler().Go(func() {
-				buf := make([]byte, size)
-				for i := w; i < n; i += senders {
-					copy(buf, want(i))
-					if err := conn.Send(buf); err != nil {
-						t.Errorf("Send %d: %v", i, err)
-					}
-					for j := range buf { // the buffer is the sender's again
-						buf[j] = 0xEE
-					}
+			for i := 0; i < senders*n; i++ {
+				m, err := conn.Recv()
+				if err != nil {
+					t.Errorf("Recv %d: %v", i, err)
+					return
 				}
-				join.Push(nil)
-			})
+				got = append(got, m)
+			}
+			conn.mu.Lock()
+			reordered = reordered || conn.recvBuf != nil
+			conn.mu.Unlock()
+		})
+	}
+	var retransmits int64
+	r.net.Run(func() {
+		join := vtime.NewQueue(r.net.Scheduler())
+		for c := 0; c < conns; c++ {
+			conn, err := r.muxA.Dial("b/pipe")
+			if err != nil {
+				t.Errorf("Dial: %v", err)
+				return
+			}
+			for w := 0; w < senders; w++ {
+				r.net.Scheduler().Go(func() {
+					for i := 0; i < n; i++ {
+						if err := conn.Send(shared); err != nil {
+							t.Errorf("Send: %v", err)
+						}
+					}
+					join.Push(conn)
+				})
+			}
 		}
-		for w := 0; w < senders; w++ {
-			join.Pop()
+		for i := 0; i < conns*senders; i++ {
+			v, _ := join.Pop()
+			if i%senders == 0 {
+				retransmits += v.(*Conn).Retransmissions()
+			}
 		}
 	})
-	if len(got) != n {
-		t.Fatalf("received %d messages, want %d", len(got), n)
+	if len(got) != conns*senders*n {
+		t.Fatalf("received %d messages, want %d", len(got), conns*senders*n)
 	}
-	if !reordered {
-		t.Fatal("no message took the reorder-buffer path; the test no longer covers it")
+	if !reordered || retransmits == 0 {
+		t.Fatalf("reorder buffer used: %v, retransmissions: %d; the test no longer covers both", reordered, retransmits)
 	}
-	seen := make(map[byte]bool)
 	for i, m := range got {
-		if len(m.Payload) != size || !bytes.Equal(m.Payload, want(int(m.Payload[0])-1)) {
-			t.Fatalf("message %d corrupted after the sender reused its buffer: % x", i, m.Payload)
+		if !bytes.Equal(m.Payload, saved) || &m.Payload[0] != &shared[0] {
+			t.Fatalf("message %d is not the sent buffer: % x", i, m.Payload)
 		}
-		if seen[m.Payload[0]] {
-			t.Fatalf("message %d delivered twice", m.Payload[0]-1)
+		if grown := append(m.Payload, 0xEE); &grown[0] == &shared[0] {
+			t.Fatalf("an append to message %d wrote past the shared buffer", i)
 		}
-		seen[m.Payload[0]] = true
+	}
+	if !bytes.Equal(shared, saved) {
+		t.Fatalf("the sent buffer was written: % x", shared)
 	}
 }
 
@@ -96,15 +104,10 @@ func poolDropsPuts() bool {
 	return false
 }
 
-// TestDataMessageAllocBudget gates the allocations of one acknowledged data
-// message end to end (sender, both muxes, simulated network, receiver). The
-// budget is an exact count, one below what it was while handleData copied
-// each payload, so a reintroduced copy fails here and not in a profile.
-func TestDataMessageAllocBudget(t *testing.T) {
-	const msgs, budget = 4096, 14
-	if poolDropsPuts() {
-		t.Skip("sync.Pool drops Puts at random (race detector): frame encoders are re-allocated and the count is not exact")
-	}
+// perMessage reports what one acknowledged data message of the given payload
+// size costs end to end (sender, both muxes, simulated network, receiver):
+// allocations and heap bytes, averaged over msgs sends of one buffer.
+func perMessage(t *testing.T, size, msgs int) (allocs, heap float64) {
 	r := newRig(t, cleanProfile(), cleanProfile(), Options{})
 	r.net.Scheduler().Go(func() {
 		conn, err := r.muxB.Accept()
@@ -117,14 +120,13 @@ func TestDataMessageAllocBudget(t *testing.T) {
 			}
 		}
 	})
-	var perMsg float64
 	r.net.Run(func() {
 		conn, err := r.muxA.Dial("b/pipe")
 		if err != nil {
 			t.Errorf("Dial: %v", err)
 			return
 		}
-		payload := make([]byte, 64)
+		payload := make([]byte, size)
 		send := func(k int) {
 			for i := 0; i < k; i++ {
 				if err := conn.Send(payload); err != nil {
@@ -138,10 +140,28 @@ func TestDataMessageAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		send(msgs)
 		runtime.ReadMemStats(&after)
-		perMsg = float64(after.Mallocs-before.Mallocs) / msgs
+		allocs = float64(after.Mallocs-before.Mallocs) / float64(msgs)
+		heap = float64(after.TotalAlloc-before.TotalAlloc) / float64(msgs)
 	})
-	t.Logf("%.2f allocations per acknowledged message", perMsg)
-	if perMsg > budget+0.5 {
-		t.Fatalf("%.2f allocations per data message, budget %d", perMsg, budget)
+	return allocs, heap
+}
+
+// TestDataMessageAllocBudget gates one acknowledged data message end to end.
+// The allocation budget is an exact count, and the payload travels by
+// reference: a 16 KB message costs within 10 % of the bytes of a 64 B one,
+// so a reintroduced copy of the payload fails here and not in a profile.
+func TestDataMessageAllocBudget(t *testing.T) {
+	const msgs, budget = 4096, 5
+	if poolDropsPuts() {
+		t.Skip("sync.Pool drops Puts at random (race detector): frame encoders are re-allocated and the count is not exact")
+	}
+	allocs, small := perMessage(t, 64, msgs)
+	_, large := perMessage(t, 16<<10, msgs)
+	t.Logf("%.2f allocations per acknowledged message; %.0f B at a 64 B payload, %.0f B at 16 KB", allocs, small, large)
+	if allocs > budget+0.5 {
+		t.Fatalf("%.2f allocations per data message, budget %d", allocs, budget)
+	}
+	if large > 1.1*small {
+		t.Fatalf("a 16 KB message costs %.0f B, a 64 B one %.0f B: the payload is copied", large, small)
 	}
 }

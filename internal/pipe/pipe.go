@@ -17,6 +17,7 @@ package pipe
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -102,9 +103,9 @@ const MaxRTO = 30 * time.Minute
 
 // Message is one application message received from a Conn.
 type Message struct {
-	// Payload belongs to the receiver: it is the tail of the frame the
-	// transport delivered (transport.Message.Payload is the receiver's),
-	// which nothing else reads or writes again.
+	// Payload is the buffer the sender passed to Send, shared by reference
+	// and read-only: the receiver may keep it but never writes it, and its
+	// capacity is clipped to its length, so an append copies.
 	Payload []byte
 	// Size is the wire size of the message (>= len(Payload)); see
 	// transport.Message.Size.
@@ -233,17 +234,12 @@ func (m *Mux) dispatch(msg transport.Message) {
 	id := d.Uint64()
 	seq := d.Uint64()
 	ack := d.Uint64()
-	payload := d.BytesField()
-	if d.Err() != nil {
+	if n := d.Uint64(); d.Finish() != nil || n != uint64(len(msg.Body)) {
 		return // corrupt frame: drop, sender will retransmit
 	}
-	// Everything that is not app payload — fields plus length prefix — is
-	// header; subtracting it recovers the app-level virtual size.
-	hdrLen := len(msg.Payload) - len(payload)
-	appSize := msg.Size - hdrLen
-	if appSize < len(payload) {
-		appSize = len(payload)
-	}
+	payload := slices.Clip(msg.Body) // shared: an append must copy
+	// The head is the frame's header; subtracting it recovers the app size.
+	appSize := max(msg.Size-len(msg.Payload), len(payload))
 
 	// A frame whose id was allocated by its sender lands in our "theirs"
 	// space, and vice versa.
@@ -280,8 +276,8 @@ func (m *Mux) dispatch(msg transport.Message) {
 	}
 }
 
-// sendFrame encodes and transmits one frame. size is the app-level wire
-// size; the header is added on top.
+// sendFrame encodes one frame's header and sends the payload behind it by
+// reference. size is the app-level wire size; the header is added on top.
 func (m *Mux) sendFrame(peer transport.Addr, kind byte, dirTheirs bool, id, seq, ack uint64, payload []byte, size int) error {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
@@ -290,20 +286,8 @@ func (m *Mux) sendFrame(peer transport.Addr, kind byte, dirTheirs bool, id, seq,
 	e.Uint64(id)
 	e.Uint64(seq)
 	e.Uint64(ack)
-	hdrLen := e.Len() + uvarintLen(uint64(len(payload)))
-	e.BytesField(payload)
-	// Detach: the transport hands the buffer to the receiver, who owns it
-	// from then on (see transport.Message).
-	return m.ep.SendSized(peer, e.Detach(), hdrLen+size)
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	e.Uint64(uint64(len(payload)))
+	return m.ep.SendFrame(peer, e.Detach(), payload, e.Len()+size)
 }
 
 type inflight struct {
@@ -361,26 +345,16 @@ func (c *Conn) Retransmissions() int64 {
 }
 
 // Send transmits payload reliably, blocking until the peer acknowledges it.
-// It only reads payload and keeps no reference to it once it returns: every
-// transmission copies it into a frame of its own, so the caller may reuse the
-// buffer (or return it to a pool) as soon as Send comes back.
+// The caller gives payload up, as to transport.Endpoint.Send: receivers keep
+// the buffer itself, so the caller must not write it afterwards. One buffer
+// may be sent on any number of conns.
 func (c *Conn) Send(payload []byte) error {
 	return c.SendSized(payload, len(payload))
 }
 
 // SendSized is Send with an explicit wire size (see transport.Message.Size).
 func (c *Conn) SendSized(payload []byte, size int) error {
-	return c.SendTimeout(payload, size, 0)
-}
-
-// SendTimeout is SendSized with an explicit per-attempt timeout. Zero means
-// adaptive (measured RTT/rate). Callers that know the expected duration — the
-// transfer engine knows file part sizes and per-peer bandwidth history —
-// should pass a hint to avoid spurious whole-message retransmissions.
-func (c *Conn) SendTimeout(payload []byte, size int, attemptTimeout time.Duration) error {
-	if size < len(payload) {
-		size = len(payload)
-	}
+	size = max(size, len(payload))
 	// Acquire a window slot.
 	if err := c.acquireToken(); err != nil {
 		return c.brokenErr()
@@ -415,12 +389,7 @@ func (c *Conn) SendTimeout(payload []byte, size int, attemptTimeout time.Duratio
 	c.mu.Unlock()
 
 	for attempt := 0; attempt < c.mux.opts.MaxRetries; attempt++ {
-		rto := attemptTimeout
-		if rto <= 0 {
-			rto = c.rtoFor(size)
-		}
-		// Exponential backoff on retries.
-		rto <<= uint(attempt)
+		rto := c.rtoFor(size) << uint(attempt) // exponential backoff on retries
 		if rto > MaxRTO {
 			rto = MaxRTO
 		}
@@ -484,7 +453,7 @@ func (c *Conn) recycleInflight(fl *inflight) {
 // acquireToken claims a send-window slot, parking the caller when the
 // window is full. A closed conn with free slots still grants one — matching
 // the token queue this replaces, whose buffered tokens stayed poppable
-// after Close — and SendTimeout's broken/closed check rejects the send.
+// after Close — and SendSized's broken/closed check rejects the send.
 func (c *Conn) acquireToken() error {
 	c.mu.Lock()
 	if c.tokAvail > 0 {

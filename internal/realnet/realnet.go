@@ -9,7 +9,7 @@
 // static membership list too). One TCP connection is maintained per
 // destination node and multiplexes all services; each datagram is a
 // length-prefixed frame carrying from/to addresses, the declared wire
-// size, and the payload.
+// size, and the message's head and body as two length-prefixed fields.
 package realnet
 
 import (
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,7 +170,10 @@ func (h *Host) readLoop(conn net.Conn) {
 		from := transport.Addr(d.StringField())
 		to := transport.Addr(d.StringField())
 		size := d.Int()
-		payload := d.BytesField() // the frame is this message's alone, so the receiver owns the alias
+		// Both alias the frame, which is this message's alone; the head is
+		// clipped so that an append to it cannot write the body.
+		head := slices.Clip(d.BytesField())
+		body := d.BytesField()
 		if d.Finish() != nil {
 			continue // corrupt frame; drop like a damaged datagram
 		}
@@ -180,7 +184,7 @@ func (h *Host) readLoop(conn net.Conn) {
 		if ep == nil {
 			continue // unbound service: silent drop, like simnet
 		}
-		ep.queue.Push(transport.Message{From: from, To: to, Payload: payload, Size: size})
+		ep.queue.Push(transport.Message{From: from, Payload: head, Body: body, Size: size})
 	}
 }
 
@@ -264,23 +268,21 @@ type endpoint struct {
 	addr   transport.Addr
 	queue  *queue
 	sendMu sync.Mutex
-	// closed is set by Close under host.mu and read by SendSized without it.
+	// closed is set by Close under host.mu and read by SendFrame without it.
 	closed atomic.Bool
 }
 
 func (ep *endpoint) Addr() transport.Addr { return ep.addr }
 
 func (ep *endpoint) Send(to transport.Addr, payload []byte) error {
-	return ep.SendSized(to, payload, len(payload))
+	return ep.SendFrame(to, payload, nil, len(payload))
 }
 
-func (ep *endpoint) SendSized(to transport.Addr, payload []byte, size int) error {
+func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) error {
 	if ep.closed.Load() {
 		return transport.ErrClosed
 	}
-	if size < len(payload) {
-		size = len(payload)
-	}
+	size = max(size, len(head)+len(body))
 	conn, err := ep.host.dial(to.Node())
 	if err != nil {
 		return err
@@ -292,7 +294,8 @@ func (ep *endpoint) SendSized(to transport.Addr, payload []byte, size int) error
 	e.String(string(ep.addr))
 	e.String(string(to))
 	e.Int(size)
-	e.BytesField(payload)
+	e.BytesField(head)
+	e.BytesField(body)
 	ep.sendMu.Lock()
 	defer ep.sendMu.Unlock()
 	if err := wire.WriteFrame(conn, e.Bytes()); err != nil {

@@ -56,7 +56,7 @@ func TestVirtualSizeCarried(t *testing.T) {
 	a, b := twoHosts(t)
 	epA, _ := a.Endpoint("svc")
 	epB, _ := b.Endpoint("svc")
-	if err := epA.SendSized("beta/svc", []byte("hdr"), 12345); err != nil {
+	if err := epA.SendFrame("beta/svc", []byte("hdr"), []byte("body"), 12345); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := epB.RecvTimeout(5 * time.Second)
@@ -226,11 +226,11 @@ func TestReturnRouteLearned(t *testing.T) {
 	}
 }
 
-// TestReceiverOwnsPayloadOverTCP is the real-socket half of the buffer rule
-// pipe relies on (transport.Message): once Conn.Send has returned, the
-// sender may scribble over its buffer, and the messages the receiver holds
-// are untouched — here because every frame is read off the socket into a
-// buffer of its own.
+// TestReceiverOwnsPayloadOverTCP is the real-socket half of the send rule
+// pipe relies on (transport.Message): one buffer, given up once, is sent on
+// several conns at once, and every receiver gets its bytes while the buffer
+// itself stays as it was sent. Over TCP each receiver's payload is read into
+// a frame of its own, so one receiver's append reaches no other.
 func TestReceiverOwnsPayloadOverTCP(t *testing.T) {
 	a, b := twoHosts(t)
 	epA, err := a.Endpoint("pipe")
@@ -244,54 +244,68 @@ func TestReceiverOwnsPayloadOverTCP(t *testing.T) {
 	muxA, muxB := pipe.NewMux(a, epA, pipe.Options{}), pipe.NewMux(b, epB, pipe.Options{})
 	t.Cleanup(func() { muxA.Close(); muxB.Close() })
 
-	const n, size = 32, 256
-	want := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, size) }
-	received := make(chan []pipe.Message, 1)
-	go func() {
-		var got []pipe.Message
-		defer func() { received <- got }()
-		conn, err := muxB.Accept()
-		if err != nil {
-			return
-		}
-		for i := 0; i < n; i++ {
-			m, err := conn.RecvTimeout(10 * time.Second)
+	const conns, n, size = 3, 16, 256
+	shared := bytes.Repeat([]byte{0x5A, 0xA5}, size/2)
+	saved := bytes.Clone(shared)
+	received := make(chan []pipe.Message, conns)
+	for c := 0; c < conns; c++ {
+		go func() {
+			var got []pipe.Message
+			defer func() { received <- got }()
+			conn, err := muxB.Accept()
 			if err != nil {
 				return
 			}
-			got = append(got, m)
-		}
-	}()
-	conn, err := muxA.Dial("beta/pipe")
-	if err != nil {
-		t.Fatal(err)
+			for i := 0; i < n; i++ {
+				m, err := conn.RecvTimeout(10 * time.Second)
+				if err != nil {
+					return
+				}
+				got = append(got, m)
+			}
+		}()
 	}
-	buf := make([]byte, size)
-	for i := 0; i < n; i++ {
-		copy(buf, want(i))
-		if err := conn.Send(buf); err != nil {
-			t.Fatalf("Send %d: %v", i, err)
+	sent := make(chan error, conns)
+	for c := 0; c < conns; c++ {
+		go func() {
+			conn, err := muxA.Dial("beta/pipe")
+			for i := 0; i < n && err == nil; i++ {
+				err = conn.Send(shared)
+			}
+			sent <- err
+		}()
+	}
+	var all []pipe.Message
+	for c := 0; c < conns; c++ {
+		if err := <-sent; err != nil {
+			t.Fatalf("Send: %v", err)
 		}
-		for j := range buf {
-			buf[j] = 0xEE
+		all = append(all, <-received...)
+	}
+	if len(all) != conns*n {
+		t.Fatalf("received %d messages, want %d", len(all), conns*n)
+	}
+	for i, m := range all {
+		if !bytes.Equal(m.Payload, saved) {
+			t.Fatalf("message %d arrived as % x", i, m.Payload[:8])
+		}
+		_ = append(m.Payload, 0xEE)
+	}
+	for i, m := range all {
+		if !bytes.Equal(m.Payload, saved) {
+			t.Fatalf("an append to another message changed message %d", i)
 		}
 	}
-	got := <-received
-	if len(got) != n {
-		t.Fatalf("received %d messages, want %d", len(got), n)
-	}
-	for i, m := range got {
-		if !bytes.Equal(m.Payload, want(i)) {
-			t.Fatalf("message %d corrupted after the sender reused its buffer: % x", i, m.Payload[:8])
-		}
+	if !bytes.Equal(shared, saved) {
+		t.Fatal("the sent buffer was written")
 	}
 }
 
-// TestEndpointPayloadIsTheFramesOwn holds the transport to the receiver-owns
-// rule below the pipe: readLoop hands up an alias into the frame it read,
-// not a copy, so every delivered Payload must come from a frame of its own —
-// messages held together share no bytes, none changes when the receiver
-// writes another, and none changes when the sender reuses its buffer.
+// TestEndpointPayloadIsTheFramesOwn holds realnet to the frame it delivers:
+// readLoop hands up head and body as aliases into the frame it read, not as
+// copies, so every frame must be read into a buffer of its own — messages
+// held together each read as sent — and the head must end where the body's
+// field begins, so an append to the head cannot write the body.
 func TestEndpointPayloadIsTheFramesOwn(t *testing.T) {
 	a, b := twoHosts(t)
 	epA, err := a.Endpoint("svc")
@@ -303,36 +317,28 @@ func TestEndpointPayloadIsTheFramesOwn(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n, size = 16, 512
-	want := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, size) }
-	buf := make([]byte, size)
+	head := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 8) }
+	body := func(i int) []byte { return bytes.Repeat([]byte{byte(0x80 + i)}, size) }
 	for i := 0; i < n; i++ {
-		copy(buf, want(i))
-		if err := epA.Send("beta/svc", buf); err != nil {
-			t.Fatalf("Send %d: %v", i, err)
-		}
-		for j := range buf {
-			buf[j] = 0xEE
+		if err := epA.SendFrame("beta/svc", head(i), body(i), 0); err != nil {
+			t.Fatalf("SendFrame %d: %v", i, err)
 		}
 	}
-	var held [][]byte
+	var held []transport.Message
 	for i := 0; i < n; i++ {
 		m, err := epB.RecvTimeout(10 * time.Second)
 		if err != nil {
 			t.Fatalf("Recv %d: %v", i, err)
 		}
-		held = append(held, m.Payload)
+		held = append(held, m)
 	}
-	for i, p := range held {
-		if !bytes.Equal(p, want(i)) {
-			t.Fatalf("message %d arrived as % x", i, p[:8])
+	for i, m := range held {
+		if !bytes.Equal(m.Payload, head(i)) || !bytes.Equal(m.Body, body(i)) || m.Size != 8+size {
+			t.Fatalf("message %d arrived as head % x, body % x..., size %d", i, m.Payload, m.Body[:8], m.Size)
 		}
-		for j := range p { // the receiver owns it: writing one must reach no other
-			p[j] = 0
-		}
-		for k := i + 1; k < n; k++ {
-			if !bytes.Equal(held[k], want(k)) {
-				t.Fatalf("writing message %d's payload changed message %d's", i, k)
-			}
+		_ = append(m.Payload, bytes.Repeat([]byte{0xEE}, 16)...)
+		if !bytes.Equal(m.Body, body(i)) {
+			t.Fatalf("an append to message %d's head wrote its body", i)
 		}
 	}
 }

@@ -52,7 +52,7 @@ type Profile struct {
 	// distribution (0.2 means ±20%).
 	WakeLagSpread float64
 	// EngagedWindow is how long after any activity the node remains
-	// "engaged" (no wake lag). Defaults to 30s when zero and WakeLag > 0.
+	// "engaged" (no wake lag). Defaults to 30s when <= 0 and WakeLag > 0.
 	EngagedWindow time.Duration
 	// DegradeRefBytes and DegradeExp define the size-dependent bandwidth
 	// degradation of messages received by this node:
@@ -132,7 +132,7 @@ func (n *Network) AddNode(name string, p Profile) (*Node, error) {
 	if p.CPUScore <= 0 {
 		p.CPUScore = 1.0
 	}
-	if p.WakeLag > 0 && p.EngagedWindow == 0 {
+	if p.WakeLag > 0 && p.EngagedWindow <= 0 {
 		p.EngagedWindow = 30 * time.Second
 	}
 	n.mu.Lock()
@@ -343,10 +343,10 @@ type endpoint struct {
 func (ep *endpoint) Addr() transport.Addr { return ep.addr }
 
 func (ep *endpoint) Send(to transport.Addr, payload []byte) error {
-	return ep.SendSized(to, payload, len(payload))
+	return ep.SendFrame(to, payload, nil, len(payload))
 }
 
-// SendSized models the full lifecycle of one message:
+// SendFrame models the full lifecycle of one message:
 //
 //  1. serialization on the sender's uplink toward the destination node
 //     (sender blocks; back-to-back messages to the same node queue up),
@@ -357,10 +357,8 @@ func (ep *endpoint) Send(to transport.Addr, payload []byte) error {
 //
 // The effective bandwidth of the path is the min of the endpoints' access
 // links divided by the receiver's size-degradation factor.
-func (ep *endpoint) SendSized(to transport.Addr, payload []byte, size int) error {
-	if size < len(payload) {
-		size = len(payload)
-	}
+func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) error {
+	size = max(size, len(head)+len(body))
 	src := ep.node
 	net := src.net
 	nowT := net.sched.Now()
@@ -412,7 +410,7 @@ func (ep *endpoint) SendSized(to transport.Addr, payload []byte, size int) error
 	// delivered only once it wakes, so they cannot overtake the message that
 	// triggered the wake.
 	if q.WakeLag > 0 {
-		engagedUntil := dstNode.lastActive + durOf(q.EngagedWindow, 30*time.Second)
+		engagedUntil := dstNode.lastActive + q.EngagedWindow
 		switch {
 		case dstNode.wakeAt >= arrival:
 			// The node is asleep and a wake is already pending after this
@@ -479,8 +477,8 @@ func (ep *endpoint) SendSized(to transport.Addr, payload []byte, size int) error
 	if !lost {
 		dstEP.queue.PushAt(transport.Message{
 			From:    ep.addr,
-			To:      to,
-			Payload: payload,
+			Payload: head,
+			Body:    body,
 			Size:    size,
 		}, vtime.Epoch.Add(arrival))
 	}
@@ -488,13 +486,6 @@ func (ep *endpoint) SendSized(to transport.Addr, payload []byte, size int) error
 	// The sender is occupied until serialization completes.
 	net.sched.Sleep(txEnd - now)
 	return nil
-}
-
-func durOf(d, def time.Duration) time.Duration {
-	if d > 0 {
-		return d
-	}
-	return def
 }
 
 func (ep *endpoint) Recv() (transport.Message, error) {

@@ -37,15 +37,15 @@ func TestBasicDelivery(t *testing.T) {
 		got = m
 	})
 	n.Run(func() {
-		if err := epA.Send(epB.Addr(), []byte("ping")); err != nil {
-			t.Errorf("Send: %v", err)
+		if err := epA.SendFrame(epB.Addr(), []byte("ping"), []byte("body"), 0); err != nil {
+			t.Errorf("SendFrame: %v", err)
 		}
 	})
-	if string(got.Payload) != "ping" {
-		t.Fatalf("payload = %q, want ping", got.Payload)
+	if string(got.Payload) != "ping" || string(got.Body) != "body" || got.Size != 8 {
+		t.Fatalf("head %q, body %q, size %d; want ping, body, 8", got.Payload, got.Body, got.Size)
 	}
-	if got.From != "a/svc" || got.To != "b/svc" {
-		t.Fatalf("addressing = %s -> %s", got.From, got.To)
+	if got.From != "a/svc" {
+		t.Fatalf("from = %s", got.From)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestTransmissionTimeFollowsBandwidth(t *testing.T) {
 		}
 	})
 	n.Run(func() {
-		epA.SendSized(epB.Addr(), []byte("hdr"), 5_000_000) // 5 MB at 1 MB/s
+		epA.SendFrame(epB.Addr(), []byte("hdr"), nil, 5_000_000) // 5 MB at 1 MB/s
 	})
 	if want := 5 * time.Second; arrived != want {
 		t.Fatalf("5MB at 1MB/s arrived at %v, want %v", arrived, want)
@@ -105,7 +105,7 @@ func TestPathBandwidthIsBottleneck(t *testing.T) {
 		}
 	})
 	n.Run(func() {
-		epA.SendSized(epB.Addr(), nil, 2_000_000)
+		epA.SendFrame(epB.Addr(), nil, nil, 2_000_000)
 	})
 	if want := 2 * time.Second; arrived != want {
 		t.Fatalf("arrived at %v, want %v (bottleneck 1MB/s)", arrived, want)
@@ -120,7 +120,7 @@ func TestSenderBlocksForSerialization(t *testing.T) {
 	var sendDone time.Duration
 	n.Scheduler().Go(func() { epB.Recv() })
 	n.Run(func() {
-		epA.SendSized(epB.Addr(), nil, 3_000_000)
+		epA.SendFrame(epB.Addr(), nil, nil, 3_000_000)
 		sendDone = n.Scheduler().Elapsed()
 	})
 	if want := 3 * time.Second; sendDone != want {
@@ -143,8 +143,8 @@ func TestBackToBackSendsQueueOnUplink(t *testing.T) {
 		}
 	})
 	n.Run(func() {
-		epA.SendSized(epB.Addr(), nil, 1_000_000)
-		epA.SendSized(epB.Addr(), nil, 1_000_000)
+		epA.SendFrame(epB.Addr(), nil, nil, 1_000_000)
+		epA.SendFrame(epB.Addr(), nil, nil, 1_000_000)
 	})
 	if len(arrivals) != 2 {
 		t.Fatalf("got %d arrivals, want 2", len(arrivals))
@@ -172,9 +172,9 @@ func TestSizeDegradationSlowsLargeMessages(t *testing.T) {
 	})
 	n.Run(func() {
 		// 1MB with degrade factor 1+(1)^1 = 2 -> 2s
-		epA.SendSized(epB.Addr(), nil, 1_000_000)
+		epA.SendFrame(epB.Addr(), nil, nil, 1_000_000)
 		// 4MB with degrade factor 1+4 = 5 -> 20s
-		epA.SendSized(epB.Addr(), nil, 4_000_000)
+		epA.SendFrame(epB.Addr(), nil, nil, 4_000_000)
 	})
 	if len(arrivals) != 2 {
 		t.Fatalf("got %d arrivals, want 2", len(arrivals))
@@ -273,7 +273,7 @@ func TestMTBFLossGrowsWithMessageSize(t *testing.T) {
 		})
 		n.Run(func() {
 			for i := 0; i < total; i++ {
-				epA.SendSized(epB.Addr(), nil, size)
+				epA.SendFrame(epB.Addr(), nil, nil, size)
 			}
 		})
 		return received
@@ -443,7 +443,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		})
 		n.Run(func() {
 			for i := 0; i < 50; i++ {
-				epA.SendSized(epB.Addr(), nil, 100_000)
+				epA.SendFrame(epB.Addr(), nil, nil, 100_000)
 			}
 		})
 		_, delivered, _ := n.Stats()

@@ -50,20 +50,19 @@ func (a Addr) Service() string {
 	return s
 }
 
-// Message is one datagram handed to an Endpoint.
+// Message is one datagram handed to an Endpoint: a frame of two parts, the
+// head and the body a sender passed to SendFrame (Send sends a head alone).
+// Both are read-only. simnet delivers the very buffers the sender gave up,
+// which other messages may share, and realnet aliases into the frame it read
+// off the socket; a receiver may keep slices of either but never writes them.
 type Message struct {
-	From Addr
-	To   Addr
-	// Payload of a received message belongs to the receiver, which may keep
-	// slices of it without copying: no one else reads or writes the buffer
-	// after delivery. Both transports hold to this — simnet delivers the
-	// very buffer the sender gave up (see Endpoint.Send), realnet a fresh
-	// one read off the socket.
-	Payload []byte
+	From    Addr
+	Payload []byte // the head
+	Body    []byte
 	// Size is the number of bytes the message occupies on the wire. It is
-	// at least len(Payload); the transfer engine sends file parts with a
-	// small real payload and a large Size so that simulating a 100 Mb part
-	// does not allocate 100 MB.
+	// at least len(Payload)+len(Body); the transfer engine sends file parts
+	// with a small real payload and a large Size so that simulating a 100 Mb
+	// part does not allocate 100 MB.
 	Size int
 }
 
@@ -79,16 +78,16 @@ var (
 type Endpoint interface {
 	// Addr returns the endpoint's own address.
 	Addr() Addr
-	// Send transmits payload to the destination. It blocks for the
-	// serialization time of the message on the sender's uplink (virtual time
-	// under simnet). Delivery is not guaranteed. The caller gives payload
-	// up: it must not write to it after Send is called, because the
-	// receiver may be handed that very buffer (Message.Payload).
+	// Send transmits payload to the destination as a frame's head with no
+	// body: SendFrame(to, payload, nil, len(payload)).
 	Send(to Addr, payload []byte) error
-	// SendSized is Send with an explicit wire size; size must be >=
-	// len(payload). The simulated transport uses size for timing and loss;
-	// the real transport transmits padding.
-	SendSized(to Addr, payload []byte, size int) error
+	// SendFrame transmits a frame of head and body occupying size bytes on
+	// the wire (at least len(head)+len(body)). It blocks for the
+	// serialization time of the message on the sender's uplink (virtual time
+	// under simnet). Delivery is not guaranteed. The caller gives head and
+	// body up: it must not write to them after SendFrame is called, because
+	// receivers may be handed those very buffers (Message).
+	SendFrame(to Addr, head, body []byte, size int) error
 	// Recv blocks until a message arrives or the endpoint is closed.
 	Recv() (Message, error)
 	// RecvTimeout is Recv with a deadline relative to now. It returns

@@ -41,9 +41,8 @@ func NewEncoder(n int) *Encoder {
 }
 
 // Bytes returns the encoded buffer. The encoder retains ownership; the caller
-// must copy if it will keep the slice across further encoder use. Handing it
-// to a call that does not retain its argument (pipe.Conn.Send) and returning
-// the encoder to the pool afterwards needs no copy.
+// must copy (Detach) if it will keep the slice across further encoder use or
+// give it away, as a send does.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of encoded bytes so far.
