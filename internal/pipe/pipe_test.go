@@ -18,7 +18,7 @@ type rig struct {
 	muxB *Mux
 }
 
-func newRig(t *testing.T, pa, pb simnet.Profile, opts Options) *rig {
+func newRig(t testing.TB, pa, pb simnet.Profile, opts Options) *rig {
 	t.Helper()
 	n := simnet.New(7)
 	a := n.MustAddNode("a", pa)
