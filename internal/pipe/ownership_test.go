@@ -45,7 +45,7 @@ func TestSentPayloadIsSharedNotWritten(t *testing.T) {
 			conn.mu.Unlock()
 		})
 	}
-	var retransmits int64
+	var dialed []*Conn
 	r.net.Run(func() {
 		join := vtime.NewQueue(r.net.Scheduler())
 		for c := 0; c < conns; c++ {
@@ -54,6 +54,7 @@ func TestSentPayloadIsSharedNotWritten(t *testing.T) {
 				t.Errorf("Dial: %v", err)
 				return
 			}
+			dialed = append(dialed, conn)
 			for w := 0; w < senders; w++ {
 				r.net.Scheduler().Go(func() {
 					for i := 0; i < n; i++ {
@@ -61,17 +62,18 @@ func TestSentPayloadIsSharedNotWritten(t *testing.T) {
 							t.Errorf("Send: %v", err)
 						}
 					}
-					join.Push(conn)
+					join.Push(nil)
 				})
 			}
 		}
 		for i := 0; i < conns*senders; i++ {
-			v, _ := join.Pop()
-			if i%senders == 0 {
-				retransmits += v.(*Conn).Retransmissions()
-			}
+			join.Pop()
 		}
 	})
+	var retransmits int64
+	for _, conn := range dialed {
+		retransmits += conn.Retransmissions()
+	}
 	if len(got) != conns*senders*n {
 		t.Fatalf("received %d messages, want %d", len(got), conns*senders*n)
 	}
