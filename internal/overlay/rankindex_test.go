@@ -3,7 +3,9 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -209,6 +211,204 @@ func TestRankIndexUntouchedByNonPure(t *testing.T) {
 	}
 	if b.rankRing != ring || b.rankNext != next {
 		t.Fatal("the always-miss oracle installed an entry")
+	}
+}
+
+// fullRanking is the model's ranking of every candidate, best first.
+func fullRanking(r core.Ranker, req core.Request, cands []core.Candidate) ([]string, error) {
+	return r.Rank(req, cands)
+}
+
+// refSelect is what a selection must return, derived without the rank index:
+// every advertised peer snapshotted afresh, the model's full ranking over
+// them — the excluded names filtered out of it for the economic model,
+// removed from the candidate set for the others — truncated to MaxResults,
+// and each survivor's address read from the directory.
+func refSelect(b *Broker, req selectReq) (peers, addrs []string, err error) {
+	var model core.Ranker
+	if core.UsesPreferences(req.Model) {
+		model = core.NewUserPreference(req.Preferred)
+	} else {
+		model = b.selectors[req.Model].(core.Ranker)
+	}
+	filter := req.Model == "economic"
+	addrOf := map[string]string{}
+	var cands []core.Candidate
+	for _, a := range b.Advertisements(jxta.AdvPeer, "") {
+		addrOf[a.Name] = a.Addr
+		if filter || !slices.Contains(req.Exclude, a.Name) {
+			cands = append(cands, core.Candidate{Snapshot: b.Registry().Peer(a.Name).Snapshot()})
+		}
+	}
+	creq := core.Request{Kind: core.RequestKind(req.Kind), SizeBytes: req.SizeBytes, WorkUnits: req.WorkUnits, Now: b.host.Now()}
+	if peers, err = fullRanking(model, creq, cands); err != nil {
+		return nil, nil, err
+	}
+	if filter {
+		peers = slices.DeleteFunc(peers, func(p string) bool { return slices.Contains(req.Exclude, p) })
+	}
+	if len(peers) == 0 {
+		return nil, nil, core.ErrNoCandidates
+	}
+	if req.MaxResults > 0 && req.MaxResults < len(peers) {
+		peers = peers[:req.MaxResults]
+	}
+	for _, p := range peers {
+		addrs = append(addrs, addrOf[p])
+	}
+	return peers, addrs, nil
+}
+
+// selectionCoverage counts the program steps the oracle insists on.
+type selectionCoverage struct {
+	selections, removedBest, sameInstantRepeats int
+}
+
+// checkSelectionProgram runs a seeded program against a broker of the given
+// shard count, about 40 peers with spread profiles: selections under four
+// models with exclusions and truncation, statistics reports, registrations
+// and clock advances (zero in some steps, so a request shape recurs at one
+// instant with other exclusions). Every selection must equal refSelect.
+func checkSelectionProgram(t *testing.T, seed int64, shards, steps int, cov *selectionCoverage) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	profiles := map[string]simnet.Profile{}
+	for i := 0; i < 40; i++ {
+		p := clientProfile()
+		p.CPUScore = 0.5 + float64(rng.Intn(8))/4
+		p.Bandwidth = 1e6 * float64(1+rng.Intn(10))
+		profiles[fmt.Sprintf("sp%02d", i)] = p
+	}
+	d := deployShards(t, shards, profiles)
+	b := d.broker
+	var names []string
+	for name := range profiles {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	d.net.Run(func() {
+		for _, name := range names {
+			if err := d.clients[name].Start(); err != nil {
+				t.Errorf("start %s: %v", name, err)
+			}
+		}
+	})
+
+	// report applies one load or transfer report to a peer, as the broker's
+	// handlers would.
+	report := func(peer string) {
+		ps := b.Registry().Peer(peer)
+		switch rng.Intn(5) {
+		case 0:
+			ps.ObserveTransferRate(1e5+rng.Intn(9e6), time.Second)
+		case 1:
+			ps.ObservePetitionDelay(time.Duration(1+rng.Intn(800)) * time.Millisecond)
+		case 2:
+			ps.SetReadyAt(b.host.Now().Add(time.Duration(rng.Intn(90)-30) * time.Second))
+		case 3:
+			ps.RecordFileSent(rng.Intn(4) > 0)
+		default:
+			ps.RecordMessage(rng.Intn(3) > 0)
+		}
+	}
+	for _, name := range names {
+		if rng.Intn(3) > 0 {
+			report(name)
+		}
+	}
+
+	models := []string{"economic", "same-priority", "quick-peer", "user-preference"}
+	shapes := []selectReq{
+		{Kind: byte(core.KindFileTransfer), SizeBytes: 5 << 20},
+		{Kind: byte(core.KindTask), WorkUnits: 30},
+	}
+	var prev selectReq
+	var prevAt time.Time
+	prevStep := -2 // no selection yet
+	for step := 0; step < steps; step++ {
+		switch op := rng.Intn(20); {
+		case op < 11: // a selection
+			req := shapes[rng.Intn(len(shapes))]
+			req.Model = models[rng.Intn(len(models))]
+			repeat := prevStep == step-1 && rng.Intn(2) == 0
+			if repeat {
+				req = prev
+			}
+			req.MaxResults = rng.Intn(4)
+			if core.UsesPreferences(req.Model) && !repeat {
+				for j := rng.Intn(6); j > 0; j-- {
+					req.Preferred = append(req.Preferred, names[rng.Intn(len(names))])
+				}
+				req.Preferred = append(req.Preferred, "gone.peer")
+			}
+			bare := req
+			bare.Exclude, bare.MaxResults = nil, 4
+			top, _, _ := refSelect(b, bare)
+			req.Exclude = nil
+			switch rng.Intn(3) {
+			case 0: // the best few, in order
+				req.Exclude = append(req.Exclude, top[:rng.Intn(len(top)+1)]...)
+			case 1: // a mix of the best, anyone and a stranger
+				for j := 1 + rng.Intn(4); j > 0; j-- {
+					switch rng.Intn(3) {
+					case 0:
+						req.Exclude = append(req.Exclude, top[rng.Intn(len(top))])
+					case 1:
+						req.Exclude = append(req.Exclude, names[rng.Intn(len(names))])
+					default:
+						req.Exclude = append(req.Exclude, "absent.peer")
+					}
+				}
+			}
+			if k := req.MaxResults; k > 0 && k <= len(top) && !slices.ContainsFunc(top[:k], func(p string) bool { return !slices.Contains(req.Exclude, p) }) {
+				cov.removedBest++
+			}
+			if repeat && prevAt.Equal(b.host.Now()) && !slices.Equal(prev.Exclude, req.Exclude) {
+				cov.sameInstantRepeats++
+			}
+			cov.selections++
+			gotP, gotA, gotErr := b.selectPeers(req)
+			wantP, wantA, wantErr := refSelect(b, req)
+			if (gotErr == nil) != (wantErr == nil) || !errors.Is(gotErr, wantErr) && wantErr != nil ||
+				!slices.Equal(gotP, wantP) || !slices.Equal(gotA, wantA) {
+				t.Fatalf("seed %d, %d shards, step %d: %+v\nserved (%v, %v, %v)\nreference (%v, %v, %v)",
+					seed, shards, step, req, gotP, gotA, gotErr, wantP, wantA, wantErr)
+			}
+			prev, prevAt, prevStep = req, b.host.Now(), step
+		case op < 15: // a statistics report
+			report(names[rng.Intn(len(names))])
+		case op < 16: // a registration
+			name := fmt.Sprintf("sp%02d", len(names))
+			p := clientProfile()
+			p.CPUScore = 0.5 + float64(rng.Intn(8))/4
+			d.net.Run(func() {
+				if _, err := BootPeer(d.net.MustAddNode(name, p), b.Addr(), ClientConfig{CPUScore: p.CPUScore}); err != nil {
+					t.Errorf("boot %s: %v", name, err)
+				}
+			})
+			names = append(names, name)
+		default: // a clock advance, none at all in a third of them
+			if dt := time.Duration(rng.Intn(3)) * time.Duration(1+rng.Intn(20)) * time.Second; dt > 0 {
+				d.net.Run(func() { d.net.Node("broker0").Sleep(dt) })
+			}
+		}
+	}
+}
+
+// TestSelectionMatchesFullRanking is the oracle for the selection path:
+// seeded programs on one- and four-shard brokers, every selection compared
+// with the model's full ranking over a fresh snapshot of the directory.
+func TestSelectionMatchesFullRanking(t *testing.T) {
+	var cov selectionCoverage
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, shards := range []int{1, 4} {
+			checkSelectionProgram(t, seed, shards, 300, &cov)
+		}
+	}
+	t.Logf("coverage: %+v", cov)
+	if cov.removedBest < 5 || cov.sameInstantRepeats < 5 {
+		t.Fatalf("the programs excluded the k best in %d selections and repeated a shape at one instant with other exclusions in %d; want at least 5 of each",
+			cov.removedBest, cov.sameInstantRepeats)
 	}
 }
 
