@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -42,48 +43,86 @@ var benchReq = Request{Kind: KindFileTransfer, SizeBytes: 2_000_000, Now: now}
 
 var rankSink []string
 
-// BenchmarkRank is the core layer's share of a selection miss: one full
-// ranking over a directory-sized candidate set, per model.
+// BenchmarkRank is the core layer's share of a selection miss, per model: a
+// full ranking over a directory-sized candidate set, and a ranking to depth
+// 1 (/top1), which is what the broker asks for when a request wants one peer.
 func BenchmarkRank(b *testing.B) {
 	for _, n := range []int{4096, 16384} {
 		cands := benchCandidates(n)
 		for _, r := range benchRankers(cands) {
-			b.Run(fmt.Sprintf("%s/%d", r.(Selector).Name(), n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ranked, err := r.Rank(benchReq, cands)
-					if err != nil {
-						b.Fatal(err)
+			for _, depth := range []struct {
+				suffix string
+				k      int
+			}{{"", 0}, {"/top1", 1}} {
+				b.Run(fmt.Sprintf("%s/%d%s", r.Name(), n, depth.suffix), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						ranked, err := r.Rank(benchReq, cands, depth.k)
+						if err != nil {
+							b.Fatal(err)
+						}
+						rankSink = ranked
 					}
-					rankSink = ranked
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/cand")
-			})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/cand")
+				})
+			}
 		}
 	}
+}
+
+// bytesPerRun is what one call of f allocates, averaged over runs calls
+// after a first one, measured the way testing.AllocsPerRun counts.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // TestRankAllocBudgets pins what a ranking allocates: a handful of flat
 // slices whose number does not depend on the candidate count. A map sized by
 // the candidates would show as a count that grows from 4 096 to 16 384 (a
 // map that large is many tables), so equal small counts at both sizes also
-// say no such map is built.
+// say no such map is built. A ranking to depth 1 is held to bytes: for the
+// economic and quick-peer models the same few hundred at both sizes, nothing
+// sized by the candidates; the data evaluator keeps its two score columns,
+// 16 bytes a candidate.
 func TestRankAllocBudgets(t *testing.T) {
 	budgets := map[string]float64{"economic": 6, "same-priority": 6, "quick-peer": 4}
 	small, large := benchCandidates(4096), benchCandidates(16384)
 	for i, r := range benchRankers(small) {
-		name := r.(Selector).Name()
-		count := func(r Ranker, cands []Candidate) float64 {
-			return testing.AllocsPerRun(5, func() {
-				if _, err := r.Rank(benchReq, cands); err != nil {
+		name := r.Name()
+		rank := func(r Ranker, cands []Candidate, k int) func() {
+			return func() {
+				if _, err := r.Rank(benchReq, cands, k); err != nil {
 					t.Fatal(err)
 				}
-			})
+			}
 		}
-		atSmall, atLarge := count(r, small), count(benchRankers(large)[i], large)
+		rl := benchRankers(large)[i]
+		atSmall, atLarge := testing.AllocsPerRun(5, rank(r, small, 0)), testing.AllocsPerRun(5, rank(rl, large, 0))
 		if atSmall != atLarge || atSmall > budgets[name] {
 			t.Errorf("%s: %v allocations to rank 4096 candidates, %v to rank 16384; budget %v at both",
 				name, atSmall, atLarge, budgets[name])
+		}
+		top1Small, top1Large := bytesPerRun(5, rank(r, small, 1)), bytesPerRun(5, rank(rl, large, 1))
+		if name == "same-priority" {
+			for _, c := range []struct {
+				n     int
+				bytes uint64
+			}{{len(small), top1Small}, {len(large), top1Large}} {
+				if c.bytes > uint64(16*c.n+1024) {
+					t.Errorf("%s: %d bytes to rank %d candidates to depth 1; budget 16 a candidate plus 1 KB", name, c.bytes, c.n)
+				}
+			}
+		} else if top1Small != top1Large || top1Small >= 1024 {
+			t.Errorf("%s: %d bytes to rank 4096 candidates to depth 1, %d to rank 16384; budget under 1 KB at both",
+				name, top1Small, top1Large)
 		}
 	}
 }

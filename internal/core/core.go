@@ -98,69 +98,109 @@ type Selector interface {
 	Select(req Request, cands []Candidate) (string, error)
 }
 
-// Ranker orders the whole candidate set, best first. All bundled selectors
-// implement it; the transfer engine uses rankings to spread parts.
+// Ranker is a Selector that also orders the candidate set, best first. Every
+// bundled model is one; the broker serves selections through Rank.
 type Ranker interface {
-	Rank(req Request, cands []Candidate) ([]string, error)
+	Selector
+	// Rank returns the first k names of the model's order over cands, or
+	// all of them when k <= 0.
+	Rank(req Request, cands []Candidate, k int) ([]string, error)
 }
 
 // PureRanker is an optional capability of a Ranker: implementing it asserts
 // that Rank is a pure function of (req, cands) — no internal state advances
-// between calls — so a caller may memoize a ranking and replay it while the
-// candidate set and their snapshots are provably unchanged (the broker's
-// rank index does). The two predicates refine how far a memoized ranking
-// stretches:
+// between calls — and subset-stable: for any subset S' of the candidate set
+// S, Rank(req, S') equals Rank(req, S) with the missing names deleted. That
+// holds when the order compares two candidates by what it reads of those two
+// alone (Economic), and fails when a score depends on the rest of the set, as
+// min-max normalization does (DataEvaluator). A caller may then memoize a
+// ranking of the whole set while it and its snapshots are provably unchanged,
+// and serve any exclusion list by filtering it (the broker's rank index does).
 //
-//   - RankSubsetStable: for any subset S' of the candidate set S,
-//     Rank(req, S') equals Rank(req, S) with the missing names deleted.
-//     Holds when the ranking is a stable sort under a pairwise comparator
-//     that reads only the two candidates being compared (Economic). Fails
-//     when any candidate's score depends on the rest of the set, e.g.
-//     min-max normalization (DataEvaluator). A subset-stable ranking over
-//     the full directory serves every exclusion pattern by filtration.
-//
-//   - RankNowShiftInvariant: the ranking is unchanged when req.Now moves
-//     forward, provided req carries no Deadline/Budget admission and Now is
-//     already at or past every candidate's ReadyAt (so every ready time
-//     degenerates to Now + petition delay and completions shift uniformly).
-//     Callers must check those provisos; the predicate only asserts the
-//     model reads no other Now-dependent input.
+// RankNowShiftInvariant reports that the ranking is unchanged when req.Now
+// moves forward, provided req carries no Deadline/Budget admission and Now is
+// already at or past every candidate's ReadyAt (so every ready time
+// degenerates to Now + petition delay and completions shift uniformly).
+// Callers must check those provisos; the predicate only asserts the model
+// reads no other Now-dependent input.
 //
 // Blind must NOT implement this: its round-robin cursor advances per call.
 type PureRanker interface {
-	RankSubsetStable() bool
 	RankNowShiftInvariant() bool
 }
 
-// names extracts candidate names preserving order.
-func names(cands []Candidate) []string {
-	out := make([]string, len(cands))
-	for i := range cands {
-		out[i] = cands[i].Snapshot.Peer
+// boundedDepth is the deepest ranking rankTop keeps by bounded selection.
+// Each new leader shifts at most this many kept entries; a deeper ranking
+// sorts, at log n comparisons per candidate whatever its depth.
+const boundedDepth = 16
+
+// rankTop is every model's Rank: the names of the first k candidates in the
+// order before defines over their keys, ties going to the earlier candidate
+// — the order a stable sort returns — or of all of them when k <= 0. key is
+// called once per candidate.
+//
+// To boundedDepth it keeps the k best so far in order, and a candidate that
+// does not come before the worst of them costs one comparison, so nothing
+// sized by the candidate set is allocated. Deeper, it sorts the candidate
+// positions; only the 4-byte positions move, the keys stay where they are.
+func rankTop[K any](cands []Candidate, k int, key func(i int) K, before func(a, b *K) int) ([]string, error) {
+	n := len(cands)
+	if n == 0 {
+		return nil, ErrNoCandidates
 	}
-	return out
+	if k <= 0 || k > n {
+		k = n
+	}
+	var at []int32 // candidate positions, best first
+	if k > boundedDepth {
+		keys := make([]K, n)
+		at = make([]int32, n)
+		for i := range at {
+			keys[i], at[i] = key(i), int32(i)
+		}
+		slices.SortFunc(at, func(a, b int32) int {
+			if c := before(&keys[a], &keys[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+	} else {
+		// A candidate is appraised in the slot past the kept run, where a
+		// pointer to its key costs no allocation.
+		keys, kept := make([]K, k+1), 0
+		at = make([]int32, k+1)
+		for i := range cands {
+			keys[kept], at[kept] = key(i), int32(i)
+			if kept == k && before(&keys[k], &keys[k-1]) >= 0 {
+				continue // a tie goes to the kept entry, which came earlier
+			}
+			j := kept
+			for j > 0 && before(&keys[kept], &keys[j-1]) < 0 {
+				j--
+			}
+			// Every kept entry it comes before moves down a place; from a
+			// full run the worst moves into the spare slot, out of the run.
+			c := keys[kept]
+			copy(keys[j+1:kept+1], keys[j:kept])
+			copy(at[j+1:kept+1], at[j:kept])
+			keys[j], at[j] = c, int32(i)
+			kept = min(kept+1, k)
+		}
+	}
+	out := make([]string, k)
+	for i := range out {
+		out[i] = cands[at[i]].Snapshot.Peer
+	}
+	return out, nil
 }
 
-// rankedNames sorts the candidate positions by before — a three-way
-// comparison of two positions, ties going to the earlier candidate, which
-// is the order a stable sort returns — and emits the names in that order.
-// Only the 4-byte positions move; whatever before reads stays where it is.
-func rankedNames(cands []Candidate, before func(a, b int32) int) []string {
-	perm := make([]int32, len(cands))
-	for i := range perm {
-		perm[i] = int32(i)
+// first is a Select made of a Rank to depth 1: the head of the ranking, or
+// its error.
+func first(ranked []string, err error) (string, error) {
+	if err != nil {
+		return "", err
 	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		if c := before(a, b); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	out := make([]string, len(perm))
-	for i, at := range perm {
-		out[i] = cands[at].Snapshot.Peer
-	}
-	return out
+	return ranked[0], nil
 }
 
 // StandardModels lists the built-in selection model names a broker serves:
@@ -223,19 +263,31 @@ func (b *Blind) Select(_ Request, cands []Candidate) (string, error) {
 	return peer, nil
 }
 
-// Rank implements Ranker: candidate order rotated by the round-robin cursor.
-func (b *Blind) Rank(_ Request, cands []Candidate) ([]string, error) {
-	if len(cands) == 0 {
+// Rank implements Ranker: candidate order rotated by the round-robin cursor,
+// or shuffled whole.
+func (b *Blind) Rank(_ Request, cands []Candidate, k int) ([]string, error) {
+	n := len(cands)
+	if n == 0 {
 		return nil, ErrNoCandidates
 	}
-	ns := names(cands)
-	if b.Random {
-		b.rand().Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
-		return ns, nil
+	if k <= 0 || k > n {
+		k = n
 	}
-	k := b.next % len(ns)
+	if b.Random {
+		ns := make([]string, n)
+		for i := range cands {
+			ns[i] = cands[i].Snapshot.Peer
+		}
+		b.rand().Shuffle(n, func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
+		return ns[:k], nil
+	}
+	start := b.next % n
 	b.next++
-	return append(append([]string(nil), ns[k:]...), ns[:k]...), nil
+	out := make([]string, k)
+	for i := range out {
+		out[i] = cands[(start+i)%n].Snapshot.Peer
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -278,13 +330,10 @@ func NewEconomic(cfg EconomicConfig) *Economic {
 // Name implements Selector.
 func (e *Economic) Name() string { return "economic" }
 
-// RankSubsetStable implements PureRanker. Rank is a stable sort under a
-// pairwise comparator (feasibility, completion, CPU, cost) where each
-// estimate reads only its own candidate's snapshot — never the rest of the
-// set — so deleting candidates never reorders the survivors.
-func (e *Economic) RankSubsetStable() bool { return true }
-
-// RankNowShiftInvariant implements PureRanker. With no deadline/budget
+// RankNowShiftInvariant implements PureRanker. Rank is subset-stable: it
+// orders by a pairwise comparison (feasibility, completion, CPU, cost) in
+// which each estimate reads only its own candidate's snapshot, so deleting
+// candidates never reorders the survivors. With no deadline/budget
 // admission every candidate is feasible, and once Now ≥ ReadyAt for all of
 // them each completion is Now + PetitionDelay + Duration with both terms
 // Now-independent — shifting Now shifts every completion equally and the
@@ -408,15 +457,8 @@ func (e *Economic) Select(req Request, cands []Candidate) (string, error) {
 
 // Rank implements Ranker. Infeasible candidates rank last but are included:
 // a dispatcher may still need somewhere to send work.
-func (e *Economic) Rank(req Request, cands []Candidate) ([]string, error) {
-	if len(cands) == 0 {
-		return nil, ErrNoCandidates
-	}
-	keys := make([]ecoKey, len(cands))
-	for i := range cands {
-		keys[i] = e.key(&req, &cands[i].Snapshot)
-	}
-	return rankedNames(cands, func(a, b int32) int { return keys[a].before(&keys[b]) }), nil
+func (e *Economic) Rank(req Request, cands []Candidate, k int) ([]string, error) {
+	return rankTop(cands, k, func(i int) ecoKey { return e.key(&req, &cands[i].Snapshot) }, (*ecoKey).before)
 }
 
 // ---------------------------------------------------------------------------
@@ -477,32 +519,17 @@ func (u *UserPreference) Name() string { return u.mode }
 
 // Select implements Selector: the most-preferred available candidate; a
 // candidate outside the preference list is used only if none is preferred.
-func (u *UserPreference) Select(_ Request, cands []Candidate) (string, error) {
-	if len(cands) == 0 {
-		return "", ErrNoCandidates
-	}
-	best, at := u.listed, 0
-	for i := range cands {
-		if r, ok := u.rank[cands[i].Snapshot.Peer]; ok && r < best {
-			best, at = r, i
-		}
-	}
-	return cands[at].Snapshot.Peer, nil
+func (u *UserPreference) Select(req Request, cands []Candidate) (string, error) {
+	return first(u.Rank(req, cands, 1))
 }
 
 // Rank implements Ranker: preferred peers in preference order, then the
 // rest in candidate order.
-func (u *UserPreference) Rank(_ Request, cands []Candidate) ([]string, error) {
-	if len(cands) == 0 {
-		return nil, ErrNoCandidates
-	}
-	place := make([]int32, len(cands))
-	for i := range cands {
-		r, ok := u.rank[cands[i].Snapshot.Peer]
-		if !ok {
-			r = u.listed
+func (u *UserPreference) Rank(_ Request, cands []Candidate, k int) ([]string, error) {
+	return rankTop(cands, k, func(i int) int32 {
+		if r, ok := u.rank[cands[i].Snapshot.Peer]; ok {
+			return r
 		}
-		place[i] = r
-	}
-	return rankedNames(cands, func(a, b int32) int { return cmp.Compare(place[a], place[b]) }), nil
+		return u.listed
+	}, func(a, b *int32) int { return cmp.Compare(*a, *b) })
 }

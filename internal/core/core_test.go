@@ -78,8 +78,8 @@ func TestBlindEmptySet(t *testing.T) {
 func TestBlindRankRotates(t *testing.T) {
 	b := NewBlind()
 	cands := []Candidate{snap("a", nil), snap("b", nil), snap("c", nil)}
-	r1, _ := b.Rank(Request{}, cands)
-	r2, _ := b.Rank(Request{}, cands)
+	r1, _ := b.Rank(Request{}, cands, 0)
+	r2, _ := b.Rank(Request{}, cands, 0)
 	if r1[0] == r2[0] {
 		t.Fatalf("consecutive ranks start with the same peer: %v vs %v", r1, r2)
 	}
@@ -219,7 +219,7 @@ func TestEconomicRankOrdersByCompletion(t *testing.T) {
 		snap("best", func(s *stats.Snapshot) { s.TransferRate = 10e6 }),
 		snap("worst", func(s *stats.Snapshot) { s.TransferRate = 1e5 }),
 	}
-	ranked, err := e.Rank(Request{Kind: KindFileTransfer, SizeBytes: 10_000_000, Now: now}, cands)
+	ranked, err := e.Rank(Request{Kind: KindFileTransfer, SizeBytes: 10_000_000, Now: now}, cands, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestEconomicSlowPeerRanksLast(t *testing.T) {
 		if est := e.Estimate(c.req, c.slow); est.Duration != math.MaxInt64 || !est.Completion.After(now) {
 			t.Errorf("%s: duration %v, completion %v: not saturated", c.name, est.Duration, est.Completion)
 		}
-		ranked, err := e.Rank(c.req, cands)
+		ranked, err := e.Rank(c.req, cands, 0)
 		if err != nil || !reflect.DeepEqual(ranked, []string{"fibre", "modem", "slow"}) {
 			t.Errorf("%s: ranked %v, %v, want fibre, modem, slow", c.name, ranked, err)
 		}
@@ -435,7 +435,7 @@ func TestQuickPeerOrdersByRememberedTimes(t *testing.T) {
 		"midmem":  2 * time.Second,
 	})
 	cands := []Candidate{snap("slowmem", nil), snap("midmem", nil), snap("fastmem", nil)}
-	ranked, err := up.Rank(Request{}, cands)
+	ranked, err := up.Rank(Request{}, cands, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +544,7 @@ func TestPropertyRankIsPermutation(t *testing.T) {
 		}
 		req := Request{Kind: KindFileTransfer, SizeBytes: 1000, Now: now}
 		for _, r := range rankers {
-			ranked, err := r.Rank(req, cands)
+			ranked, err := r.Rank(req, cands, 0)
 			if err != nil || len(ranked) != count {
 				return false
 			}

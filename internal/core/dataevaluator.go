@@ -113,7 +113,9 @@ func FileCentric() Weights {
 
 // DataEvaluator implements the paper's cost model (§2.2): each criterion is
 // min-max normalized over the candidate set, inverted if it is a cost, and
-// combined by weight; the best-scoring peer wins.
+// combined by weight; the best-scoring peer wins. Removing the extremal
+// candidate rescales everyone else's score, so the ranking is not
+// subset-stable and DataEvaluator is no PureRanker.
 type DataEvaluator struct {
 	criteria []Criterion
 	weights  Weights
@@ -124,16 +126,6 @@ type DataEvaluator struct {
 func NewDataEvaluator(w Weights) *DataEvaluator {
 	return &DataEvaluator{criteria: StandardCriteria(), weights: w, label: "data-evaluator"}
 }
-
-// RankSubsetStable implements PureRanker: false — every criterion is
-// min-max normalized over the candidate set (rangeOf), so removing the
-// extremal candidate rescales everyone else's score.
-func (d *DataEvaluator) RankSubsetStable() bool { return false }
-
-// RankNowShiftInvariant implements PureRanker: false — PctMsgLastK is an
-// hour-bucketed window anchored at snapshot time, so a memoized ranking is
-// only replayable at the exact instant (and snapshots) it was built from.
-func (d *DataEvaluator) RankNowShiftInvariant() bool { return false }
 
 // NewSamePriority is the equal-weights variant, labeled as the paper labels
 // it in Figure 6.
@@ -206,27 +198,16 @@ func better(cands []Candidate, scores []float64, a, b int32) int {
 }
 
 // Select implements Selector: the candidate with the best aggregate score.
-func (de *DataEvaluator) Select(_ Request, cands []Candidate) (string, error) {
-	if len(cands) == 0 {
-		return "", ErrNoCandidates
-	}
-	scores := de.Scores(cands)
-	best := int32(0)
-	for i := int32(1); int(i) < len(cands); i++ {
-		if better(cands, scores, i, best) < 0 {
-			best = i
-		}
-	}
-	return cands[best].Snapshot.Peer, nil
+func (de *DataEvaluator) Select(req Request, cands []Candidate) (string, error) {
+	return first(de.Rank(req, cands, 1))
 }
 
-// Rank implements Ranker.
-func (de *DataEvaluator) Rank(_ Request, cands []Candidate) ([]string, error) {
-	if len(cands) == 0 {
-		return nil, ErrNoCandidates
-	}
+// Rank implements Ranker. A candidate's key is its position, which indexes
+// the score column.
+func (de *DataEvaluator) Rank(_ Request, cands []Candidate, k int) ([]string, error) {
 	scores := de.Scores(cands)
-	return rankedNames(cands, func(a, b int32) int { return better(cands, scores, a, b) }), nil
+	return rankTop(cands, k, func(i int) int32 { return int32(i) },
+		func(a, b *int32) int { return better(cands, scores, *a, *b) })
 }
 
 // Validate reports an error if a weight references an unknown criterion, is

@@ -493,6 +493,21 @@ func checkRankCase(seed int64, n int, cov *rankCoverage) error {
 	fail := func(model, what string, got, want any) error {
 		return fmt.Errorf("seed %d n %d %s: %s\n got %v\nwant %v", seed, n, model, what, got, want)
 	}
+	// ranks holds a model's Rank to the reference ranking at every depth:
+	// the whole ranking (0), the few a broker asks for, and either side of
+	// the candidate count. Each must be the reference's first k names.
+	ranks := func(model string, rank func(k int) ([]string, error), want []string, wantErr error) error {
+		for _, k := range []int{0, 1, 2, 3, n / 2, n - 1, n, n + 1} {
+			head := want
+			if k > 0 && k < len(want) {
+				head = want[:k]
+			}
+			if got, gotErr := rank(k); !sameErr(gotErr, wantErr) || !reflect.DeepEqual(got, head) {
+				return fail(model, fmt.Sprintf("Rank to depth %d", k), fmt.Sprint(got, gotErr), fmt.Sprint(head, wantErr))
+			}
+		}
+		return nil
+	}
 
 	// Data evaluator.
 	de, refDE := tc.evaluators()
@@ -503,10 +518,9 @@ func checkRankCase(seed int64, n int, cov *rankCoverage) error {
 			return fail(de.Name(), "score of "+c.Snapshot.Peer, got, want)
 		}
 	}
-	gotRank, gotErr := de.Rank(tc.req, tc.cands)
 	wantRank, wantErr := refDE.Rank(tc.cands)
-	if !sameErr(gotErr, wantErr) || !reflect.DeepEqual(gotRank, wantRank) {
-		return fail(de.Name(), "Rank", fmt.Sprint(gotRank, gotErr), fmt.Sprint(wantRank, wantErr))
+	if err := ranks(de.Name(), func(k int) ([]string, error) { return de.Rank(tc.req, tc.cands, k) }, wantRank, wantErr); err != nil {
+		return err
 	}
 	gotSel, gotErr := de.Select(tc.req, tc.cands)
 	wantSel, wantErr := refDE.Select(tc.cands)
@@ -517,10 +531,9 @@ func checkRankCase(seed int64, n int, cov *rankCoverage) error {
 	// Economic.
 	eco := NewEconomic(tc.eco)
 	refEco := &refEconomic{cfg: tc.eco.withDefaults()}
-	gotRank, gotErr = eco.Rank(tc.req, tc.cands)
 	wantRank, wantErr = refEco.Rank(tc.req, tc.cands)
-	if !sameErr(gotErr, wantErr) || !reflect.DeepEqual(gotRank, wantRank) {
-		return fail("economic", "Rank", fmt.Sprint(gotRank, gotErr), fmt.Sprint(wantRank, wantErr))
+	if err := ranks("economic", func(k int) ([]string, error) { return eco.Rank(tc.req, tc.cands, k) }, wantRank, wantErr); err != nil {
+		return err
 	}
 	gotSel, gotErr = eco.Select(tc.req, tc.cands)
 	wantSel, wantErr = refEco.Select(tc.req, tc.cands)
@@ -531,10 +544,9 @@ func checkRankCase(seed int64, n int, cov *rankCoverage) error {
 	// User preference.
 	up := NewUserPreference(tc.prefs)
 	refUP := &refPreference{prefs: tc.prefs}
-	gotRank, gotErr = up.Rank(tc.req, tc.cands)
 	wantRank, wantErr = refUP.Rank(tc.cands)
-	if !sameErr(gotErr, wantErr) || !reflect.DeepEqual(gotRank, wantRank) {
-		return fail("user-preference", "Rank", fmt.Sprint(gotRank, gotErr), fmt.Sprint(wantRank, wantErr))
+	if err := ranks("user-preference", func(k int) ([]string, error) { return up.Rank(tc.req, tc.cands, k) }, wantRank, wantErr); err != nil {
+		return err
 	}
 	gotSel, gotErr = up.Select(tc.req, tc.cands)
 	wantSel, wantErr = refUP.Select(tc.cands)

@@ -83,7 +83,7 @@ type Broker struct {
 
 	shards    []*shard
 	registry  *stats.Union
-	selectors map[string]core.Selector
+	selectors map[string]core.Ranker
 
 	// down, while set, makes the broker drop every request unanswered —
 	// the fault injector's blackout switch. The mux stays bound (the
@@ -128,7 +128,7 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 		cfg:       cfg,
 		mux:       pipe.NewMux(host, ep, pipe.Options{}),
 		shards:    make([]*shard, cfg.Shards),
-		selectors: make(map[string]core.Selector),
+		selectors: make(map[string]core.Ranker),
 		dir:       mergedDir{stamps: make([]uint64, cfg.Shards)},
 	}
 	regs := make([]*stats.Registry, cfg.Shards)
@@ -272,7 +272,7 @@ func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 }
 
 // RegisterSelector installs (or replaces) a selection model under its name.
-func (b *Broker) RegisterSelector(s core.Selector) {
+func (b *Broker) RegisterSelector(s core.Ranker) {
 	b.selectors[s.Name()] = s
 }
 
@@ -563,17 +563,17 @@ var candPool = sync.Pool{New: func() any { return new([]core.Candidate) }}
 
 // selectPeers resolves the requested model and runs it over the registered
 // peers through selectRanked (rankindex.go). Only a registered model that
-// asserts purity (core.PureRanker) and ranks (core.Ranker) is memoized in
-// the rank index; everything else — the stateful blind cursor, per-request
-// preference models, custom selectors — passes a nil capability and is
-// ranked from scratch every time.
+// asserts purity (core.PureRanker) is memoized in the rank index;
+// everything else — the stateful blind cursor, the data evaluator's
+// set-relative scores, per-request preference models — passes a nil
+// capability and is ranked from scratch every time.
 func (b *Broker) selectPeers(req selectReq) (peers, addrs []string, err error) {
 	sel, ok := b.selectors[req.Model]
 	var pure core.PureRanker
 	if core.UsesPreferences(req.Model) {
 		// Built per request from the user's own ranking.
 		sel, ok = core.NewUserPreference(req.Preferred), true
-	} else if _, isRanker := sel.(core.Ranker); isRanker {
+	} else {
 		pure, _ = sel.(core.PureRanker)
 	}
 	if !ok {

@@ -11,35 +11,31 @@ import (
 	"peerlab/internal/stats"
 )
 
-// Rank index: memoized full-directory rankings for pure selection models.
+// Rank index: memoized ranking prefixes for pure selection models.
 //
-// Each cache keeps its directory in order, so no request scans or sorts it,
-// but every selection still re-ranks O(directory) candidates. For models
-// asserting core.PureRanker the ranking is a pure function of (request
-// shape, candidate set, candidate snapshots), all of which are cheap to
-// fingerprint: the candidate set is pinned by each shard's
-// jxta.Cache.Stamp (equal stamps mean the live set and its payloads
-// unchanged — the same versioning the broker's merged directory keys on),
-// and the snapshots by each shard's
-// stats.Registry.Version. While every stamp matches, replaying the memoized
-// ranking is exact, not approximate — so the index changes no wire bytes and
-// no scheduling points, and golden output is untouched at any hit rate.
+// For models asserting core.PureRanker the ranking is a pure function of
+// (request shape, candidate set, candidate snapshots), all cheap to
+// fingerprint: the candidate set by each shard's jxta.Cache.Stamp (equal
+// stamps mean the live set and its payloads unchanged — the versioning the
+// merged directory keys on too), the snapshots by each shard's
+// stats.Registry.Version. While every stamp matches, a replay is exact, so
+// the index changes no wire bytes and no scheduling points at any hit rate.
 //
-// Two model capabilities stretch a memoized ranking further:
+// A pure model is subset-stable, so it is ranked over the FULL directory and
+// exclusions are applied by filtration at serve time: one entry serves every
+// requester's self-exclusion. A build ranks only to the depth its request
+// reads, MaxResults + len(Exclude), and the entry keeps that prefix. A
+// replay filters the prefix and serves if MaxResults names survive or the
+// prefix is the whole ranking, and rebuilds deeper otherwise; by subset
+// stability, filtering that prefix equals filtering the full ranking.
 //
-//   - Subset-stable models (economic) are ranked over the FULL directory,
-//     exclusions applied by filtration at serve time. One entry then serves
-//     every requester's self-exclusion pattern — without this, a swarm in
-//     which each source excludes itself would never hit.
-//   - Now-shift-invariant models (economic again) may replay across
-//     instants once the build instant is at or past every candidate's
-//     ReadyAt and the request carries no deadline/budget admission; other
-//     pure models (same-priority's min-max normalization reads hour-
-//     bucketed message windows) replay only at the exact build instant.
+// A Now-shift-invariant model (economic) replays across instants once the
+// build instant is at or past every candidate's ReadyAt and the request
+// carries no deadline/budget admission; otherwise only at the build instant.
 //
-// Entries live in a small ring (replacement is insertion-order, a
-// deterministic policy — eviction affects speed, never results) guarded by
-// a mutex so realnet brokers, which serve concurrently, stay race-free.
+// Entries live in a small ring, one per request shape (replacement is
+// insertion-order, a deterministic policy — eviction affects speed, never
+// results), guarded by a mutex because realnet brokers serve concurrently.
 
 // rankIndexSlots bounds the ring: distinct request shapes in flight at once
 // are few (models × flow sizes currently active), and a bounded linear scan
@@ -52,10 +48,6 @@ type rankKey struct {
 	kind      byte
 	sizeBytes int
 	workUnits float64
-	// excludeKey pins the exclusion list for models that are not
-	// subset-stable (exclusions are baked into their ranking); empty for
-	// subset-stable models, which are ranked unexcluded.
-	excludeKey string
 }
 
 // rankStamp fingerprints one shard's contribution to a ranking.
@@ -64,7 +56,7 @@ type rankStamp struct {
 	reg   uint64 // stats.Registry.Version at build
 }
 
-// rankEntry is one memoized ranking.
+// rankEntry is one ranking, memoized or not.
 type rankEntry struct {
 	key     rankKey
 	builtAt time.Time
@@ -72,9 +64,9 @@ type rankEntry struct {
 	// Now-shift invariance above); otherwise only at exactly builtAt.
 	anyTime bool
 	stamps  []rankStamp
-	// ranked is the model's full output over advs' candidates, best first.
-	// Both slices are immutable once installed: serve paths may alias them
-	// but never write.
+	// ranked is the first names of the model's order over advs' candidates,
+	// best first: all of them when it is as long as advs. Both slices are
+	// immutable once installed: serve paths may alias them but never write.
 	ranked []string
 	// advs is the canonical-order directory the ranking was built from —
 	// the binary-search substrate for winner address lookup.
@@ -89,110 +81,107 @@ func (b *Broker) rankLookupLocked(key rankKey, now time.Time) *rankEntry {
 		if e == nil || e.key != key {
 			continue
 		}
-		if !e.anyTime && !now.Equal(e.builtAt) {
-			continue
+		if !e.anyTime && !now.Equal(e.builtAt) || now.Before(e.builtAt) {
+			return nil
 		}
-		if now.Before(e.builtAt) {
-			continue
-		}
-		ok := true
 		for i, sh := range b.shards {
 			if sh.cache.Stamp() != e.stamps[i].cache || sh.registry.Version() != e.stamps[i].reg {
-				ok = false
-				break
+				return nil
 			}
 		}
-		if ok {
-			return e
-		}
+		return e
 	}
 	return nil
 }
 
-// selectRanked is the one selection path: replay the memoized ranking when
-// the model is pure and every stamp matches, rank from scratch otherwise,
-// then filter, truncate and resolve addresses. pure is nil for a model that
-// must not be memoized (see selectPeers): every lookup is then a miss,
-// exclusions are baked into the candidate set, and nothing is installed.
-func (b *Broker) selectRanked(req selectReq, creq core.Request, sel core.Selector, pure core.PureRanker) (peers, addrs []string, err error) {
-	subsetStable := pure != nil && pure.RankSubsetStable()
+// serve filters the excluded names out of the entry's ranking and keeps the
+// first req.MaxResults (all, when it is not positive). ok reports that the
+// ranking was deep enough: whole, or MaxResults names survived.
+func (e *rankEntry) serve(req *selectReq) (peers []string, ok bool) {
+	max := req.MaxResults
+	if max <= 0 || max > len(e.ranked) {
+		max = len(e.ranked)
+	}
+	peers = make([]string, 0, max)
+	for _, p := range e.ranked {
+		if len(peers) == max {
+			break
+		}
+		if !slices.Contains(req.Exclude, p) {
+			peers = append(peers, p)
+		}
+	}
+	return peers, len(e.ranked) == len(e.advs) || req.MaxResults > 0 && len(peers) == req.MaxResults
+}
+
+// selectRanked is the one selection path: replay the memoized prefix when
+// the model is pure, every stamp matches and the prefix is deep enough, rank
+// from scratch otherwise, then filter, truncate and resolve addresses. pure
+// is nil for a model that must not be memoized (see selectPeers): every
+// lookup is then a miss, exclusions are baked into the candidate set, and
+// nothing is installed.
+func (b *Broker) selectRanked(req selectReq, creq core.Request, sel core.Ranker, pure core.PureRanker) (peers, addrs []string, err error) {
 	var key rankKey
 	var e *rankEntry
+	ok := false
 	if pure != nil {
-		key = rankKey{
-			model:     req.Model,
-			kind:      req.Kind,
-			sizeBytes: req.SizeBytes,
-			workUnits: req.WorkUnits,
-		}
-		if !subsetStable && len(req.Exclude) > 0 {
-			key.excludeKey = strings.Join(req.Exclude, "\x00")
-		}
+		key = rankKey{model: req.Model, kind: req.Kind, sizeBytes: req.SizeBytes, workUnits: req.WorkUnits}
 		b.rankMu.Lock()
 		e = b.rankLookupLocked(key, creq.Now)
 		b.rankMu.Unlock()
-	}
-	var ranked []string
-	var advs []jxta.Advertisement
-	if e != nil {
-		ranked, advs = e.ranked, e.advs
-	} else if ranked, advs, err = b.rankBuild(key, creq, sel, pure, subsetStable, req.Exclude); err != nil {
-		return nil, nil, err
-	}
-
-	if subsetStable && len(req.Exclude) > 0 {
-		// Filtration: subset stability says deleting the excluded names
-		// from the full ranking IS the ranking of the reduced set.
-		filtered := make([]string, 0, len(ranked))
-		for _, p := range ranked {
-			if !slices.Contains(req.Exclude, p) {
-				filtered = append(filtered, p)
-			}
-		}
-		ranked = filtered
-		if len(ranked) == 0 {
-			// Exactly what ranking an empty candidate set returns.
-			return nil, nil, core.ErrNoCandidates
+		if e != nil {
+			peers, ok = e.serve(&req)
 		}
 	}
-	max := req.MaxResults
-	if max <= 0 || max > len(ranked) {
-		max = len(ranked)
+	if !ok {
+		if e, err = b.rankBuild(key, creq, sel, pure, &req); err != nil {
+			return nil, nil, err
+		}
+		// A fresh ranking is deep enough: at most len(Exclude) of its names
+		// are excluded.
+		peers, _ = e.serve(&req)
 	}
-	ranked = ranked[:max]
+	if len(peers) == 0 {
+		// Exactly what ranking an empty candidate set returns.
+		return nil, nil, core.ErrNoCandidates
+	}
 	// Addresses only for the winners: advs is in canonical (Name, ID) order
 	// and peer names are unique (one advertisement per peer), so a binary
 	// search replaces a name→addr map over the whole directory.
-	addrs = make([]string, len(ranked))
-	for i, p := range ranked {
-		if j, found := sort.Find(len(advs), func(k int) int { return strings.Compare(p, advs[k].Name) }); found {
-			addrs[i] = advs[j].Addr
+	addrs = make([]string, len(peers))
+	for i, p := range peers {
+		if j, found := sort.Find(len(e.advs), func(k int) int { return strings.Compare(p, e.advs[k].Name) }); found {
+			addrs[i] = e.advs[j].Addr
 		}
 	}
-	return ranked, addrs, nil
+	return peers, addrs, nil
 }
 
-// rankBuild ranks from scratch and, for a pure model, installs the result.
-// Stamps are read BEFORE the directory and snapshots: a mutation racing the
-// build (realnet brokers serve concurrently; registry entries created on
-// first Snapshot bump the version) then leaves the entry already stale and
-// the next lookup rebuilds, which is the safe direction. Under the
-// serialized simulation scheduler nothing intervenes and the stamps are
-// exact. The returned slices are immutable once installed: callers may
-// alias them but never write.
-func (b *Broker) rankBuild(key rankKey, creq core.Request, sel core.Selector, pure core.PureRanker, subsetStable bool, exclude []string) (ranked []string, advs []jxta.Advertisement, err error) {
-	var stamps []rankStamp
+// rankBuild ranks from scratch to the depth req reads and, for a pure model,
+// installs the result. Stamps are read BEFORE the directory and snapshots: a
+// mutation racing the build (realnet brokers serve concurrently; registry
+// entries created on first Snapshot bump the version) then leaves the entry
+// already stale and the next lookup rebuilds, which is the safe direction.
+// Under the serialized simulation scheduler nothing intervenes and the
+// stamps are exact. The entry's slices are immutable once installed:
+// callers may alias them but never write.
+func (b *Broker) rankBuild(key rankKey, creq core.Request, sel core.Ranker, pure core.PureRanker, req *selectReq) (*rankEntry, error) {
+	e := &rankEntry{key: key, builtAt: creq.Now}
+	depth := req.MaxResults
 	if pure != nil {
-		stamps = make([]rankStamp, len(b.shards))
+		e.stamps = make([]rankStamp, len(b.shards))
 		for i, sh := range b.shards {
-			stamps[i] = rankStamp{cache: sh.cache.Stamp(), reg: sh.registry.Version()}
+			e.stamps[i] = rankStamp{cache: sh.cache.Stamp(), reg: sh.registry.Version()}
+		}
+		if depth > 0 {
+			depth += len(req.Exclude)
 		}
 	}
 	// The candidate set spans the whole network: advertisements merge from
 	// every shard in canonical order, and each candidate's statistics come
 	// from its owning shard, so a sharded broker ranks exactly as a single
 	// one would.
-	advs = b.Advertisements(jxta.AdvPeer, "")
+	e.advs = b.Advertisements(jxta.AdvPeer, "")
 	candsp := candPool.Get().(*[]core.Candidate)
 	defer func() {
 		clear(*candsp)
@@ -200,15 +189,15 @@ func (b *Broker) rankBuild(key rankKey, creq core.Request, sel core.Selector, pu
 		candPool.Put(candsp)
 	}()
 	cands := (*candsp)[:0]
-	if cap(cands) < len(advs) {
-		cands = make([]core.Candidate, 0, len(advs))
+	if cap(cands) < len(e.advs) {
+		cands = make([]core.Candidate, 0, len(e.advs))
 	}
 	// Each candidate's slot is filled where it lies, as of the one instant
 	// the request carries.
 	var maxReadyAt time.Time
-	for i := range advs {
-		name := advs[i].Name
-		if !subsetStable && slices.Contains(exclude, name) {
+	for i := range e.advs {
+		name := e.advs[i].Name
+		if pure == nil && slices.Contains(req.Exclude, name) {
 			continue
 		}
 		cands = cands[:len(cands)+1]
@@ -220,34 +209,32 @@ func (b *Broker) rankBuild(key rankKey, creq core.Request, sel core.Selector, pu
 	}
 	*candsp = cands
 
-	if r, isRanker := sel.(core.Ranker); isRanker {
-		ranked, err = r.Rank(creq, cands)
-	} else {
-		var one string
-		one, err = sel.Select(creq, cands)
-		ranked = []string{one}
-	}
-	if err != nil {
+	var err error
+	if e.ranked, err = sel.Rank(creq, cands, depth); err != nil {
 		// ErrNoCandidates (empty directory, or everything excluded for a
-		// model that is not subset-stable) and any model error pass through
-		// uncached.
-		return nil, nil, err
+		// model that is not pure) and any model error pass through uncached.
+		return nil, err
 	}
 	if pure != nil {
-		e := &rankEntry{
-			key:     key,
-			builtAt: creq.Now,
-			anyTime: pure.RankNowShiftInvariant() &&
-				creq.Deadline.IsZero() && creq.Budget <= 0 &&
-				!creq.Now.Before(maxReadyAt),
-			stamps: stamps,
-			ranked: ranked,
-			advs:   advs,
-		}
+		e.anyTime = pure.RankNowShiftInvariant() &&
+			creq.Deadline.IsZero() && creq.Budget <= 0 &&
+			!creq.Now.Before(maxReadyAt)
 		b.rankMu.Lock()
-		b.rankRing[b.rankNext] = e // slots are replaced in insertion order
-		b.rankNext = (b.rankNext + 1) % rankIndexSlots
+		b.rankInstallLocked(e)
 		b.rankMu.Unlock()
 	}
-	return ranked, advs, nil
+	return e, nil
+}
+
+// rankInstallLocked puts e in its shape's slot, or in the next slot in
+// insertion order when its shape has none. Caller holds b.rankMu.
+func (b *Broker) rankInstallLocked(e *rankEntry) {
+	for i, old := range b.rankRing {
+		if old != nil && old.key == e.key {
+			b.rankRing[i] = e
+			return
+		}
+	}
+	b.rankRing[b.rankNext] = e
+	b.rankNext = (b.rankNext + 1) % rankIndexSlots
 }

@@ -214,9 +214,26 @@ func TestRankIndexUntouchedByNonPure(t *testing.T) {
 	}
 }
 
+// TestExclusionListsDoNotCollide: two exclusion lists that join to one
+// string are different requests. A memo keyed on the joined list served the
+// second the first one's ranking, both excluded peers in it.
+func TestExclusionListsDoNotCollide(t *testing.T) {
+	b := rankDeploy(t).broker
+	for _, model := range []string{"economic", "same-priority"} {
+		for _, exclude := range [][]string{{"ra\x00rb"}, {"ra", "rb"}} {
+			req := selectReq{Model: model, Kind: 1, SizeBytes: 5 << 20, Exclude: exclude}
+			got, _, err := b.selectPeers(req)
+			want, _, wantErr := refSelect(b, req)
+			if err != nil || wantErr != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s excluding %q: served %v (%v), want %v (%v)", model, exclude, got, err, want, wantErr)
+			}
+		}
+	}
+}
+
 // fullRanking is the model's ranking of every candidate, best first.
 func fullRanking(r core.Ranker, req core.Request, cands []core.Candidate) ([]string, error) {
-	return r.Rank(req, cands)
+	return r.Rank(req, cands, 0)
 }
 
 // refSelect is what a selection must return, derived without the rank index:
