@@ -19,6 +19,9 @@ type world interface {
 	NewQueue() squeue
 	Elapsed() time.Duration
 	Wait()
+	// Serve makes fn the only consumer of q: every value pushed onto q is
+	// handed to fn, in FIFO order, one at a time.
+	Serve(q squeue, fn func(any))
 }
 
 type stopper interface{ Stop() bool }
@@ -35,8 +38,23 @@ type realWorld struct{ *Scheduler }
 
 func (w realWorld) AfterFunc(d time.Duration, fn func()) stopper { return w.Scheduler.AfterFunc(d, fn) }
 func (w realWorld) NewQueue() squeue                             { return NewQueue(w.Scheduler) }
+func (w realWorld) Serve(q squeue, fn func(any))                 { serveByLoop(w, q, fn) }
 
-// progDelays is deliberately tiny: with four distinct horizons and three
+// serveByLoop serves q the plain way: a process that pops until the queue
+// closes and hands each value to fn.
+func serveByLoop(w world, q squeue, fn func(any)) {
+	w.Go(func() {
+		for {
+			v, err := q.Pop()
+			if err != nil {
+				return
+			}
+			fn(v)
+		}
+	})
+}
+
+// progDelays is deliberately tiny: with four distinct horizons and five
 // queues, sleepers, pop deadlines, PushAt deliveries and AfterFunc spawns
 // land on one instant all the time, which is where dispatch order is
 // decided.
@@ -48,6 +66,10 @@ var progDelays = []time.Duration{0, time.Millisecond, time.Millisecond, 2 * time
 // place in the spawn tree — and may depend on what it popped, so two worlds
 // log the same lines only if they made every scheduling decision alike.
 // Execution is serialized by the world under test; the log needs no lock.
+//
+// The first popQueues queues are popped by the processes; the rest are
+// served (world.Serve), each by a daemon handler, and processes only push
+// onto them or close them.
 type progRun struct {
 	w      world
 	seed   int64
@@ -56,7 +78,12 @@ type progRun struct {
 	log    []string
 
 	pushAts, deadlines map[string]bool // "queue@instant" of PushAts and pop deadlines
+	servedPushes       map[string]int  // "queue@instant" of Pushes and PushAt landings onto served queues
+	handling           []bool          // a served queue's handler is inside a call
+	parkedPushes       int             // pushes onto a served queue while its handler was parked
 }
+
+const popQueues, servedQueues = 3, 2
 
 func (r *progRun) logf(name, op string, v any) {
 	r.log = append(r.log, fmt.Sprintf("%v %s %s %v", r.w.Elapsed(), name, op, v))
@@ -80,26 +107,29 @@ func (r *progRun) proc(name string, steps int) func() {
 			return r.proc(fmt.Sprintf("%s.%d", name, children), steps/2)
 		}
 		for i := 0; i < steps; i++ {
-			qi := rng.Intn(len(r.qs))
+			qi, ti := rng.Intn(popQueues), rng.Intn(len(r.qs)) // popped; pushed or closed
 			q := r.qs[qi]
 			d := progDelays[rng.Intn(len(progDelays))]
 			val := fmt.Sprintf("%s#%d", name, i)
-			at := func() string { return fmt.Sprintf("%d@%v", qi, r.w.Elapsed()+d) }
+			at := func(qi int) string { return fmt.Sprintf("%d@%v", qi, r.w.Elapsed()+d) }
 			switch op := rng.Intn(100); {
 			case op < 20:
 				r.w.Sleep(d)
 				r.logf(name, "sleep", d)
 			case op < 35:
-				r.logf(name, fmt.Sprint("push ", qi), q.Push(val))
+				r.logf(name, fmt.Sprint("push ", ti), r.push(name, ti, val))
 			case op < 45:
-				r.pushAts[at()] = true
-				q.PushAt(val, Epoch.Add(r.w.Elapsed()+d))
-				r.logf(name, fmt.Sprint("pushat ", qi), d)
+				r.pushAts[at(ti)] = true
+				if ti >= popQueues {
+					r.servedPushes[at(ti)]++
+				}
+				r.qs[ti].PushAt(val, Epoch.Add(r.w.Elapsed()+d))
+				r.logf(name, fmt.Sprint("pushat ", ti), d)
 			case op < 55:
 				v, err := q.Pop()
 				r.logf(name, fmt.Sprint("pop ", qi), fmt.Sprint(v, " ", err))
 			case op < 75:
-				r.deadlines[at()] = true
+				r.deadlines[at(qi)] = true
 				v, err := q.PopTimeout(d)
 				r.logf(name, fmt.Sprint("poptimeout ", qi), fmt.Sprint(v, " ", err))
 			case op < 83:
@@ -114,26 +144,83 @@ func (r *progRun) proc(name string, steps int) func() {
 					r.logf(name, fmt.Sprint("stop ", k), r.timers[k].Stop())
 				}
 			default:
-				q.Close()
-				r.logf(name, fmt.Sprint("close ", qi), "")
+				r.qs[ti].Close()
+				r.logf(name, fmt.Sprint("close ", ti), "")
 			}
 		}
 		r.logf(name, "exit", "")
 	}
 }
 
+// push is a process's Push onto queue ti, counting what the generator is
+// meant to provoke on served queues: a push that arrives while the queue's
+// handler is parked, and several pushes at one instant.
+func (r *progRun) push(name string, ti int, val string) error {
+	err := r.qs[ti].Push(val)
+	if ti >= popQueues && err == nil {
+		if r.handling[ti] && name != fmt.Sprint("d", ti) {
+			r.parkedPushes++
+		}
+		r.servedPushes[fmt.Sprintf("%d@%v", ti, r.w.Elapsed())]++
+	}
+	return err
+}
+
+// handler is the daemon serving queue qi. Each value it is handed is logged,
+// then up to three steps follow, drawn from the value's place in the
+// handler's sequence: sleep, push, spawn a small process, or return early.
+// A value a handler pushed (suffix "^") pushes only onto popped queues, so a
+// chain of handlers feeding each other ends.
+func (r *progRun) handler(qi int) func(any) {
+	name, calls := fmt.Sprint("d", qi), 0
+	return func(v any) {
+		calls++
+		id := fmt.Sprintf("%s/%d", name, calls)
+		rng := r.rng(id)
+		r.logf(name, "handle", v)
+		r.handling[qi] = true
+		defer func() { r.handling[qi] = false }()
+		for i, steps := 0, rng.Intn(4); i < steps; i++ {
+			d := progDelays[rng.Intn(len(progDelays))]
+			switch op := rng.Intn(100); {
+			case op < 35:
+				r.w.Sleep(d)
+				r.logf(name, "sleep", d)
+			case op < 65:
+				ti := rng.Intn(len(r.qs))
+				if strings.HasSuffix(v.(string), "^") {
+					ti %= popQueues
+				}
+				r.logf(name, fmt.Sprint("push ", ti), r.push(name, ti, fmt.Sprintf("%s#%d^", id, i)))
+			case op < 85:
+				r.w.Go(r.proc(fmt.Sprintf("%s.%d", id, i), 2))
+				r.logf(name, "spawn", i)
+			default:
+				r.logf(name, "return", i)
+				return
+			}
+		}
+		r.logf(name, "handled", "")
+	}
+}
+
 // runProgram runs the program of (seed, procs, steps) on w to quiescence,
-// then closes every queue — releasing the daemons parked in Pop to finish
-// their programs — and runs to quiescence again. Roots are spawned and
-// queues closed by a process, not by this goroutine, so that the program is
-// well defined on any implementation of the contract, including one that
-// lets a process start before Wait is called.
+// then closes every queue — releasing the processes parked in Pop to finish
+// their programs — and runs to quiescence again. Roots are spawned, served
+// queues handed their handlers and queues closed by a process, not by this
+// goroutine, so that the program is well defined on any implementation of
+// the contract, including one that lets a process start before Wait is
+// called.
 func runProgram(w world, seed int64, procs, steps int) *progRun {
-	r := &progRun{w: w, seed: seed, pushAts: map[string]bool{}, deadlines: map[string]bool{}}
-	for i := 0; i < 3; i++ {
+	r := &progRun{w: w, seed: seed, pushAts: map[string]bool{}, deadlines: map[string]bool{},
+		servedPushes: map[string]int{}, handling: make([]bool, popQueues+servedQueues)}
+	for i := 0; i < popQueues+servedQueues; i++ {
 		r.qs = append(r.qs, w.NewQueue())
 	}
 	w.Go(func() {
+		for qi := popQueues; qi < len(r.qs); qi++ {
+			w.Serve(r.qs[qi], r.handler(qi))
+		}
 		for i := 0; i < procs; i++ {
 			w.Go(r.proc(fmt.Sprint("p", i), steps))
 		}
@@ -172,7 +259,8 @@ func diffSchedulers(t *testing.T, seed int64, procs, steps int) *progRun {
 
 // TestSchedulerMatchesReference is the dispatcher's oracle: seeded random
 // process programs — sleeps, pushes, pops with and without deadline, PushAt,
-// spawns, AfterFunc and Stop, queue close, all crowded onto a handful of
+// spawns, AfterFunc and Stop, queue close, served queues whose handlers
+// sleep, push, spawn and return early, all crowded onto a handful of
 // instants — must log the same (instant, process, op, value) sequence on the
 // scheduler as on refSched. The coverage check at the end keeps the
 // generator honest: every situation the contract has a rule for must have
@@ -183,10 +271,22 @@ func TestSchedulerMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 150; seed++ {
 		r := diffSchedulers(t, seed, 2+int(seed%5), 6+int(seed%19))
 		lines += len(r.log)
+		seen["push onto a served queue while its handler is parked"] += r.parkedPushes
+		for _, n := range r.servedPushes {
+			if n > 1 {
+				seen["same-instant pushes onto a served queue"]++
+			}
+		}
+		closed := map[string]bool{} // served queues closed, no handle seen since
 		instant, ties := "", 0
 		for _, l := range r.log {
 			f := strings.Fields(l)
 			switch {
+			case f[2] == "close" && f[3] >= fmt.Sprint(popQueues): // indices are one digit
+				closed["d"+f[3]] = true
+			case f[2] == "handle" && closed[f[1]]:
+				seen["served queue closed with values still buffered"]++
+				closed[f[1]] = false
 			case f[2] == "poptimeout" && strings.HasSuffix(l, ErrTimeout.Error()):
 				seen["pop deadline expires"]++
 			case f[2] == "poptimeout" && strings.HasSuffix(l, "<nil>"):
@@ -221,6 +321,8 @@ func TestSchedulerMatchesReference(t *testing.T) {
 		"pop deadline expires", "pop with deadline gets a value", "pop ends on close",
 		"push to closed queue", "stop true", "stop false", "grandchild runs",
 		"eight-line tie at one instant", "PushAt lands on a pop deadline's instant",
+		"push onto a served queue while its handler is parked", "same-instant pushes onto a served queue",
+		"served queue closed with values still buffered",
 	} {
 		if seen[want] < 5 {
 			t.Errorf("generator produced %q only %d times over %d log lines", want, seen[want], lines)

@@ -164,6 +164,8 @@ func (s *refSched) Wait() {
 
 func (s *refSched) NewQueue() squeue { return &refQueue{s: s} }
 
+func (s *refSched) Serve(q squeue, fn func(any)) { serveByLoop(s, q, fn) }
+
 type refQueue struct {
 	s      *refSched
 	items  []any
