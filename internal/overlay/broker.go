@@ -148,7 +148,10 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 	b.RegisterSelector(core.NewBlind())
 	b.RegisterSelector(core.NewEconomic(core.EconomicConfig{}))
 	b.RegisterSelector(core.NewSamePriority())
-	host.Go(b.acceptLoop)
+	// Every conn is served by a process of its own (the scheduler pools the
+	// coroutines), so a same-instant burst never serializes behind one
+	// handler's park points and is served in arrival order.
+	b.mux.Serve(b.serve)
 	return b, nil
 }
 
@@ -184,12 +187,14 @@ func (b *Broker) Shards() int { return len(b.shards) }
 // order): while every shard still returns that stamp its live set is the one
 // merged, so the merge is current. advs is immutable once built, and so is
 // reply, the whole-kind discover reply encoding it, made by the first
-// discover that asks and sent to every one after it.
+// discover that asks and sent to every one after it. size is the last
+// reply's length.
 type mergedDir struct {
 	kind   jxta.AdvKind
 	stamps []uint64
 	advs   []jxta.Advertisement
 	reply  []byte
+	size   int
 }
 
 // Advertisements queries the sharded advertisement directory: per-shard
@@ -215,10 +220,11 @@ func (b *Broker) directoryReply(kind jxta.AdvKind) []byte {
 	defer b.dirMu.Unlock()
 	d := b.dirLocked(kind)
 	if d.reply == nil {
-		e := wire.GetEncoder()
+		// One allocation while the directory keeps its size: a pooled
+		// encoder grown to the reply would not outlive a collection.
+		e := wire.NewEncoder(d.size)
 		encodeDiscoverResult(e, d.advs)
-		d.reply = e.Detach()
-		wire.PutEncoder(e)
+		d.reply, d.size = e.Bytes(), e.Len()
 	}
 	return d.reply
 }
@@ -385,19 +391,6 @@ func (b *Broker) sweep() {
 		sh.cache.Sweep(now)
 	}
 	b.armSweep()
-}
-
-// acceptLoop serves every accepted conn in a process of its own (the
-// scheduler pools the coroutines), so a same-instant burst never serializes
-// behind one handler's park points and is served in arrival order.
-func (b *Broker) acceptLoop() {
-	for {
-		conn, err := b.mux.Accept()
-		if err != nil {
-			return
-		}
-		b.host.Go(func() { b.serve(conn) })
-	}
 }
 
 // serve handles one request conn. Every exchange is request/response on a

@@ -59,11 +59,10 @@ type Client struct {
 	// firstConnID offsets the client's conn-id space (see BootPeer).
 	firstConnID uint64
 
-	ctlMux   *pipe.Mux
-	xferMux  *pipe.Mux
-	sender   *transfer.Sender
-	receiver *transfer.Receiver
-	exec     *task.Executor
+	ctlMux  *pipe.Mux
+	xferMux *pipe.Mux
+	sender  *transfer.Sender
+	exec    *task.Executor
 
 	registered atomic.Bool
 	nextTaskID atomic.Uint64
@@ -115,20 +114,16 @@ func (c *Client) Start() error {
 	c.ctlMux = pipe.NewMux(c.host, ctlEP, opts)
 	c.xferMux = pipe.NewMux(c.host, xferEP, opts)
 	c.sender = transfer.NewSender(c.host, c.xferMux, transfer.SenderOptions{})
-	c.receiver = transfer.NewReceiver(c.host, c.xferMux, transfer.ReceiverOptions{OnFile: c.cfg.OnFile})
-	c.receiver.Start()
+	transfer.NewReceiver(c.host, c.xferMux, transfer.ReceiverOptions{OnFile: c.cfg.OnFile})
 	c.exec = task.NewExecutor(c.host, c.cfg.CPUScore)
-	c.exec.Start()
-	c.host.Go(c.controlLoop)
+	c.ctlMux.Serve(c.serveControl)
 	regErr := c.register()
 	if regErr != nil {
 		// Never leave a half-booted incarnation behind: the receiver,
-		// executor, control loop and both muxes are already live, and a
-		// caller that drops the client on error would leak them — the
+		// executor, control service and both muxes are already live, and
+		// a caller that drops the client on error would leak them — the
 		// node's service endpoints stay bound and the next boot on the
-		// node fails. Closing the muxes unblocks the control loop's Accept
-		// and the receiver, so the failed incarnation quiesces and frees
-		// its endpoints.
+		// node fails.
 		c.Stop()
 		return regErr
 	}
@@ -176,17 +171,7 @@ func (c *Client) call(to transport.Addr, payload []byte) ([]byte, error) {
 	return reply, err
 }
 
-// controlLoop serves inbound control conns (tasks, instant messages).
-func (c *Client) controlLoop() {
-	for {
-		conn, err := c.ctlMux.Accept()
-		if err != nil {
-			return
-		}
-		c.host.Go(func() { c.serveControl(conn) })
-	}
-}
-
+// serveControl serves one inbound control conn (a task, an instant message).
 func (c *Client) serveControl(conn *pipe.Conn) {
 	defer conn.Close()
 	msg, err := conn.Recv()

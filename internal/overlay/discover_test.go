@@ -342,10 +342,11 @@ func TestCachedDirectoryUnchangedByNextDiscover(t *testing.T) {
 	}
 }
 
-// poolDropsPuts reports whether a sync.Pool loses what it was just given, as
-// it does on purpose under the race detector: the pooled encoder a miss
-// encodes in is then re-allocated, and its count is not exact.
-func poolDropsPuts() bool {
+// underRace reports whether the race detector is on, by a behaviour it
+// changes on purpose: a sync.Pool drops what it was given at random. Under
+// it, slices.Grow also allocates its scratch slice, so the merge's counts and
+// bytes are not exact there.
+func underRace() bool {
 	var p sync.Pool
 	for i := 0; i < 64; i++ {
 		p.Put(&i)
@@ -363,7 +364,10 @@ func poolDropsPuts() bool {
 // The broker answers a whole-kind discover at an unchanged directory with the
 // reply it encoded for that version, allocating nothing (a hit); after a
 // renewal it pays the copy of the renewed shard's directory, the merge's two
-// slices and the new reply (a miss).
+// slices and the new reply (a miss). In bytes a miss is 27 KB: the reply
+// (10 197 B, encoded in place into a buffer the size of the last one), the
+// merge (128 advertisements of 104 B) and the renewed shard's copy. No pool
+// is involved, so a collection cannot make a miss regrow an encoder.
 func TestDiscoverAllocBudgets(t *testing.T) {
 	b := bareBroker(t)
 	advs := randomPeerAdvs(rand.New(rand.NewSource(128)), 128)
@@ -377,8 +381,18 @@ func TestDiscoverAllocBudgets(t *testing.T) {
 		publishAll(b, advs[:1])
 		reply = b.directoryReply(jxta.AdvPeer)
 	}
-	if allocs := testing.AllocsPerRun(50, miss); allocs > 4 && !poolDropsPuts() {
+	const misses = 50
+	allocs := testing.AllocsPerRun(misses, miss)
+	perMiss := allocatedBytes(func() {
+		for i := 0; i < misses; i++ {
+			miss()
+		}
+	}) / misses
+	if allocs > 4 && !underRace() {
 		t.Errorf("broker side, miss: %v allocations to renew one lease and reply to a 128-peer discover on 4 shards, budget 4", allocs)
+	}
+	if perMiss > 28<<10 && !underRace() {
+		t.Errorf("broker side, miss: %d bytes to renew one lease and reply to a 128-peer discover on 4 shards, budget 28 KiB", perMiss)
 	}
 	var got []jxta.Advertisement
 	decode := func() {

@@ -133,7 +133,7 @@ type Mux struct {
 	accepts transport.Queue
 }
 
-// NewMux wraps ep in a demultiplexer and starts its reader process.
+// NewMux wraps ep in a demultiplexer that serves the endpoint's queue.
 func NewMux(h transport.Host, ep transport.Endpoint, opts Options) *Mux {
 	m := &Mux{
 		host:    h,
@@ -144,7 +144,7 @@ func NewMux(h transport.Host, ep transport.Endpoint, opts Options) *Mux {
 		nextID:  opts.FirstID,
 		accepts: h.NewQueue(),
 	}
-	h.Go(m.readLoop)
+	ep.Serve(m.dispatch)
 	return m
 }
 
@@ -172,6 +172,15 @@ func (m *Mux) Accept() (*Conn, error) {
 		return nil, ErrClosed
 	}
 	return v.(*Conn), nil
+}
+
+// Serve runs fn on every accepted conn, each in a process of its own started
+// in accept order, in place of a process looping on Accept.
+func (m *Mux) Serve(fn func(*Conn)) {
+	m.accepts.Serve(func(v any) {
+		c := v.(*Conn)
+		m.host.Go(func() { fn(c) })
+	})
 }
 
 // Close tears down the mux, every conn, and the endpoint.
@@ -214,17 +223,6 @@ func (m *Mux) newConnLocked(peer transport.Addr, id uint64, theirs bool) *Conn {
 	}
 	m.conns[connKey{peer, id, theirs}] = c
 	return c
-}
-
-// readLoop is the mux's single reader process.
-func (m *Mux) readLoop() {
-	for {
-		msg, err := m.ep.Recv()
-		if err != nil {
-			return
-		}
-		m.dispatch(msg)
-	}
 }
 
 func (m *Mux) dispatch(msg transport.Message) {

@@ -315,12 +315,8 @@ func (ep *endpoint) Recv() (transport.Message, error) {
 	return v.(transport.Message), nil
 }
 
-func (ep *endpoint) RecvTimeout(d time.Duration) (transport.Message, error) {
-	v, err := ep.queue.PopTimeout(d)
-	if err != nil {
-		return transport.Message{}, err
-	}
-	return v.(transport.Message), nil
+func (ep *endpoint) Serve(fn func(transport.Message)) {
+	ep.queue.Serve(func(v any) { fn(v.(transport.Message)) })
 }
 
 func (ep *endpoint) Close() error {
@@ -399,6 +395,16 @@ func (q *queue) PopTimeout(d time.Duration) (any, error) {
 		time.Sleep(wait)
 		q.mu.Lock()
 	}
+}
+
+// Serve runs fn on every value in a goroutine of its own, until the queue is
+// closed and drained.
+func (q *queue) Serve(fn func(any)) {
+	go func() {
+		for v, err := q.Pop(); err == nil; v, err = q.Pop() {
+			fn(v)
+		}
+	}()
 }
 
 func (q *queue) Len() int {

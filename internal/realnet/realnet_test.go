@@ -43,7 +43,7 @@ func TestDatagramRoundtrip(t *testing.T) {
 	if err := epA.Send("beta/svc", []byte("over tcp")); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := epB.RecvTimeout(5 * time.Second)
+	msg, err := recvWithin(epB, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestVirtualSizeCarried(t *testing.T) {
 	if err := epA.SendFrame("beta/svc", []byte("hdr"), []byte("body"), 12345); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := epB.RecvTimeout(5 * time.Second)
+	msg, err := recvWithin(epB, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +85,20 @@ func TestUnboundServiceSilentlyDropped(t *testing.T) {
 	_ = b
 }
 
-func TestRecvTimeout(t *testing.T) {
-	a, _ := twoHosts(t)
-	ep, _ := a.Endpoint("svc")
+// recvWithin is Recv with a deadline, so a lost frame fails the test instead
+// of hanging it.
+func recvWithin(ep transport.Endpoint, d time.Duration) (transport.Message, error) {
+	v, err := ep.(*endpoint).queue.PopTimeout(d)
+	if err != nil {
+		return transport.Message{}, err
+	}
+	return v.(transport.Message), nil
+}
+
+func TestQueuePopTimeout(t *testing.T) {
+	q := newQueue()
 	start := time.Now()
-	_, err := ep.RecvTimeout(50 * time.Millisecond)
+	_, err := q.PopTimeout(50 * time.Millisecond)
 	if !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("err = %v", err)
 	}
@@ -326,7 +335,7 @@ func TestEndpointPayloadIsTheFramesOwn(t *testing.T) {
 	}
 	var held []transport.Message
 	for i := 0; i < n; i++ {
-		m, err := epB.RecvTimeout(10 * time.Second)
+		m, err := recvWithin(epB, 10*time.Second)
 		if err != nil {
 			t.Fatalf("Recv %d: %v", i, err)
 		}

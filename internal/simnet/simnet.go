@@ -307,8 +307,9 @@ func (sq simQueue) PopTimeout(d time.Duration) (any, error) {
 	}
 }
 
-func (sq simQueue) Len() int { return sq.q.Len() }
-func (sq simQueue) Close()   { sq.q.Close() }
+func (sq simQueue) Len() int           { return sq.q.Len() }
+func (sq simQueue) Close()             { sq.q.Close() }
+func (sq simQueue) Serve(fn func(any)) { sq.q.Serve(fn) }
 
 // Endpoint binds the named service on this node.
 func (nd *Node) Endpoint(service string) (transport.Endpoint, error) {
@@ -496,16 +497,8 @@ func (ep *endpoint) Recv() (transport.Message, error) {
 	return v.(transport.Message), nil
 }
 
-func (ep *endpoint) RecvTimeout(d time.Duration) (transport.Message, error) {
-	v, err := ep.queue.PopTimeout(d)
-	switch err {
-	case nil:
-		return v.(transport.Message), nil
-	case vtime.ErrTimeout:
-		return transport.Message{}, transport.ErrTimeout
-	default:
-		return transport.Message{}, transport.ErrClosed
-	}
+func (ep *endpoint) Serve(fn func(transport.Message)) {
+	ep.queue.Serve(func(v any) { fn(v.(transport.Message)) })
 }
 
 func (ep *endpoint) Close() error {

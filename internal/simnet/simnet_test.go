@@ -358,11 +358,12 @@ func TestSendToUnboundServiceSilentlyDrops(t *testing.T) {
 	}
 }
 
-func TestRecvTimeout(t *testing.T) {
-	n, _, epB := twoNodeNet(t, DefaultProfile(), DefaultProfile())
+func TestQueuePopTimeout(t *testing.T) {
+	n := New(1)
+	q := n.MustAddNode("a", DefaultProfile()).NewQueue()
 	var err error
 	n.Run(func() {
-		_, err = epB.RecvTimeout(3 * time.Second)
+		_, err = q.PopTimeout(3 * time.Second)
 	})
 	if !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)

@@ -66,26 +66,14 @@ type Executor struct {
 }
 
 // NewExecutor returns an executor running at cpuScore times the reference
-// speed (1 when cpuScore is not positive); call Start to launch its worker.
+// speed (1 when cpuScore is not positive), serving its queue.
 func NewExecutor(host transport.Host, cpuScore float64) *Executor {
 	if cpuScore <= 0 {
 		cpuScore = 1.0
 	}
-	return &Executor{host: host, cpuScore: cpuScore, queue: host.NewQueue()}
-}
-
-// Start launches the worker process.
-func (e *Executor) Start() {
-	e.host.Go(func() {
-		for {
-			v, err := e.queue.Pop()
-			if err != nil {
-				return
-			}
-			sub := v.(submission)
-			e.run(sub)
-		}
-	})
+	e := &Executor{host: host, cpuScore: cpuScore, queue: host.NewQueue()}
+	e.queue.Serve(func(v any) { e.run(v.(submission)) })
+	return e
 }
 
 // Submit offers a task; the result is delivered to done (which must not
@@ -109,7 +97,7 @@ func (e *Executor) Submit(t Task, done func(Result)) error {
 	return nil
 }
 
-// run executes one task on the worker process.
+// run executes one task; the served queue hands over one at a time.
 func (e *Executor) run(sub submission) {
 	e.mu.Lock()
 	e.queued--

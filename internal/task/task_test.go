@@ -21,7 +21,6 @@ func TestExecuteScalesWithCPU(t *testing.T) {
 	run := func(cpu float64) time.Duration {
 		net, host := newHost(t, cpu)
 		e := NewExecutor(host, cpu)
-		e.Start()
 		var elapsed time.Duration
 		net.Run(func() {
 			done := host.NewQueue()
@@ -47,7 +46,6 @@ func TestExecuteScalesWithCPU(t *testing.T) {
 func TestFIFOOrderAndQueueing(t *testing.T) {
 	net, host := newHost(t, 1)
 	e := NewExecutor(host, 1)
-	e.Start()
 	var order []uint64
 	var mu sync.Mutex
 	net.Run(func() {
@@ -78,7 +76,6 @@ func TestFIFOOrderAndQueueing(t *testing.T) {
 func TestAdmissionControlRejectsWhenFull(t *testing.T) {
 	net, host := newHost(t, 1)
 	e := NewExecutor(host, 1)
-	e.Start()
 	var errFull error
 	net.Run(func() {
 		done := host.NewQueue()
@@ -102,7 +99,6 @@ func TestAdmissionControlRejectsWhenFull(t *testing.T) {
 func TestReadyInTracksBacklog(t *testing.T) {
 	net, host := newHost(t, 2)
 	e := NewExecutor(host, 2)
-	e.Start()
 	var readyBefore, readyDuring time.Duration
 	net.Run(func() {
 		readyBefore = e.ReadyIn()
@@ -125,7 +121,6 @@ func TestReadyInTracksBacklog(t *testing.T) {
 func TestSubmitAfterStop(t *testing.T) {
 	net, host := newHost(t, 1)
 	e := NewExecutor(host, 1)
-	e.Start()
 	var err error
 	net.Run(func() {
 		e.Stop()
@@ -139,7 +134,6 @@ func TestSubmitAfterStop(t *testing.T) {
 func TestResultCarriesPeerName(t *testing.T) {
 	net, host := newHost(t, 1)
 	e := NewExecutor(host, 1)
-	e.Start()
 	var peer string
 	net.Run(func() {
 		done := host.NewQueue()
@@ -155,7 +149,6 @@ func TestResultCarriesPeerName(t *testing.T) {
 func TestQueueLenIncludesRunning(t *testing.T) {
 	net, host := newHost(t, 1)
 	e := NewExecutor(host, 1)
-	e.Start()
 	var lenDuring int
 	net.Run(func() {
 		done := host.NewQueue()

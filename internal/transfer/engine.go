@@ -377,30 +377,18 @@ type ReceiverOptions struct {
 	OnFile func(Received)
 }
 
-// Receiver serves inbound transfers on a pipe mux. Start launches its accept
-// loop; each transfer runs in its own process.
+// Receiver serves inbound transfers on a pipe mux; each transfer runs in its
+// own process.
 type Receiver struct {
 	host transport.Host
-	mux  *pipe.Mux
 	opts ReceiverOptions
 }
 
-// NewReceiver returns a receiver; call Start to begin serving.
+// NewReceiver returns a receiver serving every conn mux accepts.
 func NewReceiver(host transport.Host, mux *pipe.Mux, opts ReceiverOptions) *Receiver {
-	return &Receiver{host: host, mux: mux, opts: opts}
-}
-
-// Start launches the accept loop as a host process.
-func (r *Receiver) Start() {
-	r.host.Go(func() {
-		for {
-			conn, err := r.mux.Accept()
-			if err != nil {
-				return
-			}
-			r.host.Go(func() { r.handle(conn) })
-		}
-	})
+	r := &Receiver{host: host, opts: opts}
+	mux.Serve(r.handle)
+	return r
 }
 
 // handle serves one transfer conn, whichever petition opens it: admit,

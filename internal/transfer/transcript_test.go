@@ -90,7 +90,7 @@ func (tr *transcript) serve(refuse bool) {
 	if refuse {
 		opts.Accept = func(string, int, int, string) (bool, string) { return false, "quota exceeded" }
 	}
-	NewReceiver(tr.dstN, tr.dst, opts).Start()
+	NewReceiver(tr.dstN, tr.dst, opts)
 }
 
 // serveFirstPartOnly stands a scripted receiver on dst that accepts the

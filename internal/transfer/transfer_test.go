@@ -194,7 +194,7 @@ func newXferRig(t *testing.T, src, dst simnet.Profile, ropts ReceiverOptions) *x
 			userOnFile(rc)
 		}
 	}
-	NewReceiver(b, muxB, ropts).Start()
+	NewReceiver(b, muxB, ropts)
 	return rig
 }
 

@@ -90,9 +90,9 @@ type Endpoint interface {
 	SendFrame(to Addr, head, body []byte, size int) error
 	// Recv blocks until a message arrives or the endpoint is closed.
 	Recv() (Message, error)
-	// RecvTimeout is Recv with a deadline relative to now. It returns
-	// ErrTimeout if the deadline passes first.
-	RecvTimeout(d time.Duration) (Message, error)
+	// Serve hands every message to fn in arrival order, in place of a
+	// process looping on Recv (see Queue.Serve).
+	Serve(fn func(Message))
 	// Close releases the endpoint; pending and future Recvs return
 	// ErrClosed.
 	Close() error
@@ -121,6 +121,10 @@ type Queue interface {
 	// Close wakes all waiters with ErrClosed; buffered values remain
 	// poppable.
 	Close()
+	// Serve makes fn the only consumer, in place of a process looping on
+	// Pop: fn gets every value in FIFO order, one at a time, until the queue
+	// is closed and drained. Under simnet an idle served queue holds nothing.
+	Serve(fn func(any))
 }
 
 // Host is one node's view of the network and of time. All blocking calls

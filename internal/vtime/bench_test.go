@@ -26,25 +26,46 @@ func BenchmarkSwitch(b *testing.B) {
 	s.Wait()
 }
 
-// BenchmarkQueueHop bounces one value between two processes: each hop is a
-// Push that wakes a parked Pop, then a park.
+// BenchmarkQueueHop bounces one value between two queues. parked: between
+// two processes, each hop a Push that wakes a parked Pop, then a park.
+// served: between two served queues, each hop a Push that admits the other
+// queue's drain, which takes a pooled coroutine and returns it.
 func BenchmarkQueueHop(b *testing.B) {
-	s := NewScheduler()
-	ping, pong := NewQueue(s), NewQueue(s)
-	b.ReportAllocs()
-	s.Go(func() {
-		for i := 0; i < b.N/2; i++ {
-			ping.Pop()
-			pong.Push(i)
-		}
+	b.Run("parked", func(b *testing.B) {
+		s := NewScheduler()
+		ping, pong := NewQueue(s), NewQueue(s)
+		b.ReportAllocs()
+		s.Go(func() {
+			for i := 0; i < b.N/2; i++ {
+				ping.Pop()
+				pong.Push(i)
+			}
+		})
+		s.Go(func() {
+			for i := 0; i < b.N/2; i++ {
+				ping.Push(i)
+				pong.Pop()
+			}
+		})
+		s.Wait()
 	})
-	s.Go(func() {
-		for i := 0; i < b.N/2; i++ {
-			ping.Push(i)
-			pong.Pop()
+	b.Run("served", func(b *testing.B) {
+		s := NewScheduler()
+		ping, pong := NewQueue(s), NewQueue(s)
+		hops := 0
+		bounce := func(to *Queue) func(any) {
+			return func(v any) {
+				if hops++; hops < b.N {
+					to.Push(v)
+				}
+			}
 		}
+		ping.Serve(bounce(pong))
+		pong.Serve(bounce(ping))
+		b.ReportAllocs()
+		ping.Push(0)
+		s.Wait()
 	})
-	s.Wait()
 }
 
 // BenchmarkSpawnExit starts and finishes b.N empty processes.
@@ -113,6 +134,14 @@ func TestDispatchAllocBudgets(t *testing.T) {
 					pong.Push(v)
 				}
 			})
+			return func() {
+				ping.Push(1)
+				pong.Pop()
+			}
+		}},
+		{"served hop", 0, func(s *Scheduler, newQueue func() *Queue) func() {
+			ping, pong := newQueue(), newQueue()
+			ping.Serve(func(v any) { pong.Push(v) })
 			return func() {
 				ping.Push(1)
 				pong.Pop()

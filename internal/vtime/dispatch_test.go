@@ -103,6 +103,50 @@ func TestOnDeadlockNilKeepsDaemonSemantics(t *testing.T) {
 	}
 }
 
+// TestServedQueueHoldsNoProcess: an idle served queue parks nothing, so a
+// world whose only standing service is served quiesces with no deadlock to
+// report and its coroutine back in the pool. Values pushed while the handler
+// is parked wait their turn in FIFO order, values buffered when the queue
+// closes are still handed over, and Pop on a served queue panics.
+func TestServedQueueHoldsNoProcess(t *testing.T) {
+	p := NewPool()
+	s := NewScheduler()
+	s.SetPool(p)
+	s.OnDeadlock = func(info string) { t.Errorf("OnDeadlock on a served queue: %s", info) }
+	q := NewQueue(s)
+	var got []string
+	q.Serve(func(v any) {
+		s.Sleep(time.Millisecond)
+		got = append(got, fmt.Sprint(v, "@", s.Elapsed()))
+	})
+	s.Go(func() {
+		q.Push(1)
+		q.PushAt(3, s.Now().Add(time.Millisecond/2))
+		q.Push(2)
+	})
+	s.Wait()
+	s.Go(func() {
+		q.Push(4)
+		q.Push(5)
+		q.Close()
+		if err := q.Push(6); err != ErrClosed {
+			t.Errorf("Push after Close = %v, want ErrClosed", err)
+		}
+	})
+	s.Wait()
+	if want := "1@1ms 2@2ms 3@3ms 4@4ms 5@5ms"; strings.Join(got, " ") != want {
+		t.Fatalf("served %q, want %q", strings.Join(got, " "), want)
+	}
+	// The pushers never park, so each drain runs on the coroutine its pusher
+	// returned.
+	if spawned, _ := p.Stats(); spawned != 1 || s.Running() != 0 {
+		t.Fatalf("pool created %d coroutines with %d runnable, want 1 and none", spawned, s.Running())
+	}
+	if got := mustPanic(t, "Pop on a served queue", func() { q.Pop() }); got != "vtime: Pop on a served queue" {
+		t.Fatalf("Pop on a served queue panicked with %q", got)
+	}
+}
+
 // TestPoolReusesWorkers runs many short-lived processes sequentially on a
 // private pool and checks the pool recycles parked workers instead of
 // spawning one goroutine per process.

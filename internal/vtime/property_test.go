@@ -38,10 +38,10 @@ type realWorld struct{ *Scheduler }
 
 func (w realWorld) AfterFunc(d time.Duration, fn func()) stopper { return w.Scheduler.AfterFunc(d, fn) }
 func (w realWorld) NewQueue() squeue                             { return NewQueue(w.Scheduler) }
-func (w realWorld) Serve(q squeue, fn func(any))                 { serveByLoop(w, q, fn) }
+func (w realWorld) Serve(q squeue, fn func(any))                 { q.(*Queue).Serve(fn) }
 
-// serveByLoop serves q the plain way: a process that pops until the queue
-// closes and hands each value to fn.
+// serveByLoop serves q the way the reference does: a process that pops until
+// the queue closes and hands each value to fn.
 func serveByLoop(w world, q squeue, fn func(any)) {
 	w.Go(func() {
 		for {

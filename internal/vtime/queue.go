@@ -13,17 +13,20 @@ var ErrClosed = errors.New("vtime: queue closed")
 // parks the calling process — a yield to the driver, which runs whatever is
 // ready next — without stalling virtual time, and Push (from a process, a
 // timer or any other goroutine) hands the value to the oldest waiter and
-// makes it runnable.
+// makes it runnable. A served queue (see Serve) has a handler instead of
+// waiters.
 //
 // Queue is the rendezvous point between simulated network links and protocol
 // code: it plays the role a socket receive buffer plays in a real host.
 // Buffered values and parked processes both sit in head-indexed FIFOs that
 // keep their backing arrays, so a queue in steady use allocates nothing.
 type Queue struct {
-	s      *Scheduler
-	items  fifo[any]
-	waits  fifo[*pworker] // parked Pops, oldest first; each waiter's slot is in its pworker
-	closed bool
+	s        *Scheduler
+	items    fifo[any]
+	waits    fifo[*pworker] // parked Pops, oldest first; each waiter's slot is in its pworker
+	drain    func()         // a served queue's consumer process, see Serve
+	closed   bool
+	draining bool // drain is in the ready ring or running
 }
 
 // NewQueue returns an empty queue bound to the scheduler.
@@ -50,7 +53,44 @@ func (q *Queue) pushLocked(v any) error {
 		return nil
 	}
 	q.items.push(v)
+	q.wakeDrainLocked()
 	return nil
+}
+
+// Serve makes fn the queue's only consumer, in place of a process looping on
+// Pop. A push that finds no drain pending admits one, in the ring slot where
+// it would have woken that process; the drain hands fn the buffered values in
+// FIFO order on a pooled coroutine and returns it to the pool once the queue
+// is empty. fn may park; values pushed meanwhile wait their turn. An idle
+// served queue holds no process and never counts as parked. Close wakes
+// nobody, and values buffered by then are still handed to fn. Pop panics.
+func (q *Queue) Serve(fn func(any)) {
+	q.s.mu.Lock()
+	defer q.s.mu.Unlock()
+	q.drain = func() {
+		for v, ok := q.next(); ok; v, ok = q.next() {
+			fn(v)
+		}
+	}
+	q.wakeDrainLocked()
+}
+
+// wakeDrainLocked admits the drain of a served queue holding values, unless
+// one is pending already. Caller holds the scheduler lock.
+func (q *Queue) wakeDrainLocked() {
+	if q.drain != nil && !q.draining && q.items.len() > 0 {
+		q.draining = true
+		q.s.admitLocked(readyItem{fn: q.drain})
+	}
+}
+
+// next takes the drain's next value; on an empty queue it ends the drain.
+func (q *Queue) next() (any, bool) {
+	q.s.mu.Lock()
+	defer q.s.mu.Unlock()
+	v, ok := q.items.pop()
+	q.draining = ok
+	return v, ok
 }
 
 // deliverLocked ends w's park with result v: its deadline, if armed, is
@@ -93,6 +133,10 @@ var ErrTimeout = errors.New("vtime: pop timeout")
 func (q *Queue) pop(timeout time.Duration) (any, error) {
 	s := q.s
 	s.mu.Lock()
+	if q.drain != nil {
+		s.mu.Unlock()
+		panic("vtime: Pop on a served queue")
+	}
 	if v, ok := q.items.pop(); ok {
 		s.mu.Unlock()
 		return v, nil

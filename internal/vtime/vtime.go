@@ -72,8 +72,8 @@ type Scheduler struct {
 	// scheduler) when no process is runnable, no timer is pending, and at
 	// least one process is still parked on a queue: nothing inside the
 	// simulation can ever wake it. When nil, such processes are treated as
-	// daemons (a broker handler parked in Pop between requests is the
-	// normal case) and Wait simply returns.
+	// daemons (a standing service is a served queue, which parks nothing)
+	// and Wait simply returns.
 	OnDeadlock func(info string)
 
 	// deadlockNotified latches OnDeadlock per quiescence so a Wait loop
