@@ -210,10 +210,13 @@ func TestPoolSharedAcrossSchedulers(t *testing.T) {
 // scheduler's lock: an external producer pushes — filling park slots and
 // appending to the ready ring — before and while a driver runs pooled
 // processes that pop and exit. Run with -race, this covers the park slot's
-// publication from a foreign goroutine through the driver to the coroutine.
+// publication from a foreign goroutine through the driver to the coroutine,
+// and a served queue's drain admitted by that goroutine's pushes.
 func TestHandoffUnderConcurrentPush(t *testing.T) {
 	s := NewScheduler()
-	q := NewQueue(s)
+	q, served := NewQueue(s), NewQueue(s)
+	servedSum := 0
+	served.Serve(func(v any) { servedSum += v.(int) })
 	const n = 500
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -221,6 +224,7 @@ func TestHandoffUnderConcurrentPush(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
 			q.Push(i)
+			served.Push(i)
 		}
 	}()
 	sum := 0
@@ -240,8 +244,8 @@ func TestHandoffUnderConcurrentPush(t *testing.T) {
 	s.Wait() // drives while the producer may still be pushing
 	wg.Wait()
 	s.Wait() // whatever the producer pushed after the first driver quiesced
-	if want := n * (n - 1) / 2; sum != want {
-		t.Fatalf("sum of popped values = %d, want %d", sum, want)
+	if want := n * (n - 1) / 2; sum != want || servedSum != want {
+		t.Fatalf("sum of popped values = %d, of served values %d, want %d", sum, servedSum, want)
 	}
 }
 
