@@ -21,6 +21,33 @@ func instantProfile() simnet.Profile {
 	return simnet.Profile{Bandwidth: 1e18, CPUScore: 1}
 }
 
+// newProbe binds a client endpoint on a new instant node of net and returns
+// its mux and an rpc that sends one request to b on a fresh conn and returns
+// the reply.
+func newProbe(net *simnet.Network, b *Broker) (*pipe.Mux, func([]byte) ([]byte, error), error) {
+	probe := net.MustAddNode("probe", instantProfile())
+	ep, err := probe.Endpoint(ServiceClient)
+	if err != nil {
+		return nil, nil, err
+	}
+	mux := pipe.NewMux(probe, ep, pipe.Options{})
+	return mux, func(req []byte) ([]byte, error) {
+		conn, err := mux.Dial(b.Addr())
+		if err != nil {
+			return nil, err
+		}
+		defer conn.Close()
+		if err := conn.Send(req); err != nil {
+			return nil, err
+		}
+		msg, err := conn.Recv()
+		if err != nil {
+			return nil, err
+		}
+		return msg.Payload, nil
+	}, nil
+}
+
 // checkReplyProgram runs a seeded program of registrations, heartbeats
 // (lease renewals, and resurrections of lapsed or evicted peers), clock
 // advances — arbitrary ones and ones onto an expiry instant exactly —
@@ -38,26 +65,9 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 	if err != nil {
 		return err
 	}
-	probe := net.MustAddNode("probe", instantProfile())
-	ep, err := probe.Endpoint(ServiceClient)
+	mux, rpc, err := newProbe(net, b)
 	if err != nil {
 		return err
-	}
-	mux := pipe.NewMux(probe, ep, pipe.Options{})
-	rpc := func(req []byte) ([]byte, error) {
-		conn, err := mux.Dial(b.Addr())
-		if err != nil {
-			return nil, err
-		}
-		defer conn.Close()
-		if err := conn.Send(req); err != nil {
-			return nil, err
-		}
-		msg, err := conn.Recv()
-		if err != nil {
-			return nil, err
-		}
-		return msg.Payload, nil
 	}
 	names := make([]string, 12)
 	for i := range names {
