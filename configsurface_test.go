@@ -12,13 +12,13 @@ import (
 )
 
 // TestConfigSurfaceIsPinned lists every exported field of the configuration
-// structs a caller fills in — 24 settable values. A setting earns its place by
+// structs a caller fills in — 23 settable values. A setting earns its place by
 // having callers that need different values; one every caller sets the same
 // way is a constant. A new knob must edit this list, so a reviewer sees it.
 func TestConfigSurfaceIsPinned(t *testing.T) {
 	want := map[string]string{
 		"overlay.ClientConfig":     "CPUScore Resilient OnFile OnInstant",
-		"overlay.BrokerConfig":     "AdvTTL CacheLimit Shards LeaseSweep",
+		"overlay.BrokerConfig":     "AdvTTL CacheLimit Shards",
 		"pipe.Options":             "Window MaxRetries InitialRTT FirstID",
 		"transfer.SenderOptions":   "PartAckTimeout PetitionTimeout",
 		"transfer.ReceiverOptions": "Accept OnFile",

@@ -31,8 +31,8 @@
 // One world builder. NewEnv/NewEnvFor and Env.RunPeers are the only place a
 // broker or a client is built on a simulated slice; cells, the public facade
 // and the repository benchmark's staged replay all get their world there.
-// What the world runs — lease TTL, lease sweep, call policy, static clients
-// or the scenario's dynamics — is read off its scenario.
+// What the world runs — lease TTL, call policy, static clients or the
+// scenario's dynamics — is read off its scenario.
 //
 // Two seed layouts, both SplitMix64 folds. Figure batches and RunWorkload's
 // repetitions derive from (root seed, tag, linear cell index) — the layout

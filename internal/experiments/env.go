@@ -124,8 +124,8 @@ func NewEnv(cfg Config) (*Env, error) { return NewEnvFor(cfg, nil) }
 //
 // What the broker runs is read off the scenario: its lease TTL (30 days
 // unless the scenario churns — experiments span many virtual hours of idle
-// gaps and static peers never renew), its eager lease sweep, and, where the
-// control plane fails on schedule, a Resilient controller. A paper figure
+// gaps and static peers never renew) and, where the control plane fails on
+// schedule, a Resilient controller. A paper figure
 // passes its scenario with the dynamics stripped (scenario.Scenario.Static)
 // and so measures any catalog as a static slice.
 func NewEnvFor(cfg Config, peers []string) (*Env, error) {
@@ -138,8 +138,7 @@ func NewEnvFor(cfg Config, peers []string) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	bcfg := overlay.BrokerConfig{AdvTTL: sc.EffectiveAdvTTL(), LeaseSweep: sc.LeaseSweep,
-		Shards: cfg.Shards, CacheLimit: cfg.CacheLimit}
+	bcfg := overlay.BrokerConfig{AdvTTL: sc.EffectiveAdvTTL(), Shards: cfg.Shards, CacheLimit: cfg.CacheLimit}
 	if bcfg.CacheLimit == 0 {
 		// Every deployed peer plus the controller registers; the directory
 		// must hold them all or selection ranks whatever survived eviction.

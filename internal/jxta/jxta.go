@@ -410,18 +410,9 @@ func CompareAdvertisements(a, b Advertisement) int {
 	return bytes.Compare(a.ID[:], b.ID[:])
 }
 
-// NextExpiry returns the earliest expiry instant among cached
-// advertisements, and whether the cache holds any. Lease sweepers use it to
-// schedule the next eager eviction instead of polling on a period.
-func (c *Cache) NextExpiry() (time.Time, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.oldestLocked().Expires, len(c.byID) > 0
-}
-
-// Sweep evicts every advertisement expired at now and reports how many were
-// dropped: the settling every reader does first, on a timer, so a broker
-// under churn does not hold dead leases while nobody reads or registers.
+// Sweep settles now: it evicts every advertisement expired at now, as every
+// reader does first, and reports how many were dropped. Nothing in the
+// overlay calls it; it is kept for the cache's benchmark probe.
 func (c *Cache) Sweep(now time.Time) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -309,26 +309,6 @@ func TestPropertyAdvertisementRoundtrip(t *testing.T) {
 	}
 }
 
-func TestNextExpiry(t *testing.T) {
-	now, _ := clockAt(base)
-	c := NewCache(0, now)
-	if _, ok := c.NextExpiry(); ok {
-		t.Fatal("empty cache reported an expiry")
-	}
-	a := sampleAdv()
-	a.Expires = base.Add(time.Hour)
-	c.Publish(a)
-	b := sampleAdv()
-	b.ID = NewID("peer", "earlier")
-	b.Name = "earlier"
-	b.Expires = base.Add(10 * time.Minute)
-	c.Publish(b)
-	e, ok := c.NextExpiry()
-	if !ok || !e.Equal(base.Add(10*time.Minute)) {
-		t.Fatalf("NextExpiry = %v, %v; want the earlier lease", e, ok)
-	}
-}
-
 func TestSweepEvictsExpiredOnly(t *testing.T) {
 	now, cur := clockAt(base)
 	c := NewCache(0, now)
@@ -355,10 +335,6 @@ func TestSweepEvictsExpiredOnly(t *testing.T) {
 	}
 	if _, ok := c.Lookup(long.ID); !ok {
 		t.Fatal("live lease was swept")
-	}
-	e, ok := c.NextExpiry()
-	if !ok || !e.Equal(long.Expires) {
-		t.Fatalf("NextExpiry after sweep = %v, %v", e, ok)
 	}
 }
 

@@ -34,15 +34,6 @@ type BrokerConfig struct {
 	// selection, Snapshots) aggregate across shards in canonical order, so
 	// results are identical at any shard count.
 	Shards int
-	// LeaseSweep, when positive, enables eager lease eviction: a broker
-	// process sleeps until the earliest advertisement expiry (never waking
-	// more often than every LeaseSweep) and sweeps expired entries from
-	// every shard. Zero (the default) leaves settling to the requests: a
-	// shard drops its dead leases when it is next read or published to (see
-	// jxta.Cache). Static deployments leave it zero so the sweep adds no
-	// virtual-time events; churning deployments set it so departed peers'
-	// leases are reclaimed even while no one asks.
-	LeaseSweep time.Duration
 }
 
 // DefaultCacheLimit is the per-shard directory bound of a zero
@@ -90,14 +81,6 @@ type Broker struct {
 	// process is wedged, not the endpoint), so clients see their conns
 	// reset rather than an unknown-address error.
 	down atomic.Bool
-
-	// Eager lease sweeping (see BrokerConfig.LeaseSweep). At most one
-	// sweep timer is pending; lastSweep rate-limits re-arming to once per
-	// LeaseSweep.
-	sweepMu    sync.Mutex
-	sweepTimer transport.Timer
-	lastSweep  time.Time
-	closed     bool
 
 	// ctlRPCs counts well-formed control frames received (including frames
 	// dropped by a blackout); tests and benchmarks read it to pin the boot
@@ -324,74 +307,7 @@ func (b *Broker) Restart() {
 }
 
 // Close shuts the broker down.
-func (b *Broker) Close() {
-	b.sweepMu.Lock()
-	b.closed = true
-	if b.sweepTimer != nil {
-		b.sweepTimer.Stop()
-		b.sweepTimer = nil
-	}
-	b.sweepMu.Unlock()
-	b.mux.Close()
-}
-
-// armSweep schedules the eager lease sweep at the earliest advertisement
-// expiry across shards, never earlier than lastSweep+LeaseSweep (the sweep's
-// rate limit under many staggered expiries). No-op when eager sweeping is
-// disabled, the broker is closed, the directory is empty, or a sweep is
-// already pending — a pending sweep is always soon enough, because every
-// publish sets the maximal possible expiry (now+AdvTTL), so no later event
-// can create an expiry earlier than the pending target. That makes the
-// per-report hot path O(1): the shard scan runs only when arming from
-// scratch. A static deployment with eager sweeping off schedules no timer
-// at all and its virtual-time event stream is untouched.
-func (b *Broker) armSweep() {
-	if b.cfg.LeaseSweep <= 0 {
-		return
-	}
-	b.sweepMu.Lock()
-	if b.closed || b.sweepTimer != nil {
-		b.sweepMu.Unlock()
-		return
-	}
-	b.sweepMu.Unlock()
-	var earliest time.Time
-	any := false
-	for _, sh := range b.shards {
-		if e, ok := sh.cache.NextExpiry(); ok && (!any || e.Before(earliest)) {
-			earliest, any = e, true
-		}
-	}
-	if !any {
-		return
-	}
-	b.sweepMu.Lock()
-	defer b.sweepMu.Unlock()
-	if b.closed || b.sweepTimer != nil {
-		return
-	}
-	target := earliest
-	if floor := b.lastSweep.Add(b.cfg.LeaseSweep); target.Before(floor) {
-		target = floor
-	}
-	b.sweepTimer = b.host.AfterFunc(target.Sub(b.host.Now()), b.sweep)
-}
-
-// sweep evicts every expired lease from every shard, then re-arms for the
-// next expiry if any leases remain. Eviction order is shard-index order and
-// the expired set is a pure function of the clock, so sweeping is identical
-// at any shard count.
-func (b *Broker) sweep() {
-	now := b.host.Now()
-	b.sweepMu.Lock()
-	b.sweepTimer = nil
-	b.lastSweep = now
-	b.sweepMu.Unlock()
-	for _, sh := range b.shards {
-		sh.cache.Sweep(now)
-	}
-	b.armSweep()
-}
+func (b *Broker) Close() { b.mux.Close() }
 
 // serve handles one request conn. Every exchange is request/response on a
 // fresh conn, so a single Recv suffices.
@@ -474,11 +390,10 @@ func (b *Broker) applyStats(ps *stats.PeerStats, rep statsReport) {
 	}
 }
 
-// publish (re)publishes adv under a fresh lease and re-arms the sweep.
+// publish (re)publishes adv under a fresh lease.
 func (b *Broker) publish(sh *shard, adv jxta.Advertisement) {
 	adv.Expires = b.host.Now().Add(b.cfg.AdvTTL)
 	sh.cache.Publish(adv)
-	b.armSweep()
 }
 
 // leaseOf returns the advertisement a report from peer renews. A reporting

@@ -484,8 +484,8 @@ func TestTaskSubmissionRefreshesBrokerQueueView(t *testing.T) {
 
 // TestLeaseExpiryHidesDepartedPeer pins the lease contract on a single
 // shard: a departed client (stopped, no further reports) vanishes from
-// discovery and selection one TTL after its last report, even without an
-// eager sweep, while a renewing client stays.
+// discovery and selection one TTL after its last report — the read settles
+// its lease, nothing evicts it beforehand — while a renewing client stays.
 func TestLeaseExpiryHidesDepartedPeer(t *testing.T) {
 	n := simnet.New(7)
 	bhost := n.MustAddNode("broker0", simnet.DefaultProfile())
@@ -528,42 +528,4 @@ func TestLeaseExpiryHidesDepartedPeer(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestEagerLeaseSweep pins the eager eviction path: with LeaseSweep set,
-// the broker evicts an expired lease from the shard cache on its own —
-// no lookup, publish or query needed — and the sweep timer chain ends
-// (the network quiesces) once the directory is empty.
-func TestEagerLeaseSweep(t *testing.T) {
-	n := simnet.New(9)
-	bhost := n.MustAddNode("broker0", simnet.DefaultProfile())
-	broker, err := NewBroker(bhost, BrokerConfig{
-		AdvTTL:     time.Minute,
-		LeaseSweep: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(n.MustAddNode("sc1", clientProfile()), broker.Addr(), ClientConfig{})
-	n.Run(func() {
-		if err := c.Start(); err != nil {
-			t.Errorf("start: %v", err)
-		}
-		c.Stop()
-	})
-	// The registration armed a sweep at the lease expiry; Run returned only
-	// after the scheduler drained every timer, so the sweep has fired and
-	// the shard cache is empty without any read having triggered gc.
-	if got := n.Scheduler().Elapsed(); got < time.Minute {
-		t.Fatalf("network quiesced at %v, before the lease could expire", got)
-	}
-	if pending := n.Scheduler().Pending(); pending != 0 {
-		t.Fatalf("%d timers still pending after sweep", pending)
-	}
-	if l := broker.shards[0].cache.Len(); l != 0 {
-		t.Fatalf("shard cache holds %d entries after eager sweep", l)
-	}
-	if peers := broker.Peers(); len(peers) != 0 {
-		t.Fatalf("directory = %v after expiry", peers)
-	}
 }

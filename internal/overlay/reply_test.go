@@ -125,7 +125,9 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 				host.Sleep(adv.Expires.Sub(now))
 			case op < 11:
 				what = "sweep"
-				b.sweep()
+				for _, sh := range b.shards {
+					sh.cache.Sweep(now)
+				}
 			default:
 				what = "restart"
 				b.Restart()

@@ -15,8 +15,8 @@
 //   - zipf:N — bandwidths on a Zipf curve: a fat head, a long thin tail
 //   - churn:N — the heterogeneous mixture with live membership: staggered
 //     joins, abrupt leaves, rejoins, and correlated per-site outages, plus
-//     the short broker-lease timescales (AdvTTL, LeaseSweep) that let the
-//     directory track membership
+//     the short broker lease (AdvTTL) that lets the directory track
+//     membership
 //
 // # Ownership rules
 //

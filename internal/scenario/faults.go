@@ -109,7 +109,7 @@ func FaultyRated(n int, rate float64) Scenario {
 		}
 		return events
 	}
-	sc.Horizon, sc.AdvTTL, sc.LeaseSweep = churnHorizon, churnAdvTTL, churnLeaseSweep
+	sc.Horizon, sc.AdvTTL = churnHorizon, churnAdvTTL
 	sc.Faults = func(seed int64) []FaultEvent { return faultSchedule(labels, seed, rate) }
 	sc.FaultRate = func(r float64) Scenario { return FaultyRated(n, r) }
 	return sc

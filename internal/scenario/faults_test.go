@@ -16,7 +16,7 @@ func TestFaultScheduleIsSeedDeterministic(t *testing.T) {
 	if sc.Faults == nil || sc.FaultRate == nil {
 		t.Fatal("faults scenario lacks a fault plan or rate hook")
 	}
-	if sc.Churn == nil || sc.Horizon <= 0 || sc.AdvTTL <= 0 || sc.LeaseSweep <= 0 {
+	if sc.Churn == nil || sc.Horizon <= 0 || sc.AdvTTL <= 0 {
 		t.Fatal("faults scenario must ride the churn runtime (schedule + lease hints)")
 	}
 	a, b := sc.Faults(11), sc.Faults(11)

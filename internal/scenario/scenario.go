@@ -118,11 +118,6 @@ type Scenario struct {
 	// directory on a timescale the session can observe; zero defers to the
 	// harness default (effectively unbounded for static scenarios).
 	AdvTTL time.Duration
-	// LeaseSweep, when positive, asks the broker for eager lease eviction
-	// at this minimum interval (overlay.BrokerConfig.LeaseSweep). Zero arms
-	// no sweep timer — the static-scenario default, which schedules no extra
-	// virtual-time events.
-	LeaseSweep time.Duration
 	// ChurnRate, when non-nil, returns this scenario with its membership
 	// dynamics scaled by rate (sessions and downtimes shrink by 1/rate,
 	// site outages grow proportionally more likely) — the hook behind the
@@ -188,7 +183,7 @@ type Slice struct {
 // the idle gaps.
 func (s Scenario) Static() Scenario {
 	s.Churn, s.ChurnRate, s.Faults, s.FaultRate = nil, nil, nil, nil
-	s.Horizon, s.AdvTTL, s.LeaseSweep = 0, 0, 0
+	s.Horizon, s.AdvTTL = 0, 0
 	return s
 }
 
@@ -508,16 +503,13 @@ const (
 	zipfMinBandwidth  = 0.15e6
 )
 
-// Churn-schedule timescales. Lease TTL and sweep interval are much shorter
-// than a static deployment's (where leases effectively never expire): under
-// churn the broker must notice departures on a timescale the session can
-// observe, and the sweep keeps dead leases from lingering between
-// registrations.
+// Churn-schedule timescales. The lease TTL is much shorter than a static
+// deployment's (where leases effectively never expire): under churn the
+// broker must notice departures on a timescale the session can observe.
 const (
-	churnHorizon    = 10 * time.Minute
-	churnAdvTTL     = 90 * time.Second
-	churnLeaseSweep = 15 * time.Second
-	churnSiteSize   = 8
+	churnHorizon  = 10 * time.Minute
+	churnAdvTTL   = 90 * time.Second
+	churnSiteSize = 8
 )
 
 // Churn describes a PlanetLab-like slice of n peers (the Heterogeneous
@@ -525,8 +517,8 @@ const (
 // abruptly mid-session and rejoin after a downtime, and whole sites fail
 // together. The schedule is drawn per peer from its own SplitMix64 stream —
 // a pure function of the seed, like the catalog itself. The scenario also
-// carries the short lease timescales (AdvTTL, LeaseSweep) that make the
-// broker's directory track membership instead of assuming it.
+// carries the short lease TTL (AdvTTL) that makes the broker's directory
+// track membership instead of assuming it.
 func Churn(n int) Scenario { return ChurnRated(n, 1) }
 
 // ChurnRated is Churn with its membership dynamics scaled by rate: session
@@ -543,7 +535,7 @@ func ChurnRated(n int, rate float64) Scenario {
 	sc := synthetic("churn", "churn", n, churnSite, heterogeneousProfile)
 	sc.Workload = fmt.Sprintf("swarm:%d", n)
 	sc.Churn = func(seed int64) []ChurnEvent { return churnSchedule(sc.Labels, seed, rate) }
-	sc.Horizon, sc.AdvTTL, sc.LeaseSweep = churnHorizon, churnAdvTTL, churnLeaseSweep
+	sc.Horizon, sc.AdvTTL = churnHorizon, churnAdvTTL
 	sc.ChurnRate = func(r float64) Scenario { return ChurnRated(n, r) }
 	return sc
 }

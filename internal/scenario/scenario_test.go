@@ -277,7 +277,7 @@ func TestChurnScheduleIsSeedDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Churn == nil || sc.Horizon <= 0 || sc.AdvTTL <= 0 || sc.LeaseSweep <= 0 {
+	if sc.Churn == nil || sc.Horizon <= 0 || sc.AdvTTL <= 0 {
 		t.Fatal("churn scenario lacks schedule or lease hints")
 	}
 	a, b := sc.Churn(11), sc.Churn(11)

@@ -280,7 +280,9 @@ func (d *Deployment) Run(fn func(s *Session) error) error {
 	})
 }
 
-// Elapsed reports how much virtual time the deployment has consumed.
+// Elapsed reports how much virtual time the deployment has consumed: virtual
+// time up to its world's last event. After Run that is the instant the world
+// went quiet, whether the driver or the churn schedule acted last.
 func (d *Deployment) Elapsed() time.Duration {
 	return d.env.Slice.Net.Scheduler().Elapsed()
 }
