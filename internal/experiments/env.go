@@ -125,9 +125,9 @@ func NewEnv(cfg Config) (*Env, error) { return NewEnvFor(cfg, nil) }
 // What the broker runs is read off the scenario: its lease TTL (30 days
 // unless the scenario churns — experiments span many virtual hours of idle
 // gaps and static peers never renew) and, where the control plane fails on
-// schedule, a Resilient controller. A paper figure
-// passes its scenario with the dynamics stripped (scenario.Scenario.Static)
-// and so measures any catalog as a static slice.
+// schedule, a Resilient controller. A paper figure passes its scenario with
+// the dynamics stripped (scenario.Scenario.Static) and so measures any
+// catalog as a static slice.
 func NewEnvFor(cfg Config, peers []string) (*Env, error) {
 	sc := cfg.Scenario
 	var deploy []string
