@@ -183,7 +183,9 @@ func (m *Mux) Serve(fn func(*Conn)) {
 	})
 }
 
-// Close tears down the mux, every conn, and the endpoint.
+// Close tears down the mux, every conn, and the endpoint. Conns go down in
+// (peer, theirs, id) order, so the processes they wake run in a fixed order
+// where the map iterated randomly.
 func (m *Mux) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -196,6 +198,16 @@ func (m *Mux) Close() error {
 		conns = append(conns, c)
 	}
 	m.mu.Unlock()
+	sort.Slice(conns, func(i, j int) bool {
+		a, b := conns[i], conns[j]
+		if a.peer != b.peer {
+			return a.peer < b.peer
+		}
+		if a.theirs != b.theirs {
+			return !a.theirs
+		}
+		return a.id < b.id
+	})
 	for _, c := range conns {
 		c.teardown(ErrClosed, false)
 	}

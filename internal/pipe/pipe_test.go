@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"peerlab/internal/simnet"
+	"peerlab/internal/transport"
 	"peerlab/internal/vtime"
 )
 
@@ -471,6 +472,73 @@ func TestDialAfterMuxCloseFails(t *testing.T) {
 	})
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("Dial after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestMuxCloseWakesConnsInKeyOrder closes a mux under conns of every kind —
+// dialed to two peers, and accepted — each with a process parked in Recv,
+// and demands that the processes wake in (peer, theirs, id) order on every
+// run: the order a closing client's flows fail in reaches every result.
+func TestMuxCloseWakesConnsInKeyOrder(t *testing.T) {
+	const dials, accepts, reps = 12, 3, 20
+	var want []string
+	for id := 1; id <= dials; id += 2 {
+		want = append(want, fmt.Sprintf("b/pipe/ours/%d", id))
+	}
+	for id := 1; id <= accepts; id++ {
+		want = append(want, fmt.Sprintf("b/pipe/theirs/%d", id))
+	}
+	for id := 2; id <= dials; id += 2 {
+		want = append(want, fmt.Sprintf("c/pipe/ours/%d", id))
+	}
+	for rep := 0; rep < reps; rep++ {
+		r := newRig(t, cleanProfile(), cleanProfile(), Options{})
+		var woke []string
+		park := func(conn *Conn, label string) {
+			r.net.Scheduler().Go(func() {
+				if _, err := conn.Recv(); err == nil {
+					t.Errorf("%s: Recv succeeded on a closing mux", label)
+				}
+				woke = append(woke, label)
+			})
+		}
+		r.net.Run(func() {
+			for id := 1; id <= dials; id++ {
+				peer := "b/pipe"
+				if id%2 == 0 {
+					peer = "c/pipe" // never sent to: a dial is local until its first send
+				}
+				conn, err := r.muxA.Dial(transport.Addr(peer))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				park(conn, fmt.Sprintf("%s/ours/%d", peer, id))
+			}
+			for id := 1; id <= accepts; id++ {
+				out, err := r.muxB.Dial("a/pipe")
+				if err == nil {
+					err = out.Send([]byte{byte(id)})
+				}
+				var in *Conn
+				if err == nil {
+					in, err = r.muxA.Accept()
+				}
+				if err == nil {
+					_, err = in.Recv()
+				}
+				if err != nil {
+					t.Errorf("accepted conn %d: %v", id, err)
+					return
+				}
+				park(in, fmt.Sprintf("b/pipe/theirs/%d", id))
+			}
+			r.net.Scheduler().Sleep(time.Millisecond) // every Recv parks
+			r.muxA.Close()
+		})
+		if fmt.Sprint(woke) != fmt.Sprint(want) {
+			t.Fatalf("rep %d: woke %v, want key order %v", rep, woke, want)
+		}
 	}
 }
 
