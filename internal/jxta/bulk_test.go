@@ -43,7 +43,7 @@ func randomDirectory(rng *rand.Rand, n int) []Advertisement {
 	return advs
 }
 
-func encodeDirectory(advs []Advertisement) []byte {
+func encodeAdvertisements(advs []Advertisement) []byte {
 	e := wire.NewEncoder(64 * len(advs))
 	for _, a := range advs {
 		a.Encode(e)
@@ -118,7 +118,7 @@ func TestBulkDecodeMatchesLoop(t *testing.T) {
 	for _, n := range []int{0, 1, 128, 4096} {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			buf := encodeDirectory(randomDirectory(rng, n))
+			buf := encodeAdvertisements(randomDirectory(rng, n))
 			what := fmt.Sprintf("n=%d seed=%d", n, seed)
 			checkSameAsLoop(t, buf, uint64(n), what)
 			checkSameAsLoop(t, append(buf[:len(buf):len(buf)], 0xFF, 0x01), uint64(n), what+" + trailing bytes")
@@ -131,7 +131,7 @@ func TestBulkDecodeMatchesLoop(t *testing.T) {
 func TestBulkDecodeEveryTruncation(t *testing.T) {
 	for _, n := range []int{1, 3, 128, 4096} {
 		rng := rand.New(rand.NewSource(int64(n)))
-		buf := encodeDirectory(randomDirectory(rng, n))
+		buf := encodeAdvertisements(randomDirectory(rng, n))
 		step := 1
 		if n > 128 { // every offset of 400 KB is quadratic; sample it
 			step = len(buf)/512 + 1
@@ -159,7 +159,7 @@ func TestBulkDecodeCorruptFields(t *testing.T) {
 }
 
 func TestBulkDecodeHostileCountAllocatesNothing(t *testing.T) {
-	buf := encodeDirectory(randomDirectory(rand.New(rand.NewSource(9)), 2))
+	buf := encodeAdvertisements(randomDirectory(rand.New(rand.NewSource(9)), 2))
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := bulkDecode(wire.NewDecoder(buf), 1<<60); !errors.Is(err, wire.ErrShort) {
 			t.Fatalf("err = %v, want ErrShort", err)
@@ -179,7 +179,7 @@ func TestBulkDecodeAttrsDoNotAlias(t *testing.T) {
 		src[i].Name = fmt.Sprint("sc", i)
 		src[i].Attrs = []Attr{{AttrCPUScore, fmt.Sprint(i)}, {AttrCountry, "ES"}}
 	}
-	buf := encodeDirectory(src)
+	buf := encodeAdvertisements(src)
 	decode := func() []Advertisement {
 		advs, err := bulkDecode(wire.NewDecoder(buf), uint64(len(src)))
 		if err != nil {

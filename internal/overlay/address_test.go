@@ -4,19 +4,16 @@ import (
 	"testing"
 	"time"
 
-	"peerlab/internal/core"
 	"peerlab/internal/jxta"
 	"peerlab/internal/realnet"
 	"peerlab/internal/simnet"
-	"peerlab/internal/transfer"
 	"peerlab/internal/transport"
 )
 
 // checkAdvertisedAddrs asks the broker, through c, for the whole peer
-// directory and for one selection per standard model, and demands that every
-// transfer address either reply carries is MakeAddr(name, ServiceTransfer):
-// a peer's transfer address is a function of its name, whoever built its
-// advertisement.
+// directory and demands that every advertisement's transfer address is
+// MakeAddr(name, ServiceTransfer): a peer's transfer address is a function of
+// its name, whoever built its advertisement, so clients compute it.
 func checkAdvertisedAddrs(t *testing.T, c *Client, step string) {
 	t.Helper()
 	reply, err := c.call(c.broker, discover{Kind: jxta.AdvPeer}.encode())
@@ -37,29 +34,6 @@ func checkAdvertisedAddrs(t *testing.T, c *Client, step string) {
 	for _, a := range advs {
 		if want := string(transport.MakeAddr(a.Name, ServiceTransfer)); a.Addr != want {
 			t.Errorf("%s: %s advertised at %q, want %q", step, a.Name, a.Addr, want)
-		}
-	}
-	for _, model := range []string{"blind", "economic", "same-priority"} {
-		req := selectReq{Model: model, Kind: byte(core.KindFileTransfer), SizeBytes: transfer.Mb, Exclude: []string{c.Name()}}
-		reply, err := c.call(c.broker, req.encode())
-		if err != nil {
-			t.Errorf("%s: select %s: %v", step, model, err)
-			continue
-		}
-		kind, d, err := kindOf(reply)
-		if err != nil || kind != mtSelectResult {
-			t.Errorf("%s: select %s reply of kind %d: %v", step, model, kind, err)
-			continue
-		}
-		res, err := decodeSelectResult(d)
-		if err != nil || res.Err != "" || len(res.Peers) == 0 || len(res.Addrs) != len(res.Peers) {
-			t.Errorf("%s: select %s = %+v, %v", step, model, res, err)
-			continue
-		}
-		for i, p := range res.Peers {
-			if want := string(transport.MakeAddr(p, ServiceTransfer)); res.Addrs[i] != want {
-				t.Errorf("%s: select %s placed %s at %q, want %q", step, model, p, res.Addrs[i], want)
-			}
 		}
 	}
 }

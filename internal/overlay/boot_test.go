@@ -150,8 +150,8 @@ func TestBatchBootStateAndRPCCount(t *testing.T) {
 	if got := dBoth.broker.ControlRPCs(); got != int64(2*len(names)) {
 		t.Fatalf("Start+ReportStats control RPCs = %d, want %d", got, 2*len(names))
 	}
-	sa := dStart.broker.Advertisements(jxta.AdvPeer, "")
-	ba := dBoth.broker.Advertisements(jxta.AdvPeer, "")
+	sa := dStart.broker.Advertisements(jxta.AdvPeer)
+	ba := dBoth.broker.Advertisements(jxta.AdvPeer)
 	if len(sa) != len(names) || len(ba) != len(names) {
 		t.Fatalf("directory: Start %d entries, Start+ReportStats %d, want %d", len(sa), len(ba), len(names))
 	}
@@ -287,7 +287,7 @@ func TestRegisterCannotDisplaceAnotherPeer(t *testing.T) {
 		}
 		peers = d.broker.Peers()
 		for _, name := range peers {
-			entries[name] = d.broker.Advertisements(jxta.AdvPeer, name)
+			entries[name] = named(d.broker.Advertisements(jxta.AdvPeer), name)
 		}
 	})
 	if want := []string{"evil", "sc1", "sc2"}; !reflect.DeepEqual(peers, want) {

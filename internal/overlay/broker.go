@@ -180,16 +180,12 @@ type mergedDir struct {
 	size   int
 }
 
-// Advertisements queries the sharded advertisement directory: per-shard
-// results merged back into canonical (Name, ID) order. Discovery, selection
-// and Peers all read this one view. The result is read-only: a named query,
-// or any query of a one-shard broker, is the owning shard's own answer (see
-// jxta.Cache.Query), and a whole-kind merge is shared by every caller until
-// some shard's stamp moves.
-func (b *Broker) Advertisements(kind jxta.AdvKind, name string) []jxta.Advertisement {
-	if name != "" {
-		return b.shardOf(name).cache.Query(kind, name)
-	}
+// Advertisements queries the sharded advertisement directory for one kind:
+// per-shard results merged back into canonical (Name, ID) order. Discovery,
+// selection and Peers all read this one view. The result is read-only: a
+// one-shard broker's is the shard's own answer (see jxta.Cache.Query), and a
+// merge is shared by every caller until some shard's stamp moves.
+func (b *Broker) Advertisements(kind jxta.AdvKind) []jxta.Advertisement {
 	b.dirMu.Lock()
 	defer b.dirMu.Unlock()
 	return b.dirLocked(kind).advs
@@ -279,7 +275,7 @@ func (b *Broker) knownPeers() int {
 
 // Peers lists registered peer names (live advertisements only).
 func (b *Broker) Peers() []string {
-	advs := b.Advertisements(jxta.AdvPeer, "")
+	advs := b.Advertisements(jxta.AdvPeer)
 	names := make([]string, 0, len(advs))
 	for _, a := range advs {
 		names = append(names, a.Name)
@@ -438,17 +434,7 @@ func (b *Broker) handleDiscover(conn *pipe.Conn, d *wire.Decoder) {
 	if err != nil {
 		return
 	}
-	if req.Name == "" {
-		conn.Send(b.directoryReply(req.Kind))
-		return
-	}
-	sendReply(conn, func(e *wire.Encoder) { b.encodeDirectory(e, req.Kind, req.Name) })
-}
-
-// encodeDirectory appends the discover reply for (kind, name): the merged
-// directory, encoded in order.
-func (b *Broker) encodeDirectory(e *wire.Encoder, kind jxta.AdvKind, name string) {
-	encodeDiscoverResult(e, b.Advertisements(kind, name))
+	conn.Send(b.directoryReply(req.Kind))
 }
 
 func (b *Broker) handleSelect(conn *pipe.Conn, d *wire.Decoder) {
@@ -456,8 +442,8 @@ func (b *Broker) handleSelect(conn *pipe.Conn, d *wire.Decoder) {
 	if err != nil {
 		return
 	}
-	peers, addrs, serr := b.selectPeers(req)
-	res := selectResult{Peers: peers, Addrs: addrs}
+	peers, serr := b.selectPeers(req)
+	res := selectResult{Peers: peers}
 	if serr != nil {
 		res.Err = serr.Error()
 	}
@@ -475,7 +461,7 @@ var candPool = sync.Pool{New: func() any { return new([]core.Candidate) }}
 // everything else — the stateful blind cursor, the data evaluator's
 // set-relative scores, per-request preference models — passes a nil
 // capability and is ranked from scratch every time.
-func (b *Broker) selectPeers(req selectReq) (peers, addrs []string, err error) {
+func (b *Broker) selectPeers(req selectReq) ([]string, error) {
 	sel, ok := b.selectors[req.Model]
 	var pure core.PureRanker
 	if core.UsesPreferences(req.Model) {
@@ -485,7 +471,7 @@ func (b *Broker) selectPeers(req selectReq) (peers, addrs []string, err error) {
 		pure, _ = sel.(core.PureRanker)
 	}
 	if !ok {
-		return nil, nil, fmt.Errorf("overlay: unknown selection model %q", req.Model)
+		return nil, fmt.Errorf("overlay: unknown selection model %q", req.Model)
 	}
 	return b.selectRanked(req, core.Request{
 		Kind:      core.RequestKind(req.Kind),

@@ -17,7 +17,6 @@ import (
 
 // Client errors.
 var (
-	ErrPeerUnknown  = errors.New("overlay: peer not found in directory")
 	ErrTaskRejected = errors.New("overlay: task rejected by peer")
 	ErrBrokerDown   = errors.New("overlay: broker unreachable")
 )
@@ -276,32 +275,10 @@ func (c *Client) Discover() ([]jxta.Advertisement, error) {
 	return c.res.snapshotDir(), nil
 }
 
-// resolve returns the transfer address of a named peer. When the broker
-// cannot answer — or answered from a cold post-restart directory that has
-// not heard of the peer yet — a degrading client falls back to the cached
-// advertisement's address: a possibly stale route is still better than
-// failing a transfer the data plane could carry.
-func (c *Client) resolve(peer string) (transport.Addr, error) {
-	reply, err := c.call(c.broker, discover{Kind: jxta.AdvPeer, Name: peer}.encode())
-	if err != nil {
-		if addr, ok := c.cachedAddr(peer); ok {
-			return addr, nil
-		}
-		return "", err
-	}
-	kind, d, err := kindOf(reply)
-	if err != nil || kind != mtDiscoverResult {
-		return "", fmt.Errorf("%w: discover", ErrBadReply)
-	}
-	advs, err := decodeDiscoverResult(d)
-	if err != nil || len(advs) == 0 {
-		if addr, ok := c.cachedAddr(peer); ok {
-			return addr, nil
-		}
-		return "", fmt.Errorf("%w: %q", ErrPeerUnknown, peer)
-	}
-	return transport.Addr(advs[0].Addr), nil
-}
+// unknownPeer reports whether err says no transport knows the peer's address.
+// Nothing is reported to the broker then: a name no node carries (a typo)
+// must not open a statistics record there.
+func unknownPeer(err error) bool { return errors.Is(err, transport.ErrUnknownAddr) }
 
 // SendFile transmits a file to the named peer in `parts` parts and reports
 // the outcome to the broker's statistics service.
@@ -324,16 +301,15 @@ func (c *Client) SendPieces(peer string, f transfer.File, pieces int, indices []
 	})
 }
 
-// sendReported resolves the peer, runs one transmission to it and reports
-// the outcome to the broker. A part counts as a message out whether or not
-// it was confirmed; Bytes is what the transmission set out to move.
+// sendReported runs one transmission to the peer's transfer address and
+// reports the outcome to the broker. A part counts as a message out whether
+// or not it was confirmed; Bytes is what the transmission set out to move.
 func (c *Client) sendReported(peer string, send func(transport.Addr) (transfer.Metrics, error)) (transfer.Metrics, error) {
-	addr, err := c.resolve(peer)
-	if err != nil {
-		return transfer.Metrics{}, err
-	}
-	m, sendErr := send(addr)
+	m, sendErr := send(transport.MakeAddr(peer, ServiceTransfer))
 	c.msgsOut.Add(int64(len(m.Parts) + 1))
+	if unknownPeer(sendErr) {
+		return m, sendErr
+	}
 	rep := reportTransfer{
 		Peer:          peer,
 		OK:            sendErr == nil,
@@ -369,19 +345,16 @@ func (c *Client) SubmitTask(peer string, t task.Task) (task.Result, error) {
 	if t.ID == 0 {
 		t.ID = c.nextTaskID.Add(1)
 	}
-	addr, err := c.resolve(peer)
-	if err != nil {
-		return task.Result{}, err
-	}
-	ctl := transport.MakeAddr(addr.Node(), ServiceClient)
-	conn, err := c.ctlMux.Dial(ctl)
+	conn, err := c.ctlMux.Dial(transport.MakeAddr(peer, ServiceClient))
 	if err != nil {
 		return task.Result{}, err
 	}
 	defer conn.Close()
 	c.msgsOut.Add(1)
 	if err := conn.Send(taskSubmit{Task: t, From: c.host.Name()}.encode()); err != nil {
-		c.reportTaskOutcome(peer, false, false, 0)
+		if !unknownPeer(err) {
+			c.reportTaskOutcome(peer, false, false, 0)
+		}
 		return task.Result{}, fmt.Errorf("overlay: submit to %s: %w", peer, err)
 	}
 	reply, err := conn.Recv()
@@ -431,18 +404,18 @@ func (c *Client) reportTaskOutcome(peer string, accepted, ok bool, spu float64) 
 // SendInstant delivers a one-line message to the named peer and records the
 // outcome in the broker's messaging statistics.
 func (c *Client) SendInstant(peer, text string) error {
-	addr, err := c.resolve(peer)
-	if err != nil {
-		return err
-	}
-	ctl := transport.MakeAddr(addr.Node(), ServiceClient)
 	c.msgsOut.Add(1)
-	reply, sendErr := c.call(ctl, instant{From: c.host.Name(), Text: text}.encode())
+	reply, sendErr := c.call(transport.MakeAddr(peer, ServiceClient), instant{From: c.host.Name(), Text: text}.encode())
 	ok := sendErr == nil && len(reply) > 0 && reply[0] == mtInstantAck
-	rep := reportMessage{Peer: peer, OK: ok}
-	_, _ = c.call(c.broker, rep.encode()) // best-effort statistics
+	if !unknownPeer(sendErr) {
+		rep := reportMessage{Peer: peer, OK: ok}
+		_, _ = c.call(c.broker, rep.encode()) // best-effort statistics
+	}
 	if !ok {
-		return fmt.Errorf("overlay: instant to %s failed: %v", peer, sendErr)
+		if sendErr == nil {
+			sendErr = fmt.Errorf("%w: instant ack", ErrBadReply)
+		}
+		return fmt.Errorf("overlay: instant to %s failed: %w", peer, sendErr)
 	}
 	return nil
 }

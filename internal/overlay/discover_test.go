@@ -132,13 +132,11 @@ func TestDiscoverReplyFrameAndDecode(t *testing.T) {
 		b := bareBroker(t)
 		advs := randomPeerAdvs(rand.New(rand.NewSource(int64(n)+1)), n)
 		publishAll(b, advs)
-		sorted := b.Advertisements(jxta.AdvPeer, "")
+		sorted := b.Advertisements(jxta.AdvPeer)
 		if len(sorted) != n {
 			t.Fatalf("n=%d: directory holds %d", n, len(sorted))
 		}
-		e := wire.NewEncoder(1024)
-		b.encodeDirectory(e, jxta.AdvPeer, "")
-		frame := e.Bytes()
+		frame := b.directoryReply(jxta.AdvPeer)
 		if !bytes.Equal(frame, referenceDiscoverFrame(sorted)) {
 			t.Fatalf("n=%d: the broker's frame differs from the merged-slice encoding", n)
 		}
@@ -160,15 +158,6 @@ func TestDiscoverReplyFrameAndDecode(t *testing.T) {
 		for cut := 0; cut < len(body); cut += step {
 			if err := checkDecodeSameAsReference(body[:cut]); err != nil {
 				t.Fatalf("n=%d cut at %d of %d: %v", n, cut, len(body), err)
-			}
-		}
-		// A named query answers from the owning shard alone.
-		if n > 0 {
-			e.Reset()
-			b.encodeDirectory(e, jxta.AdvPeer, advs[0].Name)
-			one, err := decodeDiscoverResult(wire.NewDecoder(e.Bytes()[1:]))
-			if err != nil || len(one) != 1 || one[0].Name != advs[0].Name {
-				t.Fatalf("n=%d: named query = %+v, %v", n, one, err)
 			}
 		}
 	}
@@ -451,7 +440,7 @@ func TestDirectoryMergeReused(t *testing.T) {
 					return
 				default:
 				}
-				dir := b.Advertisements(jxta.AdvPeer, "")
+				dir := b.Advertisements(jxta.AdvPeer)
 				for i := 1; i < len(dir); i++ {
 					if jxta.CompareAdvertisements(dir[i-1], dir[i]) >= 0 {
 						t.Errorf("a reader saw %s before %s", dir[i-1].Name, dir[i].Name)
@@ -465,7 +454,7 @@ func TestDirectoryMergeReused(t *testing.T) {
 	var prev []jxta.Advertisement
 	unchanged := func(step string) {
 		t.Helper()
-		if got := b.Advertisements(jxta.AdvPeer, ""); len(got) != len(prev) || &got[0] != &prev[0] {
+		if got := b.Advertisements(jxta.AdvPeer); len(got) != len(prev) || &got[0] != &prev[0] {
 			t.Fatalf("after %s: merged again though no live set changed", step)
 		}
 	}
@@ -476,14 +465,14 @@ func TestDirectoryMergeReused(t *testing.T) {
 			scratch = append(scratch, sh.cache.Query(jxta.AdvPeer, "")...)
 		}
 		slices.SortFunc(scratch, jxta.CompareAdvertisements)
-		got := b.Advertisements(jxta.AdvPeer, "")
+		got := b.Advertisements(jxta.AdvPeer)
 		if len(got) != wantLen || !reflect.DeepEqual(got, scratch) {
 			t.Fatalf("after %s: %d advertisements, a merge from nothing has %d (want %d), or they differ", step, len(got), len(scratch), wantLen)
 		}
 		if len(got) > 0 && len(prev) > 0 && &got[0] == &prev[0] {
 			t.Fatalf("after %s: the directory is still the previous merge", step)
 		}
-		if again := b.Advertisements(jxta.AdvPeer, ""); len(again) != len(got) || (len(got) > 0 && &again[0] != &got[0]) {
+		if again := b.Advertisements(jxta.AdvPeer); len(again) != len(got) || (len(got) > 0 && &again[0] != &got[0]) {
 			t.Fatalf("after %s: merged again with nothing published in between", step)
 		}
 		prev = got

@@ -108,10 +108,9 @@ func (m statsReport) encodeTo(e *wire.Encoder) {
 	e.Float64(m.CPUScore)
 }
 
-// discover queries the broker's advertisement directory.
+// discover queries the broker's advertisement directory for one kind.
 type discover struct {
 	Kind jxta.AdvKind
-	Name string
 }
 
 func (m discover) encode() []byte {
@@ -119,7 +118,6 @@ func (m discover) encode() []byte {
 	defer wire.PutEncoder(e)
 	e.Byte(mtDiscover)
 	e.Byte(byte(m.Kind))
-	e.String(m.Name)
 	return e.Detach()
 }
 
@@ -159,17 +157,16 @@ func (m selectReq) encode() []byte {
 	return e.Detach()
 }
 
-// selectResult returns ranked peer names and their transfer addresses.
+// selectResult returns ranked peer names; a peer's transfer address is a
+// function of its name (transport.MakeAddr), so none travels.
 type selectResult struct {
 	Peers []string
-	Addrs []string
 	Err   string
 }
 
 func (m selectResult) encodeTo(e *wire.Encoder) {
 	e.Byte(mtSelectResult)
 	e.StringSlice(m.Peers)
-	e.StringSlice(m.Addrs)
 	e.String(m.Err)
 }
 
@@ -373,7 +370,7 @@ func decodeStatsFields(d *wire.Decoder) statsReport {
 }
 
 func decodeDiscover(d *wire.Decoder) (discover, error) {
-	m := discover{Kind: jxta.AdvKind(d.Byte()), Name: d.StringField()}
+	m := discover{Kind: jxta.AdvKind(d.Byte())}
 	return m, d.Finish()
 }
 
@@ -409,7 +406,7 @@ func decodeSelectReq(d *wire.Decoder) (selectReq, error) {
 }
 
 func decodeSelectResult(d *wire.Decoder) (selectResult, error) {
-	m := selectResult{Peers: d.StringSlice(), Addrs: d.StringSlice(), Err: d.StringField()}
+	m := selectResult{Peers: d.StringSlice(), Err: d.StringField()}
 	return m, d.Finish()
 }
 

@@ -13,6 +13,7 @@ import (
 	"peerlab/internal/simnet"
 	"peerlab/internal/task"
 	"peerlab/internal/transfer"
+	"peerlab/internal/transport"
 )
 
 // deployment is a broker plus a set of clients on a simnet.
@@ -101,15 +102,74 @@ func TestSendFileBetweenClients(t *testing.T) {
 	}
 }
 
+// peerAction is one of the four ways a client acts on a named peer.
+type peerAction struct {
+	name string
+	act  func(peer string) error
+}
+
+func peerActions(c *Client) []peerAction {
+	file := transfer.NewVirtualFile("f", transfer.Mb, 1)
+	return []peerAction{
+		{"SendFile", func(peer string) error {
+			_, err := c.SendFile(peer, file, 2)
+			return err
+		}},
+		{"SendPieces", func(peer string) error {
+			_, err := c.SendPieces(peer, file, 4, []int{1, 3})
+			return err
+		}},
+		{"SubmitTask", func(peer string) error {
+			_, err := c.SubmitTask(peer, task.Task{Name: "t", WorkUnits: 1})
+			return err
+		}},
+		{"SendInstant", func(peer string) error { return c.SendInstant(peer, "hi") }},
+	}
+}
+
+// TestSendFileToUnknownPeer: an action on a name no node carries fails in
+// the data plane with the transport's ErrUnknownAddr, and reports nothing to
+// the broker, which would otherwise open a statistics record for the name.
 func TestSendFileToUnknownPeer(t *testing.T) {
 	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile()})
-	var err error
-	d.net.Run(func() {
-		d.startAll(t)
-		_, err = d.clients["sc1"].SendFile("ghost", transfer.NewVirtualFile("f", transfer.Mb, 1), 1)
-	})
-	if !errors.Is(err, ErrPeerUnknown) {
-		t.Fatalf("err = %v, want ErrPeerUnknown", err)
+	d.net.Run(func() { d.startAll(t) })
+	for _, a := range peerActions(d.clients["sc1"]) {
+		before := d.broker.ControlRPCs()
+		var err error
+		d.net.Run(func() { err = a.act("ghost") })
+		if !errors.Is(err, transport.ErrUnknownAddr) {
+			t.Errorf("%s: err = %v, want ErrUnknownAddr", a.name, err)
+		}
+		if got := d.broker.ControlRPCs() - before; got != 0 {
+			t.Errorf("%s to ghost cost %d control RPCs, want 0", a.name, got)
+		}
+	}
+	for _, s := range d.broker.Registry().Snapshots() {
+		if s.Peer != "sc1" {
+			t.Errorf("the broker holds a statistics record for %q", s.Peer)
+		}
+	}
+}
+
+// TestPeerActionCostsOneBrokerRPC pins the control cost of acting on a peer:
+// the client computes the peer's address from its name, so the outcome
+// report is the action's only broker RPC. A task adds the executor's two
+// load heartbeats (on acceptance and on completion), which are the
+// receiving peer's.
+func TestPeerActionCostsOneBrokerRPC(t *testing.T) {
+	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile()})
+	d.net.Run(func() { d.startAll(t) })
+	heartbeats := map[string]int64{"SubmitTask": 2}
+	for _, a := range peerActions(d.clients["sc1"]) {
+		before := d.broker.ControlRPCs()
+		var err error
+		d.net.Run(func() { err = a.act("sc2") })
+		if err != nil {
+			t.Errorf("%s: %v", a.name, err)
+		}
+		if got, want := d.broker.ControlRPCs()-before, 1+heartbeats[a.name]; got != want {
+			t.Errorf("%s cost %d control RPCs, want %d", a.name, got, want)
+		}
 	}
 }
 
@@ -431,7 +491,7 @@ func TestNonFiniteCPUScoreIgnored(t *testing.T) {
 					t.Errorf("%s advertised %s: registry score %v, want the neutral 1", peer, v, got)
 				}
 			}
-			if advs := d.broker.Advertisements(jxta.AdvPeer, lapsed); len(advs) != 1 || advs[0].Attr(jxta.AttrCPUScore) != "" {
+			if advs := named(d.broker.Advertisements(jxta.AdvPeer), lapsed); len(advs) != 1 || advs[0].Attr(jxta.AttrCPUScore) != "" {
 				t.Errorf("%s reported %s: rebuilt advertisement %+v", lapsed, v, advs)
 			}
 		}

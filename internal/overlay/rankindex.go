@@ -2,8 +2,6 @@ package overlay
 
 import (
 	"slices"
-	"sort"
-	"strings"
 	"time"
 
 	"peerlab/internal/core"
@@ -64,13 +62,12 @@ type rankEntry struct {
 	// Now-shift invariance above); otherwise only at exactly builtAt.
 	anyTime bool
 	stamps  []rankStamp
-	// ranked is the first names of the model's order over advs' candidates,
-	// best first: all of them when it is as long as advs. Both slices are
-	// immutable once installed: serve paths may alias them but never write.
+	// ranked is the first names of the model's order over the directory's
+	// dirLen candidates, best first: all of them when it is dirLen long.
+	// It is immutable once installed: serve paths may alias it but never
+	// write.
 	ranked []string
-	// advs is the canonical-order directory the ranking was built from —
-	// the binary-search substrate for winner address lookup.
-	advs []jxta.Advertisement
+	dirLen int
 }
 
 // rankLookupLocked returns a valid entry for key at now, or nil. Caller
@@ -111,16 +108,15 @@ func (e *rankEntry) serve(req *selectReq) (peers []string, ok bool) {
 			peers = append(peers, p)
 		}
 	}
-	return peers, len(e.ranked) == len(e.advs) || req.MaxResults > 0 && len(peers) == req.MaxResults
+	return peers, len(e.ranked) == e.dirLen || req.MaxResults > 0 && len(peers) == req.MaxResults
 }
 
 // selectRanked is the one selection path: replay the memoized prefix when
 // the model is pure, every stamp matches and the prefix is deep enough, rank
-// from scratch otherwise, then filter, truncate and resolve addresses. pure
-// is nil for a model that must not be memoized (see selectPeers): every
-// lookup is then a miss, exclusions are baked into the candidate set, and
-// nothing is installed.
-func (b *Broker) selectRanked(req selectReq, creq core.Request, sel core.Ranker, pure core.PureRanker) (peers, addrs []string, err error) {
+// from scratch otherwise, then filter and truncate. pure is nil for a model
+// that must not be memoized (see selectPeers): every lookup is then a miss,
+// exclusions are baked into the candidate set, and nothing is installed.
+func (b *Broker) selectRanked(req selectReq, creq core.Request, sel core.Ranker, pure core.PureRanker) (peers []string, err error) {
 	var key rankKey
 	var e *rankEntry
 	ok := false
@@ -135,7 +131,7 @@ func (b *Broker) selectRanked(req selectReq, creq core.Request, sel core.Ranker,
 	}
 	if !ok {
 		if e, err = b.rankBuild(key, creq, sel, pure, &req); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// A fresh ranking is deep enough: at most len(Exclude) of its names
 		// are excluded.
@@ -143,18 +139,9 @@ func (b *Broker) selectRanked(req selectReq, creq core.Request, sel core.Ranker,
 	}
 	if len(peers) == 0 {
 		// Exactly what ranking an empty candidate set returns.
-		return nil, nil, core.ErrNoCandidates
+		return nil, core.ErrNoCandidates
 	}
-	// Addresses only for the winners: advs is in canonical (Name, ID) order
-	// and peer names are unique (one advertisement per peer), so a binary
-	// search replaces a name→addr map over the whole directory.
-	addrs = make([]string, len(peers))
-	for i, p := range peers {
-		if j, found := sort.Find(len(e.advs), func(k int) int { return strings.Compare(p, e.advs[k].Name) }); found {
-			addrs[i] = e.advs[j].Addr
-		}
-	}
-	return peers, addrs, nil
+	return peers, nil
 }
 
 // rankBuild ranks from scratch to the depth req reads and, for a pure model,
@@ -181,7 +168,8 @@ func (b *Broker) rankBuild(key rankKey, creq core.Request, sel core.Ranker, pure
 	// every shard in canonical order, and each candidate's statistics come
 	// from its owning shard, so a sharded broker ranks exactly as a single
 	// one would.
-	e.advs = b.Advertisements(jxta.AdvPeer, "")
+	advs := b.Advertisements(jxta.AdvPeer)
+	e.dirLen = len(advs)
 	candsp := candPool.Get().(*[]core.Candidate)
 	defer func() {
 		clear(*candsp)
@@ -189,14 +177,14 @@ func (b *Broker) rankBuild(key rankKey, creq core.Request, sel core.Ranker, pure
 		candPool.Put(candsp)
 	}()
 	cands := (*candsp)[:0]
-	if cap(cands) < len(e.advs) {
-		cands = make([]core.Candidate, 0, len(e.advs))
+	if cap(cands) < len(advs) {
+		cands = make([]core.Candidate, 0, len(advs))
 	}
 	// Each candidate's slot is filled where it lies, as of the one instant
 	// the request carries.
 	var maxReadyAt time.Time
-	for i := range e.advs {
-		name := e.advs[i].Name
+	for i := range advs {
+		name := advs[i].Name
 		if pure == nil && slices.Contains(req.Exclude, name) {
 			continue
 		}

@@ -42,7 +42,7 @@ func rankDeploy(t *testing.T) *deployment {
 // candidate set, ranked from scratch, nothing replayed or installed — at
 // the same instant selectPeers would run: the oracle every indexed result
 // must match byte for byte.
-func scanOf(b *Broker, req selectReq) ([]string, []string, error) {
+func scanOf(b *Broker, req selectReq) ([]string, error) {
 	return b.selectRanked(req, core.Request{
 		Kind:      core.RequestKind(req.Kind),
 		SizeBytes: req.SizeBytes,
@@ -51,17 +51,17 @@ func scanOf(b *Broker, req selectReq) ([]string, []string, error) {
 	}, b.selectors[req.Model], nil)
 }
 
-func mustMatchScan(t *testing.T, b *Broker, req selectReq) ([]string, []string) {
+func mustMatchScan(t *testing.T, b *Broker, req selectReq) []string {
 	t.Helper()
-	gotP, gotA, gotErr := b.selectPeers(req)
-	wantP, wantA, wantErr := scanOf(b, req)
+	gotP, gotErr := b.selectPeers(req)
+	wantP, wantErr := scanOf(b, req)
 	if !errors.Is(gotErr, wantErr) && (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%s/%v: err = %v, scan err = %v", req.Model, req.Exclude, gotErr, wantErr)
 	}
-	if !reflect.DeepEqual(gotP, wantP) || !reflect.DeepEqual(gotA, wantA) {
-		t.Fatalf("%s/%v: indexed (%v, %v) != scan (%v, %v)", req.Model, req.Exclude, gotP, gotA, wantP, wantA)
+	if !reflect.DeepEqual(gotP, wantP) {
+		t.Fatalf("%s/%v: indexed %v != scan %v", req.Model, req.Exclude, gotP, wantP)
 	}
-	return gotP, gotA
+	return gotP
 }
 
 // TestRankIndexMatchesScan proves the indexed selection path is
@@ -74,7 +74,7 @@ func TestRankIndexMatchesScan(t *testing.T) {
 	eco := selectReq{Model: "economic", Kind: 1, SizeBytes: 5 << 20}
 	same := selectReq{Model: "same-priority", Kind: 1, SizeBytes: 5 << 20}
 
-	ranked, _ := mustMatchScan(t, b, eco)
+	ranked := mustMatchScan(t, b, eco)
 	if len(ranked) != 6 {
 		t.Fatalf("economic ranked %d peers, want 6", len(ranked))
 	}
@@ -101,7 +101,7 @@ func TestRankIndexMatchesScan(t *testing.T) {
 		poisoned[len(real)-1-i] = p
 	}
 	entry.ranked = poisoned
-	gotP, _, err := b.selectPeers(eco)
+	gotP, err := b.selectPeers(eco)
 	if err != nil || !reflect.DeepEqual(gotP, poisoned) {
 		t.Fatalf("replay did not serve from the index: got %v (%v), want poisoned %v", gotP, err, poisoned)
 	}
@@ -111,29 +111,28 @@ func TestRankIndexMatchesScan(t *testing.T) {
 	// shift everyone up exactly as a fresh scan would rank the remainder.
 	excl := eco
 	excl.Exclude = []string{ranked[0], ranked[2]}
-	exP, _ := mustMatchScan(t, b, excl)
+	exP := mustMatchScan(t, b, excl)
 	if len(exP) != 4 || exP[0] != ranked[1] {
 		t.Fatalf("exclusion filtration: got %v from full ranking %v", exP, ranked)
 	}
 	// Excluding everyone must surface the scan path's sentinel.
 	allOut := eco
 	allOut.Exclude = append([]string{}, ranked...)
-	if _, _, err := b.selectPeers(allOut); !errors.Is(err, core.ErrNoCandidates) {
+	if _, err := b.selectPeers(allOut); !errors.Is(err, core.ErrNoCandidates) {
 		t.Fatalf("exclude-all err = %v, want ErrNoCandidates", err)
 	}
 	// Truncation rides on top of filtration.
 	top := excl
 	top.MaxResults = 2
-	topP, topA := mustMatchScan(t, b, top)
-	if len(topP) != 2 || len(topA) != 2 {
-		t.Fatalf("MaxResults: got %v / %v", topP, topA)
+	if topP := mustMatchScan(t, b, top); len(topP) != 2 {
+		t.Fatalf("MaxResults: got %v", topP)
 	}
 
 	// A stats mutation must invalidate: push the winner's ready time out an
 	// hour (its completion estimate collapses) and the indexed path must
 	// re-rank exactly as the scan does.
 	b.Registry().Peer(ranked[0]).SetReadyAt(b.host.Now().Add(time.Hour))
-	reP, _ := mustMatchScan(t, b, eco)
+	reP := mustMatchScan(t, b, eco)
 	if reflect.DeepEqual(reP, ranked) {
 		t.Fatalf("ranking unchanged after delaying %s by an hour: %v", ranked[0], reP)
 	}
@@ -145,7 +144,7 @@ func TestRankIndexMatchesScan(t *testing.T) {
 			t.Errorf("boot rz: %v", err)
 		}
 	})
-	grownP, _ := mustMatchScan(t, b, eco)
+	grownP := mustMatchScan(t, b, eco)
 	if len(grownP) != 7 {
 		t.Fatalf("after growth ranked %d peers, want 7", len(grownP))
 	}
@@ -164,11 +163,11 @@ func TestRankIndexMatchesScan(t *testing.T) {
 func TestRankIndexBlindBypass(t *testing.T) {
 	d := rankDeploy(t)
 	req := selectReq{Model: "blind", Kind: 1}
-	first, _, err := d.broker.selectPeers(req)
+	first, err := d.broker.selectPeers(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, _, err := d.broker.selectPeers(req)
+	second, err := d.broker.selectPeers(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +187,7 @@ func TestRankIndexUntouchedByNonPure(t *testing.T) {
 	d := rankDeploy(t)
 	b := d.broker
 	eco := selectReq{Model: "economic", Kind: 1, SizeBytes: 5 << 20}
-	ranked, _ := mustMatchScan(t, b, eco)
+	ranked := mustMatchScan(t, b, eco)
 	ring, next := b.rankRing, b.rankNext
 	if next != 1 || ring[0] == nil {
 		t.Fatalf("economic selection installed nothing: next=%d ring[0]=%v", next, ring[0])
@@ -199,14 +198,14 @@ func TestRankIndexUntouchedByNonPure(t *testing.T) {
 		{Model: "quick-peer", Kind: 1, SizeBytes: 5 << 20, Preferred: []string{ranked[3], ranked[1]}},
 		{Model: "user-preference", Kind: 1, Preferred: ranked[2:], Exclude: ranked[:1], MaxResults: 2},
 	} {
-		if _, _, err := b.selectPeers(req); err != nil {
+		if _, err := b.selectPeers(req); err != nil {
 			t.Fatalf("%s: %v", req.Model, err)
 		}
 		if b.rankRing != ring || b.rankNext != next {
 			t.Fatalf("%s selection touched the rank index: next %d -> %d", req.Model, next, b.rankNext)
 		}
 	}
-	if _, _, err := scanOf(b, eco); err != nil {
+	if _, err := scanOf(b, eco); err != nil {
 		t.Fatal(err)
 	}
 	if b.rankRing != ring || b.rankNext != next {
@@ -222,8 +221,8 @@ func TestExclusionListsDoNotCollide(t *testing.T) {
 	for _, model := range []string{"economic", "same-priority"} {
 		for _, exclude := range [][]string{{"ra\x00rb"}, {"ra", "rb"}} {
 			req := selectReq{Model: model, Kind: 1, SizeBytes: 5 << 20, Exclude: exclude}
-			got, _, err := b.selectPeers(req)
-			want, _, wantErr := refSelect(b, req)
+			got, err := b.selectPeers(req)
+			want, wantErr := refSelect(b, req)
 			if err != nil || wantErr != nil || !slices.Equal(got, want) {
 				t.Fatalf("%s excluding %q: served %v (%v), want %v (%v)", model, exclude, got, err, want, wantErr)
 			}
@@ -239,9 +238,8 @@ func fullRanking(r core.Ranker, req core.Request, cands []core.Candidate) ([]str
 // refSelect is what a selection must return, derived without the rank index:
 // every advertised peer snapshotted afresh, the model's full ranking over
 // them — the excluded names filtered out of it for the economic model,
-// removed from the candidate set for the others — truncated to MaxResults,
-// and each survivor's address read from the directory.
-func refSelect(b *Broker, req selectReq) (peers, addrs []string, err error) {
+// removed from the candidate set for the others — truncated to MaxResults.
+func refSelect(b *Broker, req selectReq) (peers []string, err error) {
 	var model core.Ranker
 	if core.UsesPreferences(req.Model) {
 		model = core.NewUserPreference(req.Preferred)
@@ -249,31 +247,26 @@ func refSelect(b *Broker, req selectReq) (peers, addrs []string, err error) {
 		model = b.selectors[req.Model].(core.Ranker)
 	}
 	filter := req.Model == "economic"
-	addrOf := map[string]string{}
 	var cands []core.Candidate
-	for _, a := range b.Advertisements(jxta.AdvPeer, "") {
-		addrOf[a.Name] = a.Addr
+	for _, a := range b.Advertisements(jxta.AdvPeer) {
 		if filter || !slices.Contains(req.Exclude, a.Name) {
 			cands = append(cands, core.Candidate{Snapshot: b.Registry().Peer(a.Name).Snapshot()})
 		}
 	}
 	creq := core.Request{Kind: core.RequestKind(req.Kind), SizeBytes: req.SizeBytes, WorkUnits: req.WorkUnits, Now: b.host.Now()}
 	if peers, err = fullRanking(model, creq, cands); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if filter {
 		peers = slices.DeleteFunc(peers, func(p string) bool { return slices.Contains(req.Exclude, p) })
 	}
 	if len(peers) == 0 {
-		return nil, nil, core.ErrNoCandidates
+		return nil, core.ErrNoCandidates
 	}
 	if req.MaxResults > 0 && req.MaxResults < len(peers) {
 		peers = peers[:req.MaxResults]
 	}
-	for _, p := range peers {
-		addrs = append(addrs, addrOf[p])
-	}
-	return peers, addrs, nil
+	return peers, nil
 }
 
 // selectionCoverage counts the program steps the oracle insists on.
@@ -360,7 +353,7 @@ func checkSelectionProgram(t *testing.T, seed int64, shards, steps int, cov *sel
 			}
 			bare := req
 			bare.Exclude, bare.MaxResults = nil, 4
-			top, _, _ := refSelect(b, bare)
+			top, _ := refSelect(b, bare)
 			req.Exclude = nil
 			switch rng.Intn(3) {
 			case 0: // the best few, in order
@@ -384,12 +377,12 @@ func checkSelectionProgram(t *testing.T, seed int64, shards, steps int, cov *sel
 				cov.sameInstantRepeats++
 			}
 			cov.selections++
-			gotP, gotA, gotErr := b.selectPeers(req)
-			wantP, wantA, wantErr := refSelect(b, req)
+			gotP, gotErr := b.selectPeers(req)
+			wantP, wantErr := refSelect(b, req)
 			if (gotErr == nil) != (wantErr == nil) || !errors.Is(gotErr, wantErr) && wantErr != nil ||
-				!slices.Equal(gotP, wantP) || !slices.Equal(gotA, wantA) {
-				t.Fatalf("seed %d, %d shards, step %d: %+v\nserved (%v, %v, %v)\nreference (%v, %v, %v)",
-					seed, shards, step, req, gotP, gotA, gotErr, wantP, wantA, wantErr)
+				!slices.Equal(gotP, wantP) {
+				t.Fatalf("seed %d, %d shards, step %d: %+v\nserved (%v, %v)\nreference (%v, %v)",
+					seed, shards, step, req, gotP, gotErr, wantP, wantErr)
 			}
 			prev, prevAt, prevStep = req, b.host.Now(), step
 		case op < 15: // a statistics report
@@ -460,7 +453,7 @@ func BenchmarkRankBuild(b *testing.B) {
 				from := names[(i*31)%peers]
 				br.shardOf(from).registry.Peer(from).RecordFileSent(true)
 				req := selectReq{Model: model, Kind: byte(core.KindFileTransfer), SizeBytes: 2 << 20, MaxResults: 1, Exclude: []string{from}}
-				if _, _, err := br.selectPeers(req); err != nil {
+				if _, err := br.selectPeers(req); err != nil {
 					b.Fatal(err)
 				}
 			}

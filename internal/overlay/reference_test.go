@@ -10,7 +10,6 @@ import (
 
 	"peerlab/internal/jxta"
 	"peerlab/internal/simnet"
-	"peerlab/internal/wire"
 )
 
 // refDirectory is the reference lease directory the broker's sharded,
@@ -56,6 +55,17 @@ func sameAdvs(got, want []jxta.Advertisement) bool {
 		return a.Kind == b.Kind && a.ID == b.ID && a.Name == b.Name && a.Addr == b.Addr &&
 			a.Expires.Equal(b.Expires) && slices.Equal(a.Attrs, b.Attrs)
 	})
+}
+
+// named is the part of a directory carrying one name, in its order.
+func named(advs []jxta.Advertisement, name string) []jxta.Advertisement {
+	var out []jxta.Advertisement
+	for _, a := range advs {
+		if a.Name == name {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // leaseProgramTTL is the lease the program's broker grants on its own publish
@@ -167,22 +177,23 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 			return nil
 		},
 		func(now time.Time) error { // Broker.Advertisements and the discover reply
-			e := wire.NewEncoder(4096)
 			for _, kind := range kinds {
-				for _, name := range append([]string{""}, names...) {
-					want := ref.query(now, func(a jxta.Advertisement) bool { return a.Kind == kind && (name == "" || a.Name == name) })
-					if got := b.Advertisements(kind, name); !sameAdvs(got, want) {
-						return fail("Advertisements(%s, %q) = %d entries, reference %d, or they differ", kind, name, len(got), len(want))
+				want := ref.query(now, func(a jxta.Advertisement) bool { return a.Kind == kind })
+				got := b.Advertisements(kind)
+				if !sameAdvs(got, want) {
+					return fail("Advertisements(%s) = %d entries, reference %d, or they differ", kind, len(got), len(want))
+				}
+				for _, name := range names {
+					if !sameAdvs(named(got, name), named(want, name)) {
+						return fail("Advertisements(%s) holds %+v under %s, reference %+v", kind, named(got, name), name, named(want, name))
 					}
-					e.Reset()
-					b.encodeDirectory(e, kind, name)
-					tag, dec, err := kindOf(e.Bytes())
-					if err != nil || tag != mtDiscoverResult {
-						return fail("discover reply for (%s, %q): tag %d, %v", kind, name, tag, err)
-					}
-					if got, err := decodeDiscoverResult(dec); err != nil || !sameAdvs(got, want) {
-						return fail("discover reply for (%s, %q) = %d entries, %v; reference %d, or they differ", kind, name, len(got), err, len(want))
-					}
+				}
+				tag, dec, err := kindOf(b.directoryReply(kind))
+				if err != nil || tag != mtDiscoverResult {
+					return fail("discover reply for %s: tag %d, %v", kind, tag, err)
+				}
+				if got, err := decodeDiscoverResult(dec); err != nil || !sameAdvs(got, want) {
+					return fail("discover reply for %s = %d entries, %v; reference %d, or they differ", kind, len(got), err, len(want))
 				}
 			}
 			return nil

@@ -72,7 +72,7 @@ func degradingClient(t *testing.T) (*deployment, *Client) {
 // truncated, carries trailing bytes, a short id, an attribute or
 // advertisement count its input cannot hold, or the wrong kind makes
 // Discover return exactly the error decoding that reply returns, and the
-// cached directory — what degradedPick and cachedAddr answer from — stays
+// cached directory — what degradedPick and Discover answer from — stays
 // the one the last good reply left, whether the bad reply came to Discover
 // or to a heartbeat's refresh.
 func TestBadDiscoverReplyKeepsCachedDirectory(t *testing.T) {
@@ -120,7 +120,6 @@ func TestBadDiscoverReplyKeepsCachedDirectory(t *testing.T) {
 			t.Errorf("Discover = %d advertisements, %v", len(held), err)
 			return
 		}
-		wantAddr, _ := c.cachedAddr("sc2")
 		c.broker = fake
 		for _, tc := range bad {
 			script = tc.frame
@@ -142,16 +141,13 @@ func TestBadDiscoverReplyKeepsCachedDirectory(t *testing.T) {
 			if peers := c.degradedPick(0, nil); !reflect.DeepEqual(peers, []string{"sc3", "sc2"}) {
 				t.Errorf("%s: degradedPick = %v, want [sc3 sc2]", tc.name, peers)
 			}
-			if addr, ok := c.cachedAddr("sc2"); !ok || addr != wantAddr {
-				t.Errorf("%s: cachedAddr(sc2) = %q, %v; want %q", tc.name, addr, ok, wantAddr)
-			}
 		}
 	})
 }
 
 // TestDegradedReadsSeeNewestDirectory: after each good refresh — a Discover
-// or a heartbeat's — degradedPick, cachedAddr and Discover's own result
-// answer from that reply's directory, not an earlier one.
+// or a heartbeat's — degradedPick and Discover's own result answer from that
+// reply's directory, not an earlier one.
 func TestDegradedReadsSeeNewestDirectory(t *testing.T) {
 	adv := func(name, cpu string) jxta.Advertisement {
 		a := jxta.Advertisement{Kind: jxta.AdvPeer, ID: jxta.NewID("peer", name), Name: name, Addr: name + "/" + ServiceTransfer, Expires: time.Unix(1e9, 0).UTC()}
@@ -170,20 +166,12 @@ func TestDegradedReadsSeeNewestDirectory(t *testing.T) {
 		if peers := c.degradedPick(1, nil); len(peers) != 1 || peers[0] != best {
 			t.Errorf("%s: degradedPick = %v, want [%s]", step, peers, best)
 		}
-		for _, a := range dir {
-			if addr, ok := c.cachedAddr(a.Name); !ok || string(addr) != a.Addr {
-				t.Errorf("%s: cachedAddr(%s) = %q, %v", step, a.Name, addr, ok)
-			}
-		}
 		if got := c.res.snapshotDir(); !sameAdvs(got, dir) {
 			t.Errorf("%s: the cached directory is %+v, want %+v", step, got, dir)
 		}
 	}
 	d.net.Run(func() {
 		d.startAll(t)
-		if _, ok := c.cachedAddr("a1"); ok {
-			t.Error("cachedAddr knows a peer no directory has named yet")
-		}
 		c.broker = fake
 		answer = directoryOf(dirs[0])
 		if got, err := c.Discover(); err != nil || !sameAdvs(got, dirs[0]) {
@@ -195,9 +183,6 @@ func TestDegradedReadsSeeNewestDirectory(t *testing.T) {
 			t.Errorf("ReportStats: %v", err)
 		}
 		check("heartbeat", dirs[1], "b3")
-		if _, ok := c.cachedAddr("a1"); ok {
-			t.Error("cachedAddr still answers from the directory before the heartbeat")
-		}
 		answer = directoryOf(dirs[2])
 		if err := c.ReportStats(); err != nil {
 			t.Errorf("ReportStats: %v", err)
@@ -256,9 +241,7 @@ func TestDiscoverResultUnchangedByHeartbeatRefresh(t *testing.T) {
 func refreshReply(t testing.TB, n int) []byte {
 	b := bareBroker(t)
 	publishAll(b, randomPeerAdvs(rand.New(rand.NewSource(int64(n))), n))
-	e := wire.NewEncoder(64 << 10)
-	b.encodeDirectory(e, jxta.AdvPeer, "")
-	return e.Bytes()
+	return b.directoryReply(jxta.AdvPeer)
 }
 
 // TestRefreshAllocBudget gates what a heartbeat's directory refresh costs the

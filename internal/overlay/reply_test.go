@@ -54,8 +54,8 @@ func newProbe(net *simnet.Network, b *Broker) (*pipe.Mux, func([]byte) ([]byte, 
 // sweeps, evictions at a small cache limit and restarts against a broker of
 // the given shard count, sending every request over the wire from a probe
 // node. After every step it sends whole-kind discovers of each kind, in a
-// different order each time, twice: each reply must equal encodeDirectory
-// into a fresh encoder at that instant, and the second must equal the
+// different order each time, twice: each reply must equal a fresh encode of
+// Broker.Advertisements at that instant, and the second must equal the
 // first. A reply kept across a change of the directory fails here.
 func checkReplyProgram(seed int64, shards, steps int) error {
 	rng := rand.New(rand.NewSource(seed))
@@ -145,7 +145,7 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 					return
 				}
 				fresh := wire.NewEncoder(0)
-				b.encodeDirectory(fresh, kinds[k], "")
+				encodeDiscoverResult(fresh, b.Advertisements(kinds[k]))
 				if !bytes.Equal(first, fresh.Bytes()) {
 					failure = fail("discover %s replied %d bytes, a fresh encode at this instant is %d, or they differ", kinds[k], len(first), fresh.Len())
 					return
@@ -208,7 +208,7 @@ func TestCachedReplyUnchangedByHeartbeatRound(t *testing.T) {
 		}
 		reply := d.broker.directoryReply(jxta.AdvPeer)
 		saved := bytes.Clone(reply)
-		want := d.broker.Advertisements(jxta.AdvPeer, "")
+		want := d.broker.Advertisements(jxta.AdvPeer)
 		for name, c := range d.clients {
 			if got := c.res.snapshotDir(); len(got) != len(profiles) || !sameAdvs(got, want) {
 				t.Errorf("%s kept a directory other than the round's last: %d entries", name, len(got))
@@ -218,7 +218,7 @@ func TestCachedReplyUnchangedByHeartbeatRound(t *testing.T) {
 			t.Error("the broker encoded its reply again with nothing changed")
 		}
 		fresh := wire.NewEncoder(0)
-		d.broker.encodeDirectory(fresh, jxta.AdvPeer, "")
+		encodeDiscoverResult(fresh, want)
 		if !bytes.Equal(reply, saved) || !bytes.Equal(reply, fresh.Bytes()) {
 			t.Error("the broker's reply changed while its clients kept and read it")
 		}

@@ -323,17 +323,3 @@ func (c *Client) degradedPick(max int, exclude []string) []string {
 	}
 	return peers
 }
-
-// cachedAddr returns the cached transfer address of a named peer, if the
-// client is Resilient and the directory holds it.
-func (c *Client) cachedAddr(peer string) (transport.Addr, bool) {
-	if !c.cfg.Resilient {
-		return "", false
-	}
-	for _, a := range c.res.snapshotDir() {
-		if a.Name == peer && a.Addr != "" {
-			return transport.Addr(a.Addr), true
-		}
-	}
-	return "", false
-}

@@ -25,7 +25,7 @@ type settleStep struct {
 
 // runSettlingProgram runs a seeded program of requests sent over the wire to
 // a broker of the given shard count and a small cache limit — registrations,
-// heartbeats, piece reports, whole-kind and named discovers, economic and
+// heartbeats, piece reports, discovers, economic and
 // same-priority selections with exclusions — mixed with clock advances
 // (arbitrary ones, and ones onto a lease's expiry instant exactly or one
 // nanosecond short of it) and restarts, and returns what every step showed.
@@ -104,12 +104,9 @@ func runSettlingProgram(seed int64, shards, steps int, settle *rand.Rand) (trace
 					}
 				}
 				req = pieceReport{Peer: name, Have: have, Unchoked: some()}.encode()
-			case op < 8:
-				s.what = "whole-kind discover"
-				req = discover{Kind: jxta.AdvPeer}.encode()
 			case op < 9:
-				s.what = "discover " + name
-				req = discover{Kind: jxta.AdvPeer, Name: name}.encode()
+				s.what = "discover"
+				req = discover{Kind: jxta.AdvPeer}.encode()
 			case op < 11:
 				model := []string{"economic", "same-priority"}[rng.Intn(2)]
 				s.what = "select " + model

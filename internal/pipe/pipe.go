@@ -407,7 +407,7 @@ func (c *Conn) SendSized(payload []byte, size int) error {
 		txStart := c.mux.host.Now()
 		if err := c.mux.sendFrame(c.peer, kindData, !c.theirs, c.id, seq, 0, payload, size); err != nil {
 			// Transport-level refusal (unknown node): not retryable.
-			c.fail(fmt.Errorf("%w: %v", ErrBroken, err))
+			c.fail(fmt.Errorf("%w: %w", ErrBroken, err))
 			return c.brokenErr()
 		}
 		if attempt > 0 {

@@ -233,7 +233,7 @@ func (s *Sender) handshake(conn *pipe.Conn, m *Metrics, pet petition) error {
 		what = "piece petition"
 	}
 	if err := conn.Send(pet.encode()); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrFailed, what, err)
+		return fmt.Errorf("%w: %s: %w", ErrFailed, what, err)
 	}
 	ackMsg, err := conn.RecvTimeout(s.opts.PetitionTimeout)
 	if err != nil {

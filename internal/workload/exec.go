@@ -317,7 +317,7 @@ func sendRelaunched(logf func(format string, args ...any),
 			return m, nil
 		}
 		if !errors.Is(err, transfer.ErrFailed) {
-			// Rejection or resolution errors are not transient.
+			// A rejection or an invalid request is not transient.
 			return m, err
 		}
 		lastErr = err
