@@ -28,6 +28,17 @@ func testAdv(name string) jxta.Advertisement {
 	return adv.WithAttr(jxta.AttrCPUScore, "2.25")
 }
 
+// named is the part of a directory carrying one name, in its order.
+func named(advs []jxta.Advertisement, name string) []jxta.Advertisement {
+	var out []jxta.Advertisement
+	for _, a := range advs {
+		if a.Name == name {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // TestStartTeardownOnRegistrationFailure is the regression test for the
 // half-booted-client leak: a Start that fails registration (boot into a
 // broker blackout) must tear the client down — receiver, executor, control
