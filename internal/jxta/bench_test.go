@@ -25,9 +25,9 @@ func filledCache(n int) (*Cache, []Advertisement) {
 // the 16k scale point.
 var directorySizes = []int{1 << 10, 1 << 14}
 
-// BenchmarkNamedQuery prices the broker's answer to one named discover, the
-// lookup every transfer's Client.resolve asks for, cycling through the
-// directory's names.
+// BenchmarkNamedQuery prices one named Query, cycling through the
+// directory's names. The named branch is kept only because the repository
+// benchmark times it (jxta.lookup_ns); it goes with that probe.
 func BenchmarkNamedQuery(b *testing.B) {
 	for _, n := range directorySizes {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {

@@ -275,11 +275,6 @@ func (c *Client) Discover() ([]jxta.Advertisement, error) {
 	return c.res.snapshotDir(), nil
 }
 
-// unknownPeer reports whether err says no transport knows the peer's address.
-// Nothing is reported to the broker then: a name no node carries (a typo)
-// must not open a statistics record there.
-func unknownPeer(err error) bool { return errors.Is(err, transport.ErrUnknownAddr) }
-
 // SendFile transmits a file to the named peer in `parts` parts and reports
 // the outcome to the broker's statistics service.
 func (c *Client) SendFile(peer string, f transfer.File, parts int) (transfer.Metrics, error) {
@@ -304,10 +299,13 @@ func (c *Client) SendPieces(peer string, f transfer.File, pieces int, indices []
 // sendReported runs one transmission to the peer's transfer address and
 // reports the outcome to the broker. A part counts as a message out whether
 // or not it was confirmed; Bytes is what the transmission set out to move.
+// A send to an address no transport knows is not reported, here or in
+// SubmitTask and SendInstant: a name no node carries (a typo) must not open
+// a statistics record at the broker.
 func (c *Client) sendReported(peer string, send func(transport.Addr) (transfer.Metrics, error)) (transfer.Metrics, error) {
 	m, sendErr := send(transport.MakeAddr(peer, ServiceTransfer))
 	c.msgsOut.Add(int64(len(m.Parts) + 1))
-	if unknownPeer(sendErr) {
+	if errors.Is(sendErr, transport.ErrUnknownAddr) {
 		return m, sendErr
 	}
 	rep := reportTransfer{
@@ -352,7 +350,7 @@ func (c *Client) SubmitTask(peer string, t task.Task) (task.Result, error) {
 	defer conn.Close()
 	c.msgsOut.Add(1)
 	if err := conn.Send(taskSubmit{Task: t, From: c.host.Name()}.encode()); err != nil {
-		if !unknownPeer(err) {
+		if !errors.Is(err, transport.ErrUnknownAddr) {
 			c.reportTaskOutcome(peer, false, false, 0)
 		}
 		return task.Result{}, fmt.Errorf("overlay: submit to %s: %w", peer, err)
@@ -407,7 +405,7 @@ func (c *Client) SendInstant(peer, text string) error {
 	c.msgsOut.Add(1)
 	reply, sendErr := c.call(transport.MakeAddr(peer, ServiceClient), instant{From: c.host.Name(), Text: text}.encode())
 	ok := sendErr == nil && len(reply) > 0 && reply[0] == mtInstantAck
-	if !unknownPeer(sendErr) {
+	if !errors.Is(sendErr, transport.ErrUnknownAddr) {
 		rep := reportMessage{Peer: peer, OK: ok}
 		_, _ = c.call(c.broker, rep.encode()) // best-effort statistics
 	}

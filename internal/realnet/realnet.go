@@ -235,9 +235,11 @@ func (h *Host) dial(node string) (net.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", transport.ErrUnknownAddr, node)
 	}
+	// A node in the table whose dial fails is down, not unknown: callers
+	// report a failed send to it, which they never do for an unknown name.
 	c, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %q: %v", transport.ErrUnknownAddr, node, err)
+		return nil, fmt.Errorf("realnet: dial %q: %w", node, err)
 	}
 	h.mu.Lock()
 	if existing, ok := h.outbound[node]; ok {

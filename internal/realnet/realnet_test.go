@@ -198,6 +198,55 @@ func TestOverlayOverTCP(t *testing.T) {
 	}
 }
 
+// TestSendToDownPeerIsReported: a peer in the route table whose host is down
+// is not an unknown address. The dial fails, and the sender still reports the
+// failed send, so the broker stops counting the peer as reliable.
+func TestSendToDownPeerIsReported(t *testing.T) {
+	var hosts []*Host
+	for i, name := range []string{"nozomi", "sc1", "sc2"} {
+		h, err := NewHost(name, "127.0.0.1:0", nil, int64(30+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.Close() })
+		hosts = append(hosts, h)
+	}
+	for _, h := range hosts {
+		for _, o := range hosts {
+			h.SetRoute(o.Name(), o.AddrOf())
+		}
+	}
+	b, err := overlay.NewBroker(hosts[0], overlay.BrokerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c1 *overlay.Client
+	for _, h := range hosts[1:] {
+		c := overlay.NewClient(h, "nozomi/broker", overlay.ClientConfig{})
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if c1 == nil {
+			c1 = c
+		}
+	}
+	hosts[2].Close()
+
+	_, err = c1.SendFile("sc2", transfer.NewFile("f.bin", []byte("down")), 1)
+	if err == nil || errors.Is(err, transport.ErrUnknownAddr) {
+		t.Fatalf("send to a down peer: err = %v, want a failed dial", err)
+	}
+	for _, s := range b.Registry().Snapshots() {
+		if s.Peer == "sc2" {
+			if s.PctFileSentTotal != 0 || s.PctCancelTotal != 100 {
+				t.Fatalf("sc2 sent %v%%, cancelled %v%%; want 0%% and 100%%", s.PctFileSentTotal, s.PctCancelTotal)
+			}
+			return
+		}
+	}
+	t.Fatal("the broker holds no record for sc2")
+}
+
 // TestReturnRouteLearned: a host with no table entry for its caller must
 // answer over the socket the request arrived on — cmd/broker serves peers
 // this way, since operators give peers the broker's address but never give
