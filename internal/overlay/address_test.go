@@ -10,11 +10,11 @@ import (
 	"peerlab/internal/transport"
 )
 
-// checkAdvertisedAddrs asks the broker, through c, for the whole peer
+// checkAdvertisedAddresses asks the broker, through c, for the whole peer
 // directory and demands that every advertisement's transfer address is
 // MakeAddr(name, ServiceTransfer): a peer's transfer address is a function of
 // its name, whoever built its advertisement, so clients compute it.
-func checkAdvertisedAddrs(t *testing.T, c *Client, step string) {
+func checkAdvertisedAddresses(t *testing.T, c *Client, step string) {
 	t.Helper()
 	reply, err := c.call(c.broker, discover{Kind: jxta.AdvPeer}.encode())
 	if err != nil {
@@ -63,7 +63,7 @@ func TestTransferAddressIsAdvertised(t *testing.T) {
 					return
 				}
 			}
-			checkAdvertisedAddrs(t, clients["sc1"], "registered")
+			checkAdvertisedAddresses(t, clients["sc1"], "registered")
 
 			// Every lease lapses; a stats report and a piece report rebuild
 			// their senders' advertisements through leaseOf.
@@ -77,7 +77,7 @@ func TestTransferAddressIsAdvertised(t *testing.T) {
 			if got := broker.Peers(); len(got) != 2 || got[0] != "sc2" || got[1] != "sc3" {
 				t.Errorf("directory after the lapse = %v, want the two rebuilt [sc2 sc3]", got)
 			}
-			checkAdvertisedAddrs(t, clients["sc2"], "resurrected")
+			checkAdvertisedAddresses(t, clients["sc2"], "resurrected")
 
 			// sc3 leaves and its node rejoins as a fresh incarnation.
 			clients["sc3"].Stop()
@@ -88,7 +88,7 @@ func TestTransferAddressIsAdvertised(t *testing.T) {
 				return
 			}
 			defer c.Stop()
-			checkAdvertisedAddrs(t, c, "rejoined")
+			checkAdvertisedAddresses(t, c, "rejoined")
 		})
 	})
 	t.Run("realnet", func(t *testing.T) {
@@ -118,6 +118,6 @@ func TestTransferAddressIsAdvertised(t *testing.T) {
 			t.Cleanup(c.Stop)
 			clients = append(clients, c)
 		}
-		checkAdvertisedAddrs(t, clients[0], "realnet")
+		checkAdvertisedAddresses(t, clients[0], "realnet")
 	})
 }
