@@ -47,6 +47,32 @@ func TestSelectionNoCandidatesIsTyped(t *testing.T) {
 	}
 }
 
+// TestEveryStandardModelIsServed pins the broker's model lineup to the names
+// the sweep grammar accepts: each answers a select, and a name outside the
+// list is ErrModelUnknown.
+func TestEveryStandardModelIsServed(t *testing.T) {
+	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile(), "sc3": clientProfile()})
+	req := core.Request{Kind: core.KindFileTransfer, SizeBytes: transfer.Mb}
+	var unknown error
+	d.net.Run(func() {
+		d.startAll(t)
+		c := d.clients["sc1"]
+		for _, model := range core.StandardModels() {
+			var preferred []string
+			if core.UsesPreferences(model) {
+				preferred = []string{"sc3", "sc2"}
+			}
+			if peers, err := c.SelectPeers(model, req, 1, preferred); err != nil || len(peers) != 1 {
+				t.Errorf("model %q: peers %v, err %v; want one peer", model, peers, err)
+			}
+		}
+		_, unknown = c.SelectPeers("meteor", req, 1, nil)
+	})
+	if !errors.Is(unknown, ErrModelUnknown) {
+		t.Fatalf("unlisted model: err = %v, want ErrModelUnknown", unknown)
+	}
+}
+
 func TestCallRetriesThroughBlackout(t *testing.T) {
 	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile()})
 	for _, c := range d.clients {

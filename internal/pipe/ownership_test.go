@@ -17,7 +17,7 @@ import (
 // before the first send, so neither pipe nor transport wrote it, and a
 // receiver's append to its payload copies rather than writing past it.
 func TestSentPayloadIsSharedNotWritten(t *testing.T) {
-	r := newRig(t, lossyProfile(0.2), lossyProfile(0.2), Options{Window: 4, MaxRetries: 30})
+	r := newRig(t, lossyProfile(0.2), lossyProfile(0.2), Options{Window: 4})
 	const conns, senders, n = 3, 4, 32
 	// Spare capacity past the sent bytes: an append that is not clipped
 	// would write there.

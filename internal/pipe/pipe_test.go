@@ -136,7 +136,7 @@ func TestManyMessagesInOrder(t *testing.T) {
 func TestExactlyOnceUnderLoss(t *testing.T) {
 	// 30% loss on both directions: retransmissions happen, yet the app sees
 	// each message exactly once, in order.
-	r := newRig(t, lossyProfile(0.3), lossyProfile(0.3), Options{MaxRetries: 20})
+	r := newRig(t, lossyProfile(0.3), lossyProfile(0.3), Options{})
 	const n = 30
 	var got []byte
 	r.net.Scheduler().Go(func() {
@@ -225,7 +225,7 @@ func TestLargeMessageTimingDominatedBySize(t *testing.T) {
 }
 
 func TestSendFailsAfterRetriesExhausted(t *testing.T) {
-	r := newRig(t, cleanProfile(), cleanProfile(), Options{MaxRetries: 3, InitialRTT: 50 * time.Millisecond})
+	r := newRig(t, cleanProfile(), cleanProfile(), Options{})
 	r.net.Partition("a", "b", true)
 	var err error
 	r.net.Run(func() {
@@ -238,7 +238,7 @@ func TestSendFailsAfterRetriesExhausted(t *testing.T) {
 }
 
 func TestBrokenConnFailsSubsequentSends(t *testing.T) {
-	r := newRig(t, cleanProfile(), cleanProfile(), Options{MaxRetries: 2, InitialRTT: 50 * time.Millisecond})
+	r := newRig(t, cleanProfile(), cleanProfile(), Options{})
 	r.net.Partition("a", "b", true)
 	var err1, err2 error
 	r.net.Run(func() {
@@ -252,7 +252,7 @@ func TestBrokenConnFailsSubsequentSends(t *testing.T) {
 }
 
 func TestRecoveryAfterTransientPartition(t *testing.T) {
-	r := newRig(t, cleanProfile(), cleanProfile(), Options{MaxRetries: 10, InitialRTT: 100 * time.Millisecond})
+	r := newRig(t, cleanProfile(), cleanProfile(), Options{})
 	var got []string
 	r.net.Scheduler().Go(func() {
 		conn, err := r.muxB.Accept()
@@ -546,7 +546,7 @@ func TestStressManyConnsManyMessagesUnderLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	r := newRig(t, lossyProfile(0.15), lossyProfile(0.15), Options{MaxRetries: 25})
+	r := newRig(t, lossyProfile(0.15), lossyProfile(0.15), Options{})
 	const conns = 8
 	const msgs = 12
 	results := make([][]byte, conns)

@@ -29,7 +29,7 @@ type transcript struct {
 
 // newTranscript builds the two-node world. The frame observer is a package
 // global in pipe, so scenarios run one after another, never in parallel.
-func newTranscript(t *testing.T, name string, popts pipe.Options, sopts SenderOptions) *transcript {
+func newTranscript(t *testing.T, name string) *transcript {
 	t.Helper()
 	n := simnet.New(11)
 	a := n.MustAddNode("src", fastProfile())
@@ -43,9 +43,9 @@ func newTranscript(t *testing.T, name string, popts pipe.Options, sopts SenderOp
 		t.Fatal(err)
 	}
 	tr := &transcript{net: n, t0: n.Now(), dstN: b}
-	tr.src = pipe.NewMux(a, epA, popts)
-	tr.dst = pipe.NewMux(b, epB, popts)
-	tr.sender = NewSender(a, tr.src, sopts)
+	tr.src = pipe.NewMux(a, epA, pipe.Options{})
+	tr.dst = pipe.NewMux(b, epB, pipe.Options{})
+	tr.sender = NewSender(a, tr.src, SenderOptions{})
 	fmt.Fprintf(&tr.out, "== %s\n", name)
 	pipe.SetDebugDispatch(func(local string, kind byte, id, seq, ack uint64, size int) {
 		tr.mu.Lock()
@@ -81,16 +81,11 @@ func (tr *transcript) outcome(m Metrics, err error) {
 	tr.logf("error %v", err)
 }
 
-// serve starts the real Receiver on dst; refuse makes it turn every petition
-// down.
-func (tr *transcript) serve(refuse bool) {
-	opts := ReceiverOptions{OnFile: func(rc Received) {
+// serve starts the real Receiver on dst.
+func (tr *transcript) serve() {
+	NewReceiver(tr.dstN, tr.dst, ReceiverOptions{OnFile: func(rc Received) {
 		tr.logf("%s delivered %q size=%d verified=%v", tr.at(tr.net.Now()), rc.File.Name, rc.File.Size, rc.Verified)
-	}}
-	if refuse {
-		opts.Accept = func(string, int, int, string) (bool, string) { return false, "quota exceeded" }
-	}
-	NewReceiver(tr.dstN, tr.dst, opts)
+	}})
 }
 
 // serveFirstPartOnly stands a scripted receiver on dst that accepts the
@@ -177,13 +172,11 @@ func (tr *transcript) rawRepeat(petitionFrame []byte, part partHeader) {
 // digest, so a change to the engine that moves a line here moved a result.
 func TestTransferTranscript(t *testing.T) {
 	t.Cleanup(func() { pipe.SetDebugDispatch(nil) })
-	live := pipe.Options{MaxRetries: 12}
-	dead := pipe.Options{MaxRetries: 2, InitialRTT: 100 * time.Millisecond}
 	file := NewVirtualFile("f.bin", 2*Mb, 5)
 	var all bytes.Buffer
 
-	run := func(name string, popts pipe.Options, sopts SenderOptions, setup func(*transcript), body func(*transcript)) {
-		tr := newTranscript(t, name, popts, sopts)
+	run := func(name string, setup func(*transcript), body func(*transcript)) {
+		tr := newTranscript(t, name)
 		if setup != nil {
 			setup(tr)
 		}
@@ -196,8 +189,8 @@ func TestTransferTranscript(t *testing.T) {
 	sendPieces := func(tr *transcript) {
 		tr.outcome(tr.sender.SendPieces("dst/xfer", file, 8, []int{1, 5, 7}))
 	}
-	accepting := func(tr *transcript) { tr.serve(false) }
-	refusing := func(tr *transcript) { tr.serve(true) }
+	accepting := func(tr *transcript) { tr.serve() }
+	refusing := func(tr *transcript) { refuseAll(tr.dstN, tr.dst) }
 	halfSilent := func(tr *transcript) { tr.serveFirstPartOnly() }
 	down := func(tr *transcript) { tr.net.SetDown("dst", true) }
 	// dying takes dst off the network 200 ms into body.
@@ -207,32 +200,31 @@ func TestTransferTranscript(t *testing.T) {
 			body(tr)
 		}
 	}
-	impatient := SenderOptions{PartAckTimeout: 20 * time.Second}
 
-	run("send whole", live, SenderOptions{}, accepting, send(1))
-	run("send 4 parts", live, SenderOptions{}, accepting, send(4))
-	run("send pieces 1,5,7 of 8", live, SenderOptions{}, accepting, sendPieces)
-	run("petition refused", live, SenderOptions{}, refusing, send(4))
-	run("piece petition refused", live, SenderOptions{}, refusing, sendPieces)
-	run("send to dead peer", dead, SenderOptions{}, down, send(1))
-	run("send pieces to dead peer", dead, SenderOptions{}, down, sendPieces)
-	run("petition never answered", live, SenderOptions{PetitionTimeout: 30 * time.Second}, nil, send(1))
-	run("piece petition never answered", live, SenderOptions{PetitionTimeout: 30 * time.Second}, nil, sendPieces)
-	run("part ack times out after part 0 of 4", live, impatient, halfSilent, send(4))
-	run("piece acks time out after 1 of 3", live, impatient, halfSilent, sendPieces)
-	run("peer dies with part 0 of 4 in flight", dead, SenderOptions{}, accepting, dying(send(4)))
-	run("peer dies while pieces stream", dead, SenderOptions{}, accepting, dying(sendPieces))
-	run("bad piece indices", live, SenderOptions{}, accepting, func(tr *transcript) {
+	run("send whole", accepting, send(1))
+	run("send 4 parts", accepting, send(4))
+	run("send pieces 1,5,7 of 8", accepting, sendPieces)
+	run("petition refused", refusing, send(4))
+	run("piece petition refused", refusing, sendPieces)
+	run("send to dead peer", down, send(1))
+	run("send pieces to dead peer", down, sendPieces)
+	run("petition never answered", nil, send(1))
+	run("piece petition never answered", nil, sendPieces)
+	run("part ack times out after part 0 of 4", halfSilent, send(4))
+	run("piece acks time out after 1 of 3", halfSilent, sendPieces)
+	run("peer dies with part 0 of 4 in flight", accepting, dying(send(4)))
+	run("peer dies while pieces stream", accepting, dying(sendPieces))
+	run("bad piece indices", accepting, func(tr *transcript) {
 		tr.outcome(tr.sender.SendPieces("dst/xfer", file, 8, []int{1, 1}))
 		tr.outcome(tr.sender.SendPieces("dst/xfer", file, 8, []int{8}))
 		tr.outcome(tr.sender.SendPieces("dst/xfer", file, 8, nil))
 		tr.outcome(tr.sender.Send("dst/xfer", file, 0))
 	})
-	run("receiver rejects a repeated part", live, SenderOptions{}, accepting, func(tr *transcript) {
+	run("receiver rejects a repeated part", accepting, func(tr *transcript) {
 		pet := petition{TransferID: 41, FileName: "f.bin", Checksum: file.Checksum(), TotalSize: file.Size, Parts: 2, Sender: "src"}
 		tr.rawRepeat(pet.encode(), partHeader{TransferID: 41, Index: 0, Offset: 0, Size: Mb})
 	})
-	run("receiver rejects a repeated piece", live, SenderOptions{}, accepting, func(tr *transcript) {
+	run("receiver rejects a repeated piece", accepting, func(tr *transcript) {
 		// The piece petition frame, field by field: pieces 1 and 5 of 8.
 		e := wire.NewEncoder(64)
 		e.Byte(msgPiecePetition)

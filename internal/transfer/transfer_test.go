@@ -5,12 +5,14 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"peerlab/internal/pipe"
 	"peerlab/internal/simnet"
+	"peerlab/internal/transport"
 	"peerlab/internal/wire"
 )
 
@@ -183,8 +185,8 @@ func newXferRig(t *testing.T, src, dst simnet.Profile, ropts ReceiverOptions) *x
 		t.Fatal(err)
 	}
 	rig := &xferRig{net: n}
-	muxA := pipe.NewMux(a, epA, pipe.Options{MaxRetries: 12})
-	muxB := pipe.NewMux(b, epB, pipe.Options{MaxRetries: 12})
+	muxA := pipe.NewMux(a, epA, pipe.Options{})
+	muxB := pipe.NewMux(b, epB, pipe.Options{})
 	rig.mux = muxA
 	rig.sender = NewSender(a, muxA, SenderOptions{})
 	userOnFile := ropts.OnFile
@@ -279,34 +281,49 @@ func TestPetitionDelayReflectsWakeLag(t *testing.T) {
 	}
 }
 
+// refuseAll stands a scripted receiver on mux that answers every petition
+// with a refusal and closes the conn.
+func refuseAll(host transport.Host, mux *pipe.Mux) {
+	mux.Serve(func(conn *pipe.Conn) {
+		defer conn.Close()
+		msg, err := conn.Recv()
+		if err != nil {
+			return
+		}
+		// Both petition kinds open with the transfer id.
+		_, d, _ := decodeKind(msg.Payload)
+		conn.Send(petitionAck{TransferID: d.Uint64(), Reason: "quota exceeded", ReceivedAt: host.Now()}.encode())
+	})
+}
+
 func TestPetitionRejected(t *testing.T) {
-	rig := newXferRig(t, fastProfile(), fastProfile(), ReceiverOptions{
-		Accept: func(name string, size, parts int, from string) (bool, string) {
-			return false, "quota exceeded"
-		},
-	})
+	n := simnet.New(11)
+	a := n.MustAddNode("src", fastProfile())
+	b := n.MustAddNode("dst", fastProfile())
+	epA, _ := a.Endpoint("xfer")
+	epB, _ := b.Endpoint("xfer")
+	refuseAll(b, pipe.NewMux(b, epB, pipe.Options{}))
+	s := NewSender(a, pipe.NewMux(a, epA, pipe.Options{}), SenderOptions{})
+	var m Metrics
 	var err error
-	rig.net.Run(func() {
-		_, err = rig.sender.Send("dst/xfer", NewVirtualFile("f", Mb, 1), 1)
+	n.Run(func() {
+		m, err = s.Send("dst/xfer", NewVirtualFile("f", Mb, 1), 1)
 	})
-	if !errors.Is(err, ErrRejected) {
-		t.Fatalf("err = %v, want ErrRejected", err)
+	if !errors.Is(err, ErrRejected) || !strings.Contains(err.Error(), "quota exceeded") {
+		t.Fatalf("err = %v, want ErrRejected with the receiver's reason", err)
 	}
-	if len(rig.received) != 0 {
-		t.Fatal("rejected transfer delivered a file")
+	if len(m.Parts) != 0 {
+		t.Fatalf("a refused petition was followed by %d parts", len(m.Parts))
 	}
 }
 
 // TestPetitionPartCountOutOfRangeRefused sends hand-built petitions whose
 // part count would panic (negative) or exhaust memory (2^30) if the receiver
 // sized its reassembly buffers from it: each must come back refused, with
-// the accept callback never consulted and nothing of that size allocated,
-// and the receiver must still serve the next, honest transfer.
+// nothing of that size allocated, and the receiver must still serve the
+// next, honest transfer.
 func TestPetitionPartCountOutOfRangeRefused(t *testing.T) {
-	consulted := 0
-	rig := newXferRig(t, fastProfile(), fastProfile(), ReceiverOptions{
-		Accept: func(string, int, int, string) (bool, string) { consulted++; return true, "" },
-	})
+	rig := newXferRig(t, fastProfile(), fastProfile(), ReceiverOptions{})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rig.net.Run(func() {
@@ -340,9 +357,6 @@ func TestPetitionPartCountOutOfRangeRefused(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
 		t.Fatalf("refusing the petitions allocated %d MB", grew>>20)
-	}
-	if consulted != 1 {
-		t.Fatalf("accept callback consulted %d times, want 1 (the honest transfer only)", consulted)
 	}
 	if len(rig.received) != 1 {
 		t.Fatalf("%d files delivered, want 1", len(rig.received))
@@ -463,8 +477,8 @@ func TestSendToDeadPeerFails(t *testing.T) {
 	a := n.MustAddNode("src", fastProfile())
 	n.MustAddNode("dst", fastProfile()) // no receiver bound
 	epA, _ := a.Endpoint("xfer")
-	muxA := pipe.NewMux(a, epA, pipe.Options{MaxRetries: 2, InitialRTT: 100 * time.Millisecond})
-	s := NewSender(a, muxA, SenderOptions{PetitionTimeout: 30 * time.Second})
+	muxA := pipe.NewMux(a, epA, pipe.Options{})
+	s := NewSender(a, muxA, SenderOptions{})
 	var err error
 	n.Run(func() {
 		_, err = s.Send("dst/xfer", NewVirtualFile("f", Mb, 1), 1)
