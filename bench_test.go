@@ -17,7 +17,6 @@ import (
 
 	"fmt"
 
-	"peerlab/internal/core"
 	"peerlab/internal/experiments"
 	"peerlab/internal/metrics"
 	"peerlab/internal/overlay"
@@ -25,7 +24,6 @@ import (
 	"peerlab/internal/planetlab"
 	"peerlab/internal/scenario"
 	"peerlab/internal/simnet"
-	"peerlab/internal/stats"
 	"peerlab/internal/vtime"
 	"peerlab/internal/wire"
 	"peerlab/internal/workload"
@@ -415,37 +413,6 @@ func BenchmarkAblationPipeWindow(b *testing.B) {
 	b.Run("window-4", func(b *testing.B) {
 		b.ReportMetric(run(b, 4), "virtual-s")
 	})
-}
-
-// BenchmarkAblationEvaluatorWeights compares the data evaluator's weight
-// profiles on the same candidate set.
-func BenchmarkAblationEvaluatorWeights(b *testing.B) {
-	cands := make([]core.Candidate, 0, len(planetlab.SCPeers()))
-	for i, p := range planetlab.SCPeers() {
-		ps := stats.NewPeerStats(p.Label, nil)
-		ps.ObserveTransferRate(int(p.Profile.Bandwidth), time.Second)
-		ps.ObservePetitionDelay(p.Profile.WakeLag)
-		for j := 0; j <= i; j++ {
-			ps.RecordMessage(j%2 == 0)
-			ps.RecordFileSent(true)
-		}
-		cands = append(cands, core.Candidate{Snapshot: ps.Snapshot()})
-	}
-	for name, w := range map[string]core.Weights{
-		"same-priority":   core.SamePriority(),
-		"message-centric": core.MessageCentric(),
-		"file-centric":    core.FileCentric(),
-		"task-centric":    core.TaskCentric(),
-	} {
-		b.Run(name, func(b *testing.B) {
-			de := core.NewDataEvaluator(w)
-			for i := 0; i < b.N; i++ {
-				if _, err := de.Select(core.Request{}, cands); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationStaleQuickPeer quantifies the user-preference model's

@@ -6,8 +6,7 @@
 //
 //   - Economic: the scheduling-based model (§2.1, after Ernemann et al.'s
 //     economic scheduling) — provision idle peers by estimated ready time,
-//     minimize estimated completion, tie-break by CPU speed, with optional
-//     deadline/budget admission.
+//     minimize estimated completion, tie-break by CPU speed.
 //   - DataEvaluator: the cost model (§2.2) — a weighted sum over the
 //     paper's statistical criteria; "same priority" mode weighs every
 //     criterion equally.
@@ -26,22 +25,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"time"
 
 	"peerlab/internal/stats"
-	"peerlab/internal/transport"
 )
 
 // ErrNoCandidates is returned when selection is attempted over an empty
 // candidate set.
 var ErrNoCandidates = errors.New("core: no candidate peers")
-
-// ErrInfeasible is returned by the economic model when admission control
-// (deadline or budget) rejects every candidate.
-var ErrInfeasible = errors.New("core: no peer satisfies deadline/budget")
 
 // RequestKind says what the selected peer will be used for; models weigh
 // criteria differently per kind.
@@ -79,10 +72,6 @@ type Request struct {
 	WorkUnits float64
 	// Now is the time of the decision.
 	Now time.Time
-	// Deadline, if nonzero, is a completion deadline (economic admission).
-	Deadline time.Time
-	// Budget, if nonzero, caps the economic cost of the chosen peer.
-	Budget float64
 }
 
 // Candidate is one selectable peer.
@@ -118,11 +107,10 @@ type Ranker interface {
 // and serve any exclusion list by filtering it (the broker's rank index does).
 //
 // RankNowShiftInvariant reports that the ranking is unchanged when req.Now
-// moves forward, provided req carries no Deadline/Budget admission and Now is
-// already at or past every candidate's ReadyAt (so every ready time
-// degenerates to Now + petition delay and completions shift uniformly).
-// Callers must check those provisos; the predicate only asserts the model
-// reads no other Now-dependent input.
+// moves forward, provided Now is already at or past every candidate's ReadyAt
+// (so every ready time degenerates to Now + petition delay and completions
+// shift uniformly). Callers must check that proviso; the predicate only
+// asserts the model reads no other Now-dependent input.
 //
 // Blind must NOT implement this: its round-robin cursor advances per call.
 type PureRanker interface {
@@ -224,47 +212,28 @@ func UsesPreferences(model string) bool {
 // Blind baseline
 
 // Blind is the paper's implicit baseline: peers are used "in a blind way",
-// with no regard to their state. Mode chooses round-robin or uniform random.
+// with no regard to their state, in round-robin order.
 type Blind struct {
-	// Random selects uniformly at random instead of round-robin.
-	Random bool
-	rng    *rand.Rand
-	next   int
+	next int
 }
 
 // NewBlind returns a round-robin blind selector.
 func NewBlind() *Blind { return &Blind{} }
 
-// NewBlindRandom returns a uniformly random blind selector.
-func NewBlindRandom(rng *rand.Rand) *Blind { return &Blind{Random: true, rng: rng} }
-
 // Name implements Selector.
 func (b *Blind) Name() string { return "blind" }
-
-// rand returns the random selector's stream: seed 1 unless NewBlindRandom
-// supplied one.
-func (b *Blind) rand() *rand.Rand {
-	if b.rng == nil {
-		b.rng = transport.NewRand(1)
-	}
-	return b.rng
-}
 
 // Select implements Selector.
 func (b *Blind) Select(_ Request, cands []Candidate) (string, error) {
 	if len(cands) == 0 {
 		return "", ErrNoCandidates
 	}
-	if b.Random {
-		return cands[b.rand().Intn(len(cands))].Snapshot.Peer, nil
-	}
 	peer := cands[b.next%len(cands)].Snapshot.Peer
 	b.next++
 	return peer, nil
 }
 
-// Rank implements Ranker: candidate order rotated by the round-robin cursor,
-// or shuffled whole.
+// Rank implements Ranker: candidate order rotated by the round-robin cursor.
 func (b *Blind) Rank(_ Request, cands []Candidate, k int) ([]string, error) {
 	n := len(cands)
 	if n == 0 {
@@ -272,14 +241,6 @@ func (b *Blind) Rank(_ Request, cands []Candidate, k int) ([]string, error) {
 	}
 	if k <= 0 || k > n {
 		k = n
-	}
-	if b.Random {
-		ns := make([]string, n)
-		for i := range cands {
-			ns[i] = cands[i].Snapshot.Peer
-		}
-		b.rand().Shuffle(n, func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
-		return ns[:k], nil
 	}
 	start := b.next % n
 	b.next++
@@ -316,8 +277,7 @@ func (c EconomicConfig) withDefaults() EconomicConfig {
 // Economic implements the scheduling-based selection model (§2.1): find
 // idle peers via ready-time estimates from historical data, estimate
 // completion per candidate, pick the earliest completion; CPU speed breaks
-// ties. Deadline/budget admission follows the economic-scheduling framing
-// of Ernemann et al.
+// ties.
 type Economic struct {
 	cfg EconomicConfig
 }
@@ -331,14 +291,13 @@ func NewEconomic(cfg EconomicConfig) *Economic {
 func (e *Economic) Name() string { return "economic" }
 
 // RankNowShiftInvariant implements PureRanker. Rank is subset-stable: it
-// orders by a pairwise comparison (feasibility, completion, CPU, cost) in
-// which each estimate reads only its own candidate's snapshot, so deleting
-// candidates never reorders the survivors. With no deadline/budget
-// admission every candidate is feasible, and once Now ≥ ReadyAt for all of
-// them each completion is Now + PetitionDelay + Duration with both terms
+// orders by a pairwise comparison (completion, CPU, cost) in which each
+// estimate reads only its own candidate's snapshot, so deleting candidates
+// never reorders the survivors. Once Now ≥ ReadyAt for all of them each
+// completion is Now + PetitionDelay + Duration with both terms
 // Now-independent — shifting Now shifts every completion equally and the
-// order (and every tie-break) is unchanged. The caller owns checking those
-// two provisos.
+// order (and every tie-break) is unchanged. The caller owns checking that
+// proviso.
 func (e *Economic) RankNowShiftInvariant() bool { return true }
 
 // Estimate is the economic model's appraisal of one candidate.
@@ -348,12 +307,6 @@ type Estimate struct {
 	Duration   time.Duration // expected service time for this request
 	Completion time.Time     // Ready + Duration
 	Cost       float64       // Duration * price * CPU score
-	Feasible   bool          // passes deadline and budget admission
-}
-
-// Estimate appraises a single candidate for the request.
-func (e *Economic) Estimate(req Request, c Candidate) Estimate {
-	return e.estimate(&req, &c.Snapshot)
 }
 
 // addSeconds returns d plus s seconds, saturating at the largest Duration. A
@@ -390,22 +343,12 @@ func (e *Economic) estimate(req *Request, s *stats.Snapshot) Estimate {
 		dur = addSeconds(dur, float64(req.SizeBytes)/rate)
 	}
 
-	completion := ready.Add(dur)
-	cost := dur.Seconds() * e.cfg.PricePerCPUSecond * s.CPUScore
-	feasible := true
-	if !req.Deadline.IsZero() && completion.After(req.Deadline) {
-		feasible = false
-	}
-	if req.Budget > 0 && cost > req.Budget {
-		feasible = false
-	}
 	return Estimate{
 		Peer:       s.Peer,
 		Ready:      ready,
 		Duration:   dur,
-		Completion: completion,
-		Cost:       cost,
-		Feasible:   feasible,
+		Completion: ready.Add(dur),
+		Cost:       dur.Seconds() * e.cfg.PricePerCPUSecond * s.CPUScore,
 	}
 }
 
@@ -413,23 +356,17 @@ func (e *Economic) estimate(req *Request, s *stats.Snapshot) Estimate {
 type ecoKey struct {
 	completion time.Time
 	cpu, cost  float64
-	feasible   bool
 }
 
 func (e *Economic) key(req *Request, s *stats.Snapshot) ecoKey {
 	est := e.estimate(req, s)
-	return ecoKey{completion: est.Completion, cpu: s.CPUScore, cost: est.Cost, feasible: est.Feasible}
+	return ecoKey{completion: est.Completion, cpu: s.CPUScore, cost: est.Cost}
 }
 
-// before orders appraisals best-first: feasible before infeasible, then
-// earliest completion, then faster CPU, then lower cost.
+// before orders appraisals best-first: earliest completion, then faster CPU,
+// then lower cost.
 func (k *ecoKey) before(o *ecoKey) int {
 	switch {
-	case k.feasible != o.feasible:
-		if k.feasible {
-			return -1
-		}
-		return 1
 	case !k.completion.Equal(o.completion):
 		return k.completion.Compare(o.completion)
 	case k.cpu != o.cpu:
@@ -449,14 +386,10 @@ func (e *Economic) Select(req Request, cands []Candidate) (string, error) {
 			best, at = k, i
 		}
 	}
-	if !best.feasible {
-		return "", fmt.Errorf("%w: best completion %v", ErrInfeasible, best.completion)
-	}
 	return cands[at].Snapshot.Peer, nil
 }
 
-// Rank implements Ranker. Infeasible candidates rank last but are included:
-// a dispatcher may still need somewhere to send work.
+// Rank implements Ranker.
 func (e *Economic) Rank(req Request, cands []Candidate, k int) ([]string, error) {
 	return rankTop(cands, k, func(i int) ecoKey { return e.key(&req, &cands[i].Snapshot) }, (*ecoKey).before)
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"strings"
 
 	"peerlab/internal/stats"
@@ -84,33 +82,6 @@ func SamePriority() Weights {
 	return w
 }
 
-// MessageCentric emphasizes messaging reliability and queue pressure.
-func MessageCentric() Weights {
-	return Weights{
-		CritMsgSession: 3, CritMsgTotal: 2, CritMsgLastK: 3,
-		CritOutboxNow: 2, CritOutboxAvg: 1, CritInboxNow: 2, CritInboxAvg: 1,
-		CritPetitionDelay: 2,
-	}
-}
-
-// TaskCentric emphasizes task acceptance and execution reliability.
-func TaskCentric() Weights {
-	return Weights{
-		CritTaskExecSess: 3, CritTaskExecTotal: 2,
-		CritTaskAccSess: 3, CritTaskAccTotal: 2,
-		CritPetitionDelay: 1,
-	}
-}
-
-// FileCentric emphasizes transfer success, throughput and pipeline depth.
-func FileCentric() Weights {
-	return Weights{
-		CritFileSentSess: 3, CritFileSentTotal: 2,
-		CritCancelSess: 2, CritCancelTotal: 1,
-		CritPendingXfer: 2, CritTransferRate: 3, CritPetitionDelay: 2,
-	}
-}
-
 // DataEvaluator implements the paper's cost model (§2.2): each criterion is
 // min-max normalized over the candidate set, inverted if it is a cost, and
 // combined by weight; the best-scoring peer wins. Removing the extremal
@@ -133,14 +104,6 @@ func NewSamePriority() *DataEvaluator {
 	de := NewDataEvaluator(SamePriority())
 	de.label = "same-priority"
 	return de
-}
-
-// NewDataEvaluatorCustom uses a custom criteria catalog (for ablations).
-func NewDataEvaluatorCustom(criteria []Criterion, w Weights, label string) *DataEvaluator {
-	if label == "" {
-		label = "data-evaluator"
-	}
-	return &DataEvaluator{criteria: criteria, weights: w, label: label}
 }
 
 // Name implements Selector.
@@ -208,27 +171,4 @@ func (de *DataEvaluator) Rank(_ Request, cands []Candidate, k int) ([]string, er
 	scores := de.Scores(cands)
 	return rankTop(cands, k, func(i int) int32 { return int32(i) },
 		func(a, b *int32) int { return better(cands, scores, *a, *b) })
-}
-
-// Validate reports an error if a weight references an unknown criterion, is
-// negative or not finite (a NaN score leaves the ranking without an order),
-// or the catalog lists a criterion twice (it would count double) — a
-// config-time guard for user-supplied weight maps and catalogs.
-func (de *DataEvaluator) Validate() error {
-	known := make(map[string]bool, len(de.criteria))
-	for _, c := range de.criteria {
-		if known[c.Key] {
-			return fmt.Errorf("core: criterion %q listed twice", c.Key)
-		}
-		known[c.Key] = true
-	}
-	for k, w := range de.weights {
-		if !known[k] {
-			return fmt.Errorf("core: weight for unknown criterion %q", k)
-		}
-		if !(w >= 0) || math.IsInf(w, 1) {
-			return fmt.Errorf("core: weight %v for criterion %q is not a finite non-negative number", w, k)
-		}
-	}
-	return nil
 }

@@ -151,22 +151,12 @@ func (e *refEconomic) Estimate(req Request, c Candidate) Estimate {
 		dur += time.Duration(float64(req.SizeBytes) / rate * float64(time.Second))
 	}
 
-	completion := ready.Add(dur)
-	cost := dur.Seconds() * e.cfg.PricePerCPUSecond * s.CPUScore
-	feasible := true
-	if !req.Deadline.IsZero() && completion.After(req.Deadline) {
-		feasible = false
-	}
-	if req.Budget > 0 && cost > req.Budget {
-		feasible = false
-	}
 	return Estimate{
 		Peer:       s.Peer,
 		Ready:      ready,
 		Duration:   dur,
-		Completion: completion,
-		Cost:       cost,
-		Feasible:   feasible,
+		Completion: ready.Add(dur),
+		Cost:       dur.Seconds() * e.cfg.PricePerCPUSecond * s.CPUScore,
 	}
 }
 
@@ -181,8 +171,8 @@ func (e *refEconomic) Estimates(req Request, cands []Candidate) []Estimate {
 	return ests
 }
 
-// refEstSorter is estSorter: feasible first, earliest completion, faster
-// CPU, lower cost.
+// refEstSorter orders appraisals: earliest completion, faster CPU, lower
+// cost.
 type refEstSorter struct {
 	ests []Estimate
 	cpu  []float64
@@ -195,9 +185,6 @@ func (s *refEstSorter) Swap(i, j int) {
 }
 func (s *refEstSorter) Less(i, j int) bool {
 	a, b := &s.ests[i], &s.ests[j]
-	if a.Feasible != b.Feasible {
-		return a.Feasible
-	}
 	if !a.Completion.Equal(b.Completion) {
 		return a.Completion.Before(b.Completion)
 	}
@@ -211,11 +198,7 @@ func (e *refEconomic) Select(req Request, cands []Candidate) (string, error) {
 	if len(cands) == 0 {
 		return "", ErrNoCandidates
 	}
-	ests := e.Estimates(req, cands)
-	if !ests[0].Feasible {
-		return "", fmt.Errorf("%w: best completion %v", ErrInfeasible, ests[0].Completion)
-	}
-	return ests[0].Peer, nil
+	return e.Estimates(req, cands)[0].Peer, nil
 }
 
 func (e *refEconomic) Rank(req Request, cands []Candidate) ([]string, error) {
@@ -371,18 +354,6 @@ func genRankCase(seed int64, n int) rankCase {
 		WorkUnits: []float64{0, 0, 30}[rng.Intn(3)],
 		Now:       at,
 	}
-	switch rng.Intn(4) {
-	case 0: // some make it
-		tc.req.Deadline = at.Add(time.Duration(rng.Intn(90)) * time.Second)
-	case 1: // none can
-		tc.req.Deadline = at.Add(-time.Second)
-	}
-	switch rng.Intn(4) {
-	case 0:
-		tc.req.Budget = 1 + 40*rng.Float64()
-	case 1:
-		tc.req.Budget = 1e-12
-	}
 	if rng.Intn(2) == 0 {
 		tc.eco = EconomicConfig{FallbackRate: 1e4 + 1e6*rng.Float64(), PricePerCPUSecond: 0.1 + rng.Float64()}
 	}
@@ -443,7 +414,7 @@ func (tc rankCase) evaluators() (*DataEvaluator, *refEvaluator) {
 		byKey[c.Key] = c
 	}
 	catalog := tc.catalog
-	de := NewDataEvaluatorCustom(catalog, tc.weights, "custom")
+	de := &DataEvaluator{criteria: catalog, weights: tc.weights, label: "custom"}
 	if catalog == nil {
 		catalog = StandardCriteria()
 		de = NewDataEvaluator(tc.weights)
@@ -474,7 +445,6 @@ func sameErr(got, want error) bool {
 		return got == nil && want == nil
 	}
 	return got.Error() == want.Error() &&
-		errors.Is(got, ErrInfeasible) == errors.Is(want, ErrInfeasible) &&
 		errors.Is(got, ErrNoCandidates) == errors.Is(want, ErrNoCandidates)
 }
 
@@ -482,8 +452,7 @@ func sameErr(got, want error) bool {
 // the hard cases occurred.
 type rankCoverage struct {
 	scoreTies, flatCriteria, allZeroWeights, customCatalogs int
-	futureReady, someInfeasible, allInfeasible              int
-	absentPrefs, duplicatePrefs                             int
+	futureReady, absentPrefs, duplicatePrefs                int
 }
 
 // checkRankCase runs one case through every model and its reference. It
@@ -580,18 +549,6 @@ func checkRankCase(seed int64, n int, cov *rankCoverage) error {
 	if tc.catalog != nil {
 		cov.customCatalogs++
 	}
-	feasible := 0
-	for _, est := range refEco.Estimates(tc.req, tc.cands) {
-		if est.Feasible {
-			feasible++
-		}
-	}
-	switch {
-	case feasible == 0:
-		cov.allInfeasible++
-	case feasible < n:
-		cov.someInfeasible++
-	}
 	for _, c := range tc.cands {
 		if c.Snapshot.ReadyAt.After(tc.req.Now) {
 			cov.futureReady++
@@ -645,8 +602,6 @@ func TestRankMatchesReference(t *testing.T) {
 		"no weighted criterion":           cov.allZeroWeights,
 		"custom catalogs":                 cov.customCatalogs,
 		"ReadyAt in the future":           cov.futureReady,
-		"some candidates infeasible":      cov.someInfeasible,
-		"every candidate infeasible":      cov.allInfeasible,
 		"preferences naming absent peers": cov.absentPrefs,
 		"preferences naming a peer twice": cov.duplicatePrefs,
 	} {

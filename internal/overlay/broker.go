@@ -107,12 +107,19 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 		return nil, fmt.Errorf("overlay: broker bind: %w", err)
 	}
 	b := &Broker{
-		host:      host,
-		cfg:       cfg,
-		mux:       pipe.NewMux(host, ep, pipe.Options{}),
-		shards:    make([]*shard, cfg.Shards),
-		selectors: make(map[string]core.Ranker),
-		dir:       mergedDir{stamps: make([]uint64, cfg.Shards)},
+		host:   host,
+		cfg:    cfg,
+		mux:    pipe.NewMux(host, ep, pipe.Options{}),
+		shards: make([]*shard, cfg.Shards),
+		// The standard model lineup from the paper's Figure 6, plus the
+		// blind baseline. User-preference models are built per request from
+		// the preferences the requester sends.
+		selectors: map[string]core.Ranker{
+			"blind":         core.NewBlind(),
+			"economic":      core.NewEconomic(core.EconomicConfig{}),
+			"same-priority": core.NewSamePriority(),
+		},
+		dir: mergedDir{stamps: make([]uint64, cfg.Shards)},
 	}
 	regs := make([]*stats.Registry, cfg.Shards)
 	for i := range b.shards {
@@ -125,12 +132,6 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 	b.registry = stats.NewUnion(regs, func(peer string) *stats.Registry {
 		return b.shardOf(peer).registry
 	})
-	// The standard model lineup from the paper's Figure 6, plus the blind
-	// baseline. User-preference models are built per request from the
-	// preferences the requester sends.
-	b.RegisterSelector(core.NewBlind())
-	b.RegisterSelector(core.NewEconomic(core.EconomicConfig{}))
-	b.RegisterSelector(core.NewSamePriority())
 	// Every conn is served by a process of its own (the scheduler pools the
 	// coroutines), so a same-instant burst never serializes behind one
 	// handler's park points and is served in arrival order.
@@ -254,11 +255,6 @@ func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 		}
 	}
 	return d
-}
-
-// RegisterSelector installs (or replaces) a selection model under its name.
-func (b *Broker) RegisterSelector(s core.Ranker) {
-	b.selectors[s.Name()] = s
 }
 
 // knownPeers counts live peer advertisements across shards — the value

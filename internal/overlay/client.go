@@ -112,7 +112,7 @@ func (c *Client) Start() error {
 	opts := pipe.Options{FirstID: c.firstConnID}
 	c.ctlMux = pipe.NewMux(c.host, ctlEP, opts)
 	c.xferMux = pipe.NewMux(c.host, xferEP, opts)
-	c.sender = transfer.NewSender(c.host, c.xferMux, transfer.SenderOptions{})
+	c.sender = transfer.NewSender(c.host, c.xferMux)
 	transfer.NewReceiver(c.host, c.xferMux, transfer.ReceiverOptions{OnFile: c.cfg.OnFile})
 	c.exec = task.NewExecutor(c.host, c.cfg.CPUScore)
 	c.ctlMux.Serve(c.serveControl)
@@ -421,7 +421,7 @@ func (c *Client) SendInstant(peer, text string) error {
 // SelectPeers asks the broker's selection service to rank peers with the
 // named model. Preferred carries the user's own ranking for the
 // user-preference/quick-peer model. Broker-side selection failures come back
-// as typed sentinels (ErrNoCandidates, ErrInfeasible, ErrModelUnknown);
+// as typed sentinels (ErrNoCandidates, ErrModelUnknown);
 // SelectDetailed additionally takes exclusions and reports degradation and
 // retry counts.
 func (c *Client) SelectPeers(model string, req core.Request, max int, preferred []string) ([]string, error) {

@@ -28,8 +28,8 @@ import (
 // stability, filtering that prefix equals filtering the full ranking.
 //
 // A Now-shift-invariant model (economic) replays across instants once the
-// build instant is at or past every candidate's ReadyAt and the request
-// carries no deadline/budget admission; otherwise only at the build instant.
+// build instant is at or past every candidate's ReadyAt; otherwise only at
+// the build instant.
 //
 // Entries live in a small ring, one per request shape (replacement is
 // insertion-order, a deterministic policy — eviction affects speed, never
@@ -204,9 +204,7 @@ func (b *Broker) rankBuild(key rankKey, creq core.Request, sel core.Ranker, pure
 		return nil, err
 	}
 	if pure != nil {
-		e.anyTime = pure.RankNowShiftInvariant() &&
-			creq.Deadline.IsZero() && creq.Budget <= 0 &&
-			!creq.Now.Before(maxReadyAt)
+		e.anyTime = pure.RankNowShiftInvariant() && !creq.Now.Before(maxReadyAt)
 		b.rankMu.Lock()
 		b.rankInstallLocked(e)
 		b.rankMu.Unlock()

@@ -41,9 +41,6 @@ var (
 	// ErrNoCandidates maps the broker-side core.ErrNoCandidates: the
 	// directory held no eligible peer (empty, or everything excluded).
 	ErrNoCandidates = errors.New("overlay: no candidate peers")
-	// ErrInfeasible maps core.ErrInfeasible: candidates existed but none
-	// satisfied the request's deadline/budget.
-	ErrInfeasible = errors.New("overlay: no peer satisfies deadline/budget")
 	// ErrModelUnknown marks a selection request naming a model the broker
 	// has not registered.
 	ErrModelUnknown = errors.New("overlay: unknown selection model")
@@ -56,8 +53,6 @@ func selectionError(s string) error {
 	switch {
 	case s == core.ErrNoCandidates.Error():
 		return ErrNoCandidates
-	case strings.HasPrefix(s, core.ErrInfeasible.Error()):
-		return ErrInfeasible
 	case strings.HasPrefix(s, "overlay: unknown selection model"):
 		return fmt.Errorf("%w: %s", ErrModelUnknown, strings.TrimPrefix(s, "overlay: unknown selection model "))
 	default:

@@ -18,8 +18,6 @@ func TestSelectionErrorSentinels(t *testing.T) {
 		want error
 	}{
 		{core.ErrNoCandidates.Error(), ErrNoCandidates},
-		{core.ErrInfeasible.Error(), ErrInfeasible},
-		{core.ErrInfeasible.Error() + ": request needs 3 peers, 1 eligible", ErrInfeasible},
 		{"overlay: unknown selection model \"meteor\"", ErrModelUnknown},
 	} {
 		if err := selectionError(tc.wire); !errors.Is(err, tc.want) {
@@ -27,7 +25,7 @@ func TestSelectionErrorSentinels(t *testing.T) {
 		}
 	}
 	if err := selectionError("something else entirely"); err == nil ||
-		errors.Is(err, ErrNoCandidates) || errors.Is(err, ErrInfeasible) || errors.Is(err, ErrModelUnknown) {
+		errors.Is(err, ErrNoCandidates) || errors.Is(err, ErrModelUnknown) {
 		t.Errorf("unrecognized broker error mapped to a sentinel: %v", err)
 	}
 }

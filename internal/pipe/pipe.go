@@ -61,10 +61,6 @@ type Options struct {
 	// level regardless, so the figures' granularity semantics do not
 	// depend on this default).
 	Window int
-	// MaxRetries bounds transmission attempts per message (default 8).
-	MaxRetries int
-	// InitialRTT seeds the RTO estimator before any sample (default 500ms).
-	InitialRTT time.Duration
 	// FirstID offsets the mux's locally allocated conn-id space (ids start
 	// at FirstID+1; default 0). A long-lived remote mux tombstones the
 	// (addr, id) key of every conn it has torn down so late retransmits
@@ -81,14 +77,14 @@ func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = 4
 	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 8
-	}
-	if o.InitialRTT <= 0 {
-		o.InitialRTT = 500 * time.Millisecond
-	}
 	return o
 }
+
+// maxAttempts bounds transmission attempts per message.
+const maxAttempts = 8
+
+// initialRTT seeds a conn's RTO estimator before any sample.
+const initialRTT = 500 * time.Millisecond
 
 // MinRate (bytes/second) lower-bounds the assumed service rate when sizing
 // timeouts for messages before a rate has been measured: 100 KB/s, just below
@@ -230,8 +226,8 @@ func (m *Mux) newConnLocked(peer transport.Addr, id uint64, theirs bool) *Conn {
 		inbox:    m.host.NewQueue(),
 		tokAvail: m.opts.Window,
 		recvNext: 1,
-		srtt:     m.opts.InitialRTT,
-		rttvar:   m.opts.InitialRTT / 2,
+		srtt:     initialRTT,
+		rttvar:   initialRTT / 2,
 	}
 	m.conns[connKey{peer, id, theirs}] = c
 	return c
@@ -398,7 +394,7 @@ func (c *Conn) SendSized(payload []byte, size int) error {
 	}
 	c.mu.Unlock()
 
-	for attempt := 0; attempt < c.mux.opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		rto := c.rtoFor(size) << uint(attempt) // exponential backoff on retries
 		if rto > MaxRTO {
 			rto = MaxRTO

@@ -67,24 +67,22 @@ func (g Gauge) Avg() float64 {
 	return g.sum / float64(g.samples)
 }
 
+// ewmaWeight is the weight an EWMA gives each new sample.
+const ewmaWeight = 0.3
+
 // EWMA is an exponentially weighted moving average; zero value is empty.
 type EWMA struct {
 	value float64
-	alpha float64
 	set   bool
 }
 
-// Observe folds in a sample with weight alpha (0.3 when alpha is unset).
+// Observe folds in a sample with weight ewmaWeight.
 func (e *EWMA) Observe(v float64) {
-	a := e.alpha
-	if a <= 0 || a > 1 {
-		a = 0.3
-	}
 	if !e.set {
 		e.value, e.set = v, true
 		return
 	}
-	e.value = (1-a)*e.value + a*v
+	e.value = (1-ewmaWeight)*e.value + ewmaWeight*v
 }
 
 // Value returns the current average, or def if no sample was observed.

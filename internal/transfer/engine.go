@@ -16,6 +16,15 @@ var (
 	ErrFailed   = errors.New("transfer: transfer failed")
 )
 
+// petitionTimeout bounds a sender's wait for the petition ack: the petition
+// itself is tiny, and only wake lag delays it.
+const petitionTimeout = 5 * time.Minute
+
+// partAckTimeout bounds a sender's wait for each part ack: longer than the
+// pipe's worst-case retransmission cycle, so pipe-level recovery gets its
+// chance first.
+const partAckTimeout = 45 * time.Minute
+
 // partTimeout bounds a receiver's wait for the petition and, stretched by the
 // part's serialization time at pipe.MinRate, for each part.
 const partTimeout = 60 * time.Minute
@@ -98,38 +107,16 @@ func (m Metrics) LastMbTime() time.Duration {
 	return time.Duration(float64(service)*frac) + confirm
 }
 
-// SenderOptions tunes a Sender.
-type SenderOptions struct {
-	// PartAckTimeout bounds the wait for each application-level part ack.
-	// Default 45 minutes: longer than the pipe's worst-case retransmission
-	// cycle, so pipe-level recovery gets its chance first.
-	PartAckTimeout time.Duration
-	// PetitionTimeout bounds the wait for the petition ack. Default 5
-	// minutes (the petition itself is tiny; only wake lag delays it).
-	PetitionTimeout time.Duration
-}
-
-func (o SenderOptions) withDefaults() SenderOptions {
-	if o.PartAckTimeout <= 0 {
-		o.PartAckTimeout = 45 * time.Minute
-	}
-	if o.PetitionTimeout <= 0 {
-		o.PetitionTimeout = 5 * time.Minute
-	}
-	return o
-}
-
 // Sender transmits files to receivers over a pipe mux.
 type Sender struct {
 	host   transport.Host
 	mux    *pipe.Mux
-	opts   SenderOptions
 	nextID atomic.Uint64
 }
 
 // NewSender returns a sender using the mux for outbound transfers.
-func NewSender(host transport.Host, mux *pipe.Mux, opts SenderOptions) *Sender {
-	return &Sender{host: host, mux: mux, opts: opts.withDefaults()}
+func NewSender(host transport.Host, mux *pipe.Mux) *Sender {
+	return &Sender{host: host, mux: mux}
 }
 
 // Send transmits f to the remote transfer service in `parts` parts,
@@ -235,7 +222,7 @@ func (s *Sender) handshake(conn *pipe.Conn, m *Metrics, pet petition) error {
 	if err := conn.Send(pet.encode()); err != nil {
 		return fmt.Errorf("%w: %s: %w", ErrFailed, what, err)
 	}
-	ackMsg, err := conn.RecvTimeout(s.opts.PetitionTimeout)
+	ackMsg, err := conn.RecvTimeout(petitionTimeout)
 	if err != nil {
 		return fmt.Errorf("%w: waiting %s ack: %v", ErrFailed, what, err)
 	}
@@ -329,7 +316,7 @@ func (s *Sender) awaitAck(conn *pipe.Conn, timings []PartTiming, slotOf map[int]
 	if slotOf != nil {
 		noun = "piece"
 	}
-	reply, err := conn.RecvTimeout(s.opts.PartAckTimeout)
+	reply, err := conn.RecvTimeout(partAckTimeout)
 	if err != nil {
 		if slotOf != nil {
 			return fmt.Errorf("%w: waiting piece acks (%d/%d): %v", ErrFailed, n, len(timings), err)
@@ -371,8 +358,6 @@ type Received struct {
 
 // ReceiverOptions tunes a Receiver.
 type ReceiverOptions struct {
-	// Accept decides whether to accept a petition; nil accepts everything.
-	Accept func(fileName string, totalSize, parts int, from string) (bool, string)
 	// OnFile is invoked after each completed transfer.
 	OnFile func(Received)
 }
@@ -414,8 +399,6 @@ func (r *Receiver) handle(conn *pipe.Conn) {
 	accept, reason := true, ""
 	if in.Parts < 0 || in.Parts > maxParts {
 		accept, reason = false, fmt.Sprintf("part count %d outside [0, %d]", in.Parts, maxParts)
-	} else if r.opts.Accept != nil {
-		accept, reason = r.opts.Accept(in.FileName, in.TotalSize, in.Parts, in.Sender)
 	}
 	ack := petitionAck{
 		TransferID: in.TransferID,

@@ -45,7 +45,7 @@ func newTranscript(t *testing.T, name string) *transcript {
 	tr := &transcript{net: n, t0: n.Now(), dstN: b}
 	tr.src = pipe.NewMux(a, epA, pipe.Options{})
 	tr.dst = pipe.NewMux(b, epB, pipe.Options{})
-	tr.sender = NewSender(a, tr.src, SenderOptions{})
+	tr.sender = NewSender(a, tr.src)
 	fmt.Fprintf(&tr.out, "== %s\n", name)
 	pipe.SetDebugDispatch(func(local string, kind byte, id, seq, ack uint64, size int) {
 		tr.mu.Lock()

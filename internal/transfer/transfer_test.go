@@ -188,7 +188,7 @@ func newXferRig(t *testing.T, src, dst simnet.Profile, ropts ReceiverOptions) *x
 	muxA := pipe.NewMux(a, epA, pipe.Options{})
 	muxB := pipe.NewMux(b, epB, pipe.Options{})
 	rig.mux = muxA
-	rig.sender = NewSender(a, muxA, SenderOptions{})
+	rig.sender = NewSender(a, muxA)
 	userOnFile := ropts.OnFile
 	ropts.OnFile = func(rc Received) {
 		rig.received = append(rig.received, rc)
@@ -303,7 +303,7 @@ func TestPetitionRejected(t *testing.T) {
 	epA, _ := a.Endpoint("xfer")
 	epB, _ := b.Endpoint("xfer")
 	refuseAll(b, pipe.NewMux(b, epB, pipe.Options{}))
-	s := NewSender(a, pipe.NewMux(a, epA, pipe.Options{}), SenderOptions{})
+	s := NewSender(a, pipe.NewMux(a, epA, pipe.Options{}))
 	var m Metrics
 	var err error
 	n.Run(func() {
@@ -413,23 +413,6 @@ func TestPetitionTotalSizeOutOfRangeNotAllocated(t *testing.T) {
 	}
 }
 
-func TestAcceptCallbackSeesPetitionFields(t *testing.T) {
-	var gotName, gotFrom string
-	var gotSize, gotParts int
-	rig := newXferRig(t, fastProfile(), fastProfile(), ReceiverOptions{
-		Accept: func(name string, size, parts int, from string) (bool, string) {
-			gotName, gotSize, gotParts, gotFrom = name, size, parts, from
-			return true, ""
-		},
-	})
-	rig.net.Run(func() {
-		rig.sender.Send("dst/xfer", NewVirtualFile("doc.pdf", 2*Mb, 1), 2)
-	})
-	if gotName != "doc.pdf" || gotSize != 2*Mb || gotParts != 2 || gotFrom != "src" {
-		t.Fatalf("petition fields = %q %d %d %q", gotName, gotSize, gotParts, gotFrom)
-	}
-}
-
 func TestGranularityWholeSlowerThanParts(t *testing.T) {
 	// With size-dependent degradation, the whole file must be slower than
 	// 4 parts, which must be slower than 16 parts (Figure 5's shape).
@@ -478,7 +461,7 @@ func TestSendToDeadPeerFails(t *testing.T) {
 	n.MustAddNode("dst", fastProfile()) // no receiver bound
 	epA, _ := a.Endpoint("xfer")
 	muxA := pipe.NewMux(a, epA, pipe.Options{})
-	s := NewSender(a, muxA, SenderOptions{})
+	s := NewSender(a, muxA)
 	var err error
 	n.Run(func() {
 		_, err = s.Send("dst/xfer", NewVirtualFile("f", Mb, 1), 1)
