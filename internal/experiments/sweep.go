@@ -111,8 +111,8 @@ const (
 // "axis=value,value,...". Axes are scenario, workload, model, granularity
 // (parts, positive integers), size (Mb, positive integers), pick and choke
 // (dissemination policies), churn and fault
-// (rate multipliers, positive floats) and rep (a single positive integer;
-// "reps" is accepted too). "model=all" expands to the Figure 6 lineup. Example:
+// (rate multipliers, positive floats) and rep (a single positive integer).
+// "model=all" expands to the Figure 6 lineup. Example:
 //
 //	scenario=table1,churn:64;model=all;rep=5
 //
@@ -133,11 +133,6 @@ func ParseSweep(spec string) (Sweep, error) {
 		name = strings.TrimSpace(name)
 		if !ok || name == "" {
 			return Sweep{}, fmt.Errorf("sweep: %q: want axis=value,value,...", part)
-		}
-		if name == "reps" {
-			// Alias, canonicalized before the duplicate check so
-			// "rep=2;reps=7" cannot smuggle a conflicting duplicate past it.
-			name = "rep"
 		}
 		if seen[name] {
 			return Sweep{}, fmt.Errorf("sweep: axis %q specified twice", name)

@@ -57,7 +57,7 @@ func TestParseSweepGrammar(t *testing.T) {
 		"rep=1,2",
 		"rep=0",
 		"scenario=a;scenario=b",
-		"rep=2;reps=7",
+		"reps=2",
 		"turnips=1",
 	} {
 		if _, err := ParseSweep(bad); err == nil {
