@@ -264,8 +264,7 @@ func (c *Conductor) apply(e scenario.ChurnEvent) {
 }
 
 // ClientOf resolves a label to its currently running client, or nil while
-// the peer is down — the live-membership hook executors plug into
-// Env.ClientOf.
+// the peer is down — the live-membership hook Run gives the executors.
 func (c *Conductor) ClientOf(label string) *overlay.Client { return c.clients[label] }
 
 // StartedAt returns the session start instant BootInitial recorded;
@@ -359,8 +358,8 @@ func StartDynamics(slice *scenario.Slice, broker *overlay.Broker, sc scenario.Sc
 // spread across the horizon.
 func Run(env Env, dyn *Dynamics, w Workload, flows []Flow, seed int64) (Outcome, error) {
 	if dyn != nil {
-		env.ClientOf = dyn.ClientOf
-		env.RecordFailures = true
+		env.liveClient = dyn.ClientOf
+		env.recordFailures = true
 		if w.Disseminate == nil {
 			// Stagger offsets are schedule-relative (zero = the conductor's
 			// start), but traffic launches elapsed later (initial boots, or
@@ -372,7 +371,7 @@ func Run(env Env, dyn *Dynamics, w Workload, flows []Flow, seed int64) (Outcome,
 			elapsed := env.Host.Now().Sub(dyn.StartedAt())
 			at := func(f Flow) time.Duration { return max(stagger(f), elapsed) }
 			flows = ResolveSources(flows, dyn.Schedule, dyn.labels, at)
-			env.StartOf = func(f Flow) time.Duration { return at(f) - elapsed }
+			env.startOf = func(f Flow) time.Duration { return at(f) - elapsed }
 		}
 	}
 	if w.Disseminate != nil {
@@ -421,7 +420,7 @@ func ResolveSources(flows []Flow, s *Schedule, labels []string, startOf func(Flo
 // Stagger returns a per-flow start-offset function spreading flow launches
 // uniformly across the first staggerWindow of a churn horizon, derived from
 // the same per-flow SplitMix64 streams as payload seeds (decorrelated by a
-// fixed tag). Executors install it as Env.StartOf on churning scenarios so
+// fixed tag). Run staggers a churning scenario's launches with it, so
 // selections happen throughout the session — including after departed
 // peers' leases expire — instead of all at virtual instant zero.
 func Stagger(seed int64, horizon time.Duration) func(Flow) time.Duration {

@@ -287,7 +287,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 		}
 		if got < pieceCount {
 			err := fmt.Errorf("incomplete: %d of %d pieces after %d rounds (departed?)", got, pieceCount, rounds)
-			if !env.RecordFailures {
+			if !env.recordFailures {
 				return Outcome{}, fmt.Errorf("workload: flow %d (%s): %w", f.Index, q.label, err)
 			}
 			res.Metrics.Failed = true

@@ -19,6 +19,7 @@ const Attempts = 4
 
 // Env is the harness-supplied execution environment for a flow set: who the
 // clients are, how labels map to hostnames, and where flow processes run.
+// Run adds the live-membership hooks of a churning deployment.
 type Env struct {
 	// Host is the driver node; flow processes attach to its scheduler.
 	Host transport.Host
@@ -28,11 +29,6 @@ type Env struct {
 	// Clients maps a peer label to its running client. Every label that
 	// appears as a flow source must be present.
 	Clients map[string]*overlay.Client
-	// ClientOf, when set, resolves a source label to its currently running
-	// client instead of the static Clients map — the live-membership hook
-	// for churning deployments. Returning nil means the peer is down right
-	// now and the flow fails (or is recorded failed, see RecordFailures).
-	ClientOf func(label string) *overlay.Client
 	// HostOf maps a peer label to its hostname; nil means labels are
 	// hostnames. LabelOf is the inverse, used to attribute model-selected
 	// sinks; nil likewise means identity.
@@ -54,28 +50,34 @@ type Env struct {
 	// the sink to fall idle again (wake lag re-applies, as in the paper's
 	// measurements). Zero skips the gap.
 	IdleGap time.Duration
-	// StartOf, when set, delays each flow's launch by the returned offset
-	// (workload.Stagger spreads launches across a churn horizon). nil
-	// launches every flow at once — the static default, byte-identical to
-	// the pre-churn executor.
-	StartOf func(f Flow) time.Duration
-	// RecordFailures, when true, records a failing flow in its Result (Err
-	// field set, zero metrics) instead of failing the whole Execute. Churn
-	// makes individual flow failure an expected measurement — a source
-	// departed mid-flow, a lease-lagged sink refused — not a harness bug.
-	RecordFailures bool
 	// Logf receives operator-visible warnings (relaunch-budget exhaustion).
 	// nil falls back to the process-wide default logger — acceptable for a
 	// single interactive run, but parallel cells must each supply their own
 	// so concurrent warnings don't interleave on stderr.
 	Logf func(format string, args ...any)
+
+	// liveClient, when set, resolves a source label to its currently
+	// running client instead of the static Clients map — the live-membership
+	// hook for churning deployments. Returning nil means the peer is down
+	// right now and the flow fails (or is recorded failed, see
+	// recordFailures).
+	liveClient func(label string) *overlay.Client
+	// startOf, when set, delays each flow's launch by the returned offset
+	// (Stagger spreads launches across a churn horizon). nil launches every
+	// flow at once — the static default.
+	startOf func(f Flow) time.Duration
+	// recordFailures, when true, records a failing flow in its Result (Err
+	// field set, zero metrics) instead of failing the whole Execute. Churn
+	// makes individual flow failure an expected measurement — a source
+	// departed mid-flow, a lease-lagged sink refused — not a harness bug.
+	recordFailures bool
 }
 
 // clientOf resolves a source label through the live-membership hook when
 // present, the static map otherwise.
 func (e Env) clientOf(label string) *overlay.Client {
-	if e.ClientOf != nil {
-		return e.ClientOf(label)
+	if e.liveClient != nil {
+		return e.liveClient(label)
 	}
 	return e.Clients[label]
 }
@@ -119,7 +121,7 @@ type Result struct {
 	// Metrics is the surviving attempt's full timing record; its Attempts
 	// field counts the relaunches spent.
 	Metrics transfer.Metrics
-	// Err is the flow's failure when Env.RecordFailures kept it; "" on
+	// Err is the flow's failure when a churning Run kept it; "" on
 	// success.
 	Err string
 	// Degraded reports the sink came from the source's cached directory
@@ -155,7 +157,7 @@ func Execute(env Env, flows []Flow, seed int64) ([]Result, error) {
 	for i, f := range flows {
 		env.Host.Go(func() {
 			res, err := runFlow(env, f, seed, warns)
-			if err != nil && env.RecordFailures {
+			if err != nil && env.recordFailures {
 				// Keep everything the failed flow did establish — the sink
 				// it selected, when, and the attempts it burned — and
 				// record only the cause on top.
@@ -187,8 +189,8 @@ func Execute(env Env, flows []Flow, seed int64) ([]Result, error) {
 // the sink and its resolution instant, so churn audits can classify the
 // selection even when the transfer died.
 func runFlow(env Env, f Flow, seed int64, warns *RelaunchWarnings) (Result, error) {
-	if env.StartOf != nil {
-		if d := env.StartOf(f); d > 0 {
+	if env.startOf != nil {
+		if d := env.startOf(f); d > 0 {
 			env.Host.Sleep(d)
 		}
 	}
