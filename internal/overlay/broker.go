@@ -290,7 +290,7 @@ func (b *Broker) SetDown(down bool) { b.down.Store(down) }
 // peers vanish from discovery and selection until they re-register or
 // their next stats report resurrects them. Statistics registries survive —
 // the paper's broker persists its statistical records across restarts —
-// and registered selection models are untouched.
+// and so do its selection models.
 func (b *Broker) Restart() {
 	for _, sh := range b.shards {
 		sh.cache.Clear()

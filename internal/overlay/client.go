@@ -64,6 +64,9 @@ type Client struct {
 	exec    *task.Executor
 
 	registered atomic.Bool
+	// stopped is set by Stop: a call failing after it failed on the
+	// client's own closed mux, not at the broker.
+	stopped    atomic.Bool
 	nextTaskID atomic.Uint64
 	msgsIn     atomic.Int64
 	msgsOut    atomic.Int64
@@ -441,6 +444,7 @@ func (c *Client) Registered() bool { return c.registered.Load() }
 
 // Stop tears the client down.
 func (c *Client) Stop() {
+	c.stopped.Store(true)
 	if c.exec != nil {
 		c.exec.Stop()
 	}

@@ -169,10 +169,11 @@ func (c *Client) callOnce(to transport.Addr, payload []byte, timeout time.Durati
 // callRetried runs one call over callOnce: a single unbounded attempt, or,
 // for a Resilient client, the profile's bounded re-attempts with doubling,
 // jittered backoff. The returned count is the retries spent (0 when the first
-// attempt succeeded). Failures are classified: a deadline expiry matches
-// ErrCallTimeout, any broker-destined failure matches ErrBrokerDown, and
-// failures to other peers return unwrapped (an instant message to a dead peer
-// is not a broker fault).
+// attempt succeeded). Failures are classified: a call of a client its own
+// Stop closed reports the client stopped (its conns fail with
+// pipe.ErrClosed), a deadline expiry matches ErrCallTimeout, any other
+// broker-destined failure matches ErrBrokerDown, and failures to other peers
+// return unwrapped (an instant message to a dead peer is not a broker fault).
 func (c *Client) callRetried(to transport.Addr, payload []byte) ([]byte, int, error) {
 	attempts, timeout := 1, time.Duration(0)
 	if c.cfg.Resilient {
@@ -196,6 +197,8 @@ func (c *Client) callRetried(to transport.Addr, payload []byte) ([]byte, int, er
 	}
 	retries := attempts - 1
 	switch {
+	case c.stopped.Load():
+		return nil, retries, fmt.Errorf("overlay: client stopped: %w", lastErr)
 	case lastTimeout && to == c.broker:
 		return nil, retries, fmt.Errorf("%w: %w: %v", ErrBrokerDown, ErrCallTimeout, lastErr)
 	case lastTimeout:

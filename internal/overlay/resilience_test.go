@@ -164,6 +164,64 @@ func TestSelectionWithoutDegradeFailsTyped(t *testing.T) {
 	}
 }
 
+// TestStoppedClientIsNotABrokerOutage: a client whose own Stop closed its
+// mux fails its control calls with pipe.ErrClosed, not ErrBrokerDown — a
+// churn departure with a selection in flight is not a broker outage. A
+// broker that is down or closed still is one.
+func TestStoppedClientIsNotABrokerOutage(t *testing.T) {
+	req := core.Request{Kind: core.KindMessage}
+	for _, tc := range []struct {
+		name    string
+		resil   bool
+		stopped bool
+		act     func(d *deployment, c *Client) error
+	}{
+		{"selection after Stop", false, true, func(d *deployment, c *Client) error {
+			c.Stop()
+			_, err := c.SelectPeers("blind", req, 1, nil)
+			return err
+		}},
+		{"selection in flight at Stop", false, true, func(d *deployment, c *Client) error {
+			c.host.AfterFunc(time.Millisecond, c.Stop)
+			_, err := c.SelectPeers("blind", req, 1, nil)
+			return err
+		}},
+		{"resilient report after Stop", true, true, func(d *deployment, c *Client) error {
+			c.Stop()
+			return c.ReportStats()
+		}},
+		{"broker down", false, false, func(d *deployment, c *Client) error {
+			d.broker.SetDown(true)
+			_, err := c.SelectPeers("blind", req, 1, nil)
+			return err
+		}},
+		{"broker closed", false, false, func(d *deployment, c *Client) error {
+			d.broker.Close()
+			_, err := c.SelectPeers("blind", req, 1, nil)
+			return err
+		}},
+	} {
+		d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile()})
+		c := d.clients["sc1"]
+		var err error
+		d.net.Run(func() {
+			d.startAll(t)
+			c.cfg.Resilient = tc.resil
+			err = tc.act(d, c)
+		})
+		if err == nil {
+			t.Errorf("%s: call succeeded", tc.name)
+			continue
+		}
+		if tc.stopped && (errors.Is(err, ErrBrokerDown) || !errors.Is(err, pipe.ErrClosed)) {
+			t.Errorf("%s: err = %v, want pipe.ErrClosed and not ErrBrokerDown", tc.name, err)
+		}
+		if !tc.stopped && !errors.Is(err, ErrBrokerDown) {
+			t.Errorf("%s: err = %v, want ErrBrokerDown", tc.name, err)
+		}
+	}
+}
+
 func TestRegisterRetriesUntilBrokerReturns(t *testing.T) {
 	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile()})
 	c := d.clients["sc1"]
