@@ -64,7 +64,7 @@ type Client struct {
 	exec    *task.Executor
 
 	registered atomic.Bool
-	// stopped is set by Stop: a call failing after it failed on the
+	// stopped is set by Stop: from then on a failed call failed on the
 	// client's own closed mux, not at the broker.
 	stopped    atomic.Bool
 	nextTaskID atomic.Uint64

@@ -42,7 +42,7 @@ var (
 	// directory held no eligible peer (empty, or everything excluded).
 	ErrNoCandidates = errors.New("overlay: no candidate peers")
 	// ErrModelUnknown marks a selection request naming a model the broker
-	// has not registered.
+	// does not serve.
 	ErrModelUnknown = errors.New("overlay: unknown selection model")
 )
 
@@ -169,11 +169,11 @@ func (c *Client) callOnce(to transport.Addr, payload []byte, timeout time.Durati
 // callRetried runs one call over callOnce: a single unbounded attempt, or,
 // for a Resilient client, the profile's bounded re-attempts with doubling,
 // jittered backoff. The returned count is the retries spent (0 when the first
-// attempt succeeded). Failures are classified: a call of a client its own
-// Stop closed reports the client stopped (its conns fail with
-// pipe.ErrClosed), a deadline expiry matches ErrCallTimeout, any other
-// broker-destined failure matches ErrBrokerDown, and failures to other peers
-// return unwrapped (an instant message to a dead peer is not a broker fault).
+// attempt succeeded). Failures are classified: once the client's own Stop has
+// closed its mux a call reports the client stopped (pipe.ErrClosed in the
+// chain), a deadline expiry matches ErrCallTimeout, any other broker-destined
+// failure matches ErrBrokerDown, and failures to other peers return
+// unwrapped (an instant message to a dead peer is not a broker fault).
 func (c *Client) callRetried(to transport.Addr, payload []byte) ([]byte, int, error) {
 	attempts, timeout := 1, time.Duration(0)
 	if c.cfg.Resilient {

@@ -21,7 +21,7 @@
 // churn: Schedule is the pure, queryable view of a scenario's membership
 // schedule (ResolveSources, staleness audits and tests consult it freely),
 // while the Conductor owns everything live — it alone boots and stops
-// clients, holds the live-client map executors read through Run,
+// clients, holds the live-client map Run hands the executors,
 // and runs the lease-renewal heartbeat.
 //
 // Execution has one entry per decision, shared by the experiment cells and
