@@ -21,7 +21,6 @@ import (
 	"peerlab/internal/metrics"
 	"peerlab/internal/overlay"
 	"peerlab/internal/pipe"
-	"peerlab/internal/planetlab"
 	"peerlab/internal/scenario"
 	"peerlab/internal/simnet"
 	"peerlab/internal/vtime"
@@ -97,14 +96,15 @@ func BenchmarkFig5Granularity(b *testing.B) {
 			b.Fatal(err)
 		}
 		var sumW, sum16 float64
-		for _, l := range experiments.SCLabels {
+		labels := scenario.Table1().Labels
+		for _, l := range labels {
 			w, _ := fig.Value("complete file", l)
 			s, _ := fig.Value("division into 16 parts", l)
 			sumW += w
 			sum16 += s
 		}
-		whole = sumW / float64(len(experiments.SCLabels))
-		sixteen = sum16 / float64(len(experiments.SCLabels))
+		whole = sumW / float64(len(labels))
+		sixteen = sum16 / float64(len(labels))
 	}
 	b.ReportMetric(whole, "avg-whole-min")
 	b.ReportMetric(sixteen, "avg-16part-min")
@@ -326,8 +326,7 @@ func BenchmarkAblationFailureModel(b *testing.B) {
 	run := func(b *testing.B, mtbf time.Duration) float64 {
 		var mins float64
 		for i := 0; i < b.N; i++ {
-			sc7, _ := planetlab.SCByLabel("SC7")
-			prof := sc7.Profile
+			prof := scenario.Table1().Synthesize(0)[6].Profile // SC7
 			prof.MTBF = mtbf
 			d, err := Deploy(Config{
 				Seed:  int64(200 + i),

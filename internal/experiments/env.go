@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"peerlab/internal/overlay"
-	"peerlab/internal/planetlab"
 	"peerlab/internal/scenario"
 	"peerlab/internal/workload"
 )
@@ -24,7 +23,7 @@ type Config struct {
 	// Seed at any worker count, including 1.
 	Workers int
 	// Scenario describes the slice under test. The zero value deploys the
-	// paper's calibrated Table-1 world (planetlab.Scenario()). Synthetic
+	// paper's calibrated Table-1 world (scenario.Table1()). Synthetic
 	// scenarios draw their catalogs from each cell's derived seed, so they
 	// stay bit-identical at any worker count too.
 	Scenario scenario.Scenario
@@ -70,7 +69,7 @@ func (c Config) WithDefaults() Config {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Scenario.IsZero() {
-		c.Scenario = planetlab.Scenario()
+		c.Scenario = scenario.Table1()
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
@@ -81,10 +80,6 @@ func (c Config) WithDefaults() Config {
 // IdleGap is the virtual-time gap between repetitions, long enough for peers
 // to fall idle again (wake lag re-applies).
 const IdleGap = 10 * time.Minute
-
-// SCLabels is the fixed X axis of the per-peer figures on the default
-// table1 scenario.
-var SCLabels = []string{"SC1", "SC2", "SC3", "SC4", "SC5", "SC6", "SC7", "SC8"}
 
 // Env is one deployed world: the slice, its broker and — for the duration of
 // a RunPeers call — its running clients and dynamics. It is the only place a

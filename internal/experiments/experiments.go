@@ -6,7 +6,7 @@ import (
 	"peerlab/internal/core"
 	"peerlab/internal/metrics"
 	"peerlab/internal/overlay"
-	"peerlab/internal/planetlab"
+	"peerlab/internal/scenario"
 	"peerlab/internal/task"
 	"peerlab/internal/transfer"
 	"peerlab/internal/workload"
@@ -19,7 +19,7 @@ func Table1() *metrics.Table {
 		Title:   "Table 1 — Nodes added to the PlanetLab slice",
 		Columns: []string{"hostname", "country", "role"},
 	}
-	for _, n := range planetlab.Catalog() {
+	for _, n := range scenario.Table1Hosts() {
 		role := ""
 		if n.SC != "" {
 			role = n.SC + " (SimpleClient)"

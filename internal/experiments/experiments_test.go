@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"peerlab/internal/metrics"
+	"peerlab/internal/scenario"
 )
 
 // Shape tests pin the qualitative findings of the paper at a fixed seed;
@@ -11,6 +12,9 @@ import (
 // simulator, not the authors' testbed).
 
 var testCfg = Config{Seed: 2007, Reps: 3}
+
+// scLabels is the X axis of the per-peer figures on the default scenario.
+var scLabels = scenario.Table1().Labels
 
 func val(t *testing.T, f *metrics.Figure, series, label string) float64 {
 	t.Helper()
@@ -68,7 +72,7 @@ func TestFig3Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc7 := val(t, fig, "transmission time", "SC7")
-	for _, l := range SCLabels {
+	for _, l := range scLabels {
 		if l == "SC7" {
 			continue
 		}
@@ -89,7 +93,7 @@ func TestFig4Shape(t *testing.T) {
 	}
 	sc7 := val(t, fig, "last Mb", "SC7")
 	var others []float64
-	for _, l := range SCLabels {
+	for _, l := range scLabels {
 		if l != "SC7" {
 			others = append(others, val(t, fig, "last Mb", l))
 		}
@@ -109,7 +113,7 @@ func TestFig5Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	whole16 := 0.0
-	for _, l := range SCLabels {
+	for _, l := range scLabels {
 		whole := val(t, fig, "complete file", l)
 		four := val(t, fig, "division into 4 parts", l)
 		sixteen := val(t, fig, "division into 16 parts", l)
@@ -120,7 +124,7 @@ func TestFig5Shape(t *testing.T) {
 		whole16 += sixteen
 	}
 	// Paper: 16-part transmission averages ~1.7 minutes.
-	avg16 := whole16 / float64(len(SCLabels))
+	avg16 := whole16 / float64(len(scLabels))
 	if avg16 < 0.8 || avg16 > 4 {
 		t.Fatalf("16-part average = %.2f min, want within [0.8, 4] around the paper's 1.7", avg16)
 	}
@@ -170,7 +174,7 @@ func TestFig7Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	gapSC7 := 0.0
-	for _, l := range SCLabels {
+	for _, l := range scLabels {
 		exec := val(t, fig, "just execution", l)
 		both := val(t, fig, "transmission & execution", l)
 		if both <= exec {
@@ -181,7 +185,7 @@ func TestFig7Shape(t *testing.T) {
 		}
 	}
 	// SC7 pays the largest absolute penalty for shipping the input.
-	for _, l := range SCLabels {
+	for _, l := range scLabels {
 		if l == "SC7" {
 			continue
 		}
@@ -192,7 +196,7 @@ func TestFig7Shape(t *testing.T) {
 	}
 	// SC7 execution alone is the slowest (weakest CPU).
 	sc7exec := val(t, fig, "just execution", "SC7")
-	for _, l := range SCLabels {
+	for _, l := range scLabels {
 		if l != "SC7" && val(t, fig, "just execution", l) >= sc7exec {
 			t.Fatalf("%s executes slower than SC7", l)
 		}

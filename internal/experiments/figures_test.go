@@ -87,7 +87,7 @@ func TestRunFiguresListSharesBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(len(SCLabels)); cells.Load() != want {
+	if want := int64(len(scLabels)); cells.Load() != want {
 		t.Fatalf("fig3,fig4 ran %d cells, want the 50 Mb batch once (%d)", cells.Load(), want)
 	}
 	if listed.Table1 != nil || len(listed.Figures) != 2 {

@@ -5,10 +5,12 @@
 // seed.
 //
 // The paper's evaluation stops at 8 SimpleClient peers on the Table 1
-// slice; the calibrated "table1" scenario (registered by internal/planetlab)
-// reproduces exactly that world, while the synthetic generators scale the
-// same experiment harness to slices of hundreds of peers per machine:
+// slice. Parse reads one grammar: "table1" is exactly that world, and the
+// synthetic generators scale the same experiment harness to slices of
+// hundreds of peers per machine:
 //
+//   - table1 — the nozomi control node and SC1..SC8, calibrated against the
+//     paper's figures (table1.go)
 //   - uniform:N — homogeneous, well-behaved peers
 //   - heterogeneous:N — the PlanetLab three-class mixture (healthy, loaded,
 //     pathological)
@@ -17,6 +19,8 @@
 //     joins, abrupt leaves, rejoins, and correlated per-site outages, plus
 //     the short broker lease (AdvTTL) that lets the directory track
 //     membership
+//   - faults:N — the heterogeneous mixture, static, under a control-plane
+//     fault plan: broker blackouts, site partitions, loss bursts
 //
 // # Ownership rules
 //
@@ -29,10 +33,4 @@
 // order. Anything time- or order-dependent belongs to executors
 // (internal/workload's Conductor, internal/experiments' cells), never to a
 // Scenario.
-//
-// The registry (Register/Parse) is how calibrated data reaches this
-// package without a dependency cycle: internal/planetlab consumes the
-// scenario layer for deployment and contributes "table1" to it at init.
-// Constructors registered there must return self-contained Scenario values
-// — Parse callers own them from then on.
 package scenario

@@ -6,9 +6,7 @@ import "testing"
 // accepted spec must round-trip through the scenario's canonical name —
 // Parse(sc.Name) resolves to the identical scenario identity (generator
 // specs normalize, e.g. "uniform:007" names itself "uniform:7", and the
-// normalized form is a fixed point). Registered bare names resolve through
-// the registry and are covered wherever the importing test binary has
-// registered them (internal/planetlab installs "table1" at init).
+// normalized form is a fixed point); the bare name "table1" names itself.
 func FuzzParse(f *testing.F) {
 	f.Add("uniform:8")
 	f.Add("heterogeneous:128")

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"peerlab/internal/simnet"
@@ -77,7 +76,7 @@ func SortChurnEvents(events []ChurnEvent) {
 }
 
 // Scenario describes a slice. The zero value is invalid; obtain scenarios
-// from Parse, the generators below, or a registered constructor.
+// from Parse, Table1 or the generators below.
 type Scenario struct {
 	// Name identifies the scenario ("table1", "uniform:64", ...).
 	Name string
@@ -243,73 +242,41 @@ func DeployPeers(sc Scenario, seed int64, labels []string) (*Slice, error) {
 	return s, nil
 }
 
-// ---- registry -----------------------------------------------------------
-
-var (
-	regMu    sync.Mutex
-	registry = make(map[string]func() Scenario)
-)
-
-// Register installs a named scenario constructor; Parse resolves bare names
-// through it. internal/planetlab registers "table1" (the calibrated
-// default) at init time, so any importer of the experiment stack can parse
-// it.
-func Register(name string, fn func() Scenario) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[name] = fn
-}
-
-// Registered returns the registered scenario names, sorted.
-func Registered() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // MaxPeers bounds the peer count a generator spec accepts: synthesizing a
 // catalog is eager (labels and profiles materialize up front), so a peer
 // count beyond any simulable slice must fail at parse time instead of
 // exhausting memory.
 const MaxPeers = 1_000_000
 
-// Parse resolves a scenario spec: a registered name ("table1"), or a
-// generator spec "uniform:N" / "heterogeneous:N" / "zipf:N" / "churn:N" /
-// "faults:N" with N peers (1 ≤ N ≤ MaxPeers).
+// Parse resolves a scenario spec: "table1" (the paper's calibrated world)
+// or a generator spec "uniform:N" / "heterogeneous:N" / "zipf:N" /
+// "churn:N" / "faults:N" with N peers (1 ≤ N ≤ MaxPeers).
 func Parse(spec string) (Scenario, error) {
-	if kind, arg, ok := strings.Cut(spec, ":"); ok {
-		n, err := strconv.Atoi(arg)
-		if err != nil || n < 1 || n > MaxPeers {
-			return Scenario{}, fmt.Errorf("scenario: %q: peer count must be an integer in [1, %d]", spec, MaxPeers)
+	kind, arg, ok := strings.Cut(spec, ":")
+	if !ok {
+		if spec == "table1" {
+			return Table1(), nil
 		}
-		switch kind {
-		case "uniform":
-			return Uniform(n), nil
-		case "heterogeneous":
-			return Heterogeneous(n), nil
-		case "zipf":
-			return Zipf(n), nil
-		case "churn":
-			return Churn(n), nil
-		case "faults":
-			return Faulty(n), nil
-		default:
-			return Scenario{}, fmt.Errorf("scenario: unknown generator %q (want uniform:N, heterogeneous:N, zipf:N, churn:N or faults:N)", kind)
-		}
+		return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (want table1, uniform:N, heterogeneous:N, zipf:N, churn:N or faults:N)", spec)
 	}
-	regMu.Lock()
-	fn := registry[spec]
-	regMu.Unlock()
-	if fn == nil {
-		return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (want %s, uniform:N, heterogeneous:N, zipf:N, churn:N or faults:N)",
-			spec, strings.Join(Registered(), ", "))
+	n, err := strconv.Atoi(arg)
+	if err != nil || n < 1 || n > MaxPeers {
+		return Scenario{}, fmt.Errorf("scenario: %q: peer count must be an integer in [1, %d]", spec, MaxPeers)
 	}
-	return fn(), nil
+	switch kind {
+	case "uniform":
+		return Uniform(n), nil
+	case "heterogeneous":
+		return Heterogeneous(n), nil
+	case "zipf":
+		return Zipf(n), nil
+	case "churn":
+		return Churn(n), nil
+	case "faults":
+		return Faulty(n), nil
+	default:
+		return Scenario{}, fmt.Errorf("scenario: unknown generator %q (want uniform:N, heterogeneous:N, zipf:N, churn:N or faults:N)", kind)
+	}
 }
 
 // ---- synthetic generators -----------------------------------------------
@@ -336,19 +303,10 @@ func uniformIn(r *rand.Rand, lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// syntheticControl models a well-provisioned, lightly loaded broker-side
-// machine (the same figures as the calibrated nozomi main node).
+// syntheticControl is the generators' broker-side node, with the
+// calibrated nozomi main node's profile.
 func syntheticControl() Peer {
-	return Peer{
-		Label:    "control",
-		Hostname: "control.slice.peerlab",
-		Profile: simnet.Profile{
-			LatencyOneWay: 5 * time.Millisecond,
-			Jitter:        time.Millisecond,
-			Bandwidth:     50e6,
-			CPUScore:      2.0,
-		},
-	}
+	return Peer{Label: "control", Hostname: "control.slice.peerlab", Profile: ControlProfile()}
 }
 
 // syntheticLabels names n peers p001..pN.

@@ -2,11 +2,9 @@ package scenario_test
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
-	"peerlab/internal/planetlab" // registers "table1"
 	"peerlab/internal/scenario"
 )
 
@@ -46,20 +44,11 @@ func TestParseRegisteredTable1(t *testing.T) {
 	if len(sc.Labels) != 8 || sc.Labels[0] != "SC1" || sc.Labels[7] != "SC8" {
 		t.Fatalf("labels = %v", sc.Labels)
 	}
-	// The catalog is the calibration: seed-independent and identical to
-	// planetlab.SCPeers.
+	// The catalog is the calibration: seed-independent.
 	a, b := sc.Synthesize(1), sc.Synthesize(99)
-	want := planetlab.SCPeers()
-	if len(a) != len(want) {
-		t.Fatalf("catalog size %d, want %d", len(a), len(want))
-	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("table1 catalog depends on the seed at %d", i)
-		}
-		if a[i].Label != want[i].Label || a[i].Hostname != want[i].Hostname ||
-			a[i].Profile != want[i].Profile {
-			t.Fatalf("table1 peer %d = %+v, want calibrated %+v", i, a[i], want[i])
 		}
 	}
 	if sc.Control.Hostname != "nozomi.lsi.upc.edu" {
@@ -229,12 +218,6 @@ func TestFig6HintsAreInCatalog(t *testing.T) {
 				t.Fatalf("%s: hint %q not a measured label", spec, l)
 			}
 		}
-	}
-}
-
-func TestRegisteredNames(t *testing.T) {
-	if names := scenario.Registered(); !strings.Contains(strings.Join(names, ","), "table1") {
-		t.Fatalf("registered = %v, want table1 present", names)
 	}
 }
 

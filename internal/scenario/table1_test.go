@@ -1,12 +1,14 @@
-package planetlab
+package scenario_test
 
 import (
 	"testing"
 	"time"
+
+	"peerlab/internal/scenario"
 )
 
 func TestCatalogMatchesTable1(t *testing.T) {
-	cat := Catalog()
+	cat := scenario.Table1Hosts()
 	if len(cat) != 25 {
 		t.Fatalf("catalog has %d hosts, want 25 (Table 1)", len(cat))
 	}
@@ -41,7 +43,7 @@ func TestSCPeersMatchPaperSection41(t *testing.T) {
 		"SC7": "planetlab1.itwm.fhg.de",
 		"SC8": "planetlab1.ssvl.kth.se",
 	}
-	peers := SCPeers()
+	peers := scenario.Table1().Synthesize(0)
 	if len(peers) != 8 {
 		t.Fatalf("%d SC peers, want 8", len(peers))
 	}
@@ -54,7 +56,7 @@ func TestSCPeersMatchPaperSection41(t *testing.T) {
 
 func TestSCPeersAppearInCatalog(t *testing.T) {
 	inCat := map[string]string{}
-	for _, n := range Catalog() {
+	for _, n := range scenario.Table1Hosts() {
 		if n.SC != "" {
 			inCat[n.SC] = n.Hostname
 		}
@@ -62,7 +64,7 @@ func TestSCPeersAppearInCatalog(t *testing.T) {
 	if len(inCat) != 8 {
 		t.Fatalf("catalog marks %d SC peers, want 8", len(inCat))
 	}
-	for _, p := range SCPeers() {
+	for _, p := range scenario.Table1().Synthesize(0) {
 		if inCat[p.Label] != p.Hostname {
 			t.Fatalf("catalog SC %s = %q, profile says %q", p.Label, inCat[p.Label], p.Hostname)
 		}
@@ -70,8 +72,8 @@ func TestSCPeersAppearInCatalog(t *testing.T) {
 }
 
 func TestProfileCalibrationShape(t *testing.T) {
-	byLabel := map[string]SCPeer{}
-	for _, p := range SCPeers() {
+	byLabel := map[string]scenario.Peer{}
+	for _, p := range scenario.Table1().Synthesize(0) {
 		byLabel[p.Label] = p
 	}
 	// Figure 2 ordering: SC7 > SC1 > SC5 > SC3 > SC6 > the quick three.
@@ -105,19 +107,9 @@ func TestProfileCalibrationShape(t *testing.T) {
 	}
 }
 
-func TestSCByLabel(t *testing.T) {
-	p, err := SCByLabel("SC7")
-	if err != nil || p.Hostname != "planetlab1.itwm.fhg.de" {
-		t.Fatalf("SCByLabel(SC7) = %+v, %v", p, err)
-	}
-	if _, err := SCByLabel("SC99"); err == nil {
-		t.Fatal("bogus label accepted")
-	}
-}
-
 func TestControlProfileIsWellProvisioned(t *testing.T) {
-	cp := ControlProfile()
-	for _, p := range SCPeers() {
+	cp := scenario.ControlProfile()
+	for _, p := range scenario.Table1().Synthesize(0) {
 		if cp.Bandwidth <= p.Profile.Bandwidth {
 			t.Fatalf("control bandwidth %v not above %s", cp.Bandwidth, p.Label)
 		}

@@ -8,7 +8,6 @@ import (
 	"peerlab/internal/experiments"
 	"peerlab/internal/metrics"
 	"peerlab/internal/overlay"
-	"peerlab/internal/planetlab"
 	"peerlab/internal/scenario"
 	"peerlab/internal/simnet"
 	"peerlab/internal/stats"
@@ -239,7 +238,7 @@ func Deploy(cfg Config) (*Deployment, error) {
 		}
 		sc = byHostname(scenario.Scenario{
 			Name:    "peers",
-			Control: scenario.Peer{Label: "controller", Hostname: "controller", Profile: planetlab.ControlProfile()},
+			Control: scenario.Peer{Label: "controller", Hostname: "controller", Profile: scenario.ControlProfile()},
 		}, peers)
 	}
 	var wl workload.Workload
