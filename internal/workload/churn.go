@@ -120,9 +120,10 @@ func (s *Schedule) DownThroughout(label string, from, to time.Duration) bool {
 
 // Conductor executes a churn schedule against live overlay clients: it
 // boots the initial population, then runs the remaining joins and leaves as
-// one virtual-time process. It owns the live-client map — executors resolve
-// membership through ClientOf — and is safe under the serialized vtime
-// dispatcher (at most one process touches the map at a time).
+// one virtual-time process. It owns the live-client map — Run hands it to
+// the executors as Env.Clients, where a departed peer has no entry — and is
+// safe under the serialized vtime dispatcher (at most one process touches
+// the map at a time).
 type Conductor struct {
 	host transport.Host
 	// Schedule is the pure view of what the conductor executes; audits
@@ -263,10 +264,6 @@ func (c *Conductor) apply(e scenario.ChurnEvent) {
 	}
 }
 
-// ClientOf resolves a label to its currently running client, or nil while
-// the peer is down — the live-membership hook Run gives the executors.
-func (c *Conductor) ClientOf(label string) *overlay.Client { return c.clients[label] }
-
 // StartedAt returns the session start instant BootInitial recorded;
 // schedule offsets are relative to it.
 func (c *Conductor) StartedAt() time.Time { return c.start }
@@ -352,13 +349,13 @@ func StartDynamics(slice *scenario.Slice, broker *overlay.Broker, sc scenario.Sc
 // Run executes flows with the engine w names — the piece engine for a
 // dissemination workload, the single-round executor otherwise — over static
 // membership (dyn nil: env.Clients) or over dyn's live membership. Under
-// dynamics sources resolve through the conductor and per-flow failures are
+// dynamics env.Clients is the conductor's live map and per-flow failures are
 // recorded rather than aborting: a departed sink is a measurement, not a
 // crash. The piece engine paces itself by rounds; single-round launches are
 // spread across the horizon.
 func Run(env Env, dyn *Dynamics, w Workload, flows []Flow, seed int64) (Outcome, error) {
 	if dyn != nil {
-		env.liveClient = dyn.ClientOf
+		env.Clients = dyn.clients
 		env.recordFailures = true
 		if w.Disseminate == nil {
 			// Stagger offsets are schedule-relative (zero = the conductor's

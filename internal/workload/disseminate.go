@@ -134,7 +134,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 	live := make([]bool, n)
 	readLive := func() {
 		for q := range peers {
-			live[q] = env.clientOf(peers[q].label) != nil
+			live[q] = env.Clients[peers[q].label] != nil
 		}
 	}
 	// Publish buffers, reused: ReportPieces encodes before it blocks.
@@ -142,7 +142,6 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 	var unchokedHosts []string
 
 	start := env.Host.Now()
-	warns := new(RelaunchWarnings)
 	gap, dry, rounds := roundGap, 0, 0
 	for ; s.missing > 0 && dry < maxDryRounds; rounds++ {
 		if rounds > 0 {
@@ -169,7 +168,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 			}
 			client := env.Control
 			if h >= 0 {
-				client = env.clientOf(peers[h].label)
+				client = env.Clients[peers[h].label]
 			}
 			if client != nil {
 				// A failed report is a holder silent this round: the
@@ -203,7 +202,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 			env.Host.Go(func() {
 				src := env.Control
 				if g.holder >= 0 {
-					src = env.clientOf(peers[g.holder].label)
+					src = env.Clients[peers[g.holder].label]
 				}
 				if src == nil {
 					results[gi].err = fmt.Errorf("holder departed")
@@ -226,7 +225,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 			r := results[gi]
 			if r.err != nil {
 				q.fetchFails++
-				if q.fetchFails == Attempts && warns.First(flows[g.dl].Index) {
+				if q.fetchFails == Attempts {
 					env.logf("workload: WARNING: flow %d (%s): piece fetches exhausted the %d-relaunch budget: %v",
 						flows[g.dl].Index, q.label, Attempts, r.err)
 				}

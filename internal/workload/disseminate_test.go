@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -199,55 +200,30 @@ func TestStreamStallOrdering(t *testing.T) {
 	}
 }
 
-// TestRelaunchWarningDedupe is the regression test for the exhaustion
-// double-count: the same flow index riding the relaunch budget twice (a
-// churn re-resolution) must produce exactly one operator warning, while a
-// second flow still gets its own.
+// TestRelaunchWarningDedupe: an exhausted send errors after Attempts tries
+// and logs exactly one operator warning. Each flow reaches the budget at
+// most once per engine run, so one warning per exhaustion is one per flow.
 func TestRelaunchWarningDedupe(t *testing.T) {
 	var warnings []string
 	logf := func(format string, args ...any) {
 		warnings = append(warnings, format)
 	}
+	tries := 0
 	failing := func(string, transfer.File, int) (transfer.Metrics, error) {
+		tries++
 		return transfer.Metrics{}, transfer.ErrFailed
 	}
 	sleep := func(time.Duration) {}
 	f := transfer.File{Name: "x", Size: 10}
-	warns := new(RelaunchWarnings)
-
-	for wave := 0; wave < 2; wave++ {
-		if _, err := sendRelaunched(logf, sleep, 0, failing, "src", "dst", f, 1, "flow 0", warns, 0); err == nil {
-			t.Fatal("exhausted send did not error")
-		}
+	m, err := sendRelaunched(logf, sleep, 0, failing, "src", "dst", f, 1, "flow 0")
+	if !errors.Is(err, transfer.ErrFailed) {
+		t.Fatalf("exhausted send returned %v, want transfer.ErrFailed", err)
+	}
+	if tries != Attempts || m.Attempts != Attempts {
+		t.Fatalf("exhausted send tried %d times, reported %d, want %d", tries, m.Attempts, Attempts)
 	}
 	if len(warnings) != 1 {
-		t.Fatalf("flow 0 warned %d times across two waves, want 1", len(warnings))
-	}
-	if _, err := sendRelaunched(logf, sleep, 0, failing, "src", "dst", f, 1, "flow 1", warns, 1); err == nil {
-		t.Fatal("exhausted send did not error")
-	}
-	if len(warnings) != 2 {
-		t.Fatalf("flow 1 suppressed by flow 0's dedupe: %d warnings", len(warnings))
-	}
-	// The nil-warns path (legacy SendRelaunched) still logs every time.
-	if _, err := sendRelaunched(logf, sleep, 0, failing, "src", "dst", f, 1, "flow 2", nil, 2); err == nil {
-		t.Fatal("exhausted send did not error")
-	}
-	if len(warnings) != 3 {
-		t.Fatalf("nil-warns exhaustion not logged: %d warnings", len(warnings))
-	}
-}
-
-func TestRelaunchWarningsFirst(t *testing.T) {
-	w := new(RelaunchWarnings)
-	if !w.First(3) {
-		t.Fatal("first exhaustion not reported first")
-	}
-	if w.First(3) {
-		t.Fatal("second exhaustion reported first")
-	}
-	if !w.First(4) {
-		t.Fatal("independent index suppressed")
+		t.Fatalf("exhaustion logged %d warnings, want 1", len(warnings))
 	}
 }
 

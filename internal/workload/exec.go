@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"peerlab/internal/core"
@@ -19,7 +18,8 @@ const Attempts = 4
 
 // Env is the harness-supplied execution environment for a flow set: who the
 // clients are, how labels map to hostnames, and where flow processes run.
-// Run adds the live-membership hooks of a churning deployment.
+// Run swaps in a churning deployment's live membership, launch stagger and
+// failure recording.
 type Env struct {
 	// Host is the driver node; flow processes attach to its scheduler.
 	Host transport.Host
@@ -27,7 +27,9 @@ type Env struct {
 	// Source label is empty.
 	Control *overlay.Client
 	// Clients maps a peer label to its running client. Every label that
-	// appears as a flow source must be present.
+	// appears as a flow source must be present — except under Run's live
+	// membership, where this is the conductor's map and a peer that is down
+	// right now has no entry (its flows fail, or are recorded failed).
 	Clients map[string]*overlay.Client
 	// HostOf maps a peer label to its hostname; nil means labels are
 	// hostnames. LabelOf is the inverse, used to attribute model-selected
@@ -56,12 +58,6 @@ type Env struct {
 	// so concurrent warnings don't interleave on stderr.
 	Logf func(format string, args ...any)
 
-	// liveClient, when set, resolves a source label to its currently
-	// running client instead of the static Clients map — the live-membership
-	// hook for churning deployments. Returning nil means the peer is down
-	// right now and the flow fails (or is recorded failed, see
-	// recordFailures).
-	liveClient func(label string) *overlay.Client
 	// startOf, when set, delays each flow's launch by the returned offset
 	// (Stagger spreads launches across a churn horizon). nil launches every
 	// flow at once — the static default.
@@ -71,15 +67,6 @@ type Env struct {
 	// makes individual flow failure an expected measurement — a source
 	// departed mid-flow, a lease-lagged sink refused — not a harness bug.
 	recordFailures bool
-}
-
-// clientOf resolves a source label through the live-membership hook when
-// present, the static map otherwise.
-func (e Env) clientOf(label string) *overlay.Client {
-	if e.liveClient != nil {
-		return e.liveClient(label)
-	}
-	return e.Clients[label]
 }
 
 func (e Env) hostOf(label string) string {
@@ -149,14 +136,13 @@ type Result struct {
 func Execute(env Env, flows []Flow, seed int64) ([]Result, error) {
 	out := make([]Result, len(flows))
 	errs := make([]error, len(flows))
-	warns := new(RelaunchWarnings) // one exhaustion event per flow index
 	join := env.Host.NewQueue()
 	// All flows launch at t=0 (stagger happens inside runFlow). Spawned
 	// processes are pooled and lazily started, so even 100k flows queue
 	// closures rather than a cold-start burst of goroutines.
 	for i, f := range flows {
 		env.Host.Go(func() {
-			res, err := runFlow(env, f, seed, warns)
+			res, err := runFlow(env, f, seed)
 			if err != nil && env.recordFailures {
 				// Keep everything the failed flow did establish — the sink
 				// it selected, when, and the attempts it burned — and
@@ -188,7 +174,7 @@ func Execute(env Env, flows []Flow, seed int64) ([]Result, error) {
 // standard relaunch budget. A failure after sink resolution still reports
 // the sink and its resolution instant, so churn audits can classify the
 // selection even when the transfer died.
-func runFlow(env Env, f Flow, seed int64, warns *RelaunchWarnings) (Result, error) {
+func runFlow(env Env, f Flow, seed int64) (Result, error) {
 	if env.startOf != nil {
 		if d := env.startOf(f); d > 0 {
 			env.Host.Sleep(d)
@@ -197,7 +183,7 @@ func runFlow(env Env, f Flow, seed int64, warns *RelaunchWarnings) (Result, erro
 	srcLabel := f.Source
 	src := env.Control
 	if f.Source != "" {
-		src = env.clientOf(f.Source)
+		src = env.Clients[f.Source]
 		if src == nil {
 			return Result{}, fmt.Errorf("no client for source %q (departed?)", f.Source)
 		}
@@ -240,7 +226,7 @@ func runFlow(env Env, f Flow, seed int64, warns *RelaunchWarnings) (Result, erro
 
 	file := transfer.NewVirtualFile(f.FileName, f.SizeBytes, FlowSeed(seed, f.Index))
 	flowID := fmt.Sprintf("flow %d (%s -> %s)", f.Index, srcLabel, sinkLabel)
-	m, err := sendRelaunched(env.logf, env.Host.Sleep, env.IdleGap, src.SendFile, src.Name(), sinkHost, file, f.Parts, flowID, warns, f.Index)
+	m, err := sendRelaunched(env.logf, env.Host.Sleep, env.IdleGap, src.SendFile, src.Name(), sinkHost, file, f.Parts, flowID)
 	res.Metrics = m // even on failure: Attempts carries the relaunches spent
 	if err != nil {
 		return res, fmt.Errorf("%s -> %s: %w", src.Name(), sinkLabel, err)
@@ -264,47 +250,16 @@ func runFlow(env Env, f Flow, seed int64, warns *RelaunchWarnings) (Result, erro
 func SendRelaunched(logf func(format string, args ...any),
 	sleep func(time.Duration), gap time.Duration, src *overlay.Client,
 	host string, f transfer.File, parts int, flowID string) (transfer.Metrics, error) {
-	return sendRelaunched(logf, sleep, gap, src.SendFile, src.Name(), host, f, parts, flowID, nil, 0)
-}
-
-// RelaunchWarnings dedupes relaunch-exhaustion warnings by flow index. An
-// engine that re-resolves a flow's source after a departure runs the same
-// flow through the relaunch budget again; without the dedupe every wave
-// re-logs the exhaustion, so an operator tallying warnings counts the
-// flow's attempts once per wave instead of once. One RelaunchWarnings per
-// engine run gives each flow index exactly one exhaustion event no matter
-// how many waves it rode. The zero value is ready to use.
-type RelaunchWarnings struct {
-	mu     sync.Mutex
-	warned map[int]bool
-}
-
-// First records flow index's budget exhaustion and reports whether it was
-// the first — callers log (and count) only then.
-func (w *RelaunchWarnings) First(index int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.warned == nil {
-		w.warned = make(map[int]bool)
-	}
-	if w.warned[index] {
-		return false
-	}
-	w.warned[index] = true
-	return true
+	return sendRelaunched(logf, sleep, gap, src.SendFile, src.Name(), host, f, parts, flowID)
 }
 
 // sendRelaunched is the shared relaunch loop, with the send entry point
 // injectable so the exhaustion path is testable without fabricating a
-// pathological network. A flow set's executor passes one RelaunchWarnings
-// for the whole run and the flow's index, so a re-resolved flow's second
-// exhaustion is returned as an error without being double-counted in the
-// operator log; warns nil logs every exhaustion.
+// pathological network.
 func sendRelaunched(logf func(format string, args ...any),
 	sleep func(time.Duration), gap time.Duration,
 	send func(string, transfer.File, int) (transfer.Metrics, error),
-	srcName, host string, f transfer.File, parts int, flowID string,
-	warns *RelaunchWarnings, index int) (transfer.Metrics, error) {
+	srcName, host string, f transfer.File, parts int, flowID string) (transfer.Metrics, error) {
 	if logf == nil {
 		logf = log.Printf
 	}
@@ -324,10 +279,8 @@ func sendRelaunched(logf func(format string, args ...any),
 		}
 		lastErr = err
 	}
-	if warns == nil || warns.First(index) {
-		logf("workload: WARNING: %s: transfer %s -> %s (%s, %d bytes) abandoned after exhausting %d attempts: %v",
-			flowID, srcName, host, f.Name, f.Size, Attempts, lastErr)
-	}
+	logf("workload: WARNING: %s: transfer %s -> %s (%s, %d bytes) abandoned after exhausting %d attempts: %v",
+		flowID, srcName, host, f.Name, f.Size, Attempts, lastErr)
 	return transfer.Metrics{Attempts: Attempts},
 		fmt.Errorf("gave up after %d attempts: %w", Attempts, lastErr)
 }
