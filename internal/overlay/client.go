@@ -64,8 +64,8 @@ type Client struct {
 	exec    *task.Executor
 
 	registered atomic.Bool
-	// stopped is set by Stop: from then on a failed call failed on the
-	// client's own closed mux, not at the broker.
+	// stopped is set by Stop: from then on a failed call or send failed on
+	// the client's own closed mux, not at the broker or the sink.
 	stopped    atomic.Bool
 	nextTaskID atomic.Uint64
 	msgsIn     atomic.Int64
@@ -304,12 +304,18 @@ func (c *Client) SendPieces(peer string, f transfer.File, pieces int, indices []
 // or not it was confirmed; Bytes is what the transmission set out to move.
 // A send to an address no transport knows is not reported, here or in
 // SubmitTask and SendInstant: a name no node carries (a typo) must not open
-// a statistics record at the broker.
+// a statistics record at the broker. Nor is a send that failed after the
+// client's own Stop, whose report could only fail on the same closed mux:
+// it reads as the client stopped, with pipe.ErrClosed in the chain and not
+// transfer.ErrFailed, so no relaunch loop retries a departed source.
 func (c *Client) sendReported(peer string, send func(transport.Addr) (transfer.Metrics, error)) (transfer.Metrics, error) {
 	m, sendErr := send(transport.MakeAddr(peer, ServiceTransfer))
 	c.msgsOut.Add(int64(len(m.Parts) + 1))
 	if errors.Is(sendErr, transport.ErrUnknownAddr) {
 		return m, sendErr
+	}
+	if sendErr != nil && c.stopped.Load() {
+		return m, fmt.Errorf("overlay: client stopped: %w", pipe.ErrClosed)
 	}
 	rep := reportTransfer{
 		Peer:          peer,

@@ -274,8 +274,10 @@ func sendRelaunched(logf func(format string, args ...any),
 			return m, nil
 		}
 		if !errors.Is(err, transfer.ErrFailed) {
-			// A rejection or an invalid request is not transient.
-			return m, err
+			// A rejection, an invalid request or a stopped source is not
+			// transient. Like an exhausted budget, the record keeps only
+			// the attempt count.
+			return transfer.Metrics{Attempts: m.Attempts}, err
 		}
 		lastErr = err
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"peerlab/internal/overlay"
+	"peerlab/internal/pipe"
 	"peerlab/internal/simnet"
 	"peerlab/internal/transfer"
 )
@@ -184,6 +186,37 @@ func (r *execRig) start(t *testing.T) {
 		if err := c.ReportStats(); err != nil {
 			t.Errorf("report %s: %v", name, err)
 		}
+	}
+}
+
+// TestStoppedSourceFailsOnce: a source that departed fails its transfer on
+// the first attempt. Its own closed mux is not a transient transfer failure,
+// so nothing relaunches against it, nothing is logged as an exhausted
+// budget, and the record carries the attempt count alone.
+func TestStoppedSourceFailsOnce(t *testing.T) {
+	rig := newExecRig(t, 5, 2)
+	var warnings []string
+	logf := func(format string, args ...any) { warnings = append(warnings, format) }
+	var m transfer.Metrics
+	var err error
+	rig.net.Run(func() {
+		rig.start(t)
+		src := rig.clients["a1"]
+		src.Stop()
+		m, err = SendRelaunched(logf, rig.net.Node("a1").Sleep, time.Second, src, "b1",
+			transfer.NewVirtualFile("f", transfer.Mb, 1), 1, "flow 0 (a1 -> b1)")
+	})
+	if err == nil || errors.Is(err, transfer.ErrFailed) || !errors.Is(err, pipe.ErrClosed) {
+		t.Fatalf("stopped source: err = %v, want pipe.ErrClosed and not transfer.ErrFailed", err)
+	}
+	if !strings.HasPrefix(err.Error(), "overlay: client stopped: ") {
+		t.Fatalf("stopped source: err = %q, want it to name the stopped client", err)
+	}
+	if !reflect.DeepEqual(m, transfer.Metrics{Attempts: 1}) {
+		t.Fatalf("stopped source: metrics = %+v, want 1 attempt and nothing else", m)
+	}
+	if len(warnings) != 0 {
+		t.Fatalf("stopped source logged %d relaunch warnings, want none", len(warnings))
 	}
 }
 
