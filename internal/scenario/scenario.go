@@ -252,31 +252,30 @@ const MaxPeers = 1_000_000
 // or a generator spec "uniform:N" / "heterogeneous:N" / "zipf:N" /
 // "churn:N" / "faults:N" with N peers (1 ≤ N ≤ MaxPeers).
 func Parse(spec string) (Scenario, error) {
-	kind, arg, ok := strings.Cut(spec, ":")
-	if !ok {
-		if spec == "table1" {
-			return Table1(), nil
+	if kind, arg, ok := strings.Cut(spec, ":"); ok {
+		n, err := strconv.Atoi(arg)
+		if err != nil || n < 1 || n > MaxPeers {
+			return Scenario{}, fmt.Errorf("scenario: %q: peer count must be an integer in [1, %d]", spec, MaxPeers)
 		}
+		switch kind {
+		case "uniform":
+			return Uniform(n), nil
+		case "heterogeneous":
+			return Heterogeneous(n), nil
+		case "zipf":
+			return Zipf(n), nil
+		case "churn":
+			return Churn(n), nil
+		case "faults":
+			return Faulty(n), nil
+		default:
+			return Scenario{}, fmt.Errorf("scenario: unknown generator %q (want uniform:N, heterogeneous:N, zipf:N, churn:N or faults:N)", kind)
+		}
+	}
+	if spec != "table1" {
 		return Scenario{}, fmt.Errorf("scenario: unknown scenario %q (want table1, uniform:N, heterogeneous:N, zipf:N, churn:N or faults:N)", spec)
 	}
-	n, err := strconv.Atoi(arg)
-	if err != nil || n < 1 || n > MaxPeers {
-		return Scenario{}, fmt.Errorf("scenario: %q: peer count must be an integer in [1, %d]", spec, MaxPeers)
-	}
-	switch kind {
-	case "uniform":
-		return Uniform(n), nil
-	case "heterogeneous":
-		return Heterogeneous(n), nil
-	case "zipf":
-		return Zipf(n), nil
-	case "churn":
-		return Churn(n), nil
-	case "faults":
-		return Faulty(n), nil
-	default:
-		return Scenario{}, fmt.Errorf("scenario: unknown generator %q (want uniform:N, heterogeneous:N, zipf:N, churn:N or faults:N)", kind)
-	}
+	return Table1(), nil
 }
 
 // ---- synthetic generators -----------------------------------------------
