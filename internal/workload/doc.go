@@ -21,8 +21,8 @@
 // churn: Schedule is the pure, queryable view of a scenario's membership
 // schedule (ResolveSources, staleness audits and tests consult it freely),
 // while the Conductor owns everything live — it alone boots and stops
-// clients, holds the live-client map Run hands the executors,
-// and runs the lease-renewal heartbeat.
+// clients, holds the live-client map Run hands the executors as
+// Env.Clients, and runs the lease-renewal heartbeat.
 //
 // Execution has one entry per decision, shared by the experiment cells and
 // the public facade: StartDynamics wires a scenario's schedule, conductor,
@@ -37,5 +37,6 @@
 // SendRelaunched owns the shared ≤Attempts relaunch budget for
 // transmissions the pipe layer abandons outright; the figure cells delegate
 // to it so figures and workloads cannot drift, and exhausting the budget
-// logs an operator-visible warning naming the flow.
+// logs an operator-visible warning naming the flow. Only a transient
+// transfer failure is relaunched: a source whose client stopped fails once.
 package workload
