@@ -5,35 +5,18 @@ import (
 	"time"
 
 	"peerlab/internal/faults"
+	"peerlab/internal/overlay"
 	"peerlab/internal/scenario"
 	"peerlab/internal/simnet"
 	"peerlab/internal/transport"
 )
 
-// recordingBroker captures the injector's broker calls with their virtual
-// timestamps.
-type recordingBroker struct {
-	now  func() time.Time
-	log  []string
-	base time.Time
-}
-
-func (b *recordingBroker) stamp(what string) {
-	b.log = append(b.log, what+"@"+b.now().Sub(b.base).String())
-}
-func (b *recordingBroker) SetDown(down bool) {
-	if down {
-		b.stamp("down")
-	} else {
-		b.stamp("up")
-	}
-}
-func (b *recordingBroker) Restart() { b.stamp("restart") }
-
 // TestInjectorExecutesPlanOnSchedule runs a hand-authored plan against a
-// live simnet: the broker flips down and restarts at the planned instants,
-// a partition severs site↔control traffic for exactly its window, and a
-// loss burst raises (then clears) the control node's extra loss.
+// live simnet and a real broker: during the blackout a control RPC fails,
+// after the restart the broker's directory is empty until the peer
+// re-registers, a partition severs site↔control traffic for exactly its
+// window, and a loss burst raises (then clears) the control node's extra
+// loss.
 func TestInjectorExecutesPlanOnSchedule(t *testing.T) {
 	n := simnet.New(7)
 	control := n.MustAddNode("control", simnet.DefaultProfile())
@@ -46,12 +29,15 @@ func TestInjectorExecutesPlanOnSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	broker, err := overlay.NewBroker(control, overlay.BrokerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	plan := faults.NewPlan([]scenario.FaultEvent{
 		blackout(2*time.Second, 3*time.Second),
 		{At: 10 * time.Second, Dur: 5 * time.Second, Kind: scenario.FaultSitePartition, Site: "site-0"},
 	})
-	broker := &recordingBroker{now: control.Now}
 	inj := faults.NewInjector(control, n, broker, "control",
 		map[string][]string{"site-0": {"peer-0"}}, plan)
 
@@ -64,15 +50,33 @@ func TestInjectorExecutesPlanOnSchedule(t *testing.T) {
 			received++
 		}
 	})
+	var downErr, upErr error
+	var beforeBlackout, afterRestart, afterReport []string
 	n.Run(func() {
-		broker.base = control.Now()
+		base := control.Now()
 		inj.Start()
-		send := func(at time.Duration) {
-			if d := at - control.Now().Sub(broker.base); d > 0 {
+		at := func(off time.Duration) {
+			if d := off - control.Now().Sub(base); d > 0 {
 				control.Sleep(d)
 			}
+		}
+		send := func(off time.Duration) {
+			at(off)
 			siteEp.Send(transport.Addr("control/svc"), []byte{1})
 		}
+		client, err := overlay.BootPeer(sited, broker.Addr(), overlay.ClientConfig{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer client.Stop()
+		beforeBlackout = broker.Peers()
+		at(3 * time.Second) // mid-blackout: the broker drops the RPC
+		downErr = client.ReportStats()
+		at(6 * time.Second) // restarted with a cold cache
+		afterRestart = broker.Peers()
+		upErr = client.ReportStats()
+		afterReport = broker.Peers()
 		send(8 * time.Second)  // before the partition: delivered
 		send(12 * time.Second) // mid-partition: dropped
 		send(16 * time.Second) // healed: delivered
@@ -81,9 +85,15 @@ func TestInjectorExecutesPlanOnSchedule(t *testing.T) {
 	if received != 2 {
 		t.Fatalf("control received %d messages, want 2 (one lost to the partition)", received)
 	}
-	want := []string{"down@2s", "restart@5s"}
-	if len(broker.log) != len(want) || broker.log[0] != want[0] || broker.log[1] != want[1] {
-		t.Fatalf("broker calls = %v, want %v", broker.log, want)
+	if len(beforeBlackout) != 1 || downErr == nil {
+		t.Fatalf("before the blackout the directory held %v; the mid-blackout report returned %v, want an error",
+			beforeBlackout, downErr)
+	}
+	if len(afterRestart) != 0 {
+		t.Fatalf("the restarted broker lists %v, want an empty directory", afterRestart)
+	}
+	if upErr != nil || len(afterReport) != 1 || afterReport[0] != "peer-0" {
+		t.Fatalf("re-registering report: err %v, directory %v; want nil and [peer-0]", upErr, afterReport)
 	}
 }
 
