@@ -253,9 +253,7 @@ func workloadCell(cellCfg Config, w workload.Workload, rep int) (workloadCellRes
 		} else {
 			booted = env.Slice.Control.Now().Sub(dyn.StartedAt())
 			res.departed = dyn.Schedule.Departures()
-			if dyn.Plan != nil {
-				res.brokerDown = dyn.Plan.BrokerDowntime().Seconds()
-			}
+			res.brokerDown = scenario.BrokerDowntime(dyn.Plan).Seconds()
 		}
 		outcome, err := workload.Run(wenv, dyn, w, flows, cellCfg.Seed)
 		if err != nil {

@@ -1,7 +1,7 @@
 // Fault plans: deterministic control-plane fault schedules (broker
 // blackouts, site partitions, loss bursts) drawn from the seed exactly like
 // churn schedules. The scenario layer only *describes* faults — pure data
-// from (labels, seed) — and the runtime (internal/faults) executes them.
+// from (labels, seed) — and the workload layer's injector executes them.
 
 package scenario
 
@@ -63,8 +63,9 @@ type FaultEvent struct {
 }
 
 // SortFaultEvents orders events canonically: by start offset, then kind,
-// then site. Plan executors and Spec round-trips rely on this order being
-// a pure function of the event set.
+// then site. A generated plan comes back in this order, and the injector
+// applies same-instant faults in it, so what a plan does is a pure function
+// of its event set.
 func SortFaultEvents(events []FaultEvent) {
 	sort.Slice(events, func(i, j int) bool {
 		if events[i].At != events[j].At {
@@ -75,6 +76,32 @@ func SortFaultEvents(events []FaultEvent) {
 		}
 		return events[i].Site < events[j].Site
 	})
+}
+
+// BrokerDowntime returns the total broker-blackout time of a plan, with
+// overlapping blackout intervals merged — the session's broker-unavailable
+// budget. It is plan-derived, not runtime-observed, so it is identical at
+// any worker or shard count by construction.
+func BrokerDowntime(events []FaultEvent) time.Duration {
+	type iv struct{ from, to time.Duration }
+	var ivs []iv
+	for _, e := range events {
+		if e.Kind == FaultBrokerBlackout {
+			ivs = append(ivs, iv{e.At, e.At + e.Dur})
+		}
+	}
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i].from < ivs[j].from })
+	var total, end time.Duration
+	for _, v := range ivs {
+		if v.from > end {
+			total += v.to - v.from
+			end = v.to
+		} else if v.to > end {
+			total += v.to - end
+			end = v.to
+		}
+	}
+	return total
 }
 
 // Faulty describes a faults:N slice: the Heterogeneous three-class mixture

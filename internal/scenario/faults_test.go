@@ -116,3 +116,22 @@ func TestFaultBlackoutsNeverOverlap(t *testing.T) {
 		}
 	}
 }
+
+func TestBrokerDowntimeMergesOverlaps(t *testing.T) {
+	blackout := func(at, dur time.Duration) scenario.FaultEvent {
+		return scenario.FaultEvent{At: at, Dur: dur, Kind: scenario.FaultBrokerBlackout}
+	}
+	events := []scenario.FaultEvent{
+		blackout(time.Minute, 2*time.Minute),
+		blackout(2*time.Minute, 2*time.Minute),
+		blackout(10*time.Minute, time.Minute),
+		{At: 2 * time.Minute, Dur: time.Hour, Kind: scenario.FaultLossBurst, Loss: 0.5}, // not a blackout
+	}
+	// [1,3] merged with [2,4] is 3m, plus the disjoint 1m.
+	if got, want := scenario.BrokerDowntime(events), 4*time.Minute; got != want {
+		t.Fatalf("downtime %v, want %v", got, want)
+	}
+	if got := scenario.BrokerDowntime(nil); got != 0 {
+		t.Fatalf("empty plan is down for %v", got)
+	}
+}

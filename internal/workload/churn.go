@@ -1,8 +1,9 @@
 // Churn runtime: Schedule (the pure, queryable view of a scenario's
 // membership schedule), Conductor (the virtual-time process that executes
-// it) and Dynamics (the one place a scenario's schedule, conductor, fault
-// plan and injector are wired together). See the package comment's
-// ownership rules for the split.
+// it), inject (its twin, the process that executes a fault plan) and
+// Dynamics (the one place a scenario's schedule, conductor, fault plan and
+// injector are wired together). See the package comment's ownership rules
+// for the split.
 
 package workload
 
@@ -12,7 +13,6 @@ import (
 	"sort"
 	"time"
 
-	"peerlab/internal/faults"
 	"peerlab/internal/overlay"
 	"peerlab/internal/scenario"
 	"peerlab/internal/transport"
@@ -290,9 +290,9 @@ func (c *Conductor) Err() error { return c.err }
 // StartDynamics, so the two cannot wire a churning world differently.
 type Dynamics struct {
 	*Conductor
-	// Plan is the fault plan the injector runs; nil when the scenario has
-	// none.
-	Plan   *faults.Plan
+	// Plan is the fault plan the injector runs, in canonical order; empty
+	// when the scenario has none.
+	Plan   []scenario.FaultEvent
 	labels []string // the scenario's measured peers, for source re-resolution
 	seed   int64
 }
@@ -305,7 +305,7 @@ type Dynamics struct {
 func StartDynamics(slice *scenario.Slice, broker *overlay.Broker, sc scenario.Scenario, seed int64) (*Dynamics, error) {
 	d := &Dynamics{labels: sc.Labels, seed: seed}
 	if sc.Faults != nil {
-		d.Plan = faults.NewPlan(sc.Faults(seed))
+		d.Plan = sc.Faults(seed)
 	}
 	cpuOf := make(map[string]float64, len(slice.Catalog))
 	for _, p := range slice.Catalog {
@@ -333,17 +333,71 @@ func StartDynamics(slice *scenario.Slice, broker *overlay.Broker, sc scenario.Sc
 		return d, err
 	}
 	d.Start()
-	if d.Plan != nil {
-		// Only named sites can be partitioned.
-		sites := make(map[string][]string)
-		for _, p := range slice.Catalog {
-			if p.Site != "" {
-				sites[p.Site] = append(sites[p.Site], p.Hostname)
-			}
-		}
-		faults.NewInjector(slice.Control, slice.Net, broker, slice.Control.Name(), sites, d.Plan).Start()
+	if sc.Faults != nil {
+		inject(slice, broker, d.Plan)
 	}
 	return d, nil
+}
+
+// inject spawns the fault plan's process, the conductor's twin: it sleeps
+// from one fault edge to the next and flips the broker or the network at
+// each. Offsets are relative to the instant inject is called, the session
+// start, and the process draws nothing. Ends sort before starts at equal
+// instants, so a back-to-back blackout pair restarts the broker before
+// taking it down again. A partition severs every catalog host of its site
+// from the control node in both directions; a loss burst loads the control
+// node's links with the summed rate of the bursts live at that instant.
+func inject(slice *scenario.Slice, broker *overlay.Broker, events []scenario.FaultEvent) {
+	type edge struct {
+		at    time.Duration
+		start bool
+		event scenario.FaultEvent
+	}
+	var edges []edge
+	for _, e := range events {
+		edges = append(edges, edge{e.At, true, e}, edge{e.At + e.Dur, false, e})
+	}
+	sort.SliceStable(edges, func(i, j int) bool {
+		if edges[i].at != edges[j].at {
+			return edges[i].at < edges[j].at
+		}
+		return !edges[i].start && edges[j].start
+	})
+	host, control := slice.Control, slice.Control.Name()
+	base := host.Now()
+	loss := 0.0
+	host.Go(func() {
+		for _, x := range edges {
+			if d := x.at - host.Now().Sub(base); d > 0 {
+				host.Sleep(d)
+			}
+			switch e := x.event; e.Kind {
+			case scenario.FaultBrokerBlackout:
+				if x.start {
+					broker.SetDown(true)
+				} else {
+					broker.Restart()
+				}
+			case scenario.FaultSitePartition:
+				for _, p := range slice.Catalog {
+					if p.Site == e.Site {
+						slice.Net.Partition(p.Hostname, control, x.start)
+						slice.Net.Partition(control, p.Hostname, x.start)
+					}
+				}
+			case scenario.FaultLossBurst:
+				if x.start {
+					loss += e.Loss
+				} else {
+					loss -= e.Loss
+				}
+				if loss < 1e-12 {
+					loss = 0
+				}
+				slice.Net.SetExtraLoss(control, loss)
+			}
+		}
+	})
 }
 
 // Run executes flows with the engine w names — the piece engine for a

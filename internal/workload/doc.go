@@ -26,10 +26,10 @@
 //
 // Execution has one entry per decision, shared by the experiment cells and
 // the public facade: StartDynamics wires a scenario's schedule, conductor,
-// fault plan and injector (the only caller of NewConductor and
-// faults.NewInjector), and Run dispatches a flow set to its engine —
-// ExecuteDisseminate for a piece-level workload, Execute otherwise — over
-// static or live membership. Any client may originate transfers: every flow
+// fault plan and injector (the only caller of NewConductor and of inject,
+// the conductor's twin that replays a fault plan and draws nothing), and Run
+// dispatches a flow set to its engine — ExecuteDisseminate for a
+// piece-level workload, Execute otherwise — over static or live membership. Any client may originate transfers: every flow
 // is its own virtual-time process, resolving the source's client and —
 // when the flow says so — the source's own selection call, with the control
 // node excluded from sink candidacy.

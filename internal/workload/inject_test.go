@@ -1,10 +1,9 @@
-package faults_test
+package workload
 
 import (
 	"testing"
 	"time"
 
-	"peerlab/internal/faults"
 	"peerlab/internal/overlay"
 	"peerlab/internal/scenario"
 	"peerlab/internal/simnet"
@@ -34,12 +33,12 @@ func TestInjectorExecutesPlanOnSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plan := faults.NewPlan([]scenario.FaultEvent{
-		blackout(2*time.Second, 3*time.Second),
+	slice := &scenario.Slice{Net: n, Control: control,
+		Catalog: []scenario.Peer{{Label: "p000", Hostname: "peer-0", Site: "site-0"}}}
+	plan := []scenario.FaultEvent{
+		{At: 2 * time.Second, Dur: 3 * time.Second, Kind: scenario.FaultBrokerBlackout},
 		{At: 10 * time.Second, Dur: 5 * time.Second, Kind: scenario.FaultSitePartition, Site: "site-0"},
-	})
-	inj := faults.NewInjector(control, n, broker, "control",
-		map[string][]string{"site-0": {"peer-0"}}, plan)
+	}
 
 	received := 0
 	n.Scheduler().Go(func() {
@@ -54,7 +53,7 @@ func TestInjectorExecutesPlanOnSchedule(t *testing.T) {
 	var beforeBlackout, afterRestart, afterReport []string
 	n.Run(func() {
 		base := control.Now()
-		inj.Start()
+		inject(slice, broker, plan)
 		at := func(off time.Duration) {
 			if d := off - control.Now().Sub(base); d > 0 {
 				control.Sleep(d)
@@ -115,11 +114,11 @@ func TestInjectorOverlappingLossBursts(t *testing.T) {
 
 	// Two bursts of 0.5 overlap on [2s, 4s]: summed loss 1 drops all
 	// control-bound traffic; after 6s everything flows again.
-	plan := faults.NewPlan([]scenario.FaultEvent{
+	slice := &scenario.Slice{Net: n, Control: control}
+	plan := []scenario.FaultEvent{
 		{At: time.Second, Dur: 3 * time.Second, Kind: scenario.FaultLossBurst, Loss: 0.5},
 		{At: 2 * time.Second, Dur: 4 * time.Second, Kind: scenario.FaultLossBurst, Loss: 0.5},
-	})
-	inj := faults.NewInjector(control, n, nil, "control", nil, plan)
+	}
 
 	received := 0
 	n.Scheduler().Go(func() {
@@ -133,7 +132,7 @@ func TestInjectorOverlappingLossBursts(t *testing.T) {
 	var base time.Time
 	n.Run(func() {
 		base = control.Now()
-		inj.Start()
+		inject(slice, nil, plan) // no blackout, so no broker
 		send := func(at time.Duration) {
 			if d := at - control.Now().Sub(base); d > 0 {
 				control.Sleep(d)
