@@ -70,15 +70,18 @@ type Metrics struct {
 }
 
 // PetitionDelay is the paper's Figure 2 quantity: how long the peer took to
-// receive the petition.
+// receive the petition. It is 0 when the petition was never acknowledged.
 func (m Metrics) PetitionDelay() time.Duration {
+	if m.PetitionReceived.IsZero() {
+		return 0
+	}
 	return m.PetitionReceived.Sub(m.PetitionSent)
 }
 
 // TransmissionTime covers first part transmission through last confirmation
-// (Figures 3 and 5).
+// (Figures 3 and 5). It is 0 when the last part was never confirmed.
 func (m Metrics) TransmissionTime() time.Duration {
-	if len(m.Parts) == 0 {
+	if len(m.Parts) == 0 || m.Parts[len(m.Parts)-1].Confirmed.IsZero() {
 		return 0
 	}
 	return m.Parts[len(m.Parts)-1].Confirmed.Sub(m.Parts[0].Started)

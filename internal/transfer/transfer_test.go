@@ -590,6 +590,41 @@ func TestMetricsDerivations(t *testing.T) {
 	}
 }
 
+// TestFailedSendReportsZeroDurations: a send that fails before an instant
+// is stamped reports 0 for the duration that instant would end, not a span
+// from the zero time. The first petition is never answered, so neither
+// duration is known; the second is acknowledged and part 0 of 4 confirmed,
+// but the last part never is.
+func TestFailedSendReportsZeroDurations(t *testing.T) {
+	t.Cleanup(func() { pipe.SetDebugDispatch(nil) })
+	file := NewVirtualFile("f.bin", 2*Mb, 5)
+	for _, tc := range []struct {
+		name     string
+		setup    func(*transcript)
+		petition bool // whether the petition is acknowledged
+	}{
+		{"petition never answered", nil, false},
+		{"part ack times out after part 0 of 4", (*transcript).serveFirstPartOnly, true},
+	} {
+		tr := newTranscript(t, tc.name)
+		if tc.setup != nil {
+			tc.setup(tr)
+		}
+		var m Metrics
+		var err error
+		tr.net.Run(func() { m, err = tr.sender.Send("dst/xfer", file, 4) })
+		if err == nil || !m.Failed {
+			t.Fatalf("%s: err %v, failed %v; want a failed send", tc.name, err, m.Failed)
+		}
+		if d := m.PetitionDelay(); (d > 0) != tc.petition || d < 0 {
+			t.Errorf("%s: petition delay %v", tc.name, d)
+		}
+		if d := m.TransmissionTime(); d != 0 {
+			t.Errorf("%s: transmission time %v, want 0", tc.name, d)
+		}
+	}
+}
+
 // TestDecodePiecePetitionBoundsCount: the index count is checked against
 // the input before anything is sized by it. Pieces is the sender's word
 // too, so a frame of a few bytes claiming 2^30 indices of 2^30 pieces used
