@@ -265,13 +265,14 @@ func workloadCell(cellCfg Config, w workload.Workload, rep int) (workloadCellRes
 		}
 		if dyn != nil {
 			res.stale, res.lagged = auditSelections(outcome.Results, dyn, sc.EffectiveAdvTTL())
-			if lag := dyn.Lag(); lag > staleSlack {
+			if lag, late := dyn.Lag(); lag > staleSlack {
 				logf := cellCfg.Logf
 				if logf == nil {
 					logf = log.Printf
 				}
-				logf("experiments: WARNING: %s: the churn schedule ran up to %v late (its %d initial peers took %v to boot, one registration at a time); the stale-selection audit allowed for that much",
-					sc.Name, lag, len(dyn.Schedule.Initial()), booted)
+				logf("experiments: WARNING: %s: the churn schedule ran up to %v late, at the %v of %s due at %v; the stale-selection audit allowed for that much. Its %d initial peers took %v to boot, one registration at a time",
+					sc.Name, lag.Round(time.Millisecond), late.Kind, late.Label, late.At.Round(time.Millisecond),
+					len(dyn.Schedule.Initial()), booted.Round(time.Millisecond))
 			}
 		}
 		return res, nil
@@ -302,6 +303,7 @@ const selectFlight = 5 * time.Second
 // filter should have made impossible. Fixed-sink flows (dissemination
 // downloaders among them) select nothing and are skipped.
 func auditSelections(results []workload.Result, dyn *workload.Dynamics, advTTL time.Duration) (stale, lagged int) {
+	lag, _ := dyn.Lag()
 	for _, r := range results {
 		if r.Flow.Model == "" || r.Sink == "" || r.SelectedAt.IsZero() {
 			continue
@@ -314,7 +316,7 @@ func auditSelections(results []workload.Result, dyn *workload.Dynamics, advTTL t
 		// the broker decides one request leg later, and a rejoin
 		// registering inside that flight legitimately puts the sink
 		// back in the candidate set.
-		if dyn.Schedule.DownThroughout(r.Sink, at-advTTL-staleSlack-dyn.Lag(), at+selectFlight) {
+		if dyn.Schedule.DownThroughout(r.Sink, at-advTTL-staleSlack-lag, at+selectFlight) {
 			stale++
 		} else {
 			lagged++

@@ -251,6 +251,35 @@ func TestLateScheduleIsLaggedNotStale(t *testing.T) {
 	}
 }
 
+// TestLagWarningNamesTheLateTransition: on churn:16 × swarm:16, seed 1, the
+// initial peers boot in about a second, but the rejoin of p001 due at
+// 6m5.144s waits out its peer's wake lag and registers 17.673s late, and the
+// schedule process is blocked behind it. The one lag warning must name that
+// join as where the schedule fell behind.
+func TestLagWarningNamesTheLateTransition(t *testing.T) {
+	sc, err := scenario.Parse("churn:16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var warnings []string
+	if _, err := RunWorkload(Config{Seed: 1, Reps: 1, Workers: 1, Scenario: sc, Workload: workload.Swarm(16),
+		Logf: func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }}); err != nil {
+		t.Fatal(err)
+	}
+	late := 0
+	for _, w := range warnings {
+		if strings.Contains(w, "the churn schedule ran up to") {
+			late++
+			if !strings.Contains(w, "17.673s late, at the join of p001 due at 6m5.144s") {
+				t.Errorf("lag warning %q does not name the join of p001", w)
+			}
+		}
+	}
+	if late != 1 {
+		t.Fatalf("%d schedule-lag warnings among %q, want 1", late, warnings)
+	}
+}
+
 // TestStaticScenarioHasNoChurnCounters pins the static compatibility
 // surface: without a churn schedule the new summary counters stay zero and
 // no flow is ever marked failed (a failure aborts the run instead).

@@ -9,7 +9,6 @@ package workload
 
 import (
 	"fmt"
-	"log"
 	"sort"
 	"time"
 
@@ -135,6 +134,7 @@ type Conductor struct {
 	renewEvery time.Duration
 	horizon    time.Duration
 	lag        time.Duration
+	late       scenario.ChurnEvent // the transition that set lag
 	err        error
 }
 
@@ -192,7 +192,9 @@ func (c *Conductor) Start() {
 				c.host.Sleep(d)
 			}
 			c.apply(e)
-			c.lag = max(c.lag, c.host.Now().Sub(c.start)-e.At)
+			if late := c.host.Now().Sub(c.start) - e.At; late > c.lag {
+				c.lag, c.late = late, e
+			}
 		}
 	})
 	if c.renewEvery > 0 {
@@ -252,9 +254,6 @@ func (c *Conductor) apply(e scenario.ChurnEvent) {
 		}
 		cl, err := c.boot(e.Label)
 		if err != nil {
-			// Logged as well as recorded: a join firing after the driver
-			// already sampled Err() would otherwise vanish silently.
-			log.Printf("workload: WARNING: churn join of %s failed: %v", e.Label, err)
 			if c.err == nil {
 				c.err = err
 			}
@@ -268,15 +267,16 @@ func (c *Conductor) apply(e scenario.ChurnEvent) {
 // schedule offsets are relative to it.
 func (c *Conductor) StartedAt() time.Time { return c.start }
 
-// Lag returns the worst lateness of a transition applied so far: how long
-// after its scheduled offset a leave or join took effect. The schedule
-// process starts only once BootInitial has booted the initial population one
-// registration at a time, and applies same-instant transitions one after
-// another, so on a large slice the membership the broker sees trails the
-// Schedule by this much — and a peer may renew a lease the Schedule says it
-// no longer holds. Audits that trust schedule offsets widen their certainty
-// windows by it.
-func (c *Conductor) Lag() time.Duration { return c.lag }
+// Lag returns the worst lateness of a transition applied so far — how long
+// after its scheduled offset a leave or join took effect — and that
+// transition. The schedule process starts only once BootInitial has booted
+// the initial population one registration at a time, and applies
+// transitions one blocking boot after another, so on a large slice, or
+// behind one rejoin that waits out its peer's wake lag, the membership the
+// broker sees trails the Schedule by this much — and a peer may renew a
+// lease the Schedule says it no longer holds. Audits that trust schedule
+// offsets widen their certainty windows by it.
+func (c *Conductor) Lag() (time.Duration, scenario.ChurnEvent) { return c.lag, c.late }
 
 // Err returns the first boot failure the schedule process hit (nil in
 // healthy runs; a rejoin cannot fail on a simulated slice unless the broker

@@ -195,8 +195,8 @@ func TestConductorLagRecordsLateLeave(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if lag := c.Lag(); lag < 50*time.Second || lag > 51*time.Second {
-		t.Fatalf("Lag = %v, want the 50 s c1's join took effect late (due 10 s, registered at 60 s)", lag)
+	if lag, late := c.Lag(); lag < 50*time.Second || lag > 51*time.Second || late != ev(10*time.Second, "c1", scenario.ChurnJoin) {
+		t.Fatalf("Lag = %v at %+v, want the 50 s c1's join took effect late (due 10 s, registered at 60 s)", lag, late)
 	}
 	if want := []string{"a1", "b1", "c1"}; !reflect.DeepEqual(at120, want) {
 		t.Fatalf("directory at 120 s = %v, want %v: the late heartbeat renewed a1 after its scheduled leave", at120, want)
