@@ -304,9 +304,6 @@ type Dynamics struct {
 // runs sc.EffectiveAdvTTL. Conductor.Err is final only at quiescence.
 func StartDynamics(slice *scenario.Slice, broker *overlay.Broker, sc scenario.Scenario, seed int64) (*Dynamics, error) {
 	d := &Dynamics{labels: sc.Labels, seed: seed}
-	if sc.Faults != nil {
-		d.Plan = sc.Faults(seed)
-	}
 	cpuOf := make(map[string]float64, len(slice.Catalog))
 	for _, p := range slice.Catalog {
 		cpuOf[p.Label] = p.Profile.CPUScore
@@ -334,6 +331,7 @@ func StartDynamics(slice *scenario.Slice, broker *overlay.Broker, sc scenario.Sc
 	}
 	d.Start()
 	if sc.Faults != nil {
+		d.Plan = sc.Faults(seed)
 		inject(slice, broker, d.Plan)
 	}
 	return d, nil

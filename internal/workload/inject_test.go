@@ -13,9 +13,8 @@ import (
 // TestInjectorExecutesPlanOnSchedule runs a hand-authored plan against a
 // live simnet and a real broker: during the blackout a control RPC fails,
 // after the restart the broker's directory is empty until the peer
-// re-registers, a partition severs site↔control traffic for exactly its
-// window, and a loss burst raises (then clears) the control node's extra
-// loss.
+// re-registers, and a partition severs site↔control traffic for exactly
+// its window.
 func TestInjectorExecutesPlanOnSchedule(t *testing.T) {
 	n := simnet.New(7)
 	control := n.MustAddNode("control", simnet.DefaultProfile())
