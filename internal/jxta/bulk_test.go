@@ -177,7 +177,7 @@ func TestBulkDecodeAttrsDoNotAlias(t *testing.T) {
 	src := []Advertisement{sampleAdv(), sampleAdv(), sampleAdv()}
 	for i := range src {
 		src[i].Name = fmt.Sprint("sc", i)
-		src[i].Attrs = []Attr{{AttrCPUScore, fmt.Sprint(i)}, {AttrCountry, "ES"}}
+		src[i].Attrs = []Attr{{AttrCPUScore, fmt.Sprint(i)}, {"country", "ES"}}
 	}
 	buf := encodeAdvertisements(src)
 	decode := func() []Advertisement {
@@ -233,12 +233,12 @@ func TestWholeKindQueryResultIsNeverWritten(t *testing.T) {
 				default:
 				}
 				for _, a := range held {
-					_ = a.Attr(AttrCountry)
+					_ = a.Attr("country")
 				}
 			}
 		}()
 	}
-	renewed := held[3].WithAttr(AttrCountry, "FI")
+	renewed := held[3].WithAttr("country", "FI")
 	renewed.Expires = base.Add(time.Hour)
 	c.Publish(renewed) // replaces an entry the held result contains
 	extra := sampleAdv()

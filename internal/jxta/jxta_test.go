@@ -73,7 +73,7 @@ func sampleAdv() Advertisement {
 		Name:    "sc1",
 		Addr:    "sc1/overlay",
 		Expires: base.Add(time.Hour),
-		Attrs:   []Attr{{AttrCPUScore, "1.5"}, {AttrCountry, "ES"}},
+		Attrs:   []Attr{{AttrCPUScore, "1.5"}, {"country", "ES"}},
 	}
 }
 
@@ -92,7 +92,7 @@ func TestAdvertisementRoundtrip(t *testing.T) {
 	if !got.Expires.Equal(a.Expires) {
 		t.Fatalf("expiry %v != %v", got.Expires, a.Expires)
 	}
-	if got.Attr(AttrCPUScore) != "1.5" || got.Attr(AttrCountry) != "ES" {
+	if got.Attr(AttrCPUScore) != "1.5" || got.Attr("country") != "ES" {
 		t.Fatalf("attrs lost: %+v", got.Attrs)
 	}
 }
@@ -137,8 +137,8 @@ func TestCacheExpiry(t *testing.T) {
 	if _, ok := c.Lookup(a.ID); ok {
 		t.Fatal("expired advertisement still visible")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after expiry", c.Len())
+	if n := c.LiveLen(AdvPeer); n != 0 {
+		t.Fatalf("LiveLen = %d after expiry", n)
 	}
 }
 
@@ -148,7 +148,7 @@ func TestCacheRejectsAlreadyExpired(t *testing.T) {
 	a := sampleAdv()
 	a.Expires = base.Add(-time.Second)
 	c.Publish(a)
-	if c.Len() != 0 {
+	if c.LiveLen(AdvPeer) != 0 {
 		t.Fatal("expired advertisement stored")
 	}
 }
@@ -196,8 +196,8 @@ func TestCacheRefreshReplacesEntry(t *testing.T) {
 	if got.Addr != "sc1/new" {
 		t.Fatalf("refresh did not replace: %+v", got)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if n := c.LiveLen(AdvPeer); n != 1 {
+		t.Fatalf("LiveLen = %d, want 1", n)
 	}
 }
 
@@ -256,8 +256,8 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", c.Len())
+	if n := c.LiveLen(AdvPeer); n != 8 {
+		t.Fatalf("LiveLen = %d, want 8", n)
 	}
 }
 
@@ -340,7 +340,7 @@ func TestSweepEvictsExpiredOnly(t *testing.T) {
 
 func TestExpiredLeaseNeverServed(t *testing.T) {
 	// Lazy expiry alone (no Sweep calls) must already keep every read
-	// path dead-lease free: lookups, queries and Len filter on the clock.
+	// path dead-lease free: lookups, queries and LiveLen filter on the clock.
 	now, cur := clockAt(base)
 	c := NewCache(0, now)
 	a := sampleAdv()
@@ -353,7 +353,7 @@ func TestExpiredLeaseNeverServed(t *testing.T) {
 	if got := c.Query(a.Kind, ""); len(got) != 0 {
 		t.Fatalf("Query served %d expired leases", len(got))
 	}
-	if c.Len() != 0 {
-		t.Fatal("Len counted an expired lease")
+	if c.LiveLen(a.Kind) != 0 {
+		t.Fatal("LiveLen counted an expired lease")
 	}
 }

@@ -26,7 +26,8 @@ func checkAdvertisedAddresses(t *testing.T, c *Client, step string) {
 		t.Errorf("%s: discover reply of kind %d: %v", step, kind, err)
 		return
 	}
-	advs, err := decodeDiscoverResult(d)
+	dir, err := scanDiscoverResult(d)
+	advs := dir.Decode()
 	if err != nil || len(advs) == 0 {
 		t.Errorf("%s: discover reply of %d advertisements: %v", step, len(advs), err)
 		return
@@ -52,9 +53,10 @@ func TestTransferAddressIsAdvertised(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients := map[string]*Client{}
+		nodes, clients := map[string]*simnet.Node{}, map[string]*Client{}
 		for _, name := range []string{"sc1", "sc2", "sc3"} {
-			clients[name] = NewClient(n.MustAddNode(name, clientProfile()), broker.Addr(), ClientConfig{})
+			nodes[name] = n.MustAddNode(name, clientProfile())
+			clients[name] = NewClient(nodes[name], broker.Addr(), ClientConfig{})
 		}
 		n.Run(func() {
 			for _, name := range []string{"sc1", "sc2", "sc3"} {
@@ -82,7 +84,7 @@ func TestTransferAddressIsAdvertised(t *testing.T) {
 			// sc3 leaves and its node rejoins as a fresh incarnation.
 			clients["sc3"].Stop()
 			bhost.Sleep(time.Second)
-			c, err := BootPeer(n.Node("sc3"), broker.Addr(), ClientConfig{CPUScore: 2})
+			c, err := BootPeer(nodes["sc3"], broker.Addr(), ClientConfig{CPUScore: 2})
 			if err != nil {
 				t.Errorf("rejoin sc3: %v", err)
 				return

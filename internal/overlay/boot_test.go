@@ -56,24 +56,19 @@ func TestStartTeardownOnRegistrationFailure(t *testing.T) {
 	if startErr == nil {
 		t.Fatal("Start succeeded under a broker blackout")
 	}
-	if d.clients["sc1"].Registered() {
-		t.Fatal("failed boot left the client marked registered")
+	if peers := d.broker.Peers(); len(peers) != 0 {
+		t.Fatalf("failed boot left the broker with peers %v", peers)
 	}
 	// The run quiesced (net.Run returned), so no residual process is
 	// spinning. Now prove the endpoints were released: a full reboot on the
 	// same node must bind both services again.
 	d.broker.SetDown(false)
-	var c *Client
 	var bootErr error
 	d.net.Run(func() {
-		node := d.net.Node("sc1")
-		c, bootErr = BootPeer(node, d.broker.Addr(), ClientConfig{CPUScore: 1.5})
+		_, bootErr = BootPeer(d.nodes["sc1"], d.broker.Addr(), ClientConfig{CPUScore: 1.5})
 	})
 	if bootErr != nil {
 		t.Fatalf("reboot after failed Start: %v", bootErr)
-	}
-	if !c.Registered() {
-		t.Fatal("rebooted client not registered")
 	}
 	if got := d.broker.Peers(); len(got) != 1 || got[0] != "sc1" {
 		t.Fatalf("broker peers after reboot = %v", got)
@@ -244,7 +239,7 @@ func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
 		hosts[i] = d.net.MustAddNode(fmt.Sprintf("b%02d", i), clientProfile())
 	}
 	d.net.Run(func() {
-		spawner := d.net.Node("broker0")
+		spawner := d.nodes["broker0"]
 		for i := 0; i < burst; i++ {
 			spawner.Go(dial(i, hosts[i]))
 		}

@@ -109,14 +109,11 @@ func errClass(err error) string {
 // and reports any difference in advertisements or error class.
 func checkDecodeSameAsReference(body []byte) error {
 	want, wantErr := referenceDecodeDiscoverResult(wire.NewDecoder(body))
-	got, err := decodeDiscoverResult(wire.NewDecoder(body))
+	dir, err := scanDiscoverResult(wire.NewDecoder(body))
 	if errClass(err) != errClass(wantErr) {
 		return fmt.Errorf("bulk error %v, reference error %v", err, wantErr)
 	}
-	if err != nil && got != nil {
-		return fmt.Errorf("advertisements returned beside error %v", err)
-	}
-	if err == nil && !reflect.DeepEqual(got, want) {
+	if err == nil && !reflect.DeepEqual(dir.Decode(), want) {
 		return errors.New("bulk decode differs from the reference field for field")
 	}
 	return nil
@@ -145,7 +142,7 @@ func TestDiscoverReplyFrameAndDecode(t *testing.T) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		garbage := append(body[:len(body):len(body)], 0x00)
-		if _, err := decodeDiscoverResult(wire.NewDecoder(garbage)); !errors.Is(err, wire.ErrCorrupt) {
+		if _, err := scanDiscoverResult(wire.NewDecoder(garbage)); !errors.Is(err, wire.ErrCorrupt) {
 			t.Fatalf("n=%d: trailing byte accepted: %v", n, err)
 		}
 		if err := checkDecodeSameAsReference(garbage); err != nil {
@@ -193,7 +190,12 @@ func FuzzDecodeDiscoverResult(f *testing.F) {
 		var err error
 		limit, spent := uint64(32*len(body)+4096), ^uint64(0)
 		for try := 0; try < 3 && spent > limit; try++ {
-			spent = min(spent, allocatedBytes(func() { _, err = decodeDiscoverResult(wire.NewDecoder(body)) }))
+			spent = min(spent, allocatedBytes(func() {
+				var dir jxta.Directory
+				if dir, err = scanDiscoverResult(wire.NewDecoder(body)); err == nil {
+					dir.Decode()
+				}
+			}))
 		}
 		if spent > limit {
 			t.Fatalf("decoding %d bytes allocated %d (limit %d, err %v)", len(body), spent, limit, err)
@@ -389,9 +391,11 @@ func TestDiscoverAllocBudgets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err = decodeDiscoverResult(dec); err != nil {
+		dir, err := scanDiscoverResult(dec)
+		if err != nil {
 			t.Fatal(err)
 		}
+		got = dir.Decode()
 	}
 	if allocs := testing.AllocsPerRun(50, decode); allocs > 4 {
 		t.Errorf("client side: %v allocations to decode a 128-peer reply, budget 4", allocs)
@@ -485,9 +489,13 @@ func TestDirectoryMergeReused(t *testing.T) {
 		host.Sleep(30 * time.Second)
 		publish(late...)
 		changed("renew", 200)
-		b.shardOf(extra.Name).cache.Remove(extra.ID)
-		changed("Remove", 199)
-		host.Sleep(31 * time.Second) // early's leases are over, late's have 29 s left
+		short := extra
+		short.Expires = host.Now().Add(time.Second)
+		b.shardOf(extra.Name).cache.Publish(short)
+		changed("a shortened lease", 200)
+		host.Sleep(time.Second)
+		changed("the shortened lease's expiry", 199)
+		host.Sleep(30 * time.Second) // early's leases are over, late's have 29 s left
 		changed("lease expiry", 99)
 		for _, sh := range b.shards {
 			if dropped := sh.cache.Sweep(host.Now()); dropped != 0 {

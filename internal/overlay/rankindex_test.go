@@ -153,7 +153,7 @@ func TestRankIndexMatchesScan(t *testing.T) {
 	// Time shift: economic replays across instants (Now-shift invariant
 	// once every ReadyAt has passed), same-priority rebuilds at the new
 	// instant — both must still equal the scan.
-	d.net.Run(func() { d.net.Node("broker0").Sleep(10 * time.Second) })
+	d.net.Run(func() { d.nodes["broker0"].Sleep(10 * time.Second) })
 	mustMatchScan(t, b, eco)
 	mustMatchScan(t, b, same)
 }
@@ -399,7 +399,7 @@ func checkSelectionProgram(t *testing.T, seed int64, shards, steps int, cov *sel
 			names = append(names, name)
 		default: // a clock advance, none at all in a third of them
 			if dt := time.Duration(rng.Intn(3)) * time.Duration(1+rng.Intn(20)) * time.Second; dt > 0 {
-				d.net.Run(func() { d.net.Node("broker0").Sleep(dt) })
+				d.net.Run(func() { d.nodes["broker0"].Sleep(dt) })
 			}
 		}
 	}

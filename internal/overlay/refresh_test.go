@@ -128,7 +128,7 @@ func TestBadDiscoverReplyKeepsCachedDirectory(t *testing.T) {
 				t.Errorf("%s: Discover = %v, %v; want an error of class %q", tc.name, got, err, tc.class)
 			}
 			if tc.frame[0] == mtDiscoverResult {
-				if _, want := decodeDiscoverResult(wire.NewDecoder(tc.frame[1:])); want == nil || err == nil || err.Error() != want.Error() {
+				if _, want := scanDiscoverResult(wire.NewDecoder(tc.frame[1:])); want == nil || err == nil || err.Error() != want.Error() {
 					t.Errorf("%s: Discover returned %v, decoding the reply returns %v", tc.name, err, want)
 				}
 			}

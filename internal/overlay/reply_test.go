@@ -194,7 +194,7 @@ func TestCachedReplyUnchangedByHeartbeatRound(t *testing.T) {
 	}
 	d.net.Run(func() {
 		d.startAll(t)
-		join := d.net.Node("broker0").NewQueue()
+		join := d.nodes["broker0"].NewQueue()
 		for name, c := range d.clients {
 			c.host.Go(func() {
 				if err := c.ReportStats(); err != nil {

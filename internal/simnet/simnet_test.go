@@ -302,11 +302,13 @@ func TestPartitionAndHeal(t *testing.T) {
 	n.Run(func() {
 		n.Partition("a", "b", true)
 		epA.Send(epB.Addr(), []byte{1})
-		n.Partition("a", "b", false)
+		n.Partition("a", "b", true) // an idempotent re-cut must not heal
 		epA.Send(epB.Addr(), []byte{2})
+		n.Partition("a", "b", false)
+		epA.Send(epB.Addr(), []byte{3})
 	})
 	if received != 1 {
-		t.Fatalf("received %d, want 1 (one dropped during partition)", received)
+		t.Fatalf("received %d, want 1 (two dropped during partition)", received)
 	}
 }
 
@@ -572,7 +574,7 @@ func TestSetExtraLossAddsToEitherEndpoint(t *testing.T) {
 		}
 		// Sends return at serialization, deliveries land one latency
 		// later; drain the pipe before snapshotting and clearing.
-		n.Node("a").Sleep(time.Second)
+		n.Scheduler().Sleep(time.Second)
 		duringBurst = received
 		n.SetExtraLoss("b", 0)
 		for i := 0; i < burst; i++ {
@@ -582,7 +584,7 @@ func TestSetExtraLossAddsToEitherEndpoint(t *testing.T) {
 	if duringBurst < burst/4 || duringBurst > 3*burst/4 {
 		t.Fatalf("burst delivered %d of %d, want roughly half", duringBurst, burst)
 	}
-	n.Run(func() { n.Node("a").Sleep(time.Second) })
+	n.Run(func() { n.Scheduler().Sleep(time.Second) })
 	if after := received - duringBurst; after != burst {
 		t.Fatalf("after clearing extra loss %d of %d delivered", after, burst)
 	}

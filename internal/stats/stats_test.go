@@ -28,7 +28,8 @@ var t0 = time.Date(2007, 3, 1, 0, 0, 0, 0, time.UTC)
 
 // TestFlowOrigination covers the origin-side attribution counters.
 func TestFlowOrigination(t *testing.T) {
-	p := NewPeerStats("src", nil)
+	clock, _ := fixedClock(t0)
+	p := NewPeerStats("src", clock)
 	if s := p.Snapshot(); s.TransfersOriginated != 0 || s.PctTransfersOriginated != 100 || s.BytesOriginated != 0 {
 		t.Fatalf("empty origination = %+v", s)
 	}
@@ -63,9 +64,10 @@ func fnvPick(regs []*Registry) func(string) *Registry {
 // the broker that concurrent writers genuinely share.
 func TestUnionConcurrentMultiSourceWriters(t *testing.T) {
 	const shards, writers, perWriter, peers = 4, 16, 200, 13
+	clock, _ := fixedClock(t0)
 	regs := make([]*Registry, shards)
 	for i := range regs {
-		regs[i] = NewRegistry(nil)
+		regs[i] = NewRegistry(clock)
 	}
 	u := NewUnion(regs, fnvPick(regs))
 
@@ -144,9 +146,10 @@ func TestUnionConcurrentMultiSourceWriters(t *testing.T) {
 // totals must equal the sum the writers actually recorded.
 func TestUnionOriginConsistentUnderDeparture(t *testing.T) {
 	const shards, peers, launches = 3, 11, 120
+	clock, _ := fixedClock(t0)
 	regs := make([]*Registry, shards)
 	for i := range regs {
-		regs[i] = NewRegistry(nil)
+		regs[i] = NewRegistry(clock)
 	}
 	pick := fnvPick(regs)
 	u := NewUnion(regs, pick)

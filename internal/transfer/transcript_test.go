@@ -192,11 +192,15 @@ func TestTransferTranscript(t *testing.T) {
 	accepting := func(tr *transcript) { tr.serve() }
 	refusing := func(tr *transcript) { refuseAll(tr.dstN, tr.dst) }
 	halfSilent := func(tr *transcript) { tr.serveFirstPartOnly() }
-	down := func(tr *transcript) { tr.net.SetDown("dst", true) }
+	// down takes dst off the network: src and dst severed both ways.
+	down := func(tr *transcript) {
+		tr.net.Partition("src", "dst", true)
+		tr.net.Partition("dst", "src", true)
+	}
 	// dying takes dst off the network 200 ms into body.
 	dying := func(body func(*transcript)) func(*transcript) {
 		return func(tr *transcript) {
-			tr.dstN.AfterFunc(200*time.Millisecond, func() { tr.net.SetDown("dst", true) })
+			tr.dstN.AfterFunc(200*time.Millisecond, func() { down(tr) })
 			body(tr)
 		}
 	}

@@ -168,8 +168,9 @@ func TestConductorLagRecordsLateLeave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	nodes := map[string]*simnet.Node{}
 	for _, name := range []string{"a1", "b1", "c1"} {
-		net.MustAddNode(name, execProfile())
+		nodes[name] = net.MustAddNode(name, execProfile())
 	}
 	c := NewConductor(ctl, NewSchedule([]scenario.ChurnEvent{
 		ev(0, "a1", scenario.ChurnJoin),
@@ -178,7 +179,7 @@ func TestConductorLagRecordsLateLeave(t *testing.T) {
 		ev(25*time.Second, "a1", scenario.ChurnLeave),
 	}), ttl/3, 3*time.Minute, func(label string) (*overlay.Client, error) {
 		ctl.Sleep(20 * time.Second)
-		return overlay.BootPeer(net.Node(label), broker.Addr(), overlay.ClientConfig{})
+		return overlay.BootPeer(nodes[label], broker.Addr(), overlay.ClientConfig{})
 	})
 	var at120, at155 []string
 	net.Run(func() {

@@ -140,6 +140,7 @@ func execProfile() simnet.Profile {
 // execRig is a control node plus n peers with a broker and started clients.
 type execRig struct {
 	net     *simnet.Network
+	nodes   map[string]*simnet.Node // control's and every peer's
 	broker  *overlay.Broker
 	control *overlay.Client
 	clients map[string]*overlay.Client
@@ -154,11 +155,12 @@ func newExecRig(t *testing.T, seed int64, n int) *execRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig := &execRig{net: net, broker: broker, clients: make(map[string]*overlay.Client)}
+	rig := &execRig{net: net, nodes: map[string]*simnet.Node{"control": ctlNode}, broker: broker, clients: make(map[string]*overlay.Client)}
 	rig.control = overlay.NewClient(ctlNode, broker.Addr(), overlay.ClientConfig{CPUScore: 2})
 	for i := 0; i < n; i++ {
 		name := string(rune('a'+i)) + "1"
 		node := net.MustAddNode(name, execProfile())
+		rig.nodes[name] = node
 		rig.clients[name] = overlay.NewClient(node, broker.Addr(), overlay.ClientConfig{})
 		rig.peers = append(rig.peers, name)
 	}
@@ -167,7 +169,7 @@ func newExecRig(t *testing.T, seed int64, n int) *execRig {
 
 func (r *execRig) env() Env {
 	return Env{
-		Host:         r.net.Node("control"),
+		Host:         r.nodes["control"],
 		Control:      r.control,
 		Clients:      r.clients,
 		ExcludeSinks: []string{"control"},
@@ -203,7 +205,7 @@ func TestStoppedSourceFailsOnce(t *testing.T) {
 		rig.start(t)
 		src := rig.clients["a1"]
 		src.Stop()
-		m, err = SendRelaunched(logf, rig.net.Node("a1").Sleep, time.Second, src, "b1",
+		m, err = SendRelaunched(logf, rig.nodes["a1"].Sleep, time.Second, src, "b1",
 			transfer.NewVirtualFile("f", transfer.Mb, 1), 1, "flow 0 (a1 -> b1)")
 	})
 	if err == nil || errors.Is(err, transfer.ErrFailed) || !errors.Is(err, pipe.ErrClosed) {
