@@ -44,9 +44,6 @@ func (id ID) String() string {
 	return "urn:jxta:uuid-" + hex.EncodeToString(id[:])
 }
 
-// IsZero reports whether the ID is unset.
-func (id ID) IsZero() bool { return id == ID{} }
-
 // AdvKind distinguishes advertisement types.
 type AdvKind byte
 
@@ -254,7 +251,7 @@ type Cache struct {
 	// stale-but-valid: the scan it eventually triggers removes nothing and
 	// recomputes it.
 	minExpiry time.Time
-	// version counts mutations (publish, eviction, removal, expiry).
+	// version counts mutations (publish, eviction, expiry, Clear).
 	version uint64
 }
 
@@ -283,13 +280,10 @@ func (d *kindDir) search(name string, id ID) int {
 }
 
 // NewCache returns a cache holding at most limit advertisements (default
-// 1024 when limit <= 0); now supplies time and may be nil for wall clock.
+// 1024 when limit <= 0); now supplies time.
 func NewCache(limit int, now func() time.Time) *Cache {
 	if limit <= 0 {
 		limit = 1024
-	}
-	if now == nil {
-		now = time.Now
 	}
 	return &Cache{now: now, limit: limit, byID: make(map[ID]Advertisement)}
 }
@@ -433,24 +427,6 @@ func (c *Cache) Clear() {
 	c.version++
 }
 
-// Remove deletes an advertisement by ID.
-func (c *Cache) Remove(id ID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if a, ok := c.byID[id]; ok {
-		c.dropLocked(a)
-		c.version++
-	}
-}
-
-// Len reports the number of live advertisements.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gcLocked(c.now())
-	return len(c.byID)
-}
-
 // LiveLen reports the number of live advertisements of one kind without
 // materializing them — O(1) on the static fast path. It always equals
 // len(Query(kind, "")).
@@ -462,7 +438,7 @@ func (c *Cache) LiveLen(kind AdvKind) int {
 }
 
 // Stamp returns the mutation version as of now. Stored means live and every
-// change to what is stored — publish, eviction, removal, expiry — advances
+// change to what is stored — publish, eviction, expiry, Clear — advances
 // the version, so two equal stamps mean the live set, entries and payloads,
 // is identical at both instants. O(1) on the static fast path. The broker's
 // rank index and its merged directory key on it.
@@ -476,7 +452,6 @@ func (c *Cache) Stamp() uint64 {
 // Standard attribute keys used by the overlay.
 const (
 	AttrCPUScore = "cpu-score"
-	AttrCountry  = "country"
 	// AttrPieces and AttrUnchoked carry a disseminating peer's piece
 	// inventory (comma-joined indices) and currently unchoked hostnames
 	// (comma-joined); published by the broker's piece-report handler.

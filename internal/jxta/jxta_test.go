@@ -47,16 +47,6 @@ func TestIDString(t *testing.T) {
 	}
 }
 
-func TestIDIsZero(t *testing.T) {
-	var z ID
-	if !z.IsZero() {
-		t.Fatal("zero ID not zero")
-	}
-	if NewID("a", "b").IsZero() {
-		t.Fatal("derived ID is zero")
-	}
-}
-
 func TestAdvKindString(t *testing.T) {
 	if AdvPeer.String() != "peer" || AdvPipe.String() != "pipe" || AdvModule.String() != "module" {
 		t.Fatal("kind names wrong")
@@ -222,17 +212,6 @@ func TestCacheEvictsClosestToExpiryWhenFull(t *testing.T) {
 	}
 	if _, ok := c.Lookup(NewID("peer", "new")); !ok {
 		t.Fatal("new entry missing")
-	}
-}
-
-func TestCacheRemove(t *testing.T) {
-	clock, _ := clockAt(base)
-	c := NewCache(10, clock)
-	a := sampleAdv()
-	c.Publish(a)
-	c.Remove(a.ID)
-	if _, ok := c.Lookup(a.ID); ok {
-		t.Fatal("removed advertisement still visible")
 	}
 }
 

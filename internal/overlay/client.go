@@ -63,7 +63,6 @@ type Client struct {
 	sender  *transfer.Sender
 	exec    *task.Executor
 
-	registered atomic.Bool
 	// stopped is set by Stop: from then on a failed call or send failed on
 	// the client's own closed mux, not at the broker or the sink.
 	stopped    atomic.Bool
@@ -161,7 +160,6 @@ func (c *Client) register() error {
 	if err != nil || !ack.OK {
 		return ErrRegistrationRefused
 	}
-	c.registered.Store(true)
 	return nil
 }
 
@@ -444,9 +442,6 @@ func (c *Client) SelectPeers(model string, req core.Request, max int, preferred 
 // Name returns the client's node name — how the broker and other peers know
 // it.
 func (c *Client) Name() string { return c.host.Name() }
-
-// Registered reports whether the client completed broker registration.
-func (c *Client) Registered() bool { return c.registered.Load() }
 
 // Stop tears the client down.
 func (c *Client) Stop() {

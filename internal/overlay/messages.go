@@ -384,14 +384,6 @@ func scanDiscoverResult(d *wire.Decoder) (jxta.Directory, error) {
 	return dir, err
 }
 
-func decodeDiscoverResult(d *wire.Decoder) ([]jxta.Advertisement, error) {
-	dir, err := scanDiscoverResult(d)
-	if err != nil {
-		return nil, err
-	}
-	return dir.Decode(), nil
-}
-
 func decodeSelectReq(d *wire.Decoder) (selectReq, error) {
 	m := selectReq{
 		Model:      d.StringField(),

@@ -86,9 +86,9 @@ type Selection struct {
 	Retries int
 }
 
-// resilience is the client's fault-handling state: cached directory and
-// audit counters. All fields are guarded for -race tests; under the
-// serialized simulation dispatcher contention never happens.
+// resilience is the client's fault-handling state: the cached directory. It
+// is guarded for -race tests; under the serialized simulation dispatcher
+// contention never happens.
 type resilience struct {
 	mu sync.Mutex
 	// reply is the last discover reply that validated, kept as received
@@ -97,9 +97,6 @@ type resilience struct {
 	// (nil until then; an empty reply decodes to nil, at no cost).
 	reply jxta.Directory
 	dir   []jxta.Advertisement
-
-	retries  atomic.Int64
-	degraded atomic.Int64
 }
 
 // setDir replaces the cached directory with a discover reply that passes
@@ -129,13 +126,6 @@ func (r *resilience) snapshotDir() []jxta.Advertisement {
 		r.dir = r.reply.Decode()
 	}
 	return r.dir
-}
-
-// Resilience reports the client's cumulative fault-handling counters:
-// extra call attempts spent and selections answered from the cached
-// directory.
-func (c *Client) Resilience() (retries, degraded int64) {
-	return c.res.retries.Load(), c.res.degraded.Load()
 }
 
 // callOnce performs one request/response exchange on a fresh conn, bounded
@@ -184,7 +174,6 @@ func (c *Client) callRetried(to transport.Addr, payload []byte) ([]byte, int, er
 	lastTimeout := false
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			c.res.retries.Add(1)
 			f := 0.75 + 0.5*c.host.Rand().Float64()
 			c.host.Sleep(time.Duration(float64(backoff) * f))
 			backoff = min(2*backoff, maxCallBackoff)
@@ -236,7 +225,6 @@ func (c *Client) SelectDetailed(model string, req core.Request, max int, preferr
 	if err != nil {
 		if peers := c.degradedPick(max, exclude); peers != nil {
 			sel.Peers, sel.Degraded = peers, true
-			c.res.degraded.Add(1)
 			return sel, nil
 		}
 		return sel, err
@@ -258,7 +246,6 @@ func (c *Client) SelectDetailed(model string, req core.Request, max int, preferr
 				// entry returns, and serve this pick from the cache.
 				_ = c.register()
 				sel.Peers, sel.Degraded = peers, true
-				c.res.degraded.Add(1)
 				return sel, nil
 			}
 		}

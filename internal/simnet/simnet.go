@@ -79,7 +79,6 @@ type Network struct {
 
 	mu        sync.Mutex
 	nodes     map[string]*Node
-	down      map[string]bool
 	partsKey  map[pairKey]bool   // severed directed pairs
 	extraLoss map[string]float64 // per-node extra drop probability
 
@@ -103,7 +102,6 @@ func New(seed int64) *Network {
 		sched:     vtime.NewScheduler(),
 		seed:      seed,
 		nodes:     make(map[string]*Node),
-		down:      make(map[string]bool),
 		partsKey:  make(map[pairKey]bool),
 		extraLoss: make(map[string]float64),
 	}
@@ -117,9 +115,6 @@ func (n *Network) Run(fn func()) {
 	n.sched.Go(fn)
 	n.sched.Wait()
 }
-
-// Wait blocks until the network quiesces (see vtime.Scheduler.Wait).
-func (n *Network) Wait() { n.sched.Wait() }
 
 // Now returns the current virtual time.
 func (n *Network) Now() time.Time { return n.sched.Now() }
@@ -157,28 +152,13 @@ func (n *Network) AddNode(name string, p Profile) (*Node, error) {
 	return node, nil
 }
 
-// MustAddNode is AddNode that panics on error; for tests and examples.
+// MustAddNode is AddNode that panics on error; for tests and bench/.
 func (n *Network) MustAddNode(name string, p Profile) *Node {
 	node, err := n.AddNode(name, p)
 	if err != nil {
 		panic(err)
 	}
 	return node
-}
-
-// Node returns the named node, or nil.
-func (n *Network) Node(name string) *Node {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.nodes[name]
-}
-
-// SetDown marks a node down (all its traffic is dropped) or back up.
-// Endpoints stay bound; this models a transient crash or sliver preemption.
-func (n *Network) SetDown(name string, down bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.down[name] = down
 }
 
 // Partition severs (or heals) the directed pair from→to.
@@ -432,11 +412,7 @@ func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) er
 	}
 
 	// Loss.
-	lost := false
-	if net.down[src.name] || net.down[dstNode.name] ||
-		net.partsKey[pairKey{src.name, dstNode.name}] {
-		lost = true
-	}
+	lost := net.partsKey[pairKey{src.name, dstNode.name}]
 	if extra := net.extraLoss[src.name] + net.extraLoss[dstNode.name]; !lost && extra > 0 {
 		if extra > 1 {
 			extra = 1

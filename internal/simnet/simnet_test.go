@@ -312,28 +312,6 @@ func TestPartitionAndHeal(t *testing.T) {
 	}
 }
 
-func TestSetDownDropsTraffic(t *testing.T) {
-	n, epA, epB := twoNodeNet(t, DefaultProfile(), DefaultProfile())
-	received := 0
-	n.Scheduler().Go(func() {
-		for {
-			if _, err := epB.Recv(); err != nil {
-				return
-			}
-			received++
-		}
-	})
-	n.Run(func() {
-		n.SetDown("b", true)
-		epA.Send(epB.Addr(), []byte{1})
-		n.SetDown("b", false)
-		epA.Send(epB.Addr(), []byte{2})
-	})
-	if received != 1 {
-		t.Fatalf("received %d, want 1", received)
-	}
-}
-
 func TestSendToUnknownNode(t *testing.T) {
 	n, epA, _ := twoNodeNet(t, DefaultProfile(), DefaultProfile())
 	var err error
@@ -514,40 +492,6 @@ func TestPartitionIsDirected(t *testing.T) {
 	})
 	if atB != 1 || atA != 1 {
 		t.Fatalf("delivered %d at b and %d at a, want 1 and 1", atB, atA)
-	}
-}
-
-// TestPartitionWithSetDown pins the interaction the fault injector relies
-// on: a node that is both partitioned and down receives nothing, and each
-// condition keeps dropping traffic after the other clears — they are
-// independent gates, not one shared switch.
-func TestPartitionWithSetDown(t *testing.T) {
-	n, epA, epB := twoNodeNet(t, DefaultProfile(), DefaultProfile())
-	received := 0
-	n.Scheduler().Go(func() {
-		for {
-			if _, err := epB.Recv(); err != nil {
-				return
-			}
-			received++
-		}
-	})
-	n.Run(func() {
-		n.Partition("a", "b", true)
-		n.SetDown("b", true)
-		epA.Send(epB.Addr(), []byte{1}) // dropped: both gates shut
-		n.SetDown("b", false)
-		epA.Send(epB.Addr(), []byte{2}) // dropped: still partitioned
-		n.Partition("a", "b", true)     // idempotent re-cut must not heal
-		epA.Send(epB.Addr(), []byte{3}) // dropped
-		n.Partition("a", "b", false)
-		n.SetDown("b", true)
-		epA.Send(epB.Addr(), []byte{4}) // dropped: node down
-		n.SetDown("b", false)
-		epA.Send(epB.Addr(), []byte{5}) // delivered: all clear
-	})
-	if received != 1 {
-		t.Fatalf("received %d, want 1", received)
 	}
 }
 

@@ -173,9 +173,6 @@ type PeerStats struct {
 // NewPeerStats returns empty statistics for peer; now supplies timestamps
 // (virtual time under simnet).
 func NewPeerStats(peer string, now func() time.Time) *PeerStats {
-	if now == nil {
-		now = time.Now
-	}
 	return &PeerStats{peer: peer, now: now}
 }
 
@@ -431,12 +428,8 @@ type Registry struct {
 	ver   atomic.Uint64
 }
 
-// NewRegistry returns an empty registry; now supplies timestamps and may be
-// nil for wall-clock time.
+// NewRegistry returns an empty registry; now supplies timestamps.
 func NewRegistry(now func() time.Time) *Registry {
-	if now == nil {
-		now = time.Now
-	}
 	return &Registry{now: now, peers: make(map[string]*PeerStats)}
 }
 
