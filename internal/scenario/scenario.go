@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -198,7 +199,8 @@ func Deploy(sc Scenario, seed int64) (*Slice, error) { return DeployPeers(sc, se
 // Deploy as long as the run really interacts with the named peers alone:
 // catalog entries are independent (see Scenario.Entry), and a node that never
 // sends or receives leaves no trace on the scheduler or on any draw stream.
-// A nil labels list deploys the full catalog. The returned slice's Catalog
+// A nil labels list deploys the full catalog; labels outside it are an error
+// that names them all, sorted. The returned slice's Catalog
 // and Peers hold what was deployed, in catalog order.
 func DeployPeers(sc Scenario, seed int64, labels []string) (*Slice, error) {
 	if sc.IsZero() {
@@ -218,8 +220,16 @@ func DeployPeers(sc Scenario, seed int64, labels []string) (*Slice, error) {
 			catalog = append(catalog, sc.Entry(seed, i))
 		}
 	}
-	for l := range want {
-		return nil, fmt.Errorf("scenario: DeployPeers: unknown peer label %q", l)
+	if len(want) > 0 {
+		var unknown []string
+		for _, l := range labels {
+			if want[l] {
+				delete(want, l)
+				unknown = append(unknown, l)
+			}
+		}
+		slices.Sort(unknown)
+		return nil, fmt.Errorf("scenario: DeployPeers: unknown peer labels %q", unknown)
 	}
 	net := simnet.New(seed)
 	control, err := net.AddNode(sc.Control.Hostname, sc.Control.Profile)

@@ -191,8 +191,15 @@ func TestCatalogEntriesIndependent(t *testing.T) {
 			}
 		}
 	}
-	if _, err := scenario.DeployPeers(scenario.Uniform(4), 1, []string{"p404"}); err == nil {
-		t.Fatal("DeployPeers accepted a label outside the catalog")
+	// Labels outside the catalog are all named, sorted and once each, so the
+	// error reads the same on every call whatever order they came in.
+	uni := scenario.Uniform(4)
+	const want = `scenario: DeployPeers: unknown peer labels ["p404" "p505" "p606"]`
+	for i := 0; i < 50; i++ {
+		_, err := scenario.DeployPeers(uni, 1, []string{"p606", uni.Labels[0], "p404", "p505", "p404"})
+		if err == nil || err.Error() != want {
+			t.Fatalf("DeployPeers with three unknown labels: err = %v, want %s", err, want)
+		}
 	}
 }
 
