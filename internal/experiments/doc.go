@@ -23,10 +23,8 @@
 // out across a worker pool. A cell's only inputs are its Config copy and
 // its derived seed, so figure, workload and sweep output is bit-identical
 // for a given seed at any Workers or Shards value, including 1. Code inside
-// a cell must draw randomness only from the cell's seed (via the scenario's
-// and workload's pure generators) and from its own slice's deterministic
-// scheduler — never from the wall clock, package-level state, or another
-// cell. DESIGN.md "Experiment ownership" states the three rules in full:
+// a cell takes randomness and time only from its seed and its slice's
+// scheduler. DESIGN.md "Experiment ownership" states the three rules in full:
 //
 // One world builder. NewEnv/NewEnvFor and Env.RunPeers are the only place a
 // broker or a client is built on a simulated slice; cells, the public facade

@@ -220,16 +220,10 @@ func DeployPeers(sc Scenario, seed int64, labels []string) (*Slice, error) {
 			catalog = append(catalog, sc.Entry(seed, i))
 		}
 	}
-	if len(want) > 0 {
-		var unknown []string
-		for _, l := range labels {
-			if want[l] {
-				delete(want, l)
-				unknown = append(unknown, l)
-			}
-		}
+	if len(want) > 0 { // what is left of want is the labels outside the catalog
+		unknown := slices.DeleteFunc(slices.Clone(labels), func(l string) bool { return !want[l] })
 		slices.Sort(unknown)
-		return nil, fmt.Errorf("scenario: DeployPeers: unknown peer labels %q", unknown)
+		return nil, fmt.Errorf("scenario: DeployPeers: unknown peer labels %q", slices.Compact(unknown))
 	}
 	net := simnet.New(seed)
 	control, err := net.AddNode(sc.Control.Hostname, sc.Control.Profile)
