@@ -200,8 +200,8 @@ func Deploy(sc Scenario, seed int64) (*Slice, error) { return DeployPeers(sc, se
 // catalog entries are independent (see Scenario.Entry), and a node that never
 // sends or receives leaves no trace on the scheduler or on any draw stream.
 // A nil labels list deploys the full catalog; labels outside it are an error
-// that names them all, sorted. The returned slice's Catalog
-// and Peers hold what was deployed, in catalog order.
+// that names them all, sorted. The returned slice's Catalog and Peers hold
+// what was deployed, in catalog order.
 func DeployPeers(sc Scenario, seed int64, labels []string) (*Slice, error) {
 	if sc.IsZero() {
 		return nil, errors.New("scenario: Deploy of zero Scenario")
@@ -220,7 +220,7 @@ func DeployPeers(sc Scenario, seed int64, labels []string) (*Slice, error) {
 			catalog = append(catalog, sc.Entry(seed, i))
 		}
 	}
-	if len(want) > 0 { // what is left of want is the labels outside the catalog
+	if len(want) > 0 { // what is left in want are the labels outside the catalog
 		unknown := slices.DeleteFunc(slices.Clone(labels), func(l string) bool { return !want[l] })
 		slices.Sort(unknown)
 		return nil, fmt.Errorf("scenario: DeployPeers: unknown peer labels %q", slices.Compact(unknown))

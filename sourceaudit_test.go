@@ -197,7 +197,10 @@ func auditReachability(prog *auditProgram) []string {
 	used := map[types.Object]bool{}
 	for _, pkg := range prog.pkgs {
 		for _, obj := range pkg.info.Uses {
-			used[auditOrigin(obj)] = true
+			if f, ok := obj.(*types.Func); ok {
+				obj = f.Origin() // a method of an instantiated generic type
+			}
+			used[obj] = true
 		}
 	}
 	ifaces := prog.interfaces()
@@ -232,17 +235,14 @@ func auditReachability(prog *auditProgram) []string {
 				report(pkg.label+"."+name, obj)
 			}
 			tn, ok := obj.(*types.TypeName)
-			if !ok || tn.IsAlias() {
+			if !ok || tn.IsAlias() || facade[tn] {
 				continue
 			}
 			named := tn.Type().(*types.Named)
-			if facade[tn] {
-				continue
-			}
 			for i := range named.NumMethods() {
 				m := named.Method(i)
 				if m.Exported() && m.Name() != "String" && !used[m] && !satisfiesInterface(named, m, ifaces) {
-					report(pkg.label+"."+name+"."+m.Name(), m)
+					report(auditFuncKey(pkg.label, m), m)
 				}
 			}
 		}
@@ -256,17 +256,6 @@ func auditReachability(prog *auditProgram) []string {
 		}
 	}
 	return findings
-}
-
-// auditOrigin maps an instantiated generic method or field to its declaration.
-func auditOrigin(obj types.Object) types.Object {
-	switch o := obj.(type) {
-	case *types.Func:
-		return o.Origin()
-	case *types.Var:
-		return o.Origin()
-	}
-	return obj
 }
 
 // interfaces returns, by method name, every named interface declared in the
@@ -331,7 +320,7 @@ func auditDeterminism(prog *auditProgram) []string {
 			for _, decl := range f.Decls {
 				fn := pkg.label + ".(package scope)"
 				if fd, ok := decl.(*ast.FuncDecl); ok {
-					fn = auditFuncKey(pkg.label, fd)
+					fn = auditFuncKey(pkg.label, pkg.info.Defs[fd.Name].(*types.Func))
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
 					switch n := n.(type) {
@@ -388,24 +377,14 @@ func auditDeterminism(prog *auditProgram) []string {
 }
 
 // auditFuncKey names a function as package.Func or package.Type.Method.
-func auditFuncKey(label string, fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return label + "." + fd.Name.Name
+func auditFuncKey(label string, fn *types.Func) string {
+	recv := fn.Signature().Recv()
+	if recv == nil {
+		return label + "." + fn.Name()
 	}
-	typ := fd.Recv.List[0].Type
-	for {
-		switch e := typ.(type) {
-		case *ast.StarExpr:
-			typ = e.X
-			continue
-		case *ast.IndexExpr:
-			typ = e.X
-			continue
-		case *ast.IndexListExpr:
-			typ = e.X
-			continue
-		}
-		break
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	return label + "." + typ.(*ast.Ident).Name + "." + fd.Name.Name
+	return label + "." + t.(*types.Named).Obj().Name() + "." + fn.Name()
 }
