@@ -51,34 +51,31 @@ func scanOf(b *Broker, req selectReq) ([]string, error) {
 	}, b.selectors[req.Model], nil)
 }
 
-func mustMatchScan(t *testing.T, b *Broker, req selectReq) []string {
+// mustMatchReference serves req and fails unless it equals refSelect.
+func mustMatchReference(t *testing.T, b *Broker, req selectReq) []string {
 	t.Helper()
 	gotP, gotErr := b.selectPeers(req)
-	wantP, wantErr := scanOf(b, req)
-	if !errors.Is(gotErr, wantErr) && (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%s/%v: err = %v, scan err = %v", req.Model, req.Exclude, gotErr, wantErr)
-	}
-	if !reflect.DeepEqual(gotP, wantP) {
-		t.Fatalf("%s/%v: indexed %v != scan %v", req.Model, req.Exclude, gotP, wantP)
+	wantP, wantErr := refSelect(b, req)
+	if !errors.Is(gotErr, wantErr) || !slices.Equal(gotP, wantP) {
+		t.Fatalf("%s/%v: served %v (%v), reference %v (%v)", req.Model, req.Exclude, gotP, gotErr, wantP, wantErr)
 	}
 	return gotP
 }
 
-// TestRankIndexMatchesScan proves the indexed selection path is
-// byte-identical to the scan path across models, exclusions, truncation,
-// stats mutation, directory mutation and time shift — the exactness claim
-// the golden figures rest on.
+// TestRankIndexMatchesScan proves the served selection equals refSelect
+// across models, exclusions, truncation, stats mutation, directory mutation
+// and time shift — the exactness claim the golden figures rest on.
 func TestRankIndexMatchesScan(t *testing.T) {
 	d := rankDeploy(t)
 	b := d.broker
 	eco := selectReq{Model: "economic", Kind: 1, SizeBytes: 5 << 20}
 	same := selectReq{Model: "same-priority", Kind: 1, SizeBytes: 5 << 20}
 
-	ranked := mustMatchScan(t, b, eco)
+	ranked := mustMatchReference(t, b, eco)
 	if len(ranked) != 6 {
 		t.Fatalf("economic ranked %d peers, want 6", len(ranked))
 	}
-	mustMatchScan(t, b, same)
+	mustMatchReference(t, b, same)
 
 	// Replay must hit the memo: poison the cached ranking and watch the
 	// poisoned order come back, then restore it. (White-box canary — the
@@ -111,20 +108,21 @@ func TestRankIndexMatchesScan(t *testing.T) {
 	// shift everyone up exactly as a fresh scan would rank the remainder.
 	excl := eco
 	excl.Exclude = []string{ranked[0], ranked[2]}
-	exP := mustMatchScan(t, b, excl)
+	exP := mustMatchReference(t, b, excl)
 	if len(exP) != 4 || exP[0] != ranked[1] {
 		t.Fatalf("exclusion filtration: got %v from full ranking %v", exP, ranked)
 	}
-	// Excluding everyone must surface the scan path's sentinel.
+	// Excluding everyone must surface the empty ranking's sentinel.
 	allOut := eco
 	allOut.Exclude = append([]string{}, ranked...)
+	mustMatchReference(t, b, allOut)
 	if _, err := b.selectPeers(allOut); !errors.Is(err, core.ErrNoCandidates) {
 		t.Fatalf("exclude-all err = %v, want ErrNoCandidates", err)
 	}
 	// Truncation rides on top of filtration.
 	top := excl
 	top.MaxResults = 2
-	if topP := mustMatchScan(t, b, top); len(topP) != 2 {
+	if topP := mustMatchReference(t, b, top); len(topP) != 2 {
 		t.Fatalf("MaxResults: got %v", topP)
 	}
 
@@ -132,11 +130,11 @@ func TestRankIndexMatchesScan(t *testing.T) {
 	// hour (its completion estimate collapses) and the indexed path must
 	// re-rank exactly as the scan does.
 	b.Registry().Peer(ranked[0]).SetReadyAt(b.host.Now().Add(time.Hour))
-	reP := mustMatchScan(t, b, eco)
+	reP := mustMatchReference(t, b, eco)
 	if reflect.DeepEqual(reP, ranked) {
 		t.Fatalf("ranking unchanged after delaying %s by an hour: %v", ranked[0], reP)
 	}
-	mustMatchScan(t, b, same)
+	mustMatchReference(t, b, same)
 
 	// A directory mutation (new registration) must invalidate too.
 	d.net.Run(func() {
@@ -144,18 +142,18 @@ func TestRankIndexMatchesScan(t *testing.T) {
 			t.Errorf("boot rz: %v", err)
 		}
 	})
-	grownP := mustMatchScan(t, b, eco)
+	grownP := mustMatchReference(t, b, eco)
 	if len(grownP) != 7 {
 		t.Fatalf("after growth ranked %d peers, want 7", len(grownP))
 	}
-	mustMatchScan(t, b, same)
+	mustMatchReference(t, b, same)
 
 	// Time shift: economic replays across instants (Now-shift invariant
 	// once every ReadyAt has passed), same-priority rebuilds at the new
 	// instant — both must still equal the scan.
 	d.net.Run(func() { d.nodes["broker0"].Sleep(10 * time.Second) })
-	mustMatchScan(t, b, eco)
-	mustMatchScan(t, b, same)
+	mustMatchReference(t, b, eco)
+	mustMatchReference(t, b, same)
 }
 
 // TestRankIndexBlindBypass: the blind model's round-robin cursor is
@@ -187,7 +185,7 @@ func TestRankIndexUntouchedByNonPure(t *testing.T) {
 	d := rankDeploy(t)
 	b := d.broker
 	eco := selectReq{Model: "economic", Kind: 1, SizeBytes: 5 << 20}
-	ranked := mustMatchScan(t, b, eco)
+	ranked := mustMatchReference(t, b, eco)
 	ring, next := b.rankRing, b.rankNext
 	if next != 1 || ring[0] == nil {
 		t.Fatalf("economic selection installed nothing: next=%d ring[0]=%v", next, ring[0])
@@ -227,6 +225,86 @@ func TestExclusionListsDoNotCollide(t *testing.T) {
 				t.Fatalf("%s excluding %q: served %v (%v), want %v (%v)", model, exclude, got, err, want, wantErr)
 			}
 		}
+	}
+}
+
+// TestSelectionFollowsDirectory: a selection reads the live directory as of
+// its instant. Six peers are published straight into a two-shard broker
+// with one-minute leases and their statistics are set once, so between the
+// steps below only the directory moves — a renewal, a lapsed lease, a
+// Restart and a re-publish — and every selection must equal refSelect.
+func TestSelectionFollowsDirectory(t *testing.T) {
+	n := simnet.New(21)
+	host := n.MustAddNode("broker0", simnet.DefaultProfile())
+	b, err := NewBroker(host, BrokerConfig{Shards: 2, AdvTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"da", "db", "dc", "dd", "de", "df"}
+	for i, name := range names {
+		ps := b.Registry().Peer(name)
+		ps.SetCPUScore(0.5 + float64(i)/2)
+		ps.ObserveTransferRate((6-i)*1_000_000, time.Second)
+	}
+	publish := func(names ...string) {
+		for _, name := range names {
+			b.publish(b.shardOf(name), testAdv(name))
+		}
+	}
+	check := func(step string, live int) {
+		t.Helper()
+		for _, model := range []string{"economic", "same-priority"} {
+			req := selectReq{Model: model, Kind: byte(core.KindFileTransfer), SizeBytes: 5 << 20}
+			if got := mustMatchReference(t, b, req); len(got) != live {
+				t.Fatalf("after %s: %s selected %v, want %d live peers", step, model, got, live)
+			}
+		}
+	}
+	n.Run(func() {
+		publish(names...)
+		check("publish", 6)
+		host.Sleep(30 * time.Second)
+		publish(names[3:]...)
+		check("a renewal", 6)
+		host.Sleep(40 * time.Second) // the first three leases lapsed at 60 s
+		check("a lapsed lease", 3)
+		b.Restart()
+		check("Restart", 0)
+		publish(names[:2]...)
+		check("a re-publish", 2)
+	})
+}
+
+// TestSelectionFollowsMessageWindow: the last-24-hours message criterion
+// moves with the clock alone. pa and pb each have one failed message, pb's
+// twelve hours older; while both failures are in the window they tie and pa
+// ranks first by name, and from the hour pb's leaves it pb ranks first. No
+// statistic or lease changes between the two selections.
+func TestSelectionFollowsMessageWindow(t *testing.T) {
+	n := simnet.New(21)
+	host := n.MustAddNode("broker0", simnet.DefaultProfile())
+	b, err := NewBroker(host, BrokerConfig{AdvTTL: 48 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := selectReq{Model: "same-priority", Kind: byte(core.KindFileTransfer), SizeBytes: 5 << 20}
+	var before, after []string
+	n.Run(func() {
+		for _, name := range []string{"pa", "pb"} {
+			b.publish(b.shardOf(name), testAdv(name))
+		}
+		host.Sleep(30 * time.Minute)
+		b.Registry().Peer("pb").RecordMessage(false)
+		leaves := host.Now().Truncate(time.Hour).Add(24 * time.Hour) // the first hour without pb's failure
+		host.Sleep(12 * time.Hour)
+		b.Registry().Peer("pa").RecordMessage(false)
+		host.Sleep(leaves.Add(-time.Second).Sub(host.Now()))
+		before = mustMatchReference(t, b, req)
+		host.Sleep(time.Second)
+		after = mustMatchReference(t, b, req)
+	})
+	if !slices.Equal(before, []string{"pa", "pb"}) || !slices.Equal(after, []string{"pb", "pa"}) {
+		t.Fatalf("selected %v a second before pb's failure left the window and %v at that hour, want [pa pb] then [pb pa]", before, after)
 	}
 }
 
