@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -99,6 +100,9 @@ func main() {
 			fatal("task must be peer:workunits")
 		}
 		units, err := strconv.ParseFloat(unitsStr, 64)
+		if err == nil && (math.IsNaN(units) || math.IsInf(units, 0) || units < 0) {
+			err = task.ErrBadWork
+		}
 		if err != nil {
 			fatal("bad work units: %v", err)
 		}

@@ -96,27 +96,6 @@ type Ranker interface {
 	Rank(req Request, cands []Candidate, k int) ([]string, error)
 }
 
-// PureRanker is an optional capability of a Ranker: implementing it asserts
-// that Rank is a pure function of (req, cands) — no internal state advances
-// between calls — and subset-stable: for any subset S' of the candidate set
-// S, Rank(req, S') equals Rank(req, S) with the missing names deleted. That
-// holds when the order compares two candidates by what it reads of those two
-// alone (Economic), and fails when a score depends on the rest of the set, as
-// min-max normalization does (DataEvaluator). A caller may then memoize a
-// ranking of the whole set while it and its snapshots are provably unchanged,
-// and serve any exclusion list by filtering it (the broker's rank index does).
-//
-// RankNowShiftInvariant reports that the ranking is unchanged when req.Now
-// moves forward, provided Now is already at or past every candidate's ReadyAt
-// (so every ready time degenerates to Now + petition delay and completions
-// shift uniformly). Callers must check that proviso; the predicate only
-// asserts the model reads no other Now-dependent input.
-//
-// Blind must NOT implement this: its round-robin cursor advances per call.
-type PureRanker interface {
-	RankNowShiftInvariant() bool
-}
-
 // boundedDepth is the deepest ranking rankTop keeps by bounded selection.
 // Each new leader shifts at most this many kept entries; a deeper ranking
 // sorts, at log n comparisons per candidate whatever its depth.
@@ -289,16 +268,6 @@ func NewEconomic(cfg EconomicConfig) *Economic {
 
 // Name implements Selector.
 func (e *Economic) Name() string { return "economic" }
-
-// RankNowShiftInvariant implements PureRanker. Rank is subset-stable: it
-// orders by a pairwise comparison (completion, CPU, cost) in which each
-// estimate reads only its own candidate's snapshot, so deleting candidates
-// never reorders the survivors. Once Now ≥ ReadyAt for all of them each
-// completion is Now + PetitionDelay + Duration with both terms
-// Now-independent — shifting Now shifts every completion equally and the
-// order (and every tie-break) is unchanged. The caller owns checking that
-// proviso.
-func (e *Economic) RankNowShiftInvariant() bool { return true }
 
 // Estimate is the economic model's appraisal of one candidate.
 type Estimate struct {

@@ -11,8 +11,8 @@ type Criterion struct {
 	// Key names the criterion; weights are keyed by it.
 	Key string
 	// Value extracts the raw value from a snapshot. It takes a pointer: a
-	// rank build calls it once per candidate per criterion, and a Snapshot
-	// is some 300 bytes.
+	// ranking calls it once per candidate per criterion, and a Snapshot is
+	// some 300 bytes.
 	Value func(*stats.Snapshot) float64
 	// Benefit marks higher-is-better criteria; the rest are costs.
 	Benefit bool
@@ -86,7 +86,7 @@ func SamePriority() Weights {
 // min-max normalized over the candidate set, inverted if it is a cost, and
 // combined by weight; the best-scoring peer wins. Removing the extremal
 // candidate rescales everyone else's score, so the ranking is not
-// subset-stable and DataEvaluator is no PureRanker.
+// subset-stable: a caller must remove exclusions before ranking.
 type DataEvaluator struct {
 	criteria []Criterion
 	weights  Weights

@@ -441,7 +441,7 @@ func (c *Cache) LiveLen(kind AdvKind) int {
 // change to what is stored — publish, eviction, expiry, Clear — advances
 // the version, so two equal stamps mean the live set, entries and payloads,
 // is identical at both instants. O(1) on the static fast path. The broker's
-// rank index and its merged directory key on it.
+// candidate table and its merged directory key on it.
 func (c *Cache) Stamp() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -87,12 +87,12 @@ type Broker struct {
 	// at one RPC per peer.
 	ctlRPCs atomic.Int64
 
-	// Rank index (see rankindex.go): memoized full-directory rankings keyed
-	// on request shape and validated against cache/registry mutation
-	// versions.
-	rankMu   sync.Mutex
-	rankRing [rankIndexSlots]*rankEntry
-	rankNext int
+	// table is the candidate table and scratch the copy of it, minus
+	// exclusions, that one selection ranks (see selection.go). selMu guards
+	// both and the models' Rank calls: the blind cursor is state.
+	selMu   sync.Mutex
+	table   candTable
+	scratch []core.Candidate
 
 	// dir is the last whole-kind directory merge (see mergedDir).
 	dirMu sync.Mutex
@@ -119,7 +119,8 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 			"economic":      core.NewEconomic(core.EconomicConfig{}),
 			"same-priority": core.NewSamePriority(),
 		},
-		dir: mergedDir{stamps: make([]uint64, cfg.Shards)},
+		dir:   mergedDir{stamps: make([]uint64, cfg.Shards)},
+		table: candTable{stamps: make([]tableStamp, cfg.Shards)},
 	}
 	regs := make([]*stats.Registry, cfg.Shards)
 	for i := range b.shards {
@@ -446,37 +447,6 @@ func (b *Broker) handleSelect(conn *pipe.Conn, d *wire.Decoder) {
 	sendReply(conn, res.encodeTo)
 }
 
-// candPool recycles candidate slices across selections: at thousands of
-// registered peers the per-request candidate set is megabytes, and a
-// selection-heavy swarm would otherwise spend a quarter of its time in GC.
-var candPool = sync.Pool{New: func() any { return new([]core.Candidate) }}
-
-// selectPeers resolves the requested model and runs it over the registered
-// peers through selectRanked (rankindex.go). Only a registered model that
-// asserts purity (core.PureRanker) is memoized in the rank index;
-// everything else — the stateful blind cursor, the data evaluator's
-// set-relative scores, per-request preference models — passes a nil
-// capability and is ranked from scratch every time.
-func (b *Broker) selectPeers(req selectReq) ([]string, error) {
-	sel, ok := b.selectors[req.Model]
-	var pure core.PureRanker
-	if core.UsesPreferences(req.Model) {
-		// Built per request from the user's own ranking.
-		sel, ok = core.NewUserPreference(req.Preferred), true
-	} else {
-		pure, _ = sel.(core.PureRanker)
-	}
-	if !ok {
-		return nil, fmt.Errorf("overlay: unknown selection model %q", req.Model)
-	}
-	return b.selectRanked(req, core.Request{
-		Kind:      core.RequestKind(req.Kind),
-		SizeBytes: req.SizeBytes,
-		WorkUnits: req.WorkUnits,
-		Now:       b.host.Now(),
-	}, sel, pure)
-}
-
 func (b *Broker) handleReportTransfer(conn *pipe.Conn, d *wire.Decoder) {
 	rep, err := decodeReportTransfer(d)
 	if err != nil {
@@ -538,7 +508,12 @@ func (b *Broker) handleReportTask(conn *pipe.Conn, d *wire.Decoder) {
 	ps := b.shardOf(rep.Peer).registry.Peer(rep.Peer)
 	ps.RecordTaskOffer(rep.Accepted)
 	if rep.Accepted {
-		ps.RecordTaskExecution(rep.OK, rep.SecondsPerUnit)
+		// A reported time counts only if it is finite, as a CPU score does.
+		spu := rep.SecondsPerUnit
+		if !finite(spu) {
+			spu = 0
+		}
+		ps.RecordTaskExecution(rep.OK, spu)
 	}
 	conn.Send(ackFrame)
 }

@@ -3,8 +3,10 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -236,6 +238,44 @@ func TestTaskRejectionRecorded(t *testing.T) {
 	snap := d.broker.Registry().Peer("sc2").Snapshot()
 	if snap.PctTaskAcceptSession == 100 {
 		t.Fatal("acceptance stats did not record the rejection")
+	}
+}
+
+// TestMalformedTaskRefused: a task whose work units are NaN, infinite or
+// negative — a float any cmd/peer can send over a real socket — is refused
+// with the executor's reason, and the serving peer's ready time stays true.
+func TestMalformedTaskRefused(t *testing.T) {
+	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile()})
+	d.net.Run(func() {
+		d.startAll(t)
+		for _, w := range []float64{math.NaN(), math.Inf(1), -1} {
+			_, err := d.clients["sc1"].SubmitTask("sc2", task.Task{Name: "bad", WorkUnits: w})
+			if !errors.Is(err, ErrTaskRejected) || !strings.Contains(err.Error(), task.ErrBadWork.Error()) {
+				t.Errorf("SubmitTask(%v work units) = %v, want a rejection naming %q", w, err, task.ErrBadWork)
+			}
+		}
+		if ready := d.clients["sc2"].exec.ReadyIn(); ready != 0 {
+			t.Errorf("sc2's ready time after the refusals = %v, want 0", ready)
+		}
+	})
+}
+
+// TestNonFiniteTaskTimeIgnored: a task report's time per unit counts only
+// if it is finite, as a CPU score does; the outcome itself still counts.
+func TestNonFiniteTaskTimeIgnored(t *testing.T) {
+	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile()})
+	d.net.Run(func() {
+		d.startAll(t)
+		for _, spu := range []float64{math.Inf(1), math.NaN()} {
+			d.clients["sc1"].reportTaskOutcome("sc2", true, true, spu)
+		}
+	})
+	snap := d.broker.Registry().Peer("sc2").Snapshot()
+	if snap.SecondsPerUnit != 1 {
+		t.Fatalf("SecondsPerUnit after non-finite reports = %v, want the neutral 1", snap.SecondsPerUnit)
+	}
+	if snap.PctTaskExecTotal != 100 || snap.PctTaskAcceptTotal != 100 {
+		t.Fatalf("task outcomes not recorded: %+v", snap)
 	}
 }
 

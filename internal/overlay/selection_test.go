@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,19 +39,6 @@ func rankDeploy(t *testing.T) *deployment {
 	return d
 }
 
-// scanOf is the always-miss call — pure = nil: exclusions baked into the
-// candidate set, ranked from scratch, nothing replayed or installed — at
-// the same instant selectPeers would run: the oracle every indexed result
-// must match byte for byte.
-func scanOf(b *Broker, req selectReq) ([]string, error) {
-	return b.selectRanked(req, core.Request{
-		Kind:      core.RequestKind(req.Kind),
-		SizeBytes: req.SizeBytes,
-		WorkUnits: req.WorkUnits,
-		Now:       b.host.Now(),
-	}, b.selectors[req.Model], nil)
-}
-
 // mustMatchReference serves req and fails unless it equals refSelect.
 func mustMatchReference(t *testing.T, b *Broker, req selectReq) []string {
 	t.Helper()
@@ -62,10 +50,10 @@ func mustMatchReference(t *testing.T, b *Broker, req selectReq) []string {
 	return gotP
 }
 
-// TestRankIndexMatchesScan proves the served selection equals refSelect
+// TestSelectionMatchesReference proves the served selection equals refSelect
 // across models, exclusions, truncation, stats mutation, directory mutation
 // and time shift — the exactness claim the golden figures rest on.
-func TestRankIndexMatchesScan(t *testing.T) {
+func TestSelectionMatchesReference(t *testing.T) {
 	d := rankDeploy(t)
 	b := d.broker
 	eco := selectReq{Model: "economic", Kind: 1, SizeBytes: 5 << 20}
@@ -77,40 +65,13 @@ func TestRankIndexMatchesScan(t *testing.T) {
 	}
 	mustMatchReference(t, b, same)
 
-	// Replay must hit the memo: poison the cached ranking and watch the
-	// poisoned order come back, then restore it. (White-box canary — the
-	// serve path must not have rebuilt.)
-	var entry *rankEntry
-	for _, e := range b.rankRing {
-		if e != nil && e.key.model == "economic" {
-			entry = e
-		}
-	}
-	if entry == nil {
-		t.Fatal("no economic entry installed in the rank index")
-	}
-	if !entry.anyTime {
-		t.Fatal("post-boot economic entry not marked Now-shift replayable")
-	}
-	real := entry.ranked
-	poisoned := make([]string, len(real))
-	for i, p := range real {
-		poisoned[len(real)-1-i] = p
-	}
-	entry.ranked = poisoned
-	gotP, err := b.selectPeers(eco)
-	if err != nil || !reflect.DeepEqual(gotP, poisoned) {
-		t.Fatalf("replay did not serve from the index: got %v (%v), want poisoned %v", gotP, err, poisoned)
-	}
-	entry.ranked = real
-
-	// Exclusion filtration (subset-stable): excluding the winner must
-	// shift everyone up exactly as a fresh scan would rank the remainder.
+	// Exclusion: excluding the winner must shift everyone up exactly as
+	// the reference ranks the remainder.
 	excl := eco
 	excl.Exclude = []string{ranked[0], ranked[2]}
 	exP := mustMatchReference(t, b, excl)
 	if len(exP) != 4 || exP[0] != ranked[1] {
-		t.Fatalf("exclusion filtration: got %v from full ranking %v", exP, ranked)
+		t.Fatalf("exclusion: got %v from full ranking %v", exP, ranked)
 	}
 	// Excluding everyone must surface the empty ranking's sentinel.
 	allOut := eco
@@ -148,17 +109,17 @@ func TestRankIndexMatchesScan(t *testing.T) {
 	}
 	mustMatchReference(t, b, same)
 
-	// Time shift: economic replays across instants (Now-shift invariant
-	// once every ReadyAt has passed), same-priority rebuilds at the new
-	// instant — both must still equal the scan.
+	// Time shift inside the hour: the table is kept and only the request's
+	// instant moves — both must still equal the reference.
 	d.net.Run(func() { d.nodes["broker0"].Sleep(10 * time.Second) })
 	mustMatchReference(t, b, eco)
 	mustMatchReference(t, b, same)
 }
 
-// TestRankIndexBlindBypass: the blind model's round-robin cursor is
-// stateful, so it must bypass the index — consecutive selections rotate.
-func TestRankIndexBlindBypass(t *testing.T) {
+// TestBlindSelectionRotates: the blind model's round-robin cursor advances
+// on every selection, though each ranks the same table — consecutive
+// selections rotate.
+func TestBlindSelectionRotates(t *testing.T) {
 	d := rankDeploy(t)
 	req := selectReq{Model: "blind", Kind: 1}
 	first, err := d.broker.selectPeers(req)
@@ -174,40 +135,6 @@ func TestRankIndexBlindBypass(t *testing.T) {
 	}
 	if first[1] != second[0] {
 		t.Fatalf("blind rotation broken: %v then %v", first, second)
-	}
-}
-
-// TestRankIndexUntouchedByNonPure: a selection whose model is not memoizable
-// — the stateful blind cursor, a preference model built per request, the
-// always-miss oracle itself — must leave the ring exactly as it found it:
-// nothing installed, nothing evicted, the insertion cursor unmoved.
-func TestRankIndexUntouchedByNonPure(t *testing.T) {
-	d := rankDeploy(t)
-	b := d.broker
-	eco := selectReq{Model: "economic", Kind: 1, SizeBytes: 5 << 20}
-	ranked := mustMatchReference(t, b, eco)
-	ring, next := b.rankRing, b.rankNext
-	if next != 1 || ring[0] == nil {
-		t.Fatalf("economic selection installed nothing: next=%d ring[0]=%v", next, ring[0])
-	}
-	for _, req := range []selectReq{
-		{Model: "blind", Kind: 1},
-		{Model: "blind", Kind: 1, Exclude: ranked[:2]},
-		{Model: "quick-peer", Kind: 1, SizeBytes: 5 << 20, Preferred: []string{ranked[3], ranked[1]}},
-		{Model: "user-preference", Kind: 1, Preferred: ranked[2:], Exclude: ranked[:1], MaxResults: 2},
-	} {
-		if _, err := b.selectPeers(req); err != nil {
-			t.Fatalf("%s: %v", req.Model, err)
-		}
-		if b.rankRing != ring || b.rankNext != next {
-			t.Fatalf("%s selection touched the rank index: next %d -> %d", req.Model, next, b.rankNext)
-		}
-	}
-	if _, err := scanOf(b, eco); err != nil {
-		t.Fatal(err)
-	}
-	if b.rankRing != ring || b.rankNext != next {
-		t.Fatal("the always-miss oracle installed an entry")
 	}
 }
 
@@ -308,14 +235,70 @@ func TestSelectionFollowsMessageWindow(t *testing.T) {
 	}
 }
 
+// TestConcurrentSelections: realnet brokers serve selections concurrently,
+// beside statistics writes and renewals. Every selection must come back
+// whole — MaxResults distinct names, the requester not among them — and
+// once the writer stops, a selection must equal refSelect. Run it under
+// the race detector: two blind selections at once share one cursor.
+func TestConcurrentSelections(t *testing.T) {
+	n := simnet.New(21)
+	host := n.MustAddNode("broker0", simnet.DefaultProfile())
+	b, err := NewBroker(host, BrokerConfig{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("cp%02d", i)
+		names = append(names, name)
+		b.publish(b.shardOf(name), testAdv(name))
+		b.Registry().Peer(name).ObserveTransferRate((1+i%7)*1_000_000, time.Second)
+	}
+	stop := make(chan struct{})
+	var writer, readers sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			name := names[i%len(names)]
+			b.Registry().Peer(name).RecordFileSent(i%3 > 0)
+			b.publish(b.shardOf(name), testAdv(name))
+		}
+	}()
+	for r, model := range []string{"economic", "same-priority", "blind", "blind"} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 50; i++ {
+				from := names[(7*r+i)%len(names)]
+				got, err := b.selectPeers(selectReq{Model: model, Kind: byte(core.KindFileTransfer), SizeBytes: 5 << 20, MaxResults: 5, Exclude: []string{from}})
+				distinct := slices.Compact(slices.Sorted(slices.Values(got)))
+				if err != nil || len(got) != 5 || len(distinct) != 5 || slices.Contains(got, from) {
+					t.Errorf("%s excluding %s: %v (%v)", model, from, got, err)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	mustMatchReference(t, b, selectReq{Model: "same-priority", Kind: byte(core.KindFileTransfer), SizeBytes: 5 << 20})
+}
+
 // fullRanking is the model's ranking of every candidate, best first.
 func fullRanking(r core.Ranker, req core.Request, cands []core.Candidate) ([]string, error) {
 	return r.Rank(req, cands, 0)
 }
 
-// refSelect is what a selection must return, derived without the rank index:
-// every advertised peer snapshotted afresh, the model's full ranking over
-// them — the excluded names filtered out of it for the economic model,
+// refSelect is what a selection must return, derived without the candidate
+// table: every advertised peer snapshotted afresh, the model's full ranking
+// over them — the excluded names filtered out of it for the economic model,
 // removed from the candidate set for the others — truncated to MaxResults.
 func refSelect(b *Broker, req selectReq) (peers []string, err error) {
 	var model core.Ranker
@@ -502,8 +485,9 @@ func TestSelectionMatchesFullRanking(t *testing.T) {
 
 // BenchmarkRankBuild is the broker's selection miss path at the size of the
 // swarm-4096 benchmark: 4 096 peers on 8 shards, and one statistics report
-// between selections, so every selection finds the rank index stale and
-// rebuilds — merged directory, a snapshot per candidate, the model's ranking.
+// between selections, so every selection finds the candidate table stale and
+// rebuilds it — merged directory, a snapshot per candidate — then copies it
+// minus the requester and ranks the copy.
 func BenchmarkRankBuild(b *testing.B) {
 	const peers = 4096
 	host := simnet.New(21).MustAddNode("broker0", simnet.DefaultProfile())
@@ -535,8 +519,8 @@ func BenchmarkRankBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			// The collections the harness runs between rounds drop the pooled
-			// candidate slice; refill it before timing, as a busy broker has.
+			// The first selection grows the table and the scratch copy; a busy
+			// broker has both at full size.
 			selectFrom(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -46,7 +46,7 @@ func BenchmarkRecord(b *testing.B) {
 }
 
 // BenchmarkSnapshotInto prices filling one candidate slot, the per-candidate
-// read of a rank build, at the default message window.
+// read of a candidate-table build, at the default message window.
 func BenchmarkSnapshotInto(b *testing.B) {
 	now, _ := fixedClock(t0)
 	p := busyPeer(now)

@@ -138,8 +138,8 @@ type PeerStats struct {
 	now  func() time.Time
 	// ver, when non-nil, is the owning Registry's mutation counter; every
 	// state change bumps it so readers can cache derived views (the broker's
-	// rank index) against an unchanged registry. Standalone PeerStats leave
-	// it nil.
+	// candidate table) against an unchanged registry. Standalone PeerStats
+	// leave it nil.
 	ver *atomic.Uint64
 
 	// Messaging.
@@ -372,8 +372,8 @@ const DefaultWindowHours = 24
 func (p *PeerStats) Snapshot() Snapshot { return p.SnapshotK(DefaultWindowHours) }
 
 // SnapshotInto sets every field of dst to what SnapshotK(k) returns at now.
-// A caller filling one slot per peer at one instant (the broker's rank
-// build) reads the clock once and copies no Snapshot.
+// A caller filling one slot per peer at one instant (the broker's candidate
+// table) reads the clock once and copies no Snapshot.
 func (p *PeerStats) SnapshotInto(dst *Snapshot, now time.Time, k int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -451,7 +451,7 @@ func (r *Registry) Peer(name string) *PeerStats {
 // state change of every registered peer (and on peer creation), so two equal
 // readings with no interleaved mutation guarantee that every Snapshot taken
 // at the first reading is still exact at the second. Readers may use it to
-// cache views derived from snapshots — the broker's rank index does.
+// cache views derived from snapshots — the broker's candidate table does.
 func (r *Registry) Version() uint64 { return r.ver.Load() }
 
 // Names returns all known peer names, sorted.

@@ -10,6 +10,7 @@ package task
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"time"
 
@@ -41,6 +42,11 @@ var ErrQueueFull = errors.New("task: executor queue full")
 
 // ErrStopped is returned after the executor shuts down.
 var ErrStopped = errors.New("task: executor stopped")
+
+// ErrBadWork is returned for work units that are NaN, infinite or negative:
+// one such task would leave the backlog, and every ready time reported
+// from it, meaningless for good.
+var ErrBadWork = errors.New("task: work units must be finite and non-negative")
 
 // maxQueue bounds accepted-but-not-started tasks: admission control
 // rejects a submission while this many wait.
@@ -77,8 +83,12 @@ func NewExecutor(host transport.Host, cpuScore float64) *Executor {
 }
 
 // Submit offers a task; the result is delivered to done (which must not
-// block). Admission control rejects when the queue is full.
+// block). Work units that are NaN, infinite or negative are refused, and
+// admission control rejects when the queue is full.
 func (e *Executor) Submit(t Task, done func(Result)) error {
+	if math.IsNaN(t.WorkUnits) || math.IsInf(t.WorkUnits, 0) || t.WorkUnits < 0 {
+		return ErrBadWork
+	}
 	e.mu.Lock()
 	if e.stopped {
 		e.mu.Unlock()

@@ -2,6 +2,7 @@ package task
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -115,6 +116,31 @@ func TestReadyInTracksBacklog(t *testing.T) {
 	// 20 units at speed 2 = 10s of backlog.
 	if readyDuring != 10*time.Second {
 		t.Fatalf("ReadyIn during = %v, want 10s", readyDuring)
+	}
+}
+
+// TestMalformedWorkRefused: work units that are NaN, infinite or negative
+// are refused and leave the backlog, and so the ready time the peer
+// reports, as it was. One accepted NaN used to leave it NaN for good.
+func TestMalformedWorkRefused(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		net, host := newHost(t, 1)
+		e := NewExecutor(host, 1)
+		var err error
+		var ready time.Duration
+		net.Run(func() {
+			err = e.Submit(Task{ID: 1, WorkUnits: w}, nil)
+			if err := e.Submit(Task{ID: 2, WorkUnits: 100}, nil); err != nil {
+				t.Errorf("Submit 100 units: %v", err)
+			}
+			ready = e.ReadyIn()
+		})
+		if !errors.Is(err, ErrBadWork) {
+			t.Errorf("Submit(%v work units) = %v, want ErrBadWork", w, err)
+		}
+		if ready != 100*time.Second {
+			t.Errorf("after a task of %v work units, ReadyIn = %v with 100 units queued at CPU 1, want 1m40s", w, ready)
+		}
 	}
 }
 
