@@ -44,20 +44,21 @@ func BenchmarkNamedQuery(b *testing.B) {
 }
 
 // BenchmarkRenewThenQueryAll prices one lease renewal followed by a
-// whole-kind read — a heartbeat, then a selection or a discover reply
+// whole-kind read into a warm buffer — a heartbeat, then the broker's merge
 // reading the directory it changed.
 func BenchmarkRenewThenQueryAll(b *testing.B) {
 	for _, n := range directorySizes {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
 			c, advs := filledCache(n)
+			buf := c.AppendAll(nil, AdvPeer)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				a := advs[i*7919%n]
 				a.Expires = base.Add(time.Hour + time.Duration(i))
 				c.Publish(a)
-				if got := c.Query(AdvPeer, ""); len(got) != n {
-					b.Fatalf("whole-kind query returned %d of %d entries", len(got), n)
+				if buf = c.AppendAll(buf[:0], AdvPeer); len(buf) != n {
+					b.Fatalf("whole-kind read returned %d of %d entries", len(buf), n)
 				}
 			}
 		})

@@ -201,9 +201,9 @@ func TestBulkDecodeAttrsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestWholeKindQueryResultIsNeverWritten holds a Query(kind, "") result —
-// the kind's shared directory — across every kind of later mutation, with
-// readers scanning it concurrently so the race detector sees any write.
+// TestWholeKindQueryResultIsNeverWritten holds a Query(kind, "") result
+// across every kind of later mutation, with readers scanning it concurrently
+// so the race detector sees any write.
 func TestWholeKindQueryResultIsNeverWritten(t *testing.T) {
 	now, cur := clockAt(base)
 	c := NewCache(0, now)

@@ -255,20 +255,9 @@ type Cache struct {
 	version uint64
 }
 
-// kindDir is one kind's entries in canonical (Name, ID) order. A whole-kind
-// Query hands advs out and marks it shared; the next change copies it first,
-// so a result once handed out is never written.
+// kindDir is one kind's entries in canonical (Name, ID) order; reads copy.
 type kindDir struct {
-	advs   []Advertisement
-	shared bool
-}
-
-// edit returns the entries for writing, copied first if handed out.
-func (d *kindDir) edit() []Advertisement {
-	if d.shared {
-		d.advs, d.shared = slices.Clone(d.advs), false
-	}
-	return d.advs
+	advs []Advertisement
 }
 
 // search returns where (name, id) is or would be, comparing entries in place.
@@ -308,9 +297,9 @@ func (c *Cache) Publish(a Advertisement) {
 	}
 	d := &c.dirs[a.Kind]
 	if i := d.search(a.Name, a.ID); i < len(d.advs) && d.advs[i].ID == a.ID {
-		d.edit()[i] = a
+		d.advs[i] = a
 	} else {
-		d.advs = slices.Insert(d.edit(), i, a)
+		d.advs = slices.Insert(d.advs, i, a)
 	}
 	c.byID[a.ID] = a
 	c.version++
@@ -338,8 +327,8 @@ func (c *Cache) gcLocked(now time.Time) {
 				min = a.Expires
 			}
 		}
-		if len(c.byID) < n { // one pass compacts the kind, copied first if handed out
-			d.advs = slices.DeleteFunc(d.edit(), expired)
+		if len(c.byID) < n { // one pass compacts the kind
+			d.advs = slices.DeleteFunc(d.advs, expired)
 		}
 	}
 	c.minExpiry = min
@@ -349,7 +338,7 @@ func (c *Cache) gcLocked(now time.Time) {
 // order among equals (the one a full cache evicts); zero when empty.
 func (c *Cache) oldestLocked() (oldest Advertisement) {
 	for _, a := range c.byID {
-		if oldest.Expires.IsZero() || cmp.Or(a.Expires.Compare(oldest.Expires), CompareAdvertisements(a, oldest)) < 0 {
+		if oldest.Expires.IsZero() || cmp.Or(a.Expires.Compare(oldest.Expires), CompareAdvertisements(&a, &oldest)) < 0 {
 			oldest = a
 		}
 	}
@@ -360,7 +349,7 @@ func (c *Cache) oldestLocked() (oldest Advertisement) {
 func (c *Cache) dropLocked(a Advertisement) {
 	d := &c.dirs[a.Kind]
 	i := d.search(a.Name, a.ID)
-	d.advs = slices.Delete(d.edit(), i, i+1)
+	d.advs = slices.Delete(d.advs, i, i+1)
 	delete(c.byID, a.ID)
 }
 
@@ -373,22 +362,26 @@ func (c *Cache) Lookup(id ID) (Advertisement, bool) {
 	return a, ok
 }
 
-// Query returns live advertisements of the kind whose Name matches name
-// exactly; empty name matches all, in the canonical (Name, ID) order. A
-// named result is the caller's own copy of the name's run, found by binary
-// search. A whole-kind result is the kind's directory itself, shared by every
-// caller: it must only be read (slicing it is fine), and it stays unchanged
-// for as long as the caller holds it — the next change copies the directory
-// before writing it.
+// AppendAll appends the kind's live advertisements to dst in the canonical
+// (Name, ID) order and returns the extended slice: into a buffer the caller
+// keeps, a read of the whole kind allocates nothing.
+func (c *Cache) AppendAll(dst []Advertisement, kind AdvKind) []Advertisement {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gcLocked(c.now())
+	return append(dst, c.dirs[kind].advs...)
+}
+
+// Query returns a new slice of the live advertisements of the kind whose
+// Name matches name exactly, in the canonical order; empty name matches all.
 func (c *Cache) Query(kind AdvKind, name string) []Advertisement {
+	if name == "" {
+		return c.AppendAll(nil, kind)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gcLocked(c.now())
 	d := &c.dirs[kind]
-	if name == "" {
-		d.shared = true
-		return slices.Clip(d.advs)
-	}
 	i := d.search(name, ID{}) // the zero ID sorts first: the run's start
 	j := i + sort.Search(len(d.advs)-i, func(k int) bool { return d.advs[i+k].Name != name })
 	return append([]Advertisement(nil), d.advs[i:j]...)
@@ -397,7 +390,7 @@ func (c *Cache) Query(kind AdvKind, name string) []Advertisement {
 // CompareAdvertisements is the canonical (Name, ID) directory order as a
 // three-way comparison. Every query answers in it and a sharded directory
 // merges by it, so any shard count answers alike.
-func CompareAdvertisements(a, b Advertisement) int {
+func CompareAdvertisements(a, b *Advertisement) int {
 	if c := strings.Compare(a.Name, b.Name); c != 0 {
 		return c
 	}

@@ -241,26 +241,26 @@ func TestCacheConcurrentAccess(t *testing.T) {
 }
 
 // TestQueryAllocBudget pins what the directory's reads and renewals cost: a
-// whole-kind Query of an unchanged directory hands the directory itself out,
-// a named Query allocates its result alone, and a renewal allocates nothing
-// unless a whole-kind result was handed out since the last change — then it
-// copies the directory, once.
+// whole-kind AppendAll into a buffer the caller keeps allocates nothing, a
+// named Query its result alone, and a renewal nothing, whatever was read
+// before it.
 func TestQueryAllocBudget(t *testing.T) {
 	c, advs := filledCache(1024)
-	c.Query(AdvPeer, "")
-	if n := testing.AllocsPerRun(100, func() { c.Query(AdvPeer, "") }); n != 0 {
-		t.Errorf("whole-kind Query of an unchanged directory: %v allocations, want 0", n)
+	buf := c.AppendAll(nil, AdvPeer)
+	if n := testing.AllocsPerRun(100, func() { buf = c.AppendAll(buf[:0], AdvPeer) }); n != 0 {
+		t.Errorf("whole-kind AppendAll into a warm buffer: %v allocations, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { c.Query(AdvPeer, advs[517].Name) }); n != 1 {
 		t.Errorf("named Query: %v allocations, want 1", n)
 	}
 	renew := advs[517]
-	c.Publish(renew) // copies the directory handed out above
+	c.Query(AdvPeer, "")
 	if n := testing.AllocsPerRun(100, func() {
 		renew.Expires = renew.Expires.Add(time.Second)
 		c.Publish(renew)
+		buf = c.AppendAll(buf[:0], AdvPeer)
 	}); n != 0 {
-		t.Errorf("renewal with no result handed out since the last change: %v allocations, want 0", n)
+		t.Errorf("renewal then whole-kind AppendAll: %v allocations, want 0", n)
 	}
 }
 

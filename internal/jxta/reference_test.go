@@ -46,7 +46,7 @@ func (r *refCache) publish(a Advertisement, now time.Time) {
 			if c := a.Expires.Compare(b.Expires); c != 0 {
 				return c
 			}
-			return CompareAdvertisements(a, b)
+			return CompareAdvertisements(&a, &b)
 		})
 		delete(r.advs, all[0].ID)
 		r.version++
@@ -54,6 +54,9 @@ func (r *refCache) publish(a Advertisement, now time.Time) {
 	r.advs[a.ID] = a
 	r.version++
 }
+
+// canonical is CompareAdvertisements on values, for slices.SortFunc.
+func canonical(a, b Advertisement) int { return CompareAdvertisements(&a, &b) }
 
 // query returns the entries of kind named name (every name when empty) in
 // canonical order.
@@ -64,7 +67,7 @@ func (r *refCache) query(kind AdvKind, name string) []Advertisement {
 			out = append(out, a)
 		}
 	}
-	slices.SortFunc(out, CompareAdvertisements)
+	slices.SortFunc(out, canonical)
 	return out
 }
 
@@ -83,9 +86,11 @@ func sameAdvs(got, want []Advertisement) bool {
 // another name or kind, clock advances (some onto an expiry instant, some
 // followed by a Sweep) and clears. After every step it compares every read:
 // Query of every kind, whole and for every name the program uses plus names
-// it never publishes, LiveLen, their sum, Lookup of every identifier,
-// and Stamp, which must count mutations exactly as the reference does. Every whole-kind result taken at an earlier step must still hold what
-// it held then.
+// it never publishes, AppendAll of every kind into one reused buffer behind an
+// entry it must keep, LiveLen, their sum, Lookup of every identifier, and
+// Stamp, which must count mutations exactly as the reference does. Every
+// whole-kind result taken at an earlier step must still hold what it held
+// then.
 func checkCacheProgram(seed int64, limit, steps int) error {
 	rng := rand.New(rand.NewSource(seed))
 	clock, cur := clockAt(base)
@@ -105,6 +110,7 @@ func checkCacheProgram(seed int64, limit, steps int) error {
 		step      int
 	}
 	var held []heldResult
+	var buf []Advertisement // AppendAll's, reused across steps
 	publishes := 0
 	draw := func(id ID, kind AdvKind, name string) Advertisement {
 		publishes++
@@ -120,7 +126,7 @@ func checkCacheProgram(seed int64, limit, steps int) error {
 		for _, a := range ref.advs {
 			out = append(out, a)
 		}
-		slices.SortFunc(out, CompareAdvertisements)
+		slices.SortFunc(out, canonical)
 		return out
 	}
 
@@ -202,6 +208,10 @@ func checkCacheProgram(seed int64, limit, steps int) error {
 						return fail("Query(%s, \"\") = %d entries, reference %d, or they differ", kind, len(got), len(want))
 					}
 					held = append(held, heldResult{got, slices.Clone(want), step})
+					buf = c.AppendAll(append(buf[:0], Advertisement{Name: "kept"}), kind)
+					if buf[0].Name != "kept" || !sameAdvs(buf[1:], want) {
+						return fail("AppendAll(%s) = %d entries after the kept one, reference %d, or they differ", kind, len(buf)-1, len(want))
+					}
 					if n := c.LiveLen(kind); n != len(want) {
 						return fail("LiveLen(%s) = %d, reference %d", kind, n, len(want))
 					}

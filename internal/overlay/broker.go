@@ -89,7 +89,8 @@ type Broker struct {
 
 	// table is the candidate table and scratch the copy of it, minus
 	// exclusions, that one selection ranks (see selection.go). selMu guards
-	// both and the models' Rank calls: the blind cursor is state.
+	// both and the models' Rank calls (the blind cursor is state); dirMu
+	// nests inside it.
 	selMu   sync.Mutex
 	table   candTable
 	scratch []core.Candidate
@@ -170,27 +171,27 @@ func (b *Broker) Shards() int { return len(b.shards) }
 // mergedDir is a whole-kind directory merged across shards, with the stamp
 // every shard's cache carried when it was merged (jxta.Cache.Stamp, in shard
 // order): while every shard still returns that stamp its live set is the one
-// merged, so the merge is current. advs is immutable once built, and so is
-// reply, the whole-kind discover reply encoding it, made by the first
-// discover that asks and sent to every one after it. size is the last
-// reply's length.
+// merged, so the merge is current. The next merge reuses buf (the shards'
+// answers end to end), parts and advs, so they are read under dirMu only;
+// reply, the discover reply encoding advs, is new and immutable per version.
+// size is the last reply's length.
 type mergedDir struct {
 	kind   jxta.AdvKind
 	stamps []uint64
+	buf    []jxta.Advertisement
+	parts  [][]jxta.Advertisement
 	advs   []jxta.Advertisement
 	reply  []byte
 	size   int
 }
 
-// Advertisements queries the sharded advertisement directory for one kind:
-// per-shard results merged back into canonical (Name, ID) order. Discovery,
-// selection and Peers all read this one view. The result is read-only: a
-// one-shard broker's is the shard's own answer (see jxta.Cache.Query), and a
-// merge is shared by every caller until some shard's stamp moves.
+// Advertisements returns a copy of the sharded advertisement directory for
+// one kind: per-shard results merged back into canonical (Name, ID) order.
+// Discovery, selection and Peers all read this one merge.
 func (b *Broker) Advertisements(kind jxta.AdvKind) []jxta.Advertisement {
 	b.dirMu.Lock()
 	defer b.dirMu.Unlock()
-	return b.dirLocked(kind).advs
+	return append([]jxta.Advertisement(nil), b.dirLocked(kind).advs...)
 }
 
 // directoryReply returns the whole-kind discover reply for kind, encoded once
@@ -210,8 +211,8 @@ func (b *Broker) directoryReply(kind jxta.AdvKind) []byte {
 	return d.reply
 }
 
-// dirLocked returns the whole-kind directory, merged again if some shard's
-// stamp moved since the last merge. Caller holds dirMu.
+// dirLocked returns the whole-kind directory, merged again into its buffers
+// if some shard's stamp moved since the last merge. Caller holds dirMu.
 func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 	d := &b.dir
 	current := d.kind == kind
@@ -228,24 +229,25 @@ func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 	}
 	d.kind, d.reply = kind, nil
 	if len(b.shards) == 1 {
-		d.advs = b.shards[0].cache.Query(kind, "")
+		d.advs = b.shards[0].cache.AppendAll(d.advs[:0], kind)
 		return d
 	}
 	// Each shard answers in canonical order already; a k-way merge restores
 	// the global order without re-sorting the whole directory.
-	parts, total := make([][]jxta.Advertisement, 0, len(b.shards)), 0
+	d.buf, d.parts = slices.Grow(d.buf[:0], b.liveLen(kind)), d.parts[:0]
 	for _, sh := range b.shards {
-		if p := sh.cache.Query(kind, ""); len(p) > 0 {
-			parts, total = append(parts, p), total+len(p)
+		start := len(d.buf)
+		if d.buf = sh.cache.AppendAll(d.buf, kind); len(d.buf) > start {
+			d.parts = append(d.parts, d.buf[start:])
 		}
 	}
-	d.kind, d.advs = kind, slices.Grow([]jxta.Advertisement(nil), total) // nil when empty
-	for len(parts) > 0 {
+	d.advs = slices.Grow(d.advs[:0], len(d.buf))
+	for parts := d.parts; len(parts) > 0; {
 		// The step of the merge, k = shard count, small: take the least of
 		// the parts' heads and drop a part once it is exhausted.
 		least := 0
 		for i := 1; i < len(parts); i++ {
-			if jxta.CompareAdvertisements(parts[i][0], parts[least][0]) < 0 {
+			if jxta.CompareAdvertisements(&parts[i][0], &parts[least][0]) < 0 {
 				least = i
 			}
 		}
@@ -258,14 +260,14 @@ func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 	return d
 }
 
-// knownPeers counts live peer advertisements across shards — the value
-// len(Peers()) reports, computed from per-shard O(1) counts instead of
-// listing the whole directory. Registration acks carry it, so a boot wave
-// of N peers must not pay O(N) per ack.
-func (b *Broker) knownPeers() int {
+// liveLen counts live advertisements of kind across shards — the length of
+// the merged directory, computed from per-shard O(1) counts instead of
+// listing it. Registration acks carry the peer count, so a boot wave of N
+// peers must not pay O(N) per ack; a merge sizes its buffer by it.
+func (b *Broker) liveLen(kind jxta.AdvKind) int {
 	n := 0
 	for _, sh := range b.shards {
-		n += sh.cache.LiveLen(jxta.AdvPeer)
+		n += sh.cache.LiveLen(kind)
 	}
 	return n
 }
@@ -364,7 +366,7 @@ func (b *Broker) handleRegister(conn *pipe.Conn, d *wire.Decoder) {
 		ps.SetCPUScore(cpu)
 	}
 	b.applyStats(ps, req.Stats)
-	ack := registerAck{OK: true, Broker: b.host.Name(), KnownPeers: b.knownPeers()}
+	ack := registerAck{OK: true, Broker: b.host.Name(), KnownPeers: b.liveLen(jxta.AdvPeer)}
 	sendReply(conn, ack.encodeTo)
 }
 

@@ -35,6 +35,9 @@ func (r *refDirectory) lookup(id jxta.ID, now time.Time) (jxta.Advertisement, bo
 	return a, true
 }
 
+// canonical is jxta.CompareAdvertisements on values, for slices.SortFunc.
+func canonical(a, b jxta.Advertisement) int { return jxta.CompareAdvertisements(&a, &b) }
+
 // query returns the entries live at now that keep accepts, in canonical order.
 func (r *refDirectory) query(now time.Time, keep func(jxta.Advertisement) bool) []jxta.Advertisement {
 	var out []jxta.Advertisement
@@ -43,7 +46,7 @@ func (r *refDirectory) query(now time.Time, keep func(jxta.Advertisement) bool) 
 			out = append(out, a)
 		}
 	}
-	slices.SortFunc(out, jxta.CompareAdvertisements)
+	slices.SortFunc(out, canonical)
 	return out
 }
 

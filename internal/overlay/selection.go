@@ -76,7 +76,9 @@ func (b *Broker) refreshTableLocked(now time.Time) {
 		return
 	}
 	t.built, t.hour = true, hour
-	advs := b.Advertisements(jxta.AdvPeer)
+	b.dirMu.Lock()
+	defer b.dirMu.Unlock()
+	advs := b.dirLocked(jxta.AdvPeer).advs
 	t.cands = slices.Grow(t.cands[:0], len(advs))[:len(advs)]
 	for i := range advs {
 		name := advs[i].Name

@@ -483,17 +483,14 @@ func TestSelectionMatchesFullRanking(t *testing.T) {
 	}
 }
 
-// BenchmarkRankBuild is the broker's selection miss path at the size of the
-// swarm-4096 benchmark: 4 096 peers on 8 shards, and one statistics report
-// between selections, so every selection finds the candidate table stale and
-// rebuilds it — merged directory, a snapshot per candidate — then copies it
-// minus the requester and ranks the copy.
-func BenchmarkRankBuild(b *testing.B) {
-	const peers = 4096
+// rankBroker registers the given number of peers, with spread statistics, on
+// a broker of the given shard count, and returns the broker and their names.
+func rankBroker(tb testing.TB, peers, shards int) (*Broker, []string) {
+	tb.Helper()
 	host := simnet.New(21).MustAddNode("broker0", simnet.DefaultProfile())
-	br, err := NewBroker(host, BrokerConfig{Shards: 8, CacheLimit: 2 * peers})
+	br, err := NewBroker(host, BrokerConfig{Shards: shards, CacheLimit: 2 * peers})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	names := make([]string, peers)
 	for i := range names {
@@ -508,13 +505,70 @@ func BenchmarkRankBuild(b *testing.B) {
 			ps.RecordMessage(i%2 == 0)
 		}
 	}
-	for _, model := range []string{"economic", "same-priority"} {
-		b.Run(model, func(b *testing.B) {
+	return br, names
+}
+
+// churnStep is what arrives between two selections under churn: a lease
+// renewal (when renew is set) and a statistics write, both from peer i.
+func churnStep(br *Broker, names []string, i int, renew bool) string {
+	from := names[(i*31)%len(names)]
+	sh := br.shardOf(from)
+	if renew {
+		adv, _ := sh.cache.Lookup(jxta.NewID("peer", from))
+		br.publish(sh, adv)
+	}
+	sh.registry.Peer(from).RecordFileSent(true)
+	return from
+}
+
+// TestRenewalThenSelectAllocs pins the churn shape as a budget: 1 024 peers
+// on 4 shards, a lease renewal and a statistics write between selections.
+// The renewal merges the directory again into the buffers the broker keeps
+// and the write rebuilds the candidate table in place, so such a selection
+// allocates no more than one at an unchanged directory.
+func TestRenewalThenSelectAllocs(t *testing.T) {
+	br, names := rankBroker(t, 1024, 4)
+	req := func(from string) selectReq {
+		return selectReq{Model: "economic", Kind: byte(core.KindFileTransfer), SizeBytes: 2 << 20, MaxResults: 1, Exclude: []string{from}}
+	}
+	step := 0
+	afterRenewal := func() {
+		step++
+		if _, err := br.selectPeers(req(churnStep(br, names, step, true))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	afterRenewal() // grows the merge, the table and the scratch copy
+	warm := testing.AllocsPerRun(50, func() {
+		if _, err := br.selectPeers(req(names[0])); err != nil {
+			t.Fatal(err)
+		}
+	})
+	churn := testing.AllocsPerRun(50, afterRenewal)
+	if churn > warm && !underRace() {
+		t.Errorf("a selection after a renewal and a statistics write: %v allocations, at an unchanged directory %v", churn, warm)
+	}
+	t.Logf("allocations per selection: %v unchanged, %v after a renewal", warm, churn)
+}
+
+// BenchmarkRankBuild is the broker's selection miss path at the size of the
+// swarm-4096 benchmark: 4 096 peers on 8 shards, and one statistics report
+// between selections, so every selection finds the candidate table stale and
+// rebuilds it — a snapshot per candidate — then copies it minus the requester
+// and ranks the copy. The renewal case adds a lease renewal to each report,
+// so the rebuild merges the directory again first.
+func BenchmarkRankBuild(b *testing.B) {
+	const peers = 4096
+	br, names := rankBroker(b, peers, 8)
+	for _, bc := range []struct {
+		name, model string
+		renew       bool
+	}{{"economic", "economic", false}, {"same-priority", "same-priority", false}, {"renewal", "economic", true}} {
+		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			selectFrom := func(i int) {
-				from := names[(i*31)%peers]
-				br.shardOf(from).registry.Peer(from).RecordFileSent(true)
-				req := selectReq{Model: model, Kind: byte(core.KindFileTransfer), SizeBytes: 2 << 20, MaxResults: 1, Exclude: []string{from}}
+				from := churnStep(br, names, i, bc.renew)
+				req := selectReq{Model: bc.model, Kind: byte(core.KindFileTransfer), SizeBytes: 2 << 20, MaxResults: 1, Exclude: []string{from}}
 				if _, err := br.selectPeers(req); err != nil {
 					b.Fatal(err)
 				}

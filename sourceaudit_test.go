@@ -51,6 +51,7 @@ const benchProbe = "bench probe, goes with ROADMAP item 1"
 // each stays.
 var reachAllow = map[string]string{
 	"core.NewQuickPeer":          benchProbe,
+	"jxta.Cache.Query":           benchProbe,
 	"jxta.Cache.Sweep":           benchProbe,
 	"pipe.Conn.Retransmissions":  benchProbe,
 	"pipe.Mux.Accept":            benchProbe,
