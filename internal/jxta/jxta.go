@@ -256,9 +256,7 @@ type Cache struct {
 }
 
 // kindDir is one kind's entries in canonical (Name, ID) order; reads copy.
-type kindDir struct {
-	advs []Advertisement
-}
+type kindDir struct{ advs []Advertisement }
 
 // search returns where (name, id) is or would be, comparing entries in place.
 func (d *kindDir) search(name string, id ID) int {

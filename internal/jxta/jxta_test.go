@@ -254,7 +254,6 @@ func TestQueryAllocBudget(t *testing.T) {
 		t.Errorf("named Query: %v allocations, want 1", n)
 	}
 	renew := advs[517]
-	c.Query(AdvPeer, "")
 	if n := testing.AllocsPerRun(100, func() {
 		renew.Expires = renew.Expires.Add(time.Second)
 		c.Publish(renew)
