@@ -42,7 +42,7 @@
 // figstream (playback stalls vs piece picking).
 //
 // With -sweep the run is a generic grid over (scenario × workload × model ×
-// granularity × size × pick × choke × churn-rate), e.g.
+// granularity × size × pick × choke × churn-rate × fault-rate), e.g.
 //
 //	p2pbench -sweep "scenario=table1,churn:64;model=all;rep=5" -format json
 //
@@ -112,7 +112,7 @@ func main() {
 		exp      = flag.String("experiment", "all", "which exhibit to regenerate ("+experiments.ExperimentNames()+")")
 		scen     = flag.String("scenario", "table1", "slice scenario: table1 (the paper's calibrated world), uniform:N, heterogeneous:N, zipf:N, churn:N, faults:N")
 		wl       = flag.String("workload", "", "run a flow workload instead of the figures: controller-fanout, swarm:N, allpairs:N, disseminate:N, stream:N")
-		sweep    = flag.String("sweep", "", `run a sweep grid instead: "scenario=table1,churn:64;model=all;rep=5" (axes: scenario, workload, model, granularity, size, pick, choke, churn, fault, rep)`)
+		sweep    = flag.String("sweep", "", `run a sweep grid instead: "scenario=table1,churn:64;model=all;rep=5" (axes: `+experiments.SweepAxisNames()+")")
 		seed     = flag.Int64("seed", 2007, "simulation seed (runs with equal seeds are identical)")
 		reps     = flag.Int("reps", 5, "repetitions per data point (the paper used 5)")
 		parallel = flag.Int("parallel", 0, "experiment cells run concurrently (0 = GOMAXPROCS, 1 = serial)")
@@ -362,12 +362,11 @@ func renderSweep(report *experiments.SweepReport, format string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(report)
 	case "csv":
-		fmt.Println("scenario,workload,model,parts,size_mb,pick,choke,churn_rate,fault_rate,rep,flows,failed,departed,lagged,stale,degraded,recovered,retries,mean_xmit_seconds")
+		fmt.Println(strings.Join(append(experiments.SweepColumns(), "rep", "flows", "failed", "departed", "lagged", "stale", "degraded", "recovered", "retries", "mean_xmit_seconds"), ","))
 		for _, c := range report.Cells {
 			s := c.Summary
-			fmt.Printf("%s,%s,%s,%d,%d,%s,%s,%g,%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.6f\n",
-				c.Scenario, c.Workload, c.Model, c.Parts, c.SizeMb, c.Pick, c.Choke, c.ChurnRate, c.FaultRate, c.Rep,
-				s.Flows, s.FailedFlows, s.PeersDeparted, s.SelectionsLagged, s.SelectionsStale,
+			fmt.Printf("%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.6f\n",
+				strings.Join(c.Coordinates(), ","), c.Rep, s.Flows, s.FailedFlows, s.PeersDeparted, s.SelectionsLagged, s.SelectionsStale,
 				s.SelectionsDegraded, s.FlowsRecovered, s.RetriesSpent,
 				s.MeanTransmissionSeconds)
 		}
@@ -375,15 +374,14 @@ func renderSweep(report *experiments.SweepReport, format string) error {
 	default:
 		t := &metrics.Table{
 			Title:   fmt.Sprintf("Sweep %s (seed %d)", report.Sweep, report.Seed),
-			Columns: []string{"scenario", "workload", "model", "parts", "Mb", "pick", "choke", "churn", "fault", "rep", "flows", "failed", "lagged", "stale", "degraded", "recovered", "mean xmit s"},
+			Columns: append(experiments.SweepColumns(), "rep", "flows", "failed", "lagged", "stale", "degraded", "recovered", "mean xmit s"),
 		}
 		for _, c := range report.Cells {
 			s := c.Summary
-			t.AddRow(c.Scenario, c.Workload, c.Model, fmt.Sprint(c.Parts), fmt.Sprint(c.SizeMb), c.Pick, c.Choke,
-				fmt.Sprintf("%g", c.ChurnRate), fmt.Sprintf("%g", c.FaultRate), fmt.Sprint(c.Rep), fmt.Sprint(s.Flows),
+			t.AddRow(append(c.Coordinates(), fmt.Sprint(c.Rep), fmt.Sprint(s.Flows),
 				fmt.Sprint(s.FailedFlows), fmt.Sprint(s.SelectionsLagged), fmt.Sprint(s.SelectionsStale),
 				fmt.Sprint(s.SelectionsDegraded), fmt.Sprint(s.FlowsRecovered),
-				fmt.Sprintf("%.3f", s.MeanTransmissionSeconds))
+				fmt.Sprintf("%.3f", s.MeanTransmissionSeconds))...)
 		}
 		fmt.Println(t.Markdown())
 		if len(report.Marginals) > 0 {

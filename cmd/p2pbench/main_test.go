@@ -7,8 +7,11 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"peerlab/internal/experiments"
 )
 
 // asMain makes the re-executed test binary behave as the command itself.
@@ -104,5 +107,32 @@ func TestExperimentLists(t *testing.T) {
 	stdout, stderr, code = p2pbench(t, "-experiment", "fig2,fig9")
 	if code != 2 || stdout != "" || !strings.Contains(stderr, `unknown experiment "fig9"`) {
 		t.Fatalf("-experiment fig2,fig9: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+}
+
+// TestSweepCSVColumns: the sweep CSV's axis columns come from the sweep
+// engine's axis table, then rep, and every row carries one value per
+// column.
+func TestSweepCSVColumns(t *testing.T) {
+	stdout, stderr, code := p2pbench(t, "-sweep", "scenario=uniform:2;granularity=1,2;rep=1", "-format", "csv")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	lines := strings.Split(strings.TrimSpace(stdout), "\n")
+	header := strings.Split(lines[0], ",")
+	if want := strings.Join(append(experiments.SweepColumns(), "rep"), ",") + ","; !strings.HasPrefix(lines[0], want) {
+		t.Fatalf("header %q does not start with %q", lines[0], want)
+	}
+	parts := slices.Index(header, "parts")
+	var got []string
+	for _, line := range lines[1:] {
+		row := strings.Split(line, ",")
+		if len(row) != len(header) {
+			t.Fatalf("row %q has %d fields, header %d", line, len(row), len(header))
+		}
+		got = append(got, row[parts])
+	}
+	if !slices.Equal(got, []string{"1", "2"}) {
+		t.Fatalf("parts column = %v, want [1 2]", got)
 	}
 }

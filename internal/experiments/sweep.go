@@ -1,5 +1,5 @@
-// Generic sweep engine: grid cells over (scenario × workload × model ×
-// granularity × size × pick × choke × churn-rate × fault-rate × rep).
+// Generic sweep engine: grid cells over the axes sweepAxes declares, times
+// rep.
 //
 // The paper's figures are each a hand-rolled 1-D sweep — granularity for
 // Figure 5, selection model for Figure 6 — over per-peer cells, and stay
@@ -18,7 +18,6 @@ package experiments
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,10 +30,9 @@ import (
 
 // Sweep describes a grid of workload cells over orthogonal axes. Empty axes
 // default as documented per field; the cross-product of the remaining values
-// expands in the fixed canonical order scenario → workload → model →
-// granularity → size → pick → choke → churn → fault → rep (rep fastest), whatever order
-// the axes were written in. Parse a "-sweep" spec with ParseSweep; Spec prints the
-// canonical form back.
+// expands in the fixed canonical order of sweepAxes, then rep (rep fastest),
+// whatever order the axes were written in. Parse a "-sweep" spec with
+// ParseSweep; Spec prints the canonical form back.
 type Sweep struct {
 	// Scenarios lists scenario specs ("table1", "churn:64", ...). Empty
 	// means the Config's scenario.
@@ -77,21 +75,6 @@ type Sweep struct {
 	Reps int
 }
 
-// sweepModelAll is what the model axis value "all" expands to: the paper's
-// Figure 6 lineup, aliased so the two cannot drift apart.
-var sweepModelAll = Fig6Models
-
-// sweepModels is the parse-time allowlist of the model axis, built from
-// core.StandardModels — the one source of truth for the built-in lineup. A
-// typo'd model must not cost a deployed slice before failing.
-var sweepModels = func() map[string]bool {
-	m := make(map[string]bool)
-	for _, name := range core.StandardModels() {
-		m[name] = true
-	}
-	return m
-}()
-
 // Grammar sanity bounds. Numeric axis values far beyond any plausible
 // experiment (a 10^6-part transmission) are rejected at parse time rather
 // than overflowing byte counts downstream. The churn-rate bounds are much
@@ -106,6 +89,150 @@ const (
 	axisRateMax = 100
 	axisRateMin = 0.01
 )
+
+// sweepAxis declares one studied axis: the one place its grammar, canonical
+// spelling, expansion, marginal and output column are written down.
+type sweepAxis struct {
+	name   string // the spec's axis name, and the marginals' Axis
+	column string // SweepCell's JSON name for the coordinate
+	// add validates one spec value and joins what it stands for to the
+	// sweep, keeping the first occurrence of a repeated value.
+	add func(sw *Sweep, v string) error
+	// values spells the sweep's values as the grammar spells them; coord
+	// spells a cell's coordinate the same way.
+	values func(sw Sweep) []string
+	coord  func(c SweepCell) string
+	// expand crosses cell templates with the axis's values, the axis
+	// varying fastest; an unset axis leaves the templates as they are.
+	// expandSweep resolves the scenario and workload axes itself.
+	expand func(sw Sweep, cells []SweepCell) []SweepCell
+}
+
+// sweepAxes lists every studied axis in canonical expansion order. A new
+// axis is one row here plus one SweepCell field. Rep stays outside: it
+// counts samples of one point, and no marginal groups by it.
+var sweepAxes = []sweepAxis{
+	axis("scenario", "scenario", func(sw *Sweep) *[]string { return &sw.Scenarios },
+		func(c *SweepCell) *string { return &c.Scenario }, single, identity),
+	axis("workload", "workload", func(sw *Sweep) *[]string { return &sw.Workloads },
+		func(c *SweepCell) *string { return &c.Workload }, single, identity),
+	// "all" stands for the paper's Figure 6 lineup.
+	axis("model", "model", func(sw *Sweep) *[]string { return &sw.Models },
+		func(c *SweepCell) *string { return &c.Model }, func(v string) ([]string, error) {
+			if v == "all" {
+				return Fig6Models, nil
+			}
+			return oneOf("selection model", append([]string{"all"}, core.StandardModels()...))(v)
+		}, identity),
+	axis("granularity", "parts", func(sw *Sweep) *[]int { return &sw.Granularities },
+		func(c *SweepCell) *int { return &c.Parts }, bounded("granularity", "a part count", strconv.Atoi, 1, axisIntMax), strconv.Itoa),
+	axis("size", "size_mb", func(sw *Sweep) *[]int { return &sw.Sizes },
+		func(c *SweepCell) *int { return &c.SizeMb }, bounded("size", "an Mb count", strconv.Atoi, 1, axisIntMax), strconv.Itoa),
+	axis("pick", "pick", func(sw *Sweep) *[]string { return &sw.Picks },
+		func(c *SweepCell) *string { return &c.Pick }, oneOf("pick policy", workload.Picks), identity),
+	axis("choke", "choke", func(sw *Sweep) *[]string { return &sw.Chokes },
+		func(c *SweepCell) *string { return &c.Choke }, oneOf("choke policy", workload.Chokes), identity),
+	axis("churn", "churn_rate", func(sw *Sweep) *[]float64 { return &sw.ChurnRates },
+		func(c *SweepCell) *float64 { return &c.ChurnRate }, bounded("churn rate", "a rate", parseFloat, axisRateMin, axisRateMax), formatRate),
+	axis("fault", "fault_rate", func(sw *Sweep) *[]float64 { return &sw.FaultRates },
+		func(c *SweepCell) *float64 { return &c.FaultRate }, bounded("fault rate", "a rate", parseFloat, axisRateMin, axisRateMax), formatRate),
+}
+
+// axis builds a row from the axis's Sweep field (list), its SweepCell field
+// (at), a parser from one spec value to the values it stands for, and the
+// spelling of one value.
+func axis[T comparable](name, column string, list func(*Sweep) *[]T, at func(*SweepCell) *T,
+	parse func(string) ([]T, error), format func(T) string) sweepAxis {
+	return sweepAxis{
+		name: name, column: column,
+		add: func(sw *Sweep, v string) error {
+			vals, err := parse(v)
+			for _, x := range vals {
+				if l := list(sw); !slices.Contains(*l, x) {
+					*l = append(*l, x)
+				}
+			}
+			return err
+		},
+		values: func(sw Sweep) []string {
+			var out []string
+			for _, x := range *list(&sw) {
+				out = append(out, format(x))
+			}
+			return out
+		},
+		coord: func(c SweepCell) string { return format(*at(&c)) },
+		expand: func(sw Sweep, cells []SweepCell) []SweepCell {
+			vals := *list(&sw)
+			if len(vals) == 0 {
+				return cells
+			}
+			out := make([]SweepCell, 0, len(cells)*len(vals))
+			for _, c := range cells {
+				for _, x := range vals {
+					*at(&c) = x
+					out = append(out, c)
+				}
+			}
+			return out
+		},
+	}
+}
+
+// single accepts any value: scenario and workload specs are parsed by their
+// own packages when the grid expands.
+func single(v string) ([]string, error) { return []string{v}, nil }
+
+func identity(v string) string { return v }
+
+// oneOf accepts a value from a fixed list; a typo'd name must not cost a
+// deployed slice before failing.
+func oneOf(noun string, allowed []string) func(string) ([]string, error) {
+	return func(v string) ([]string, error) {
+		if !slices.Contains(allowed, v) {
+			return nil, fmt.Errorf("sweep: unknown %s %q (want %s)", noun, v, strings.Join(allowed, ", "))
+		}
+		return []string{v}, nil
+	}
+}
+
+// bounded accepts a number in [lo, hi]; the negated lower test also turns
+// away NaN.
+func bounded[T int | float64](noun, want string, parse func(string) (T, error), lo, hi T) func(string) ([]T, error) {
+	return func(v string) ([]T, error) {
+		n, err := parse(v)
+		if err != nil || !(n >= lo) || n > hi {
+			return nil, fmt.Errorf("sweep: %s %q: want %s in [%v, %v]", noun, v, want, lo, hi)
+		}
+		return []T{n}, nil
+	}
+}
+
+func parseFloat(v string) (float64, error) { return strconv.ParseFloat(v, 64) }
+
+// formatRate prints a churn or fault rate the way the grammar reads it
+// back.
+func formatRate(r float64) string { return strconv.FormatFloat(r, 'g', -1, 64) }
+
+// SweepAxisNames lists the grammar's axis names, rep last, for help and
+// error text.
+func SweepAxisNames() string {
+	names := make([]string, 0, len(sweepAxes)+1)
+	for _, ax := range sweepAxes {
+		names = append(names, ax.name)
+	}
+	return strings.Join(append(names, "rep"), ", ")
+}
+
+// SweepColumns names the studied axes' columns, spelled as SweepCell's JSON
+// spells them; SweepCell.Coordinates gives a cell's values in this order.
+func SweepColumns() []string {
+	cols := make([]string, len(sweepAxes))
+	for i, ax := range sweepAxes {
+		cols[i] = ax.column
+	}
+	return cols
+}
 
 // ParseSweep parses a sweep grid spec: semicolon-separated axes, each
 // "axis=value,value,...". Axes are scenario, workload, model, granularity
@@ -149,158 +276,40 @@ func ParseSweep(spec string) (Sweep, error) {
 		if values == nil {
 			return Sweep{}, fmt.Errorf("sweep: axis %q has no values", name)
 		}
-		switch name {
-		case "scenario":
-			sw.Scenarios = values
-		case "workload":
-			sw.Workloads = values
-		case "model":
-			for _, v := range values {
-				switch {
-				case v == "all":
-					sw.Models = append(sw.Models, sweepModelAll...)
-				case sweepModels[v]:
-					sw.Models = append(sw.Models, v)
-				default:
-					return Sweep{}, fmt.Errorf("sweep: unknown selection model %q (want all, %s)",
-						v, strings.Join(sweepModelNames(), ", "))
-				}
-			}
-		case "granularity":
-			for _, v := range values {
-				n, err := strconv.Atoi(v)
-				if err != nil || n < 1 || n > axisIntMax {
-					return Sweep{}, fmt.Errorf("sweep: granularity %q: want a part count in [1, %d]", v, axisIntMax)
-				}
-				sw.Granularities = append(sw.Granularities, n)
-			}
-		case "size":
-			for _, v := range values {
-				n, err := strconv.Atoi(v)
-				if err != nil || n < 1 || n > axisIntMax {
-					return Sweep{}, fmt.Errorf("sweep: size %q: want an Mb count in [1, %d]", v, axisIntMax)
-				}
-				sw.Sizes = append(sw.Sizes, n)
-			}
-		case "pick":
-			for _, v := range values {
-				if !slices.Contains(workload.Picks, v) {
-					return Sweep{}, fmt.Errorf("sweep: unknown pick policy %q (want %s)", v, strings.Join(workload.Picks, ", "))
-				}
-				sw.Picks = append(sw.Picks, v)
-			}
-		case "choke":
-			for _, v := range values {
-				if !slices.Contains(workload.Chokes, v) {
-					return Sweep{}, fmt.Errorf("sweep: unknown choke policy %q (want %s)", v, strings.Join(workload.Chokes, ", "))
-				}
-				sw.Chokes = append(sw.Chokes, v)
-			}
-		case "churn":
-			for _, v := range values {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || !(f >= axisRateMin) || f > axisRateMax {
-					return Sweep{}, fmt.Errorf("sweep: churn rate %q: want a rate in [%g, %g]", v, axisRateMin, float64(axisRateMax))
-				}
-				sw.ChurnRates = append(sw.ChurnRates, f)
-			}
-		case "fault":
-			for _, v := range values {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || !(f >= axisRateMin) || f > axisRateMax {
-					return Sweep{}, fmt.Errorf("sweep: fault rate %q: want a rate in [%g, %g]", v, axisRateMin, float64(axisRateMax))
-				}
-				sw.FaultRates = append(sw.FaultRates, f)
-			}
-		case "rep":
+		if name == "rep" {
 			if len(values) != 1 {
 				return Sweep{}, fmt.Errorf("sweep: rep wants exactly one value, got %d", len(values))
 			}
-			n, err := strconv.Atoi(values[0])
-			if err != nil || n < 1 || n > axisIntMax {
-				return Sweep{}, fmt.Errorf("sweep: rep %q: want a count in [1, %d]", values[0], axisIntMax)
+			n, err := bounded("rep", "a count", strconv.Atoi, 1, axisIntMax)(values[0])
+			if err != nil {
+				return Sweep{}, err
 			}
-			sw.Reps = n
-		default:
-			return Sweep{}, fmt.Errorf("sweep: unknown axis %q (want scenario, workload, model, granularity, size, pick, choke, churn, fault, rep)", name)
+			sw.Reps = n[0]
+			continue
+		}
+		i := slices.IndexFunc(sweepAxes, func(ax sweepAxis) bool { return ax.name == name })
+		if i < 0 {
+			return Sweep{}, fmt.Errorf("sweep: unknown axis %q (want %s)", name, SweepAxisNames())
+		}
+		for _, v := range values {
+			if err := sweepAxes[i].add(&sw, v); err != nil {
+				return Sweep{}, err
+			}
 		}
 	}
-	sw.Scenarios = dedup(sw.Scenarios)
-	sw.Workloads = dedup(sw.Workloads)
-	sw.Models = dedup(sw.Models)
-	sw.Granularities = dedup(sw.Granularities)
-	sw.Sizes = dedup(sw.Sizes)
-	sw.Picks = dedup(sw.Picks)
-	sw.Chokes = dedup(sw.Chokes)
-	sw.ChurnRates = dedup(sw.ChurnRates)
-	sw.FaultRates = dedup(sw.FaultRates)
 	return sw, nil
 }
-
-// dedup collapses repeated axis values to their first occurrence, order
-// preserved. nil stays nil, so an unspecified axis still reads as "default".
-func dedup[T comparable](vals []T) []T {
-	if len(vals) < 2 {
-		return vals
-	}
-	seen := make(map[T]bool, len(vals))
-	out := make([]T, 0, len(vals))
-	for _, v := range vals {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// sweepModelNames returns the accepted model names, sorted for error text.
-func sweepModelNames() []string {
-	names := make([]string, 0, len(sweepModels))
-	for n := range sweepModels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// formatRate prints a churn or fault rate the way the grammar reads it
-// back.
-func formatRate(r float64) string { return strconv.FormatFloat(r, 'g', -1, 64) }
 
 // Spec prints the sweep in canonical grammar form: axes in canonical order,
 // empty axes omitted. ParseSweep(sw.Spec()) reproduces sw (with "all"
 // already expanded), the round-trip the grammar's fuzz test locks in.
 func (sw Sweep) Spec() string {
 	var parts []string
-	add := func(name string, values []string) {
-		if len(values) > 0 {
-			parts = append(parts, name+"="+strings.Join(values, ","))
+	for _, ax := range sweepAxes {
+		if values := ax.values(sw); len(values) > 0 {
+			parts = append(parts, ax.name+"="+strings.Join(values, ","))
 		}
 	}
-	ints := func(ns []int) []string {
-		out := make([]string, len(ns))
-		for i, n := range ns {
-			out[i] = strconv.Itoa(n)
-		}
-		return out
-	}
-	add("scenario", sw.Scenarios)
-	add("workload", sw.Workloads)
-	add("model", sw.Models)
-	add("granularity", ints(sw.Granularities))
-	add("size", ints(sw.Sizes))
-	add("pick", sw.Picks)
-	add("choke", sw.Chokes)
-	fmtRates := func(rs []float64) []string {
-		out := make([]string, len(rs))
-		for i, r := range rs {
-			out[i] = formatRate(r)
-		}
-		return out
-	}
-	add("churn", fmtRates(sw.ChurnRates))
-	add("fault", fmtRates(sw.FaultRates))
 	if sw.Reps > 0 {
 		parts = append(parts, "rep="+strconv.Itoa(sw.Reps))
 	}
@@ -336,6 +345,16 @@ func (c SweepCell) key() string {
 		k += fmt.Sprintf("|pick=%s|choke=%s", c.Pick, c.Choke)
 	}
 	return k
+}
+
+// Coordinates spells the cell's coordinate on every studied axis, in
+// SweepColumns order.
+func (c SweepCell) Coordinates() []string {
+	out := make([]string, len(sweepAxes))
+	for i, ax := range sweepAxes {
+		out[i] = ax.coord(c)
+	}
+	return out
 }
 
 // SweepRecord is one executed cell's JSON row: the axis coordinates plus the
@@ -404,78 +423,23 @@ func expandSweep(cfg Config, sw Sweep) ([]sweepPlan, int, error) {
 	// ("uniform:08" and "uniform:8" are one scenario), so dedup again by
 	// canonical name — the identity that enters the cell key — or the same
 	// world would be simulated twice and double-weight every marginal.
-	scenarios := make([]scenario.Scenario, 0, len(sw.Scenarios))
-	if len(sw.Scenarios) == 0 {
+	scenarios, err := parseUnique(sw.Scenarios, scenario.Parse, func(sc scenario.Scenario) string { return sc.Name })
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(scenarios) == 0 {
 		scenarios = append(scenarios, cfg.Scenario)
-	} else {
-		seen := make(map[string]bool, len(sw.Scenarios))
-		for _, spec := range sw.Scenarios {
-			sc, err := scenario.Parse(spec)
-			if err != nil {
-				return nil, 0, err
-			}
-			if seen[sc.Name] {
-				continue
-			}
-			seen[sc.Name] = true
-			scenarios = append(scenarios, sc)
-		}
 	}
-	rates := axisOr(sw.ChurnRates, 1)
-	for _, r := range rates {
-		if r == 1 {
-			continue
-		}
-		for _, sc := range scenarios {
-			if sc.ChurnRate == nil {
-				return nil, 0, fmt.Errorf("sweep: churn rate %s over scenario %q, which has no dynamics to scale (want churn:N)",
-					formatRate(r), sc.Name)
-			}
-		}
+	workloads, err := parseUnique(sw.Workloads, workload.Parse, func(w workload.Workload) string { return w.Name })
+	if err != nil {
+		return nil, 0, err
 	}
-	faultRates := axisOr(sw.FaultRates, 1)
-	for _, r := range faultRates {
-		if r == 1 {
-			continue
-		}
-		for _, sc := range scenarios {
-			if sc.FaultRate == nil {
-				return nil, 0, fmt.Errorf("sweep: fault rate %s over scenario %q, which has no faults to scale (want faults:N)",
-					formatRate(r), sc.Name)
-			}
-		}
+	// The axes after the workload axis expand once into cell templates;
+	// each (scenario, workload) pair fills in its names and reps.
+	templates := []SweepCell{{ChurnRate: 1, FaultRate: 1}}
+	for _, ax := range sweepAxes[2:] {
+		templates = ax.expand(sw, templates)
 	}
-	// The workload axis defaults with RunWorkload's precedence: an explicit
-	// Config.Workload wins, then each scenario's own hint (churn:N hints
-	// swarm:N), then controller-fanout. The resolved name — not how it was
-	// obtained — enters the cell key, so a sweep that spells the hint out
-	// is cell-for-cell identical to one that relies on it.
-	workloadsFor := func(sc scenario.Scenario) ([]workload.Workload, error) {
-		if len(sw.Workloads) == 0 {
-			w, err := ResolveWorkload(cfg.Workload, sc)
-			return []workload.Workload{w}, err
-		}
-		ws := make([]workload.Workload, 0, len(sw.Workloads))
-		seen := make(map[string]bool, len(sw.Workloads))
-		for _, spec := range sw.Workloads {
-			w, err := workload.Parse(spec)
-			if err != nil {
-				return nil, err
-			}
-			if seen[w.Name] {
-				// Same normalized-name dedup as the scenario axis.
-				continue
-			}
-			seen[w.Name] = true
-			ws = append(ws, w)
-		}
-		return ws, nil
-	}
-	models := axisOr(sw.Models, "")
-	grans := axisOr(sw.Granularities, 0)
-	sizes := axisOr(sw.Sizes, 0)
-	picks := axisOr(sw.Picks, "")
-	chokes := axisOr(sw.Chokes, "")
 	reps := sw.Reps
 	if reps <= 0 {
 		reps = cfg.Reps
@@ -483,83 +447,55 @@ func expandSweep(cfg Config, sw Sweep) ([]sweepPlan, int, error) {
 
 	var plans []sweepPlan
 	for _, sc := range scenarios {
-		ws, err := workloadsFor(sc)
-		if err != nil {
-			return nil, 0, err
+		// The workload axis defaults with RunWorkload's precedence: an
+		// explicit Config.Workload wins, then each scenario's own hint
+		// (churn:N hints swarm:N), then controller-fanout. The resolved
+		// name — not how it was obtained — enters the cell key, so a sweep
+		// that spells the hint out is cell-for-cell identical to one that
+		// relies on it.
+		ws := workloads
+		if len(ws) == 0 {
+			w, err := ResolveWorkload(cfg.Workload, sc)
+			if err != nil {
+				return nil, 0, err
+			}
+			ws = []workload.Workload{w}
 		}
 		// Rating a scenario re-synthesizes its full catalog closure, so it
 		// is computed once per (scenario, churn rate, fault rate), not once
-		// per inner-axis combination. Churn rating applies first and fault
-		// rating to its result; each hook rebuilds the whole scenario, so
-		// what matters is that both survive the round trip (ChurnRated
-		// carries no FaultRate today, which is why faults:N owns its own
-		// membership schedule instead of stacking on churn:N).
+		// per cell.
 		type ratePair struct{ churn, fault float64 }
-		ratedBy := make(map[ratePair]scenario.Scenario, len(rates)*len(faultRates))
-		for _, rate := range rates {
-			churned := sc
-			if rate != 1 {
-				churned = sc.ChurnRate(rate)
-			}
-			for _, frate := range faultRates {
-				cellSc := churned
-				if frate != 1 {
-					cellSc = churned.FaultRate(frate)
-				}
-				ratedBy[ratePair{rate, frate}] = cellSc
-			}
-		}
+		rated := map[ratePair]scenario.Scenario{}
 		for _, w := range ws {
-			for _, model := range models {
+			for _, cell := range templates {
 				// Axis applicability is validated where the workload is in
 				// hand: the policy axes parameterize the piece engine, and
 				// the model axis rewires sink selection — meaningless for
 				// dissemination flows, whose sinks are the downloaders
 				// themselves. Failing here costs nothing; failing inside a
 				// deployed cell costs a simulated slice.
-				if model != "" && w.Disseminate != nil {
+				switch dissem := w.Disseminate != nil; {
+				case cell.Model != "" && dissem:
 					return nil, 0, fmt.Errorf("sweep: model %s over dissemination workload %q (its flows have fixed sinks; sweep pick/choke instead)",
-						model, w.Name)
-				}
-				if (len(sw.Picks) > 0 || len(sw.Chokes) > 0) && w.Disseminate == nil {
+						cell.Model, w.Name)
+				case (cell.Pick != "" || cell.Choke != "") && !dissem:
 					return nil, 0, fmt.Errorf("sweep: pick/choke over workload %q, which has no pieces to police (want disseminate:N / stream:N)", w.Name)
+				case cell.Parts > workload.MaxPieces && dissem:
+					return nil, 0, fmt.Errorf("sweep: granularity %d over dissemination workload %q (the piece engine runs at most %d pieces)",
+						cell.Parts, w.Name, workload.MaxPieces)
 				}
-				for _, parts := range grans {
-					for _, sizeMb := range sizes {
-						sized := 0
-						if sizeMb > 0 {
-							sized = sizeMb * transfer.Mb
-						}
-						cellW := w.With(model, parts, sized)
-						for _, pick := range picks {
-							for _, choke := range chokes {
-								policyW := cellW.WithPolicies(pick, choke)
-								for _, rate := range rates {
-									for _, frate := range faultRates {
-										cellSc := ratedBy[ratePair{rate, frate}]
-										for rep := 0; rep < reps; rep++ {
-											plans = append(plans, sweepPlan{
-												cell: SweepCell{
-													Scenario:  sc.Name,
-													Workload:  w.Name,
-													Model:     model,
-													Parts:     parts,
-													SizeMb:    sizeMb,
-													Pick:      pick,
-													Choke:     choke,
-													ChurnRate: rate,
-													FaultRate: frate,
-													Rep:       rep,
-												},
-												sc: cellSc,
-												w:  policyW,
-											})
-										}
-									}
-								}
-							}
-						}
+				rp := ratePair{cell.ChurnRate, cell.FaultRate}
+				cellSc, ok := rated[rp]
+				if !ok {
+					if cellSc, err = rateScenario(sc, rp.churn, rp.fault); err != nil {
+						return nil, 0, err
 					}
+					rated[rp] = cellSc
+				}
+				cellW := w.With(cell.Model, cell.Parts, cell.SizeMb*transfer.Mb).WithPolicies(cell.Pick, cell.Choke)
+				cell.Scenario, cell.Workload = sc.Name, w.Name
+				for cell.Rep = 0; cell.Rep < reps; cell.Rep++ {
+					plans = append(plans, sweepPlan{cell: cell, sc: cellSc, w: cellW})
 				}
 			}
 		}
@@ -567,13 +503,46 @@ func expandSweep(cfg Config, sw Sweep) ([]sweepPlan, int, error) {
 	return plans, reps, nil
 }
 
-// axisOr returns an axis's values, or the single coordinate an unset axis
-// contributes to the grid (the zero value means "keep the workload's own").
-func axisOr[T any](vals []T, unset T) []T {
-	if len(vals) == 0 {
-		return []T{unset}
+// parseUnique parses every spec, keeping the first of any that normalize to
+// one name.
+func parseUnique[T any](specs []string, parse func(string) (T, error), name func(T) string) ([]T, error) {
+	var out []T
+	seen := map[string]bool{}
+	for _, spec := range specs {
+		v, err := parse(spec)
+		if err != nil {
+			return nil, err
+		}
+		if !seen[name(v)] {
+			seen[name(v)] = true
+			out = append(out, v)
+		}
 	}
-	return vals
+	return out, nil
+}
+
+// rateScenario applies a cell's churn and fault rates to its scenario. A
+// rate other than 1 over a scenario with nothing to scale is an error: a
+// silent no-op would make the marginals lie. Churn rating applies first and
+// fault rating to its result; each hook rebuilds the whole scenario
+// (ChurnRated carries no FaultRate today, which is why faults:N owns its
+// own membership schedule instead of stacking on churn:N).
+func rateScenario(sc scenario.Scenario, churn, fault float64) (scenario.Scenario, error) {
+	if churn != 1 {
+		if sc.ChurnRate == nil {
+			return sc, fmt.Errorf("sweep: churn rate %s over scenario %q, which has no dynamics to scale (want churn:N)",
+				formatRate(churn), sc.Name)
+		}
+		sc = sc.ChurnRate(churn)
+	}
+	if fault != 1 {
+		if sc.FaultRate == nil {
+			return sc, fmt.Errorf("sweep: fault rate %s over scenario %q, which has no faults to scale (want faults:N)",
+				formatRate(fault), sc.Name)
+		}
+		sc = sc.FaultRate(fault)
+	}
+	return sc, nil
 }
 
 // RunSweep expands the sweep against cfg's defaults and executes every cell
@@ -634,34 +603,16 @@ func sweepCell(cellCfg Config, p sweepPlan) (SweepRecord, error) {
 	return rec, nil
 }
 
-// sweepAxisViews lists the marginal-bearing axes with their value
-// projection, in canonical order. Rep is deliberately absent: repetitions
-// are samples of the same point, not a studied axis.
-var sweepAxisViews = []struct {
-	name string
-	of   func(r SweepRecord) string
-}{
-	{"scenario", func(r SweepRecord) string { return r.Scenario }},
-	{"workload", func(r SweepRecord) string { return r.Workload }},
-	{"model", func(r SweepRecord) string { return r.Model }},
-	{"granularity", func(r SweepRecord) string { return strconv.Itoa(r.Parts) }},
-	{"size", func(r SweepRecord) string { return strconv.Itoa(r.SizeMb) }},
-	{"pick", func(r SweepRecord) string { return r.Pick }},
-	{"choke", func(r SweepRecord) string { return r.Choke }},
-	{"churn", func(r SweepRecord) string { return formatRate(r.ChurnRate) }},
-	{"fault", func(r SweepRecord) string { return formatRate(r.FaultRate) }},
-}
-
 // marginals folds the records into per-axis summaries, one SweepMarginal
 // per value of every axis that takes at least two distinct values. Values
 // keep their first-appearance (canonical expansion) order.
 func marginals(records []SweepRecord) []SweepMarginal {
 	var out []SweepMarginal
-	for _, ax := range sweepAxisViews {
+	for _, ax := range sweepAxes {
 		var order []string
 		groups := map[string][]SweepRecord{}
 		for _, r := range records {
-			v := ax.of(r)
+			v := ax.coord(r.SweepCell)
 			if _, ok := groups[v]; !ok {
 				order = append(order, v)
 			}

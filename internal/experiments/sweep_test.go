@@ -104,6 +104,53 @@ func TestSweepNormalizedSpecDedup(t *testing.T) {
 	}
 }
 
+// TestSweepAxesCoverSweep holds sweepAxes to one row per Sweep axis: a
+// valid value parsed through each row sets exactly one slice field, a
+// different one per row, the rows together set them all, and the canonical
+// spec reparses to the same sweep. A field added without a row fails here
+// instead of silently never expanding.
+func TestSweepAxesCoverSweep(t *testing.T) {
+	samples := map[string]string{
+		"scenario": "uniform:2", "workload": "swarm:2", "model": "economic",
+		"granularity": "4", "size": "8", "pick": "sequential", "choke": "none",
+		"churn": "2", "fault": "0.5",
+	}
+	fields := reflect.TypeOf(Sweep{})
+	covered := map[string]string{}
+	for _, ax := range sweepAxes {
+		v, ok := samples[ax.name]
+		if !ok {
+			t.Fatalf("axis %q has no sample value", ax.name)
+		}
+		var sw Sweep
+		if err := ax.add(&sw, v); err != nil {
+			t.Fatalf("axis %q rejected %q: %v", ax.name, v, err)
+		}
+		var set []string
+		for i := 0; i < fields.NumField(); i++ {
+			if f := reflect.ValueOf(sw).Field(i); f.Kind() == reflect.Slice && f.Len() > 0 {
+				set = append(set, fields.Field(i).Name)
+			}
+		}
+		if len(set) != 1 {
+			t.Fatalf("axis %q set fields %v, want exactly one", ax.name, set)
+		}
+		if prev, dup := covered[set[0]]; dup {
+			t.Fatalf("axes %q and %q both set %s", prev, ax.name, set[0])
+		}
+		covered[set[0]] = ax.name
+		back, err := ParseSweep(sw.Spec())
+		if err != nil || !reflect.DeepEqual(back, sw) {
+			t.Fatalf("axis %q: ParseSweep(%q) = %+v, %v; want %+v", ax.name, sw.Spec(), back, err, sw)
+		}
+	}
+	for i := 0; i < fields.NumField(); i++ {
+		if f := fields.Field(i); f.Type.Kind() == reflect.Slice && covered[f.Name] == "" {
+			t.Errorf("Sweep.%s has no row in sweepAxes", f.Name)
+		}
+	}
+}
+
 // FuzzParseSweep locks the grammar against panics and non-canonical
 // printing: any accepted spec must print a canonical form that reparses to
 // the identical sweep, and the canonical form must be a fixed point.
@@ -392,6 +439,35 @@ func TestFigChurnQuality(t *testing.T) {
 			if v := s.Values[i]; v < 0 || v > 100 {
 				t.Fatalf("series %s at %s = %v, out of percentage range", s.Name, label, v)
 			}
+		}
+	}
+}
+
+// TestSweepGranularityBoundedOverPieces: the piece engine runs at most
+// workload.MaxPieces pieces, so a larger granularity over a dissemination
+// workload is a spec error at expansion, before any slice deploys; over a
+// single-round workload the same part count stays valid.
+func TestSweepGranularityBoundedOverPieces(t *testing.T) {
+	cfg := Config{Seed: 1}.WithDefaults()
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"scenario=zipf:4;workload=disseminate:4;granularity=1024;rep=1", true},
+		{"scenario=zipf:4;workload=disseminate:4;granularity=1025;rep=1", false},
+		{"scenario=zipf:4;workload=stream:4;granularity=2,20000;rep=1", false},
+		{"scenario=zipf:4;workload=swarm:4;granularity=1025;rep=1", true},
+	} {
+		sw, err := ParseSweep(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = expandSweep(cfg, sw)
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.spec, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "at most 1024 pieces")) {
+			t.Errorf("%s: err = %v, want the piece bound named", tc.spec, err)
 		}
 	}
 }

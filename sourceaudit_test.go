@@ -82,7 +82,6 @@ const (
 // listed twice.
 var mapRangeAllow = []struct{ fn, why string }{
 	{"core.NewQuickPeer", collectThenSort},
-	{"experiments.sweepModelNames", collectThenSort},
 	{"jxta.Cache.oldestLocked", orderFree},
 	{"pipe.Conn.handleAck", collectThenSort},
 	{"pipe.Conn.teardown", collectThenSort},
