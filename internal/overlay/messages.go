@@ -487,12 +487,13 @@ func decodeInstant(d *wire.Decoder) (instant, error) {
 	return m, d.Finish()
 }
 
-// kindOf strips the type tag.
+// kindOf strips the type tag. Inlined, its decoder stays on the stack.
 func kindOf(payload []byte) (byte, *wire.Decoder, error) {
 	d := wire.NewDecoder(payload)
-	k := d.Byte()
-	if err := d.Err(); err != nil {
-		return 0, nil, fmt.Errorf("overlay: %w", err)
+	if k := d.Byte(); d.Err() == nil {
+		return k, d, nil
 	}
-	return k, d, nil
+	return 0, nil, errNoKind
 }
+
+var errNoKind = fmt.Errorf("overlay: %w", wire.ErrShort) // an empty payload

@@ -100,7 +100,8 @@ func (e *recordingEndpoint) SendFrame(to transport.Addr, head, body []byte, size
 // TestLateDataAfterCloseIsDropped runs request/reply exchanges dialed from a
 // to b, closes both ends of each, and then replays a's data frames, header
 // and all, onto b's torn-down accepted conns: b must drop them as stale
-// rather than surface a new conn to Accept.
+// rather than surface a new conn to Accept. Only b keeps tombstones: a late
+// frame for a conn its receiver dialed is dropped without one.
 func TestLateDataAfterCloseIsDropped(t *testing.T) {
 	const exchanges = 3
 	n := simnet.New(7)
@@ -150,6 +151,9 @@ func TestLateDataAfterCloseIsDropped(t *testing.T) {
 		a.Sleep(time.Second)
 		_, delivered[1], _ = n.Stats()
 	})
+	if len(muxA.dead) != 0 || len(muxB.dead) != exchanges {
+		t.Fatalf("tombstones: a holds %d, b %d; want 0 and %d", len(muxA.dead), len(muxB.dead), exchanges)
+	}
 	if accepted != exchanges || len(muxB.conns) != 0 {
 		t.Fatalf("b accepted %d conns for %d exchanges and holds %d: late data surfaced a conn", accepted, exchanges, len(muxB.conns))
 	}

@@ -150,10 +150,11 @@ func perMessage(t *testing.T, size, msgs int) (allocs, heap float64) {
 
 // TestDataMessageAllocBudget gates one acknowledged data message end to end.
 // The allocation budget is an exact count, and the payload travels by
-// reference: a 16 KB message costs within 10 % of the bytes of a 64 B one,
-// so a reintroduced copy of the payload fails here and not in a profile.
+// reference: a 16 KB message costs at most 64 B more than a 64 B one (a
+// longer length varint in the frame header), so a reintroduced copy of the
+// payload fails here and not in a profile.
 func TestDataMessageAllocBudget(t *testing.T) {
-	const msgs, budget = 4096, 5
+	const msgs, budget = 4096, 3
 	if poolDropsPuts() {
 		t.Skip("sync.Pool drops Puts at random (race detector): frame encoders are re-allocated and the count is not exact")
 	}
@@ -163,7 +164,7 @@ func TestDataMessageAllocBudget(t *testing.T) {
 	if allocs > budget+0.5 {
 		t.Fatalf("%.2f allocations per data message, budget %d", allocs, budget)
 	}
-	if large > 1.1*small {
+	if large > small+64 {
 		t.Fatalf("a 16 KB message costs %.0f B, a 64 B one %.0f B: the payload is copied", large, small)
 	}
 }

@@ -63,10 +63,10 @@ type Options struct {
 	Window int
 	// FirstID offsets the mux's locally allocated conn-id space (ids start
 	// at FirstID+1; default 0). A long-lived remote mux tombstones the
-	// (addr, id) key of every conn it has torn down so late retransmits
-	// cannot resurrect phantom conns — which means a node that restarts
-	// its mux must not reuse its previous incarnation's ids, or its first
-	// messages are silently dropped as stale. Rebooted clients derive
+	// (addr, id) key of every conn it accepted and tore down, so late
+	// retransmits cannot resurrect phantom conns — which means a node that
+	// restarts its mux must not reuse its previous incarnation's ids, or its
+	// first messages are silently dropped as stale. Rebooted clients derive
 	// FirstID from the boot instant (see overlay.BootPeer); conn ids
 	// are varint-encoded, so the default 0 keeps static deployments'
 	// frames byte-identical.
@@ -123,10 +123,11 @@ type Mux struct {
 
 	mu      sync.Mutex
 	conns   map[connKey]*Conn
-	dead    map[connKey]bool
+	dead    map[connKey]bool // torn-down accepted conns; see dispatch
 	nextID  uint64
 	closed  bool
 	accepts transport.Queue
+	flFree  *inflight // recycled in-flight records, linked through next
 }
 
 // NewMux wraps ep in a demultiplexer that serves the endpoint's queue.
@@ -212,9 +213,9 @@ func (m *Mux) Close() error {
 }
 
 // newConnLocked registers a conn in the mux table. Caller holds m.mu.
-// The conn is deliberately lean: the reorder buffer, overflow in-flight
-// table and window wait queue are allocated only on the paths that need
-// them (out-of-order arrival, concurrent sends, window exhaustion), so the
+// The conn is deliberately lean: the reorder buffer and window wait queue
+// are allocated only on the paths that need them (out-of-order arrival,
+// window exhaustion) and in-flight records come from the mux, so the
 // request/response conns that dominate broker traffic — one in-order send
 // in flight at a time — allocate one inbox queue and nothing else.
 func (m *Mux) newConnLocked(peer transport.Addr, id uint64, theirs bool) *Conn {
@@ -296,8 +297,22 @@ func (m *Mux) sendFrame(peer transport.Addr, kind byte, dirTheirs bool, id, seq,
 	return m.ep.SendFrame(peer, e.Detach(), payload, e.Len()+size)
 }
 
+// inflight is one send awaiting its ack. A record receives exactly one push
+// (it is unlisted before the push) and returns to its mux's free list only
+// after its sender consumed that push.
 type inflight struct {
 	released transport.Queue // receives struct{} when acked, error value when broken
+	seq      uint64
+	next     *inflight // the conn's in-flight list, or the mux's free list
+}
+
+// release wakes the unlisted records from fl on, oldest first, with v.
+func release(fl *inflight, v any) {
+	for fl != nil {
+		next := fl.next // read first: once pushed, fl belongs to its sender
+		fl.released.Push(v)
+		fl = next
+	}
 }
 
 // Conn is one reliable bidirectional pipe between two endpoints.
@@ -311,16 +326,9 @@ type Conn struct {
 
 	mu       sync.Mutex
 	sendNext uint64 // next seq to allocate (first is 1)
-	// In-flight sends: the common case is exactly one, held inline in fl1
-	// (at seq flSeq); flMore is allocated only when sends overlap. flFree
-	// recycles inflight records (and their wake queues) across sequential
-	// sends on the conn — safe because a record receives exactly one push
-	// (its registration is removed before the push) and is recycled only
-	// after that push was consumed.
-	fl1    *inflight
-	flSeq  uint64
-	flMore map[uint64]*inflight
-	flFree []*inflight
+	// In-flight sends, linked in seq order: a send joins the tail as it
+	// takes its seq, an ack releases a prefix and teardown the whole list.
+	flHead, flTail *inflight
 	// Send-window accounting replacing a pre-filled token queue: tokAvail
 	// counts free slots, tokWaiting the senders parked (or committed to
 	// park) in tokWait, which is created on first contention. Waking a
@@ -378,20 +386,14 @@ func (c *Conn) SendSized(payload []byte, size int) error {
 	}
 	c.sendNext++
 	seq := c.sendNext
-	var fl *inflight
-	if n := len(c.flFree); n > 0 {
-		fl, c.flFree = c.flFree[n-1], c.flFree[:n-1]
+	fl := c.mux.takeInflight()
+	fl.seq = seq
+	if c.flTail == nil {
+		c.flHead = fl
 	} else {
-		fl = &inflight{released: c.mux.host.NewQueue()}
+		c.flTail.next = fl
 	}
-	if c.fl1 == nil {
-		c.fl1, c.flSeq = fl, seq
-	} else {
-		if c.flMore == nil {
-			c.flMore = make(map[uint64]*inflight)
-		}
-		c.flMore[seq] = fl
-	}
+	c.flTail = fl
 	c.mu.Unlock()
 
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -419,7 +421,7 @@ func (c *Conn) SendSized(payload []byte, size int) error {
 		switch {
 		case err == nil:
 			// The single push was consumed; the record is ours to recycle.
-			c.recycleInflight(fl)
+			c.mux.recycleInflight(fl)
 			if e, isErr := v.(error); isErr {
 				return e
 			}
@@ -433,27 +435,30 @@ func (c *Conn) SendSized(payload []byte, size int) error {
 			return c.brokenErr()
 		}
 	}
-	c.mu.Lock()
-	if c.fl1 == fl {
-		c.fl1 = nil
-	} else {
-		delete(c.flMore, seq)
-	}
-	c.mu.Unlock()
+	// fl stays listed: teardown's push to it wakes nobody, and the
+	// collector takes it.
 	c.fail(ErrBroken)
 	return ErrBroken
 }
 
-// recycleInflight returns an in-flight record to the conn's free list. Only
-// a caller that consumed the record's single release push may recycle it: a
-// record still registered (or removed but not yet pushed to) must be left
-// to the garbage collector.
-func (c *Conn) recycleInflight(fl *inflight) {
-	c.mu.Lock()
-	if len(c.flFree) < 8 {
-		c.flFree = append(c.flFree, fl)
+// takeInflight pops a recycled in-flight record, or makes one.
+func (m *Mux) takeInflight() *inflight {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fl := m.flFree
+	if fl == nil {
+		return &inflight{released: m.host.NewQueue()}
 	}
-	c.mu.Unlock()
+	m.flFree, fl.next = fl.next, nil
+	return fl
+}
+
+// recycleInflight returns a record to the free list. Only the sender that
+// consumed the record's single push may recycle it.
+func (m *Mux) recycleInflight(fl *inflight) {
+	m.mu.Lock()
+	fl.next, m.flFree = m.flFree, fl
+	m.mu.Unlock()
 }
 
 // acquireToken claims a send-window slot, parking the caller when the
@@ -620,40 +625,25 @@ func (c *Conn) handleData(seq uint64, payload []byte, size int) {
 	c.mux.sendFrame(c.peer, kindAck, !c.theirs, c.id, 0, ackThrough, nil, 0)
 }
 
-// handleAck releases every in-flight send at or below ack. The common case
-// — one in-flight send, released inline — allocates nothing; multi-release
-// (a cumulative ack covering overlapping sends) wakes senders in ascending
-// seq order, a fixed order where the map it replaces iterated randomly.
+// handleAck releases the in-flight sends at or below ack — a prefix of the
+// list — waking their senders in ascending seq.
 func (c *Conn) handleAck(ack uint64) {
 	c.mu.Lock()
-	var one *inflight
-	if c.fl1 != nil && c.flSeq <= ack && len(c.flMore) == 0 {
-		// Fast path: the only in-flight send is released; no slice, no sort.
-		one, c.fl1 = c.fl1, nil
+	head := c.flHead
+	var last *inflight
+	for fl := head; fl != nil && fl.seq <= ack; fl = fl.next {
+		last = fl
+	}
+	if last == nil {
 		c.mu.Unlock()
-		one.released.Push(struct{}{})
 		return
 	}
-	type rel struct {
-		seq uint64
-		fl  *inflight
+	if c.flHead = last.next; c.flHead == nil {
+		c.flTail = nil
 	}
-	var done []rel
-	if c.fl1 != nil && c.flSeq <= ack {
-		done = append(done, rel{c.flSeq, c.fl1})
-		c.fl1 = nil
-	}
-	for seq, fl := range c.flMore {
-		if seq <= ack {
-			done = append(done, rel{seq, fl})
-			delete(c.flMore, seq)
-		}
-	}
-	sort.Slice(done, func(i, j int) bool { return done[i].seq < done[j].seq })
+	last.next = nil
 	c.mu.Unlock()
-	for _, r := range done {
-		r.fl.released.Push(struct{}{})
-	}
+	release(head, struct{}{})
 }
 
 // handleFin records the peer's final seq and closes the inbox once
@@ -701,20 +691,8 @@ func (c *Conn) teardown(err error, unregister bool) {
 	if err != ErrClosed {
 		c.broken = err
 	}
-	type rel struct {
-		seq uint64
-		fl  *inflight
-	}
-	var waiters []rel
-	if c.fl1 != nil {
-		waiters = append(waiters, rel{c.flSeq, c.fl1})
-		c.fl1 = nil
-	}
-	for seq, fl := range c.flMore {
-		waiters = append(waiters, rel{seq, fl})
-		delete(c.flMore, seq)
-	}
-	sort.Slice(waiters, func(i, j int) bool { return waiters[i].seq < waiters[j].seq })
+	waiters := c.flHead
+	c.flHead, c.flTail = nil, nil
 	tokWait := c.tokWait
 	c.mu.Unlock()
 
@@ -722,9 +700,7 @@ func (c *Conn) teardown(err error, unregister bool) {
 	if final == nil {
 		final = ErrClosed
 	}
-	for _, w := range waiters {
-		w.fl.released.Push(final)
-	}
+	release(waiters, final)
 	if tokWait != nil {
 		tokWait.Close()
 	}
@@ -734,7 +710,9 @@ func (c *Conn) teardown(err error, unregister bool) {
 		key := connKey{c.peer, c.id, c.theirs}
 		c.mux.mu.Lock()
 		delete(c.mux.conns, key)
-		c.mux.dead[key] = true
+		if c.theirs { // dispatch reads tombstones for accepted conns only
+			c.mux.dead[key] = true
+		}
 		c.mux.mu.Unlock()
 	}
 }

@@ -87,6 +87,9 @@ type Network struct {
 	delivered int64
 	dropped   int64
 
+	// envelopes recycles delivered frames' records; see endpoint.unwrap.
+	envelopes []*transport.Message
+
 	// DebugDrop, when set before traffic starts, observes every dropped
 	// message (from, to, size, virtual time); tests use it to audit the
 	// loss model.
@@ -438,6 +441,7 @@ func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) er
 			lost = true
 		}
 	}
+	var env *transport.Message
 	if lost {
 		net.dropped++
 		if net.DebugDrop != nil {
@@ -448,16 +452,18 @@ func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) er
 		if arrival > dstNode.lastActive {
 			dstNode.lastActive = arrival
 		}
+		if n := len(net.envelopes); n > 0 {
+			env, net.envelopes = net.envelopes[n-1], net.envelopes[:n-1]
+		} else {
+			env = new(transport.Message)
+		}
 	}
 	net.mu.Unlock()
 
 	if !lost {
-		dstEP.queue.PushAt(transport.Message{
-			From:    ep.addr,
-			Payload: head,
-			Body:    body,
-			Size:    size,
-		}, vtime.Epoch.Add(arrival))
+		// A frame that meets a closed queue leaves env to the collector.
+		*env = transport.Message{From: ep.addr, Payload: head, Body: body, Size: size}
+		dstEP.queue.PushAt(env, vtime.Epoch.Add(arrival))
 	}
 
 	// The sender is occupied until serialization completes.
@@ -470,11 +476,23 @@ func (ep *endpoint) Recv() (transport.Message, error) {
 	if err != nil {
 		return transport.Message{}, transport.ErrClosed
 	}
-	return v.(transport.Message), nil
+	return ep.unwrap(v), nil
 }
 
 func (ep *endpoint) Serve(fn func(transport.Message)) {
-	ep.queue.Serve(func(v any) { fn(v.(transport.Message)) })
+	ep.queue.Serve(func(v any) { fn(ep.unwrap(v)) })
+}
+
+// unwrap copies a delivered frame out of its envelope and recycles the
+// envelope, emptied: only the record is reused, never its head or body.
+func (ep *endpoint) unwrap(v any) transport.Message {
+	env, net := v.(*transport.Message), ep.node.net
+	msg := *env
+	*env = transport.Message{}
+	net.mu.Lock()
+	net.envelopes = append(net.envelopes, env)
+	net.mu.Unlock()
+	return msg
 }
 
 func (ep *endpoint) Close() error {

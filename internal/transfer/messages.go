@@ -201,12 +201,13 @@ func decodePartAck(d *wire.Decoder) (partAck, error) {
 	return p, d.Finish()
 }
 
-// decodeKind strips and returns the type byte.
+// decodeKind strips the type byte. Inlined, its decoder stays on the stack.
 func decodeKind(payload []byte) (byte, *wire.Decoder, error) {
 	d := wire.NewDecoder(payload)
-	k := d.Byte()
-	if err := d.Err(); err != nil {
-		return 0, nil, fmt.Errorf("transfer: %w", err)
+	if k := d.Byte(); d.Err() == nil {
+		return k, d, nil
 	}
-	return k, d, nil
+	return 0, nil, errNoKind
 }
+
+var errNoKind = fmt.Errorf("transfer: %w", wire.ErrShort) // an empty payload

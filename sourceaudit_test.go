@@ -83,8 +83,6 @@ const (
 var mapRangeAllow = []struct{ fn, why string }{
 	{"core.NewQuickPeer", collectThenSort},
 	{"jxta.Cache.oldestLocked", orderFree},
-	{"pipe.Conn.handleAck", collectThenSort},
-	{"pipe.Conn.teardown", collectThenSort},
 	{"pipe.Mux.Close", collectThenSort},
 	{"realnet.Host.Close", orderFree},
 	{"realnet.Host.Close", orderFree},
