@@ -1,6 +1,7 @@
 package pipe
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -80,7 +81,8 @@ func TestOverlappingSendsWakeInSeqOrder(t *testing.T) {
 }
 
 // recordingEndpoint keeps every frame its mux sends, so a test can replay one
-// byte for byte through the endpoint underneath.
+// byte for byte through the endpoint underneath. It copies each head, which
+// the sender may reuse once SendFrame returns; a body is kept by reference.
 type recordingEndpoint struct {
 	transport.Endpoint
 	frames []sentFrame
@@ -93,7 +95,7 @@ type sentFrame struct {
 }
 
 func (e *recordingEndpoint) SendFrame(to transport.Addr, head, body []byte, size int) error {
-	e.frames = append(e.frames, sentFrame{to, head, body, size})
+	e.frames = append(e.frames, sentFrame{to, bytes.Clone(head), body, size})
 	return e.Endpoint.SendFrame(to, head, body, size)
 }
 
