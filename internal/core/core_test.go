@@ -18,7 +18,6 @@ var now = time.Date(2007, 3, 1, 12, 0, 0, 0, time.UTC)
 func snap(peer string, mut func(*stats.Snapshot)) Candidate {
 	s := stats.Snapshot{
 		Peer:          peer,
-		Taken:         now,
 		PctMsgSession: 100, PctMsgTotal: 100, PctMsgLastK: 100,
 		PctTaskExecSession: 100, PctTaskExecTotal: 100,
 		PctTaskAcceptSession: 100, PctTaskAcceptTotal: 100,

@@ -330,7 +330,6 @@ func genRankCase(seed int64, n int) rankCase {
 	for i := range tc.cands {
 		s := &tc.cands[i].Snapshot
 		s.Peer = fmt.Sprintf("%c%05d", "anz"[ids[i]%3], ids[i])
-		s.Taken = at
 		for j, f := range fields(s) {
 			*f = gens[j]()
 		}

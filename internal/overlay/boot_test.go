@@ -184,7 +184,7 @@ func TestBatchBootStateAndRPCCount(t *testing.T) {
 			t.Fatalf("%s: ReadyAt %v not after %v", ss[i].Peer, bs[i].ReadyAt, ss[i].ReadyAt)
 		}
 		for _, sn := range []*stats.Snapshot{&ss[i], &bs[i]} {
-			sn.ReadyAt, sn.LastUpdated, sn.Taken = time.Time{}, time.Time{}, time.Time{}
+			sn.ReadyAt, sn.LastUpdated = time.Time{}, time.Time{}
 		}
 	}
 	if !reflect.DeepEqual(ss, bs) {

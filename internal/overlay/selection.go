@@ -12,11 +12,10 @@ import (
 
 // candTable is what every selection ranks: the directory's candidates with
 // their statistics snapshots, in canonical order. A snapshot reads the clock
-// only for Taken and for the hour its message window ends in, every write to
-// a record bumps its registry's Version and every change to the live
-// directory bumps its cache's Stamp. So while the hour and every shard's
-// stamps are the ones it was built under, the table equals fresh snapshots
-// but for Taken, which each selection's copy resets.
+// only for the hour its message window ends in, every write to a record
+// bumps its registry's Version and every change to the live directory bumps
+// its cache's Stamp. So while the hour and every shard's stamps are the ones
+// it was built under, the table equals fresh snapshots.
 type candTable struct {
 	built  bool
 	hour   int64
@@ -47,7 +46,6 @@ func (b *Broker) selectPeers(req selectReq) ([]string, error) {
 	for i := range b.table.cands {
 		if c := &b.table.cands[i]; !slices.Contains(req.Exclude, c.Snapshot.Peer) {
 			b.scratch = append(b.scratch, *c)
-			b.scratch[len(b.scratch)-1].Snapshot.Taken = now
 		}
 	}
 	return sel.Rank(core.Request{

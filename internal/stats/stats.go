@@ -317,8 +317,7 @@ func (p *PeerStats) ObservePetitionDelay(d time.Duration) {
 // run is one session, so each Pct*Session criterion reads what its Pct*Total
 // twin reads: the paper's "current session" and "all sessions" coincide.
 type Snapshot struct {
-	Peer  string
-	Taken time.Time
+	Peer string
 
 	// Messaging criteria (default 100: unknown peers score neutrally).
 	PctMsgSession float64
@@ -378,7 +377,6 @@ func (p *PeerStats) SnapshotInto(dst *Snapshot, now time.Time, k int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	dst.Peer = p.peer
-	dst.Taken = now
 
 	dst.PctMsgTotal = p.msgTotal.PercentOr(100)
 	dst.PctMsgSession = dst.PctMsgTotal
