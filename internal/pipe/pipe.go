@@ -127,7 +127,8 @@ type Mux struct {
 	nextID  uint64
 	closed  bool
 	accepts transport.Queue
-	flFree  *inflight // recycled in-flight records, linked through next
+	flFree  *inflight  // recycled in-flight records, linked through next
+	msgFree []*Message // recycled inbox records; see newMessage
 }
 
 // NewMux wraps ep in a demultiplexer that serves the endpoint's queue.
@@ -283,7 +284,8 @@ func (m *Mux) dispatch(msg transport.Message) {
 	}
 }
 
-// sendFrame encodes one frame's header and sends the payload behind it by
+// sendFrame encodes one frame's header into a pooled encoder, which the
+// network copies before SendFrame returns, and sends the payload behind it by
 // reference. size is the app-level wire size; the header is added on top.
 func (m *Mux) sendFrame(peer transport.Addr, kind byte, dirTheirs bool, id, seq, ack uint64, payload []byte, size int) error {
 	e := wire.GetEncoder()
@@ -294,7 +296,7 @@ func (m *Mux) sendFrame(peer transport.Addr, kind byte, dirTheirs bool, id, seq,
 	e.Uint64(seq)
 	e.Uint64(ack)
 	e.Uint64(uint64(len(payload)))
-	return m.ep.SendFrame(peer, e.Detach(), payload, e.Len()+size)
+	return m.ep.SendFrame(peer, e.Bytes(), payload, e.Len()+size)
 }
 
 // inflight is one send awaiting its ack. A record receives exactly one push
@@ -322,7 +324,7 @@ type Conn struct {
 	id     uint64
 	theirs bool
 
-	inbox transport.Queue // Message, delivered in order
+	inbox transport.Queue // *Message records from the mux, delivered in order
 
 	mu       sync.Mutex
 	sendNext uint64 // next seq to allocate (first is 1)
@@ -371,7 +373,7 @@ func (c *Conn) SendSized(payload []byte, size int) error {
 	size = max(size, len(payload))
 	// Acquire a window slot.
 	if err := c.acquireToken(); err != nil {
-		return c.brokenErr()
+		return c.closedErr()
 	}
 	defer c.releaseToken()
 
@@ -405,8 +407,8 @@ func (c *Conn) SendSized(payload []byte, size int) error {
 		txStart := c.mux.host.Now()
 		if err := c.mux.sendFrame(c.peer, kindData, !c.theirs, c.id, seq, 0, payload, size); err != nil {
 			// Transport-level refusal (unknown node): not retryable.
-			c.fail(fmt.Errorf("%w: %w", ErrBroken, err))
-			return c.brokenErr()
+			c.teardown(fmt.Errorf("%w: %w", ErrBroken, err), true)
+			return c.closedErr()
 		}
 		if attempt > 0 {
 			c.mu.Lock()
@@ -432,12 +434,12 @@ func (c *Conn) SendSized(payload []byte, size int) error {
 		case errors.Is(err, transport.ErrTimeout):
 			continue
 		default:
-			return c.brokenErr()
+			return c.closedErr()
 		}
 	}
 	// fl stays listed: teardown's push to it wakes nobody, and the
 	// collector takes it.
-	c.fail(ErrBroken)
+	c.teardown(ErrBroken, true)
 	return ErrBroken
 }
 
@@ -459,6 +461,34 @@ func (m *Mux) recycleInflight(fl *inflight) {
 	m.mu.Lock()
 	fl.next, m.flFree = m.flFree, fl
 	m.mu.Unlock()
+}
+
+// newMessage fills a recycled inbox record, or makes one. The conn's receiver
+// copies the message out and recycles the record (takeMessage). Callers may
+// hold a conn's mu: conn locks come before the mux's.
+func (m *Mux) newMessage(payload []byte, size int) *Message {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := len(m.msgFree)
+	if n == 0 {
+		return &Message{Payload: payload, Size: size}
+	}
+	rec := m.msgFree[n-1]
+	m.msgFree = m.msgFree[:n-1]
+	*rec = Message{Payload: payload, Size: size}
+	return rec
+}
+
+// takeMessage copies a message out of the inbox record v and recycles the
+// record, emptied.
+func (m *Mux) takeMessage(v any) Message {
+	rec := v.(*Message)
+	msg := *rec
+	*rec = Message{}
+	m.mu.Lock()
+	m.msgFree = append(m.msgFree, rec)
+	m.mu.Unlock()
+	return msg
 }
 
 // acquireToken claims a send-window slot, parking the caller when the
@@ -549,9 +579,9 @@ func (c *Conn) observe(sample time.Duration, size int) {
 func (c *Conn) Recv() (Message, error) {
 	v, err := c.inbox.Pop()
 	if err != nil {
-		return Message{}, c.recvErr()
+		return Message{}, c.closedErr()
 	}
-	return v.(Message), nil
+	return c.mux.takeMessage(v), nil
 }
 
 // RecvTimeout is Recv with a relative deadline.
@@ -559,33 +589,23 @@ func (c *Conn) RecvTimeout(d time.Duration) (Message, error) {
 	v, err := c.inbox.PopTimeout(d)
 	switch {
 	case err == nil:
-		return v.(Message), nil
+		return c.mux.takeMessage(v), nil
 	case errors.Is(err, transport.ErrTimeout):
 		return Message{}, ErrTimeout
 	default:
-		return Message{}, c.recvErr()
+		return Message{}, c.closedErr()
 	}
 }
 
-func (c *Conn) recvErr() error {
+// closedErr is what a call on a torn-down conn, or a Recv past the peer's
+// FIN, reports: why the conn broke, or ErrClosed.
+func (c *Conn) closedErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken != nil {
 		return c.broken
 	}
 	return ErrClosed
-}
-
-func (c *Conn) brokenErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken != nil {
-		return c.broken
-	}
-	if c.closed {
-		return ErrClosed
-	}
-	return ErrBroken
 }
 
 // handleData processes an inbound DATA frame: deliver in order, buffer ahead
@@ -596,7 +616,7 @@ func (c *Conn) handleData(seq uint64, payload []byte, size int) {
 		if seq == c.recvNext && len(c.recvBuf) == 0 {
 			// In-order fast path — the reorder buffer stays untouched (and,
 			// on a conn that never saw a gap, unallocated).
-			c.inbox.Push(Message{Payload: payload, Size: size})
+			c.inbox.Push(c.mux.newMessage(payload, size))
 			c.recvNext++
 		} else {
 			if c.recvBuf == nil {
@@ -611,7 +631,7 @@ func (c *Conn) handleData(seq uint64, payload []byte, size int) {
 					break
 				}
 				delete(c.recvBuf, c.recvNext)
-				c.inbox.Push(m)
+				c.inbox.Push(c.mux.newMessage(m.Payload, m.Size))
 				c.recvNext++
 			}
 		}
@@ -675,12 +695,8 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// fail marks the conn broken.
-func (c *Conn) fail(err error) {
-	c.teardown(err, true)
-}
-
-// teardown releases queues and unregisters from the mux.
+// teardown closes the conn, broken by err unless err is ErrClosed: it wakes
+// the senders, closes the queues and, if asked, unregisters from the mux.
 func (c *Conn) teardown(err error, unregister bool) {
 	c.mu.Lock()
 	if c.closed {

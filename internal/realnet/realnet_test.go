@@ -401,6 +401,51 @@ func TestEndpointPayloadIsTheFramesOwn(t *testing.T) {
 	}
 }
 
+// TestSenderMayReuseItsHead sends every frame from one head buffer, which the
+// sender overwrites as soon as SendFrame returns, with bodies of their own.
+// A served receiver reads each head as sent inside its callback, and the
+// bodies it kept read as sent at the end.
+func TestSenderMayReuseItsHead(t *testing.T) {
+	a, b := twoHosts(t)
+	epA, err := a.Endpoint("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	epB, err := b.Endpoint("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames = 64
+	type read struct {
+		head byte
+		body []byte
+	}
+	got := make(chan read, frames)
+	epB.Serve(func(m transport.Message) { got <- read{m.Payload[0], m.Body} })
+	head := make([]byte, 1)
+	for i := 0; i < frames; i++ {
+		head[0] = byte(i)
+		if err := epA.SendFrame("beta/svc", head, []byte{byte(i), 0xB0}, 0); err != nil {
+			t.Fatalf("SendFrame %d: %v", i, err)
+		}
+		head[0] = 0xFF
+	}
+	var kept []read
+	for i := 0; i < frames; i++ {
+		select {
+		case r := <-got:
+			kept = append(kept, r)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("served %d of %d frames", i, frames)
+		}
+	}
+	for i, r := range kept {
+		if r.head != byte(i) || !bytes.Equal(r.body, []byte{byte(i), 0xB0}) {
+			t.Fatalf("frame %d read head %x, body % x: not as sent", i, r.head, r.body)
+		}
+	}
+}
+
 // TestSendRacesClose: Close marks an endpoint closed while another goroutine
 // sends on it. Run under -race, the check SendFrame makes of that mark must
 // not race the write.

@@ -11,9 +11,10 @@ import (
 
 // TestDeliveryAllocBudget pins a delivered frame at zero allocations once the
 // network's envelope free list and the scheduler have warmed up, on a served
-// endpoint and on one read with Recv alike. Every message a receiver kept
-// must still read as sent after the deliveries behind it: an envelope is
-// recycled, the message handed up is not.
+// endpoint and on one read with Recv alike. Each receiver reads a head while
+// it is valid (inside the callback, before the next Recv) and keeps the rest
+// of the message: every one must read as sent after the deliveries behind
+// it.
 func TestDeliveryAllocBudget(t *testing.T) {
 	const frames = 1024 // per round and receiver
 	n := New(1)
@@ -36,17 +37,23 @@ func TestDeliveryAllocBudget(t *testing.T) {
 		heads[i] = []byte{byte(i), byte(i >> 8)}
 	}
 	var kept [2][]transport.Message
+	var read [2][][2]byte // each kept message's head, as read while valid
 	for i := range kept {
 		kept[i] = make([]transport.Message, 0, len(heads))
+		read[i] = make([][2]byte, 0, len(heads))
 	}
-	served.Serve(func(m transport.Message) { kept[0] = append(kept[0], m) })
+	keep := func(r int, m transport.Message) {
+		read[r] = append(read[r], [2]byte(m.Payload))
+		kept[r] = append(kept[r], m)
+	}
+	served.Serve(func(m transport.Message) { keep(0, m) })
 	n.Scheduler().Go(func() {
 		for {
 			m, err := pulled.Recv()
 			if err != nil {
 				return
 			}
-			kept[1] = append(kept[1], m)
+			keep(1, m)
 		}
 	})
 	var allocs uint64
@@ -87,9 +94,51 @@ func TestDeliveryAllocBudget(t *testing.T) {
 			if r == 1 {
 				body, size = want, 4
 			}
-			if m.From != src.Addr() || !bytes.Equal(m.Payload, want) || !bytes.Equal(m.Body, body) || m.Size != size {
-				t.Fatalf("receiver %d, message %d reads %+v, want head % x, body % x, size %d", r, i, m, want, body, size)
+			if m.From != src.Addr() || !bytes.Equal(read[r][i][:], want) || !bytes.Equal(m.Body, body) || m.Size != size {
+				t.Fatalf("receiver %d, message %d reads %+v with head % x, want head % x, body % x, size %d", r, i, m, read[r][i], want, body, size)
 			}
+		}
+	}
+}
+
+// TestSenderMayReuseItsHead sends every frame from one head buffer, which the
+// sender overwrites as soon as SendFrame returns, with bodies of their own.
+// The network owns the head it delivers: a served receiver reads each head as
+// sent inside its callback, and the bodies it kept read as sent at the end.
+func TestSenderMayReuseItsHead(t *testing.T) {
+	const frames = 64
+	n := New(1)
+	a := n.MustAddNode("a", DefaultProfile())
+	src, err := a.Endpoint("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := n.MustAddNode("b", DefaultProfile()).Endpoint("dst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var heads []byte
+	var bodies [][]byte
+	dst.Serve(func(m transport.Message) {
+		heads = append(heads, m.Payload...)
+		bodies = append(bodies, m.Body)
+	})
+	n.Run(func() {
+		head := make([]byte, 1)
+		for i := 0; i < frames; i++ {
+			head[0] = byte(i)
+			if err := src.SendFrame(dst.Addr(), head, []byte{byte(i), 0xB0}, 0); err != nil {
+				t.Error(err)
+			}
+			head[0] = 0xFF
+		}
+	})
+	if len(heads) != frames || len(bodies) != frames {
+		t.Fatalf("served %d heads and %d bodies, want %d", len(heads), len(bodies), frames)
+	}
+	for i := range heads {
+		if heads[i] != byte(i) || !bytes.Equal(bodies[i], []byte{byte(i), 0xB0}) {
+			t.Fatalf("frame %d read head %x, body % x: not as sent", i, heads[i], bodies[i])
 		}
 	}
 }

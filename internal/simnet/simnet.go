@@ -87,7 +87,8 @@ type Network struct {
 	delivered int64
 	dropped   int64
 
-	// envelopes recycles delivered frames' records; see endpoint.unwrap.
+	// envelopes recycles delivered frames' records, each with the buffer its
+	// head is copied into; see recycle.
 	envelopes []*transport.Message
 
 	// DebugDrop, when set before traffic starts, observes every dropped
@@ -253,46 +254,7 @@ func (nd *Node) Rand() *rand.Rand {
 }
 
 // NewQueue returns a virtual-time-aware FIFO.
-func (nd *Node) NewQueue() transport.Queue {
-	return simQueue{q: vtime.NewQueue(nd.net.sched)}
-}
-
-// simQueue adapts vtime.Queue to the transport.Queue interface, mapping
-// vtime's errors to transport's.
-type simQueue struct {
-	q *vtime.Queue
-}
-
-func (sq simQueue) Push(v any) error {
-	if err := sq.q.Push(v); err != nil {
-		return transport.ErrClosed
-	}
-	return nil
-}
-
-func (sq simQueue) Pop() (any, error) {
-	v, err := sq.q.Pop()
-	if err != nil {
-		return nil, transport.ErrClosed
-	}
-	return v, nil
-}
-
-func (sq simQueue) PopTimeout(d time.Duration) (any, error) {
-	v, err := sq.q.PopTimeout(d)
-	switch err {
-	case nil:
-		return v, nil
-	case vtime.ErrTimeout:
-		return nil, transport.ErrTimeout
-	default:
-		return nil, transport.ErrClosed
-	}
-}
-
-func (sq simQueue) Len() int           { return sq.q.Len() }
-func (sq simQueue) Close()             { sq.q.Close() }
-func (sq simQueue) Serve(fn func(any)) { sq.q.Serve(fn) }
+func (nd *Node) NewQueue() transport.Queue { return vtime.NewQueue(nd.net.sched) }
 
 // Endpoint binds the named service on this node.
 func (nd *Node) Endpoint(service string) (transport.Endpoint, error) {
@@ -322,6 +284,7 @@ type endpoint struct {
 	addr   transport.Addr
 	queue  *vtime.Queue
 	closed bool
+	held   *transport.Message // the envelope the last Recv returned; the next recycles it
 }
 
 func (ep *endpoint) Addr() transport.Addr { return ep.addr }
@@ -462,7 +425,7 @@ func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) er
 
 	if !lost {
 		// A frame that meets a closed queue leaves env to the collector.
-		*env = transport.Message{From: ep.addr, Payload: head, Body: body, Size: size}
+		env.From, env.Payload, env.Body, env.Size = ep.addr, append(env.Payload[:0], head...), body, size
 		dstEP.queue.PushAt(env, vtime.Epoch.Add(arrival))
 	}
 
@@ -472,27 +435,33 @@ func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) er
 }
 
 func (ep *endpoint) Recv() (transport.Message, error) {
+	if ep.held != nil {
+		ep.node.net.recycle(ep.held)
+		ep.held = nil
+	}
 	v, err := ep.queue.Pop()
 	if err != nil {
 		return transport.Message{}, transport.ErrClosed
 	}
-	return ep.unwrap(v), nil
+	ep.held = v.(*transport.Message)
+	return *ep.held, nil
 }
 
 func (ep *endpoint) Serve(fn func(transport.Message)) {
-	ep.queue.Serve(func(v any) { fn(ep.unwrap(v)) })
+	ep.queue.Serve(func(v any) {
+		env := v.(*transport.Message)
+		fn(*env)
+		ep.node.net.recycle(env)
+	})
 }
 
-// unwrap copies a delivered frame out of its envelope and recycles the
-// envelope, emptied: only the record is reused, never its head or body.
-func (ep *endpoint) unwrap(v any) transport.Message {
-	env, net := v.(*transport.Message), ep.node.net
-	msg := *env
-	*env = transport.Message{}
-	net.mu.Lock()
-	net.envelopes = append(net.envelopes, env)
-	net.mu.Unlock()
-	return msg
+// recycle returns a delivered frame's envelope to the free list, keeping its
+// head buffer for the next frame and letting the sender's body go.
+func (n *Network) recycle(env *transport.Message) {
+	env.From, env.Body = "", nil
+	n.mu.Lock()
+	n.envelopes = append(n.envelopes, env)
+	n.mu.Unlock()
 }
 
 func (ep *endpoint) Close() error {

@@ -52,9 +52,10 @@ func (a Addr) Service() string {
 
 // Message is one datagram handed to an Endpoint: a frame of two parts, the
 // head and the body a sender passed to SendFrame (Send sends a head alone).
-// Both are read-only. simnet delivers the very buffers the sender gave up,
-// which other messages may share, and realnet aliases into the frame it read
-// off the socket; a receiver may keep slices of either but never writes them.
+// Both are read-only. The head is the network's, valid until Serve's fn
+// returns or the next Recv: a receiver decodes it there or copies it. The body
+// is shared by reference (simnet delivers the very buffer the sender gave up,
+// realnet the frame it read): a receiver may keep it but never writes it.
 type Message struct {
 	From    Addr
 	Payload []byte // the head
@@ -84,14 +85,16 @@ type Endpoint interface {
 	// SendFrame transmits a frame of head and body occupying size bytes on
 	// the wire (at least len(head)+len(body)). It blocks for the
 	// serialization time of the message on the sender's uplink (virtual time
-	// under simnet). Delivery is not guaranteed. The caller gives head and
-	// body up: it must not write to them after SendFrame is called, because
-	// receivers may be handed those very buffers (Message).
+	// under simnet). Delivery is not guaranteed. The head is copied before
+	// SendFrame returns; the body is given up, and receivers may be handed
+	// that very buffer (Message).
 	SendFrame(to Addr, head, body []byte, size int) error
-	// Recv blocks until a message arrives or the endpoint is closed.
+	// Recv blocks until a message arrives or the endpoint is closed. The
+	// message's head is valid until the next Recv.
 	Recv() (Message, error)
 	// Serve hands every message to fn in arrival order, in place of a
-	// process looping on Recv (see Queue.Serve).
+	// process looping on Recv (see Queue.Serve); a head is valid until fn
+	// returns.
 	Serve(fn func(Message))
 	// Close releases the endpoint; pending and future Recvs return
 	// ErrClosed.

@@ -139,6 +139,23 @@ func TestDispatchAllocBudgets(t *testing.T) {
 				pong.Pop()
 			}
 		}},
+		{"fresh queue's one parked Pop woken by one Push (the Queue itself)", 1, func(s *Scheduler, newQueue func() *Queue) func() {
+			hand := newQueue()
+			s.Go(func() { // pushes one value to each queue it is handed
+				for {
+					q, err := hand.Pop()
+					if err != nil {
+						return
+					}
+					q.(*Queue).Push(1)
+				}
+			})
+			return func() {
+				q := NewQueue(s)
+				hand.Push(q)
+				q.Pop()
+			}
+		}},
 		{"served hop", 0, func(s *Scheduler, newQueue func() *Queue) func() {
 			ping, pong := newQueue(), newQueue()
 			ping.Serve(func(v any) { pong.Push(v) })

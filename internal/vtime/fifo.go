@@ -7,10 +7,14 @@ import "slices"
 // next push allocate), the array resets when the queue drains, and a push
 // that finds it full and at least half dead slides the live region down
 // rather than growing. A queue that fills and drains over and over — a
-// socket buffer, a wait list, the ready ring — settles on one allocation.
+// socket buffer, a wait list, the ready ring — settles on one allocation. The
+// first backing array is the inline one-element one, so a queue that never
+// holds two values at once — a request/reply conn's inbox and wait list —
+// allocates none. A fifo must not be copied once pushed to.
 type fifo[T any] struct {
 	buf  []T
 	head int
+	one  [1]T
 }
 
 func (f *fifo[T]) len() int { return len(f.buf) - f.head }
@@ -20,6 +24,9 @@ func (f *fifo[T]) len() int { return len(f.buf) - f.head }
 func (f *fifo[T]) live() []T { return f.buf[f.head:] }
 
 func (f *fifo[T]) push(v T) {
+	if f.buf == nil {
+		f.buf = f.one[:0]
+	}
 	if len(f.buf) == cap(f.buf) && f.head > 0 && f.head >= len(f.buf)/2 {
 		n := copy(f.buf, f.buf[f.head:])
 		clear(f.buf[n:])

@@ -1,13 +1,19 @@
 package vtime
 
 import (
-	"errors"
 	"slices"
 	"time"
+
+	"peerlab/internal/transport"
 )
 
-// ErrClosed is returned by Queue operations after Close.
-var ErrClosed = errors.New("vtime: queue closed")
+// ErrClosed is returned by Queue operations after Close, and ErrTimeout by
+// PopTimeout when the deadline passes first. Both are transport's, so a
+// *Queue is a transport.Queue as it stands.
+var (
+	ErrClosed  = transport.ErrClosed
+	ErrTimeout = transport.ErrTimeout
+)
 
 // Queue is an unbounded FIFO of values integrated with the scheduler: Pop
 // parks the calling process — a yield to the driver, which runs whatever is
@@ -126,9 +132,6 @@ func (q *Queue) Pop() (any, error) {
 func (q *Queue) PopTimeout(d time.Duration) (any, error) {
 	return q.pop(d)
 }
-
-// ErrTimeout is returned by PopTimeout when the deadline passes first.
-var ErrTimeout = errors.New("vtime: pop timeout")
 
 func (q *Queue) pop(timeout time.Duration) (any, error) {
 	s := q.s

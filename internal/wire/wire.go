@@ -40,9 +40,9 @@ func NewEncoder(n int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, n)}
 }
 
-// Bytes returns the encoded buffer. The encoder retains ownership; the caller
-// must copy (Detach) if it will keep the slice across further encoder use or
-// give it away, as a send does.
+// Bytes returns the encoded buffer. The encoder retains ownership: a caller
+// may lend it (a frame head, which SendFrame copies) but must Detach to keep
+// it across further encoder use or to give it away (a message body).
 func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of encoded bytes so far.
@@ -52,7 +52,7 @@ func (e *Encoder) Len() int { return len(e.buf) }
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
 // Detach returns a copy of the encoded bytes that stays valid after the
-// encoder is reset or returned to the pool.
+// encoder is reset or returned to the pool: the form a sent body takes.
 func (e *Encoder) Detach() []byte {
 	return append([]byte(nil), e.buf...)
 }
