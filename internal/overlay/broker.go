@@ -306,7 +306,7 @@ func (b *Broker) Close() { b.mux.Close() }
 
 // serve handles one request conn. Every exchange is request/response on a
 // fresh conn, so a single Recv suffices.
-func (b *Broker) serve(conn *pipe.Conn) {
+func (b *Broker) serve(conn pipe.Conn) {
 	defer conn.Close()
 	msg, err := conn.Recv()
 	if err != nil {
@@ -349,7 +349,7 @@ func (b *Broker) serve(conn *pipe.Conn) {
 // advertised CPU score counts only if it is finite and positive. A register
 // speaks for its name alone: the broker stores the kind and ID the name
 // implies, as leaseOf rebuilds them, and refuses an empty name.
-func (b *Broker) handleRegister(conn *pipe.Conn, d *wire.Decoder) {
+func (b *Broker) handleRegister(conn pipe.Conn, d *wire.Decoder) {
 	req, err := decodeRegister(d)
 	if err != nil {
 		return
@@ -398,7 +398,7 @@ func (b *Broker) publish(sh *shard, adv jxta.Advertisement) {
 // address from the reporting conn — and lapsed is set, so a live peer's
 // directory entry survives one late renewal. Static deployments never
 // rebuild (their leases outlive the run).
-func (b *Broker) leaseOf(sh *shard, peer string, conn *pipe.Conn) (adv jxta.Advertisement, lapsed bool) {
+func (b *Broker) leaseOf(sh *shard, peer string, conn pipe.Conn) (adv jxta.Advertisement, lapsed bool) {
 	id := jxta.NewID("peer", peer)
 	if adv, ok := sh.cache.Lookup(id); ok {
 		return adv, false
@@ -413,7 +413,7 @@ func (b *Broker) leaseOf(sh *shard, peer string, conn *pipe.Conn) (adv jxta.Adve
 
 // handleStatsReport applies a heartbeat: the load report, and a renewal of
 // the peer's advertisement lease.
-func (b *Broker) handleStatsReport(conn *pipe.Conn, d *wire.Decoder) {
+func (b *Broker) handleStatsReport(conn pipe.Conn, d *wire.Decoder) {
 	rep, err := decodeStatsReport(d)
 	if err != nil {
 		return
@@ -428,7 +428,7 @@ func (b *Broker) handleStatsReport(conn *pipe.Conn, d *wire.Decoder) {
 	conn.Send(ackFrame)
 }
 
-func (b *Broker) handleDiscover(conn *pipe.Conn, d *wire.Decoder) {
+func (b *Broker) handleDiscover(conn pipe.Conn, d *wire.Decoder) {
 	req, err := decodeDiscover(d)
 	if err != nil {
 		return
@@ -436,7 +436,7 @@ func (b *Broker) handleDiscover(conn *pipe.Conn, d *wire.Decoder) {
 	conn.Send(b.directoryReply(req.Kind))
 }
 
-func (b *Broker) handleSelect(conn *pipe.Conn, d *wire.Decoder) {
+func (b *Broker) handleSelect(conn pipe.Conn, d *wire.Decoder) {
 	req, err := decodeSelectReq(d)
 	if err != nil {
 		return
@@ -449,7 +449,7 @@ func (b *Broker) handleSelect(conn *pipe.Conn, d *wire.Decoder) {
 	sendReply(conn, res.encodeTo)
 }
 
-func (b *Broker) handleReportTransfer(conn *pipe.Conn, d *wire.Decoder) {
+func (b *Broker) handleReportTransfer(conn pipe.Conn, d *wire.Decoder) {
 	rep, err := decodeReportTransfer(d)
 	if err != nil {
 		return
@@ -482,7 +482,7 @@ func (b *Broker) handleReportTransfer(conn *pipe.Conn, d *wire.Decoder) {
 // rebuilds the entry instead of dropping it. Stats heartbeats preserve
 // attributes on lease renewal (they Publish the looked-up advertisement),
 // so inventory survives the renewal traffic between piece reports.
-func (b *Broker) handlePieceReport(conn *pipe.Conn, d *wire.Decoder) {
+func (b *Broker) handlePieceReport(conn pipe.Conn, d *wire.Decoder) {
 	rep, err := decodePieceReport(d)
 	if err != nil {
 		return
@@ -502,7 +502,7 @@ func (b *Broker) handlePieceReport(conn *pipe.Conn, d *wire.Decoder) {
 	conn.Send(ackFrame)
 }
 
-func (b *Broker) handleReportTask(conn *pipe.Conn, d *wire.Decoder) {
+func (b *Broker) handleReportTask(conn pipe.Conn, d *wire.Decoder) {
 	rep, err := decodeReportTask(d)
 	if err != nil {
 		return
@@ -520,7 +520,7 @@ func (b *Broker) handleReportTask(conn *pipe.Conn, d *wire.Decoder) {
 	conn.Send(ackFrame)
 }
 
-func (b *Broker) handleReportMessage(conn *pipe.Conn, d *wire.Decoder) {
+func (b *Broker) handleReportMessage(conn pipe.Conn, d *wire.Decoder) {
 	rep, err := decodeReportMessage(d)
 	if err != nil {
 		return

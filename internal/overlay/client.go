@@ -172,7 +172,7 @@ func (c *Client) call(to transport.Addr, payload []byte) ([]byte, error) {
 }
 
 // serveControl serves one inbound control conn (a task, an instant message).
-func (c *Client) serveControl(conn *pipe.Conn) {
+func (c *Client) serveControl(conn pipe.Conn) {
 	defer conn.Close()
 	msg, err := conn.Recv()
 	if err != nil {

@@ -330,7 +330,7 @@ var (
 
 // sendReply sends the message fill encodes, detached from the pooled encoder
 // it was encoded in: Conn.Send gives its argument up to the receiver.
-func sendReply(conn *pipe.Conn, fill func(*wire.Encoder)) error {
+func sendReply(conn pipe.Conn, fill func(*wire.Encoder)) error {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
 	fill(e)

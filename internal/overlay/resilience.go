@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"peerlab/internal/core"
@@ -129,29 +128,24 @@ func (r *resilience) snapshotDir() []jxta.Advertisement {
 }
 
 // callOnce performs one request/response exchange on a fresh conn, bounded
-// by timeout (zero = unbounded). The timer closes the conn, which unblocks
-// both the send and the receive leg; the returned flag reports whether the
-// deadline fired.
+// by timeout (zero = unbounded). The conn's deadline closes it, which
+// unblocks both the send and the receive leg; the returned flag reports
+// whether the deadline fired.
 func (c *Client) callOnce(to transport.Addr, payload []byte, timeout time.Duration) ([]byte, bool, error) {
 	conn, err := c.ctlMux.Dial(to)
 	if err != nil {
 		return nil, false, err
 	}
 	defer conn.Close()
-	var timedOut atomic.Bool
 	if timeout > 0 {
-		t := c.host.AfterFunc(timeout, func() {
-			timedOut.Store(true)
-			conn.Close()
-		})
-		defer t.Stop()
+		conn.CloseAfter(timeout)
 	}
 	if err := conn.Send(payload); err != nil {
-		return nil, timedOut.Load(), err
+		return nil, conn.Expired(), err
 	}
 	msg, err := conn.Recv()
 	if err != nil {
-		return nil, timedOut.Load(), err
+		return nil, conn.Expired(), err
 	}
 	return msg.Payload, false, nil
 }

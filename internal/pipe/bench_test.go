@@ -44,3 +44,10 @@ func BenchmarkSend(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShortConn prices one short conn on warm muxes: a dial, one message
+// and its echo, and a Close on each side — a control RPC's shape.
+func BenchmarkShortConn(b *testing.B) {
+	b.ReportAllocs()
+	shortConns(b, b.N)
+}

@@ -47,9 +47,9 @@ func TestReorderedDeliveryUnderLoss(t *testing.T) {
 			}
 			got = append(got, m)
 		}
-		conn.mu.Lock()
-		reordered = conn.recvBuf != nil
-		conn.mu.Unlock()
+		conn.c.mu.Lock()
+		reordered = conn.c.recvBuf != nil
+		conn.c.mu.Unlock()
 	})
 	net.Run(func() {
 		conn, err := muxA.Dial(epB.Addr())

@@ -120,7 +120,7 @@ func TestLateDataAfterCloseIsDropped(t *testing.T) {
 	rec := &recordingEndpoint{Endpoint: epA}
 	muxA, muxB := NewMux(a, rec, Options{}), NewMux(b, epB, Options{})
 	accepted := 0
-	muxB.Serve(func(c *Conn) {
+	muxB.Serve(func(c Conn) {
 		accepted++
 		defer c.Close()
 		if m, err := c.Recv(); err == nil {

@@ -40,12 +40,12 @@ func TestSentPayloadIsSharedNotWritten(t *testing.T) {
 				}
 				got = append(got, m)
 			}
-			conn.mu.Lock()
-			reordered = reordered || conn.recvBuf != nil
-			conn.mu.Unlock()
+			conn.c.mu.Lock()
+			reordered = reordered || conn.c.recvBuf != nil
+			conn.c.mu.Unlock()
 		})
 	}
-	var dialed []*Conn
+	var dialed []Conn
 	r.net.Run(func() {
 		join := vtime.NewQueue(r.net.Scheduler())
 		for c := 0; c < conns; c++ {
@@ -166,5 +166,64 @@ func TestDataMessageAllocBudget(t *testing.T) {
 	}
 	if large > small+64 {
 		t.Fatalf("a 16 KB message costs %.0f B, a 64 B one %.0f B: the payload is copied", large, small)
+	}
+}
+
+// shortConns reports what one short conn costs on warm muxes, averaged over
+// calls round trips: a dial, one message and its echo, and a Close on each
+// side — a control RPC's shape.
+func shortConns(tb testing.TB, calls int) (allocs float64) {
+	r := newRig(tb, cleanProfile(), cleanProfile(), Options{})
+	r.muxB.Serve(func(conn Conn) {
+		defer conn.Close()
+		if m, err := conn.Recv(); err == nil {
+			conn.Send(m.Payload)
+		}
+	})
+	payload := []byte("request")
+	call := func() {
+		conn, err := r.muxA.Dial("b/pipe")
+		if err == nil {
+			err = conn.Send(payload)
+		}
+		if err == nil {
+			_, err = conn.Recv()
+		}
+		if err != nil {
+			tb.Errorf("call: %v", err)
+		}
+		conn.Close()
+	}
+	r.net.Run(func() {
+		for i := 0; i < 64; i++ { // free lists, pools and coroutines settle
+			call()
+		}
+		if b, ok := tb.(*testing.B); ok {
+			b.ResetTimer()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		allocs = float64(after.Mallocs-before.Mallocs) / float64(calls)
+	})
+	return allocs
+}
+
+// TestShortConnAllocBudget gates a short conn end to end: both muxes reuse
+// torn-down conns, inbox queues included, and spawn the accepted conn's
+// handler without a closure, so a warm round trip allocates nothing but the
+// occasional growth of the accepting mux's tombstone map.
+func TestShortConnAllocBudget(t *testing.T) {
+	const calls, budget = 4096, 0
+	if poolDropsPuts() {
+		t.Skip("sync.Pool drops Puts at random (race detector): frame encoders are re-allocated and the count is not exact")
+	}
+	allocs := shortConns(t, calls)
+	t.Logf("%.2f allocations per short conn", allocs)
+	if allocs > budget+0.5 {
+		t.Fatalf("%.2f allocations per short conn, budget %d", allocs, budget)
 	}
 }

@@ -117,18 +117,20 @@ type connKey struct {
 
 // Mux demultiplexes reliable Conns over one endpoint.
 type Mux struct {
-	host transport.Host
-	ep   transport.Endpoint
-	opts Options
+	host    transport.Host
+	ep      transport.Endpoint
+	opts    Options
+	handler func(Conn) // see Serve
 
-	mu      sync.Mutex
-	conns   map[connKey]*Conn
-	dead    map[connKey]bool // torn-down accepted conns; see dispatch
-	nextID  uint64
-	closed  bool
-	accepts transport.Queue
-	flFree  *inflight  // recycled in-flight records, linked through next
-	msgFree []*Message // recycled inbox records; see newMessage
+	mu       sync.Mutex
+	conns    map[connKey]*conn
+	dead     map[connKey]bool // torn-down accepted conns; see dispatch
+	nextID   uint64
+	closed   bool
+	accepts  transport.Queue // *conn
+	flFree   *inflight       // recycled in-flight records, linked through next
+	msgFree  []*Message      // recycled inbox records; see newMessage
+	connFree []*conn         // recycled conns; see conn.leave
 }
 
 // NewMux wraps ep in a demultiplexer that serves the endpoint's queue.
@@ -137,7 +139,7 @@ func NewMux(h transport.Host, ep transport.Endpoint, opts Options) *Mux {
 		host:    h,
 		ep:      ep,
 		opts:    opts.withDefaults(),
-		conns:   make(map[connKey]*Conn),
+		conns:   make(map[connKey]*conn),
 		dead:    make(map[connKey]bool),
 		nextID:  opts.FirstID,
 		accepts: h.NewQueue(),
@@ -152,33 +154,31 @@ func (m *Mux) Addr() transport.Addr { return m.ep.Addr() }
 // Dial creates a Conn to the remote pipe endpoint. There is no handshake:
 // the connection materializes at the remote Mux when the first message
 // arrives (JXTA pipes behave the same way).
-func (m *Mux) Dial(remote transport.Addr) (*Conn, error) {
+func (m *Mux) Dial(remote transport.Addr) (Conn, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrClosed
+		return Conn{}, ErrClosed
 	}
 	m.nextID++
 	c := m.newConnLocked(remote, m.nextID, false)
-	return c, nil
+	return Conn{c, c.gen}, nil
 }
 
 // Accept blocks until a remote peer dials in.
-func (m *Mux) Accept() (*Conn, error) {
+func (m *Mux) Accept() (Conn, error) {
 	v, err := m.accepts.Pop()
 	if err != nil {
-		return nil, ErrClosed
+		return Conn{}, ErrClosed
 	}
-	return v.(*Conn), nil
+	return v.(*conn).handle(), nil
 }
 
 // Serve runs fn on every accepted conn, each in a process of its own started
 // in accept order, in place of a process looping on Accept.
-func (m *Mux) Serve(fn func(*Conn)) {
-	m.accepts.Serve(func(v any) {
-		c := v.(*Conn)
-		m.host.Go(func() { fn(c) })
-	})
+func (m *Mux) Serve(fn func(Conn)) {
+	m.handler = fn
+	m.accepts.Serve(func(v any) { m.host.Go(v.(*conn).serve) })
 }
 
 // Close tears down the mux, every conn, and the endpoint. Conns go down in
@@ -191,7 +191,7 @@ func (m *Mux) Close() error {
 		return nil
 	}
 	m.closed = true
-	conns := make([]*Conn, 0, len(m.conns))
+	conns := make([]*conn, 0, len(m.conns))
 	for _, c := range m.conns {
 		conns = append(conns, c)
 	}
@@ -213,24 +213,26 @@ func (m *Mux) Close() error {
 	return m.ep.Close()
 }
 
-// newConnLocked registers a conn in the mux table. Caller holds m.mu.
-// The conn is deliberately lean: the reorder buffer and window wait queue
-// are allocated only on the paths that need them (out-of-order arrival,
-// window exhaustion) and in-flight records come from the mux, so the
-// request/response conns that dominate broker traffic — one in-order send
-// in flight at a time — allocate one inbox queue and nothing else.
-func (m *Mux) newConnLocked(peer transport.Addr, id uint64, theirs bool) *Conn {
-	c := &Conn{
-		mux:      m,
-		peer:     peer,
-		id:       id,
-		theirs:   theirs,
-		inbox:    m.host.NewQueue(),
-		tokAvail: m.opts.Window,
-		recvNext: 1,
-		srtt:     initialRTT,
-		rttvar:   initialRTT / 2,
+// newConnLocked registers a fresh incarnation of a conn in the mux table,
+// holding the table's hold and the owner's. Caller holds m.mu. The conn is a
+// recycled one if the mux has any, its inbox reopened: the reorder buffer and
+// window wait queue are allocated only on the paths that need them
+// (out-of-order arrival, window exhaustion) and in-flight and inbox records
+// come from the mux, so the request/response conns that dominate broker
+// traffic allocate nothing on a warm mux.
+func (m *Mux) newConnLocked(peer transport.Addr, id uint64, theirs bool) *conn {
+	var c *conn
+	if n := len(m.connFree); n > 0 {
+		c, m.connFree = m.connFree[n-1], m.connFree[:n-1]
+		c.inbox.Reopen()
+	} else {
+		c = &conn{mux: m, inbox: m.host.NewQueue()}
+		c.serve = func() { m.handler(c.handle()) }
+		c.expire = c.deadlineFired
 	}
+	c.holds = 2
+	c.connState = connState{peer: peer, id: id, theirs: theirs,
+		tokAvail: m.opts.Window, recvNext: 1, srtt: initialRTT, rttvar: initialRTT / 2}
 	m.conns[connKey{peer, id, theirs}] = c
 	return c
 }
@@ -269,7 +271,12 @@ func (m *Mux) dispatch(msg transport.Message) {
 		c = m.newConnLocked(msg.From, id, true)
 		m.accepts.Push(c)
 	}
+	h := Conn{c, c.gen}
 	m.mu.Unlock()
+	if c = h.enter(); c == nil {
+		return // the conn was recycled since: the frame is stale
+	}
+	defer c.leave()
 
 	if debugDispatch != nil {
 		debugDispatch(string(m.ep.Addr()), kind, id, seq, ack, appSize)
@@ -317,16 +324,41 @@ func release(fl *inflight, v any) {
 	}
 }
 
-// Conn is one reliable bidirectional pipe between two endpoints.
+// Conn is a handle on one reliable bidirectional pipe between two endpoints:
+// a small value naming one incarnation of a conn its mux recycles. Its owner
+// — the dialer, or the handler an accepted conn is handed to — ends its use
+// with one Close. Once the conn is torn down and holds no unread message, the
+// mux may reuse it for a later conn; an older handle then reads as a closed
+// conn: Send and Recv return ErrClosed and Close does nothing.
 type Conn struct {
-	mux    *Mux
-	peer   transport.Addr
-	id     uint64
-	theirs bool
+	c   *conn
+	gen uint64
+}
 
+// conn is what a Conn handle names. Every call through a handle, every
+// dispatched frame and an armed deadline hold it, as do the mux table until
+// the conn is unregistered and the owner until its Close; the last hold to
+// go recycles the conn onto its mux's free list (see leave).
+type conn struct {
+	mux   *Mux
 	inbox transport.Queue // *Message records from the mux, delivered in order
+	// The accepted conn's handler process and the deadline's callback,
+	// built once per conn object, not once per incarnation.
+	serve, expire func()
 
-	mu       sync.Mutex
+	mu    sync.Mutex
+	gen   uint64 // bumped on recycling, under mu and the mux's mu
+	holds int
+	connState
+}
+
+// connState is one incarnation of a conn, reset in one assignment on reuse.
+// The addressing fields are fixed for the incarnation; the rest sit under
+// the conn's mu.
+type connState struct {
+	peer     transport.Addr
+	id       uint64
+	theirs   bool
 	sendNext uint64 // next seq to allocate (first is 1)
 	// In-flight sends, linked in seq order: a send joins the tail as it
 	// takes its seq, an ack releases a prefix and teardown the whole list.
@@ -343,33 +375,87 @@ type Conn struct {
 	recvBuf    map[uint64]Message // reorder buffer, allocated on first gap
 	finSeq     uint64             // seq carried by a FIN we received, 0 if none
 	broken     error              // non-nil once the conn is unusable
-	closed     bool
+	closed     bool               // torn down
+	released   bool               // the owner's Close ran
+	expired    bool               // the deadline fired
+	deadline   transport.Timer    // armed by CloseAfter, until Close stops it
 	srtt       time.Duration
 	rttvar     time.Duration
 	rate       float64 // measured service rate, bytes/sec; 0 = no sample yet
 	retxCount  int64   // cumulative retransmissions (observability)
 }
 
-// Remote returns the peer address.
-func (c *Conn) Remote() transport.Addr { return c.peer }
-
-// Retransmissions reports how many retransmission attempts this conn made.
-func (c *Conn) Retransmissions() int64 {
+// handle returns a handle on c's current incarnation.
+func (c *conn) handle() Conn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.retxCount
+	return Conn{c, c.gen}
 }
+
+// enter takes a call's hold on h's conn, or returns nil if the conn was
+// recycled since h was made.
+func (h Conn) enter() *conn {
+	h.c.mu.Lock()
+	defer h.c.mu.Unlock()
+	if h.c.gen != h.gen {
+		return nil
+	}
+	h.c.holds++
+	return h.c
+}
+
+// leave drops a hold. The last one recycles the conn, unless its inbox
+// holds messages an owner may still read after Close: the Recv that takes
+// the last of them recycles it instead. Lock order: conn, then mux.
+func (c *conn) leave() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.holds--; c.holds > 0 || c.inbox.Len() > 0 {
+		return
+	}
+	c.mux.mu.Lock()
+	c.gen++
+	c.mux.connFree = append(c.mux.connFree, c)
+	c.mux.mu.Unlock()
+}
+
+// peek reads f of h's conn under its lock, or the zero value if h is stale.
+func peek[T any](h Conn, f func(*conn) T) (v T) {
+	h.c.mu.Lock()
+	defer h.c.mu.Unlock()
+	if h.c.gen == h.gen {
+		v = f(h.c)
+	}
+	return v
+}
+
+// Remote returns the peer address.
+func (h Conn) Remote() transport.Addr { return peek(h, func(c *conn) transport.Addr { return c.peer }) }
+
+// Retransmissions reports how many retransmission attempts this conn made.
+func (h Conn) Retransmissions() int64 { return peek(h, func(c *conn) int64 { return c.retxCount }) }
+
+// Expired reports whether the conn's deadline (CloseAfter) fired.
+func (h Conn) Expired() bool { return peek(h, func(c *conn) bool { return c.expired }) }
 
 // Send transmits payload reliably, blocking until the peer acknowledges it.
 // The caller gives payload up, as to transport.Endpoint.Send: receivers keep
 // the buffer itself, so the caller must not write it afterwards. One buffer
 // may be sent on any number of conns.
-func (c *Conn) Send(payload []byte) error {
-	return c.SendSized(payload, len(payload))
+func (h Conn) Send(payload []byte) error {
+	return h.SendSized(payload, len(payload))
 }
 
 // SendSized is Send with an explicit wire size (see transport.Message.Size).
-func (c *Conn) SendSized(payload []byte, size int) error {
+func (h Conn) SendSized(payload []byte, size int) error {
+	if c := h.enter(); c != nil {
+		defer c.leave()
+		return c.sendSized(payload, size)
+	}
+	return ErrClosed
+}
+
+func (c *conn) sendSized(payload []byte, size int) error {
 	size = max(size, len(payload))
 	// Acquire a window slot.
 	if err := c.acquireToken(); err != nil {
@@ -495,7 +581,7 @@ func (m *Mux) takeMessage(v any) Message {
 // window is full. A closed conn with free slots still grants one — matching
 // the token queue this replaces, whose buffered tokens stayed poppable
 // after Close — and SendSized's broken/closed check rejects the send.
-func (c *Conn) acquireToken() error {
+func (c *conn) acquireToken() error {
 	c.mu.Lock()
 	if c.tokAvail > 0 {
 		c.tokAvail--
@@ -521,7 +607,7 @@ func (c *Conn) acquireToken() error {
 // waiter commits before anything else can run) and merely conservative
 // under real concurrency: a slot pushed before its waiter parks is buffered
 // in tokWait and claimed when the waiter arrives.
-func (c *Conn) releaseToken() {
+func (c *conn) releaseToken() {
 	c.mu.Lock()
 	if c.tokWaiting > 0 {
 		c.tokWaiting--
@@ -537,7 +623,7 @@ func (c *Conn) releaseToken() {
 // rtoFor sizes one attempt's timeout: smoothed RTT plus the expected
 // serialization time at the measured (or floor) service rate, doubled for
 // safety.
-func (c *Conn) rtoFor(size int) time.Duration {
+func (c *conn) rtoFor(size int) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rate := c.rate
@@ -553,7 +639,7 @@ func (c *Conn) rtoFor(size int) time.Duration {
 }
 
 // observe folds an ack round-trip sample into the RTT and rate estimators.
-func (c *Conn) observe(sample time.Duration, size int) {
+func (c *conn) observe(sample time.Duration, size int) {
 	if sample <= 0 {
 		return
 	}
@@ -576,17 +662,24 @@ func (c *Conn) observe(sample time.Duration, size int) {
 }
 
 // Recv blocks until the next in-order message arrives.
-func (c *Conn) Recv() (Message, error) {
-	v, err := c.inbox.Pop()
-	if err != nil {
-		return Message{}, c.closedErr()
-	}
-	return c.mux.takeMessage(v), nil
-}
+func (h Conn) Recv() (Message, error) { return h.recv(0, false) }
 
 // RecvTimeout is Recv with a relative deadline.
-func (c *Conn) RecvTimeout(d time.Duration) (Message, error) {
-	v, err := c.inbox.PopTimeout(d)
+func (h Conn) RecvTimeout(d time.Duration) (Message, error) { return h.recv(d, true) }
+
+func (h Conn) recv(d time.Duration, timed bool) (Message, error) {
+	c := h.enter()
+	if c == nil {
+		return Message{}, ErrClosed
+	}
+	defer c.leave()
+	var v any
+	var err error
+	if timed {
+		v, err = c.inbox.PopTimeout(d)
+	} else {
+		v, err = c.inbox.Pop()
+	}
 	switch {
 	case err == nil:
 		return c.mux.takeMessage(v), nil
@@ -599,7 +692,7 @@ func (c *Conn) RecvTimeout(d time.Duration) (Message, error) {
 
 // closedErr is what a call on a torn-down conn, or a Recv past the peer's
 // FIN, reports: why the conn broke, or ErrClosed.
-func (c *Conn) closedErr() error {
+func (c *conn) closedErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.broken != nil {
@@ -610,7 +703,7 @@ func (c *Conn) closedErr() error {
 
 // handleData processes an inbound DATA frame: deliver in order, buffer ahead
 // of order, re-acknowledge duplicates.
-func (c *Conn) handleData(seq uint64, payload []byte, size int) {
+func (c *conn) handleData(seq uint64, payload []byte, size int) {
 	c.mu.Lock()
 	if seq >= c.recvNext {
 		if seq == c.recvNext && len(c.recvBuf) == 0 {
@@ -647,7 +740,7 @@ func (c *Conn) handleData(seq uint64, payload []byte, size int) {
 
 // handleAck releases the in-flight sends at or below ack — a prefix of the
 // list — waking their senders in ascending seq.
-func (c *Conn) handleAck(ack uint64) {
+func (c *conn) handleAck(ack uint64) {
 	c.mu.Lock()
 	head := c.flHead
 	var last *inflight
@@ -668,7 +761,7 @@ func (c *Conn) handleAck(ack uint64) {
 
 // handleFin records the peer's final seq and closes the inbox once
 // everything before it was delivered.
-func (c *Conn) handleFin(finSeq uint64) {
+func (c *conn) handleFin(finSeq uint64) {
 	c.mu.Lock()
 	c.finSeq = finSeq
 	closeNow := c.recvNext >= finSeq
@@ -678,13 +771,60 @@ func (c *Conn) handleFin(finSeq uint64) {
 	}
 }
 
-// Close sends a best-effort FIN and releases local resources. In-flight
-// receives drain; subsequent Sends fail with ErrClosed.
-func (c *Conn) Close() error {
+// Close ends the owner's use of the conn: it stops the deadline, then, unless
+// the conn is torn down already, sends a best-effort FIN and tears it down.
+// Blocked Sends and Recvs return ErrClosed, and so do later Sends; messages
+// buffered before Close stay readable. Only the owner's first Close acts.
+func (h Conn) Close() error {
+	c := h.enter()
+	if c == nil {
+		return nil
+	}
+	defer c.leave()
+	c.mu.Lock()
+	owner, dl := !c.released, c.deadline
+	c.released, c.deadline = true, nil
+	c.mu.Unlock()
+	if !owner {
+		return nil
+	}
+	c.leave() // the owner's hold; the call's outlives it
+	if dl != nil && dl.Stop() {
+		c.leave() // the deadline's
+	}
+	c.fin()
+	return nil
+}
+
+// CloseAfter arms the conn's deadline, at most once per conn: unless Close
+// comes first, d from now the conn sends its FIN and tears down as Close
+// would, waking its Send and Recv callers with ErrClosed, and Expired reports
+// true from then on. Close stops it.
+func (h Conn) CloseAfter(d time.Duration) {
+	if c := h.enter(); c != nil {
+		c.mu.Lock()
+		c.holds++ // the deadline's: Close's Stop or the deadline drops it
+		c.deadline = c.mux.host.AfterFunc(d, c.expire)
+		c.mu.Unlock()
+		c.leave()
+	}
+}
+
+// deadlineFired is the deadline's callback.
+func (c *conn) deadlineFired() {
+	c.mu.Lock()
+	c.expired = true
+	c.mu.Unlock()
+	c.fin()
+	c.leave()
+}
+
+// fin sends a FIN and tears the conn down, unless it is torn down already.
+func (c *conn) fin() {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil
+		return
 	}
 	finSeq := c.sendNext + 1
 	c.mu.Unlock()
@@ -692,12 +832,12 @@ func (c *Conn) Close() error {
 	// owner; data integrity never depends on FIN delivery.
 	c.mux.sendFrame(c.peer, kindFin, !c.theirs, c.id, finSeq, 0, nil, 0)
 	c.teardown(ErrClosed, true)
-	return nil
 }
 
 // teardown closes the conn, broken by err unless err is ErrClosed: it wakes
-// the senders, closes the queues and, if asked, unregisters from the mux.
-func (c *Conn) teardown(err error, unregister bool) {
+// the senders, closes the queues and, if asked, unregisters from the mux,
+// dropping the table's hold. Its caller holds the conn too.
+func (c *conn) teardown(err error, unregister bool) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -730,5 +870,6 @@ func (c *Conn) teardown(err error, unregister bool) {
 			c.mux.dead[key] = true
 		}
 		c.mux.mu.Unlock()
+		c.leave()
 	}
 }

@@ -79,8 +79,7 @@ func TestSendRecvBasic(t *testing.T) {
 func TestSendBlocksUntilAcked(t *testing.T) {
 	r := newRig(t, cleanProfile(), cleanProfile(), Options{})
 	r.net.Scheduler().Go(func() {
-		conn, _ := r.muxB.Accept()
-		if conn != nil {
+		if conn, err := r.muxB.Accept(); err == nil {
 			conn.Recv()
 		}
 	})
@@ -494,7 +493,7 @@ func TestMuxCloseWakesConnsInKeyOrder(t *testing.T) {
 	for rep := 0; rep < reps; rep++ {
 		r := newRig(t, cleanProfile(), cleanProfile(), Options{})
 		var woke []string
-		park := func(conn *Conn, label string) {
+		park := func(conn Conn, label string) {
 			r.net.Scheduler().Go(func() {
 				if _, err := conn.Recv(); err == nil {
 					t.Errorf("%s: Recv succeeded on a closing mux", label)
@@ -520,7 +519,7 @@ func TestMuxCloseWakesConnsInKeyOrder(t *testing.T) {
 				if err == nil {
 					err = out.Send([]byte{byte(id)})
 				}
-				var in *Conn
+				var in Conn
 				if err == nil {
 					in, err = r.muxA.Accept()
 				}

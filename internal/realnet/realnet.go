@@ -362,12 +362,20 @@ func (q *queue) Pop() (any, error) {
 	for len(q.items) == 0 && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) > 0 {
-		v := q.items[0]
-		q.items = q.items[1:]
-		return v, nil
+	return q.popLocked()
+}
+
+// popLocked takes the oldest value, clearing its slot so that the backing
+// array does not keep it reachable, or reports the queue closed and drained.
+// Caller holds q.mu.
+func (q *queue) popLocked() (any, error) {
+	if len(q.items) == 0 {
+		return nil, transport.ErrClosed
 	}
-	return nil, transport.ErrClosed
+	v := q.items[0]
+	q.items[0] = nil
+	q.items = q.items[1:]
+	return v, nil
 }
 
 func (q *queue) PopTimeout(d time.Duration) (any, error) {
@@ -377,13 +385,8 @@ func (q *queue) PopTimeout(d time.Duration) (any, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if len(q.items) > 0 {
-			v := q.items[0]
-			q.items = q.items[1:]
-			return v, nil
-		}
-		if q.closed {
-			return nil, transport.ErrClosed
+		if len(q.items) > 0 || q.closed {
+			return q.popLocked()
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
@@ -413,6 +416,17 @@ func (q *queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.items)
+}
+
+// Reopen implements transport.Queue.Reopen. A waiter cannot be ruled out
+// here: the caller guarantees there is none.
+func (q *queue) Reopen() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if !q.closed || len(q.items) > 0 {
+		panic("realnet: Reopen on an open or non-empty queue")
+	}
+	q.closed = false
 }
 
 func (q *queue) Close() {

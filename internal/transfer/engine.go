@@ -217,7 +217,7 @@ func (s *Sender) transmit(remote transport.Addr, m Metrics, f File, split int, i
 // handshake sends the petition and waits for the receiver's decision,
 // stamping the petition instants as they become known. A refusal is
 // ErrRejected; everything else that goes wrong is ErrFailed.
-func (s *Sender) handshake(conn *pipe.Conn, m *Metrics, pet petition) error {
+func (s *Sender) handshake(conn pipe.Conn, m *Metrics, pet petition) error {
 	what := "petition"
 	if pet.Indices != nil {
 		what = "piece petition"
@@ -254,7 +254,7 @@ func (s *Sender) handshake(conn *pipe.Conn, m *Metrics, pet petition) error {
 // process collects the confirmations in whatever order the parts landed.
 // The receiver cannot tell the two apart: it confirms each part as it
 // arrives either way.
-func (s *Sender) stream(conn *pipe.Conn, id uint64, parts []Part, streamed bool) ([]PartTiming, error) {
+func (s *Sender) stream(conn pipe.Conn, id uint64, parts []Part, streamed bool) ([]PartTiming, error) {
 	timings := make([]PartTiming, len(parts))
 	if !streamed {
 		for n, p := range parts {
@@ -295,7 +295,7 @@ func (s *Sender) stream(conn *pipe.Conn, id uint64, parts []Part, streamed bool)
 }
 
 // sendPart puts one part on the wire, stamping when it started.
-func (s *Sender) sendPart(conn *pipe.Conn, id uint64, p Part, pt *PartTiming, noun string) error {
+func (s *Sender) sendPart(conn pipe.Conn, id uint64, p Part, pt *PartTiming, noun string) error {
 	*pt = PartTiming{Index: p.Index, Size: p.Size, Started: s.host.Now()}
 	hdr := partHeader{
 		TransferID: id,
@@ -314,7 +314,7 @@ func (s *Sender) sendPart(conn *pipe.Conn, id uint64, p Part, pt *PartTiming, no
 // confirms. A stop-and-wait sender (slotOf nil) is blocked on slot n and
 // takes a confirmation of that part only; a streaming one has n
 // confirmations in and takes any part slotOf knows.
-func (s *Sender) awaitAck(conn *pipe.Conn, timings []PartTiming, slotOf map[int]int, n int) error {
+func (s *Sender) awaitAck(conn pipe.Conn, timings []PartTiming, slotOf map[int]int, n int) error {
 	noun := "part"
 	if slotOf != nil {
 		noun = "piece"
@@ -385,7 +385,7 @@ func NewReceiver(host transport.Host, mux *pipe.Mux, opts ReceiverOptions) *Rece
 // construction, so there is no Join and no callback — the dissemination
 // engine owns the piece inventory on the driver side, and the receiver only
 // has to pace, validate and confirm.
-func (r *Receiver) handle(conn *pipe.Conn) {
+func (r *Receiver) handle(conn pipe.Conn) {
 	defer conn.Close()
 	first, err := conn.RecvTimeout(partTimeout)
 	if err != nil {

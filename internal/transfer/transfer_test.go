@@ -284,7 +284,7 @@ func TestPetitionDelayReflectsWakeLag(t *testing.T) {
 // refuseAll stands a scripted receiver on mux that answers every petition
 // with a refusal and closes the conn.
 func refuseAll(host transport.Host, mux *pipe.Mux) {
-	mux.Serve(func(conn *pipe.Conn) {
+	mux.Serve(func(conn pipe.Conn) {
 		defer conn.Close()
 		msg, err := conn.Recv()
 		if err != nil {

@@ -124,6 +124,10 @@ type Queue interface {
 	// Close wakes all waiters with ErrClosed; buffered values remain
 	// poppable.
 	Close()
+	// Reopen makes a closed queue, drained and with no waiter, open again
+	// as if new, so its owner can reuse it (a recycled pipe conn's inbox).
+	// It panics on an open or non-empty queue.
+	Reopen()
 	// Serve makes fn the only consumer, in place of a process looping on
 	// Pop: fn gets every value in FIFO order, one at a time, until the queue
 	// is closed and drained. Under simnet an idle served queue holds nothing.

@@ -194,6 +194,16 @@ func (q *Queue) Len() int {
 	return q.items.len()
 }
 
+// Reopen implements transport.Queue.Reopen.
+func (q *Queue) Reopen() {
+	q.s.mu.Lock()
+	defer q.s.mu.Unlock()
+	if !q.closed || q.items.len() > 0 || q.waits.len() > 0 {
+		panic("vtime: Reopen on an open, non-empty or waited-on queue")
+	}
+	q.closed = false
+}
+
 // Close marks the queue closed and wakes every waiter, oldest first, with
 // ErrClosed. Values already buffered remain poppable; once drained, Pop
 // reports ErrClosed.
