@@ -9,7 +9,9 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"peerlab/internal/overlay"
@@ -130,6 +132,8 @@ type Conductor struct {
 	Schedule   *Schedule
 	boot       func(label string) (*overlay.Client, error)
 	clients    map[string]*overlay.Client
+	live       []heartbeat     // one per live client, in label order
+	join       transport.Queue // a heartbeat round's join, see renewLoop
 	start      time.Time
 	renewEvery time.Duration
 	horizon    time.Duration
@@ -156,6 +160,7 @@ func NewConductor(host transport.Host, schedule *Schedule,
 		Schedule:   schedule,
 		boot:       boot,
 		clients:    make(map[string]*overlay.Client),
+		join:       host.NewQueue(),
 		renewEvery: renewEvery,
 		horizon:    horizon,
 	}
@@ -172,9 +177,26 @@ func (c *Conductor) BootInitial() error {
 		if err != nil {
 			return err
 		}
-		c.clients[label] = cl
+		c.admit(label, cl)
 	}
 	return nil
+}
+
+// heartbeat is a live client's lease renewal, built once at its boot.
+type heartbeat struct {
+	label string
+	beat  func()
+}
+
+// admit enters a booted client in the live map and its heartbeat in the
+// label-ordered round.
+func (c *Conductor) admit(label string, cl *overlay.Client) {
+	c.clients[label] = cl
+	i, _ := slices.BinarySearchFunc(c.live, label, func(h heartbeat, l string) int { return strings.Compare(h.label, l) })
+	c.live = slices.Insert(c.live, i, heartbeat{label, func() {
+		_ = cl.ReportStats() // best-effort: the peer may have just departed
+		c.join.Push(nil)
+	}})
 }
 
 // Start spawns the schedule process: it sleeps from event to event and
@@ -205,7 +227,8 @@ func (c *Conductor) Start() {
 // renewLoop is the lease-renewal heartbeat process: every renewEvery it
 // pushes a stats report for every live client, renewing their broker
 // leases. Reports fan out as concurrent processes (spawned in label order,
-// so the round is deterministic) and the round joins before the next tick:
+// so the round is deterministic) and the round joins on the conductor's
+// queue before the next tick:
 // its virtual duration is one round-trip, not N of them — sequential
 // renewals would exceed the TTL on slices of thousands of peers and lapse
 // live leases mid-round. The loop ends at the horizon, so the simulation
@@ -215,26 +238,12 @@ func (c *Conductor) renewLoop() {
 		if d := t - c.host.Now().Sub(c.start); d > 0 {
 			c.host.Sleep(d)
 		}
-		labels := make([]string, 0, len(c.clients))
-		for label := range c.clients {
-			labels = append(labels, label)
-		}
-		sort.Strings(labels)
-		join := c.host.NewQueue()
-		spawned := 0
-		for _, label := range labels {
-			cl := c.clients[label]
-			if cl == nil {
-				continue
-			}
-			spawned++
-			c.host.Go(func() {
-				_ = cl.ReportStats() // best-effort: the peer may have just departed
-				join.Push(nil)
-			})
+		spawned := len(c.live) // joins and leaves while the round runs count from the next
+		for _, h := range c.live {
+			c.host.Go(h.beat)
 		}
 		for i := 0; i < spawned; i++ {
-			if _, err := join.Pop(); err != nil {
+			if _, err := c.join.Pop(); err != nil {
 				return
 			}
 		}
@@ -247,6 +256,7 @@ func (c *Conductor) apply(e scenario.ChurnEvent) {
 		if cl := c.clients[e.Label]; cl != nil {
 			cl.Stop()
 			delete(c.clients, e.Label)
+			c.live = slices.DeleteFunc(c.live, func(h heartbeat) bool { return h.label == e.Label })
 		}
 	case scenario.ChurnJoin:
 		if c.clients[e.Label] != nil {
@@ -259,7 +269,7 @@ func (c *Conductor) apply(e scenario.ChurnEvent) {
 			}
 			return
 		}
-		c.clients[e.Label] = cl
+		c.admit(e.Label, cl)
 	}
 }
 

@@ -89,7 +89,6 @@ var mapRangeAllow = []struct{ fn, why string }{
 	{"realnet.Host.forgetConn", mapWritesOnly},
 	{"realnet.NewHost", mapWritesOnly},
 	{"stats.Registry.Names", collectThenSort},
-	{"workload.Conductor.renewLoop", collectThenSort},
 	{"workload.NewSchedule", mapWritesOnly},
 	{"workload.Schedule.Initial", collectThenSort},
 }
