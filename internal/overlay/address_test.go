@@ -16,7 +16,7 @@ import (
 // its name, whoever built its advertisement, so clients compute it.
 func checkAdvertisedAddresses(t *testing.T, c *Client, step string) {
 	t.Helper()
-	reply, err := c.call(c.broker, discover{Kind: jxta.AdvPeer}.encode())
+	reply, err := c.call(c.broker, frame(mtDiscover, discover{Kind: jxta.AdvPeer}.encodeTo))
 	if err != nil {
 		t.Errorf("%s: discover: %v", step, err)
 		return

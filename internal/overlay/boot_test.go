@@ -85,7 +85,7 @@ func TestRegisterBatchRoundtrip(t *testing.T) {
 			ReadyIn: 1500 * time.Millisecond, CPUScore: 2.25,
 		},
 	}
-	raw := in.encode()
+	raw := frame(mtRegister, in.encodeTo)
 	kind, dec, err := kindOf(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			if err := conn.Send(register{Adv: testAdv(host.Name())}.encode()); err != nil {
+			if err := conn.Send(frame(mtRegister, register{Adv: testAdv(host.Name())}.encodeTo)); err != nil {
 				t.Errorf("%s: send: %v", host.Name(), err)
 				return
 			}
@@ -264,7 +264,7 @@ func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
 func TestRegisterCannotDisplaceAnotherPeer(t *testing.T) {
 	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile()})
 	send := func(adv jxta.Advertisement) registerAck {
-		reply, err := d.clients["sc1"].call(d.broker.Addr(), register{Adv: adv}.encode())
+		reply, err := d.clients["sc1"].call(d.broker.Addr(), frame(mtRegister, register{Adv: adv}.encodeTo))
 		if err != nil {
 			t.Errorf("register %q: %v", adv.Name, err)
 			return registerAck{}

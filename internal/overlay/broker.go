@@ -120,7 +120,7 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 			"economic":      core.NewEconomic(core.EconomicConfig{}),
 			"same-priority": core.NewSamePriority(),
 		},
-		dir:   mergedDir{stamps: make([]uint64, cfg.Shards)},
+		dir:   mergedDir{stamps: make([]uint64, cfg.Shards), enc: wire.NewEncoder(0)},
 		table: candTable{stamps: make([]tableStamp, cfg.Shards)},
 	}
 	regs := make([]*stats.Registry, cfg.Shards)
@@ -173,8 +173,8 @@ func (b *Broker) Shards() int { return len(b.shards) }
 // order): while every shard still returns that stamp its live set is the one
 // merged, so the merge is current. The next merge reuses buf (the shards'
 // answers end to end), parts and advs, so they are read under dirMu only;
-// reply, the discover reply encoding advs, is new and immutable per version.
-// size is the last reply's length.
+// reply, the discover reply encoding advs, is new and immutable per version,
+// detached from enc, which the merge keeps and every version is encoded in.
 type mergedDir struct {
 	kind   jxta.AdvKind
 	stamps []uint64
@@ -182,7 +182,7 @@ type mergedDir struct {
 	parts  [][]jxta.Advertisement
 	advs   []jxta.Advertisement
 	reply  []byte
-	size   int
+	enc    *wire.Encoder
 }
 
 // Advertisements returns a copy of the sharded advertisement directory for
@@ -202,11 +202,11 @@ func (b *Broker) directoryReply(kind jxta.AdvKind) []byte {
 	defer b.dirMu.Unlock()
 	d := b.dirLocked(kind)
 	if d.reply == nil {
-		// One allocation while the directory keeps its size: a pooled
-		// encoder grown to the reply would not outlive a collection.
-		e := wire.NewEncoder(d.size)
-		encodeDiscoverResult(e, d.advs)
-		d.reply, d.size = e.Bytes(), e.Len()
+		// One allocation, of the reply's size, however the directory grew:
+		// a pooled encoder grown to the reply would not outlive a collection.
+		d.enc.Reset()
+		encodeDiscoverResult(d.enc, d.advs)
+		d.reply = d.enc.Detach()
 	}
 	return d.reply
 }
@@ -355,7 +355,7 @@ func (b *Broker) handleRegister(conn pipe.Conn, d *wire.Decoder) {
 		return
 	}
 	if req.Adv.Name == "" {
-		sendReply(conn, registerAck{Broker: b.host.Name()}.encodeTo)
+		conn.Send(frame(mtRegisterAck, registerAck{Broker: b.host.Name()}.encodeTo))
 		return
 	}
 	req.Adv.Kind, req.Adv.ID = jxta.AdvPeer, jxta.NewID("peer", req.Adv.Name)
@@ -367,7 +367,7 @@ func (b *Broker) handleRegister(conn pipe.Conn, d *wire.Decoder) {
 	}
 	b.applyStats(ps, req.Stats)
 	ack := registerAck{OK: true, Broker: b.host.Name(), KnownPeers: b.liveLen(jxta.AdvPeer)}
-	sendReply(conn, ack.encodeTo)
+	conn.Send(frame(mtRegisterAck, ack.encodeTo))
 }
 
 // ControlRPCs reports how many well-formed control frames the broker has
@@ -446,7 +446,7 @@ func (b *Broker) handleSelect(conn pipe.Conn, d *wire.Decoder) {
 	if serr != nil {
 		res.Err = serr.Error()
 	}
-	sendReply(conn, res.encodeTo)
+	conn.Send(frame(mtSelectResult, res.encodeTo))
 }
 
 func (b *Broker) handleReportTransfer(conn pipe.Conn, d *wire.Decoder) {

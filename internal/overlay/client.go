@@ -148,7 +148,7 @@ func (c *Client) register() error {
 		Addr: string(transport.MakeAddr(c.host.Name(), ServiceTransfer)),
 	}
 	adv = adv.WithAttr(jxta.AttrCPUScore, strconv.FormatFloat(c.cfg.CPUScore, 'f', -1, 64))
-	reply, err := c.call(c.broker, register{Adv: adv, Stats: c.currentStats()}.encode())
+	reply, err := c.call(c.broker, frame(mtRegister, register{Adv: adv, Stats: c.currentStats()}.encodeTo))
 	if err != nil {
 		return err
 	}
@@ -199,14 +199,14 @@ func (c *Client) serveControl(conn pipe.Conn) {
 		// selection plans with a fresh ready-time estimate. Runs as its own
 		// process so the task reply is not delayed.
 		c.host.Go(func() { _ = c.ReportStats() }) // best-effort
-		if err := sendReply(conn, dec.encodeTo); err != nil || submitErr != nil {
+		if err := conn.Send(frame(mtTaskDecision, dec.encodeTo)); err != nil || submitErr != nil {
 			return
 		}
 		v, err := done.Pop()
 		if err != nil {
 			return
 		}
-		sendReply(conn, taskDone{Result: v.(task.Result)}.encodeTo)
+		conn.Send(frame(mtTaskDone, taskDone{Result: v.(task.Result)}.encodeTo))
 		c.host.Go(func() { _ = c.ReportStats() }) // best-effort
 	case mtInstant:
 		im, err := decodeInstant(d)
@@ -225,7 +225,7 @@ func (c *Client) serveControl(conn pipe.Conn) {
 // this after significant events; there is no eternal timer so simulations
 // can quiesce).
 func (c *Client) ReportStats() error {
-	reply, err := c.call(c.broker, c.currentStats().encode())
+	reply, err := c.call(c.broker, frame(mtStatsReport, c.currentStats().encodeTo))
 	if err != nil {
 		return err
 	}
@@ -258,7 +258,7 @@ func (c *Client) currentStats() statsReport {
 // the client's cached directory — the snapshot degraded selection falls back
 // to when the broker is gone.
 func (c *Client) refreshDir() error {
-	reply, err := c.call(c.broker, discover{Kind: jxta.AdvPeer}.encode())
+	reply, err := c.call(c.broker, frame(mtDiscover, discover{Kind: jxta.AdvPeer}.encodeTo))
 	if err != nil {
 		return err
 	}
@@ -323,7 +323,7 @@ func (c *Client) sendReported(peer string, send func(transport.Addr) (transfer.M
 		Duration:      m.TransmissionTime(),
 		PetitionDelay: m.PetitionDelay(),
 	}
-	_, _ = c.call(c.broker, rep.encode()) // statistics are best-effort; the transfer outcome stands
+	_, _ = c.call(c.broker, frame(mtReportTransfer, rep.encodeTo)) // statistics are best-effort; the transfer outcome stands
 	return m, sendErr
 }
 
@@ -334,7 +334,7 @@ func (c *Client) sendReported(peer string, send func(transport.Addr) (transfer.M
 // surface (the driver then treats the peer as silent this round).
 func (c *Client) ReportPieces(have []int, unchoked []string) error {
 	rep := pieceReport{Peer: c.host.Name(), Have: have, Unchoked: unchoked}
-	reply, err := c.call(c.broker, rep.encode())
+	reply, err := c.call(c.broker, frame(mtPieceReport, rep.encodeTo))
 	if err != nil {
 		return err
 	}
@@ -356,7 +356,7 @@ func (c *Client) SubmitTask(peer string, t task.Task) (task.Result, error) {
 	}
 	defer conn.Close()
 	c.msgsOut.Add(1)
-	if err := conn.Send(taskSubmit{Task: t, From: c.host.Name()}.encode()); err != nil {
+	if err := conn.Send(frame(mtTaskSubmit, taskSubmit{Task: t, From: c.host.Name()}.encodeTo)); err != nil {
 		if !errors.Is(err, transport.ErrUnknownAddr) {
 			c.reportTaskOutcome(peer, false, false, 0)
 		}
@@ -403,18 +403,18 @@ func (c *Client) SubmitTask(peer string, t task.Task) (task.Result, error) {
 
 func (c *Client) reportTaskOutcome(peer string, accepted, ok bool, spu float64) {
 	rep := reportTask{Peer: peer, Accepted: accepted, OK: ok, SecondsPerUnit: spu}
-	_, _ = c.call(c.broker, rep.encode()) // best-effort statistics
+	_, _ = c.call(c.broker, frame(mtReportTask, rep.encodeTo)) // best-effort statistics
 }
 
 // SendInstant delivers a one-line message to the named peer and records the
 // outcome in the broker's messaging statistics.
 func (c *Client) SendInstant(peer, text string) error {
 	c.msgsOut.Add(1)
-	reply, sendErr := c.call(transport.MakeAddr(peer, ServiceClient), instant{From: c.host.Name(), Text: text}.encode())
+	reply, sendErr := c.call(transport.MakeAddr(peer, ServiceClient), frame(mtInstant, instant{From: c.host.Name(), Text: text}.encodeTo))
 	ok := sendErr == nil && len(reply) > 0 && reply[0] == mtInstantAck
 	if !errors.Is(sendErr, transport.ErrUnknownAddr) {
 		rep := reportMessage{Peer: peer, OK: ok}
-		_, _ = c.call(c.broker, rep.encode()) // best-effort statistics
+		_, _ = c.call(c.broker, frame(mtReportMessage, rep.encodeTo)) // best-effort statistics
 	}
 	if !ok {
 		if sendErr == nil {

@@ -214,13 +214,13 @@ func TestDecodePieceReportBoundsCount(t *testing.T) {
 	e.Byte(mtPieceReport)
 	e.String("")
 	e.Int(1 << 24)
-	frame := e.Bytes()
-	if len(frame) != 6 {
-		t.Fatalf("hostile frame is %d bytes, want 6", len(frame))
+	hostile := e.Bytes()
+	if len(hostile) != 6 {
+		t.Fatalf("hostile frame is %d bytes, want 6", len(hostile))
 	}
 	var err error
 	spent := allocatedBytes(func() {
-		_, d, _ := kindOf(frame)
+		_, d, _ := kindOf(hostile)
 		_, err = decodePieceReport(d)
 	})
 	if !errors.Is(err, wire.ErrCorrupt) {
@@ -240,7 +240,7 @@ func TestDecodePieceReportBoundsCount(t *testing.T) {
 	}
 	// And the honest frame still round-trips.
 	in := pieceReport{Peer: "sc1", Have: []int{0, 5, 7}, Unchoked: []string{"sc2"}}
-	_, d, _ := kindOf(in.encode())
+	_, d, _ := kindOf(frame(mtPieceReport, in.encodeTo))
 	out, err := decodePieceReport(d)
 	if err != nil || !reflect.DeepEqual(out, in) {
 		t.Fatalf("roundtrip = %+v, %v", out, err)
@@ -258,12 +258,12 @@ func TestPieceReportRejectsWhatItsAttributesCannotHold(t *testing.T) {
 		{Peer: "sc1", Have: []int{maxPieces}},
 		{Peer: "sc1", Have: []int{3}, Unchoked: []string{"sc2", "sc3,sc4"}},
 	} {
-		_, d, _ := kindOf(in.encode())
+		_, d, _ := kindOf(frame(mtPieceReport, in.encodeTo))
 		if _, err := decodePieceReport(d); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("decode(%+v): err = %v, want ErrCorrupt", in, err)
 		}
 	}
-	_, d, _ := kindOf(pieceReport{Peer: "sc1", Have: []int{0, maxPieces - 1}, Unchoked: []string{"sc2"}}.encode())
+	_, d, _ := kindOf(frame(mtPieceReport, pieceReport{Peer: "sc1", Have: []int{0, maxPieces - 1}, Unchoked: []string{"sc2"}}.encodeTo))
 	if _, err := decodePieceReport(d); err != nil {
 		t.Errorf("the last valid index is rejected: %v", err)
 	}
@@ -355,9 +355,9 @@ func underRace() bool {
 // The broker answers a whole-kind discover at an unchanged directory with the
 // reply it encoded for that version, allocating nothing (a hit); after a
 // renewal it merges again into the buffers it keeps and pays the new reply
-// alone (a miss): 10 197 B, encoded in place into a buffer the size of the
-// last one. No pool is involved, so a collection cannot make a miss regrow an
-// encoder.
+// alone (a miss): 10 197 B, detached from the encoder the merge keeps, and so
+// does a registration that grew the directory. No pool is involved, so a
+// collection cannot make a miss regrow an encoder.
 func TestDiscoverAllocBudgets(t *testing.T) {
 	b := bareBroker(t)
 	advs := randomPeerAdvs(rand.New(rand.NewSource(128)), 128)
@@ -384,6 +384,21 @@ func TestDiscoverAllocBudgets(t *testing.T) {
 	if perMiss > 11<<10 && !underRace() {
 		t.Errorf("broker side, miss: %d bytes to renew one lease and reply to a 128-peer discover on 4 shards, budget 11 KiB", perMiss)
 	}
+	// A registration that grows the directory costs the re-encode one
+	// allocation too, averaged over a run of them: the merge keeps its
+	// encoder, and each reply is detached from it at its own size.
+	var grown, mallocs uint64
+	for _, a := range randomPeerAdvs(rand.New(rand.NewSource(129)), 128+misses)[128:] {
+		publishAll(b, []jxta.Advertisement{a})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		reply = b.directoryReply(jxta.AdvPeer)
+		runtime.ReadMemStats(&after)
+		grown, mallocs = grown+1, mallocs+after.Mallocs-before.Mallocs
+	}
+	if perGrowth := float64(mallocs) / float64(grown); perGrowth > 1.5 && !underRace() {
+		t.Errorf("broker side, growth: %.2f allocations to reply to a discover after a registration grew the directory, budget 1", perGrowth)
+	}
 	var got []jxta.Advertisement
 	decode := func() {
 		_, dec, err := kindOf(reply)
@@ -399,7 +414,7 @@ func TestDiscoverAllocBudgets(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, decode); allocs > 4 {
 		t.Errorf("client side: %v allocations to decode a 128-peer reply, budget 4", allocs)
 	}
-	if len(got) != 128 {
+	if len(got) != 128+misses {
 		t.Fatalf("decoded %d advertisements", len(got))
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"peerlab/internal/jxta"
-	"peerlab/internal/pipe"
 	"peerlab/internal/task"
 	"peerlab/internal/wire"
 )
@@ -56,13 +55,9 @@ type register struct {
 	Stats statsReport
 }
 
-func (m register) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(mtRegister)
+func (m register) encodeTo(e *wire.Encoder) {
 	m.Adv.Encode(e)
 	m.Stats.encodeTo(e)
-	return e.Detach()
 }
 
 // registerAck confirms registration.
@@ -73,7 +68,6 @@ type registerAck struct {
 }
 
 func (m registerAck) encodeTo(e *wire.Encoder) {
-	e.Byte(mtRegisterAck)
 	e.Bool(m.OK)
 	e.String(m.Broker)
 	e.Int(m.KnownPeers)
@@ -87,14 +81,6 @@ type statsReport struct {
 	QueueLen  int
 	ReadyIn   time.Duration
 	CPUScore  float64
-}
-
-func (m statsReport) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(mtStatsReport)
-	m.encodeTo(e)
-	return e.Detach()
 }
 
 // encodeTo appends the report's fields, untagged: the body of a statsReport
@@ -113,12 +99,8 @@ type discover struct {
 	Kind jxta.AdvKind
 }
 
-func (m discover) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(mtDiscover)
+func (m discover) encodeTo(e *wire.Encoder) {
 	e.Byte(byte(m.Kind))
-	return e.Detach()
 }
 
 // encodeDiscoverResult appends the discover reply carrying advs, in order.
@@ -143,10 +125,7 @@ type selectReq struct {
 	Exclude []string
 }
 
-func (m selectReq) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(mtSelect)
+func (m selectReq) encodeTo(e *wire.Encoder) {
 	e.String(m.Model)
 	e.Byte(m.Kind)
 	e.Int(m.SizeBytes)
@@ -154,7 +133,6 @@ func (m selectReq) encode() []byte {
 	e.Int(m.MaxResults)
 	e.StringSlice(m.Preferred)
 	e.StringSlice(m.Exclude)
-	return e.Detach()
 }
 
 // selectResult returns ranked peer names; a peer's transfer address is a
@@ -165,7 +143,6 @@ type selectResult struct {
 }
 
 func (m selectResult) encodeTo(e *wire.Encoder) {
-	e.Byte(mtSelectResult)
 	e.StringSlice(m.Peers)
 	e.String(m.Err)
 }
@@ -184,17 +161,13 @@ type reportTransfer struct {
 	PetitionDelay time.Duration
 }
 
-func (m reportTransfer) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(mtReportTransfer)
+func (m reportTransfer) encodeTo(e *wire.Encoder) {
 	e.String(m.Peer)
 	e.Bool(m.OK)
 	e.Bool(m.Cancelled)
 	e.Int(m.Bytes)
 	e.Duration(m.Duration)
 	e.Duration(m.PetitionDelay)
-	return e.Detach()
 }
 
 // pieceReport publishes a peer's piece inventory and choke state into its
@@ -213,17 +186,13 @@ type pieceReport struct {
 // maxPieces is workload.MaxPieces, restated: overlay cannot import workload.
 const maxPieces = 1024
 
-func (m pieceReport) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(mtPieceReport)
+func (m pieceReport) encodeTo(e *wire.Encoder) {
 	e.String(m.Peer)
 	e.Int(len(m.Have))
 	for _, p := range m.Have {
 		e.Int(p)
 	}
 	e.StringSlice(m.Unchoked)
-	return e.Detach()
 }
 
 // reportTask carries a submitter's observations of one task offer.
@@ -234,15 +203,11 @@ type reportTask struct {
 	SecondsPerUnit float64
 }
 
-func (m reportTask) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(mtReportTask)
+func (m reportTask) encodeTo(e *wire.Encoder) {
 	e.String(m.Peer)
 	e.Bool(m.Accepted)
 	e.Bool(m.OK)
 	e.Float64(m.SecondsPerUnit)
-	return e.Detach()
 }
 
 // reportMessage records an instant-message outcome.
@@ -251,13 +216,9 @@ type reportMessage struct {
 	OK   bool
 }
 
-func (m reportMessage) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(mtReportMessage)
+func (m reportMessage) encodeTo(e *wire.Encoder) {
 	e.String(m.Peer)
 	e.Bool(m.OK)
-	return e.Detach()
 }
 
 // taskSubmit offers a task to a peer's executor.
@@ -266,16 +227,12 @@ type taskSubmit struct {
 	From string
 }
 
-func (m taskSubmit) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(mtTaskSubmit)
+func (m taskSubmit) encodeTo(e *wire.Encoder) {
 	e.Uint64(m.Task.ID)
 	e.String(m.Task.Name)
 	e.Float64(m.Task.WorkUnits)
 	e.Int(m.Task.InputSize)
 	e.String(m.From)
-	return e.Detach()
 }
 
 // taskDecision reports acceptance or rejection of a submitted task.
@@ -286,7 +243,6 @@ type taskDecision struct {
 }
 
 func (m taskDecision) encodeTo(e *wire.Encoder) {
-	e.Byte(mtTaskDecision)
 	e.Uint64(m.TaskID)
 	e.Bool(m.Accepted)
 	e.String(m.Reason)
@@ -298,7 +254,6 @@ type taskDone struct {
 }
 
 func (m taskDone) encodeTo(e *wire.Encoder) {
-	e.Byte(mtTaskDone)
 	e.Uint64(m.Result.TaskID)
 	e.Bool(m.Result.OK)
 	e.String(m.Result.Detail)
@@ -312,13 +267,9 @@ type instant struct {
 	Text string
 }
 
-func (m instant) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(mtInstant)
+func (m instant) encodeTo(e *wire.Encoder) {
 	e.String(m.From)
 	e.String(m.Text)
-	return e.Detach()
 }
 
 // The generic acknowledgment and the instant-message acknowledgment, as the
@@ -328,13 +279,16 @@ var (
 	instantAckFrame = []byte{mtInstantAck}
 )
 
-// sendReply sends the message fill encodes, detached from the pooled encoder
-// it was encoded in: Conn.Send gives its argument up to the receiver.
-func sendReply(conn pipe.Conn, fill func(*wire.Encoder)) error {
+// frame encodes a message, tag then what fill encodes, into a buffer of its
+// own: a pooled encoder's bytes, detached, since Conn.Send gives its argument
+// up to the receiver. Every message type encodes its fields untagged
+// (encodeTo), so a register frame can carry a statsReport's.
+func frame(tag byte, fill func(*wire.Encoder)) []byte {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
+	e.Byte(tag)
 	fill(e)
-	return conn.Send(e.Detach())
+	return e.Detach()
 }
 
 // --- decoding ---

@@ -516,13 +516,13 @@ func TestNonFiniteCPUScoreIgnored(t *testing.T) {
 		for i, v := range hostile {
 			name := fmt.Sprintf("h%d", i)
 			adv := testAdv(name).WithAttr(jxta.AttrCPUScore, v)
-			if _, err := c.call(d.broker.Addr(), register{Adv: adv, Stats: statsReport{Peer: name, CPUScore: parseScore(t, v)}}.encode()); err != nil {
+			if _, err := c.call(d.broker.Addr(), frame(mtRegister, register{Adv: adv, Stats: statsReport{Peer: name, CPUScore: parseScore(t, v)}}.encodeTo)); err != nil {
 				t.Errorf("register %s: %v", name, err)
 			}
 			// A report from a peer whose lease is gone rebuilds its
 			// advertisement from the reported score.
 			lapsed := "lapsed" + name
-			if _, err := c.call(d.broker.Addr(), statsReport{Peer: lapsed, CPUScore: parseScore(t, v)}.encode()); err != nil {
+			if _, err := c.call(d.broker.Addr(), frame(mtStatsReport, statsReport{Peer: lapsed, CPUScore: parseScore(t, v)}.encodeTo)); err != nil {
 				t.Errorf("report %s: %v", lapsed, err)
 			}
 			for _, peer := range []string{name, lapsed} {

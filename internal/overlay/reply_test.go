@@ -92,7 +92,7 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 				what = "register " + name
 				adv := jxta.Advertisement{Name: name, Addr: name + "/" + ServiceTransfer}
 				adv = adv.WithAttr(jxta.AttrCPUScore, fmt.Sprint(1+rng.Intn(4)))
-				reply, err := rpc(register{Adv: adv, Stats: statsReport{Peer: name, QueueLen: rng.Intn(3)}}.encode())
+				reply, err := rpc(frame(mtRegister, register{Adv: adv, Stats: statsReport{Peer: name, QueueLen: rng.Intn(3)}}.encodeTo))
 				if err != nil {
 					failure = fail("%v", err)
 					return
@@ -106,7 +106,7 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 				}
 			case op < 7:
 				what = "heartbeat " + name
-				reply, err := rpc(statsReport{Peer: name, QueueLen: rng.Intn(3), CPUScore: float64(rng.Intn(3))}.encode())
+				reply, err := rpc(frame(mtStatsReport, statsReport{Peer: name, QueueLen: rng.Intn(3), CPUScore: float64(rng.Intn(3))}.encodeTo))
 				if err != nil || !bytes.Equal(reply, ackFrame) {
 					failure = fail("reply % x, %v", reply, err)
 					return
@@ -133,7 +133,7 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 				b.Restart()
 			}
 			for _, k := range rng.Perm(len(kinds)) {
-				req := discover{Kind: kinds[k]}.encode()
+				req := frame(mtDiscover, discover{Kind: kinds[k]}.encodeTo)
 				first, err := rpc(req)
 				if err != nil {
 					failure = fail("discover %s: %v", kinds[k], err)

@@ -214,7 +214,7 @@ func (c *Client) SelectDetailed(model string, req core.Request, max int, preferr
 		Preferred:  preferred,
 		Exclude:    append([]string{c.host.Name()}, exclude...),
 	}
-	reply, retries, err := c.callRetried(c.broker, sreq.encode())
+	reply, retries, err := c.callRetried(c.broker, frame(mtSelect, sreq.encodeTo))
 	sel := Selection{Retries: retries}
 	if err != nil {
 		if peers := c.degradedPick(max, exclude); peers != nil {

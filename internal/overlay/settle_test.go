@@ -91,10 +91,10 @@ func runSettlingProgram(seed int64, shards, steps int, settle *rand.Rand) (trace
 				s.what = "register " + name
 				adv := jxta.Advertisement{Name: name, Addr: name + "/" + ServiceTransfer}
 				adv = adv.WithAttr(jxta.AttrCPUScore, fmt.Sprint(1+rng.Intn(4)))
-				req = register{Adv: adv, Stats: statsReport{Peer: name, QueueLen: rng.Intn(3)}}.encode()
+				req = frame(mtRegister, register{Adv: adv, Stats: statsReport{Peer: name, QueueLen: rng.Intn(3)}}.encodeTo)
 			case op < 6:
 				s.what = "heartbeat " + name
-				req = statsReport{Peer: name, QueueLen: rng.Intn(3), CPUScore: float64(rng.Intn(3))}.encode()
+				req = frame(mtStatsReport, statsReport{Peer: name, QueueLen: rng.Intn(3), CPUScore: float64(rng.Intn(3))}.encodeTo)
 			case op < 7:
 				s.what = "piece report " + name
 				var have []int
@@ -103,15 +103,15 @@ func runSettlingProgram(seed int64, shards, steps int, settle *rand.Rand) (trace
 						have = append(have, p)
 					}
 				}
-				req = pieceReport{Peer: name, Have: have, Unchoked: some()}.encode()
+				req = frame(mtPieceReport, pieceReport{Peer: name, Have: have, Unchoked: some()}.encodeTo)
 			case op < 9:
 				s.what = "discover"
-				req = discover{Kind: jxta.AdvPeer}.encode()
+				req = frame(mtDiscover, discover{Kind: jxta.AdvPeer}.encodeTo)
 			case op < 11:
 				model := []string{"economic", "same-priority"}[rng.Intn(2)]
 				s.what = "select " + model
-				req = selectReq{Model: model, Kind: byte(core.KindFileTransfer), SizeBytes: 1 + rng.Intn(1<<20),
-					MaxResults: rng.Intn(4), Exclude: some()}.encode()
+				req = frame(mtSelect, selectReq{Model: model, Kind: byte(core.KindFileTransfer), SizeBytes: 1 + rng.Intn(1<<20),
+					MaxResults: rng.Intn(4), Exclude: some()}.encodeTo)
 			case op < 12:
 				d := time.Duration(1 + rng.Int63n(int64(30*time.Second)))
 				s.what = fmt.Sprintf("sleep %v", d)

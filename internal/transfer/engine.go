@@ -304,7 +304,7 @@ func (s *Sender) sendPart(conn pipe.Conn, id uint64, p Part, pt *PartTiming, nou
 		Size:       p.Size,
 		Data:       p.Data,
 	}
-	if err := conn.SendSized(hdr.encode(), p.Size); err != nil {
+	if err := conn.SendSized(frame(msgPart, hdr.encodeTo), p.Size); err != nil {
 		return fmt.Errorf("%w: %s %d: %v", ErrFailed, noun, p.Index, err)
 	}
 	return nil
@@ -409,7 +409,7 @@ func (r *Receiver) handle(conn pipe.Conn) {
 		Reason:     reason,
 		ReceivedAt: receivedAt,
 	}
-	if err := conn.Send(ack.encode()); err != nil || !accept {
+	if err := conn.Send(frame(msgPetitionAck, ack.encodeTo)); err != nil || !accept {
 		return
 	}
 
@@ -477,7 +477,7 @@ func (r *Receiver) handle(conn pipe.Conn) {
 			DeliveredAt: delivered,
 			Ready:       i+1 < expected,
 		}
-		if err := conn.Send(pa.encode()); err != nil || !ok {
+		if err := conn.Send(frame(msgPartAck, pa.encodeTo)); err != nil || !ok {
 			return
 		}
 		if whole {

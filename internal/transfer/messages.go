@@ -61,6 +61,17 @@ func (p petition) encode() []byte {
 	return e.Detach()
 }
 
+// frame encodes a message, tag then what fill encodes, into a buffer of its
+// own: a pooled encoder's bytes, detached, since Conn.Send gives its argument
+// up to the receiver.
+func frame(tag byte, fill func(*wire.Encoder)) []byte {
+	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
+	e.Byte(tag)
+	fill(e)
+	return e.Detach()
+}
+
 // decodePetition decodes the frame that opens a transfer conn: either
 // petition kind, and nothing else.
 func decodePetition(payload []byte) (petition, error) {
@@ -108,15 +119,11 @@ type petitionAck struct {
 	ReceivedAt time.Time
 }
 
-func (p petitionAck) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(msgPetitionAck)
+func (p petitionAck) encodeTo(e *wire.Encoder) {
 	e.Uint64(p.TransferID)
 	e.Bool(p.Accept)
 	e.String(p.Reason)
 	e.Time(p.ReceivedAt)
-	return e.Detach()
 }
 
 func decodePetitionAck(d *wire.Decoder) (petitionAck, error) {
@@ -138,16 +145,12 @@ type partHeader struct {
 	Data       []byte
 }
 
-func (p partHeader) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(msgPart)
+func (p partHeader) encodeTo(e *wire.Encoder) {
 	e.Uint64(p.TransferID)
 	e.Int(p.Index)
 	e.Int(p.Offset)
 	e.Int(p.Size)
 	e.BytesField(p.Data)
-	return e.Detach()
 }
 
 func decodePart(d *wire.Decoder) (partHeader, error) {
@@ -176,17 +179,13 @@ type partAck struct {
 	Ready       bool      // ready for the next part
 }
 
-func (p partAck) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(msgPartAck)
+func (p partAck) encodeTo(e *wire.Encoder) {
 	e.Uint64(p.TransferID)
 	e.Int(p.Index)
 	e.Bool(p.OK)
 	e.String(p.Reason)
 	e.Time(p.DeliveredAt)
 	e.Bool(p.Ready)
-	return e.Detach()
 }
 
 func decodePartAck(d *wire.Decoder) (partAck, error) {

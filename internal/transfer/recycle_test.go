@@ -45,14 +45,14 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 				}
 				_, d, _ := decodeKind(pet.Payload)
 				id := d.Uint64()
-				conn.Send(petitionAck{TransferID: id, Accept: true, ReceivedAt: b.Now()}.encode())
+				conn.Send(frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: b.Now()}.encodeTo))
 				part, err := conn.Recv()
 				if err != nil {
 					return
 				}
 				_, d, _ = decodeKind(part.Payload)
 				hdr, _ := decodePart(d)
-				conn.Send(partAck{TransferID: id, Index: hdr.Index, Reason: "scripted refusal"}.encode())
+				conn.Send(frame(msgPartAck, partAck{TransferID: id, Index: hdr.Index, Reason: "scripted refusal"}.encodeTo))
 				for {
 					if _, err := conn.Recv(); err != nil {
 						return

@@ -105,7 +105,7 @@ func (tr *transcript) serveFirstPartOnly() {
 		// Both petition kinds open with the transfer id.
 		_, d, _ := decodeKind(first.Payload)
 		id := d.Uint64()
-		if conn.Send(petitionAck{TransferID: id, Accept: true, ReceivedAt: tr.dstN.Now()}.encode()) != nil {
+		if conn.Send(frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: tr.dstN.Now()}.encodeTo)) != nil {
 			return
 		}
 		for n := 0; ; n++ {
@@ -118,7 +118,7 @@ func (tr *transcript) serveFirstPartOnly() {
 			}
 			_, d, _ := decodeKind(msg.Payload)
 			ph, _ := decodePart(d)
-			if conn.Send(partAck{TransferID: id, Index: ph.Index, OK: true, DeliveredAt: tr.dstN.Now(), Ready: true}.encode()) != nil {
+			if conn.Send(frame(msgPartAck, partAck{TransferID: id, Index: ph.Index, OK: true, DeliveredAt: tr.dstN.Now(), Ready: true}.encodeTo)) != nil {
 				return
 			}
 		}
@@ -148,7 +148,7 @@ func (tr *transcript) rawRepeat(petitionFrame []byte, part partHeader) {
 	ack, err := decodePetitionAck(d)
 	tr.logf("petitionAck accept=%v reason=%q received=%s err=%v", ack.Accept, ack.Reason, tr.at(ack.ReceivedAt), err)
 	for i := 0; i < 2; i++ {
-		if err := conn.SendSized(part.encode(), part.Size); err != nil {
+		if err := conn.SendSized(frame(msgPart, part.encodeTo), part.Size); err != nil {
 			tr.logf("part: %v", err)
 			return
 		}

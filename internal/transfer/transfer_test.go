@@ -292,7 +292,7 @@ func refuseAll(host transport.Host, mux *pipe.Mux) {
 		}
 		// Both petition kinds open with the transfer id.
 		_, d, _ := decodeKind(msg.Payload)
-		conn.Send(petitionAck{TransferID: d.Uint64(), Reason: "quota exceeded", ReceivedAt: host.Now()}.encode())
+		conn.Send(frame(msgPetitionAck, petitionAck{TransferID: d.Uint64(), Reason: "quota exceeded", ReceivedAt: host.Now()}.encodeTo))
 	})
 }
 
@@ -383,8 +383,8 @@ func TestPetitionTotalSizeOutOfRangeNotAllocated(t *testing.T) {
 			}
 			pet := petition{TransferID: 7, FileName: "evil", TotalSize: total, Parts: 1, Sender: "src"}
 			part := partHeader{TransferID: 7, Index: 0, Offset: 0, Size: 1, Data: []byte{0xff}}
-			for _, frame := range [][]byte{pet.encode(), part.encode()} {
-				if err := conn.Send(frame); err != nil {
+			for _, msg := range [][]byte{pet.encode(), frame(msgPart, part.encodeTo)} {
+				if err := conn.Send(msg); err != nil {
 					t.Errorf("total=%d: send: %v", total, err)
 					return
 				}
