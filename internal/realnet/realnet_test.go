@@ -3,8 +3,10 @@ package realnet
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"peerlab/internal/overlay"
 	"peerlab/internal/pipe"
@@ -471,5 +473,36 @@ func TestSendRacesClose(t *testing.T) {
 	epA.Close()
 	if err := <-done; !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("Send after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestPoppedValueIsCollectable pops the first of two values, by Pop and by
+// PopTimeout: the queue, still holding the second, must not keep the first
+// reachable through its backing array.
+func TestPoppedValueIsCollectable(t *testing.T) {
+	for _, timed := range []bool{false, true} {
+		q := newQueue()
+		first := new([64]byte)
+		gone := weak.Make(first)
+		q.Push(first)
+		q.Push(new([64]byte))
+		var v any
+		var err error
+		if timed {
+			v, err = q.PopTimeout(time.Second)
+		} else {
+			v, err = q.Pop()
+		}
+		if err != nil || v != any(first) {
+			t.Fatalf("timed=%v: popped %v, %v", timed, v, err)
+		}
+		v, first = nil, nil
+		runtime.GC()
+		if gone.Value() != nil {
+			t.Errorf("timed=%v: a popped value stays reachable through the queue", timed)
+		}
+		if q.Len() != 1 {
+			t.Fatalf("timed=%v: %d values left, want 1", timed, q.Len())
+		}
 	}
 }
