@@ -325,21 +325,29 @@ func (b *Broker) serve(conn pipe.Conn) {
 	}
 	switch kind {
 	case mtRegister:
-		b.handleRegister(conn, d)
+		handle(conn, d, decodeRegister, b.handleRegister)
 	case mtStatsReport:
-		b.handleStatsReport(conn, d)
+		handle(conn, d, decodeStatsReport, b.handleStatsReport)
 	case mtDiscover:
-		b.handleDiscover(conn, d)
+		handle(conn, d, decodeDiscover, b.handleDiscover)
 	case mtSelect:
-		b.handleSelect(conn, d)
+		handle(conn, d, decodeSelectReq, b.handleSelect)
 	case mtReportTransfer:
-		b.handleReportTransfer(conn, d)
+		handle(conn, d, decodeReportTransfer, b.handleReportTransfer)
 	case mtPieceReport:
-		b.handlePieceReport(conn, d)
+		handle(conn, d, decodePieceReport, b.handlePieceReport)
 	case mtReportTask:
-		b.handleReportTask(conn, d)
+		handle(conn, d, decodeReportTask, b.handleReportTask)
 	case mtReportMessage:
-		b.handleReportMessage(conn, d)
+		handle(conn, d, decodeReportMessage, b.handleReportMessage)
+	}
+}
+
+// handle decodes one request and hands it to h; a malformed request goes
+// unanswered.
+func handle[T any](conn pipe.Conn, d *wire.Decoder, decode func(*wire.Decoder) (T, error), h func(pipe.Conn, T)) {
+	if req, err := decode(d); err == nil {
+		h(conn, req)
 	}
 }
 
@@ -349,11 +357,7 @@ func (b *Broker) serve(conn pipe.Conn) {
 // advertised CPU score counts only if it is finite and positive. A register
 // speaks for its name alone: the broker stores the kind and ID the name
 // implies, as leaseOf rebuilds them, and refuses an empty name.
-func (b *Broker) handleRegister(conn pipe.Conn, d *wire.Decoder) {
-	req, err := decodeRegister(d)
-	if err != nil {
-		return
-	}
+func (b *Broker) handleRegister(conn pipe.Conn, req register) {
 	if req.Adv.Name == "" {
 		conn.Send(frame(mtRegisterAck, registerAck{Broker: b.host.Name()}.encodeTo))
 		return
@@ -413,11 +417,7 @@ func (b *Broker) leaseOf(sh *shard, peer string, conn pipe.Conn) (adv jxta.Adver
 
 // handleStatsReport applies a heartbeat: the load report, and a renewal of
 // the peer's advertisement lease.
-func (b *Broker) handleStatsReport(conn pipe.Conn, d *wire.Decoder) {
-	rep, err := decodeStatsReport(d)
-	if err != nil {
-		return
-	}
+func (b *Broker) handleStatsReport(conn pipe.Conn, rep statsReport) {
 	sh := b.shardOf(rep.Peer)
 	b.applyStats(sh.registry.Peer(rep.Peer), rep)
 	adv, lapsed := b.leaseOf(sh, rep.Peer, conn)
@@ -428,19 +428,11 @@ func (b *Broker) handleStatsReport(conn pipe.Conn, d *wire.Decoder) {
 	conn.Send(ackFrame)
 }
 
-func (b *Broker) handleDiscover(conn pipe.Conn, d *wire.Decoder) {
-	req, err := decodeDiscover(d)
-	if err != nil {
-		return
-	}
+func (b *Broker) handleDiscover(conn pipe.Conn, req discover) {
 	conn.Send(b.directoryReply(req.Kind))
 }
 
-func (b *Broker) handleSelect(conn pipe.Conn, d *wire.Decoder) {
-	req, err := decodeSelectReq(d)
-	if err != nil {
-		return
-	}
+func (b *Broker) handleSelect(conn pipe.Conn, req selectReq) {
 	peers, serr := b.selectPeers(req)
 	res := selectResult{Peers: peers}
 	if serr != nil {
@@ -449,11 +441,7 @@ func (b *Broker) handleSelect(conn pipe.Conn, d *wire.Decoder) {
 	conn.Send(frame(mtSelectResult, res.encodeTo))
 }
 
-func (b *Broker) handleReportTransfer(conn pipe.Conn, d *wire.Decoder) {
-	rep, err := decodeReportTransfer(d)
-	if err != nil {
-		return
-	}
+func (b *Broker) handleReportTransfer(conn pipe.Conn, rep reportTransfer) {
 	ps := b.shardOf(rep.Peer).registry.Peer(rep.Peer)
 	ps.RecordFileSent(rep.OK)
 	ps.RecordTransferOutcome(rep.Cancelled)
@@ -482,11 +470,7 @@ func (b *Broker) handleReportTransfer(conn pipe.Conn, d *wire.Decoder) {
 // rebuilds the entry instead of dropping it. Stats heartbeats preserve
 // attributes on lease renewal (they Publish the looked-up advertisement),
 // so inventory survives the renewal traffic between piece reports.
-func (b *Broker) handlePieceReport(conn pipe.Conn, d *wire.Decoder) {
-	rep, err := decodePieceReport(d)
-	if err != nil {
-		return
-	}
+func (b *Broker) handlePieceReport(conn pipe.Conn, rep pieceReport) {
 	sh := b.shardOf(rep.Peer)
 	adv, _ := b.leaseOf(sh, rep.Peer, conn)
 	var have strings.Builder
@@ -502,11 +486,7 @@ func (b *Broker) handlePieceReport(conn pipe.Conn, d *wire.Decoder) {
 	conn.Send(ackFrame)
 }
 
-func (b *Broker) handleReportTask(conn pipe.Conn, d *wire.Decoder) {
-	rep, err := decodeReportTask(d)
-	if err != nil {
-		return
-	}
+func (b *Broker) handleReportTask(conn pipe.Conn, rep reportTask) {
 	ps := b.shardOf(rep.Peer).registry.Peer(rep.Peer)
 	ps.RecordTaskOffer(rep.Accepted)
 	if rep.Accepted {
@@ -520,11 +500,7 @@ func (b *Broker) handleReportTask(conn pipe.Conn, d *wire.Decoder) {
 	conn.Send(ackFrame)
 }
 
-func (b *Broker) handleReportMessage(conn pipe.Conn, d *wire.Decoder) {
-	rep, err := decodeReportMessage(d)
-	if err != nil {
-		return
-	}
+func (b *Broker) handleReportMessage(conn pipe.Conn, rep reportMessage) {
 	b.shardOf(rep.Peer).registry.Peer(rep.Peer).RecordMessage(rep.OK)
 	conn.Send(ackFrame)
 }

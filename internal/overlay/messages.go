@@ -302,8 +302,7 @@ func decodeRegister(d *wire.Decoder) (register, error) {
 }
 
 func decodeRegisterAck(d *wire.Decoder) (registerAck, error) {
-	m := registerAck{OK: d.Bool(), Broker: d.StringField(), KnownPeers: d.Int()}
-	return m, d.Finish()
+	return registerAck{OK: d.Bool(), Broker: d.StringField(), KnownPeers: d.Int()}, d.Finish()
 }
 
 func decodeStatsReport(d *wire.Decoder) (statsReport, error) {
@@ -324,8 +323,7 @@ func decodeStatsFields(d *wire.Decoder) statsReport {
 }
 
 func decodeDiscover(d *wire.Decoder) (discover, error) {
-	m := discover{Kind: jxta.AdvKind(d.Byte())}
-	return m, d.Finish()
+	return discover{Kind: jxta.AdvKind(d.Byte())}, d.Finish()
 }
 
 // scanDiscoverResult makes every check a discover reply has to pass and
@@ -339,7 +337,7 @@ func scanDiscoverResult(d *wire.Decoder) (jxta.Directory, error) {
 }
 
 func decodeSelectReq(d *wire.Decoder) (selectReq, error) {
-	m := selectReq{
+	return selectReq{
 		Model:      d.StringField(),
 		Kind:       d.Byte(),
 		SizeBytes:  d.Int(),
@@ -347,25 +345,22 @@ func decodeSelectReq(d *wire.Decoder) (selectReq, error) {
 		MaxResults: d.Int(),
 		Preferred:  d.StringSlice(),
 		Exclude:    d.StringSlice(),
-	}
-	return m, d.Finish()
+	}, d.Finish()
 }
 
 func decodeSelectResult(d *wire.Decoder) (selectResult, error) {
-	m := selectResult{Peers: d.StringSlice(), Err: d.StringField()}
-	return m, d.Finish()
+	return selectResult{Peers: d.StringSlice(), Err: d.StringField()}, d.Finish()
 }
 
 func decodeReportTransfer(d *wire.Decoder) (reportTransfer, error) {
-	m := reportTransfer{
+	return reportTransfer{
 		Peer:          d.StringField(),
 		OK:            d.Bool(),
 		Cancelled:     d.Bool(),
 		Bytes:         d.Int(),
 		Duration:      d.Duration(),
 		PetitionDelay: d.Duration(),
-	}
-	return m, d.Finish()
+	}, d.Finish()
 }
 
 func decodePieceReport(d *wire.Decoder) (pieceReport, error) {
@@ -393,22 +388,20 @@ func decodePieceReport(d *wire.Decoder) (pieceReport, error) {
 }
 
 func decodeReportTask(d *wire.Decoder) (reportTask, error) {
-	m := reportTask{
+	return reportTask{
 		Peer:           d.StringField(),
 		Accepted:       d.Bool(),
 		OK:             d.Bool(),
 		SecondsPerUnit: d.Float64(),
-	}
-	return m, d.Finish()
+	}, d.Finish()
 }
 
 func decodeReportMessage(d *wire.Decoder) (reportMessage, error) {
-	m := reportMessage{Peer: d.StringField(), OK: d.Bool()}
-	return m, d.Finish()
+	return reportMessage{Peer: d.StringField(), OK: d.Bool()}, d.Finish()
 }
 
 func decodeTaskSubmit(d *wire.Decoder) (taskSubmit, error) {
-	m := taskSubmit{
+	return taskSubmit{
 		Task: task.Task{
 			ID:        d.Uint64(),
 			Name:      d.StringField(),
@@ -416,13 +409,11 @@ func decodeTaskSubmit(d *wire.Decoder) (taskSubmit, error) {
 			InputSize: d.Int(),
 		},
 		From: d.StringField(),
-	}
-	return m, d.Finish()
+	}, d.Finish()
 }
 
 func decodeTaskDecision(d *wire.Decoder) (taskDecision, error) {
-	m := taskDecision{TaskID: d.Uint64(), Accepted: d.Bool(), Reason: d.StringField()}
-	return m, d.Finish()
+	return taskDecision{TaskID: d.Uint64(), Accepted: d.Bool(), Reason: d.StringField()}, d.Finish()
 }
 
 func decodeTaskDone(d *wire.Decoder) (taskDone, error) {
@@ -437,8 +428,7 @@ func decodeTaskDone(d *wire.Decoder) (taskDone, error) {
 }
 
 func decodeInstant(d *wire.Decoder) (instant, error) {
-	m := instant{From: d.StringField(), Text: d.StringField()}
-	return m, d.Finish()
+	return instant{From: d.StringField(), Text: d.StringField()}, d.Finish()
 }
 
 // kindOf strips the type tag. Inlined, its decoder stays on the stack.

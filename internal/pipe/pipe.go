@@ -171,7 +171,8 @@ func (m *Mux) Accept() (Conn, error) {
 	if err != nil {
 		return Conn{}, ErrClosed
 	}
-	return v.(*conn).handle(), nil
+	c := v.(*conn) // held by its owner: its generation stays put
+	return Conn{c, c.gen}, nil
 }
 
 // Serve runs fn on every accepted conn, each in a process of its own started
@@ -227,7 +228,7 @@ func (m *Mux) newConnLocked(peer transport.Addr, id uint64, theirs bool) *conn {
 		c.inbox.Reopen()
 	} else {
 		c = &conn{mux: m, inbox: m.host.NewQueue()}
-		c.serve = func() { m.handler(c.handle()) }
+		c.serve = func() { m.handler(Conn{c, c.gen}) } // see Accept
 		c.expire = c.deadlineFired
 	}
 	c.holds = 2
@@ -385,13 +386,6 @@ type connState struct {
 	retxCount  int64   // cumulative retransmissions (observability)
 }
 
-// handle returns a handle on c's current incarnation.
-func (c *conn) handle() Conn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Conn{c, c.gen}
-}
-
 // enter takes a call's hold on h's conn, or returns nil if the conn was
 // recycled since h was made.
 func (h Conn) enter() *conn {
@@ -464,13 +458,9 @@ func (c *conn) sendSized(payload []byte, size int) error {
 	defer c.releaseToken()
 
 	c.mu.Lock()
-	if c.broken != nil || c.closed {
-		err := c.broken
+	if c.closed { // a conn is broken only as it is torn down
 		c.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		return err
+		return c.closedErr()
 	}
 	c.sendNext++
 	seq := c.sendNext
@@ -485,10 +475,7 @@ func (c *conn) sendSized(payload []byte, size int) error {
 	c.mu.Unlock()
 
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		rto := c.rtoFor(size) << uint(attempt) // exponential backoff on retries
-		if rto > MaxRTO {
-			rto = MaxRTO
-		}
+		rto := min(c.rtoFor(size)<<uint(attempt), MaxRTO) // exponential backoff on retries
 
 		txStart := c.mux.host.Now()
 		if err := c.mux.sendFrame(c.peer, kindData, !c.theirs, c.id, seq, 0, payload, size); err != nil {
@@ -631,11 +618,7 @@ func (c *conn) rtoFor(size int) time.Duration {
 		rate = MinRate
 	}
 	tx := time.Duration(float64(size) / rate * float64(time.Second))
-	rto := c.srtt + 4*c.rttvar + 2*tx
-	if rto > MaxRTO {
-		rto = MaxRTO
-	}
-	return rto
+	return min(c.srtt+4*c.rttvar+2*tx, MaxRTO)
 }
 
 // observe folds an ack round-trip sample into the RTT and rate estimators.
@@ -645,10 +628,7 @@ func (c *conn) observe(sample time.Duration, size int) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	diff := sample - c.srtt
-	if diff < 0 {
-		diff = -diff
-	}
+	diff := max(sample-c.srtt, c.srtt-sample)
 	c.rttvar = (3*c.rttvar + diff) / 4
 	c.srtt = (7*c.srtt + sample) / 8
 	if size >= 4096 {

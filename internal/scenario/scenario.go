@@ -434,10 +434,7 @@ func heterogeneousProfile(r *rand.Rand, _ int) simnet.Profile {
 func Zipf(n int) Scenario {
 	sc := synthetic("zipf", "zipf", n, nil, func(r *rand.Rand, i int) simnet.Profile {
 		p := baseProfile()
-		bw := zipfBaseBandwidth / math.Pow(float64(i+1), zipfExp)
-		if bw < zipfMinBandwidth {
-			bw = zipfMinBandwidth
-		}
+		bw := max(zipfBaseBandwidth/math.Pow(float64(i+1), zipfExp), zipfMinBandwidth)
 		p.Bandwidth = bw * uniformIn(r, 0.9, 1.1)
 		p.LatencyOneWay = time.Duration(uniformIn(r, 15, 40) * float64(time.Millisecond))
 		p.CPUScore = uniformIn(r, 0.8, 1.2)
@@ -568,10 +565,7 @@ func churnSchedule(labels []string, seed int64, rate float64) []ChurnEvent {
 			events = append(events, ChurnEvent{At: t, Label: l, Kind: ChurnJoin})
 		}
 	}
-	outageP := 0.3 * rate
-	if outageP > 1 {
-		outageP = 1
-	}
+	outageP := min(0.3*rate, 1)
 	sites := (len(labels) + churnSiteSize - 1) / churnSiteSize
 	for s := 0; s < sites; s++ {
 		r := siteRand(seed, s)

@@ -380,10 +380,7 @@ func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) er
 	// Loss.
 	lost := net.partsKey[pairKey{src.name, dstNode.name}]
 	if extra := net.extraLoss[src.name] + net.extraLoss[dstNode.name]; !lost && extra > 0 {
-		if extra > 1 {
-			extra = 1
-		}
-		if src.randLocked().Float64() < extra {
+		if src.randLocked().Float64() < min(extra, 1) {
 			lost = true
 		}
 	}

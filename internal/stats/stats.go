@@ -114,9 +114,7 @@ func (h *hourBuckets) record(now time.Time, ok bool) {
 
 // percentLast aggregates the most recent k hourly buckets.
 func (h *hourBuckets) percentLast(now time.Time, k int, def float64) float64 {
-	if k > windowHours {
-		k = windowHours
-	}
+	k = min(k, windowHours)
 	hour := now.Unix() / 3600
 	var agg Ratio
 	for j := 0; j < k; j++ {
@@ -179,7 +177,12 @@ func NewPeerStats(peer string, now func() time.Time) *PeerStats {
 // Peer returns the peer name.
 func (p *PeerStats) Peer() string { return p.peer }
 
-func (p *PeerStats) touch() {
+// update applies f to the record under its lock and stamps the change,
+// bumping the owning registry's mutation counter.
+func (p *PeerStats) update(f func()) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f()
 	p.lastUpdate = p.now()
 	if p.ver != nil {
 		p.ver.Add(1)
@@ -188,72 +191,48 @@ func (p *PeerStats) touch() {
 
 // RecordMessage records a message send attempt toward the peer.
 func (p *PeerStats) RecordMessage(ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.msgTotal.Record(ok)
-	p.msgHourly.record(p.now(), ok)
-	p.touch()
+	p.update(func() {
+		p.msgTotal.Record(ok)
+		p.msgHourly.record(p.now(), ok)
+	})
 }
 
 // SetQueues records instantaneous inbox/outbox lengths reported by the peer.
 func (p *PeerStats) SetQueues(inbox, outbox int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.inbox.Set(float64(inbox))
-	p.outbox.Set(float64(outbox))
-	p.touch()
+	p.update(func() {
+		p.inbox.Set(float64(inbox))
+		p.outbox.Set(float64(outbox))
+	})
 }
 
 // RecordTaskOffer records whether the peer accepted an offered task.
 func (p *PeerStats) RecordTaskOffer(accepted bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.taskAcceptTotal.Record(accepted)
-	p.touch()
+	p.update(func() { p.taskAcceptTotal.Record(accepted) })
 }
 
 // RecordTaskExecution records a completed (or failed) task run and its
 // normalized duration in seconds per work unit.
 func (p *PeerStats) RecordTaskExecution(ok bool, secondsPerUnit float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.taskExecTotal.Record(ok)
-	if ok && secondsPerUnit > 0 {
-		p.execTime.Observe(secondsPerUnit)
-	}
-	p.touch()
+	p.update(func() {
+		p.taskExecTotal.Record(ok)
+		if ok && secondsPerUnit > 0 {
+			p.execTime.Observe(secondsPerUnit)
+		}
+	})
 }
 
 // SetQueueLen records the number of tasks queued at the peer.
-func (p *PeerStats) SetQueueLen(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.queueLen = n
-	p.touch()
-}
+func (p *PeerStats) SetQueueLen(n int) { p.update(func() { p.queueLen = n }) }
 
 // SetReadyAt records the broker's estimate of when the peer becomes idle.
-func (p *PeerStats) SetReadyAt(t time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.readyAt = t
-	p.touch()
-}
+func (p *PeerStats) SetReadyAt(t time.Time) { p.update(func() { p.readyAt = t }) }
 
 // RecordFileSent records a completed (ok) or failed file transmission.
-func (p *PeerStats) RecordFileSent(ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fileSentTotal.Record(ok)
-	p.touch()
-}
+func (p *PeerStats) RecordFileSent(ok bool) { p.update(func() { p.fileSentTotal.Record(ok) }) }
 
 // RecordTransferOutcome records whether a transfer was cancelled.
 func (p *PeerStats) RecordTransferOutcome(cancelled bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.cancelTotal.Record(cancelled)
-	p.touch()
+	p.update(func() { p.cancelTotal.Record(cancelled) })
 }
 
 // RecordTransferOriginated records a transmission launch this peer sourced —
@@ -262,54 +241,34 @@ func (p *PeerStats) RecordTransferOutcome(cancelled bool) {
 // record per launch on both sides. bytes is the payload size (counted only
 // for completed launches).
 func (p *PeerStats) RecordTransferOriginated(ok bool, bytes int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.originated.Record(ok)
-	if ok && bytes > 0 {
-		p.bytesOriginated += int64(bytes)
-	}
-	p.touch()
+	p.update(func() {
+		p.originated.Record(ok)
+		if ok && bytes > 0 {
+			p.bytesOriginated += int64(bytes)
+		}
+	})
 }
 
 // AddPendingTransfers adjusts the pending-transfer count by delta.
 func (p *PeerStats) AddPendingTransfers(delta int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pendingTransfer += delta
-	if p.pendingTransfer < 0 {
-		p.pendingTransfer = 0
-	}
-	p.touch()
+	p.update(func() { p.pendingTransfer = max(p.pendingTransfer+delta, 0) })
 }
 
 // SetCPUScore records the peer's advertised relative CPU speed.
-func (p *PeerStats) SetCPUScore(score float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.cpuScore = score
-	p.touch()
-}
+func (p *PeerStats) SetCPUScore(score float64) { p.update(func() { p.cpuScore = score }) }
 
 // ObserveTransferRate folds in a measured transfer (bytes over dur).
 func (p *PeerStats) ObserveTransferRate(bytes int, dur time.Duration) {
-	if bytes <= 0 || dur <= 0 {
-		return
+	if bytes > 0 && dur > 0 {
+		p.update(func() { p.transferRate.Observe(float64(bytes) / dur.Seconds()) })
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.transferRate.Observe(float64(bytes) / dur.Seconds())
-	p.touch()
 }
 
 // ObservePetitionDelay folds in a measured petition round-trip.
 func (p *PeerStats) ObservePetitionDelay(d time.Duration) {
-	if d < 0 {
-		return
+	if d >= 0 {
+		p.update(func() { p.petitionDelay.Observe(d.Seconds()) })
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.petitionDelay.Observe(d.Seconds())
-	p.touch()
 }
 
 // Snapshot is an immutable view of a peer's statistics. Percentages are in

@@ -77,13 +77,5 @@ func Diff(want, got []byte) error {
 
 // excerpt returns a short printable window around offset at.
 func excerpt(b []byte, at int) string {
-	lo := at - 30
-	if lo < 0 {
-		lo = 0
-	}
-	hi := at + 50
-	if hi > len(b) {
-		hi = len(b)
-	}
-	return string(b[lo:hi])
+	return string(b[max(at-30, 0):min(at+50, len(b))])
 }

@@ -120,10 +120,7 @@ func (e *Executor) run(sub submission) {
 
 	e.mu.Lock()
 	e.busy = false
-	e.backlog -= sub.t.WorkUnits
-	if e.backlog < 0 {
-		e.backlog = 0
-	}
+	e.backlog = max(e.backlog-sub.t.WorkUnits, 0)
 	e.mu.Unlock()
 
 	res := Result{

@@ -95,18 +95,12 @@ func (m Metrics) LastMbTime() time.Duration {
 		return 0
 	}
 	last := m.Parts[len(m.Parts)-1]
-	service := last.Delivered.Sub(last.Started)
-	if service < 0 {
-		service = 0
-	}
+	service := max(last.Delivered.Sub(last.Started), 0)
 	frac := 1.0
 	if last.Size > Mb {
 		frac = float64(Mb) / float64(last.Size)
 	}
-	confirm := last.Confirmed.Sub(last.Delivered)
-	if confirm < 0 {
-		confirm = 0
-	}
+	confirm := max(last.Confirmed.Sub(last.Delivered), 0)
 	return time.Duration(float64(service)*frac) + confirm
 }
 

@@ -127,13 +127,12 @@ func (p petitionAck) encodeTo(e *wire.Encoder) {
 }
 
 func decodePetitionAck(d *wire.Decoder) (petitionAck, error) {
-	p := petitionAck{
+	return petitionAck{
 		TransferID: d.Uint64(),
 		Accept:     d.Bool(),
 		Reason:     d.StringField(),
 		ReceivedAt: d.Time(),
-	}
-	return p, d.Finish()
+	}, d.Finish()
 }
 
 // partHeader describes one part; for real files the bytes follow in Data.
@@ -189,15 +188,14 @@ func (p partAck) encodeTo(e *wire.Encoder) {
 }
 
 func decodePartAck(d *wire.Decoder) (partAck, error) {
-	p := partAck{
+	return partAck{
 		TransferID:  d.Uint64(),
 		Index:       d.Int(),
 		OK:          d.Bool(),
 		Reason:      d.StringField(),
 		DeliveredAt: d.Time(),
 		Ready:       d.Bool(),
-	}
-	return p, d.Finish()
+	}, d.Finish()
 }
 
 // decodeKind strips the type byte. Inlined, its decoder stays on the stack.

@@ -187,12 +187,9 @@ func (t *Timer) Stop() bool {
 // AfterFunc schedules fn to run as a new process d of virtual time from now.
 // The returned Timer can cancel it before it fires.
 func (s *Scheduler) AfterFunc(d time.Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entry := s.scheduleLocked(s.now+d, nil)
+	entry := s.scheduleLocked(s.now+max(d, 0), nil)
 	entry.spawn = fn
 	return &Timer{s: s, entry: entry, gen: entry.gen}
 }

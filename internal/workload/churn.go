@@ -108,9 +108,7 @@ func (s *Schedule) LiveAt(label string, at time.Duration) bool {
 // have renewed its lease after t-TTL, so its advertisement is certainly
 // expired at t and the broker must not hand it out.
 func (s *Schedule) DownThroughout(label string, from, to time.Duration) bool {
-	if from < 0 {
-		from = 0
-	}
+	from = max(from, 0)
 	for _, iv := range s.intervals[label] {
 		if iv.from <= to && from < iv.to {
 			return false
