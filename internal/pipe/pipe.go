@@ -567,7 +567,7 @@ func (m *Mux) takeMessage(v any) Message {
 // acquireToken claims a send-window slot, parking the caller when the
 // window is full. A closed conn with free slots still grants one — matching
 // the token queue this replaces, whose buffered tokens stayed poppable
-// after Close — and SendSized's broken/closed check rejects the send.
+// after Close — and sendSized's closed check rejects the send.
 func (c *conn) acquireToken() error {
 	c.mu.Lock()
 	if c.tokAvail > 0 {
