@@ -179,7 +179,13 @@ func (m *Mux) Accept() (Conn, error) {
 // in accept order, in place of a process looping on Accept.
 func (m *Mux) Serve(fn func(Conn)) {
 	m.handler = fn
-	m.accepts.Serve(func(v any) { m.host.Go(v.(*conn).serve) })
+	m.accepts.Serve(func(v any) {
+		c := v.(*conn)
+		if c.serve == nil {
+			c.serve = func() { m.handler(Conn{c, c.gen}) } // see Accept
+		}
+		m.host.Go(c.serve)
+	})
 }
 
 // Close tears down the mux, every conn, and the endpoint. Conns go down in
@@ -228,8 +234,6 @@ func (m *Mux) newConnLocked(peer transport.Addr, id uint64, theirs bool) *conn {
 		c.inbox.Reopen()
 	} else {
 		c = &conn{mux: m, inbox: m.host.NewQueue()}
-		c.serve = func() { m.handler(Conn{c, c.gen}) } // see Accept
-		c.expire = c.deadlineFired
 	}
 	c.holds = 2
 	c.connState = connState{peer: peer, id: id, theirs: theirs,
@@ -344,7 +348,7 @@ type conn struct {
 	mux   *Mux
 	inbox transport.Queue // *Message records from the mux, delivered in order
 	// The accepted conn's handler process and the deadline's callback,
-	// built once per conn object, not once per incarnation.
+	// built on first use per conn object, not once per incarnation.
 	serve, expire func()
 
 	mu    sync.Mutex
@@ -388,15 +392,7 @@ type connState struct {
 
 // enter takes a call's hold on h's conn, or returns nil if the conn was
 // recycled since h was made.
-func (h Conn) enter() *conn {
-	h.c.mu.Lock()
-	defer h.c.mu.Unlock()
-	if h.c.gen != h.gen {
-		return nil
-	}
-	h.c.holds++
-	return h.c
-}
+func (h Conn) enter() *conn { return peek(h, func(c *conn) *conn { c.holds++; return c }) }
 
 // leave drops a hold. The last one recycles the conn, unless its inbox
 // holds messages an owner may still read after Close: the Recv that takes
@@ -436,9 +432,7 @@ func (h Conn) Expired() bool { return peek(h, func(c *conn) bool { return c.expi
 // The caller gives payload up, as to transport.Endpoint.Send: receivers keep
 // the buffer itself, so the caller must not write it afterwards. One buffer
 // may be sent on any number of conns.
-func (h Conn) Send(payload []byte) error {
-	return h.SendSized(payload, len(payload))
-}
+func (h Conn) Send(payload []byte) error { return h.SendSized(payload, len(payload)) }
 
 // SendSized is Send with an explicit wire size (see transport.Message.Size).
 func (h Conn) SendSized(payload []byte, size int) error {
@@ -783,6 +777,9 @@ func (h Conn) Close() error {
 func (h Conn) CloseAfter(d time.Duration) {
 	if c := h.enter(); c != nil {
 		c.mu.Lock()
+		if c.expire == nil {
+			c.expire = c.deadlineFired
+		}
 		c.holds++ // the deadline's: Close's Stop or the deadline drops it
 		c.deadline = c.mux.host.AfterFunc(d, c.expire)
 		c.mu.Unlock()
