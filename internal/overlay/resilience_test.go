@@ -10,6 +10,7 @@ import (
 	"peerlab/internal/pipe"
 	"peerlab/internal/simnet"
 	"peerlab/internal/transfer"
+	"peerlab/internal/transport"
 )
 
 func TestSelectionErrorSentinels(t *testing.T) {
@@ -213,6 +214,40 @@ func TestStoppedClientIsNotABrokerOutage(t *testing.T) {
 		if !tc.stopped && !errors.Is(err, ErrBrokerDown) {
 			t.Errorf("%s: err = %v, want ErrBrokerDown", tc.name, err)
 		}
+	}
+}
+
+// TestSilentPeerTimesOutNotTheBroker: a Resilient client calling a node that
+// exists but has no client bound hears nothing back, so every attempt ends
+// at its deadline. The call reports ErrCallTimeout after callRetries
+// retries, and not ErrBrokerDown: the silent node is not the broker. An
+// instant message to it fails the same way, and the broker records one
+// failed message for it.
+func TestSilentPeerTimesOutNotTheBroker(t *testing.T) {
+	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile()})
+	d.net.MustAddNode("mute", clientProfile())
+	c := d.clients["sc1"]
+	c.cfg.Resilient = true
+	var callErr, sendErr error
+	var retries int
+	d.net.Run(func() {
+		d.startAll(t)
+		// One success first, so one recorded failure reads as 50 %.
+		d.broker.Registry().Peer("mute").RecordMessage(true)
+		payload := frame(mtInstant, instant{From: c.Name(), Text: "hello"}.encodeTo)
+		_, retries, callErr = c.callRetried(transport.MakeAddr("mute", ServiceClient), payload)
+		sendErr = c.SendInstant("mute", "hello")
+	})
+	for _, err := range []error{callErr, sendErr} {
+		if !errors.Is(err, ErrCallTimeout) || errors.Is(err, ErrBrokerDown) {
+			t.Errorf("err = %v, want ErrCallTimeout and not ErrBrokerDown", err)
+		}
+	}
+	if retries != callRetries {
+		t.Errorf("the call spent %d retries, want %d", retries, callRetries)
+	}
+	if got := d.broker.Registry().Peer("mute").Snapshot().PctMsgTotal; got != 50 {
+		t.Errorf("mute's message success is %v %%, want 50: one failure beside the one success", got)
 	}
 }
 

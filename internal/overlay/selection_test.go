@@ -156,50 +156,65 @@ func TestExclusionListsDoNotCollide(t *testing.T) {
 }
 
 // TestSelectionFollowsDirectory: a selection reads the live directory as of
-// its instant. Six peers are published straight into a two-shard broker
-// with one-minute leases and their statistics are set once, so between the
-// steps below only the directory moves — a renewal, a lapsed lease, a
-// Restart and a re-publish — and every selection must equal refSelect.
+// its instant. Six peers are published straight into the broker with
+// one-minute leases and their statistics are set once, so between the steps
+// below only the directory moves — a renewal, a pipe advertisement and a
+// discover of that kind, a lapsed lease, a Restart and a re-publish — and
+// every selection must equal refSelect, at one shard and at several.
 func TestSelectionFollowsDirectory(t *testing.T) {
-	n := simnet.New(21)
-	host := n.MustAddNode("broker0", simnet.DefaultProfile())
-	b, err := NewBroker(host, BrokerConfig{Shards: 2, AdvTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := []string{"da", "db", "dc", "dd", "de", "df"}
-	for i, name := range names {
-		ps := b.Registry().Peer(name)
-		ps.SetCPUScore(0.5 + float64(i)/2)
-		ps.ObserveTransferRate((6-i)*1_000_000, time.Second)
-	}
-	publish := func(names ...string) {
-		for _, name := range names {
-			b.publish(b.shardOf(name), testAdv(name))
-		}
-	}
-	check := func(step string, live int) {
-		t.Helper()
-		for _, model := range []string{"economic", "same-priority"} {
-			req := selectReq{Model: model, Kind: byte(core.KindFileTransfer), SizeBytes: 5 << 20}
-			if got := mustMatchReference(t, b, req); len(got) != live {
-				t.Fatalf("after %s: %s selected %v, want %d live peers", step, model, got, live)
+	for shards := 1; shards <= 3; shards++ {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			n := simnet.New(21)
+			host := n.MustAddNode("broker0", simnet.DefaultProfile())
+			b, err := NewBroker(host, BrokerConfig{Shards: shards, AdvTTL: time.Minute})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			names := []string{"da", "db", "dc", "dd", "de", "df"}
+			for i, name := range names {
+				ps := b.Registry().Peer(name)
+				ps.SetCPUScore(0.5 + float64(i)/2)
+				ps.ObserveTransferRate((6-i)*1_000_000, time.Second)
+			}
+			publish := func(names ...string) {
+				for _, name := range names {
+					b.publish(b.shardOf(name), testAdv(name))
+				}
+			}
+			// A pipe advertisement under a name no peer has: a selection
+			// that ranked it would name it.
+			pipeAdv := jxta.Advertisement{Kind: jxta.AdvPipe, ID: jxta.NewID("pipe", "dp"), Name: "dp"}
+			check := func(step string, live int) {
+				t.Helper()
+				for _, model := range []string{"economic", "same-priority"} {
+					req := selectReq{Model: model, Kind: byte(core.KindFileTransfer), SizeBytes: 5 << 20}
+					if got := mustMatchReference(t, b, req); len(got) != live || slices.Contains(got, pipeAdv.Name) {
+						t.Fatalf("after %s: %s selected %v, want %d live peers", step, model, got, live)
+					}
+				}
+			}
+			n.Run(func() {
+				publish(names...)
+				check("publish", 6)
+				host.Sleep(30 * time.Second)
+				publish(names[3:]...)
+				check("a renewal", 6)
+				// The whole-kind merge switches to pipes and back: once
+				// beside a directory change, once alone.
+				b.publish(b.shardOf(pipeAdv.Name), pipeAdv)
+				b.directoryReply(jxta.AdvPipe)
+				check("a pipe advertisement and a pipe discover", 6)
+				b.directoryReply(jxta.AdvPipe)
+				check("a pipe discover", 6)
+				host.Sleep(40 * time.Second) // the first three leases lapsed at 60 s
+				check("a lapsed lease", 3)
+				b.Restart()
+				check("Restart", 0)
+				publish(names[:2]...)
+				check("a re-publish", 2)
+			})
+		})
 	}
-	n.Run(func() {
-		publish(names...)
-		check("publish", 6)
-		host.Sleep(30 * time.Second)
-		publish(names[3:]...)
-		check("a renewal", 6)
-		host.Sleep(40 * time.Second) // the first three leases lapsed at 60 s
-		check("a lapsed lease", 3)
-		b.Restart()
-		check("Restart", 0)
-		publish(names[:2]...)
-		check("a re-publish", 2)
-	})
 }
 
 // TestSelectionFollowsMessageWindow: the last-24-hours message criterion

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"peerlab/internal/simnet"
+	"peerlab/internal/transport"
 	"peerlab/internal/vtime"
 	"peerlab/internal/wire"
 )
@@ -193,5 +194,58 @@ func TestRecvTimeoutReturnsBufferedMessage(t *testing.T) {
 	}
 	if waited[0] != 0 || waited[1] <= 0 || waited[1] >= time.Minute {
 		t.Fatalf("waited %v: the buffered message must come at once, the late one on arrival", waited)
+	}
+}
+
+// TestFinOvertakingDataWaitsForIt drives b's dispatch with frames from a in
+// the order a CloseAfter deadline, or an owner closing while part senders are
+// still in Send, can put on the wire: data seq 1, the FIN naming seq 3 as
+// the first seq never sent, then data seq 2. The FIN closes the inbox only
+// once seq 2 filled the gap, so Recv returns both messages, then ErrClosed.
+// A FIN whose gap is never filled leaves the inbox open.
+func TestFinOvertakingDataWaitsForIt(t *testing.T) {
+	for _, filled := range []bool{true, false} {
+		t.Run(fmt.Sprintf("filled=%v", filled), func(t *testing.T) {
+			r := newRig(t, cleanProfile(), cleanProfile(), Options{})
+			frame := func(kind byte, seq uint64, body string) transport.Message {
+				e := wire.NewEncoder(0)
+				e.Byte(kind)
+				e.Bool(true) // the id is the sender's
+				e.Uint64(1)
+				e.Uint64(seq)
+				e.Uint64(0)
+				e.Uint64(uint64(len(body)))
+				return transport.Message{From: r.muxA.Addr(), Payload: e.Bytes(), Body: []byte(body), Size: e.Len() + len(body)}
+			}
+			var got []string
+			var last error
+			r.net.Run(func() {
+				r.muxB.dispatch(frame(kindData, 1, "one"))
+				r.muxB.dispatch(frame(kindFin, 3, ""))
+				if filled {
+					r.muxB.dispatch(frame(kindData, 2, "two"))
+				}
+				conn, err := r.muxB.Accept()
+				if err != nil {
+					t.Errorf("Accept: %v", err)
+					return
+				}
+				for {
+					m, err := conn.RecvTimeout(time.Minute)
+					if err != nil {
+						last = err
+						return
+					}
+					got = append(got, string(m.Payload))
+				}
+			})
+			want, wantErr := "[one two]", ErrClosed
+			if !filled {
+				want, wantErr = "[one]", ErrTimeout
+			}
+			if fmt.Sprint(got) != want || !errors.Is(last, wantErr) {
+				t.Fatalf("read %v then %v, want %s then %v", got, last, want, wantErr)
+			}
+		})
 	}
 }
