@@ -27,12 +27,11 @@ type BrokerConfig struct {
 	// served identically at any shard count (a shard never holds more than
 	// the whole network would).
 	CacheLimit int
-	// Shards splits the advertisement directory and the statistics
-	// registry into N peer-hash shards (default 1). Every per-peer event —
-	// registration, stats report, transfer/task/message outcome — touches
-	// only the shard owning that peer; whole-network reads (discovery,
-	// selection, Snapshots) aggregate across shards in canonical order, so
-	// results are identical at any shard count.
+	// Shards splits the advertisement directory into N peer-hash shards
+	// (default 1). A registration, renewal or piece report touches only the
+	// shard owning that peer; whole-directory reads (discovery, selection)
+	// merge the shards in canonical order, so results are identical at any
+	// shard count. The statistics registry is one, whatever Shards says.
 	Shards int
 }
 
@@ -55,25 +54,18 @@ func (c BrokerConfig) withDefaults() BrokerConfig {
 	return c
 }
 
-// shard owns one peer-hash slice of the broker's state: the advertisement
-// cache entries and the statistics of the peers hashing to it.
-type shard struct {
-	cache    *jxta.Cache
-	registry *stats.Registry
-}
-
 // Broker is the governor of the P2P network: it keeps the advertisement
 // directory (rendezvous role), aggregates per-peer statistics from client
 // reports and sender observations, and answers peer-selection requests with
-// any registered model. State is split across cfg.Shards peer-hash shards
-// so large slices do not serialize on one registry.
+// any registered model. The directory is split across cfg.Shards peer-hash
+// caches; the statistics are one registry.
 type Broker struct {
 	host transport.Host
 	cfg  BrokerConfig
 	mux  *pipe.Mux
 
-	shards    []*shard
-	registry  *stats.Union
+	shards    []*jxta.Cache
+	registry  *stats.Registry
 	selectors map[string]core.Ranker
 
 	// down, while set, makes the broker drop every request unanswered —
@@ -87,17 +79,15 @@ type Broker struct {
 	// at one RPC per peer.
 	ctlRPCs atomic.Int64
 
-	// table is the candidate table and scratch the copy of it, minus
-	// exclusions, that one selection ranks (see selection.go). selMu guards
-	// both and the models' Rank calls (the blind cursor is state); dirMu
-	// nests inside it.
-	selMu   sync.Mutex
+	// mu guards dir, the last whole-kind directory merge (see mergedDir),
+	// and its reply; table, the candidate table, and scratch, the copy of it
+	// minus exclusions that one selection ranks (see selection.go); and the
+	// models' Rank calls (the blind cursor is state). Nothing under it parks
+	// a process; the shard caches' locks nest inside it.
+	mu      sync.Mutex
+	dir     mergedDir
 	table   candTable
 	scratch []core.Candidate
-
-	// dir is the last whole-kind directory merge (see mergedDir).
-	dirMu sync.Mutex
-	dir   mergedDir
 }
 
 // NewBroker binds the broker service on host and starts serving.
@@ -108,10 +98,11 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 		return nil, fmt.Errorf("overlay: broker bind: %w", err)
 	}
 	b := &Broker{
-		host:   host,
-		cfg:    cfg,
-		mux:    pipe.NewMux(host, ep, pipe.Options{}),
-		shards: make([]*shard, cfg.Shards),
+		host:     host,
+		cfg:      cfg,
+		mux:      pipe.NewMux(host, ep, pipe.Options{}),
+		shards:   make([]*jxta.Cache, cfg.Shards),
+		registry: stats.NewRegistry(host.Now),
 		// The standard model lineup from the paper's Figure 6, plus the
 		// blind baseline. User-preference models are built per request from
 		// the preferences the requester sends.
@@ -120,20 +111,11 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 			"economic":      core.NewEconomic(core.EconomicConfig{}),
 			"same-priority": core.NewSamePriority(),
 		},
-		dir:   mergedDir{stamps: make([]uint64, cfg.Shards), enc: wire.NewEncoder(0)},
-		table: candTable{stamps: make([]tableStamp, cfg.Shards)},
+		dir: mergedDir{stamps: make([]uint64, cfg.Shards), enc: wire.NewEncoder(0)},
 	}
-	regs := make([]*stats.Registry, cfg.Shards)
 	for i := range b.shards {
-		b.shards[i] = &shard{
-			cache:    jxta.NewCache(cfg.CacheLimit, host.Now),
-			registry: stats.NewRegistry(host.Now),
-		}
-		regs[i] = b.shards[i].registry
+		b.shards[i] = jxta.NewCache(cfg.CacheLimit, host.Now)
 	}
-	b.registry = stats.NewUnion(regs, func(peer string) *stats.Registry {
-		return b.shardOf(peer).registry
-	})
 	// Every conn is served by a process of its own (the scheduler pools the
 	// coroutines), so a same-instant burst never serializes behind one
 	// handler's park points and is served in arrival order.
@@ -141,11 +123,10 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 	return b, nil
 }
 
-// shardOf returns the shard owning a peer name (FNV-1a hash mod shard
-// count — the ownership rule every handler routes by). The hash is inlined:
-// this sits on the per-message path and runs once per candidate during
-// selection, so it must not allocate.
-func (b *Broker) shardOf(peer string) *shard {
+// shardOf returns the cache owning a peer name's advertisement (FNV-1a hash
+// mod shard count — the ownership rule every directory write routes by). The
+// hash is inlined: this sits on the renewal path, so it must not allocate.
+func (b *Broker) shardOf(peer string) *jxta.Cache {
 	if len(b.shards) == 1 {
 		return b.shards[0]
 	}
@@ -160,10 +141,9 @@ func (b *Broker) shardOf(peer string) *shard {
 // Addr returns the broker's pipe address.
 func (b *Broker) Addr() transport.Addr { return b.mux.Addr() }
 
-// Registry exposes the broker's whole-network statistics view (the
-// experiment harness reads it directly; remote access goes through the
-// selection service). Per-peer access routes to the owning shard.
-func (b *Broker) Registry() *stats.Union { return b.registry }
+// Registry exposes the broker's statistics registry (the experiment harness
+// reads it directly; remote access goes through the selection service).
+func (b *Broker) Registry() *stats.Registry { return b.registry }
 
 // Shards reports the broker's shard count.
 func (b *Broker) Shards() int { return len(b.shards) }
@@ -171,12 +151,15 @@ func (b *Broker) Shards() int { return len(b.shards) }
 // mergedDir is a whole-kind directory merged across shards, with the stamp
 // every shard's cache carried when it was merged (jxta.Cache.Stamp, in shard
 // order): while every shard still returns that stamp its live set is the one
-// merged, so the merge is current. The next merge reuses buf (the shards'
-// answers end to end), parts and advs, so they are read under dirMu only;
-// reply, the discover reply encoding advs, is new and immutable per version,
-// detached from enc, which the merge keeps and every version is encoded in.
+// merged, so the merge is current. gen counts the merges, so a view derived
+// from one (the candidate table) is current while gen is. The next merge
+// reuses buf (the shards' answers end to end), parts and advs, so they are
+// read under the broker's mu only; reply, the discover reply encoding advs,
+// is new and immutable per version, detached from enc, which the merge keeps
+// and every version is encoded in.
 type mergedDir struct {
 	kind   jxta.AdvKind
+	gen    uint64
 	stamps []uint64
 	buf    []jxta.Advertisement
 	parts  [][]jxta.Advertisement
@@ -189,8 +172,8 @@ type mergedDir struct {
 // one kind: per-shard results merged back into canonical (Name, ID) order.
 // Discovery, selection and Peers all read this one merge.
 func (b *Broker) Advertisements(kind jxta.AdvKind) []jxta.Advertisement {
-	b.dirMu.Lock()
-	defer b.dirMu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return append([]jxta.Advertisement(nil), b.dirLocked(kind).advs...)
 }
 
@@ -198,8 +181,8 @@ func (b *Broker) Advertisements(kind jxta.AdvKind) []jxta.Advertisement {
 // per directory version: every discover until some shard's stamp moves is
 // sent the same read-only bytes.
 func (b *Broker) directoryReply(kind jxta.AdvKind) []byte {
-	b.dirMu.Lock()
-	defer b.dirMu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	d := b.dirLocked(kind)
 	if d.reply == nil {
 		// One allocation, of the reply's size, however the directory grew:
@@ -212,7 +195,8 @@ func (b *Broker) directoryReply(kind jxta.AdvKind) []byte {
 }
 
 // dirLocked returns the whole-kind directory, merged again into its buffers
-// if some shard's stamp moved since the last merge. Caller holds dirMu.
+// if some shard's stamp moved or the kind changed since the last merge.
+// Caller holds mu.
 func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 	d := &b.dir
 	current := d.kind == kind
@@ -220,7 +204,7 @@ func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 	// the two leaves the merge newer than its stamps, and the next call
 	// merges again.
 	for i, sh := range b.shards {
-		if s := sh.cache.Stamp(); s != d.stamps[i] {
+		if s := sh.Stamp(); s != d.stamps[i] {
 			d.stamps[i], current = s, false
 		}
 	}
@@ -228,8 +212,9 @@ func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 		return d
 	}
 	d.kind, d.reply = kind, nil
+	d.gen++
 	if len(b.shards) == 1 {
-		d.advs = b.shards[0].cache.AppendAll(d.advs[:0], kind)
+		d.advs = b.shards[0].AppendAll(d.advs[:0], kind)
 		return d
 	}
 	// Each shard answers in canonical order already; a k-way merge restores
@@ -237,7 +222,7 @@ func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 	d.buf, d.parts = slices.Grow(d.buf[:0], b.liveLen(kind)), d.parts[:0]
 	for _, sh := range b.shards {
 		start := len(d.buf)
-		if d.buf = sh.cache.AppendAll(d.buf, kind); len(d.buf) > start {
+		if d.buf = sh.AppendAll(d.buf, kind); len(d.buf) > start {
 			d.parts = append(d.parts, d.buf[start:])
 		}
 	}
@@ -267,7 +252,7 @@ func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 func (b *Broker) liveLen(kind jxta.AdvKind) int {
 	n := 0
 	for _, sh := range b.shards {
-		n += sh.cache.LiveLen(kind)
+		n += sh.LiveLen(kind)
 	}
 	return n
 }
@@ -291,12 +276,12 @@ func (b *Broker) SetDown(down bool) { b.down.Store(down) }
 // Restart brings the broker back up after a blackout with a cold
 // advertisement cache: every shard's directory is wiped, so registered
 // peers vanish from discovery and selection until they re-register or
-// their next stats report resurrects them. Statistics registries survive —
+// their next stats report resurrects them. The statistics registry survives —
 // the paper's broker persists its statistical records across restarts —
 // and so do its selection models.
 func (b *Broker) Restart() {
 	for _, sh := range b.shards {
-		sh.cache.Clear()
+		sh.Clear()
 	}
 	b.down.Store(false)
 }
@@ -363,9 +348,8 @@ func (b *Broker) handleRegister(conn pipe.Conn, req register) {
 		return
 	}
 	req.Adv.Kind, req.Adv.ID = jxta.AdvPeer, jxta.NewID("peer", req.Adv.Name)
-	sh := b.shardOf(req.Adv.Name)
-	b.publish(sh, req.Adv)
-	ps := sh.registry.Peer(req.Adv.Name)
+	b.publish(b.shardOf(req.Adv.Name), req.Adv)
+	ps := b.registry.Peer(req.Adv.Name)
 	if cpu, err := strconv.ParseFloat(req.Adv.Attr(jxta.AttrCPUScore), 64); err == nil && cpu > 0 && finite(cpu) {
 		ps.SetCPUScore(cpu)
 	}
@@ -390,9 +374,9 @@ func (b *Broker) applyStats(ps *stats.PeerStats, rep statsReport) {
 }
 
 // publish (re)publishes adv under a fresh lease.
-func (b *Broker) publish(sh *shard, adv jxta.Advertisement) {
+func (b *Broker) publish(sh *jxta.Cache, adv jxta.Advertisement) {
 	adv.Expires = b.host.Now().Add(b.cfg.AdvTTL)
-	sh.cache.Publish(adv)
+	sh.Publish(adv)
 }
 
 // leaseOf returns the advertisement a report from peer renews. A reporting
@@ -402,9 +386,9 @@ func (b *Broker) publish(sh *shard, adv jxta.Advertisement) {
 // address from the reporting conn — and lapsed is set, so a live peer's
 // directory entry survives one late renewal. Static deployments never
 // rebuild (their leases outlive the run).
-func (b *Broker) leaseOf(sh *shard, peer string, conn pipe.Conn) (adv jxta.Advertisement, lapsed bool) {
+func (b *Broker) leaseOf(sh *jxta.Cache, peer string, conn pipe.Conn) (adv jxta.Advertisement, lapsed bool) {
 	id := jxta.NewID("peer", peer)
-	if adv, ok := sh.cache.Lookup(id); ok {
+	if adv, ok := sh.Lookup(id); ok {
 		return adv, false
 	}
 	return jxta.Advertisement{
@@ -419,7 +403,7 @@ func (b *Broker) leaseOf(sh *shard, peer string, conn pipe.Conn) (adv jxta.Adver
 // the peer's advertisement lease.
 func (b *Broker) handleStatsReport(conn pipe.Conn, rep statsReport) {
 	sh := b.shardOf(rep.Peer)
-	b.applyStats(sh.registry.Peer(rep.Peer), rep)
+	b.applyStats(b.registry.Peer(rep.Peer), rep)
 	adv, lapsed := b.leaseOf(sh, rep.Peer, conn)
 	if lapsed && rep.CPUScore > 0 && finite(rep.CPUScore) {
 		adv = adv.WithAttr(jxta.AttrCPUScore, strconv.FormatFloat(rep.CPUScore, 'f', -1, 64))
@@ -442,7 +426,7 @@ func (b *Broker) handleSelect(conn pipe.Conn, req selectReq) {
 }
 
 func (b *Broker) handleReportTransfer(conn pipe.Conn, rep reportTransfer) {
-	ps := b.shardOf(rep.Peer).registry.Peer(rep.Peer)
+	ps := b.registry.Peer(rep.Peer)
 	ps.RecordFileSent(rep.OK)
 	ps.RecordTransferOutcome(rep.Cancelled)
 	if rep.OK {
@@ -451,15 +435,15 @@ func (b *Broker) handleReportTransfer(conn pipe.Conn, rep reportTransfer) {
 	if rep.PetitionDelay > 0 {
 		ps.ObservePetitionDelay(rep.PetitionDelay)
 	}
-	// Origin attribution: the originating peer's record (in its own shard)
-	// counts the transmission launch it sourced — launch-level, mirroring
-	// the sink-side RecordFileSent above. Under multi-source workloads the
-	// sink-side statistics no longer imply "from the controller"; this is
-	// the origin-side half of the picture. The source is taken from the
+	// Origin attribution: the originating peer's record counts the
+	// transmission launch it sourced — launch-level, mirroring the sink-side
+	// RecordFileSent above. Under multi-source workloads the sink-side
+	// statistics no longer imply "from the controller"; this is the
+	// origin-side half of the picture. The source is taken from the
 	// reporting conn's remote address — authoritative, and free of wire
 	// format (hence timing) impact on the paper's figures.
 	if from := conn.Remote().Node(); from != "" {
-		b.shardOf(from).registry.Peer(from).RecordTransferOriginated(rep.OK, rep.Bytes)
+		b.registry.Peer(from).RecordTransferOriginated(rep.OK, rep.Bytes)
 	}
 	conn.Send(ackFrame)
 }
@@ -487,7 +471,7 @@ func (b *Broker) handlePieceReport(conn pipe.Conn, rep pieceReport) {
 }
 
 func (b *Broker) handleReportTask(conn pipe.Conn, rep reportTask) {
-	ps := b.shardOf(rep.Peer).registry.Peer(rep.Peer)
+	ps := b.registry.Peer(rep.Peer)
 	ps.RecordTaskOffer(rep.Accepted)
 	if rep.Accepted {
 		// A reported time counts only if it is finite, as a CPU score does.
@@ -501,6 +485,6 @@ func (b *Broker) handleReportTask(conn pipe.Conn, rep reportTask) {
 }
 
 func (b *Broker) handleReportMessage(conn pipe.Conn, rep reportMessage) {
-	b.shardOf(rep.Peer).registry.Peer(rep.Peer).RecordMessage(rep.OK)
+	b.registry.Peer(rep.Peer).RecordMessage(rep.OK)
 	conn.Send(ackFrame)
 }

@@ -289,7 +289,7 @@ func (c *Client) SendFile(peer string, f transfer.File, parts int) (transfer.Met
 // the broker's statistics service. The report travels the same
 // origin-attributed path as whole-file sends, so a downloader that
 // re-originates pieces it holds is credited as an originator by the
-// broker's union registry with no new accounting machinery; Bytes counts
+// broker's registry with no new accounting machinery; Bytes counts
 // only the pieces actually moved.
 func (c *Client) SendPieces(peer string, f transfer.File, pieces int, indices []int) (transfer.Metrics, error) {
 	return c.sendReported(peer, func(addr transport.Addr) (transfer.Metrics, error) {

@@ -58,7 +58,7 @@ func bareBroker(t testing.TB) *Broker {
 func publishAll(b *Broker, advs []jxta.Advertisement) {
 	for _, a := range advs {
 		a.Expires = b.host.Now().Add(time.Hour)
-		b.shardOf(a.Name).cache.Publish(a)
+		b.shardOf(a.Name).Publish(a)
 	}
 }
 
@@ -485,7 +485,7 @@ func TestDirectoryMergeReused(t *testing.T) {
 		t.Helper()
 		var scratch []jxta.Advertisement
 		for _, sh := range b.shards {
-			scratch = append(scratch, sh.cache.Query(jxta.AdvPeer, "")...)
+			scratch = append(scratch, sh.Query(jxta.AdvPeer, "")...)
 		}
 		slices.SortFunc(scratch, canonical)
 		got := b.Advertisements(jxta.AdvPeer)
@@ -509,14 +509,14 @@ func TestDirectoryMergeReused(t *testing.T) {
 		changed("renew", 200)
 		short := extra
 		short.Expires = host.Now().Add(time.Second)
-		b.shardOf(extra.Name).cache.Publish(short)
+		b.shardOf(extra.Name).Publish(short)
 		changed("a shortened lease", 200)
 		host.Sleep(time.Second)
 		changed("the shortened lease's expiry", 199)
 		host.Sleep(30 * time.Second) // early's leases are over, late's have 29 s left
 		changed("lease expiry", 99)
 		for _, sh := range b.shards {
-			if dropped := sh.cache.Sweep(host.Now()); dropped != 0 {
+			if dropped := sh.Sweep(host.Now()); dropped != 0 {
 				t.Errorf("a sweep after the expiry was read evicted %d", dropped)
 			}
 		}

@@ -414,9 +414,10 @@ func deployShards(t *testing.T, shards int, profiles map[string]simnet.Profile) 
 }
 
 // TestShardedBrokerEndToEnd drives every broker service against a
-// multi-shard broker: registration and reports must land on the owning
-// shard, while discovery, selection and the statistics union must read the
-// whole network back in the same canonical order a single shard would.
+// multi-shard broker: registrations must land on the owning shard, while
+// discovery and selection must read the whole network back in the same
+// canonical order a single shard would, and the one registry must hold every
+// peer's statistics.
 func TestShardedBrokerEndToEnd(t *testing.T) {
 	profiles := map[string]simnet.Profile{}
 	names := []string{"sc1", "sc2", "sc3", "sc4", "sc5"}
@@ -465,7 +466,8 @@ func TestShardedBrokerEndToEnd(t *testing.T) {
 			t.Fatal("selection returned the requester")
 		}
 	}
-	// Per-peer statistics landed on the owning shards and aggregate back.
+	// Per-peer statistics landed in the registry, whatever shard owns the
+	// peer's advertisement.
 	if got := d.broker.Registry().Peer("sc4").Snapshot(); got.PctFileSentSession != 100 {
 		t.Fatalf("sc4 file stats = %+v", got)
 	}
@@ -474,11 +476,11 @@ func TestShardedBrokerEndToEnd(t *testing.T) {
 	}
 	snaps := d.broker.Registry().Snapshots()
 	if len(snaps) != len(names) {
-		t.Fatalf("union has %d snapshots, want %d", len(snaps), len(names))
+		t.Fatalf("registry has %d snapshots, want %d", len(snaps), len(names))
 	}
 	for i := 1; i < len(snaps); i++ {
 		if snaps[i-1].Peer >= snaps[i].Peer {
-			t.Fatalf("union snapshots not sorted: %v before %v", snaps[i-1].Peer, snaps[i].Peer)
+			t.Fatalf("registry snapshots not sorted: %v before %v", snaps[i-1].Peer, snaps[i].Peer)
 		}
 	}
 }

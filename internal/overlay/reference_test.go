@@ -119,7 +119,7 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 	checks := []func(now time.Time) error{
 		func(now time.Time) error { // Cache.Lookup
 			for _, it := range idents {
-				got, ok := b.shardOf(it.name).cache.Lookup(it.id)
+				got, ok := b.shardOf(it.name).Lookup(it.id)
 				want, wantOK := ref.lookup(it.id, now)
 				if ok != wantOK || !sameAdvs([]jxta.Advertisement{got}, []jxta.Advertisement{want}) {
 					return fail("Lookup(%s %s) = %+v, %v; reference %+v, %v", it.kind, it.name, got, ok, want, wantOK)
@@ -131,10 +131,10 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 			for i, sh := range b.shards {
 				for _, kind := range kinds {
 					want := ref.query(now, func(a jxta.Advertisement) bool { return a.Kind == kind && shardIndex(a.Name) == i })
-					if got := sh.cache.Query(kind, ""); !sameAdvs(got, want) {
+					if got := sh.Query(kind, ""); !sameAdvs(got, want) {
 						return fail("shard %d Query(%s) = %d entries, reference %d, or they differ", i, kind, len(got), len(want))
 					}
-					if got := sh.cache.LiveLen(kind); got != len(want) {
+					if got := sh.LiveLen(kind); got != len(want) {
 						return fail("shard %d LiveLen(%s) = %d, reference %d", i, kind, got, len(want))
 					}
 				}
@@ -145,7 +145,7 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 			for _, kind := range kinds {
 				for _, name := range names {
 					want := ref.query(now, func(a jxta.Advertisement) bool { return a.Kind == kind && a.Name == name })
-					if got := b.shardOf(name).cache.Query(kind, name); !sameAdvs(got, want) {
+					if got := b.shardOf(name).Query(kind, name); !sameAdvs(got, want) {
 						return fail("Query(%s, %s) = %+v, reference %+v", kind, name, got, want)
 					}
 				}
@@ -154,7 +154,7 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 		},
 		func(now time.Time) error { // Cache.Stamp
 			for i, sh := range b.shards {
-				stamp := sh.cache.Stamp()
+				stamp := sh.Stamp()
 				live := ref.query(now, func(a jxta.Advertisement) bool { return shardIndex(a.Name) == i })
 				if was, ok := seen[i][stamp]; ok && !sameAdvs(was, live) {
 					return fail("shard %d returned stamp %d for two different live sets (%d entries, then %d)", i, stamp, len(was), len(live))
@@ -206,7 +206,7 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 				it.publishes++
 				a := jxta.Advertisement{Kind: it.kind, ID: it.id, Name: it.name, Expires: now.Add(ttl),
 					Attrs: []jxta.Attr{{Key: "n", Value: strconv.Itoa(it.publishes)}}}
-				b.shardOf(it.name).cache.Publish(a)
+				b.shardOf(it.name).Publish(a)
 				ref.publish(a, now)
 			case op < 11: // advance the clock by an arbitrary amount
 				d := time.Duration(1 + rng.Int63n(int64(30*time.Second)))
@@ -223,7 +223,7 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 			case op < 15:
 				what = "sweep"
 				for _, sh := range b.shards {
-					sh.cache.Sweep(now)
+					sh.Sweep(now)
 				}
 			default:
 				what = "restart"

@@ -116,7 +116,7 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 				what = fmt.Sprintf("sleep %v", d)
 				host.Sleep(d)
 			case op < 10:
-				adv, ok := b.shardOf(name).cache.Lookup(jxta.NewID("peer", name))
+				adv, ok := b.shardOf(name).Lookup(jxta.NewID("peer", name))
 				if !ok {
 					what = "nothing"
 					break
@@ -126,7 +126,7 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 			case op < 11:
 				what = "sweep"
 				for _, sh := range b.shards {
-					sh.cache.Sweep(now)
+					sh.Sweep(now)
 				}
 			default:
 				what = "restart"

@@ -511,9 +511,8 @@ func rankBroker(tb testing.TB, peers, shards int) (*Broker, []string) {
 	for i := range names {
 		name := fmt.Sprintf("n%05d.bench.slice.peerlab", i)
 		names[i] = name
-		sh := br.shardOf(name)
-		br.publish(sh, jxta.Advertisement{Kind: jxta.AdvPeer, ID: jxta.NewID("peer", name), Name: name, Addr: name + "/transfer"})
-		ps := sh.registry.Peer(name)
+		br.publish(br.shardOf(name), jxta.Advertisement{Kind: jxta.AdvPeer, ID: jxta.NewID("peer", name), Name: name, Addr: name + "/transfer"})
+		ps := br.registry.Peer(name)
 		ps.SetCPUScore(0.5 + float64(i%7)/4)
 		ps.ObserveTransferRate(1_000_000+(i*7919)%9_000_000, time.Second)
 		if i%3 == 0 {
@@ -529,10 +528,10 @@ func churnStep(br *Broker, names []string, i int, renew bool) string {
 	from := names[(i*31)%len(names)]
 	sh := br.shardOf(from)
 	if renew {
-		adv, _ := sh.cache.Lookup(jxta.NewID("peer", from))
+		adv, _ := sh.Lookup(jxta.NewID("peer", from))
 		br.publish(sh, adv)
 	}
-	sh.registry.Peer(from).RecordFileSent(true)
+	br.registry.Peer(from).RecordFileSent(true)
 	return from
 }
 

@@ -54,7 +54,7 @@ func BenchmarkSnapshotInto(b *testing.B) {
 	at := now()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.SnapshotInto(&s, at, DefaultWindowHours)
+		p.SnapshotInto(&s, at)
 	}
 }
 

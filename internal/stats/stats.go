@@ -317,22 +317,20 @@ type Snapshot struct {
 	LastUpdated   time.Time
 }
 
-// SnapshotK is Snapshot with the message window set to the last k hours.
-func (p *PeerStats) SnapshotK(k int) (s Snapshot) {
-	p.SnapshotInto(&s, p.now(), k)
+// DefaultWindowHours is the message window of a Snapshot: PctMsgLastK
+// covers the last 24 hours.
+const DefaultWindowHours = 24
+
+// Snapshot returns the peer's statistics now.
+func (p *PeerStats) Snapshot() (s Snapshot) {
+	p.SnapshotInto(&s, p.now())
 	return s
 }
 
-// DefaultWindowHours is the message window of Snapshot.
-const DefaultWindowHours = 24
-
-// Snapshot uses the default 24-hour message window.
-func (p *PeerStats) Snapshot() Snapshot { return p.SnapshotK(DefaultWindowHours) }
-
-// SnapshotInto sets every field of dst to what SnapshotK(k) returns at now.
-// A caller filling one slot per peer at one instant (the broker's candidate
+// SnapshotInto sets every field of dst to what Snapshot returns at now. A
+// caller filling one slot per peer at one instant (the broker's candidate
 // table) reads the clock once and copies no Snapshot.
-func (p *PeerStats) SnapshotInto(dst *Snapshot, now time.Time, k int) {
+func (p *PeerStats) SnapshotInto(dst *Snapshot, now time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	dst.Peer = p.peer
@@ -343,7 +341,7 @@ func (p *PeerStats) SnapshotInto(dst *Snapshot, now time.Time, k int) {
 	// history has 48 empty buckets and no need to walk them.
 	dst.PctMsgLastK = 100
 	if p.msgTotal.Total > 0 {
-		dst.PctMsgLastK = p.msgHourly.percentLast(now, k, 100)
+		dst.PctMsgLastK = p.msgHourly.percentLast(now, DefaultWindowHours, 100)
 	}
 	dst.OutboxNow = p.outbox.Now
 	dst.OutboxAvg = p.outbox.Avg()
@@ -433,34 +431,27 @@ func (r *Registry) Snapshots() []Snapshot {
 	return out
 }
 
-// Union presents several shard Registries as one whole-network view — the
-// cross-shard aggregation path of a sharded broker. Per-peer access routes
-// to the owning shard via pick; whole-network reads (Names, Snapshots)
-// merge every shard and restore the sorted order a single Registry would
-// return, so consumers cannot tell one shard from many.
+// Union presents several Registries as one view. Per-peer access routes to
+// the owning registry via pick; whole-view reads (Names, Snapshots) merge
+// every registry and restore the sorted order a single Registry would
+// return. The broker keeps one Registry; only the benchmark's union probe
+// builds a Union.
 type Union struct {
 	regs []*Registry
 	pick func(peer string) *Registry
 }
 
 // NewUnion builds a union over regs; pick maps a peer name to its owning
-// registry and may be nil when there is exactly one shard.
+// registry.
 func NewUnion(regs []*Registry, pick func(peer string) *Registry) *Union {
-	if pick == nil {
-		if len(regs) != 1 {
-			panic("stats: NewUnion without pick needs exactly one registry")
-		}
-		only := regs[0]
-		pick = func(string) *Registry { return only }
-	}
 	return &Union{regs: regs, pick: pick}
 }
 
-// Peer returns the stats for a peer from its owning shard, creating them on
-// first use.
+// Peer returns the stats for a peer from its owning registry, creating them
+// on first use.
 func (u *Union) Peer(name string) *PeerStats { return u.pick(name).Peer(name) }
 
-// Names returns all known peer names across shards, sorted.
+// Names returns all known peer names across registries, sorted.
 func (u *Union) Names() []string {
 	var names []string
 	for _, r := range u.regs {
@@ -470,7 +461,8 @@ func (u *Union) Names() []string {
 	return names
 }
 
-// Snapshots returns a snapshot per known peer across shards, sorted by name.
+// Snapshots returns a snapshot per known peer across registries, sorted by
+// name.
 func (u *Union) Snapshots() []Snapshot {
 	names := u.Names()
 	out := make([]Snapshot, 0, len(names))

@@ -295,18 +295,16 @@ func TestSessionCriteriaEqualTotals(t *testing.T) {
 		for step := 0; step < 300; step++ {
 			ops[rng.Intn(len(ops))](r.Peer(names[rng.Intn(len(names))]))
 			for _, n := range names {
-				for _, k := range []int{1, DefaultWindowHours, windowHours} {
-					s := r.Peer(n).SnapshotK(k)
-					for _, pair := range [][2]float64{
-						{s.PctMsgSession, s.PctMsgTotal},
-						{s.PctTaskExecSession, s.PctTaskExecTotal},
-						{s.PctTaskAcceptSession, s.PctTaskAcceptTotal},
-						{s.PctFileSentSession, s.PctFileSentTotal},
-						{s.PctCancelSession, s.PctCancelTotal},
-					} {
-						if pair[0] != pair[1] {
-							t.Fatalf("seed %d step %d, %s k=%d: session %v, total %v in %+v", seed, step, n, k, pair[0], pair[1], s)
-						}
+				s := r.Peer(n).Snapshot()
+				for _, pair := range [][2]float64{
+					{s.PctMsgSession, s.PctMsgTotal},
+					{s.PctTaskExecSession, s.PctTaskExecTotal},
+					{s.PctTaskAcceptSession, s.PctTaskAcceptTotal},
+					{s.PctFileSentSession, s.PctFileSentTotal},
+					{s.PctCancelSession, s.PctCancelTotal},
+				} {
+					if pair[0] != pair[1] {
+						t.Fatalf("seed %d step %d, %s: session %v, total %v in %+v", seed, step, n, pair[0], pair[1], s)
 					}
 				}
 			}
@@ -325,11 +323,11 @@ func TestLastKHoursWindow(t *testing.T) {
 	p.RecordMessage(true)
 	p.RecordMessage(true)
 	// Window of 2 hours sees only successes.
-	if got := p.SnapshotK(2).PctMsgLastK; got != 100 {
+	if got := p.msgHourly.percentLast(clock(), 2, 100); got != 100 {
 		t.Fatalf("last-2h = %v, want 100", got)
 	}
-	// Window of 24 hours sees everything: 2/4.
-	if got := p.SnapshotK(24).PctMsgLastK; got != 50 {
+	// A Snapshot's window of 24 hours sees everything: 2/4.
+	if got := p.Snapshot().PctMsgLastK; got != 50 {
 		t.Fatalf("last-24h = %v, want 50", got)
 	}
 }
@@ -341,7 +339,7 @@ func TestLastKHoursBucketExpiry(t *testing.T) {
 	// Far enough that the ring wraps and the bucket is re-stamped.
 	advance(time.Duration(windowHours+5) * time.Hour)
 	p.RecordMessage(true)
-	if got := p.SnapshotK(windowHours).PctMsgLastK; got != 100 {
+	if got := p.msgHourly.percentLast(clock(), windowHours, 100); got != 100 {
 		t.Fatalf("expired bucket leaked: last-%dh = %v, want 100", windowHours, got)
 	}
 }
@@ -425,7 +423,7 @@ func TestNeutralDefaultsForUnknownPeer(t *testing.T) {
 
 // TestSnapshotIntoSetsEveryField: the broker fills recycled candidate slots
 // through SnapshotInto, so whatever a slot held before, every field — one
-// added to Snapshot later included — must come out as SnapshotK returns it.
+// added to Snapshot later included — must come out as Snapshot returns it.
 func TestSnapshotIntoSetsEveryField(t *testing.T) {
 	clock, advance := fixedClock(t0)
 	busy := NewPeerStats("busy", clock)
@@ -445,27 +443,25 @@ func TestSnapshotIntoSetsEveryField(t *testing.T) {
 	busy.ObservePetitionDelay(40 * time.Millisecond)
 	advance(3 * time.Hour)
 	for _, p := range []*PeerStats{busy, NewPeerStats("ghost", clock)} {
-		for _, k := range []int{2, 24} {
-			var dirty Snapshot
-			v := reflect.ValueOf(&dirty).Elem()
-			for i := 0; i < v.NumField(); i++ {
-				switch f := v.Field(i); f.Kind() {
-				case reflect.Float64:
-					f.SetFloat(-7)
-				case reflect.Int64:
-					f.SetInt(-7)
-				case reflect.String:
-					f.SetString("stale")
-				case reflect.Struct:
-					f.Set(reflect.ValueOf(t0.Add(-time.Hour)))
-				default:
-					t.Fatalf("Snapshot.%s: a kind this test does not dirty", v.Type().Field(i).Name)
-				}
+		var dirty Snapshot
+		v := reflect.ValueOf(&dirty).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Float64:
+				f.SetFloat(-7)
+			case reflect.Int64:
+				f.SetInt(-7)
+			case reflect.String:
+				f.SetString("stale")
+			case reflect.Struct:
+				f.Set(reflect.ValueOf(t0.Add(-time.Hour)))
+			default:
+				t.Fatalf("Snapshot.%s: a kind this test does not dirty", v.Type().Field(i).Name)
 			}
-			p.SnapshotInto(&dirty, clock(), k)
-			if want := p.SnapshotK(k); dirty != want {
-				t.Errorf("%s, k = %d:\n got %+v\nwant %+v", p.Peer(), k, dirty, want)
-			}
+		}
+		p.SnapshotInto(&dirty, clock())
+		if want := p.Snapshot(); dirty != want {
+			t.Errorf("%s:\n got %+v\nwant %+v", p.Peer(), dirty, want)
 		}
 	}
 }

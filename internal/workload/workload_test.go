@@ -262,7 +262,7 @@ func TestExecuteMixedFlows(t *testing.T) {
 	if s := results[2].Sink; s == "b1" || s == "control" || rig.clients[s] == nil {
 		t.Fatalf("selected sink = %q", s)
 	}
-	// Origin-side attribution reached the broker's union registry.
+	// Origin-side attribution reached the broker's registry.
 	snapA := rig.broker.Registry().Peer("a1").Snapshot()
 	if snapA.TransfersOriginated != 1 || snapA.BytesOriginated != float64(transfer.Mb) {
 		t.Fatalf("a1 origination = %+v", snapA)

@@ -58,8 +58,9 @@ var reachAllow = map[string]string{
 	"scenario.Deploy":            benchProbe,
 	"simnet.Network.MustAddNode": benchProbe,
 	"simnet.Network.Stats":       benchProbe,
+	"stats.NewUnion":             benchProbe,
 	"stats.PeerStats.Peer":       benchProbe,
-	"stats.Registry.Snapshots":   benchProbe,
+	"stats.Union.Snapshots":      benchProbe,
 	"vtime.Pool.Stats":           benchProbe,
 
 	"vtime.Scheduler.Pending":             "test seam: the property and timer differential tests check the pending timers",
