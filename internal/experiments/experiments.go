@@ -39,8 +39,8 @@ func Table1() *metrics.Table {
 func petitionCell(cfg Config, _ int, label string, rep int) ([]float64, error) {
 	return envCell(cfg, []string{label}, func(env *Env, ctl *overlay.Client) ([]float64, error) {
 		env.Slice.Control.Sleep(IdleGap)
-		m, err := ctl.SendFile(env.Host(label), transfer.NewVirtualFile("petition-probe", transfer.Mb, int64(rep)), 1)
-		if err != nil {
+		var m transfer.Metrics
+		if err := ctl.Send(env.Host(label), transfer.NewVirtualFile("petition-probe", transfer.Mb, int64(rep)), 1, &m); err != nil {
 			return nil, fmt.Errorf("fig2 %s rep %d: %w", label, rep, err)
 		}
 		return []float64{m.PetitionDelay().Seconds()}, nil
@@ -63,10 +63,10 @@ func petitionCell(cfg Config, _ int, label string, rep int) ([]float64, error) {
 func transferCell(size int) func(cfg Config, parts int, label string, rep int) ([]float64, error) {
 	return func(cfg Config, parts int, label string, rep int) ([]float64, error) {
 		return envCell(cfg, []string{label}, func(env *Env, ctl *overlay.Client) ([]float64, error) {
-			m, err := workload.SendRelaunched(cfg.Logf, env.Slice.Control.Sleep, IdleGap, ctl,
+			var m transfer.Metrics
+			if err := workload.SendRelaunched(cfg.Logf, env.Slice.Control.Sleep, IdleGap, ctl,
 				env.Host(label), transfer.NewVirtualFile("payload", size, int64(rep)), parts,
-				fmt.Sprintf("figure cell (control -> %s, rep %d)", label, rep))
-			if err != nil {
+				fmt.Sprintf("figure cell (control -> %s, rep %d)", label, rep), &m); err != nil {
 				return nil, fmt.Errorf("transfer to %s rep %d: %w", label, rep, err)
 			}
 			return []float64{m.TransmissionTime().Minutes(), m.LastMbTime().Seconds()}, nil
@@ -98,8 +98,8 @@ func selectionCell(cfg Config, parts int, model string, _ int) ([]float64, error
 		// Warm-up: give the broker statistics about every peer.
 		for _, label := range cfg.Scenario.Labels {
 			for rep := 0; rep < 2; rep++ {
-				if _, err := ctl.SendFile(env.Host(label),
-					transfer.NewVirtualFile("warmup", transfer.Mb, int64(rep)), 2); err != nil {
+				if err := ctl.Send(env.Host(label),
+					transfer.NewVirtualFile("warmup", transfer.Mb, int64(rep)), 2, new(transfer.Metrics)); err != nil {
 					return nil, fmt.Errorf("fig6 warmup %s: %w", label, err)
 				}
 			}
@@ -132,9 +132,9 @@ func selectionCell(cfg Config, parts int, model string, _ int) ([]float64, error
 		var samples []float64
 		for rep := 0; rep < cfg.Reps; rep++ {
 			env.Slice.Control.Sleep(IdleGap)
-			m, err := ctl.SendFile(peers[0],
-				transfer.NewVirtualFile("selected", transfer.Mb, int64(rep)), parts)
-			if err != nil {
+			var m transfer.Metrics
+			if err := ctl.Send(peers[0],
+				transfer.NewVirtualFile("selected", transfer.Mb, int64(rep)), parts, &m); err != nil {
 				return nil, fmt.Errorf("fig6 %s via %s: %w", model, peers[0], err)
 			}
 			samples = append(samples, m.TransmissionTime().Seconds()/float64(parts))
@@ -169,8 +169,8 @@ func executionCell(cfg Config, _ int, label string, rep int) ([]float64, error) 
 		// Transmission & execution. The input travels in 4 parts —
 		// by Figure 5 the platform's users would not ship 50 Mb whole.
 		start := env.Slice.Control.Now()
-		if _, err := ctl.SendFile(host,
-			transfer.NewVirtualFile("input", 50*transfer.Mb, int64(rep)), 4); err != nil {
+		if err := ctl.Send(host,
+			transfer.NewVirtualFile("input", 50*transfer.Mb, int64(rep)), 4, new(transfer.Metrics)); err != nil {
 			return nil, fmt.Errorf("fig7 transfer %s: %w", label, err)
 		}
 		if _, err := ctl.SubmitTask(host, work); err != nil {

@@ -276,44 +276,51 @@ func (c *Client) Discover() ([]jxta.Advertisement, error) {
 	return c.res.snapshotDir(), nil
 }
 
-// SendFile transmits a file to the named peer in `parts` parts and reports
-// the outcome to the broker's statistics service.
-func (c *Client) SendFile(peer string, f transfer.File, parts int) (transfer.Metrics, error) {
-	return c.sendReported(peer, func(addr transport.Addr) (transfer.Metrics, error) {
-		return c.sender.Send(addr, f, parts)
+// Send transmits a file to the named peer in `parts` parts, filling m with
+// the transfer's record, and reports the outcome to the broker's statistics
+// service.
+func (c *Client) Send(peer string, f transfer.File, parts int, m *transfer.Metrics) error {
+	return c.sendReported(peer, m, func(addr transport.Addr) error {
+		return c.sender.Send(addr, f, parts, m)
 	})
 }
 
-// SendPieces transmits the pieces of f named by indices (positions in the
-// canonical pieces-way split) to the named peer and reports the outcome to
-// the broker's statistics service. The report travels the same
+// SendFile is Send returning the record by value.
+func (c *Client) SendFile(peer string, f transfer.File, parts int) (m transfer.Metrics, err error) {
+	err = c.Send(peer, f, parts, &m)
+	return m, err
+}
+
+// SendPieces is Send for the pieces of f named by indices (positions in the
+// canonical pieces-way split). The report travels the same
 // origin-attributed path as whole-file sends, so a downloader that
 // re-originates pieces it holds is credited as an originator by the
-// broker's registry with no new accounting machinery; Bytes counts
-// only the pieces actually moved.
-func (c *Client) SendPieces(peer string, f transfer.File, pieces int, indices []int) (transfer.Metrics, error) {
-	return c.sendReported(peer, func(addr transport.Addr) (transfer.Metrics, error) {
-		return c.sender.SendPieces(addr, f, pieces, indices)
+// broker's registry with no new accounting machinery; Bytes counts only
+// the pieces actually moved.
+func (c *Client) SendPieces(peer string, f transfer.File, pieces int, indices []int, m *transfer.Metrics) error {
+	return c.sendReported(peer, m, func(addr transport.Addr) error {
+		return c.sender.SendPieces(addr, f, pieces, indices, m)
 	})
 }
 
-// sendReported runs one transmission to the peer's transfer address and
-// reports the outcome to the broker. A part counts as a message out whether
-// or not it was confirmed; Bytes is what the transmission set out to move.
-// A send to an address no transport knows is not reported, here or in
-// SubmitTask and SendInstant: a name no node carries (a typo) must not open
-// a statistics record at the broker. Nor is a send that failed after the
-// client's own Stop, whose report could only fail on the same closed mux:
-// it reads as the client stopped, with pipe.ErrClosed in the chain and not
-// transfer.ErrFailed, so no relaunch loop retries a departed source.
-func (c *Client) sendReported(peer string, send func(transport.Addr) (transfer.Metrics, error)) (transfer.Metrics, error) {
-	m, sendErr := send(transport.MakeAddr(peer, ServiceTransfer))
+// sendReported runs one transmission, filling m, to the peer's transfer
+// address and reports the outcome to the broker. A part counts as a message
+// out whether or not it was confirmed; Bytes is what the transmission set
+// out to move. A send to an address no transport knows is not reported,
+// here or in SubmitTask and SendInstant: a name no node carries (a typo)
+// must not open a statistics record at the broker. Nor is a send that
+// failed after the client's own Stop, whose report could only fail on the
+// same closed mux: it reads as the client stopped, with pipe.ErrClosed in
+// the chain and not transfer.ErrFailed, so no relaunch loop retries a
+// departed source.
+func (c *Client) sendReported(peer string, m *transfer.Metrics, send func(transport.Addr) error) error {
+	sendErr := send(transport.MakeAddr(peer, ServiceTransfer))
 	c.msgsOut.Add(int64(len(m.Parts) + 1))
 	if errors.Is(sendErr, transport.ErrUnknownAddr) {
-		return m, sendErr
+		return sendErr
 	}
 	if sendErr != nil && c.stopped.Load() {
-		return m, fmt.Errorf("overlay: client stopped: %w", pipe.ErrClosed)
+		return fmt.Errorf("overlay: client stopped: %w", pipe.ErrClosed)
 	}
 	rep := reportTransfer{
 		Peer:          peer,
@@ -324,7 +331,7 @@ func (c *Client) sendReported(peer string, send func(transport.Addr) (transfer.M
 		PetitionDelay: m.PetitionDelay(),
 	}
 	_, _ = c.call(c.broker, frame(mtReportTransfer, rep.encodeTo)) // statistics are best-effort; the transfer outcome stands
-	return m, sendErr
+	return sendErr
 }
 
 // ReportPieces publishes this peer's piece inventory and unchoke set into

@@ -78,7 +78,7 @@ func TestSendFileBetweenClients(t *testing.T) {
 	var err error
 	d.net.Run(func() {
 		d.startAll(t)
-		m, err = d.clients["sc1"].SendFile("sc2", transfer.NewVirtualFile("doc", 2*transfer.Mb, 5), 4)
+		err = d.clients["sc1"].Send("sc2", transfer.NewVirtualFile("doc", 2*transfer.Mb, 5), 4, &m)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,13 +111,11 @@ type peerAction struct {
 func peerActions(c *Client) []peerAction {
 	file := transfer.NewVirtualFile("f", transfer.Mb, 1)
 	return []peerAction{
-		{"SendFile", func(peer string) error {
-			_, err := c.SendFile(peer, file, 2)
-			return err
+		{"Send", func(peer string) error {
+			return c.Send(peer, file, 2, new(transfer.Metrics))
 		}},
 		{"SendPieces", func(peer string) error {
-			_, err := c.SendPieces(peer, file, 4, []int{1, 3})
-			return err
+			return c.SendPieces(peer, file, 4, []int{1, 3}, new(transfer.Metrics))
 		}},
 		{"SubmitTask", func(peer string) error {
 			_, err := c.SubmitTask(peer, task.Task{Name: "t", WorkUnits: 1})
@@ -328,8 +326,8 @@ func TestSelectionServiceEconomic(t *testing.T) {
 		d.startAll(t)
 		c := d.clients["sc1"]
 		// Warm up the broker's statistics with one transfer to each peer.
-		c.SendFile("slowpeer", transfer.NewVirtualFile("w", transfer.Mb, 1), 1)
-		c.SendFile("fastpeer", transfer.NewVirtualFile("w", transfer.Mb, 2), 1)
+		c.Send("slowpeer", transfer.NewVirtualFile("w", transfer.Mb, 1), 1, new(transfer.Metrics))
+		c.Send("fastpeer", transfer.NewVirtualFile("w", transfer.Mb, 2), 1, new(transfer.Metrics))
 		picked, err = c.SelectPeers("economic",
 			core.Request{Kind: core.KindFileTransfer, SizeBytes: 10 * transfer.Mb}, 2, nil)
 	})
@@ -432,8 +430,8 @@ func TestShardedBrokerEndToEnd(t *testing.T) {
 	d.net.Run(func() {
 		d.startAll(t)
 		c := d.clients["sc1"]
-		if _, err := c.SendFile("sc4", transfer.NewVirtualFile("w", transfer.Mb, 1), 2); err != nil {
-			t.Errorf("SendFile: %v", err)
+		if err := c.Send("sc4", transfer.NewVirtualFile("w", transfer.Mb, 1), 2, new(transfer.Metrics)); err != nil {
+			t.Errorf("Send: %v", err)
 			return
 		}
 		if err := c.SendInstant("sc3", "ping"); err != nil {

@@ -171,9 +171,9 @@ func TestOverlayOverTCP(t *testing.T) {
 	}
 
 	data := bytes.Repeat([]byte("integration"), 2000)
-	m, err := c1.SendFile("sc2", transfer.NewFile("real.bin", data), 3)
-	if err != nil {
-		t.Fatalf("SendFile over TCP: %v", err)
+	var m transfer.Metrics
+	if err := c1.Send("sc2", transfer.NewFile("real.bin", data), 3, &m); err != nil {
+		t.Fatalf("Send over TCP: %v", err)
 	}
 	if m.TransmissionTime() <= 0 {
 		t.Fatal("no transmission time measured")
@@ -234,7 +234,7 @@ func TestSendToDownPeerIsReported(t *testing.T) {
 	}
 	hosts[2].Close()
 
-	_, err = c1.SendFile("sc2", transfer.NewFile("f.bin", []byte("down")), 1)
+	err = c1.Send("sc2", transfer.NewFile("f.bin", []byte("down")), 1, new(transfer.Metrics))
 	if err == nil || errors.Is(err, transport.ErrUnknownAddr) {
 		t.Fatalf("send to a down peer: err = %v, want a failed dial", err)
 	}

@@ -118,58 +118,57 @@ func NewSender(host transport.Host, mux *pipe.Mux) *Sender {
 
 // Send transmits f to the remote transfer service in `parts` parts,
 // following the paper's protocol: petition, wait for the accept, then one
-// part at a time, each confirmed before the next is sent. It returns full
-// timing metrics; on error the metrics record everything up to the failure
+// part at a time, each confirmed before the next is sent. It fills m with
+// the full timing record; on error m records everything up to the failure
 // with Failed set.
-func (s *Sender) Send(remote transport.Addr, f File, parts int) (Metrics, error) {
-	m := s.newMetrics(remote, f.Name, parts)
+func (s *Sender) Send(remote transport.Addr, f File, parts int, m *Metrics) error {
+	s.start(m, remote, f.Name, parts)
 	m.TotalBytes = f.Size
 	split, err := Split(f, parts)
 	if err != nil {
-		m.Failed = true
-		return m, err
+		return err
 	}
 	return s.transmit(remote, m, f, len(split), nil, split)
 }
 
-// SendPieces transmits the pieces of f named by indices — positions in the
-// canonical pieces-way split — to the remote transfer service. Pieces are
-// always streamed: a dissemination round batches every piece one holder
-// owes one downloader into a single conn, and the per-piece stop-and-wait
-// round-trip is exactly the protocol cost a swarm does not pay. Metrics
-// slots follow the order of indices; each PartTiming keeps the piece's
-// original index. TotalBytes counts only the selected pieces.
-func (s *Sender) SendPieces(remote transport.Addr, f File, pieces int, indices []int) (Metrics, error) {
-	m := s.newMetrics(remote, f.Name, len(indices))
+// SendPieces is Send for the pieces of f named by indices — positions in
+// the canonical pieces-way split. Pieces are always streamed: a
+// dissemination round batches every piece one holder owes one downloader
+// into a single conn, and the per-piece stop-and-wait round-trip is exactly
+// the protocol cost a swarm does not pay. Metrics slots follow the order of
+// indices; each PartTiming keeps the piece's original index. TotalBytes
+// counts only the selected pieces.
+func (s *Sender) SendPieces(remote transport.Addr, f File, pieces int, indices []int, m *Metrics) error {
+	s.start(m, remote, f.Name, len(indices))
 	split, err := Split(f, pieces)
 	if err != nil {
-		m.Failed = true
-		return m, err
+		return err
 	}
 	selected := make([]Part, 0, len(indices))
 	seen := make(map[int]bool, len(indices))
 	for _, idx := range indices {
 		if idx < 0 || idx >= len(split) || seen[idx] {
-			m.Failed = true
-			return m, fmt.Errorf("transfer: piece index %d invalid for %d-piece split of %q", idx, len(split), f.Name)
+			return fmt.Errorf("transfer: piece index %d invalid for %d-piece split of %q", idx, len(split), f.Name)
 		}
 		seen[idx] = true
 		selected = append(selected, split[idx])
 		m.TotalBytes += split[idx].Size
 	}
 	if len(selected) == 0 {
-		m.Failed = true
-		return m, fmt.Errorf("transfer: no pieces selected for %q", f.Name)
+		return fmt.Errorf("transfer: no pieces selected for %q", f.Name)
 	}
 	return s.transmit(remote, m, f, len(split), indices, selected)
 }
 
-func (s *Sender) newMetrics(remote transport.Addr, fileName string, granularity int) Metrics {
-	return Metrics{
+// start resets m to a new transmission's record, failed until transmit
+// completes it.
+func (s *Sender) start(m *Metrics, remote transport.Addr, fileName string, granularity int) {
+	*m = Metrics{
 		TransferID:  s.nextID.Add(1),
 		Peer:        remote.Node(),
 		FileName:    fileName,
 		Granularity: granularity,
+		Failed:      true,
 		Attempts:    1,
 	}
 }
@@ -179,11 +178,10 @@ func (s *Sender) newMetrics(remote transport.Addr, fileName string, granularity 
 // order — through the part stream. The call decides the mode: the whole
 // file (indices nil, Send) goes stop-and-wait, a selection (SendPieces)
 // streams.
-func (s *Sender) transmit(remote transport.Addr, m Metrics, f File, split int, indices []int, parts []Part) (Metrics, error) {
+func (s *Sender) transmit(remote transport.Addr, m *Metrics, f File, split int, indices []int, parts []Part) error {
 	conn, err := s.mux.Dial(remote)
 	if err != nil {
-		m.Failed = true
-		return m, fmt.Errorf("%w: %v", ErrFailed, err)
+		return fmt.Errorf("%w: %v", ErrFailed, err)
 	}
 	defer conn.Close()
 	m.PetitionSent = s.host.Now()
@@ -197,21 +195,20 @@ func (s *Sender) transmit(remote transport.Addr, m Metrics, f File, split int, i
 		Sender:     s.host.Name(),
 		SentAt:     m.PetitionSent,
 	}
-	if err = s.handshake(conn, &m, pet); err == nil {
+	if err = s.handshake(conn, m, &pet); err == nil {
 		m.Parts, err = s.stream(conn, m.TransferID, parts, indices != nil)
 	}
 	if err != nil {
-		m.Failed = true
-		return m, err
+		return err
 	}
-	m.Done = s.host.Now()
-	return m, nil
+	m.Done, m.Failed = s.host.Now(), false
+	return nil
 }
 
 // handshake sends the petition and waits for the receiver's decision,
 // stamping the petition instants as they become known. A refusal is
 // ErrRejected; everything else that goes wrong is ErrFailed.
-func (s *Sender) handshake(conn pipe.Conn, m *Metrics, pet petition) error {
+func (s *Sender) handshake(conn pipe.Conn, m *Metrics, pet *petition) error {
 	what := "petition"
 	if pet.Indices != nil {
 		what = "piece petition"

@@ -37,7 +37,7 @@ type petition struct {
 	SentAt  time.Time
 }
 
-func (p petition) encode() []byte {
+func (p *petition) encode() []byte {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
 	if p.Indices == nil {

@@ -77,9 +77,10 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 		for i := range pieces {
 			pieces[i] = i
 		}
-		m, err := s.SendPieces("dst/xfer", NewVirtualFile("pieces", 16*Mb, 3), 16, pieces)
+		var m Metrics
+		err := s.SendPieces("dst/xfer", NewVirtualFile("pieces", 16*Mb, 3), 16, pieces, &m)
 		got = append(got, fmt.Sprintf("pieces: %v; failed %v, %d part slots, %v", err, m.Failed, len(m.Parts), n.Now().Sub(vtime.Epoch)))
-		m, err = s.Send("dst/xfer", NewVirtualFile("whole", 2*Mb, 4), 2)
+		err = s.Send("dst/xfer", NewVirtualFile("whole", 2*Mb, 4), 2, &m)
 		got = append(got, fmt.Sprintf("whole: %v; failed %v, %d parts, done at %v", err, m.Failed, len(m.Parts), m.Done.Sub(vtime.Epoch)))
 	})
 	got = append(got, fmt.Sprintf("%d frames, digest %x, quiet at %v", frames, h.Sum64(), n.Now().Sub(vtime.Epoch)))

@@ -69,8 +69,10 @@ func (tr *transcript) logf(format string, args ...any) {
 	fmt.Fprintf(&tr.out, format+"\n", args...)
 }
 
-// outcome appends what the caller of Send/SendPieces got back.
-func (tr *transcript) outcome(m Metrics, err error) {
+// outcome runs one Send or SendPieces and appends what its caller got back.
+func (tr *transcript) outcome(send func(*Metrics) error) {
+	var m Metrics
+	err := send(&m)
 	tr.logf("metrics parts=%d failed=%v attempts=%d bytes=%d granularity=%d petition=%s/%s/%s done=%s",
 		len(m.Parts), m.Failed, m.Attempts, m.TotalBytes, m.Granularity,
 		tr.at(m.PetitionSent), tr.at(m.PetitionReceived), tr.at(m.PetitionAcked), tr.at(m.Done))
@@ -184,10 +186,12 @@ func TestTransferTranscript(t *testing.T) {
 		all.Write(tr.out.Bytes())
 	}
 	send := func(parts int) func(*transcript) {
-		return func(tr *transcript) { tr.outcome(tr.sender.Send("dst/xfer", file, parts)) }
+		return func(tr *transcript) {
+			tr.outcome(func(m *Metrics) error { return tr.sender.Send("dst/xfer", file, parts, m) })
+		}
 	}
 	sendPieces := func(tr *transcript) {
-		tr.outcome(tr.sender.SendPieces("dst/xfer", file, 8, []int{1, 5, 7}))
+		tr.outcome(func(m *Metrics) error { return tr.sender.SendPieces("dst/xfer", file, 8, []int{1, 5, 7}, m) })
 	}
 	accepting := func(tr *transcript) { tr.serve() }
 	refusing := func(tr *transcript) { refuseAll(tr.dstN, tr.dst) }
@@ -219,10 +223,10 @@ func TestTransferTranscript(t *testing.T) {
 	run("peer dies with part 0 of 4 in flight", accepting, dying(send(4)))
 	run("peer dies while pieces stream", accepting, dying(sendPieces))
 	run("bad piece indices", accepting, func(tr *transcript) {
-		tr.outcome(tr.sender.SendPieces("dst/xfer", file, 8, []int{1, 1}))
-		tr.outcome(tr.sender.SendPieces("dst/xfer", file, 8, []int{8}))
-		tr.outcome(tr.sender.SendPieces("dst/xfer", file, 8, nil))
-		tr.outcome(tr.sender.Send("dst/xfer", file, 0))
+		tr.outcome(func(m *Metrics) error { return tr.sender.SendPieces("dst/xfer", file, 8, []int{1, 1}, m) })
+		tr.outcome(func(m *Metrics) error { return tr.sender.SendPieces("dst/xfer", file, 8, []int{8}, m) })
+		tr.outcome(func(m *Metrics) error { return tr.sender.SendPieces("dst/xfer", file, 8, nil, m) })
+		tr.outcome(func(m *Metrics) error { return tr.sender.Send("dst/xfer", file, 0, m) })
 	})
 	run("receiver rejects a repeated part", accepting, func(tr *transcript) {
 		pet := petition{TransferID: 41, FileName: "f.bin", Checksum: file.Checksum(), TotalSize: file.Size, Parts: 2, Sender: "src"}

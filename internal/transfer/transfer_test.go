@@ -212,7 +212,7 @@ func TestEndToEndVirtualTransfer(t *testing.T) {
 	var m Metrics
 	var err error
 	rig.net.Run(func() {
-		m, err = rig.sender.Send("dst/xfer", NewVirtualFile("report.dat", 5*Mb, 9), 4)
+		err = rig.sender.Send("dst/xfer", NewVirtualFile("report.dat", 5*Mb, 9), 4, &m)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestEndToEndRealDataVerified(t *testing.T) {
 	data := bytes.Repeat([]byte("abcdefgh"), 1000)
 	var err error
 	rig.net.Run(func() {
-		_, err = rig.sender.Send("dst/xfer", NewFile("real.bin", data), 3)
+		err = rig.sender.Send("dst/xfer", NewFile("real.bin", data), 3, new(Metrics))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestPetitionDelayReflectsWakeLag(t *testing.T) {
 	var m Metrics
 	var err error
 	rig.net.Run(func() {
-		m, err = rig.sender.Send("dst/xfer", NewVirtualFile("f", 1*Mb, 1), 1)
+		err = rig.sender.Send("dst/xfer", NewVirtualFile("f", 1*Mb, 1), 1, &m)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestPetitionRejected(t *testing.T) {
 	var m Metrics
 	var err error
 	n.Run(func() {
-		m, err = s.Send("dst/xfer", NewVirtualFile("f", Mb, 1), 1)
+		err = s.Send("dst/xfer", NewVirtualFile("f", Mb, 1), 1, &m)
 	})
 	if !errors.Is(err, ErrRejected) || !strings.Contains(err.Error(), "quota exceeded") {
 		t.Fatalf("err = %v, want ErrRejected with the receiver's reason", err)
@@ -350,7 +350,7 @@ func TestPetitionPartCountOutOfRangeRefused(t *testing.T) {
 			}
 			conn.Close()
 		}
-		if _, err := rig.sender.Send("dst/xfer", NewVirtualFile("ok", Mb, 1), 2); err != nil {
+		if err := rig.sender.Send("dst/xfer", NewVirtualFile("ok", Mb, 1), 2, new(Metrics)); err != nil {
 			t.Errorf("honest transfer after the refusals: %v", err)
 		}
 	})
@@ -395,7 +395,7 @@ func TestPetitionTotalSizeOutOfRangeNotAllocated(t *testing.T) {
 			}
 			conn.Close()
 		}
-		if _, err := rig.sender.Send("dst/xfer", NewFile("ok", []byte("honest bytes")), 2); err != nil {
+		if err := rig.sender.Send("dst/xfer", NewFile("ok", []byte("honest bytes")), 2, new(Metrics)); err != nil {
 			t.Errorf("honest transfer after the hostile ones: %v", err)
 		}
 	})
@@ -424,7 +424,7 @@ func TestGranularityWholeSlowerThanParts(t *testing.T) {
 		var m Metrics
 		var err error
 		rig.net.Run(func() {
-			m, err = rig.sender.Send("dst/xfer", NewVirtualFile("big", 100*Mb, 3), parts)
+			err = rig.sender.Send("dst/xfer", NewVirtualFile("big", 100*Mb, 3), parts, &m)
 		})
 		if err != nil {
 			t.Fatalf("parts=%d: %v", parts, err)
@@ -445,7 +445,7 @@ func TestTransferSurvivesLoss(t *testing.T) {
 	rig := newXferRig(t, fastProfile(), dst, ReceiverOptions{})
 	var err error
 	rig.net.Run(func() {
-		_, err = rig.sender.Send("dst/xfer", NewVirtualFile("f", 2*Mb, 5), 8)
+		err = rig.sender.Send("dst/xfer", NewVirtualFile("f", 2*Mb, 5), 8, new(Metrics))
 	})
 	if err != nil {
 		t.Fatalf("transfer failed under 20%% loss: %v", err)
@@ -464,7 +464,7 @@ func TestSendToDeadPeerFails(t *testing.T) {
 	s := NewSender(a, muxA)
 	var err error
 	n.Run(func() {
-		_, err = s.Send("dst/xfer", NewVirtualFile("f", Mb, 1), 1)
+		err = s.Send("dst/xfer", NewVirtualFile("f", Mb, 1), 1, new(Metrics))
 	})
 	if !errors.Is(err, ErrFailed) {
 		t.Fatalf("err = %v, want ErrFailed", err)
@@ -485,9 +485,9 @@ func confirmationRun(t *testing.T, streamed bool) Metrics {
 	var err error
 	rig.net.Run(func() {
 		if streamed {
-			m, err = rig.sender.SendPieces("dst/xfer", file, 8, []int{0, 1, 2, 3, 4, 5, 6, 7})
+			err = rig.sender.SendPieces("dst/xfer", file, 8, []int{0, 1, 2, 3, 4, 5, 6, 7}, &m)
 		} else {
-			m, err = rig.sender.Send("dst/xfer", file, 8)
+			err = rig.sender.Send("dst/xfer", file, 8, &m)
 		}
 	})
 	if err != nil {
@@ -535,7 +535,7 @@ func TestDefaultModeDeterministicRegression(t *testing.T) {
 		var m Metrics
 		var err error
 		rig.net.Run(func() {
-			m, err = rig.sender.Send("dst/xfer", NewVirtualFile("f", 5*Mb, 3), 4)
+			err = rig.sender.Send("dst/xfer", NewVirtualFile("f", 5*Mb, 3), 4, &m)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -612,7 +612,7 @@ func TestFailedSendReportsZeroDurations(t *testing.T) {
 		}
 		var m Metrics
 		var err error
-		tr.net.Run(func() { m, err = tr.sender.Send("dst/xfer", file, 4) })
+		tr.net.Run(func() { err = tr.sender.Send("dst/xfer", file, 4, &m) })
 		if err == nil || !m.Failed {
 			t.Fatalf("%s: err %v, failed %v; want a failed send", tc.name, err, m.Failed)
 		}

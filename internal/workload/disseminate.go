@@ -207,8 +207,8 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 				if src == nil {
 					results[gi].err = fmt.Errorf("holder departed")
 				} else {
-					m, err := src.SendPieces(peers[g.dl].host, payload, pieceCount, g.pieces)
-					results[gi] = result{m, err}
+					r := &results[gi]
+					r.err = src.SendPieces(peers[g.dl].host, payload, pieceCount, g.pieces, &r.m)
 				}
 				join.Push(gi)
 			})
@@ -226,7 +226,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 			if r.err != nil {
 				q.fetchFails++
 				if q.fetchFails == Attempts {
-					env.logf("workload: WARNING: flow %d (%s): piece fetches exhausted the %d-relaunch budget: %v",
+					warn(env.Logf, "workload: WARNING: flow %d (%s): piece fetches exhausted the %d-relaunch budget: %v",
 						flows[g.dl].Index, q.label, Attempts, r.err)
 				}
 				continue

@@ -209,13 +209,14 @@ func TestRelaunchWarningDedupe(t *testing.T) {
 		warnings = append(warnings, format)
 	}
 	tries := 0
-	failing := func(string, transfer.File, int) (transfer.Metrics, error) {
+	failing := func() error {
 		tries++
-		return transfer.Metrics{}, transfer.ErrFailed
+		return transfer.ErrFailed
 	}
 	sleep := func(time.Duration) {}
 	f := transfer.File{Name: "x", Size: 10}
-	m, err := sendRelaunched(logf, sleep, 0, failing, "src", "dst", f, 1, "flow 0")
+	var m transfer.Metrics
+	err := sendRelaunched(logf, sleep, 0, failing, "src", "dst", &f, "flow 0", &m)
 	if !errors.Is(err, transfer.ErrFailed) {
 		t.Fatalf("exhausted send returned %v, want transfer.ErrFailed", err)
 	}

@@ -83,14 +83,12 @@ func (e Env) labelOf(host string) string {
 	return e.LabelOf(host)
 }
 
-// logf routes a warning through the environment's logger, or the process
-// default when none was supplied.
-func (e Env) logf(format string, args ...any) {
-	if e.Logf != nil {
-		e.Logf(format, args...)
-		return
+// warn routes a warning through logf, or log.Printf when logf is nil.
+func warn(logf func(format string, args ...any), format string, args ...any) {
+	if logf == nil {
+		logf = log.Printf
 	}
-	log.Printf(format, args...)
+	logf(format, args...)
 }
 
 // Result is one executed flow's record.
@@ -139,19 +137,19 @@ func Execute(env Env, flows []Flow, seed int64) ([]Result, error) {
 	join := env.Host.NewQueue()
 	// All flows launch at t=0 (stagger happens inside runFlow). Spawned
 	// processes are pooled and lazily started, so even 100k flows queue
-	// closures rather than a cold-start burst of goroutines.
-	for i, f := range flows {
+	// closures rather than a cold-start burst of goroutines. Each fills its
+	// out slot in place and lends runFlow a stack copy of env, off the heap.
+	for i := range flows {
 		env.Host.Go(func() {
-			res, err := runFlow(env, f, seed)
+			env, res := env, &out[i]
+			err := runFlow(&env, &flows[i], seed, res)
 			if err != nil && env.recordFailures {
 				// Keep everything the failed flow did establish — the sink
 				// it selected, when, and the attempts it burned — and
 				// record only the cause on top.
-				res.Flow = f
-				res.Err = err.Error()
-				err = nil
+				res.Flow, res.Err, err = flows[i], err.Error(), nil
 			}
-			out[i], errs[i] = res, err
+			errs[i] = err
 			join.Push(i)
 		})
 	}
@@ -168,15 +166,15 @@ func Execute(env Env, flows []Flow, seed int64) ([]Result, error) {
 	return out, nil
 }
 
-// runFlow executes one flow: wait out its start offset (churn staggering),
-// resolve the source client against live membership, resolve the sink
-// (fixed, or via the source's own selection call), then transmit with the
-// standard relaunch budget. A failure after sink resolution still reports
-// the sink and its resolution instant, so churn audits can classify the
-// selection even when the transfer died.
-func runFlow(env Env, f Flow, seed int64) (Result, error) {
+// runFlow executes one flow into res, which starts zeroed: wait out its
+// start offset (churn staggering), resolve the source client against live
+// membership, resolve the sink (fixed, or via the source's own selection
+// call), then transmit with the standard relaunch budget. A failure after
+// sink resolution still reports the sink and its resolution instant, so
+// churn audits can classify the selection even when the transfer died.
+func runFlow(env *Env, f *Flow, seed int64, res *Result) error {
 	if env.startOf != nil {
-		if d := env.startOf(f); d > 0 {
+		if d := env.startOf(*f); d > 0 {
 			env.Host.Sleep(d)
 		}
 	}
@@ -185,22 +183,21 @@ func runFlow(env Env, f Flow, seed int64) (Result, error) {
 	if f.Source != "" {
 		src = env.Clients[f.Source]
 		if src == nil {
-			return Result{}, fmt.Errorf("no client for source %q (departed?)", f.Source)
+			return fmt.Errorf("no client for source %q (departed?)", f.Source)
 		}
 	} else {
 		srcLabel = "control"
 	}
 	if src == nil {
-		return Result{}, errors.New("no control client for controller-sourced flow")
+		return errors.New("no control client for controller-sourced flow")
 	}
 
 	// SelectedAt is stamped when the request is issued, not when the reply
 	// lands: the reply leg can pay the source's wake lag, and churn audits
 	// need an instant at (or before) the broker's decision so "lease
 	// certainly expired by then" is sound.
-	selectedAt := env.Host.Now()
+	res.SelectedAt = env.Host.Now()
 	sinkHost, sinkLabel := "", ""
-	degraded, retries := false, 0
 	if f.Sink != "" {
 		sinkHost, sinkLabel = env.hostOf(f.Sink), f.Sink
 	} else {
@@ -210,79 +207,78 @@ func runFlow(env Env, f Flow, seed int64) (Result, error) {
 			preferred = env.Preferred
 		}
 		sel, err := src.SelectDetailed(f.Model, req, 1, preferred, env.ExcludeSinks)
+		res.Retries = sel.Retries
 		if err != nil {
-			return Result{SelectedAt: selectedAt, Retries: sel.Retries},
-				fmt.Errorf("select %s: %w", f.Model, err)
+			return fmt.Errorf("select %s: %w", f.Model, err)
 		}
 		if len(sel.Peers) == 0 {
-			return Result{SelectedAt: selectedAt, Retries: sel.Retries},
-				fmt.Errorf("select %s: empty result", f.Model)
+			return fmt.Errorf("select %s: empty result", f.Model)
 		}
-		degraded, retries = sel.Degraded, sel.Retries
+		res.Degraded = sel.Degraded
 		sinkHost, sinkLabel = sel.Peers[0], env.labelOf(sel.Peers[0])
 	}
-	res := Result{Flow: f, Sink: sinkLabel, SelectedAt: selectedAt,
-		Degraded: degraded, Retries: retries}
+	res.Flow, res.Sink = *f, sinkLabel
 
 	file := transfer.NewVirtualFile(f.FileName, f.SizeBytes, FlowSeed(seed, f.Index))
 	flowID := fmt.Sprintf("flow %d (%s -> %s)", f.Index, srcLabel, sinkLabel)
-	m, err := sendRelaunched(env.logf, env.Host.Sleep, env.IdleGap, src.SendFile, src.Name(), sinkHost, file, f.Parts, flowID)
-	res.Metrics = m // even on failure: Attempts carries the relaunches spent
-	if err != nil {
-		return res, fmt.Errorf("%s -> %s: %w", src.Name(), sinkLabel, err)
+	// Kept even on failure: res.Metrics.Attempts counts the relaunches spent.
+	send := func() error { return src.Send(sinkHost, file, f.Parts, &res.Metrics) }
+	if err := sendRelaunched(env.Logf, env.Host.Sleep, env.IdleGap, send, src.Name(), sinkHost, &file, flowID, &res.Metrics); err != nil {
+		return fmt.Errorf("%s -> %s: %w", src.Name(), sinkLabel, err)
 	}
-	return res, nil
+	return nil
 }
 
 // SendRelaunched transmits f to host, relaunching a transmission the pipe
 // layer abandoned outright up to Attempts times; sleep(gap) runs before each
-// attempt so the sink falls idle again. The returned metrics carry the
-// attempt count. flowID names the flow for the exhaustion warning — source
-// and sink labels included, so an operator reading the log can tell which
-// flow of which workload gave up, not just that one did. A whole-file
-// transmission to a pathological sliver can die even after the pipe's
-// retries — every retransmission of a large message re-rolls the receiver's
-// restart model — and the operator's answer on the real platform is the
-// paper's own: relaunch the transmission. Exhausting the budget is logged
-// through logf (nil = the process default logger; parallel cells must pass
-// their own so concurrent warnings don't interleave); it is an
-// operator-visible event, not a silent failure.
+// attempt so the sink falls idle again. It fills m with the surviving
+// attempt's record and the attempt count. flowID names the flow for the
+// exhaustion warning — source and sink labels included, so an operator
+// reading the log can tell which flow of which workload gave up. Exhausting
+// the budget is logged through logf (nil = the process default logger;
+// parallel cells must pass their own so concurrent warnings don't
+// interleave); it is an operator-visible event, not a silent failure.
 func SendRelaunched(logf func(format string, args ...any),
 	sleep func(time.Duration), gap time.Duration, src *overlay.Client,
-	host string, f transfer.File, parts int, flowID string) (transfer.Metrics, error) {
-	return sendRelaunched(logf, sleep, gap, src.SendFile, src.Name(), host, f, parts, flowID)
+	host string, f transfer.File, parts int, flowID string, m *transfer.Metrics) error {
+	send := func() error { return src.Send(host, f, parts, m) }
+	return sendRelaunched(logf, sleep, gap, send, src.Name(), host, &f, flowID, m)
 }
 
-// sendRelaunched is the shared relaunch loop, with the send entry point
-// injectable so the exhaustion path is testable without fabricating a
-// pathological network.
+// sendRelaunched is the shared relaunch loop, with the send injectable so
+// the exhaustion path is testable without fabricating a pathological
+// network. send fills m with one attempt's record; it closes over m rather
+// than taking it, so m does not escape through a func value's call.
 func sendRelaunched(logf func(format string, args ...any),
-	sleep func(time.Duration), gap time.Duration,
-	send func(string, transfer.File, int) (transfer.Metrics, error),
-	srcName, host string, f transfer.File, parts int, flowID string) (transfer.Metrics, error) {
-	if logf == nil {
-		logf = log.Printf
-	}
+	sleep func(time.Duration), gap time.Duration, send func() error,
+	srcName, host string, f *transfer.File, flowID string, m *transfer.Metrics) error {
 	var lastErr error
-	for attempt := 0; attempt < Attempts; attempt++ {
+	for attempt := 1; attempt <= Attempts; attempt++ {
 		if gap > 0 {
 			sleep(gap)
 		}
-		m, err := send(host, f, parts)
-		m.Attempts = attempt + 1
+		err := send()
+		m.Attempts = attempt
 		if err == nil {
-			return m, nil
+			return nil
 		}
 		if !errors.Is(err, transfer.ErrFailed) {
 			// A rejection, an invalid request or a stopped source is not
 			// transient. Like an exhausted budget, the record keeps only
 			// the attempt count.
-			return transfer.Metrics{Attempts: m.Attempts}, err
+			*m = transfer.Metrics{Attempts: attempt}
+			return err
 		}
 		lastErr = err
 	}
-	logf("workload: WARNING: %s: transfer %s -> %s (%s, %d bytes) abandoned after exhausting %d attempts: %v",
+	*m = transfer.Metrics{Attempts: Attempts}
+	return exhausted(logf, flowID, srcName, host, f, lastErr)
+}
+
+// exhausted logs and returns a spent relaunch budget, out of line so the
+// loop's frame, under every parked transfer, does not carry its arguments.
+func exhausted(logf func(format string, args ...any), flowID, srcName, host string, f *transfer.File, lastErr error) error {
+	warn(logf, "workload: WARNING: %s: transfer %s -> %s (%s, %d bytes) abandoned after exhausting %d attempts: %v",
 		flowID, srcName, host, f.Name, f.Size, Attempts, lastErr)
-	return transfer.Metrics{Attempts: Attempts},
-		fmt.Errorf("gave up after %d attempts: %w", Attempts, lastErr)
+	return fmt.Errorf("gave up after %d attempts: %w", Attempts, lastErr)
 }

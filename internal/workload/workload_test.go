@@ -205,8 +205,8 @@ func TestStoppedSourceFailsOnce(t *testing.T) {
 		rig.start(t)
 		src := rig.clients["a1"]
 		src.Stop()
-		m, err = SendRelaunched(logf, rig.nodes["a1"].Sleep, time.Second, src, "b1",
-			transfer.NewVirtualFile("f", transfer.Mb, 1), 1, "flow 0 (a1 -> b1)")
+		err = SendRelaunched(logf, rig.nodes["a1"].Sleep, time.Second, src, "b1",
+			transfer.NewVirtualFile("f", transfer.Mb, 1), 1, "flow 0 (a1 -> b1)", &m)
 	})
 	if err == nil || errors.Is(err, transfer.ErrFailed) || !errors.Is(err, pipe.ErrClosed) {
 		t.Fatalf("stopped source: err = %v, want pipe.ErrClosed and not transfer.ErrFailed", err)
@@ -323,7 +323,7 @@ func TestEnvLogfRouting(t *testing.T) {
 	e := Env{Logf: func(format string, args ...any) {
 		got = append(got, fmt.Sprintf(format, args...))
 	}}
-	e.logf("flow %d gave up", 7)
+	warn(e.Logf, "flow %d gave up", 7)
 	if len(got) != 1 || got[0] != "flow 7 gave up" {
 		t.Fatalf("supplied logger got %q", got)
 	}
@@ -339,7 +339,7 @@ func TestEnvLogfRouting(t *testing.T) {
 		log.SetOutput(prev)
 		log.SetFlags(prevFlags)
 	}()
-	Env{}.logf("default %s", "route")
+	warn(Env{}.Logf, "default %s", "route")
 	if buf.String() != "default route\n" {
 		t.Fatalf("default logger got %q", buf.String())
 	}
