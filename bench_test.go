@@ -12,6 +12,7 @@ package peerlab
 // simulator); the *shape* assertions live in internal/experiments tests.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -180,7 +181,8 @@ func BenchmarkFigureSuite(b *testing.B) {
 // — the directory size, not the flow count, is the scale axis here).
 // ReportAllocs puts bytes/op and allocs/op on the bench trajectory so
 // allocation regressions on the scale path gate CI exactly like time
-// regressions.
+// regressions. B/op never sees goroutine stacks, so stack-MB reports
+// MemStats.StackInuse after the run: the stacks the pooled coroutines kept.
 func BenchmarkScale(b *testing.B) {
 	run := func(b *testing.B, cfg experiments.Config, wantFlows int) {
 		b.ReportAllocs()
@@ -199,6 +201,9 @@ func BenchmarkScale(b *testing.B) {
 				}
 			}
 		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(ms.StackInuse)/(1<<20), "stack-MB")
 	}
 	b.Run("uniform-1024", func(b *testing.B) {
 		if testing.Short() {
