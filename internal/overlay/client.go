@@ -48,9 +48,8 @@ func (c ClientConfig) withDefaults() ClientConfig {
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // Client is a SimpleClient edge peer: it registers with a broker, serves
-// file receptions and task executions, and offers the overlay primitives
-// (discovery, selection, file transmission, task submission, instant
-// messaging) to the application.
+// file receptions and task executions, and offers the application the
+// overlay primitives (discovery, selection, transfers, tasks, messages).
 type Client struct {
 	host   transport.Host
 	broker transport.Addr
@@ -61,7 +60,7 @@ type Client struct {
 	ctlMux  *pipe.Mux
 	xferMux *pipe.Mux
 	sender  *transfer.Sender
-	exec    *task.Executor
+	exec    atomic.Pointer[task.Executor] // built on the first task; see executor
 
 	// stopped is set by Stop: from then on a failed call or send failed on
 	// the client's own closed mux, not at the broker or the sink.
@@ -83,12 +82,10 @@ func NewClient(host transport.Host, broker transport.Addr, cfg ClientConfig) *Cl
 
 // BootPeer is the reboot rule: NewClient + Start on a conn-id space unique
 // to this boot instant. A client that may follow an earlier incarnation on its
-// node — a churn rejoin, a restarted cmd/peer — comes up through it: long-lived
-// remote muxes, the broker's above all, tombstone every conn they have torn
-// down, so a reused id's first message would be dropped as a stale retransmit
-// and the rebooted client could never register. First boots on fresh nodes
-// call NewClient + Start themselves and keep the zero-based space; conn ids
-// are varint-encoded, so static deployments' frames stay byte-identical.
+// node (a churn rejoin, a restarted cmd/peer) boots through it: remote muxes,
+// the broker's above all, drop a reused id's messages as stale retransmits.
+// First boots keep the zero-based space, whose varint ids keep static
+// deployments' frames byte-identical.
 func BootPeer(host transport.Host, broker transport.Addr, cfg ClientConfig) (*Client, error) {
 	c := NewClient(host, broker, cfg)
 	c.firstConnID = uint64(host.Now().UnixNano())
@@ -99,9 +96,9 @@ func BootPeer(host transport.Host, broker transport.Addr, cfg ClientConfig) (*Cl
 }
 
 // Start is the whole boot: it binds the client's services, starts its
-// executor and receiver, and registers with the broker in one control RPC
-// that also carries the initial load report. On failure everything it
-// started is torn down before it returns.
+// receiver, and registers with the broker in one control RPC that also
+// carries the initial load report. On failure it stops everything it
+// started, so the node's endpoints are free for the next boot.
 func (c *Client) Start() error {
 	ctlEP, err := c.host.Endpoint(ServiceClient)
 	if err != nil {
@@ -116,17 +113,10 @@ func (c *Client) Start() error {
 	c.xferMux = pipe.NewMux(c.host, xferEP, opts)
 	c.sender = transfer.NewSender(c.host, c.xferMux)
 	transfer.NewReceiver(c.host, c.xferMux, transfer.ReceiverOptions{OnFile: c.cfg.OnFile})
-	c.exec = task.NewExecutor(c.host, c.cfg.CPUScore)
 	c.ctlMux.Serve(c.serveControl)
-	regErr := c.register()
-	if regErr != nil {
-		// Never leave a half-booted incarnation behind: the receiver,
-		// executor, control service and both muxes are already live, and
-		// a caller that drops the client on error would leak them — the
-		// node's service endpoints stay bound and the next boot on the
-		// node fails.
+	if err := c.register(); err != nil {
 		c.Stop()
-		return regErr
+		return err
 	}
 	if c.cfg.Resilient {
 		// Seed the degraded-selection cache; each stats heartbeat
@@ -190,7 +180,7 @@ func (c *Client) serveControl(conn pipe.Conn) {
 		}
 		c.msgsIn.Add(1)
 		done := c.host.NewQueue()
-		submitErr := c.exec.Submit(sub.Task, func(r task.Result) { done.Push(r) })
+		submitErr := c.executor().Submit(sub.Task, func(r task.Result) { done.Push(r) })
 		dec := taskDecision{TaskID: sub.Task.ID, Accepted: submitErr == nil}
 		if submitErr != nil {
 			dec.Reason = submitErr.Error()
@@ -221,9 +211,8 @@ func (c *Client) serveControl(conn pipe.Conn) {
 	}
 }
 
-// ReportStats pushes the client's current load to the broker (clients do
-// this after significant events; there is no eternal timer so simulations
-// can quiesce).
+// ReportStats pushes the client's current load to the broker, after events
+// that change it: there is no periodic timer, so simulations can quiesce.
 func (c *Client) ReportStats() error {
 	reply, err := c.call(c.broker, frame(mtStatsReport, c.currentStats().encodeTo))
 	if err != nil {
@@ -240,23 +229,37 @@ func (c *Client) ReportStats() error {
 	return nil
 }
 
+// executor returns the task executor, built on the first submission. A
+// build that lost a race (realnet serves conns concurrently), or that
+// followed Stop, is stopped at once.
+func (c *Client) executor() *task.Executor {
+	if c.exec.Load() == nil {
+		e := task.NewExecutor(c.host, c.cfg.CPUScore)
+		if !c.exec.CompareAndSwap(nil, e) || c.stopped.Load() {
+			e.Stop()
+		}
+	}
+	return c.exec.Load()
+}
+
 // currentStats snapshots the client's load as a stats report, consuming
 // (swap-to-zero) the message counters exactly as the report on the wire
-// would.
+// would. A client not sent a task yet has no executor, and no task load.
 func (c *Client) currentStats() statsReport {
-	return statsReport{
+	rep := statsReport{
 		Peer:      c.host.Name(),
 		InboxLen:  int(c.msgsIn.Swap(0)),
 		OutboxLen: int(c.msgsOut.Swap(0)),
-		QueueLen:  c.exec.QueueLen(),
-		ReadyIn:   c.exec.ReadyIn(),
 		CPUScore:  c.cfg.CPUScore,
 	}
+	if e := c.exec.Load(); e != nil {
+		rep.QueueLen, rep.ReadyIn = e.QueueLen(), e.ReadyIn()
+	}
+	return rep
 }
 
-// refreshDir queries the broker's whole peer directory and makes the reply
-// the client's cached directory — the snapshot degraded selection falls back
-// to when the broker is gone.
+// refreshDir makes the broker's whole peer directory the client's cached
+// directory, which degraded selection falls back to when the broker is gone.
 func (c *Client) refreshDir() error {
 	reply, err := c.call(c.broker, frame(mtDiscover, discover{Kind: jxta.AdvPeer}.encodeTo))
 	if err != nil {
@@ -277,8 +280,7 @@ func (c *Client) Discover() ([]jxta.Advertisement, error) {
 }
 
 // Send transmits a file to the named peer in `parts` parts, filling m with
-// the transfer's record, and reports the outcome to the broker's statistics
-// service.
+// the transfer's record, and reports the outcome to the broker.
 func (c *Client) Send(peer string, f transfer.File, parts int, m *transfer.Metrics) error {
 	return c.sendReported(peer, m, func(addr transport.Addr) error {
 		return c.sender.Send(addr, f, parts, m)
@@ -292,11 +294,9 @@ func (c *Client) SendFile(peer string, f transfer.File, parts int) (m transfer.M
 }
 
 // SendPieces is Send for the pieces of f named by indices (positions in the
-// canonical pieces-way split). The report travels the same
-// origin-attributed path as whole-file sends, so a downloader that
-// re-originates pieces it holds is credited as an originator by the
-// broker's registry with no new accounting machinery; Bytes counts only
-// the pieces actually moved.
+// canonical pieces-way split), reported as a whole-file send is, so a
+// downloader re-originating pieces is credited as their originator; Bytes
+// counts only the pieces moved.
 func (c *Client) SendPieces(peer string, f transfer.File, pieces int, indices []int, m *transfer.Metrics) error {
 	return c.sendReported(peer, m, func(addr transport.Addr) error {
 		return c.sender.SendPieces(addr, f, pieces, indices, m)
@@ -304,15 +304,12 @@ func (c *Client) SendPieces(peer string, f transfer.File, pieces int, indices []
 }
 
 // sendReported runs one transmission, filling m, to the peer's transfer
-// address and reports the outcome to the broker. A part counts as a message
-// out whether or not it was confirmed; Bytes is what the transmission set
-// out to move. A send to an address no transport knows is not reported,
-// here or in SubmitTask and SendInstant: a name no node carries (a typo)
-// must not open a statistics record at the broker. Nor is a send that
-// failed after the client's own Stop, whose report could only fail on the
-// same closed mux: it reads as the client stopped, with pipe.ErrClosed in
-// the chain and not transfer.ErrFailed, so no relaunch loop retries a
-// departed source.
+// address and reports the outcome to the broker; a part counts as a message
+// out, confirmed or not. A send to an address no transport knows is not
+// reported, here or in SubmitTask and SendInstant: a typo must not open a
+// statistics record. Nor is a send that failed after the client's own Stop:
+// it reads as the client stopped (pipe.ErrClosed, not transfer.ErrFailed),
+// so no relaunch loop retries a departed source.
 func (c *Client) sendReported(peer string, m *transfer.Metrics, send func(transport.Addr) error) error {
 	sendErr := send(transport.MakeAddr(peer, ServiceTransfer))
 	c.msgsOut.Add(int64(len(m.Parts) + 1))
@@ -336,9 +333,8 @@ func (c *Client) sendReported(peer string, m *transfer.Metrics, send func(transp
 
 // ReportPieces publishes this peer's piece inventory and unchoke set into
 // its broker advertisement, where the dissemination driver reads them back
-// through Discover. Best-effort semantics are NOT wanted here: the caller
-// decides a round's assignments from this state, so a failed report must
-// surface (the driver then treats the peer as silent this round).
+// through Discover. Unlike the statistics reports it is not best-effort: a
+// failure surfaces, and the driver treats the peer as silent this round.
 func (c *Client) ReportPieces(have []int, unchoked []string) error {
 	rep := pieceReport{Peer: c.host.Name(), Have: have, Unchoked: unchoked}
 	reply, err := c.call(c.broker, frame(mtPieceReport, rep.encodeTo))
@@ -433,11 +429,8 @@ func (c *Client) SendInstant(peer, text string) error {
 }
 
 // SelectPeers asks the broker's selection service to rank peers with the
-// named model. Preferred carries the user's own ranking for the
-// user-preference/quick-peer model. Broker-side selection failures come back
-// as typed sentinels (ErrNoCandidates, ErrModelUnknown);
-// SelectDetailed additionally takes exclusions and reports degradation and
-// retry counts.
+// named model; preferred is the user's own ranking for the quick-peer model.
+// Broker-side failures come back as ErrNoCandidates or ErrModelUnknown.
 func (c *Client) SelectPeers(model string, req core.Request, max int, preferred []string) ([]string, error) {
 	sel, err := c.SelectDetailed(model, req, max, preferred, nil)
 	if err != nil {
@@ -453,8 +446,8 @@ func (c *Client) Name() string { return c.host.Name() }
 // Stop tears the client down.
 func (c *Client) Stop() {
 	c.stopped.Store(true)
-	if c.exec != nil {
-		c.exec.Stop()
+	if e := c.exec.Load(); e != nil {
+		e.Stop()
 	}
 	if c.ctlMux != nil {
 		c.ctlMux.Close()

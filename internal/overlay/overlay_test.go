@@ -252,7 +252,7 @@ func TestMalformedTaskRefused(t *testing.T) {
 				t.Errorf("SubmitTask(%v work units) = %v, want a rejection naming %q", w, err, task.ErrBadWork)
 			}
 		}
-		if ready := d.clients["sc2"].exec.ReadyIn(); ready != 0 {
+		if ready := d.clients["sc2"].exec.Load().ReadyIn(); ready != 0 {
 			t.Errorf("sc2's ready time after the refusals = %v, want 0", ready)
 		}
 	})

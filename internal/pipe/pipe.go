@@ -55,21 +55,14 @@ var (
 type Options struct {
 	// Window is the maximum number of unacknowledged messages per Conn.
 	// The default 4 keeps concurrent senders on a high-latency path busy
-	// (see BenchmarkAblationPipeWindow). Set Window to 1 explicitly for
-	// stop-and-wait — the paper's "confirm reception before the next part"
-	// protocol (the transfer engine confirms each part at the application
-	// level regardless, so the figures' granularity semantics do not
-	// depend on this default).
+	// (see BenchmarkAblationPipeWindow); 1 is stop-and-wait, the paper's
+	// protocol (the transfer engine confirms each part itself regardless).
 	Window int
-	// FirstID offsets the mux's locally allocated conn-id space (ids start
-	// at FirstID+1; default 0). A long-lived remote mux tombstones the
-	// (addr, id) key of every conn it accepted and tore down, so late
-	// retransmits cannot resurrect phantom conns — which means a node that
-	// restarts its mux must not reuse its previous incarnation's ids, or its
-	// first messages are silently dropped as stale. Rebooted clients derive
-	// FirstID from the boot instant (see overlay.BootPeer); conn ids
-	// are varint-encoded, so the default 0 keeps static deployments'
-	// frames byte-identical.
+	// FirstID offsets the mux's conn ids (they start at FirstID+1). A remote
+	// mux tombstones the id of every conn it accepted and tore down, so a
+	// late retransmit cannot resurrect it; a restarted mux must not reuse
+	// its last incarnation's ids, or their messages drop as stale. Rebooted
+	// clients derive FirstID from the boot instant (see overlay.BootPeer).
 	FirstID uint64
 }
 
@@ -123,8 +116,8 @@ type Mux struct {
 	handler func(Conn) // see Serve
 
 	mu       sync.Mutex
-	conns    map[connKey]*conn
-	dead     map[connKey]bool // torn-down accepted conns; see dispatch
+	conns    map[connKey]*conn          // made on the first conn
+	dead     map[transport.Addr]idSpans // torn-down accepted conns, by remote
 	nextID   uint64
 	closed   bool
 	accepts  transport.Queue // *conn
@@ -139,8 +132,6 @@ func NewMux(h transport.Host, ep transport.Endpoint, opts Options) *Mux {
 		host:    h,
 		ep:      ep,
 		opts:    opts.withDefaults(),
-		conns:   make(map[connKey]*conn),
-		dead:    make(map[connKey]bool),
 		nextID:  opts.FirstID,
 		accepts: h.NewQueue(),
 	}
@@ -151,9 +142,8 @@ func NewMux(h transport.Host, ep transport.Endpoint, opts Options) *Mux {
 // Addr returns the underlying endpoint address.
 func (m *Mux) Addr() transport.Addr { return m.ep.Addr() }
 
-// Dial creates a Conn to the remote pipe endpoint. There is no handshake:
-// the connection materializes at the remote Mux when the first message
-// arrives (JXTA pipes behave the same way).
+// Dial creates a Conn to the remote pipe endpoint. As with JXTA pipes there is
+// no handshake: the remote Mux makes the conn when its first message arrives.
 func (m *Mux) Dial(remote transport.Addr) (Conn, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -189,8 +179,7 @@ func (m *Mux) Serve(fn func(Conn)) {
 }
 
 // Close tears down the mux, every conn, and the endpoint. Conns go down in
-// (peer, theirs, id) order, so the processes they wake run in a fixed order
-// where the map iterated randomly.
+// (peer, theirs, id) order, so the processes they wake run in a fixed order.
 func (m *Mux) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -222,11 +211,9 @@ func (m *Mux) Close() error {
 
 // newConnLocked registers a fresh incarnation of a conn in the mux table,
 // holding the table's hold and the owner's. Caller holds m.mu. The conn is a
-// recycled one if the mux has any, its inbox reopened: the reorder buffer and
-// window wait queue are allocated only on the paths that need them
-// (out-of-order arrival, window exhaustion) and in-flight and inbox records
-// come from the mux, so the request/response conns that dominate broker
-// traffic allocate nothing on a warm mux.
+// recycled one if the mux has any, its inbox reopened; its reorder buffer
+// and window wait queue are made on first gap and first contention, so a
+// request/response conn allocates nothing on a warm mux.
 func (m *Mux) newConnLocked(peer transport.Addr, id uint64, theirs bool) *conn {
 	var c *conn
 	if n := len(m.connFree); n > 0 {
@@ -238,6 +225,9 @@ func (m *Mux) newConnLocked(peer transport.Addr, id uint64, theirs bool) *conn {
 	c.holds = 2
 	c.connState = connState{peer: peer, id: id, theirs: theirs,
 		tokAvail: m.opts.Window, recvNext: 1, srtt: initialRTT, rttvar: initialRTT / 2}
+	if m.conns == nil {
+		m.conns = make(map[connKey]*conn)
+	}
 	m.conns[connKey{peer, id, theirs}] = c
 	return c
 }
@@ -267,10 +257,8 @@ func (m *Mux) dispatch(msg transport.Message) {
 	}
 	c, ok := m.conns[key]
 	if !ok {
-		if kind != kindData || !dirTheirs || m.dead[key] {
-			// Acks/fins for unknown conns and data for closed conns are
-			// stale; drop.
-			m.mu.Unlock()
+		if kind != kindData || !dirTheirs || m.dead[msg.From].has(id) {
+			m.mu.Unlock() // stale: an ack or FIN for no conn, or data for a closed one
 			return
 		}
 		c = m.newConnLocked(msg.From, id, true)
@@ -358,8 +346,7 @@ type conn struct {
 }
 
 // connState is one incarnation of a conn, reset in one assignment on reuse.
-// The addressing fields are fixed for the incarnation; the rest sit under
-// the conn's mu.
+// All but the addressing fields sit under the conn's mu.
 type connState struct {
 	peer     transport.Addr
 	id       uint64
@@ -368,11 +355,8 @@ type connState struct {
 	// In-flight sends, linked in seq order: a send joins the tail as it
 	// takes its seq, an ack releases a prefix and teardown the whole list.
 	flHead, flTail *inflight
-	// Send-window accounting replacing a pre-filled token queue: tokAvail
-	// counts free slots, tokWaiting the senders parked (or committed to
-	// park) in tokWait, which is created on first contention. Waking a
-	// parked sender goes through the same queue mechanics at the same
-	// instant as the token-queue push did, so scheduling is unchanged.
+	// Send window: tokAvail counts free slots, tokWaiting the senders
+	// parked (or committed to park) in tokWait, made on first contention.
 	tokAvail   int
 	tokWaiting int
 	tokWait    transport.Queue
@@ -445,7 +429,6 @@ func (h Conn) SendSized(payload []byte, size int) error {
 
 func (c *conn) sendSized(payload []byte, size int) error {
 	size = max(size, len(payload))
-	// Acquire a window slot.
 	if err := c.acquireToken(); err != nil {
 		return c.closedErr()
 	}
@@ -559,9 +542,8 @@ func (m *Mux) takeMessage(v any) Message {
 }
 
 // acquireToken claims a send-window slot, parking the caller when the
-// window is full. A closed conn with free slots still grants one — matching
-// the token queue this replaces, whose buffered tokens stayed poppable
-// after Close — and sendSized's closed check rejects the send.
+// window is full. A closed conn with free slots still grants one, and
+// sendSized's closed check rejects the send.
 func (c *conn) acquireToken() error {
 	c.mu.Lock()
 	if c.tokAvail > 0 {
@@ -584,10 +566,8 @@ func (c *conn) acquireToken() error {
 }
 
 // releaseToken frees a window slot, handing it to the oldest parked sender
-// if any. tokWaiting is exact under the scheduler's serialized dispatch (a
-// waiter commits before anything else can run) and merely conservative
-// under real concurrency: a slot pushed before its waiter parks is buffered
-// in tokWait and claimed when the waiter arrives.
+// if any. Under real concurrency a slot pushed before its waiter parks waits
+// in tokWait for it; simulated dispatch parks the waiter first.
 func (c *conn) releaseToken() {
 	c.mu.Lock()
 	if c.tokWaiting > 0 {
@@ -601,9 +581,8 @@ func (c *conn) releaseToken() {
 	c.mu.Unlock()
 }
 
-// rtoFor sizes one attempt's timeout: smoothed RTT plus the expected
-// serialization time at the measured (or floor) service rate, doubled for
-// safety.
+// rtoFor sizes one attempt's timeout: the RTT estimate plus twice the
+// serialization time at the measured (or floor) service rate.
 func (c *conn) rtoFor(size int) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -679,32 +658,23 @@ func (c *conn) closedErr() error {
 // of order, re-acknowledge duplicates.
 func (c *conn) handleData(seq uint64, payload []byte, size int) {
 	c.mu.Lock()
-	if seq >= c.recvNext {
-		if seq == c.recvNext && len(c.recvBuf) == 0 {
-			// In-order fast path — the reorder buffer stays untouched (and,
-			// on a conn that never saw a gap, unallocated).
-			c.inbox.Push(c.mux.newMessage(payload, size))
-			c.recvNext++
-		} else {
-			if c.recvBuf == nil {
-				c.recvBuf = make(map[uint64]Message)
-			}
-			if _, dup := c.recvBuf[seq]; !dup {
-				c.recvBuf[seq] = Message{Payload: payload, Size: size}
-			}
-			for {
-				m, ok := c.recvBuf[c.recvNext]
-				if !ok {
-					break
-				}
-				delete(c.recvBuf, c.recvNext)
-				c.inbox.Push(c.mux.newMessage(m.Payload, m.Size))
-				c.recvNext++
-			}
+	switch {
+	case seq == c.recvNext:
+		c.inbox.Push(c.mux.newMessage(payload, size))
+		c.recvNext++
+	case seq > c.recvNext: // a retransmit of a buffered seq carries the same message
+		if c.recvBuf == nil {
+			c.recvBuf = make(map[uint64]Message)
 		}
-		if c.finSeq != 0 && c.recvNext >= c.finSeq {
-			c.inbox.Close()
-		}
+		c.recvBuf[seq] = Message{Payload: payload, Size: size}
+	}
+	for m, ok := c.recvBuf[c.recvNext]; ok; m, ok = c.recvBuf[c.recvNext] {
+		delete(c.recvBuf, c.recvNext)
+		c.inbox.Push(c.mux.newMessage(m.Payload, m.Size))
+		c.recvNext++
+	}
+	if c.finSeq != 0 && c.recvNext >= c.finSeq {
+		c.inbox.Close()
 	}
 	ackThrough := c.recvNext - 1
 	c.mu.Unlock()
@@ -829,24 +799,80 @@ func (c *conn) teardown(err error, unregister bool) {
 	tokWait := c.tokWait
 	c.mu.Unlock()
 
-	final := err
-	if final == nil {
-		final = ErrClosed
-	}
-	release(waiters, final)
+	release(waiters, err)
 	if tokWait != nil {
 		tokWait.Close()
 	}
 	c.inbox.Close()
 
 	if unregister {
-		key := connKey{c.peer, c.id, c.theirs}
-		c.mux.mu.Lock()
-		delete(c.mux.conns, key)
+		m := c.mux
+		m.mu.Lock()
+		delete(m.conns, connKey{c.peer, c.id, c.theirs})
 		if c.theirs { // dispatch reads tombstones for accepted conns only
-			c.mux.dead[key] = true
+			if m.dead == nil {
+				m.dead = make(map[transport.Addr]idSpans)
+			}
+			ids := m.dead[c.peer]
+			ids.add(c.id)
+			m.dead[c.peer] = ids
 		}
-		c.mux.mu.Unlock()
+		m.mu.Unlock()
 		c.leave()
 	}
+}
+
+// idSpans is a set of conn ids as sorted, disjoint, non-adjacent spans; the
+// zero value is empty. A dialer allocates ids in order, so a remote's
+// torn-down conns mostly form one span, held inline; a second spills all.
+type idSpans struct {
+	one  span
+	more []span
+}
+
+// span is the n ids from lo.
+type span struct{ lo, n uint64 }
+
+func (p span) has(id uint64) bool { return id-p.lo < p.n }
+
+func (s idSpans) has(id uint64) bool {
+	i := sort.Search(len(s.more), func(i int) bool { return s.more[i].lo+s.more[i].n-1 >= id })
+	return s.more == nil && s.one.has(id) || i < len(s.more) && s.more[i].has(id)
+}
+
+// add puts id in the set, merging the spans it joins.
+func (s *idSpans) add(id uint64) {
+	if s.more == nil && s.one.extend(id) {
+		return
+	} else if s.more == nil {
+		s.more = []span{s.one}
+	}
+	sp := s.more
+	i := sort.Search(len(sp), func(i int) bool { return sp[i].lo+sp[i].n-1 >= id })
+	switch {
+	case i > 0 && sp[i-1].extend(id): // id ends sp[i-1] now: maybe next to sp[i]
+		if i < len(sp) && sp[i].lo-id == 1 {
+			sp[i-1].n += sp[i].n
+			s.more = slices.Delete(sp, i, i+1)
+		}
+	case i < len(sp) && sp[i].extend(id):
+	default:
+		s.more = slices.Insert(sp, i, span{id, 1})
+	}
+}
+
+// extend grows p by id if p is empty or id is in it or next to it.
+func (p *span) extend(id uint64) bool {
+	switch {
+	case p.n == 0:
+		p.lo, p.n = id, 1
+	case p.has(id):
+	case id-p.lo == p.n:
+		p.n++
+	case p.lo-id == 1:
+		p.lo, p.n = id, p.n+1
+	default:
+		return false
+	}
+	return true
 }

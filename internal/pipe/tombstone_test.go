@@ -3,6 +3,7 @@ package pipe
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -192,5 +193,37 @@ func tombstoneProgram(t *testing.T, seed int64, steps int) {
 	})
 	if replays["new"] == 0 || replays["open"] == 0 || replays["dead"] == 0 {
 		t.Fatalf("replays by the model's verdict: %v; want some of each", replays)
+	}
+}
+
+// TestIDSpansMatchSet adds ids in random order, from ranges narrow enough to
+// make spans meet (some at the top of the id space), and checks membership
+// and the span invariant (sorted, disjoint, never adjacent) against a plain
+// set after every add.
+func TestIDSpansMatchSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		width := 1 + rng.Intn(64)
+		base := uint64(rng.Int63())
+		if trial%4 == 0 {
+			base = math.MaxUint64 - uint64(width) + 1
+		}
+		ref := map[uint64]bool{}
+		var s idSpans
+		for i := 0; i < 2*width; i++ {
+			id := base + uint64(rng.Intn(width))
+			s.add(id)
+			ref[id] = true
+			for k := -1; k <= width; k++ {
+				if probe := base + uint64(k); s.has(probe) != ref[probe] {
+					t.Fatalf("trial %d: after adding %d, has(%d) = %v", trial, id, probe, !ref[probe])
+				}
+			}
+			for j := 1; j < len(s.more); j++ {
+				if s.more[j].lo <= s.more[j-1].lo+s.more[j-1].n {
+					t.Fatalf("trial %d: spans %v are not sorted, disjoint and apart", trial, s.more)
+				}
+			}
+		}
 	}
 }

@@ -79,8 +79,9 @@ type Network struct {
 
 	mu        sync.Mutex
 	nodes     map[string]*Node
-	partsKey  map[pairKey]bool   // severed directed pairs
-	extraLoss map[string]float64 // per-node extra drop probability
+	partsKey  map[pairKey]bool          // severed directed pairs
+	busy      map[pairKey]time.Duration // a directed pair's uplink busy-until
+	extraLoss map[string]float64        // per-node extra drop probability
 
 	// Counters are cumulative across the network's lifetime.
 	sent      int64
@@ -107,6 +108,7 @@ func New(seed int64) *Network {
 		seed:      seed,
 		nodes:     make(map[string]*Node),
 		partsKey:  make(map[pairKey]bool),
+		busy:      make(map[pairKey]time.Duration),
 		extraLoss: make(map[string]float64),
 	}
 }
@@ -139,9 +141,6 @@ func (n *Network) AddNode(name string, p Profile) (*Node, error) {
 	if _, dup := n.nodes[name]; dup {
 		return nil, fmt.Errorf("simnet: duplicate node %q", name)
 	}
-	// endpoints and pairBusy are allocated on first bind/send: a node in a
-	// large directory that is never booted costs two nil maps, not two
-	// allocated ones.
 	node := &Node{
 		net:     n,
 		name:    name,
@@ -174,10 +173,9 @@ func (n *Network) Partition(from, to string, severed bool) {
 
 // SetExtraLoss sets an extra per-message drop probability for every message
 // to or from the named node (a congested uplink, a loss burst); rate <= 0
-// clears it. When both endpoints carry extra loss, the probabilities sum
-// (capped at 1). The extra draw is consumed only while an endpoint's rate
-// is positive, so enabling and later clearing it leaves an untouched
-// network's draw streams byte-identical to one that never saw it.
+// clears it. Both endpoints' rates sum (capped at 1). The extra draw is made
+// only while a rate is positive, so a cleared rate leaves no trace in the
+// draw streams.
 func (n *Network) SetExtraLoss(name string, rate float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -208,18 +206,15 @@ type Node struct {
 	profile Profile
 
 	// Guarded by net.mu:
-	endpoints  map[string]*endpoint     // lazily allocated on first bind
-	pairBusy   map[string]time.Duration // per destination node, uplink busy-until (lazy)
-	lastActive time.Duration            // last time the node did anything
-	wakeAt     time.Duration            // pending wake-up time, if any
-	rng        *rand.Rand               // made on first use; see randLocked
+	endpoints  map[string]*endpoint // made on first bind: a node never booted holds none
+	lastActive time.Duration        // last time the node did anything
+	wakeAt     time.Duration        // pending wake-up time, if any
+	rng        *rand.Rand           // made on first use; see randLocked
 }
 
 // randLocked returns the node's deterministic random source, made on first
-// use: its seed is a pure function of (network seed, node name), so the
-// stream is the one an eager constructor would give, and a node that never
-// draws (most of a large directory in a per-peer experiment cell) holds
-// nothing. Caller holds net.mu.
+// use: its seed is a pure function of (network seed, node name), so a node
+// that never draws holds nothing. Caller holds net.mu.
 func (nd *Node) randLocked() *rand.Rand {
 	if nd.rng == nil {
 		nd.rng = transport.NewRand(hashSeed(nd.net.seed, nd.name, ""))
@@ -331,15 +326,9 @@ func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) er
 		bw /= 1 + math.Pow(float64(size)/q.DegradeRefBytes, q.DegradeExp)
 	}
 	txDur := time.Duration(float64(size) / bw * float64(time.Second))
-	start := now
-	if busy := src.pairBusy[to.Node()]; busy > start {
-		start = busy
-	}
-	txEnd := start + txDur
-	if src.pairBusy == nil {
-		src.pairBusy = make(map[string]time.Duration)
-	}
-	src.pairBusy[to.Node()] = txEnd
+	pair := pairKey{src.name, dstNode.name}
+	txEnd := max(now, net.busy[pair]) + txDur
+	net.busy[pair] = txEnd
 	src.lastActive = txEnd
 
 	latency := p.LatencyOneWay + q.LatencyOneWay
@@ -378,7 +367,7 @@ func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) er
 	}
 
 	// Loss.
-	lost := net.partsKey[pairKey{src.name, dstNode.name}]
+	lost := net.partsKey[pair]
 	if extra := net.extraLoss[src.name] + net.extraLoss[dstNode.name]; !lost && extra > 0 {
 		if src.randLocked().Float64() < min(extra, 1) {
 			lost = true

@@ -60,7 +60,8 @@ func BenchmarkSnapshotInto(b *testing.B) {
 
 // BenchmarkRegistryBytesPerPeer reports the live heap a registry holds per
 // registered peer — the record and its map entry, names aside — at 4 096
-// peers that each reported once.
+// peers: silent ones, whose only report is a CPU score, and ones that also
+// recorded a message and so hold a message window.
 func BenchmarkRegistryBytesPerPeer(b *testing.B) {
 	const peers = 4096
 	now, _ := fixedClock(t0)
@@ -68,21 +69,27 @@ func BenchmarkRegistryBytesPerPeer(b *testing.B) {
 	for i := range names {
 		names[i] = fmt.Sprintf("n%05d.uniform.slice.peerlab", i)
 	}
-	var total float64
-	for i := 0; i < b.N; i++ {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		r := NewRegistry(now)
-		for _, n := range names {
-			ps := r.Peer(n)
-			ps.SetCPUScore(1)
-			ps.RecordMessage(true)
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(r)
-		total += float64(after.HeapAlloc-before.HeapAlloc) / peers
+	for _, shape := range []string{"silent", "messaged"} {
+		b.Run(shape, func(b *testing.B) {
+			var total float64
+			for i := 0; i < b.N; i++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				r := NewRegistry(now)
+				for _, n := range names {
+					ps := r.Peer(n)
+					ps.SetCPUScore(1)
+					if shape == "messaged" {
+						ps.RecordMessage(true)
+					}
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(r)
+				total += float64(after.HeapAlloc-before.HeapAlloc) / peers
+			}
+			b.ReportMetric(total/float64(b.N), "B/peer")
+		})
 	}
-	b.ReportMetric(total/float64(b.N), "B/peer")
 }

@@ -36,8 +36,7 @@ func (r *Ratio) Record(ok bool) {
 }
 
 // PercentOr returns the success percentage in [0,100], or def when no
-// attempt was recorded (an unknown peer should be scored neutrally, not as a
-// total failure).
+// attempt was recorded: an unknown peer scores neutrally, not as a failure.
 func (r Ratio) PercentOr(def float64) float64 {
 	if r.Total == 0 {
 		return def
@@ -94,13 +93,13 @@ func (e EWMA) Value(def float64) float64 {
 }
 
 // hourBuckets is a ring of per-hour success counters backing the paper's
-// "last k hours" criteria.
+// "last k hours" criteria: one slot for each hour a Snapshot reads.
 type hourBuckets struct {
 	buckets [windowHours]Ratio
 	stamped [windowHours]int64 // absolute hour number each bucket holds
 }
 
-const windowHours = 48
+const windowHours = DefaultWindowHours
 
 func (h *hourBuckets) record(now time.Time, ok bool) {
 	hour := now.Unix() / 3600
@@ -112,8 +111,12 @@ func (h *hourBuckets) record(now time.Time, ok bool) {
 	h.buckets[i].Record(ok)
 }
 
-// percentLast aggregates the most recent k hourly buckets.
+// percentLast aggregates the most recent k hourly buckets; a nil ring, a
+// peer never sent a message, reads def.
 func (h *hourBuckets) percentLast(now time.Time, k int, def float64) float64 {
+	if h == nil {
+		return def
+	}
 	k = min(k, windowHours)
 	hour := now.Unix() / 3600
 	var agg Ratio
@@ -134,15 +137,13 @@ type PeerStats struct {
 	mu   sync.Mutex
 	peer string
 	now  func() time.Time
-	// ver, when non-nil, is the owning Registry's mutation counter; every
-	// state change bumps it so readers can cache derived views (the broker's
-	// candidate table) against an unchanged registry. Standalone PeerStats
-	// leave it nil.
+	// ver is the owning Registry's mutation counter (nil standalone): every
+	// state change bumps it, so readers can cache views derived from it.
 	ver *atomic.Uint64
 
 	// Messaging.
 	msgTotal  Ratio
-	msgHourly hourBuckets
+	msgHourly *hourBuckets // made on the first message
 	outbox    Gauge
 	inbox     Gauge
 
@@ -193,6 +194,9 @@ func (p *PeerStats) update(f func()) {
 func (p *PeerStats) RecordMessage(ok bool) {
 	p.update(func() {
 		p.msgTotal.Record(ok)
+		if p.msgHourly == nil {
+			p.msgHourly = new(hourBuckets)
+		}
 		p.msgHourly.record(p.now(), ok)
 	})
 }
@@ -235,11 +239,9 @@ func (p *PeerStats) RecordTransferOutcome(cancelled bool) {
 	p.update(func() { p.cancelTotal.Record(cancelled) })
 }
 
-// RecordTransferOriginated records a transmission launch this peer sourced —
-// the origin-side mirror of the sink-side RecordFileSent, with the same
-// launch-level granularity: a flow the workload layer relaunches counts one
-// record per launch on both sides. bytes is the payload size (counted only
-// for completed launches).
+// RecordTransferOriginated records a transmission launch this peer sourced,
+// the origin-side mirror of RecordFileSent: one record per launch. bytes is
+// the payload size, counted for completed launches only.
 func (p *PeerStats) RecordTransferOriginated(ok bool, bytes int) {
 	p.update(func() {
 		p.originated.Record(ok)
@@ -337,12 +339,7 @@ func (p *PeerStats) SnapshotInto(dst *Snapshot, now time.Time) {
 
 	dst.PctMsgTotal = p.msgTotal.PercentOr(100)
 	dst.PctMsgSession = dst.PctMsgTotal
-	// Every hourly record is also a total record: a peer with no message
-	// history has 48 empty buckets and no need to walk them.
-	dst.PctMsgLastK = 100
-	if p.msgTotal.Total > 0 {
-		dst.PctMsgLastK = p.msgHourly.percentLast(now, DefaultWindowHours, 100)
-	}
+	dst.PctMsgLastK = p.msgHourly.percentLast(now, DefaultWindowHours, 100)
 	dst.OutboxNow = p.outbox.Now
 	dst.OutboxAvg = p.outbox.Avg()
 	dst.InboxNow = p.inbox.Now
@@ -403,10 +400,9 @@ func (r *Registry) Peer(name string) *PeerStats {
 }
 
 // Version returns the registry's mutation counter. It advances on every
-// state change of every registered peer (and on peer creation), so two equal
-// readings with no interleaved mutation guarantee that every Snapshot taken
-// at the first reading is still exact at the second. Readers may use it to
-// cache views derived from snapshots — the broker's candidate table does.
+// state change of every registered peer and on peer creation, so a Snapshot
+// taken at one reading is still exact at an equal later one: the broker's
+// candidate table caches on it.
 func (r *Registry) Version() uint64 { return r.ver.Load() }
 
 // Names returns all known peer names, sorted.
@@ -431,11 +427,9 @@ func (r *Registry) Snapshots() []Snapshot {
 	return out
 }
 
-// Union presents several Registries as one view. Per-peer access routes to
-// the owning registry via pick; whole-view reads (Names, Snapshots) merge
-// every registry and restore the sorted order a single Registry would
-// return. The broker keeps one Registry; only the benchmark's union probe
-// builds a Union.
+// Union presents several Registries as one view: per-peer access routes to
+// the owning registry via pick, and whole-view reads merge every registry in
+// a single Registry's sorted order. Only the benchmark's union probe uses it.
 type Union struct {
 	regs []*Registry
 	pick func(peer string) *Registry

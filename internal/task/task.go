@@ -43,9 +43,8 @@ var ErrQueueFull = errors.New("task: executor queue full")
 // ErrStopped is returned after the executor shuts down.
 var ErrStopped = errors.New("task: executor stopped")
 
-// ErrBadWork is returned for work units that are NaN, infinite or negative:
-// one such task would leave the backlog, and every ready time reported
-// from it, meaningless for good.
+// ErrBadWork is returned for work units that are NaN, infinite or negative,
+// which would leave the backlog and every later ready time meaningless.
 var ErrBadWork = errors.New("task: work units must be finite and non-negative")
 
 // maxQueue bounds accepted-but-not-started tasks: admission control
@@ -82,9 +81,8 @@ func NewExecutor(host transport.Host, cpuScore float64) *Executor {
 	return e
 }
 
-// Submit offers a task; the result is delivered to done (which must not
-// block). Work units that are NaN, infinite or negative are refused, and
-// admission control rejects when the queue is full.
+// Submit offers a task, whose result goes to done (which must not block).
+// Bad work units are refused, and so is a task that finds the queue full.
 func (e *Executor) Submit(t Task, done func(Result)) error {
 	if math.IsNaN(t.WorkUnits) || math.IsInf(t.WorkUnits, 0) || t.WorkUnits < 0 {
 		return ErrBadWork

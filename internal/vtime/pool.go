@@ -7,22 +7,18 @@ import (
 	"sync"
 )
 
-// Pool is a reservoir of the coroutines scheduler processes execute on.
-// Simulations at 10k–100k peers start and finish millions of short
-// processes (flows, timer fires, per-connection handlers); a coroutine costs
-// a stack and some fifteen allocations to create, so without a pool the
-// transient stacks would dominate both allocation and GC stack-scanning
-// time. A pool keeps finished processes' coroutines on an idle list (most
-// recently finished first, for cache locality) and runs the next process on
-// one of them.
+// Pool is a reservoir of the coroutines scheduler processes execute on. A
+// coroutine costs a stack and some fifteen allocations to create, and a
+// large simulation starts and finishes millions of short processes, so a
+// pool keeps finished processes' coroutines on an idle list (most recently
+// finished first, for cache locality) and runs the next process on one of
+// them. A spawned process holds none until its first turn arrives.
 //
 // Reuse is invisible to the simulation by construction: a scheduler orders
-// processes by their admission to its ready ring (spawn order, wake order),
-// and which coroutine a closure happens to run on plays no part in that
-// order. A pool may therefore be shared freely — by every scheduler in the
-// program (the default, see SharedPool), and in particular across sweep
-// cells, so a 65k-peer cell inherits the previous cell's warm stacks
-// instead of growing its own.
+// processes by their admission to its ready ring, and which coroutine a
+// process runs on plays no part in that order. A pool may therefore be
+// shared by every scheduler in the program (see SharedPool), so a sweep
+// cell inherits the previous cell's warm stacks.
 //
 // Pool is safe for concurrent use. A coroutine belongs to whichever
 // scheduler's driver last took it; it parks inside that scheduler's
@@ -65,6 +61,7 @@ type pworker struct {
 	resume func() (struct{}, bool) // driver side: run until the next yield
 	yield  func(struct{}) bool     // coroutine side: switch back to the driver
 	fn     func()                  // the process, handed over by the driver; nil once it returned
+	q      *Queue                  // or, fn nil, the served queue whose drain it is; nil likewise
 
 	// Park slot. A waker stores the result of a Pop in v before making the
 	// process runnable; deadline is that Pop's armed timeout, if any. Both
@@ -102,7 +99,7 @@ func (w *pworker) loop(yield func(struct{}) bool) {
 	}
 }
 
-// run executes the process in fn. If it panics the coroutine is gone and
+// run executes the process. If it panics the coroutine is gone and
 // iter.Pull re-raises the value in the driver's resume, on the driver's
 // stack; the stack that explains the panic is this one, so it rides along.
 func (w *pworker) run() {
@@ -111,8 +108,12 @@ func (w *pworker) run() {
 			panic(fmt.Sprintf("%v\n\nvtime process stack:\n%s", r, debug.Stack()))
 		}
 	}()
-	w.fn()
-	w.fn = nil
+	if w.q != nil {
+		w.q.drain()
+	} else {
+		w.fn()
+	}
+	w.fn, w.q = nil, nil
 }
 
 // park switches from the running process back to its driver; it returns

@@ -16,23 +16,20 @@ var (
 )
 
 // Queue is an unbounded FIFO of values integrated with the scheduler: Pop
-// parks the calling process — a yield to the driver, which runs whatever is
-// ready next — without stalling virtual time, and Push (from a process, a
-// timer or any other goroutine) hands the value to the oldest waiter and
-// makes it runnable. A served queue (see Serve) has a handler instead of
-// waiters.
-//
-// Queue is the rendezvous point between simulated network links and protocol
-// code: it plays the role a socket receive buffer plays in a real host.
-// Buffered values and parked processes both sit in head-indexed FIFOs that
-// keep their backing arrays, so a queue in steady use allocates nothing.
+// parks the calling process (a yield to the driver) without stalling virtual
+// time, and Push (from a process, a timer or any other goroutine) hands the
+// value to the oldest waiter and makes it runnable. A served queue (see
+// Serve) has a handler instead of waiters. Queue plays the role of a
+// socket's receive buffer between simulated links and protocol code; its
+// values and parked processes sit in head-indexed FIFOs that keep their
+// backing arrays, so a queue in steady use allocates nothing.
 type Queue struct {
 	s        *Scheduler
 	items    fifo[any]
 	waits    fifo[*pworker] // parked Pops, oldest first; each waiter's slot is in its pworker
-	drain    func()         // a served queue's consumer process, see Serve
+	serve    func(any)      // a served queue's consumer, see Serve
 	closed   bool
-	draining bool // drain is in the ready ring or running
+	draining bool // the drain is in the ready ring or running
 }
 
 // NewQueue returns an empty queue bound to the scheduler.
@@ -73,30 +70,32 @@ func (q *Queue) pushLocked(v any) error {
 func (q *Queue) Serve(fn func(any)) {
 	q.s.mu.Lock()
 	defer q.s.mu.Unlock()
-	q.drain = func() {
-		for v, ok := q.next(); ok; v, ok = q.next() {
-			fn(v)
-		}
-	}
+	q.serve = fn
 	q.wakeDrainLocked()
+}
+
+// drain is a served queue's consumer process: it hands serve the buffered
+// values in order and ends once the queue is empty.
+func (q *Queue) drain() {
+	for {
+		q.s.mu.Lock()
+		v, ok := q.items.pop()
+		q.draining = ok
+		q.s.mu.Unlock()
+		if !ok {
+			return
+		}
+		q.serve(v)
+	}
 }
 
 // wakeDrainLocked admits the drain of a served queue holding values, unless
 // one is pending already. Caller holds the scheduler lock.
 func (q *Queue) wakeDrainLocked() {
-	if q.drain != nil && !q.draining && q.items.len() > 0 {
+	if q.serve != nil && !q.draining && q.items.len() > 0 {
 		q.draining = true
-		q.s.admitLocked(readyItem{fn: q.drain})
+		q.s.admitLocked(readyItem{q: q})
 	}
-}
-
-// next takes the drain's next value; on an empty queue it ends the drain.
-func (q *Queue) next() (any, bool) {
-	q.s.mu.Lock()
-	defer q.s.mu.Unlock()
-	v, ok := q.items.pop()
-	q.draining = ok
-	return v, ok
 }
 
 // deliverLocked ends w's park with result v: its deadline, if armed, is
@@ -121,8 +120,7 @@ func (q *Queue) expireLocked(w *pworker) {
 }
 
 // Pop removes and returns the oldest value, parking the calling process until
-// one is available. It returns ErrClosed once the queue is closed and
-// drained.
+// one is available. It returns ErrClosed once the queue is closed and drained.
 func (q *Queue) Pop() (any, error) {
 	return q.pop(-1)
 }
@@ -136,7 +134,7 @@ func (q *Queue) PopTimeout(d time.Duration) (any, error) {
 func (q *Queue) pop(timeout time.Duration) (any, error) {
 	s := q.s
 	s.mu.Lock()
-	if q.drain != nil {
+	if q.serve != nil {
 		s.mu.Unlock()
 		panic("vtime: Pop on a served queue")
 	}
@@ -174,11 +172,9 @@ func (q *Queue) pop(timeout time.Duration) (any, error) {
 type errTimeoutMarker struct{}
 type errClosedMarker struct{}
 
-// PushAt schedules v to be pushed at absolute virtual time at. If at is in
-// the past it is clamped to now. Pushes scheduled for the same instant are
-// delivered in PushAt call order. The push is silently dropped if the queue
-// is closed by then — exactly the semantics of a datagram arriving at a dead
-// socket.
+// PushAt schedules v to be pushed at absolute virtual time at, clamped to
+// now. Pushes for one instant land in PushAt call order; one that finds the
+// queue closed is dropped, as a datagram arriving at a dead socket is.
 func (q *Queue) PushAt(v any, at time.Time) {
 	s := q.s
 	s.mu.Lock()
@@ -205,8 +201,7 @@ func (q *Queue) Reopen() {
 }
 
 // Close marks the queue closed and wakes every waiter, oldest first, with
-// ErrClosed. Values already buffered remain poppable; once drained, Pop
-// reports ErrClosed.
+// ErrClosed. Values already buffered remain poppable.
 func (q *Queue) Close() {
 	q.s.mu.Lock()
 	defer q.s.mu.Unlock()

@@ -26,9 +26,7 @@
 // the next timer instant and fires it. Everything else — Go, Push,
 // AfterFunc, a timer firing — only appends to the ring, so the ring's order
 // is the dispatch order and nothing runs until some goroutine drives.
-// Coroutines are pooled (see Pool): a spawned process occupies none until
-// its first turn arrives, and a finished process's coroutine, warm stack
-// included, runs the next spawn.
+// Coroutines are pooled (see Pool).
 //
 // The package underpins internal/simnet: network links schedule message
 // deliveries as timers, and protocol code written against the transport
@@ -82,12 +80,14 @@ type Scheduler struct {
 }
 
 // readyItem is one entry in the dispatch ring: either a parked process to
-// resume (w non-nil) or a process that was spawned but never started — its
-// closure is handed a pooled coroutine only when its turn arrives, so
-// spawning 100k flows queues 100k closures, not 100k stacks.
+// resume (w non-nil) or a process that was spawned but never started — a
+// closure (fn) or a served queue's drain (q), handed a pooled coroutine only
+// when its turn arrives, so spawning 100k flows queues 100k closures, not
+// 100k stacks.
 type readyItem struct {
 	w  *pworker
 	fn func()
+	q  *Queue
 }
 
 // NewScheduler returns a scheduler with the clock at Epoch and no processes.
@@ -119,7 +119,7 @@ func (s *Scheduler) Elapsed() time.Duration {
 
 // admitLocked appends to the ready ring — the one way anything becomes
 // runnable: a parked process (w) whose park slot the waker has already
-// filled, or a fresh spawn (fn). Caller holds s.mu.
+// filled, or a fresh spawn (fn, or q's drain). Caller holds s.mu.
 func (s *Scheduler) admitLocked(it readyItem) {
 	s.deadlockNotified = false
 	s.ready.push(it)
@@ -350,7 +350,7 @@ func (s *Scheduler) runLocked(it readyItem) {
 	w := it.w
 	if w == nil {
 		w = s.pool.get()
-		w.fn = it.fn
+		w.fn, w.q = it.fn, it.q
 	}
 	s.cur = w
 	s.mu.Unlock()
@@ -359,7 +359,7 @@ func (s *Scheduler) runLocked(it readyItem) {
 		s.cur = nil
 	}()
 	w.resume()
-	if w.fn == nil {
+	if w.fn == nil && w.q == nil {
 		s.pool.put(w) // the process returned; its coroutine is free again
 	}
 }
