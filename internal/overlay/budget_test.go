@@ -1,12 +1,16 @@
 package overlay
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"peerlab/internal/simnet"
+	"peerlab/internal/task"
 )
 
 // liveHeap reports the live heap bytes and objects after a collection. Two
@@ -37,13 +41,7 @@ func TestPeerBudget(t *testing.T) {
 	for i := 0; i < peers; i++ {
 		profiles[fmt.Sprintf("p%04d", i)] = clientProfile()
 	}
-	names := slices.Sorted(func(yield func(string) bool) {
-		for name := range profiles {
-			if !yield(name) {
-				return
-			}
-		}
-	})
+	names := slices.Sorted(maps.Keys(profiles))
 
 	bytes0, objects0 := liveHeap()
 	d := deploy(t, profiles)
@@ -83,4 +81,35 @@ func TestPeerBudget(t *testing.T) {
 		t.Errorf("a heartbeat leaves %.1f B live, budget under 8", perBeat)
 	}
 	runtime.KeepAlive(d)
+}
+
+// TestExecutorBuiltOnFirstTask: concurrent first submissions (realnet serves
+// conns concurrently) share one executor, and a client stopped before its
+// first task still refuses one.
+func TestExecutorBuiltOnFirstTask(t *testing.T) {
+	n := simnet.New(1)
+	c := NewClient(n.MustAddNode("p1", clientProfile()), "broker0/client", ClientConfig{})
+	if load := c.currentStats(); load.QueueLen != 0 || load.ReadyIn != 0 {
+		t.Fatalf("load before any task = %+v, want none", load)
+	}
+	got := make([]*task.Executor, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = c.executor()
+		}()
+	}
+	wg.Wait()
+	for i, e := range got {
+		if e == nil || e != got[0] {
+			t.Fatalf("submission %d got executor %p, the first %p", i, e, got[0])
+		}
+	}
+	stopped := NewClient(n.MustAddNode("p2", clientProfile()), "broker0/client", ClientConfig{})
+	stopped.Stop()
+	if err := stopped.executor().Submit(task.Task{WorkUnits: 1}, nil); !errors.Is(err, task.ErrStopped) {
+		t.Fatalf("a task after Stop: %v, want %v", err, task.ErrStopped)
+	}
 }

@@ -842,9 +842,10 @@ func (s idSpans) has(id uint64) bool {
 
 // add puts id in the set, merging the spans it joins.
 func (s *idSpans) add(id uint64) {
-	if s.more == nil && s.one.extend(id) {
-		return
-	} else if s.more == nil {
+	if s.more == nil {
+		if s.one.extend(id) {
+			return
+		}
 		s.more = []span{s.one}
 	}
 	sp := s.more

@@ -61,7 +61,7 @@ type pworker struct {
 	resume func() (struct{}, bool) // driver side: run until the next yield
 	yield  func(struct{}) bool     // coroutine side: switch back to the driver
 	fn     func()                  // the process, handed over by the driver; nil once it returned
-	q      *Queue                  // or, fn nil, the served queue whose drain it is; nil likewise
+	q      *Queue                  // or the served queue whose drain is the process; nil likewise
 
 	// Park slot. A waker stores the result of a Pop in v before making the
 	// process runnable; deadline is that Pop's armed timeout, if any. Both
