@@ -326,9 +326,9 @@ func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) er
 		bw /= 1 + math.Pow(float64(size)/q.DegradeRefBytes, q.DegradeExp)
 	}
 	txDur := time.Duration(float64(size) / bw * float64(time.Second))
-	pair := pairKey{src.name, dstNode.name}
-	txEnd := max(now, net.busy[pair]) + txDur
-	net.busy[pair] = txEnd
+	// Keys built in place: a named one grew the frame every sender parks on.
+	txEnd := max(now, net.busy[pairKey{src.name, dstNode.name}]) + txDur
+	net.busy[pairKey{src.name, dstNode.name}] = txEnd
 	src.lastActive = txEnd
 
 	latency := p.LatencyOneWay + q.LatencyOneWay
@@ -367,7 +367,7 @@ func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) er
 	}
 
 	// Loss.
-	lost := net.partsKey[pair]
+	lost := net.partsKey[pairKey{src.name, dstNode.name}]
 	if extra := net.extraLoss[src.name] + net.extraLoss[dstNode.name]; !lost && extra > 0 {
 		if src.randLocked().Float64() < min(extra, 1) {
 			lost = true
