@@ -1,15 +1,20 @@
 package overlay
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"peerlab/internal/jxta"
 	"peerlab/internal/simnet"
+	"peerlab/internal/transport"
+	"peerlab/internal/wire"
 )
 
 // refDirectory is the reference lease directory the broker's sharded,
@@ -266,6 +271,266 @@ func FuzzLeaseDirectoryMatchesReference(f *testing.F) {
 	f.Add(int64(3), uint8(4), uint16(150))
 	f.Fuzz(func(t *testing.T, seed int64, shards uint8, steps uint16) {
 		if err := checkLeaseProgram(seed, 1+int(shards)%4, int(steps)%500); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// refPeers is the reference peer directory a broker keeps: one map by name,
+// scanned and sorted per read, which decides liveness against the clock each
+// time it reads. It restates the broker's rules: a register or a report
+// stores the peer under a fresh lease, a report from a peer whose lease
+// lapsed rebuilds its entry, and a shard at its limit makes room for a new
+// name by evicting its live entry closest to expiry, the first by name among
+// equals.
+type refPeers struct {
+	advs  map[string]jxta.Advertisement
+	limit int
+	shard func(name string) int
+}
+
+func (r *refPeers) live(name string, now time.Time) (jxta.Advertisement, bool) {
+	a, ok := r.advs[name]
+	return a, ok && a.Expires.After(now)
+}
+
+// list returns the live entries in name order.
+func (r *refPeers) list(now time.Time) []jxta.Advertisement {
+	var out []jxta.Advertisement
+	for _, a := range r.advs {
+		if a.Expires.After(now) {
+			out = append(out, a)
+		}
+	}
+	slices.SortFunc(out, func(a, b jxta.Advertisement) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
+
+func (r *refPeers) publish(a jxta.Advertisement, now time.Time, ttl time.Duration) {
+	a.Kind, a.ID, a.Expires = jxta.AdvPeer, jxta.NewID("peer", a.Name), now.Add(ttl)
+	if _, ok := r.live(a.Name, now); !ok {
+		var owned []jxta.Advertisement
+		for _, b := range r.list(now) {
+			if r.shard(b.Name) == r.shard(a.Name) {
+				owned = append(owned, b)
+			}
+		}
+		if len(owned) >= r.limit {
+			victim := slices.MinFunc(owned, func(a, b jxta.Advertisement) int { return a.Expires.Compare(b.Expires) })
+			delete(r.advs, victim.Name)
+		}
+	}
+	r.advs[a.Name] = a
+}
+
+// lease returns the entry a report from name renews: the live one, or the one
+// the broker rebuilds for a lapsed lease, its transfer address taken from the
+// reporting node.
+func (r *refPeers) lease(name, from string, now time.Time) (jxta.Advertisement, bool) {
+	if a, ok := r.live(name, now); ok {
+		return a, false
+	}
+	return jxta.Advertisement{Name: name, Addr: string(transport.MakeAddr(from, ServiceTransfer))}, true
+}
+
+// discoverPeers is the request for the whole peer directory.
+func discoverPeers() []byte { return frame(mtDiscover, discover{Kind: jxta.AdvPeer}.encodeTo) }
+
+// checkBrokerDirectoryProgram runs a seeded program against a broker of the
+// given shard count, every step a frame sent to its handlers from a probe
+// node — registers (some unnamed, some claiming another kind or ID),
+// heartbeats and piece reports, each of which may resurrect a lapsed or
+// evicted peer — or a Restart or a clock advance: an arbitrary one, one past
+// the lease, one onto an expiry instant exactly. The cache limit is small, so
+// publishes evict, often among leases that end at one instant; the names
+// cross the p999/p1000 boundary, where name order is not number order. After
+// every step it compares Broker.Peers and the discover reply's bytes with a
+// fresh encode of the reference's list, and every ack with what the
+// reference expects.
+func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
+	const ttl, limit = leaseProgramTTL, 3
+	rng := rand.New(rand.NewSource(seed))
+	net := simnet.New(seed)
+	host := net.MustAddNode("broker0", instantProfile())
+	b, err := NewBroker(host, BrokerConfig{Shards: shards, CacheLimit: limit, AdvTTL: ttl})
+	if err != nil {
+		return err
+	}
+	mux, rpc, err := newProbe(net, b)
+	if err != nil {
+		return err
+	}
+	names := make([]string, 12)
+	for i := range names {
+		names[i] = "p" + strconv.Itoa(994+i)
+	}
+	ref := &refPeers{advs: make(map[string]jxta.Advertisement), limit: limit,
+		shard: func(name string) int { return slices.Index(b.shards, b.shardOf(name)) }}
+	cpuScores := []float64{0, -1, 0.5, 2, math.Inf(1), math.NaN()}
+
+	var step int
+	var what string
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("seed %d, %d shards, step %d (%s): %s", seed, shards, step, what, fmt.Sprintf(format, args...))
+	}
+	// call sends req and checks that the exchange took no virtual time, so
+	// the broker handled it at the instant the reference is read at.
+	call := func(req []byte) ([]byte, error) {
+		before := host.Now()
+		reply, err := rpc(req)
+		if err == nil && !host.Now().Equal(before) {
+			err = fmt.Errorf("the exchange took %v", host.Now().Sub(before))
+		}
+		return reply, err
+	}
+	var failure error
+	net.Run(func() {
+		defer b.Close()
+		defer mux.Close()
+		for step = 1; step <= steps && failure == nil; step++ {
+			now := host.Now()
+			name := names[rng.Intn(len(names))]
+			switch op := rng.Intn(20); {
+			case op < 5:
+				adv := jxta.Advertisement{Kind: jxta.AdvKind(rng.Intn(4)), ID: jxta.NewID("claim", strconv.Itoa(rng.Intn(3))),
+					Name: name, Addr: string(transport.MakeAddr(name, ServiceTransfer))}
+				if rng.Intn(8) == 0 {
+					adv.Name = ""
+				}
+				if rng.Intn(2) == 0 {
+					adv = adv.WithAttr(jxta.AttrCPUScore, strconv.Itoa(1+rng.Intn(4)))
+				}
+				if rng.Intn(3) == 0 {
+					adv = adv.WithAttr("site", names[rng.Intn(len(names))])
+				}
+				what = fmt.Sprintf("register %q", adv.Name)
+				reply, err := call(frame(mtRegister, register{Adv: adv, Stats: statsReport{Peer: adv.Name}}.encodeTo))
+				if err != nil {
+					failure = fail("%v", err)
+					return
+				}
+				if adv.Name != "" {
+					ref.publish(adv, now, ttl)
+				}
+				want := registerAck{OK: adv.Name != "", Broker: host.Name()}
+				if want.OK {
+					want.KnownPeers = len(ref.list(now))
+				}
+				if _, d, err := kindOf(reply); err != nil {
+					failure = fail("ack: %v", err)
+					return
+				} else if ack, err := decodeRegisterAck(d); err != nil || ack != want {
+					failure = fail("ack %+v, %v; want %+v", ack, err, want)
+					return
+				}
+			case op < 10:
+				cpu := cpuScores[rng.Intn(len(cpuScores))]
+				what = fmt.Sprintf("heartbeat %s, cpu %v", name, cpu)
+				reply, err := call(frame(mtStatsReport, statsReport{Peer: name, CPUScore: cpu}.encodeTo))
+				if err != nil || !bytes.Equal(reply, ackFrame) {
+					failure = fail("reply % x, %v", reply, err)
+					return
+				}
+				adv, lapsed := ref.lease(name, "probe", now)
+				if lapsed && cpu > 0 && finite(cpu) {
+					adv = adv.WithAttr(jxta.AttrCPUScore, strconv.FormatFloat(cpu, 'f', -1, 64))
+				}
+				ref.publish(adv, now, ttl)
+			case op < 13:
+				rep := pieceReport{Peer: name}
+				for p := rng.Intn(4); p > 0; p-- {
+					rep.Have = append(rep.Have, rng.Intn(maxPieces))
+				}
+				for u := rng.Intn(3); u > 0; u-- {
+					rep.Unchoked = append(rep.Unchoked, names[rng.Intn(len(names))])
+				}
+				what = fmt.Sprintf("piece report %s: %v, %v", name, rep.Have, rep.Unchoked)
+				reply, err := call(frame(mtPieceReport, rep.encodeTo))
+				if err != nil || !bytes.Equal(reply, ackFrame) {
+					failure = fail("reply % x, %v", reply, err)
+					return
+				}
+				have := make([]string, len(rep.Have))
+				for i, p := range rep.Have {
+					have[i] = strconv.Itoa(p)
+				}
+				adv, _ := ref.lease(name, "probe", now)
+				adv = adv.WithAttr(jxta.AttrPieces, strings.Join(have, ","))
+				adv = adv.WithAttr(jxta.AttrUnchoked, strings.Join(rep.Unchoked, ","))
+				ref.publish(adv, now, ttl)
+			case op < 14:
+				what = "restart"
+				b.Restart()
+				clear(ref.advs)
+			case op < 16:
+				d := time.Duration(1 + rng.Int63n(int64(ttl/2)))
+				what = fmt.Sprintf("sleep %v", d)
+				host.Sleep(d)
+			case op < 17:
+				d := ttl + time.Duration(rng.Int63n(int64(ttl)))
+				what = fmt.Sprintf("sleep past the lease, %v", d)
+				host.Sleep(d)
+			default:
+				a, ok := ref.live(name, now)
+				if !ok {
+					what = "nothing"
+					break
+				}
+				what = "sleep onto the expiry of " + name
+				host.Sleep(a.Expires.Sub(now))
+			}
+			now = host.Now()
+			want := ref.list(now)
+			wantNames := make([]string, len(want))
+			for i, a := range want {
+				wantNames[i] = a.Name
+			}
+			if got := b.Peers(); !slices.Equal(got, wantNames) {
+				failure = fail("Peers() = %q, reference %q", got, wantNames)
+				return
+			}
+			reply, err := call(discoverPeers())
+			if err != nil {
+				failure = fail("discover: %v", err)
+				return
+			}
+			fresh := wire.NewEncoder(0)
+			encodeDiscoverResult(fresh, want)
+			if !bytes.Equal(reply, fresh.Bytes()) {
+				failure = fail("discover replied %d bytes, a fresh encode of the reference's %d entries is %d, or they differ", len(reply), len(want), fresh.Len())
+				return
+			}
+		}
+	})
+	return failure
+}
+
+// TestBrokerDirectoryMatchesReference is the oracle for the broker's peer
+// directory as its handlers keep it: seeded programs at one and three
+// shards, Peers and the discover reply compared with the reference after
+// every step.
+func TestBrokerDirectoryMatchesReference(t *testing.T) {
+	seeds := 12
+	if testing.Short() {
+		seeds = 4
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		for _, shards := range []int{1, 3} {
+			if err := checkBrokerDirectoryProgram(int64(seed), shards, 300); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// FuzzBrokerDirectoryMatchesReference hands (seed, shards, steps) to the
+// fuzzer.
+func FuzzBrokerDirectoryMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint16(60))
+	f.Add(int64(2), uint8(3), uint16(400))
+	f.Add(int64(3), uint8(2), uint16(200))
+	f.Fuzz(func(t *testing.T, seed int64, shards uint8, steps uint16) {
+		if err := checkBrokerDirectoryProgram(seed, 1+int(shards)%4, int(steps)%500); err != nil {
 			t.Fatal(err)
 		}
 	})
