@@ -43,22 +43,22 @@ func BenchmarkNamedQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkRenewThenQueryAll prices one lease renewal followed by a
-// whole-kind read into a warm buffer — a heartbeat, then the broker's merge
-// reading the directory it changed.
+// BenchmarkRenewThenQueryAll prices one lease renewal followed by a read of
+// the whole directory into a warm buffer — a heartbeat, then the broker's
+// merge reading the directory it changed.
 func BenchmarkRenewThenQueryAll(b *testing.B) {
 	for _, n := range directorySizes {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
 			c, advs := filledCache(n)
-			buf := c.AppendAll(nil, AdvPeer)
+			buf := c.AppendAll(nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				a := advs[i*7919%n]
 				a.Expires = base.Add(time.Hour + time.Duration(i))
 				c.Publish(a)
-				if buf = c.AppendAll(buf[:0], AdvPeer); len(buf) != n {
-					b.Fatalf("whole-kind read returned %d of %d entries", len(buf), n)
+				if buf = c.AppendAll(buf[:0]); len(buf) != n {
+					b.Fatalf("whole read returned %d of %d entries", len(buf), n)
 				}
 			}
 		})

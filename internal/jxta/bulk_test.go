@@ -51,12 +51,43 @@ func encodeAdvertisements(advs []Advertisement) []byte {
 	return e.Bytes()
 }
 
+// decodeAdvertisement is the reference the scan path is checked against: one
+// advertisement read field by field, each string a copy of its own.
+func decodeAdvertisement(d *wire.Decoder) (Advertisement, error) {
+	var a Advertisement
+	a.Kind = AdvKind(d.Byte())
+	idb := d.BytesField()
+	a.Name = d.StringField()
+	a.Addr = d.StringField()
+	a.Expires = d.Time()
+	n := d.Uint64()
+	if err := d.Err(); err != nil {
+		return Advertisement{}, err
+	}
+	if len(idb) != len(a.ID) {
+		return Advertisement{}, fmt.Errorf("%w: advertisement id of %d bytes", wire.ErrCorrupt, len(idb))
+	}
+	copy(a.ID[:], idb)
+	if n > uint64(d.Remaining()) {
+		return Advertisement{}, fmt.Errorf("%w: %d attrs exceed remaining input", wire.ErrCorrupt, n)
+	}
+	for i := uint64(0); i < n; i++ {
+		k := d.StringField()
+		v := d.StringField()
+		if err := d.Err(); err != nil {
+			return Advertisement{}, err
+		}
+		a.Attrs = append(a.Attrs, Attr{k, v})
+	}
+	return a, d.Err()
+}
+
 // loopDecode is the reference the bulk decode must equal: n calls of
-// DecodeAdvertisement, stopping at the first error.
+// decodeAdvertisement, stopping at the first error.
 func loopDecode(d *wire.Decoder, n uint64) ([]Advertisement, error) {
 	var advs []Advertisement
 	for i := uint64(0); i < n; i++ {
-		a, err := DecodeAdvertisement(d)
+		a, err := decodeAdvertisement(d)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +138,7 @@ func checkSameAsLoop(t *testing.T, buf []byte, n uint64, what string) {
 		return
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: bulk decode differs from the loop of DecodeAdvertisement", what)
+		t.Fatalf("%s: bulk decode differs from the loop of decodeAdvertisement", what)
 	}
 	if d.Remaining() != ref.Remaining() {
 		t.Fatalf("%s: bulk left %d bytes, loop left %d", what, d.Remaining(), ref.Remaining())
@@ -201,7 +232,7 @@ func TestBulkDecodeAttrsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestWholeKindQueryResultIsNeverWritten holds a Query(kind, "") result
+// TestWholeKindQueryResultIsNeverWritten holds a Query(AdvPeer, "") result
 // across every kind of later mutation, with readers scanning it concurrently
 // so the race detector sees any write.
 func TestWholeKindQueryResultIsNeverWritten(t *testing.T) {

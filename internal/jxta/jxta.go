@@ -1,23 +1,20 @@
 // Package jxta provides the JXTA-flavored naming and discovery substrate the
-// overlay is built on: peer IDs, advertisements, and a TTL'd advertisement
-// cache. The paper's platform (JXTA-Overlay) relies on JXTA for peer
-// discovery and peer-resource discovery; brokers act as rendezvous points
-// that hold and answer advertisement queries.
+// overlay is built on: peer IDs, peer advertisements, and a TTL'd
+// advertisement cache. The paper's platform (JXTA-Overlay) relies on JXTA for
+// peer discovery; brokers act as rendezvous points that hold and answer
+// advertisement queries.
 //
 // Wire compatibility with real JXTA (XML documents) is out of scope; the
-// semantics — uniquely identified peers publishing expiring, queryable
-// advertisements — are what the overlay needs.
+// semantics — named peers publishing expiring, queryable advertisements —
+// are what the overlay needs.
 package jxta
 
 import (
-	"bytes"
-	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -44,38 +41,19 @@ func (id ID) String() string {
 	return "urn:jxta:uuid-" + hex.EncodeToString(id[:])
 }
 
-// AdvKind distinguishes advertisement types.
+// AdvKind is the advertisement type byte each encoded advertisement carries.
 type AdvKind byte
 
-// Advertisement kinds.
-const (
-	AdvPeer AdvKind = iota + 1
-	AdvPipe
-	AdvModule
-)
+// AdvPeer is the one kind the directory keeps: a peer advertisement.
+const AdvPeer AdvKind = 1
 
-// String names the kind.
-func (k AdvKind) String() string {
-	switch k {
-	case AdvPeer:
-		return "peer"
-	case AdvPipe:
-		return "pipe"
-	case AdvModule:
-		return "module"
-	default:
-		return fmt.Sprintf("advkind(%d)", byte(k))
-	}
-}
-
-// Advertisement is a published, expiring description of a resource.
-// It mirrors JXTA's PeerAdvertisement / PipeAdvertisement / ModuleSpec
-// structure flattened into one record.
+// Advertisement is a published, expiring description of a peer, JXTA's
+// PeerAdvertisement flattened into one record.
 type Advertisement struct {
 	Kind    AdvKind
 	ID      ID
-	Name    string // peer name, pipe name, or module name
-	Addr    string // transport address ("node/service"), empty for modules
+	Name    string // the peer's name, which identifies it in the directory
+	Addr    string // transport address ("node/service")
 	Expires time.Time
 	// Attrs carries small typed attributes (CPU score, services list...)
 	// as ordered key/value pairs for deterministic encoding.
@@ -126,49 +104,19 @@ func (a Advertisement) Encode(e *wire.Encoder) {
 	}
 }
 
-// DecodeAdvertisement consumes one advertisement from the decoder.
-func DecodeAdvertisement(d *wire.Decoder) (Advertisement, error) {
-	var a Advertisement
-	a.Kind = AdvKind(d.Byte())
-	idb := d.BytesField()
-	a.Name = d.StringField()
-	a.Addr = d.StringField()
-	a.Expires = d.Time()
-	n := d.Uint64()
-	if err := d.Err(); err != nil {
-		return Advertisement{}, err
-	}
-	if len(idb) != len(a.ID) {
-		return Advertisement{}, fmt.Errorf("%w: advertisement id of %d bytes", wire.ErrCorrupt, len(idb))
-	}
-	copy(a.ID[:], idb)
-	if n > uint64(d.Remaining()) {
-		return Advertisement{}, fmt.Errorf("%w: %d attrs exceed remaining input", wire.ErrCorrupt, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		k := d.StringField()
-		v := d.StringField()
-		if err := d.Err(); err != nil {
-			return Advertisement{}, err
-		}
-		a.Attrs = append(a.Attrs, Attr{k, v})
-	}
-	return a, d.Err()
-}
-
 // Directory is n encoded advertisements that ScanAdvertisements has
 // validated and nothing has decoded yet: what a receiver that may never read
 // its directory keeps of a reply it owns. It aliases the decoder's buffer.
-// A scan and its Decode equal n calls of DecodeAdvertisement field for field
-// and error for error.
+// Scan then Decode is the one way an advertisement is decoded, one or many.
 type Directory struct {
 	d        wire.Decoder // at the first advertisement
 	n, attrs uint64
 }
 
-// ScanAdvertisements consumes n advertisements making every check
-// DecodeAdvertisement makes, error for error, and allocating nothing — so a
-// hostile count costs nothing — and returns them for Decode.
+// ScanAdvertisements consumes n advertisements, checking every field —
+// lengths, the ID's size, the attribute count against what remains — and
+// allocating nothing, so a hostile count costs nothing, and returns them for
+// Decode.
 func ScanAdvertisements(d *wire.Decoder, n uint64) (Directory, error) {
 	dir := Directory{d: *d, n: n}
 	for i := uint64(0); i < n; i++ {
@@ -229,9 +177,10 @@ func (dir Directory) Decode() []Advertisement {
 	return advs
 }
 
-// Cache is a thread-safe advertisement store with TTL expiry and bounded
-// size (oldest-expiry eviction), as kept by rendezvous peers and local
-// discovery services.
+// Cache is a thread-safe store of peer advertisements with TTL expiry and
+// bounded size (oldest-expiry eviction), as kept by rendezvous peers. A name
+// identifies its entry: publishing a name replaces what the cache holds
+// under it.
 //
 // It has one expiry rule: every method that reads or adds entries first
 // settles expiry as of the clock (gcLocked), and after that stored means
@@ -240,10 +189,9 @@ type Cache struct {
 	mu    sync.Mutex
 	now   func() time.Time
 	limit int
-	byID  map[ID]Advertisement
-	// dirs[kind] holds the kind's entries in canonical order, which every
-	// change keeps by binary search: no query scans or sorts.
-	dirs [256]kindDir
+	// advs holds the entries in name order, which every change keeps by
+	// binary search: no query sorts.
+	advs []Advertisement
 	// minExpiry is a lower bound on the earliest expiry among entries (zero
 	// = unknown, forcing the next gc to scan). While now < minExpiry no
 	// entry can be expired, so gcLocked skips its scan — the O(1) fast path
@@ -255,51 +203,45 @@ type Cache struct {
 	version uint64
 }
 
-// kindDir is one kind's entries in canonical (Name, ID) order; reads copy.
-type kindDir struct{ advs []Advertisement }
-
-// search returns where (name, id) is or would be, comparing entries in place.
-func (d *kindDir) search(name string, id ID) int {
-	return sort.Search(len(d.advs), func(k int) bool {
-		c := strings.Compare(d.advs[k].Name, name)
-		return c > 0 || c == 0 && bytes.Compare(d.advs[k].ID[:], id[:]) >= 0
-	})
-}
-
 // NewCache returns a cache holding at most limit advertisements (default
 // 1024 when limit <= 0); now supplies time.
 func NewCache(limit int, now func() time.Time) *Cache {
 	if limit <= 0 {
 		limit = 1024
 	}
-	return &Cache{now: now, limit: limit, byID: make(map[ID]Advertisement)}
+	return &Cache{now: now, limit: limit}
 }
 
-// Publish inserts or refreshes an advertisement. Already-expired
-// advertisements are ignored.
+// searchLocked returns where name is or would be. Caller holds c.mu.
+func (c *Cache) searchLocked(name string) (int, bool) {
+	i := sort.Search(len(c.advs), func(k int) bool { return c.advs[k].Name >= name })
+	return i, i < len(c.advs) && c.advs[i].Name == name
+}
+
+// Publish inserts or refreshes a peer advertisement; any other kind, and an
+// already-expired advertisement, is ignored.
 func (c *Cache) Publish(a Advertisement) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	if !a.Expires.After(now) {
+	if a.Kind != AdvPeer || !a.Expires.After(now) {
 		return
 	}
 	c.gcLocked(now)
-	old, exists := c.byID[a.ID]
-	if !exists && len(c.byID) >= c.limit {
-		c.dropLocked(c.oldestLocked())
+	i, exists := c.searchLocked(a.Name)
+	if !exists && len(c.advs) >= c.limit {
+		j := c.oldestLocked()
+		c.advs = slices.Delete(c.advs, j, j+1)
 		c.version++
+		if j < i {
+			i--
+		}
 	}
-	if exists && (old.Kind != a.Kind || old.Name != a.Name) {
-		c.dropLocked(old) // moved: inserted anew below
-	}
-	d := &c.dirs[a.Kind]
-	if i := d.search(a.Name, a.ID); i < len(d.advs) && d.advs[i].ID == a.ID {
-		d.advs[i] = a
+	if exists {
+		c.advs[i] = a
 	} else {
-		d.advs = slices.Insert(d.advs, i, a)
+		c.advs = slices.Insert(c.advs, i, a)
 	}
-	c.byID[a.ID] = a
 	c.version++
 	if c.minExpiry.IsZero() || a.Expires.Before(c.minExpiry) {
 		c.minExpiry = a.Expires
@@ -315,84 +257,72 @@ func (c *Cache) gcLocked(now time.Time) {
 	}
 	var min time.Time
 	expired := func(a Advertisement) bool { return !a.Expires.After(now) }
-	for k := range c.dirs {
-		d, n := &c.dirs[k], len(c.byID)
-		for _, a := range d.advs {
-			if expired(a) {
-				delete(c.byID, a.ID)
-				c.version++
-			} else if min.IsZero() || a.Expires.Before(min) {
-				min = a.Expires
-			}
+	n := len(c.advs)
+	for _, a := range c.advs {
+		if expired(a) {
+			n--
+		} else if min.IsZero() || a.Expires.Before(min) {
+			min = a.Expires
 		}
-		if len(c.byID) < n { // one pass compacts the kind
-			d.advs = slices.DeleteFunc(d.advs, expired)
-		}
+	}
+	if n < len(c.advs) { // one pass compacts the list
+		c.version += uint64(len(c.advs) - n)
+		c.advs = slices.DeleteFunc(c.advs, expired)
 	}
 	c.minExpiry = min
 }
 
-// oldestLocked returns the entry closest to expiry, the first in canonical
-// order among equals (the one a full cache evicts); zero when empty.
-func (c *Cache) oldestLocked() (oldest Advertisement) {
-	for _, a := range c.byID {
-		if oldest.Expires.IsZero() || cmp.Or(a.Expires.Compare(oldest.Expires), CompareAdvertisements(&a, &oldest)) < 0 {
-			oldest = a
+// oldestLocked returns the index of the entry closest to expiry, the first by
+// name among equals: the one a full cache evicts. The cache is not empty.
+func (c *Cache) oldestLocked() int {
+	oldest := 0
+	for i := range c.advs {
+		if c.advs[i].Expires.Before(c.advs[oldest].Expires) {
+			oldest = i
 		}
 	}
 	return oldest
 }
 
-// dropLocked deletes the stored entry a.
-func (c *Cache) dropLocked(a Advertisement) {
-	d := &c.dirs[a.Kind]
-	i := d.search(a.Name, a.ID)
-	d.advs = slices.Delete(d.advs, i, i+1)
-	delete(c.byID, a.ID)
-}
-
-// Lookup returns the advertisement with the given ID, if present and live.
-func (c *Cache) Lookup(id ID) (Advertisement, bool) {
+// Lookup returns the advertisement published under name, if live.
+func (c *Cache) Lookup(name string) (Advertisement, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gcLocked(c.now())
-	a, ok := c.byID[id]
-	return a, ok
+	if i, ok := c.searchLocked(name); ok {
+		return c.advs[i], true
+	}
+	return Advertisement{}, false
 }
 
-// AppendAll appends the kind's live advertisements to dst in the canonical
-// (Name, ID) order and returns the extended slice: into a buffer the caller
-// keeps, a read of the whole kind allocates nothing.
-func (c *Cache) AppendAll(dst []Advertisement, kind AdvKind) []Advertisement {
+// AppendAll appends the live advertisements to dst in name order and returns
+// the extended slice: into a buffer the caller keeps, a read of the whole
+// directory allocates nothing.
+func (c *Cache) AppendAll(dst []Advertisement) []Advertisement {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gcLocked(c.now())
-	return append(dst, c.dirs[kind].advs...)
+	return append(dst, c.advs...)
 }
 
-// Query returns a new slice of the live advertisements of the kind whose
-// Name matches name exactly, in the canonical order; empty name matches all.
+// Query returns a new slice of the live advertisements of the kind named
+// name, in name order; empty name matches all, and a kind other than AdvPeer
+// matches none.
 func (c *Cache) Query(kind AdvKind, name string) []Advertisement {
+	if kind != AdvPeer {
+		return nil
+	}
 	if name == "" {
-		return c.AppendAll(nil, kind)
+		return c.AppendAll(nil)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gcLocked(c.now())
-	d := &c.dirs[kind]
-	i := d.search(name, ID{}) // the zero ID sorts first: the run's start
-	j := i + sort.Search(len(d.advs)-i, func(k int) bool { return d.advs[i+k].Name != name })
-	return append([]Advertisement(nil), d.advs[i:j]...)
-}
-
-// CompareAdvertisements is the canonical (Name, ID) directory order as a
-// three-way comparison. Every query answers in it and a sharded directory
-// merges by it, so any shard count answers alike.
-func CompareAdvertisements(a, b *Advertisement) int {
-	if c := strings.Compare(a.Name, b.Name); c != 0 {
-		return c
+	i, ok := c.searchLocked(name)
+	if !ok {
+		return nil
 	}
-	return bytes.Compare(a.ID[:], b.ID[:])
+	return append([]Advertisement(nil), c.advs[i])
 }
 
 // Sweep settles now: it evicts every advertisement expired at now, as every
@@ -401,9 +331,9 @@ func CompareAdvertisements(a, b *Advertisement) int {
 func (c *Cache) Sweep(now time.Time) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	before := len(c.byID)
+	before := len(c.advs)
 	c.gcLocked(now)
-	return before - len(c.byID)
+	return before - len(c.advs)
 }
 
 // Clear drops every advertisement — a rendezvous peer restarting with a
@@ -412,20 +342,19 @@ func (c *Cache) Sweep(now time.Time) int {
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.byID = make(map[ID]Advertisement)
-	c.dirs = [256]kindDir{}
+	c.advs = nil
 	c.minExpiry = time.Time{}
 	c.version++
 }
 
-// LiveLen reports the number of live advertisements of one kind without
-// materializing them — O(1) on the static fast path. It always equals
-// len(Query(kind, "")).
-func (c *Cache) LiveLen(kind AdvKind) int {
+// LiveLen reports the number of live advertisements without materializing
+// them — O(1) on the static fast path. It always equals
+// len(Query(AdvPeer, "")).
+func (c *Cache) LiveLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gcLocked(c.now())
-	return len(c.dirs[kind].advs)
+	return len(c.advs)
 }
 
 // Stamp returns the mutation version as of now. Stored means live and every

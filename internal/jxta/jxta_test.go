@@ -47,15 +47,6 @@ func TestIDString(t *testing.T) {
 	}
 }
 
-func TestAdvKindString(t *testing.T) {
-	if AdvPeer.String() != "peer" || AdvPipe.String() != "pipe" || AdvModule.String() != "module" {
-		t.Fatal("kind names wrong")
-	}
-	if AdvKind(99).String() == "" {
-		t.Fatal("unknown kind must render")
-	}
-}
-
 func sampleAdv() Advertisement {
 	return Advertisement{
 		Kind:    AdvPeer,
@@ -67,12 +58,21 @@ func sampleAdv() Advertisement {
 	}
 }
 
+// decodeOne reads one advertisement the way the broker reads a register's:
+// a one-entry scan, then Decode.
+func decodeOne(buf []byte) (Advertisement, error) {
+	dir, err := ScanAdvertisements(wire.NewDecoder(buf), 1)
+	if err != nil {
+		return Advertisement{}, err
+	}
+	return dir.Decode()[0], nil
+}
+
 func TestAdvertisementRoundtrip(t *testing.T) {
 	a := sampleAdv()
 	e := wire.NewEncoder(128)
 	a.Encode(e)
-	d := wire.NewDecoder(e.Bytes())
-	got, err := DecodeAdvertisement(d)
+	got, err := decodeOne(e.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,6 @@ func TestAdvertisementRoundtrip(t *testing.T) {
 	}
 	if got.Attr(AttrCPUScore) != "1.5" || got.Attr("country") != "ES" {
 		t.Fatalf("attrs lost: %+v", got.Attrs)
-	}
-}
-
-func TestDecodeAdvertisementCorrupt(t *testing.T) {
-	if _, err := DecodeAdvertisement(wire.NewDecoder([]byte{1, 2, 3})); err == nil {
-		t.Fatal("corrupt input accepted")
 	}
 }
 
@@ -112,7 +106,7 @@ func TestCachePublishLookup(t *testing.T) {
 	c := NewCache(10, clock)
 	a := sampleAdv()
 	c.Publish(a)
-	got, ok := c.Lookup(a.ID)
+	got, ok := c.Lookup(a.Name)
 	if !ok || got.Name != "sc1" {
 		t.Fatalf("Lookup = (%+v, %v)", got, ok)
 	}
@@ -124,10 +118,10 @@ func TestCacheExpiry(t *testing.T) {
 	a := sampleAdv()
 	c.Publish(a)
 	*cur = base.Add(2 * time.Hour)
-	if _, ok := c.Lookup(a.ID); ok {
+	if _, ok := c.Lookup(a.Name); ok {
 		t.Fatal("expired advertisement still visible")
 	}
-	if n := c.LiveLen(AdvPeer); n != 0 {
+	if n := c.LiveLen(); n != 0 {
 		t.Fatalf("LiveLen = %d after expiry", n)
 	}
 }
@@ -138,7 +132,7 @@ func TestCacheRejectsAlreadyExpired(t *testing.T) {
 	a := sampleAdv()
 	a.Expires = base.Add(-time.Second)
 	c.Publish(a)
-	if c.LiveLen(AdvPeer) != 0 {
+	if c.LiveLen() != 0 {
 		t.Fatal("expired advertisement stored")
 	}
 }
@@ -152,11 +146,14 @@ func TestCacheQueryByKindAndName(t *testing.T) {
 		a.ID = NewID("peer", name)
 		c.Publish(a)
 	}
-	pipeAdv := sampleAdv()
-	pipeAdv.Kind = AdvPipe
-	pipeAdv.ID = NewID("pipe", "sc1")
-	c.Publish(pipeAdv)
-
+	// The cache keeps peers only: another kind is not stored, and a query
+	// for one answers empty.
+	other := sampleAdv()
+	other.Kind, other.Name = AdvPeer+1, "sc0"
+	c.Publish(other)
+	if got := c.Query(other.Kind, ""); len(got) != 0 {
+		t.Fatalf("Query of another kind = %+v, want none", got)
+	}
 	all := c.Query(AdvPeer, "")
 	if len(all) != 3 {
 		t.Fatalf("Query all peers = %d, want 3", len(all))
@@ -168,10 +165,6 @@ func TestCacheQueryByKindAndName(t *testing.T) {
 	if len(one) != 1 || one[0].Name != "sc2" {
 		t.Fatalf("Query by name = %+v", one)
 	}
-	pipes := c.Query(AdvPipe, "")
-	if len(pipes) != 1 {
-		t.Fatalf("Query pipes = %d, want 1", len(pipes))
-	}
 }
 
 func TestCacheRefreshReplacesEntry(t *testing.T) {
@@ -182,11 +175,11 @@ func TestCacheRefreshReplacesEntry(t *testing.T) {
 	a.Addr = "sc1/new"
 	a.Expires = base.Add(2 * time.Hour)
 	c.Publish(a)
-	got, _ := c.Lookup(a.ID)
+	got, _ := c.Lookup(a.Name)
 	if got.Addr != "sc1/new" {
 		t.Fatalf("refresh did not replace: %+v", got)
 	}
-	if n := c.LiveLen(AdvPeer); n != 1 {
+	if n := c.LiveLen(); n != 1 {
 		t.Fatalf("LiveLen = %d, want 1", n)
 	}
 }
@@ -204,13 +197,13 @@ func TestCacheEvictsClosestToExpiryWhenFull(t *testing.T) {
 	c.Publish(mk("shortlived", time.Minute))
 	c.Publish(mk("longlived", time.Hour))
 	c.Publish(mk("new", 30*time.Minute)) // evicts shortlived
-	if _, ok := c.Lookup(NewID("peer", "shortlived")); ok {
+	if _, ok := c.Lookup("shortlived"); ok {
 		t.Fatal("expected shortlived to be evicted")
 	}
-	if _, ok := c.Lookup(NewID("peer", "longlived")); !ok {
+	if _, ok := c.Lookup("longlived"); !ok {
 		t.Fatal("longlived evicted wrongly")
 	}
-	if _, ok := c.Lookup(NewID("peer", "new")); !ok {
+	if _, ok := c.Lookup("new"); !ok {
 		t.Fatal("new entry missing")
 	}
 }
@@ -230,25 +223,24 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				a.ID = NewID("peer", a.Name)
 				c.Publish(a)
 				c.Query(AdvPeer, "")
-				c.Lookup(a.ID)
+				c.Lookup(a.Name)
 			}
 		}()
 	}
 	wg.Wait()
-	if n := c.LiveLen(AdvPeer); n != 8 {
+	if n := c.LiveLen(); n != 8 {
 		t.Fatalf("LiveLen = %d, want 8", n)
 	}
 }
 
 // TestQueryAllocBudget pins what the directory's reads and renewals cost: a
-// whole-kind AppendAll into a buffer the caller keeps allocates nothing, a
-// named Query its result alone, and a renewal nothing, whatever was read
-// before it.
+// whole AppendAll into a buffer the caller keeps allocates nothing, a named
+// Query its result alone, and a renewal nothing, whatever was read before it.
 func TestQueryAllocBudget(t *testing.T) {
 	c, advs := filledCache(1024)
-	buf := c.AppendAll(nil, AdvPeer)
-	if n := testing.AllocsPerRun(100, func() { buf = c.AppendAll(buf[:0], AdvPeer) }); n != 0 {
-		t.Errorf("whole-kind AppendAll into a warm buffer: %v allocations, want 0", n)
+	buf := c.AppendAll(nil)
+	if n := testing.AllocsPerRun(100, func() { buf = c.AppendAll(buf[:0]) }); n != 0 {
+		t.Errorf("AppendAll into a warm buffer: %v allocations, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { c.Query(AdvPeer, advs[517].Name) }); n != 1 {
 		t.Errorf("named Query: %v allocations, want 1", n)
@@ -257,17 +249,17 @@ func TestQueryAllocBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		renew.Expires = renew.Expires.Add(time.Second)
 		c.Publish(renew)
-		buf = c.AppendAll(buf[:0], AdvPeer)
+		buf = c.AppendAll(buf[:0])
 	}); n != 0 {
-		t.Errorf("renewal then whole-kind AppendAll: %v allocations, want 0", n)
+		t.Errorf("renewal then AppendAll: %v allocations, want 0", n)
 	}
 }
 
 func TestPropertyAdvertisementRoundtrip(t *testing.T) {
 	f := func(name, addr, k1, v1 string, hours uint8) bool {
 		a := Advertisement{
-			Kind:    AdvPipe,
-			ID:      NewID("pipe", name),
+			Kind:    AdvPeer,
+			ID:      NewID("peer", name),
 			Name:    name,
 			Addr:    addr,
 			Expires: base.Add(time.Duration(hours) * time.Hour),
@@ -275,7 +267,7 @@ func TestPropertyAdvertisementRoundtrip(t *testing.T) {
 		}
 		e := wire.NewEncoder(64)
 		a.Encode(e)
-		got, err := DecodeAdvertisement(wire.NewDecoder(e.Bytes()))
+		got, err := decodeOne(e.Bytes())
 		if err != nil {
 			return false
 		}
@@ -308,10 +300,10 @@ func TestSweepEvictsExpiredOnly(t *testing.T) {
 	if n := c.Sweep(*cur); n != 1 {
 		t.Fatalf("sweep evicted %d, want 1", n)
 	}
-	if _, ok := c.Lookup(short.ID); ok {
+	if _, ok := c.Lookup(short.Name); ok {
 		t.Fatal("swept lease still resolvable")
 	}
-	if _, ok := c.Lookup(long.ID); !ok {
+	if _, ok := c.Lookup(long.Name); !ok {
 		t.Fatal("live lease was swept")
 	}
 }
@@ -325,13 +317,13 @@ func TestExpiredLeaseNeverServed(t *testing.T) {
 	a.Expires = base.Add(time.Minute)
 	c.Publish(a)
 	*cur = base.Add(2 * time.Minute)
-	if _, ok := c.Lookup(a.ID); ok {
+	if _, ok := c.Lookup(a.Name); ok {
 		t.Fatal("Lookup served an expired lease")
 	}
 	if got := c.Query(a.Kind, ""); len(got) != 0 {
 		t.Fatalf("Query served %d expired leases", len(got))
 	}
-	if c.LiveLen(a.Kind) != 0 {
+	if c.LiveLen() != 0 {
 		t.Fatal("LiveLen counted an expired lease")
 	}
 }

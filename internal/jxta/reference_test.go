@@ -6,15 +6,16 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
 
-// refCache is the reference the Cache must match: one map, a full scan and
-// sort per query, and a mutation count kept by hand. It keeps no index, no
-// expiry bound and no per-kind count.
+// refCache is the reference the Cache must match: one map by name, a full
+// scan and sort per query, and a mutation count kept by hand. It keeps no
+// index and no expiry bound.
 type refCache struct {
-	advs    map[ID]Advertisement
+	advs    map[string]Advertisement
 	limit   int
 	version uint64
 }
@@ -23,9 +24,9 @@ type refCache struct {
 // many it dropped.
 func (r *refCache) settle(now time.Time) int {
 	n := 0
-	for id, a := range r.advs {
+	for name, a := range r.advs {
 		if !a.Expires.After(now) {
-			delete(r.advs, id)
+			delete(r.advs, name)
 			r.version++
 			n++
 		}
@@ -38,36 +39,36 @@ func (r *refCache) publish(a Advertisement, now time.Time) {
 		return
 	}
 	r.settle(now)
-	if _, ok := r.advs[a.ID]; !ok && len(r.advs) >= r.limit {
-		// The victim is the entry closest to expiry, the first in canonical
-		// order among equals.
+	if _, ok := r.advs[a.Name]; !ok && len(r.advs) >= r.limit {
+		// The victim is the entry closest to expiry, the first by name among
+		// equals.
 		all := slices.Collect(maps.Values(r.advs))
 		slices.SortFunc(all, func(a, b Advertisement) int {
 			if c := a.Expires.Compare(b.Expires); c != 0 {
 				return c
 			}
-			return CompareAdvertisements(&a, &b)
+			return byName(a, b)
 		})
-		delete(r.advs, all[0].ID)
+		delete(r.advs, all[0].Name)
 		r.version++
 	}
-	r.advs[a.ID] = a
+	r.advs[a.Name] = a
 	r.version++
 }
 
-// canonical is CompareAdvertisements on values, for slices.SortFunc.
-func canonical(a, b Advertisement) int { return CompareAdvertisements(&a, &b) }
+// byName orders advertisements by name, for slices.SortFunc.
+func byName(a, b Advertisement) int { return strings.Compare(a.Name, b.Name) }
 
-// query returns the entries of kind named name (every name when empty) in
-// canonical order.
-func (r *refCache) query(kind AdvKind, name string) []Advertisement {
+// query returns the entries named name (every name when empty) in name
+// order.
+func (r *refCache) query(name string) []Advertisement {
 	var out []Advertisement
 	for _, a := range r.advs {
-		if a.Kind == kind && (name == "" || a.Name == name) {
+		if name == "" || a.Name == name {
 			out = append(out, a)
 		}
 	}
-	slices.SortFunc(out, canonical)
+	slices.SortFunc(out, byName)
 	return out
 }
 
@@ -81,30 +82,23 @@ func sameAdvs(got, want []Advertisement) bool {
 }
 
 // checkCacheProgram runs a seeded program against a Cache of the given limit
-// and the reference side by side: publishes of new identifiers (evicting
-// once the cache is full), renewals, republishes of a live identifier under
-// another name or kind, clock advances (some onto an expiry instant, some
+// and the reference side by side: publishes of new names (evicting once the
+// cache is full), renewals, clock advances (some onto an expiry instant, some
 // followed by a Sweep) and clears. After every step it compares every read:
-// Query of every kind, whole and for every name the program uses plus names
-// it never publishes, AppendAll of every kind into one reused buffer behind an
-// entry it must keep, LiveLen, their sum, Lookup of every identifier, and
-// Stamp, which must count mutations exactly as the reference does. Every
-// whole-kind result taken at an earlier step must still hold what it held
-// then.
+// Query, whole and for every name the program uses plus names it never
+// publishes, AppendAll into one reused buffer behind an entry it must keep,
+// LiveLen, Lookup of every name, and Stamp, which must count mutations
+// exactly as the reference does. Every whole result taken at an earlier step
+// must still hold what it held then.
 func checkCacheProgram(seed int64, limit, steps int) error {
 	rng := rand.New(rand.NewSource(seed))
 	clock, cur := clockAt(base)
 	c := NewCache(limit, clock)
-	ref := &refCache{advs: make(map[ID]Advertisement), limit: limit}
-	ids := make([]ID, 16)
-	for i := range ids {
-		ids[i] = NewID("ref", strconv.Itoa(i))
-	}
-	// Names share prefixes, so a named run's bounds are exercised; the absent
+	ref := &refCache{advs: make(map[string]Advertisement), limit: limit}
+	// Names share prefixes, so a search's bounds are exercised; the absent
 	// ones sort before, between and after the published ones.
-	names := []string{"a", "ab", "b", "ba", "c"}
+	names := []string{"a", "ab", "abc", "b", "ba", "c", "ca", "d"}
 	absent := []string{"0", "aa", "b0", "bb", "zz"}
-	kinds := []AdvKind{AdvPeer, AdvPipe, AdvModule}
 	type heldResult struct {
 		got, want []Advertisement
 		step      int
@@ -112,22 +106,14 @@ func checkCacheProgram(seed int64, limit, steps int) error {
 	var held []heldResult
 	var buf []Advertisement // AppendAll's, reused across steps
 	publishes := 0
-	draw := func(id ID, kind AdvKind, name string) Advertisement {
+	draw := func(name string) Advertisement {
 		publishes++
 		// One of eight leases, one of them already over: publishes between
 		// two clock advances often end at one instant, so evictions choose
 		// among equals.
 		ttl := time.Duration(rng.Intn(8)*10-5) * time.Second
-		return Advertisement{Kind: kind, ID: id, Name: name, Addr: name + "/transfer", Expires: cur.Add(ttl),
+		return Advertisement{Kind: AdvPeer, ID: NewID("peer", name), Name: name, Addr: name + "/transfer", Expires: cur.Add(ttl),
 			Attrs: []Attr{{"n", strconv.Itoa(publishes)}}}
-	}
-	live := func() []Advertisement {
-		out := make([]Advertisement, 0, len(ref.advs))
-		for _, a := range ref.advs {
-			out = append(out, a)
-		}
-		slices.SortFunc(out, canonical)
-		return out
 	}
 
 	for step := 1; step <= steps; step++ {
@@ -137,47 +123,14 @@ func checkCacheProgram(seed int64, limit, steps int) error {
 		}
 		now := *cur
 		switch op := rng.Intn(20); {
-		case op < 5: // publish an identifier the cache does not hold
-			id := ids[rng.Intn(len(ids))]
-			if _, ok := ref.advs[id]; ok {
-				what = "nothing"
-				break
-			}
-			a := draw(id, kinds[rng.Intn(len(kinds))], names[rng.Intn(len(names))])
-			what = fmt.Sprintf("publish new %s %q until %v", a.Kind, a.Name, a.Expires.Sub(now))
-			c.Publish(a)
-			ref.publish(a, now)
-		case op < 9: // renew a live entry: same kind and name, a new lease and payload
-			all := live()
-			if len(all) == 0 {
-				what = "nothing"
-				break
-			}
-			old := all[rng.Intn(len(all))]
-			a := draw(old.ID, old.Kind, old.Name)
-			what = fmt.Sprintf("renew %s %q until %v", a.Kind, a.Name, a.Expires.Sub(now))
-			c.Publish(a)
-			ref.publish(a, now)
-		case op < 12: // republish a live identifier under another name or kind
-			all := live()
-			if len(all) == 0 {
-				what = "nothing"
-				break
-			}
-			old := all[rng.Intn(len(all))]
-			kind, name := old.Kind, old.Name
-			if rng.Intn(2) == 0 {
-				kind = kinds[rng.Intn(len(kinds))]
-			} else {
-				name = names[rng.Intn(len(names))]
-			}
-			a := draw(old.ID, kind, name)
-			what = fmt.Sprintf("move %s %q to %s %q until %v", old.Kind, old.Name, a.Kind, a.Name, a.Expires.Sub(now))
+		case op < 11: // publish a name, new or held: a new lease and payload
+			a := draw(names[rng.Intn(len(names))])
+			what = fmt.Sprintf("publish %q until %v", a.Name, a.Expires.Sub(now))
 			c.Publish(a)
 			ref.publish(a, now)
 		case op < 18: // advance the clock, sometimes onto an expiry instant exactly
 			d := time.Duration(1 + rng.Int63n(int64(20*time.Second)))
-			if all := live(); len(all) > 0 && rng.Intn(2) == 0 {
+			if all := ref.query(""); len(all) > 0 && rng.Intn(2) == 0 {
 				d = all[rng.Intn(len(all))].Expires.Sub(now)
 			}
 			what = fmt.Sprintf("advance %v", d)
@@ -201,47 +154,36 @@ func checkCacheProgram(seed int64, limit, steps int) error {
 		// the one that first notices an expiry.
 		checks := []func() error{
 			func() error {
-				for _, kind := range kinds {
-					want := ref.query(kind, "")
-					got := c.Query(kind, "")
-					if !sameAdvs(got, want) {
-						return fail("Query(%s, \"\") = %d entries, reference %d, or they differ", kind, len(got), len(want))
-					}
-					held = append(held, heldResult{got, slices.Clone(want), step})
-					buf = c.AppendAll(append(buf[:0], Advertisement{Name: "kept"}), kind)
-					if buf[0].Name != "kept" || !sameAdvs(buf[1:], want) {
-						return fail("AppendAll(%s) = %d entries after the kept one, reference %d, or they differ", kind, len(buf)-1, len(want))
-					}
-					if n := c.LiveLen(kind); n != len(want) {
-						return fail("LiveLen(%s) = %d, reference %d", kind, n, len(want))
+				want := ref.query("")
+				got := c.Query(AdvPeer, "")
+				if !sameAdvs(got, want) {
+					return fail("Query(\"\") = %d entries, reference %d, or they differ", len(got), len(want))
+				}
+				held = append(held, heldResult{got, slices.Clone(want), step})
+				buf = c.AppendAll(append(buf[:0], Advertisement{Name: "kept"}))
+				if buf[0].Name != "kept" || !sameAdvs(buf[1:], want) {
+					return fail("AppendAll = %d entries after the kept one, reference %d, or they differ", len(buf)-1, len(want))
+				}
+				if n := c.LiveLen(); n != len(want) {
+					return fail("LiveLen = %d, reference %d", n, len(want))
+				}
+				return nil
+			},
+			func() error {
+				for _, name := range slices.Concat(names, absent) {
+					if got, want := c.Query(AdvPeer, name), ref.query(name); !sameAdvs(got, want) {
+						return fail("Query(%q) = %+v, reference %+v", name, got, want)
 					}
 				}
 				return nil
 			},
 			func() error {
-				for _, kind := range kinds {
-					for _, name := range slices.Concat(names, absent) {
-						if got, want := c.Query(kind, name), ref.query(kind, name); !sameAdvs(got, want) {
-							return fail("Query(%s, %q) = %+v, reference %+v", kind, name, got, want)
-						}
-					}
-				}
-				return nil
-			},
-			func() error {
-				for _, id := range ids {
-					got, ok := c.Lookup(id)
-					want, wantOK := ref.advs[id]
+				for _, name := range slices.Concat(names, absent) {
+					got, ok := c.Lookup(name)
+					want, wantOK := ref.advs[name]
 					if ok != wantOK || !sameAdvs([]Advertisement{got}, []Advertisement{want}) {
-						return fail("Lookup(%s) = %+v, %v; reference %+v, %v", id, got, ok, want, wantOK)
+						return fail("Lookup(%q) = %+v, %v; reference %+v, %v", name, got, ok, want, wantOK)
 					}
-				}
-				total := 0
-				for _, kind := range kinds {
-					total += c.LiveLen(kind)
-				}
-				if total != len(ref.advs) {
-					return fail("LiveLen summed over kinds = %d, reference %d", total, len(ref.advs))
 				}
 				return nil
 			},
@@ -259,7 +201,7 @@ func checkCacheProgram(seed int64, limit, steps int) error {
 		}
 		for _, h := range held {
 			if !sameAdvs(h.got, h.want) {
-				return fail("a whole-kind result taken at step %d changed: %+v, was %+v", h.step, h.got, h.want)
+				return fail("a whole result taken at step %d changed: %+v, was %+v", h.step, h.got, h.want)
 			}
 		}
 		// Hold a bounded sample: one result of every step for the last 40.

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"peerlab/internal/jxta"
 	"peerlab/internal/realnet"
 	"peerlab/internal/simnet"
 	"peerlab/internal/transport"
@@ -16,7 +15,7 @@ import (
 // its name, whoever built its advertisement, so clients compute it.
 func checkAdvertisedAddresses(t *testing.T, c *Client, step string) {
 	t.Helper()
-	reply, err := c.call(c.broker, frame(mtDiscover, discover{Kind: jxta.AdvPeer}.encodeTo))
+	reply, err := c.call(c.broker, discoverFrame)
 	if err != nil {
 		t.Errorf("%s: discover: %v", step, err)
 		return

@@ -156,8 +156,8 @@ func TestBatchBootStateAndRPCCount(t *testing.T) {
 	if got := dBoth.broker.ControlRPCs(); got != int64(2*len(names)) {
 		t.Fatalf("Start+ReportStats control RPCs = %d, want %d", got, 2*len(names))
 	}
-	sa := dStart.broker.Advertisements(jxta.AdvPeer)
-	ba := dBoth.broker.Advertisements(jxta.AdvPeer)
+	sa := dStart.broker.Advertisements()
+	ba := dBoth.broker.Advertisements()
 	if len(sa) != len(names) || len(ba) != len(names) {
 		t.Fatalf("directory: Start %d entries, Start+ReportStats %d, want %d", len(sa), len(ba), len(names))
 	}
@@ -257,10 +257,10 @@ func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
 
 // TestRegisterCannotDisplaceAnotherPeer: the broker stores a registration
 // under the kind and ID its name implies, whatever the frame claims, and
-// refuses one with no name. A register naming evil under sc2's ID would
-// replace sc2's entry (and sc2's heartbeats would then renew evil), one
-// carrying sc1's ID as a pipe advertisement would drop sc1 from the peer
-// directory, and an empty name would be listed as a peer.
+// refuses one with no name. A register naming evil under sc2's ID would list
+// evil under an ID not its own, one for sc1 claiming another kind would be
+// dropped by the directory, which keeps peers only, and an empty name would
+// be listed as a peer.
 func TestRegisterCannotDisplaceAnotherPeer(t *testing.T) {
 	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile()})
 	send := func(adv jxta.Advertisement) registerAck {
@@ -284,16 +284,16 @@ func TestRegisterCannotDisplaceAnotherPeer(t *testing.T) {
 		evil := testAdv("evil")
 		evil.ID = jxta.NewID("peer", "sc2")
 		send(evil)
-		asPipe := testAdv("sc1")
-		asPipe.Kind = jxta.AdvPipe
-		send(asPipe)
+		otherKind := testAdv("sc1")
+		otherKind.Kind = jxta.AdvPeer + 1
+		send(otherKind)
 		unnamed = send(testAdv(""))
 		if err := d.clients["sc2"].ReportStats(); err != nil {
 			t.Errorf("sc2 heartbeat: %v", err)
 		}
 		peers = d.broker.Peers()
 		for _, name := range peers {
-			entries[name] = named(d.broker.Advertisements(jxta.AdvPeer), name)
+			entries[name] = named(d.broker.Advertisements(), name)
 		}
 	})
 	if want := []string{"evil", "sc1", "sc2"}; !reflect.DeepEqual(peers, want) {

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"strconv"
@@ -30,7 +31,7 @@ type BrokerConfig struct {
 	// Shards splits the advertisement directory into N peer-hash shards
 	// (default 1). A registration, renewal or piece report touches only the
 	// shard owning that peer; whole-directory reads (discovery, selection)
-	// merge the shards in canonical order, so results are identical at any
+	// merge the shards in name order, so results are identical at any
 	// shard count. The statistics registry is one, whatever Shards says.
 	Shards int
 }
@@ -79,7 +80,7 @@ type Broker struct {
 	// at one RPC per peer.
 	ctlRPCs atomic.Int64
 
-	// mu guards dir, the last whole-kind directory merge (see mergedDir),
+	// mu guards dir, the last directory merge (see mergedDir),
 	// and its reply; table, the candidate table, and scratch, the copy of it
 	// minus exclusions that one selection ranks (see selection.go); and the
 	// models' Rank calls (the blind cursor is state). Nothing under it parks
@@ -148,17 +149,17 @@ func (b *Broker) Registry() *stats.Registry { return b.registry }
 // Shards reports the broker's shard count.
 func (b *Broker) Shards() int { return len(b.shards) }
 
-// mergedDir is a whole-kind directory merged across shards, with the stamp
+// mergedDir is the peer directory merged across shards, with the stamp
 // every shard's cache carried when it was merged (jxta.Cache.Stamp, in shard
 // order): while every shard still returns that stamp its live set is the one
-// merged, so the merge is current. gen counts the merges, so a view derived
-// from one (the candidate table) is current while gen is. The next merge
-// reuses buf (the shards' answers end to end), parts and advs, so they are
-// read under the broker's mu only; reply, the discover reply encoding advs,
-// is new and immutable per version, detached from enc, which the merge keeps
-// and every version is encoded in.
+// merged, so the merge is current. The zero mergedDir is the merge of caches
+// never written, whose stamps are zero. gen counts the merges, so a view
+// derived from one (the candidate table) is current while gen is. The next
+// merge reuses buf (the shards' answers end to end), parts and advs, so they
+// are read under the broker's mu only; reply, the discover reply encoding
+// advs, is new and immutable per version, detached from enc, which the merge
+// keeps and every version is encoded in.
 type mergedDir struct {
-	kind   jxta.AdvKind
 	gen    uint64
 	stamps []uint64
 	buf    []jxta.Advertisement
@@ -168,22 +169,22 @@ type mergedDir struct {
 	enc    *wire.Encoder
 }
 
-// Advertisements returns a copy of the sharded advertisement directory for
-// one kind: per-shard results merged back into canonical (Name, ID) order.
-// Discovery, selection and Peers all read this one merge.
-func (b *Broker) Advertisements(kind jxta.AdvKind) []jxta.Advertisement {
+// Advertisements returns a copy of the sharded peer directory: per-shard
+// results merged back into name order. Discovery, selection and Peers all
+// read this one merge.
+func (b *Broker) Advertisements() []jxta.Advertisement {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]jxta.Advertisement(nil), b.dirLocked(kind).advs...)
+	return append([]jxta.Advertisement(nil), b.dirLocked().advs...)
 }
 
-// directoryReply returns the whole-kind discover reply for kind, encoded once
-// per directory version: every discover until some shard's stamp moves is
-// sent the same read-only bytes.
-func (b *Broker) directoryReply(kind jxta.AdvKind) []byte {
+// directoryReply returns the discover reply, encoded once per directory
+// version: every discover until some shard's stamp moves is sent the same
+// read-only bytes.
+func (b *Broker) directoryReply() []byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	d := b.dirLocked(kind)
+	d := b.dirLocked()
 	if d.reply == nil {
 		// One allocation, of the reply's size, however the directory grew:
 		// a pooled encoder grown to the reply would not outlive a collection.
@@ -194,12 +195,11 @@ func (b *Broker) directoryReply(kind jxta.AdvKind) []byte {
 	return d.reply
 }
 
-// dirLocked returns the whole-kind directory, merged again into its buffers
-// if some shard's stamp moved or the kind changed since the last merge.
-// Caller holds mu.
-func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
+// dirLocked returns the directory, merged again into its buffers if some
+// shard's stamp moved since the last merge. Caller holds mu.
+func (b *Broker) dirLocked() *mergedDir {
 	d := &b.dir
-	current := d.kind == kind
+	current := true
 	// Stamps are read before the shards' answers: a publish landing between
 	// the two leaves the merge newer than its stamps, and the next call
 	// merges again.
@@ -211,18 +211,19 @@ func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 	if current {
 		return d
 	}
-	d.kind, d.reply = kind, nil
+	d.reply = nil
 	d.gen++
 	if len(b.shards) == 1 {
-		d.advs = b.shards[0].AppendAll(d.advs[:0], kind)
+		d.advs = b.shards[0].AppendAll(d.advs[:0])
 		return d
 	}
-	// Each shard answers in canonical order already; a k-way merge restores
-	// the global order without re-sorting the whole directory.
-	d.buf, d.parts = slices.Grow(d.buf[:0], b.liveLen(kind)), d.parts[:0]
+	// Each shard answers in name order already, and a name lives in one
+	// shard; a k-way merge restores the global order without re-sorting the
+	// whole directory.
+	d.buf, d.parts = slices.Grow(d.buf[:0], b.liveLen()), d.parts[:0]
 	for _, sh := range b.shards {
 		start := len(d.buf)
-		if d.buf = sh.AppendAll(d.buf, kind); len(d.buf) > start {
+		if d.buf = sh.AppendAll(d.buf); len(d.buf) > start {
 			d.parts = append(d.parts, d.buf[start:])
 		}
 	}
@@ -232,7 +233,7 @@ func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 		// the parts' heads and drop a part once it is exhausted.
 		least := 0
 		for i := 1; i < len(parts); i++ {
-			if jxta.CompareAdvertisements(&parts[i][0], &parts[least][0]) < 0 {
+			if parts[i][0].Name < parts[least][0].Name {
 				least = i
 			}
 		}
@@ -245,21 +246,21 @@ func (b *Broker) dirLocked(kind jxta.AdvKind) *mergedDir {
 	return d
 }
 
-// liveLen counts live advertisements of kind across shards — the length of
-// the merged directory, computed from per-shard O(1) counts instead of
-// listing it. Registration acks carry the peer count, so a boot wave of N
-// peers must not pay O(N) per ack; a merge sizes its buffer by it.
-func (b *Broker) liveLen(kind jxta.AdvKind) int {
+// liveLen counts live advertisements across shards — the length of the
+// merged directory, computed from per-shard O(1) counts instead of listing
+// it. Registration acks carry the peer count, so a boot wave of N peers must
+// not pay O(N) per ack; a merge sizes its buffer by it.
+func (b *Broker) liveLen() int {
 	n := 0
 	for _, sh := range b.shards {
-		n += sh.LiveLen(kind)
+		n += sh.LiveLen()
 	}
 	return n
 }
 
 // Peers lists registered peer names (live advertisements only).
 func (b *Broker) Peers() []string {
-	advs := b.Advertisements(jxta.AdvPeer)
+	advs := b.Advertisements()
 	names := make([]string, 0, len(advs))
 	for _, a := range advs {
 		names = append(names, a.Name)
@@ -314,7 +315,9 @@ func (b *Broker) serve(conn pipe.Conn) {
 	case mtStatsReport:
 		handle(conn, d, decodeStatsReport, b.handleStatsReport)
 	case mtDiscover:
-		handle(conn, d, decodeDiscover, b.handleDiscover)
+		if bytes.Equal(msg.Payload, discoverFrame) { // any other is malformed
+			conn.Send(b.directoryReply())
+		}
 	case mtSelect:
 		handle(conn, d, decodeSelectReq, b.handleSelect)
 	case mtReportTransfer:
@@ -354,7 +357,7 @@ func (b *Broker) handleRegister(conn pipe.Conn, req register) {
 		ps.SetCPUScore(cpu)
 	}
 	b.applyStats(ps, req.Stats)
-	ack := registerAck{OK: true, Broker: b.host.Name(), KnownPeers: b.liveLen(jxta.AdvPeer)}
+	ack := registerAck{OK: true, Broker: b.host.Name(), KnownPeers: b.liveLen()}
 	conn.Send(frame(mtRegisterAck, ack.encodeTo))
 }
 
@@ -387,13 +390,12 @@ func (b *Broker) publish(sh *jxta.Cache, adv jxta.Advertisement) {
 // directory entry survives one late renewal. Static deployments never
 // rebuild (their leases outlive the run).
 func (b *Broker) leaseOf(sh *jxta.Cache, peer string, conn pipe.Conn) (adv jxta.Advertisement, lapsed bool) {
-	id := jxta.NewID("peer", peer)
-	if adv, ok := sh.Lookup(id); ok {
+	if adv, ok := sh.Lookup(peer); ok {
 		return adv, false
 	}
 	return jxta.Advertisement{
 		Kind: jxta.AdvPeer,
-		ID:   id,
+		ID:   jxta.NewID("peer", peer),
 		Name: peer,
 		Addr: string(transport.MakeAddr(conn.Remote().Node(), ServiceTransfer)),
 	}, true
@@ -410,10 +412,6 @@ func (b *Broker) handleStatsReport(conn pipe.Conn, rep statsReport) {
 	}
 	b.publish(sh, adv)
 	conn.Send(ackFrame)
-}
-
-func (b *Broker) handleDiscover(conn pipe.Conn, req discover) {
-	conn.Send(b.directoryReply(req.Kind))
 }
 
 func (b *Broker) handleSelect(conn pipe.Conn, req selectReq) {

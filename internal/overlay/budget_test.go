@@ -57,11 +57,11 @@ func TestPeerBudget(t *testing.T) {
 	perPeer := float64(bytes1-bytes0) / peers
 	objects := float64(objects1-objects0) / peers
 	t.Logf("a registered idle peer: %.0f B live, %.1f live objects", perPeer, objects)
-	if perPeer > 4096 {
-		t.Errorf("a registered idle peer holds %.0f B live, budget 4 096", perPeer)
+	if perPeer > 3850 {
+		t.Errorf("a registered idle peer holds %.0f B live, budget 3 850", perPeer)
 	}
-	if objects > 40 {
-		t.Errorf("a registered idle peer holds %.1f live objects, budget 40", objects)
+	if objects > 38 {
+		t.Errorf("a registered idle peer holds %.1f live objects, budget 38", objects)
 	}
 
 	d.net.Run(func() {

@@ -261,7 +261,7 @@ func (c *Client) currentStats() statsReport {
 // refreshDir makes the broker's whole peer directory the client's cached
 // directory, which degraded selection falls back to when the broker is gone.
 func (c *Client) refreshDir() error {
-	reply, err := c.call(c.broker, frame(mtDiscover, discover{Kind: jxta.AdvPeer}.encodeTo))
+	reply, err := c.call(c.broker, discoverFrame)
 	if err != nil {
 		return err
 	}

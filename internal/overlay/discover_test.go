@@ -75,7 +75,7 @@ func referenceDiscoverFrame(advs []jxta.Advertisement) []byte {
 }
 
 // referenceDecodeDiscoverResult is the decoder the bulk decode replaced: one
-// jxta.DecodeAdvertisement per counted entry, then the trailing-byte check.
+// loopDecodeAdvertisement per counted entry, then the trailing-byte check.
 func referenceDecodeDiscoverResult(d *wire.Decoder) ([]jxta.Advertisement, error) {
 	n := d.Uint64()
 	if err := d.Err(); err != nil {
@@ -83,7 +83,7 @@ func referenceDecodeDiscoverResult(d *wire.Decoder) ([]jxta.Advertisement, error
 	}
 	var advs []jxta.Advertisement
 	for i := uint64(0); i < n; i++ {
-		a, err := jxta.DecodeAdvertisement(d)
+		a, err := loopDecodeAdvertisement(d)
 		if err != nil {
 			return nil, err
 		}
@@ -129,11 +129,11 @@ func TestDiscoverReplyFrameAndDecode(t *testing.T) {
 		b := bareBroker(t)
 		advs := randomPeerAdvs(rand.New(rand.NewSource(int64(n)+1)), n)
 		publishAll(b, advs)
-		sorted := b.Advertisements(jxta.AdvPeer)
+		sorted := b.Advertisements()
 		if len(sorted) != n {
 			t.Fatalf("n=%d: directory holds %d", n, len(sorted))
 		}
-		frame := b.directoryReply(jxta.AdvPeer)
+		frame := b.directoryReply()
 		if !bytes.Equal(frame, referenceDiscoverFrame(sorted)) {
 			t.Fatalf("n=%d: the broker's frame differs from the merged-slice encoding", n)
 		}
@@ -363,13 +363,13 @@ func TestDiscoverAllocBudgets(t *testing.T) {
 	advs := randomPeerAdvs(rand.New(rand.NewSource(128)), 128)
 	publishAll(b, advs)
 	var reply []byte
-	hit := func() { reply = b.directoryReply(jxta.AdvPeer) }
+	hit := func() { reply = b.directoryReply() }
 	if allocs := testing.AllocsPerRun(50, hit); allocs != 0 {
 		t.Errorf("broker side, hit: %v allocations to reply to a 128-peer discover on 4 shards, budget 0", allocs)
 	}
 	miss := func() {
 		publishAll(b, advs[:1])
-		reply = b.directoryReply(jxta.AdvPeer)
+		reply = b.directoryReply()
 	}
 	const misses = 50
 	allocs := testing.AllocsPerRun(misses, miss)
@@ -392,7 +392,7 @@ func TestDiscoverAllocBudgets(t *testing.T) {
 		publishAll(b, []jxta.Advertisement{a})
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		reply = b.directoryReply(jxta.AdvPeer)
+		reply = b.directoryReply()
 		runtime.ReadMemStats(&after)
 		grown, mallocs = grown+1, mallocs+after.Mallocs-before.Mallocs
 	}
@@ -463,9 +463,9 @@ func TestDirectoryMergeReused(t *testing.T) {
 					return
 				default:
 				}
-				dir := b.Advertisements(jxta.AdvPeer)
+				dir := b.Advertisements()
 				for i := 1; i < len(dir); i++ {
-					if jxta.CompareAdvertisements(&dir[i-1], &dir[i]) >= 0 {
+					if dir[i-1].Name >= dir[i].Name {
 						t.Errorf("a reader saw %s before %s", dir[i-1].Name, dir[i].Name)
 						return
 					}
@@ -477,7 +477,7 @@ func TestDirectoryMergeReused(t *testing.T) {
 	var prev []byte // the last step's reply
 	unchanged := func(step string) {
 		t.Helper()
-		if got := b.directoryReply(jxta.AdvPeer); &got[0] != &prev[0] {
+		if got := b.directoryReply(); &got[0] != &prev[0] {
 			t.Fatalf("after %s: merged again though no live set changed", step)
 		}
 	}
@@ -487,12 +487,12 @@ func TestDirectoryMergeReused(t *testing.T) {
 		for _, sh := range b.shards {
 			scratch = append(scratch, sh.Query(jxta.AdvPeer, "")...)
 		}
-		slices.SortFunc(scratch, canonical)
-		got := b.Advertisements(jxta.AdvPeer)
+		slices.SortFunc(scratch, byName)
+		got := b.Advertisements()
 		if len(got) != wantLen || !reflect.DeepEqual(got, scratch) {
 			t.Fatalf("after %s: %d advertisements, a merge from nothing has %d (want %d), or they differ", step, len(got), len(scratch), wantLen)
 		}
-		reply := b.directoryReply(jxta.AdvPeer)
+		reply := b.directoryReply()
 		if prev != nil && &reply[0] == &prev[0] {
 			t.Fatalf("after %s: the directory is still the previous merge", step)
 		}

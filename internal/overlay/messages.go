@@ -94,15 +94,6 @@ func (m statsReport) encodeTo(e *wire.Encoder) {
 	e.Float64(m.CPUScore)
 }
 
-// discover queries the broker's advertisement directory for one kind.
-type discover struct {
-	Kind jxta.AdvKind
-}
-
-func (m discover) encodeTo(e *wire.Encoder) {
-	e.Byte(byte(m.Kind))
-}
-
 // encodeDiscoverResult appends the discover reply carrying advs, in order.
 func encodeDiscoverResult(e *wire.Encoder, advs []jxta.Advertisement) {
 	e.Byte(mtDiscoverResult)
@@ -272,11 +263,14 @@ func (m instant) encodeTo(e *wire.Encoder) {
 	e.String(m.Text)
 }
 
-// The generic acknowledgment and the instant-message acknowledgment, as the
-// frames every sender shares: a sent buffer is read-only.
+// The generic acknowledgment, the instant-message acknowledgment and the
+// discover request, as the frames every sender shares: a sent buffer is
+// read-only. A discover asks for the peer directory, the kind byte it
+// carries.
 var (
 	ackFrame        = []byte{mtAck}
 	instantAckFrame = []byte{mtInstantAck}
+	discoverFrame   = []byte{mtDiscover, byte(jxta.AdvPeer)}
 )
 
 // frame encodes a message, tag then what fill encodes, into a buffer of its
@@ -293,12 +287,14 @@ func frame(tag byte, fill func(*wire.Encoder)) []byte {
 
 // --- decoding ---
 
+// decodeRegister reads the advertisement as a one-entry directory: its
+// strings share one copy of the frame.
 func decodeRegister(d *wire.Decoder) (register, error) {
-	adv, err := jxta.DecodeAdvertisement(d)
+	dir, err := jxta.ScanAdvertisements(d, 1)
 	if err != nil {
 		return register{}, err
 	}
-	return register{Adv: adv, Stats: decodeStatsFields(d)}, d.Finish()
+	return register{Adv: dir.Decode()[0], Stats: decodeStatsFields(d)}, d.Finish()
 }
 
 func decodeRegisterAck(d *wire.Decoder) (registerAck, error) {
@@ -320,10 +316,6 @@ func decodeStatsFields(d *wire.Decoder) statsReport {
 		ReadyIn:   d.Duration(),
 		CPUScore:  d.Float64(),
 	}
-}
-
-func decodeDiscover(d *wire.Decoder) (discover, error) {
-	return discover{Kind: jxta.AdvKind(d.Byte())}, d.Finish()
 }
 
 // scanDiscoverResult makes every check a discover reply has to pass and

@@ -414,7 +414,7 @@ func deployShards(t *testing.T, shards int, profiles map[string]simnet.Profile) 
 // TestShardedBrokerEndToEnd drives every broker service against a
 // multi-shard broker: registrations must land on the owning shard, while
 // discovery and selection must read the whole network back in the same
-// canonical order a single shard would, and the one registry must hold every
+// name order a single shard would, and the one registry must hold every
 // peer's statistics.
 func TestShardedBrokerEndToEnd(t *testing.T) {
 	profiles := map[string]simnet.Profile{}
@@ -452,7 +452,7 @@ func TestShardedBrokerEndToEnd(t *testing.T) {
 	}
 	for i, name := range names {
 		if peers[i] != name {
-			t.Fatalf("peers = %v, want canonical sorted order %v", peers, names)
+			t.Fatalf("peers = %v, want name order %v", peers, names)
 		}
 	}
 	// Selection spans shards and still excludes the requester.
@@ -530,7 +530,7 @@ func TestNonFiniteCPUScoreIgnored(t *testing.T) {
 					t.Errorf("%s advertised %s: registry score %v, want the neutral 1", peer, v, got)
 				}
 			}
-			if advs := named(d.broker.Advertisements(jxta.AdvPeer), lapsed); len(advs) != 1 || advs[0].Attr(jxta.AttrCPUScore) != "" {
+			if advs := named(d.broker.Advertisements(), lapsed); len(advs) != 1 || advs[0].Attr(jxta.AttrCPUScore) != "" {
 				t.Errorf("%s reported %s: rebuilt advertisement %+v", lapsed, v, advs)
 			}
 		}

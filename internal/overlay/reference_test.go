@@ -23,27 +23,27 @@ import (
 // never removes an entry because time passed — whether an entry is live is
 // decided against the clock each time it is read.
 type refDirectory struct {
-	advs map[jxta.ID]jxta.Advertisement
+	advs map[string]jxta.Advertisement
 }
 
 func (r *refDirectory) publish(a jxta.Advertisement, now time.Time) {
 	if a.Expires.After(now) {
-		r.advs[a.ID] = a
+		r.advs[a.Name] = a
 	}
 }
 
-func (r *refDirectory) lookup(id jxta.ID, now time.Time) (jxta.Advertisement, bool) {
-	a, ok := r.advs[id]
+func (r *refDirectory) lookup(name string, now time.Time) (jxta.Advertisement, bool) {
+	a, ok := r.advs[name]
 	if !ok || !a.Expires.After(now) {
 		return jxta.Advertisement{}, false
 	}
 	return a, true
 }
 
-// canonical is jxta.CompareAdvertisements on values, for slices.SortFunc.
-func canonical(a, b jxta.Advertisement) int { return jxta.CompareAdvertisements(&a, &b) }
+// byName orders advertisements by name, for slices.SortFunc.
+func byName(a, b jxta.Advertisement) int { return strings.Compare(a.Name, b.Name) }
 
-// query returns the entries live at now that keep accepts, in canonical order.
+// query returns the entries live at now that keep accepts, in name order.
 func (r *refDirectory) query(now time.Time, keep func(jxta.Advertisement) bool) []jxta.Advertisement {
 	var out []jxta.Advertisement
 	for _, a := range r.advs {
@@ -51,7 +51,7 @@ func (r *refDirectory) query(now time.Time, keep func(jxta.Advertisement) bool) 
 			out = append(out, a)
 		}
 	}
-	slices.SortFunc(out, canonical)
+	slices.SortFunc(out, byName)
 	return out
 }
 
@@ -72,9 +72,9 @@ const leaseProgramTTL = 40 * time.Second
 // checkLeaseProgram runs a seeded program of publishes, renewals, clock
 // advances, sweeps, restarts and removals against a broker of the given
 // shard count and the reference directory side by side, and after every step
-// compares every read the serve path has: Cache.Lookup of every identifier
-// the program knows, the named and whole-kind Cache.Query and LiveLen of
-// every shard, Broker.Advertisements, and the discover reply decoded the way
+// compares every read the serve path has: Cache.Lookup of every name the
+// program knows, the named and whole Cache.Query and LiveLen of every shard,
+// Broker.Advertisements, and the discover reply decoded the way
 // a client decodes it. Per shard it also holds Cache.Stamp to its contract:
 // a stamp seen before means the live set — entries and payloads — seen with
 // it, so a live set that changed must have changed the stamp. The reads run
@@ -88,12 +88,9 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 	if err != nil {
 		return err
 	}
-	// The identifiers the program draws from: ten names, each as a peer, as a
-	// pipe and as a second peer entry of the same name (a named query then
-	// orders by ID).
+	// The peers the program draws from: ten names, each with a count of its
+	// publishes.
 	type ident struct {
-		kind      jxta.AdvKind
-		id        jxta.ID
 		name      string
 		publishes int
 	}
@@ -102,13 +99,9 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 	for i := 0; i < 10; i++ {
 		name := "n" + strconv.Itoa(i)
 		names = append(names, name)
-		idents = append(idents,
-			&ident{kind: jxta.AdvPeer, id: jxta.NewID("peer", name), name: name},
-			&ident{kind: jxta.AdvPipe, id: jxta.NewID("pipe", name), name: name},
-			&ident{kind: jxta.AdvPeer, id: jxta.NewID("peer-again", name), name: name})
+		idents = append(idents, &ident{name: name})
 	}
-	kinds := []jxta.AdvKind{jxta.AdvPeer, jxta.AdvPipe, jxta.AdvModule}
-	ref := &refDirectory{advs: make(map[jxta.ID]jxta.Advertisement)}
+	ref := &refDirectory{advs: make(map[string]jxta.Advertisement)}
 	shardIndex := func(name string) int { return slices.Index(b.shards, b.shardOf(name)) }
 	// seen[i] maps every stamp shard i has returned to the live set it held.
 	seen := make([]map[uint64][]jxta.Advertisement, shards)
@@ -123,36 +116,32 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 	}
 	checks := []func(now time.Time) error{
 		func(now time.Time) error { // Cache.Lookup
-			for _, it := range idents {
-				got, ok := b.shardOf(it.name).Lookup(it.id)
-				want, wantOK := ref.lookup(it.id, now)
+			for _, name := range names {
+				got, ok := b.shardOf(name).Lookup(name)
+				want, wantOK := ref.lookup(name, now)
 				if ok != wantOK || !sameAdvs([]jxta.Advertisement{got}, []jxta.Advertisement{want}) {
-					return fail("Lookup(%s %s) = %+v, %v; reference %+v, %v", it.kind, it.name, got, ok, want, wantOK)
+					return fail("Lookup(%s) = %+v, %v; reference %+v, %v", name, got, ok, want, wantOK)
 				}
 			}
 			return nil
 		},
-		func(now time.Time) error { // per-shard whole-kind Query, LiveLen
+		func(now time.Time) error { // per-shard whole Query, LiveLen
 			for i, sh := range b.shards {
-				for _, kind := range kinds {
-					want := ref.query(now, func(a jxta.Advertisement) bool { return a.Kind == kind && shardIndex(a.Name) == i })
-					if got := sh.Query(kind, ""); !sameAdvs(got, want) {
-						return fail("shard %d Query(%s) = %d entries, reference %d, or they differ", i, kind, len(got), len(want))
-					}
-					if got := sh.LiveLen(kind); got != len(want) {
-						return fail("shard %d LiveLen(%s) = %d, reference %d", i, kind, got, len(want))
-					}
+				want := ref.query(now, func(a jxta.Advertisement) bool { return shardIndex(a.Name) == i })
+				if got := sh.Query(jxta.AdvPeer, ""); !sameAdvs(got, want) {
+					return fail("shard %d Query = %d entries, reference %d, or they differ", i, len(got), len(want))
+				}
+				if got := sh.LiveLen(); got != len(want) {
+					return fail("shard %d LiveLen = %d, reference %d", i, got, len(want))
 				}
 			}
 			return nil
 		},
 		func(now time.Time) error { // named Cache.Query on the owning shard
-			for _, kind := range kinds {
-				for _, name := range names {
-					want := ref.query(now, func(a jxta.Advertisement) bool { return a.Kind == kind && a.Name == name })
-					if got := b.shardOf(name).Query(kind, name); !sameAdvs(got, want) {
-						return fail("Query(%s, %s) = %+v, reference %+v", kind, name, got, want)
-					}
+			for _, name := range names {
+				want := ref.query(now, func(a jxta.Advertisement) bool { return a.Name == name })
+				if got := b.shardOf(name).Query(jxta.AdvPeer, name); !sameAdvs(got, want) {
+					return fail("Query(%s) = %+v, reference %+v", name, got, want)
 				}
 			}
 			return nil
@@ -169,19 +158,17 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 			return nil
 		},
 		func(now time.Time) error { // Broker.Advertisements and the discover reply
-			for _, kind := range kinds {
-				want := ref.query(now, func(a jxta.Advertisement) bool { return a.Kind == kind })
-				if got := b.Advertisements(kind); !sameAdvs(got, want) {
-					return fail("Advertisements(%s) = %d entries, reference %d, or they differ", kind, len(got), len(want))
-				}
-				tag, dec, err := kindOf(b.directoryReply(kind))
-				if err != nil || tag != mtDiscoverResult {
-					return fail("discover reply for %s: tag %d, %v", kind, tag, err)
-				}
-				dir, err := scanDiscoverResult(dec)
-				if got := dir.Decode(); err != nil || !sameAdvs(got, want) {
-					return fail("discover reply for %s = %d entries, %v; reference %d, or they differ", kind, len(got), err, len(want))
-				}
+			want := ref.query(now, func(jxta.Advertisement) bool { return true })
+			if got := b.Advertisements(); !sameAdvs(got, want) {
+				return fail("Advertisements = %d entries, reference %d, or they differ", len(got), len(want))
+			}
+			tag, dec, err := kindOf(b.directoryReply())
+			if err != nil || tag != mtDiscoverResult {
+				return fail("discover reply: tag %d, %v", tag, err)
+			}
+			dir, err := scanDiscoverResult(dec)
+			if got := dir.Decode(); err != nil || !sameAdvs(got, want) {
+				return fail("discover reply = %d entries, %v; reference %d, or they differ", len(got), err, len(want))
 			}
 			return nil
 		},
@@ -197,7 +184,7 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 			case op < 4: // publish or renew through the broker, under its own lease
 				what = "broker publish " + it.name
 				it.publishes++
-				a := jxta.Advertisement{Kind: it.kind, ID: it.id, Name: it.name, Addr: it.name + "/transfer"}
+				a := jxta.Advertisement{Kind: jxta.AdvPeer, ID: jxta.NewID("peer", it.name), Name: it.name, Addr: it.name + "/transfer"}
 				if rng.Intn(2) == 0 {
 					a = a.WithAttr(jxta.AttrCPUScore, strconv.Itoa(it.publishes))
 				}
@@ -209,7 +196,7 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 				ttl := time.Duration(rng.Intn(90)-5) * time.Second
 				what = fmt.Sprintf("cache publish %s for %v", it.name, ttl)
 				it.publishes++
-				a := jxta.Advertisement{Kind: it.kind, ID: it.id, Name: it.name, Expires: now.Add(ttl),
+				a := jxta.Advertisement{Kind: jxta.AdvPeer, ID: jxta.NewID("peer", it.name), Name: it.name, Expires: now.Add(ttl),
 					Attrs: []jxta.Attr{{Key: "n", Value: strconv.Itoa(it.publishes)}}}
 				b.shardOf(it.name).Publish(a)
 				ref.publish(a, now)
@@ -218,12 +205,12 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 				what = fmt.Sprintf("sleep %v", d)
 				host.Sleep(d)
 			case op < 14: // advance the clock onto an expiry instant exactly
-				a, ok := ref.lookup(it.id, now)
+				a, ok := ref.lookup(it.name, now)
 				if !ok {
 					what = "nothing"
 					break
 				}
-				what = fmt.Sprintf("sleep onto the expiry of %s %s", it.kind, it.name)
+				what = "sleep onto the expiry of " + it.name
 				host.Sleep(a.Expires.Sub(now))
 			case op < 15:
 				what = "sweep"
@@ -302,7 +289,7 @@ func (r *refPeers) list(now time.Time) []jxta.Advertisement {
 			out = append(out, a)
 		}
 	}
-	slices.SortFunc(out, func(a, b jxta.Advertisement) int { return strings.Compare(a.Name, b.Name) })
+	slices.SortFunc(out, byName)
 	return out
 }
 
@@ -332,9 +319,6 @@ func (r *refPeers) lease(name, from string, now time.Time) (jxta.Advertisement, 
 	}
 	return jxta.Advertisement{Name: name, Addr: string(transport.MakeAddr(from, ServiceTransfer))}, true
 }
-
-// discoverPeers is the request for the whole peer directory.
-func discoverPeers() []byte { return frame(mtDiscover, discover{Kind: jxta.AdvPeer}.encodeTo) }
 
 // checkBrokerDirectoryProgram runs a seeded program against a broker of the
 // given shard count, every step a frame sent to its handlers from a probe
@@ -489,7 +473,7 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 				failure = fail("Peers() = %q, reference %q", got, wantNames)
 				return
 			}
-			reply, err := call(discoverPeers())
+			reply, err := call(discoverFrame)
 			if err != nil {
 				failure = fail("discover: %v", err)
 				return

@@ -241,7 +241,7 @@ func TestDiscoverResultUnchangedByHeartbeatRefresh(t *testing.T) {
 func refreshReply(t testing.TB, n int) []byte {
 	b := bareBroker(t)
 	publishAll(b, randomPeerAdvs(rand.New(rand.NewSource(int64(n))), n))
-	return b.directoryReply(jxta.AdvPeer)
+	return b.directoryReply()
 }
 
 // TestRefreshAllocBudget gates what a heartbeat's directory refresh costs the

@@ -97,3 +97,9 @@ func FuzzDecodeRegister(f *testing.F) {
 		}
 	})
 }
+
+func TestDecodeRegisterCorrupt(t *testing.T) {
+	if _, err := decodeRegister(wire.NewDecoder([]byte{1, 2, 3})); err == nil {
+		t.Fatal("corrupt input accepted")
+	}
+}

@@ -53,10 +53,10 @@ func newProbe(net *simnet.Network, b *Broker) (*pipe.Mux, func([]byte) ([]byte, 
 // advances — arbitrary ones and ones onto an expiry instant exactly —
 // sweeps, evictions at a small cache limit and restarts against a broker of
 // the given shard count, sending every request over the wire from a probe
-// node. After every step it sends whole-kind discovers of each kind, in a
-// different order each time, twice: each reply must equal a fresh encode of
-// Broker.Advertisements at that instant, and the second must equal the
-// first. A reply kept across a change of the directory fails here.
+// node. After every step it sends two discovers: the reply must equal a
+// fresh encode of Broker.Advertisements at that instant, and the second
+// must equal the first. A reply kept across a change of the directory fails
+// here.
 func checkReplyProgram(seed int64, shards, steps int) error {
 	rng := rand.New(rand.NewSource(seed))
 	net := simnet.New(seed)
@@ -73,8 +73,6 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 	for i := range names {
 		names[i] = fmt.Sprintf("p%d", i)
 	}
-	kinds := []jxta.AdvKind{jxta.AdvPeer, jxta.AdvPipe}
-
 	var step int
 	var what string
 	fail := func(format string, args ...any) error {
@@ -116,7 +114,7 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 				what = fmt.Sprintf("sleep %v", d)
 				host.Sleep(d)
 			case op < 10:
-				adv, ok := b.shardOf(name).Lookup(jxta.NewID("peer", name))
+				adv, ok := b.shardOf(name).Lookup(name)
 				if !ok {
 					what = "nothing"
 					break
@@ -132,28 +130,25 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 				what = "restart"
 				b.Restart()
 			}
-			for _, k := range rng.Perm(len(kinds)) {
-				req := frame(mtDiscover, discover{Kind: kinds[k]}.encodeTo)
-				first, err := rpc(req)
-				if err != nil {
-					failure = fail("discover %s: %v", kinds[k], err)
-					return
-				}
-				again, err := rpc(req)
-				if err != nil {
-					failure = fail("second discover %s: %v", kinds[k], err)
-					return
-				}
-				fresh := wire.NewEncoder(0)
-				encodeDiscoverResult(fresh, b.Advertisements(kinds[k]))
-				if !bytes.Equal(first, fresh.Bytes()) {
-					failure = fail("discover %s replied %d bytes, a fresh encode at this instant is %d, or they differ", kinds[k], len(first), fresh.Len())
-					return
-				}
-				if !bytes.Equal(again, first) {
-					failure = fail("two discovers %s with nothing between them replied differently", kinds[k])
-					return
-				}
+			first, err := rpc(discoverFrame)
+			if err != nil {
+				failure = fail("discover: %v", err)
+				return
+			}
+			again, err := rpc(discoverFrame)
+			if err != nil {
+				failure = fail("second discover: %v", err)
+				return
+			}
+			fresh := wire.NewEncoder(0)
+			encodeDiscoverResult(fresh, b.Advertisements())
+			if !bytes.Equal(first, fresh.Bytes()) {
+				failure = fail("discover replied %d bytes, a fresh encode at this instant is %d, or they differ", len(first), fresh.Len())
+				return
+			}
+			if !bytes.Equal(again, first) {
+				failure = fail("two discovers with nothing between them replied differently")
+				return
 			}
 		}
 	})
@@ -161,7 +156,7 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 }
 
 // TestDirectoryReplyMatchesFreshEncode is the oracle for the broker's
-// whole-kind discover reply: seeded programs on one and four shards, the
+// discover reply: seeded programs on one and four shards, the
 // reply compared with a fresh encode of the directory after every step.
 func TestDirectoryReplyMatchesFreshEncode(t *testing.T) {
 	seeds := 12
@@ -206,15 +201,15 @@ func TestCachedReplyUnchangedByHeartbeatRound(t *testing.T) {
 		for range d.clients {
 			join.Pop()
 		}
-		reply := d.broker.directoryReply(jxta.AdvPeer)
+		reply := d.broker.directoryReply()
 		saved := bytes.Clone(reply)
-		want := d.broker.Advertisements(jxta.AdvPeer)
+		want := d.broker.Advertisements()
 		for name, c := range d.clients {
 			if got := c.res.snapshotDir(); len(got) != len(profiles) || !sameAdvs(got, want) {
 				t.Errorf("%s kept a directory other than the round's last: %d entries", name, len(got))
 			}
 		}
-		if again := d.broker.directoryReply(jxta.AdvPeer); &again[0] != &reply[0] {
+		if again := d.broker.directoryReply(); &again[0] != &reply[0] {
 			t.Error("the broker encoded its reply again with nothing changed")
 		}
 		fresh := wire.NewEncoder(0)

@@ -6,16 +6,15 @@ import (
 	"time"
 
 	"peerlab/internal/core"
-	"peerlab/internal/jxta"
 )
 
 // candTable is what every selection ranks: the directory's candidates with
-// their statistics snapshots, in canonical order. A snapshot reads the clock
+// their statistics snapshots, in name order. A snapshot reads the clock
 // only for the hour its message window ends in, every write to a record
 // bumps the registry's Version and every change to the directory is a new
 // merge (mergedDir.gen). So while the merge, the Version and the hour are the
-// ones it was built from, the table equals fresh snapshots. The first merge
-// is gen 1 (no kind is zero), so the zero table is never current.
+// ones it was built from, the table equals fresh snapshots. The zero table
+// is the empty one the zero merge, an empty directory, implies.
 type candTable struct {
 	gen, reg uint64
 	hour     int64
@@ -62,7 +61,7 @@ func (b *Broker) refreshTableLocked(now time.Time) {
 	t := &b.table
 	hour := now.Unix() / 3600 // as the message window reads it
 	reg := b.registry.Version()
-	d := b.dirLocked(jxta.AdvPeer)
+	d := b.dirLocked()
 	if t.gen == d.gen && t.reg == reg && t.hour == hour {
 		return
 	}

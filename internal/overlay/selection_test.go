@@ -158,9 +158,9 @@ func TestExclusionListsDoNotCollide(t *testing.T) {
 // TestSelectionFollowsDirectory: a selection reads the live directory as of
 // its instant. Six peers are published straight into the broker with
 // one-minute leases and their statistics are set once, so between the steps
-// below only the directory moves — a renewal, a pipe advertisement and a
-// discover of that kind, a lapsed lease, a Restart and a re-publish — and
-// every selection must equal refSelect, at one shard and at several.
+// below only the directory moves — a renewal, a lapsed lease, a Restart and
+// a re-publish — and every selection must equal refSelect, at one shard and
+// at several.
 func TestSelectionFollowsDirectory(t *testing.T) {
 	for shards := 1; shards <= 3; shards++ {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -181,14 +181,11 @@ func TestSelectionFollowsDirectory(t *testing.T) {
 					b.publish(b.shardOf(name), testAdv(name))
 				}
 			}
-			// A pipe advertisement under a name no peer has: a selection
-			// that ranked it would name it.
-			pipeAdv := jxta.Advertisement{Kind: jxta.AdvPipe, ID: jxta.NewID("pipe", "dp"), Name: "dp"}
 			check := func(step string, live int) {
 				t.Helper()
 				for _, model := range []string{"economic", "same-priority"} {
 					req := selectReq{Model: model, Kind: byte(core.KindFileTransfer), SizeBytes: 5 << 20}
-					if got := mustMatchReference(t, b, req); len(got) != live || slices.Contains(got, pipeAdv.Name) {
+					if got := mustMatchReference(t, b, req); len(got) != live {
 						t.Fatalf("after %s: %s selected %v, want %d live peers", step, model, got, live)
 					}
 				}
@@ -199,13 +196,6 @@ func TestSelectionFollowsDirectory(t *testing.T) {
 				host.Sleep(30 * time.Second)
 				publish(names[3:]...)
 				check("a renewal", 6)
-				// The whole-kind merge switches to pipes and back: once
-				// beside a directory change, once alone.
-				b.publish(b.shardOf(pipeAdv.Name), pipeAdv)
-				b.directoryReply(jxta.AdvPipe)
-				check("a pipe advertisement and a pipe discover", 6)
-				b.directoryReply(jxta.AdvPipe)
-				check("a pipe discover", 6)
 				host.Sleep(40 * time.Second) // the first three leases lapsed at 60 s
 				check("a lapsed lease", 3)
 				b.Restart()
@@ -324,7 +314,7 @@ func refSelect(b *Broker, req selectReq) (peers []string, err error) {
 	}
 	filter := req.Model == "economic"
 	var cands []core.Candidate
-	for _, a := range b.Advertisements(jxta.AdvPeer) {
+	for _, a := range b.Advertisements() {
 		if filter || !slices.Contains(req.Exclude, a.Name) {
 			cands = append(cands, core.Candidate{Snapshot: b.Registry().Peer(a.Name).Snapshot()})
 		}
@@ -528,7 +518,7 @@ func churnStep(br *Broker, names []string, i int, renew bool) string {
 	from := names[(i*31)%len(names)]
 	sh := br.shardOf(from)
 	if renew {
-		adv, _ := sh.Lookup(jxta.NewID("peer", from))
+		adv, _ := sh.Lookup(from)
 		br.publish(sh, adv)
 	}
 	br.registry.Peer(from).RecordFileSent(true)

@@ -106,7 +106,7 @@ func runSettlingProgram(seed int64, shards, steps int, settle *rand.Rand) (trace
 				req = frame(mtPieceReport, pieceReport{Peer: name, Have: have, Unchoked: some()}.encodeTo)
 			case op < 9:
 				s.what = "discover"
-				req = frame(mtDiscover, discover{Kind: jxta.AdvPeer}.encodeTo)
+				req = discoverFrame
 			case op < 11:
 				model := []string{"economic", "same-priority"}[rng.Intn(2)]
 				s.what = "select " + model
@@ -117,7 +117,7 @@ func runSettlingProgram(seed int64, shards, steps int, settle *rand.Rand) (trace
 				s.what = fmt.Sprintf("sleep %v", d)
 				advance(d)
 			case op < 15:
-				adv, ok := b.shardOf(name).Lookup(jxta.NewID("peer", name))
+				adv, ok := b.shardOf(name).Lookup(name)
 				if !ok {
 					s.what = "nothing"
 					break

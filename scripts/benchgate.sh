@@ -2,9 +2,13 @@
 # benchgate: hold the perf trajectory. Records a fresh snapshot (same
 # collection as benchsnap: -benchtime=1x -benchmem -count=2) and compares
 # it against the latest committed BENCH_<n>.json. A benchmark fails the
-# gate when allocs_per_op regresses beyond TOL_ALLOCS_PCT (default 20% —
-# counts are near-deterministic at a fixed iteration count, so the band
-# only absorbs intentional small drifts between snapshot and gate runs).
+# gate when its allocs_per_op leaves the band of TOL_ALLOCS_PCT (default
+# 20%) around the baseline, either way: above it is a regression, below it
+# a gain no snapshot records yet, which would widen the room a later
+# regression has under the stale baseline, so the gate asks for a new
+# BENCH_<n>. Counts are near-deterministic at a fixed iteration count, so
+# the band only absorbs intentional small drifts between snapshot and gate
+# runs.
 #
 # ns_per_op is not gated: one iteration of wall time on a shared box drifts
 # ~40% over minutes, and a 50% band flagged the parent's own binary on two
@@ -16,11 +20,12 @@
 # older than BENCH_7 carry no alloc fields; those comparisons are skipped.
 #
 # Usage: sh scripts/benchgate.sh            # gate against latest BENCH_*.json
+#        sh scripts/benchgate.sh BENCH_42.json   # gate against a given one
 #        TOL_ALLOCS_PCT=5 sh scripts/benchgate.sh
 set -eu
 cd "$(dirname "$0")/.."
 
-base="$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)"
+base="${1:-$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)}"
 if [ -z "$base" ]; then
     echo "benchgate: no committed BENCH_*.json baseline; nothing to gate" >&2
     exit 0
@@ -63,7 +68,7 @@ awk '
     }
 ' "$raw" > "$cur"
 
-echo "benchgate: comparing against $base (allocs +${tol_allocs}%)"
+echo "benchgate: comparing against $base (allocs ±${tol_allocs}%)"
 awk -v base="$base" -v tolallocs="$tol_allocs" '
     # Baseline: one benchmark object per line in our hand-rolled JSON.
     NR == FNR && /"name"/ {
@@ -81,8 +86,13 @@ awk -v base="$base" -v tolallocs="$tol_allocs" '
         if (!(name in bns)) { printf "  new      %-55s %12s ns/op (no baseline)\n", name, cns; next }
         if ((name in ballocs) && callocs != "" ) {
             alimit = ballocs[name] * (1 + tolallocs / 100)
+            afloor = ballocs[name] * (1 - tolallocs / 100)
             if (callocs + 0 > alimit) {
                 printf "  FAIL alloc %-53s %12s allocs/op > %.0f (baseline %s +%s%%)\n", name, callocs, alimit, ballocs[name], tolallocs
+                bad = 1
+            }
+            if (callocs + 0 < afloor) {
+                printf "  FAIL alloc %-53s %12s allocs/op < %.0f (baseline %s -%s%%): record BENCH_<n>\n", name, callocs, afloor, ballocs[name], tolallocs
                 bad = 1
             }
         }
@@ -90,7 +100,7 @@ awk -v base="$base" -v tolallocs="$tol_allocs" '
     END {
         for (name in bns) if (!(name in seen))
             printf "  gone     %-55s (in baseline, not in current run)\n", name
-        if (bad) { print "benchgate: FAIL — perf regressed beyond tolerance"; exit 1 }
+        if (bad) { print "benchgate: FAIL — allocs/op left the band; a gain is kept by recording BENCH_<n> (sh scripts/benchsnap.sh <n>)"; exit 1 }
         print "benchgate: OK"
     }
 ' "$base" "$cur"

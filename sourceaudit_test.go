@@ -83,7 +83,6 @@ const (
 // listed twice.
 var mapRangeAllow = []struct{ fn, why string }{
 	{"core.NewQuickPeer", collectThenSort},
-	{"jxta.Cache.oldestLocked", orderFree},
 	{"pipe.Mux.Close", collectThenSort},
 	{"realnet.Host.Close", orderFree},
 	{"realnet.Host.Close", orderFree},
