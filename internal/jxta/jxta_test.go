@@ -58,24 +58,15 @@ func sampleAdv() Advertisement {
 	}
 }
 
-// decodeOne reads one advertisement the way the broker reads a register's:
-// a one-entry scan, then Decode.
-func decodeOne(buf []byte) (Advertisement, error) {
-	dir, err := ScanAdvertisements(wire.NewDecoder(buf), 1)
-	if err != nil {
-		return Advertisement{}, err
-	}
-	return dir.Decode()[0], nil
-}
-
 func TestAdvertisementRoundtrip(t *testing.T) {
 	a := sampleAdv()
 	e := wire.NewEncoder(128)
 	a.Encode(e)
-	got, err := decodeOne(e.Bytes())
+	advs, err := bulkDecode(wire.NewDecoder(e.Bytes()), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := advs[0]
 	if got.Kind != a.Kind || got.ID != a.ID || got.Name != a.Name || got.Addr != a.Addr {
 		t.Fatalf("roundtrip mismatch: %+v vs %+v", got, a)
 	}
@@ -267,10 +258,11 @@ func TestPropertyAdvertisementRoundtrip(t *testing.T) {
 		}
 		e := wire.NewEncoder(64)
 		a.Encode(e)
-		got, err := decodeOne(e.Bytes())
+		advs, err := bulkDecode(wire.NewDecoder(e.Bytes()), 1)
 		if err != nil {
 			return false
 		}
+		got := advs[0]
 		return got.Name == name && got.Addr == addr && got.Attr(k1) == v1 &&
 			got.Expires.Equal(a.Expires)
 	}

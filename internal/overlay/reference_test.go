@@ -43,11 +43,12 @@ func (r *refDirectory) lookup(name string, now time.Time) (jxta.Advertisement, b
 // byName orders advertisements by name, for slices.SortFunc.
 func byName(a, b jxta.Advertisement) int { return strings.Compare(a.Name, b.Name) }
 
-// query returns the entries live at now that keep accepts, in name order.
+// query returns the entries live at now that keep accepts (all of them when
+// keep is nil), in name order.
 func (r *refDirectory) query(now time.Time, keep func(jxta.Advertisement) bool) []jxta.Advertisement {
 	var out []jxta.Advertisement
 	for _, a := range r.advs {
-		if a.Expires.After(now) && keep(a) {
+		if a.Expires.After(now) && (keep == nil || keep(a)) {
 			out = append(out, a)
 		}
 	}
@@ -158,7 +159,7 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 			return nil
 		},
 		func(now time.Time) error { // Broker.Advertisements and the discover reply
-			want := ref.query(now, func(jxta.Advertisement) bool { return true })
+			want := ref.query(now, nil)
 			if got := b.Advertisements(); !sameAdvs(got, want) {
 				return fail("Advertisements = %d entries, reference %d, or they differ", len(got), len(want))
 			}
@@ -263,58 +264,35 @@ func FuzzLeaseDirectoryMatchesReference(f *testing.F) {
 	})
 }
 
-// refPeers is the reference peer directory a broker keeps: one map by name,
-// scanned and sorted per read, which decides liveness against the clock each
-// time it reads. It restates the broker's rules: a register or a report
+// refPeers is refDirectory under the broker's rules: a register or a report
 // stores the peer under a fresh lease, a report from a peer whose lease
 // lapsed rebuilds its entry, and a shard at its limit makes room for a new
 // name by evicting its live entry closest to expiry, the first by name among
 // equals.
 type refPeers struct {
-	advs  map[string]jxta.Advertisement
+	refDirectory
 	limit int
 	shard func(name string) int
 }
 
-func (r *refPeers) live(name string, now time.Time) (jxta.Advertisement, bool) {
-	a, ok := r.advs[name]
-	return a, ok && a.Expires.After(now)
-}
-
-// list returns the live entries in name order.
-func (r *refPeers) list(now time.Time) []jxta.Advertisement {
-	var out []jxta.Advertisement
-	for _, a := range r.advs {
-		if a.Expires.After(now) {
-			out = append(out, a)
-		}
-	}
-	slices.SortFunc(out, byName)
-	return out
-}
-
-func (r *refPeers) publish(a jxta.Advertisement, now time.Time, ttl time.Duration) {
+// store publishes a as the broker does: as a peer, under a fresh lease.
+func (r *refPeers) store(a jxta.Advertisement, now time.Time, ttl time.Duration) {
 	a.Kind, a.ID, a.Expires = jxta.AdvPeer, jxta.NewID("peer", a.Name), now.Add(ttl)
-	if _, ok := r.live(a.Name, now); !ok {
-		var owned []jxta.Advertisement
-		for _, b := range r.list(now) {
-			if r.shard(b.Name) == r.shard(a.Name) {
-				owned = append(owned, b)
-			}
-		}
+	if _, ok := r.lookup(a.Name, now); !ok {
+		owned := r.query(now, func(b jxta.Advertisement) bool { return r.shard(b.Name) == r.shard(a.Name) })
 		if len(owned) >= r.limit {
 			victim := slices.MinFunc(owned, func(a, b jxta.Advertisement) int { return a.Expires.Compare(b.Expires) })
 			delete(r.advs, victim.Name)
 		}
 	}
-	r.advs[a.Name] = a
+	r.publish(a, now)
 }
 
 // lease returns the entry a report from name renews: the live one, or the one
 // the broker rebuilds for a lapsed lease, its transfer address taken from the
 // reporting node.
 func (r *refPeers) lease(name, from string, now time.Time) (jxta.Advertisement, bool) {
-	if a, ok := r.live(name, now); ok {
+	if a, ok := r.lookup(name, now); ok {
 		return a, false
 	}
 	return jxta.Advertisement{Name: name, Addr: string(transport.MakeAddr(from, ServiceTransfer))}, true
@@ -348,7 +326,7 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 	for i := range names {
 		names[i] = "p" + strconv.Itoa(994+i)
 	}
-	ref := &refPeers{advs: make(map[string]jxta.Advertisement), limit: limit,
+	ref := &refPeers{refDirectory: refDirectory{advs: make(map[string]jxta.Advertisement)}, limit: limit,
 		shard: func(name string) int { return slices.Index(b.shards, b.shardOf(name)) }}
 	cpuScores := []float64{0, -1, 0.5, 2, math.Inf(1), math.NaN()}
 
@@ -394,11 +372,11 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 					return
 				}
 				if adv.Name != "" {
-					ref.publish(adv, now, ttl)
+					ref.store(adv, now, ttl)
 				}
 				want := registerAck{OK: adv.Name != "", Broker: host.Name()}
 				if want.OK {
-					want.KnownPeers = len(ref.list(now))
+					want.KnownPeers = len(ref.query(now, nil))
 				}
 				if _, d, err := kindOf(reply); err != nil {
 					failure = fail("ack: %v", err)
@@ -419,7 +397,7 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 				if lapsed && cpu > 0 && finite(cpu) {
 					adv = adv.WithAttr(jxta.AttrCPUScore, strconv.FormatFloat(cpu, 'f', -1, 64))
 				}
-				ref.publish(adv, now, ttl)
+				ref.store(adv, now, ttl)
 			case op < 13:
 				rep := pieceReport{Peer: name}
 				for p := rng.Intn(4); p > 0; p-- {
@@ -441,7 +419,7 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 				adv, _ := ref.lease(name, "probe", now)
 				adv = adv.WithAttr(jxta.AttrPieces, strings.Join(have, ","))
 				adv = adv.WithAttr(jxta.AttrUnchoked, strings.Join(rep.Unchoked, ","))
-				ref.publish(adv, now, ttl)
+				ref.store(adv, now, ttl)
 			case op < 14:
 				what = "restart"
 				b.Restart()
@@ -455,7 +433,7 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 				what = fmt.Sprintf("sleep past the lease, %v", d)
 				host.Sleep(d)
 			default:
-				a, ok := ref.live(name, now)
+				a, ok := ref.lookup(name, now)
 				if !ok {
 					what = "nothing"
 					break
@@ -464,7 +442,7 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 				host.Sleep(a.Expires.Sub(now))
 			}
 			now = host.Now()
-			want := ref.list(now)
+			want := ref.query(now, nil)
 			wantNames := make([]string, len(want))
 			for i, a := range want {
 				wantNames[i] = a.Name
