@@ -315,14 +315,10 @@ func (c *Cache) Query(kind AdvKind, name string) []Advertisement {
 	if name == "" {
 		return c.AppendAll(nil)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gcLocked(c.now())
-	i, ok := c.searchLocked(name)
-	if !ok {
-		return nil
+	if a, ok := c.Lookup(name); ok {
+		return []Advertisement{a}
 	}
-	return append([]Advertisement(nil), c.advs[i])
+	return nil
 }
 
 // Sweep settles now: it evicts every advertisement expired at now, as every

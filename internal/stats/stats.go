@@ -16,6 +16,7 @@ package stats
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -385,12 +386,15 @@ func NewRegistry(now func() time.Time) *Registry {
 	return &Registry{now: now, peers: make(map[string]*PeerStats)}
 }
 
-// Peer returns the stats for a peer, creating them on first use.
+// Peer returns the stats for a peer, creating them on first use. The record
+// keeps its own copy of name, which may be a substring of a decoded frame
+// the registry must not pin.
 func (r *Registry) Peer(name string) *PeerStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	p, ok := r.peers[name]
 	if !ok {
+		name = strings.Clone(name)
 		p = NewPeerStats(name, r.now)
 		p.ver = &r.ver
 		r.peers[name] = p

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 // fixedClock returns a controllable clock function.
@@ -529,6 +530,24 @@ func TestRegistryCreatesOnFirstUse(t *testing.T) {
 	names := r.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("Names = %v", names)
+	}
+}
+
+// TestRegistryCopiesNames: the broker creates a record from a name that is a
+// substring of a whole decoded register frame, so the record and the map key
+// must not share the caller's bytes, or the registry pins that frame for as
+// long as it knows the peer.
+func TestRegistryCopiesNames(t *testing.T) {
+	clock, _ := fixedClock(t0)
+	r := NewRegistry(clock)
+	frame := "\x01p0007\x02addr"
+	name := frame[1:6]
+	p := r.Peer(name)
+	if p.Peer() != name || r.Names()[0] != name {
+		t.Fatalf("record %q, key %q, want %q", p.Peer(), r.Names()[0], name)
+	}
+	if unsafe.StringData(p.Peer()) == unsafe.StringData(name) || unsafe.StringData(r.Names()[0]) == unsafe.StringData(name) {
+		t.Fatal("the registry shares the caller's name bytes")
 	}
 }
 

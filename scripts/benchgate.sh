@@ -8,7 +8,9 @@
 # regression has under the stale baseline, so the gate asks for a new
 # BENCH_<n>. Counts are near-deterministic at a fixed iteration count, so
 # the band only absorbs intentional small drifts between snapshot and gate
-# runs.
+# runs. As in benchsnap, allocs come from each benchmark's second run: a
+# scale point's first run in a test binary also pays for the coroutines
+# later runs reuse, so only the second run reads one mode.
 #
 # ns_per_op is not gated: one iteration of wall time on a shared box drifts
 # ~40% over minutes, and a 50% band flagged the parent's own binary on two
@@ -20,12 +22,11 @@
 # older than BENCH_7 carry no alloc fields; those comparisons are skipped.
 #
 # Usage: sh scripts/benchgate.sh            # gate against latest BENCH_*.json
-#        sh scripts/benchgate.sh BENCH_42.json   # gate against a given one
 #        TOL_ALLOCS_PCT=5 sh scripts/benchgate.sh
 set -eu
 cd "$(dirname "$0")/.."
 
-base="${1:-$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)}"
+base="$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)"
 if [ -z "$base" ]; then
     echo "benchgate: no committed BENCH_*.json baseline; nothing to gate" >&2
     exit 0
@@ -47,7 +48,8 @@ awk '
             if ($(i + 1) == "ns/op")     v_ns = $i
             if ($(i + 1) == "allocs/op") v_a = $i
         }
-        if (!(name in ns) || v_ns + 0 < ns[name] + 0) { ns[name] = v_ns; allocs[name] = v_a }
+        if (!(name in ns) || v_ns + 0 < ns[name] + 0) ns[name] = v_ns
+        allocs[name] = v_a
         if (!(name in seen)) { seen[name] = 1; order[++nb] = name }
     }
     END {

@@ -7,8 +7,10 @@
 # Since BENCH_7 a snapshot records allocs_per_op and bytes_per_op next to
 # ns_per_op (-benchmem), and each benchmark runs -count=2 with the best
 # (minimum) ns/op kept: wall time at -benchtime=1x is noisy, the floor is
-# not. Allocation counts are deterministic at a fixed iteration count, so
-# min and max coincide there.
+# not. Bytes and allocs come from the second run: a scale point's first run
+# in a test binary also pays for the coroutines later runs reuse (uniform-1024
+# reads about 142.7k allocs cold and 113.9k warm), and from the second run on
+# the count is deterministic at a fixed iteration count.
 #
 # The run is NOT -short: the production-scale surfaces
 # (BenchmarkFigureSuite/heterogeneous, BenchmarkScale/*) skip themselves
@@ -45,9 +47,8 @@ awk -v goversion="$(go env GOVERSION)" '
             if ($(i + 1) == "B/op")      v_b = $i
             if ($(i + 1) == "allocs/op") v_a = $i
         }
-        if (!(name in ns) || v_ns + 0 < ns[name] + 0) {
-            ns[name] = v_ns; iters[name] = $2; bytes[name] = v_b; allocs[name] = v_a
-        }
+        if (!(name in ns) || v_ns + 0 < ns[name] + 0) ns[name] = v_ns
+        iters[name] = $2; bytes[name] = v_b; allocs[name] = v_a
         if (!(name in seen)) { seen[name] = 1; order[++nb] = name }
     }
     END {
