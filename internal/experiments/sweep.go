@@ -480,9 +480,9 @@ func expandSweep(cfg Config, sw Sweep) ([]sweepPlan, int, error) {
 						cell.Model, w.Name)
 				case (cell.Pick != "" || cell.Choke != "") && !dissem:
 					return nil, 0, fmt.Errorf("sweep: pick/choke over workload %q, which has no pieces to police (want disseminate:N / stream:N)", w.Name)
-				case cell.Parts > workload.MaxPieces && dissem:
+				case cell.Parts > transfer.MaxPieces && dissem:
 					return nil, 0, fmt.Errorf("sweep: granularity %d over dissemination workload %q (the piece engine runs at most %d pieces)",
-						cell.Parts, w.Name, workload.MaxPieces)
+						cell.Parts, w.Name, transfer.MaxPieces)
 				}
 				rp := ratePair{cell.ChurnRate, cell.FaultRate}
 				cellSc, ok := rated[rp]

@@ -444,7 +444,7 @@ func TestFigChurnQuality(t *testing.T) {
 }
 
 // TestSweepGranularityBoundedOverPieces: the piece engine runs at most
-// workload.MaxPieces pieces, so a larger granularity over a dissemination
+// transfer.MaxPieces pieces, so a larger granularity over a dissemination
 // workload is a spec error at expansion, before any slice deploys; over a
 // single-round workload the same part count stays valid.
 func TestSweepGranularityBoundedOverPieces(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"peerlab/internal/realnet"
 	"peerlab/internal/simnet"
 	"peerlab/internal/transport"
+	"peerlab/internal/wire"
 )
 
 // checkAdvertisedAddresses asks the broker, through c, for the whole peer
@@ -20,7 +21,7 @@ func checkAdvertisedAddresses(t *testing.T, c *Client, step string) {
 		t.Errorf("%s: discover: %v", step, err)
 		return
 	}
-	kind, d, err := kindOf(reply)
+	kind, d, err := wire.Tag(reply)
 	if err != nil || kind != mtDiscoverResult {
 		t.Errorf("%s: discover reply of kind %d: %v", step, kind, err)
 		return

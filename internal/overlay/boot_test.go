@@ -85,8 +85,8 @@ func TestRegisterBatchRoundtrip(t *testing.T) {
 			ReadyIn: 1500 * time.Millisecond, CPUScore: 2.25,
 		},
 	}
-	raw := frame(mtRegister, in.encodeTo)
-	kind, dec, err := kindOf(raw)
+	raw := wire.Frame(mtRegister, in.encodeTo)
+	kind, dec, err := wire.Tag(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			if err := conn.Send(frame(mtRegister, register{Adv: testAdv(host.Name())}.encodeTo)); err != nil {
+			if err := conn.Send(wire.Frame(mtRegister, register{Adv: testAdv(host.Name())}.encodeTo)); err != nil {
 				t.Errorf("%s: send: %v", host.Name(), err)
 				return
 			}
@@ -225,7 +225,7 @@ func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
 				t.Errorf("%s: recv: %v", host.Name(), err)
 				return
 			}
-			_, dec, _ := kindOf(msg.Payload)
+			_, dec, _ := wire.Tag(msg.Payload)
 			ack, err := decodeRegisterAck(dec)
 			if err != nil {
 				t.Errorf("%s: ack: %v", host.Name(), err)
@@ -264,12 +264,12 @@ func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
 func TestRegisterCannotDisplaceAnotherPeer(t *testing.T) {
 	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile(), "sc2": clientProfile()})
 	send := func(adv jxta.Advertisement) registerAck {
-		reply, err := d.clients["sc1"].call(d.broker.Addr(), frame(mtRegister, register{Adv: adv}.encodeTo))
+		reply, err := d.clients["sc1"].call(d.broker.Addr(), wire.Frame(mtRegister, register{Adv: adv}.encodeTo))
 		if err != nil {
 			t.Errorf("register %q: %v", adv.Name, err)
 			return registerAck{}
 		}
-		_, dec, _ := kindOf(reply)
+		_, dec, _ := wire.Tag(reply)
 		ack, err := decodeRegisterAck(dec)
 		if err != nil {
 			t.Errorf("register %q: ack: %v", adv.Name, err)

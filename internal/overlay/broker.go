@@ -298,7 +298,7 @@ func (b *Broker) serve(conn pipe.Conn) {
 	if err != nil {
 		return
 	}
-	kind, d, err := kindOf(msg.Payload)
+	kind, d, err := wire.Tag(msg.Payload)
 	if err != nil {
 		return
 	}
@@ -347,18 +347,18 @@ func handle[T any](conn pipe.Conn, d *wire.Decoder, decode func(*wire.Decoder) (
 // implies, as leaseOf rebuilds them, and refuses an empty name.
 func (b *Broker) handleRegister(conn pipe.Conn, req register) {
 	if req.Adv.Name == "" {
-		conn.Send(frame(mtRegisterAck, registerAck{Broker: b.host.Name()}.encodeTo))
+		conn.Send(wire.Frame(mtRegisterAck, registerAck{Broker: b.host.Name()}.encodeTo))
 		return
 	}
 	req.Adv.Kind, req.Adv.ID = jxta.AdvPeer, jxta.NewID("peer", req.Adv.Name)
 	b.publish(b.shardOf(req.Adv.Name), req.Adv)
 	ps := b.registry.Peer(req.Adv.Name)
-	if cpu, err := strconv.ParseFloat(req.Adv.Attr(jxta.AttrCPUScore), 64); err == nil && cpu > 0 && finite(cpu) {
+	if cpu, err := strconv.ParseFloat(req.Adv.Attr(jxta.AttrCPUScore), 64); err == nil && validScore(cpu) {
 		ps.SetCPUScore(cpu)
 	}
 	b.applyStats(ps, req.Stats)
 	ack := registerAck{OK: true, Broker: b.host.Name(), KnownPeers: b.liveLen()}
-	conn.Send(frame(mtRegisterAck, ack.encodeTo))
+	conn.Send(wire.Frame(mtRegisterAck, ack.encodeTo))
 }
 
 // ControlRPCs reports how many well-formed control frames the broker has
@@ -371,7 +371,7 @@ func (b *Broker) applyStats(ps *stats.PeerStats, rep statsReport) {
 	ps.SetQueues(rep.InboxLen, rep.OutboxLen)
 	ps.SetQueueLen(rep.QueueLen)
 	ps.SetReadyAt(b.host.Now().Add(rep.ReadyIn))
-	if rep.CPUScore > 0 && finite(rep.CPUScore) {
+	if validScore(rep.CPUScore) {
 		ps.SetCPUScore(rep.CPUScore)
 	}
 }
@@ -407,7 +407,7 @@ func (b *Broker) handleStatsReport(conn pipe.Conn, rep statsReport) {
 	sh := b.shardOf(rep.Peer)
 	b.applyStats(b.registry.Peer(rep.Peer), rep)
 	adv, lapsed := b.leaseOf(sh, rep.Peer, conn)
-	if lapsed && rep.CPUScore > 0 && finite(rep.CPUScore) {
+	if lapsed && validScore(rep.CPUScore) {
 		adv = adv.WithAttr(jxta.AttrCPUScore, strconv.FormatFloat(rep.CPUScore, 'f', -1, 64))
 	}
 	b.publish(sh, adv)
@@ -420,7 +420,7 @@ func (b *Broker) handleSelect(conn pipe.Conn, req selectReq) {
 	if serr != nil {
 		res.Err = serr.Error()
 	}
-	conn.Send(frame(mtSelectResult, res.encodeTo))
+	conn.Send(wire.Frame(mtSelectResult, res.encodeTo))
 }
 
 func (b *Broker) handleReportTransfer(conn pipe.Conn, rep reportTransfer) {

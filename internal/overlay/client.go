@@ -13,6 +13,7 @@ import (
 	"peerlab/internal/task"
 	"peerlab/internal/transfer"
 	"peerlab/internal/transport"
+	"peerlab/internal/wire"
 )
 
 // Client errors.
@@ -38,7 +39,7 @@ type ClientConfig struct {
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
-	if !(c.CPUScore > 0 && finite(c.CPUScore)) {
+	if !validScore(c.CPUScore) {
 		c.CPUScore = 1
 	}
 	return c
@@ -46,6 +47,11 @@ func (c ClientConfig) withDefaults() ClientConfig {
 
 // finite reports whether f is neither NaN nor infinite.
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// validScore reports whether a CPU score counts: finite and positive. The
+// broker stores no other, and a client's configured score or a degraded
+// pick's advertised one reads as the neutral 1 otherwise.
+func validScore(f float64) bool { return f > 0 && finite(f) }
 
 // Client is a SimpleClient edge peer: it registers with a broker, serves
 // file receptions and task executions, and offers the application the
@@ -138,11 +144,11 @@ func (c *Client) register() error {
 		Addr: string(transport.MakeAddr(c.host.Name(), ServiceTransfer)),
 	}
 	adv = adv.WithAttr(jxta.AttrCPUScore, strconv.FormatFloat(c.cfg.CPUScore, 'f', -1, 64))
-	reply, err := c.call(c.broker, frame(mtRegister, register{Adv: adv, Stats: c.currentStats()}.encodeTo))
+	reply, err := c.call(c.broker, wire.Frame(mtRegister, register{Adv: adv, Stats: c.currentStats()}.encodeTo))
 	if err != nil {
 		return err
 	}
-	kind, d, err := kindOf(reply)
+	kind, d, err := wire.Tag(reply)
 	if err != nil || kind != mtRegisterAck {
 		return fmt.Errorf("%w: register", ErrBadReply)
 	}
@@ -168,7 +174,7 @@ func (c *Client) serveControl(conn pipe.Conn) {
 	if err != nil {
 		return
 	}
-	kind, d, err := kindOf(msg.Payload)
+	kind, d, err := wire.Tag(msg.Payload)
 	if err != nil {
 		return
 	}
@@ -189,14 +195,14 @@ func (c *Client) serveControl(conn pipe.Conn) {
 		// selection plans with a fresh ready-time estimate. Runs as its own
 		// process so the task reply is not delayed.
 		c.host.Go(func() { _ = c.ReportStats() }) // best-effort
-		if err := conn.Send(frame(mtTaskDecision, dec.encodeTo)); err != nil || submitErr != nil {
+		if err := conn.Send(wire.Frame(mtTaskDecision, dec.encodeTo)); err != nil || submitErr != nil {
 			return
 		}
 		v, err := done.Pop()
 		if err != nil {
 			return
 		}
-		conn.Send(frame(mtTaskDone, taskDone{Result: v.(task.Result)}.encodeTo))
+		conn.Send(wire.Frame(mtTaskDone, taskDone{Result: v.(task.Result)}.encodeTo))
 		c.host.Go(func() { _ = c.ReportStats() }) // best-effort
 	case mtInstant:
 		im, err := decodeInstant(d)
@@ -214,7 +220,7 @@ func (c *Client) serveControl(conn pipe.Conn) {
 // ReportStats pushes the client's current load to the broker, after events
 // that change it: there is no periodic timer, so simulations can quiesce.
 func (c *Client) ReportStats() error {
-	reply, err := c.call(c.broker, frame(mtStatsReport, c.currentStats().encodeTo))
+	reply, err := c.call(c.broker, wire.Frame(mtStatsReport, c.currentStats().encodeTo))
 	if err != nil {
 		return err
 	}
@@ -327,7 +333,7 @@ func (c *Client) sendReported(peer string, m *transfer.Metrics, send func(transp
 		Duration:      m.TransmissionTime(),
 		PetitionDelay: m.PetitionDelay(),
 	}
-	_, _ = c.call(c.broker, frame(mtReportTransfer, rep.encodeTo)) // statistics are best-effort; the transfer outcome stands
+	_, _ = c.call(c.broker, wire.Frame(mtReportTransfer, rep.encodeTo)) // statistics are best-effort; the transfer outcome stands
 	return sendErr
 }
 
@@ -337,7 +343,7 @@ func (c *Client) sendReported(peer string, m *transfer.Metrics, send func(transp
 // failure surfaces, and the driver treats the peer as silent this round.
 func (c *Client) ReportPieces(have []int, unchoked []string) error {
 	rep := pieceReport{Peer: c.host.Name(), Have: have, Unchoked: unchoked}
-	reply, err := c.call(c.broker, frame(mtPieceReport, rep.encodeTo))
+	reply, err := c.call(c.broker, wire.Frame(mtPieceReport, rep.encodeTo))
 	if err != nil {
 		return err
 	}
@@ -359,7 +365,7 @@ func (c *Client) SubmitTask(peer string, t task.Task) (task.Result, error) {
 	}
 	defer conn.Close()
 	c.msgsOut.Add(1)
-	if err := conn.Send(frame(mtTaskSubmit, taskSubmit{Task: t, From: c.host.Name()}.encodeTo)); err != nil {
+	if err := conn.Send(wire.Frame(mtTaskSubmit, taskSubmit{Task: t, From: c.host.Name()}.encodeTo)); err != nil {
 		if !errors.Is(err, transport.ErrUnknownAddr) {
 			c.reportTaskOutcome(peer, false, false, 0)
 		}
@@ -370,7 +376,7 @@ func (c *Client) SubmitTask(peer string, t task.Task) (task.Result, error) {
 		c.reportTaskOutcome(peer, false, false, 0)
 		return task.Result{}, fmt.Errorf("overlay: decision from %s: %w", peer, err)
 	}
-	kind, d, err := kindOf(reply.Payload)
+	kind, d, err := wire.Tag(reply.Payload)
 	if err != nil || kind != mtTaskDecision {
 		return task.Result{}, fmt.Errorf("overlay: bad decision reply from %s", peer)
 	}
@@ -387,7 +393,7 @@ func (c *Client) SubmitTask(peer string, t task.Task) (task.Result, error) {
 		c.reportTaskOutcome(peer, true, false, 0)
 		return task.Result{}, fmt.Errorf("overlay: result from %s: %w", peer, err)
 	}
-	kind, d, err = kindOf(reply.Payload)
+	kind, d, err = wire.Tag(reply.Payload)
 	if err != nil || kind != mtTaskDone {
 		return task.Result{}, fmt.Errorf("overlay: bad result reply from %s", peer)
 	}
@@ -406,18 +412,18 @@ func (c *Client) SubmitTask(peer string, t task.Task) (task.Result, error) {
 
 func (c *Client) reportTaskOutcome(peer string, accepted, ok bool, spu float64) {
 	rep := reportTask{Peer: peer, Accepted: accepted, OK: ok, SecondsPerUnit: spu}
-	_, _ = c.call(c.broker, frame(mtReportTask, rep.encodeTo)) // best-effort statistics
+	_, _ = c.call(c.broker, wire.Frame(mtReportTask, rep.encodeTo)) // best-effort statistics
 }
 
 // SendInstant delivers a one-line message to the named peer and records the
 // outcome in the broker's messaging statistics.
 func (c *Client) SendInstant(peer, text string) error {
 	c.msgsOut.Add(1)
-	reply, sendErr := c.call(transport.MakeAddr(peer, ServiceClient), frame(mtInstant, instant{From: c.host.Name(), Text: text}.encodeTo))
+	reply, sendErr := c.call(transport.MakeAddr(peer, ServiceClient), wire.Frame(mtInstant, instant{From: c.host.Name(), Text: text}.encodeTo))
 	ok := sendErr == nil && len(reply) > 0 && reply[0] == mtInstantAck
 	if !errors.Is(sendErr, transport.ErrUnknownAddr) {
 		rep := reportMessage{Peer: peer, OK: ok}
-		_, _ = c.call(c.broker, frame(mtReportMessage, rep.encodeTo)) // best-effort statistics
+		_, _ = c.call(c.broker, wire.Frame(mtReportMessage, rep.encodeTo)) // best-effort statistics
 	}
 	if !ok {
 		if sendErr == nil {

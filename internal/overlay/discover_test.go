@@ -14,6 +14,7 @@ import (
 
 	"peerlab/internal/jxta"
 	"peerlab/internal/simnet"
+	"peerlab/internal/transfer"
 	"peerlab/internal/wire"
 )
 
@@ -220,7 +221,7 @@ func TestDecodePieceReportBoundsCount(t *testing.T) {
 	}
 	var err error
 	spent := allocatedBytes(func() {
-		_, d, _ := kindOf(hostile)
+		_, d, _ := wire.Tag(hostile)
 		_, err = decodePieceReport(d)
 	})
 	if !errors.Is(err, wire.ErrCorrupt) {
@@ -240,7 +241,7 @@ func TestDecodePieceReportBoundsCount(t *testing.T) {
 	}
 	// And the honest frame still round-trips.
 	in := pieceReport{Peer: "sc1", Have: []int{0, 5, 7}, Unchoked: []string{"sc2"}}
-	_, d, _ := kindOf(frame(mtPieceReport, in.encodeTo))
+	_, d, _ := wire.Tag(wire.Frame(mtPieceReport, in.encodeTo))
 	out, err := decodePieceReport(d)
 	if err != nil || !reflect.DeepEqual(out, in) {
 		t.Fatalf("roundtrip = %+v, %v", out, err)
@@ -249,21 +250,21 @@ func TestDecodePieceReportBoundsCount(t *testing.T) {
 
 // TestPieceReportRejectsWhatItsAttributesCannotHold: the broker comma-joins a
 // report's indices and names into attributes every reader re-parses, so a
-// negative index, one at or past maxPieces, or a name holding a comma is a
+// negative index, one at or past transfer.MaxPieces, or a name holding a comma is a
 // malformed frame — dropped without an ack, the directory untouched — while a
 // well-formed report still reads back exactly as written.
 func TestPieceReportRejectsWhatItsAttributesCannotHold(t *testing.T) {
 	for _, in := range []pieceReport{
 		{Peer: "sc1", Have: []int{0, -1}},
-		{Peer: "sc1", Have: []int{maxPieces}},
+		{Peer: "sc1", Have: []int{transfer.MaxPieces}},
 		{Peer: "sc1", Have: []int{3}, Unchoked: []string{"sc2", "sc3,sc4"}},
 	} {
-		_, d, _ := kindOf(frame(mtPieceReport, in.encodeTo))
+		_, d, _ := wire.Tag(wire.Frame(mtPieceReport, in.encodeTo))
 		if _, err := decodePieceReport(d); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("decode(%+v): err = %v, want ErrCorrupt", in, err)
 		}
 	}
-	_, d, _ := kindOf(frame(mtPieceReport, pieceReport{Peer: "sc1", Have: []int{0, maxPieces - 1}, Unchoked: []string{"sc2"}}.encodeTo))
+	_, d, _ := wire.Tag(wire.Frame(mtPieceReport, pieceReport{Peer: "sc1", Have: []int{0, transfer.MaxPieces - 1}, Unchoked: []string{"sc2"}}.encodeTo))
 	if _, err := decodePieceReport(d); err != nil {
 		t.Errorf("the last valid index is rejected: %v", err)
 	}
@@ -279,8 +280,8 @@ func TestPieceReportRejectsWhatItsAttributesCannotHold(t *testing.T) {
 		if err := c.ReportPieces([]int{1}, []string{"sc2,sc1"}); err == nil {
 			t.Error("a report naming \"sc2,sc1\" was acknowledged")
 		}
-		if err := c.ReportPieces([]int{maxPieces}, nil); err == nil {
-			t.Errorf("a report of piece %d was acknowledged", maxPieces)
+		if err := c.ReportPieces([]int{transfer.MaxPieces}, nil); err == nil {
+			t.Errorf("a report of piece %d was acknowledged", transfer.MaxPieces)
 		}
 		advs, _ = c.Discover()
 	})
@@ -401,7 +402,7 @@ func TestDiscoverAllocBudgets(t *testing.T) {
 	}
 	var got []jxta.Advertisement
 	decode := func() {
-		_, dec, err := kindOf(reply)
+		_, dec, err := wire.Tag(reply)
 		if err != nil {
 			t.Fatal(err)
 		}

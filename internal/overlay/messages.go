@@ -15,6 +15,7 @@ import (
 
 	"peerlab/internal/jxta"
 	"peerlab/internal/task"
+	"peerlab/internal/transfer"
 	"peerlab/internal/wire"
 )
 
@@ -167,15 +168,12 @@ func (m reportTransfer) encodeTo(e *wire.Encoder) {
 // lists held piece indices; Unchoked lists the hostnames currently granted
 // upload service under the reporter's choking policy. The broker joins both
 // with commas into attributes every reader re-parses, so an index outside
-// [0, maxPieces) or a name holding a comma is a malformed frame.
+// [0, transfer.MaxPieces) or a name holding a comma is a malformed frame.
 type pieceReport struct {
 	Peer     string
 	Have     []int
 	Unchoked []string
 }
-
-// maxPieces is workload.MaxPieces, restated: overlay cannot import workload.
-const maxPieces = 1024
 
 func (m pieceReport) encodeTo(e *wire.Encoder) {
 	e.String(m.Peer)
@@ -273,18 +271,6 @@ var (
 	discoverFrame   = []byte{mtDiscover, byte(jxta.AdvPeer)}
 )
 
-// frame encodes a message, tag then what fill encodes, into a buffer of its
-// own: a pooled encoder's bytes, detached, since Conn.Send gives its argument
-// up to the receiver. Every message type encodes its fields untagged
-// (encodeTo), so a register frame can carry a statsReport's.
-func frame(tag byte, fill func(*wire.Encoder)) []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(tag)
-	fill(e)
-	return e.Detach()
-}
-
 // --- decoding ---
 
 // decodeRegister reads the advertisement as a one-entry directory: its
@@ -372,7 +358,7 @@ func decodePieceReport(d *wire.Decoder) (pieceReport, error) {
 		m.Have = append(m.Have, p)
 	}
 	m.Unchoked = d.StringSlice()
-	if slices.ContainsFunc(m.Have, func(p int) bool { return p < 0 || p >= maxPieces }) ||
+	if slices.ContainsFunc(m.Have, func(p int) bool { return p < 0 || p >= transfer.MaxPieces }) ||
 		slices.ContainsFunc(m.Unchoked, func(name string) bool { return strings.Contains(name, ",") }) {
 		return pieceReport{}, fmt.Errorf("%w: piece report with an index or a name its attribute cannot hold", wire.ErrCorrupt)
 	}
@@ -422,14 +408,3 @@ func decodeTaskDone(d *wire.Decoder) (taskDone, error) {
 func decodeInstant(d *wire.Decoder) (instant, error) {
 	return instant{From: d.StringField(), Text: d.StringField()}, d.Finish()
 }
-
-// kindOf strips the type tag. Inlined, its decoder stays on the stack.
-func kindOf(payload []byte) (byte, *wire.Decoder, error) {
-	d := wire.NewDecoder(payload)
-	if k := d.Byte(); d.Err() == nil {
-		return k, d, nil
-	}
-	return 0, nil, errNoKind
-}
-
-var errNoKind = fmt.Errorf("overlay: %w", wire.ErrShort) // an empty payload

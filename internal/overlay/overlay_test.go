@@ -16,6 +16,7 @@ import (
 	"peerlab/internal/task"
 	"peerlab/internal/transfer"
 	"peerlab/internal/transport"
+	"peerlab/internal/wire"
 )
 
 // deployment is a broker plus a set of clients on a simnet.
@@ -516,13 +517,13 @@ func TestNonFiniteCPUScoreIgnored(t *testing.T) {
 		for i, v := range hostile {
 			name := fmt.Sprintf("h%d", i)
 			adv := testAdv(name).WithAttr(jxta.AttrCPUScore, v)
-			if _, err := c.call(d.broker.Addr(), frame(mtRegister, register{Adv: adv, Stats: statsReport{Peer: name, CPUScore: parseScore(t, v)}}.encodeTo)); err != nil {
+			if _, err := c.call(d.broker.Addr(), wire.Frame(mtRegister, register{Adv: adv, Stats: statsReport{Peer: name, CPUScore: parseScore(t, v)}}.encodeTo)); err != nil {
 				t.Errorf("register %s: %v", name, err)
 			}
 			// A report from a peer whose lease is gone rebuilds its
 			// advertisement from the reported score.
 			lapsed := "lapsed" + name
-			if _, err := c.call(d.broker.Addr(), frame(mtStatsReport, statsReport{Peer: lapsed, CPUScore: parseScore(t, v)}.encodeTo)); err != nil {
+			if _, err := c.call(d.broker.Addr(), wire.Frame(mtStatsReport, statsReport{Peer: lapsed, CPUScore: parseScore(t, v)}.encodeTo)); err != nil {
 				t.Errorf("report %s: %v", lapsed, err)
 			}
 			for _, peer := range []string{name, lapsed} {
@@ -534,13 +535,14 @@ func TestNonFiniteCPUScoreIgnored(t *testing.T) {
 				t.Errorf("%s reported %s: rebuilt advertisement %+v", lapsed, v, advs)
 			}
 		}
-		// Degraded selection scores a cached non-finite attribute as 1.
+		// Degraded selection scores a cached attribute the broker would
+		// refuse as 1.
 		if _, err := c.Discover(); err != nil {
 			t.Errorf("Discover: %v", err)
 		}
-		// sc1 itself is excluded; h4 ("0") and h5 ("-2") rank below the
-		// neutral peers, which tie at 1 and order by name.
-		want := []string{"h0", "h1", "h2", "h3", "lapsedh0", "lapsedh1", "lapsedh2", "lapsedh3", "lapsedh4", "lapsedh5", "h4", "h5"}
+		// sc1 itself is excluded; every other peer ties at 1 and they
+		// order by name.
+		want := []string{"h0", "h1", "h2", "h3", "h4", "h5", "lapsedh0", "lapsedh1", "lapsedh2", "lapsedh3", "lapsedh4", "lapsedh5"}
 		if got := c.degradedPick(0, nil); !reflect.DeepEqual(got, want) {
 			t.Errorf("degradedPick = %v, want %v", got, want)
 		}

@@ -13,6 +13,7 @@ import (
 
 	"peerlab/internal/jxta"
 	"peerlab/internal/simnet"
+	"peerlab/internal/transfer"
 	"peerlab/internal/transport"
 	"peerlab/internal/wire"
 )
@@ -163,7 +164,7 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 			if got := b.Advertisements(); !sameAdvs(got, want) {
 				return fail("Advertisements = %d entries, reference %d, or they differ", len(got), len(want))
 			}
-			tag, dec, err := kindOf(b.directoryReply())
+			tag, dec, err := wire.Tag(b.directoryReply())
 			if err != nil || tag != mtDiscoverResult {
 				return fail("discover reply: tag %d, %v", tag, err)
 			}
@@ -366,7 +367,7 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 					adv = adv.WithAttr("site", names[rng.Intn(len(names))])
 				}
 				what = fmt.Sprintf("register %q", adv.Name)
-				reply, err := call(frame(mtRegister, register{Adv: adv, Stats: statsReport{Peer: adv.Name}}.encodeTo))
+				reply, err := call(wire.Frame(mtRegister, register{Adv: adv, Stats: statsReport{Peer: adv.Name}}.encodeTo))
 				if err != nil {
 					failure = fail("%v", err)
 					return
@@ -378,7 +379,7 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 				if want.OK {
 					want.KnownPeers = len(ref.query(now, nil))
 				}
-				if _, d, err := kindOf(reply); err != nil {
+				if _, d, err := wire.Tag(reply); err != nil {
 					failure = fail("ack: %v", err)
 					return
 				} else if ack, err := decodeRegisterAck(d); err != nil || ack != want {
@@ -388,7 +389,7 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 			case op < 10:
 				cpu := cpuScores[rng.Intn(len(cpuScores))]
 				what = fmt.Sprintf("heartbeat %s, cpu %v", name, cpu)
-				reply, err := call(frame(mtStatsReport, statsReport{Peer: name, CPUScore: cpu}.encodeTo))
+				reply, err := call(wire.Frame(mtStatsReport, statsReport{Peer: name, CPUScore: cpu}.encodeTo))
 				if err != nil || !bytes.Equal(reply, ackFrame) {
 					failure = fail("reply % x, %v", reply, err)
 					return
@@ -401,13 +402,13 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 			case op < 13:
 				rep := pieceReport{Peer: name}
 				for p := rng.Intn(4); p > 0; p-- {
-					rep.Have = append(rep.Have, rng.Intn(maxPieces))
+					rep.Have = append(rep.Have, rng.Intn(transfer.MaxPieces))
 				}
 				for u := rng.Intn(3); u > 0; u-- {
 					rep.Unchoked = append(rep.Unchoked, names[rng.Intn(len(names))])
 				}
 				what = fmt.Sprintf("piece report %s: %v, %v", name, rep.Have, rep.Unchoked)
-				reply, err := call(frame(mtPieceReport, rep.encodeTo))
+				reply, err := call(wire.Frame(mtPieceReport, rep.encodeTo))
 				if err != nil || !bytes.Equal(reply, ackFrame) {
 					failure = fail("reply % x, %v", reply, err)
 					return

@@ -300,3 +300,31 @@ func BenchmarkDirectoryRefresh(b *testing.B) {
 		}
 	}
 }
+
+// TestDegradedPickScoresLikeTheBroker: a degraded pick ranks an advertised
+// CPU score by the rule the broker stores scores by (validScore), so a score
+// of 0 or −5 reads as the neutral 1, as a missing one does, and ties order
+// by name.
+func TestDegradedPickScoresLikeTheBroker(t *testing.T) {
+	adv := func(name, cpu string) jxta.Advertisement {
+		a := jxta.Advertisement{Kind: jxta.AdvPeer, ID: jxta.NewID("peer", name), Name: name, Addr: name + "/" + ServiceTransfer, Expires: time.Unix(1e9, 0).UTC()}
+		if cpu == "" {
+			return a
+		}
+		return a.WithAttr(jxta.AttrCPUScore, cpu)
+	}
+	dir := []jxta.Advertisement{adv("neg", "-5"), adv("none", ""), adv("two", "2"), adv("zero", "0")}
+	d, c := degradingClient(t)
+	fake := scriptedBroker(t, d.net, directoryOf(dir))
+	d.net.Run(func() {
+		d.startAll(t)
+		c.broker = fake
+		if _, err := c.Discover(); err != nil {
+			t.Errorf("Discover: %v", err)
+		}
+		want := []string{"two", "neg", "none", "zero"}
+		if got := c.degradedPick(0, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("degradedPick = %v, want %v", got, want)
+		}
+	})
+}

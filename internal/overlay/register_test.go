@@ -77,7 +77,7 @@ func FuzzDecodeRegister(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, adv := range append(randomPeerAdvs(rng, 4), testAdv("sc1"), jxta.Advertisement{}) {
 		rep := statsReport{Peer: adv.Name, InboxLen: rng.Intn(3), QueueLen: rng.Intn(3), CPUScore: rng.Float64()}
-		f.Add(frame(mtRegister, register{Adv: adv, Stats: rep}.encodeTo)[1:])
+		f.Add(wire.Frame(mtRegister, register{Adv: adv, Stats: rep}.encodeTo)[1:])
 	}
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, body []byte) {

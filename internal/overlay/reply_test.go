@@ -90,12 +90,12 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 				what = "register " + name
 				adv := jxta.Advertisement{Name: name, Addr: name + "/" + ServiceTransfer}
 				adv = adv.WithAttr(jxta.AttrCPUScore, fmt.Sprint(1+rng.Intn(4)))
-				reply, err := rpc(frame(mtRegister, register{Adv: adv, Stats: statsReport{Peer: name, QueueLen: rng.Intn(3)}}.encodeTo))
+				reply, err := rpc(wire.Frame(mtRegister, register{Adv: adv, Stats: statsReport{Peer: name, QueueLen: rng.Intn(3)}}.encodeTo))
 				if err != nil {
 					failure = fail("%v", err)
 					return
 				}
-				if _, d, err := kindOf(reply); err != nil {
+				if _, d, err := wire.Tag(reply); err != nil {
 					failure = fail("ack: %v", err)
 					return
 				} else if ack, err := decodeRegisterAck(d); err != nil || !ack.OK {
@@ -104,7 +104,7 @@ func checkReplyProgram(seed int64, shards, steps int) error {
 				}
 			case op < 7:
 				what = "heartbeat " + name
-				reply, err := rpc(frame(mtStatsReport, statsReport{Peer: name, QueueLen: rng.Intn(3), CPUScore: float64(rng.Intn(3))}.encodeTo))
+				reply, err := rpc(wire.Frame(mtStatsReport, statsReport{Peer: name, QueueLen: rng.Intn(3), CPUScore: float64(rng.Intn(3))}.encodeTo))
 				if err != nil || !bytes.Equal(reply, ackFrame) {
 					failure = fail("reply % x, %v", reply, err)
 					return

@@ -214,7 +214,7 @@ func (c *Client) SelectDetailed(model string, req core.Request, max int, preferr
 		Preferred:  preferred,
 		Exclude:    append([]string{c.host.Name()}, exclude...),
 	}
-	reply, retries, err := c.callRetried(c.broker, frame(mtSelect, sreq.encodeTo))
+	reply, retries, err := c.callRetried(c.broker, wire.Frame(mtSelect, sreq.encodeTo))
 	sel := Selection{Retries: retries}
 	if err != nil {
 		if peers := c.degradedPick(max, exclude); peers != nil {
@@ -223,7 +223,7 @@ func (c *Client) SelectDetailed(model string, req core.Request, max int, preferr
 		}
 		return sel, err
 	}
-	kind, d, err := kindOf(reply)
+	kind, d, err := wire.Tag(reply)
 	if err != nil || kind != mtSelectResult {
 		return sel, fmt.Errorf("%w: select", ErrBadReply)
 	}
@@ -251,8 +251,8 @@ func (c *Client) SelectDetailed(model string, req core.Request, max int, preferr
 
 // degradedPick selects up to max peers from the cached directory, best CPU
 // score first (ties by name), excluding the client itself and the given
-// hostnames; a score that is missing, unparsable, NaN or infinite counts as
-// the neutral 1. Returns nil — "cannot degrade" — when the client is not
+// hostnames; a score that is missing, unparsable or not one the broker
+// would store (validScore) counts as the neutral 1. Returns nil — "cannot degrade" — when the client is not
 // Resilient or the cache yields no eligible peer.
 func (c *Client) degradedPick(max int, exclude []string) []string {
 	if !c.cfg.Resilient {
@@ -278,7 +278,7 @@ func (c *Client) degradedPick(max int, exclude []string) []string {
 		}
 		score := 1.0
 		if v := a.Attr(jxta.AttrCPUScore); v != "" {
-			if f, err := strconv.ParseFloat(v, 64); err == nil && finite(f) {
+			if f, err := strconv.ParseFloat(v, 64); err == nil && validScore(f) {
 				score = f
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"peerlab/internal/simnet"
 	"peerlab/internal/transfer"
 	"peerlab/internal/transport"
+	"peerlab/internal/wire"
 )
 
 func TestSelectionErrorSentinels(t *testing.T) {
@@ -234,7 +235,7 @@ func TestSilentPeerTimesOutNotTheBroker(t *testing.T) {
 		d.startAll(t)
 		// One success first, so one recorded failure reads as 50 %.
 		d.broker.Registry().Peer("mute").RecordMessage(true)
-		payload := frame(mtInstant, instant{From: c.Name(), Text: "hello"}.encodeTo)
+		payload := wire.Frame(mtInstant, instant{From: c.Name(), Text: "hello"}.encodeTo)
 		_, retries, callErr = c.callRetried(transport.MakeAddr("mute", ServiceClient), payload)
 		sendErr = c.SendInstant("mute", "hello")
 	})

@@ -11,6 +11,7 @@ import (
 	"peerlab/internal/core"
 	"peerlab/internal/jxta"
 	"peerlab/internal/simnet"
+	"peerlab/internal/wire"
 )
 
 // settleStep is what one step of a settling program shows a reader: the
@@ -91,10 +92,10 @@ func runSettlingProgram(seed int64, shards, steps int, settle *rand.Rand) (trace
 				s.what = "register " + name
 				adv := jxta.Advertisement{Name: name, Addr: name + "/" + ServiceTransfer}
 				adv = adv.WithAttr(jxta.AttrCPUScore, fmt.Sprint(1+rng.Intn(4)))
-				req = frame(mtRegister, register{Adv: adv, Stats: statsReport{Peer: name, QueueLen: rng.Intn(3)}}.encodeTo)
+				req = wire.Frame(mtRegister, register{Adv: adv, Stats: statsReport{Peer: name, QueueLen: rng.Intn(3)}}.encodeTo)
 			case op < 6:
 				s.what = "heartbeat " + name
-				req = frame(mtStatsReport, statsReport{Peer: name, QueueLen: rng.Intn(3), CPUScore: float64(rng.Intn(3))}.encodeTo)
+				req = wire.Frame(mtStatsReport, statsReport{Peer: name, QueueLen: rng.Intn(3), CPUScore: float64(rng.Intn(3))}.encodeTo)
 			case op < 7:
 				s.what = "piece report " + name
 				var have []int
@@ -103,14 +104,14 @@ func runSettlingProgram(seed int64, shards, steps int, settle *rand.Rand) (trace
 						have = append(have, p)
 					}
 				}
-				req = frame(mtPieceReport, pieceReport{Peer: name, Have: have, Unchoked: some()}.encodeTo)
+				req = wire.Frame(mtPieceReport, pieceReport{Peer: name, Have: have, Unchoked: some()}.encodeTo)
 			case op < 9:
 				s.what = "discover"
 				req = discoverFrame
 			case op < 11:
 				model := []string{"economic", "same-priority"}[rng.Intn(2)]
 				s.what = "select " + model
-				req = frame(mtSelect, selectReq{Model: model, Kind: byte(core.KindFileTransfer), SizeBytes: 1 + rng.Intn(1<<20),
+				req = wire.Frame(mtSelect, selectReq{Model: model, Kind: byte(core.KindFileTransfer), SizeBytes: 1 + rng.Intn(1<<20),
 					MaxResults: rng.Intn(4), Exclude: some()}.encodeTo)
 			case op < 12:
 				d := time.Duration(1 + rng.Int63n(int64(30*time.Second)))

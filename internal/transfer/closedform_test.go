@@ -10,6 +10,7 @@ import (
 	"peerlab/internal/pipe"
 	"peerlab/internal/simnet"
 	"peerlab/internal/vtime"
+	"peerlab/internal/wire"
 )
 
 // cleanLink is one random clean path: no jitter, loss, MTBF, wake lag or
@@ -129,16 +130,16 @@ func TestCleanLinkTransferClosedForm(t *testing.T) {
 		pet := petition{TransferID: 1, FileName: file.Name, Checksum: file.Checksum(), TotalSize: file.Size,
 			Parts: k, Sender: "src", SentAt: t0}
 		received := t0.Add(l.tx(dataFrame(1, len(pet.encode()), 0)) + L)
-		pa := frame(msgPetitionAck, petitionAck{TransferID: 1, Accept: true, ReceivedAt: received}.encodeTo)
+		pa := wire.Frame(msgPetitionAck, petitionAck{TransferID: 1, Accept: true, ReceivedAt: received}.encodeTo)
 		at := turn(received, 1, 1, len(pa), 0)
 		want := Metrics{PetitionSent: t0, PetitionReceived: received, PetitionAcked: at}
 		split, _ := Split(file, k)
 		for i, p := range split {
 			seq := uint64(2 + i)
 			pt := PartTiming{Index: i, Size: p.Size, Started: at}
-			hdr := frame(msgPart, partHeader{TransferID: 1, Index: i, Offset: p.Offset, Size: p.Size}.encodeTo)
+			hdr := wire.Frame(msgPart, partHeader{TransferID: 1, Index: i, Offset: p.Offset, Size: p.Size}.encodeTo)
 			pt.Delivered = turn(at, seq-1, seq, len(hdr), p.Size)
-			ack := frame(msgPartAck, partAck{TransferID: 1, Index: i, OK: true, DeliveredAt: pt.Delivered, Ready: i+1 < k}.encodeTo)
+			ack := wire.Frame(msgPartAck, partAck{TransferID: 1, Index: i, OK: true, DeliveredAt: pt.Delivered, Ready: i+1 < k}.encodeTo)
 			pt.Confirmed = turn(pt.Delivered, seq, seq, len(ack), 0)
 			at = pt.Confirmed
 			want.Parts = append(want.Parts, pt)

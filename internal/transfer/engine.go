@@ -3,11 +3,13 @@ package transfer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"peerlab/internal/pipe"
 	"peerlab/internal/transport"
+	"peerlab/internal/wire"
 )
 
 // Errors reported by the transfer engine.
@@ -34,6 +36,10 @@ const partTimeout = 60 * time.Minute
 // grammar's axis bound is 1_000_000) and caps what a few petition bytes can
 // make the receiver allocate.
 const maxParts = 1 << 20
+
+// MaxPieces bounds the piece count of a dissemination: a workload's pieces=
+// option and the indices a piece report may name.
+const MaxPieces = 1024
 
 // PartTiming records one part's lifecycle as observed by the sender, plus
 // the receiver-reported delivery instant.
@@ -209,24 +215,20 @@ func (s *Sender) transmit(remote transport.Addr, m *Metrics, f File, split int, 
 // stamping the petition instants as they become known. A refusal is
 // ErrRejected; everything else that goes wrong is ErrFailed.
 func (s *Sender) handshake(conn pipe.Conn, m *Metrics, pet *petition) error {
-	what := "petition"
-	if pet.Indices != nil {
-		what = "piece petition"
-	}
 	if err := conn.Send(pet.encode()); err != nil {
-		return fmt.Errorf("%w: %s: %w", ErrFailed, what, err)
+		return fmt.Errorf("%w: petition: %w", ErrFailed, err)
 	}
 	ackMsg, err := conn.RecvTimeout(petitionTimeout)
 	if err != nil {
-		return fmt.Errorf("%w: waiting %s ack: %v", ErrFailed, what, err)
+		return fmt.Errorf("%w: waiting petition ack: %v", ErrFailed, err)
 	}
-	kind, d, err := decodeKind(ackMsg.Payload)
+	kind, d, err := wire.Tag(ackMsg.Payload)
 	if err != nil || kind != msgPetitionAck {
-		return fmt.Errorf("%w: unexpected reply %d to %s", ErrFailed, kind, what)
+		return fmt.Errorf("%w: unexpected reply %d to petition", ErrFailed, kind)
 	}
 	ack, err := decodePetitionAck(d)
 	if err != nil {
-		return fmt.Errorf("%w: %s ack: %v", ErrFailed, what, err)
+		return fmt.Errorf("%w: petition ack: %v", ErrFailed, err)
 	}
 	m.PetitionAcked = s.host.Now()
 	m.PetitionReceived = ack.ReceivedAt
@@ -239,19 +241,17 @@ func (s *Sender) handshake(conn pipe.Conn, m *Metrics, pet *petition) error {
 // stream is the part stream. Stop-and-wait is the paper's protocol: the
 // calling process sends one part at a time and waits for its confirmation
 // before the next leaves; on failure the timings stop at the part that
-// failed. Streamed, every part gets its own sending process (the pipe's
-// Send blocks until the peer's pipe-level acknowledgment, so filling its
-// window takes concurrency), spawned in slice order, while the calling
-// process collects the confirmations in whatever order the parts landed.
-// The receiver cannot tell the two apart: it confirms each part as it
-// arrives either way.
+// failed. Streamed, every part gets its own sending process, spawned in
+// slice order, while the calling process collects the confirmations in
+// whatever order the parts land. The receiver cannot tell the two apart: it
+// confirms each part as it arrives either way.
 func (s *Sender) stream(conn pipe.Conn, id uint64, parts []Part, streamed bool) ([]PartTiming, error) {
 	timings := make([]PartTiming, len(parts))
 	if !streamed {
 		for n, p := range parts {
-			err := s.sendPart(conn, id, p, &timings[n], "part")
+			err := s.sendPart(conn, id, p, &timings[n])
 			if err == nil {
-				err = s.awaitAck(conn, timings, nil, n)
+				err = s.awaitAck(conn, timings[n:n+1])
 			}
 			if err != nil {
 				return timings[:n+1], err
@@ -259,19 +259,16 @@ func (s *Sender) stream(conn pipe.Conn, id uint64, parts []Part, streamed bool) 
 		}
 		return timings, nil
 	}
-	// Acks carry original part indices; map them back to timing slots.
-	slotOf := make(map[int]int, len(parts))
 	sendErrs := s.host.NewQueue()
-	for slot, p := range parts {
-		slotOf[p.Index] = slot
+	for n, p := range parts {
 		s.host.Go(func() {
-			if err := s.sendPart(conn, id, p, &timings[slot], "piece"); err != nil {
+			if err := s.sendPart(conn, id, p, &timings[n]); err != nil {
 				sendErrs.Push(err)
 			}
 		})
 	}
-	for confirmed := range parts {
-		if err := s.awaitAck(conn, timings, slotOf, confirmed); err != nil {
+	for range parts {
+		if err := s.awaitAck(conn, timings); err != nil {
 			// A send failure is the likelier root cause than the ack silence
 			// that follows it; surface it when one has been reported.
 			if sendErrs.Len() > 0 {
@@ -286,7 +283,7 @@ func (s *Sender) stream(conn pipe.Conn, id uint64, parts []Part, streamed bool) 
 }
 
 // sendPart puts one part on the wire, stamping when it started.
-func (s *Sender) sendPart(conn pipe.Conn, id uint64, p Part, pt *PartTiming, noun string) error {
+func (s *Sender) sendPart(conn pipe.Conn, id uint64, p Part, pt *PartTiming) error {
 	*pt = PartTiming{Index: p.Index, Size: p.Size, Started: s.host.Now()}
 	hdr := partHeader{
 		TransferID: id,
@@ -295,48 +292,39 @@ func (s *Sender) sendPart(conn pipe.Conn, id uint64, p Part, pt *PartTiming, nou
 		Size:       p.Size,
 		Data:       p.Data,
 	}
-	if err := conn.SendSized(frame(msgPart, hdr.encodeTo), p.Size); err != nil {
-		return fmt.Errorf("%w: %s %d: %v", ErrFailed, noun, p.Index, err)
+	if err := conn.SendSized(wire.Frame(msgPart, hdr.encodeTo), p.Size); err != nil {
+		return fmt.Errorf("%w: part %d: %v", ErrFailed, p.Index, err)
 	}
 	return nil
 }
 
-// awaitAck waits for the next part confirmation and stamps the slot it
-// confirms. A stop-and-wait sender (slotOf nil) is blocked on slot n and
-// takes a confirmation of that part only; a streaming one has n
-// confirmations in and takes any part slotOf knows.
-func (s *Sender) awaitAck(conn pipe.Conn, timings []PartTiming, slotOf map[int]int, n int) error {
-	noun := "part"
-	if slotOf != nil {
-		noun = "piece"
-	}
+// awaitAck waits for the next part confirmation and stamps the part it
+// confirms. One rule holds whatever the pacing: an ack confirms a part of
+// window that was sent and is not yet confirmed, so each part is confirmed
+// once. Stop-and-wait passes the one part in flight. A failure names the
+// first part of window still unconfirmed.
+func (s *Sender) awaitAck(conn pipe.Conn, window []PartTiming) error {
+	first := slices.IndexFunc(window, func(pt PartTiming) bool { return pt.Confirmed.IsZero() })
 	reply, err := conn.RecvTimeout(partAckTimeout)
 	if err != nil {
-		if slotOf != nil {
-			return fmt.Errorf("%w: waiting piece acks (%d/%d): %v", ErrFailed, n, len(timings), err)
-		}
-		return fmt.Errorf("%w: waiting ack for part %d: %v", ErrFailed, timings[n].Index, err)
+		return fmt.Errorf("%w: waiting ack for part %d: %v", ErrFailed, window[first].Index, err)
 	}
-	kind, d, err := decodeKind(reply.Payload)
+	kind, d, err := wire.Tag(reply.Payload)
 	if err != nil || kind != msgPartAck {
-		if slotOf != nil {
-			return fmt.Errorf("%w: unexpected reply %d while awaiting piece acks", ErrFailed, kind)
-		}
-		return fmt.Errorf("%w: unexpected reply %d to part %d", ErrFailed, kind, timings[n].Index)
+		return fmt.Errorf("%w: unexpected reply %d to part %d", ErrFailed, kind, window[first].Index)
 	}
 	pa, err := decodePartAck(d)
 	if err != nil {
-		return fmt.Errorf("%w: %s ack: %v", ErrFailed, noun, err)
+		return fmt.Errorf("%w: part ack: %v", ErrFailed, err)
 	}
-	slot, known := n, pa.Index == timings[n].Index
-	if slotOf != nil {
-		slot, known = slotOf[pa.Index]
+	slot := slices.IndexFunc(window, func(pt PartTiming) bool {
+		return pt.Index == pa.Index && !pt.Started.IsZero() && pt.Confirmed.IsZero()
+	})
+	if !pa.OK || slot < 0 {
+		return fmt.Errorf("%w: receiver rejected part %d: %s", ErrFailed, pa.Index, pa.Reason)
 	}
-	if !pa.OK || !known {
-		return fmt.Errorf("%w: receiver rejected %s %d: %s", ErrFailed, noun, pa.Index, pa.Reason)
-	}
-	timings[slot].Delivered = pa.DeliveredAt
-	timings[slot].Confirmed = s.host.Now()
+	window[slot].Delivered = pa.DeliveredAt
+	window[slot].Confirmed = s.host.Now()
 	return nil
 }
 
@@ -388,8 +376,9 @@ func (r *Receiver) handle(conn pipe.Conn) {
 	}
 	receivedAt := r.host.Now()
 
-	// Parts sizes the reassembly buffers below and comes straight off the
-	// wire: refuse a count no sender of ours produces before allocating.
+	// Parts sizes the set and the reassembly buffer below and comes straight
+	// off the wire: refuse a count no sender of ours produces before
+	// allocating.
 	accept, reason := true, ""
 	if in.Parts < 0 || in.Parts > maxParts {
 		accept, reason = false, fmt.Sprintf("part count %d outside [0, %d]", in.Parts, maxParts)
@@ -400,7 +389,7 @@ func (r *Receiver) handle(conn pipe.Conn) {
 		Reason:     reason,
 		ReceivedAt: receivedAt,
 	}
-	if err := conn.Send(frame(msgPetitionAck, ack.encodeTo)); err != nil || !accept {
+	if err := conn.Send(wire.Frame(msgPetitionAck, ack.encodeTo)); err != nil || !accept {
 		return
 	}
 
@@ -416,34 +405,34 @@ func (r *Receiver) handle(conn pipe.Conn) {
 	perPart := partTimeout +
 		time.Duration(10*float64(partSize)/pipe.MinRate*float64(time.Second))
 
-	// Parts are accepted in any index order: a stop-and-wait sender delivers
-	// them strictly in order, a streaming sender's concurrent part streams
-	// may land interleaved. Each valid part is acknowledged as it arrives;
-	// an index outside the petition (or a repeat) rejects the transfer. A
-	// whole file expects every index of the split, tracked in a bitmap; a
-	// piece selection is sparse in a split of up to maxParts, so it is
-	// tracked as a set that shrinks.
+	// One set holds the parts announced and not yet arrived: every position
+	// of a whole file's split, or the positions a piece list names. Parts
+	// are taken in any order (a streaming sender's may land interleaved),
+	// one per announced entry; each is acknowledged as it arrives, and one
+	// that is not in the set rejects the transfer.
 	start := r.host.Now()
 	whole, expected := in.Indices == nil, len(in.Indices)
-	var parts []Part
-	var got []bool
-	var wanted map[int]bool
 	if whole {
 		expected = in.Parts
-		parts = make([]Part, expected)
-		got = make([]bool, expected)
-	} else {
-		wanted = make(map[int]bool, expected)
-		for _, i := range in.Indices {
-			wanted[i] = true
+	}
+	pending := make(map[int]bool, expected)
+	for n := range expected {
+		if whole {
+			pending[n] = true
+		} else {
+			pending[in.Indices[n]] = true
 		}
 	}
-	for i := 0; i < expected; i++ {
+	var parts []Part
+	if whole {
+		parts = make([]Part, expected)
+	}
+	for i := range expected {
 		msg, err := conn.RecvTimeout(perPart)
 		if err != nil {
 			return
 		}
-		kind, d, err := decodeKind(msg.Payload)
+		kind, d, err := wire.Tag(msg.Payload)
 		if err != nil || kind != msgPart {
 			return
 		}
@@ -451,31 +440,22 @@ func (r *Receiver) handle(conn pipe.Conn) {
 		if err != nil {
 			return
 		}
-		delivered := r.host.Now()
-		ok, why := false, ""
-		if whole {
-			if ok = ph.Index >= 0 && ph.Index < expected && !got[ph.Index]; !ok {
-				why = fmt.Sprintf("unexpected part %d of %d", ph.Index, expected)
-			}
-		} else if ok = wanted[ph.Index]; !ok {
-			why = fmt.Sprintf("unexpected piece %d", ph.Index)
-		}
 		pa := partAck{
 			TransferID:  in.TransferID,
 			Index:       ph.Index,
-			OK:          ok,
-			Reason:      why,
-			DeliveredAt: delivered,
+			OK:          pending[ph.Index],
+			DeliveredAt: r.host.Now(),
 			Ready:       i+1 < expected,
 		}
-		if err := conn.Send(frame(msgPartAck, pa.encodeTo)); err != nil || !ok {
+		if !pa.OK {
+			pa.Reason = fmt.Sprintf("unexpected part %d of %d", ph.Index, expected)
+		}
+		if err := conn.Send(wire.Frame(msgPartAck, pa.encodeTo)); err != nil || !pa.OK {
 			return
 		}
+		delete(pending, ph.Index)
 		if whole {
 			parts[ph.Index] = Part{Index: ph.Index, Offset: ph.Offset, Size: ph.Size, Data: ph.Data}
-			got[ph.Index] = true
-		} else {
-			delete(wanted, ph.Index)
 		}
 	}
 	if !whole {

@@ -38,13 +38,13 @@ type petition struct {
 }
 
 func (p *petition) encode() []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
 	if p.Indices == nil {
-		e.Byte(msgPetition)
-	} else {
-		e.Byte(msgPiecePetition)
+		return wire.Frame(msgPetition, p.encodeTo)
 	}
+	return wire.Frame(msgPiecePetition, p.encodeTo)
+}
+
+func (p *petition) encodeTo(e *wire.Encoder) {
 	e.Uint64(p.TransferID)
 	e.String(p.FileName)
 	e.String(p.Checksum)
@@ -58,24 +58,12 @@ func (p *petition) encode() []byte {
 	}
 	e.String(p.Sender)
 	e.Time(p.SentAt)
-	return e.Detach()
-}
-
-// frame encodes a message, tag then what fill encodes, into a buffer of its
-// own: a pooled encoder's bytes, detached, since Conn.Send gives its argument
-// up to the receiver.
-func frame(tag byte, fill func(*wire.Encoder)) []byte {
-	e := wire.GetEncoder()
-	defer wire.PutEncoder(e)
-	e.Byte(tag)
-	fill(e)
-	return e.Detach()
 }
 
 // decodePetition decodes the frame that opens a transfer conn: either
 // petition kind, and nothing else.
 func decodePetition(payload []byte) (petition, error) {
-	kind, d, err := decodeKind(payload)
+	kind, d, err := wire.Tag(payload)
 	if err != nil {
 		return petition{}, err
 	}
@@ -197,14 +185,3 @@ func decodePartAck(d *wire.Decoder) (partAck, error) {
 		Ready:       d.Bool(),
 	}, d.Finish()
 }
-
-// decodeKind strips the type byte. Inlined, its decoder stays on the stack.
-func decodeKind(payload []byte) (byte, *wire.Decoder, error) {
-	d := wire.NewDecoder(payload)
-	if k := d.Byte(); d.Err() == nil {
-		return k, d, nil
-	}
-	return 0, nil, errNoKind
-}
-
-var errNoKind = fmt.Errorf("transfer: %w", wire.ErrShort) // an empty payload

@@ -8,6 +8,7 @@ import (
 	"peerlab/internal/pipe"
 	"peerlab/internal/simnet"
 	"peerlab/internal/vtime"
+	"peerlab/internal/wire"
 )
 
 // TestOwnerReturnsWhilePartsSend streams a piece transfer whose receiver
@@ -43,16 +44,16 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 				if err != nil {
 					return
 				}
-				_, d, _ := decodeKind(pet.Payload)
+				_, d, _ := wire.Tag(pet.Payload)
 				id := d.Uint64()
-				conn.Send(frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: b.Now()}.encodeTo))
+				conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: b.Now()}.encodeTo))
 				part, err := conn.Recv()
 				if err != nil {
 					return
 				}
-				_, d, _ = decodeKind(part.Payload)
+				_, d, _ = wire.Tag(part.Payload)
 				hdr, _ := decodePart(d)
-				conn.Send(frame(msgPartAck, partAck{TransferID: id, Index: hdr.Index, Reason: "scripted refusal"}.encodeTo))
+				conn.Send(wire.Frame(msgPartAck, partAck{TransferID: id, Index: hdr.Index, Reason: "scripted refusal"}.encodeTo))
 				for {
 					if _, err := conn.Recv(); err != nil {
 						return
@@ -85,7 +86,7 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 	})
 	got = append(got, fmt.Sprintf("%d frames, digest %x, quiet at %v", frames, h.Sum64(), n.Now().Sub(vtime.Epoch)))
 	want := []string{
-		"pieces: transfer: transfer failed: receiver rejected piece 0: scripted refusal; failed true, 16 part slots, 5.040156s",
+		"pieces: transfer: transfer failed: receiver rejected part 0: scripted refusal; failed true, 16 part slots, 5.040156s",
 		"whole: <nil>; failed false, 2 parts, done at 8.160335999s",
 		"29 frames, digest 4fdf8d485b581aff, quiet at 8.200347999s",
 	}

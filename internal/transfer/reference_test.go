@@ -11,6 +11,7 @@ import (
 	"peerlab/internal/pipe"
 	"peerlab/internal/simnet"
 	"peerlab/internal/transport"
+	"peerlab/internal/wire"
 )
 
 // refHandle is the receiver written the plainest way: the announced parts
@@ -33,7 +34,7 @@ func refHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
 	if in.Parts < 0 || in.Parts > maxParts {
 		ack.Accept, ack.Reason = false, fmt.Sprintf("part count %d outside [0, %d]", in.Parts, maxParts)
 	}
-	if conn.Send(frame(msgPetitionAck, ack.encodeTo)) != nil || !ack.Accept {
+	if conn.Send(wire.Frame(msgPetitionAck, ack.encodeTo)) != nil || !ack.Accept {
 		return
 	}
 	announced := in.Indices
@@ -54,7 +55,7 @@ func refHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
 		if err != nil {
 			return
 		}
-		kind, d, err := decodeKind(msg.Payload)
+		kind, d, err := wire.Tag(msg.Payload)
 		if err != nil || kind != msgPart {
 			return
 		}
@@ -69,7 +70,7 @@ func refHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
 		if !ok {
 			pa.Reason = fmt.Sprintf("unexpected part %d of %d", ph.Index, len(announced))
 		}
-		if conn.Send(frame(msgPartAck, pa.encodeTo)) != nil || !ok {
+		if conn.Send(wire.Frame(msgPartAck, pa.encodeTo)) != nil || !ok {
 			return
 		}
 		arrived = append(arrived, Part{Index: ph.Index, Offset: ph.Offset, Size: ph.Size, Data: ph.Data})
@@ -155,14 +156,14 @@ func genReceiverProgram(rng *rand.Rand) receiverProgram {
 		if i >= 0 && i < len(split) {
 			p = split[i]
 		}
-		st := receiverStep{frame: frame(msgPart, partHeader{TransferID: id, Index: p.Index, Offset: p.Offset, Size: p.Size, Data: p.Data}.encodeTo), size: p.Size}
+		st := receiverStep{frame: wire.Frame(msgPart, partHeader{TransferID: id, Index: p.Index, Offset: p.Offset, Size: p.Size, Data: p.Data}.encodeTo), size: p.Size}
 		switch rng.Intn(24) {
 		case 0:
 			st.gap = partTimeout + time.Hour
 		case 1, 2, 3:
 			st.gap = time.Duration(rng.Intn(5000)) * time.Millisecond
 		case 4:
-			st.frame = frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true}.encodeTo)
+			st.frame = wire.Frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true}.encodeTo)
 		}
 		prog.steps = append(prog.steps, st)
 	}
@@ -219,7 +220,7 @@ func runReceiverProgram(prog receiverProgram, serve func(transport.Host, pipe.Co
 				if err != nil {
 					return
 				}
-				kind, d, _ := decodeKind(msg.Payload)
+				kind, d, _ := wire.Tag(msg.Payload)
 				switch kind {
 				case msgPetitionAck:
 					ack, err := decodePetitionAck(d)

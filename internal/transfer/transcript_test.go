@@ -105,9 +105,9 @@ func (tr *transcript) serveFirstPartOnly() {
 			return
 		}
 		// Both petition kinds open with the transfer id.
-		_, d, _ := decodeKind(first.Payload)
+		_, d, _ := wire.Tag(first.Payload)
 		id := d.Uint64()
-		if conn.Send(frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: tr.dstN.Now()}.encodeTo)) != nil {
+		if conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: tr.dstN.Now()}.encodeTo)) != nil {
 			return
 		}
 		for n := 0; ; n++ {
@@ -118,9 +118,9 @@ func (tr *transcript) serveFirstPartOnly() {
 			if n > 0 {
 				continue
 			}
-			_, d, _ := decodeKind(msg.Payload)
+			_, d, _ := wire.Tag(msg.Payload)
 			ph, _ := decodePart(d)
-			if conn.Send(frame(msgPartAck, partAck{TransferID: id, Index: ph.Index, OK: true, DeliveredAt: tr.dstN.Now(), Ready: true}.encodeTo)) != nil {
+			if conn.Send(wire.Frame(msgPartAck, partAck{TransferID: id, Index: ph.Index, OK: true, DeliveredAt: tr.dstN.Now(), Ready: true}.encodeTo)) != nil {
 				return
 			}
 		}
@@ -146,11 +146,11 @@ func (tr *transcript) rawRepeat(petitionFrame []byte, part partHeader) {
 		tr.logf("petition ack: %v", err)
 		return
 	}
-	_, d, _ := decodeKind(msg.Payload)
+	_, d, _ := wire.Tag(msg.Payload)
 	ack, err := decodePetitionAck(d)
 	tr.logf("petitionAck accept=%v reason=%q received=%s err=%v", ack.Accept, ack.Reason, tr.at(ack.ReceivedAt), err)
 	for i := 0; i < 2; i++ {
-		if err := conn.SendSized(frame(msgPart, part.encodeTo), part.Size); err != nil {
+		if err := conn.SendSized(wire.Frame(msgPart, part.encodeTo), part.Size); err != nil {
 			tr.logf("part: %v", err)
 			return
 		}
@@ -159,7 +159,7 @@ func (tr *transcript) rawRepeat(petitionFrame []byte, part partHeader) {
 			tr.logf("part ack: %v", err)
 			return
 		}
-		_, d, _ := decodeKind(msg.Payload)
+		_, d, _ := wire.Tag(msg.Payload)
 		pa, err := decodePartAck(d)
 		tr.logf("partAck index=%d ok=%v reason=%q delivered=%s ready=%v err=%v",
 			pa.Index, pa.OK, pa.Reason, tr.at(pa.DeliveredAt), pa.Ready, err)

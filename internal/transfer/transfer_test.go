@@ -291,9 +291,50 @@ func refuseAll(host transport.Host, mux *pipe.Mux) {
 			return
 		}
 		// Both petition kinds open with the transfer id.
-		_, d, _ := decodeKind(msg.Payload)
-		conn.Send(frame(msgPetitionAck, petitionAck{TransferID: d.Uint64(), Reason: "quota exceeded", ReceivedAt: host.Now()}.encodeTo))
+		_, d, _ := wire.Tag(msg.Payload)
+		conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: d.Uint64(), Reason: "quota exceeded", ReceivedAt: host.Now()}.encodeTo))
 	})
+}
+
+// TestRepeatedPartAckIsRejected: acks come from another host, so the
+// sender holds them to its one rule — an ack confirms a part that was sent
+// and is not yet confirmed. A scripted receiver confirms the first of two
+// streamed pieces twice and never the second; the transfer must fail, not
+// return with a piece nobody confirmed.
+func TestRepeatedPartAckIsRejected(t *testing.T) {
+	n := simnet.New(11)
+	a := n.MustAddNode("src", fastProfile())
+	b := n.MustAddNode("dst", fastProfile())
+	epA, _ := a.Endpoint("xfer")
+	epB, _ := b.Endpoint("xfer")
+	pipe.NewMux(b, epB, pipe.Options{}).Serve(func(conn pipe.Conn) {
+		defer conn.Close()
+		msg, err := conn.Recv()
+		if err != nil {
+			return
+		}
+		_, d, _ := wire.Tag(msg.Payload)
+		id := d.Uint64()
+		conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: b.Now()}.encodeTo))
+		for {
+			if _, err := conn.Recv(); err != nil {
+				return
+			}
+			conn.Send(wire.Frame(msgPartAck, partAck{TransferID: id, Index: 1, OK: true, DeliveredAt: b.Now(), Ready: true}.encodeTo))
+		}
+	})
+	s := NewSender(a, pipe.NewMux(a, epA, pipe.Options{}))
+	var m Metrics
+	var err error
+	n.Run(func() {
+		err = s.SendPieces("dst/xfer", NewVirtualFile("f", 8*Mb, 1), 8, []int{1, 5}, &m)
+	})
+	if !errors.Is(err, ErrFailed) || !strings.Contains(err.Error(), "receiver rejected part 1") || !m.Failed {
+		t.Fatalf("err = %v, failed %v; want the repeated ack rejected", err, m.Failed)
+	}
+	if len(m.Parts) != 2 || m.Parts[1].Index != 5 || !m.Parts[1].Confirmed.IsZero() {
+		t.Fatalf("parts = %+v; want piece 5 unconfirmed", m.Parts)
+	}
 }
 
 func TestPetitionRejected(t *testing.T) {
@@ -343,7 +384,7 @@ func TestPetitionPartCountOutOfRangeRefused(t *testing.T) {
 				t.Errorf("parts=%d: no ack: %v", parts, err)
 				return
 			}
-			_, d, _ := decodeKind(msg.Payload)
+			_, d, _ := wire.Tag(msg.Payload)
 			ack, err := decodePetitionAck(d)
 			if err != nil || ack.Accept || ack.Reason == "" {
 				t.Errorf("parts=%d: ack = %+v, %v; want a refusal with a reason", parts, ack, err)
@@ -383,7 +424,7 @@ func TestPetitionTotalSizeOutOfRangeNotAllocated(t *testing.T) {
 			}
 			pet := petition{TransferID: 7, FileName: "evil", TotalSize: total, Parts: 1, Sender: "src"}
 			part := partHeader{TransferID: 7, Index: 0, Offset: 0, Size: 1, Data: []byte{0xff}}
-			for _, msg := range [][]byte{pet.encode(), frame(msgPart, part.encodeTo)} {
+			for _, msg := range [][]byte{pet.encode(), wire.Frame(msgPart, part.encodeTo)} {
 				if err := conn.Send(msg); err != nil {
 					t.Errorf("total=%d: send: %v", total, err)
 					return

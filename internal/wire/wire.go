@@ -84,6 +84,18 @@ func PutEncoder(e *Encoder) {
 	encoderPool.Put(e)
 }
 
+// Frame encodes a message, tag then what fill encodes, into a buffer of its
+// own: a pooled encoder's bytes, detached, since a sent payload is given up
+// to its receiver. Every message type encodes its fields untagged, so one
+// message's fields can ride inside another's frame.
+func Frame(tag byte, fill func(*Encoder)) []byte {
+	e := GetEncoder()
+	defer PutEncoder(e)
+	e.Byte(tag)
+	fill(e)
+	return e.Detach()
+}
+
 // Uint64 appends v as an unsigned varint.
 func (e *Encoder) Uint64(v uint64) {
 	e.buf = binary.AppendUvarint(e.buf, v)
@@ -153,6 +165,16 @@ type Decoder struct {
 
 // NewDecoder returns a decoder over buf. The decoder does not copy buf.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+
+// Tag reads a frame's type tag and returns a decoder over its fields; an
+// empty frame is ErrShort. Inlined, its decoder stays on the caller's stack.
+func Tag(frame []byte) (byte, *Decoder, error) {
+	d := NewDecoder(frame)
+	if k := d.Byte(); d.err == nil {
+		return k, d, nil
+	}
+	return 0, nil, ErrShort
+}
 
 // Err returns the first decoding error, if any.
 func (d *Decoder) Err() error { return d.err }

@@ -3,6 +3,8 @@ package workload
 import (
 	"strings"
 	"testing"
+
+	"peerlab/internal/transfer"
 )
 
 // FuzzParse locks the workload grammar: no input may panic it, and any
@@ -39,7 +41,7 @@ func FuzzParse(f *testing.F) {
 // plus the ";"-separated option tail. No input may panic the parser, any
 // accepted dissemination spec must round-trip through its canonical name,
 // and the accepted configuration must sit inside the documented bounds
-// (piece count within [1, MaxPieces], pick and choke from the registered
+// (piece count within [1, transfer.MaxPieces], pick and choke from the registered
 // policy sets).
 func FuzzParseDisseminate(f *testing.F) {
 	f.Add("disseminate:16")
@@ -69,7 +71,7 @@ func FuzzParseDisseminate(f *testing.F) {
 			return
 		}
 		d := *w.Disseminate
-		if d.Pieces < 1 || d.Pieces > MaxPieces {
+		if d.Pieces < 1 || d.Pieces > transfer.MaxPieces {
 			t.Fatalf("Parse(%q) pieces out of bounds: %d", spec, d.Pieces)
 		}
 		pickOK, chokeOK := false, false

@@ -11,6 +11,7 @@ import (
 
 	"peerlab/internal/jxta"
 	"peerlab/internal/scenario"
+	"peerlab/internal/transfer"
 )
 
 // The piece engine's round written the plainest way — a map[int]bool sized
@@ -267,7 +268,7 @@ func refSplitInts(s string) []int {
 				ok = false
 				break
 			}
-			if v = v*10 + int(f[i]-'0'); v >= MaxPieces {
+			if v = v*10 + int(f[i]-'0'); v >= transfer.MaxPieces {
 				// Not in the version this was copied from, which let a long
 				// digit string wrap round to a small index: a fix the engine
 				// and its oracle share.

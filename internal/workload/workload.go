@@ -75,8 +75,6 @@ type Dissemination struct {
 const (
 	// DefaultPieces is the piece count when the spec names none.
 	DefaultPieces = 16
-	// MaxPieces bounds the pieces= option, mirroring MaxCount.
-	MaxPieces = 1024
 	// DefaultDisseminateBytes is the shared payload size.
 	DefaultDisseminateBytes = 8 * transfer.Mb
 )
@@ -309,7 +307,7 @@ const MaxCount = 1_000_000
 // Parse resolves a workload spec: "controller-fanout", "swarm:N",
 // "allpairs:N", or the dissemination family "disseminate:N" / "stream:N"
 // with optional ";"-separated options pick=rarest|sequential,
-// choke=tft|none, pieces=K (1 ≤ N ≤ MaxCount, 1 ≤ K ≤ MaxPieces). The
+// choke=tft|none, pieces=K (1 ≤ N ≤ MaxCount, 1 ≤ K ≤ transfer.MaxPieces). The
 // dissemination workloads print back a canonical Name (policies always
 // spelled out) that re-parses to itself.
 func Parse(spec string) (Workload, error) {
@@ -387,8 +385,8 @@ func parseDissemOptions(spec string, opts []string) (Dissemination, error) {
 			d.Choke = v
 		case "pieces":
 			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 || n > MaxPieces {
-				return Dissemination{}, fmt.Errorf("workload: %q: pieces must be an integer in [1, %d]", spec, MaxPieces)
+			if err != nil || n < 1 || n > transfer.MaxPieces {
+				return Dissemination{}, fmt.Errorf("workload: %q: pieces must be an integer in [1, %d]", spec, transfer.MaxPieces)
 			}
 			d.Pieces = n
 		default:
