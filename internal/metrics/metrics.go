@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -167,47 +166,25 @@ func fmtVal(v float64) string {
 	}
 }
 
-// Summary aggregates a sample set.
+// Summary is what the harness reads of a sample set.
 type Summary struct {
-	N         int
-	Mean, Std float64
-	Min, Max  float64
-	Median    float64
+	Mean, Max float64
 }
 
-// Summarize computes summary statistics; an empty input yields zeros.
+// Summarize returns the mean and the largest value of xs; an empty input
+// yields zeros.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
+	s := Summary{Max: xs[0]}
 	for _, x := range xs {
 		s.Mean += x
-		if x < s.Min {
-			s.Min = x
-		}
 		if x > s.Max {
 			s.Max = x
 		}
 	}
 	s.Mean /= float64(len(xs))
-	for _, x := range xs {
-		d := x - s.Mean
-		s.Std += d * d
-	}
-	if len(xs) > 1 {
-		s.Std = math.Sqrt(s.Std / float64(len(xs)-1))
-	} else {
-		s.Std = 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
 	return s
 }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -92,27 +93,16 @@ func TestBarsAllZeros(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Mean != 5 {
-		t.Fatalf("N=%d Mean=%v", s.N, s.Mean)
-	}
-	if math.Abs(s.Std-2.138) > 0.01 {
-		t.Fatalf("Std = %v, want ~2.138 (sample std)", s.Std)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Fatalf("Min/Max = %v/%v", s.Min, s.Max)
-	}
-	if s.Median != 4.5 {
-		t.Fatalf("Median = %v", s.Median)
+	if s := Summarize([]float64{2, 4, 4, 4, 5, 5, 9, 7}); s.Mean != 5 || s.Max != 9 {
+		t.Fatalf("Mean/Max = %v/%v", s.Mean, s.Max)
 	}
 }
 
 func TestSummarizeEdge(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
+	if s := Summarize(nil); s != (Summary{}) {
 		t.Fatalf("empty summary = %+v", s)
 	}
-	s := Summarize([]float64{7})
-	if s.Mean != 7 || s.Std != 0 || s.Median != 7 {
+	if s := Summarize([]float64{7}); s.Mean != 7 || s.Max != 7 {
 		t.Fatalf("singleton summary = %+v", s)
 	}
 }
@@ -145,11 +135,10 @@ func TestPropertySummaryBounds(t *testing.T) {
 			}
 		}
 		s := Summarize(xs)
-		if s.N == 0 {
-			return len(xs) == 0
+		if len(xs) == 0 {
+			return s == Summary{}
 		}
-		return s.Min <= s.Median && s.Median <= s.Max &&
-			s.Min <= s.Mean && s.Mean <= s.Max && s.Std >= 0
+		return slices.Min(xs) <= s.Mean && s.Mean <= s.Max && s.Max == slices.Max(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -301,17 +301,19 @@ func TestInstantMessaging(t *testing.T) {
 
 func TestStatsReportUpdatesBroker(t *testing.T) {
 	d := deploy(t, map[string]simnet.Profile{"sc1": clientProfile()})
+	var booted time.Time
 	var err error
 	d.net.Run(func() {
 		d.startAll(t)
+		booted = d.broker.Registry().Peer("sc1").Snapshot().ReadyAt
 		err = d.clients["sc1"].ReportStats()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := d.broker.Registry().Peer("sc1").Snapshot()
-	if snap.LastUpdated.IsZero() {
-		t.Fatal("stats report did not touch the registry")
+	// A report sets ReadyAt to its arrival instant plus the reported ReadyIn.
+	if readyAt := d.broker.Registry().Peer("sc1").Snapshot().ReadyAt; !readyAt.After(booted) {
+		t.Fatalf("stats report did not touch the registry: ReadyAt %v, at boot %v", readyAt, booted)
 	}
 }
 

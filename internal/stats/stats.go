@@ -160,14 +160,13 @@ type PeerStats struct {
 	fileSentTotal   Ratio
 	cancelTotal     Ratio // Record(true) = a cancellation happened
 	pendingTransfer int
-	originated      Ratio
+	originated      int64 // launches sourced
 	bytesOriginated int64
 
 	// Capabilities and link quality.
 	cpuScore      float64
 	transferRate  EWMA // bytes/second
 	petitionDelay EWMA // seconds
-	lastUpdate    time.Time
 }
 
 // NewPeerStats returns empty statistics for peer; now supplies timestamps
@@ -179,13 +178,12 @@ func NewPeerStats(peer string, now func() time.Time) *PeerStats {
 // Peer returns the peer name.
 func (p *PeerStats) Peer() string { return p.peer }
 
-// update applies f to the record under its lock and stamps the change,
-// bumping the owning registry's mutation counter.
+// update applies f to the record under its lock, bumping the owning
+// registry's mutation counter.
 func (p *PeerStats) update(f func()) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	f()
-	p.lastUpdate = p.now()
 	if p.ver != nil {
 		p.ver.Add(1)
 	}
@@ -245,7 +243,7 @@ func (p *PeerStats) RecordTransferOutcome(cancelled bool) {
 // the payload size, counted for completed launches only.
 func (p *PeerStats) RecordTransferOriginated(ok bool, bytes int) {
 	p.update(func() {
-		p.originated.Record(ok)
+		p.originated++
 		if ok && bytes > 0 {
 			p.bytesOriginated += int64(bytes)
 		}
@@ -309,15 +307,13 @@ type Snapshot struct {
 	// Origination (the peer as a transfer source, not sink). Counters are
 	// launch-level, mirroring PctFileSent*: a relaunched flow records one
 	// entry per transmission launch on both the sink and origin side.
-	TransfersOriginated    float64 // transmission launches this peer sourced
-	PctTransfersOriginated float64 // success percentage of those (default 100)
-	BytesOriginated        float64 // payload bytes of completed sourced launches
+	TransfersOriginated float64 // transmission launches this peer sourced
+	BytesOriginated     float64 // payload bytes of completed sourced launches
 
 	// Capabilities.
 	CPUScore      float64       // default 1
 	TransferRate  float64       // bytes/second; default 0 = unknown
 	PetitionDelay time.Duration // default 0 = unknown
-	LastUpdated   time.Time
 }
 
 // DefaultWindowHours is the message window of a Snapshot: PctMsgLastK
@@ -360,8 +356,7 @@ func (p *PeerStats) SnapshotInto(dst *Snapshot, now time.Time) {
 	dst.PctCancelSession = dst.PctCancelTotal
 	dst.PendingTransfers = float64(p.pendingTransfer)
 
-	dst.TransfersOriginated = float64(p.originated.Total)
-	dst.PctTransfersOriginated = p.originated.PercentOr(100)
+	dst.TransfersOriginated = float64(p.originated)
 	dst.BytesOriginated = float64(p.bytesOriginated)
 
 	dst.CPUScore = p.cpuScore
@@ -370,7 +365,6 @@ func (p *PeerStats) SnapshotInto(dst *Snapshot, now time.Time) {
 	}
 	dst.TransferRate = p.transferRate.Value(0)
 	dst.PetitionDelay = time.Duration(p.petitionDelay.Value(0) * float64(time.Second))
-	dst.LastUpdated = p.lastUpdate
 }
 
 // Registry is a thread-safe collection of PeerStats, one per peer.

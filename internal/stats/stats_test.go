@@ -31,7 +31,7 @@ var t0 = time.Date(2007, 3, 1, 0, 0, 0, 0, time.UTC)
 func TestFlowOrigination(t *testing.T) {
 	clock, _ := fixedClock(t0)
 	p := NewPeerStats("src", clock)
-	if s := p.Snapshot(); s.TransfersOriginated != 0 || s.PctTransfersOriginated != 100 || s.BytesOriginated != 0 {
+	if s := p.Snapshot(); s.TransfersOriginated != 0 || s.BytesOriginated != 0 {
 		t.Fatalf("empty origination = %+v", s)
 	}
 	p.RecordTransferOriginated(true, 1000)
@@ -40,9 +40,6 @@ func TestFlowOrigination(t *testing.T) {
 	s := p.Snapshot()
 	if s.TransfersOriginated != 3 || s.BytesOriginated != 1500 {
 		t.Fatalf("origination = %+v, want 3 flows / 1500 bytes", s)
-	}
-	if s.PctTransfersOriginated < 66 || s.PctTransfersOriginated > 67 {
-		t.Fatalf("PctTransfersOriginated = %v, want ~66.7", s.PctTransfersOriginated)
 	}
 }
 
@@ -143,7 +140,7 @@ func TestUnionConcurrentMultiSourceWriters(t *testing.T) {
 // peer must never leave its owning shard holding origin counters that
 // disagree with the union view: the union routes per-peer reads to the
 // owning shard, so the two views are the same PeerStats and every counter —
-// launches, success percentage, bytes — must match exactly, and the union
+// launches and bytes — must match exactly, and the union
 // totals must equal the sum the writers actually recorded.
 func TestUnionOriginConsistentUnderDeparture(t *testing.T) {
 	const shards, peers, launches = 3, 11, 120
@@ -184,7 +181,6 @@ func TestUnionOriginConsistentUnderDeparture(t *testing.T) {
 		fromUnion := u.Peer(name).Snapshot()
 		fromShard := pick(name).Peer(name).Snapshot()
 		if fromUnion.TransfersOriginated != fromShard.TransfersOriginated ||
-			fromUnion.PctTransfersOriginated != fromShard.PctTransfersOriginated ||
 			fromUnion.BytesOriginated != fromShard.BytesOriginated {
 			t.Fatalf("%s: shard and union origin counters disagree:\nshard: %+v\nunion: %+v",
 				name, fromShard, fromUnion)
@@ -202,9 +198,9 @@ func TestUnionOriginConsistentUnderDeparture(t *testing.T) {
 	}
 	for _, name := range names[1:2] {
 		s := u.Peer(name).Snapshot()
-		want := 100 * float64(launches) / float64(launches+1)
-		if s.PctTransfersOriginated != want {
-			t.Fatalf("departed %s success pct = %v, want %v", name, s.PctTransfersOriginated, want)
+		if s.TransfersOriginated != launches+1 || s.BytesOriginated != launches*1000 {
+			t.Fatalf("departed %s: %v launches of %v bytes, want %d of %d",
+				name, s.TransfersOriginated, s.BytesOriginated, launches+1, launches*1000)
 		}
 	}
 }
