@@ -511,6 +511,7 @@ func BenchmarkSummaryStats(b *testing.B) {
 		xs[i] = float64(i%997) * 0.5
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := metrics.Summarize(xs)
 		if s.Max != 498 {

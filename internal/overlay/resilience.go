@@ -252,8 +252,9 @@ func (c *Client) SelectDetailed(model string, req core.Request, max int, preferr
 // degradedPick selects up to max peers from the cached directory, best CPU
 // score first (ties by name), excluding the client itself and the given
 // hostnames; a score that is missing, unparsable or not one the broker
-// would store (validScore) counts as the neutral 1. Returns nil — "cannot degrade" — when the client is not
-// Resilient or the cache yields no eligible peer.
+// would store (validScore) counts as the neutral 1. Returns nil — "cannot
+// degrade" — when the client is not Resilient or the cache yields no
+// eligible peer.
 func (c *Client) degradedPick(max int, exclude []string) []string {
 	if !c.cfg.Resilient {
 		return nil
