@@ -20,17 +20,64 @@ import (
 
 // refDirectory is the reference lease directory the broker's sharded,
 // indexed one must match: one map, and a full scan and sort per query. It
-// keeps no index, no expiry bound, no merge and no shards, and it
-// never removes an entry because time passed — whether an entry is live is
-// decided against the clock each time it is read.
+// keeps no index, no expiry bound, no merge and no shards; whether an entry
+// is live is decided against the clock each time it is read.
+//
+// It also keeps shown, the directory a reader of the broker's merge sees:
+// the live entries as of the last change such a reader can see — an insert,
+// a removal (an expiry, an eviction, a restart) or a publish that is not a
+// renewal (renews). It marks the change on the event, not by comparing
+// states, because an entry that expires and comes back identical still
+// changed the directory.
 type refDirectory struct {
-	advs map[string]jxta.Advertisement
+	advs  map[string]jxta.Advertisement
+	shown []jxta.Advertisement
+	dirty bool // a change since shown was taken
+}
+
+// settle drops every entry whose lease is over at now; each drop is a change.
+func (r *refDirectory) settle(now time.Time) {
+	for name, a := range r.advs {
+		if !a.Expires.After(now) {
+			r.remove(name)
+		}
+	}
 }
 
 func (r *refDirectory) publish(a jxta.Advertisement, now time.Time) {
-	if a.Expires.After(now) {
-		r.advs[a.Name] = a
+	if !a.Expires.After(now) {
+		return
 	}
+	r.settle(now)
+	old, ok := r.advs[a.Name]
+	r.advs[a.Name] = a
+	r.dirty = r.dirty || !ok || !renews(a, old)
+}
+
+func (r *refDirectory) remove(name string) {
+	delete(r.advs, name)
+	r.dirty = true
+}
+
+func (r *refDirectory) clear() {
+	clear(r.advs)
+	r.dirty = true
+}
+
+// renews reports whether publishing a over old is a renewal: the same ID,
+// address and attributes under a lease that ends no earlier.
+func renews(a, old jxta.Advertisement) bool {
+	return a.ID == old.ID && a.Addr == old.Addr && slices.Equal(a.Attrs, old.Attrs) && !a.Expires.Before(old.Expires)
+}
+
+// view returns the directory a reader of the merge sees at now: the live
+// entries as of the last change, taken by the first read after it.
+func (r *refDirectory) view(now time.Time) []jxta.Advertisement {
+	r.settle(now)
+	if r.dirty {
+		r.shown, r.dirty = r.query(now, nil), false
+	}
+	return r.shown
 }
 
 func (r *refDirectory) lookup(name string, now time.Time) (jxta.Advertisement, bool) {
@@ -67,17 +114,28 @@ func sameAdvs(got, want []jxta.Advertisement) bool {
 	})
 }
 
+// renewedFrom reports whether got is was apart from leases that only moved
+// later: the same entries in the same order, each lease no earlier.
+func renewedFrom(got, was []jxta.Advertisement) bool {
+	return slices.EqualFunc(got, was, func(a, b jxta.Advertisement) bool {
+		return a.Kind == b.Kind && a.Name == b.Name && renews(a, b)
+	})
+}
+
 // leaseProgramTTL is the lease the program's broker grants on its own publish
 // path; direct cache publishes draw shorter and longer ones around it.
 const leaseProgramTTL = 40 * time.Second
 
-// checkLeaseProgram runs a seeded program of publishes, renewals, clock
-// advances, sweeps, restarts and removals against a broker of the given
-// shard count and the reference directory side by side, and after every step
-// compares every read the serve path has: Cache.Lookup of every name the
-// program knows, the named and whole Cache.Query and LiveLen of every shard,
-// Broker.Advertisements, and the discover reply decoded the way
-// a client decodes it. Per shard it also holds Cache.Stamp to its contract:
+// checkLeaseProgram runs a seeded program of publishes, renewals, republishes
+// under a longer or shorter lease, clock advances, sweeps, restarts and
+// removals against a broker of the given shard count and the reference
+// directory side by side, and after every step compares every read the serve
+// path has: Cache.Lookup of every name the program knows, the named and whole
+// Cache.Query and LiveLen of every shard, Broker.Advertisements, and the
+// discover reply decoded the way a client decodes it. The last two must list
+// the reference's live entries in order, names, IDs, addresses and attributes
+// alike, each lease between the one the reference's shown directory holds and
+// the live one. Per shard it also holds Cache.Stamp to its contract:
 // a stamp seen before means the live set — entries and payloads — seen with
 // it, so a live set that changed must have changed the stamp. The reads run
 // in a different order after every step, because each of them may be the one
@@ -160,17 +218,17 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 			return nil
 		},
 		func(now time.Time) error { // Broker.Advertisements and the discover reply
-			want := ref.query(now, nil)
-			if got := b.Advertisements(); !sameAdvs(got, want) {
-				return fail("Advertisements = %d entries, reference %d, or they differ", len(got), len(want))
+			live, shown := ref.query(now, nil), ref.view(now)
+			if got := b.Advertisements(); !renewedFrom(got, shown) || !renewedFrom(live, got) {
+				return fail("Advertisements = %d entries, reference %d, or they differ beyond leases between the shown and the live ones", len(got), len(live))
 			}
 			tag, dec, err := wire.Tag(b.directoryReply())
 			if err != nil || tag != mtDiscoverResult {
 				return fail("discover reply: tag %d, %v", tag, err)
 			}
 			dir, err := scanDiscoverResult(dec)
-			if got := dir.Decode(); err != nil || !sameAdvs(got, want) {
-				return fail("discover reply = %d entries, %v; reference %d, or they differ", len(got), err, len(want))
+			if got := dir.Decode(); err != nil || !renewedFrom(got, shown) || !renewedFrom(live, got) {
+				return fail("discover reply = %d entries, %v; reference %d, or they differ beyond leases between the shown and the live ones", len(got), err, len(live))
 			}
 			return nil
 		},
@@ -182,7 +240,7 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 		for step = 1; step <= steps && failure == nil; step++ {
 			now := host.Now()
 			it := idents[rng.Intn(len(idents))]
-			switch op := rng.Intn(16); {
+			switch op := rng.Intn(18); {
 			case op < 4: // publish or renew through the broker, under its own lease
 				what = "broker publish " + it.name
 				it.publishes++
@@ -202,11 +260,21 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 					Attrs: []jxta.Attr{{Key: "n", Value: strconv.Itoa(it.publishes)}}}
 				b.shardOf(it.name).Publish(a)
 				ref.publish(a, now)
-			case op < 11: // advance the clock by an arbitrary amount
+			case op < 10: // republish a live entry as it is, its lease moved either way
+				a, ok := ref.lookup(it.name, now)
+				if !ok {
+					what = "nothing"
+					break
+				}
+				a.Expires = a.Expires.Add(time.Duration(rng.Intn(21)-10) * time.Second)
+				what = fmt.Sprintf("republish %s until %v", it.name, a.Expires.Sub(now))
+				b.shardOf(it.name).Publish(a)
+				ref.publish(a, now)
+			case op < 13: // advance the clock by an arbitrary amount
 				d := time.Duration(1 + rng.Int63n(int64(30*time.Second)))
 				what = fmt.Sprintf("sleep %v", d)
 				host.Sleep(d)
-			case op < 14: // advance the clock onto an expiry instant exactly
+			case op < 16: // advance the clock onto an expiry instant exactly
 				a, ok := ref.lookup(it.name, now)
 				if !ok {
 					what = "nothing"
@@ -214,7 +282,7 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 				}
 				what = "sleep onto the expiry of " + it.name
 				host.Sleep(a.Expires.Sub(now))
-			case op < 15:
+			case op < 17:
 				what = "sweep"
 				for _, sh := range b.shards {
 					sh.Sweep(now)
@@ -222,7 +290,7 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 			default:
 				what = "restart"
 				b.Restart()
-				clear(ref.advs)
+				ref.clear()
 			}
 			now = host.Now()
 			for _, i := range rng.Perm(len(checks)) {
@@ -283,7 +351,7 @@ func (r *refPeers) store(a jxta.Advertisement, now time.Time, ttl time.Duration)
 		owned := r.query(now, func(b jxta.Advertisement) bool { return r.shard(b.Name) == r.shard(a.Name) })
 		if len(owned) >= r.limit {
 			victim := slices.MinFunc(owned, func(a, b jxta.Advertisement) int { return a.Expires.Compare(b.Expires) })
-			delete(r.advs, victim.Name)
+			r.remove(victim.Name)
 		}
 	}
 	r.publish(a, now)
@@ -307,8 +375,9 @@ func (r *refPeers) lease(name, from string, now time.Time) (jxta.Advertisement, 
 // the lease, one onto an expiry instant exactly. The cache limit is small, so
 // publishes evict, often among leases that end at one instant; the names
 // cross the p999/p1000 boundary, where name order is not number order. After
-// every step it compares Broker.Peers and the discover reply's bytes with a
-// fresh encode of the reference's list, and every ack with what the
+// every step it compares Broker.Peers with the reference's live names, the
+// decoded discover reply with its live entries, each lease between the one
+// its shown directory holds and the live one, and every ack with what the
 // reference expects.
 func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 	const ttl, limit = leaseProgramTTL, 3
@@ -424,7 +493,7 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 			case op < 14:
 				what = "restart"
 				b.Restart()
-				clear(ref.advs)
+				ref.clear()
 			case op < 16:
 				d := time.Duration(1 + rng.Int63n(int64(ttl/2)))
 				what = fmt.Sprintf("sleep %v", d)
@@ -457,10 +526,18 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 				failure = fail("discover: %v", err)
 				return
 			}
-			fresh := wire.NewEncoder(0)
-			encodeDiscoverResult(fresh, want)
-			if !bytes.Equal(reply, fresh.Bytes()) {
-				failure = fail("discover replied %d bytes, a fresh encode of the reference's %d entries is %d, or they differ", len(reply), len(want), fresh.Len())
+			shown := ref.view(now)
+			_, dec, err := wire.Tag(reply)
+			if err == nil {
+				var dir jxta.Directory
+				if dir, err = scanDiscoverResult(dec); err == nil {
+					if got := dir.Decode(); !renewedFrom(got, shown) || !renewedFrom(want, got) {
+						err = fmt.Errorf("%d entries, reference %d, or they differ beyond leases between the shown and the live ones", len(got), len(want))
+					}
+				}
+			}
+			if err != nil {
+				failure = fail("discover reply: %v", err)
 				return
 			}
 		}
