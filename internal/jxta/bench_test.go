@@ -44,8 +44,8 @@ func BenchmarkNamedQuery(b *testing.B) {
 }
 
 // BenchmarkRenewThenQueryAll prices one lease renewal followed by a read of
-// the whole directory into a warm buffer — a heartbeat, then the broker's
-// merge reading the directory it changed.
+// the whole directory into a warm buffer — a heartbeat's write, then what the
+// broker's merge pays to read the directory once some change moved its stamp.
 func BenchmarkRenewThenQueryAll(b *testing.B) {
 	for _, n := range directorySizes {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {

@@ -199,7 +199,7 @@ type Cache struct {
 	// stale-but-valid: the scan it eventually triggers removes nothing and
 	// recomputes it.
 	minExpiry time.Time
-	// version counts mutations (publish, eviction, expiry, Clear).
+	// version counts changes: publishes but renewals, evictions, expiries.
 	version uint64
 }
 
@@ -219,7 +219,8 @@ func (c *Cache) searchLocked(name string) (int, bool) {
 }
 
 // Publish inserts or refreshes a peer advertisement; any other kind, and an
-// already-expired advertisement, is ignored.
+// already-expired advertisement, is ignored. A renewal (the stored ID, address
+// and attributes, a lease no shorter) writes its slot and no version.
 func (c *Cache) Publish(a Advertisement) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -229,6 +230,11 @@ func (c *Cache) Publish(a Advertisement) {
 	}
 	c.gcLocked(now)
 	i, exists := c.searchLocked(a.Name)
+	if exists && a.ID == c.advs[i].ID && a.Addr == c.advs[i].Addr &&
+		slices.Equal(a.Attrs, c.advs[i].Attrs) && !a.Expires.Before(c.advs[i].Expires) {
+		c.advs[i] = a // minExpiry, a bound below the old lease, is one below this
+		return
+	}
 	if !exists && len(c.advs) >= c.limit {
 		j := c.oldestLocked()
 		c.advs = slices.Delete(c.advs, j, j+1)
@@ -353,11 +359,11 @@ func (c *Cache) LiveLen() int {
 	return len(c.advs)
 }
 
-// Stamp returns the mutation version as of now. Stored means live and every
-// change to what is stored — publish, eviction, expiry, Clear — advances
-// the version, so two equal stamps mean the live set, entries and payloads,
-// is identical at both instants. O(1) on the static fast path. The broker's
-// candidate table and its merged directory key on it.
+// Stamp returns the version as of now. Stored means live and every change to
+// what is stored but a renewal advances the version, so equal stamps mean the
+// same live set, with the same entries and payloads, except for leases that
+// only moved later. O(1) on the static fast path. The broker's candidate
+// table and its merged directory key on it.
 func (c *Cache) Stamp() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

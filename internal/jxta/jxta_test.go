@@ -246,6 +246,55 @@ func TestQueryAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRenewalIsNotAChange: Stamp holds across a renewal — the stored entry's
+// ID, address and attributes under a lease that ends no earlier, which is
+// stored all the same — and moves on every other change: a changed
+// attribute, a changed address, a shortened lease, an insert, an expiry, an
+// eviction and a Clear.
+func TestRenewalIsNotAChange(t *testing.T) {
+	clock, cur := clockAt(base)
+	c := NewCache(2, clock)
+	a := sampleAdv()
+	a.Expires = base.Add(time.Minute)
+	c.Publish(a)
+	stamp := c.Stamp()
+	step := func(what string, change bool, do func()) {
+		t.Helper()
+		do()
+		if s := c.Stamp(); (s != stamp) != change {
+			t.Fatalf("%s: stamp %d after %d, want a change: %v", what, s, stamp, change)
+		}
+		stamp = c.Stamp()
+	}
+	publish := func(a Advertisement) func() { return func() { c.Publish(a) } }
+	named := func(name string, lease time.Duration) Advertisement {
+		b := sampleAdv()
+		b.ID, b.Name, b.Expires = NewID("peer", name), name, base.Add(lease)
+		return b
+	}
+
+	a.Expires = base.Add(2 * time.Minute)
+	step("a renewal", false, publish(a))
+	step("a renewal to the same instant", false, publish(a))
+	if got, _ := c.Lookup(a.Name); !got.Expires.Equal(a.Expires) {
+		t.Fatalf("a renewal stored the lease %v, want %v", got.Expires, a.Expires)
+	}
+	a = a.WithAttr(AttrCPUScore, "2")
+	step("a changed attribute", true, publish(a))
+	a.Addr = "sc1/elsewhere"
+	step("a changed address", true, publish(a))
+	a.Expires = base.Add(90 * time.Second)
+	step("a shortened lease", true, publish(a))
+	step("an insert", true, publish(named("sc2", 30*time.Second)))
+	step("an expiry", true, func() { *cur = base.Add(30 * time.Second) })
+	step("an insert", true, publish(named("sc3", time.Minute)))
+	step("an eviction", true, publish(named("sc4", time.Hour)))
+	if _, ok := c.Lookup("sc3"); ok {
+		t.Fatal("the full cache kept sc3, the entry closest to expiry")
+	}
+	step("a Clear", true, c.Clear)
+}
+
 func TestPropertyAdvertisementRoundtrip(t *testing.T) {
 	f := func(name, addr, k1, v1 string, hours uint8) bool {
 		a := Advertisement{

@@ -12,7 +12,7 @@ import (
 )
 
 // refCache is the reference the Cache must match: one map by name, a full
-// scan and sort per query, and a mutation count kept by hand. It keeps no
+// scan and sort per query, and a count of changes kept by hand. It keeps no
 // index and no expiry bound.
 type refCache struct {
 	advs    map[string]Advertisement
@@ -39,7 +39,8 @@ func (r *refCache) publish(a Advertisement, now time.Time) {
 		return
 	}
 	r.settle(now)
-	if _, ok := r.advs[a.Name]; !ok && len(r.advs) >= r.limit {
+	old, ok := r.advs[a.Name]
+	if !ok && len(r.advs) >= r.limit {
 		// The victim is the entry closest to expiry, the first by name among
 		// equals.
 		all := slices.Collect(maps.Values(r.advs))
@@ -53,7 +54,11 @@ func (r *refCache) publish(a Advertisement, now time.Time) {
 		r.version++
 	}
 	r.advs[a.Name] = a
-	r.version++
+	// A renewal — the same ID, address and attributes under a lease that
+	// ends no earlier — is no change.
+	if !ok || a.ID != old.ID || a.Addr != old.Addr || !slices.Equal(a.Attrs, old.Attrs) || a.Expires.Before(old.Expires) {
+		r.version++
+	}
 }
 
 // byName orders advertisements by name, for slices.SortFunc.
@@ -83,11 +88,12 @@ func sameAdvs(got, want []Advertisement) bool {
 
 // checkCacheProgram runs a seeded program against a Cache of the given limit
 // and the reference side by side: publishes of new names (evicting once the
-// cache is full), renewals, clock advances (some onto an expiry instant, some
-// followed by a Sweep) and clears. After every step it compares every read:
-// Query, whole and for every name the program uses plus names it never
-// publishes, AppendAll into one reused buffer behind an entry it must keep,
-// LiveLen, Lookup of every name, and Stamp, which must count mutations
+// cache is full) and of held ones with a new payload, republishes of a held
+// entry under a longer or shorter lease, clock advances (some onto an expiry
+// instant, some followed by a Sweep) and clears. After every step it compares
+// every read: Query, whole and for every name the program uses plus names it
+// never publishes, AppendAll into one reused buffer behind an entry it must
+// keep, LiveLen, Lookup of every name, and Stamp, which must count changes
 // exactly as the reference does. Every whole result taken at an earlier step
 // must still hold what it held then.
 func checkCacheProgram(seed int64, limit, steps int) error {
@@ -122,13 +128,24 @@ func checkCacheProgram(seed int64, limit, steps int) error {
 			return fmt.Errorf("seed %d, limit %d, step %d (%s): %s", seed, limit, step, what, fmt.Sprintf(format, args...))
 		}
 		now := *cur
-		switch op := rng.Intn(20); {
+		switch op := rng.Intn(23); {
 		case op < 11: // publish a name, new or held: a new lease and payload
 			a := draw(names[rng.Intn(len(names))])
 			what = fmt.Sprintf("publish %q until %v", a.Name, a.Expires.Sub(now))
 			c.Publish(a)
 			ref.publish(a, now)
-		case op < 18: // advance the clock, sometimes onto an expiry instant exactly
+		case op < 14: // republish a held entry as it is, its lease moved either way
+			all := ref.query("")
+			if len(all) == 0 {
+				what = "nothing"
+				break
+			}
+			a := all[rng.Intn(len(all))]
+			a.Expires = a.Expires.Add(time.Duration(rng.Intn(21)-10) * time.Second)
+			what = fmt.Sprintf("republish %q until %v", a.Name, a.Expires.Sub(now))
+			c.Publish(a)
+			ref.publish(a, now)
+		case op < 21: // advance the clock, sometimes onto an expiry instant exactly
 			d := time.Duration(1 + rng.Int63n(int64(20*time.Second)))
 			if all := ref.query(""); len(all) > 0 && rng.Intn(2) == 0 {
 				d = all[rng.Intn(len(all))].Expires.Sub(now)
@@ -189,7 +206,7 @@ func checkCacheProgram(seed int64, limit, steps int) error {
 			},
 			func() error {
 				if got := c.Stamp(); got != ref.version {
-					return fail("Stamp = %d, reference counts %d mutations", got, ref.version)
+					return fail("Stamp = %d, reference counts %d changes", got, ref.version)
 				}
 				return nil
 			},

@@ -157,8 +157,8 @@ func (b *Broker) Shards() int { return len(b.shards) }
 // derived from one (the candidate table) is current while gen is. The next
 // merge reuses buf (the shards' answers end to end), parts and advs, so they
 // are read under the broker's mu only; reply, the discover reply encoding
-// advs, is new and immutable per version, detached from enc, which the merge
-// keeps and every version is encoded in.
+// advs, is new and immutable per merge (so none for a renewal, which moves no
+// stamp), detached from enc, which the merge keeps.
 type mergedDir struct {
 	gen    uint64
 	stamps []uint64
@@ -171,16 +171,17 @@ type mergedDir struct {
 
 // Advertisements returns a copy of the sharded peer directory: per-shard
 // results merged back into name order. Discovery, selection and Peers all
-// read this one merge.
+// read this one merge, so an Expires is the lease as of the merge: never past
+// the live one, and in the past for a peer its renewals kept listed.
 func (b *Broker) Advertisements() []jxta.Advertisement {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]jxta.Advertisement(nil), b.dirLocked().advs...)
 }
 
-// directoryReply returns the discover reply, encoded once per directory
-// version: every discover until some shard's stamp moves is sent the same
-// read-only bytes.
+// directoryReply returns the discover reply, encoded once per merge: every
+// discover until some shard's stamp moves, which a renewal does not, is sent
+// the same read-only bytes.
 func (b *Broker) directoryReply() []byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -274,10 +274,11 @@ func (c *Client) refreshDir() error {
 	return c.res.setDir(reply)
 }
 
-// Discover queries the broker's directory for peer advertisements. The
-// result is the client's cached directory after this refresh, so the
-// returned slice is shared with the client and must only be read. The next
-// refresh replaces the cached directory; it never writes this one.
+// Discover queries the broker's directory for peer advertisements, leases as
+// of its last merge (see Broker.Advertisements). The result is the client's
+// cached directory after this refresh, so the returned slice is shared with
+// the client and must only be read. A new reply replaces the cached
+// directory; it never writes this one.
 func (c *Client) Discover() ([]jxta.Advertisement, error) {
 	if err := c.refreshDir(); err != nil {
 		return nil, err

@@ -354,11 +354,12 @@ func underRace() bool {
 // the 128-peer directory of the faults benchmark on 4 shards. Exact small
 // counts: the next copy or per-field string shows up here, not in a profile.
 // The broker answers a whole-kind discover at an unchanged directory with the
-// reply it encoded for that version, allocating nothing (a hit); after a
-// renewal it merges again into the buffers it keeps and pays the new reply
-// alone (a miss): 10 197 B, detached from the encoder the merge keeps, and so
-// does a registration that grew the directory. No pool is involved, so a
-// collection cannot make a miss regrow an encoder.
+// reply it encoded for that version, allocating nothing (a hit), and so it
+// does after a renewal, which changes nothing a reader sees. After a change
+// a reader sees it merges again into the buffers it keeps and pays the new
+// reply alone (a miss): about 10 KB, detached from the encoder the merge
+// keeps, and so does a registration that grew the directory. No pool is
+// involved, so a collection cannot make a miss regrow an encoder.
 func TestDiscoverAllocBudgets(t *testing.T) {
 	b := bareBroker(t)
 	advs := randomPeerAdvs(rand.New(rand.NewSource(128)), 128)
@@ -368,8 +369,22 @@ func TestDiscoverAllocBudgets(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, hit); allocs != 0 {
 		t.Errorf("broker side, hit: %v allocations to reply to a 128-peer discover on 4 shards, budget 0", allocs)
 	}
+	lease := b.host.Now().Add(time.Hour)
+	renew := func() {
+		lease = lease.Add(time.Second)
+		a := advs[0]
+		a.Expires = lease
+		b.shardOf(a.Name).Publish(a)
+		reply = b.directoryReply()
+	}
+	if allocs := testing.AllocsPerRun(50, renew); allocs != 0 {
+		t.Errorf("broker side, renewal: %v allocations to renew one lease and reply to a 128-peer discover on 4 shards, budget 0", allocs)
+	}
+	// The change is an attribute, flipped between two values.
+	flips := []jxta.Advertisement{advs[0].WithAttr("flip", "a"), advs[0].WithAttr("flip", "b")}
 	miss := func() {
-		publishAll(b, advs[:1])
+		flips[0], flips[1] = flips[1], flips[0]
+		publishAll(b, flips[:1])
 		reply = b.directoryReply()
 	}
 	const misses = 50
@@ -380,10 +395,10 @@ func TestDiscoverAllocBudgets(t *testing.T) {
 		}
 	}) / misses
 	if allocs > 1 && !underRace() {
-		t.Errorf("broker side, miss: %v allocations to renew one lease and reply to a 128-peer discover on 4 shards, budget 1", allocs)
+		t.Errorf("broker side, miss: %v allocations to change one attribute and reply to a 128-peer discover on 4 shards, budget 1", allocs)
 	}
 	if perMiss > 11<<10 && !underRace() {
-		t.Errorf("broker side, miss: %d bytes to renew one lease and reply to a 128-peer discover on 4 shards, budget 11 KiB", perMiss)
+		t.Errorf("broker side, miss: %d bytes to change one attribute and reply to a 128-peer discover on 4 shards, budget 11 KiB", perMiss)
 	}
 	// A registration that grows the directory costs the re-encode one
 	// allocation too, averaged over a run of them: the merge keeps its
@@ -425,8 +440,9 @@ func TestDiscoverAllocBudgets(t *testing.T) {
 // the discover reply kept for the last one, so the reply tells them apart:
 // two calls with nothing published between them get the same reply; after
 // each kind of directory change it is a new one, and the directory equals a
-// merge made from nothing; and a sweep that finds nothing left to evict — the
-// read that first saw the expiry already settled it — is no change. Readers
+// merge made from nothing; and neither renewals nor a sweep that finds
+// nothing left to evict — the read that first saw the expiry already settled
+// it — are a change. Readers
 // run beside the changes (the race detector's part) and must always see a
 // sorted directory without duplicates.
 func TestDirectoryMergeReused(t *testing.T) {
@@ -507,7 +523,7 @@ func TestDirectoryMergeReused(t *testing.T) {
 		changed("one more publish", 200)
 		host.Sleep(30 * time.Second)
 		publish(late...)
-		changed("renew", 200)
+		unchanged("renewals")
 		short := extra
 		short.Expires = host.Now().Add(time.Second)
 		b.shardOf(extra.Name).Publish(short)

@@ -236,63 +236,86 @@ func TestDiscoverResultUnchangedByHeartbeatRefresh(t *testing.T) {
 	}
 }
 
-// refreshReply is the discover reply for an n-peer directory, as a 4-shard
-// broker frames it.
-func refreshReply(t testing.TB, n int) []byte {
-	b := bareBroker(t)
-	publishAll(b, randomPeerAdvs(rand.New(rand.NewSource(int64(n))), n))
-	return b.directoryReply()
+// refreshReplies are the discover replies for two different n-peer
+// directories, as a 4-shard broker frames them: a client that refreshes from
+// one to the other scans each.
+func refreshReplies(t testing.TB, n int) [2][]byte {
+	var replies [2][]byte
+	for i := range replies {
+		b := bareBroker(t)
+		publishAll(b, randomPeerAdvs(rand.New(rand.NewSource(int64(n+i))), n))
+		replies[i] = b.directoryReply()
+	}
+	return replies
 }
 
 // TestRefreshAllocBudget gates what a heartbeat's directory refresh costs the
 // client, pipe aside, on the 128-peer directory of the faults benchmark:
-// keeping a reply allocates nothing; the first read after it pays the bulk
-// decode's 3 (slice, attribute arena, one string); reads after that and
-// before the next refresh pay nothing.
+// keeping a new reply allocates nothing; the first read after it pays the
+// bulk decode's 3 (slice, attribute arena, one string); reads after that and
+// before the next new reply pay nothing, and so does a refresh to the reply
+// the client holds, whose decoding stands.
 func TestRefreshAllocBudget(t *testing.T) {
-	reply := refreshReply(t, 128)
+	replies := refreshReplies(t, 128)
 	var res resilience
+	var next int
 	refresh := func() {
-		if err := res.setDir(reply); err != nil {
+		next = 1 - next
+		if err := res.setDir(replies[next]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if allocs := testing.AllocsPerRun(50, refresh); allocs != 0 {
-		t.Errorf("%v allocations to keep a 128-peer reply, budget 0", allocs)
+		t.Errorf("%v allocations to keep a new 128-peer reply, budget 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(50, func() { refresh(); res.snapshotDir() }); allocs > 3 {
-		t.Errorf("%v allocations for a refresh and the first read after it, budget 3", allocs)
+		t.Errorf("%v allocations for a new reply and the first read after it, budget 3", allocs)
 	}
 	held := res.snapshotDir()
 	if allocs := testing.AllocsPerRun(50, func() { res.snapshotDir() }); allocs != 0 {
 		t.Errorf("%v allocations for a read after the first, budget 0", allocs)
 	}
+	same := func() {
+		if err := res.setDir(append([]byte(nil), replies[next]...)); err != nil {
+			t.Fatal(err)
+		}
+		res.snapshotDir()
+	}
+	if allocs := testing.AllocsPerRun(50, same); allocs != 1 { // the copy
+		t.Errorf("%v allocations for a copy of the reply held and a read after it, budget 1 (the copy)", allocs)
+	}
 	if got := res.snapshotDir(); len(got) != 128 || &got[0] != &held[0] {
-		t.Fatalf("reads between refreshes returned different slices (%d advertisements)", len(got))
+		t.Fatalf("reads between new replies returned different slices (%d advertisements)", len(got))
 	}
 }
 
 // BenchmarkDirectoryRefresh prices the client side of one heartbeat's
-// refresh, pipe aside: keeping the reply (validate), and keeping it and
-// reading it (validate+decode) — what every refresh cost while the cache held
-// the decoded slice.
+// refresh, pipe aside: keeping a new reply (validate), keeping it and reading
+// it (validate+decode) — what every refresh cost while the cache held the
+// decoded slice — and keeping the reply the client holds and reading it
+// (same), what a refresh costs while the directory has not changed.
 func BenchmarkDirectoryRefresh(b *testing.B) {
 	for _, n := range []int{128, 1024} {
-		reply := refreshReply(b, n)
-		for _, read := range []bool{false, true} {
-			name := fmt.Sprintf("entries=%d/validate", n)
-			if read {
-				name += "+decode"
-			}
-			b.Run(name, func(b *testing.B) {
+		replies := refreshReplies(b, n)
+		for _, mode := range []string{"validate", "validate+decode", "same"} {
+			b.Run(fmt.Sprintf("entries=%d/%s", n, mode), func(b *testing.B) {
 				var res resilience
+				if mode == "same" {
+					res.setDir(replies[0])
+					res.snapshotDir()
+				}
 				b.ReportAllocs()
-				b.SetBytes(int64(len(reply)))
+				b.SetBytes(int64(len(replies[0])))
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					reply := replies[i%2]
+					if mode == "same" {
+						reply = replies[0]
+					}
 					if err := res.setDir(reply); err != nil {
 						b.Fatal(err)
 					}
-					if read && len(res.snapshotDir()) != n {
+					if mode != "validate" && len(res.snapshotDir()) != n {
 						b.Fatal("short directory")
 					}
 				}

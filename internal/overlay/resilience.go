@@ -10,9 +10,11 @@
 package overlay
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -92,37 +94,42 @@ type resilience struct {
 	mu sync.Mutex
 	// reply is the last discover reply that validated, kept as received
 	// (the client owns the payload); dir is its decoding, made by the first
-	// read after the refresh and handed to every read until the next one
+	// read after a new reply and handed to every read until the next one
 	// (nil until then; an empty reply decodes to nil, at no cost).
-	reply jxta.Directory
+	reply []byte
 	dir   []jxta.Advertisement
 }
 
 // setDir replaces the cached directory with a discover reply that passes
 // every check decoding it would make; one that fails any leaves the cache as
 // it was. A heartbeat refreshes the cache far more often than a blackout
-// reads it, so nothing is decoded, or allocated, here.
+// reads it, so nothing is decoded, or allocated, here, and a reply equal to
+// the one held (under simnet, the same buffer) keeps it and its decoding.
 func (r *resilience) setDir(reply []byte) error {
 	if len(reply) == 0 || reply[0] != mtDiscoverResult {
 		return fmt.Errorf("%w: discover", ErrBadReply)
 	}
-	dir, err := scanDiscoverResult(wire.NewDecoder(reply[1:]))
-	if err != nil {
-		return err
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.reply, r.dir = dir, nil
+	if bytes.Equal(reply, r.reply) {
+		return nil
+	}
+	if _, err := scanDiscoverResult(wire.NewDecoder(reply[1:])); err != nil {
+		return err
+	}
+	r.reply, r.dir = reply, nil
 	return nil
 }
 
 // snapshotDir returns the cached directory (shared slice; callers only
-// read it), decoding the reply if no read since the refresh has.
+// read it), decoding the reply if no read since it was kept has: a reply
+// that passed the scan once passes it again.
 func (r *resilience) snapshotDir() []jxta.Advertisement {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.dir == nil {
-		r.dir = r.reply.Decode()
+	if r.dir == nil && r.reply != nil {
+		dir, _ := scanDiscoverResult(wire.NewDecoder(r.reply[1:]))
+		r.dir = dir.Decode()
 	}
 	return r.dir
 }
@@ -259,41 +266,25 @@ func (c *Client) degradedPick(max int, exclude []string) []string {
 	if !c.cfg.Resilient {
 		return nil
 	}
-	dir := c.res.snapshotDir()
-	if len(dir) == 0 {
-		return nil
-	}
-	out := make(map[string]bool, len(exclude)+1)
-	out[c.host.Name()] = true
-	for _, e := range exclude {
-		out[e] = true
-	}
 	type cand struct {
 		name  string
 		score float64
 	}
 	var cands []cand
-	for _, a := range dir {
-		if out[a.Name] {
+	for _, a := range c.res.snapshotDir() {
+		if a.Name == c.host.Name() || slices.Contains(exclude, a.Name) {
 			continue
 		}
 		score := 1.0
-		if v := a.Attr(jxta.AttrCPUScore); v != "" {
-			if f, err := strconv.ParseFloat(v, 64); err == nil && validScore(f) {
-				score = f
-			}
+		if f, err := strconv.ParseFloat(a.Attr(jxta.AttrCPUScore), 64); err == nil && validScore(f) {
+			score = f
 		}
 		cands = append(cands, cand{a.Name, score})
 	}
 	if len(cands) == 0 {
 		return nil
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].name < cands[j].name
-	})
+	slices.SortFunc(cands, func(x, y cand) int { return cmp.Or(cmp.Compare(y.score, x.score), strings.Compare(x.name, y.name)) })
 	if max > 0 && len(cands) > max {
 		cands = cands[:max]
 	}
