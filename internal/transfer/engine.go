@@ -376,19 +376,33 @@ func (r *Receiver) handle(conn pipe.Conn) {
 	}
 	receivedAt := r.host.Now()
 
-	// Parts sizes the set and the reassembly buffer below and comes straight
-	// off the wire: refuse a count no sender of ours produces before
-	// allocating.
+	// One set holds the parts announced and not yet arrived: every position
+	// of a whole file's split, or the positions a piece list names. Parts
+	// sizes it and the reassembly buffer and comes straight off the wire:
+	// refuse a count no sender of ours produces before allocating, and a
+	// piece list naming a position outside the split or twice.
+	whole, expected := in.Indices == nil, len(in.Indices)
+	if whole {
+		expected = in.Parts
+	}
 	accept, reason := true, ""
+	var pending map[int]bool
 	if in.Parts < 0 || in.Parts > maxParts {
 		accept, reason = false, fmt.Sprintf("part count %d outside [0, %d]", in.Parts, maxParts)
+	} else {
+		pending = make(map[int]bool, expected)
 	}
-	ack := petitionAck{
-		TransferID: in.TransferID,
-		Accept:     accept,
-		Reason:     reason,
-		ReceivedAt: receivedAt,
+	for n := 0; accept && n < expected; n++ {
+		i := n
+		if !whole {
+			i = in.Indices[n]
+		}
+		if accept = i >= 0 && i < in.Parts && !pending[i]; !accept {
+			reason = fmt.Sprintf("piece list names part %d of %d twice or outside the split", i, in.Parts)
+		}
+		pending[i] = true
 	}
+	ack := petitionAck{TransferID: in.TransferID, Accept: accept, Reason: reason, ReceivedAt: receivedAt}
 	if err := conn.Send(wire.Frame(msgPetitionAck, ack.encodeTo)); err != nil || !accept {
 		return
 	}
@@ -405,24 +419,10 @@ func (r *Receiver) handle(conn pipe.Conn) {
 	perPart := partTimeout +
 		time.Duration(10*float64(partSize)/pipe.MinRate*float64(time.Second))
 
-	// One set holds the parts announced and not yet arrived: every position
-	// of a whole file's split, or the positions a piece list names. Parts
-	// are taken in any order (a streaming sender's may land interleaved),
-	// one per announced entry; each is acknowledged as it arrives, and one
-	// that is not in the set rejects the transfer.
+	// Parts are taken in any order (a streaming sender's may land
+	// interleaved), one per announced entry; each is acknowledged as it
+	// arrives, and one that is not in the set rejects the transfer.
 	start := r.host.Now()
-	whole, expected := in.Indices == nil, len(in.Indices)
-	if whole {
-		expected = in.Parts
-	}
-	pending := make(map[int]bool, expected)
-	for n := range expected {
-		if whole {
-			pending[n] = true
-		} else {
-			pending[in.Indices[n]] = true
-		}
-	}
 	var parts []Part
 	if whole {
 		parts = make([]Part, expected)

@@ -15,11 +15,11 @@ import (
 )
 
 // refHandle is the receiver written the plainest way: the announced parts
-// as a list (every position of the split for a whole file, the named ones,
-// repeats and all, for a piece list), the arrived parts as another, and
-// every question a linear scan of the two. A part is accepted when it was
-// announced and has not arrived yet; the transfer expects as many parts as
-// were announced.
+// as a list (every position of the split for a whole file, the named ones
+// for a piece list, which is refused if it names one outside the split or
+// twice), the arrived parts as another, and every question a linear scan of
+// the two. A part is accepted when it was announced and has not arrived yet;
+// the transfer expects as many parts as were announced.
 func refHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
 	defer conn.Close()
 	first, err := conn.RecvTimeout(partTimeout)
@@ -33,6 +33,11 @@ func refHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
 	ack := petitionAck{TransferID: in.TransferID, Accept: true, ReceivedAt: host.Now()}
 	if in.Parts < 0 || in.Parts > maxParts {
 		ack.Accept, ack.Reason = false, fmt.Sprintf("part count %d outside [0, %d]", in.Parts, maxParts)
+	}
+	for n, i := range in.Indices {
+		if ack.Accept && (i < 0 || i >= in.Parts || slices.Contains(in.Indices[:n], i)) {
+			ack.Accept, ack.Reason = false, fmt.Sprintf("piece list names part %d of %d twice or outside the split", i, in.Parts)
+		}
 	}
 	if conn.Send(wire.Frame(msgPetitionAck, ack.encodeTo)) != nil || !ack.Accept {
 		return

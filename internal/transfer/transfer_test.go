@@ -3,6 +3,7 @@ package transfer
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -401,6 +402,25 @@ func TestPetitionPartCountOutOfRangeRefused(t *testing.T) {
 	}
 	if len(rig.received) != 1 {
 		t.Fatalf("%d files delivered, want 1", len(rig.received))
+	}
+}
+
+// TestBadPieceListRefused: a piece petition that names a position outside
+// the split or names one twice comes back refused in its petition ack, with
+// the first such position in its reason, before any part is sent.
+// SendPieces never sends one; a foreign sender may.
+func TestBadPieceListRefused(t *testing.T) {
+	for _, tc := range []struct {
+		indices []int
+		bad     int
+	}{{[]int{-2, -1}, -2}, {[]int{0, 3}, 3}, {[]int{1, 2, 1}, 1}} {
+		pet := petition{TransferID: 7, FileName: "v.bin", TotalSize: 300, Parts: 3, Indices: tc.indices, Sender: "src"}
+		out := runReceiverProgram(receiverProgram{petition: pet.encode()}, realHandle)
+		want := fmt.Sprintf("petition accept=false reason=%q err=<nil>",
+			fmt.Sprintf("piece list names part %d of 3 twice or outside the split", tc.bad))
+		if len(out.acks) != 1 || out.acks[0] != want {
+			t.Errorf("pieces %v: the sender saw\n%v\nwant only %s", tc.indices, out, want)
+		}
 	}
 }
 
