@@ -184,8 +184,11 @@ func BenchmarkFigureSuite(b *testing.B) {
 // regressions. B/op never sees goroutine stacks, so stack-MB reports
 // MemStats.StackInuse after the run: the stacks the pooled coroutines kept.
 func BenchmarkScale(b *testing.B) {
+	// run fails on a failed flow unless the scenario injects faults, where a
+	// flow may fail: there the last iteration's failed flows are a metric.
 	run := func(b *testing.B, cfg experiments.Config, wantFlows int) {
 		b.ReportAllocs()
+		failed := 0
 		for i := 0; i < b.N; i++ {
 			cfg.Seed = int64(700 + i)
 			report, err := experiments.RunWorkload(cfg)
@@ -195,15 +198,21 @@ func BenchmarkScale(b *testing.B) {
 			if len(report.Flows) != wantFlows {
 				b.Fatalf("flows = %d, want %d", len(report.Flows), wantFlows)
 			}
+			failed = 0
 			for _, f := range report.Flows {
-				if f.Failed {
+				if f.Failed && cfg.Scenario.Faults == nil {
 					b.Fatalf("flow %d failed: %s", f.Index, f.Error)
+				} else if f.Failed {
+					failed++
 				}
 			}
 		}
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		b.ReportMetric(float64(ms.StackInuse)/(1<<20), "stack-MB")
+		if cfg.Scenario.Faults != nil {
+			b.ReportMetric(float64(failed), "failed-flows")
+		}
 	}
 	b.Run("uniform-1024", func(b *testing.B) {
 		if testing.Short() {
@@ -221,6 +230,21 @@ func BenchmarkScale(b *testing.B) {
 			Workload: workload.Swarm(256),
 			Shards:   4,
 		}, 256)
+	})
+	// faults-128 is the resilient call path: 128 peers whose heartbeats renew
+	// their leases and re-discover the directory, through the faults
+	// scenario's broker blackouts, partitions and loss bursts, under 96
+	// swarm flows on 4 shards — one world of the faults-128x4 workload.
+	b.Run("faults-128", func(b *testing.B) {
+		if testing.Short() {
+			b.Skip("scale surface; run without -short (scripts/benchsnap.sh does)")
+		}
+		run(b, experiments.Config{
+			Reps:     1,
+			Scenario: scenario.Faulty(128),
+			Workload: workload.Swarm(96),
+			Shards:   4,
+		}, 96)
 	})
 	// swarm-16384 quadruples the directory behind the same selection load —
 	// the point on the curve where O(directory) selection work and the boot

@@ -199,7 +199,7 @@ type Cache struct {
 	// stale-but-valid: the scan it eventually triggers removes nothing and
 	// recomputes it.
 	minExpiry time.Time
-	// version counts changes: publishes but renewals, evictions, expiries.
+	// version counts the changes Stamp reports: all but renewals.
 	version uint64
 }
 
