@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -69,6 +70,28 @@ func newCleanWorld(t *testing.T, l cleanLink) (*simnet.Network, *simnet.Node, *p
 	return n, a, pipe.NewMux(a, epA, pipe.Options{}), b, pipe.NewMux(b, epB, pipe.Options{})
 }
 
+// timeOneMessage is how long one acknowledged pipe message of payload bytes,
+// charged size, takes to return from Send over l.
+func timeOneMessage(t *testing.T, l cleanLink, payload, size int) time.Duration {
+	t.Helper()
+	n, _, src, _, dst := newCleanWorld(t, l)
+	dst.Serve(func(conn pipe.Conn) {
+		defer conn.Close()
+		conn.Recv()
+	})
+	var took time.Duration
+	n.Run(func() {
+		conn, _ := src.Dial("dst/xfer")
+		defer conn.Close()
+		start := n.Now()
+		if err := conn.SendSized(make([]byte, payload), size); err != nil {
+			t.Errorf("send: %v", err)
+		}
+		took = n.Now().Sub(start)
+	})
+	return took
+}
+
 // TestCleanLinkTransferClosedForm holds the network model to two closed
 // forms on a clean link, to the nanosecond. With L the path latency and
 // tx(n) the serialization time of n bytes at the path bandwidth:
@@ -89,21 +112,7 @@ func TestCleanLinkTransferClosedForm(t *testing.T) {
 
 		payload := rng.Intn(1000)
 		size := payload + rng.Intn(1<<20)
-		n, _, src, _, dst := newCleanWorld(t, l)
-		dst.Serve(func(conn pipe.Conn) {
-			defer conn.Close()
-			conn.Recv()
-		})
-		var took time.Duration
-		n.Run(func() {
-			conn, _ := src.Dial("dst/xfer")
-			defer conn.Close()
-			start := n.Now()
-			if err := conn.SendSized(make([]byte, payload), size); err != nil {
-				t.Errorf("trial %d: send: %v", trial, err)
-			}
-			took = n.Now().Sub(start)
-		})
+		took := timeOneMessage(t, l, payload, size)
 		if want := l.tx(dataFrame(1, payload, size)) + L + l.tx(ackFrame(1)) + L; took != want {
 			t.Fatalf("trial %d: %d-byte message (charged %d) over %+v: acknowledged after %v, closed form %v",
 				trial, payload, size, l, took, want)
@@ -149,6 +158,39 @@ func TestCleanLinkTransferClosedForm(t *testing.T) {
 			PetitionAcked: m.PetitionAcked, Parts: m.Parts, Done: m.Done}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: %d parts of %d bytes over %+v:\ngot  %+v\nwant %+v", trial, k, file.Size, l, got, want)
+		}
+	}
+}
+
+// TestDegradedLinkMessageClosedForm holds the size degradation that Fig 5 is
+// calibrated on to the clean-link form, to the nanosecond. On a link clean
+// but for DegradeRefBytes and DegradeExp at both ends, a frame of n bytes
+// serializes at B / (1 + (n/ref)^exp), the path bandwidth B slowed by the
+// receiving end's degradation, so one acknowledged message of charged size S
+// completes txd(dataFrame(S)) + L + txd(ackFrame) + L after Send.
+func TestDegradedLinkMessageClosedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 200; trial++ {
+		l := randomCleanLink(rng)
+		ref, exp := 1e5+rng.Float64()*100e6, 0.5+2*rng.Float64()
+		payload := rng.Intn(1000)
+		size := payload + rng.Intn(4<<20)
+		data := dataFrame(1, payload, size)
+		// The message's degraded rate keeps the clean link's floor of
+		// 2 × MinRate, so no retransmission timer fires.
+		slowdown := 1 + math.Pow(float64(data)/ref, exp)
+		for _, end := range []*simnet.Profile{&l.src, &l.dst} {
+			end.Bandwidth *= slowdown
+			end.DegradeRefBytes, end.DegradeExp = ref, exp
+		}
+		txd := func(n int) time.Duration {
+			bw := min(l.src.Bandwidth, l.dst.Bandwidth) / (1 + math.Pow(float64(n)/ref, exp))
+			return time.Duration(float64(n) / bw * float64(time.Second))
+		}
+		took := timeOneMessage(t, l, payload, size)
+		if want := txd(data) + l.latency() + txd(ackFrame(1)) + l.latency(); took != want {
+			t.Fatalf("trial %d: %d-byte message (charged %d) over %+v: acknowledged after %v, closed form %v",
+				trial, payload, size, l, took, want)
 		}
 	}
 }
