@@ -8,24 +8,21 @@ import (
 	"peerlab/internal/experiments"
 	"peerlab/internal/overlay"
 	"peerlab/internal/pipe"
-	"peerlab/internal/transfer"
 )
 
 // TestConfigSurfaceIsPinned lists every exported field of the configuration
-// structs a caller fills in — 18 settable values. A setting earns its place by
+// structs a caller fills in — 17 settable values. A setting earns its place by
 // having callers that need different values; one every caller sets the same
 // way is a constant. A new knob must edit this list, so a reviewer sees it.
 func TestConfigSurfaceIsPinned(t *testing.T) {
 	want := map[string]string{
-		"overlay.ClientConfig":     "CPUScore Resilient OnFile OnInstant",
-		"overlay.BrokerConfig":     "AdvTTL CacheLimit Shards",
-		"pipe.Options":             "Window FirstID",
-		"transfer.ReceiverOptions": "OnFile",
-		"experiments.Config":       "Seed Reps Workers Scenario Shards CacheLimit Workload Logf",
+		"overlay.ClientConfig": "CPUScore Resilient OnFile OnInstant",
+		"overlay.BrokerConfig": "AdvTTL CacheLimit Shards",
+		"pipe.Options":         "Window FirstID",
+		"experiments.Config":   "Seed Reps Workers Scenario Shards CacheLimit Workload Logf",
 	}
 	for _, v := range []any{
-		overlay.ClientConfig{}, overlay.BrokerConfig{}, pipe.Options{},
-		transfer.ReceiverOptions{}, experiments.Config{},
+		overlay.ClientConfig{}, overlay.BrokerConfig{}, pipe.Options{}, experiments.Config{},
 	} {
 		typ := reflect.TypeOf(v)
 		var fields []string

@@ -118,7 +118,7 @@ func (c *Client) Start() error {
 	c.ctlMux = pipe.NewMux(c.host, ctlEP, opts)
 	c.xferMux = pipe.NewMux(c.host, xferEP, opts)
 	c.sender = transfer.NewSender(c.host, c.xferMux)
-	transfer.NewReceiver(c.host, c.xferMux, transfer.ReceiverOptions{OnFile: c.cfg.OnFile})
+	transfer.NewReceiver(c.host, c.xferMux, c.cfg.OnFile)
 	c.ctlMux.Serve(c.serveControl)
 	if err := c.register(); err != nil {
 		c.Stop()

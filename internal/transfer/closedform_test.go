@@ -121,7 +121,7 @@ func TestCleanLinkTransferClosedForm(t *testing.T) {
 		k := 1 + rng.Intn(32)
 		file := NewVirtualFile("f.bin", k+rng.Intn(4*Mb), rng.Int63())
 		n, a, src, b, dst := newCleanWorld(t, l)
-		NewReceiver(b, dst, ReceiverOptions{})
+		NewReceiver(b, dst, nil)
 		s := NewSender(a, src)
 		var m Metrics
 		var err error

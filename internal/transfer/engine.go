@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -338,29 +339,24 @@ type Received struct {
 	Verified   bool // checksum matched (real files) or structure valid
 }
 
-// ReceiverOptions tunes a Receiver.
-type ReceiverOptions struct {
-	// OnFile is invoked after each completed transfer.
-	OnFile func(Received)
-}
-
 // Receiver serves inbound transfers on a pipe mux; each transfer runs in its
 // own process.
 type Receiver struct {
-	host transport.Host
-	opts ReceiverOptions
+	host   transport.Host
+	onFile func(Received)
 }
 
-// NewReceiver returns a receiver serving every conn mux accepts.
-func NewReceiver(host transport.Host, mux *pipe.Mux, opts ReceiverOptions) *Receiver {
-	r := &Receiver{host: host, opts: opts}
+// NewReceiver returns a receiver serving every conn mux accepts. onFile, if
+// not nil, is invoked after each completed whole-file transfer.
+func NewReceiver(host transport.Host, mux *pipe.Mux, onFile func(Received)) *Receiver {
+	r := &Receiver{host: host, onFile: onFile}
 	mux.Serve(r.handle)
 	return r
 }
 
 // handle serves one transfer conn, whichever petition opens it: admit,
 // answer, then receive, validate and confirm each announced part. A whole
-// file is reassembled and handed to OnFile; pieces are partial coverage by
+// file is reassembled and handed to onFile; pieces are partial coverage by
 // construction, so there is no Join and no callback — the dissemination
 // engine owns the piece inventory on the driver side, and the receiver only
 // has to pace, validate and confirm.
@@ -376,31 +372,29 @@ func (r *Receiver) handle(conn pipe.Conn) {
 	}
 	receivedAt := r.host.Now()
 
-	// One set holds the parts announced and not yet arrived: every position
-	// of a whole file's split, or the positions a piece list names. Parts
-	// sizes it and the reassembly buffer and comes straight off the wire:
-	// refuse a count no sender of ours produces before allocating, and a
-	// piece list naming a position outside the split or twice.
+	// The receiver keeps what arrived, never what was only promised: one
+	// map from a position to whether its part has landed holds the
+	// positions a piece list names, which the petition's own bytes carry,
+	// and every arrival. A whole file announces the range [0, Parts), a
+	// count straight off the wire, so it sizes nothing past MaxPieces. A
+	// count no sender of ours produces is refused, and so is a piece list
+	// naming a position outside the split or twice.
 	whole, expected := in.Indices == nil, len(in.Indices)
 	if whole {
 		expected = in.Parts
 	}
 	accept, reason := true, ""
-	var pending map[int]bool
 	if in.Parts < 0 || in.Parts > maxParts {
 		accept, reason = false, fmt.Sprintf("part count %d outside [0, %d]", in.Parts, maxParts)
-	} else {
-		pending = make(map[int]bool, expected)
 	}
-	for n := 0; accept && n < expected; n++ {
-		i := n
-		if !whole {
-			i = in.Indices[n]
+	hint := min(max(expected, 0), MaxPieces)
+	arrived := make(map[int]bool, hint)
+	for n := 0; accept && n < len(in.Indices); n++ {
+		i := in.Indices[n]
+		if _, twice := arrived[i]; i < 0 || i >= in.Parts || twice {
+			accept, reason = false, fmt.Sprintf("piece list names part %d of %d twice or outside the split", i, in.Parts)
 		}
-		if accept = i >= 0 && i < in.Parts && !pending[i]; !accept {
-			reason = fmt.Sprintf("piece list names part %d of %d twice or outside the split", i, in.Parts)
-		}
-		pending[i] = true
+		arrived[i] = false
 	}
 	ack := petitionAck{TransferID: in.TransferID, Accept: accept, Reason: reason, ReceivedAt: receivedAt}
 	if err := conn.Send(wire.Frame(msgPetitionAck, ack.encodeTo)); err != nil || !accept {
@@ -412,20 +406,18 @@ func (r *Receiver) handle(conn pipe.Conn) {
 	// plus a conservative retransmission timeout, several times over.
 	// Giving up earlier leaves the sender talking to a dead conn (and the
 	// transfer failing long after it could have recovered).
-	partSize := in.TotalSize
-	if in.Parts > 0 {
-		partSize = in.TotalSize / in.Parts
-	}
-	perPart := partTimeout +
-		time.Duration(10*float64(partSize)/pipe.MinRate*float64(time.Second))
+	partSize := in.TotalSize / max(in.Parts, 1)
+	perPart := partTimeout + time.Duration(10*float64(partSize)/pipe.MinRate*float64(time.Second))
 
 	// Parts are taken in any order (a streaming sender's may land
 	// interleaved), one per announced entry; each is acknowledged as it
-	// arrives, and one that is not in the set rejects the transfer.
+	// arrives, and one that was not announced or has already arrived
+	// rejects the transfer. A whole file's parts are kept as they land and
+	// sorted once for Join.
 	start := r.host.Now()
 	var parts []Part
 	if whole {
-		parts = make([]Part, expected)
+		parts = make([]Part, 0, hint)
 	}
 	for i := range expected {
 		msg, err := conn.RecvTimeout(perPart)
@@ -440,10 +432,11 @@ func (r *Receiver) handle(conn pipe.Conn) {
 		if err != nil {
 			return
 		}
+		landed, named := arrived[ph.Index]
 		pa := partAck{
 			TransferID:  in.TransferID,
 			Index:       ph.Index,
-			OK:          pending[ph.Index],
+			OK:          !landed && (named || whole && ph.Index >= 0 && ph.Index < in.Parts),
 			DeliveredAt: r.host.Now(),
 			Ready:       i+1 < expected,
 		}
@@ -453,27 +446,24 @@ func (r *Receiver) handle(conn pipe.Conn) {
 		if err := conn.Send(wire.Frame(msgPartAck, pa.encodeTo)); err != nil || !pa.OK {
 			return
 		}
-		delete(pending, ph.Index)
+		arrived[ph.Index] = true
 		if whole {
-			parts[ph.Index] = Part{Index: ph.Index, Offset: ph.Offset, Size: ph.Size, Data: ph.Data}
+			parts = append(parts, Part{Index: ph.Index, Offset: ph.Offset, Size: ph.Size, Data: ph.Data})
 		}
 	}
 	if !whole {
 		return
 	}
 
+	slices.SortFunc(parts, func(a, b Part) int { return cmp.Compare(a.Index, b.Index) })
 	f, err := Join(in.FileName, in.TotalSize, parts)
-	verified := err == nil
-	if verified && f.Data != nil {
-		verified = f.Checksum() == in.Checksum
-	}
-	if r.opts.OnFile != nil {
-		r.opts.OnFile(Received{
+	if r.onFile != nil {
+		r.onFile(Received{
 			TransferID: in.TransferID,
 			Sender:     in.Sender,
 			File:       f,
 			Elapsed:    r.host.Now().Sub(start),
-			Verified:   verified,
+			Verified:   err == nil && (f.Data == nil || f.Checksum() == in.Checksum),
 		})
 	}
 }

@@ -147,8 +147,9 @@ func decodePart(d *wire.Decoder) (partHeader, error) {
 		Offset:     d.Int(),
 		Size:       d.Int(),
 	}
-	p.Data = append([]byte(nil), d.BytesField()...)
-	if len(p.Data) == 0 {
+	// The bytes stay in the payload, which the receiver owns (pipe.Message)
+	// and Join copies out of.
+	if p.Data = d.BytesField(); len(p.Data) == 0 {
 		p.Data = nil
 	}
 	return p, d.Finish()

@@ -258,7 +258,7 @@ func runReceiverProgram(prog receiverProgram, serve func(transport.Host, pipe.Co
 
 // realHandle serves conn with the package's Receiver.
 func realHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
-	(&Receiver{host: host, opts: ReceiverOptions{OnFile: onFile}}).handle(conn)
+	(&Receiver{host: host, onFile: onFile}).handle(conn)
 }
 
 func checkReceiverProgram(seed int64) (receiverOutcome, error) {

@@ -85,9 +85,9 @@ func (tr *transcript) outcome(send func(*Metrics) error) {
 
 // serve starts the real Receiver on dst.
 func (tr *transcript) serve() {
-	NewReceiver(tr.dstN, tr.dst, ReceiverOptions{OnFile: func(rc Received) {
+	NewReceiver(tr.dstN, tr.dst, func(rc Received) {
 		tr.logf("%s delivered %q size=%d verified=%v", tr.at(tr.net.Now()), rc.File.Name, rc.File.Size, rc.Verified)
-	}})
+	})
 }
 
 // serveFirstPartOnly stands a scripted receiver on dst that accepts the

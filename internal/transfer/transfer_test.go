@@ -172,7 +172,7 @@ type xferRig struct {
 	received []Received
 }
 
-func newXferRig(t *testing.T, src, dst simnet.Profile, ropts ReceiverOptions) *xferRig {
+func newXferRig(t *testing.T, src, dst simnet.Profile) *xferRig {
 	t.Helper()
 	n := simnet.New(11)
 	a := n.MustAddNode("src", src)
@@ -190,14 +190,7 @@ func newXferRig(t *testing.T, src, dst simnet.Profile, ropts ReceiverOptions) *x
 	muxB := pipe.NewMux(b, epB, pipe.Options{})
 	rig.mux = muxA
 	rig.sender = NewSender(a, muxA)
-	userOnFile := ropts.OnFile
-	ropts.OnFile = func(rc Received) {
-		rig.received = append(rig.received, rc)
-		if userOnFile != nil {
-			userOnFile(rc)
-		}
-	}
-	NewReceiver(b, muxB, ropts)
+	NewReceiver(b, muxB, func(rc Received) { rig.received = append(rig.received, rc) })
 	return rig
 }
 
@@ -209,7 +202,7 @@ func fastProfile() simnet.Profile {
 }
 
 func TestEndToEndVirtualTransfer(t *testing.T) {
-	rig := newXferRig(t, fastProfile(), fastProfile(), ReceiverOptions{})
+	rig := newXferRig(t, fastProfile(), fastProfile())
 	var m Metrics
 	var err error
 	rig.net.Run(func() {
@@ -243,7 +236,7 @@ func TestEndToEndVirtualTransfer(t *testing.T) {
 }
 
 func TestEndToEndRealDataVerified(t *testing.T) {
-	rig := newXferRig(t, fastProfile(), fastProfile(), ReceiverOptions{})
+	rig := newXferRig(t, fastProfile(), fastProfile())
 	data := bytes.Repeat([]byte("abcdefgh"), 1000)
 	var err error
 	rig.net.Run(func() {
@@ -268,7 +261,7 @@ func TestPetitionDelayReflectsWakeLag(t *testing.T) {
 	dst := fastProfile()
 	dst.WakeLag = 12 * time.Second
 	dst.WakeLagSpread = 0
-	rig := newXferRig(t, fastProfile(), dst, ReceiverOptions{})
+	rig := newXferRig(t, fastProfile(), dst)
 	var m Metrics
 	var err error
 	rig.net.Run(func() {
@@ -365,7 +358,7 @@ func TestPetitionRejected(t *testing.T) {
 // nothing of that size allocated, and the receiver must still serve the
 // next, honest transfer.
 func TestPetitionPartCountOutOfRangeRefused(t *testing.T) {
-	rig := newXferRig(t, fastProfile(), fastProfile(), ReceiverOptions{})
+	rig := newXferRig(t, fastProfile(), fastProfile())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rig.net.Run(func() {
@@ -405,6 +398,49 @@ func TestPetitionPartCountOutOfRangeRefused(t *testing.T) {
 	}
 }
 
+// TestAcceptedPetitionAllocatesOnlyWhatArrives: a petition's part count is
+// the sender's word, so an accepted petition must not size anything by it.
+// A whole file of maxParts parts and a piece list spread over that split are
+// each accepted, and until a part arrives the receiver holds under 1 MB for
+// either: the whole file's announced set is a range, and a piece list costs
+// what its own bytes already did.
+func TestAcceptedPetitionAllocatesOnlyWhatArrives(t *testing.T) {
+	pieces := make([]int, 4096)
+	for i := range pieces {
+		pieces[i] = i * (maxParts / len(pieces))
+	}
+	for _, indices := range [][]int{nil, pieces} {
+		rig := newXferRig(t, fastProfile(), fastProfile())
+		var before, after runtime.MemStats
+		rig.net.Run(func() {
+			conn, err := rig.mux.Dial("dst/xfer")
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			pet := petition{TransferID: 7, FileName: "big", TotalSize: 1 << 40, Parts: maxParts, Indices: indices, Sender: "src"}
+			runtime.ReadMemStats(&before)
+			if err := conn.Send(pet.encode()); err != nil {
+				t.Fatalf("send: %v", err)
+			}
+			msg, err := conn.Recv()
+			if err != nil {
+				t.Fatalf("no ack: %v", err)
+			}
+			_, d, _ := wire.Tag(msg.Payload)
+			if ack, err := decodePetitionAck(d); err != nil || !ack.Accept {
+				t.Fatalf("%d listed pieces: ack = %+v, %v; want an accept", len(indices), ack, err)
+			}
+			conn.RecvTimeout(time.Second) // meanwhile the receiver starts waiting for a part
+			runtime.ReadMemStats(&after)
+		})
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%d listed pieces of %d: accepting the petition allocated %.1f MB before any part",
+				len(indices), maxParts, float64(grew)/(1<<20))
+		}
+	}
+}
+
 // TestBadPieceListRefused: a piece petition that names a position outside
 // the split or names one twice comes back refused in its petition ack, with
 // the first such position in its reason, before any part is sent.
@@ -432,7 +468,7 @@ func TestBadPieceListRefused(t *testing.T) {
 // fails on coverage with nothing of that size allocated, no verified file
 // is delivered, and the receiver still serves the next, honest transfer.
 func TestPetitionTotalSizeOutOfRangeNotAllocated(t *testing.T) {
-	rig := newXferRig(t, fastProfile(), fastProfile(), ReceiverOptions{})
+	rig := newXferRig(t, fastProfile(), fastProfile())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rig.net.Run(func() {
@@ -481,7 +517,7 @@ func TestGranularityWholeSlowerThanParts(t *testing.T) {
 		dst := fastProfile()
 		dst.DegradeRefBytes = 25 * Mb
 		dst.DegradeExp = 1.5
-		rig := newXferRig(t, fastProfile(), dst, ReceiverOptions{})
+		rig := newXferRig(t, fastProfile(), dst)
 		var m Metrics
 		var err error
 		rig.net.Run(func() {
@@ -503,7 +539,7 @@ func TestGranularityWholeSlowerThanParts(t *testing.T) {
 func TestTransferSurvivesLoss(t *testing.T) {
 	dst := fastProfile()
 	dst.LossRate = 0.2
-	rig := newXferRig(t, fastProfile(), dst, ReceiverOptions{})
+	rig := newXferRig(t, fastProfile(), dst)
 	var err error
 	rig.net.Run(func() {
 		err = rig.sender.Send("dst/xfer", NewVirtualFile("f", 2*Mb, 5), 8, new(Metrics))
@@ -540,7 +576,7 @@ func confirmationRun(t *testing.T, streamed bool) Metrics {
 	src, dst := fastProfile(), fastProfile()
 	src.LatencyOneWay = 150 * time.Millisecond
 	dst.LatencyOneWay = 150 * time.Millisecond
-	rig := newXferRig(t, src, dst, ReceiverOptions{})
+	rig := newXferRig(t, src, dst)
 	file := NewVirtualFile("stream.bin", 4*Mb, 7)
 	var m Metrics
 	var err error
@@ -592,7 +628,7 @@ func TestPipelinedIsolatesConfirmationCost(t *testing.T) {
 // from.
 func TestDefaultModeDeterministicRegression(t *testing.T) {
 	run := func() Metrics {
-		rig := newXferRig(t, fastProfile(), fastProfile(), ReceiverOptions{})
+		rig := newXferRig(t, fastProfile(), fastProfile())
 		var m Metrics
 		var err error
 		rig.net.Run(func() {
