@@ -31,12 +31,12 @@ func benchCandidates(n int) []Candidate {
 
 // benchRankers are the three models of Figure 6; quick-peer remembers eight
 // of the candidates, as a user would.
-func benchRankers(cands []Candidate) []Ranker {
+func benchRankers(cands []Candidate) []Selector {
 	remembered := map[string]time.Duration{}
 	for i := 0; i < len(cands); i += len(cands) / 8 {
 		remembered[cands[i].Snapshot.Peer] = time.Duration(i+1) * time.Millisecond
 	}
-	return []Ranker{NewEconomic(EconomicConfig{}), NewSamePriority(), NewQuickPeer(remembered)}
+	return []Selector{NewEconomic(EconomicConfig{}), NewSamePriority(), NewQuickPeer(remembered)}
 }
 
 var benchReq = Request{Kind: KindFileTransfer, SizeBytes: 2_000_000, Now: now}
@@ -97,7 +97,7 @@ func TestRankAllocBudgets(t *testing.T) {
 	small, large := benchCandidates(4096), benchCandidates(16384)
 	for i, r := range benchRankers(small) {
 		name := r.Name()
-		rank := func(r Ranker, cands []Candidate, k int) func() {
+		rank := func(r Selector, cands []Candidate, k int) func() {
 			return func() {
 				if _, err := r.Rank(benchReq, cands, k); err != nil {
 					t.Fatal(err)

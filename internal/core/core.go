@@ -79,18 +79,13 @@ type Candidate struct {
 	Snapshot stats.Snapshot
 }
 
-// Selector picks one peer for a request.
+// Selector orders the candidate set for a request, best first. The broker
+// serves selections through Rank; Select is its head.
 type Selector interface {
 	// Name identifies the model in experiment output.
 	Name() string
-	// Select returns the chosen peer name.
+	// Select returns the chosen peer name: Rank's first.
 	Select(req Request, cands []Candidate) (string, error)
-}
-
-// Ranker is a Selector that also orders the candidate set, best first. Every
-// bundled model is one; the broker serves selections through Rank.
-type Ranker interface {
-	Selector
 	// Rank returns the first k names of the model's order over cands, or
 	// all of them when k <= 0.
 	Rank(req Request, cands []Candidate, k int) ([]string, error)
@@ -202,17 +197,12 @@ func NewBlind() *Blind { return &Blind{} }
 // Name implements Selector.
 func (b *Blind) Name() string { return "blind" }
 
-// Select implements Selector.
-func (b *Blind) Select(_ Request, cands []Candidate) (string, error) {
-	if len(cands) == 0 {
-		return "", ErrNoCandidates
-	}
-	peer := cands[b.next%len(cands)].Snapshot.Peer
-	b.next++
-	return peer, nil
+// Select implements Selector: the candidate at the round-robin cursor.
+func (b *Blind) Select(req Request, cands []Candidate) (string, error) {
+	return first(b.Rank(req, cands, 1))
 }
 
-// Rank implements Ranker: candidate order rotated by the round-robin cursor.
+// Rank implements Selector: candidate order rotated by the round-robin cursor.
 func (b *Blind) Rank(_ Request, cands []Candidate, k int) ([]string, error) {
 	n := len(cands)
 	if n == 0 {
@@ -346,19 +336,10 @@ func (k *ecoKey) before(o *ecoKey) int {
 
 // Select implements Selector: the first candidate no other comes before.
 func (e *Economic) Select(req Request, cands []Candidate) (string, error) {
-	if len(cands) == 0 {
-		return "", ErrNoCandidates
-	}
-	best, at := e.key(&req, &cands[0].Snapshot), 0
-	for i := 1; i < len(cands); i++ {
-		if k := e.key(&req, &cands[i].Snapshot); k.before(&best) < 0 {
-			best, at = k, i
-		}
-	}
-	return cands[at].Snapshot.Peer, nil
+	return first(e.Rank(req, cands, 1))
 }
 
-// Rank implements Ranker.
+// Rank implements Selector.
 func (e *Economic) Rank(req Request, cands []Candidate, k int) ([]string, error) {
 	return rankTop(cands, k, func(i int) ecoKey { return e.key(&req, &cands[i].Snapshot) }, (*ecoKey).before)
 }
@@ -425,7 +406,7 @@ func (u *UserPreference) Select(req Request, cands []Candidate) (string, error) 
 	return first(u.Rank(req, cands, 1))
 }
 
-// Rank implements Ranker: preferred peers in preference order, then the
+// Rank implements Selector: preferred peers in preference order, then the
 // rest in candidate order.
 func (u *UserPreference) Rank(_ Request, cands []Candidate, k int) ([]string, error) {
 	return rankTop(cands, k, func(i int) int32 {

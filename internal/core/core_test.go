@@ -443,7 +443,7 @@ func TestPropertySelectionInCandidateSet(t *testing.T) {
 
 // TestPropertyRankIsPermutation: Rank returns each candidate exactly once.
 func TestPropertyRankIsPermutation(t *testing.T) {
-	rankers := []Ranker{
+	rankers := []Selector{
 		NewBlind(),
 		NewEconomic(EconomicConfig{}),
 		NewSamePriority(),

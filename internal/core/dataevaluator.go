@@ -165,7 +165,7 @@ func (de *DataEvaluator) Select(req Request, cands []Candidate) (string, error) 
 	return first(de.Rank(req, cands, 1))
 }
 
-// Rank implements Ranker. A candidate's key is its position, which indexes
+// Rank implements Selector. A candidate's key is its position, which indexes
 // the score column.
 func (de *DataEvaluator) Rank(_ Request, cands []Candidate, k int) ([]string, error) {
 	scores := de.Scores(cands)

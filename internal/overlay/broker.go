@@ -67,7 +67,7 @@ type Broker struct {
 
 	shards    []*jxta.Cache
 	registry  *stats.Registry
-	selectors map[string]core.Ranker
+	selectors map[string]core.Selector
 
 	// down, while set, makes the broker drop every request unanswered —
 	// the fault injector's blackout switch. The mux stays bound (the
@@ -107,7 +107,7 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 		// The standard model lineup from the paper's Figure 6, plus the
 		// blind baseline. User-preference models are built per request from
 		// the preferences the requester sends.
-		selectors: map[string]core.Ranker{
+		selectors: map[string]core.Selector{
 			"blind":         core.NewBlind(),
 			"economic":      core.NewEconomic(core.EconomicConfig{}),
 			"same-priority": core.NewSamePriority(),

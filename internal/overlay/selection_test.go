@@ -297,7 +297,7 @@ func TestConcurrentSelections(t *testing.T) {
 }
 
 // fullRanking is the model's ranking of every candidate, best first.
-func fullRanking(r core.Ranker, req core.Request, cands []core.Candidate) ([]string, error) {
+func fullRanking(r core.Selector, req core.Request, cands []core.Candidate) ([]string, error) {
 	return r.Rank(req, cands, 0)
 }
 
@@ -306,11 +306,11 @@ func fullRanking(r core.Ranker, req core.Request, cands []core.Candidate) ([]str
 // over them — the excluded names filtered out of it for the economic model,
 // removed from the candidate set for the others — truncated to MaxResults.
 func refSelect(b *Broker, req selectReq) (peers []string, err error) {
-	var model core.Ranker
+	var model core.Selector
 	if core.UsesPreferences(req.Model) {
 		model = core.NewUserPreference(req.Preferred)
 	} else {
-		model = b.selectors[req.Model].(core.Ranker)
+		model = b.selectors[req.Model]
 	}
 	filter := req.Model == "economic"
 	var cands []core.Candidate
