@@ -415,21 +415,25 @@ func TestAcceptedPetitionAllocatesOnlyWhatArrives(t *testing.T) {
 		rig.net.Run(func() {
 			conn, err := rig.mux.Dial("dst/xfer")
 			if err != nil {
-				t.Fatalf("dial: %v", err)
+				t.Errorf("dial: %v", err)
+				return
 			}
 			defer conn.Close()
 			pet := petition{TransferID: 7, FileName: "big", TotalSize: 1 << 40, Parts: maxParts, Indices: indices, Sender: "src"}
 			runtime.ReadMemStats(&before)
 			if err := conn.Send(pet.encode()); err != nil {
-				t.Fatalf("send: %v", err)
+				t.Errorf("send: %v", err)
+				return
 			}
 			msg, err := conn.Recv()
 			if err != nil {
-				t.Fatalf("no ack: %v", err)
+				t.Errorf("no ack: %v", err)
+				return
 			}
 			_, d, _ := wire.Tag(msg.Payload)
 			if ack, err := decodePetitionAck(d); err != nil || !ack.Accept {
-				t.Fatalf("%d listed pieces: ack = %+v, %v; want an accept", len(indices), ack, err)
+				t.Errorf("%d listed pieces: ack = %+v, %v; want an accept", len(indices), ack, err)
+				return
 			}
 			conn.RecvTimeout(time.Second) // meanwhile the receiver starts waiting for a part
 			runtime.ReadMemStats(&after)
