@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -134,5 +135,21 @@ func TestSweepCSVColumns(t *testing.T) {
 	}
 	if !slices.Equal(got, []string{"1", "2"}) {
 		t.Fatalf("parts column = %v, want [1 2]", got)
+	}
+}
+
+// TestProfilesSurviveAFailedRun: a run that fails still writes its CPU and
+// heap profiles, and still exits with the failure's code and message.
+func TestProfilesSurviveAFailedRun(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	stdout, stderr, code := p2pbench(t, "-cpuprofile", cpu, "-memprofile", mem, "-experiment", "nosuch")
+	if want := "p2pbench: unknown experiment \"nosuch\" (want "; code != 2 || stdout != "" || !strings.HasPrefix(stderr, want) || strings.Count(stderr, "\n") != 1 {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2 and one line starting %q", code, stdout, stderr, want)
+	}
+	for _, f := range []string{cpu, mem} {
+		if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s not written (%v)", f, err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -55,16 +56,36 @@ func TestBlindEmptySet(t *testing.T) {
 	}
 }
 
+// TestBlindRankRotates: each rank is the candidate order rotated by the
+// round-robin cursor and cut to its depth, and moves the cursor on by one; a
+// rank of an empty set fails and leaves the cursor where it was.
 func TestBlindRankRotates(t *testing.T) {
-	b := NewBlind()
-	cands := []Candidate{snap("a", nil), snap("b", nil), snap("c", nil)}
-	r1, _ := b.Rank(Request{}, cands, 0)
-	r2, _ := b.Rank(Request{}, cands, 0)
-	if r1[0] == r2[0] {
-		t.Fatalf("consecutive ranks start with the same peer: %v vs %v", r1, r2)
+	names := []string{"a", "b", "c", "d"}
+	cands := make([]Candidate, len(names))
+	for i, name := range names {
+		cands[i] = snap(name, nil)
 	}
-	if len(r1) != 3 || len(r2) != 3 {
-		t.Fatal("rank must include all candidates")
+	n := len(names)
+	b := NewBlind()
+	for call, k := range []int{0, 1, 2, n, n + 1, 0, 1, 2} {
+		if _, err := b.Rank(Request{}, nil, k); !errors.Is(err, ErrNoCandidates) {
+			t.Fatalf("rank of no candidates: err = %v, want ErrNoCandidates", err)
+		}
+		got, err := b.Rank(Request{}, cands, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		depth := n
+		if k > 0 && k < n {
+			depth = k
+		}
+		want := make([]string, depth)
+		for i := range want {
+			want[i] = names[(call+i)%n]
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d, depth %d: rank = %v, want %v", call, k, got, want)
+		}
 	}
 }
 
