@@ -259,15 +259,6 @@ func NewEconomic(cfg EconomicConfig) *Economic {
 // Name implements Selector.
 func (e *Economic) Name() string { return "economic" }
 
-// Estimate is the economic model's appraisal of one candidate.
-type Estimate struct {
-	Peer       string
-	Ready      time.Time     // when the peer can start
-	Duration   time.Duration // expected service time for this request
-	Completion time.Time     // Ready + Duration
-	Cost       float64       // Duration * price * CPU score
-}
-
 // addSeconds returns d plus s seconds, saturating at the largest Duration. A
 // remote report can put a peer's rate near zero, and converting the
 // out-of-range quotient would wrap to a service time in the past: the
@@ -280,7 +271,14 @@ func addSeconds(d time.Duration, s float64) time.Duration {
 	return d + time.Duration(ns)
 }
 
-func (e *Economic) estimate(req *Request, s *stats.Snapshot) Estimate {
+// ecoKey is the economic model's appraisal of one candidate.
+type ecoKey struct {
+	completion time.Time // when the peer can start, plus the service time
+	cpu        float64   // the peer's CPU score
+	cost       float64   // service time * price * CPU score
+}
+
+func (e *Economic) key(req *Request, s *stats.Snapshot) ecoKey {
 	ready := req.Now
 	if s.ReadyAt.After(ready) {
 		ready = s.ReadyAt
@@ -302,24 +300,11 @@ func (e *Economic) estimate(req *Request, s *stats.Snapshot) Estimate {
 		dur = addSeconds(dur, float64(req.SizeBytes)/rate)
 	}
 
-	return Estimate{
-		Peer:       s.Peer,
-		Ready:      ready,
-		Duration:   dur,
-		Completion: ready.Add(dur),
-		Cost:       dur.Seconds() * e.cfg.PricePerCPUSecond * s.CPUScore,
+	return ecoKey{
+		completion: ready.Add(dur),
+		cpu:        s.CPUScore,
+		cost:       dur.Seconds() * e.cfg.PricePerCPUSecond * s.CPUScore,
 	}
-}
-
-// ecoKey is what the economic order reads of one appraisal.
-type ecoKey struct {
-	completion time.Time
-	cpu, cost  float64
-}
-
-func (e *Economic) key(req *Request, s *stats.Snapshot) ecoKey {
-	est := e.estimate(req, s)
-	return ecoKey{completion: est.Completion, cpu: s.CPUScore, cost: est.Cost}
 }
 
 // before orders appraisals best-first: earliest completion, then faster CPU,

@@ -328,8 +328,10 @@ func TestEconomicSlowPeerRanksLast(t *testing.T) {
 			snap("fibre", func(s *stats.Snapshot) { s.TransferRate = 1e8 }),
 		}
 		e := NewEconomic(EconomicConfig{})
-		if est := e.estimate(&c.req, &c.slow.Snapshot); est.Duration != math.MaxInt64 || !est.Completion.After(now) {
-			t.Errorf("%s: duration %v, completion %v: not saturated", c.name, est.Duration, est.Completion)
+		// Sub saturates too: a service time that reached the largest
+		// Duration puts completion at least that far past now.
+		if k := e.key(&c.req, &c.slow.Snapshot); k.completion.Sub(now) != math.MaxInt64 {
+			t.Errorf("%s: completion %v: not saturated", c.name, k.completion)
 		}
 		ranked, err := e.Rank(c.req, cands, 0)
 		if err != nil || !reflect.DeepEqual(ranked, []string{"fibre", "modem", "slow"}) {

@@ -14,7 +14,7 @@ import (
 )
 
 // The selection models written the plainest way — a score map keyed by peer
-// name under sort.SliceStable, whole Estimates swapped under sort.Stable, two
+// name under sort.SliceStable, whole refEstimates swapped under sort.Stable, two
 // maps and a growing append for the preference list — kept as the oracle the
 // production rankers must match bit for bit (TestRankMatchesReference). The
 // references own their criteria catalog and take snapshots by value, so this
@@ -130,7 +130,14 @@ type refEconomic struct {
 	cfg EconomicConfig
 }
 
-func (e *refEconomic) Estimate(req Request, c Candidate) Estimate {
+// refEstimate is what the reference order reads of one appraisal.
+type refEstimate struct {
+	Peer       string
+	Completion time.Time // ready time plus service time
+	Cost       float64   // service time * price * CPU score
+}
+
+func (e *refEconomic) Estimate(req Request, c Candidate) refEstimate {
 	s := c.Snapshot
 	ready := req.Now
 	if s.ReadyAt.After(ready) {
@@ -151,17 +158,15 @@ func (e *refEconomic) Estimate(req Request, c Candidate) Estimate {
 		dur += time.Duration(float64(req.SizeBytes) / rate * float64(time.Second))
 	}
 
-	return Estimate{
+	return refEstimate{
 		Peer:       s.Peer,
-		Ready:      ready,
-		Duration:   dur,
 		Completion: ready.Add(dur),
 		Cost:       dur.Seconds() * e.cfg.PricePerCPUSecond * s.CPUScore,
 	}
 }
 
-func (e *refEconomic) Estimates(req Request, cands []Candidate) []Estimate {
-	ests := make([]Estimate, len(cands))
+func (e *refEconomic) Estimates(req Request, cands []Candidate) []refEstimate {
+	ests := make([]refEstimate, len(cands))
 	cpu := make([]float64, len(cands))
 	for i, c := range cands {
 		ests[i] = e.Estimate(req, c)
@@ -174,7 +179,7 @@ func (e *refEconomic) Estimates(req Request, cands []Candidate) []Estimate {
 // refEstSorter orders appraisals: earliest completion, faster CPU, lower
 // cost.
 type refEstSorter struct {
-	ests []Estimate
+	ests []refEstimate
 	cpu  []float64
 }
 

@@ -33,9 +33,6 @@ const (
 	kindFin  byte = 3
 )
 
-// debugRTO, when set by tests, observes each attempt's timeout.
-var debugRTO func(seq uint64, attempt int, rto time.Duration)
-
 // debugDispatch, when set by tests, observes every dispatched frame.
 var debugDispatch func(local string, kind byte, id, seq, ack uint64, size int)
 
@@ -466,9 +463,6 @@ func (c *conn) sendSized(payload []byte, size int) error {
 			c.mu.Unlock()
 		}
 
-		if debugRTO != nil {
-			debugRTO(seq, attempt, rto)
-		}
 		v, err := fl.released.PopTimeout(rto)
 		switch {
 		case err == nil:

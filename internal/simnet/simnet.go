@@ -91,11 +91,6 @@ type Network struct {
 	// envelopes recycles delivered frames' records, each with the buffer its
 	// head is copied into; see recycle.
 	envelopes []*transport.Message
-
-	// DebugDrop, when set before traffic starts, observes every dropped
-	// message (from, to, size, virtual time); tests use it to audit the
-	// loss model.
-	DebugDrop func(from, to string, size int, at time.Duration)
 }
 
 type pairKey struct{ from, to string }
@@ -393,9 +388,6 @@ func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) er
 	var env *transport.Message
 	if lost {
 		net.dropped++
-		if net.DebugDrop != nil {
-			net.DebugDrop(src.name, dstNode.name, size, now)
-		}
 	} else {
 		net.delivered++
 		if arrival > dstNode.lastActive {

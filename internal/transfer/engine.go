@@ -332,11 +332,9 @@ func (s *Sender) awaitAck(conn pipe.Conn, window []PartTiming) error {
 // Received describes a completed inbound transfer handed to the receiver's
 // callback.
 type Received struct {
-	TransferID uint64
-	Sender     string
-	File       File
-	Elapsed    time.Duration
-	Verified   bool // checksum matched (real files) or structure valid
+	Sender   string
+	File     File
+	Verified bool // checksum matched (real files) or structure valid
 }
 
 // Receiver serves inbound transfers on a pipe mux; each transfer runs in its
@@ -414,7 +412,6 @@ func (r *Receiver) handle(conn pipe.Conn) {
 	// arrives, and one that was not announced or has already arrived
 	// rejects the transfer. A whole file's parts are kept as they land and
 	// sorted once for Join.
-	start := r.host.Now()
 	var parts []Part
 	if whole {
 		parts = make([]Part, 0, hint)
@@ -459,11 +456,9 @@ func (r *Receiver) handle(conn pipe.Conn) {
 	f, err := Join(in.FileName, in.TotalSize, parts)
 	if r.onFile != nil {
 		r.onFile(Received{
-			TransferID: in.TransferID,
-			Sender:     in.Sender,
-			File:       f,
-			Elapsed:    r.host.Now().Sub(start),
-			Verified:   err == nil && (f.Data == nil || f.Checksum() == in.Checksum),
+			Sender:   in.Sender,
+			File:     f,
+			Verified: err == nil && (f.Data == nil || f.Checksum() == in.Checksum),
 		})
 	}
 }

@@ -53,7 +53,6 @@ func refHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
 		partSize = in.TotalSize / in.Parts
 	}
 	wait := partTimeout + time.Duration(10*float64(partSize)/pipe.MinRate*float64(time.Second))
-	start := host.Now()
 	var arrived []Part
 	for len(arrived) < len(announced) {
 		msg, err := conn.RecvTimeout(wait)
@@ -86,11 +85,9 @@ func refHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
 	slices.SortFunc(arrived, func(a, b Part) int { return a.Index - b.Index })
 	f, err := Join(in.FileName, in.TotalSize, arrived)
 	onFile(Received{
-		TransferID: in.TransferID,
-		Sender:     in.Sender,
-		File:       f,
-		Elapsed:    host.Now().Sub(start),
-		Verified:   err == nil && (f.Data == nil || f.Checksum() == in.Checksum),
+		Sender:   in.Sender,
+		File:     f,
+		Verified: err == nil && (f.Data == nil || f.Checksum() == in.Checksum),
 	})
 }
 

@@ -62,8 +62,6 @@ type Outcome struct {
 	// PairBytes lists every pair that moved bytes, in canonical
 	// (uploader, downloader) index order — control first, then flow order.
 	PairBytes []PairBytes
-	// Rounds is how many exchange rounds the swarm ran.
-	Rounds int
 }
 
 // chokeDraw is the optimistic-unchoke draw for (holder, round): a pure
@@ -256,7 +254,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 		}
 	}
 
-	out := Outcome{Results: make([]Result, n), Rounds: rounds}
+	out := Outcome{Results: make([]Result, n)}
 	spacing := time.Duration(float64(payload.Size) / float64(pieceCount) / streamPlayRate * float64(time.Second))
 	for i, f := range flows {
 		q, got := &peers[i], s.got[i+1]

@@ -10,18 +10,23 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 )
 
 // TestSourceAudit type-checks every non-test package outside bench/ and holds
-// two standing rules over the source:
+// three standing rules over the source:
 //
 //   - Reachability: every exported identifier in internal/ has a non-test use
 //     outside bench/, or an entry in reachAllow that says why it stays.
 //     Interface methods, methods that satisfy one, String methods and methods
 //     of types the root facade re-exports are exempt.
+//   - Fields: every exported field of a struct in internal/ is read, and every
+//     hook there (a func-typed field or package variable) is assigned, by
+//     non-test code outside bench/, or has an entry in fieldAllow. Embedded
+//     and JSON-tagged fields and the fields of facade types are exempt.
 //   - Determinism: every range over a map is in mapRangeAllow with its reason;
 //     go statements stay in realnet and the experiments worker pool; the wall
 //     clock stays in realnet; nothing draws from math/rand's global source.
@@ -35,6 +40,7 @@ func TestSourceAudit(t *testing.T) {
 	}
 	var findings []string
 	findings = append(findings, auditReachability(prog)...)
+	findings = append(findings, auditFields(prog)...)
 	findings = append(findings, auditDeterminism(prog)...)
 	slices.Sort(findings)
 	for _, f := range findings {
@@ -69,6 +75,13 @@ var reachAllow = map[string]string{
 	"pipe.SetDebugDispatch":               "test seam: the transfer transcript observes every frame (ROADMAP item 12 reuses it)",
 	"stats.PeerStats.AddPendingTransfers": "ROADMAP item 6 gives it a caller: the receiver's report of inbound transfers",
 	"sweeptest.Golden":                    "the golden-file harness: a non-test package so every package's tests can import it",
+}
+
+// fieldAllow lists the fields and hooks in internal/ that the field rules
+// flag, keyed as package.Type.Field or package.variable, with the reason each
+// stays.
+var fieldAllow = map[string]string{
+	"vtime.Scheduler.OnDeadlock": "ROADMAP item 8 gives it a caller",
 }
 
 // Reasons a range over a map cannot make output depend on iteration order.
@@ -169,9 +182,10 @@ func (prog *auditProgram) Import(ip string) (*types.Package, error) {
 	}
 	if pkg.types == nil {
 		pkg.info = &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		conf := types.Config{Importer: prog}
 		tp, err := conf.Check(ip, prog.fset, pkg.files, pkg.info)
@@ -201,15 +215,7 @@ func auditReachability(prog *auditProgram) []string {
 		}
 	}
 	ifaces := prog.interfaces()
-	facade := map[*types.TypeName]bool{}
-	root := prog.byPath[auditModule].types.Scope()
-	for _, name := range root.Names() {
-		if tn, ok := root.Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
-			if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
-				facade[named.Obj()] = true
-			}
-		}
-	}
+	facade := prog.facadeTypes()
 
 	var findings []string
 	matched := map[string]bool{}
@@ -253,6 +259,154 @@ func auditReachability(prog *auditProgram) []string {
 		}
 	}
 	return findings
+}
+
+// facadeTypes returns the internal types the root facade re-exports by alias.
+func (prog *auditProgram) facadeTypes() map[*types.TypeName]bool {
+	facade := map[*types.TypeName]bool{}
+	root := prog.byPath[auditModule].types.Scope()
+	for _, name := range root.Names() {
+		if tn, ok := root.Lookup(name).(*types.TypeName); ok && tn.IsAlias() {
+			if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+				facade[named.Obj()] = true
+			}
+		}
+	}
+	return facade
+}
+
+// auditFields reports exported fields of internal/ structs that no non-test
+// code outside bench/ reads, hooks in internal/ that no such code assigns, and
+// stale fieldAllow entries.
+func auditFields(prog *auditProgram) []string {
+	read, set := prog.fieldUses()
+	facade := prog.facadeTypes()
+	var findings []string
+	matched := map[string]bool{}
+	report := func(key string, obj types.Object, what string) {
+		if _, ok := fieldAllow[key]; ok {
+			matched[key] = true
+			return
+		}
+		findings = append(findings, fmt.Sprintf("%s: %s %s: delete it, or add it to fieldAllow with the reason it stays",
+			prog.pos(obj.Pos()), key, what))
+	}
+	const unset = "is a hook nothing outside tests and bench/ sets"
+	for _, pkg := range prog.pkgs {
+		if !strings.HasPrefix(pkg.path, auditModule+"/internal/") {
+			continue
+		}
+		scope := pkg.types.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Var:
+				if isHook(obj) && !set[obj] {
+					report(pkg.label+"."+name, obj, unset)
+				}
+			case *types.TypeName:
+				st, ok := obj.Type().Underlying().(*types.Struct)
+				if !ok || obj.IsAlias() || facade[obj] {
+					continue
+				}
+				for i := range st.NumFields() {
+					f := st.Field(i)
+					key := pkg.label + "." + name + "." + f.Name()
+					switch {
+					case isHook(f) && !set[f]:
+						report(key, f, unset)
+					case f.Exported() && !f.Embedded() && !read[f] && reflect.StructTag(st.Tag(i)).Get("json") == "":
+						report(key, f, "is an exported field nothing outside tests and bench/ reads")
+					}
+				}
+			}
+		}
+	}
+	for key, why := range fieldAllow {
+		if !matched[key] {
+			findings = append(findings, fmt.Sprintf("fieldAllow: %s matches no unread field or unset hook: delete the entry", key))
+		}
+		if why == "" {
+			findings = append(findings, fmt.Sprintf("fieldAllow: %s gives no reason", key))
+		}
+	}
+	return findings
+}
+
+// isHook reports whether v holds a function.
+func isHook(v *types.Var) bool {
+	_, ok := v.Type().Underlying().(*types.Signature)
+	return ok
+}
+
+// fieldUses returns the struct fields that some selector reads, and the
+// fields and variables that some assignment, composite literal (keyed or
+// positional) or var initializer sets, keyed by the generic origin. The
+// outermost selector on the left of an assignment or ++/-- is a write, not a
+// read; every selector inside it is a read.
+func (prog *auditProgram) fieldUses() (read, set map[*types.Var]bool) {
+	read, set = map[*types.Var]bool{}, map[*types.Var]bool{}
+	setVar := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok {
+			set[v.Origin()] = true
+		}
+	}
+	for _, pkg := range prog.pkgs {
+		info := pkg.info
+		target := func(lhs ast.Expr) types.Object {
+			switch lhs := ast.Unparen(lhs).(type) {
+			case *ast.Ident:
+				return info.Uses[lhs]
+			case *ast.SelectorExpr:
+				if sel := info.Selections[lhs]; sel != nil {
+					return sel.Obj()
+				}
+				return info.Uses[lhs.Sel] // a qualified package variable
+			}
+			return nil
+		}
+		for _, f := range pkg.files {
+			written := map[ast.Expr]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						written[ast.Unparen(lhs)] = true
+						setVar(target(lhs))
+					}
+				case *ast.IncDecStmt:
+					written[ast.Unparen(n.X)] = true
+				case *ast.ValueSpec:
+					if len(n.Values) > 0 {
+						for _, name := range n.Names {
+							setVar(info.Defs[name])
+						}
+					}
+				case *ast.CompositeLit:
+					t := info.TypeOf(n)
+					if p, ok := t.Underlying().(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							setVar(info.Uses[kv.Key.(*ast.Ident)])
+						} else {
+							setVar(st.Field(i))
+						}
+					}
+				case *ast.SelectorExpr:
+					if sel := info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal && !written[n] {
+						read[sel.Obj().(*types.Var).Origin()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return read, set
 }
 
 // interfaces returns, by method name, every named interface declared in the
