@@ -108,6 +108,18 @@ type result struct {
 }
 
 func main() {
+	os.Exit(run())
+}
+
+// fail reports err on stderr and returns the exit code for it.
+func fail(code int, err error) int {
+	fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
+	return code
+}
+
+// run is the command; it returns the exit code, after its deferred calls
+// have flushed any profiles.
+func run() int {
 	var (
 		exp      = flag.String("experiment", "all", "which exhibit to regenerate ("+experiments.ExperimentNames()+")")
 		scen     = flag.String("scenario", "table1", "slice scenario: table1 (the paper's calibrated world), uniform:N, heterogeneous:N, zipf:N, churn:N, faults:N")
@@ -128,12 +140,11 @@ func main() {
 	case "markdown", "bars", "csv", "json":
 	default:
 		// Reject up front: a typo'd format should not cost a full run.
-		fmt.Fprintf(os.Stderr, "p2pbench: unknown format %q (want markdown, bars, csv, json)\n", *format)
-		os.Exit(2)
+		return fail(2, fmt.Errorf("unknown format %q (want markdown, bars, csv, json)", *format))
 	}
-	if err := startProfiles(*cpuProf, *memProf, *traceOut); err != nil {
-		fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
-		os.Exit(2)
+	stopProfiles, err := startProfiles(*cpuProf, *memProf, *traceOut)
+	if err != nil {
+		return fail(2, err)
 	}
 	defer stopProfiles()
 	expNames := strings.Split(*exp, ",")
@@ -152,15 +163,13 @@ func main() {
 			continue
 		}
 		if len(expNames) > 1 {
-			fmt.Fprintf(os.Stderr, "p2pbench: %s alongside other experiments needs an explicit -scenario\n", f.Name)
-			exit(2)
+			return fail(2, fmt.Errorf("%s alongside other experiments needs an explicit -scenario", f.Name))
 		}
 		*scen = f.Scenario
 	}
 	sc, err := scenario.Parse(*scen)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
-		exit(2)
+		return fail(2, err)
 	}
 
 	// The run record names the inputs the cells actually derive from: a
@@ -174,8 +183,7 @@ func main() {
 		// workload axis when the spec leaves it unset.
 		w, err := workload.Parse(*wl)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
-			exit(2)
+			return fail(2, err)
 		}
 		cfg.Workload = w
 	}
@@ -183,103 +191,88 @@ func main() {
 	if *sweep != "" {
 		sw, err := experiments.ParseSweep(*sweep)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
-			exit(2)
+			return fail(2, err)
 		}
 		report, err := experiments.RunSweep(cfg, sw)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
-			exit(1)
+			return fail(1, err)
 		}
 		if err := renderSweep(report, *format); err != nil {
-			fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
-			exit(1)
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 
 	if *wl != "" {
 		report, err := experiments.RunWorkload(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
-			exit(1)
+			return fail(1, err)
 		}
 		out.Workload = report.Workload
 		out.Flows = report.Flows
 		out.Summary = &report.Summary
 		if err := render(out, *format); err != nil {
-			fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
-			exit(1)
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 
 	// One path for "all", a single exhibit and a list: the figures share
 	// one worker pool and one run of every cell batch two of them view.
 	suite, err := experiments.RunFigures(cfg, expNames)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
-		if errors.Is(err, experiments.ErrUnknownExperiment) {
-			exit(2)
-		}
-		exit(1)
+	if errors.Is(err, experiments.ErrUnknownExperiment) {
+		return fail(2, err)
+	} else if err != nil {
+		return fail(1, err)
 	}
 	out.Table1, out.Figures = suite.Table1, suite.Figures
 
 	if err := render(out, *format); err != nil {
-		fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
-		exit(1)
+		return fail(1, err)
 	}
+	return 0
 }
 
-// flushProfiles finishes whatever profiling -cpuprofile/-memprofile/-trace
-// started. It is a no-op closure when none of the flags was given, and
-// nil-safe to call exactly once from every exit path via exit() or main's
-// defer.
-var flushProfiles func()
-
-// startProfiles opens the requested profile outputs. The CPU profile and
-// execution trace start immediately; the heap profile is captured at exit,
-// after a final GC, so it reflects the live heap of the completed run rather
-// than transient garbage. Like the profiles, tracing never changes results:
-// the simulation runs on virtual time and identical seeds, instrumented or
-// not (CI diffs a traced run's JSON against an untraced one).
-func startProfiles(cpuFile, memFile, traceFile string) error {
-	var stopCPU, stopTrace func()
+// startProfiles opens the requested profile outputs and returns the call
+// that finishes them, which run defers. The CPU profile and execution trace
+// start immediately; the heap profile is captured when they stop, after a
+// final GC, so it reflects the live heap of the completed run rather than
+// transient garbage. Like the profiles, tracing never changes results: the
+// simulation runs on virtual time and identical seeds, instrumented or not
+// (CI diffs a traced run's JSON against an untraced one).
+func startProfiles(cpuFile, memFile, traceFile string) (func(), error) {
+	var stops []func()
 	if cpuFile != "" {
 		f, err := os.Create(cpuFile)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			return err
+			return nil, err
 		}
-		stopCPU = func() {
+		stops = append(stops, func() {
 			pprof.StopCPUProfile()
 			f.Close()
-		}
+		})
 	}
 	if traceFile != "" {
 		f, err := os.Create(traceFile)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := trace.Start(f); err != nil {
 			f.Close()
-			return err
+			return nil, err
 		}
-		stopTrace = func() {
+		stops = append(stops, func() {
 			trace.Stop()
 			f.Close()
-		}
+		})
 	}
-	flushProfiles = func() {
-		if stopCPU != nil {
-			stopCPU()
-		}
-		if stopTrace != nil {
-			stopTrace()
+	return func() {
+		for _, s := range stops {
+			s()
 		}
 		if memFile == "" {
 			return
@@ -294,24 +287,7 @@ func startProfiles(cpuFile, memFile, traceFile string) error {
 			fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
 		}
 		f.Close()
-	}
-	return nil
-}
-
-// stopProfiles runs the profile flush at most once.
-func stopProfiles() {
-	if flushProfiles != nil {
-		flushProfiles()
-		flushProfiles = nil
-	}
-}
-
-// exit flushes any active profiles before terminating: os.Exit skips
-// deferred calls, so error paths must come through here or lose the
-// CPU profile's unflushed tail and the heap profile entirely.
-func exit(code int) {
-	stopProfiles()
-	os.Exit(code)
+	}, nil
 }
 
 // flagWasSet reports whether the named flag was explicitly passed on the

@@ -36,8 +36,9 @@ import (
 // candidate set.
 var ErrNoCandidates = errors.New("core: no candidate peers")
 
-// RequestKind says what the selected peer will be used for; models weigh
-// criteria differently per kind.
+// RequestKind says what the selected peer will be used for. It rides the
+// selection request to the broker, but no model reads it: each ranks every
+// kind the same way.
 type RequestKind int
 
 // Request kinds.
@@ -202,22 +203,16 @@ func (b *Blind) Select(req Request, cands []Candidate) (string, error) {
 	return first(b.Rank(req, cands, 1))
 }
 
-// Rank implements Selector: candidate order rotated by the round-robin cursor.
+// Rank implements Selector: candidate order rotated by the round-robin
+// cursor, which a rank of an empty set leaves where it is.
 func (b *Blind) Rank(_ Request, cands []Candidate, k int) ([]string, error) {
 	n := len(cands)
 	if n == 0 {
 		return nil, ErrNoCandidates
 	}
-	if k <= 0 || k > n {
-		k = n
-	}
 	start := b.next % n
 	b.next++
-	out := make([]string, k)
-	for i := range out {
-		out[i] = cands[(start+i)%n].Snapshot.Peer
-	}
-	return out, nil
+	return rankTop(cands, k, func(i int) int { return (i - start + n) % n }, func(a, b *int) int { return cmp.Compare(*a, *b) })
 }
 
 // ---------------------------------------------------------------------------
