@@ -212,7 +212,8 @@ func (b *Blind) Rank(_ Request, cands []Candidate, k int) ([]string, error) {
 	}
 	start := b.next % n
 	b.next++
-	return rankTop(cands, k, func(i int) int { return (i - start + n) % n }, func(a, b *int) int { return cmp.Compare(*a, *b) })
+	return rankTop(cands, k, func(i int) int { return (i - start + n) % n },
+		func(a, b *int) int { return cmp.Compare(*a, *b) })
 }
 
 // ---------------------------------------------------------------------------
