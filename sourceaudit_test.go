@@ -182,10 +182,9 @@ func (prog *auditProgram) Import(ip string) (*types.Package, error) {
 	}
 	if pkg.types == nil {
 		pkg.info = &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
 		}
 		conf := types.Config{Importer: prog}
 		tp, err := conf.Check(ip, prog.fset, pkg.files, pkg.info)
@@ -352,26 +351,20 @@ func (prog *auditProgram) fieldUses() (read, set map[*types.Var]bool) {
 	}
 	for _, pkg := range prog.pkgs {
 		info := pkg.info
-		target := func(lhs ast.Expr) types.Object {
-			switch lhs := ast.Unparen(lhs).(type) {
-			case *ast.Ident:
-				return info.Uses[lhs]
-			case *ast.SelectorExpr:
-				if sel := info.Selections[lhs]; sel != nil {
-					return sel.Obj()
-				}
-				return info.Uses[lhs.Sel] // a qualified package variable
-			}
-			return nil
-		}
 		for _, f := range pkg.files {
 			written := map[ast.Expr]bool{}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
-						written[ast.Unparen(lhs)] = true
-						setVar(target(lhs))
+						lhs = ast.Unparen(lhs)
+						written[lhs] = true
+						switch lhs := lhs.(type) {
+						case *ast.Ident:
+							setVar(info.Uses[lhs])
+						case *ast.SelectorExpr:
+							setVar(info.Uses[lhs.Sel])
+						}
 					}
 				case *ast.IncDecStmt:
 					written[ast.Unparen(n.X)] = true
@@ -398,8 +391,8 @@ func (prog *auditProgram) fieldUses() (read, set map[*types.Var]bool) {
 						}
 					}
 				case *ast.SelectorExpr:
-					if sel := info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal && !written[n] {
-						read[sel.Obj().(*types.Var).Origin()] = true
+					if v, ok := info.Uses[n.Sel].(*types.Var); ok && v.IsField() && !written[n] {
+						read[v.Origin()] = true
 					}
 				}
 				return true
