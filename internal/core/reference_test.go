@@ -615,6 +615,48 @@ func TestRankMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEvaluatorReuseMatchesFresh: one data evaluator ranks a sequence of
+// candidate sets that shrink and grow, and every score and every ranking, at
+// every depth, equals a fresh evaluator's and the reference's. What one call
+// leaves behind in the evaluator must never reach the next.
+func TestEvaluatorReuseMatchesFresh(t *testing.T) {
+	sizes := []int{64, 7, 1, 300, 2, 1, 64}
+	for seed := int64(1); seed <= 12; seed++ {
+		tc := genRankCase(seed, 1)
+		if seed%3 == 0 {
+			tc.catalog, tc.weights = nil, SamePriority()
+		}
+		de, ref := tc.evaluators()
+		for j, n := range sizes {
+			cands := genRankCase(1000*seed+int64(j), n).cands
+			fresh, _ := tc.evaluators()
+			got, want := any(de.Scores(cands)), ref.Scores(cands)
+			fromFresh := any(fresh.Scores(cands))
+			for i, c := range cands {
+				g, f, w := scoreOf(got, i, c.Snapshot.Peer), scoreOf(fromFresh, i, c.Snapshot.Peer), want[c.Snapshot.Peer]
+				if math.Float64bits(g) != math.Float64bits(w) || math.Float64bits(f) != math.Float64bits(w) {
+					t.Fatalf("seed %d, set %d of %d candidates: score of %s: reused %v, fresh %v, reference %v",
+						seed, j, n, c.Snapshot.Peer, g, f, w)
+				}
+			}
+			wantRank, _ := ref.Rank(cands)
+			for _, k := range []int{0, 1, 3} {
+				head := wantRank
+				if k > 0 && k < n {
+					head = wantRank[:k]
+				}
+				fresh, _ := tc.evaluators()
+				gotRank, err := de.Rank(tc.req, cands, k)
+				freshRank, freshErr := fresh.Rank(tc.req, cands, k)
+				if err != nil || freshErr != nil || !reflect.DeepEqual(gotRank, head) || !reflect.DeepEqual(freshRank, head) {
+					t.Fatalf("seed %d, set %d of %d candidates, depth %d: reused %v (%v), fresh %v (%v), reference %v",
+						seed, j, n, k, gotRank, err, freshRank, freshErr, head)
+				}
+			}
+		}
+	}
+}
+
 // FuzzRankMatchesReference hands (seed, n) to the fuzzer.
 func FuzzRankMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint16(1))

@@ -244,7 +244,8 @@ func TestSelectionFollowsMessageWindow(t *testing.T) {
 // beside statistics writes and renewals. Every selection must come back
 // whole — MaxResults distinct names, the requester not among them — and
 // once the writer stops, a selection must equal refSelect. Run it under
-// the race detector: two blind selections at once share one cursor.
+// the race detector: two blind selections at once share one cursor, and two
+// same-priority selections one evaluator's score columns.
 func TestConcurrentSelections(t *testing.T) {
 	n := simnet.New(21)
 	host := n.MustAddNode("broker0", simnet.DefaultProfile())
@@ -275,7 +276,7 @@ func TestConcurrentSelections(t *testing.T) {
 			b.publish(b.shardOf(name), testAdv(name))
 		}
 	}()
-	for r, model := range []string{"economic", "same-priority", "blind", "blind"} {
+	for r, model := range []string{"economic", "same-priority", "same-priority", "blind", "blind"} {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
