@@ -143,10 +143,10 @@ func run() int {
 		return fail(2, fmt.Errorf("unknown format %q (want markdown, bars, csv, json)", *format))
 	}
 	stopProfiles, err := startProfiles(*cpuProf, *memProf, *traceOut)
+	defer stopProfiles()
 	if err != nil {
 		return fail(2, err)
 	}
-	defer stopProfiles()
 	expNames := strings.Split(*exp, ",")
 	for i := range expNames {
 		expNames[i] = strings.TrimSpace(expNames[i])
@@ -234,43 +234,16 @@ func run() int {
 }
 
 // startProfiles opens the requested profile outputs and returns the call
-// that finishes them, which run defers. The CPU profile and execution trace
-// start immediately; the heap profile is captured when they stop, after a
-// final GC, so it reflects the live heap of the completed run rather than
-// transient garbage. Like the profiles, tracing never changes results: the
-// simulation runs on virtual time and identical seeds, instrumented or not
-// (CI diffs a traced run's JSON against an untraced one).
+// that finishes what it started, which run defers even beside an error. The
+// CPU profile and execution trace start immediately; the heap profile is
+// captured when they stop, after a final GC, so it reflects the live heap of
+// the completed run rather than transient garbage. Like the profiles, tracing
+// never changes results: the simulation runs on virtual time and identical
+// seeds, instrumented or not (CI diffs a traced run's JSON against an
+// untraced one).
 func startProfiles(cpuFile, memFile, traceFile string) (func(), error) {
 	var stops []func()
-	if cpuFile != "" {
-		f, err := os.Create(cpuFile)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		stops = append(stops, func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		})
-	}
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return nil, err
-		}
-		if err := trace.Start(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		stops = append(stops, func() {
-			trace.Stop()
-			f.Close()
-		})
-	}
-	return func() {
+	stop := func() {
 		for _, s := range stops {
 			s()
 		}
@@ -287,7 +260,36 @@ func startProfiles(cpuFile, memFile, traceFile string) (func(), error) {
 			fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
 		}
 		f.Close()
-	}, nil
+	}
+	if cpuFile != "" {
+		f, err := os.Create(cpuFile)
+		if err != nil {
+			return stop, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return stop, err
+		}
+		stops = append(stops, func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		})
+	}
+	if traceFile != "" {
+		f, err := os.Create(traceFile)
+		if err != nil {
+			return stop, err
+		}
+		if err := trace.Start(f); err != nil {
+			f.Close()
+			return stop, err
+		}
+		stops = append(stops, func() {
+			trace.Stop()
+			f.Close()
+		})
+	}
+	return stop, nil
 }
 
 // flagWasSet reports whether the named flag was explicitly passed on the

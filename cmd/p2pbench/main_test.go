@@ -139,17 +139,31 @@ func TestSweepCSVColumns(t *testing.T) {
 }
 
 // TestProfilesSurviveAFailedRun: a run that fails still writes its CPU and
-// heap profiles, and still exits with the failure's code and message.
+// heap profiles, and still exits with the failure's code and message; so does
+// one whose trace cannot be opened after its CPU profile started.
 func TestProfilesSurviveAFailedRun(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
-	stdout, stderr, code := p2pbench(t, "-cpuprofile", cpu, "-memprofile", mem, "-experiment", "nosuch")
-	if want := "p2pbench: unknown experiment \"nosuch\" (want "; code != 2 || stdout != "" || !strings.HasPrefix(stderr, want) || strings.Count(stderr, "\n") != 1 {
-		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2 and one line starting %q", code, stdout, stderr, want)
-	}
-	for _, f := range []string{cpu, mem} {
-		if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
-			t.Errorf("profile %s not written (%v)", f, err)
+	badTrace := filepath.Join(dir, "missing", "t.out")
+	for _, c := range []struct {
+		args     []string
+		want     string // stderr's first bytes
+		profiles []string
+	}{
+		{[]string{"-cpuprofile", cpu, "-memprofile", mem, "-experiment", "nosuch"}, "p2pbench: unknown experiment \"nosuch\" (want ", []string{cpu, mem}},
+		{[]string{"-cpuprofile", cpu, "-trace", badTrace}, "p2pbench: open " + badTrace + ": ", []string{cpu}},
+	} {
+		for _, f := range c.profiles {
+			os.Remove(f)
+		}
+		stdout, stderr, code := p2pbench(t, c.args...)
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, c.want) || strings.Count(stderr, "\n") != 1 {
+			t.Fatalf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one line starting %q", c.args, code, stdout, stderr, c.want)
+		}
+		for _, f := range c.profiles {
+			if fi, err := os.Stat(f); err != nil || fi.Size() == 0 {
+				t.Errorf("%v: profile %s not written (%v)", c.args, f, err)
+			}
 		}
 	}
 }

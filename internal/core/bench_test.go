@@ -84,16 +84,15 @@ func bytesPerRun(runs int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestRankAllocBudgets pins what a ranking allocates: a handful of flat
-// slices whose number does not depend on the candidate count. A map sized by
-// the candidates would show as a count that grows from 4 096 to 16 384 (a
-// map that large is many tables), so equal small counts at both sizes also
-// say no such map is built. A ranking to depth 1 is held to bytes: for the
-// economic and quick-peer models the same few hundred at both sizes, nothing
-// sized by the candidates; the data evaluator keeps its two score columns,
-// 16 bytes a candidate.
+// TestRankAllocBudgets pins what a ranking allocates: keys, positions and
+// names, three flat slices whatever the candidate count. A map sized by the
+// candidates would show as a count that grows from 4 096 to 16 384 (a map
+// that large is many tables), so equal counts at both sizes also say no such
+// map is built. A ranking to depth 1 is held to bytes: the same few hundred
+// at both sizes, nothing sized by the candidates, for every model — the data
+// evaluator's score columns are its own, kept from call to call.
 func TestRankAllocBudgets(t *testing.T) {
-	budgets := map[string]float64{"economic": 6, "same-priority": 6, "quick-peer": 4}
+	const budget = 3
 	small, large := benchCandidates(4096), benchCandidates(16384)
 	for i, r := range benchRankers(small) {
 		name := r.Name()
@@ -106,21 +105,12 @@ func TestRankAllocBudgets(t *testing.T) {
 		}
 		rl := benchRankers(large)[i]
 		atSmall, atLarge := testing.AllocsPerRun(5, rank(r, small, 0)), testing.AllocsPerRun(5, rank(rl, large, 0))
-		if atSmall != atLarge || atSmall > budgets[name] {
+		if atSmall != atLarge || atSmall > budget {
 			t.Errorf("%s: %v allocations to rank 4096 candidates, %v to rank 16384; budget %v at both",
-				name, atSmall, atLarge, budgets[name])
+				name, atSmall, atLarge, budget)
 		}
 		top1Small, top1Large := bytesPerRun(5, rank(r, small, 1)), bytesPerRun(5, rank(rl, large, 1))
-		if name == "same-priority" {
-			for _, c := range []struct {
-				n     int
-				bytes uint64
-			}{{len(small), top1Small}, {len(large), top1Large}} {
-				if c.bytes > uint64(16*c.n+1024) {
-					t.Errorf("%s: %d bytes to rank %d candidates to depth 1; budget 16 a candidate plus 1 KB", name, c.bytes, c.n)
-				}
-			}
-		} else if top1Small != top1Large || top1Small >= 1024 {
+		if top1Small != top1Large || top1Small >= 1024 {
 			t.Errorf("%s: %d bytes to rank 4096 candidates to depth 1, %d to rank 16384; budget under 1 KB at both",
 				name, top1Small, top1Large)
 		}

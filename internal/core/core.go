@@ -17,13 +17,13 @@
 //     transfer times Figures 2–5 report.
 //
 // Selectors consume stats.Snapshot values (the broker's view of each peer)
-// and are pure: they never touch the network themselves.
+// and never touch the network themselves. Each serves one caller at a time
+// (see Selector).
 package core
 
 import (
 	"cmp"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -48,20 +48,6 @@ const (
 	KindTask
 )
 
-// String returns the kind's name.
-func (k RequestKind) String() string {
-	switch k {
-	case KindMessage:
-		return "message"
-	case KindFileTransfer:
-		return "file-transfer"
-	case KindTask:
-		return "task"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
 // Request describes the work a peer is being selected for.
 type Request struct {
 	Kind RequestKind
@@ -81,7 +67,9 @@ type Candidate struct {
 }
 
 // Selector orders the candidate set for a request, best first. The broker
-// serves selections through Rank; Select is its head.
+// serves selections through Rank; Select is its head. A selector keeps state
+// from call to call (Blind's cursor, DataEvaluator's score columns), so it
+// serves one caller at a time: the broker ranks under its mu.
 type Selector interface {
 	// Name identifies the model in experiment output.
 	Name() string
@@ -102,10 +90,11 @@ const boundedDepth = 16
 // — the order a stable sort returns — or of all of them when k <= 0. key is
 // called once per candidate.
 //
-// To boundedDepth it keeps the k best so far in order, and a candidate that
-// does not come before the worst of them costs one comparison, so nothing
-// sized by the candidate set is allocated. Deeper, it sorts the candidate
-// positions; only the 4-byte positions move, the keys stay where they are.
+// Depth 1 is an argmax: the best key so far and the candidate's, in two
+// slots. To boundedDepth it keeps the k best so far in order, and a candidate
+// that does not come before the worst of them costs one comparison, so
+// nothing sized by the candidate set is allocated. Deeper, it sorts the
+// candidate positions; only the 4-byte positions move, the keys stay put.
 func rankTop[K any](cands []Candidate, k int, key func(i int) K, before func(a, b *K) int) ([]string, error) {
 	n := len(cands)
 	if n == 0 {
@@ -113,6 +102,15 @@ func rankTop[K any](cands []Candidate, k int, key func(i int) K, before func(a, 
 	}
 	if k <= 0 || k > n {
 		k = n
+	}
+	if k == 1 {
+		keys, best := [2]K{key(0)}, 0
+		for i := 1; i < n; i++ {
+			if keys[1] = key(i); before(&keys[1], &keys[0]) < 0 {
+				keys[0], best = keys[1], i
+			}
+		}
+		return []string{cands[best].Snapshot.Peer}, nil
 	}
 	var at []int32 // candidate positions, best first
 	if k > boundedDepth {

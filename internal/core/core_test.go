@@ -234,7 +234,7 @@ func TestDataEvaluatorWeightsChangeWinner(t *testing.T) {
 	})
 	cands := []Candidate{msgKing, fileKing}
 
-	byMsg := NewDataEvaluator(Weights{CritMsgSession: 1, CritMsgTotal: 1, CritMsgLastK: 1})
+	byMsg := &DataEvaluator{criteria: StandardCriteria(), weights: Weights{CritMsgSession: 1, CritMsgTotal: 1, CritMsgLastK: 1}}
 	got1, err := byMsg.Select(Request{}, cands)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestDataEvaluatorWeightsChangeWinner(t *testing.T) {
 	if got1 != "msgking" {
 		t.Fatalf("messaging weights selected %q, want msgking", got1)
 	}
-	byFile := NewDataEvaluator(Weights{CritFileSentSess: 1, CritFileSentTotal: 1, CritTransferRate: 1})
+	byFile := &DataEvaluator{criteria: StandardCriteria(), weights: Weights{CritFileSentSess: 1, CritFileSentTotal: 1, CritTransferRate: 1}}
 	got2, err := byFile.Select(Request{}, cands)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestDataEvaluatorWeightsChangeWinner(t *testing.T) {
 
 func TestDataEvaluatorZeroWeightIsNegligible(t *testing.T) {
 	// Only messaging weighs; terrible file stats must not matter.
-	de := NewDataEvaluator(Weights{CritMsgSession: 1})
+	de := &DataEvaluator{criteria: StandardCriteria(), weights: Weights{CritMsgSession: 1}}
 	a := snap("a", func(s *stats.Snapshot) {
 		s.PctMsgSession = 90
 		s.PctFileSentSession = 0 // would lose on files, but files weigh 0
@@ -291,7 +291,7 @@ func TestDataEvaluatorScoresBounded(t *testing.T) {
 	for _, w := range SamePriority() {
 		total += w
 	}
-	for i, score := range de.Scores(cands) {
+	for i, score := range de.scores(cands) {
 		if score < 0 || score > total {
 			t.Fatalf("score[%s] = %v outside [0,%v]", cands[i].Snapshot.Peer, score, total)
 		}
@@ -410,16 +410,6 @@ func TestQuickPeerStaleMemoryIsTrusted(t *testing.T) {
 func TestUserPreferenceEmptySet(t *testing.T) {
 	if _, err := NewUserPreference(nil).Select(Request{}, nil); !errors.Is(err, ErrNoCandidates) {
 		t.Fatalf("err = %v, want ErrNoCandidates", err)
-	}
-}
-
-func TestRequestKindString(t *testing.T) {
-	if KindMessage.String() != "message" || KindFileTransfer.String() != "file-transfer" ||
-		KindTask.String() != "task" {
-		t.Fatal("kind names wrong")
-	}
-	if RequestKind(99).String() == "" {
-		t.Fatal("unknown kind must still render")
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"peerlab/internal/stats"
@@ -88,33 +89,30 @@ func SamePriority() Weights {
 // candidate rescales everyone else's score, so the ranking is not
 // subset-stable: a caller must remove exclusions before ranking.
 type DataEvaluator struct {
-	criteria []Criterion
-	weights  Weights
-	label    string
+	criteria  []Criterion
+	weights   Weights
+	label     string
+	sums, col []float64 // scores' columns, kept from call to call
 }
 
-// NewDataEvaluator builds an evaluator over the standard criteria catalog.
-func NewDataEvaluator(w Weights) *DataEvaluator {
-	return &DataEvaluator{criteria: StandardCriteria(), weights: w, label: "data-evaluator"}
-}
-
-// NewSamePriority is the equal-weights variant, labeled as the paper labels
-// it in Figure 6.
+// NewSamePriority is the evaluator over the standard catalog with equal
+// weights, labeled as the paper labels it in Figure 6.
 func NewSamePriority() *DataEvaluator {
-	de := NewDataEvaluator(SamePriority())
-	de.label = "same-priority"
-	return de
+	return &DataEvaluator{criteria: StandardCriteria(), weights: SamePriority(), label: "same-priority"}
 }
 
 // Name implements Selector.
 func (de *DataEvaluator) Name() string { return de.label }
 
-// Scores returns each candidate's aggregate utility in [0, totalWeight],
-// indexed by candidate position. One pass per weighted criterion reads the
-// column and finds its range together; a second normalizes it into the sums.
-func (de *DataEvaluator) Scores(cands []Candidate) []float64 {
-	scores := make([]float64, len(cands))
-	col := make([]float64, len(cands))
+// scores returns each candidate's aggregate utility in [0, totalWeight],
+// indexed by candidate position, in the evaluator's own column: the next
+// call overwrites it. One pass per weighted criterion reads the column and
+// finds its range together; a second normalizes it into the sums.
+func (de *DataEvaluator) scores(cands []Candidate) []float64 {
+	n := len(cands)
+	de.sums, de.col = slices.Grow(de.sums[:0], n)[:n], slices.Grow(de.col[:0], n)[:n]
+	scores, col := de.sums, de.col
+	clear(scores)
 	for k := range de.criteria {
 		crit := &de.criteria[k]
 		w := de.weights[crit.Key]
@@ -168,7 +166,7 @@ func (de *DataEvaluator) Select(req Request, cands []Candidate) (string, error) 
 // Rank implements Selector. A candidate's key is its position, which indexes
 // the score column.
 func (de *DataEvaluator) Rank(_ Request, cands []Candidate, k int) ([]string, error) {
-	scores := de.Scores(cands)
+	scores := de.scores(cands)
 	return rankTop(cands, k, func(i int) int32 { return int32(i) },
 		func(a, b *int32) int { return better(cands, scores, *a, *b) })
 }

@@ -272,7 +272,7 @@ func (u *refPreference) Rank(cands []Candidate) ([]string, error) {
 type rankCase struct {
 	req     Request
 	cands   []Candidate
-	catalog []Criterion // nil: the standard catalog through NewDataEvaluator
+	catalog []Criterion // nil: the standard catalog
 	weights Weights
 	eco     EconomicConfig
 	prefs   []string
@@ -418,11 +418,10 @@ func (tc rankCase) evaluators() (*DataEvaluator, *refEvaluator) {
 		byKey[c.Key] = c
 	}
 	catalog := tc.catalog
-	de := &DataEvaluator{criteria: catalog, weights: tc.weights, label: "custom"}
 	if catalog == nil {
 		catalog = StandardCriteria()
-		de = NewDataEvaluator(tc.weights)
 	}
+	de := &DataEvaluator{criteria: catalog, weights: tc.weights, label: "custom"}
 	ref := &refEvaluator{weights: tc.weights}
 	for _, c := range catalog {
 		rc := byKey[c.Key]
@@ -432,8 +431,8 @@ func (tc rankCase) evaluators() (*DataEvaluator, *refEvaluator) {
 	return de, ref
 }
 
-// scoreOf reads candidate i's score from what Scores returned, whether that
-// is keyed by peer name or indexed by candidate position.
+// scoreOf reads candidate i's score from what an evaluator's scores returned,
+// whether that is keyed by peer name or indexed by candidate position.
 func scoreOf(scores any, i int, peer string) float64 {
 	switch s := scores.(type) {
 	case map[string]float64:
@@ -441,7 +440,7 @@ func scoreOf(scores any, i int, peer string) float64 {
 	case []float64:
 		return s[i]
 	}
-	panic(fmt.Sprintf("Scores returned %T", scores))
+	panic(fmt.Sprintf("scores returned %T", scores))
 }
 
 func sameErr(got, want error) bool {
@@ -484,7 +483,7 @@ func checkRankCase(seed int64, n int, cov *rankCoverage) error {
 
 	// Data evaluator.
 	de, refDE := tc.evaluators()
-	gotScores, wantScores := any(de.Scores(tc.cands)), refDE.Scores(tc.cands)
+	gotScores, wantScores := any(de.scores(tc.cands)), refDE.Scores(tc.cands)
 	for i, c := range tc.cands {
 		got, want := scoreOf(gotScores, i, c.Snapshot.Peer), wantScores[c.Snapshot.Peer]
 		if math.Float64bits(got) != math.Float64bits(want) {
@@ -630,8 +629,8 @@ func TestEvaluatorReuseMatchesFresh(t *testing.T) {
 		for j, n := range sizes {
 			cands := genRankCase(1000*seed+int64(j), n).cands
 			fresh, _ := tc.evaluators()
-			got, want := any(de.Scores(cands)), ref.Scores(cands)
-			fromFresh := any(fresh.Scores(cands))
+			got, want := any(de.scores(cands)), ref.Scores(cands)
+			fromFresh := any(fresh.scores(cands))
 			for i, c := range cands {
 				g, f, w := scoreOf(got, i, c.Snapshot.Peer), scoreOf(fromFresh, i, c.Snapshot.Peer), want[c.Snapshot.Peer]
 				if math.Float64bits(g) != math.Float64bits(w) || math.Float64bits(f) != math.Float64bits(w) {
