@@ -629,10 +629,9 @@ func TestEvaluatorReuseMatchesFresh(t *testing.T) {
 		for j, n := range sizes {
 			cands := genRankCase(1000*seed+int64(j), n).cands
 			fresh, _ := tc.evaluators()
-			got, want := any(de.scores(cands)), ref.Scores(cands)
-			fromFresh := any(fresh.scores(cands))
+			got, fromFresh, want := de.scores(cands), fresh.scores(cands), ref.Scores(cands)
 			for i, c := range cands {
-				g, f, w := scoreOf(got, i, c.Snapshot.Peer), scoreOf(fromFresh, i, c.Snapshot.Peer), want[c.Snapshot.Peer]
+				g, f, w := got[i], fromFresh[i], want[c.Snapshot.Peer]
 				if math.Float64bits(g) != math.Float64bits(w) || math.Float64bits(f) != math.Float64bits(w) {
 					t.Fatalf("seed %d, set %d of %d candidates: score of %s: reused %v, fresh %v, reference %v",
 						seed, j, n, c.Snapshot.Peer, g, f, w)
