@@ -171,18 +171,9 @@ var goldenCases = []goldenCase{
 		}},
 }
 
-// runGolden runs the goldenCases row recorded in file.
-func runGolden(t *testing.T, file string) {
+// config is the row's seed-2007 configuration, workers and shards unset.
+func (gc *goldenCase) config(t *testing.T) Config {
 	t.Helper()
-	var gc *goldenCase
-	for i := range goldenCases {
-		if goldenCases[i].file == file {
-			gc = &goldenCases[i]
-		}
-	}
-	if gc == nil {
-		t.Fatalf("no golden case records %s", file)
-	}
 	cfg := Config{Seed: 2007, Reps: gc.reps}
 	if gc.scenario != "" {
 		sc, err := scenario.Parse(gc.scenario)
@@ -198,6 +189,22 @@ func runGolden(t *testing.T, file string) {
 		}
 		cfg.Workload = w
 	}
+	return cfg
+}
+
+// runGolden runs the goldenCases row recorded in file.
+func runGolden(t *testing.T, file string) {
+	t.Helper()
+	var gc *goldenCase
+	for i := range goldenCases {
+		if goldenCases[i].file == file {
+			gc = &goldenCases[i]
+		}
+	}
+	if gc == nil {
+		t.Fatalf("no golden case records %s", file)
+	}
+	cfg := gc.config(t)
 	var golden []byte
 	for _, alt := range [][2]int{{1, 1}, {4, 1}, {4, 3}} {
 		cfg.Workers, cfg.Shards = alt[0], alt[1]

@@ -72,7 +72,7 @@ var reachAllow = map[string]string{
 	"vtime.Scheduler.Pending":             "test seam: the property and timer differential tests check the pending timers",
 	"vtime.Scheduler.Running":             "test seam: the property and dispatch tests check that nothing is left runnable",
 	"vtime.Scheduler.SetPool":             "test seam: a private pool keeps a test's pool counters its own",
-	"pipe.SetDebugDispatch":               "test seam: the transfer transcript observes every frame (ROADMAP item 12 reuses it)",
+	"pipe.SetDebugDispatch":               "test seam: the transfer transcript and the golden frame digests observe every frame (ROADMAP items 3 and 12)",
 	"stats.PeerStats.AddPendingTransfers": "ROADMAP item 6 gives it a caller: the receiver's report of inbound transfers",
 	"sweeptest.Golden":                    "the golden-file harness: a non-test package so every package's tests can import it",
 }
