@@ -7,9 +7,9 @@
 // platform (broker, primitives, SimpleClients), the paper's three
 // peer-selection models plus a blind baseline, file transmission with
 // configurable granularity, and task execution — behind one deployment
-// type. The examples/ directory shows the intended usage; the experiment
-// harness in internal/experiments regenerates every table and figure of
-// the paper on top of the same API surface.
+// type. The package's Example functions show the intended usage; the
+// experiment harness in internal/experiments regenerates every table and
+// figure of the paper on top of the same API surface.
 //
 // A Deployment runs on simulated time: a scenario spanning hours of
 // transfers finishes in milliseconds of wall time, deterministically for a
