@@ -44,8 +44,9 @@ var benchReq = Request{Kind: KindFileTransfer, SizeBytes: 2_000_000, Now: now}
 var rankSink []string
 
 // BenchmarkRank is the core layer's share of a selection miss, per model: a
-// full ranking over a directory-sized candidate set, and a ranking to depth
-// 1 (/top1), which is what the broker asks for when a request wants one peer.
+// full ranking over a directory-sized candidate set, a ranking to depth 1
+// (/top1), which is what the broker asks for when a request wants one peer,
+// and one to depth 3 (/top3), the price of a short list.
 func BenchmarkRank(b *testing.B) {
 	for _, n := range []int{4096, 16384} {
 		cands := benchCandidates(n)
@@ -53,7 +54,7 @@ func BenchmarkRank(b *testing.B) {
 			for _, depth := range []struct {
 				suffix string
 				k      int
-			}{{"", 0}, {"/top1", 1}} {
+			}{{"", 0}, {"/top1", 1}, {"/top3", 3}} {
 				b.Run(fmt.Sprintf("%s/%d%s", r.Name(), n, depth.suffix), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
@@ -85,10 +86,10 @@ func bytesPerRun(runs int, f func()) uint64 {
 }
 
 // TestRankAllocBudgets pins what a ranking allocates: keys, positions and
-// names, three flat slices whatever the candidate count. A map sized by the
-// candidates would show as a count that grows from 4 096 to 16 384 (a map
-// that large is many tables), so equal counts at both sizes also say no such
-// map is built. A ranking to depth 1 is held to bytes: the same few hundred
+// names, three flat slices whatever the candidate count, in full and to
+// depths 3 and 16 alike. A map sized by the candidates would show as a count
+// that grows from 4 096 to 16 384 (a map that large is many tables), so equal
+// counts at both sizes also say no such map is built. A ranking to depth 1 is held to bytes: the same few hundred
 // at both sizes, nothing sized by the candidates, for every model — the data
 // evaluator's score columns are its own, kept from call to call.
 func TestRankAllocBudgets(t *testing.T) {
@@ -108,6 +109,13 @@ func TestRankAllocBudgets(t *testing.T) {
 		if atSmall != atLarge || atSmall > budget {
 			t.Errorf("%s: %v allocations to rank 4096 candidates, %v to rank 16384; budget %v at both",
 				name, atSmall, atLarge, budget)
+		}
+		for _, k := range []int{3, 16} {
+			atSmall, atLarge := testing.AllocsPerRun(5, rank(r, small, k)), testing.AllocsPerRun(5, rank(rl, large, k))
+			if atSmall != budget || atLarge != budget {
+				t.Errorf("%s: %v allocations to rank 4096 candidates to depth %d, %v to rank 16384; want %v at both",
+					name, atSmall, k, atLarge, budget)
+			}
 		}
 		top1Small, top1Large := bytesPerRun(5, rank(r, small, 1)), bytesPerRun(5, rank(rl, large, 1))
 		if top1Small != top1Large || top1Small >= 1024 {
