@@ -80,21 +80,14 @@ type Selector interface {
 	Rank(req Request, cands []Candidate, k int) ([]string, error)
 }
 
-// boundedDepth is the deepest ranking rankTop keeps by bounded selection.
-// Each new leader shifts at most this many kept entries; a deeper ranking
-// sorts, at log n comparisons per candidate whatever its depth.
-const boundedDepth = 16
-
 // rankTop is every model's Rank: the names of the first k candidates in the
 // order before defines over their keys, ties going to the earlier candidate
 // — the order a stable sort returns — or of all of them when k <= 0. key is
 // called once per candidate.
 //
 // Depth 1 is an argmax: the best key so far and the candidate's, in two
-// slots. To boundedDepth it keeps the k best so far in order, and a candidate
-// that does not come before the worst of them costs one comparison, so
-// nothing sized by the candidate set is allocated. Deeper, it sorts the
-// candidate positions; only the 4-byte positions move, the keys stay put.
+// slots. Deeper, it sorts the candidate positions; only the 4-byte positions
+// move, the keys stay put.
 func rankTop[K any](cands []Candidate, k int, key func(i int) K, before func(a, b *K) int) ([]string, error) {
 	n := len(cands)
 	if n == 0 {
@@ -112,42 +105,16 @@ func rankTop[K any](cands []Candidate, k int, key func(i int) K, before func(a, 
 		}
 		return []string{cands[best].Snapshot.Peer}, nil
 	}
-	var at []int32 // candidate positions, best first
-	if k > boundedDepth {
-		keys := make([]K, n)
-		at = make([]int32, n)
-		for i := range at {
-			keys[i], at[i] = key(i), int32(i)
-		}
-		slices.SortFunc(at, func(a, b int32) int {
-			if c := before(&keys[a], &keys[b]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		})
-	} else {
-		// A candidate is appraised in the slot past the kept run, where a
-		// pointer to its key costs no allocation.
-		keys, kept := make([]K, k+1), 0
-		at = make([]int32, k+1)
-		for i := range cands {
-			keys[kept], at[kept] = key(i), int32(i)
-			if kept == k && before(&keys[k], &keys[k-1]) >= 0 {
-				continue // a tie goes to the kept entry, which came earlier
-			}
-			j := kept
-			for j > 0 && before(&keys[kept], &keys[j-1]) < 0 {
-				j--
-			}
-			// Every kept entry it comes before moves down a place; from a
-			// full run the worst moves into the spare slot, out of the run.
-			c := keys[kept]
-			copy(keys[j+1:kept+1], keys[j:kept])
-			copy(at[j+1:kept+1], at[j:kept])
-			keys[j], at[j] = c, int32(i)
-			kept = min(kept+1, k)
-		}
+	keys, at := make([]K, n), make([]int32, n) // at: candidate positions, best first
+	for i := range at {
+		keys[i], at[i] = key(i), int32(i)
 	}
+	slices.SortFunc(at, func(a, b int32) int {
+		if c := before(&keys[a], &keys[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	out := make([]string, k)
 	for i := range out {
 		out[i] = cands[at[i]].Snapshot.Peer
