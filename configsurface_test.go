@@ -5,13 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"peerlab/internal/core"
 	"peerlab/internal/experiments"
 	"peerlab/internal/overlay"
 	"peerlab/internal/pipe"
 )
 
 // TestConfigSurfaceIsPinned lists every exported field of the configuration
-// structs a caller fills in — 17 settable values. A setting earns its place by
+// structs a caller fills in — 18 settable values. A setting earns its place by
 // having callers that need different values; one every caller sets the same
 // way is a constant. A new knob must edit this list, so a reviewer sees it.
 func TestConfigSurfaceIsPinned(t *testing.T) {
@@ -19,10 +20,12 @@ func TestConfigSurfaceIsPinned(t *testing.T) {
 		"overlay.ClientConfig": "CPUScore Resilient OnFile OnInstant",
 		"overlay.BrokerConfig": "AdvTTL CacheLimit Shards",
 		"pipe.Options":         "Window FirstID",
-		"experiments.Config":   "Seed Reps Workers Scenario Shards CacheLimit Workload Logf",
+		"experiments.Config":   "Seed Reps Workers Scenario Shards CacheLimit Workload",
+		"core.EconomicConfig":  "FallbackRate PricePerCPUSecond",
 	}
 	for _, v := range []any{
 		overlay.ClientConfig{}, overlay.BrokerConfig{}, pipe.Options{}, experiments.Config{},
+		core.EconomicConfig{},
 	} {
 		typ := reflect.TypeOf(v)
 		var fields []string

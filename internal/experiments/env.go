@@ -42,13 +42,13 @@ type Config struct {
 	// that to controller-fanout (the paper's traffic shape). Figures always
 	// measure controller-fanout traffic regardless of this field.
 	Workload workload.Workload
-	// Logf receives operator-visible warnings from inside cells (relaunch
+
+	// logf receives operator-visible warnings from inside cells (relaunch
 	// budget exhaustion, see workload.SendRelaunched). nil falls back to the
 	// process default logger. Sweep runs install a per-cell collector here
 	// so warnings from concurrent cells land in the cell's own record
 	// instead of interleaving on stderr.
-	Logf func(format string, args ...any)
-
+	logf func(format string, args ...any)
 	// pool and memo, when set, are shared across the figures of one
 	// RunFigures call: one worker budget, and one run of every cell batch
 	// two figures are views of.

@@ -64,7 +64,7 @@ func transferCell(size int) func(cfg Config, parts int, label string, rep int) (
 	return func(cfg Config, parts int, label string, rep int) ([]float64, error) {
 		return envCell(cfg, []string{label}, func(env *Env, ctl *overlay.Client) ([]float64, error) {
 			var m transfer.Metrics
-			if err := workload.SendRelaunched(cfg.Logf, env.Slice.Control.Sleep, IdleGap, ctl,
+			if err := workload.SendRelaunched(cfg.logf, env.Slice.Control.Sleep, IdleGap, ctl,
 				env.Host(label), transfer.NewVirtualFile("payload", size, int64(rep)), parts,
 				fmt.Sprintf("figure cell (control -> %s, rep %d)", label, rep), &m); err != nil {
 				return nil, fmt.Errorf("transfer to %s rep %d: %w", label, rep, err)

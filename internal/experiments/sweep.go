@@ -589,7 +589,7 @@ func sweepCell(cellCfg Config, p sweepPlan) (SweepRecord, error) {
 		warnings []string
 	)
 	cellCfg.Scenario = p.sc
-	cellCfg.Logf = func(format string, args ...any) {
+	cellCfg.logf = func(format string, args ...any) {
 		mu.Lock()
 		defer mu.Unlock()
 		warnings = append(warnings, fmt.Sprintf(format, args...))

@@ -245,7 +245,7 @@ func workloadCell(cellCfg Config, w workload.Workload, rep int) (workloadCellRes
 		var res workloadCellResult
 		wenv := env.Workload(ctl)
 		wenv.Preferred = rememberedHosts(env, sc)
-		wenv.Logf = cellCfg.Logf
+		wenv.Logf = cellCfg.logf
 		dyn := env.Dynamics
 		var booted time.Duration
 		if dyn == nil {
@@ -266,7 +266,7 @@ func workloadCell(cellCfg Config, w workload.Workload, rep int) (workloadCellRes
 		if dyn != nil {
 			res.stale, res.lagged = auditSelections(outcome.Results, dyn, sc.EffectiveAdvTTL())
 			if lag, late := dyn.Lag(); lag > staleSlack {
-				logf := cellCfg.Logf
+				logf := cellCfg.logf
 				if logf == nil {
 					logf = log.Printf
 				}

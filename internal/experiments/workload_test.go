@@ -155,7 +155,7 @@ func TestChurnWorkloadInvariants(t *testing.T) {
 	// At this size the conductor keeps to its schedule, so no cell may say
 	// otherwise (see TestLateScheduleIsLaggedNotStale for a size where it
 	// cannot).
-	base.Logf = func(format string, args ...any) {
+	base.logf = func(format string, args ...any) {
 		if strings.Contains(format, "churn schedule ran") {
 			t.Errorf(format, args...)
 		}
@@ -233,7 +233,7 @@ func TestLateScheduleIsLaggedNotStale(t *testing.T) {
 	}
 	var warnings []string
 	report, err := RunWorkload(Config{Seed: 2, Reps: 1, Workers: 1, Scenario: sc, Workload: workload.Swarm(1024),
-		Logf: func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }})
+		logf: func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestLagWarningNamesTheLateTransition(t *testing.T) {
 	}
 	var warnings []string
 	if _, err := RunWorkload(Config{Seed: 1, Reps: 1, Workers: 1, Scenario: sc, Workload: workload.Swarm(16),
-		Logf: func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }}); err != nil {
+		logf: func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }}); err != nil {
 		t.Fatal(err)
 	}
 	late := 0
