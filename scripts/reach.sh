@@ -75,7 +75,7 @@ awk '
         }
         all += total; total = missed = from = to = 0; ranges = ""
     }
-    FNR == NR { linked[$1] = 0; next }
+    FNR == NR { linked[$1] = 0; order[++nfiles] = $1; next }
     $1 != file { flush(); file = $1; linked[file] = 1 }
     {
         total += $4
@@ -87,7 +87,7 @@ awk '
     }
     END {
         flush()
-        for (f in linked) if (!linked[f]) printf "-  %s  not built into any run\n", f
+        for (i = 1; i <= nfiles; i++) if (!linked[order[i]]) printf "-  %s  not built into any run\n", order[i]
         printf "reach: %d of %d statements outside bench/ unreached\n", unreached, all
     }
 ' "$work/files" "$work/blocks"
