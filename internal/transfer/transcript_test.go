@@ -127,10 +127,11 @@ func (tr *transcript) serveFirstPartOnly() {
 	})
 }
 
-// rawRepeat speaks the protocol by hand against the real Receiver: the
-// already-encoded petition, then the same part twice. It logs each ack as
-// decoded, so the receiver's refusal text is pinned verbatim.
-func (tr *transcript) rawRepeat(petitionFrame []byte, part partHeader) {
+// raw speaks the protocol by hand against the real Receiver: the
+// already-encoded petition, then each of parts in turn. It logs each ack as
+// decoded, so the receiver's refusal text is pinned verbatim, and then waits
+// up to linger on the open conn for whatever the receiver does next.
+func (tr *transcript) raw(petitionFrame []byte, parts []partHeader, linger time.Duration) {
 	conn, err := tr.src.Dial("dst/xfer")
 	if err != nil {
 		tr.logf("dial: %v", err)
@@ -149,7 +150,7 @@ func (tr *transcript) rawRepeat(petitionFrame []byte, part partHeader) {
 	_, d, _ := wire.Tag(msg.Payload)
 	ack, err := decodePetitionAck(d)
 	tr.logf("petitionAck accept=%v reason=%q received=%s err=%v", ack.Accept, ack.Reason, tr.at(ack.ReceivedAt), err)
-	for i := 0; i < 2; i++ {
+	for _, part := range parts {
 		if err := conn.SendSized(wire.Frame(msgPart, part.encodeTo), part.Size); err != nil {
 			tr.logf("part: %v", err)
 			return
@@ -163,6 +164,10 @@ func (tr *transcript) rawRepeat(petitionFrame []byte, part partHeader) {
 		pa, err := decodePartAck(d)
 		tr.logf("partAck index=%d ok=%v reason=%q delivered=%s ready=%v err=%v",
 			pa.Index, pa.OK, pa.Reason, tr.at(pa.DeliveredAt), pa.Ready, err)
+	}
+	if linger > 0 {
+		_, err := conn.RecvTimeout(linger)
+		tr.logf("%s silent sender's wait ends: %v", tr.at(tr.net.Now()), err)
 	}
 }
 
@@ -208,6 +213,19 @@ func TestTransferTranscript(t *testing.T) {
 			body(tr)
 		}
 	}
+	// mute severs dst→src for each span [from, to) of time into body; a
+	// span with no end stays severed.
+	mute := func(body func(*transcript), spans ...[2]time.Duration) func(*transcript) {
+		return func(tr *transcript) {
+			for _, sp := range spans {
+				tr.dstN.AfterFunc(sp[0], func() { tr.net.Partition("dst", "src", true) })
+				if sp[1] > 0 {
+					tr.dstN.AfterFunc(sp[1], func() { tr.net.Partition("dst", "src", false) })
+				}
+			}
+			body(tr)
+		}
+	}
 
 	run("send whole", accepting, send(1))
 	run("send 4 parts", accepting, send(4))
@@ -230,7 +248,8 @@ func TestTransferTranscript(t *testing.T) {
 	})
 	run("receiver rejects a repeated part", accepting, func(tr *transcript) {
 		pet := petition{TransferID: 41, FileName: "f.bin", Checksum: file.Checksum(), TotalSize: file.Size, Parts: 2, Sender: "src"}
-		tr.rawRepeat(pet.encode(), partHeader{TransferID: 41, Index: 0, Offset: 0, Size: Mb})
+		part := partHeader{TransferID: 41, Index: 0, Offset: 0, Size: Mb}
+		tr.raw(pet.encode(), []partHeader{part, part}, 0)
 	})
 	run("receiver rejects a repeated piece", accepting, func(tr *transcript) {
 		// The piece petition frame, field by field: pieces 1 and 5 of 8.
@@ -246,8 +265,23 @@ func TestTransferTranscript(t *testing.T) {
 		e.Int(5)
 		e.String("src")
 		e.Time(time.Time{})
-		tr.rawRepeat(e.Bytes(), partHeader{TransferID: 42, Index: 1, Offset: 250_000, Size: 250_000})
+		part := partHeader{TransferID: 42, Index: 1, Offset: 250_000, Size: 250_000}
+		tr.raw(e.Bytes(), []partHeader{part, part}, 0)
 	})
+	// The receiver's replies are lost: the first copies of the petition ack
+	// in the first span, part 1's ack in the second. It retransmits both.
+	run("receiver replies lost and retransmitted", accepting,
+		mute(send(4), [2]time.Duration{15 * time.Millisecond, 2 * time.Second}, [2]time.Duration{5 * time.Second, 6 * time.Second}))
+	// A sender that stops after part 0 of 4 with its conn open: the
+	// receiver's per-part wait ends the transfer with its FIN.
+	run("sender goes silent after part 0 of 4", accepting, func(tr *transcript) {
+		pet := petition{TransferID: 43, FileName: "f.bin", Checksum: file.Checksum(), TotalSize: file.Size, Parts: 4, Sender: "src"}
+		tr.raw(pet.encode(), []partHeader{{TransferID: 43, Index: 0, Offset: 0, Size: file.Size / 4}}, 3*time.Hour)
+	})
+	// dst→src is severed for good just as the petition lands: the
+	// receiver's petition ack runs out of retries and it tears down.
+	run("receiver replies cut for good after the petition", accepting,
+		mute(send(4), [2]time.Duration{20 * time.Millisecond, 0}))
 
 	sweeptest.Golden(t, "transcript.golden", all.Bytes())
 }
