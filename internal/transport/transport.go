@@ -105,6 +105,9 @@ type Endpoint interface {
 type Timer interface {
 	// Stop cancels the timer, reporting whether it prevented the callback.
 	Stop() bool
+	// Reset re-arms the timer to run its callback d from now, in place of a
+	// pending run, and reports whether there was one.
+	Reset(d time.Duration) bool
 }
 
 // Queue is a host-provided unbounded FIFO whose Pop parks the calling
@@ -125,8 +128,8 @@ type Queue interface {
 	// poppable.
 	Close()
 	// Reopen makes a closed queue, drained and with no waiter, open again
-	// as if new, so its owner can reuse it (a recycled pipe conn's inbox).
-	// It panics on an open or non-empty queue.
+	// as if new, unserved, so its owner can reuse it (a recycled pipe
+	// conn's inbox). It panics on an open or non-empty queue.
 	Reopen()
 	// Serve makes fn the only consumer, in place of a process looping on
 	// Pop: fn gets every value in FIFO order, one at a time, until the queue

@@ -148,7 +148,7 @@ func (q *Queue) pop(timeout time.Duration) (any, error) {
 	}
 	w := s.parkingLocked()
 	if timeout >= 0 {
-		w.deadline = s.scheduleLocked(s.now+timeout, nil)
+		w.deadline = s.scheduleLocked(s.now + timeout)
 		w.deadline.q, w.deadline.wake = q, w
 	}
 	q.waits.push(w)
@@ -179,7 +179,7 @@ func (q *Queue) PushAt(v any, at time.Time) {
 	s := q.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.scheduleLocked(max(at.Sub(Epoch), s.now), nil)
+	e := s.scheduleLocked(max(at.Sub(Epoch), s.now))
 	e.q, e.v = q, v
 }
 
@@ -194,10 +194,10 @@ func (q *Queue) Len() int {
 func (q *Queue) Reopen() {
 	q.s.mu.Lock()
 	defer q.s.mu.Unlock()
-	if !q.closed || q.items.len() > 0 || q.waits.len() > 0 {
-		panic("vtime: Reopen on an open, non-empty or waited-on queue")
+	if !q.closed || q.items.len() > 0 || q.waits.len() > 0 || q.draining {
+		panic("vtime: Reopen on an open, non-empty, waited-on or draining queue")
 	}
-	q.closed = false
+	q.closed, q.serve = false, nil
 }
 
 // Close marks the queue closed and wakes every waiter, oldest first, with

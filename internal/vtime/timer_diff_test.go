@@ -9,15 +9,12 @@ import (
 	"time"
 )
 
-// refTimer is one timer of the reference store. proc marks a timer whose
-// firing is observed only when the process it wakes or spawns gets its turn
-// (Sleep, AfterFunc); the others are lock-held callbacks observed as they
-// fire.
+// refTimer is one timer of the reference store. Its firing is observed when
+// the process it spawns (AfterFunc) or wakes (Sleep) gets its turn.
 type refTimer struct {
-	at   time.Duration
-	seq  int
-	id   int
-	proc bool
+	at  time.Duration
+	seq int
+	id  int
 }
 
 // refTimers is the oracle the scheduler's heap is checked against: a slice
@@ -27,11 +24,11 @@ type refTimers struct {
 	seq     int
 }
 
-func (r *refTimers) schedule(at time.Duration, id int, proc bool) {
+func (r *refTimers) schedule(at time.Duration, id int) {
 	r.seq++
 	// seq only grows, so behind every entry at or before `at` is sorted.
 	i := sort.Search(len(r.pending), func(i int) bool { return r.pending[i].at > at })
-	r.pending = slices.Insert(r.pending, i, refTimer{at, r.seq, id, proc})
+	r.pending = slices.Insert(r.pending, i, refTimer{at, r.seq, id})
 }
 
 func (r *refTimers) cancel(id int) bool {
@@ -55,12 +52,12 @@ func (r *refTimers) popInstant() []refTimer {
 	return batch
 }
 
-// diffRun drives one scheduler and the reference in lock step. Every firing
-// the scheduler makes is matched against the reference's next one, and every
-// callback and process then draws more schedule / cancel / Stop actions from
-// the shared rng and applies them to both. Execution is serialized by the
-// scheduler itself (lock-held callbacks, one process at a time), so the
-// harness state needs no lock of its own.
+// diffRun drives one scheduler and the reference in lock step. Every process
+// a timer starts is matched against the reference's next firing, and every
+// process then draws more schedule / cancel / Stop / Reset actions from the
+// shared rng and applies them to both. Execution is serialized by the
+// scheduler itself (one process at a time), so the harness state needs no
+// lock of its own.
 type diffRun struct {
 	t   *testing.T
 	s   *Scheduler
@@ -68,11 +65,10 @@ type diffRun struct {
 	ref refTimers
 	now time.Duration // virtual time at the latest observation
 
-	batch []refTimer // reference's current instant: entries not yet seen to fire
-	runq  []refTimer // fired process timers whose process has not run yet
+	runq []refTimer // fired timers whose process has not run yet
 
 	entries []*timerEntry // by id; what a queue would hold on to
-	timers  []*Timer      // by id; nil for callback timers
+	timers  []*Timer      // by id
 	fired   int
 	bad     bool
 }
@@ -114,41 +110,27 @@ func (d *diffRun) delay() time.Duration {
 	return time.Millisecond
 }
 
-// scheduleCallback adds a lock-held callback timer. Caller holds s.mu.
-func (d *diffRun) scheduleCallback(delay time.Duration) {
-	id := len(d.entries)
-	d.ref.schedule(d.now+delay, id, false)
-	e := d.s.scheduleLocked(d.now+delay, func() { d.onCallback(id) })
-	d.entries = append(d.entries, e)
-	d.timers = append(d.timers, nil)
-}
-
-// scheduleProcess adds an AfterFunc timer. Process context only.
+// scheduleProcess adds an AfterFunc timer.
 func (d *diffRun) scheduleProcess(delay time.Duration) {
 	id := len(d.entries)
-	d.ref.schedule(d.now+delay, id, true)
+	d.ref.schedule(d.now+delay, id)
 	tm := d.s.AfterFunc(delay, func() { d.onProcess(id) })
 	d.entries = append(d.entries, tm.entry)
 	d.timers = append(d.timers, tm)
 }
 
 // cancelLive cancels, the way a queue drops a pop deadline, a timer the
-// reference still holds: pending, or (from a callback) later in the instant
-// being fired. Caller holds s.mu.
+// reference still holds pending. Caller holds s.mu.
 func (d *diffRun) cancelLive() {
-	from := &d.ref.pending
-	if len(d.batch) > 0 && d.rng.Intn(2) == 0 {
-		from = &d.batch
-	}
-	if len(*from) == 0 {
+	if len(d.ref.pending) == 0 {
 		return
 	}
-	i := d.rng.Intn(len(*from))
-	id := (*from)[i].id
+	i := d.rng.Intn(len(d.ref.pending))
+	id := d.ref.pending[i].id
 	if id < 0 {
 		return // the driver's own Sleep
 	}
-	*from = slices.Delete(*from, i, i+1)
+	d.ref.pending = slices.Delete(d.ref.pending, i, i+1)
 	d.s.cancelLocked(d.entries[id])
 }
 
@@ -158,61 +140,19 @@ func (d *diffRun) checkPending() {
 	}
 }
 
-// onCallback is the body of every callback timer; it runs with s.mu held.
-func (d *diffRun) onCallback(id int) {
-	if d.bad {
-		return
-	}
-	d.fired++
-	d.now = d.s.now
-	if len(d.batch) == 0 {
-		if len(d.runq) > 0 {
-			d.failf("callback %d fired while process %d of the previous instant had not run", id, d.runq[0].id)
-			return
-		}
-		d.batch = d.ref.popInstant()
-	}
-	// Process timers ahead of this callback fired first; their processes
-	// run once the instant's callbacks are through.
-	for len(d.batch) > 0 && d.batch[0].proc {
-		d.runq = append(d.runq, d.batch[0])
-		d.batch = d.batch[1:]
-	}
-	if len(d.batch) == 0 || d.batch[0].id != id || d.batch[0].at != d.now {
-		d.failf("callback %d fired at %v; reference expects %+v", id, d.now, d.batch)
-		return
-	}
-	d.batch = d.batch[1:]
-	switch r := d.rng.Intn(10); {
-	case r < 3:
-		d.scheduleCallback(d.delay())
-	case r < 6:
-		d.cancelLive()
-	}
-}
-
 // observeRun matches a process getting its turn (an AfterFunc body, or the
-// driver returning from Sleep) against the reference. A process woken by an
-// early entry of an instant starts while the rest of the instant's callbacks
-// are still firing under s.mu; reading the clock first waits them out.
+// driver returning from Sleep) against the reference: every timer of an
+// instant fires before any of their processes runs, and they run in firing
+// order.
 func (d *diffRun) observeRun(id int) {
 	d.now = d.s.Elapsed()
 	if d.bad {
 		return
 	}
 	d.fired++
-	if len(d.batch) == 0 && len(d.runq) == 0 {
-		d.batch = d.ref.popInstant()
+	if len(d.runq) == 0 {
+		d.runq = d.ref.popInstant()
 	}
-	// A process runs only after its whole instant has fired.
-	for _, e := range d.batch {
-		if !e.proc {
-			d.failf("process %d ran but callback %d of its instant never fired", id, e.id)
-			return
-		}
-		d.runq = append(d.runq, e)
-	}
-	d.batch = nil
 	if len(d.runq) == 0 || d.runq[0].id != id || d.runq[0].at != d.now {
 		d.failf("process %d ran at %v; reference expects %+v", id, d.now, d.runq)
 		return
@@ -227,20 +167,26 @@ func (d *diffRun) onProcess(id int) {
 		return
 	}
 	switch r := d.rng.Intn(10); {
-	case r < 2:
+	case r < 3:
 		d.scheduleProcess(d.delay())
-	case r < 4:
-		d.locked(func() { d.scheduleCallback(d.delay()) })
-	case r < 7:
+	case r < 6:
 		// Stop any handle ever issued: pending, fired, stopped, cancelled
 		// behind its back, or on an entry since recycled to another timer.
 		target := d.rng.Intn(len(d.timers))
-		if tm := d.timers[target]; tm != nil {
-			if got, want := tm.Stop(), d.ref.cancel(target); got != want {
-				d.failf("Stop(timer %d) = %v, reference says %v", target, got, want)
-			}
+		if got, want := d.timers[target].Stop(), d.ref.cancel(target); got != want {
+			d.failf("Stop(timer %d) = %v, reference says %v", target, got, want)
 		}
 	case r < 8:
+		// Re-arm any handle ever issued, whatever became of it.
+		target, delay := d.rng.Intn(len(d.timers)), d.delay()
+		want := d.ref.cancel(target)
+		d.ref.schedule(d.now+delay, target)
+		tm := d.timers[target]
+		if got := tm.Reset(delay); got != want {
+			d.failf("Reset(timer %d) = %v, reference says %v", target, got, want)
+		}
+		d.entries[target] = tm.entry
+	case r < 9:
 		d.locked(d.cancelLive)
 	}
 	d.checkPending()
@@ -260,15 +206,11 @@ func (d *diffRun) drive(steps int) {
 			if d.rng.Intn(4) == 0 {
 				delay = d.delay()
 			}
-			if d.rng.Intn(3) == 0 {
-				d.scheduleProcess(delay)
-			} else {
-				d.locked(func() { d.scheduleCallback(delay) })
-			}
+			d.scheduleProcess(delay)
 		}
 		d.checkPending()
 		sleep := d.delay() + 1
-		d.ref.schedule(d.now+sleep, -step, true)
+		d.ref.schedule(d.now+sleep, -step)
 		d.s.Sleep(sleep)
 		d.observeRun(-step)
 		d.checkPending()
@@ -288,9 +230,9 @@ func TestTimerHeapMatchesSortedSliceReference(t *testing.T) {
 			if d.bad {
 				return
 			}
-			if len(d.ref.pending)+len(d.batch)+len(d.runq) != 0 || d.s.Pending() != 0 {
-				t.Fatalf("quiesced with %d reference timers pending, %d unfired, %d unrun, Pending() = %d",
-					len(d.ref.pending), len(d.batch), len(d.runq), d.s.Pending())
+			if len(d.ref.pending)+len(d.runq) != 0 || d.s.Pending() != 0 {
+				t.Fatalf("quiesced with %d reference timers pending, %d unrun, Pending() = %d",
+					len(d.ref.pending), len(d.runq), d.s.Pending())
 			}
 			if d.fired < 10000 {
 				t.Fatalf("only %d firings checked; the program generator has gone quiet", d.fired)
@@ -306,7 +248,7 @@ func TestTimerInThePastPanics(t *testing.T) {
 	s.Go(func() { s.Sleep(time.Second) })
 	s.Wait()
 	s.mu.Lock()
-	s.scheduleLocked(s.now-1, func() {})
+	s.scheduleLocked(s.now - 1).spawn = func() {}
 	s.mu.Unlock()
 	defer func() {
 		if r := recover(); r == nil {

@@ -156,7 +156,7 @@ func (s *Scheduler) Sleep(d time.Duration) {
 	}
 	s.mu.Lock()
 	w := s.parkingLocked()
-	s.scheduleLocked(s.now+d, nil).wake = w
+	s.scheduleLocked(s.now + d).wake = w
 	s.mu.Unlock()
 	w.park()
 }
@@ -164,8 +164,9 @@ func (s *Scheduler) Sleep(d time.Duration) {
 // Timer is a cancellable virtual-time timer created by AfterFunc.
 type Timer struct {
 	s       *Scheduler
+	fn      func()
 	entry   *timerEntry
-	gen     uint64 // entry generation at creation; a recycled entry is someone else's
+	gen     uint64 // entry generation at arming; a recycled entry is someone else's
 	stopped bool
 }
 
@@ -184,14 +185,35 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
+// Reset re-arms the timer to fire d from now, cancelling the pending firing
+// if there is one, and reports whether there was. A timer that keeps being
+// re-armed costs one Timer, not one per arming.
+func (t *Timer) Reset(d time.Duration) bool {
+	t.s.mu.Lock()
+	defer t.s.mu.Unlock()
+	pending := !t.stopped && t.entry.gen == t.gen
+	if pending {
+		t.s.cancelLocked(t.entry)
+	}
+	t.armLocked(d)
+	return pending
+}
+
+// armLocked files the timer's entry for d from now. Caller holds s.mu.
+func (t *Timer) armLocked(d time.Duration) {
+	e := t.s.scheduleLocked(t.s.now + max(d, 0))
+	e.spawn = t.fn
+	t.entry, t.gen, t.stopped = e, e.gen, false
+}
+
 // AfterFunc schedules fn to run as a new process d of virtual time from now.
-// The returned Timer can cancel it before it fires.
+// The returned Timer can cancel it before it fires, or re-arm it.
 func (s *Scheduler) AfterFunc(d time.Duration, fn func()) *Timer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entry := s.scheduleLocked(s.now+max(d, 0), nil)
-	entry.spawn = fn
-	return &Timer{s: s, entry: entry, gen: entry.gen}
+	t := &Timer{s: s, fn: fn}
+	t.armLocked(d)
+	return t
 }
 
 // getEntryLocked pops a recycled timer entry off the free list, or allocates
@@ -215,20 +237,20 @@ func (s *Scheduler) getEntryLocked() *timerEntry {
 // s.mu; e must already be out of the heap.
 func (s *Scheduler) putEntryLocked(e *timerEntry) {
 	e.gen++
-	e.fire, e.spawn, e.wake, e.q, e.v = nil, nil, nil, nil, nil
+	e.spawn, e.wake, e.q, e.v = nil, nil, nil, nil
 	s.free = append(s.free, e)
 }
 
-// scheduleLocked enqueues a timer entry for instant at. A non-nil fn makes
-// it a raw callback; otherwise the caller names the entry's target (see
-// timerEntry) before releasing the lock. Every caller schedules at or after
-// the current instant (Sleep, AfterFunc and Pop add to now, PushAt clamps);
-// advanceLocked panics on an entry that breaks this. Caller holds s.mu.
-func (s *Scheduler) scheduleLocked(at time.Duration, fn func()) *timerEntry {
+// scheduleLocked enqueues a timer entry for instant at; the caller names the
+// entry's target (see timerEntry) before releasing the lock. Every caller
+// schedules at or after the current instant (Sleep, AfterFunc and Pop add to
+// now, PushAt clamps); advanceLocked panics on an entry that breaks this.
+// Caller holds s.mu.
+func (s *Scheduler) scheduleLocked(at time.Duration) *timerEntry {
 	s.seq++
 	s.deadlockNotified = false
 	e := s.getEntryLocked()
-	e.at, e.seq, e.fire = at, s.seq, fn
+	e.at, e.seq = at, s.seq
 	s.timers.push(e)
 	return e
 }
@@ -302,8 +324,6 @@ func (s *Scheduler) advanceLocked() bool {
 // a wake or a spawn is an append to the ready ring. Caller holds s.mu.
 func (s *Scheduler) fireLocked(e *timerEntry) {
 	switch {
-	case e.fire != nil:
-		e.fire()
 	case e.spawn != nil:
 		s.admitLocked(readyItem{fn: e.spawn})
 	case e.q == nil:
@@ -408,7 +428,6 @@ func (s *Scheduler) Running() int {
 // timerEntry is one pending timer. Besides its instant it names what firing
 // it does, so that arming a timer allocates nothing:
 //
-//	fire            a raw callback, run with the scheduler lock held
 //	spawn           AfterFunc: the function becomes a new process
 //	wake            Sleep: the parked process becomes runnable
 //	q and wake      a Pop deadline: the process leaves q's wait list with ErrTimeout
@@ -416,7 +435,6 @@ func (s *Scheduler) Running() int {
 type timerEntry struct {
 	at        time.Duration
 	seq       int64
-	fire      func()
 	spawn     func()
 	wake      *pworker
 	q         *Queue

@@ -158,12 +158,12 @@ func TestSameInstantTimersFireInScheduleOrder(t *testing.T) {
 func TestCallbackFiringOrderIsScheduleOrder(t *testing.T) {
 	// The heap pops in (at, seq) order, which must be exactly the firing
 	// order: entries at an earlier instant first, ties broken by schedule
-	// order. Callbacks registered via callbackAt run with the scheduler lock
-	// held, so the recorded order is the true firing order.
+	// order. A fired timer's process joins the ready ring as it fires, and
+	// the ring runs in order, so the recorded order is the firing order.
 	s := NewScheduler()
 	var order []string
 	schedule := func(name string, at time.Duration) {
-		s.callbackAt(at, func() { order = append(order, name) })
+		s.AfterFunc(at, func() { order = append(order, name) })
 	}
 	// Interleave instants so heap order differs from insertion order.
 	schedule("b1", 5*time.Millisecond)
@@ -676,12 +676,4 @@ func TestSpawnedProcessRunsAfterSpawnerParks(t *testing.T) {
 	if !reflect.DeepEqual(trace, want) {
 		t.Fatalf("trace = %v, want %v", trace, want)
 	}
-}
-
-// callbackAt schedules fn to run with the scheduler lock held at virtual time
-// at (clamped to now): the raw timer-callback form, which only tests use.
-func (s *Scheduler) callbackAt(at time.Duration, fn func()) *timerEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.scheduleLocked(max(at, s.now), fn)
 }
