@@ -117,10 +117,12 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 	for i := range b.shards {
 		b.shards[i] = jxta.NewCache(cfg.CacheLimit, host.Now)
 	}
-	// Every conn is served by a process of its own (the scheduler pools the
-	// coroutines), so a same-instant burst never serializes behind one
-	// handler's park points and is served in arrival order.
-	b.mux.Serve(b.serve)
+	// Every conn is served on its own inbox (the scheduler pools the
+	// coroutines the inboxes drain on), so a same-instant burst never
+	// serializes behind one handler's park points and is served in arrival
+	// order.
+	serve := pipe.Handler(b.serve)
+	b.mux.Serve(func(pipe.Conn) pipe.Handler { return serve })
 	return b, nil
 }
 
@@ -292,13 +294,13 @@ func (b *Broker) Restart() {
 func (b *Broker) Close() { b.mux.Close() }
 
 // serve handles one request conn. Every exchange is request/response on a
-// fresh conn, so a single Recv suffices.
-func (b *Broker) serve(conn pipe.Conn) {
+// fresh conn, so its first event, the request, is all it reads.
+func (b *Broker) serve(conn pipe.Conn, ev pipe.Event) {
 	defer conn.Close()
-	msg, err := conn.Recv()
-	if err != nil {
+	if ev.Err != nil {
 		return
 	}
+	msg := ev.Msg
 	kind, d, err := wire.Tag(msg.Payload)
 	if err != nil {
 		return

@@ -119,7 +119,8 @@ func (c *Client) Start() error {
 	c.xferMux = pipe.NewMux(c.host, xferEP, opts)
 	c.sender = transfer.NewSender(c.host, c.xferMux)
 	transfer.NewReceiver(c.host, c.xferMux, c.cfg.OnFile)
-	c.ctlMux.Serve(c.serveControl)
+	serve := pipe.Handler(c.serveControl)
+	c.ctlMux.Serve(func(pipe.Conn) pipe.Handler { return serve })
 	if err := c.register(); err != nil {
 		c.Stop()
 		return err
@@ -168,13 +169,12 @@ func (c *Client) call(to transport.Addr, payload []byte) ([]byte, error) {
 }
 
 // serveControl serves one inbound control conn (a task, an instant message).
-func (c *Client) serveControl(conn pipe.Conn) {
+func (c *Client) serveControl(conn pipe.Conn, ev pipe.Event) {
 	defer conn.Close()
-	msg, err := conn.Recv()
-	if err != nil {
+	if ev.Err != nil {
 		return
 	}
-	kind, d, err := wire.Tag(msg.Payload)
+	kind, d, err := wire.Tag(ev.Msg.Payload)
 	if err != nil {
 		return
 	}

@@ -17,7 +17,7 @@ import (
 // independently of the attempts before it: a message is sent alone on its
 // conn, so no later ack covers it, and the retransmission timeout outlasts
 // the round trip, so no attempt is cut short. The retransmissions of an
-// acknowledged message are then geometric, cut at maxAttempts = m:
+// acknowledged message are then geometric, cut at MaxAttempts = m:
 //
 //	mean f/s − m·f^m/(1−f^m), where f = 1 − s
 //
@@ -45,13 +45,7 @@ func TestLossyLinkRetransmissionsClosedForm(t *testing.T) {
 		pa, pb := end(), end()
 		size := 100 + rng.Intn(4000)
 		r := newRig(t, pa, pb, Options{})
-		r.muxB.Serve(func(conn Conn) {
-			for {
-				if _, err := conn.Recv(); err != nil {
-					return
-				}
-			}
-		})
+		r.muxB.Serve(func(Conn) Handler { return func(Conn, Event) {} })
 		var retx, broken int64
 		r.net.Run(func() {
 			var conn Conn
@@ -78,7 +72,7 @@ func TestLossyLinkRetransmissionsClosedForm(t *testing.T) {
 		})
 
 		s := (1 - pb.LossRate) * (1 - pa.LossRate)
-		f, m := 1-s, float64(maxAttempts)
+		f, m := 1-s, float64(MaxAttempts)
 		want := f/s - m*math.Pow(f, m)/(1-math.Pow(f, m))
 		got := float64(retx) / float64(n)
 		tol := 4 * math.Sqrt(f/(s*s)/float64(n))

@@ -120,11 +120,13 @@ func TestLateDataAfterCloseIsDropped(t *testing.T) {
 	rec := &recordingEndpoint{Endpoint: epA}
 	muxA, muxB := NewMux(a, rec, Options{}), NewMux(b, epB, Options{})
 	accepted := 0
-	muxB.Serve(func(c Conn) {
+	muxB.Serve(func(Conn) Handler {
 		accepted++
-		defer c.Close()
-		if m, err := c.Recv(); err == nil {
-			c.Send(m.Payload)
+		return func(c Conn, ev Event) {
+			defer c.Close()
+			if ev.Err == nil {
+				c.Send(ev.Msg.Payload)
+			}
 		}
 	})
 	var delivered [2]int64

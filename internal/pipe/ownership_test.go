@@ -148,6 +148,54 @@ func perMessage(t *testing.T, size, msgs int) (allocs, heap float64) {
 	return allocs, heap
 }
 
+// perPost reports the allocations of one posted answer end to end, averaged
+// over msgs exchanges on one conn: the dialer's Send of a request, the served
+// handler's Post of the answer and its completion, and the dialer's Recv.
+func perPost(t *testing.T, msgs int) (allocs float64) {
+	r := newRig(t, cleanProfile(), cleanProfile(), Options{})
+	answer := []byte("answer")
+	reply := func(conn Conn, ev Event) {
+		switch {
+		case ev.Posted && ev.Err == nil:
+		case ev.Err != nil:
+			conn.Close()
+		default:
+			if err := conn.Post(answer); err != nil {
+				t.Errorf("Post: %v", err)
+			}
+		}
+	}
+	r.muxB.Serve(func(Conn) Handler { return reply })
+	r.net.Run(func() {
+		conn, err := r.muxA.Dial("b/pipe")
+		if err != nil {
+			t.Errorf("Dial: %v", err)
+			return
+		}
+		defer conn.Close()
+		request := []byte("request")
+		exchange := func(k int) {
+			for i := 0; i < k; i++ {
+				if err := conn.Send(request); err != nil {
+					t.Errorf("Send: %v", err)
+					return
+				}
+				if _, err := conn.Recv(); err != nil {
+					t.Errorf("Recv: %v", err)
+					return
+				}
+			}
+		}
+		exchange(64) // conn state, free lists, timers and pools settle
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		exchange(msgs)
+		runtime.ReadMemStats(&after)
+		allocs = float64(after.Mallocs-before.Mallocs) / float64(msgs)
+	})
+	return allocs
+}
+
 // TestDataMessageAllocBudget gates one acknowledged data message end to end.
 // The allocation budget is an exact count, and the payload travels by
 // reference: a 16 KB message costs at most 64 B more than a 64 B one (a
@@ -160,9 +208,13 @@ func TestDataMessageAllocBudget(t *testing.T) {
 	}
 	allocs, small := perMessage(t, 64, msgs)
 	_, large := perMessage(t, 16<<10, msgs)
-	t.Logf("%.2f allocations per acknowledged message; %.0f B at a 64 B payload, %.0f B at 16 KB", allocs, small, large)
+	posted := perPost(t, msgs)
+	t.Logf("%.2f allocations per acknowledged message, %.2f per posted answer; %.0f B at a 64 B payload, %.0f B at 16 KB", allocs, posted, small, large)
 	if allocs > budget+0.5 {
 		t.Fatalf("%.2f allocations per data message, budget %d", allocs, budget)
+	}
+	if posted > budget+0.5 {
+		t.Fatalf("%.2f allocations per posted answer and its request, budget %d", posted, budget)
 	}
 	if large > small+64 {
 		t.Fatalf("a 16 KB message costs %.0f B, a 64 B one %.0f B: the payload is copied", large, small)
@@ -174,12 +226,13 @@ func TestDataMessageAllocBudget(t *testing.T) {
 // side — a control RPC's shape.
 func shortConns(tb testing.TB, calls int) (allocs float64) {
 	r := newRig(tb, cleanProfile(), cleanProfile(), Options{})
-	r.muxB.Serve(func(conn Conn) {
+	echo := func(conn Conn, ev Event) {
 		defer conn.Close()
-		if m, err := conn.Recv(); err == nil {
-			conn.Send(m.Payload)
+		if ev.Err == nil {
+			conn.Send(ev.Msg.Payload)
 		}
-	})
+	}
+	r.muxB.Serve(func(Conn) Handler { return echo })
 	payload := []byte("request")
 	call := func() {
 		conn, err := r.muxA.Dial("b/pipe")

@@ -70,8 +70,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// maxAttempts bounds transmission attempts per message.
-const maxAttempts = 8
+// MaxAttempts bounds transmission attempts per message.
+const MaxAttempts = 8
 
 // initialRTT seeds a conn's RTO estimator before any sample.
 const initialRTT = 500 * time.Millisecond
@@ -98,6 +98,20 @@ type Message struct {
 	Size int
 }
 
+// Event is one thing a served conn hands its handler (see Mux.Serve).
+type Event struct {
+	Msg Message // the next message in order, unless Posted or Err is set
+	// Posted reports the completion of the conn's outstanding Post: its
+	// ack arrived, or, with Err, the conn broke or closed first.
+	Posted bool
+	// Err, when not Posted, is the conn's end: ErrClosed, or why it broke.
+	Err error
+}
+
+// Handler takes one served conn's events, one at a time and in order. It may
+// park (in Send, say), holding back the conn's later events meanwhile.
+type Handler func(Conn, Event)
+
 type connKey struct {
 	peer transport.Addr
 	id   uint64
@@ -107,10 +121,10 @@ type connKey struct {
 
 // Mux demultiplexes reliable Conns over one endpoint.
 type Mux struct {
-	host    transport.Host
-	ep      transport.Endpoint
-	opts    Options
-	handler func(Conn) // see Serve
+	host   transport.Host
+	ep     transport.Endpoint
+	opts   Options
+	accept func(Conn) Handler // see Serve
 
 	mu       sync.Mutex
 	conns    map[connKey]*conn          // made on the first conn
@@ -162,17 +176,35 @@ func (m *Mux) Accept() (Conn, error) {
 	return Conn{c, c.gen}, nil
 }
 
-// Serve runs fn on every accepted conn, each in a process of its own started
-// in accept order, in place of a process looping on Accept.
-func (m *Mux) Serve(fn func(Conn)) {
-	m.handler = fn
-	m.accepts.Serve(func(v any) {
-		c := v.(*conn)
-		if c.serve == nil {
-			c.serve = func() { m.handler(Conn{c, c.gen}) } // see Accept
-		}
-		m.host.Go(c.serve)
-	})
+// Serve serves every conn a remote dials in, in place of a process looping
+// on Accept: in accept order, accept is handed the conn and returns the
+// handler of its events, which runs on the conn's served inbox. That inbox
+// holds no process between events. It hands the handler each message in
+// order; while one of the conn's Posts is outstanding it hands nothing but
+// that Post's completion, so a conn that answers each message with a Post
+// sees the next message only once the answer was acknowledged. The handler
+// owns the conn and ends it with Close; until then it is told once, after
+// every message before it, when the conn ends: the peer's FIN, a break, or
+// the deadline (CloseAfter) firing. After Close it is handed nothing.
+func (m *Mux) Serve(accept func(Conn) Handler) {
+	m.mu.Lock()
+	m.accept = accept
+	m.mu.Unlock()
+	m.accepts.Serve(serveConn)
+}
+
+// serveConn is a serving mux's accept queue consumer: it hands an accepted
+// conn to the mux's accept and serves its inbox.
+func serveConn(v any) {
+	c := v.(*conn) // held by its owner: its generation stays put
+	h := c.mux.accept(Conn{c, c.gen})
+	c.mu.Lock()
+	c.handler = h
+	if c.drain == nil {
+		c.drain = c.serveNext
+	}
+	c.mu.Unlock()
+	c.inbox.Serve(c.drain)
 }
 
 // Close tears down the mux, every conn, and the endpoint. Conns go down in
@@ -220,7 +252,7 @@ func (m *Mux) newConnLocked(peer transport.Addr, id uint64, theirs bool) *conn {
 		c = &conn{mux: m, inbox: m.host.NewQueue()}
 	}
 	c.holds = 2
-	c.connState = connState{peer: peer, id: id, theirs: theirs,
+	c.connState = connState{peer: peer, id: id, theirs: theirs, served: theirs && m.accept != nil,
 		tokAvail: m.opts.Window, recvNext: 1, srtt: initialRTT, rttvar: initialRTT / 2}
 	if m.conns == nil {
 		m.conns = make(map[connKey]*conn)
@@ -296,22 +328,25 @@ func (m *Mux) sendFrame(peer transport.Addr, kind byte, dirTheirs bool, id, seq,
 	return m.ep.SendFrame(peer, e.Bytes(), payload, e.Len()+size)
 }
 
-// inflight is one send awaiting its ack. A record receives exactly one push
-// (it is unlisted before the push) and returns to its mux's free list only
-// after its sender consumed that push.
+// inflight is one message awaiting its ack. A Send's is retransmitted by its
+// sender, parked on released for the completion; a Post's by its timer,
+// re-armed for each attempt and kept through recycling, and it completes on
+// the conn's inbox. Once unlisted it is done, err the completion's, and it
+// recycles when its claims — the completion's, and a Post's timer's while
+// armed or firing — are dropped.
 type inflight struct {
-	released transport.Queue // receives struct{} when acked, error value when broken
-	seq      uint64
-	next     *inflight // the conn's in-flight list, or the mux's free list
-}
-
-// release wakes the unlisted records from fl on, oldest first, with v.
-func release(fl *inflight, v any) {
-	for fl != nil {
-		next := fl.next // read first: once pushed, fl belongs to its sender
-		fl.released.Push(v)
-		fl = next
-	}
+	conn                *conn
+	released            transport.Queue
+	next                *inflight // the conn's in-flight list, or the mux's free list
+	seq                 uint64
+	payload             []byte
+	size                int
+	attempt             int       // transmissions so far, less one
+	txStart             time.Time // when the latest left
+	timer               transport.Timer
+	err                 error
+	claims              int // under the mux's mu; the rest under the conn's
+	posted, armed, done bool
 }
 
 // Conn is a handle on one reliable bidirectional pipe between two endpoints:
@@ -332,9 +367,11 @@ type Conn struct {
 type conn struct {
 	mux   *Mux
 	inbox transport.Queue // *Message records from the mux, delivered in order
-	// The accepted conn's handler process and the deadline's callback,
-	// built on first use per conn object, not once per incarnation.
-	serve, expire func()
+	// A served conn's inbox consumer and the deadline's timer, made on first
+	// use per conn object, not once per incarnation.
+	drain    func(any)
+	deadline transport.Timer
+	held     []any // a served conn's values waiting out a Post; see serveNext
 
 	mu    sync.Mutex
 	gen   uint64 // bumped on recycling, under mu and the mux's mu
@@ -345,9 +382,15 @@ type conn struct {
 // connState is one incarnation of a conn, reset in one assignment on reuse.
 // All but the addressing fields sit under the conn's mu.
 type connState struct {
-	peer     transport.Addr
-	id       uint64
-	theirs   bool
+	peer   transport.Addr
+	id     uint64
+	theirs bool
+	// A served conn (see Mux.Serve): every value on its inbox holds it
+	// until handed; posts counts its outstanding Posts.
+	served   bool
+	handler  Handler
+	posts    int
+	ended    bool   // a served conn's end notice is queued
 	sendNext uint64 // next seq to allocate (first is 1)
 	// In-flight sends, linked in seq order: a send joins the tail as it
 	// takes its seq, an ack releases a prefix and teardown the whole list.
@@ -364,7 +407,7 @@ type connState struct {
 	closed     bool               // torn down
 	released   bool               // the owner's Close ran
 	expired    bool               // the deadline fired
-	deadline   transport.Timer    // armed by CloseAfter, until Close stops it
+	dlArmed    bool               // the deadline is armed or firing, and holds the conn
 	srtt       time.Duration
 	rttvar     time.Duration
 	rate       float64 // measured service rate, bytes/sec; 0 = no sample yet
@@ -425,66 +468,140 @@ func (h Conn) SendSized(payload []byte, size int) error {
 }
 
 func (c *conn) sendSized(payload []byte, size int) error {
-	size = max(size, len(payload))
 	if err := c.acquireToken(); err != nil {
 		return c.closedErr()
 	}
 	defer c.releaseToken()
-
 	c.mu.Lock()
 	if c.closed { // a conn is broken only as it is torn down
 		c.mu.Unlock()
 		return c.closedErr()
 	}
+	fl := c.listLocked(payload, size, false)
+	c.mu.Unlock()
+	for {
+		if _, err := fl.released.PopTimeout(c.attempt(fl)); err == nil {
+			return c.complete(fl)
+		}
+		if fl.attempt++; fl.attempt == MaxAttempts {
+			c.teardown(ErrBroken, true)
+			fl.released.Pop()
+			return c.complete(fl)
+		}
+	}
+}
+
+// Post transmits payload reliably as Send does, on a served conn (see
+// Mux.Serve), without waiting: its completion — the ack, or the break or
+// close that came first — reaches the conn's handler as a Posted event, and
+// until then the handler is handed nothing else. Post takes no window slot.
+func (h Conn) Post(payload []byte) error {
+	c := h.enter()
+	if c == nil {
+		return ErrClosed
+	}
+	defer c.leave()
+	c.mu.Lock()
+	if !c.served {
+		c.mu.Unlock()
+		panic("pipe: Post on a conn that is not served")
+	}
+	if c.closed {
+		c.mu.Unlock()
+		return c.closedErr()
+	}
+	fl := c.listLocked(payload, len(payload), true)
+	c.posts++
+	c.holds++ // the completion's, until it is handed
+	c.mu.Unlock()
+	c.attempt(fl)
+	return nil
+}
+
+// listLocked gives payload the next seq and joins its record to the tail of
+// the in-flight list. Caller holds c.mu.
+func (c *conn) listLocked(payload []byte, size int, posted bool) *inflight {
 	c.sendNext++
-	seq := c.sendNext
 	fl := c.mux.takeInflight()
-	fl.seq = seq
+	fl.conn, fl.seq, fl.payload, fl.size = c, c.sendNext, payload, max(size, len(payload))
+	fl.posted, fl.claims = posted, 1
 	if c.flTail == nil {
 		c.flHead = fl
 	} else {
 		c.flTail.next = fl
 	}
 	c.flTail = fl
+	return fl
+}
+
+// attempt is the one attempt rule of Send and Post: it puts fl's frame on
+// the wire and returns the RTO to wait for its ack, backed off
+// exponentially; a Post's timer is armed for it. A transport-level refusal
+// (unknown node) is not retryable: it breaks the conn.
+func (c *conn) attempt(fl *inflight) time.Duration {
+	rto := min(c.rtoFor(fl.size)<<uint(fl.attempt), MaxRTO)
+	now := c.mux.host.Now()
+	c.mu.Lock()
+	fl.txStart = now
 	c.mu.Unlock()
-
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		rto := min(c.rtoFor(size)<<uint(attempt), MaxRTO) // exponential backoff on retries
-
-		txStart := c.mux.host.Now()
-		if err := c.mux.sendFrame(c.peer, kindData, !c.theirs, c.id, seq, 0, payload, size); err != nil {
-			// Transport-level refusal (unknown node): not retryable.
-			c.teardown(fmt.Errorf("%w: %w", ErrBroken, err), true)
-			return c.closedErr()
-		}
-		if attempt > 0 {
-			c.mu.Lock()
-			c.retxCount++
-			c.mu.Unlock()
-		}
-
-		v, err := fl.released.PopTimeout(rto)
-		switch {
-		case err == nil:
-			// The single push was consumed; the record is ours to recycle.
-			c.mux.recycleInflight(fl)
-			if e, isErr := v.(error); isErr {
-				return e
-			}
-			if attempt == 0 { // Karn's rule: only sample unambiguous acks
-				c.observe(c.mux.host.Now().Sub(txStart), size)
-			}
-			return nil
-		case errors.Is(err, transport.ErrTimeout):
-			continue
-		default:
-			return c.closedErr()
+	err := c.mux.sendFrame(c.peer, kindData, !c.theirs, c.id, fl.seq, 0, fl.payload, fl.size)
+	if err != nil {
+		c.teardown(fmt.Errorf("%w: %w", ErrBroken, err), true)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err == nil && fl.attempt > 0 {
+		c.retxCount++
+	}
+	if fl.posted && !fl.done {
+		c.mux.claim(fl, 1) // the timer's
+		fl.armed = true
+		if fl.timer == nil {
+			fl.timer = c.mux.host.AfterFunc(rto, fl.retransmit)
+		} else {
+			fl.timer.Reset(rto)
 		}
 	}
-	// fl stays listed: teardown's push to it wakes nobody, and the
-	// collector takes it.
-	c.teardown(ErrBroken, true)
-	return ErrBroken
+	return rto
+}
+
+// retransmit is a posted message's timer firing: unless the message
+// completed meanwhile, it makes the next attempt, or, after MaxAttempts,
+// breaks the conn as Send does.
+func (fl *inflight) retransmit() {
+	c := fl.conn
+	c.mu.Lock()
+	fl.armed = false
+	live := !fl.done
+	if live {
+		fl.attempt++
+		c.holds++ // fl is listed, so the conn is live
+	}
+	c.mu.Unlock()
+	switch {
+	case !live:
+	case fl.attempt < MaxAttempts:
+		c.attempt(fl)
+	default:
+		c.teardown(ErrBroken, true)
+	}
+	if live {
+		c.leave()
+	}
+	c.mux.claim(fl, -1)
+}
+
+// complete takes fl's completion. Karn's rule feeds the estimators only an
+// ack of a first transmission, the one unambiguous sample.
+func (c *conn) complete(fl *inflight) error {
+	c.mu.Lock()
+	err, sample := fl.err, c.mux.host.Now().Sub(fl.txStart)
+	if err == nil && fl.attempt == 0 {
+		c.observeLocked(sample, fl.size)
+	}
+	c.mu.Unlock()
+	c.mux.claim(fl, -1)
+	return err
 }
 
 // takeInflight pops a recycled in-flight record, or makes one.
@@ -499,11 +616,14 @@ func (m *Mux) takeInflight() *inflight {
 	return fl
 }
 
-// recycleInflight returns a record to the free list. Only the sender that
-// consumed the record's single push may recycle it.
-func (m *Mux) recycleInflight(fl *inflight) {
+// claim adds n to fl's claims; the last one dropped recycles it, emptied
+// but for what it makes once.
+func (m *Mux) claim(fl *inflight, n int) {
 	m.mu.Lock()
-	fl.next, m.flFree = m.flFree, fl
+	if fl.claims += n; fl.claims == 0 {
+		*fl = inflight{released: fl.released, timer: fl.timer, next: m.flFree}
+		m.flFree = fl
+	}
 	m.mu.Unlock()
 }
 
@@ -588,13 +708,12 @@ func (c *conn) rtoFor(size int) time.Duration {
 	return min(c.srtt+4*c.rttvar+2*tx, MaxRTO)
 }
 
-// observe folds an ack round-trip sample into the RTT and rate estimators.
-func (c *conn) observe(sample time.Duration, size int) {
+// observeLocked folds an ack round-trip sample into the RTT and rate
+// estimators. Caller holds c.mu.
+func (c *conn) observeLocked(sample time.Duration, size int) {
 	if sample <= 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	diff := max(sample-c.srtt, c.srtt-sample)
 	c.rttvar = (3*c.rttvar + diff) / 4
 	c.srtt = (7*c.srtt + sample) / 8
@@ -654,7 +773,7 @@ func (c *conn) handleData(seq uint64, payload []byte, size int) {
 	c.mu.Lock()
 	switch {
 	case seq == c.recvNext:
-		c.inbox.Push(c.mux.newMessage(payload, size))
+		c.deliverLocked(c.mux.newMessage(payload, size))
 		c.recvNext++
 	case seq > c.recvNext: // a retransmit of a buffered seq carries the same message
 		if c.recvBuf == nil {
@@ -664,11 +783,11 @@ func (c *conn) handleData(seq uint64, payload []byte, size int) {
 	}
 	for m, ok := c.recvBuf[c.recvNext]; ok; m, ok = c.recvBuf[c.recvNext] {
 		delete(c.recvBuf, c.recvNext)
-		c.inbox.Push(c.mux.newMessage(m.Payload, m.Size))
+		c.deliverLocked(c.mux.newMessage(m.Payload, m.Size))
 		c.recvNext++
 	}
 	if c.finSeq != 0 && c.recvNext >= c.finSeq {
-		c.inbox.Close()
+		c.endLocked()
 	}
 	ackThrough := c.recvNext - 1
 	c.mu.Unlock()
@@ -676,37 +795,120 @@ func (c *conn) handleData(seq uint64, payload []byte, size int) {
 	c.mux.sendFrame(c.peer, kindAck, !c.theirs, c.id, 0, ackThrough, nil, 0)
 }
 
-// handleAck releases the in-flight sends at or below ack — a prefix of the
-// list — waking their senders in ascending seq.
+// handleAck releases the in-flight messages at or below ack — a prefix of
+// the list — in ascending seq.
 func (c *conn) handleAck(ack uint64) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	head := c.flHead
 	var last *inflight
 	for fl := head; fl != nil && fl.seq <= ack; fl = fl.next {
 		last = fl
 	}
 	if last == nil {
-		c.mu.Unlock()
 		return
 	}
 	if c.flHead = last.next; c.flHead == nil {
 		c.flTail = nil
 	}
 	last.next = nil
-	c.mu.Unlock()
-	release(head, struct{}{})
+	c.releaseLocked(head, nil)
 }
 
-// handleFin records the peer's final seq and closes the inbox once
-// everything before it was delivered.
+// releaseLocked completes the unlisted records from fl on, oldest first,
+// with err: a Send's wakes its sender, a Post's goes to the conn's handler,
+// its timer stopped. Caller holds c.mu.
+func (c *conn) releaseLocked(fl *inflight, err error) {
+	for fl != nil {
+		next := fl.next // read first: once completed, fl belongs to its taker
+		fl.next, fl.done, fl.err = nil, true, err
+		if !fl.posted {
+			fl.released.Push(fl)
+		} else {
+			if fl.armed && fl.timer.Stop() {
+				fl.armed = false
+				c.mux.claim(fl, -1)
+			}
+			c.inbox.Push(fl) // the Post's hold is the value's
+		}
+		fl = next
+	}
+}
+
+// handleFin records the peer's final seq and ends the inbox once everything
+// before it was delivered.
 func (c *conn) handleFin(finSeq uint64) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.finSeq = finSeq
-	closeNow := c.recvNext >= finSeq
-	c.mu.Unlock()
-	if closeNow {
-		c.inbox.Close()
+	if c.recvNext >= finSeq {
+		c.endLocked()
 	}
+}
+
+// deliverLocked queues v on the inbox; on a served conn, v holds the conn
+// until handed. Caller holds c.mu.
+func (c *conn) deliverLocked(v any) {
+	if c.inbox.Push(v) == nil && c.served {
+		c.holds++
+	}
+}
+
+// connEnd tells a served conn's handler that the conn ended.
+type connEnd struct{}
+
+// endLocked ends what the conn delivers, once: an unserved conn's inbox
+// closes, a served one queues the handler's end notice (its inbox closes at
+// teardown, after the outstanding Posts' completions). Caller holds c.mu.
+func (c *conn) endLocked() {
+	if !c.served {
+		c.inbox.Close()
+	} else if !c.ended {
+		c.ended = true
+		c.deliverLocked(connEnd{})
+	}
+}
+
+// serveNext is a served inbox's consumer. A Post's completion is handed at
+// once, anything else in order while no Post is outstanding.
+func (c *conn) serveNext(v any) {
+	c.mu.Lock()
+	c.holds++ // the turn's: nothing it hands may recycle the conn under it
+	if fl, ok := v.(*inflight); ok {
+		c.posts--
+		c.mu.Unlock()
+		c.hand(Event{Posted: true, Err: c.complete(fl)})
+		c.mu.Lock()
+	} else {
+		c.held = append(c.held, v)
+	}
+	for c.posts == 0 && len(c.held) > 0 {
+		v = c.held[0]
+		c.held = append(c.held[:0], c.held[1:]...)
+		c.mu.Unlock()
+		var ev Event
+		if m, ok := v.(*Message); ok {
+			ev.Msg = c.mux.takeMessage(m)
+		} else {
+			ev.Err = c.closedErr()
+		}
+		c.hand(ev)
+		c.mu.Lock()
+	}
+	c.mu.Unlock()
+	c.leave()
+}
+
+// hand passes ev to the handler unless the owner closed the conn, and drops
+// the hold of the value it came from.
+func (c *conn) hand(ev Event) {
+	c.mu.Lock()
+	h, owned := Conn{c, c.gen}, !c.released
+	c.mu.Unlock()
+	if owned {
+		c.handler(h, ev)
+	}
+	c.leave()
 }
 
 // Close ends the owner's use of the conn: it stops the deadline, then, unless
@@ -720,41 +922,56 @@ func (h Conn) Close() error {
 	}
 	defer c.leave()
 	c.mu.Lock()
-	owner, dl := !c.released, c.deadline
-	c.released, c.deadline = true, nil
+	owner := !c.released
+	if c.released = true; owner {
+		c.stopDeadlineLocked()
+	}
 	c.mu.Unlock()
-	if !owner {
-		return nil
+	if owner {
+		c.leave() // the owner's hold; the call's outlives it
+		c.fin()
 	}
-	c.leave() // the owner's hold; the call's outlives it
-	if dl != nil && dl.Stop() {
-		c.leave() // the deadline's
-	}
-	c.fin()
 	return nil
 }
 
-// CloseAfter arms the conn's deadline, at most once per conn: unless Close
-// comes first, d from now the conn sends its FIN and tears down as Close
-// would, waking its Send and Recv callers with ErrClosed, and Expired reports
-// true from then on. Close stops it.
+// CloseAfter arms the conn's deadline d from now, in place of one armed
+// before; a negative d only disarms it. Unless Close or another CloseAfter
+// comes first, the deadline sends the FIN and tears the conn down as Close
+// would, waking its Send and Recv callers with ErrClosed or telling its
+// handler, and Expired reports true from then on. A fired deadline stays so.
 func (h Conn) CloseAfter(d time.Duration) {
-	if c := h.enter(); c != nil {
-		c.mu.Lock()
-		if c.expire == nil {
-			c.expire = c.deadlineFired
-		}
-		c.holds++ // the deadline's: Close's Stop or the deadline drops it
-		c.deadline = c.mux.host.AfterFunc(d, c.expire)
-		c.mu.Unlock()
-		c.leave()
+	c := h.enter()
+	if c == nil {
+		return
+	}
+	defer c.leave()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stopDeadlineLocked(); c.dlArmed || c.closed || d < 0 {
+		return // still armed: it fired, and tears down
+	}
+	c.holds++ // the deadline's: a Stop or the firing drops it
+	c.dlArmed = true
+	if c.deadline == nil {
+		c.deadline = c.mux.host.AfterFunc(d, c.deadlineFired)
+	} else {
+		c.deadline.Reset(d)
+	}
+}
+
+// stopDeadlineLocked disarms a deadline that has not fired, dropping its
+// hold; the caller holds the conn too. Caller holds c.mu.
+func (c *conn) stopDeadlineLocked() {
+	if c.dlArmed && c.deadline.Stop() {
+		c.dlArmed = false
+		c.holds--
 	}
 }
 
 // deadlineFired is the deadline's callback.
 func (c *conn) deadlineFired() {
 	c.mu.Lock()
-	c.expired = true
+	c.expired, c.dlArmed = true, false
 	c.mu.Unlock()
 	c.fin()
 	c.leave()
@@ -775,8 +992,9 @@ func (c *conn) fin() {
 	c.teardown(ErrClosed, true)
 }
 
-// teardown closes the conn, broken by err unless err is ErrClosed: it wakes
-// the senders, closes the queues and, if asked, unregisters from the mux,
+// teardown closes the conn, broken by err unless err is ErrClosed: it
+// completes the in-flight messages, ends and closes the queues and, if
+// asked, unregisters from the mux,
 // dropping the table's hold. Its caller holds the conn too.
 func (c *conn) teardown(err error, unregister bool) {
 	c.mu.Lock()
@@ -788,16 +1006,14 @@ func (c *conn) teardown(err error, unregister bool) {
 	if err != ErrClosed {
 		c.broken = err
 	}
-	waiters := c.flHead
+	c.releaseLocked(c.flHead, err)
 	c.flHead, c.flTail = nil, nil
-	tokWait := c.tokWait
-	c.mu.Unlock()
-
-	release(waiters, err)
-	if tokWait != nil {
-		tokWait.Close()
+	if c.tokWait != nil {
+		c.tokWait.Close()
 	}
+	c.endLocked()
 	c.inbox.Close()
+	c.mu.Unlock()
 
 	if unregister {
 		m := c.mux

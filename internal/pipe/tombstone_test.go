@@ -87,10 +87,14 @@ func tombstoneProgram(t *testing.T, seed int64, steps int) {
 	muxB := NewMux(b, epB, Options{})
 	var accepted []Conn
 	var got [][]byte
-	muxB.Serve(func(c Conn) {
+	muxB.Serve(func(c Conn) Handler {
 		accepted = append(accepted, c)
-		if m, err := c.Recv(); err == nil {
-			got = append(got, m.Payload)
+		first := true
+		return func(_ Conn, ev Event) {
+			if first && ev.Err == nil {
+				got = append(got, ev.Msg.Payload)
+			}
+			first = false
 		}
 	})
 	dialers := make([]*dialer, 2+rng.Intn(2))

@@ -337,6 +337,7 @@ type queue struct {
 	cond   *sync.Cond
 	items  []any
 	closed bool
+	opened int // Reopen count: a serving goroutine of an earlier opening stops
 }
 
 func newQueue() *queue {
@@ -403,11 +404,28 @@ func (q *queue) PopTimeout(d time.Duration) (any, error) {
 }
 
 // Serve runs fn on every value in a goroutine of its own, until the queue is
-// closed and drained.
+// closed and drained or reopened.
 func (q *queue) Serve(fn func(any)) {
+	q.mu.Lock()
+	opened := q.opened
+	q.mu.Unlock()
 	go func() {
-		for v, err := q.Pop(); err == nil; v, err = q.Pop() {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		for {
+			for len(q.items) == 0 && !q.closed && q.opened == opened {
+				q.cond.Wait()
+			}
+			if q.opened != opened {
+				return
+			}
+			v, err := q.popLocked()
+			if err != nil {
+				return
+			}
+			q.mu.Unlock()
 			fn(v)
+			q.mu.Lock()
 		}
 	}()
 }
@@ -427,6 +445,8 @@ func (q *queue) Reopen() {
 		panic("realnet: Reopen on an open or non-empty queue")
 	}
 	q.closed = false
+	q.opened++
+	q.cond.Broadcast()
 }
 
 func (q *queue) Close() {

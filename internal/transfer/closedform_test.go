@@ -75,10 +75,7 @@ func newCleanWorld(t *testing.T, l cleanLink) (*simnet.Network, *simnet.Node, *p
 func timeOneMessage(t *testing.T, l cleanLink, payload, size int) time.Duration {
 	t.Helper()
 	n, _, src, _, dst := newCleanWorld(t, l)
-	dst.Serve(func(conn pipe.Conn) {
-		defer conn.Close()
-		conn.Recv()
-	})
+	dst.Serve(func(pipe.Conn) pipe.Handler { return func(conn pipe.Conn, _ pipe.Event) { conn.Close() } })
 	var took time.Duration
 	n.Run(func() {
 		conn, _ := src.Dial("dst/xfer")

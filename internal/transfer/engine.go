@@ -337,8 +337,8 @@ type Received struct {
 	Verified bool // checksum matched (real files) or structure valid
 }
 
-// Receiver serves inbound transfers on a pipe mux; each transfer runs in its
-// own process.
+// Receiver serves inbound transfers on a pipe mux: each accepted conn is an
+// inbound transfer, a state machine on the conn's served inbox.
 type Receiver struct {
 	host   transport.Host
 	onFile func(Received)
@@ -348,27 +348,69 @@ type Receiver struct {
 // not nil, is invoked after each completed whole-file transfer.
 func NewReceiver(host transport.Host, mux *pipe.Mux, onFile func(Received)) *Receiver {
 	r := &Receiver{host: host, onFile: onFile}
-	mux.Serve(r.handle)
+	mux.Serve(r.accept)
 	return r
 }
 
-// handle serves one transfer conn, whichever petition opens it: admit,
-// answer, then receive, validate and confirm each announced part. A whole
-// file is reassembled and handed to onFile; pieces are partial coverage by
+// accept starts an inbound transfer on conn, which waits up to partTimeout
+// for its petition.
+func (r *Receiver) accept(conn pipe.Conn) pipe.Handler {
+	conn.CloseAfter(partTimeout)
+	return (&inbound{r: r}).handle
+}
+
+// inbound is one transfer conn, whichever petition opens it: admit, answer,
+// then receive, validate and confirm each announced part. A whole file is
+// reassembled and handed to onFile; pieces are partial coverage by
 // construction, so there is no Join and no callback — the dissemination
 // engine owns the piece inventory on the driver side, and the receiver only
 // has to pace, validate and confirm.
-func (r *Receiver) handle(conn pipe.Conn) {
-	defer conn.Close()
-	first, err := conn.RecvTimeout(partTimeout)
-	if err != nil {
-		return
+//
+// It runs the sequential program "receive, answer, wait for the answer's
+// ack" as a state machine that holds no process: each answer is Posted, and
+// the conn hands the next message only once the answer was acknowledged, so
+// stamps and frames fall where that program puts them. The wait for the
+// next frame is the conn's deadline, armed for the petition at accept and
+// for each part as the previous answer completes; its firing, the peer's
+// FIN, a broken answer or a bad frame ends the transfer with Close.
+type inbound struct {
+	r         *Receiver
+	in        petition
+	arrived   map[int]bool // made as the petition is admitted
+	parts     []Part
+	whole     bool
+	accepting bool // the outstanding answer lets the transfer go on
+	expected  int  // parts announced
+	received  int  // parts answered
+	perPart   time.Duration
+}
+
+func (t *inbound) handle(conn pipe.Conn, ev pipe.Event) {
+	goOn := false
+	switch {
+	case ev.Posted:
+		goOn = ev.Err == nil && t.accepting && t.answered(conn)
+	case ev.Err != nil:
+	case t.arrived == nil:
+		conn.CloseAfter(-1) // the wait is over
+		goOn = t.petition(conn, ev.Msg)
+	default:
+		conn.CloseAfter(-1)
+		goOn = t.part(conn, ev.Msg)
 	}
+	if !goOn {
+		conn.Close()
+	}
+}
+
+// petition admits the transfer and answers it.
+func (t *inbound) petition(conn pipe.Conn, first pipe.Message) bool {
 	in, err := decodePetition(first.Payload)
 	if err != nil {
-		return
+		return false
 	}
-	receivedAt := r.host.Now()
+	t.in = in
+	receivedAt := t.r.host.Now()
 
 	// The receiver keeps what arrived, never what was only promised: one
 	// map from a position to whether its part has landed holds the
@@ -377,88 +419,95 @@ func (r *Receiver) handle(conn pipe.Conn) {
 	// count straight off the wire, so it sizes nothing past MaxPieces. A
 	// count no sender of ours produces is refused, and so is a piece list
 	// naming a position outside the split or twice.
-	whole, expected := in.Indices == nil, len(in.Indices)
-	if whole {
-		expected = in.Parts
+	t.whole, t.expected = in.Indices == nil, len(in.Indices)
+	if t.whole {
+		t.expected = in.Parts
 	}
 	accept, reason := true, ""
 	if in.Parts < 0 || in.Parts > maxParts {
 		accept, reason = false, fmt.Sprintf("part count %d outside [0, %d]", in.Parts, maxParts)
 	}
-	hint := min(max(expected, 0), MaxPieces)
-	arrived := make(map[int]bool, hint)
+	hint := min(max(t.expected, 0), MaxPieces)
+	t.arrived = make(map[int]bool, hint)
 	for n := 0; accept && n < len(in.Indices); n++ {
 		i := in.Indices[n]
-		if _, twice := arrived[i]; i < 0 || i >= in.Parts || twice {
+		if _, twice := t.arrived[i]; i < 0 || i >= in.Parts || twice {
 			accept, reason = false, fmt.Sprintf("piece list names part %d of %d twice or outside the split", i, in.Parts)
 		}
-		arrived[i] = false
+		t.arrived[i] = false
 	}
-	ack := petitionAck{TransferID: in.TransferID, Accept: accept, Reason: reason, ReceivedAt: receivedAt}
-	if err := conn.Send(wire.Frame(msgPetitionAck, ack.encodeTo)); err != nil || !accept {
-		return
+	if t.whole {
+		t.parts = make([]Part, 0, hint)
 	}
 
 	// The per-part wait must outlive the sender's worst-case retry cycle:
 	// a lost copy of a large part costs the sender its serialization time
 	// plus a conservative retransmission timeout, several times over.
 	// Giving up earlier leaves the sender talking to a dead conn (and the
-	// transfer failing long after it could have recovered).
+	// transfer failing long after it could have recovered). No sender
+	// retries a part past pipe.MaxAttempts attempts of at most pipe.MaxRTO,
+	// which caps the stretch, however large the announced size.
 	partSize := in.TotalSize / max(in.Parts, 1)
-	perPart := partTimeout + time.Duration(10*float64(partSize)/pipe.MinRate*float64(time.Second))
+	stretch := min(max(10*float64(partSize)/pipe.MinRate, 0), (pipe.MaxAttempts * pipe.MaxRTO).Seconds())
+	t.perPart = partTimeout + time.Duration(stretch*float64(time.Second))
 
-	// Parts are taken in any order (a streaming sender's may land
-	// interleaved), one per announced entry; each is acknowledged as it
-	// arrives, and one that was not announced or has already arrived
-	// rejects the transfer. A whole file's parts are kept as they land and
-	// sorted once for Join.
-	var parts []Part
-	if whole {
-		parts = make([]Part, 0, hint)
-	}
-	for i := range expected {
-		msg, err := conn.RecvTimeout(perPart)
-		if err != nil {
-			return
-		}
-		kind, d, err := wire.Tag(msg.Payload)
-		if err != nil || kind != msgPart {
-			return
-		}
-		ph, err := decodePart(d)
-		if err != nil {
-			return
-		}
-		landed, named := arrived[ph.Index]
-		pa := partAck{
-			TransferID:  in.TransferID,
-			Index:       ph.Index,
-			OK:          !landed && (named || whole && ph.Index >= 0 && ph.Index < in.Parts),
-			DeliveredAt: r.host.Now(),
-			Ready:       i+1 < expected,
-		}
-		if !pa.OK {
-			pa.Reason = fmt.Sprintf("unexpected part %d of %d", ph.Index, expected)
-		}
-		if err := conn.Send(wire.Frame(msgPartAck, pa.encodeTo)); err != nil || !pa.OK {
-			return
-		}
-		arrived[ph.Index] = true
-		if whole {
-			parts = append(parts, Part{Index: ph.Index, Offset: ph.Offset, Size: ph.Size, Data: ph.Data})
-		}
-	}
-	if !whole {
-		return
-	}
+	t.accepting = accept
+	ack := petitionAck{TransferID: in.TransferID, Accept: accept, Reason: reason, ReceivedAt: receivedAt}
+	return conn.Post(wire.Frame(msgPetitionAck, ack.encodeTo)) == nil
+}
 
-	slices.SortFunc(parts, func(a, b Part) int { return cmp.Compare(a.Index, b.Index) })
-	f, err := Join(in.FileName, in.TotalSize, parts)
-	if r.onFile != nil {
-		r.onFile(Received{
-			Sender:   in.Sender,
+// part validates and confirms one part. Parts are taken in any order (a
+// streaming sender's may land interleaved), one per announced entry; one
+// that was not announced or has already arrived rejects the transfer. A
+// whole file's parts are kept as they land and sorted once for Join.
+func (t *inbound) part(conn pipe.Conn, msg pipe.Message) bool {
+	kind, d, err := wire.Tag(msg.Payload)
+	if err != nil || kind != msgPart {
+		return false
+	}
+	ph, err := decodePart(d)
+	if err != nil {
+		return false
+	}
+	landed, named := t.arrived[ph.Index]
+	pa := partAck{
+		TransferID:  t.in.TransferID,
+		Index:       ph.Index,
+		OK:          !landed && (named || t.whole && ph.Index >= 0 && ph.Index < t.in.Parts),
+		DeliveredAt: t.r.host.Now(),
+		Ready:       t.received+1 < t.expected,
+	}
+	if !pa.OK {
+		pa.Reason = fmt.Sprintf("unexpected part %d of %d", ph.Index, t.expected)
+	}
+	t.accepting, t.received = pa.OK, t.received+1
+	if pa.OK {
+		t.arrived[ph.Index] = true
+		if t.whole {
+			t.parts = append(t.parts, Part{Index: ph.Index, Offset: ph.Offset, Size: ph.Size, Data: ph.Data})
+		}
+	}
+	return conn.Post(wire.Frame(msgPartAck, pa.encodeTo)) == nil
+}
+
+// answered follows an accepting answer's ack: the transfer waits for its
+// next part, or, with every announced part confirmed, is done.
+func (t *inbound) answered(conn pipe.Conn) bool {
+	if t.received < t.expected {
+		conn.CloseAfter(t.perPart)
+		return true
+	}
+	if !t.whole {
+		return false
+	}
+	slices.SortFunc(t.parts, func(a, b Part) int { return cmp.Compare(a.Index, b.Index) })
+	f, err := Join(t.in.FileName, t.in.TotalSize, t.parts)
+	if t.r.onFile != nil {
+		t.r.onFile(Received{
+			Sender:   t.in.Sender,
 			File:     f,
-			Verified: err == nil && (f.Data == nil || f.Checksum() == in.Checksum),
+			Verified: err == nil && (f.Data == nil || f.Checksum() == t.in.Checksum),
 		})
 	}
+	return false
 }

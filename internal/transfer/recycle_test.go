@@ -27,40 +27,32 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 		t.Fatal(errA, errB)
 	}
 	muxA, muxB := pipe.NewMux(a, epA, pipe.Options{}), pipe.NewMux(b, epB, pipe.Options{})
+	// The first conn's receiver accepts the petition, refuses the first
+	// part it reads and then reads on until the conn ends; every later
+	// conn gets the package's Receiver.
 	recv := &Receiver{host: b}
-	b.Go(func() {
-		for first := true; ; first = false {
-			conn, err := muxB.Accept()
-			if err != nil {
-				return
-			}
-			if !first {
-				b.Go(func() { recv.handle(conn) })
-				continue
-			}
-			b.Go(func() {
-				defer conn.Close()
-				pet, err := conn.Recv()
-				if err != nil {
-					return
-				}
-				_, d, _ := wire.Tag(pet.Payload)
-				id := d.Uint64()
-				conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: b.Now()}.encodeTo))
-				part, err := conn.Recv()
-				if err != nil {
-					return
-				}
-				_, d, _ = wire.Tag(part.Payload)
-				hdr, _ := decodePart(d)
-				conn.Send(wire.Frame(msgPartAck, partAck{TransferID: id, Index: hdr.Index, Reason: "scripted refusal"}.encodeTo))
-				for {
-					if _, err := conn.Recv(); err != nil {
-						return
-					}
-				}
-			})
+	accepted, read := 0, 0
+	var id uint64
+	scripted := func(conn pipe.Conn, ev pipe.Event) {
+		if ev.Err != nil {
+			conn.Close()
+			return
 		}
+		_, d, _ := wire.Tag(ev.Msg.Payload)
+		switch read++; read {
+		case 1:
+			id = d.Uint64()
+			conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: b.Now()}.encodeTo))
+		case 2:
+			hdr, _ := decodePart(d)
+			conn.Send(wire.Frame(msgPartAck, partAck{TransferID: id, Index: hdr.Index, Reason: "scripted refusal"}.encodeTo))
+		}
+	}
+	muxB.Serve(func(conn pipe.Conn) pipe.Handler {
+		if accepted++; accepted > 1 {
+			return recv.accept(conn)
+		}
+		return scripted
 	})
 
 	h := fnv.New64a()

@@ -174,7 +174,8 @@ func genReceiverProgram(rng *rand.Rand) receiverProgram {
 
 // receiverOutcome is what a program observes of a receiver: the petition
 // ack, every part ack (index, ok, ready, and for a whole file the reason),
-// the instant the receiver closed the conn and the OnFile call. A piece
+// the instant the receiver's FIN (or the conn's break) ended what the
+// sending side reads, and the OnFile call. A piece
 // refusal's reason is not compared, and its length moves the close instant
 // by the ack's serialization time, so that instant is not compared either.
 type receiverOutcome struct {
@@ -192,8 +193,9 @@ func (o receiverOutcome) String() string {
 	return fmt.Sprintf("acks:\n\t%s\n%s\nfile %s", strings.Join(o.acks, "\n\t"), closed, o.file)
 }
 
-// runReceiverProgram plays prog against serve in a fresh two-node world.
-func runReceiverProgram(prog receiverProgram, serve func(transport.Host, pipe.Conn, func(Received))) receiverOutcome {
+// runReceiverProgram plays prog against the receiver serve stands on a fresh
+// two-node world's dst mux.
+func runReceiverProgram(prog receiverProgram, serve func(transport.Host, *pipe.Mux, func(Received))) receiverOutcome {
 	n := simnet.New(11)
 	a := n.MustAddNode("src", fastProfile())
 	b := n.MustAddNode("dst", fastProfile())
@@ -203,10 +205,7 @@ func runReceiverProgram(prog receiverProgram, serve func(transport.Host, pipe.Co
 	dst := pipe.NewMux(b, epB, pipe.Options{})
 	t0 := n.Now()
 	out := receiverOutcome{file: "none"}
-	dst.Serve(func(conn pipe.Conn) {
-		serve(b, conn, func(rc Received) { out.file = fmt.Sprintf("%+v at %v", rc, b.Now().Sub(t0)) })
-		out.closed = b.Now().Sub(t0)
-	})
+	serve(b, dst, func(rc Received) { out.file = fmt.Sprintf("%+v at %v", rc, b.Now().Sub(t0)) })
 	n.Run(func() {
 		conn, err := src.Dial("dst/xfer")
 		if err != nil {
@@ -220,6 +219,7 @@ func runReceiverProgram(prog receiverProgram, serve func(transport.Host, pipe.Co
 			for {
 				msg, err := conn.Recv()
 				if err != nil {
+					out.closed = a.Now().Sub(t0)
 					return
 				}
 				kind, d, _ := wire.Tag(msg.Payload)
@@ -253,15 +253,29 @@ func runReceiverProgram(prog receiverProgram, serve func(transport.Host, pipe.Co
 	return out
 }
 
-// realHandle serves conn with the package's Receiver.
-func realHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
-	(&Receiver{host: host, onFile: onFile}).handle(conn)
+// realReceiver stands the package's Receiver on mux.
+func realReceiver(host transport.Host, mux *pipe.Mux, onFile func(Received)) {
+	NewReceiver(host, mux, onFile)
+}
+
+// refReceiver serves every conn mux accepts with refHandle, each in a
+// process of its own started in accept order.
+func refReceiver(host transport.Host, mux *pipe.Mux, onFile func(Received)) {
+	host.Go(func() {
+		for {
+			conn, err := mux.Accept()
+			if err != nil {
+				return
+			}
+			host.Go(func() { refHandle(host, conn, onFile) })
+		}
+	})
 }
 
 func checkReceiverProgram(seed int64) (receiverOutcome, error) {
 	prog := genReceiverProgram(rand.New(rand.NewSource(seed)))
-	got := runReceiverProgram(prog, realHandle)
-	want := runReceiverProgram(prog, refHandle)
+	got := runReceiverProgram(prog, realReceiver)
+	want := runReceiverProgram(prog, refReceiver)
 	if got.String() != want.String() {
 		return got, fmt.Errorf("seed %d: receiver\n%v\nreference\n%v", seed, got, want)
 	}

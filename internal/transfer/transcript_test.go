@@ -269,7 +269,7 @@ func TestTransferTranscript(t *testing.T) {
 		tr.raw(e.Bytes(), []partHeader{part, part}, 0)
 	})
 	// The receiver's replies are lost: the first copies of the petition ack
-	// in the first span, part 1's ack in the second. It retransmits both.
+	// in the first span, part 0's ack in the second. It retransmits both.
 	run("receiver replies lost and retransmitted", accepting,
 		mute(send(4), [2]time.Duration{15 * time.Millisecond, 2 * time.Second}, [2]time.Duration{5 * time.Second, 6 * time.Second}))
 	// A sender that stops after part 0 of 4 with its conn open: the

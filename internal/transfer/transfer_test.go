@@ -278,16 +278,16 @@ func TestPetitionDelayReflectsWakeLag(t *testing.T) {
 // refuseAll stands a scripted receiver on mux that answers every petition
 // with a refusal and closes the conn.
 func refuseAll(host transport.Host, mux *pipe.Mux) {
-	mux.Serve(func(conn pipe.Conn) {
+	refuse := func(conn pipe.Conn, ev pipe.Event) {
 		defer conn.Close()
-		msg, err := conn.Recv()
-		if err != nil {
+		if ev.Err != nil {
 			return
 		}
 		// Both petition kinds open with the transfer id.
-		_, d, _ := wire.Tag(msg.Payload)
+		_, d, _ := wire.Tag(ev.Msg.Payload)
 		conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: d.Uint64(), Reason: "quota exceeded", ReceivedAt: host.Now()}.encodeTo))
-	})
+	}
+	mux.Serve(func(pipe.Conn) pipe.Handler { return refuse })
 }
 
 // TestRepeatedPartAckIsRejected: acks come from another host, so the
@@ -301,22 +301,20 @@ func TestRepeatedPartAckIsRejected(t *testing.T) {
 	b := n.MustAddNode("dst", fastProfile())
 	epA, _ := a.Endpoint("xfer")
 	epB, _ := b.Endpoint("xfer")
-	pipe.NewMux(b, epB, pipe.Options{}).Serve(func(conn pipe.Conn) {
-		defer conn.Close()
-		msg, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		_, d, _ := wire.Tag(msg.Payload)
-		id := d.Uint64()
-		conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: b.Now()}.encodeTo))
-		for {
-			if _, err := conn.Recv(); err != nil {
-				return
-			}
+	var id uint64 // transfer ids start at 1
+	ackPieceOne := func(conn pipe.Conn, ev pipe.Event) {
+		switch {
+		case ev.Err != nil:
+			conn.Close()
+		case id == 0:
+			_, d, _ := wire.Tag(ev.Msg.Payload)
+			id = d.Uint64()
+			conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: b.Now()}.encodeTo))
+		default:
 			conn.Send(wire.Frame(msgPartAck, partAck{TransferID: id, Index: 1, OK: true, DeliveredAt: b.Now(), Ready: true}.encodeTo))
 		}
-	})
+	}
+	pipe.NewMux(b, epB, pipe.Options{}).Serve(func(pipe.Conn) pipe.Handler { return ackPieceOne })
 	s := NewSender(a, pipe.NewMux(a, epA, pipe.Options{}))
 	var m Metrics
 	var err error
@@ -455,7 +453,7 @@ func TestBadPieceListRefused(t *testing.T) {
 		bad     int
 	}{{[]int{-2, -1}, -2}, {[]int{0, 3}, 3}, {[]int{1, 2, 1}, 1}} {
 		pet := petition{TransferID: 7, FileName: "v.bin", TotalSize: 300, Parts: 3, Indices: tc.indices, Sender: "src"}
-		out := runReceiverProgram(receiverProgram{petition: pet.encode()}, realHandle)
+		out := runReceiverProgram(receiverProgram{petition: pet.encode()}, realReceiver)
 		want := fmt.Sprintf("petition accept=false reason=%q err=<nil>",
 			fmt.Sprintf("piece list names part %d of 3 twice or outside the split", tc.bad))
 		if len(out.acks) != 1 || out.acks[0] != want {
