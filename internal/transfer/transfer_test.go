@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -459,6 +460,40 @@ func TestBadPieceListRefused(t *testing.T) {
 		if len(out.acks) != 1 || out.acks[0] != want {
 			t.Errorf("pieces %v: the sender saw\n%v\nwant only %s", tc.indices, out, want)
 		}
+	}
+}
+
+// TestHugePetitionSizeStillTimesOut: the receiver's per-part wait grows with
+// the announced part size, which is the sender's word. A petition for one
+// part of math.MaxInt64 bytes must not stretch it past partTimeout plus the
+// longest a sender retries one part (it used to overflow to a negative wait,
+// which never ends), so a sender that goes silent after the petition still
+// gets the receiver's FIN.
+func TestHugePetitionSizeStillTimesOut(t *testing.T) {
+	rig := newXferRig(t, fastProfile(), fastProfile())
+	limit := partTimeout + pipe.MaxAttempts*pipe.MaxRTO
+	var err error
+	var waited time.Duration
+	rig.net.Run(func() {
+		conn, derr := rig.mux.Dial("dst/xfer")
+		if derr != nil {
+			err = derr
+			return
+		}
+		defer conn.Close()
+		pet := petition{TransferID: 9, FileName: "huge", TotalSize: math.MaxInt64, Parts: 1, Sender: "src"}
+		if err = conn.Send(pet.encode()); err != nil {
+			return
+		}
+		if _, err = conn.Recv(); err != nil {
+			return
+		}
+		start := rig.net.Now()
+		_, err = conn.RecvTimeout(limit + time.Hour)
+		waited = rig.net.Now().Sub(start)
+	})
+	if !errors.Is(err, pipe.ErrClosed) || waited < partTimeout || waited > limit+time.Second {
+		t.Fatalf("after a petition of %d bytes and silence: %v after %v; want the receiver's FIN within %v", int64(math.MaxInt64), err, waited, limit)
 	}
 }
 
