@@ -25,13 +25,17 @@ import (
 const stackChildEnv = "PEERLAB_FLOW_STACK_CHILD"
 
 // TestFlowStackBudget pins what a parked flow costs in goroutine stack. A
-// flow is a sender process on the source, parked on pipe acks, and a
-// receiver process on the sink, parked in its reply. The sender's frames
-// stay under one 8 KiB stack only while the records on the transmission
-// path travel by pointer; one transfer.Metrics returned by value through the
-// chain's eight frames grows every sender to 16 KiB. With a receiver at
-// 4 KiB, a flow costs 12 KiB when the sender fits and 20 KiB when it does
-// not, so the budget sits between the two.
+// flow is a sender process on the source, parked on pipe acks; the sink's
+// receiver is a state machine on the conn's served inbox and parks nothing.
+// The sender's frames stay under one 8 KiB stack only while the records on
+// the transmission path travel by pointer; one transfer.Metrics returned by
+// value through the chain's eight frames grows every sender to 16 KiB. A
+// flow costs 8 KiB when the sender fits, 12 KiB with a parked receiver
+// beside it and 16 KiB when the sender does not fit, so the budget sits
+// between the first two. The pool must also have spawned about one
+// coroutine per flow, not two: the rest are the broker's handlers, parked in
+// their replies to the flow reports that arrive while others still wait
+// for their acks (34 at 256 flows).
 //
 // The measurement runs in a child process with adaptive initial stacks off
 // (GODEBUG=adaptivestackstart=0): every stack then starts at the minimum and
@@ -67,12 +71,13 @@ func TestFlowStackBudget(t *testing.T) {
 // every sink's serving process would park at the same instant and add a
 // third coroutine per flow.
 func measureFlowStacks(t *testing.T) {
-	const flows, budget = 256, 16 << 10
+	const flows, budget = 256, 10 << 10
 	if !strings.Contains(os.Getenv("GODEBUG"), "adaptivestackstart=0") {
 		t.Fatal("measuring with adaptive stack start on: GODEBUG=" + strconv.Quote(os.Getenv("GODEBUG")))
 	}
 	net := simnet.New(3)
-	net.Scheduler().SetPool(vtime.NewPool())
+	pool := vtime.NewPool()
+	net.Scheduler().SetPool(pool)
 	ctlNode := net.MustAddNode("control", execProfile())
 	broker, err := overlay.NewBroker(ctlNode, overlay.BrokerConfig{AdvTTL: 24 * time.Hour})
 	if err != nil {
@@ -112,9 +117,13 @@ func measureFlowStacks(t *testing.T) {
 		t.Fatalf("results = %d, want %d", len(results), flows)
 	}
 	perFlow := (int64(after.StackInuse) - int64(before.StackInuse)) / flows
-	t.Logf("stack per flow: %d B (budget %d B, %d flows, GODEBUG=%s)",
-		perFlow, budget, flows, os.Getenv("GODEBUG"))
+	spawned, _ := pool.Stats()
+	t.Logf("stack per flow: %d B (budget %d B, %d flows, %d coroutines, GODEBUG=%s)",
+		perFlow, budget, flows, spawned, os.Getenv("GODEBUG"))
 	if perFlow >= budget {
-		t.Fatalf("a flow grew StackInuse by %d B, want < %d B: a parked sender no longer fits one 8 KiB stack", perFlow, budget)
+		t.Fatalf("a flow grew StackInuse by %d B, want < %d B: a parked sender no longer fits one 8 KiB stack, or a receiver parks beside it", perFlow, budget)
+	}
+	if spawned > flows+flows/4 {
+		t.Fatalf("the run spawned %d coroutines for %d flows, want at most %d: a receiver holds one per flow", spawned, flows, flows+flows/4)
 	}
 }
