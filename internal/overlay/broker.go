@@ -293,53 +293,60 @@ func (b *Broker) Restart() {
 // Close shuts the broker down.
 func (b *Broker) Close() { b.mux.Close() }
 
-// serve handles one request conn. Every exchange is request/response on a
-// fresh conn, so its first event, the request, is all it reads.
+// serve answers one request conn: every exchange is request/response on a
+// fresh conn, so its first event is the request. The reply is posted, and
+// its completion, or the conn's end, closes the conn; a request left
+// unanswered closes it at once.
 func (b *Broker) serve(conn pipe.Conn, ev pipe.Event) {
-	defer conn.Close()
-	if ev.Err != nil {
-		return
-	}
-	msg := ev.Msg
-	kind, d, err := wire.Tag(msg.Payload)
-	if err != nil {
-		return
-	}
-	b.ctlRPCs.Add(1)
-	if b.down.Load() {
-		// Blacked out: drop the request unanswered. The deferred Close
-		// resets the conn, so the caller fails fast instead of waiting
-		// out its full deadline.
-		return
-	}
-	switch kind {
-	case mtRegister:
-		handle(conn, d, decodeRegister, b.handleRegister)
-	case mtStatsReport:
-		handle(conn, d, decodeStatsReport, b.handleStatsReport)
-	case mtDiscover:
-		if bytes.Equal(msg.Payload, discoverFrame) { // any other is malformed
-			conn.Send(b.directoryReply())
-		}
-	case mtSelect:
-		handle(conn, d, decodeSelectReq, b.handleSelect)
-	case mtReportTransfer:
-		handle(conn, d, decodeReportTransfer, b.handleReportTransfer)
-	case mtPieceReport:
-		handle(conn, d, decodePieceReport, b.handlePieceReport)
-	case mtReportTask:
-		handle(conn, d, decodeReportTask, b.handleReportTask)
-	case mtReportMessage:
-		handle(conn, d, decodeReportMessage, b.handleReportMessage)
+	if ev.Posted || ev.Err != nil || !b.answer(conn, ev.Msg) {
+		conn.Close()
 	}
 }
 
-// handle decodes one request and hands it to h; a malformed request goes
-// unanswered.
-func handle[T any](conn pipe.Conn, d *wire.Decoder, decode func(*wire.Decoder) (T, error), h func(pipe.Conn, T)) {
-	if req, err := decode(d); err == nil {
-		h(conn, req)
+// answer posts the reply to one request and reports whether it did.
+func (b *Broker) answer(conn pipe.Conn, msg pipe.Message) bool {
+	kind, d, err := wire.Tag(msg.Payload)
+	if err != nil {
+		return false
 	}
+	b.ctlRPCs.Add(1)
+	if b.down.Load() {
+		// Blacked out: drop the request unanswered. Closing resets the
+		// conn, so the caller fails fast instead of waiting out its full
+		// deadline.
+		return false
+	}
+	var reply []byte
+	switch kind {
+	case mtRegister:
+		reply = handle(conn, d, decodeRegister, b.handleRegister)
+	case mtStatsReport:
+		reply = handle(conn, d, decodeStatsReport, b.handleStatsReport)
+	case mtDiscover:
+		if bytes.Equal(msg.Payload, discoverFrame) { // any other is malformed
+			reply = b.directoryReply()
+		}
+	case mtSelect:
+		reply = handle(conn, d, decodeSelectReq, b.handleSelect)
+	case mtReportTransfer:
+		reply = handle(conn, d, decodeReportTransfer, b.handleReportTransfer)
+	case mtPieceReport:
+		reply = handle(conn, d, decodePieceReport, b.handlePieceReport)
+	case mtReportTask:
+		reply = handle(conn, d, decodeReportTask, b.handleReportTask)
+	case mtReportMessage:
+		reply = handle(conn, d, decodeReportMessage, b.handleReportMessage)
+	}
+	return reply != nil && conn.Post(reply) == nil
+}
+
+// handle decodes one request and returns h's reply to it; a malformed
+// request goes unanswered.
+func handle[T any](conn pipe.Conn, d *wire.Decoder, decode func(*wire.Decoder) (T, error), h func(pipe.Conn, T) []byte) []byte {
+	if req, err := decode(d); err == nil {
+		return h(conn, req)
+	}
+	return nil
 }
 
 // handleRegister publishes the client's advertisement under a fresh lease,
@@ -348,10 +355,9 @@ func handle[T any](conn pipe.Conn, d *wire.Decoder, decode func(*wire.Decoder) (
 // advertised CPU score counts only if it is finite and positive. A register
 // speaks for its name alone: the broker stores the kind and ID the name
 // implies, as leaseOf rebuilds them, and refuses an empty name.
-func (b *Broker) handleRegister(conn pipe.Conn, req register) {
+func (b *Broker) handleRegister(conn pipe.Conn, req register) []byte {
 	if req.Adv.Name == "" {
-		conn.Send(wire.Frame(mtRegisterAck, registerAck{Broker: b.host.Name()}.encodeTo))
-		return
+		return wire.Frame(mtRegisterAck, registerAck{Broker: b.host.Name()}.encodeTo)
 	}
 	req.Adv.Kind, req.Adv.ID = jxta.AdvPeer, jxta.NewID("peer", req.Adv.Name)
 	b.publish(b.shardOf(req.Adv.Name), req.Adv)
@@ -361,7 +367,7 @@ func (b *Broker) handleRegister(conn pipe.Conn, req register) {
 	}
 	b.applyStats(ps, req.Stats)
 	ack := registerAck{OK: true, Broker: b.host.Name(), KnownPeers: b.liveLen()}
-	conn.Send(wire.Frame(mtRegisterAck, ack.encodeTo))
+	return wire.Frame(mtRegisterAck, ack.encodeTo)
 }
 
 // ControlRPCs reports how many well-formed control frames the broker has
@@ -406,7 +412,7 @@ func (b *Broker) leaseOf(sh *jxta.Cache, peer string, conn pipe.Conn) (adv jxta.
 
 // handleStatsReport applies a heartbeat: the load report, and a renewal of
 // the peer's advertisement lease.
-func (b *Broker) handleStatsReport(conn pipe.Conn, rep statsReport) {
+func (b *Broker) handleStatsReport(conn pipe.Conn, rep statsReport) []byte {
 	sh := b.shardOf(rep.Peer)
 	b.applyStats(b.registry.Peer(rep.Peer), rep)
 	adv, lapsed := b.leaseOf(sh, rep.Peer, conn)
@@ -414,19 +420,19 @@ func (b *Broker) handleStatsReport(conn pipe.Conn, rep statsReport) {
 		adv = adv.WithAttr(jxta.AttrCPUScore, strconv.FormatFloat(rep.CPUScore, 'f', -1, 64))
 	}
 	b.publish(sh, adv)
-	conn.Send(ackFrame)
+	return ackFrame
 }
 
-func (b *Broker) handleSelect(conn pipe.Conn, req selectReq) {
+func (b *Broker) handleSelect(conn pipe.Conn, req selectReq) []byte {
 	peers, serr := b.selectPeers(req)
 	res := selectResult{Peers: peers}
 	if serr != nil {
 		res.Err = serr.Error()
 	}
-	conn.Send(wire.Frame(mtSelectResult, res.encodeTo))
+	return wire.Frame(mtSelectResult, res.encodeTo)
 }
 
-func (b *Broker) handleReportTransfer(conn pipe.Conn, rep reportTransfer) {
+func (b *Broker) handleReportTransfer(conn pipe.Conn, rep reportTransfer) []byte {
 	ps := b.registry.Peer(rep.Peer)
 	ps.RecordFileSent(rep.OK)
 	ps.RecordTransferOutcome(rep.Cancelled)
@@ -446,7 +452,7 @@ func (b *Broker) handleReportTransfer(conn pipe.Conn, rep reportTransfer) {
 	if from := conn.Remote().Node(); from != "" {
 		b.registry.Peer(from).RecordTransferOriginated(rep.OK, rep.Bytes)
 	}
-	conn.Send(ackFrame)
+	return ackFrame
 }
 
 // handlePieceReport folds a disseminating peer's piece inventory and choke
@@ -455,7 +461,7 @@ func (b *Broker) handleReportTransfer(conn pipe.Conn, rep reportTransfer) {
 // rebuilds the entry instead of dropping it. Stats heartbeats preserve
 // attributes on lease renewal (they Publish the looked-up advertisement),
 // so inventory survives the renewal traffic between piece reports.
-func (b *Broker) handlePieceReport(conn pipe.Conn, rep pieceReport) {
+func (b *Broker) handlePieceReport(conn pipe.Conn, rep pieceReport) []byte {
 	sh := b.shardOf(rep.Peer)
 	adv, _ := b.leaseOf(sh, rep.Peer, conn)
 	var have strings.Builder
@@ -468,10 +474,10 @@ func (b *Broker) handlePieceReport(conn pipe.Conn, rep pieceReport) {
 	adv = adv.WithAttr(jxta.AttrPieces, have.String())
 	adv = adv.WithAttr(jxta.AttrUnchoked, strings.Join(rep.Unchoked, ","))
 	b.publish(sh, adv)
-	conn.Send(ackFrame)
+	return ackFrame
 }
 
-func (b *Broker) handleReportTask(conn pipe.Conn, rep reportTask) {
+func (b *Broker) handleReportTask(conn pipe.Conn, rep reportTask) []byte {
 	ps := b.registry.Peer(rep.Peer)
 	ps.RecordTaskOffer(rep.Accepted)
 	if rep.Accepted {
@@ -482,10 +488,10 @@ func (b *Broker) handleReportTask(conn pipe.Conn, rep reportTask) {
 		}
 		ps.RecordTaskExecution(rep.OK, spu)
 	}
-	conn.Send(ackFrame)
+	return ackFrame
 }
 
-func (b *Broker) handleReportMessage(conn pipe.Conn, rep reportMessage) {
+func (b *Broker) handleReportMessage(conn pipe.Conn, rep reportMessage) []byte {
 	b.registry.Peer(rep.Peer).RecordMessage(rep.OK)
-	conn.Send(ackFrame)
+	return ackFrame
 }

@@ -331,22 +331,23 @@ func (m *Mux) sendFrame(peer transport.Addr, kind byte, dirTheirs bool, id, seq,
 // inflight is one message awaiting its ack. A Send's is retransmitted by its
 // sender, parked on released for the completion; a Post's by its timer,
 // re-armed for each attempt and kept through recycling, and it completes on
-// the conn's inbox. Once unlisted it is done, err the completion's, and it
+// the conn's inbox once no attempt is sending, as a Send returns only once
+// its attempt has. Once unlisted it is done, err the completion's, and it
 // recycles when its claims — the completion's, and a Post's timer's while
 // armed or firing — are dropped.
 type inflight struct {
-	conn                *conn
-	released            transport.Queue
-	next                *inflight // the conn's in-flight list, or the mux's free list
-	seq                 uint64
-	payload             []byte
-	size                int
-	attempt             int       // transmissions so far, less one
-	txStart             time.Time // when the latest left
-	timer               transport.Timer
-	err                 error
-	claims              int // under the mux's mu; the rest under the conn's
-	posted, armed, done bool
+	conn                         *conn
+	released                     transport.Queue
+	next                         *inflight // the conn's in-flight list, or the mux's free list
+	seq                          uint64
+	payload                      []byte
+	size                         int
+	attempt                      int       // transmissions so far, less one
+	txStart                      time.Time // when the latest left
+	timer                        transport.Timer
+	err                          error
+	claims                       int // under the mux's mu; the rest under the conn's
+	posted, sending, armed, done bool
 }
 
 // Conn is a handle on one reliable bidirectional pipe between two endpoints:
@@ -427,6 +428,7 @@ func (c *conn) leave() {
 	if c.holds--; c.holds > 0 || c.inbox.Len() > 0 {
 		return
 	}
+	c.inbox.Close() // a served inbox's first Close
 	c.mux.mu.Lock()
 	c.gen++
 	c.mux.connFree = append(c.mux.connFree, c)
@@ -524,7 +526,7 @@ func (c *conn) listLocked(payload []byte, size int, posted bool) *inflight {
 	c.sendNext++
 	fl := c.mux.takeInflight()
 	fl.conn, fl.seq, fl.payload, fl.size = c, c.sendNext, payload, max(size, len(payload))
-	fl.posted, fl.claims = posted, 1
+	fl.posted, fl.sending, fl.claims = posted, posted, 1
 	if c.flTail == nil {
 		c.flHead = fl
 	} else {
@@ -536,8 +538,7 @@ func (c *conn) listLocked(payload []byte, size int, posted bool) *inflight {
 
 // attempt is the one attempt rule of Send and Post: it puts fl's frame on
 // the wire and returns the RTO to wait for its ack, backed off
-// exponentially; a Post's timer is armed for it. A transport-level refusal
-// (unknown node) is not retryable: it breaks the conn.
+// exponentially; a Post's timer is armed for it.
 func (c *conn) attempt(fl *inflight) time.Duration {
 	rto := min(c.rtoFor(fl.size)<<uint(fl.attempt), MaxRTO)
 	now := c.mux.host.Now()
@@ -546,23 +547,37 @@ func (c *conn) attempt(fl *inflight) time.Duration {
 	c.mu.Unlock()
 	err := c.mux.sendFrame(c.peer, kindData, !c.theirs, c.id, fl.seq, 0, fl.payload, fl.size)
 	if err != nil {
-		c.teardown(fmt.Errorf("%w: %w", ErrBroken, err), true)
+		c.refused(err)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err == nil && fl.attempt > 0 {
 		c.retxCount++
 	}
-	if fl.posted && !fl.done {
-		c.mux.claim(fl, 1) // the timer's
-		fl.armed = true
-		if fl.timer == nil {
-			fl.timer = c.mux.host.AfterFunc(rto, fl.retransmit)
-		} else {
-			fl.timer.Reset(rto)
-		}
+	if fl.posted {
+		c.armLocked(fl, rto)
 	}
 	return rto
+}
+
+// refused breaks the conn on a transport-level refusal (unknown node), which
+// is not retryable.
+func (c *conn) refused(err error) { c.teardown(fmt.Errorf("%w: %w", ErrBroken, err), true) }
+
+// armLocked ends a posted message's attempt: it completes if it was
+// released meanwhile, or its timer is set for the next. Caller holds c.mu.
+func (c *conn) armLocked(fl *inflight, rto time.Duration) {
+	if fl.sending = false; fl.done {
+		c.inbox.Push(fl) // the Post's hold is the value's
+		return
+	}
+	c.mux.claim(fl, 1) // the timer's
+	fl.armed = true
+	if fl.timer == nil {
+		fl.timer = c.mux.host.AfterFunc(rto, fl.retransmit)
+	} else {
+		fl.timer.Reset(rto)
+	}
 }
 
 // retransmit is a posted message's timer firing: unless the message
@@ -575,6 +590,7 @@ func (fl *inflight) retransmit() {
 	live := !fl.done
 	if live {
 		fl.attempt++
+		fl.sending = fl.attempt < MaxAttempts
 		c.holds++ // fl is listed, so the conn is live
 	}
 	c.mu.Unlock()
@@ -817,7 +833,7 @@ func (c *conn) handleAck(ack uint64) {
 
 // releaseLocked completes the unlisted records from fl on, oldest first,
 // with err: a Send's wakes its sender, a Post's goes to the conn's handler,
-// its timer stopped. Caller holds c.mu.
+// its timer stopped, or after the attempt it is sending. Caller holds c.mu.
 func (c *conn) releaseLocked(fl *inflight, err error) {
 	for fl != nil {
 		next := fl.next // read first: once completed, fl belongs to its taker
@@ -829,7 +845,9 @@ func (c *conn) releaseLocked(fl *inflight, err error) {
 				fl.armed = false
 				c.mux.claim(fl, -1)
 			}
-			c.inbox.Push(fl) // the Post's hold is the value's
+			if !fl.sending {
+				c.inbox.Push(fl) // the Post's hold is the value's
+			}
 		}
 		fl = next
 	}
@@ -846,68 +864,78 @@ func (c *conn) handleFin(finSeq uint64) {
 	}
 }
 
-// deliverLocked queues v on the inbox; on a served conn, v holds the conn
-// until handed. Caller holds c.mu.
+// deliverLocked queues v on the inbox. On a served conn v holds the conn
+// until handed, nothing follows the end notice, and while a Post is
+// outstanding v waits beside an idle inbox rather than wake it: the Post's
+// completion wakes it, where a Send's caller would wake. Caller holds c.mu.
 func (c *conn) deliverLocked(v any) {
-	if c.inbox.Push(v) == nil && c.served {
+	switch {
+	case !c.served:
+		c.inbox.Push(v)
+	case c.ended: // a late frame
+	case c.posts > 0 && c.inbox.Len() == 0:
 		c.holds++
+		c.held = append(c.held, v)
+	default:
+		c.holds++
+		c.inbox.Push(v)
 	}
 }
 
 // connEnd tells a served conn's handler that the conn ended.
 type connEnd struct{}
 
-// endLocked ends what the conn delivers, once: an unserved conn's inbox
-// closes, a served one queues the handler's end notice (its inbox closes at
-// teardown, after the outstanding Posts' completions). Caller holds c.mu.
+// endLocked ends what the conn delivers: an unserved conn's inbox closes, a
+// served one queues the handler's end notice, once (its inbox closes as the
+// conn recycles, after the outstanding Posts' completions). Caller holds
+// c.mu.
 func (c *conn) endLocked() {
 	if !c.served {
 		c.inbox.Close()
 	} else if !c.ended {
-		c.ended = true
 		c.deliverLocked(connEnd{})
+		c.ended = true
 	}
 }
 
-// serveNext is a served inbox's consumer. A Post's completion is handed at
-// once, anything else in order while no Post is outstanding.
+// serveNext is a served inbox's consumer. A Post's completion is handed
+// first, anything else in order while no Post is outstanding; once the
+// owner closed the conn, values are dropped unhanded.
 func (c *conn) serveNext(v any) {
 	c.mu.Lock()
 	c.holds++ // the turn's: nothing it hands may recycle the conn under it
-	if fl, ok := v.(*inflight); ok {
-		c.posts--
-		c.mu.Unlock()
-		c.hand(Event{Posted: true, Err: c.complete(fl)})
-		c.mu.Lock()
+	if _, done := v.(*inflight); done {
+		c.held = slices.Insert(c.held, 0, v)
 	} else {
 		c.held = append(c.held, v)
 	}
-	for c.posts == 0 && len(c.held) > 0 {
+	for len(c.held) > 0 {
 		v = c.held[0]
+		fl, done := v.(*inflight)
+		if !done && c.posts > 0 {
+			break
+		}
 		c.held = append(c.held[:0], c.held[1:]...)
+		if done {
+			c.posts--
+		}
+		h, owned := Conn{c, c.gen}, !c.released
 		c.mu.Unlock()
-		var ev Event
+		ev := Event{Posted: done}
 		if m, ok := v.(*Message); ok {
 			ev.Msg = c.mux.takeMessage(m)
+		} else if done {
+			ev.Err = c.complete(fl)
 		} else {
 			ev.Err = c.closedErr()
 		}
-		c.hand(ev)
+		if owned {
+			c.handler(h, ev)
+		}
+		c.leave() // the value's hold
 		c.mu.Lock()
 	}
 	c.mu.Unlock()
-	c.leave()
-}
-
-// hand passes ev to the handler unless the owner closed the conn, and drops
-// the hold of the value it came from.
-func (c *conn) hand(ev Event) {
-	c.mu.Lock()
-	h, owned := Conn{c, c.gen}, !c.released
-	c.mu.Unlock()
-	if owned {
-		c.handler(h, ev)
-	}
 	c.leave()
 }
 
@@ -1012,7 +1040,6 @@ func (c *conn) teardown(err error, unregister bool) {
 		c.tokWait.Close()
 	}
 	c.endLocked()
-	c.inbox.Close()
 	c.mu.Unlock()
 
 	if unregister {
