@@ -329,24 +329,23 @@ func (m *Mux) sendFrame(peer transport.Addr, kind byte, dirTheirs bool, id, seq,
 }
 
 // inflight is one message awaiting its ack. A Send's is retransmitted by its
-// sender, parked on released for the completion; a Post's by its timer,
-// re-armed for each attempt and kept through recycling, and it completes on
-// the conn's inbox once no attempt is sending, as a Send returns only once
-// its attempt has. Once unlisted it is done, err the completion's, and it
-// recycles when its claims — the completion's, and a Post's timer's while
-// armed or firing — are dropped.
+// sender, parked on released for the completion. A Post's is retransmitted
+// by its timer, re-armed for each attempt and kept through recycling, and
+// completes on the conn's inbox once no attempt is sending and no firing is
+// pending, as a Send returns only once its attempt has. Once unlisted it is
+// done, err the completion's; whoever takes the completion recycles it.
 type inflight struct {
-	conn                         *conn
-	released                     transport.Queue
-	next                         *inflight // the conn's in-flight list, or the mux's free list
-	seq                          uint64
-	payload                      []byte
-	size                         int
-	attempt                      int       // transmissions so far, less one
-	txStart                      time.Time // when the latest left
-	timer                        transport.Timer
-	err                          error
-	claims                       int // under the mux's mu; the rest under the conn's
+	conn     *conn
+	released transport.Queue
+	next     *inflight // the conn's in-flight list, or the mux's free list
+	seq      uint64
+	payload  []byte
+	size     int
+	attempt  int       // transmissions so far, less one
+	txStart  time.Time // when the latest left
+	timer    transport.Timer
+	err      error // this and the flags are under the conn's mu
+
 	posted, sending, armed, done bool
 }
 
@@ -526,7 +525,7 @@ func (c *conn) listLocked(payload []byte, size int, posted bool) *inflight {
 	c.sendNext++
 	fl := c.mux.takeInflight()
 	fl.conn, fl.seq, fl.payload, fl.size = c, c.sendNext, payload, max(size, len(payload))
-	fl.posted, fl.sending, fl.claims = posted, posted, 1
+	fl.posted, fl.sending = posted, posted
 	if c.flTail == nil {
 		c.flHead = fl
 	} else {
@@ -571,7 +570,6 @@ func (c *conn) armLocked(fl *inflight, rto time.Duration) {
 		c.inbox.Push(fl) // the Post's hold is the value's
 		return
 	}
-	c.mux.claim(fl, 1) // the timer's
 	fl.armed = true
 	if fl.timer == nil {
 		fl.timer = c.mux.host.AfterFunc(rto, fl.retransmit)
@@ -586,29 +584,26 @@ func (c *conn) armLocked(fl *inflight, rto time.Duration) {
 func (fl *inflight) retransmit() {
 	c := fl.conn
 	c.mu.Lock()
-	fl.armed = false
-	live := !fl.done
-	if live {
-		fl.attempt++
-		fl.sending = fl.attempt < MaxAttempts
-		c.holds++ // fl is listed, so the conn is live
+	if fl.armed = false; fl.done {
+		c.inbox.Push(fl)
+		c.mu.Unlock()
+		return
 	}
+	fl.attempt++
+	fl.sending = fl.attempt < MaxAttempts
+	c.holds++ // fl is listed, so the conn is live
 	c.mu.Unlock()
-	switch {
-	case !live:
-	case fl.attempt < MaxAttempts:
+	if fl.sending {
 		c.attempt(fl)
-	default:
+	} else {
 		c.teardown(ErrBroken, true)
 	}
-	if live {
-		c.leave()
-	}
-	c.mux.claim(fl, -1)
+	c.leave()
 }
 
-// complete takes fl's completion. Karn's rule feeds the estimators only an
-// ack of a first transmission, the one unambiguous sample.
+// complete takes fl's completion and recycles fl, keeping what it makes
+// once. Karn's rule feeds the estimators only an ack of a first
+// transmission, the one unambiguous sample.
 func (c *conn) complete(fl *inflight) error {
 	c.mu.Lock()
 	err, sample := fl.err, c.mux.host.Now().Sub(fl.txStart)
@@ -616,7 +611,10 @@ func (c *conn) complete(fl *inflight) error {
 		c.observeLocked(sample, fl.size)
 	}
 	c.mu.Unlock()
-	c.mux.claim(fl, -1)
+	c.mux.mu.Lock()
+	*fl = inflight{released: fl.released, timer: fl.timer, next: c.mux.flFree}
+	c.mux.flFree = fl
+	c.mux.mu.Unlock()
 	return err
 }
 
@@ -630,17 +628,6 @@ func (m *Mux) takeInflight() *inflight {
 	}
 	m.flFree, fl.next = fl.next, nil
 	return fl
-}
-
-// claim adds n to fl's claims; the last one dropped recycles it, emptied
-// but for what it makes once.
-func (m *Mux) claim(fl *inflight, n int) {
-	m.mu.Lock()
-	if fl.claims += n; fl.claims == 0 {
-		*fl = inflight{released: fl.released, timer: fl.timer, next: m.flFree}
-		m.flFree = fl
-	}
-	m.mu.Unlock()
 }
 
 // newMessage fills a recycled inbox record, or makes one. The conn's receiver
@@ -833,7 +820,8 @@ func (c *conn) handleAck(ack uint64) {
 
 // releaseLocked completes the unlisted records from fl on, oldest first,
 // with err: a Send's wakes its sender, a Post's goes to the conn's handler,
-// its timer stopped, or after the attempt it is sending. Caller holds c.mu.
+// its timer stopped, unless an attempt or a firing holds it and will.
+// Caller holds c.mu.
 func (c *conn) releaseLocked(fl *inflight, err error) {
 	for fl != nil {
 		next := fl.next // read first: once completed, fl belongs to its taker
@@ -843,9 +831,8 @@ func (c *conn) releaseLocked(fl *inflight, err error) {
 		} else {
 			if fl.armed && fl.timer.Stop() {
 				fl.armed = false
-				c.mux.claim(fl, -1)
 			}
-			if !fl.sending {
+			if !fl.sending && !fl.armed {
 				c.inbox.Push(fl) // the Post's hold is the value's
 			}
 		}
