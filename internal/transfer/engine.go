@@ -436,7 +436,7 @@ func (t *inbound) petition(conn pipe.Conn, first pipe.Message) bool {
 		}
 		t.arrived[i] = false
 	}
-	if t.whole {
+	if t.whole && accept {
 		t.parts = make([]Part, 0, hint)
 	}
 
