@@ -101,7 +101,6 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 	b := &Broker{
 		host:     host,
 		cfg:      cfg,
-		mux:      pipe.NewMux(host, ep, pipe.Options{}),
 		shards:   make([]*jxta.Cache, cfg.Shards),
 		registry: stats.NewRegistry(host.Now),
 		// The standard model lineup from the paper's Figure 6, plus the
@@ -122,7 +121,7 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 	// serializes behind one handler's park points and is served in arrival
 	// order.
 	serve := pipe.Handler(b.serve)
-	b.mux.Serve(func(pipe.Conn) pipe.Handler { return serve })
+	b.mux = pipe.NewMux(host, ep, pipe.Options{Serve: func(pipe.Conn) pipe.Handler { return serve }})
 	return b, nil
 }
 

@@ -114,13 +114,11 @@ func (c *Client) Start() error {
 	if err != nil {
 		return fmt.Errorf("overlay: transfer bind: %w", err)
 	}
-	opts := pipe.Options{FirstID: c.firstConnID}
-	c.ctlMux = pipe.NewMux(c.host, ctlEP, opts)
-	c.xferMux = pipe.NewMux(c.host, xferEP, opts)
-	c.sender = transfer.NewSender(c.host, c.xferMux)
-	transfer.NewReceiver(c.host, c.xferMux, c.cfg.OnFile)
 	serve := pipe.Handler(c.serveControl)
-	c.ctlMux.Serve(func(pipe.Conn) pipe.Handler { return serve })
+	c.ctlMux = pipe.NewMux(c.host, ctlEP, pipe.Options{FirstID: c.firstConnID, Serve: func(pipe.Conn) pipe.Handler { return serve }})
+	recv := transfer.NewReceiver(c.host, c.cfg.OnFile)
+	c.xferMux = pipe.NewMux(c.host, xferEP, pipe.Options{FirstID: c.firstConnID, Serve: recv.Accept})
+	c.sender = transfer.NewSender(c.host, c.xferMux)
 	if err := c.register(); err != nil {
 		c.Stop()
 		return err

@@ -118,9 +118,8 @@ func TestLateDataAfterCloseIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &recordingEndpoint{Endpoint: epA}
-	muxA, muxB := NewMux(a, rec, Options{}), NewMux(b, epB, Options{})
 	accepted := 0
-	muxB.Serve(func(Conn) Handler {
+	muxA, muxB := NewMux(a, rec, Options{}), NewMux(b, epB, Options{Serve: func(Conn) Handler {
 		accepted++
 		return func(c Conn, ev Event) {
 			defer c.Close()
@@ -128,7 +127,7 @@ func TestLateDataAfterCloseIsDropped(t *testing.T) {
 				c.Send(ev.Msg.Payload)
 			}
 		}
-	})
+	}})
 	var delivered [2]int64
 	n.Run(func() {
 		for i := 0; i < exchanges; i++ {

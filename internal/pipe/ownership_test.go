@@ -152,7 +152,6 @@ func perMessage(t *testing.T, size, msgs int) (allocs, heap float64) {
 // over msgs exchanges on one conn: the dialer's Send of a request, the served
 // handler's Post of the answer and its completion, and the dialer's Recv.
 func perPost(t *testing.T, msgs int) (allocs float64) {
-	r := newRig(t, cleanProfile(), cleanProfile(), Options{})
 	answer := []byte("answer")
 	reply := func(conn Conn, ev Event) {
 		switch {
@@ -165,7 +164,7 @@ func perPost(t *testing.T, msgs int) (allocs float64) {
 			}
 		}
 	}
-	r.muxB.Serve(func(Conn) Handler { return reply })
+	r := newRig(t, cleanProfile(), cleanProfile(), Options{Serve: func(Conn) Handler { return reply }})
 	r.net.Run(func() {
 		conn, err := r.muxA.Dial("b/pipe")
 		if err != nil {
@@ -225,14 +224,13 @@ func TestDataMessageAllocBudget(t *testing.T) {
 // calls round trips: a dial, one message and its echo, and a Close on each
 // side — a control RPC's shape.
 func shortConns(tb testing.TB, calls int) (allocs float64) {
-	r := newRig(tb, cleanProfile(), cleanProfile(), Options{})
 	echo := func(conn Conn, ev Event) {
 		defer conn.Close()
 		if ev.Err == nil {
 			conn.Send(ev.Msg.Payload)
 		}
 	}
-	r.muxB.Serve(func(Conn) Handler { return echo })
+	r := newRig(tb, cleanProfile(), cleanProfile(), Options{Serve: func(Conn) Handler { return echo }})
 	payload := []byte("request")
 	call := func() {
 		conn, err := r.muxA.Dial("b/pipe")

@@ -61,6 +61,18 @@ type Options struct {
 	// its last incarnation's ids, or their messages drop as stale. Rebooted
 	// clients derive FirstID from the boot instant (see overlay.BootPeer).
 	FirstID uint64
+	// Serve, if set, serves every conn a remote dials in, in place of a
+	// process looping on Accept: in accept order, Serve is handed the conn
+	// and returns the handler of its events, which runs on the conn's served
+	// inbox. That inbox holds no process between events. It hands the
+	// handler each message in order; while one of the conn's Posts is
+	// outstanding it hands nothing but that Post's completion, so a conn
+	// that answers each message with a Post sees the next message only once
+	// the answer was acknowledged. The handler owns the conn and ends it
+	// with Close; until then it is told once, after every message before it,
+	// when the conn ends: the peer's FIN, a break, or the deadline
+	// (CloseAfter) firing. After Close it is handed nothing.
+	Serve func(Conn) Handler
 }
 
 func (o Options) withDefaults() Options {
@@ -98,7 +110,7 @@ type Message struct {
 	Size int
 }
 
-// Event is one thing a served conn hands its handler (see Mux.Serve).
+// Event is one thing a served conn hands its handler (see Options.Serve).
 type Event struct {
 	Msg Message // the next message in order, unless Posted or Err is set
 	// Posted reports the completion of the conn's outstanding Post: its
@@ -108,8 +120,9 @@ type Event struct {
 	Err error
 }
 
-// Handler takes one served conn's events, one at a time and in order. It may
-// park (in Send, say), holding back the conn's later events meanwhile.
+// Handler takes one served conn's events (see Options.Serve), one at a time
+// and in order. It may park (in Send, say), holding back the conn's later
+// events meanwhile.
 type Handler func(Conn, Event)
 
 type connKey struct {
@@ -121,10 +134,9 @@ type connKey struct {
 
 // Mux demultiplexes reliable Conns over one endpoint.
 type Mux struct {
-	host   transport.Host
-	ep     transport.Endpoint
-	opts   Options
-	accept func(Conn) Handler // see Serve
+	host transport.Host
+	ep   transport.Endpoint
+	opts Options
 
 	mu       sync.Mutex
 	conns    map[connKey]*conn          // made on the first conn
@@ -139,12 +151,9 @@ type Mux struct {
 
 // NewMux wraps ep in a demultiplexer that serves the endpoint's queue.
 func NewMux(h transport.Host, ep transport.Endpoint, opts Options) *Mux {
-	m := &Mux{
-		host:    h,
-		ep:      ep,
-		opts:    opts.withDefaults(),
-		nextID:  opts.FirstID,
-		accepts: h.NewQueue(),
+	m := &Mux{host: h, ep: ep, opts: opts.withDefaults(), nextID: opts.FirstID, accepts: h.NewQueue()}
+	if opts.Serve != nil {
+		m.accepts.Serve(serveConn)
 	}
 	ep.Serve(m.dispatch)
 	return m
@@ -176,28 +185,11 @@ func (m *Mux) Accept() (Conn, error) {
 	return Conn{c, c.gen}, nil
 }
 
-// Serve serves every conn a remote dials in, in place of a process looping
-// on Accept: in accept order, accept is handed the conn and returns the
-// handler of its events, which runs on the conn's served inbox. That inbox
-// holds no process between events. It hands the handler each message in
-// order; while one of the conn's Posts is outstanding it hands nothing but
-// that Post's completion, so a conn that answers each message with a Post
-// sees the next message only once the answer was acknowledged. The handler
-// owns the conn and ends it with Close; until then it is told once, after
-// every message before it, when the conn ends: the peer's FIN, a break, or
-// the deadline (CloseAfter) firing. After Close it is handed nothing.
-func (m *Mux) Serve(accept func(Conn) Handler) {
-	m.mu.Lock()
-	m.accept = accept
-	m.mu.Unlock()
-	m.accepts.Serve(serveConn)
-}
-
 // serveConn is a serving mux's accept queue consumer: it hands an accepted
-// conn to the mux's accept and serves its inbox.
+// conn to Options.Serve and serves its inbox.
 func serveConn(v any) {
 	c := v.(*conn) // held by its owner: its generation stays put
-	h := c.mux.accept(Conn{c, c.gen})
+	h := c.mux.opts.Serve(Conn{c, c.gen})
 	c.mu.Lock()
 	c.handler = h
 	if c.drain == nil {
@@ -252,7 +244,7 @@ func (m *Mux) newConnLocked(peer transport.Addr, id uint64, theirs bool) *conn {
 		c = &conn{mux: m, inbox: m.host.NewQueue()}
 	}
 	c.holds = 2
-	c.connState = connState{peer: peer, id: id, theirs: theirs, served: theirs && m.accept != nil,
+	c.connState = connState{peer: peer, id: id, theirs: theirs, served: theirs && m.opts.Serve != nil,
 		tokAvail: m.opts.Window, recvNext: 1, srtt: initialRTT, rttvar: initialRTT / 2}
 	if m.conns == nil {
 		m.conns = make(map[connKey]*conn)
@@ -385,7 +377,7 @@ type connState struct {
 	peer   transport.Addr
 	id     uint64
 	theirs bool
-	// A served conn (see Mux.Serve): every value on its inbox holds it
+	// A served conn (see Options.Serve): every value on its inbox holds it
 	// until handed; posts counts its outstanding Posts.
 	served   bool
 	handler  Handler
@@ -493,7 +485,7 @@ func (c *conn) sendSized(payload []byte, size int) error {
 }
 
 // Post transmits payload reliably as Send does, on a served conn (see
-// Mux.Serve), without waiting: its completion — the ack, or the break or
+// Options.Serve), without waiting: its completion — the ack, or the break or
 // close that came first — reaches the conn's handler as a Posted event, and
 // until then the handler is handed nothing else. Post takes no window slot.
 func (h Conn) Post(payload []byte) error {

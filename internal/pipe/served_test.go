@@ -48,7 +48,7 @@ func answerOrder(t *testing.T, posted bool) []string {
 	})
 
 	answer := []byte("answer")
-	muxB, s := NewMux(b, epB, Options{}), n.Scheduler()
+	var opts Options
 	if posted {
 		h := func(conn Conn, ev Event) {
 			switch {
@@ -57,8 +57,10 @@ func answerOrder(t *testing.T, posted bool) []string {
 				conn.Close()
 			}
 		}
-		muxB.Serve(func(Conn) Handler { return h })
-	} else {
+		opts.Serve = func(Conn) Handler { return h }
+	}
+	muxB, s := NewMux(b, epB, opts), n.Scheduler()
+	if !posted {
 		s.Go(func() {
 			for {
 				conn, err := muxB.Accept()
@@ -125,7 +127,7 @@ func ackDuringResend(t *testing.T, posted bool) time.Duration {
 	epA.Serve(func(transport.Message) {})
 	answer := make([]byte, 1000)
 	var done time.Duration
-	muxB, s := NewMux(b, epB, Options{}), n.Scheduler()
+	var opts Options
 	if posted {
 		h := func(conn Conn, ev Event) {
 			switch {
@@ -135,8 +137,10 @@ func ackDuringResend(t *testing.T, posted bool) time.Duration {
 				conn.Post(answer)
 			}
 		}
-		muxB.Serve(func(Conn) Handler { return h })
-	} else {
+		opts.Serve = func(Conn) Handler { return h }
+	}
+	muxB, s := NewMux(b, epB, opts), n.Scheduler()
+	if !posted {
 		s.Go(func() {
 			conn, err := muxB.Accept()
 			if err == nil && conn.Send(answer) == nil {

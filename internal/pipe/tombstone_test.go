@@ -84,10 +84,9 @@ func tombstoneProgram(t *testing.T, seed int64, steps int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	muxB := NewMux(b, epB, Options{})
 	var accepted []Conn
 	var got [][]byte
-	muxB.Serve(func(c Conn) Handler {
+	NewMux(b, epB, Options{Serve: func(c Conn) Handler {
 		accepted = append(accepted, c)
 		first := true
 		return func(_ Conn, ev Event) {
@@ -96,7 +95,7 @@ func tombstoneProgram(t *testing.T, seed int64, steps int) {
 			}
 			first = false
 		}
-	})
+	}})
 	dialers := make([]*dialer, 2+rng.Intn(2))
 	for i := range dialers {
 		dialers[i] = &dialer{node: n.MustAddNode(fmt.Sprintf("r%d", i), cleanProfile())}

@@ -56,8 +56,9 @@ func ackFrame(seq uint64) int {
 	return 1 + 1 + uvarintLen(1) + 1 + uvarintLen(seq) + 1
 }
 
-// newCleanWorld builds the two-node world for l.
-func newCleanWorld(t *testing.T, l cleanLink) (*simnet.Network, *simnet.Node, *pipe.Mux, *simnet.Node, *pipe.Mux) {
+// newCleanWorld builds the two-node world for l, its dst mux served by what
+// serve returns for the dst node.
+func newCleanWorld(t *testing.T, l cleanLink, serve func(*simnet.Node) func(pipe.Conn) pipe.Handler) (*simnet.Network, *simnet.Node, *pipe.Mux) {
 	t.Helper()
 	n := simnet.New(1)
 	a := n.MustAddNode("src", l.src)
@@ -67,15 +68,19 @@ func newCleanWorld(t *testing.T, l cleanLink) (*simnet.Network, *simnet.Node, *p
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}
-	return n, a, pipe.NewMux(a, epA, pipe.Options{}), b, pipe.NewMux(b, epB, pipe.Options{})
+	src := pipe.NewMux(a, epA, pipe.Options{})
+	pipe.NewMux(b, epB, pipe.Options{Serve: serve(b)})
+	return n, a, src
 }
 
 // timeOneMessage is how long one acknowledged pipe message of payload bytes,
 // charged size, takes to return from Send over l.
 func timeOneMessage(t *testing.T, l cleanLink, payload, size int) time.Duration {
 	t.Helper()
-	n, _, src, _, dst := newCleanWorld(t, l)
-	dst.Serve(func(pipe.Conn) pipe.Handler { return func(conn pipe.Conn, _ pipe.Event) { conn.Close() } })
+	closeAll := func(conn pipe.Conn, _ pipe.Event) { conn.Close() }
+	n, _, src := newCleanWorld(t, l, func(*simnet.Node) func(pipe.Conn) pipe.Handler {
+		return func(pipe.Conn) pipe.Handler { return closeAll }
+	})
 	var took time.Duration
 	n.Run(func() {
 		conn, _ := src.Dial("dst/xfer")
@@ -117,8 +122,7 @@ func TestCleanLinkTransferClosedForm(t *testing.T) {
 
 		k := 1 + rng.Intn(32)
 		file := NewVirtualFile("f.bin", k+rng.Intn(4*Mb), rng.Int63())
-		n, a, src, b, dst := newCleanWorld(t, l)
-		NewReceiver(b, dst, nil)
+		n, a, src := newCleanWorld(t, l, func(b *simnet.Node) func(pipe.Conn) pipe.Handler { return NewReceiver(b, nil).Accept })
 		s := NewSender(a, src)
 		var m Metrics
 		var err error

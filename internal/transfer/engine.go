@@ -32,6 +32,11 @@ const partAckTimeout = 45 * time.Minute
 // part's serialization time at pipe.MinRate, for each part.
 const partTimeout = 60 * time.Minute
 
+// maxStretch caps how far an announced part size stretches the per-part
+// wait: a century, which no part smaller than 31 TB reaches and which keeps
+// the deadline's instant inside a time.Duration.
+const maxStretch = 100 * 365 * 24 * time.Hour
+
 // maxParts is the largest part count a Receiver accepts in a petition. It
 // covers every granularity a scenario or sweep spec can name (the sweep
 // grammar's axis bound is 1_000_000) and caps what a few petition bytes can
@@ -337,24 +342,23 @@ type Received struct {
 	Verified bool // checksum matched (real files) or structure valid
 }
 
-// Receiver serves inbound transfers on a pipe mux: each accepted conn is an
-// inbound transfer, a state machine on the conn's served inbox.
+// Receiver serves inbound transfers on a pipe mux whose Options.Serve is its
+// Accept: each accepted conn is an inbound transfer, a state machine on the
+// conn's served inbox.
 type Receiver struct {
 	host   transport.Host
 	onFile func(Received)
 }
 
-// NewReceiver returns a receiver serving every conn mux accepts. onFile, if
-// not nil, is invoked after each completed whole-file transfer.
-func NewReceiver(host transport.Host, mux *pipe.Mux, onFile func(Received)) *Receiver {
-	r := &Receiver{host: host, onFile: onFile}
-	mux.Serve(r.accept)
-	return r
+// NewReceiver returns a receiver. onFile, if not nil, is invoked after each
+// completed whole-file transfer.
+func NewReceiver(host transport.Host, onFile func(Received)) *Receiver {
+	return &Receiver{host: host, onFile: onFile}
 }
 
-// accept starts an inbound transfer on conn, which waits up to partTimeout
+// Accept starts an inbound transfer on conn, which waits up to partTimeout
 // for its petition.
-func (r *Receiver) accept(conn pipe.Conn) pipe.Handler {
+func (r *Receiver) Accept(conn pipe.Conn) pipe.Handler {
 	conn.CloseAfter(partTimeout)
 	return (&inbound{r: r}).handle
 }
@@ -444,11 +448,10 @@ func (t *inbound) petition(conn pipe.Conn, first pipe.Message) bool {
 	// a lost copy of a large part costs the sender its serialization time
 	// plus a conservative retransmission timeout, several times over.
 	// Giving up earlier leaves the sender talking to a dead conn (and the
-	// transfer failing long after it could have recovered). No sender
-	// retries a part past pipe.MaxAttempts attempts of at most pipe.MaxRTO,
-	// which caps the stretch, however large the announced size.
+	// transfer failing long after it could have recovered). The announced
+	// size is the sender's word, so the stretch is capped at maxStretch.
 	partSize := in.TotalSize / max(in.Parts, 1)
-	stretch := min(max(10*float64(partSize)/pipe.MinRate, 0), (pipe.MaxAttempts * pipe.MaxRTO).Seconds())
+	stretch := min(max(10*float64(partSize)/pipe.MinRate, 0), maxStretch.Seconds())
 	t.perPart = partTimeout + time.Duration(stretch*float64(time.Second))
 
 	t.accepting = accept

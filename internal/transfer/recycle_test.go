@@ -26,7 +26,6 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}
-	muxA, muxB := pipe.NewMux(a, epA, pipe.Options{}), pipe.NewMux(b, epB, pipe.Options{})
 	// The first conn's receiver accepts the petition, refuses the first
 	// part it reads and then reads on until the conn ends; every later
 	// conn gets the package's Receiver.
@@ -48,12 +47,13 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 			conn.Send(wire.Frame(msgPartAck, partAck{TransferID: id, Index: hdr.Index, Reason: "scripted refusal"}.encodeTo))
 		}
 	}
-	muxB.Serve(func(conn pipe.Conn) pipe.Handler {
+	muxA := pipe.NewMux(a, epA, pipe.Options{})
+	pipe.NewMux(b, epB, pipe.Options{Serve: func(conn pipe.Conn) pipe.Handler {
 		if accepted++; accepted > 1 {
-			return recv.accept(conn)
+			return recv.Accept(conn)
 		}
 		return scripted
-	})
+	}})
 
 	h := fnv.New64a()
 	frames := 0

@@ -194,18 +194,17 @@ func (o receiverOutcome) String() string {
 }
 
 // runReceiverProgram plays prog against the receiver serve stands on a fresh
-// two-node world's dst mux.
-func runReceiverProgram(prog receiverProgram, serve func(transport.Host, *pipe.Mux, func(Received))) receiverOutcome {
+// two-node world's dst endpoint.
+func runReceiverProgram(prog receiverProgram, serve func(transport.Host, transport.Endpoint, func(Received))) receiverOutcome {
 	n := simnet.New(11)
 	a := n.MustAddNode("src", fastProfile())
 	b := n.MustAddNode("dst", fastProfile())
 	epA, _ := a.Endpoint("xfer")
 	epB, _ := b.Endpoint("xfer")
 	src := pipe.NewMux(a, epA, pipe.Options{})
-	dst := pipe.NewMux(b, epB, pipe.Options{})
 	t0 := n.Now()
 	out := receiverOutcome{file: "none"}
-	serve(b, dst, func(rc Received) { out.file = fmt.Sprintf("%+v at %v", rc, b.Now().Sub(t0)) })
+	serve(b, epB, func(rc Received) { out.file = fmt.Sprintf("%+v at %v", rc, b.Now().Sub(t0)) })
 	n.Run(func() {
 		conn, err := src.Dial("dst/xfer")
 		if err != nil {
@@ -253,14 +252,15 @@ func runReceiverProgram(prog receiverProgram, serve func(transport.Host, *pipe.M
 	return out
 }
 
-// realReceiver stands the package's Receiver on mux.
-func realReceiver(host transport.Host, mux *pipe.Mux, onFile func(Received)) {
-	NewReceiver(host, mux, onFile)
+// realReceiver stands the package's Receiver on ep.
+func realReceiver(host transport.Host, ep transport.Endpoint, onFile func(Received)) {
+	pipe.NewMux(host, ep, pipe.Options{Serve: NewReceiver(host, onFile).Accept})
 }
 
-// refReceiver serves every conn mux accepts with refHandle, each in a
-// process of its own started in accept order.
-func refReceiver(host transport.Host, mux *pipe.Mux, onFile func(Received)) {
+// refReceiver serves every conn a mux on ep accepts with refHandle, each in
+// a process of its own started in accept order.
+func refReceiver(host transport.Host, ep transport.Endpoint, onFile func(Received)) {
+	mux := pipe.NewMux(host, ep, pipe.Options{})
 	host.Go(func() {
 		for {
 			conn, err := mux.Accept()

@@ -20,16 +20,18 @@ type transcript struct {
 	net    *simnet.Network
 	t0     time.Time
 	src    *pipe.Mux
-	dst    *pipe.Mux
+	dst    *pipe.Mux // made once the scenario's setup has run
 	dstN   *simnet.Node
+	accept func(pipe.Conn) pipe.Handler // dst's Options.Serve, if the setup serves
 	sender *Sender
 	mu     sync.Mutex
 	out    bytes.Buffer
 }
 
-// newTranscript builds the two-node world. The frame observer is a package
-// global in pipe, so scenarios run one after another, never in parallel.
-func newTranscript(t *testing.T, name string) *transcript {
+// newTranscript builds the two-node world, running setup, if any, before
+// dst's mux is made. The frame observer is a package global in pipe, so
+// scenarios run one after another, never in parallel.
+func newTranscript(t *testing.T, name string, setup func(*transcript)) *transcript {
 	t.Helper()
 	n := simnet.New(11)
 	a := n.MustAddNode("src", fastProfile())
@@ -44,7 +46,6 @@ func newTranscript(t *testing.T, name string) *transcript {
 	}
 	tr := &transcript{net: n, t0: n.Now(), dstN: b}
 	tr.src = pipe.NewMux(a, epA, pipe.Options{})
-	tr.dst = pipe.NewMux(b, epB, pipe.Options{})
 	tr.sender = NewSender(a, tr.src)
 	fmt.Fprintf(&tr.out, "== %s\n", name)
 	pipe.SetDebugDispatch(func(local string, kind byte, id, seq, ack uint64, size int) {
@@ -53,6 +54,10 @@ func newTranscript(t *testing.T, name string) *transcript {
 		fmt.Fprintf(&tr.out, "%s %s %s id=%d seq=%d ack=%d size=%d\n",
 			tr.at(n.Now()), local, [...]string{"?", "data", "ack", "fin"}[kind], id, seq, ack, size)
 	})
+	if setup != nil {
+		setup(tr)
+	}
+	tr.dst = pipe.NewMux(b, epB, pipe.Options{Serve: tr.accept})
 	return tr
 }
 
@@ -83,11 +88,11 @@ func (tr *transcript) outcome(send func(*Metrics) error) {
 	tr.logf("error %v", err)
 }
 
-// serve starts the real Receiver on dst.
+// serve stands the real Receiver on dst.
 func (tr *transcript) serve() {
-	NewReceiver(tr.dstN, tr.dst, func(rc Received) {
+	tr.accept = NewReceiver(tr.dstN, func(rc Received) {
 		tr.logf("%s delivered %q size=%d verified=%v", tr.at(tr.net.Now()), rc.File.Name, rc.File.Size, rc.Verified)
-	})
+	}).Accept
 }
 
 // serveFirstPartOnly stands a scripted receiver on dst that accepts the
@@ -183,10 +188,7 @@ func TestTransferTranscript(t *testing.T) {
 	var all bytes.Buffer
 
 	run := func(name string, setup func(*transcript), body func(*transcript)) {
-		tr := newTranscript(t, name)
-		if setup != nil {
-			setup(tr)
-		}
+		tr := newTranscript(t, name, setup)
 		tr.net.Run(func() { body(tr) })
 		all.Write(tr.out.Bytes())
 	}
@@ -199,7 +201,7 @@ func TestTransferTranscript(t *testing.T) {
 		tr.outcome(func(m *Metrics) error { return tr.sender.SendPieces("dst/xfer", file, 8, []int{1, 5, 7}, m) })
 	}
 	accepting := func(tr *transcript) { tr.serve() }
-	refusing := func(tr *transcript) { refuseAll(tr.dstN, tr.dst) }
+	refusing := func(tr *transcript) { tr.accept = refuseAll(tr.dstN) }
 	halfSilent := func(tr *transcript) { tr.serveFirstPartOnly() }
 	// down takes dst off the network: src and dst severed both ways.
 	down := func(tr *transcript) {

@@ -188,10 +188,10 @@ func newXferRig(t *testing.T, src, dst simnet.Profile) *xferRig {
 	}
 	rig := &xferRig{net: n}
 	muxA := pipe.NewMux(a, epA, pipe.Options{})
-	muxB := pipe.NewMux(b, epB, pipe.Options{})
+	recv := NewReceiver(b, func(rc Received) { rig.received = append(rig.received, rc) })
+	pipe.NewMux(b, epB, pipe.Options{Serve: recv.Accept})
 	rig.mux = muxA
 	rig.sender = NewSender(a, muxA)
-	NewReceiver(b, muxB, func(rc Received) { rig.received = append(rig.received, rc) })
 	return rig
 }
 
@@ -276,9 +276,9 @@ func TestPetitionDelayReflectsWakeLag(t *testing.T) {
 	}
 }
 
-// refuseAll stands a scripted receiver on mux that answers every petition
-// with a refusal and closes the conn.
-func refuseAll(host transport.Host, mux *pipe.Mux) {
+// refuseAll returns the Options.Serve of a scripted receiver that answers
+// every petition with a refusal and closes the conn.
+func refuseAll(host transport.Host) func(pipe.Conn) pipe.Handler {
 	refuse := func(conn pipe.Conn, ev pipe.Event) {
 		defer conn.Close()
 		if ev.Err != nil {
@@ -288,7 +288,7 @@ func refuseAll(host transport.Host, mux *pipe.Mux) {
 		_, d, _ := wire.Tag(ev.Msg.Payload)
 		conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: d.Uint64(), Reason: "quota exceeded", ReceivedAt: host.Now()}.encodeTo))
 	}
-	mux.Serve(func(pipe.Conn) pipe.Handler { return refuse })
+	return func(pipe.Conn) pipe.Handler { return refuse }
 }
 
 // TestRepeatedPartAckIsRejected: acks come from another host, so the
@@ -315,7 +315,7 @@ func TestRepeatedPartAckIsRejected(t *testing.T) {
 			conn.Send(wire.Frame(msgPartAck, partAck{TransferID: id, Index: 1, OK: true, DeliveredAt: b.Now(), Ready: true}.encodeTo))
 		}
 	}
-	pipe.NewMux(b, epB, pipe.Options{}).Serve(func(pipe.Conn) pipe.Handler { return ackPieceOne })
+	pipe.NewMux(b, epB, pipe.Options{Serve: func(pipe.Conn) pipe.Handler { return ackPieceOne }})
 	s := NewSender(a, pipe.NewMux(a, epA, pipe.Options{}))
 	var m Metrics
 	var err error
@@ -336,7 +336,7 @@ func TestPetitionRejected(t *testing.T) {
 	b := n.MustAddNode("dst", fastProfile())
 	epA, _ := a.Endpoint("xfer")
 	epB, _ := b.Endpoint("xfer")
-	refuseAll(b, pipe.NewMux(b, epB, pipe.Options{}))
+	pipe.NewMux(b, epB, pipe.Options{Serve: refuseAll(b)})
 	s := NewSender(a, pipe.NewMux(a, epA, pipe.Options{}))
 	var m Metrics
 	var err error
@@ -465,13 +465,13 @@ func TestBadPieceListRefused(t *testing.T) {
 
 // TestHugePetitionSizeStillTimesOut: the receiver's per-part wait grows with
 // the announced part size, which is the sender's word. A petition for one
-// part of math.MaxInt64 bytes must not stretch it past partTimeout plus the
-// longest a sender retries one part (it used to overflow to a negative wait,
-// which never ends), so a sender that goes silent after the petition still
-// gets the receiver's FIN.
+// part of math.MaxInt64 bytes must not stretch it past partTimeout plus
+// maxStretch (it used to overflow to a negative wait, which never ends), so
+// a sender that goes silent after the petition still gets the receiver's
+// FIN.
 func TestHugePetitionSizeStillTimesOut(t *testing.T) {
 	rig := newXferRig(t, fastProfile(), fastProfile())
-	limit := partTimeout + pipe.MaxAttempts*pipe.MaxRTO
+	limit := partTimeout + maxStretch
 	var err error
 	var waited time.Duration
 	rig.net.Run(func() {
@@ -489,7 +489,7 @@ func TestHugePetitionSizeStillTimesOut(t *testing.T) {
 			return
 		}
 		start := rig.net.Now()
-		_, err = conn.RecvTimeout(limit + time.Hour)
+		_, err = conn.Recv()
 		waited = rig.net.Now().Sub(start)
 	})
 	if !errors.Is(err, pipe.ErrClosed) || waited < partTimeout || waited > limit+time.Second {
@@ -740,10 +740,7 @@ func TestFailedSendReportsZeroDurations(t *testing.T) {
 		{"petition never answered", nil, false},
 		{"part ack times out after part 0 of 4", (*transcript).serveFirstPartOnly, true},
 	} {
-		tr := newTranscript(t, tc.name)
-		if tc.setup != nil {
-			tc.setup(tr)
-		}
+		tr := newTranscript(t, tc.name, tc.setup)
 		var m Metrics
 		var err error
 		tr.net.Run(func() { err = tr.sender.Send("dst/xfer", file, 4, &m) })
