@@ -61,25 +61,13 @@ type Options struct {
 	// its last incarnation's ids, or their messages drop as stale. Rebooted
 	// clients derive FirstID from the boot instant (see overlay.BootPeer).
 	FirstID uint64
-	// Serve, if set, serves every conn a remote dials in, in place of a
-	// process looping on Accept: in accept order, Serve is handed the conn
-	// and returns the handler of its events, which runs on the conn's served
-	// inbox. That inbox holds no process between events. It hands the
-	// handler each message in order; while one of the conn's Posts is
-	// outstanding it hands nothing but that Post's completion, so a conn
-	// that answers each message with a Post sees the next message only once
-	// the answer was acknowledged. The handler owns the conn and ends it
-	// with Close; until then it is told once, after every message before it,
-	// when the conn ends: the peer's FIN, a break, or the deadline
-	// (CloseAfter) firing. After Close it is handed nothing.
+	// Serve, if set, stands in for a process looping on Accept: it is handed
+	// each accepted conn in accept order and returns the handler that the
+	// conn's served inbox, which holds no process, runs on each event: the
+	// messages in order, none while a Post is outstanding but its
+	// completion, then once the conn's end (the peer's FIN, a break or the
+	// deadline), and nothing after the handler's Close.
 	Serve func(Conn) Handler
-}
-
-func (o Options) withDefaults() Options {
-	if o.Window <= 0 {
-		o.Window = 4
-	}
-	return o
 }
 
 // MaxAttempts bounds transmission attempts per message.
@@ -120,9 +108,8 @@ type Event struct {
 	Err error
 }
 
-// Handler takes one served conn's events (see Options.Serve), one at a time
-// and in order. It may park (in Send, say), holding back the conn's later
-// events meanwhile.
+// Handler takes one served conn's events (see Options.Serve) in order. It
+// may park (in Send, say), holding back the conn's later events meanwhile.
 type Handler func(Conn, Event)
 
 type connKey struct {
@@ -151,7 +138,10 @@ type Mux struct {
 
 // NewMux wraps ep in a demultiplexer that serves the endpoint's queue.
 func NewMux(h transport.Host, ep transport.Endpoint, opts Options) *Mux {
-	m := &Mux{host: h, ep: ep, opts: opts.withDefaults(), nextID: opts.FirstID, accepts: h.NewQueue()}
+	if opts.Window <= 0 {
+		opts.Window = 4
+	}
+	m := &Mux{host: h, ep: ep, opts: opts, nextID: opts.FirstID, accepts: h.NewQueue()}
 	if opts.Serve != nil {
 		m.accepts.Serve(serveConn)
 	}
@@ -230,11 +220,10 @@ func (m *Mux) Close() error {
 	return m.ep.Close()
 }
 
-// newConnLocked registers a fresh incarnation of a conn in the mux table,
-// holding the table's hold and the owner's. Caller holds m.mu. The conn is a
-// recycled one if the mux has any, its inbox reopened; its reorder buffer
-// and window wait queue are made on first gap and first contention, so a
-// request/response conn allocates nothing on a warm mux.
+// newConnLocked registers a fresh incarnation of a conn, recycled if the mux
+// has one, holding the table's hold and the owner's. Its reorder buffer and
+// window wait queue are made on first need, so a request/response conn
+// allocates nothing on a warm mux. Caller holds m.mu.
 func (m *Mux) newConnLocked(peer transport.Addr, id uint64, theirs bool) *conn {
 	var c *conn
 	if n := len(m.connFree); n > 0 {
@@ -320,12 +309,11 @@ func (m *Mux) sendFrame(peer transport.Addr, kind byte, dirTheirs bool, id, seq,
 	return m.ep.SendFrame(peer, e.Bytes(), payload, e.Len()+size)
 }
 
-// inflight is one message awaiting its ack. A Send's is retransmitted by its
-// sender, parked on released for the completion. A Post's is retransmitted
-// by its timer, re-armed for each attempt and kept through recycling, and
-// completes on the conn's inbox once no attempt is sending and no firing is
-// pending, as a Send returns only once its attempt has. Once unlisted it is
-// done, err the completion's; whoever takes the completion recycles it.
+// inflight is one message awaiting its ack. A Send's sender retransmits it,
+// parked on released between attempts; a Post's timer, kept through
+// recycling, does, and it completes on the conn's inbox once no attempt is
+// sending and no firing pending. Once unlisted it is done, err the
+// completion's; whoever takes the completion recycles it.
 type inflight struct {
 	conn     *conn
 	released transport.Queue
@@ -359,8 +347,7 @@ type Conn struct {
 type conn struct {
 	mux   *Mux
 	inbox transport.Queue // *Message records from the mux, delivered in order
-	// A served conn's inbox consumer and the deadline's timer, made on first
-	// use per conn object, not once per incarnation.
+	// Made once per conn object, not per incarnation.
 	drain    func(any)
 	deadline transport.Timer
 	held     []any // a served conn's values waiting out a Post; see serveNext
@@ -377,8 +364,7 @@ type connState struct {
 	peer   transport.Addr
 	id     uint64
 	theirs bool
-	// A served conn (see Options.Serve): every value on its inbox holds it
-	// until handed; posts counts its outstanding Posts.
+	// A served conn's values each hold it until handed (see deliverLocked).
 	served   bool
 	handler  Handler
 	posts    int
@@ -453,27 +439,18 @@ func (h Conn) Send(payload []byte) error { return h.SendSized(payload, len(paylo
 
 // SendSized is Send with an explicit wire size (see transport.Message.Size).
 func (h Conn) SendSized(payload []byte, size int) error {
-	if c := h.enter(); c != nil {
-		defer c.leave()
-		return c.sendSized(payload, size)
+	c := h.enter()
+	if c == nil {
+		return ErrClosed
 	}
-	return ErrClosed
-}
-
-func (c *conn) sendSized(payload []byte, size int) error {
+	defer c.leave()
 	if err := c.acquireToken(); err != nil {
 		return c.closedErr()
 	}
 	defer c.releaseToken()
-	c.mu.Lock()
-	if c.closed { // a conn is broken only as it is torn down
-		c.mu.Unlock()
-		return c.closedErr()
-	}
-	fl := c.listLocked(payload, size, false)
-	c.mu.Unlock()
-	for {
-		if _, err := fl.released.PopTimeout(c.attempt(fl)); err == nil {
+	fl, rto, err := c.send(payload, size, false)
+	for err == nil {
+		if _, err = fl.released.PopTimeout(rto); err == nil {
 			return c.complete(fl)
 		}
 		if fl.attempt++; fl.attempt == MaxAttempts {
@@ -481,7 +458,9 @@ func (c *conn) sendSized(payload []byte, size int) error {
 			fl.released.Pop()
 			return c.complete(fl)
 		}
+		rto, err = c.attempt(fl), nil
 	}
+	return err
 }
 
 // Post transmits payload reliably as Send does, on a served conn (see
@@ -489,31 +468,26 @@ func (c *conn) sendSized(payload []byte, size int) error {
 // close that came first — reaches the conn's handler as a Posted event, and
 // until then the handler is handed nothing else. Post takes no window slot.
 func (h Conn) Post(payload []byte) error {
-	c := h.enter()
-	if c == nil {
-		return ErrClosed
+	if c := h.enter(); c != nil {
+		defer c.leave()
+		_, _, err := c.send(payload, len(payload), true)
+		return err
 	}
-	defer c.leave()
+	return ErrClosed
+}
+
+// send gives payload the next seq, joins its record to the tail of the
+// in-flight list and makes the first attempt, returning its RTO.
+func (c *conn) send(payload []byte, size int, posted bool) (*inflight, time.Duration, error) {
 	c.mu.Lock()
-	if !c.served {
+	if posted && !c.served {
 		c.mu.Unlock()
 		panic("pipe: Post on a conn that is not served")
 	}
-	if c.closed {
+	if c.closed { // a conn is broken only as it is torn down
 		c.mu.Unlock()
-		return c.closedErr()
+		return nil, 0, c.closedErr()
 	}
-	fl := c.listLocked(payload, len(payload), true)
-	c.posts++
-	c.holds++ // the completion's, until it is handed
-	c.mu.Unlock()
-	c.attempt(fl)
-	return nil
-}
-
-// listLocked gives payload the next seq and joins its record to the tail of
-// the in-flight list. Caller holds c.mu.
-func (c *conn) listLocked(payload []byte, size int, posted bool) *inflight {
 	c.sendNext++
 	fl := c.mux.takeInflight()
 	fl.conn, fl.seq, fl.payload, fl.size = c, c.sendNext, payload, max(size, len(payload))
@@ -524,12 +498,17 @@ func (c *conn) listLocked(payload []byte, size int, posted bool) *inflight {
 		c.flTail.next = fl
 	}
 	c.flTail = fl
-	return fl
+	if posted {
+		c.posts++
+		c.holds++ // the completion's, until it is handed
+	}
+	c.mu.Unlock()
+	return fl, c.attempt(fl), nil
 }
 
-// attempt is the one attempt rule of Send and Post: it puts fl's frame on
-// the wire and returns the RTO to wait for its ack, backed off
-// exponentially; a Post's timer is armed for it.
+// attempt, the one attempt rule of Send and Post, puts fl's frame on the wire
+// and returns the RTO for its ack, backed off exponentially; a Post's record
+// then completes if released meanwhile, or its timer is armed.
 func (c *conn) attempt(fl *inflight) time.Duration {
 	rto := min(c.rtoFor(fl.size)<<uint(fl.attempt), MaxRTO)
 	now := c.mux.host.Now()
@@ -537,42 +516,29 @@ func (c *conn) attempt(fl *inflight) time.Duration {
 	fl.txStart = now
 	c.mu.Unlock()
 	err := c.mux.sendFrame(c.peer, kindData, !c.theirs, c.id, fl.seq, 0, fl.payload, fl.size)
-	if err != nil {
-		c.refused(err)
+	if err != nil { // a transport-level refusal (unknown node) is not retryable
+		c.teardown(fmt.Errorf("%w: %w", ErrBroken, err), true)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err == nil && fl.attempt > 0 {
 		c.retxCount++
 	}
-	if fl.posted {
-		c.armLocked(fl, rto)
+	switch fl.sending = false; {
+	case !fl.posted:
+	case fl.done:
+		c.inbox.Push(fl) // the Post's hold is the value's
+	case fl.timer == nil:
+		fl.armed, fl.timer = true, c.mux.host.AfterFunc(rto, fl.retransmit)
+	default:
+		fl.armed = true
+		fl.timer.Reset(rto)
 	}
 	return rto
 }
 
-// refused breaks the conn on a transport-level refusal (unknown node), which
-// is not retryable.
-func (c *conn) refused(err error) { c.teardown(fmt.Errorf("%w: %w", ErrBroken, err), true) }
-
-// armLocked ends a posted message's attempt: it completes if it was
-// released meanwhile, or its timer is set for the next. Caller holds c.mu.
-func (c *conn) armLocked(fl *inflight, rto time.Duration) {
-	if fl.sending = false; fl.done {
-		c.inbox.Push(fl) // the Post's hold is the value's
-		return
-	}
-	fl.armed = true
-	if fl.timer == nil {
-		fl.timer = c.mux.host.AfterFunc(rto, fl.retransmit)
-	} else {
-		fl.timer.Reset(rto)
-	}
-}
-
-// retransmit is a posted message's timer firing: unless the message
-// completed meanwhile, it makes the next attempt, or, after MaxAttempts,
-// breaks the conn as Send does.
+// retransmit is a Post's timer firing: the next attempt, or, after
+// MaxAttempts, the conn's break, unless the Post completed meanwhile.
 func (fl *inflight) retransmit() {
 	c := fl.conn
 	c.mu.Lock()
@@ -811,22 +777,19 @@ func (c *conn) handleAck(ack uint64) {
 }
 
 // releaseLocked completes the unlisted records from fl on, oldest first,
-// with err: a Send's wakes its sender, a Post's goes to the conn's handler,
-// its timer stopped, unless an attempt or a firing holds it and will.
-// Caller holds c.mu.
+// with err, except a Post's that an attempt or a firing will. Caller holds
+// c.mu.
 func (c *conn) releaseLocked(fl *inflight, err error) {
 	for fl != nil {
 		next := fl.next // read first: once completed, fl belongs to its taker
 		fl.next, fl.done, fl.err = nil, true, err
-		if !fl.posted {
+		switch {
+		case !fl.posted:
 			fl.released.Push(fl)
-		} else {
-			if fl.armed && fl.timer.Stop() {
-				fl.armed = false
-			}
-			if !fl.sending && !fl.armed {
-				c.inbox.Push(fl) // the Post's hold is the value's
-			}
+		case fl.armed && !fl.timer.Stop(), fl.sending: // the firing or the attempt completes it
+		default:
+			fl.armed = false
+			c.inbox.Push(fl) // the Post's hold is the value's
 		}
 		fl = next
 	}
@@ -844,9 +807,9 @@ func (c *conn) handleFin(finSeq uint64) {
 }
 
 // deliverLocked queues v on the inbox. On a served conn v holds the conn
-// until handed, nothing follows the end notice, and while a Post is
-// outstanding v waits beside an idle inbox rather than wake it: the Post's
-// completion wakes it, where a Send's caller would wake. Caller holds c.mu.
+// until handed, nothing follows the end notice, and while a Post is out v
+// waits beside an idle inbox: the completion wakes it, where a Send's caller
+// would wake. Caller holds c.mu.
 func (c *conn) deliverLocked(v any) {
 	switch {
 	case !c.served:
@@ -865,9 +828,8 @@ func (c *conn) deliverLocked(v any) {
 type connEnd struct{}
 
 // endLocked ends what the conn delivers: an unserved conn's inbox closes, a
-// served one queues the handler's end notice, once (its inbox closes as the
-// conn recycles, after the outstanding Posts' completions). Caller holds
-// c.mu.
+// served one's handler gets the end notice once (its inbox closes as the
+// conn recycles). Caller holds c.mu.
 func (c *conn) endLocked() {
 	if !c.served {
 		c.inbox.Close()
@@ -941,11 +903,9 @@ func (h Conn) Close() error {
 	return nil
 }
 
-// CloseAfter arms the conn's deadline d from now, in place of one armed
-// before; a negative d only disarms it. Unless Close or another CloseAfter
-// comes first, the deadline sends the FIN and tears the conn down as Close
-// would, waking its Send and Recv callers with ErrClosed or telling its
-// handler, and Expired reports true from then on. A fired deadline stays so.
+// CloseAfter arms the conn's deadline d from now, replacing one armed
+// before; a negative d only disarms it. Unless disarmed first, the deadline
+// closes the conn as Close would, and Expired reports true from then on.
 func (h Conn) CloseAfter(d time.Duration) {
 	c := h.enter()
 	if c == nil {
@@ -967,7 +927,7 @@ func (h Conn) CloseAfter(d time.Duration) {
 }
 
 // stopDeadlineLocked disarms a deadline that has not fired, dropping its
-// hold; the caller holds the conn too. Caller holds c.mu.
+// hold. Caller holds c.mu and a hold of its own.
 func (c *conn) stopDeadlineLocked() {
 	if c.dlArmed && c.deadline.Stop() {
 		c.dlArmed = false
@@ -1000,9 +960,9 @@ func (c *conn) fin() {
 }
 
 // teardown closes the conn, broken by err unless err is ErrClosed: it
-// completes the in-flight messages, ends and closes the queues and, if
-// asked, unregisters from the mux,
-// dropping the table's hold. Its caller holds the conn too.
+// completes the in-flight messages, ends the queues and, if asked,
+// unregisters from the mux, dropping the table's hold. Its caller holds the
+// conn too.
 func (c *conn) teardown(err error, unregister bool) {
 	c.mu.Lock()
 	if c.closed {

@@ -412,17 +412,12 @@ func (q *queue) Serve(fn func(any)) {
 	go func() {
 		q.mu.Lock()
 		defer q.mu.Unlock()
-		for {
-			for len(q.items) == 0 && !q.closed && q.opened == opened {
+		for q.opened == opened && (len(q.items) > 0 || !q.closed) {
+			if len(q.items) == 0 {
 				q.cond.Wait()
+				continue
 			}
-			if q.opened != opened {
-				return
-			}
-			v, err := q.popLocked()
-			if err != nil {
-				return
-			}
+			v, _ := q.popLocked()
 			q.mu.Unlock()
 			fn(v)
 			q.mu.Lock()
