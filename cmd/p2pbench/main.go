@@ -1,57 +1,13 @@
 // Command p2pbench regenerates the paper's tables and figures on the
-// simulated PlanetLab deployment and prints them as markdown tables, ASCII
-// bar charts, CSV, or JSON.
+// simulated PlanetLab deployment, or runs a flow workload (-workload) or a
+// sweep grid (-sweep) over a scenario, and prints the result as markdown
+// tables, ASCII bar charts, CSV, or JSON.
 //
-// Experiments run on the parallel cell runner: independent
-// (scenario, peer, repetition) cells fan out across -parallel workers, and
-// per-cell seed derivation keeps the output bit-identical for a given seed
-// at any worker count.
-//
-// A run regenerates the paper's figures (controller-fanout traffic), or —
-// with -workload — executes a flow workload over the scenario: swarm:N and
-// allpairs:N drive peer↔peer transfers in which each source peer calls the
-// broker's selection service itself before transmitting. Workload output is
-// bit-identical for a given seed at any -parallel or -shards value.
-//
-// A faulty scenario (faults:N) keeps membership static but breaks the
-// control plane on a seed-derived schedule: broker blackouts (the broker
-// restarts with a cold cache), site↔control partitions, and control-link
-// loss bursts. Clients run a resilient call policy — per-RPC deadlines,
-// bounded retries with backoff, and degraded selection over their cached
-// directory when the broker is unreachable — and the summary gains
-// retries_spent / selections_degraded / flows_recovered /
-// broker_down_seconds counters. -experiment figfault renders flow
-// resilience vs fault intensity (the "fault" sweep axis).
-//
-// A churning scenario (churn:N) runs the workload over live membership:
-// peers join, leave and rejoin on the scenario's seed-derived schedule,
-// the broker ages departed peers out via short advertisement leases, and
-// the summary gains peers_departed / selections_lagged / selections_stale
-// counters (stale — a selection of a peer whose lease had certainly
-// expired — is the lease machinery's audit). Figures ignore churn
-// schedules; workloads are the churn-aware path.
-//
-// A dissemination workload (disseminate:N, stream:N) splits one payload into
-// pieces and runs a multi-round swarm: every downloader re-originates the
-// pieces it holds, piece picking is pluggable (pick=rarest|sequential), and
-// uploaders run tit-for-tat choking with a deterministic optimistic-unchoke
-// rotation (choke=tft|none). stream:N adds per-piece playback deadlines and a
-// stall counter. The summary gains pieces_moved / peers_reoriginated /
-// stalled_flows / total_stalls plus the like/cross pair-byte split behind
-// -experiment figcluster (bandwidth clustering vs choking policy) and
-// figstream (playback stalls vs piece picking).
-//
-// With -sweep the run is a generic grid over (scenario × workload × model ×
-// granularity × size × pick × choke × churn-rate × fault-rate), e.g.
-//
-//	p2pbench -sweep "scenario=table1,churn:64;model=all;rep=5" -format json
-//
-// Every grid point runs one workload repetition on its own slice; output is
-// per-cell records plus per-axis marginal summaries, bit-identical at any
-// -parallel or -shards value and for any axis ordering in the spec. The
-// churn axis ("churn=0.5,1,2,4") scales a churn:N scenario's membership
-// dynamics; -experiment figchurn renders the resulting selection-quality
-// figure (failed / lagged / stale flow percentages vs intensity) directly.
+// Cells run on the parallel cell runner, and per-cell seed derivation keeps
+// the output bit-identical for a given seed at any -parallel or -shards
+// value. Profiling (-cpuprofile, -memprofile, -trace) covers the whole run
+// and never changes results. README.md's flag table says what each
+// experiment, scenario, workload and flag exercises.
 //
 // Usage:
 //
@@ -62,17 +18,6 @@
 //	         [-seed N] [-reps N] [-parallel N] [-shards N]
 //	         [-format markdown|bars|csv|json]
 //	         [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
-//
-// -cpuprofile and -memprofile write pprof profiles covering the whole run —
-// the supported way to profile an experiment at scale without wrapping it in
-// a Go benchmark (`go tool pprof p2pbench cpu.out`). -trace writes a
-// runtime/trace execution trace over the same span (`go tool trace
-// trace.out`) — the tool of choice for dispatcher questions (goroutine
-// wakeups, scheduler latency) that sampling profiles can't answer. The
-// memory profile is written at exit after a final GC, so it reflects live
-// heap, and instrumentation never changes results: the simulation runs on
-// virtual time and identical seeds, instrumented or not (CI checks a traced
-// run's JSON is byte-identical to an untraced one).
 package main
 
 import (

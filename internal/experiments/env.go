@@ -114,15 +114,8 @@ func NewEnv(cfg Config) (*Env, error) { return NewEnvFor(cfg, nil) }
 // may name any catalog peer — deploys the full catalog. The scenario's
 // Remembered peers ride along in every subset: their hostnames appear in
 // quick-peer selection requests (workload.Env.Preferred), so dropping them
-// would change request bytes, and with them virtual timing, relative to a
-// full deployment.
-//
-// What the broker runs is read off the scenario: its lease TTL (30 days
-// unless the scenario churns — experiments span many virtual hours of idle
-// gaps and static peers never renew) and, where the control plane fails on
-// schedule, a Resilient controller. A paper figure passes its scenario with
-// the dynamics stripped (scenario.Scenario.Static) and so measures any
-// catalog as a static slice.
+// would change request bytes, and with them virtual timing. What the world
+// runs is read off the scenario (DESIGN.md "One world builder").
 func NewEnvFor(cfg Config, peers []string) (*Env, error) {
 	sc := cfg.Scenario
 	var deploy []string

@@ -51,15 +51,10 @@ func petitionCell(cfg Config, _ int, label string, rep int) ([]float64, error) {
 // in the group's parts to one peer, measured as {transmission minutes,
 // last-Mb seconds}.
 //
-// A whole-file transmission to a pathological sliver can die even after the
-// pipe's retries: every retransmission of a 100 Mb message re-rolls the
-// receiver's restart model. On the paper's 8-peer slice that is vanishingly
-// rare; on a 100+ peer slice with an SC7-class population it is routine, and
-// the operator's answer is the paper's own — relaunch the transmission
-// (workload.SendRelaunched, the flow layer's shared relaunch budget). The
-// figure measures the completed transmission (the cost of whole-file
-// fragility is Figure 5's finding, carried by the surviving attempt's
-// stretched time, not by aborting the experiment).
+// A transmission the pipe abandons is relaunched (workload.SendRelaunched)
+// and the completed one measured: whole-file fragility is Figure 5's
+// finding, carried by the surviving attempt's stretched time (DESIGN.md
+// "Scenario layer").
 func transferCell(size int) func(cfg Config, parts int, label string, rep int) ([]float64, error) {
 	return func(cfg Config, parts int, label string, rep int) ([]float64, error) {
 		return envCell(cfg, []string{label}, func(env *Env, ctl *overlay.Client) ([]float64, error) {

@@ -1,17 +1,6 @@
 // Generic sweep engine: grid cells over the axes sweepAxes declares, times
-// rep.
-//
-// The paper's figures are each a hand-rolled 1-D sweep — granularity for
-// Figure 5, selection model for Figure 6 — over per-peer cells, and stay
-// rows of their own table (figures.go). Here axis values are data, the
-// cross-product expands in one canonical axis order no matter how the axes
-// were specified, and every cell's seed derives from its full axis
-// coordinates — not its position in the grid — so a cell's simulated world
-// is invariant to worker count, shard count, axis ordering, and what else
-// happens to share the grid.
-//
-// (File commentary, deliberately detached from the package clause below:
-// doc.go owns the package overview.)
+// rep, each seeded from its full axis coordinates (DESIGN.md "Experiment
+// ownership").
 
 package experiments
 

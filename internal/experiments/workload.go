@@ -223,18 +223,10 @@ func rememberedHosts(env *Env, sc scenario.Scenario) []string {
 }
 
 // workloadCell deploys one repetition's slice and runs every flow of the
-// workload over it. It is the only cell runner; what a cell does is two
-// independent choices read off its inputs.
-//
-// Membership: a static scenario boots exactly the flows' participants and
-// a failing flow aborts the run. Under a churn schedule no static peer
-// boots — the world's dynamics own membership (Env.RunPeers) — per-flow
-// failures are recorded instead of aborting, and every model-selected sink
-// is audited against the schedule (auditSelections).
-//
-// Engine: workload.Run picks the piece engine for a dissemination workload
-// and the single-round executor otherwise; only the piece engine produces
-// the pair matrix clusterBytes folds.
+// workload over it: the only cell runner, two independent choices —
+// membership and engine — read off its inputs (DESIGN.md "One cell:
+// membership × engine"). Under a churn schedule every model-selected sink is
+// audited against it (auditSelections).
 func workloadCell(cellCfg Config, w workload.Workload, rep int) (workloadCellResult, error) {
 	sc := cellCfg.Scenario
 	flows := w.Flows(sc.Labels, cellCfg.Seed)

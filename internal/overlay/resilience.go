@@ -1,11 +1,6 @@
-// Control-plane resilience: the one resilience profile (deadline, bounded
-// retries, deterministic backoff jitter, degraded-mode selection over the
-// cached directory) and the typed error taxonomy for broker replies.
-//
-// A client that is not Resilient takes the same call path with one attempt
-// and no deadline, hence no timer, no extra RPC and no random draw — which is
-// why deployments without a fault plan have the event stream of a single
-// blocking exchange.
+// Control-plane resilience: the one resilience profile and its rule
+// (DESIGN.md "Faults & degradation") and the typed error taxonomy for broker
+// replies.
 
 package overlay
 

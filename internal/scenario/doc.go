@@ -22,15 +22,8 @@
 //   - faults:N — the heterogeneous mixture, static, under a control-plane
 //     fault plan: broker blackouts, site partitions, loss bursts
 //
-// # Ownership rules
-//
-// "Pure seed-derived" is the package's contract: Entry and Churn must be
-// pure functions of the seed (Entry of the seed and the entry's index) — no
-// clocks, no shared state, no environment. The parallel experiment runner deploys one fresh slice per
-// cell from the cell's derived seed and relies on identical output at any
-// worker count; per-peer draws come from SplitMix64-decorrelated streams
-// (Mix64), so catalogs and schedules are also independent of evaluation
-// order. Anything time- or order-dependent belongs to executors
-// (internal/workload's Conductor, internal/experiments' cells), never to a
-// Scenario.
+// Entry and Churn are pure functions of the seed (Entry of the seed and the
+// entry's index): the parallel runner deploys one fresh slice per cell and
+// relies on identical output at any worker count (DESIGN.md "Scenario
+// layer").
 package scenario

@@ -114,12 +114,9 @@ func BrokerDowntime(events []FaultEvent) time.Duration {
 func Faulty(n int) Scenario { return FaultyRated(n, 1) }
 
 // FaultyRated is Faulty with its fault intensity scaled by rate: each fault
-// candidate's admission probability is multiplied by rate (capped at 1), so
-// rate 2 roughly doubles the faults per horizon while their shapes stay
-// fixed. Scaling is compare-only — every RNG draw is consumed at every
-// rate, and rate only decides which candidates are admitted — so the
-// schedule at any two rates agrees on every admitted candidate's timing.
-// rate 1 is byte-identical to Faulty; rate <= 0 is treated as 1.
+// candidate's admission probability is multiplied by rate (capped at 1),
+// every draw consumed at every rate (DESIGN.md "Fault-rate purity"). rate 1
+// is byte-identical to Faulty; rate <= 0 is treated as 1.
 func FaultyRated(n int, rate float64) Scenario {
 	if !(rate > 0) || math.IsInf(rate, 1) {
 		rate = 1

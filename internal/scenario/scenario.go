@@ -192,16 +192,12 @@ func (s Scenario) Static() Scenario {
 // one reproducible world.
 func Deploy(sc Scenario, seed int64) (*Slice, error) { return DeployPeers(sc, seed, nil) }
 
-// DeployPeers is Deploy restricted to the named peer labels: the control
-// node plus only those peers are synthesized and added, so a per-peer
-// experiment cell on a huge slice pays for the nodes it touches, not for
-// the directory size. The subset world is byte-identical to the full
-// Deploy as long as the run really interacts with the named peers alone:
-// catalog entries are independent (see Scenario.Entry), and a node that never
-// sends or receives leaves no trace on the scheduler or on any draw stream.
-// A nil labels list deploys the full catalog; labels outside it are an error
-// that names them all, sorted. The returned slice's Catalog and Peers hold
-// what was deployed, in catalog order.
+// DeployPeers is Deploy restricted to the named peer labels plus the control
+// node, identical to the full Deploy for a run that touches those peers
+// alone: catalog entries are independent (see Scenario.Entry), and an idle
+// node leaves no trace on the scheduler or any draw stream. A nil labels
+// list deploys the full catalog; labels outside it are an error naming them
+// all, sorted. The slice's Catalog and Peers hold what was deployed.
 func DeployPeers(sc Scenario, seed int64, labels []string) (*Slice, error) {
 	if sc.IsZero() {
 		return nil, errors.New("scenario: Deploy of zero Scenario")
@@ -481,11 +477,8 @@ func Churn(n int) Scenario { return ChurnRated(n, 1) }
 
 // ChurnRated is Churn with its membership dynamics scaled by rate: session
 // lengths and downtimes shrink by 1/rate and site outages become
-// proportionally more likely (and shorter), so rate 2 roughly doubles the
-// departures per horizon while the lease timescales stay fixed — exactly the
-// stress the "selection quality vs churn rate" figure sweeps. rate 1 is
-// byte-identical to Churn (the draws are divided by 1.0, which is exact);
-// rate <= 0 is treated as 1.
+// proportionally more likely, while the lease timescales stay fixed. rate 1
+// is byte-identical to Churn; rate <= 0 is treated as 1.
 func ChurnRated(n int, rate float64) Scenario {
 	if !(rate > 0) || math.IsInf(rate, 1) {
 		rate = 1

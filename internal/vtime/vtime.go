@@ -17,16 +17,9 @@
 // the same way. Timers live in one min-heap ordered by (instant, schedule
 // sequence); that order is the whole firing contract.
 //
-// A world runs on one thread. Every process is a coroutine (iter.Pull), and
-// the goroutine that calls Wait is the driver: it pops the FIFO ready ring,
-// resumes that process's coroutine, and gets control back when the process
-// parks (Sleep, Queue.Pop) or returns — each of those is a yield to the
-// driver, a direct switch that never touches the Go run queue, a futex or a
-// second OS thread. When the ring is empty the driver advances the clock to
-// the next timer instant and fires it. Everything else — Go, Push,
-// AfterFunc, a timer firing — only appends to the ring, so the ring's order
-// is the dispatch order and nothing runs until some goroutine drives.
-// Coroutines are pooled (see Pool).
+// A world runs on one thread: every process is a pooled coroutine (see
+// Pool), resumed from a FIFO ready ring by the goroutine that calls Wait
+// (DESIGN.md "Dispatcher rules").
 //
 // The package underpins internal/simnet: network links schedule message
 // deliveries as timers, and protocol code written against the transport

@@ -2,8 +2,8 @@
 // membership schedule), Conductor (the virtual-time process that executes
 // it), inject (its twin, the process that executes a fault plan) and
 // Dynamics (the one place a scenario's schedule, conductor, fault plan and
-// injector are wired together). See the package comment's ownership rules
-// for the split.
+// injector are wired together). DESIGN.md "Workload layer" states the
+// split.
 
 package workload
 
@@ -146,10 +146,7 @@ type Conductor struct {
 //
 // renewEvery is the lease-renewal heartbeat: every renewEvery of virtual
 // time (until horizon) each live client pushes a stats report, which renews
-// its broker lease — the JXTA re-publish that keeps a *live* peer in the
-// directory while departed peers age out. Zero disables the heartbeat (leases then only renew on
-// registration and task traffic, so every lease expires one TTL after its
-// peer's last report).
+// its broker lease. Zero disables the heartbeat.
 func NewConductor(host transport.Host, schedule *Schedule,
 	renewEvery, horizon time.Duration,
 	boot func(label string) (*overlay.Client, error)) *Conductor {
@@ -223,14 +220,10 @@ func (c *Conductor) Start() {
 }
 
 // renewLoop is the lease-renewal heartbeat process: every renewEvery it
-// pushes a stats report for every live client, renewing their broker
-// leases. Reports fan out as concurrent processes (spawned in label order,
-// so the round is deterministic) and the round joins on the conductor's
-// queue before the next tick:
-// its virtual duration is one round-trip, not N of them — sequential
-// renewals would exceed the TTL on slices of thousands of peers and lapse
-// live leases mid-round. The loop ends at the horizon, so the simulation
-// still quiesces (no eternal timers).
+// pushes a stats report for every live client, as concurrent processes
+// spawned in label order and joined before the next tick, so a round takes
+// one round-trip, not N (sequential renewals would lapse live leases on
+// large slices). It ends at the horizon, so the simulation quiesces.
 func (c *Conductor) renewLoop() {
 	for t := c.renewEvery; t < c.horizon; t += c.renewEvery {
 		if d := t - c.host.Now().Sub(c.start); d > 0 {
@@ -277,13 +270,9 @@ func (c *Conductor) StartedAt() time.Time { return c.start }
 
 // Lag returns the worst lateness of a transition applied so far — how long
 // after its scheduled offset a leave or join took effect — and that
-// transition. The schedule process starts only once BootInitial has booted
-// the initial population one registration at a time, and applies
-// transitions one blocking boot after another, so on a large slice, or
-// behind one rejoin that waits out its peer's wake lag, the membership the
-// broker sees trails the Schedule by this much — and a peer may renew a
-// lease the Schedule says it no longer holds. Audits that trust schedule
-// offsets widen their certainty windows by it.
+// transition: how far the membership the broker sees trails the Schedule.
+// Audits that trust schedule offsets widen their certainty windows by it
+// (DESIGN.md "Leases & churn").
 func (c *Conductor) Lag() (time.Duration, scenario.ChurnEvent) { return c.lag, c.late }
 
 // Err returns the first boot failure the schedule process hit (nil in
