@@ -1,9 +1,6 @@
-// Figures as data: every figure is a row of one of two tables — the paper's
-// per-peer figures (paperFigures: a batch of independent cells averaged per
-// label) and the marginal figures (marginalFigures: one sweep axis, one
-// precondition and a few projections of the sweep's marginals) — each table
-// run by one function. The registry every surface lists figures from is
-// derived from the two.
+// Figures as data: every figure is a row of paperFigures or marginalFigures,
+// and the registry is derived from the two (DESIGN.md "Experiment
+// ownership").
 
 package experiments
 
@@ -76,13 +73,9 @@ func ExperimentNames() string {
 var ErrUnknownExperiment = errors.New("unknown experiment")
 
 // RunFigures regenerates the named exhibits in the order given: "table1",
-// any Figures key, or "all" — Table 1 plus the paper's Figures 2–7 (the rows
-// with no world of their own), expanded in place. All figures run
-// concurrently over one shared worker pool of cfg.Workers slots, so a whole
-// suite saturates the machine without oversubscribing it, and over one batch
-// memo, so two views of one cell batch (Figures 3 and 4) simulate it once;
-// per-cell seed derivation keeps every value identical to a Workers: 1 run
-// of that figure alone.
+// any Figures key, or "all" — Table 1 plus the paper's Figures 2–7,
+// expanded in place — over one worker pool of cfg.Workers slots and one
+// batch memo, so two views of one cell batch simulate it once.
 func RunFigures(cfg Config, names []string) (*Suite, error) {
 	suite := &Suite{}
 	var specs []FigureSpec
@@ -366,11 +359,8 @@ var marginalFigures = []marginalFigure{
 			{"flows recovered", func(m SweepMarginal) float64 { return m.RecoveredPct }},
 		},
 	},
-	// The incentive figure: under tit-for-tat fast peers reciprocate with
-	// fast peers and the like/cross pair-byte ratio climbs above 1
-	// (Legout's clustering), while choke=none — with the deliberately
-	// policy-neutral partner choice — mixes the classes. Only the piece
-	// engine produces a pair matrix.
+	// The incentive figure: the like/cross pair-byte ratio under tit-for-tat
+	// climbs above 1 (Legout's clustering); choke=none mixes the classes.
 	{
 		name: "figcluster", title: "Bandwidth clustering vs choking policy", unit: "like/cross pair-byte ratio",
 		scenario: DefaultClusterScenario,
@@ -386,12 +376,9 @@ var marginalFigures = []marginalFigure{
 			{"pairing ratio", func(m SweepMarginal) float64 { return m.PairingRatio }},
 		},
 	},
-	// The streaming figure: sequential picking delivers pieces in playback
-	// order and stalls fewer viewers, rarest-first optimizes swarm health at
-	// the viewer's expense (Rodrigues & Druschel) — clearest in the
-	// stalled-flow share, since total stall counts concentrate on
-	// capacity-starved tail peers no picking order can save. Without
-	// deadlines there are no stalls to rank.
+	// The streaming figure: sequential picking stalls fewer viewers than
+	// rarest-first (Rodrigues & Druschel), clearest in the stalled-flow
+	// share, since stall counts concentrate on capacity-starved tail peers.
 	{
 		name: "figstream", title: "Playback stalls vs piece picking", unit: "stalls per flow; stalled flows %",
 		scenario: DefaultClusterScenario, workload: DefaultStreamWorkload,

@@ -1,13 +1,6 @@
-// Parallel experiment runner.
-//
-// The paper's evaluation is embarrassingly parallel: every data point is an
-// independent PlanetLab run. The runner decomposes each figure into *cells*
-// — one (scenario, peer, repetition) unit with its own freshly deployed
-// slice and virtual-time scheduler — and executes cells across a worker
-// pool. Each cell's simnet seed derives deterministically from
-// (Config.Seed, figure, cell index) via SplitMix64, and results are
-// collected positionally, so a figure's values are bit-identical for a
-// given seed at any worker count, including 1.
+// Parallel experiment runner: cells across a worker pool, each seeded by one
+// of the two seed layouts (DESIGN.md "Experiment ownership") and collected
+// positionally, so output is identical at any worker count.
 package experiments
 
 import (
@@ -56,12 +49,9 @@ func runCells[T any](cfg Config, figure string, n int, cell func(i int, cellCfg 
 	return runCellsSeeded(cfg, n, func(i int) int64 { return deriveSeed(cfg.Seed, figure, i) }, cell)
 }
 
-// runCellsSeeded is the pool fan-out beneath runCells with the seed layout
-// factored out: seedOf maps a cell index to its derived seed. Figure batches
-// key seeds by (figure tag, linear index); sweep grids key them by the
-// cell's full axis coordinates, so a cell's world is invariant to what else
-// shares the grid. On failure the error of the lowest-index failing cell is
-// returned, keeping even error output independent of the worker count.
+// runCellsSeeded is the pool fan-out beneath runCells, seedOf mapping a cell
+// index to its derived seed. On failure the error of the lowest-index
+// failing cell is returned, so even error output is worker-independent.
 func runCellsSeeded[T any](cfg Config, n int, seedOf func(i int) int64, cell func(i int, cellCfg Config) (T, error)) ([]T, error) {
 	pool := cfg.pool
 	if pool == nil {

@@ -1,12 +1,6 @@
 // Workload runner: executes a flow set over a scenario on the parallel cell
-// runner. Where the figure generators decompose into (scenario, peer, rep)
-// cells with the control node as the sole traffic source, the workload
-// runner's cells are (scenario, workload, rep): each repetition deploys its
-// own slice and runs every flow of the workload as a concurrent simulation
-// process — peer↔peer sources included, each calling the broker's selection
-// service itself when its flow says so. Cell seeds and per-flow payload
-// seeds derive via SplitMix64, so a report is bit-identical for a given seed
-// at any worker or broker-shard count.
+// runner, one (scenario, workload, rep) cell per repetition, each flow a
+// concurrent simulation process.
 package experiments
 
 import (
@@ -71,12 +65,9 @@ type WorkloadSummary struct {
 	// PeersDeparted counts the schedule's up→down transitions across all
 	// repetitions.
 	PeersDeparted int `json:"peers_departed,omitempty"`
-	// SelectionsStale counts model-selected sinks that were departed AND
-	// whose advertisement lease had certainly expired at selection time
-	// (down throughout the whole TTL window before the selection). The
-	// broker filters expired leases from every candidate set, so a nonzero
-	// count is a finding — it is the lease machinery's audit, not a
-	// workload metric.
+	// SelectionsStale counts model-selected sinks whose lease had certainly
+	// expired at selection time (see auditSelections): the lease machinery's
+	// audit, so a nonzero count is a finding.
 	SelectionsStale int `json:"selections_stale,omitempty"`
 	// SelectionsLagged counts model-selected sinks that were departed at
 	// selection time but still inside their lease window — the inherent
@@ -273,12 +264,9 @@ func workloadCell(cellCfg Config, w workload.Workload, rep int) (workloadCellRes
 
 // staleSlack absorbs the gap between a schedule's leave offset and the last
 // renewal the broker could still have processed for the departing peer (a
-// stats report in flight when the client stopped lands a network delay
-// later). A selection is counted stale only when the sink was down
-// throughout [selection−TTL−slack−lag, selection] — beyond any such in-flight
-// renewal, and beyond any renewal a peer sent while the conductor had yet to
-// apply its leave (Conductor.Lag), so the lease was certainly expired. A lag
-// the slack does not cover is the harness running late and is reported.
+// stats report in flight when the client stopped). A selection is stale only
+// when the sink was down throughout [selection−TTL−slack−lag, selection]
+// (DESIGN.md "Leases & churn").
 const staleSlack = 10 * time.Second
 
 // selectFlight bounds how long a selection request is in flight before the
@@ -288,12 +276,9 @@ const staleSlack = 10 * time.Second
 // request by this much.
 const selectFlight = 5 * time.Second
 
-// auditSelections classifies every model-selected sink that the schedule
-// says was departed at selection time: still inside its lease window is
-// lagged — the inherent staleness a TTL'd directory admits — and down
-// throughout the whole window is stale, a selection the broker's lease
-// filter should have made impossible. Fixed-sink flows (dissemination
-// downloaders among them) select nothing and are skipped.
+// auditSelections classifies every model-selected sink the schedule says
+// was departed at selection time as lagged (inside its lease window) or
+// stale (down throughout it); fixed-sink flows select nothing.
 func auditSelections(results []workload.Result, dyn *workload.Dynamics, advTTL time.Duration) (stale, lagged int) {
 	lag, _ := dyn.Lag()
 	for _, r := range results {

@@ -359,11 +359,9 @@ func (c *Cache) LiveLen() int {
 	return len(c.advs)
 }
 
-// Stamp returns the version as of now. Stored means live and every change to
-// what is stored but a renewal advances the version, so equal stamps mean the
-// same live set, with the same entries and payloads, except for leases that
-// only moved later. O(1) on the static fast path. The broker's candidate
-// table and its merged directory key on it.
+// Stamp returns the version as of now: equal stamps mean the same live set,
+// entries and payloads, but for leases that only moved later (DESIGN.md
+// "Leases & churn"). O(1) on the static fast path.
 func (c *Cache) Stamp() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

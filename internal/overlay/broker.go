@@ -22,17 +22,12 @@ import (
 type BrokerConfig struct {
 	// AdvTTL is how long client advertisements stay valid (default 1h).
 	AdvTTL time.Duration
-	// CacheLimit bounds the advertisement directory (default 1024). Each
-	// shard holds at most CacheLimit advertisements of the peers it owns:
-	// any workload a single-shard directory serves without evicting is
-	// served identically at any shard count (a shard never holds more than
-	// the whole network would).
+	// CacheLimit bounds each shard's advertisement directory (default
+	// 1024; DESIGN.md "Broker sharding").
 	CacheLimit int
 	// Shards splits the advertisement directory into N peer-hash shards
-	// (default 1). A registration, renewal or piece report touches only the
-	// shard owning that peer; whole-directory reads (discovery, selection)
-	// merge the shards in name order, so results are identical at any
-	// shard count. The statistics registry is one, whatever Shards says.
+	// (default 1); results are identical at any shard count (DESIGN.md
+	// "Broker sharding").
 	Shards int
 }
 
@@ -150,16 +145,13 @@ func (b *Broker) Registry() *stats.Registry { return b.registry }
 // Shards reports the broker's shard count.
 func (b *Broker) Shards() int { return len(b.shards) }
 
-// mergedDir is the peer directory merged across shards, with the stamp
-// every shard's cache carried when it was merged (jxta.Cache.Stamp, in shard
-// order): while every shard still returns that stamp its live set is the one
-// merged, so the merge is current. The zero mergedDir is the merge of caches
-// never written, whose stamps are zero. gen counts the merges, so a view
-// derived from one (the candidate table) is current while gen is. The next
-// merge reuses buf (the shards' answers end to end), parts and advs, so they
-// are read under the broker's mu only; reply, the discover reply encoding
-// advs, is new and immutable per merge (so none for a renewal, which moves no
-// stamp), detached from enc, which the merge keeps.
+// mergedDir is the peer directory merged across shards, current while every
+// shard still returns the stamp it had at the merge (jxta.Cache.Stamp, in
+// shard order); the zero value is the merge of caches never written. gen
+// counts the merges, keying views derived from one (the candidate table).
+// buf, parts and advs are reused by the next merge, so they are read under
+// the broker's mu only; reply, the discover reply, is new and immutable per
+// merge, detached from enc.
 type mergedDir struct {
 	gen    uint64
 	stamps []uint64
@@ -277,11 +269,8 @@ func (b *Broker) Peers() []string {
 func (b *Broker) SetDown(down bool) { b.down.Store(down) }
 
 // Restart brings the broker back up after a blackout with a cold
-// advertisement cache: every shard's directory is wiped, so registered
-// peers vanish from discovery and selection until they re-register or
-// their next stats report resurrects them. The statistics registry survives —
-// the paper's broker persists its statistical records across restarts —
-// and so do its selection models.
+// advertisement cache; the statistics registry and the selection models
+// survive (DESIGN.md "Faults & degradation").
 func (b *Broker) Restart() {
 	for _, sh := range b.shards {
 		sh.Clear()
@@ -441,13 +430,8 @@ func (b *Broker) handleReportTransfer(conn pipe.Conn, rep reportTransfer) []byte
 	if rep.PetitionDelay > 0 {
 		ps.ObservePetitionDelay(rep.PetitionDelay)
 	}
-	// Origin attribution: the originating peer's record counts the
-	// transmission launch it sourced — launch-level, mirroring the sink-side
-	// RecordFileSent above. Under multi-source workloads the sink-side
-	// statistics no longer imply "from the controller"; this is the
-	// origin-side half of the picture. The source is taken from the
-	// reporting conn's remote address — authoritative, and free of wire
-	// format (hence timing) impact on the paper's figures.
+	// Origin attribution, launch-level like RecordFileSent above: the source
+	// is the reporting conn's remote address (DESIGN.md "Workload layer").
 	if from := conn.Remote().Node(); from != "" {
 		b.registry.Peer(from).RecordTransferOriginated(rep.OK, rep.Bytes)
 	}
@@ -455,11 +439,9 @@ func (b *Broker) handleReportTransfer(conn pipe.Conn, rep reportTransfer) []byte
 }
 
 // handlePieceReport folds a disseminating peer's piece inventory and choke
-// state into its advertisement attributes and renews the lease — the same
-// resurrection discipline as a stats report, so a late report under churn
-// rebuilds the entry instead of dropping it. Stats heartbeats preserve
-// attributes on lease renewal (they Publish the looked-up advertisement),
-// so inventory survives the renewal traffic between piece reports.
+// state into its advertisement attributes and renews the lease, resurrecting
+// a lapsed one as a stats report does. Heartbeats keep attributes on renewal,
+// so inventory survives between piece reports.
 func (b *Broker) handlePieceReport(conn pipe.Conn, rep pieceReport) []byte {
 	sh := b.shardOf(rep.Peer)
 	adv, _ := b.leaseOf(sh, rep.Peer, conn)

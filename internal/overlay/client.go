@@ -87,11 +87,9 @@ func NewClient(host transport.Host, broker transport.Addr, cfg ClientConfig) *Cl
 }
 
 // BootPeer is the reboot rule: NewClient + Start on a conn-id space unique
-// to this boot instant. A client that may follow an earlier incarnation on its
-// node (a churn rejoin, a restarted cmd/peer) boots through it: remote muxes,
-// the broker's above all, drop a reused id's messages as stale retransmits.
-// First boots keep the zero-based space, whose varint ids keep static
-// deployments' frames byte-identical.
+// to this boot instant, for a client that may follow an earlier incarnation
+// on its node (a churn rejoin, a restarted cmd/peer): remote muxes drop a
+// reused id's messages as stale retransmits.
 func BootPeer(host transport.Host, broker transport.Addr, cfg ClientConfig) (*Client, error) {
 	c := NewClient(host, broker, cfg)
 	c.firstConnID = uint64(host.Now().UnixNano())

@@ -1,15 +1,11 @@
 // Package transport defines the interfaces shared by the simulated network
 // (internal/simnet) and the real-socket network (internal/realnet).
 //
-// Protocol code — pipes, the JXTA-like discovery layer, the overlay broker
-// and clients — is written exclusively against these interfaces, so the same
+// Protocol code is written exclusively against these interfaces, so the same
 // implementation runs on virtual time for experiments and on TCP for the
-// cmd/ daemons and integration tests.
-//
-// The base service is an unreliable, message-oriented Endpoint: messages may
-// be dropped (simnet models loss and failure-restart; realnet over TCP
-// simply never drops) but are never corrupted or duplicated by the
-// transport itself. Reliability is layered on top by internal/pipe.
+// cmd/ daemons. The base service is an unreliable, message-oriented
+// Endpoint: messages may be dropped, never corrupted or duplicated;
+// internal/pipe layers reliability on top.
 package transport
 
 import (

@@ -7,23 +7,13 @@ import (
 	"sync"
 )
 
-// Pool is a reservoir of the coroutines scheduler processes execute on. A
-// coroutine costs a stack and some fifteen allocations to create, and a
-// large simulation starts and finishes millions of short processes, so a
-// pool keeps finished processes' coroutines on an idle list (most recently
-// finished first, for cache locality) and runs the next process on one of
-// them. A spawned process holds none until its first turn arrives.
-//
-// Reuse is invisible to the simulation by construction: a scheduler orders
-// processes by their admission to its ready ring, and which coroutine a
-// process runs on plays no part in that order. A pool may therefore be
-// shared by every scheduler in the program (see SharedPool), so a sweep
-// cell inherits the previous cell's warm stacks.
-//
-// Pool is safe for concurrent use. A coroutine belongs to whichever
-// scheduler's driver last took it; it parks inside that scheduler's
-// primitives as usual and returns to the idle list only when its process
-// returns.
+// Pool is a reservoir of the coroutines scheduler processes execute on,
+// keeping finished processes' coroutines on an idle list, most recently
+// finished first. A spawned process holds none until its first turn
+// arrives, and reuse is invisible to the simulation, so one pool may serve
+// every scheduler in the program (DESIGN.md "Pooled coroutines,
+// invisibly"). Pool is safe for concurrent use; a coroutine returns to the
+// idle list only when its process returns.
 type Pool struct {
 	mu      sync.Mutex
 	idle    *pworker // LIFO free list

@@ -15,14 +15,11 @@ var (
 	ErrTimeout = transport.ErrTimeout
 )
 
-// Queue is an unbounded FIFO of values integrated with the scheduler: Pop
-// parks the calling process (a yield to the driver) without stalling virtual
-// time, and Push (from a process, a timer or any other goroutine) hands the
-// value to the oldest waiter and makes it runnable. A served queue (see
-// Serve) has a handler instead of waiters. Queue plays the role of a
-// socket's receive buffer between simulated links and protocol code; its
-// values and parked processes sit in head-indexed FIFOs that keep their
-// backing arrays, so a queue in steady use allocates nothing.
+// Queue is an unbounded FIFO of values integrated with the scheduler, a
+// socket's receive buffer between simulated links and protocol code: Pop
+// parks the calling process without stalling virtual time, and Push (from
+// anywhere) hands the value to the oldest waiter, or to the handler of a
+// served queue (see Serve). A queue in steady use allocates nothing.
 type Queue struct {
 	s        *Scheduler
 	items    fifo[any]

@@ -210,10 +210,8 @@ func (s *Scheduler) AfterFunc(d time.Duration, fn func()) *Timer {
 }
 
 // getEntryLocked pops a recycled timer entry off the free list, or allocates
-// one. Entries return to the list in cancelLocked and advanceLocked with
-// their generation bumped; reuse is invisible to scheduling order because an
-// entry's identity plays no part in firing order — only (at, seq) does, and
-// seq is issued fresh per schedule. Caller holds s.mu.
+// one. Reuse is invisible: only (at, seq) orders firing, and seq is issued
+// fresh per schedule. Caller holds s.mu.
 func (s *Scheduler) getEntryLocked() *timerEntry {
 	if n := len(s.free); n > 0 {
 		e := s.free[n-1]
@@ -443,11 +441,9 @@ func (e *timerEntry) before(o *timerEntry) bool {
 }
 
 // timerHeap is the scheduler's one timer store: a 4-ary min-heap ordered by
-// (at, seq) whose entries record their own position, so the root is the next
-// timer to fire and a cancelled entry is removed in O(log n) without a
-// search. It is written out rather than built on the standard library's
-// heap to spare the hot path the interface boxing and dynamic Less/Swap
-// calls.
+// (at, seq) whose entries record their own position, so a cancelled entry
+// is removed in O(log n) without a search. It is written out to spare the
+// hot path container/heap's interface calls.
 type timerHeap []*timerEntry
 
 const heapArity = 4

@@ -74,10 +74,8 @@ func chokeDraw(seed int64, holder, round int) uint64 {
 
 // pieceTieRank is rarest-first's deterministic stand-in for BitTorrent's
 // "random among rarest": a seed-pure per-(downloader, piece) permutation
-// breaking rarity ties. It must differ per downloader — a global tie order
-// would have every downloader fetch the same pieces each round, inventories
-// would never diverge, and no peer would ever hold a piece another lacks
-// (the swarm degenerates to a fanout from the origin).
+// breaking rarity ties, per downloader (DESIGN.md "Dissemination &
+// incentives" says why).
 func pieceTieRank(seed int64, dl, piece int) uint64 {
 	return scenario.Mix64(scenario.Mix64(uint64(seed)) ^ 0x9a9e57 ^ uint64(dl)<<32 ^ uint64(piece))
 }
@@ -94,13 +92,9 @@ type dissemPeer struct {
 
 // ExecuteDisseminate runs the piece-level dissemination workload: the
 // control node holds the whole payload, every flow names one downloader,
-// and rounds of piece exchange — inventory and choke state advertised
-// through the broker, picks and partner choice computed from that shared
-// view — move the payload until every live downloader holds it all. All
-// draws derive from (seed, coordinates) via SplitMix64 and all iteration is
-// in canonical index order, so the event stream is byte-identical at any
-// worker or shard count. choke states the reciprocity rule, planRound the
-// picking and partner rules.
+// and rounds of piece exchange, planned from the state advertised through
+// the broker, move the payload until every live downloader holds it all.
+// choke states the reciprocity rule, planRound the picking and partner rules.
 func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Outcome, error) {
 	d = d.withDefaults()
 	if len(flows) == 0 {
@@ -407,13 +401,9 @@ type chokeCand struct {
 }
 
 // before reports whether a outranks b: rate descending, then a seed-pure
-// per-(holder, round, peer) draw off the holder's chokeDraw, then index. The
-// draw must rotate per round — a static tie order (peer index, say) would
-// have every holder unchoke the same few peers while rates are still
-// unobserved, the rest would never get a chance to demonstrate their rates,
-// and reciprocity would never latch onto actual bandwidth (the clustering
-// figure flatlines at random mixing). It is hashed only here, when two rates
-// tie, and kept, so a peer costs at most one hash per ranking.
+// per-(holder, round, peer) draw off the holder's chokeDraw that rotates per
+// round, then index. The draw is hashed only when two rates tie, and kept,
+// so a peer costs at most one hash per ranking.
 func (a *chokeCand) before(b *chokeCand, draw uint64) bool {
 	if a.rate != b.rate {
 		return a.rate > b.rate
@@ -431,13 +421,9 @@ func (a *chokeCand) before(b *chokeCand, draw uint64) bool {
 
 // choke computes holder h's unchoke set for a round, as ascending downloader
 // indices in scratch the next call overwrites. Interested means: live (as of
-// the caller's snapshot), not the holder, and missing at least one piece the
-// holder has. Under choke=none every interested peer is served; under
-// choke=tft only the top unchokeSlots-1 by the delivery rate the holder
-// observed from them while leeching (reciprocity), or by how fast each
-// absorbs its uploads once it holds everything (the seeder rule; the origin
-// always ranks this way), plus one optimistic unchoke rotated by chokeDraw.
-// One pass reads each peer's inventory and rate once.
+// the caller's snapshot), not the holder, and missing a piece the holder
+// has. choke=none serves every interested peer; choke=tft the ranking
+// DESIGN.md "Dissemination & incentives" states, in one pass.
 func (s *swarm) choke(policy string, h, round int, seed int64, live []bool) []int {
 	has, in := s.inv(h), s.interested[:0]
 	for q := 0; q < s.n; q++ {
@@ -555,11 +541,9 @@ type pieceCand struct {
 // planRound computes the round's piece assignments from the advertised
 // swarm state: each incomplete live downloader, in flow order, picks up to
 // piecesPerRound pieces by its policy from the holders that unchoked it,
-// and each pick lands on the least loaded eligible holder, at equal load a
-// peer before the origin (re-origination is the point of the workload), then
-// the lowest index — deliberately policy-neutral, so bandwidth clustering in
-// the pair matrix can only come from the choking policy itself. It allocates
-// what it returns and nothing else.
+// each landing on the least loaded eligible holder, a peer before the
+// origin, then the lowest index. It allocates what it returns and nothing
+// else.
 func (s *swarm) planRound(d Dissemination, seed int64, live []bool) []roundAssign {
 	n, pw := s.n, s.pw
 	holding := func(row int) bool { return s.advertised[row] && (row == 0 || live[row-1]) }
