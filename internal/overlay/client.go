@@ -112,10 +112,8 @@ func (c *Client) Start() error {
 	if err != nil {
 		return fmt.Errorf("overlay: transfer bind: %w", err)
 	}
-	serve := pipe.Handler(c.serveControl)
-	c.ctlMux = pipe.NewMux(c.host, ctlEP, pipe.Options{FirstID: c.firstConnID, Serve: func(pipe.Conn) pipe.Handler { return serve }})
-	recv := transfer.NewReceiver(c.host, c.cfg.OnFile)
-	c.xferMux = pipe.NewMux(c.host, xferEP, pipe.Options{FirstID: c.firstConnID, Serve: recv.Accept})
+	c.ctlMux = pipe.NewMux(c.host, ctlEP, pipe.Options{FirstID: c.firstConnID, Serve: c.acceptControl})
+	c.xferMux = pipe.NewMux(c.host, xferEP, pipe.Options{FirstID: c.firstConnID, Serve: transfer.Receiver(c.host, c.cfg.OnFile)})
 	c.sender = transfer.NewSender(c.host, c.xferMux)
 	if err := c.register(); err != nil {
 		c.Stop()
@@ -163,6 +161,10 @@ func (c *Client) call(to transport.Addr, payload []byte) ([]byte, error) {
 	reply, _, err := c.callRetried(to, payload)
 	return reply, err
 }
+
+// acceptControl is the control mux's serve func: each inbound control conn
+// is served by serveControl.
+func (c *Client) acceptControl(pipe.Conn) pipe.Handler { return c.serveControl }
 
 // serveControl serves one inbound control conn (a task, an instant message).
 func (c *Client) serveControl(conn pipe.Conn, ev pipe.Event) {

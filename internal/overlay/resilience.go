@@ -17,6 +17,7 @@ import (
 
 	"peerlab/internal/core"
 	"peerlab/internal/jxta"
+	"peerlab/internal/pipe"
 	"peerlab/internal/transport"
 	"peerlab/internal/wire"
 )
@@ -130,26 +131,22 @@ func (r *resilience) snapshotDir() []jxta.Advertisement {
 }
 
 // callOnce performs one request/response exchange on a fresh conn, bounded
-// by timeout (zero = unbounded). The conn's deadline closes it, which
-// unblocks both the send and the receive leg; the returned flag reports
-// whether the deadline fired.
-func (c *Client) callOnce(to transport.Addr, payload []byte, timeout time.Duration) ([]byte, bool, error) {
+// by timeout (zero = unbounded): the conn's deadline ends both the send and
+// the receive leg with pipe.ErrTimeout.
+func (c *Client) callOnce(to transport.Addr, payload []byte, timeout time.Duration) ([]byte, error) {
 	conn, err := c.ctlMux.Dial(to)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	defer conn.Close()
 	if timeout > 0 {
 		conn.CloseAfter(timeout)
 	}
 	if err := conn.Send(payload); err != nil {
-		return nil, conn.Expired(), err
+		return nil, err
 	}
 	msg, err := conn.Recv()
-	if err != nil {
-		return nil, conn.Expired(), err
-	}
-	return msg.Payload, false, nil
+	return msg.Payload, err
 }
 
 // callRetried runs one call over callOnce: a single unbounded attempt, or,
@@ -167,20 +164,19 @@ func (c *Client) callRetried(to transport.Addr, payload []byte) ([]byte, int, er
 	}
 	backoff := callBackoff
 	var lastErr error
-	lastTimeout := false
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			f := 0.75 + 0.5*c.host.Rand().Float64()
 			c.host.Sleep(time.Duration(float64(backoff) * f))
 			backoff = min(2*backoff, maxCallBackoff)
 		}
-		reply, timedOut, err := c.callOnce(to, payload, timeout)
+		reply, err := c.callOnce(to, payload, timeout)
 		if err == nil {
 			return reply, attempt, nil
 		}
-		lastErr, lastTimeout = err, timedOut
+		lastErr = err
 	}
-	retries := attempts - 1
+	retries, lastTimeout := attempts-1, errors.Is(lastErr, pipe.ErrTimeout)
 	switch {
 	case c.stopped.Load():
 		return nil, retries, fmt.Errorf("overlay: client stopped: %w", lastErr)

@@ -20,7 +20,7 @@ type callWorld struct {
 	a, b       transport.Host
 	muxA, muxB *Mux
 	drive      func(fn func())
-	timeout    time.Duration // one echo's RecvTimeout
+	timeout    time.Duration // the deadline on one echo's Recv
 	gap        time.Duration // bound on a closer's sleep between two closes
 }
 
@@ -108,7 +108,8 @@ func echoCalls(t *testing.T, w callWorld, seed int64) callLog {
 							mu.Unlock()
 						}
 						for i := 0; i < 2; i++ {
-							m, err := conn.RecvTimeout(w.timeout)
+							conn.CloseAfter(w.timeout)
+							m, err := conn.Recv()
 							if err != nil {
 								return err
 							}
@@ -273,9 +274,6 @@ func TestHandleAfterCloseReadsClosed(t *testing.T) {
 			}
 			if _, err := old.Recv(); !errors.Is(err, ErrClosed) {
 				t.Errorf("Recv on a closed handle = %v, want ErrClosed", err)
-			}
-			if _, err := old.RecvTimeout(time.Second); !errors.Is(err, ErrClosed) {
-				t.Errorf("RecvTimeout on a closed handle = %v, want ErrClosed", err)
 			}
 			if err := old.Close(); err != nil {
 				t.Errorf("Close on a closed handle = %v", err)

@@ -154,10 +154,10 @@ func TestBufferedMessagesOutliveClose(t *testing.T) {
 	}
 }
 
-// TestRecvTimeoutReturnsBufferedMessage reads a message that was buffered
-// before RecvTimeout was called, at once, and one that arrives while it
-// waits, at its arrival.
-func TestRecvTimeoutReturnsBufferedMessage(t *testing.T) {
+// TestDeadlineRecvReturnsBufferedMessage reads, with a Recv under a
+// deadline, a message that was buffered before the Recv was called, at once,
+// and one that arrives while it waits, at its arrival.
+func TestDeadlineRecvReturnsBufferedMessage(t *testing.T) {
 	r := newRig(t, cleanProfile(), cleanProfile(), Options{})
 	var got []string
 	var waited []time.Duration
@@ -170,9 +170,11 @@ func TestRecvTimeoutReturnsBufferedMessage(t *testing.T) {
 		r.net.Scheduler().Sleep(time.Second) // "early" is buffered
 		for i := 0; i < 2; i++ {
 			began := r.net.Scheduler().Elapsed()
-			m, err := conn.RecvTimeout(time.Minute)
+			conn.CloseAfter(time.Minute)
+			m, err := conn.Recv()
+			conn.CloseAfter(-1)
 			if err != nil {
-				t.Errorf("RecvTimeout %d: %v", i, err)
+				t.Errorf("Recv %d: %v", i, err)
 				return
 			}
 			got = append(got, string(m.Payload))
@@ -231,7 +233,8 @@ func TestFinOvertakingDataWaitsForIt(t *testing.T) {
 					return
 				}
 				for {
-					m, err := conn.RecvTimeout(time.Minute)
+					conn.CloseAfter(time.Minute)
+					m, err := conn.Recv()
 					if err != nil {
 						last = err
 						return

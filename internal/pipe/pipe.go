@@ -41,7 +41,9 @@ func SetDebugDispatch(fn func(local string, kind byte, id, seq, ack uint64, size
 	debugDispatch = fn
 }
 
-// Errors returned by pipe operations.
+// Errors returned by pipe operations. ErrTimeout is what every call on a conn
+// whose deadline (CloseAfter) fired returns: the one way a pipe wait ends
+// with a timeout.
 var (
 	ErrClosed  = errors.New("pipe: closed")
 	ErrBroken  = errors.New("pipe: peer unreachable (retries exhausted)")
@@ -104,7 +106,8 @@ type Event struct {
 	// Posted reports the completion of the conn's outstanding Post: its
 	// ack arrived, or, with Err, the conn broke or closed first.
 	Posted bool
-	// Err, when not Posted, is the conn's end: ErrClosed, or why it broke.
+	// Err, when not Posted, is the conn's end: ErrClosed, ErrTimeout, or why
+	// it broke.
 	Err error
 }
 
@@ -309,11 +312,11 @@ func (m *Mux) sendFrame(peer transport.Addr, kind byte, dirTheirs bool, id, seq,
 	return m.ep.SendFrame(peer, e.Bytes(), payload, e.Len()+size)
 }
 
-// inflight is one message awaiting its ack. A Send's sender retransmits it,
-// parked on released between attempts; a Post's timer, kept through
-// recycling, does, and it completes on the conn's inbox once no attempt is
-// sending and no firing pending. Once unlisted it is done, err the
-// completion's; whoever takes the completion recycles it.
+// inflight is one message awaiting its ack. Its timer, kept through
+// recycling, retransmits it. Once unlisted it is done, err the completion's,
+// and it completes once no attempt is sending and no firing pending: a
+// Send's on released, where its caller waits, a Post's on the conn's inbox.
+// Whoever takes the completion recycles it.
 type inflight struct {
 	conn     *conn
 	released transport.Queue
@@ -381,10 +384,9 @@ type connState struct {
 	recvNext   uint64             // next in-order seq expected
 	recvBuf    map[uint64]Message // reorder buffer, allocated on first gap
 	finSeq     uint64             // seq carried by a FIN we received, 0 if none
-	broken     error              // non-nil once the conn is unusable
+	broken     error              // why a torn-down conn failed: a break or ErrTimeout
 	closed     bool               // torn down
 	released   bool               // the owner's Close ran
-	expired    bool               // the deadline fired
 	dlArmed    bool               // the deadline is armed or firing, and holds the conn
 	srtt       time.Duration
 	rttvar     time.Duration
@@ -428,10 +430,8 @@ func (h Conn) Remote() transport.Addr { return peek(h, func(c *conn) transport.A
 // Retransmissions reports how many retransmission attempts this conn made.
 func (h Conn) Retransmissions() int64 { return peek(h, func(c *conn) int64 { return c.retxCount }) }
 
-// Expired reports whether the conn's deadline (CloseAfter) fired.
-func (h Conn) Expired() bool { return peek(h, func(c *conn) bool { return c.expired }) }
-
-// Send transmits payload reliably, blocking until the peer acknowledges it.
+// Send transmits payload reliably, blocking until the peer acknowledges it or
+// the conn ends; the record's timer retransmits meanwhile, as for a Post.
 // The caller gives payload up, as to transport.Endpoint.Send: receivers keep
 // the buffer itself, so the caller must not write it afterwards. One buffer
 // may be sent on any number of conns.
@@ -448,19 +448,12 @@ func (h Conn) SendSized(payload []byte, size int) error {
 		return c.closedErr()
 	}
 	defer c.releaseToken()
-	fl, rto, err := c.send(payload, size, false)
-	for err == nil {
-		if _, err = fl.released.PopTimeout(rto); err == nil {
-			return c.complete(fl)
-		}
-		if fl.attempt++; fl.attempt == MaxAttempts {
-			c.teardown(ErrBroken, true)
-			fl.released.Pop()
-			return c.complete(fl)
-		}
-		rto, err = c.attempt(fl), nil
+	fl, err := c.send(payload, size, false)
+	if err != nil {
+		return err
 	}
-	return err
+	fl.released.Pop()
+	return c.complete(fl)
 }
 
 // Post transmits payload reliably as Send does, on a served conn (see
@@ -470,15 +463,15 @@ func (h Conn) SendSized(payload []byte, size int) error {
 func (h Conn) Post(payload []byte) error {
 	if c := h.enter(); c != nil {
 		defer c.leave()
-		_, _, err := c.send(payload, len(payload), true)
+		_, err := c.send(payload, len(payload), true)
 		return err
 	}
 	return ErrClosed
 }
 
 // send gives payload the next seq, joins its record to the tail of the
-// in-flight list and makes the first attempt, returning its RTO.
-func (c *conn) send(payload []byte, size int, posted bool) (*inflight, time.Duration, error) {
+// in-flight list and makes the first attempt.
+func (c *conn) send(payload []byte, size int, posted bool) (*inflight, error) {
 	c.mu.Lock()
 	if posted && !c.served {
 		c.mu.Unlock()
@@ -486,12 +479,12 @@ func (c *conn) send(payload []byte, size int, posted bool) (*inflight, time.Dura
 	}
 	if c.closed { // a conn is broken only as it is torn down
 		c.mu.Unlock()
-		return nil, 0, c.closedErr()
+		return nil, c.closedErr()
 	}
 	c.sendNext++
 	fl := c.mux.takeInflight()
 	fl.conn, fl.seq, fl.payload, fl.size = c, c.sendNext, payload, max(size, len(payload))
-	fl.posted, fl.sending = posted, posted
+	fl.posted, fl.sending = posted, true
 	if c.flTail == nil {
 		c.flHead = fl
 	} else {
@@ -503,13 +496,13 @@ func (c *conn) send(payload []byte, size int, posted bool) (*inflight, time.Dura
 		c.holds++ // the completion's, until it is handed
 	}
 	c.mu.Unlock()
-	return fl, c.attempt(fl), nil
+	c.attempt(fl)
+	return fl, nil
 }
 
-// attempt, the one attempt rule of Send and Post, puts fl's frame on the wire
-// and returns the RTO for its ack, backed off exponentially; a Post's record
-// then completes if released meanwhile, or its timer is armed.
-func (c *conn) attempt(fl *inflight) time.Duration {
+// attempt puts fl's frame on the wire; then fl completes if released
+// meanwhile, or its timer is armed for the RTO, backed off exponentially.
+func (c *conn) attempt(fl *inflight) {
 	rto := min(c.rtoFor(fl.size)<<uint(fl.attempt), MaxRTO)
 	now := c.mux.host.Now()
 	c.mu.Lock()
@@ -525,25 +518,23 @@ func (c *conn) attempt(fl *inflight) time.Duration {
 		c.retxCount++
 	}
 	switch fl.sending = false; {
-	case !fl.posted:
 	case fl.done:
-		c.inbox.Push(fl) // the Post's hold is the value's
+		c.handCompletionLocked(fl)
 	case fl.timer == nil:
 		fl.armed, fl.timer = true, c.mux.host.AfterFunc(rto, fl.retransmit)
 	default:
 		fl.armed = true
 		fl.timer.Reset(rto)
 	}
-	return rto
 }
 
-// retransmit is a Post's timer firing: the next attempt, or, after
-// MaxAttempts, the conn's break, unless the Post completed meanwhile.
+// retransmit is fl's timer firing: the next attempt, or, after MaxAttempts,
+// the conn's break, unless fl completed meanwhile.
 func (fl *inflight) retransmit() {
 	c := fl.conn
 	c.mu.Lock()
 	if fl.armed = false; fl.done {
-		c.inbox.Push(fl)
+		c.handCompletionLocked(fl)
 		c.mu.Unlock()
 		return
 	}
@@ -557,6 +548,17 @@ func (fl *inflight) retransmit() {
 		c.teardown(ErrBroken, true)
 	}
 	c.leave()
+}
+
+// handCompletionLocked hands done fl's completion to its taker: a Send's
+// caller, parked on released, or a Post's handler, through the inbox. Caller
+// holds c.mu.
+func (c *conn) handCompletionLocked(fl *inflight) {
+	if fl.posted {
+		c.inbox.Push(fl) // the Post's hold is the value's
+	} else {
+		fl.released.Push(fl)
+	}
 }
 
 // complete takes fl's completion and recycles fl, keeping what it makes
@@ -688,37 +690,24 @@ func (c *conn) observeLocked(sample time.Duration, size int) {
 	}
 }
 
-// Recv blocks until the next in-order message arrives.
-func (h Conn) Recv() (Message, error) { return h.recv(0, false) }
-
-// RecvTimeout is Recv with a relative deadline.
-func (h Conn) RecvTimeout(d time.Duration) (Message, error) { return h.recv(d, true) }
-
-func (h Conn) recv(d time.Duration, timed bool) (Message, error) {
+// Recv blocks until the next in-order message arrives or the conn ends; a
+// wait with a deadline is a Recv under CloseAfter.
+func (h Conn) Recv() (Message, error) {
 	c := h.enter()
 	if c == nil {
 		return Message{}, ErrClosed
 	}
 	defer c.leave()
-	var v any
-	var err error
-	if timed {
-		v, err = c.inbox.PopTimeout(d)
-	} else {
-		v, err = c.inbox.Pop()
-	}
-	switch {
-	case err == nil:
-		return c.mux.takeMessage(v), nil
-	case errors.Is(err, transport.ErrTimeout):
-		return Message{}, ErrTimeout
-	default:
+	v, err := c.inbox.Pop()
+	if err != nil {
 		return Message{}, c.closedErr()
 	}
+	return c.mux.takeMessage(v), nil
 }
 
 // closedErr is what a call on a torn-down conn, or a Recv past the peer's
-// FIN, reports: why the conn broke, or ErrClosed.
+// FIN, reports: why the conn broke, ErrTimeout if its deadline fired, or
+// ErrClosed.
 func (c *conn) closedErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -777,19 +766,16 @@ func (c *conn) handleAck(ack uint64) {
 }
 
 // releaseLocked completes the unlisted records from fl on, oldest first,
-// with err, except a Post's that an attempt or a firing will. Caller holds
-// c.mu.
+// with err, except those an attempt or a firing will. Caller holds c.mu.
 func (c *conn) releaseLocked(fl *inflight, err error) {
 	for fl != nil {
 		next := fl.next // read first: once completed, fl belongs to its taker
 		fl.next, fl.done, fl.err = nil, true, err
 		switch {
-		case !fl.posted:
-			fl.released.Push(fl)
 		case fl.armed && !fl.timer.Stop(), fl.sending: // the firing or the attempt completes it
 		default:
 			fl.armed = false
-			c.inbox.Push(fl) // the Post's hold is the value's
+			c.handCompletionLocked(fl)
 		}
 		fl = next
 	}
@@ -898,14 +884,16 @@ func (h Conn) Close() error {
 	c.mu.Unlock()
 	if owner {
 		c.leave() // the owner's hold; the call's outlives it
-		c.fin()
+		c.fin(ErrClosed)
 	}
 	return nil
 }
 
 // CloseAfter arms the conn's deadline d from now, replacing one armed
-// before; a negative d only disarms it. Unless disarmed first, the deadline
-// closes the conn as Close would, and Expired reports true from then on.
+// before; a negative d only disarms it. It is how any wait on a conn gets a
+// deadline: unless disarmed first, the deadline sends a FIN and tears the
+// conn down as Close would, but every call on the conn, pending or later,
+// returns ErrTimeout. Its owner still ends its use with Close.
 func (h Conn) CloseAfter(d time.Duration) {
 	c := h.enter()
 	if c == nil {
@@ -938,14 +926,15 @@ func (c *conn) stopDeadlineLocked() {
 // deadlineFired is the deadline's callback.
 func (c *conn) deadlineFired() {
 	c.mu.Lock()
-	c.expired, c.dlArmed = true, false
+	c.dlArmed = false
 	c.mu.Unlock()
-	c.fin()
+	c.fin(ErrTimeout)
 	c.leave()
 }
 
-// fin sends a FIN and tears the conn down, unless it is torn down already.
-func (c *conn) fin() {
+// fin sends a FIN and tears the conn down with err, unless it is torn down
+// already.
+func (c *conn) fin(err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -956,7 +945,7 @@ func (c *conn) fin() {
 	// Best-effort: a lost FIN leaves the remote conn to be torn down by its
 	// owner; data integrity never depends on FIN delivery.
 	c.mux.sendFrame(c.peer, kindFin, !c.theirs, c.id, finSeq, 0, nil, 0)
-	c.teardown(ErrClosed, true)
+	c.teardown(err, true)
 }
 
 // teardown closes the conn, broken by err unless err is ErrClosed: it

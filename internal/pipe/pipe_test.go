@@ -392,15 +392,43 @@ func TestBidirectionalConversation(t *testing.T) {
 	}
 }
 
-func TestRecvTimeoutOnConn(t *testing.T) {
+// TestCallsOnExpiredConnReturnErrTimeout: once a conn's deadline fired,
+// the Recv and the Send it cut short and every later call return
+// ErrTimeout, not ErrClosed. The pending calls return at the deadline, once
+// its FIN is on the wire.
+func TestCallsOnExpiredConnReturnErrTimeout(t *testing.T) {
 	r := newRig(t, cleanProfile(), cleanProfile(), Options{})
-	var err error
-	r.net.Run(func() {
-		conn, _ := r.muxA.Dial("b/pipe")
-		_, err = conn.RecvTimeout(time.Second)
-	})
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("RecvTimeout = %v, want ErrTimeout", err)
+	r.muxB.Close() // b drops every frame: a Send to it is never acknowledged
+	s := r.net.Scheduler()
+	for _, pending := range []string{"Recv", "Send"} {
+		var errs []error
+		var waited time.Duration
+		r.net.Run(func() {
+			conn, err := r.muxA.Dial("b/pipe")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			conn.CloseAfter(time.Second)
+			began := s.Elapsed()
+			if pending == "Recv" {
+				_, err = conn.Recv()
+			} else {
+				err = conn.Send([]byte("ping"))
+			}
+			waited = s.Elapsed() - began
+			_, recvErr := conn.Recv()
+			errs = append(errs, err, recvErr, conn.Send([]byte("late")))
+		})
+		for i, err := range errs {
+			if !errors.Is(err, ErrTimeout) {
+				t.Errorf("pending %s: call %d returned %v, want ErrTimeout", pending, i, err)
+			}
+		}
+		if waited < time.Second || waited > time.Second+time.Millisecond {
+			t.Errorf("pending %s returned after %v, want the deadline's 1s and a FIN's serialization", pending, waited)
+		}
 	}
 }
 

@@ -379,30 +379,6 @@ func (q *queue) popLocked() (any, error) {
 	return v, nil
 }
 
-func (q *queue) PopTimeout(d time.Duration) (any, error) {
-	deadline := time.Now().Add(d)
-	// Cond has no timed wait; poll with a short interval bounded by the
-	// deadline. Control traffic is low-rate, so this stays cheap.
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if len(q.items) > 0 || q.closed {
-			return q.popLocked()
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil, transport.ErrTimeout
-		}
-		q.mu.Unlock()
-		wait := 5 * time.Millisecond
-		if remaining < wait {
-			wait = remaining
-		}
-		time.Sleep(wait)
-		q.mu.Lock()
-	}
-}
-
 // Serve runs fn on every value in a goroutine of its own, until the queue is
 // closed and drained or reopened.
 func (q *queue) Serve(fn func(any)) {

@@ -3,6 +3,7 @@ package realnet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -90,22 +91,20 @@ func TestUnboundServiceSilentlyDropped(t *testing.T) {
 // recvWithin is Recv with a deadline, so a lost frame fails the test instead
 // of hanging it.
 func recvWithin(ep transport.Endpoint, d time.Duration) (transport.Message, error) {
-	v, err := ep.(*endpoint).queue.PopTimeout(d)
-	if err != nil {
-		return transport.Message{}, err
+	type result struct {
+		msg transport.Message
+		err error
 	}
-	return v.(transport.Message), nil
-}
-
-func TestQueuePopTimeout(t *testing.T) {
-	q := newQueue()
-	start := time.Now()
-	_, err := q.PopTimeout(50 * time.Millisecond)
-	if !errors.Is(err, transport.ErrTimeout) {
-		t.Fatalf("err = %v", err)
-	}
-	if time.Since(start) < 40*time.Millisecond {
-		t.Fatal("timeout returned too early")
+	got := make(chan result, 1)
+	go func() {
+		msg, err := ep.Recv()
+		got <- result{msg, err}
+	}()
+	select {
+	case r := <-got:
+		return r.msg, r.err
+	case <-time.After(d):
+		return transport.Message{}, fmt.Errorf("no message within %v", d)
 	}
 }
 
@@ -121,7 +120,7 @@ func TestQueueBasics(t *testing.T) {
 		t.Fatalf("Pop = %v", v)
 	}
 	q.Close()
-	if _, err := q.PopTimeout(10 * time.Millisecond); err != nil {
+	if _, err := q.Pop(); err != nil {
 		t.Fatal("buffered value must drain after close")
 	}
 	if _, err := q.Pop(); !errors.Is(err, transport.ErrClosed) {
@@ -317,7 +316,8 @@ func TestReceiverOwnsPayloadOverTCP(t *testing.T) {
 				return
 			}
 			for i := 0; i < n; i++ {
-				m, err := conn.RecvTimeout(10 * time.Second)
+				conn.CloseAfter(10 * time.Second)
+				m, err := conn.Recv()
 				if err != nil {
 					return
 				}
@@ -476,33 +476,25 @@ func TestSendRacesClose(t *testing.T) {
 	}
 }
 
-// TestPoppedValueIsCollectable pops the first of two values, by Pop and by
-// PopTimeout: the queue, still holding the second, must not keep the first
-// reachable through its backing array.
+// TestPoppedValueIsCollectable pops the first of two values: the queue,
+// still holding the second, must not keep the first reachable through its
+// backing array.
 func TestPoppedValueIsCollectable(t *testing.T) {
-	for _, timed := range []bool{false, true} {
-		q := newQueue()
-		first := new([64]byte)
-		gone := weak.Make(first)
-		q.Push(first)
-		q.Push(new([64]byte))
-		var v any
-		var err error
-		if timed {
-			v, err = q.PopTimeout(time.Second)
-		} else {
-			v, err = q.Pop()
-		}
-		if err != nil || v != any(first) {
-			t.Fatalf("timed=%v: popped %v, %v", timed, v, err)
-		}
-		v, first = nil, nil
-		runtime.GC()
-		if gone.Value() != nil {
-			t.Errorf("timed=%v: a popped value stays reachable through the queue", timed)
-		}
-		if q.Len() != 1 {
-			t.Fatalf("timed=%v: %d values left, want 1", timed, q.Len())
-		}
+	q := newQueue()
+	first := new([64]byte)
+	gone := weak.Make(first)
+	q.Push(first)
+	q.Push(new([64]byte))
+	v, err := q.Pop()
+	if err != nil || v != any(first) {
+		t.Fatalf("popped %v, %v", v, err)
+	}
+	v, first = nil, nil
+	runtime.GC()
+	if gone.Value() != nil {
+		t.Error("a popped value stays reachable through the queue")
+	}
+	if q.Len() != 1 {
+		t.Fatalf("%d values left, want 1", q.Len())
 	}
 }

@@ -338,21 +338,6 @@ func TestSendToUnboundServiceSilentlyDrops(t *testing.T) {
 	}
 }
 
-func TestQueuePopTimeout(t *testing.T) {
-	n := New(1)
-	q := n.MustAddNode("a", DefaultProfile()).NewQueue()
-	var err error
-	n.Run(func() {
-		_, err = q.PopTimeout(3 * time.Second)
-	})
-	if !errors.Is(err, transport.ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if n.Scheduler().Elapsed() != 3*time.Second {
-		t.Fatalf("Elapsed = %v, want 3s", n.Scheduler().Elapsed())
-	}
-}
-
 func TestCloseUnblocksRecv(t *testing.T) {
 	n, _, epB := twoNodeNet(t, DefaultProfile(), DefaultProfile())
 	var err error

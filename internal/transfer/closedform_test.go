@@ -122,7 +122,7 @@ func TestCleanLinkTransferClosedForm(t *testing.T) {
 
 		k := 1 + rng.Intn(32)
 		file := NewVirtualFile("f.bin", k+rng.Intn(4*Mb), rng.Int63())
-		n, a, src := newCleanWorld(t, l, func(b *simnet.Node) func(pipe.Conn) pipe.Handler { return NewReceiver(b, nil).Accept })
+		n, a, src := newCleanWorld(t, l, func(b *simnet.Node) func(pipe.Conn) pipe.Handler { return Receiver(b, nil) })
 		s := NewSender(a, src)
 		var m Metrics
 		var err error

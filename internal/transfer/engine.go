@@ -224,7 +224,7 @@ func (s *Sender) handshake(conn pipe.Conn, m *Metrics, pet *petition) error {
 	if err := conn.Send(pet.encode()); err != nil {
 		return fmt.Errorf("%w: petition: %w", ErrFailed, err)
 	}
-	ackMsg, err := conn.RecvTimeout(petitionTimeout)
+	ackMsg, err := recvWithin(conn, petitionTimeout)
 	if err != nil {
 		return fmt.Errorf("%w: waiting petition ack: %v", ErrFailed, err)
 	}
@@ -276,8 +276,9 @@ func (s *Sender) stream(conn pipe.Conn, id uint64, parts []Part, streamed bool) 
 	for range parts {
 		if err := s.awaitAck(conn, timings); err != nil {
 			// A send failure is the likelier root cause than the ack silence
-			// that follows it; surface it when one has been reported.
-			if sendErrs.Len() > 0 {
+			// that follows it; surface it when one has been reported, unless
+			// the silence outlasted the deadline, which failed the sends.
+			if sendErrs.Len() > 0 && !errors.Is(err, pipe.ErrTimeout) {
 				if v, perr := sendErrs.Pop(); perr == nil {
 					return timings, v.(error)
 				}
@@ -311,9 +312,9 @@ func (s *Sender) sendPart(conn pipe.Conn, id uint64, p Part, pt *PartTiming) err
 // first part of window still unconfirmed.
 func (s *Sender) awaitAck(conn pipe.Conn, window []PartTiming) error {
 	first := slices.IndexFunc(window, func(pt PartTiming) bool { return pt.Confirmed.IsZero() })
-	reply, err := conn.RecvTimeout(partAckTimeout)
+	reply, err := recvWithin(conn, partAckTimeout)
 	if err != nil {
-		return fmt.Errorf("%w: waiting ack for part %d: %v", ErrFailed, window[first].Index, err)
+		return fmt.Errorf("%w: waiting ack for part %d: %w", ErrFailed, window[first].Index, err)
 	}
 	kind, d, err := wire.Tag(reply.Payload)
 	if err != nil || kind != msgPartAck {
@@ -334,6 +335,15 @@ func (s *Sender) awaitAck(conn pipe.Conn, window []PartTiming) error {
 	return nil
 }
 
+// recvWithin is a Recv under the conn's deadline, armed for d: once it fires
+// the conn is down and the Recv returns pipe.ErrTimeout. The deadline is
+// armed after the Send it follows, which is never bounded.
+func recvWithin(conn pipe.Conn, d time.Duration) (pipe.Message, error) {
+	conn.CloseAfter(d)
+	defer conn.CloseAfter(-1)
+	return conn.Recv()
+}
+
 // Received describes a completed inbound transfer handed to the receiver's
 // callback.
 type Received struct {
@@ -342,25 +352,16 @@ type Received struct {
 	Verified bool // checksum matched (real files) or structure valid
 }
 
-// Receiver serves inbound transfers on a pipe mux whose Options.Serve is its
-// Accept: each accepted conn is an inbound transfer, a state machine on the
-// conn's served inbox.
-type Receiver struct {
-	host   transport.Host
-	onFile func(Received)
-}
-
-// NewReceiver returns a receiver. onFile, if not nil, is invoked after each
-// completed whole-file transfer.
-func NewReceiver(host transport.Host, onFile func(Received)) *Receiver {
-	return &Receiver{host: host, onFile: onFile}
-}
-
-// Accept starts an inbound transfer on conn, which waits up to partTimeout
-// for its petition.
-func (r *Receiver) Accept(conn pipe.Conn) pipe.Handler {
-	conn.CloseAfter(partTimeout)
-	return (&inbound{r: r}).handle
+// Receiver returns the serve func (pipe.Options.Serve) of a mux that
+// receives transfers: each accepted conn is an inbound transfer, a state
+// machine on the conn's served inbox, which waits up to partTimeout for its
+// petition. onFile, if not nil, is invoked after each completed whole-file
+// transfer.
+func Receiver(host transport.Host, onFile func(Received)) func(pipe.Conn) pipe.Handler {
+	return func(conn pipe.Conn) pipe.Handler {
+		conn.CloseAfter(partTimeout)
+		return (&inbound{host: host, onFile: onFile}).handle
+	}
 }
 
 // inbound is one transfer conn, whichever petition opens it: admit, answer,
@@ -378,7 +379,8 @@ func (r *Receiver) Accept(conn pipe.Conn) pipe.Handler {
 // for each part as the previous answer completes; its firing, the peer's
 // FIN, a broken answer or a bad frame ends the transfer with Close.
 type inbound struct {
-	r         *Receiver
+	host      transport.Host
+	onFile    func(Received)
 	in        petition
 	arrived   map[int]bool // made as the petition is admitted
 	parts     []Part
@@ -414,7 +416,7 @@ func (t *inbound) petition(conn pipe.Conn, first pipe.Message) bool {
 		return false
 	}
 	t.in = in
-	receivedAt := t.r.host.Now()
+	receivedAt := t.host.Now()
 
 	// The receiver keeps what arrived, never what was only promised: one
 	// map from a position to whether its part has landed holds the
@@ -477,7 +479,7 @@ func (t *inbound) part(conn pipe.Conn, msg pipe.Message) bool {
 		TransferID:  t.in.TransferID,
 		Index:       ph.Index,
 		OK:          !landed && (named || t.whole && ph.Index >= 0 && ph.Index < t.in.Parts),
-		DeliveredAt: t.r.host.Now(),
+		DeliveredAt: t.host.Now(),
 		Ready:       t.received+1 < t.expected,
 	}
 	if !pa.OK {
@@ -505,8 +507,8 @@ func (t *inbound) answered(conn pipe.Conn) bool {
 	}
 	slices.SortFunc(t.parts, func(a, b Part) int { return cmp.Compare(a.Index, b.Index) })
 	f, err := Join(t.in.FileName, t.in.TotalSize, t.parts)
-	if t.r.onFile != nil {
-		t.r.onFile(Received{
+	if t.onFile != nil {
+		t.onFile(Received{
 			Sender:   t.in.Sender,
 			File:     f,
 			Verified: err == nil && (f.Data == nil || f.Checksum() == t.in.Checksum),

@@ -29,7 +29,7 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 	// The first conn's receiver accepts the petition, refuses the first
 	// part it reads and then reads on until the conn ends; every later
 	// conn gets the package's Receiver.
-	recv := &Receiver{host: b}
+	recv := Receiver(b, nil)
 	accepted, read := 0, 0
 	var id uint64
 	scripted := func(conn pipe.Conn, ev pipe.Event) {
@@ -50,7 +50,7 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 	muxA := pipe.NewMux(a, epA, pipe.Options{})
 	pipe.NewMux(b, epB, pipe.Options{Serve: func(conn pipe.Conn) pipe.Handler {
 		if accepted++; accepted > 1 {
-			return recv.Accept(conn)
+			return recv(conn)
 		}
 		return scripted
 	}})
@@ -86,5 +86,46 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("got  %s\nwant %s", got[i], want[i])
 		}
+	}
+}
+
+// TestStreamedAckSilenceNamesTheWait streams pieces to a receiver that
+// accepts the petition and then goes silent, its mux closed without a FIN.
+// The part senders are still retransmitting when the ack wait's deadline
+// fails them too, and the transfer reports the wait, the root cause, not a
+// part's send.
+func TestStreamedAckSilenceNamesTheWait(t *testing.T) {
+	n := simnet.New(11)
+	a := n.MustAddNode("src", fastProfile())
+	b := n.MustAddNode("dst", fastProfile())
+	epA, errA := a.Endpoint("xfer")
+	epB, errB := b.Endpoint("xfer")
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	var muxB *pipe.Mux
+	muxB = pipe.NewMux(b, epB, pipe.Options{Serve: func(pipe.Conn) pipe.Handler {
+		return func(conn pipe.Conn, ev pipe.Event) {
+			if ev.Err == nil {
+				_, d, _ := wire.Tag(ev.Msg.Payload)
+				conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: d.Uint64(), Accept: true, ReceivedAt: b.Now()}.encodeTo))
+				muxB.Close()
+			}
+			conn.Close()
+		}
+	}})
+	s := NewSender(a, pipe.NewMux(a, epA, pipe.Options{}))
+	var m Metrics
+	var err error
+	n.Run(func() {
+		// 2 MB pieces: the pipe retransmits each for well over partAckTimeout.
+		err = s.SendPieces("dst/xfer", NewVirtualFile("silent", 8*Mb, 5), 4, []int{0, 1, 2, 3}, &m)
+	})
+	const want = "transfer: transfer failed: waiting ack for part 0: pipe: timeout"
+	if err == nil || err.Error() != want {
+		t.Fatalf("SendPieces = %v, want %s", err, want)
+	}
+	if waited := n.Now().Sub(m.PetitionAcked); waited < partAckTimeout {
+		t.Fatalf("failed %v after the petition ack, before the %v ack wait ended", waited, partAckTimeout)
 	}
 }

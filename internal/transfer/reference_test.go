@@ -22,7 +22,7 @@ import (
 // the transfer expects as many parts as were announced.
 func refHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
 	defer conn.Close()
-	first, err := conn.RecvTimeout(partTimeout)
+	first, err := recvWithin(conn, partTimeout)
 	if err != nil {
 		return
 	}
@@ -55,7 +55,7 @@ func refHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
 	wait := partTimeout + time.Duration(10*float64(partSize)/pipe.MinRate*float64(time.Second))
 	var arrived []Part
 	for len(arrived) < len(announced) {
-		msg, err := conn.RecvTimeout(wait)
+		msg, err := recvWithin(conn, wait)
 		if err != nil {
 			return
 		}
@@ -254,7 +254,7 @@ func runReceiverProgram(prog receiverProgram, serve func(transport.Host, transpo
 
 // realReceiver stands the package's Receiver on ep.
 func realReceiver(host transport.Host, ep transport.Endpoint, onFile func(Received)) {
-	pipe.NewMux(host, ep, pipe.Options{Serve: NewReceiver(host, onFile).Accept})
+	pipe.NewMux(host, ep, pipe.Options{Serve: Receiver(host, onFile)})
 }
 
 // refReceiver serves every conn a mux on ep accepts with refHandle, each in

@@ -90,9 +90,9 @@ func (tr *transcript) outcome(send func(*Metrics) error) {
 
 // serve stands the real Receiver on dst.
 func (tr *transcript) serve() {
-	tr.accept = NewReceiver(tr.dstN, func(rc Received) {
+	tr.accept = Receiver(tr.dstN, func(rc Received) {
 		tr.logf("%s delivered %q size=%d verified=%v", tr.at(tr.net.Now()), rc.File.Name, rc.File.Size, rc.Verified)
-	}).Accept
+	})
 }
 
 // serveFirstPartOnly stands a scripted receiver on dst that accepts the
@@ -171,7 +171,7 @@ func (tr *transcript) raw(petitionFrame []byte, parts []partHeader, linger time.
 			pa.Index, pa.OK, pa.Reason, tr.at(pa.DeliveredAt), pa.Ready, err)
 	}
 	if linger > 0 {
-		_, err := conn.RecvTimeout(linger)
+		_, err := recvWithin(conn, linger)
 		tr.logf("%s silent sender's wait ends: %v", tr.at(tr.net.Now()), err)
 	}
 }

@@ -188,8 +188,7 @@ func newXferRig(t *testing.T, src, dst simnet.Profile) *xferRig {
 	}
 	rig := &xferRig{net: n}
 	muxA := pipe.NewMux(a, epA, pipe.Options{})
-	recv := NewReceiver(b, func(rc Received) { rig.received = append(rig.received, rc) })
-	pipe.NewMux(b, epB, pipe.Options{Serve: recv.Accept})
+	pipe.NewMux(b, epB, pipe.Options{Serve: Receiver(b, func(rc Received) { rig.received = append(rig.received, rc) })})
 	rig.mux = muxA
 	rig.sender = NewSender(a, muxA)
 	return rig
@@ -434,7 +433,7 @@ func TestAcceptedPetitionAllocatesOnlyWhatArrives(t *testing.T) {
 				t.Errorf("%d listed pieces: ack = %+v, %v; want an accept", len(indices), ack, err)
 				return
 			}
-			conn.RecvTimeout(time.Second) // meanwhile the receiver starts waiting for a part
+			rig.net.Scheduler().Sleep(time.Second) // meanwhile the receiver starts waiting for a part
 			runtime.ReadMemStats(&after)
 		})
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {

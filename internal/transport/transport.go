@@ -66,7 +66,6 @@ type Message struct {
 // Common transport errors.
 var (
 	ErrClosed      = errors.New("transport: endpoint closed")
-	ErrTimeout     = errors.New("transport: receive timeout")
 	ErrUnknownAddr = errors.New("transport: unknown address")
 )
 
@@ -109,15 +108,15 @@ type Timer interface {
 // Queue is a host-provided unbounded FIFO whose Pop parks the calling
 // process in a scheduler-aware way. Protocol code must use Host.NewQueue
 // for any producer/consumer handoff: blocking on a raw Go channel would
-// stall the virtual clock under simnet.
+// stall the virtual clock under simnet. A Pop has no deadline of its own: a
+// wait that must end is ended by a Timer that closes the queue or pushes
+// onto it (a pipe conn's deadline does).
 type Queue interface {
 	// Push appends v, waking the oldest waiter. Returns ErrClosed after
 	// Close.
 	Push(v any) error
 	// Pop blocks until a value is available or the queue is closed.
 	Pop() (any, error)
-	// PopTimeout is Pop with a relative deadline; returns ErrTimeout.
-	PopTimeout(d time.Duration) (any, error)
 	// Len reports the number of buffered values.
 	Len() int
 	// Close wakes all waiters with ErrClosed; buffered values remain

@@ -164,10 +164,6 @@ func TestDispatchAllocBudgets(t *testing.T) {
 				pong.Pop()
 			}
 		}},
-		{"PopTimeout that expires", 0, func(s *Scheduler, newQueue func() *Queue) func() {
-			idle := newQueue()
-			return func() { idle.PopTimeout(time.Millisecond) }
-		}},
 		{"PushAt then Pop (v needs no boxing)", 0, func(s *Scheduler, newQueue func() *Queue) func() {
 			q := newQueue()
 			return func() {

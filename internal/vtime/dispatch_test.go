@@ -271,9 +271,8 @@ func TestBlockingOutsideProcessPanics(t *testing.T) {
 	s := NewScheduler()
 	q := NewQueue(s)
 	for what, fn := range map[string]func(){
-		"Sleep":      func() { s.Sleep(time.Second) },
-		"Pop":        func() { q.Pop() },
-		"PopTimeout": func() { q.PopTimeout(time.Second) },
+		"Sleep": func() { s.Sleep(time.Second) },
+		"Pop":   func() { q.Pop() },
 	} {
 		if got := mustPanic(t, what+" from the test goroutine", fn); got != want {
 			t.Errorf("%s panicked with %q, want %q", what, got, want)

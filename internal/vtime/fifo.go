@@ -1,7 +1,5 @@
 package vtime
 
-import "slices"
-
 // fifo is a head-indexed FIFO over one backing array: pop advances the head
 // instead of re-slicing (which gives the array's capacity away and makes the
 // next push allocate), the array resets when the queue drains, and a push
@@ -18,10 +16,6 @@ type fifo[T any] struct {
 }
 
 func (f *fifo[T]) len() int { return len(f.buf) - f.head }
-
-// live returns the queued values, oldest first. The slice aliases the
-// backing array and is valid until the next push, pop or remove.
-func (f *fifo[T]) live() []T { return f.buf[f.head:] }
 
 func (f *fifo[T]) push(v T) {
 	if f.buf == nil {
@@ -47,12 +41,4 @@ func (f *fifo[T]) pop() (v T, ok bool) {
 		f.buf, f.head = f.buf[:0], 0
 	}
 	return v, true
-}
-
-// remove deletes live()[i], keeping the order of the rest.
-func (f *fifo[T]) remove(i int) {
-	f.buf = slices.Delete(f.buf, f.head+i, f.head+i+1)
-	if f.head == len(f.buf) {
-		f.buf, f.head = f.buf[:0], 0
-	}
 }

@@ -6,12 +6,11 @@ import (
 	"testing"
 )
 
-// TestFifoMatchesSlice runs seeded programs of push, pop, remove, drain and
+// TestFifoMatchesSlice runs seeded programs of push, pop, drain and
 // refill against a fifo and a plain slice, and compares the live values after
 // every step. Each program starts empty and keeps the queue short, so it
 // crosses the one-to-two-element growth many times, and it reaches the
-// slide-down of a full, half-dead backing array. Popped and removed slots
-// must read nil: a dead slot that still points at a value pins it.
+// slide-down of a full, half-dead backing array. Popped slots must read nil: a dead slot that still points at a value pins it.
 func TestFifoMatchesSlice(t *testing.T) {
 	var grew, slid int
 	for seed := int64(1); seed <= 200; seed++ {
@@ -36,7 +35,7 @@ func TestFifoMatchesSlice(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 4:
 				push()
-			case op < 7:
+			case op < 8:
 				v, ok := f.pop()
 				if ok != (len(ref) > 0) {
 					t.Fatalf("seed %d step %d: pop ok = %v with %d queued", seed, step, ok, len(ref))
@@ -47,12 +46,6 @@ func TestFifoMatchesSlice(t *testing.T) {
 					}
 					ref = ref[1:]
 				}
-			case op < 8:
-				if len(ref) > 0 {
-					i := rng.Intn(len(ref))
-					f.remove(i)
-					ref = slices.Delete(ref, i, i+1)
-				}
 			case op < 9: // drain
 				for _, ok := f.pop(); ok; _, ok = f.pop() {
 				}
@@ -62,8 +55,8 @@ func TestFifoMatchesSlice(t *testing.T) {
 					push()
 				}
 			}
-			if f.len() != len(ref) || !slices.Equal(f.live(), ref) {
-				t.Fatalf("seed %d step %d: fifo holds %v, want %v", seed, step, deref(f.live()), deref(ref))
+			if live := f.buf[f.head:]; f.len() != len(ref) || !slices.Equal(live, ref) {
+				t.Fatalf("seed %d step %d: fifo holds %v, want %v", seed, step, deref(live), deref(ref))
 			}
 			for i, v := range f.buf[:f.head] {
 				if v != nil {

@@ -54,10 +54,9 @@ type pworker struct {
 	q      *Queue                  // or the served queue whose drain is the process; nil likewise
 
 	// Park slot. A waker stores the result of a Pop in v before making the
-	// process runnable; deadline is that Pop's armed timeout, if any. Both
-	// are guarded by the parking scheduler's lock until the process resumes.
-	v        any
-	deadline *timerEntry
+	// process runnable; it is guarded by the parking scheduler's lock until
+	// the process resumes.
+	v any
 }
 
 // get takes an idle worker, creating one if none is parked. The pool mutex

@@ -30,7 +30,6 @@ type squeue interface {
 	Push(v any) error
 	PushAt(v any, at time.Time)
 	Pop() (any, error)
-	PopTimeout(d time.Duration) (any, error)
 	Close()
 }
 
@@ -55,7 +54,7 @@ func serveByLoop(w world, q squeue, fn func(any)) {
 }
 
 // progDelays is deliberately tiny: with four distinct horizons and five
-// queues, sleepers, pop deadlines, PushAt deliveries and AfterFunc spawns
+// queues, sleepers, PushAt deliveries and AfterFunc spawns
 // land on one instant all the time, which is where dispatch order is
 // decided.
 var progDelays = []time.Duration{0, time.Millisecond, time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond}
@@ -77,10 +76,9 @@ type progRun struct {
 	timers []stopper // every AfterFunc handle, in call order
 	log    []string
 
-	pushAts, deadlines map[string]bool // "queue@instant" of PushAts and pop deadlines
-	servedPushes       map[string]int  // "queue@instant" of Pushes and PushAt landings onto served queues
-	handling           []bool          // a served queue's handler is inside a call
-	parkedPushes       int             // pushes onto a served queue while its handler was parked
+	servedPushes map[string]int // "queue@instant" of Pushes and PushAt landings onto served queues
+	handling     []bool         // a served queue's handler is inside a call
+	parkedPushes int            // pushes onto a served queue while its handler was parked
 }
 
 const popQueues, servedQueues = 3, 2
@@ -119,19 +117,14 @@ func (r *progRun) proc(name string, steps int) func() {
 			case op < 35:
 				r.logf(name, fmt.Sprint("push ", ti), r.push(name, ti, val))
 			case op < 45:
-				r.pushAts[at(ti)] = true
 				if ti >= popQueues {
 					r.servedPushes[at(ti)]++
 				}
 				r.qs[ti].PushAt(val, Epoch.Add(r.w.Elapsed()+d))
 				r.logf(name, fmt.Sprint("pushat ", ti), d)
-			case op < 55:
+			case op < 75:
 				v, err := q.Pop()
 				r.logf(name, fmt.Sprint("pop ", qi), fmt.Sprint(v, " ", err))
-			case op < 75:
-				r.deadlines[at(qi)] = true
-				v, err := q.PopTimeout(d)
-				r.logf(name, fmt.Sprint("poptimeout ", qi), fmt.Sprint(v, " ", err))
 			case op < 83:
 				r.w.Go(child())
 				r.logf(name, "spawn", children)
@@ -212,8 +205,7 @@ func (r *progRun) handler(qi int) func(any) {
 // the contract, including one that lets a process start before Wait is
 // called.
 func runProgram(w world, seed int64, procs, steps int) *progRun {
-	r := &progRun{w: w, seed: seed, pushAts: map[string]bool{}, deadlines: map[string]bool{},
-		servedPushes: map[string]int{}, handling: make([]bool, popQueues+servedQueues)}
+	r := &progRun{w: w, seed: seed, servedPushes: map[string]int{}, handling: make([]bool, popQueues+servedQueues)}
 	for i := 0; i < popQueues+servedQueues; i++ {
 		r.qs = append(r.qs, w.NewQueue())
 	}
@@ -258,7 +250,7 @@ func diffSchedulers(t *testing.T, seed int64, procs, steps int) *progRun {
 }
 
 // TestSchedulerMatchesReference is the dispatcher's oracle: seeded random
-// process programs — sleeps, pushes, pops with and without deadline, PushAt,
+// process programs — sleeps, pushes, pops, PushAt,
 // spawns, AfterFunc and Stop, queue close, served queues whose handlers
 // sleep, push, spawn and return early, all crowded onto a handful of
 // instants — must log the same (instant, process, op, value) sequence on the
@@ -287,11 +279,7 @@ func TestSchedulerMatchesReference(t *testing.T) {
 			case f[2] == "handle" && closed[f[1]]:
 				seen["served queue closed with values still buffered"]++
 				closed[f[1]] = false
-			case f[2] == "poptimeout" && strings.HasSuffix(l, ErrTimeout.Error()):
-				seen["pop deadline expires"]++
-			case f[2] == "poptimeout" && strings.HasSuffix(l, "<nil>"):
-				seen["pop with deadline gets a value"]++
-			case (f[2] == "pop" || f[2] == "poptimeout") && strings.HasSuffix(l, ErrClosed.Error()):
+			case f[2] == "pop" && strings.HasSuffix(l, ErrClosed.Error()):
 				seen["pop ends on close"]++
 			case f[2] == "push" && strings.HasSuffix(l, ErrClosed.Error()):
 				seen["push to closed queue"]++
@@ -311,17 +299,10 @@ func TestSchedulerMatchesReference(t *testing.T) {
 				seen["eight-line tie at one instant"]++
 			}
 		}
-		for k := range r.deadlines {
-			if r.pushAts[k] {
-				seen["PushAt lands on a pop deadline's instant"]++
-			}
-		}
 	}
 	for _, want := range []string{
-		"pop deadline expires", "pop with deadline gets a value", "pop ends on close",
-		"push to closed queue", "stop true", "stop false", "grandchild runs",
-		"eight-line tie at one instant", "PushAt lands on a pop deadline's instant",
-		"push onto a served queue while its handler is parked", "same-instant pushes onto a served queue",
+		"pop ends on close", "push to closed queue", "stop true", "stop false",
+		"grandchild runs", "eight-line tie at one instant", "push onto a served queue while its handler is parked", "same-instant pushes onto a served queue",
 		"served queue closed with values still buffered",
 	} {
 		if seen[want] < 5 {

@@ -1,19 +1,14 @@
 package vtime
 
 import (
-	"slices"
 	"time"
 
 	"peerlab/internal/transport"
 )
 
-// ErrClosed is returned by Queue operations after Close, and ErrTimeout by
-// PopTimeout when the deadline passes first. Both are transport's, so a
-// *Queue is a transport.Queue as it stands.
-var (
-	ErrClosed  = transport.ErrClosed
-	ErrTimeout = transport.ErrTimeout
-)
+// ErrClosed is returned by Queue operations after Close. It is transport's,
+// so a *Queue is a transport.Queue as it stands.
+var ErrClosed = transport.ErrClosed
 
 // Queue is an unbounded FIFO of values integrated with the scheduler, a
 // socket's receive buffer between simulated links and protocol code: Pop
@@ -95,40 +90,17 @@ func (q *Queue) wakeDrainLocked() {
 	}
 }
 
-// deliverLocked ends w's park with result v: its deadline, if armed, is
-// dropped and it joins the ready ring. w is already off the wait list.
-// Caller holds the scheduler lock.
+// deliverLocked ends w's park with result v: it joins the ready ring. w is
+// already off the wait list. Caller holds the scheduler lock.
 func (q *Queue) deliverLocked(w *pworker, v any) {
-	q.s.cancelLocked(w.deadline)
-	w.deadline = nil
 	w.v = v
 	q.s.parked--
 	q.s.admitLocked(readyItem{w: w})
 }
 
-// expireLocked fires w's Pop deadline: w leaves the wait list, wherever in
-// it it stands, and wakes with ErrTimeout. Caller holds the scheduler lock.
-func (q *Queue) expireLocked(w *pworker) {
-	if i := slices.Index(q.waits.live(), w); i >= 0 {
-		q.waits.remove(i)
-	}
-	w.deadline = nil // it is the entry being fired
-	q.deliverLocked(w, errTimeoutMarker{})
-}
-
 // Pop removes and returns the oldest value, parking the calling process until
 // one is available. It returns ErrClosed once the queue is closed and drained.
 func (q *Queue) Pop() (any, error) {
-	return q.pop(-1)
-}
-
-// PopTimeout is Pop with a virtual-time deadline. It returns ErrTimeout if no
-// value arrives within d.
-func (q *Queue) PopTimeout(d time.Duration) (any, error) {
-	return q.pop(d)
-}
-
-func (q *Queue) pop(timeout time.Duration) (any, error) {
 	s := q.s
 	s.mu.Lock()
 	if q.serve != nil {
@@ -144,10 +116,6 @@ func (q *Queue) pop(timeout time.Duration) (any, error) {
 		return nil, ErrClosed
 	}
 	w := s.parkingLocked()
-	if timeout >= 0 {
-		w.deadline = s.scheduleLocked(s.now + timeout)
-		w.deadline.q, w.deadline.wake = q, w
-	}
 	q.waits.push(w)
 	s.parked++
 	s.mu.Unlock()
@@ -156,17 +124,12 @@ func (q *Queue) pop(timeout time.Duration) (any, error) {
 	// The waker filled the slot before the driver resumed this process.
 	v := w.v
 	w.v = nil
-	switch v.(type) {
-	case errTimeoutMarker:
-		return nil, ErrTimeout
-	case errClosedMarker:
+	if _, closed := v.(errClosedMarker); closed {
 		return nil, ErrClosed
-	default:
-		return v, nil
 	}
+	return v, nil
 }
 
-type errTimeoutMarker struct{}
 type errClosedMarker struct{}
 
 // PushAt schedules v to be pushed at absolute virtual time at, clamped to

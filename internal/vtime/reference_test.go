@@ -32,10 +32,9 @@ type refAlarm struct {
 	done bool   // fired or cancelled
 }
 
-// refProc is one process: the result of its last Pop and that Pop's deadline.
+// refProc is one process: the result of its last Pop.
 type refProc struct {
-	v        any
-	deadline *refAlarm
+	v any
 }
 
 func newRefSched() *refSched {
@@ -173,10 +172,9 @@ type refQueue struct {
 	closed bool
 }
 
-// wake ends p's Pop with v (a value, ErrTimeout or ErrClosed).
+// wake ends p's Pop with v (a value or ErrClosed).
 func (q *refQueue) wake(p *refProc, v any) {
-	q.s.cancel(p.deadline)
-	p.v, p.deadline = v, nil
+	p.v = v
 	q.s.ready = append(q.s.ready, p)
 }
 
@@ -206,9 +204,7 @@ func (q *refQueue) PushAt(v any, at time.Time) {
 	q.s.schedule(at.Sub(Epoch)-q.s.now, func() { _ = q.push(v) })
 }
 
-func (q *refQueue) Pop() (any, error) { return q.PopTimeout(-1) }
-
-func (q *refQueue) PopTimeout(d time.Duration) (any, error) {
+func (q *refQueue) Pop() (any, error) {
 	s := q.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -221,12 +217,6 @@ func (q *refQueue) PopTimeout(d time.Duration) (any, error) {
 		return nil, ErrClosed
 	}
 	p := s.cur
-	if d >= 0 {
-		p.deadline = s.schedule(d, func() {
-			q.waits = slices.DeleteFunc(q.waits, func(o *refProc) bool { return o == p })
-			q.wake(p, ErrTimeout)
-		})
-	}
 	q.waits = append(q.waits, p)
 	s.park(p)
 	if err, ok := p.v.(error); ok {

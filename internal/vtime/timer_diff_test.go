@@ -67,10 +67,9 @@ type diffRun struct {
 
 	runq []refTimer // fired timers whose process has not run yet
 
-	entries []*timerEntry // by id; what a queue would hold on to
-	timers  []*Timer      // by id
-	fired   int
-	bad     bool
+	timers []*Timer // by id
+	fired  int
+	bad    bool
 }
 
 func (d *diffRun) failf(format string, args ...any) {
@@ -78,12 +77,6 @@ func (d *diffRun) failf(format string, args ...any) {
 		d.bad = true
 		d.t.Errorf("after %d firings at %v: %s", d.fired, d.now, fmt.Sprintf(format, args...))
 	}
-}
-
-func (d *diffRun) locked(fn func()) {
-	d.s.mu.Lock()
-	defer d.s.mu.Unlock()
-	fn()
 }
 
 // delay draws a horizon: zero, sub-tick, around the old wheel's 268ms and
@@ -112,16 +105,14 @@ func (d *diffRun) delay() time.Duration {
 
 // scheduleProcess adds an AfterFunc timer.
 func (d *diffRun) scheduleProcess(delay time.Duration) {
-	id := len(d.entries)
+	id := len(d.timers)
 	d.ref.schedule(d.now+delay, id)
-	tm := d.s.AfterFunc(delay, func() { d.onProcess(id) })
-	d.entries = append(d.entries, tm.entry)
-	d.timers = append(d.timers, tm)
+	d.timers = append(d.timers, d.s.AfterFunc(delay, func() { d.onProcess(id) }))
 }
 
-// cancelLive cancels, the way a queue drops a pop deadline, a timer the
-// reference still holds pending. Caller holds s.mu.
-func (d *diffRun) cancelLive() {
+// stopLive stops a timer the reference still holds pending, the way a pipe
+// conn drops its deadline or a record's retransmission.
+func (d *diffRun) stopLive() {
 	if len(d.ref.pending) == 0 {
 		return
 	}
@@ -131,7 +122,9 @@ func (d *diffRun) cancelLive() {
 		return // the driver's own Sleep
 	}
 	d.ref.pending = slices.Delete(d.ref.pending, i, i+1)
-	d.s.cancelLocked(d.entries[id])
+	if !d.timers[id].Stop() {
+		d.failf("Stop(live timer %d) = false", id)
+	}
 }
 
 func (d *diffRun) checkPending() {
@@ -170,8 +163,8 @@ func (d *diffRun) onProcess(id int) {
 	case r < 3:
 		d.scheduleProcess(d.delay())
 	case r < 6:
-		// Stop any handle ever issued: pending, fired, stopped, cancelled
-		// behind its back, or on an entry since recycled to another timer.
+		// Stop any handle ever issued: pending, fired, stopped, or on an
+		// entry since recycled to another timer.
 		target := d.rng.Intn(len(d.timers))
 		if got, want := d.timers[target].Stop(), d.ref.cancel(target); got != want {
 			d.failf("Stop(timer %d) = %v, reference says %v", target, got, want)
@@ -185,9 +178,8 @@ func (d *diffRun) onProcess(id int) {
 		if got := tm.Reset(delay); got != want {
 			d.failf("Reset(timer %d) = %v, reference says %v", target, got, want)
 		}
-		d.entries[target] = tm.entry
 	case r < 9:
-		d.locked(d.cancelLive)
+		d.stopLive()
 	}
 	d.checkPending()
 }

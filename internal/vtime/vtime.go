@@ -217,7 +217,6 @@ func (s *Scheduler) getEntryLocked() *timerEntry {
 		e := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.cancelled = false
 		return e
 	}
 	return &timerEntry{}
@@ -234,8 +233,8 @@ func (s *Scheduler) putEntryLocked(e *timerEntry) {
 
 // scheduleLocked enqueues a timer entry for instant at; the caller names the
 // entry's target (see timerEntry) before releasing the lock. Every caller
-// schedules at or after the current instant (Sleep, AfterFunc and Pop add to
-// now, PushAt clamps); advanceLocked panics on an entry that breaks this.
+// schedules at or after the current instant (Sleep and AfterFunc add to now,
+// PushAt clamps); advanceLocked panics on an entry that breaks this.
 // Caller holds s.mu.
 func (s *Scheduler) scheduleLocked(at time.Duration) *timerEntry {
 	s.seq++
@@ -246,20 +245,14 @@ func (s *Scheduler) scheduleLocked(at time.Duration) *timerEntry {
 	return e
 }
 
-// cancelLocked marks e cancelled and removes it from the heap through its
-// maintained index. Eager removal keeps the invariant that every stored
-// entry is live, which makes Pending O(1). An entry already popped into the
-// current fire batch (index < 0) is only marked; advanceLocked skips it and
-// recycles it after the batch completes. Caller holds s.mu.
+// cancelLocked removes e from the heap through its maintained index and
+// recycles it. Eager removal keeps the invariant that every stored entry is
+// live, which makes Pending O(1). Only Timer.Stop and Timer.Reset cancel, and
+// never inside advanceLocked, which holds s.mu from popping a fire batch to
+// recycling it: e is in the heap. Caller holds s.mu.
 func (s *Scheduler) cancelLocked(e *timerEntry) {
-	if e == nil || e.cancelled {
-		return
-	}
-	e.cancelled = true
-	if e.index >= 0 {
-		s.timers.remove(e.index)
-		s.putEntryLocked(e)
-	}
+	s.timers.remove(e.index)
+	s.putEntryLocked(e)
 }
 
 // advanceLocked moves the clock to the earliest pending timer and fires
@@ -293,12 +286,7 @@ func (s *Scheduler) advanceLocked() bool {
 		batch = append(batch, s.timers.remove(0))
 	}
 	for _, e := range batch {
-		// A callback earlier in this batch may have cancelled e after it
-		// was already popped (e.g. a same-instant push beating a pop
-		// deadline): firing it anyway would double-wake its waiter.
-		if !e.cancelled {
-			s.fireLocked(e)
-		}
+		s.fireLocked(e)
 	}
 	// Recycle only after every entry has fired: firing may schedule new
 	// timers, which must not be handed an entry still pending in this
@@ -319,8 +307,6 @@ func (s *Scheduler) fireLocked(e *timerEntry) {
 		s.admitLocked(readyItem{fn: e.spawn})
 	case e.q == nil:
 		s.admitLocked(readyItem{w: e.wake})
-	case e.wake != nil:
-		e.q.expireLocked(e.wake)
 	default:
 		_ = e.q.pushLocked(e.v)
 	}
@@ -421,18 +407,16 @@ func (s *Scheduler) Running() int {
 //
 //	spawn           AfterFunc: the function becomes a new process
 //	wake            Sleep: the parked process becomes runnable
-//	q and wake      a Pop deadline: the process leaves q's wait list with ErrTimeout
 //	q and v         PushAt: v is pushed onto q
 type timerEntry struct {
-	at        time.Duration
-	seq       int64
-	spawn     func()
-	wake      *pworker
-	q         *Queue
-	v         any
-	cancelled bool
-	gen       uint64 // bumped on recycle; guards stale Timer handles
-	index     int    // position in the heap; -1 once popped or removed
+	at    time.Duration
+	seq   int64
+	spawn func()
+	wake  *pworker
+	q     *Queue
+	v     any
+	gen   uint64 // bumped on recycle; guards stale Timer handles
+	index int    // position in the heap; -1 once popped or removed
 }
 
 // before is the firing order: earlier instant first, ties in schedule order.

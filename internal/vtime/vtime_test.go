@@ -267,78 +267,6 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestQueuePopTimeout(t *testing.T) {
-	s := NewScheduler()
-	q := NewQueue(s)
-	var err error
-	s.Go(func() {
-		_, err = q.PopTimeout(2 * time.Second)
-	})
-	s.Wait()
-	if err != ErrTimeout {
-		t.Fatalf("PopTimeout err = %v, want ErrTimeout", err)
-	}
-	if s.Elapsed() != 2*time.Second {
-		t.Fatalf("Elapsed = %v, want 2s", s.Elapsed())
-	}
-}
-
-func TestQueuePopTimeoutBeatenByPush(t *testing.T) {
-	s := NewScheduler()
-	q := NewQueue(s)
-	var v any
-	var err error
-	s.Go(func() {
-		v, err = q.PopTimeout(10 * time.Second)
-	})
-	s.Go(func() {
-		s.Sleep(time.Second)
-		q.Push(42)
-	})
-	s.Wait()
-	if err != nil || v != 42 {
-		t.Fatalf("PopTimeout = (%v, %v), want (42, nil)", v, err)
-	}
-	// The timeout timer must have been cancelled: no stray clock advance.
-	if s.Elapsed() != time.Second {
-		t.Fatalf("Elapsed = %v, want 1s", s.Elapsed())
-	}
-}
-
-func TestPushAtSameInstantAsPopDeadline(t *testing.T) {
-	// A delivery and a pop deadline scheduled for the same virtual instant
-	// are popped into one fire batch. The delivery (lower seq) fires first
-	// and cancels the deadline; the deadline must then be skipped — firing
-	// it anyway would wake the already-woken waiter a second time and leak
-	// a phantom runnable that stalls the clock forever.
-	done := make(chan struct{})
-	var v any
-	var err error
-	var elapsed time.Duration
-	go func() {
-		defer close(done)
-		s := NewScheduler()
-		q := NewQueue(s)
-		s.Go(func() {
-			q.PushAt("msg", Epoch.Add(2*time.Second))
-			v, err = q.PopTimeout(2 * time.Second)
-		})
-		s.Wait()
-		elapsed = s.Elapsed()
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("scheduler wedged: cancelled same-instant deadline must not fire")
-	}
-	if err != nil || v != "msg" {
-		t.Fatalf("PopTimeout = (%v, %v), want (msg, nil)", v, err)
-	}
-	if elapsed != 2*time.Second {
-		t.Fatalf("Elapsed = %v, want 2s", elapsed)
-	}
-}
-
 func TestQueueCloseWakesWaiters(t *testing.T) {
 	s := NewScheduler()
 	q := NewQueue(s)
