@@ -25,8 +25,11 @@ import (
 //     of types the root facade re-exports are exempt.
 //   - Fields: every exported field of a struct in internal/ is read, and every
 //     hook there (a func-typed field or package variable) is assigned, by
-//     non-test code outside bench/, or has an entry in fieldAllow. Embedded
-//     and JSON-tagged fields and the fields of facade types are exempt.
+//     non-test code outside bench/, or has an entry in fieldAllow. A field
+//     only its own package reads is an input: such code must give it a
+//     second value (set it from another package, to a non-constant, or to
+//     two different constants), or one value is a constant. Embedded and
+//     JSON-tagged fields and the fields of facade types are exempt.
 //   - Determinism: every range over a map is in mapRangeAllow with its reason;
 //     go statements stay in realnet and the experiments worker pool; the wall
 //     clock stays in realnet; nothing draws from math/rand's global source.
@@ -81,7 +84,12 @@ var reachAllow = map[string]string{
 // flag, keyed as package.Type.Field or package.variable, with the reason each
 // stays.
 var fieldAllow = map[string]string{
-	"vtime.Scheduler.OnDeadlock": "ROADMAP item 8 gives it a caller",
+	"core.EconomicConfig.FallbackRate":      "only its defaults set it",
+	"core.EconomicConfig.PricePerCPUSecond": "only its defaults set it",
+	"experiments.Config.CacheLimit":         "ROADMAP item 1: only bench/ sets it, and no shard of a bench workload evicts",
+	"pipe.Options.Window":                   "ROADMAP item 1: only bench/ sets it, for the pipe.msg_ns.w1/w4 probes",
+	"simnet.Profile.LossRate":               "ROADMAP item 12: only the loss tests and the lossy-link closed form set it",
+	"vtime.Scheduler.OnDeadlock":            "ROADMAP item 8 gives it a caller",
 }
 
 // Reasons a range over a map cannot make output depend on iteration order.
@@ -275,10 +283,16 @@ func (prog *auditProgram) facadeTypes() map[*types.TypeName]bool {
 }
 
 // auditFields reports exported fields of internal/ structs that no non-test
-// code outside bench/ reads, hooks in internal/ that no such code assigns, and
-// stale fieldAllow entries.
+// code outside bench/ reads or gives a second value, hooks in internal/ that
+// no such code assigns, and stale fieldAllow entries.
 func auditFields(prog *auditProgram) []string {
-	read, set := prog.fieldUses()
+	uses := prog.fieldUses()
+	use := func(v *types.Var) fieldUse {
+		if u := uses[v]; u != nil {
+			return *u
+		}
+		return fieldUse{}
+	}
 	facade := prog.facadeTypes()
 	var findings []string
 	matched := map[string]bool{}
@@ -299,7 +313,7 @@ func auditFields(prog *auditProgram) []string {
 		for _, name := range scope.Names() {
 			switch obj := scope.Lookup(name).(type) {
 			case *types.Var:
-				if isHook(obj) && !set[obj] {
+				if isHook(obj) && !use(obj).set {
 					report(pkg.label+"."+name, obj, unset)
 				}
 			case *types.TypeName:
@@ -309,12 +323,16 @@ func auditFields(prog *auditProgram) []string {
 				}
 				for i := range st.NumFields() {
 					f := st.Field(i)
+					u := use(f)
 					key := pkg.label + "." + name + "." + f.Name()
 					switch {
-					case isHook(f) && !set[f]:
+					case isHook(f) && !u.set:
 						report(key, f, unset)
-					case f.Exported() && !f.Embedded() && !read[f] && reflect.StructTag(st.Tag(i)).Get("json") == "":
+					case !f.Exported() || f.Embedded() || reflect.StructTag(st.Tag(i)).Get("json") != "":
+					case !u.read:
 						report(key, f, "is an exported field nothing outside tests and bench/ reads")
+					case !u.readOutside && !u.varied && len(u.consts) < 2:
+						report(key, f, "is an input nothing outside tests and bench/ gives a second value")
 					}
 				}
 			}
@@ -322,7 +340,7 @@ func auditFields(prog *auditProgram) []string {
 	}
 	for key, why := range fieldAllow {
 		if !matched[key] {
-			findings = append(findings, fmt.Sprintf("fieldAllow: %s matches no unread field or unset hook: delete the entry", key))
+			findings = append(findings, fmt.Sprintf("fieldAllow: %s matches no flagged field or hook: delete the entry", key))
 		}
 		if why == "" {
 			findings = append(findings, fmt.Sprintf("fieldAllow: %s gives no reason", key))
@@ -337,41 +355,83 @@ func isHook(v *types.Var) bool {
 	return ok
 }
 
-// fieldUses returns the struct fields that some selector reads, and the
-// fields and variables that some assignment, composite literal (keyed or
-// positional) or var initializer sets, keyed by the generic origin. The
-// outermost selector on the left of an assignment or ++/-- is a write, not a
-// read; every selector inside it is a read.
-func (prog *auditProgram) fieldUses() (read, set map[*types.Var]bool) {
-	read, set = map[*types.Var]bool{}, map[*types.Var]bool{}
-	setVar := func(obj types.Object) {
-		if v, ok := obj.(*types.Var); ok {
-			set[v.Origin()] = true
+// fieldUse is what the program does with one field or variable.
+type fieldUse struct {
+	read, readOutside bool            // some code reads it; code outside its package does
+	set, varied       bool            // some code sets it; from another package, or to a non-constant
+	consts            map[string]bool // the constants its own package sets it to
+}
+
+// fieldUses records, for every struct field and variable, keyed by the
+// generic origin, whether code in or outside its package reads it and what
+// each set assigns. A set is an assignment, a ++/--, a composite-literal
+// element (keyed or positional), a var initializer or taking its address,
+// which is a read too; nil counts as one constant. The outermost selector on
+// the left of an assignment or ++/-- is a write, not a read; every selector
+// inside it is a read.
+func (prog *auditProgram) fieldUses() map[*types.Var]*fieldUse {
+	uses := map[*types.Var]*fieldUse{}
+	use := func(v *types.Var) *fieldUse {
+		u := uses[v.Origin()]
+		if u == nil {
+			u = &fieldUse{consts: map[string]bool{}}
+			uses[v.Origin()] = u
 		}
+		return u
 	}
 	for _, pkg := range prog.pkgs {
 		info := pkg.info
+		// setVar records a set of obj to value; a nil value is not a constant.
+		setVar := func(obj types.Object, value ast.Expr) {
+			v, ok := obj.(*types.Var)
+			if !ok {
+				return
+			}
+			u := use(v)
+			u.set = true
+			switch tv := info.Types[value]; {
+			case v.Pkg() != pkg.types || value == nil:
+				u.varied = true
+			case tv.IsNil():
+				u.consts["nil"] = true
+			case tv.Value != nil:
+				u.consts[tv.Value.ExactString()] = true
+			default:
+				u.varied = true
+			}
+		}
+		written := map[ast.Expr]bool{}
+		setTarget := func(x ast.Expr, value ast.Expr) {
+			x = ast.Unparen(x)
+			written[x] = true
+			switch x := x.(type) {
+			case *ast.Ident:
+				setVar(info.Uses[x], value)
+			case *ast.SelectorExpr:
+				setVar(info.Uses[x.Sel], value)
+			}
+		}
 		for _, f := range pkg.files {
-			written := map[ast.Expr]bool{}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						lhs = ast.Unparen(lhs)
-						written[lhs] = true
-						switch lhs := lhs.(type) {
-						case *ast.Ident:
-							setVar(info.Uses[lhs])
-						case *ast.SelectorExpr:
-							setVar(info.Uses[lhs.Sel])
+					for i, lhs := range n.Lhs {
+						var value ast.Expr
+						if (n.Tok == token.ASSIGN || n.Tok == token.DEFINE) && len(n.Lhs) == len(n.Rhs) {
+							value = n.Rhs[i]
 						}
+						setTarget(lhs, value)
 					}
 				case *ast.IncDecStmt:
-					written[ast.Unparen(n.X)] = true
-				case *ast.ValueSpec:
+					setTarget(n.X, nil)
+				case *ast.UnaryExpr:
+					if x, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+						setVar(info.Uses[x.Sel], nil)
+					}
+				case *ast.ValueSpec: // no rule reads a package variable's value
 					if len(n.Values) > 0 {
 						for _, name := range n.Names {
-							setVar(info.Defs[name])
+							setVar(info.Defs[name], nil)
 						}
 					}
 				case *ast.CompositeLit:
@@ -385,21 +445,23 @@ func (prog *auditProgram) fieldUses() (read, set map[*types.Var]bool) {
 					}
 					for i, elt := range n.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							setVar(info.Uses[kv.Key.(*ast.Ident)])
+							setVar(info.Uses[kv.Key.(*ast.Ident)], kv.Value)
 						} else {
-							setVar(st.Field(i))
+							setVar(st.Field(i), elt)
 						}
 					}
 				case *ast.SelectorExpr:
 					if v, ok := info.Uses[n.Sel].(*types.Var); ok && v.IsField() && !written[n] {
-						read[v.Origin()] = true
+						u := use(v)
+						u.read = true
+						u.readOutside = u.readOutside || v.Pkg() != pkg.types
 					}
 				}
 				return true
 			})
 		}
 	}
-	return read, set
+	return uses
 }
 
 // interfaces returns, by method name, every named interface declared in the
