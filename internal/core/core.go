@@ -184,38 +184,26 @@ func (b *Blind) Rank(_ Request, cands []Candidate, k int) ([]string, error) {
 // ---------------------------------------------------------------------------
 // Economic (scheduling-based) model
 
-// EconomicConfig tunes the scheduling-based model.
-type EconomicConfig struct {
-	// FallbackRate is the assumed transfer rate (bytes/second) for peers
-	// with no measured rate yet. Default 200 KB/s.
-	FallbackRate float64
-	// PricePerCPUSecond converts machine time into cost; faster machines
-	// are pricier in proportion to their CPU score. Default 1.
-	PricePerCPUSecond float64
-}
+// EconomicConfig is empty: the model's fallback rate and price are constants.
+type EconomicConfig struct{}
 
-func (c EconomicConfig) withDefaults() EconomicConfig {
-	if c.FallbackRate <= 0 {
-		c.FallbackRate = 200_000
-	}
-	if c.PricePerCPUSecond <= 0 {
-		c.PricePerCPUSecond = 1
-	}
-	return c
-}
+const (
+	// fallbackRate is the assumed transfer rate (bytes/second) for peers
+	// with no measured rate yet.
+	fallbackRate = 200_000
+	// pricePerCPUSecond converts machine time into cost; faster machines are
+	// pricier in proportion to their CPU score.
+	pricePerCPUSecond = 1
+)
 
 // Economic implements the scheduling-based selection model (§2.1): find
 // idle peers via ready-time estimates from historical data, estimate
 // completion per candidate, pick the earliest completion; CPU speed breaks
 // ties.
-type Economic struct {
-	cfg EconomicConfig
-}
+type Economic struct{}
 
 // NewEconomic returns the scheduling-based selector.
-func NewEconomic(cfg EconomicConfig) *Economic {
-	return &Economic{cfg: cfg.withDefaults()}
-}
+func NewEconomic(EconomicConfig) *Economic { return &Economic{} }
 
 // Name implements Selector.
 func (e *Economic) Name() string { return "economic" }
@@ -256,7 +244,7 @@ func (e *Economic) key(req *Request, s *stats.Snapshot) ecoKey {
 	if req.SizeBytes > 0 {
 		rate := s.TransferRate
 		if rate <= 0 {
-			rate = e.cfg.FallbackRate
+			rate = fallbackRate
 		}
 		dur = addSeconds(dur, float64(req.SizeBytes)/rate)
 	}
@@ -264,7 +252,7 @@ func (e *Economic) key(req *Request, s *stats.Snapshot) ecoKey {
 	return ecoKey{
 		completion: ready.Add(dur),
 		cpu:        s.CPUScore,
-		cost:       dur.Seconds() * e.cfg.PricePerCPUSecond * s.CPUScore,
+		cost:       dur.Seconds() * pricePerCPUSecond * s.CPUScore,
 	}
 }
 

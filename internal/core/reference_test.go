@@ -125,10 +125,9 @@ func (de *refEvaluator) Rank(cands []Candidate) ([]string, error) {
 
 // refEconomic is the scheduling-based model: appraise every candidate, stable
 // sort the appraisals. Its arithmetic is the unsaturated original, so the
-// generator keeps rates where a service time fits a time.Duration.
-type refEconomic struct {
-	cfg EconomicConfig
-}
+// generator keeps rates where a service time fits a time.Duration. It writes
+// the model's fallback rate (200 KB/s) and price (1) as its own literals.
+type refEconomic struct{}
 
 // refEstimate is what the reference order reads of one appraisal.
 type refEstimate struct {
@@ -153,7 +152,7 @@ func (e *refEconomic) Estimate(req Request, c Candidate) refEstimate {
 	if req.SizeBytes > 0 {
 		rate := s.TransferRate
 		if rate <= 0 {
-			rate = e.cfg.FallbackRate
+			rate = 200_000
 		}
 		dur += time.Duration(float64(req.SizeBytes) / rate * float64(time.Second))
 	}
@@ -161,7 +160,7 @@ func (e *refEconomic) Estimate(req Request, c Candidate) refEstimate {
 	return refEstimate{
 		Peer:       s.Peer,
 		Completion: ready.Add(dur),
-		Cost:       dur.Seconds() * e.cfg.PricePerCPUSecond * s.CPUScore,
+		Cost:       dur.Seconds() * 1 * s.CPUScore,
 	}
 }
 
@@ -274,7 +273,6 @@ type rankCase struct {
 	cands   []Candidate
 	catalog []Criterion // nil: the standard catalog
 	weights Weights
-	eco     EconomicConfig
 	prefs   []string
 }
 
@@ -357,9 +355,6 @@ func genRankCase(seed int64, n int) rankCase {
 		SizeBytes: []int{0, 1_000_000, 100_000_000}[rng.Intn(3)],
 		WorkUnits: []float64{0, 0, 30}[rng.Intn(3)],
 		Now:       at,
-	}
-	if rng.Intn(2) == 0 {
-		tc.eco = EconomicConfig{FallbackRate: 1e4 + 1e6*rng.Float64(), PricePerCPUSecond: 0.1 + rng.Float64()}
 	}
 
 	// Weights: absent, zero, equal or uneven per criterion; now and then all
@@ -501,8 +496,8 @@ func checkRankCase(seed int64, n int, cov *rankCoverage) error {
 	}
 
 	// Economic.
-	eco := NewEconomic(tc.eco)
-	refEco := &refEconomic{cfg: tc.eco.withDefaults()}
+	eco := NewEconomic(EconomicConfig{})
+	refEco := &refEconomic{}
 	wantRank, wantErr = refEco.Rank(tc.req, tc.cands)
 	if err := ranks("economic", func(k int) ([]string, error) { return eco.Rank(tc.req, tc.cands, k) }, wantRank, wantErr); err != nil {
 		return err

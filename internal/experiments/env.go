@@ -190,7 +190,7 @@ func (e *Env) RunPeers(labels []string, fn func(ctl *overlay.Client, sc map[stri
 		// where the control plane fails on schedule; elsewhere a call is one
 		// attempt with no deadline, hence no timer and no extra draw, so
 		// static and churn-only event streams are untouched.
-		ctl := overlay.NewClient(e.Slice.Control, e.Broker.Addr(), overlay.ClientConfig{CPUScore: 2, Resilient: e.sc.Faults != nil})
+		ctl := overlay.NewClient(e.Slice.Control, e.Broker.Addr(), overlay.ClientConfig{CPUScore: e.sc.Control.Profile.CPUScore, Resilient: e.sc.Faults != nil})
 		if err := ctl.Start(); err != nil {
 			runErr = fmt.Errorf("experiments: controller start: %w", err)
 			return

@@ -115,7 +115,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 	peers := make([]dissemPeer, n)
 	hostIdx := make(map[string]int, n)
 	for i, f := range flows {
-		peers[i] = dissemPeer{label: f.Sink, host: env.hostOf(f.Sink), arrivals: make([]time.Time, pieceCount)}
+		peers[i] = dissemPeer{label: f.Sink, host: env.HostOf(f.Sink), arrivals: make([]time.Time, pieceCount)}
 		hostIdx[peers[i].host] = i
 	}
 

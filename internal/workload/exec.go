@@ -31,9 +31,8 @@ type Env struct {
 	// membership, where this is the conductor's map and a peer that is down
 	// right now has no entry (its flows fail, or are recorded failed).
 	Clients map[string]*overlay.Client
-	// HostOf maps a peer label to its hostname; nil means labels are
-	// hostnames. LabelOf is the inverse, used to attribute model-selected
-	// sinks; nil likewise means identity.
+	// HostOf maps a peer label to its hostname. LabelOf is the inverse,
+	// used to attribute model-selected sinks. Both are required.
 	HostOf  func(label string) string
 	LabelOf func(host string) string
 	// ExcludeSinks lists hostnames never eligible as model-selected sinks
@@ -67,20 +66,6 @@ type Env struct {
 	// makes individual flow failure an expected measurement — a source
 	// departed mid-flow, a lease-lagged sink refused — not a harness bug.
 	recordFailures bool
-}
-
-func (e Env) hostOf(label string) string {
-	if e.HostOf == nil {
-		return label
-	}
-	return e.HostOf(label)
-}
-
-func (e Env) labelOf(host string) string {
-	if e.LabelOf == nil {
-		return host
-	}
-	return e.LabelOf(host)
 }
 
 // warn routes a warning through logf, or log.Printf when logf is nil.
@@ -199,7 +184,7 @@ func runFlow(env *Env, f *Flow, seed int64, res *Result) error {
 	res.SelectedAt = env.Host.Now()
 	sinkHost, sinkLabel := "", ""
 	if f.Sink != "" {
-		sinkHost, sinkLabel = env.hostOf(f.Sink), f.Sink
+		sinkHost, sinkLabel = env.HostOf(f.Sink), f.Sink
 	} else {
 		req := core.Request{Kind: core.KindFileTransfer, SizeBytes: f.SizeBytes}
 		var preferred []string
@@ -215,7 +200,7 @@ func runFlow(env *Env, f *Flow, seed int64, res *Result) error {
 			return fmt.Errorf("select %s: empty result", f.Model)
 		}
 		res.Degraded = sel.Degraded
-		sinkHost, sinkLabel = sel.Peers[0], env.labelOf(sel.Peers[0])
+		sinkHost, sinkLabel = sel.Peers[0], env.LabelOf(sel.Peers[0])
 	}
 	res.Flow, res.Sink = *f, sinkLabel
 

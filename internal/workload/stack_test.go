@@ -90,7 +90,7 @@ func measureFlowStacks(t *testing.T) {
 		prof.LatencyOneWay += time.Duration(i) * 100 * time.Microsecond
 		clients[labels[i]] = overlay.NewClient(net.MustAddNode(labels[i], prof), broker.Addr(), overlay.ClientConfig{})
 	}
-	env := Env{Host: ctlNode, Control: ctl, Clients: clients}
+	env := Env{Host: ctlNode, Control: ctl, Clients: clients, HostOf: identity, LabelOf: identity}
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats

@@ -172,9 +172,14 @@ func (r *execRig) env() Env {
 		Host:         r.nodes["control"],
 		Control:      r.control,
 		Clients:      r.clients,
+		HostOf:       identity,
+		LabelOf:      identity,
 		ExcludeSinks: []string{"control"},
 	}
 }
+
+// identity maps a name to itself: the rigs name each node by its label.
+func identity(name string) string { return name }
 
 func (r *execRig) start(t *testing.T) {
 	if err := r.control.Start(); err != nil {

@@ -84,12 +84,10 @@ var reachAllow = map[string]string{
 // flag, keyed as package.Type.Field or package.variable, with the reason each
 // stays.
 var fieldAllow = map[string]string{
-	"core.EconomicConfig.FallbackRate":      "only its defaults set it",
-	"core.EconomicConfig.PricePerCPUSecond": "only its defaults set it",
-	"experiments.Config.CacheLimit":         "ROADMAP item 1: only bench/ sets it, and no shard of a bench workload evicts",
-	"pipe.Options.Window":                   "ROADMAP item 1: only bench/ sets it, for the pipe.msg_ns.w1/w4 probes",
-	"simnet.Profile.LossRate":               "ROADMAP item 12: only the loss tests and the lossy-link closed form set it",
-	"vtime.Scheduler.OnDeadlock":            "ROADMAP item 8 gives it a caller",
+	"experiments.Config.CacheLimit": "ROADMAP item 1: only bench/ sets it, and no shard of a bench workload evicts",
+	"pipe.Options.Window":           "ROADMAP item 1: only bench/ sets it, for the pipe.msg_ns.w1/w4 probes",
+	"simnet.Profile.LossRate":       "ROADMAP item 12: only the loss tests and the lossy-link closed form set it",
+	"vtime.Scheduler.OnDeadlock":    "ROADMAP item 8 gives it a caller",
 }
 
 // Reasons a range over a map cannot make output depend on iteration order.
