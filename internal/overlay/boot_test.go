@@ -195,12 +195,13 @@ func TestBatchBootStateAndRPCCount(t *testing.T) {
 // TestAcceptBurstServedInArrivalOrder dials the broker from 24 nodes at one
 // instant, twice: the first burst's serving processes start on fresh
 // coroutines, the second's on the ones the first handed back to the
-// scheduler's pool. Each ack's KnownPeers counts the registrations served
-// before it, so it must number both bursts in dial order.
+// scheduler's pool. Every dialer has the same link to the broker, so the acks
+// come back in the order the broker served the registrations, which must be
+// dial order in both bursts.
 func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
 	const burst = 24
 	d := deploy(t, nil)
-	known := make([]int, 2*burst)
+	var order []int
 	dial := func(i int, host transport.Host) func() {
 		return func() {
 			ep, err := host.Endpoint(ServiceClient)
@@ -226,12 +227,11 @@ func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
 				return
 			}
 			_, dec, _ := wire.Tag(msg.Payload)
-			ack, err := decodeRegisterAck(dec)
-			if err != nil {
-				t.Errorf("%s: ack: %v", host.Name(), err)
+			if ack, err := decodeRegisterAck(dec); err != nil || !ack.OK {
+				t.Errorf("%s: ack %+v: %v", host.Name(), ack, err)
 				return
 			}
-			known[i] = ack.KnownPeers
+			order = append(order, i)
 		}
 	}
 	hosts := make([]transport.Host, 2*burst)
@@ -248,10 +248,13 @@ func TestAcceptBurstServedInArrivalOrder(t *testing.T) {
 			spawner.Go(dial(i, hosts[i]))
 		}
 	})
-	for i, got := range known {
-		if got != i+1 {
-			t.Fatalf("ack %d saw %d known peers, want %d: burst not served in dial order (all acks: %v)", i, got, i+1, known)
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("ack %d came back to dialer %d: burst not served in dial order (all acks: %v)", i, got, order)
 		}
+	}
+	if len(order) != 2*burst {
+		t.Fatalf("%d acks came back, want %d", len(order), 2*burst)
 	}
 }
 

@@ -439,15 +439,11 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 				if adv.Name != "" {
 					ref.store(adv, now, ttl)
 				}
-				want := registerAck{OK: adv.Name != "", Broker: host.Name()}
-				if want.OK {
-					want.KnownPeers = len(ref.query(now, nil))
-				}
 				if _, d, err := wire.Tag(reply); err != nil {
 					failure = fail("ack: %v", err)
 					return
-				} else if ack, err := decodeRegisterAck(d); err != nil || ack != want {
-					failure = fail("ack %+v, %v; want %+v", ack, err, want)
+				} else if ack, err := decodeRegisterAck(d); err != nil || ack.OK != (adv.Name != "") {
+					failure = fail("ack %+v, %v; want OK %v", ack, err, adv.Name != "")
 					return
 				}
 			case op < 10:

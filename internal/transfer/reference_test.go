@@ -231,7 +231,7 @@ func runReceiverProgram(prog receiverProgram, serve func(transport.Host, transpo
 					if !prog.whole {
 						pa.Reason, out.pieceRejected = "", out.pieceRejected || !pa.OK
 					}
-					out.acks = append(out.acks, fmt.Sprintf("part %d ok=%v ready=%v reason=%q err=%v", pa.Index, pa.OK, pa.Ready, pa.Reason, err))
+					out.acks = append(out.acks, fmt.Sprintf("part %d ok=%v reason=%q err=%v", pa.Index, pa.OK, pa.Reason, err))
 				default:
 					out.acks = append(out.acks, fmt.Sprintf("kind %d", kind))
 				}

@@ -167,8 +167,8 @@ func (tr *transcript) raw(petitionFrame []byte, parts []partHeader, linger time.
 		}
 		_, d, _ := wire.Tag(msg.Payload)
 		pa, err := decodePartAck(d)
-		tr.logf("partAck index=%d ok=%v reason=%q delivered=%s ready=%v err=%v",
-			pa.Index, pa.OK, pa.Reason, tr.at(pa.DeliveredAt), pa.Ready, err)
+		tr.logf("partAck index=%d ok=%v reason=%q delivered=%s err=%v",
+			pa.Index, pa.OK, pa.Reason, tr.at(pa.DeliveredAt), err)
 	}
 	if linger > 0 {
 		_, err := recvWithin(conn, linger)
