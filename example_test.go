@@ -88,8 +88,8 @@ func Example_quickstart() {
 	// task on p001.hetero.slice.peerlab: ok=true in 27.427632595s
 	//
 	// simulated 3m1s of network time
-	//   p001.hetero.slice.peerlab    measured rate 1391366 B/s, petition delay 33ms
-	//   p002.hetero.slice.peerlab    measured rate 443211 B/s, petition delay 17.315s
+	//   p001.hetero.slice.peerlab    measured rate 1391367 B/s, petition delay 33ms
+	//   p002.hetero.slice.peerlab    measured rate 443212 B/s, petition delay 17.315s
 }
 
 // Filedistribution reproduces the scenario behind the paper's Figure 5 on

@@ -253,7 +253,7 @@ func TestLateScheduleIsLaggedNotStale(t *testing.T) {
 
 // TestLagWarningNamesTheLateTransition: on churn:16 × swarm:16, seed 1, the
 // initial peers boot in about a second, but the rejoin of p001 due at
-// 6m5.144s waits out its peer's wake lag and registers 17.673s late, and the
+// 6m5.144s waits out its peer's wake lag and registers 17.668s late, and the
 // schedule process is blocked behind it. The one lag warning must name that
 // join as where the schedule fell behind.
 func TestLagWarningNamesTheLateTransition(t *testing.T) {
@@ -270,7 +270,7 @@ func TestLagWarningNamesTheLateTransition(t *testing.T) {
 	for _, w := range warnings {
 		if strings.Contains(w, "the churn schedule ran up to") {
 			late++
-			if !strings.Contains(w, "17.673s late, at the join of p001 due at 6m5.144s") {
+			if !strings.Contains(w, "17.668s late, at the join of p001 due at 6m5.144s") {
 				t.Errorf("lag warning %q does not name the join of p001", w)
 			}
 		}

@@ -237,7 +237,7 @@ func TestBulkDecodeAttrsDoNotAlias(t *testing.T) {
 // so the race detector sees any write.
 func TestWholeKindQueryResultIsNeverWritten(t *testing.T) {
 	now, cur := clockAt(base)
-	c := NewCache(0, now)
+	c := NewCache(16, now)
 	for i := 0; i < 8; i++ {
 		a := sampleAdv()
 		a.Name = fmt.Sprint("sc", i)

@@ -203,12 +203,9 @@ type Cache struct {
 	version uint64
 }
 
-// NewCache returns a cache holding at most limit advertisements (default
-// 1024 when limit <= 0); now supplies time.
+// NewCache returns a cache holding at most limit advertisements, which must
+// be positive; now supplies time.
 func NewCache(limit int, now func() time.Time) *Cache {
-	if limit <= 0 {
-		limit = 1024
-	}
 	return &Cache{now: now, limit: limit}
 }
 
@@ -347,16 +344,6 @@ func (c *Cache) Clear() {
 	c.advs = nil
 	c.minExpiry = time.Time{}
 	c.version++
-}
-
-// LiveLen reports the number of live advertisements without materializing
-// them — O(1) on the static fast path. It always equals
-// len(Query(AdvPeer, "")).
-func (c *Cache) LiveLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gcLocked(c.now())
-	return len(c.advs)
 }
 
 // Stamp returns the version as of now: equal stamps mean the same live set,

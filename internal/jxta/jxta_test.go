@@ -112,8 +112,8 @@ func TestCacheExpiry(t *testing.T) {
 	if _, ok := c.Lookup(a.Name); ok {
 		t.Fatal("expired advertisement still visible")
 	}
-	if n := c.LiveLen(); n != 0 {
-		t.Fatalf("LiveLen = %d after expiry", n)
+	if n := len(c.Query(AdvPeer, "")); n != 0 {
+		t.Fatalf("%d advertisements live after expiry", n)
 	}
 }
 
@@ -123,7 +123,7 @@ func TestCacheRejectsAlreadyExpired(t *testing.T) {
 	a := sampleAdv()
 	a.Expires = base.Add(-time.Second)
 	c.Publish(a)
-	if c.LiveLen() != 0 {
+	if len(c.Query(AdvPeer, "")) != 0 {
 		t.Fatal("expired advertisement stored")
 	}
 }
@@ -170,8 +170,8 @@ func TestCacheRefreshReplacesEntry(t *testing.T) {
 	if got.Addr != "sc1/new" {
 		t.Fatalf("refresh did not replace: %+v", got)
 	}
-	if n := c.LiveLen(); n != 1 {
-		t.Fatalf("LiveLen = %d, want 1", n)
+	if n := len(c.Query(AdvPeer, "")); n != 1 {
+		t.Fatalf("%d advertisements live, want 1", n)
 	}
 }
 
@@ -219,8 +219,8 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := c.LiveLen(); n != 8 {
-		t.Fatalf("LiveLen = %d, want 8", n)
+	if n := len(c.Query(AdvPeer, "")); n != 8 {
+		t.Fatalf("%d advertisements live, want 8", n)
 	}
 }
 
@@ -322,7 +322,7 @@ func TestPropertyAdvertisementRoundtrip(t *testing.T) {
 
 func TestSweepEvictsExpiredOnly(t *testing.T) {
 	now, cur := clockAt(base)
-	c := NewCache(0, now)
+	c := NewCache(16, now)
 	short := sampleAdv()
 	short.ID = NewID("peer", "short")
 	short.Name = "short"
@@ -351,9 +351,9 @@ func TestSweepEvictsExpiredOnly(t *testing.T) {
 
 func TestExpiredLeaseNeverServed(t *testing.T) {
 	// Lazy expiry alone (no Sweep calls) must already keep every read
-	// path dead-lease free: lookups, queries and LiveLen filter on the clock.
+	// path dead-lease free: lookups and queries filter on the clock.
 	now, cur := clockAt(base)
-	c := NewCache(0, now)
+	c := NewCache(16, now)
 	a := sampleAdv()
 	a.Expires = base.Add(time.Minute)
 	c.Publish(a)
@@ -363,8 +363,5 @@ func TestExpiredLeaseNeverServed(t *testing.T) {
 	}
 	if got := c.Query(a.Kind, ""); len(got) != 0 {
 		t.Fatalf("Query served %d expired leases", len(got))
-	}
-	if c.LiveLen() != 0 {
-		t.Fatal("LiveLen counted an expired lease")
 	}
 }

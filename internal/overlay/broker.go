@@ -214,7 +214,7 @@ func (b *Broker) dirLocked() *mergedDir {
 	// Each shard answers in name order already, and a name lives in one
 	// shard; a k-way merge restores the global order without re-sorting the
 	// whole directory.
-	d.buf, d.parts = slices.Grow(d.buf[:0], b.liveLen()), d.parts[:0]
+	d.buf, d.parts = d.buf[:0], d.parts[:0]
 	for _, sh := range b.shards {
 		start := len(d.buf)
 		if d.buf = sh.AppendAll(d.buf); len(d.buf) > start {
@@ -238,18 +238,6 @@ func (b *Broker) dirLocked() *mergedDir {
 		}
 	}
 	return d
-}
-
-// liveLen counts live advertisements across shards — the length of the
-// merged directory, computed from per-shard O(1) counts instead of listing
-// it. Registration acks carry the peer count, so a boot wave of N peers must
-// not pay O(N) per ack; a merge sizes its buffer by it.
-func (b *Broker) liveLen() int {
-	n := 0
-	for _, sh := range b.shards {
-		n += sh.LiveLen()
-	}
-	return n
 }
 
 // Peers lists registered peer names (live advertisements only).
@@ -345,7 +333,7 @@ func handle[T any](conn pipe.Conn, d *wire.Decoder, decode func(*wire.Decoder) (
 // implies, as leaseOf rebuilds them, and refuses an empty name.
 func (b *Broker) handleRegister(conn pipe.Conn, req register) []byte {
 	if req.Adv.Name == "" {
-		return wire.Frame(mtRegisterAck, registerAck{Broker: b.host.Name()}.encodeTo)
+		return wire.Frame(mtRegisterAck, registerAck{}.encodeTo)
 	}
 	req.Adv.Kind, req.Adv.ID = jxta.AdvPeer, jxta.NewID("peer", req.Adv.Name)
 	b.publish(b.shardOf(req.Adv.Name), req.Adv)
@@ -354,8 +342,7 @@ func (b *Broker) handleRegister(conn pipe.Conn, req register) []byte {
 		ps.SetCPUScore(cpu)
 	}
 	b.applyStats(ps, req.Stats)
-	ack := registerAck{OK: true, Broker: b.host.Name(), KnownPeers: b.liveLen()}
-	return wire.Frame(mtRegisterAck, ack.encodeTo)
+	return wire.Frame(mtRegisterAck, registerAck{OK: true}.encodeTo)
 }
 
 // ControlRPCs reports how many well-formed control frames the broker has

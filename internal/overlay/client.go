@@ -185,7 +185,7 @@ func (c *Client) serveControl(conn pipe.Conn, ev pipe.Event) {
 		c.msgsIn.Add(1)
 		done := c.host.NewQueue()
 		submitErr := c.executor().Submit(sub.Task, func(r task.Result) { done.Push(r) })
-		dec := taskDecision{TaskID: sub.Task.ID, Accepted: submitErr == nil}
+		dec := taskDecision{Accepted: submitErr == nil}
 		if submitErr != nil {
 			dec.Reason = submitErr.Error()
 		}
@@ -364,7 +364,7 @@ func (c *Client) SubmitTask(peer string, t task.Task) (task.Result, error) {
 	}
 	defer conn.Close()
 	c.msgsOut.Add(1)
-	if err := conn.Send(wire.Frame(mtTaskSubmit, taskSubmit{Task: t, From: c.host.Name()}.encodeTo)); err != nil {
+	if err := conn.Send(wire.Frame(mtTaskSubmit, taskSubmit{Task: t}.encodeTo)); err != nil {
 		if !errors.Is(err, transport.ErrUnknownAddr) {
 			c.reportTaskOutcome(peer, false, false, 0)
 		}

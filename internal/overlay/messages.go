@@ -61,17 +61,13 @@ func (m register) encodeTo(e *wire.Encoder) {
 	m.Stats.encodeTo(e)
 }
 
-// registerAck confirms registration.
+// registerAck confirms registration, or refuses it.
 type registerAck struct {
-	OK         bool
-	Broker     string
-	KnownPeers int
+	OK bool
 }
 
 func (m registerAck) encodeTo(e *wire.Encoder) {
 	e.Bool(m.OK)
-	e.String(m.Broker)
-	e.Int(m.KnownPeers)
 }
 
 // statsReport carries a client's self-reported load.
@@ -163,9 +159,7 @@ func (m reportTransfer) encodeTo(e *wire.Encoder) {
 }
 
 // pieceReport publishes a peer's piece inventory and choke state into its
-// broker advertisement (a new message kind: registration and stats frames
-// keep their exact bytes, so pre-dissemination timing is untouched). Have
-// lists held piece indices; Unchoked lists the hostnames currently granted
+// broker advertisement. Have lists held piece indices; Unchoked lists the hostnames currently granted
 // upload service under the reporter's choking policy. The broker joins both
 // with commas into attributes every reader re-parses, so an index outside
 // [0, transfer.MaxPieces) or a name holding a comma is a malformed frame.
@@ -213,7 +207,6 @@ func (m reportMessage) encodeTo(e *wire.Encoder) {
 // taskSubmit offers a task to a peer's executor.
 type taskSubmit struct {
 	Task task.Task
-	From string
 }
 
 func (m taskSubmit) encodeTo(e *wire.Encoder) {
@@ -221,18 +214,15 @@ func (m taskSubmit) encodeTo(e *wire.Encoder) {
 	e.String(m.Task.Name)
 	e.Float64(m.Task.WorkUnits)
 	e.Int(m.Task.InputSize)
-	e.String(m.From)
 }
 
 // taskDecision reports acceptance or rejection of a submitted task.
 type taskDecision struct {
-	TaskID   uint64
 	Accepted bool
 	Reason   string
 }
 
 func (m taskDecision) encodeTo(e *wire.Encoder) {
-	e.Uint64(m.TaskID)
 	e.Bool(m.Accepted)
 	e.String(m.Reason)
 }
@@ -284,7 +274,7 @@ func decodeRegister(d *wire.Decoder) (register, error) {
 }
 
 func decodeRegisterAck(d *wire.Decoder) (registerAck, error) {
-	return registerAck{OK: d.Bool(), Broker: d.StringField(), KnownPeers: d.Int()}, d.Finish()
+	return registerAck{OK: d.Bool()}, d.Finish()
 }
 
 func decodeStatsReport(d *wire.Decoder) (statsReport, error) {
@@ -379,19 +369,16 @@ func decodeReportMessage(d *wire.Decoder) (reportMessage, error) {
 }
 
 func decodeTaskSubmit(d *wire.Decoder) (taskSubmit, error) {
-	return taskSubmit{
-		Task: task.Task{
-			ID:        d.Uint64(),
-			Name:      d.StringField(),
-			WorkUnits: d.Float64(),
-			InputSize: d.Int(),
-		},
-		From: d.StringField(),
-	}, d.Finish()
+	return taskSubmit{Task: task.Task{
+		ID:        d.Uint64(),
+		Name:      d.StringField(),
+		WorkUnits: d.Float64(),
+		InputSize: d.Int(),
+	}}, d.Finish()
 }
 
 func decodeTaskDecision(d *wire.Decoder) (taskDecision, error) {
-	return taskDecision{TaskID: d.Uint64(), Accepted: d.Bool(), Reason: d.StringField()}, d.Finish()
+	return taskDecision{Accepted: d.Bool(), Reason: d.StringField()}, d.Finish()
 }
 
 func decodeTaskDone(d *wire.Decoder) (taskDone, error) {

@@ -131,7 +131,7 @@ const leaseProgramTTL = 40 * time.Second
 // removals against a broker of the given shard count and the reference
 // directory side by side, and after every step compares every read the serve
 // path has: Cache.Lookup of every name the program knows, the named and whole
-// Cache.Query and LiveLen of every shard, Broker.Advertisements, and the
+// Cache.Query of every shard, Broker.Advertisements, and the
 // discover reply. The last two must be the reference's directory as of its
 // last change a reader can see, the reply byte for byte. Per shard it also
 // holds Cache.Stamp to its contract: a stamp seen before means the live set —
@@ -184,14 +184,11 @@ func checkLeaseProgram(seed int64, shards, steps int) error {
 			}
 			return nil
 		},
-		func(now time.Time) error { // per-shard whole Query, LiveLen
+		func(now time.Time) error { // per-shard whole Query
 			for i, sh := range b.shards {
 				want := ref.query(now, func(a jxta.Advertisement) bool { return shardIndex(a.Name) == i })
 				if got := sh.Query(jxta.AdvPeer, ""); !sameAdvs(got, want) {
 					return fail("shard %d Query = %d entries, reference %d, or they differ", i, len(got), len(want))
-				}
-				if got := sh.LiveLen(); got != len(want) {
-					return fail("shard %d LiveLen = %d, reference %d", i, got, len(want))
 				}
 			}
 			return nil

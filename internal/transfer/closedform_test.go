@@ -137,19 +137,19 @@ func TestCleanLinkTransferClosedForm(t *testing.T) {
 			return at.Add(l.tx(ackFrame(acked)) + l.tx(dataFrame(seq, payload, size)) + L)
 		}
 		t0 := vtime.Epoch
-		pet := petition{TransferID: 1, FileName: file.Name, Checksum: file.Checksum(), TotalSize: file.Size,
-			Parts: k, Sender: "src", SentAt: t0}
-		received := t0.Add(l.tx(dataFrame(1, len(pet.encode()), 0)) + L)
-		pa := wire.Frame(msgPetitionAck, petitionAck{TransferID: 1, Accept: true, ReceivedAt: received}.encodeTo)
+		pet := petition{FileName: file.Name, Checksum: file.Checksum(), TotalSize: file.Size,
+			Parts: k, Sender: "src"}
+		received := t0.Add(l.tx(dataFrame(1, len(wire.Frame(msgPetition, pet.encodeTo)), 0)) + L)
+		pa := wire.Frame(msgPetitionAck, petitionAck{Accept: true, ReceivedAt: received}.encodeTo)
 		at := turn(received, 1, 1, len(pa), 0)
 		want := Metrics{PetitionSent: t0, PetitionReceived: received, PetitionAcked: at}
 		split, _ := Split(file, k)
 		for i, p := range split {
 			seq := uint64(2 + i)
 			pt := PartTiming{Index: i, Size: p.Size, Started: at}
-			hdr := wire.Frame(msgPart, partHeader{TransferID: 1, Index: i, Offset: p.Offset, Size: p.Size}.encodeTo)
+			hdr := wire.Frame(msgPart, partHeader{Index: i, Offset: p.Offset, Size: p.Size}.encodeTo)
 			pt.Delivered = turn(at, seq-1, seq, len(hdr), p.Size)
-			ack := wire.Frame(msgPartAck, partAck{TransferID: 1, Index: i, OK: true, DeliveredAt: pt.Delivered, Ready: i+1 < k}.encodeTo)
+			ack := wire.Frame(msgPartAck, partAck{Index: i, OK: true, DeliveredAt: pt.Delivered}.encodeTo)
 			pt.Confirmed = turn(pt.Delivered, seq, seq, len(ack), 0)
 			at = pt.Confirmed
 			want.Parts = append(want.Parts, pt)

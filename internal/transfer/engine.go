@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"peerlab/internal/pipe"
@@ -60,7 +59,6 @@ type PartTiming struct {
 // Metrics is the full timing record of one transfer; the experiment harness
 // derives every figure's series from these.
 type Metrics struct {
-	TransferID  uint64
 	Peer        string
 	FileName    string
 	TotalBytes  int
@@ -118,9 +116,8 @@ func (m Metrics) LastMbTime() time.Duration {
 
 // Sender transmits files to receivers over a pipe mux.
 type Sender struct {
-	host   transport.Host
-	mux    *pipe.Mux
-	nextID atomic.Uint64
+	host transport.Host
+	mux  *pipe.Mux
 }
 
 // NewSender returns a sender using the mux for outbound transfers.
@@ -176,7 +173,6 @@ func (s *Sender) SendPieces(remote transport.Addr, f File, pieces int, indices [
 // completes it.
 func (s *Sender) start(m *Metrics, remote transport.Addr, fileName string, granularity int) {
 	*m = Metrics{
-		TransferID:  s.nextID.Add(1),
 		Peer:        remote.Node(),
 		FileName:    fileName,
 		Granularity: granularity,
@@ -198,17 +194,15 @@ func (s *Sender) transmit(remote transport.Addr, m *Metrics, f File, split int, 
 	defer conn.Close()
 	m.PetitionSent = s.host.Now()
 	pet := petition{
-		TransferID: m.TransferID,
-		FileName:   f.Name,
-		Checksum:   f.Checksum(),
-		TotalSize:  f.Size,
-		Parts:      split,
-		Indices:    indices,
-		Sender:     s.host.Name(),
-		SentAt:     m.PetitionSent,
+		FileName:  f.Name,
+		Checksum:  f.Checksum(),
+		TotalSize: f.Size,
+		Parts:     split,
+		Indices:   indices,
+		Sender:    s.host.Name(),
 	}
 	if err = s.handshake(conn, m, &pet); err == nil {
-		m.Parts, err = s.stream(conn, m.TransferID, parts, indices != nil)
+		m.Parts, err = s.stream(conn, parts, indices != nil)
 	}
 	if err != nil {
 		return err
@@ -221,7 +215,7 @@ func (s *Sender) transmit(remote transport.Addr, m *Metrics, f File, split int, 
 // stamping the petition instants as they become known. A refusal is
 // ErrRejected; everything else that goes wrong is ErrFailed.
 func (s *Sender) handshake(conn pipe.Conn, m *Metrics, pet *petition) error {
-	if err := conn.Send(pet.encode()); err != nil {
+	if err := conn.Send(wire.Frame(msgPetition, pet.encodeTo)); err != nil {
 		return fmt.Errorf("%w: petition: %w", ErrFailed, err)
 	}
 	ackMsg, err := recvWithin(conn, petitionTimeout)
@@ -251,11 +245,11 @@ func (s *Sender) handshake(conn pipe.Conn, m *Metrics, pet *petition) error {
 // slice order, while the calling process collects the confirmations in
 // whatever order the parts land. The receiver cannot tell the two apart: it
 // confirms each part as it arrives either way.
-func (s *Sender) stream(conn pipe.Conn, id uint64, parts []Part, streamed bool) ([]PartTiming, error) {
+func (s *Sender) stream(conn pipe.Conn, parts []Part, streamed bool) ([]PartTiming, error) {
 	timings := make([]PartTiming, len(parts))
 	if !streamed {
 		for n, p := range parts {
-			err := s.sendPart(conn, id, p, &timings[n])
+			err := s.sendPart(conn, p, &timings[n])
 			if err == nil {
 				err = s.awaitAck(conn, timings[n:n+1])
 			}
@@ -268,7 +262,7 @@ func (s *Sender) stream(conn pipe.Conn, id uint64, parts []Part, streamed bool) 
 	sendErrs := s.host.NewQueue()
 	for n, p := range parts {
 		s.host.Go(func() {
-			if err := s.sendPart(conn, id, p, &timings[n]); err != nil {
+			if err := s.sendPart(conn, p, &timings[n]); err != nil {
 				sendErrs.Push(err)
 			}
 		})
@@ -290,15 +284,9 @@ func (s *Sender) stream(conn pipe.Conn, id uint64, parts []Part, streamed bool) 
 }
 
 // sendPart puts one part on the wire, stamping when it started.
-func (s *Sender) sendPart(conn pipe.Conn, id uint64, p Part, pt *PartTiming) error {
+func (s *Sender) sendPart(conn pipe.Conn, p Part, pt *PartTiming) error {
 	*pt = PartTiming{Index: p.Index, Size: p.Size, Started: s.host.Now()}
-	hdr := partHeader{
-		TransferID: id,
-		Index:      p.Index,
-		Offset:     p.Offset,
-		Size:       p.Size,
-		Data:       p.Data,
-	}
+	hdr := partHeader{Index: p.Index, Offset: p.Offset, Size: p.Size, Data: p.Data}
 	if err := conn.SendSized(wire.Frame(msgPart, hdr.encodeTo), p.Size); err != nil {
 		return fmt.Errorf("%w: part %d: %v", ErrFailed, p.Index, err)
 	}
@@ -457,7 +445,7 @@ func (t *inbound) petition(conn pipe.Conn, first pipe.Message) bool {
 	t.perPart = partTimeout + time.Duration(stretch*float64(time.Second))
 
 	t.accepting = accept
-	ack := petitionAck{TransferID: in.TransferID, Accept: accept, Reason: reason, ReceivedAt: receivedAt}
+	ack := petitionAck{Accept: accept, Reason: reason, ReceivedAt: receivedAt}
 	return conn.Post(wire.Frame(msgPetitionAck, ack.encodeTo)) == nil
 }
 
@@ -476,11 +464,9 @@ func (t *inbound) part(conn pipe.Conn, msg pipe.Message) bool {
 	}
 	landed, named := t.arrived[ph.Index]
 	pa := partAck{
-		TransferID:  t.in.TransferID,
 		Index:       ph.Index,
 		OK:          !landed && (named || t.whole && ph.Index >= 0 && ph.Index < t.in.Parts),
 		DeliveredAt: t.host.Now(),
-		Ready:       t.received+1 < t.expected,
 	}
 	if !pa.OK {
 		pa.Reason = fmt.Sprintf("unexpected part %d of %d", ph.Index, t.expected)

@@ -31,7 +31,6 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 	// conn gets the package's Receiver.
 	recv := Receiver(b, nil)
 	accepted, read := 0, 0
-	var id uint64
 	scripted := func(conn pipe.Conn, ev pipe.Event) {
 		if ev.Err != nil {
 			conn.Close()
@@ -40,11 +39,10 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 		_, d, _ := wire.Tag(ev.Msg.Payload)
 		switch read++; read {
 		case 1:
-			id = d.Uint64()
-			conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: b.Now()}.encodeTo))
+			conn.Send(wire.Frame(msgPetitionAck, petitionAck{Accept: true, ReceivedAt: b.Now()}.encodeTo))
 		case 2:
 			hdr, _ := decodePart(d)
-			conn.Send(wire.Frame(msgPartAck, partAck{TransferID: id, Index: hdr.Index, Reason: "scripted refusal"}.encodeTo))
+			conn.Send(wire.Frame(msgPartAck, partAck{Index: hdr.Index, Reason: "scripted refusal"}.encodeTo))
 		}
 	}
 	muxA := pipe.NewMux(a, epA, pipe.Options{})
@@ -78,9 +76,9 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 	})
 	got = append(got, fmt.Sprintf("%d frames, digest %x, quiet at %v", frames, h.Sum64(), n.Now().Sub(vtime.Epoch)))
 	want := []string{
-		"pieces: transfer: transfer failed: receiver rejected part 0: scripted refusal; failed true, 16 part slots, 5.040156s",
-		"whole: <nil>; failed false, 2 parts, done at 8.160335999s",
-		"29 frames, digest 4fdf8d485b581aff, quiet at 8.200347999s",
+		"pieces: transfer: transfer failed: receiver rejected part 0: scripted refusal; failed true, 16 part slots, 5.040145s",
+		"whole: <nil>; failed false, 2 parts, done at 8.160311s",
+		"29 frames, digest 4aef8a1892f3ccc1, quiet at 8.200323s",
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -107,8 +105,7 @@ func TestStreamedAckSilenceNamesTheWait(t *testing.T) {
 	muxB = pipe.NewMux(b, epB, pipe.Options{Serve: func(pipe.Conn) pipe.Handler {
 		return func(conn pipe.Conn, ev pipe.Event) {
 			if ev.Err == nil {
-				_, d, _ := wire.Tag(ev.Msg.Payload)
-				conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: d.Uint64(), Accept: true, ReceivedAt: b.Now()}.encodeTo))
+				conn.Send(wire.Frame(msgPetitionAck, petitionAck{Accept: true, ReceivedAt: b.Now()}.encodeTo))
 				muxB.Close()
 			}
 			conn.Close()

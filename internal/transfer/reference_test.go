@@ -30,7 +30,7 @@ func refHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
 	if err != nil {
 		return
 	}
-	ack := petitionAck{TransferID: in.TransferID, Accept: true, ReceivedAt: host.Now()}
+	ack := petitionAck{Accept: true, ReceivedAt: host.Now()}
 	if in.Parts < 0 || in.Parts > maxParts {
 		ack.Accept, ack.Reason = false, fmt.Sprintf("part count %d outside [0, %d]", in.Parts, maxParts)
 	}
@@ -69,8 +69,7 @@ func refHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
 		}
 		ok := slices.Contains(announced, ph.Index) &&
 			!slices.ContainsFunc(arrived, func(p Part) bool { return p.Index == ph.Index })
-		pa := partAck{TransferID: in.TransferID, Index: ph.Index, OK: ok, DeliveredAt: host.Now(),
-			Ready: len(arrived)+1 < len(announced)}
+		pa := partAck{Index: ph.Index, OK: ok, DeliveredAt: host.Now()}
 		if !ok {
 			pa.Reason = fmt.Sprintf("unexpected part %d of %d", ph.Index, len(announced))
 		}
@@ -122,11 +121,10 @@ func genReceiverProgram(rng *rand.Rand) receiverProgram {
 		f = NewFile("r.bin", data)
 	}
 	split, _ := Split(f, 1+rng.Intn(32))
-	id := rng.Uint64() >> 1
-	pet := petition{TransferID: id, FileName: f.Name, Checksum: f.Checksum(), TotalSize: f.Size,
-		Parts: len(split), Sender: "src", SentAt: time.Unix(0, rng.Int63n(1e12))}
+	pet := petition{FileName: f.Name, Checksum: f.Checksum(), TotalSize: f.Size,
+		Parts: len(split), Sender: "src"}
 	if rng.Intn(3) == 0 {
-		pet.Indices = make([]int, rng.Intn(len(split)+1))
+		pet.Indices = make([]int, 1+rng.Intn(len(split)))
 		for i := range pet.Indices {
 			pet.Indices[i] = rng.Intn(len(split)+4) - 2
 		}
@@ -134,7 +132,7 @@ func genReceiverProgram(rng *rand.Rand) receiverProgram {
 	if rng.Intn(8) == 0 {
 		pet.Parts = [...]int{-1, -5, maxParts + 1, 1 << 30}[rng.Intn(4)]
 	}
-	prog := receiverProgram{petition: pet.encode(), whole: pet.Indices == nil}
+	prog := receiverProgram{petition: wire.Frame(msgPetition, pet.encodeTo), whole: pet.Indices == nil}
 
 	order := slices.Clone(pet.Indices)
 	if order == nil {
@@ -158,14 +156,14 @@ func genReceiverProgram(rng *rand.Rand) receiverProgram {
 		if i >= 0 && i < len(split) {
 			p = split[i]
 		}
-		st := receiverStep{frame: wire.Frame(msgPart, partHeader{TransferID: id, Index: p.Index, Offset: p.Offset, Size: p.Size, Data: p.Data}.encodeTo), size: p.Size}
+		st := receiverStep{frame: wire.Frame(msgPart, partHeader{Index: p.Index, Offset: p.Offset, Size: p.Size, Data: p.Data}.encodeTo), size: p.Size}
 		switch rng.Intn(24) {
 		case 0:
 			st.gap = partTimeout + time.Hour
 		case 1, 2, 3:
 			st.gap = time.Duration(rng.Intn(5000)) * time.Millisecond
 		case 4:
-			st.frame = wire.Frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true}.encodeTo)
+			st.frame = wire.Frame(msgPetitionAck, petitionAck{Accept: true}.encodeTo)
 		}
 		prog.steps = append(prog.steps, st)
 	}
@@ -173,7 +171,7 @@ func genReceiverProgram(rng *rand.Rand) receiverProgram {
 }
 
 // receiverOutcome is what a program observes of a receiver: the petition
-// ack, every part ack (index, ok, ready, and for a whole file the reason),
+// ack, every part ack (index, ok, and for a whole file the reason),
 // the instant the receiver's FIN (or the conn's break) ended what the
 // sending side reads, and the OnFile call. A piece
 // refusal's reason is not compared, and its length moves the close instant

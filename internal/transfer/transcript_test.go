@@ -105,14 +105,10 @@ func (tr *transcript) serveFirstPartOnly() {
 			return
 		}
 		defer conn.Close()
-		first, err := conn.Recv()
-		if err != nil {
+		if _, err := conn.Recv(); err != nil {
 			return
 		}
-		// Both petition kinds open with the transfer id.
-		_, d, _ := wire.Tag(first.Payload)
-		id := d.Uint64()
-		if conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: tr.dstN.Now()}.encodeTo)) != nil {
+		if conn.Send(wire.Frame(msgPetitionAck, petitionAck{Accept: true, ReceivedAt: tr.dstN.Now()}.encodeTo)) != nil {
 			return
 		}
 		for n := 0; ; n++ {
@@ -125,7 +121,7 @@ func (tr *transcript) serveFirstPartOnly() {
 			}
 			_, d, _ := wire.Tag(msg.Payload)
 			ph, _ := decodePart(d)
-			if conn.Send(wire.Frame(msgPartAck, partAck{TransferID: id, Index: ph.Index, OK: true, DeliveredAt: tr.dstN.Now(), Ready: true}.encodeTo)) != nil {
+			if conn.Send(wire.Frame(msgPartAck, partAck{Index: ph.Index, OK: true, DeliveredAt: tr.dstN.Now()}.encodeTo)) != nil {
 				return
 			}
 		}
@@ -249,15 +245,14 @@ func TestTransferTranscript(t *testing.T) {
 		tr.outcome(func(m *Metrics) error { return tr.sender.Send("dst/xfer", file, 0, m) })
 	})
 	run("receiver rejects a repeated part", accepting, func(tr *transcript) {
-		pet := petition{TransferID: 41, FileName: "f.bin", Checksum: file.Checksum(), TotalSize: file.Size, Parts: 2, Sender: "src"}
-		part := partHeader{TransferID: 41, Index: 0, Offset: 0, Size: Mb}
-		tr.raw(pet.encode(), []partHeader{part, part}, 0)
+		pet := petition{FileName: "f.bin", Checksum: file.Checksum(), TotalSize: file.Size, Parts: 2, Sender: "src"}
+		part := partHeader{Index: 0, Offset: 0, Size: Mb}
+		tr.raw(wire.Frame(msgPetition, pet.encodeTo), []partHeader{part, part}, 0)
 	})
 	run("receiver rejects a repeated piece", accepting, func(tr *transcript) {
-		// The piece petition frame, field by field: pieces 1 and 5 of 8.
+		// The petition frame, field by field: pieces 1 and 5 of 8.
 		e := wire.NewEncoder(64)
-		e.Byte(msgPiecePetition)
-		e.Uint64(42)
+		e.Byte(msgPetition)
 		e.String("f.bin")
 		e.String(file.Checksum())
 		e.Int(file.Size)
@@ -266,8 +261,7 @@ func TestTransferTranscript(t *testing.T) {
 		e.Int(1)
 		e.Int(5)
 		e.String("src")
-		e.Time(time.Time{})
-		part := partHeader{TransferID: 42, Index: 1, Offset: 250_000, Size: 250_000}
+		part := partHeader{Index: 1, Offset: 250_000, Size: 250_000}
 		tr.raw(e.Bytes(), []partHeader{part, part}, 0)
 	})
 	// The receiver's replies are lost: the first copies of the petition ack
@@ -277,8 +271,8 @@ func TestTransferTranscript(t *testing.T) {
 	// A sender that stops after part 0 of 4 with its conn open: the
 	// receiver's per-part wait ends the transfer with its FIN.
 	run("sender goes silent after part 0 of 4", accepting, func(tr *transcript) {
-		pet := petition{TransferID: 43, FileName: "f.bin", Checksum: file.Checksum(), TotalSize: file.Size, Parts: 4, Sender: "src"}
-		tr.raw(pet.encode(), []partHeader{{TransferID: 43, Index: 0, Offset: 0, Size: file.Size / 4}}, 3*time.Hour)
+		pet := petition{FileName: "f.bin", Checksum: file.Checksum(), TotalSize: file.Size, Parts: 4, Sender: "src"}
+		tr.raw(wire.Frame(msgPetition, pet.encodeTo), []partHeader{{Index: 0, Offset: 0, Size: file.Size / 4}}, 3*time.Hour)
 	})
 	// dst→src is severed for good just as the petition lands: the
 	// receiver's petition ack runs out of retries and it tears down.

@@ -283,9 +283,7 @@ func refuseAll(host transport.Host) func(pipe.Conn) pipe.Handler {
 		if ev.Err != nil {
 			return
 		}
-		// Both petition kinds open with the transfer id.
-		_, d, _ := wire.Tag(ev.Msg.Payload)
-		conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: d.Uint64(), Reason: "quota exceeded", ReceivedAt: host.Now()}.encodeTo))
+		conn.Send(wire.Frame(msgPetitionAck, petitionAck{Reason: "quota exceeded", ReceivedAt: host.Now()}.encodeTo))
 	}
 	return func(pipe.Conn) pipe.Handler { return refuse }
 }
@@ -301,17 +299,16 @@ func TestRepeatedPartAckIsRejected(t *testing.T) {
 	b := n.MustAddNode("dst", fastProfile())
 	epA, _ := a.Endpoint("xfer")
 	epB, _ := b.Endpoint("xfer")
-	var id uint64 // transfer ids start at 1
+	petitioned := false
 	ackPieceOne := func(conn pipe.Conn, ev pipe.Event) {
 		switch {
 		case ev.Err != nil:
 			conn.Close()
-		case id == 0:
-			_, d, _ := wire.Tag(ev.Msg.Payload)
-			id = d.Uint64()
-			conn.Send(wire.Frame(msgPetitionAck, petitionAck{TransferID: id, Accept: true, ReceivedAt: b.Now()}.encodeTo))
+		case !petitioned:
+			petitioned = true
+			conn.Send(wire.Frame(msgPetitionAck, petitionAck{Accept: true, ReceivedAt: b.Now()}.encodeTo))
 		default:
-			conn.Send(wire.Frame(msgPartAck, partAck{TransferID: id, Index: 1, OK: true, DeliveredAt: b.Now(), Ready: true}.encodeTo))
+			conn.Send(wire.Frame(msgPartAck, partAck{Index: 1, OK: true, DeliveredAt: b.Now()}.encodeTo))
 		}
 	}
 	pipe.NewMux(b, epB, pipe.Options{Serve: func(pipe.Conn) pipe.Handler { return ackPieceOne }})
@@ -366,8 +363,8 @@ func TestPetitionPartCountOutOfRangeRefused(t *testing.T) {
 				t.Errorf("parts=%d: dial: %v", parts, err)
 				return
 			}
-			pet := petition{TransferID: 7, FileName: "evil", TotalSize: 1 << 40, Parts: parts, Sender: "src"}
-			if err := conn.Send(pet.encode()); err != nil {
+			pet := petition{FileName: "evil", TotalSize: 1 << 40, Parts: parts, Sender: "src"}
+			if err := conn.Send(wire.Frame(msgPetition, pet.encodeTo)); err != nil {
 				t.Errorf("parts=%d: send: %v", parts, err)
 				return
 			}
@@ -417,9 +414,9 @@ func TestAcceptedPetitionAllocatesOnlyWhatArrives(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			pet := petition{TransferID: 7, FileName: "big", TotalSize: 1 << 40, Parts: maxParts, Indices: indices, Sender: "src"}
+			pet := petition{FileName: "big", TotalSize: 1 << 40, Parts: maxParts, Indices: indices, Sender: "src"}
 			runtime.ReadMemStats(&before)
-			if err := conn.Send(pet.encode()); err != nil {
+			if err := conn.Send(wire.Frame(msgPetition, pet.encodeTo)); err != nil {
 				t.Errorf("send: %v", err)
 				return
 			}
@@ -452,8 +449,8 @@ func TestBadPieceListRefused(t *testing.T) {
 		indices []int
 		bad     int
 	}{{[]int{-2, -1}, -2}, {[]int{0, 3}, 3}, {[]int{1, 2, 1}, 1}} {
-		pet := petition{TransferID: 7, FileName: "v.bin", TotalSize: 300, Parts: 3, Indices: tc.indices, Sender: "src"}
-		out := runReceiverProgram(receiverProgram{petition: pet.encode()}, realReceiver)
+		pet := petition{FileName: "v.bin", TotalSize: 300, Parts: 3, Indices: tc.indices, Sender: "src"}
+		out := runReceiverProgram(receiverProgram{petition: wire.Frame(msgPetition, pet.encodeTo)}, realReceiver)
 		want := fmt.Sprintf("petition accept=false reason=%q err=<nil>",
 			fmt.Sprintf("piece list names part %d of 3 twice or outside the split", tc.bad))
 		if len(out.acks) != 1 || out.acks[0] != want {
@@ -480,8 +477,8 @@ func TestHugePetitionSizeStillTimesOut(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		pet := petition{TransferID: 9, FileName: "huge", TotalSize: math.MaxInt64, Parts: 1, Sender: "src"}
-		if err = conn.Send(pet.encode()); err != nil {
+		pet := petition{FileName: "huge", TotalSize: math.MaxInt64, Parts: 1, Sender: "src"}
+		if err = conn.Send(wire.Frame(msgPetition, pet.encodeTo)); err != nil {
 			return
 		}
 		if _, err = conn.Recv(); err != nil {
@@ -514,9 +511,9 @@ func TestPetitionTotalSizeOutOfRangeNotAllocated(t *testing.T) {
 				t.Errorf("total=%d: dial: %v", total, err)
 				return
 			}
-			pet := petition{TransferID: 7, FileName: "evil", TotalSize: total, Parts: 1, Sender: "src"}
-			part := partHeader{TransferID: 7, Index: 0, Offset: 0, Size: 1, Data: []byte{0xff}}
-			for _, msg := range [][]byte{pet.encode(), wire.Frame(msgPart, part.encodeTo)} {
+			pet := petition{FileName: "evil", TotalSize: total, Parts: 1, Sender: "src"}
+			part := partHeader{Index: 0, Offset: 0, Size: 1, Data: []byte{0xff}}
+			for _, msg := range [][]byte{wire.Frame(msgPetition, pet.encodeTo), wire.Frame(msgPart, part.encodeTo)} {
 				if err := conn.Send(msg); err != nil {
 					t.Errorf("total=%d: send: %v", total, err)
 					return
@@ -761,8 +758,7 @@ func TestFailedSendReportsZeroDurations(t *testing.T) {
 // to reserve 8 GB.
 func TestDecodePiecePetitionBoundsCount(t *testing.T) {
 	e := wire.NewEncoder(32)
-	e.Byte(msgPiecePetition)
-	e.Uint64(1)
+	e.Byte(msgPetition)
 	e.String("f")
 	e.String("")
 	e.Int(1 << 30)
@@ -771,29 +767,24 @@ func TestDecodePiecePetitionBoundsCount(t *testing.T) {
 	if _, err := decodePetition(e.Bytes()); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("hostile count: err = %v, want ErrCorrupt", err)
 	}
-	in := petition{TransferID: 9, FileName: "f", Checksum: "c", TotalSize: 1000, Parts: 8,
-		Indices: []int{1, 5, 7}, Sender: "sc1", SentAt: time.Unix(0, 12345).UTC()}
-	raw := in.encode()
+	in := petition{FileName: "f", Checksum: "c", TotalSize: 1000, Parts: 8,
+		Indices: []int{1, 5, 7}, Sender: "sc1"}
+	raw := wire.Frame(msgPetition, in.encodeTo)
 	out, err := decodePetition(raw)
-	if raw[0] != msgPiecePetition || err != nil || !reflect.DeepEqual(out, in) {
-		t.Fatalf("roundtrip = kind %d, %+v, %v", raw[0], out, err)
+	if err != nil || !reflect.DeepEqual(out, in) {
+		t.Fatalf("roundtrip = %+v, %v", out, err)
 	}
 	for cut := 0; cut < len(raw); cut++ {
 		if _, err := decodePetition(raw[:cut]); err == nil {
 			t.Fatalf("petition cut at %d of %d decoded without error", cut, len(raw))
 		}
 	}
-	// The whole-file frame is the same struct without the index list, and a
-	// piece petition that names nothing still decodes as a piece petition.
-	in.Indices = nil
-	raw = in.encode()
-	out, err = decodePetition(raw)
-	if raw[0] != msgPetition || err != nil || !reflect.DeepEqual(out, in) {
-		t.Fatalf("whole-file roundtrip = kind %d, %+v, %v", raw[0], out, err)
-	}
-	in.Indices = []int{}
-	raw = in.encode()
-	if out, err = decodePetition(raw); raw[0] != msgPiecePetition || err != nil || out.Indices == nil {
-		t.Fatalf("empty selection roundtrip = kind %d, %+v, %v", raw[0], out, err)
+	// The whole file is the same frame with an index count of 0, which an
+	// empty selection also encodes: both decode as the whole file.
+	for _, indices := range [][]int{nil, {}} {
+		in.Indices = indices
+		if out, err = decodePetition(wire.Frame(msgPetition, in.encodeTo)); err != nil || out.Indices != nil {
+			t.Fatalf("roundtrip of %#v = %+v, %v", indices, out, err)
+		}
 	}
 }

@@ -89,21 +89,7 @@ var fieldAllow = map[string]string{
 	"pipe.Options.Window":           "ROADMAP item 1: only bench/ sets it, for the pipe.msg_ns.w1/w4 probes",
 	"simnet.Profile.LossRate":       "ROADMAP item 12: only the loss tests and the lossy-link closed form set it",
 	"vtime.Scheduler.OnDeadlock":    "ROADMAP item 8 gives it a caller",
-
-	"overlay.registerAck.Broker":      frameField,
-	"overlay.registerAck.KnownPeers":  frameField,
-	"overlay.taskDecision.TaskID":     frameField,
-	"overlay.taskSubmit.From":         frameField,
-	"transfer.partAck.Ready":          frameField,
-	"transfer.partAck.TransferID":     frameField,
-	"transfer.partHeader.TransferID":  frameField,
-	"transfer.petition.SentAt":        frameField,
-	"transfer.petitionAck.TransferID": frameField,
 }
-
-// frameField marks a frame field that only its encoder reads; it goes with
-// the frame trim that changes every golden.
-const frameField = "frame field with no reader: the frame trim deletes it"
 
 // Reasons a range over a map cannot make output depend on iteration order.
 const (
