@@ -106,7 +106,7 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 			"economic":      core.NewEconomic(core.EconomicConfig{}),
 			"same-priority": core.NewSamePriority(),
 		},
-		dir: mergedDir{stamps: make([]uint64, cfg.Shards), enc: wire.NewEncoder(0)},
+		dir: mergedDir{stamps: make([]uint64, cfg.Shards), bufs: make([][]jxta.Advertisement, cfg.Shards), enc: wire.NewEncoder(0)},
 	}
 	for i := range b.shards {
 		b.shards[i] = jxta.NewCache(cfg.CacheLimit, host.Now)
@@ -149,13 +149,13 @@ func (b *Broker) Shards() int { return len(b.shards) }
 // shard still returns the stamp it had at the merge (jxta.Cache.Stamp, in
 // shard order); the zero value is the merge of caches never written. gen
 // counts the merges, keying views derived from one (the candidate table).
-// buf, parts and advs are reused by the next merge, so they are read under
+// bufs, parts and advs are reused by the next merge, so they are read under
 // the broker's mu only; reply, the discover reply, is new and immutable per
 // merge, detached from enc.
 type mergedDir struct {
 	gen    uint64
 	stamps []uint64
-	buf    []jxta.Advertisement
+	bufs   [][]jxta.Advertisement // per shard, in shard order
 	parts  [][]jxta.Advertisement
 	advs   []jxta.Advertisement
 	reply  []byte
@@ -213,15 +213,17 @@ func (b *Broker) dirLocked() *mergedDir {
 	}
 	// Each shard answers in name order already, and a name lives in one
 	// shard; a k-way merge restores the global order without re-sorting the
-	// whole directory.
-	d.buf, d.parts = d.buf[:0], d.parts[:0]
-	for _, sh := range b.shards {
-		start := len(d.buf)
-		if d.buf = sh.AppendAll(d.buf); len(d.buf) > start {
-			d.parts = append(d.parts, d.buf[start:])
+	// whole directory. An answer lands in its shard's own buffer in one
+	// append, so no shared buffer is regrown shard by shard.
+	d.parts = d.parts[:0]
+	n := 0
+	for i, sh := range b.shards {
+		if d.bufs[i] = sh.AppendAll(d.bufs[i][:0]); len(d.bufs[i]) > 0 {
+			d.parts = append(d.parts, d.bufs[i])
+			n += len(d.bufs[i])
 		}
 	}
-	d.advs = slices.Grow(d.advs[:0], len(d.buf))
+	d.advs = slices.Grow(d.advs[:0], n)
 	for parts := d.parts; len(parts) > 0; {
 		// The step of the merge, k = shard count, small: take the least of
 		// the parts' heads and drop a part once it is exhausted.

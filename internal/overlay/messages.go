@@ -159,10 +159,11 @@ func (m reportTransfer) encodeTo(e *wire.Encoder) {
 }
 
 // pieceReport publishes a peer's piece inventory and choke state into its
-// broker advertisement. Have lists held piece indices; Unchoked lists the hostnames currently granted
-// upload service under the reporter's choking policy. The broker joins both
-// with commas into attributes every reader re-parses, so an index outside
-// [0, transfer.MaxPieces) or a name holding a comma is a malformed frame.
+// broker advertisement. Have lists held piece indices; Unchoked lists the
+// hostnames currently granted upload service under the reporter's choking
+// policy. The broker joins both with commas into attributes every reader
+// re-parses, so an index outside [0, transfer.MaxPieces) or a name holding a
+// comma is a malformed frame.
 type pieceReport struct {
 	Peer     string
 	Have     []int
