@@ -63,7 +63,6 @@ func decodePetition(payload []byte) (petition, error) {
 		return petition{}, err
 	}
 	if n < 0 || n > max(p.Parts, 0) { // the receiver judges a whole file's part count
-
 		return petition{}, fmt.Errorf("transfer: petition names %d of %d pieces", n, p.Parts)
 	}
 	if n > d.Remaining() { // each index needs at least 1 byte
