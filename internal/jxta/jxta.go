@@ -76,18 +76,18 @@ func (a Advertisement) Attr(key string) string {
 	return ""
 }
 
-// WithAttr returns a copy with the attribute set (replacing an existing key).
-func (a Advertisement) WithAttr(key, value string) Advertisement {
-	out := a
-	out.Attrs = append([]Attr(nil), a.Attrs...)
-	for i := range out.Attrs {
-		if out.Attrs[i].Key == key {
-			out.Attrs[i].Value = value
-			return out
+// WithAttr returns a copy with each key, value pair of kv set, replacing an
+// existing key or appending it, in one copy of the attributes.
+func (a Advertisement) WithAttr(kv ...string) Advertisement {
+	a.Attrs = append(make([]Attr, 0, len(a.Attrs)+len(kv)/2), a.Attrs...)
+	for i := 0; i < len(kv); i += 2 {
+		if j := slices.IndexFunc(a.Attrs, func(at Attr) bool { return at.Key == kv[i] }); j >= 0 {
+			a.Attrs[j].Value = kv[i+1]
+		} else {
+			a.Attrs = append(a.Attrs, Attr{kv[i], kv[i+1]})
 		}
 	}
-	out.Attrs = append(out.Attrs, Attr{key, value})
-	return out
+	return a
 }
 
 // Encode appends the advertisement to the encoder.

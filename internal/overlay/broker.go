@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,8 +114,7 @@ func NewBroker(host transport.Host, cfg BrokerConfig) (*Broker, error) {
 	// coroutines the inboxes drain on), so a same-instant burst never
 	// serializes behind one handler's park points and is served in arrival
 	// order.
-	serve := pipe.Handler(b.serve)
-	b.mux = pipe.NewMux(host, ep, pipe.Options{Serve: func(pipe.Conn) pipe.Handler { return serve }})
+	b.mux = pipe.NewMux(host, ep, pipe.Options{Serve: func(pipe.Conn) pipe.Handler { return b }})
 	return b, nil
 }
 
@@ -271,11 +269,11 @@ func (b *Broker) Restart() {
 // Close shuts the broker down.
 func (b *Broker) Close() { b.mux.Close() }
 
-// serve answers one request conn: every exchange is request/response on a
+// Handle answers one request conn: every exchange is request/response on a
 // fresh conn, so its first event is the request. The reply is posted, and
 // its completion, or the conn's end, closes the conn; a request left
 // unanswered closes it at once.
-func (b *Broker) serve(conn pipe.Conn, ev pipe.Event) {
+func (b *Broker) Handle(conn pipe.Conn, ev pipe.Event) {
 	if ev.Posted || ev.Err != nil || !b.answer(conn, ev.Msg) {
 		conn.Close()
 	}
@@ -434,16 +432,7 @@ func (b *Broker) handleReportTransfer(conn pipe.Conn, rep reportTransfer) []byte
 func (b *Broker) handlePieceReport(conn pipe.Conn, rep pieceReport) []byte {
 	sh := b.shardOf(rep.Peer)
 	adv, _ := b.leaseOf(sh, rep.Peer, conn)
-	var have strings.Builder
-	for i, p := range rep.Have {
-		if i > 0 {
-			have.WriteByte(',')
-		}
-		have.WriteString(strconv.Itoa(p))
-	}
-	adv = adv.WithAttr(jxta.AttrPieces, have.String())
-	adv = adv.WithAttr(jxta.AttrUnchoked, strings.Join(rep.Unchoked, ","))
-	b.publish(sh, adv)
+	b.publish(sh, adv.WithAttr(jxta.AttrPieces, rep.Pieces, jxta.AttrUnchoked, rep.Unchoked))
 	return ackFrame
 }
 

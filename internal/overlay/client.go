@@ -112,7 +112,7 @@ func (c *Client) Start() error {
 	if err != nil {
 		return fmt.Errorf("overlay: transfer bind: %w", err)
 	}
-	c.ctlMux = pipe.NewMux(c.host, ctlEP, pipe.Options{FirstID: c.firstConnID, Serve: c.acceptControl})
+	c.ctlMux = pipe.NewMux(c.host, ctlEP, pipe.Options{FirstID: c.firstConnID, Serve: func(pipe.Conn) pipe.Handler { return c }})
 	c.xferMux = pipe.NewMux(c.host, xferEP, pipe.Options{FirstID: c.firstConnID, Serve: transfer.Receiver(c.host, c.cfg.OnFile)})
 	c.sender = transfer.NewSender(c.host, c.xferMux)
 	if err := c.register(); err != nil {
@@ -162,12 +162,8 @@ func (c *Client) call(to transport.Addr, payload []byte) ([]byte, error) {
 	return reply, err
 }
 
-// acceptControl is the control mux's serve func: each inbound control conn
-// is served by serveControl.
-func (c *Client) acceptControl(pipe.Conn) pipe.Handler { return c.serveControl }
-
-// serveControl serves one inbound control conn (a task, an instant message).
-func (c *Client) serveControl(conn pipe.Conn, ev pipe.Event) {
+// Handle serves one inbound control conn (a task, an instant message).
+func (c *Client) Handle(conn pipe.Conn, ev pipe.Event) {
 	defer conn.Close()
 	if ev.Err != nil {
 		return
@@ -341,8 +337,7 @@ func (c *Client) sendReported(peer string, m *transfer.Metrics, send func(transp
 // through Discover. Unlike the statistics reports it is not best-effort: a
 // failure surfaces, and the driver treats the peer as silent this round.
 func (c *Client) ReportPieces(have []int, unchoked []string) error {
-	rep := pieceReport{Peer: c.host.Name(), Have: have, Unchoked: unchoked}
-	reply, err := c.call(c.broker, wire.Frame(mtPieceReport, rep.encodeTo))
+	reply, err := c.call(c.broker, pieceReportFrame(c.host.Name(), have, unchoked))
 	if err != nil {
 		return err
 	}

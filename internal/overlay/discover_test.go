@@ -239,12 +239,11 @@ func TestDecodePieceReportBoundsCount(t *testing.T) {
 	if _, err := decodePieceReport(wire.NewDecoder(append(e.Bytes(), 0x80))); !errors.Is(err, wire.ErrShort) {
 		t.Fatalf("truncated entry: err = %v, want ErrShort", err)
 	}
-	// And the honest frame still round-trips.
-	in := pieceReport{Peer: "sc1", Have: []int{0, 5, 7}, Unchoked: []string{"sc2"}}
-	_, d, _ := wire.Tag(wire.Frame(mtPieceReport, in.encodeTo))
+	// And the honest frame still decodes into its attribute values.
+	_, d, _ := wire.Tag(pieceReportFrame("sc1", []int{0, 5, 7}, []string{"sc2", "sc3"}))
 	out, err := decodePieceReport(d)
-	if err != nil || !reflect.DeepEqual(out, in) {
-		t.Fatalf("roundtrip = %+v, %v", out, err)
+	if want := (pieceReport{Peer: "sc1", Pieces: "0,5,7", Unchoked: "sc2,sc3"}); err != nil || out != want {
+		t.Fatalf("decoded %+v, %v; want %+v", out, err, want)
 	}
 }
 
@@ -254,17 +253,20 @@ func TestDecodePieceReportBoundsCount(t *testing.T) {
 // malformed frame — dropped without an ack, the directory untouched — while a
 // well-formed report still reads back exactly as written.
 func TestPieceReportRejectsWhatItsAttributesCannotHold(t *testing.T) {
-	for _, in := range []pieceReport{
-		{Peer: "sc1", Have: []int{0, -1}},
-		{Peer: "sc1", Have: []int{transfer.MaxPieces}},
-		{Peer: "sc1", Have: []int{3}, Unchoked: []string{"sc2", "sc3,sc4"}},
+	for _, in := range []struct {
+		have     []int
+		unchoked []string
+	}{
+		{have: []int{0, -1}},
+		{have: []int{transfer.MaxPieces}},
+		{have: []int{3}, unchoked: []string{"sc2", "sc3,sc4"}},
 	} {
-		_, d, _ := wire.Tag(wire.Frame(mtPieceReport, in.encodeTo))
+		_, d, _ := wire.Tag(pieceReportFrame("sc1", in.have, in.unchoked))
 		if _, err := decodePieceReport(d); !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("decode(%+v): err = %v, want ErrCorrupt", in, err)
 		}
 	}
-	_, d, _ := wire.Tag(wire.Frame(mtPieceReport, pieceReport{Peer: "sc1", Have: []int{0, transfer.MaxPieces - 1}, Unchoked: []string{"sc2"}}.encodeTo))
+	_, d, _ := wire.Tag(pieceReportFrame("sc1", []int{0, transfer.MaxPieces - 1}, []string{"sc2"}))
 	if _, err := decodePieceReport(d); err != nil {
 		t.Errorf("the last valid index is rejected: %v", err)
 	}

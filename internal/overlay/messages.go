@@ -8,9 +8,9 @@
 package overlay
 
 import (
+	"bytes"
 	"fmt"
-	"slices"
-	"strings"
+	"strconv"
 	"time"
 
 	"peerlab/internal/jxta"
@@ -158,25 +158,25 @@ func (m reportTransfer) encodeTo(e *wire.Encoder) {
 	e.Duration(m.PetitionDelay)
 }
 
-// pieceReport publishes a peer's piece inventory and choke state into its
-// broker advertisement. Have lists held piece indices; Unchoked lists the
-// hostnames currently granted upload service under the reporter's choking
-// policy. The broker joins both with commas into attributes every reader
-// re-parses, so an index outside [0, transfer.MaxPieces) or a name holding a
-// comma is a malformed frame.
+// pieceReport is a piece report as the broker stores it: the reporter, and
+// its pieces and unchoked attribute values, the held indices and the
+// unchoked hostnames comma-joined, as substrings of one string.
 type pieceReport struct {
-	Peer     string
-	Have     []int
-	Unchoked []string
+	Peer             string
+	Pieces, Unchoked string
 }
 
-func (m pieceReport) encodeTo(e *wire.Encoder) {
-	e.String(m.Peer)
-	e.Int(len(m.Have))
-	for _, p := range m.Have {
-		e.Int(p)
-	}
-	e.StringSlice(m.Unchoked)
+// pieceReportFrame encodes a piece report from its reporter, held indices
+// and unchoked hostnames.
+func pieceReportFrame(peer string, have []int, unchoked []string) []byte {
+	return wire.Frame(mtPieceReport, func(e *wire.Encoder) {
+		e.String(peer)
+		e.Int(len(have))
+		for _, p := range have {
+			e.Int(p)
+		}
+		e.StringSlice(unchoked)
+	})
 }
 
 // reportTask carries a submitter's observations of one task offer.
@@ -332,28 +332,37 @@ func decodeReportTransfer(d *wire.Decoder) (reportTransfer, error) {
 	}, d.Finish()
 }
 
+// decodePieceReport joins the report's fields into its attribute values as
+// it reads them, each followed by a comma that the value's last one drops,
+// in a stack buffer while they fit: an honest report allocates its name and
+// one string for both. A negative index, one from transfer.MaxPieces or a
+// name holding a comma is a malformed frame; an index count the frame cannot
+// hold is refused before anything is read.
 func decodePieceReport(d *wire.Decoder) (pieceReport, error) {
-	m := pieceReport{Peer: d.StringField()}
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return pieceReport{}, err
-	}
+	peer, n := d.StringField(), d.Int()
 	if n < 0 || n > d.Remaining() { // each piece index needs at least 1 byte
 		return pieceReport{}, fmt.Errorf("%w: piece report of %d pieces in %d bytes", wire.ErrCorrupt, n, d.Remaining())
 	}
-	for i := 0; i < n; i++ {
+	held, values := true, make([]byte, 0, 512)
+	for range n {
 		p := d.Int()
-		if err := d.Err(); err != nil {
-			return pieceReport{}, err
-		}
-		m.Have = append(m.Have, p)
+		held = held && p >= 0 && p < transfer.MaxPieces
+		values = append(strconv.AppendInt(values, int64(p), 10), ',')
 	}
-	m.Unchoked = d.StringSlice()
-	if slices.ContainsFunc(m.Have, func(p int) bool { return p < 0 || p >= transfer.MaxPieces }) ||
-		slices.ContainsFunc(m.Unchoked, func(name string) bool { return strings.Contains(name, ",") }) {
+	pieces := len(values)
+	for names := d.Uint64(); names > 0 && d.Err() == nil; names-- {
+		name := d.BytesField()
+		held = held && !bytes.Contains(name, []byte{','})
+		values = append(append(values, name...), ',')
+	}
+	if err := d.Finish(); err != nil {
+		return pieceReport{}, err
+	}
+	if !held {
 		return pieceReport{}, fmt.Errorf("%w: piece report with an index or a name its attribute cannot hold", wire.ErrCorrupt)
 	}
-	return m, d.Finish()
+	joined := string(values)
+	return pieceReport{Peer: peer, Pieces: joined[:max(pieces-1, 0)], Unchoked: joined[pieces:max(len(joined)-1, pieces)]}, nil
 }
 
 func decodeReportTask(d *wire.Decoder) (reportTask, error) {

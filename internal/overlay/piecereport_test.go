@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"peerlab/internal/jxta"
+	"peerlab/internal/pipe"
 	"peerlab/internal/simnet"
 	"peerlab/internal/transfer"
 	"peerlab/internal/wire"
@@ -185,5 +186,36 @@ func TestPieceReportAttributesMatchReference(t *testing.T) {
 		if err := checkPieceReportProgram(int64(seed), 250); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestPieceReportAllocBudget: on a warm broker a piece report costs its
+// reporter's name, one string holding both attribute values and one copy
+// of the attributes; publishing the renewed entry costs nothing more.
+func TestPieceReportAllocBudget(t *testing.T) {
+	b := bareBroker(t)
+	publishAll(b, []jxta.Advertisement{jxta.Advertisement{Kind: jxta.AdvPeer, Name: "p1"}.WithAttr(jxta.AttrCPUScore, "1.5")})
+	frames := [][]byte{
+		pieceReportFrame("p1", []int{0, 3, 7, 11, 15}, []string{"p2", "p10", "sc7"}),
+		pieceReportFrame("p1", []int{0, 3, 7, 11, 12, 15}, []string{"p2", "p10"}),
+	}
+	report := func() {
+		frames[0], frames[1] = frames[1], frames[0]
+		_, d, _ := wire.Tag(frames[0])
+		if handle(pipe.Conn{}, d, decodePieceReport, b.handlePieceReport) == nil {
+			t.Fatal("the report was refused")
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, report); allocs > 3 {
+		t.Errorf("a piece report: %v allocations, budget 3", allocs)
+	}
+	adv, _ := b.shardOf("p1").Lookup("p1")
+	sh := b.shardOf("p1")
+	if allocs := testing.AllocsPerRun(50, func() { b.publish(sh, adv) }); allocs != 0 {
+		t.Errorf("publishing the reported entry: %v allocations, budget 0", allocs)
+	}
+	want := map[string]string{"0,3,7,11,15": "p2,p10,sc7", "0,3,7,11,12,15": "p2,p10"}
+	if pieces := adv.Attr(jxta.AttrPieces); want[pieces] != adv.Attr(jxta.AttrUnchoked) || adv.Attr(jxta.AttrCPUScore) != "1.5" {
+		t.Errorf("p1 advertises %q", adv.Attrs)
 	}
 }

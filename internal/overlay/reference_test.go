@@ -457,26 +457,24 @@ func checkBrokerDirectoryProgram(seed int64, shards, steps int) error {
 				}
 				ref.store(adv, now, ttl)
 			case op < 13:
-				rep := pieceReport{Peer: name}
+				var have, unchoked []string
+				var indices []int
 				for p := rng.Intn(4); p > 0; p-- {
-					rep.Have = append(rep.Have, rng.Intn(transfer.MaxPieces))
+					indices = append(indices, rng.Intn(transfer.MaxPieces))
+					have = append(have, strconv.Itoa(indices[len(indices)-1]))
 				}
 				for u := rng.Intn(3); u > 0; u-- {
-					rep.Unchoked = append(rep.Unchoked, names[rng.Intn(len(names))])
+					unchoked = append(unchoked, names[rng.Intn(len(names))])
 				}
-				what = fmt.Sprintf("piece report %s: %v, %v", name, rep.Have, rep.Unchoked)
-				reply, err := call(wire.Frame(mtPieceReport, rep.encodeTo))
+				what = fmt.Sprintf("piece report %s: %v, %v", name, have, unchoked)
+				reply, err := call(pieceReportFrame(name, indices, unchoked))
 				if err != nil || !bytes.Equal(reply, ackFrame) {
 					failure = fail("reply % x, %v", reply, err)
 					return
 				}
-				have := make([]string, len(rep.Have))
-				for i, p := range rep.Have {
-					have[i] = strconv.Itoa(p)
-				}
 				adv, _ := ref.lease(name, "probe", now)
 				adv = adv.WithAttr(jxta.AttrPieces, strings.Join(have, ","))
-				adv = adv.WithAttr(jxta.AttrUnchoked, strings.Join(rep.Unchoked, ","))
+				adv = adv.WithAttr(jxta.AttrUnchoked, strings.Join(unchoked, ","))
 				ref.store(adv, now, ttl)
 			case op < 14:
 				what = "restart"

@@ -104,7 +104,7 @@ func runSettlingProgram(seed int64, shards, steps int, settle *rand.Rand) (trace
 						have = append(have, p)
 					}
 				}
-				req = wire.Frame(mtPieceReport, pieceReport{Peer: name, Have: have, Unchoked: some()}.encodeTo)
+				req = pieceReportFrame(name, have, some())
 			case op < 9:
 				s.what = "discover"
 				req = discoverFrame

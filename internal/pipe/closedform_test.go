@@ -44,7 +44,7 @@ func TestLossyLinkRetransmissionsClosedForm(t *testing.T) {
 		}
 		pa, pb := end(), end()
 		size := 100 + rng.Intn(4000)
-		r := newRig(t, pa, pb, Options{Serve: func(Conn) Handler { return func(Conn, Event) {} }})
+		r := newRig(t, pa, pb, Options{Serve: func(Conn) Handler { return handlerFunc(func(Conn, Event) {}) }})
 		var retx, broken int64
 		r.net.Run(func() {
 			var conn Conn

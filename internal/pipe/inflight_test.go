@@ -121,12 +121,12 @@ func TestLateDataAfterCloseIsDropped(t *testing.T) {
 	accepted := 0
 	muxA, muxB := NewMux(a, rec, Options{}), NewMux(b, epB, Options{Serve: func(Conn) Handler {
 		accepted++
-		return func(c Conn, ev Event) {
+		return handlerFunc(func(c Conn, ev Event) {
 			defer c.Close()
 			if ev.Err == nil {
 				c.Send(ev.Msg.Payload)
 			}
-		}
+		})
 	}})
 	var delivered [2]int64
 	n.Run(func() {

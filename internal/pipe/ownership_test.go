@@ -164,7 +164,7 @@ func perPost(t *testing.T, msgs int) (allocs float64) {
 			}
 		}
 	}
-	r := newRig(t, cleanProfile(), cleanProfile(), Options{Serve: func(Conn) Handler { return reply }})
+	r := newRig(t, cleanProfile(), cleanProfile(), Options{Serve: func(Conn) Handler { return handlerFunc(reply) }})
 	r.net.Run(func() {
 		conn, err := r.muxA.Dial("b/pipe")
 		if err != nil {
@@ -230,7 +230,7 @@ func shortConns(tb testing.TB, calls int) (allocs float64) {
 			conn.Send(ev.Msg.Payload)
 		}
 	}
-	r := newRig(tb, cleanProfile(), cleanProfile(), Options{Serve: func(Conn) Handler { return echo }})
+	r := newRig(tb, cleanProfile(), cleanProfile(), Options{Serve: func(Conn) Handler { return handlerFunc(echo) }})
 	payload := []byte("request")
 	call := func() {
 		conn, err := r.muxA.Dial("b/pipe")

@@ -113,7 +113,8 @@ type Event struct {
 
 // Handler takes one served conn's events (see Options.Serve) in order. It
 // may park (in Send, say), holding back the conn's later events meanwhile.
-type Handler func(Conn, Event)
+// A handler that keeps per-conn state is that state, one allocation.
+type Handler interface{ Handle(Conn, Event) }
 
 type connKey struct {
 	peer transport.Addr
@@ -369,9 +370,9 @@ type connState struct {
 	theirs bool
 	// A served conn's values each hold it until handed (see deliverLocked).
 	served   bool
+	ended    bool // a served conn's end notice is queued
 	handler  Handler
 	posts    int
-	ended    bool   // a served conn's end notice is queued
 	sendNext uint64 // next seq to allocate (first is 1)
 	// In-flight sends, linked in seq order: a send joins the tail as it
 	// takes its seq, an ack releases a prefix and teardown the whole list.
@@ -857,7 +858,7 @@ func (c *conn) serveNext(v any) {
 			ev.Err = c.closedErr()
 		}
 		if owned {
-			c.handler(h, ev)
+			c.handler.Handle(h, ev)
 		}
 		c.leave() // the value's hold
 		c.mu.Lock()

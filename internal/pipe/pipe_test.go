@@ -12,6 +12,11 @@ import (
 	"peerlab/internal/vtime"
 )
 
+// handlerFunc is a func as a Handler.
+type handlerFunc func(Conn, Event)
+
+func (f handlerFunc) Handle(c Conn, ev Event) { f(c, ev) }
+
 // rig is a two-node simnet with a mux on each side.
 type rig struct {
 	net  *simnet.Network

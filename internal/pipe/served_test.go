@@ -57,7 +57,7 @@ func answerOrder(t *testing.T, posted bool) []string {
 				conn.Close()
 			}
 		}
-		opts.Serve = func(Conn) Handler { return h }
+		opts.Serve = func(Conn) Handler { return handlerFunc(h) }
 	}
 	muxB, s := NewMux(b, epB, opts), n.Scheduler()
 	if !posted {
@@ -137,7 +137,7 @@ func ackDuringResend(t *testing.T, posted bool) time.Duration {
 				conn.Post(answer)
 			}
 		}
-		opts.Serve = func(Conn) Handler { return h }
+		opts.Serve = func(Conn) Handler { return handlerFunc(h) }
 	}
 	muxB, s := NewMux(b, epB, opts), n.Scheduler()
 	if !posted {

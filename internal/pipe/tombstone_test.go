@@ -89,12 +89,12 @@ func tombstoneProgram(t *testing.T, seed int64, steps int) {
 	NewMux(b, epB, Options{Serve: func(c Conn) Handler {
 		accepted = append(accepted, c)
 		first := true
-		return func(_ Conn, ev Event) {
+		return handlerFunc(func(_ Conn, ev Event) {
 			if first && ev.Err == nil {
 				got = append(got, ev.Msg.Payload)
 			}
 			first = false
-		}
+		})
 	}})
 	dialers := make([]*dialer, 2+rng.Intn(2))
 	for i := range dialers {

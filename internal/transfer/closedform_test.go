@@ -79,7 +79,7 @@ func timeOneMessage(t *testing.T, l cleanLink, payload, size int) time.Duration 
 	t.Helper()
 	closeAll := func(conn pipe.Conn, _ pipe.Event) { conn.Close() }
 	n, _, src := newCleanWorld(t, l, func(*simnet.Node) func(pipe.Conn) pipe.Handler {
-		return func(pipe.Conn) pipe.Handler { return closeAll }
+		return func(pipe.Conn) pipe.Handler { return handlerFunc(closeAll) }
 	})
 	var took time.Duration
 	n.Run(func() {
@@ -147,7 +147,7 @@ func TestCleanLinkTransferClosedForm(t *testing.T) {
 		for i, p := range split {
 			seq := uint64(2 + i)
 			pt := PartTiming{Index: i, Size: p.Size, Started: at}
-			hdr := wire.Frame(msgPart, partHeader{Index: i, Offset: p.Offset, Size: p.Size}.encodeTo)
+			hdr := wire.Frame(msgPart, Part{Index: i, Offset: p.Offset, Size: p.Size}.encodeTo)
 			pt.Delivered = turn(at, seq-1, seq, len(hdr), p.Size)
 			ack := wire.Frame(msgPartAck, partAck{Index: i, OK: true, DeliveredAt: pt.Delivered}.encodeTo)
 			pt.Confirmed = turn(pt.Delivered, seq, seq, len(ack), 0)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"peerlab/internal/pipe"
@@ -133,11 +134,11 @@ func NewSender(host transport.Host, mux *pipe.Mux) *Sender {
 func (s *Sender) Send(remote transport.Addr, f File, parts int, m *Metrics) error {
 	s.start(m, remote, f.Name, parts)
 	m.TotalBytes = f.Size
-	split, err := Split(f, parts)
+	split, err := f.Parts(parts)
 	if err != nil {
 		return err
 	}
-	return s.transmit(remote, m, f, len(split), nil, split)
+	return s.transmit(remote, m, f, split, nil)
 }
 
 // SendPieces is Send for the pieces of f named by indices — positions in
@@ -149,24 +150,31 @@ func (s *Sender) Send(remote transport.Addr, f File, parts int, m *Metrics) erro
 // counts only the selected pieces.
 func (s *Sender) SendPieces(remote transport.Addr, f File, pieces int, indices []int, m *Metrics) error {
 	s.start(m, remote, f.Name, len(indices))
-	split, err := Split(f, pieces)
+	split, err := selectPieces(f, pieces, indices, m)
 	if err != nil {
 		return err
 	}
-	selected := make([]Part, 0, len(indices))
-	seen := make(map[int]bool, len(indices))
-	for _, idx := range indices {
-		if idx < 0 || idx >= len(split) || seen[idx] {
-			return fmt.Errorf("transfer: piece index %d invalid for %d-piece split of %q", idx, len(split), f.Name)
+	return s.transmit(remote, m, f, split, indices)
+}
+
+// selectPieces checks indices against f's split for pieces, returning its
+// part count, and adds each named part's size to m.TotalBytes. Only a
+// refusal allocates: a repeat is found by scanning the indices before it.
+func selectPieces(f File, pieces int, indices []int, m *Metrics) (int, error) {
+	split, err := f.Parts(pieces)
+	if err != nil {
+		return 0, err
+	}
+	for n, idx := range indices {
+		if idx < 0 || idx >= split || slices.Contains(indices[:n], idx) {
+			return 0, fmt.Errorf("transfer: piece index %d invalid for %d-piece split of %q", idx, split, f.Name)
 		}
-		seen[idx] = true
-		selected = append(selected, split[idx])
-		m.TotalBytes += split[idx].Size
+		m.TotalBytes += f.Part(split, idx).Size
 	}
-	if len(selected) == 0 {
-		return fmt.Errorf("transfer: no pieces selected for %q", f.Name)
+	if len(indices) == 0 {
+		return 0, fmt.Errorf("transfer: no pieces selected for %q", f.Name)
 	}
-	return s.transmit(remote, m, f, len(split), indices, selected)
+	return split, nil
 }
 
 // start resets m to a new transmission's record, failed until transmit
@@ -182,11 +190,11 @@ func (s *Sender) start(m *Metrics, remote transport.Addr, fileName string, granu
 }
 
 // transmit is the one path every transmission takes: a fresh conn, the
-// handshake, then parts — split's, or those of them indices names, in that
-// order — through the part stream. The call decides the mode: the whole
-// file (indices nil, Send) goes stop-and-wait, a selection (SendPieces)
-// streams.
-func (s *Sender) transmit(remote transport.Addr, m *Metrics, f File, split int, indices []int, parts []Part) error {
+// handshake, then the parts of f's split into split parts — all of them, or
+// those indices names, in that order — through the part stream. The call
+// decides the mode: the whole file (indices nil, Send) goes stop-and-wait,
+// a selection (SendPieces) streams.
+func (s *Sender) transmit(remote transport.Addr, m *Metrics, f File, split int, indices []int) error {
 	conn, err := s.mux.Dial(remote)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrFailed, err)
@@ -202,7 +210,7 @@ func (s *Sender) transmit(remote transport.Addr, m *Metrics, f File, split int, 
 		Sender:    s.host.Name(),
 	}
 	if err = s.handshake(conn, m, &pet); err == nil {
-		m.Parts, err = s.stream(conn, parts, indices != nil)
+		m.Parts, err = s.stream(conn, f, split, indices)
 	}
 	if err != nil {
 		return err
@@ -242,40 +250,48 @@ func (s *Sender) handshake(conn pipe.Conn, m *Metrics, pet *petition) error {
 // calling process sends one part at a time and waits for its confirmation
 // before the next leaves; on failure the timings stop at the part that
 // failed. Streamed, every part gets its own sending process, spawned in
-// slice order, while the calling process collects the confirmations in
+// list order, while the calling process collects the confirmations in
 // whatever order the parts land. The receiver cannot tell the two apart: it
 // confirms each part as it arrives either way.
-func (s *Sender) stream(conn pipe.Conn, parts []Part, streamed bool) ([]PartTiming, error) {
-	timings := make([]PartTiming, len(parts))
-	if !streamed {
-		for n, p := range parts {
-			err := s.sendPart(conn, p, &timings[n])
-			if err == nil {
-				err = s.awaitAck(conn, timings[n:n+1])
+func (s *Sender) stream(conn pipe.Conn, f File, split int, indices []int) ([]PartTiming, error) {
+	if indices == nil {
+		timings := make([]PartTiming, split)
+		for n := range timings {
+			if err := s.sendPart(conn, f.Part(split, n), &timings[n]); err != nil {
+				return timings[:n+1], partFailed(n, err)
 			}
-			if err != nil {
+			if err := s.awaitAck(conn, timings[n:n+1]); err != nil {
 				return timings[:n+1], err
 			}
 		}
 		return timings, nil
 	}
-	sendErrs := s.host.NewQueue()
-	for n, p := range parts {
+	timings := make([]PartTiming, len(indices))
+	var first struct { // the first send to fail, wrapped only if surfaced
+		sync.Mutex
+		index int
+		err   error
+	}
+	for n, idx := range indices {
 		s.host.Go(func() {
-			if err := s.sendPart(conn, p, &timings[n]); err != nil {
-				sendErrs.Push(err)
+			if err := s.sendPart(conn, f.Part(split, idx), &timings[n]); err != nil {
+				first.Lock()
+				if first.err == nil {
+					first.index, first.err = idx, err
+				}
+				first.Unlock()
 			}
 		})
 	}
-	for range parts {
+	for range indices {
 		if err := s.awaitAck(conn, timings); err != nil {
 			// A send failure is the likelier root cause than the ack silence
 			// that follows it; surface it when one has been reported, unless
 			// the silence outlasted the deadline, which failed the sends.
-			if sendErrs.Len() > 0 && !errors.Is(err, pipe.ErrTimeout) {
-				if v, perr := sendErrs.Pop(); perr == nil {
-					return timings, v.(error)
-				}
+			first.Lock()
+			defer first.Unlock()
+			if first.err != nil && !errors.Is(err, pipe.ErrTimeout) {
+				return timings, partFailed(first.index, first.err)
 			}
 			return timings, err
 		}
@@ -283,14 +299,17 @@ func (s *Sender) stream(conn pipe.Conn, parts []Part, streamed bool) ([]PartTimi
 	return timings, nil
 }
 
-// sendPart puts one part on the wire, stamping when it started.
+// sendPart puts one part on the wire, stamping when it started. A failure
+// comes back raw: most streamed ones follow the transfer's confirmation, as
+// the returning caller closes the conn under them, and go unread.
 func (s *Sender) sendPart(conn pipe.Conn, p Part, pt *PartTiming) error {
 	*pt = PartTiming{Index: p.Index, Size: p.Size, Started: s.host.Now()}
-	hdr := partHeader{Index: p.Index, Offset: p.Offset, Size: p.Size, Data: p.Data}
-	if err := conn.SendSized(wire.Frame(msgPart, hdr.encodeTo), p.Size); err != nil {
-		return fmt.Errorf("%w: part %d: %v", ErrFailed, p.Index, err)
-	}
-	return nil
+	return conn.SendSized(wire.Frame(msgPart, p.encodeTo), p.Size)
+}
+
+// partFailed is how the failed send of part index surfaces.
+func partFailed(index int, err error) error {
+	return fmt.Errorf("%w: part %d: %v", ErrFailed, index, err)
 }
 
 // awaitAck waits for the next part confirmation and stamps the part it
@@ -348,7 +367,7 @@ type Received struct {
 func Receiver(host transport.Host, onFile func(Received)) func(pipe.Conn) pipe.Handler {
 	return func(conn pipe.Conn) pipe.Handler {
 		conn.CloseAfter(partTimeout)
-		return (&inbound{host: host, onFile: onFile}).handle
+		return &inbound{host: host, onFile: onFile}
 	}
 }
 
@@ -379,7 +398,7 @@ type inbound struct {
 	perPart   time.Duration
 }
 
-func (t *inbound) handle(conn pipe.Conn, ev pipe.Event) {
+func (t *inbound) Handle(conn pipe.Conn, ev pipe.Event) {
 	goOn := false
 	switch {
 	case ev.Posted:
@@ -475,7 +494,7 @@ func (t *inbound) part(conn pipe.Conn, msg pipe.Message) bool {
 	if pa.OK {
 		t.arrived[ph.Index] = true
 		if t.whole {
-			t.parts = append(t.parts, Part{Index: ph.Index, Offset: ph.Offset, Size: ph.Size, Data: ph.Data})
+			t.parts = append(t.parts, ph)
 		}
 	}
 	return conn.Post(wire.Frame(msgPartAck, pa.encodeTo)) == nil

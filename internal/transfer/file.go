@@ -40,20 +40,18 @@ func NewFile(name string, data []byte) File {
 }
 
 // Checksum returns a hex digest: of the content for real files, of
-// (name,size,seed) for virtual ones.
+// (name,size,seed) for virtual ones. The hashed bytes and the digest sit in
+// stack buffers, so the returned string is the one allocation.
 func (f File) Checksum() string {
-	h := sha256.New()
-	if f.Data != nil {
-		h.Write(f.Data)
-	} else {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(f.Seed))
-		h.Write(b[:])
-		h.Write([]byte(f.Name))
-		binary.LittleEndian.PutUint64(b[:], uint64(f.Size))
-		h.Write(b[:])
+	b := f.Data
+	if b == nil {
+		var buf [128]byte
+		b = append(binary.LittleEndian.AppendUint64(buf[:0], uint64(f.Seed)), f.Name...)
+		b = binary.LittleEndian.AppendUint64(b, uint64(f.Size))
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	sum := sha256.Sum256(b)
+	var digest [32]byte
+	return string(hex.AppendEncode(digest[:0], sum[:16]))
 }
 
 // Part is one piece of a split file.
@@ -65,36 +63,31 @@ type Part struct {
 	Data []byte
 }
 
-// Split cuts the file into n parts. Sizes differ by at most one byte, so
-// "division into 4 parts" of 100 Mb yields 25 Mb parts exactly as in the
-// paper. n == 1 sends the file whole.
-func Split(f File, n int) ([]Part, error) {
+// Parts returns the part count of f's split when n parts are asked for: n,
+// down to one byte per part. n == 1 sends the file whole.
+func (f File) Parts(n int) (int, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("transfer: cannot split %q into %d parts", f.Name, n)
+		return 0, fmt.Errorf("transfer: cannot split %q into %d parts", f.Name, n)
 	}
 	if f.Size == 0 {
-		return nil, fmt.Errorf("transfer: cannot split empty file %q", f.Name)
+		return 0, fmt.Errorf("transfer: cannot split empty file %q", f.Name)
 	}
-	if n > f.Size {
-		n = f.Size // at least one byte per part
+	return min(n, f.Size), nil
+}
+
+// Part returns part i of f's split into n parts, n as Parts returns it.
+// Sizes differ by at most one byte, the larger first, so "division into 4
+// parts" of 100 Mb yields 25 Mb parts exactly as in the paper.
+func (f File) Part(n, i int) Part {
+	base, rem := f.Size/n, f.Size%n
+	p := Part{Index: i, Offset: i*base + min(i, rem), Size: base}
+	if i < rem {
+		p.Size++
 	}
-	parts := make([]Part, 0, n)
-	base := f.Size / n
-	rem := f.Size % n
-	off := 0
-	for i := 0; i < n; i++ {
-		sz := base
-		if i < rem {
-			sz++
-		}
-		p := Part{Index: i, Offset: off, Size: sz}
-		if f.Data != nil {
-			p.Data = f.Data[off : off+sz]
-		}
-		parts = append(parts, p)
-		off += sz
+	if f.Data != nil {
+		p.Data = f.Data[p.Offset : p.Offset+p.Size]
 	}
-	return parts, nil
+	return p
 }
 
 // Join reassembles parts (sorted by Index) and validates coverage. For

@@ -43,7 +43,8 @@ func (p *petition) encodeTo(e *wire.Encoder) {
 }
 
 // decodePetition decodes the frame that opens a transfer conn: a petition,
-// and nothing else.
+// and nothing else. Its strings share one copy of the frame, which the
+// transfer keeps whole anyway.
 func decodePetition(payload []byte) (petition, error) {
 	kind, d, err := wire.Tag(payload)
 	if err != nil {
@@ -53,8 +54,8 @@ func decodePetition(payload []byte) (petition, error) {
 		return petition{}, fmt.Errorf("transfer: message %d where a petition was expected", kind)
 	}
 	p := petition{
-		FileName:  d.StringField(),
-		Checksum:  d.StringField(),
+		FileName:  d.SharedStringField(),
+		Checksum:  d.SharedStringField(),
 		TotalSize: d.Int(),
 		Parts:     d.Int(),
 	}
@@ -74,7 +75,7 @@ func decodePetition(payload []byte) (petition, error) {
 			p.Indices[i] = d.Int()
 		}
 	}
-	p.Sender = d.StringField()
+	p.Sender = d.SharedStringField()
 	return p, d.Finish()
 }
 
@@ -100,27 +101,17 @@ func decodePetitionAck(d *wire.Decoder) (petitionAck, error) {
 	}, d.Finish()
 }
 
-// partHeader describes one part; for real files the bytes follow in Data.
-type partHeader struct {
-	Index  int
-	Offset int
-	Size   int
-	Data   []byte
-}
-
-func (p partHeader) encodeTo(e *wire.Encoder) {
+// A part frame carries a Part: its place in the split and, for real files,
+// its bytes.
+func (p Part) encodeTo(e *wire.Encoder) {
 	e.Int(p.Index)
 	e.Int(p.Offset)
 	e.Int(p.Size)
 	e.BytesField(p.Data)
 }
 
-func decodePart(d *wire.Decoder) (partHeader, error) {
-	p := partHeader{
-		Index:  d.Int(),
-		Offset: d.Int(),
-		Size:   d.Int(),
-	}
+func decodePart(d *wire.Decoder) (Part, error) {
+	p := Part{Index: d.Int(), Offset: d.Int(), Size: d.Int()}
 	// The bytes stay in the payload, which the receiver owns (pipe.Message)
 	// and Join copies out of.
 	if p.Data = d.BytesField(); len(p.Data) == 0 {

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"peerlab/internal/pipe"
+	"peerlab/internal/simnet"
 )
 
 // TestSendPiecesPartsMatchSplit is the oracle for SendPieces' selection:
@@ -105,5 +108,59 @@ func TestSendPiecesPartsMatchSplit(t *testing.T) {
 	}
 	if sent < cases/3 {
 		t.Fatalf("only %d of %d cases sent anything", sent, cases)
+	}
+}
+
+// TestPieceSelectionAllocatesNothing: SendPieces checks its list and sums
+// its sizes without building a part or a set; only a refusal allocates.
+func TestPieceSelectionAllocatesNothing(t *testing.T) {
+	f := NewVirtualFile("pieces", 16*Mb+5, 3)
+	indices := []int{9, 2, 15, 0}
+	var m Metrics
+	allocs := testing.AllocsPerRun(50, func() {
+		m.TotalBytes = 0
+		if _, err := selectPieces(f, 16, indices, &m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("selecting %d of 16 pieces: %v allocations, budget 0", len(indices), allocs)
+	}
+	if m.TotalBytes != 4*Mb+2 { // parts 0 and 2 carry one of the 5 spare bytes each
+		t.Errorf("TotalBytes = %d, want %d", m.TotalBytes, 4*Mb+2)
+	}
+}
+
+// TestChecksumAllocatesOnce: the hashed bytes and the digest live on the
+// stack, so the returned string is a checksum's one allocation, for a
+// virtual file and a real one alike.
+func TestChecksumAllocatesOnce(t *testing.T) {
+	for _, f := range []File{NewVirtualFile("report.dat", 100*Mb, 9), NewFile("real.bin", make([]byte, 4096))} {
+		var sum string
+		if allocs := testing.AllocsPerRun(50, func() { sum = f.Checksum() }); allocs != 1 {
+			t.Errorf("Checksum of %q: %v allocations, budget 1", f.Name, allocs)
+		}
+		if len(sum) != 32 {
+			t.Errorf("Checksum of %q = %q, want 32 hex digits", f.Name, sum)
+		}
+	}
+}
+
+// TestReceiverAcceptAllocatesOnce: an accepted transfer conn costs its
+// inbound state alone, which is its own handler.
+func TestReceiverAcceptAllocatesOnce(t *testing.T) {
+	n := simnet.New(1)
+	a := n.MustAddNode("dst", fastProfile())
+	ep, err := a.Endpoint("xfer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := pipe.NewMux(a, ep, pipe.Options{}).Dial("src/xfer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accept := Receiver(a, nil)
+	if allocs := testing.AllocsPerRun(50, func() { accept(conn) }); allocs != 1 {
+		t.Errorf("accepting a transfer conn: %v allocations, budget 1", allocs)
 	}
 }

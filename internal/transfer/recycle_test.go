@@ -50,7 +50,7 @@ func TestOwnerReturnsWhilePartsSend(t *testing.T) {
 		if accepted++; accepted > 1 {
 			return recv(conn)
 		}
-		return scripted
+		return handlerFunc(scripted)
 	}})
 
 	h := fnv.New64a()
@@ -103,13 +103,13 @@ func TestStreamedAckSilenceNamesTheWait(t *testing.T) {
 	}
 	var muxB *pipe.Mux
 	muxB = pipe.NewMux(b, epB, pipe.Options{Serve: func(pipe.Conn) pipe.Handler {
-		return func(conn pipe.Conn, ev pipe.Event) {
+		return handlerFunc(func(conn pipe.Conn, ev pipe.Event) {
 			if ev.Err == nil {
 				conn.Send(wire.Frame(msgPetitionAck, petitionAck{Accept: true, ReceivedAt: b.Now()}.encodeTo))
 				muxB.Close()
 			}
 			conn.Close()
-		}
+		})
 	}})
 	s := NewSender(a, pipe.NewMux(a, epA, pipe.Options{}))
 	var m Metrics

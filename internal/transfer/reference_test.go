@@ -156,7 +156,7 @@ func genReceiverProgram(rng *rand.Rand) receiverProgram {
 		if i >= 0 && i < len(split) {
 			p = split[i]
 		}
-		st := receiverStep{frame: wire.Frame(msgPart, partHeader{Index: p.Index, Offset: p.Offset, Size: p.Size, Data: p.Data}.encodeTo), size: p.Size}
+		st := receiverStep{frame: wire.Frame(msgPart, Part{Index: p.Index, Offset: p.Offset, Size: p.Size, Data: p.Data}.encodeTo), size: p.Size}
 		switch rng.Intn(24) {
 		case 0:
 			st.gap = partTimeout + time.Hour

@@ -132,7 +132,7 @@ func (tr *transcript) serveFirstPartOnly() {
 // already-encoded petition, then each of parts in turn. It logs each ack as
 // decoded, so the receiver's refusal text is pinned verbatim, and then waits
 // up to linger on the open conn for whatever the receiver does next.
-func (tr *transcript) raw(petitionFrame []byte, parts []partHeader, linger time.Duration) {
+func (tr *transcript) raw(petitionFrame []byte, parts []Part, linger time.Duration) {
 	conn, err := tr.src.Dial("dst/xfer")
 	if err != nil {
 		tr.logf("dial: %v", err)
@@ -246,8 +246,8 @@ func TestTransferTranscript(t *testing.T) {
 	})
 	run("receiver rejects a repeated part", accepting, func(tr *transcript) {
 		pet := petition{FileName: "f.bin", Checksum: file.Checksum(), TotalSize: file.Size, Parts: 2, Sender: "src"}
-		part := partHeader{Index: 0, Offset: 0, Size: Mb}
-		tr.raw(wire.Frame(msgPetition, pet.encodeTo), []partHeader{part, part}, 0)
+		part := Part{Index: 0, Offset: 0, Size: Mb}
+		tr.raw(wire.Frame(msgPetition, pet.encodeTo), []Part{part, part}, 0)
 	})
 	run("receiver rejects a repeated piece", accepting, func(tr *transcript) {
 		// The petition frame, field by field: pieces 1 and 5 of 8.
@@ -261,8 +261,8 @@ func TestTransferTranscript(t *testing.T) {
 		e.Int(1)
 		e.Int(5)
 		e.String("src")
-		part := partHeader{Index: 1, Offset: 250_000, Size: 250_000}
-		tr.raw(e.Bytes(), []partHeader{part, part}, 0)
+		part := Part{Index: 1, Offset: 250_000, Size: 250_000}
+		tr.raw(e.Bytes(), []Part{part, part}, 0)
 	})
 	// The receiver's replies are lost: the first copies of the petition ack
 	// in the first span, part 0's ack in the second. It retransmits both.
@@ -272,7 +272,7 @@ func TestTransferTranscript(t *testing.T) {
 	// receiver's per-part wait ends the transfer with its FIN.
 	run("sender goes silent after part 0 of 4", accepting, func(tr *transcript) {
 		pet := petition{FileName: "f.bin", Checksum: file.Checksum(), TotalSize: file.Size, Parts: 4, Sender: "src"}
-		tr.raw(wire.Frame(msgPetition, pet.encodeTo), []partHeader{{Index: 0, Offset: 0, Size: file.Size / 4}}, 3*time.Hour)
+		tr.raw(wire.Frame(msgPetition, pet.encodeTo), []Part{{Index: 0, Offset: 0, Size: file.Size / 4}}, 3*time.Hour)
 	})
 	// dst→src is severed for good just as the petition lands: the
 	// receiver's petition ack runs out of retries and it tears down.

@@ -18,6 +18,25 @@ import (
 	"peerlab/internal/wire"
 )
 
+// handlerFunc is a func as a pipe.Handler.
+type handlerFunc func(pipe.Conn, pipe.Event)
+
+func (f handlerFunc) Handle(c pipe.Conn, ev pipe.Event) { f(c, ev) }
+
+// Split cuts f into its parts for n, in order: the parts Send streams one
+// by one, gathered.
+func Split(f File, n int) ([]Part, error) {
+	n, err := f.Parts(n)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]Part, n)
+	for i := range parts {
+		parts[i] = f.Part(n, i)
+	}
+	return parts, nil
+}
+
 func TestSplitExact(t *testing.T) {
 	f := NewVirtualFile("f", 100*Mb, 1)
 	parts, err := Split(f, 4)
@@ -285,7 +304,7 @@ func refuseAll(host transport.Host) func(pipe.Conn) pipe.Handler {
 		}
 		conn.Send(wire.Frame(msgPetitionAck, petitionAck{Reason: "quota exceeded", ReceivedAt: host.Now()}.encodeTo))
 	}
-	return func(pipe.Conn) pipe.Handler { return refuse }
+	return func(pipe.Conn) pipe.Handler { return handlerFunc(refuse) }
 }
 
 // TestRepeatedPartAckIsRejected: acks come from another host, so the
@@ -311,7 +330,7 @@ func TestRepeatedPartAckIsRejected(t *testing.T) {
 			conn.Send(wire.Frame(msgPartAck, partAck{Index: 1, OK: true, DeliveredAt: b.Now()}.encodeTo))
 		}
 	}
-	pipe.NewMux(b, epB, pipe.Options{Serve: func(pipe.Conn) pipe.Handler { return ackPieceOne }})
+	pipe.NewMux(b, epB, pipe.Options{Serve: func(pipe.Conn) pipe.Handler { return handlerFunc(ackPieceOne) }})
 	s := NewSender(a, pipe.NewMux(a, epA, pipe.Options{}))
 	var m Metrics
 	var err error
@@ -512,7 +531,7 @@ func TestPetitionTotalSizeOutOfRangeNotAllocated(t *testing.T) {
 				return
 			}
 			pet := petition{FileName: "evil", TotalSize: total, Parts: 1, Sender: "src"}
-			part := partHeader{Index: 0, Offset: 0, Size: 1, Data: []byte{0xff}}
+			part := Part{Index: 0, Offset: 0, Size: 1, Data: []byte{0xff}}
 			for _, msg := range [][]byte{wire.Frame(msgPetition, pet.encodeTo), wire.Frame(msgPart, part.encodeTo)} {
 				if err := conn.Send(msg); err != nil {
 					t.Errorf("total=%d: send: %v", total, err)

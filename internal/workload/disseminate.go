@@ -104,11 +104,10 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 		return Outcome{}, fmt.Errorf("workload: dissemination needs a control client to seed the swarm")
 	}
 	payload := transfer.NewVirtualFile(flows[0].FileName, flows[0].SizeBytes, FlowSeed(seed, 0))
-	split, err := transfer.Split(payload, flows[0].Parts)
+	pieceCount, err := payload.Parts(flows[0].Parts)
 	if err != nil {
 		return Outcome{}, fmt.Errorf("workload: dissemination payload: %w", err)
 	}
-	pieceCount := len(split)
 
 	n := len(flows)
 	s := newSwarm(n, pieceCount)
@@ -129,9 +128,14 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 			live[q] = env.Clients[peers[q].label] != nil
 		}
 	}
-	// Publish buffers, reused: ReportPieces encodes before it blocks.
+	// Reused across rounds: ReportPieces encodes before it blocks.
 	var holders, haveIdx []int
 	var unchokedHosts []string
+	type result struct {
+		m   transfer.Metrics
+		err error
+	}
+	var results []result
 
 	start := env.Host.Now()
 	gap, dry, rounds := roundGap, 0, 0
@@ -183,12 +187,8 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 		}
 
 		// One SendPieces per (holder, downloader) group, spawned in
-		// canonical order, joined positionally.
-		type result struct {
-			m   transfer.Metrics
-			err error
-		}
-		results := make([]result, len(assigns))
+		// canonical order, joined positionally into the reused results.
+		results = append(results[:0], make([]result, len(assigns))...)
 		join := env.Host.NewQueue()
 		for gi, g := range assigns {
 			env.Host.Go(func() {
@@ -254,7 +254,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 		q, got := &peers[i], s.got[i+1]
 		var bytes int
 		for p := range bitsOf(s.inv(i)) {
-			bytes += split[p].Size
+			bytes += payload.Part(pieceCount, p).Size
 		}
 		res := Result{Flow: f, Sink: f.Sink, SelectedAt: start, Pieces: got, ReOriginated: q.uploads > 0}
 		res.Metrics = transfer.Metrics{
@@ -511,12 +511,14 @@ func (s *swarm) readDirectory(advs []jxta.Advertisement, ctlHost string, hostIdx
 		s.advertised[row] = true
 		// The attributes are client-chosen: a bounded parse, so a field of too
 		// many digits names no piece instead of wrapping round to one never held.
-		for f := range strings.SplitSeq(pieces, ",") {
+		for f, rest, more := "", pieces, true; more; {
+			f, rest, more = strings.Cut(rest, ",")
 			if p, err := strconv.ParseUint(f, 10, 16); err == nil && int(p) < s.pieces {
 				has[p>>6] |= 1 << (p & 63)
 			}
 		}
-		for name := range strings.SplitSeq(adv.Attr(jxta.AttrUnchoked), ",") {
+		for name, rest, more := "", adv.Attr(jxta.AttrUnchoked), true; more; {
+			name, rest, more = strings.Cut(rest, ",")
 			if q, ok := hostIdx[name]; ok {
 				s.grantedBy[q*s.rw+w] |= bit
 			}
