@@ -43,8 +43,8 @@ func (p *petition) encodeTo(e *wire.Encoder) {
 }
 
 // decodePetition decodes the frame that opens a transfer conn: a petition,
-// and nothing else. Its strings share one copy of the frame, which the
-// transfer keeps whole anyway.
+// and nothing else. Its three strings share one copy of the frame: the
+// transfer keeps them together.
 func decodePetition(payload []byte) (petition, error) {
 	kind, d, err := wire.Tag(payload)
 	if err != nil {
