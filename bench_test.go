@@ -246,6 +246,20 @@ func BenchmarkScale(b *testing.B) {
 			Shards:   4,
 		}, 96)
 	})
+	// disseminate-4096 is the piece engine at 4096 downloaders of the default
+	// payload over the zipf catalog: every round, each holder's report and
+	// choke decision and the round's plan, over pair state that grows with
+	// the pairs that moved bytes, not with the square of the swarm.
+	b.Run("disseminate-4096", func(b *testing.B) {
+		if testing.Short() {
+			b.Skip("scale surface; run without -short (scripts/benchsnap.sh does)")
+		}
+		run(b, experiments.Config{
+			Reps:     1,
+			Scenario: scenario.Zipf(4096),
+			Workload: workload.DisseminateWith(4096, workload.Dissemination{}),
+		}, 4096)
+	})
 	// swarm-16384 quadruples the directory behind the same selection load —
 	// the point on the curve where O(directory) selection work and the boot
 	// wave's spawn burst dominate everything else. uniform-65536 is a pure

@@ -130,6 +130,7 @@ type Conductor struct {
 	Schedule   *Schedule
 	boot       func(label string) (*overlay.Client, error)
 	clients    map[string]*overlay.Client
+	changes    int             // joins and leaves applied to clients
 	live       []heartbeat     // one per live client, in label order
 	join       transport.Queue // a heartbeat round's join, see renewLoop
 	start      time.Time
@@ -187,6 +188,7 @@ type heartbeat struct {
 // label-ordered round.
 func (c *Conductor) admit(label string, cl *overlay.Client) {
 	c.clients[label] = cl
+	c.changes++
 	i, _ := slices.BinarySearchFunc(c.live, label, func(h heartbeat, l string) int { return strings.Compare(h.label, l) })
 	c.live = slices.Insert(c.live, i, heartbeat{label, func() {
 		_ = cl.ReportStats() // best-effort: the peer may have just departed
@@ -247,6 +249,7 @@ func (c *Conductor) apply(e scenario.ChurnEvent) {
 		if cl := c.clients[e.Label]; cl != nil {
 			cl.Stop()
 			delete(c.clients, e.Label)
+			c.changes++
 			c.live = slices.DeleteFunc(c.live, func(h heartbeat) bool { return h.label == e.Label })
 		}
 	case scenario.ChurnJoin:
@@ -404,7 +407,7 @@ func inject(slice *scenario.Slice, broker *overlay.Broker, events []scenario.Fau
 // spread across the horizon.
 func Run(env Env, dyn *Dynamics, w Workload, flows []Flow, seed int64) (Outcome, error) {
 	if dyn != nil {
-		env.Clients = dyn.clients
+		env.Clients, env.members = dyn.clients, &dyn.changes
 		env.recordFailures = true
 		if w.Disseminate == nil {
 			// Stagger offsets are schedule-relative (zero = the conductor's

@@ -121,9 +121,18 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 	// readLive snapshots which downloaders are up right now. Membership moves
 	// whenever the driver blocks, so a snapshot holds until the next call into
 	// the overlay and no longer: one per holder's choke decision (the previous
-	// holder's report blocked), never one per round; one per plan.
-	live := make([]bool, n)
+	// holder's report blocked), never one per round; one per plan. It scans
+	// only when the membership count moved since its last scan: a static map
+	// counts no change, so it is scanned once.
+	live, scanned, members := make([]bool, n), -1, env.members
+	if members == nil {
+		members = new(int)
+	}
 	readLive := func() {
+		if *members == scanned {
+			return
+		}
+		scanned = *members
 		for q := range peers {
 			live[q] = env.Clients[peers[q].label] != nil
 		}
@@ -286,15 +295,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 		}
 		out.Results[i] = res
 	}
-	for i, b := range s.bytes {
-		if b > 0 {
-			pair := PairBytes{To: peers[i%n].label, Bytes: b}
-			if i >= n { // past row 0, the control node's, whose From stays ""
-				pair.From = peers[i/n-1].label
-			}
-			out.PairBytes = append(out.PairBytes, pair)
-		}
-	}
+	out.PairBytes = s.pairBytes(peers)
 	return out, nil
 }
 
@@ -311,13 +312,15 @@ type swarm struct {
 	// got counts its bits. q is interested in h when inv(h) &^ inv(q) != 0.
 	have []uint64
 	got  []int
-	// bytes and secs accumulate what holder h delivered to downloader q, at
-	// [(h+1)*n+q]; bytes is the pair matrix. rate is their quotient in the
-	// same layout and rateT its transpose, [q*(n+1)+h+1], so either
-	// tit-for-tat ranking reads one contiguous row.
-	bytes       []int64
-	secs        []float64
-	rate, rateT []float64
+	// Only the pairs that moved bytes are kept, as rows sorted by the other
+	// end's index: sent[h+1] holds what holder h delivered to each downloader
+	// and the rate it observed, recv[q] the rate q observed from each holder,
+	// so either tit-for-tat ranking reads one row. An absent pair has rate 0.
+	// Rows grow in slab, carved in chunks; rateOf, zero between rankings,
+	// holds the ranked row's rates at column peer+1.
+	sent, recv [][]pair
+	slab       []pair
+	rateOf     []float64
 	// The directory as last read back: holder h advertises the pieces in row
 	// h+1 of advHas, and row q of grantedBy has a bit for every holder row
 	// that unchoked downloader q.
@@ -335,8 +338,7 @@ func newSwarm(n, pieces int) *swarm {
 	s := &swarm{
 		n: n, pieces: pieces, pw: pw, rw: rw, missing: n + 1, // the origin's row fills below
 		have: make([]uint64, (n+1)*pw), got: make([]int, n+1),
-		bytes: make([]int64, (n+1)*n), secs: make([]float64, (n+1)*n),
-		rate: make([]float64, (n+1)*n), rateT: make([]float64, (n+1)*n),
+		sent: make([][]pair, n+1), recv: make([][]pair, n), rateOf: make([]float64, n+1),
 		advertised: make([]bool, n+1), advHas: make([]uint64, (n+1)*pw), grantedBy: make([]uint64, n*rw),
 		interested: make([]int, 0, n), rarity: make([]int, pieces), slots: make([]int, n+1), avail: make([]uint64, pw),
 		granters: make([]int, 0, n+1), cands: make([]pieceCand, 0, pieces),
@@ -363,20 +365,68 @@ func (s *swarm) deliver(q, p int) bool {
 	return true
 }
 
+// pair is one end of a pair that moved bytes: the other end's index (-1 the
+// origin), and in a sent row what moved and how long it took.
+type pair struct {
+	peer       int
+	bytes      int64
+	secs, rate float64
+}
+
+// pairRows is the room a row starts with; a slab chunk holds 16 pairs a row.
+const pairRows = 4
+
 // credit records that holder h moved bytes to downloader q in secs, and
-// restates the delivery rate q observed from h in both layouts.
+// restates the delivery rate q observed from h in both rows.
 func (s *swarm) credit(h, q int, bytes int64, secs float64) {
-	i := (h+1)*s.n + q
-	s.bytes[i] += bytes
-	s.secs[i] += secs
-	r, over := 0.0, s.secs[i]
+	p := s.pairOf(&s.sent[h+1], q)
+	p.bytes += bytes
+	p.secs += secs
+	r, over := 0.0, p.secs
 	if over <= 0 {
 		over = 1e-9 // delivered inside one clock tick
 	}
-	if s.bytes[i] != 0 {
-		r = float64(s.bytes[i]) / over
+	if p.bytes != 0 {
+		r = float64(p.bytes) / over
 	}
-	s.rate[i], s.rateT[q*(s.n+1)+h+1] = r, r
+	p.rate = r
+	s.pairOf(&s.recv[q], h).rate = r
+}
+
+// pairOf returns row's record for peer, inserting a zero one in order when
+// there is none. A full row moves to the slab with twice its room.
+func (s *swarm) pairOf(row *[]pair, peer int) *pair {
+	i, ok := slices.BinarySearchFunc(*row, peer, func(p pair, k int) int { return cmp.Compare(p.peer, k) })
+	if !ok {
+		if r := *row; len(r) == cap(r) {
+			c := max(2*cap(r), pairRows)
+			if len(s.slab) < c {
+				s.slab = make([]pair, max(c, 16*(s.n+1)))
+			}
+			*row, s.slab = append(s.slab[:0:c], r...), s.slab[c:]
+		}
+		*row = slices.Insert(*row, i, pair{peer: peer})
+	}
+	return &(*row)[i]
+}
+
+// pairBytes lists every pair that moved bytes in canonical order: the
+// origin's row first (From ""), then each holder's in flow order, downloaders
+// ascending.
+func (s *swarm) pairBytes(peers []dissemPeer) []PairBytes {
+	var out []PairBytes
+	for row, sent := range s.sent {
+		for _, p := range sent {
+			if p.bytes > 0 {
+				pb := PairBytes{To: peers[p.peer].label, Bytes: p.bytes}
+				if row > 0 {
+					pb.From = peers[row-1].label
+				}
+				out = append(out, pb)
+			}
+		}
+	}
+	return out
 }
 
 // bitsOf yields the indices of a bitset's set bits in ascending order.
@@ -440,15 +490,20 @@ func (s *swarm) choke(policy string, h, round int, seed int64, live []bool) []in
 	if policy == "none" {
 		return in
 	}
-	rates := s.rate[(h+1)*s.n : (h+2)*s.n]
+	// A complete holder ranks by the rate it delivered at, a leeching one by
+	// the rate it received at: that row, spread into rateOf for the ranking.
+	rates := s.sent[h+1]
 	if s.got[h+1] < s.pieces {
-		rates = s.rateT[h*(s.n+1)+1 : (h+1)*(s.n+1)]
+		rates = s.recv[h]
 	}
 	draw := chokeDraw(seed, h, round)
 	var top [unchokeSlots - 1]chokeCand
 	k := 0
+	for _, p := range rates {
+		s.rateOf[p.peer+1] = p.rate
+	}
 	for pos, q := range in {
-		c, i := chokeCand{pos: pos, q: q, rate: rates[q]}, k
+		c, i := chokeCand{pos: pos, q: q, rate: s.rateOf[q+1]}, k
 		for i > 0 && c.before(&top[i-1], draw) {
 			i--
 		}
@@ -457,6 +512,9 @@ func (s *swarm) choke(policy string, h, round int, seed int64, live []bool) []in
 			copy(top[i+1:k], top[i:])
 			top[i] = c
 		}
+	}
+	for _, p := range rates {
+		s.rateOf[p.peer+1] = 0
 	}
 	out := s.unchoked[:0]
 	for _, c := range top[:k] {

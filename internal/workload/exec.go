@@ -66,6 +66,9 @@ type Env struct {
 	// makes individual flow failure an expected measurement — a source
 	// departed mid-flow, a lease-lagged sink refused — not a harness bug.
 	recordFailures bool
+	// members counts the changes to a live Clients map (the conductor's);
+	// the piece engine re-reads liveness only when it moved. nil: static.
+	members *int
 }
 
 // warn routes a warning through logf, or log.Printf when logf is nil.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -15,22 +16,6 @@ import (
 	"peerlab/internal/simnet"
 	"peerlab/internal/transfer"
 )
-
-// listPairs is the swarm's pair listing as ExecuteDisseminate reports it.
-func listPairs(s *swarm, peers []dissemPeer) []PairBytes {
-	var out []PairBytes
-	n := len(peers)
-	for i, b := range s.bytes {
-		if b > 0 {
-			pair := PairBytes{To: peers[i%n].label, Bytes: b}
-			if i >= n {
-				pair.From = peers[i/n-1].label
-			}
-			out = append(out, pair)
-		}
-	}
-	return out
-}
 
 // TestPairBytesMatchDense: after seeded credit sequences — the origin's row,
 // pairs credited again and again, zero-byte credits, durations of zero and
@@ -99,7 +84,7 @@ func TestPairBytesMatchDense(t *testing.T) {
 				}
 			}
 		}
-		if got := listPairs(s, peers); !reflect.DeepEqual(got, want) {
+		if got := s.pairBytes(peers); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d (%d peers, %d zero-byte and %d non-positive credits): pairs\n got %v\nwant %v",
 				seed, n, zeroBytes, nonPositive, got, want)
 		}
@@ -253,5 +238,40 @@ func TestDisseminateReadsLivenessPerHolder(t *testing.T) {
 	}
 	if got := out.Results[len(labels)-1]; got.Sink != leaver || got.Pieces != 8 {
 		t.Errorf("%s's flow ended with %d of 8 pieces (sink %q, err %q)", leaver, got.Pieces, got.Sink, got.Err)
+	}
+}
+
+// TestSwarmAllocBudgets pins what the pair rows cost: crediting a pair that
+// moved bytes before allocates nothing, and a 4 096-peer, 16-piece swarm
+// starts in under 4 MiB, where dense pair matrices took 512 MiB.
+func TestSwarmAllocBudgets(t *testing.T) {
+	s, _, _ := benchSwarm(512, 16)
+	var credited [][2]int
+	for row, sent := range s.sent {
+		for _, p := range sent {
+			credited = append(credited, [2]int{row - 1, p.peer})
+		}
+	}
+	if len(credited) == 0 {
+		t.Fatal("the bench swarm credited no pair")
+	}
+	i := 0
+	if got := testing.AllocsPerRun(2*len(credited), func() {
+		pr := credited[i%len(credited)]
+		s.credit(pr[0], pr[1], 65536, 1)
+		i++
+	}); got != 0 {
+		t.Errorf("crediting a pair credited before allocates %v times, want 0", got)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	big := newSwarm(4096, 16)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(big)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Errorf("newSwarm(4096, 16) allocates %d bytes, budget 4 MiB", got)
+	} else {
+		t.Logf("newSwarm(4096, 16) allocates %d bytes", got)
 	}
 }
