@@ -25,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -153,25 +154,18 @@ func run() int {
 		if err != nil {
 			return fail(1, err)
 		}
-		out.Workload = report.Workload
-		out.Flows = report.Flows
-		out.Summary = &report.Summary
-		if err := render(out, *format); err != nil {
+		out.Workload, out.Flows, out.Summary = report.Workload, report.Flows, &report.Summary
+	} else {
+		// One path for "all", a single exhibit and a list: the figures share
+		// one worker pool and one run of every cell batch two of them view.
+		suite, err := experiments.RunFigures(cfg, expNames)
+		if errors.Is(err, experiments.ErrUnknownExperiment) {
+			return fail(2, err)
+		} else if err != nil {
 			return fail(1, err)
 		}
-		return 0
+		out.Table1, out.Figures = suite.Table1, suite.Figures
 	}
-
-	// One path for "all", a single exhibit and a list: the figures share
-	// one worker pool and one run of every cell batch two of them view.
-	suite, err := experiments.RunFigures(cfg, expNames)
-	if errors.Is(err, experiments.ErrUnknownExperiment) {
-		return fail(2, err)
-	} else if err != nil {
-		return fail(1, err)
-	}
-	out.Table1, out.Figures = suite.Table1, suite.Figures
-
 	if err := render(out, *format); err != nil {
 		return fail(1, err)
 	}
@@ -206,35 +200,26 @@ func startProfiles(cpuFile, memFile, traceFile string) (func(), error) {
 		}
 		f.Close()
 	}
-	if cpuFile != "" {
-		f, err := os.Create(cpuFile)
+	// begin starts a streaming output into file, and its end on stop.
+	begin := func(file string, start func(io.Writer) error, end func()) error {
+		if file == "" {
+			return nil
+		}
+		f, err := os.Create(file)
 		if err != nil {
-			return stop, err
+			return err
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		if err := start(f); err != nil {
 			f.Close()
-			return stop, err
+			return err
 		}
-		stops = append(stops, func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		})
+		stops = append(stops, func() { end(); f.Close() })
+		return nil
 	}
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return stop, err
-		}
-		if err := trace.Start(f); err != nil {
-			f.Close()
-			return stop, err
-		}
-		stops = append(stops, func() {
-			trace.Stop()
-			f.Close()
-		})
+	if err := begin(cpuFile, pprof.StartCPUProfile, pprof.StopCPUProfile); err != nil {
+		return stop, err
 	}
-	return stop, nil
+	return stop, begin(traceFile, trace.Start, trace.Stop)
 }
 
 // flagWasSet reports whether the named flag was explicitly passed on the

@@ -205,9 +205,7 @@ func (e *Env) RunPeers(labels []string, fn func(ctl *overlay.Client, sc map[stri
 				if labels != nil && !want[p.Label] {
 					continue
 				}
-				c := overlay.NewClient(e.Slice.Peers[p.Label], e.Broker.Addr(), overlay.ClientConfig{
-					CPUScore: p.Profile.CPUScore,
-				})
+				c := overlay.NewClient(e.Slice.Peers[p.Label], e.Broker.Addr(), overlay.ClientConfig{CPUScore: p.Profile.CPUScore})
 				if err := c.Start(); err != nil {
 					runErr = fmt.Errorf("experiments: start %s: %w", p.Label, err)
 					return

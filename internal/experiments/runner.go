@@ -90,10 +90,9 @@ func envCell[T any](cellCfg Config, peers []string, fn func(env *Env, ctl *overl
 	if err != nil {
 		return out, err
 	}
-	err = env.RunPeers(peers, func(ctl *overlay.Client, _ map[string]*overlay.Client) error {
-		v, ferr := fn(env, ctl)
-		out = v
-		return ferr
+	err = env.RunPeers(peers, func(ctl *overlay.Client, _ map[string]*overlay.Client) (err error) {
+		out, err = fn(env, ctl)
+		return err
 	})
 	return out, err
 }

@@ -637,16 +637,14 @@ func marginals(records []SweepRecord) []SweepMarginal {
 				m.StalePct = 100 * m.StalePct / float64(m.Flows)
 				m.DegradedPct = 100 * m.DegradedPct / float64(m.Flows)
 				m.RecoveredPct = 100 * m.RecoveredPct / float64(m.Flows)
+				m.StallsPerFlow = float64(stalls) / float64(m.Flows)
+				m.StalledPct = 100 * float64(stalled) / float64(m.Flows)
 			}
 			if completed > 0 {
 				m.MeanTransmissionSeconds = xmitWeighted / float64(completed)
 			}
 			if cross > 0 {
 				m.PairingRatio = float64(like) / float64(cross)
-			}
-			if m.Flows > 0 {
-				m.StallsPerFlow = float64(stalls) / float64(m.Flows)
-				m.StalledPct = 100 * float64(stalled) / float64(m.Flows)
 			}
 			out = append(out, m)
 		}

@@ -152,15 +152,12 @@ func participants(flows []workload.Flow) []string {
 // workloadCellResult is one repetition's records plus its churn and fault
 // counters.
 type workloadCellResult struct {
-	recs       []FlowRecord
-	departed   int
-	stale      int
-	lagged     int
-	brokerDown float64
+	recs                    []FlowRecord
+	departed, stale, lagged int
+	brokerDown              float64
 	// like/cross split a dissemination cell's pair matrix by bandwidth
 	// class (zero for single-round workloads).
-	like  int64
-	cross int64
+	like, cross int64
 }
 
 // RunWorkload executes cfg's workload over cfg's scenario, one cell per
@@ -374,10 +371,7 @@ func summarize(recs []FlowRecord) WorkloadSummary {
 		s.TotalBytes += int64(r.Bytes)
 		xs = append(xs, r.TransmissionSeconds)
 	}
-	if len(xs) > 0 {
-		sum := metrics.Summarize(xs)
-		s.MeanTransmissionSeconds = sum.Mean
-		s.MaxTransmissionSeconds = sum.Max
-	}
+	sum := metrics.Summarize(xs) // zeros when every flow failed
+	s.MeanTransmissionSeconds, s.MaxTransmissionSeconds = sum.Mean, sum.Max
 	return s
 }

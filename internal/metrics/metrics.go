@@ -6,6 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -35,13 +36,7 @@ func (f *Figure) AddSeries(name string, values []float64) error {
 
 // Value returns the value of series s at label l.
 func (f *Figure) Value(series, label string) (float64, bool) {
-	li := -1
-	for i, l := range f.Labels {
-		if l == label {
-			li = i
-			break
-		}
-	}
+	li := slices.Index(f.Labels, label)
 	if li < 0 {
 		return 0, false
 	}
@@ -127,10 +122,7 @@ func (f *Figure) Bars(width int) string {
 	nameW := 0
 	for _, l := range f.Labels {
 		for _, s := range f.Series {
-			tag := rowTag(l, s.Name, len(f.Series) > 1)
-			if len(tag) > nameW {
-				nameW = len(tag)
-			}
+			nameW = max(nameW, len(rowTag(l, s.Name, len(f.Series) > 1)))
 		}
 	}
 	for i, l := range f.Labels {

@@ -46,27 +46,19 @@ func NewSchedule(events []scenario.ChurnEvent) *Schedule {
 	sorted := append([]scenario.ChurnEvent(nil), events...)
 	scenario.SortChurnEvents(sorted)
 	s := &Schedule{events: sorted, intervals: make(map[string][]interval)}
-	open := make(map[string]time.Duration) // label -> current interval start
-	up := make(map[string]bool)
+	open := make(map[string]time.Duration) // a peer that is up -> its current interval's start
 	for _, e := range sorted {
-		switch e.Kind {
-		case scenario.ChurnJoin:
-			if !up[e.Label] {
-				up[e.Label] = true
-				open[e.Label] = e.At
-			}
-		case scenario.ChurnLeave:
-			if up[e.Label] {
-				up[e.Label] = false
-				s.intervals[e.Label] = append(s.intervals[e.Label], interval{open[e.Label], e.At})
-				s.departures++
-			}
+		switch from, up := open[e.Label]; {
+		case e.Kind == scenario.ChurnJoin && !up:
+			open[e.Label] = e.At
+		case e.Kind == scenario.ChurnLeave && up:
+			delete(open, e.Label)
+			s.intervals[e.Label] = append(s.intervals[e.Label], interval{from, e.At})
+			s.departures++
 		}
 	}
-	for label, live := range up {
-		if live {
-			s.intervals[label] = append(s.intervals[label], interval{open[label], scheduleOpen})
-		}
+	for label, from := range open {
+		s.intervals[label] = append(s.intervals[label], interval{from, scheduleOpen})
 	}
 	return s
 }

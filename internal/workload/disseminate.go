@@ -373,9 +373,6 @@ type pair struct {
 	secs, rate float64
 }
 
-// pairRows is the room a row starts with; a slab chunk holds 16 pairs a row.
-const pairRows = 4
-
 // credit records that holder h moved bytes to downloader q in secs, and
 // restates the delivery rate q observed from h in both rows.
 func (s *swarm) credit(h, q int, bytes int64, secs float64) {
@@ -399,7 +396,7 @@ func (s *swarm) pairOf(row *[]pair, peer int) *pair {
 	i, ok := slices.BinarySearchFunc(*row, peer, func(p pair, k int) int { return cmp.Compare(p.peer, k) })
 	if !ok {
 		if r := *row; len(r) == cap(r) {
-			c := max(2*cap(r), pairRows)
+			c := max(2*cap(r), 4) // a chunk holds 16 a row
 			if len(s.slab) < c {
 				s.slab = make([]pair, max(c, 16*(s.n+1)))
 			}
@@ -416,13 +413,13 @@ func (s *swarm) pairOf(row *[]pair, peer int) *pair {
 func (s *swarm) pairBytes(peers []dissemPeer) []PairBytes {
 	var out []PairBytes
 	for row, sent := range s.sent {
+		from := ""
+		if row > 0 {
+			from = peers[row-1].label
+		}
 		for _, p := range sent {
 			if p.bytes > 0 {
-				pb := PairBytes{To: peers[p.peer].label, Bytes: p.bytes}
-				if row > 0 {
-					pb.From = peers[row-1].label
-				}
-				out = append(out, pb)
+				out = append(out, PairBytes{From: from, To: peers[p.peer].label, Bytes: p.bytes})
 			}
 		}
 	}

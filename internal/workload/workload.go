@@ -187,19 +187,18 @@ func ControllerFanout() Workload {
 	return Workload{
 		Name: "controller-fanout",
 		Flows: func(labels []string, seed int64) []Flow {
-			flows := make([]Flow, len(labels))
-			for i, l := range labels {
-				flows[i] = Flow{
-					Index:     i,
-					Sink:      l,
-					FileName:  fmt.Sprintf("fanout-%04d", i),
-					SizeBytes: transfer.Mb,
-					Parts:     4,
-				}
-			}
-			return flows
+			return toEach(labels, func(i int) string { return fmt.Sprintf("fanout-%04d", i) }, transfer.Mb, 4)
 		},
 	}
+}
+
+// toEach is one flow from the control node to each label, in label order.
+func toEach(labels []string, file func(i int) string, size, parts int) []Flow {
+	flows := make([]Flow, len(labels))
+	for i, l := range labels {
+		flows[i] = Flow{Index: i, Sink: l, FileName: file(i), SizeBytes: size, Parts: parts}
+	}
+	return flows
 }
 
 // swarmModels is the selection lineup swarm sources rotate through; both are
@@ -237,9 +236,7 @@ func AllPairs(n int) Workload {
 	return Workload{
 		Name: fmt.Sprintf("allpairs:%d", n),
 		Flows: func(labels []string, seed int64) []Flow {
-			if n < len(labels) {
-				labels = labels[:n]
-			}
+			labels = labels[:min(n, len(labels))]
 			var flows []Flow
 			for _, src := range labels {
 				for _, dst := range labels {
@@ -276,20 +273,8 @@ func DisseminateWith(n int, d Dissemination) Workload {
 		Name:        dissemSpec(n, d),
 		Disseminate: &d,
 		Flows: func(labels []string, seed int64) []Flow {
-			if n < len(labels) {
-				labels = labels[:n]
-			}
-			flows := make([]Flow, len(labels))
-			for i, l := range labels {
-				flows[i] = Flow{
-					Index:     i,
-					Sink:      l,
-					FileName:  "dissem-payload",
-					SizeBytes: DefaultDisseminateBytes,
-					Parts:     d.Pieces,
-				}
-			}
-			return flows
+			file := func(int) string { return "dissem-payload" }
+			return toEach(labels[:min(n, len(labels))], file, DefaultDisseminateBytes, d.Pieces)
 		},
 	}
 }
@@ -311,11 +296,8 @@ const MaxCount = 1_000_000
 // dissemination workloads print back a canonical Name (policies always
 // spelled out) that re-parses to itself.
 func Parse(spec string) (Workload, error) {
-	head := spec
-	var opts []string
-	if segs := strings.Split(spec, ";"); len(segs) > 1 {
-		head, opts = segs[0], segs[1:]
-	}
+	head, rest, hasOpts := strings.Cut(spec, ";")
+	var w Workload
 	if kind, arg, ok := strings.Cut(head, ":"); ok {
 		n, err := strconv.Atoi(arg)
 		if err != nil || n < 1 || n > MaxCount {
@@ -323,6 +305,10 @@ func Parse(spec string) (Workload, error) {
 		}
 		switch kind {
 		case "disseminate", "stream":
+			var opts []string
+			if hasOpts {
+				opts = strings.Split(rest, ";")
+			}
 			d, err := parseDissemOptions(spec, opts)
 			if err != nil {
 				return Workload{}, err
@@ -330,32 +316,23 @@ func Parse(spec string) (Workload, error) {
 			d.Stream = kind == "stream"
 			return DisseminateWith(n, d), nil
 		case "swarm":
-			if len(opts) > 0 {
-				return Workload{}, optsOnlyForDissem(spec)
-			}
-			return Swarm(n), nil
+			w = Swarm(n)
 		case "allpairs":
-			if len(opts) > 0 {
-				return Workload{}, optsOnlyForDissem(spec)
-			}
-			return AllPairs(n), nil
+			w = AllPairs(n)
 		default:
 			return Workload{}, fmt.Errorf("workload: unknown generator %q (want %s)",
 				kind, strings.Join(Registered(), ", "))
 		}
+	} else if head == "controller-fanout" {
+		w = ControllerFanout()
+	} else {
+		return Workload{}, fmt.Errorf("workload: unknown workload %q (want %s)",
+			spec, strings.Join(Registered(), ", "))
 	}
-	if head == "controller-fanout" {
-		if len(opts) > 0 {
-			return Workload{}, optsOnlyForDissem(spec)
-		}
-		return ControllerFanout(), nil
+	if hasOpts {
+		return Workload{}, fmt.Errorf("workload: %q: options are only valid for disseminate:N / stream:N", spec)
 	}
-	return Workload{}, fmt.Errorf("workload: unknown workload %q (want %s)",
-		spec, strings.Join(Registered(), ", "))
-}
-
-func optsOnlyForDissem(spec string) error {
-	return fmt.Errorf("workload: %q: options are only valid for disseminate:N / stream:N", spec)
+	return w, nil
 }
 
 // parseDissemOptions folds the ";"-separated key=value options of a
@@ -373,16 +350,15 @@ func parseDissemOptions(spec string, opts []string) (Dissemination, error) {
 		}
 		seen[k] = true
 		switch k {
-		case "pick":
-			if !slices.Contains(Picks, v) {
-				return Dissemination{}, fmt.Errorf("workload: %q: pick=%q (want %s)", spec, v, strings.Join(Picks, " or "))
+		case "pick", "choke":
+			policy, names := &d.Pick, Picks
+			if k == "choke" {
+				policy, names = &d.Choke, Chokes
 			}
-			d.Pick = v
-		case "choke":
-			if !slices.Contains(Chokes, v) {
-				return Dissemination{}, fmt.Errorf("workload: %q: choke=%q (want %s)", spec, v, strings.Join(Chokes, " or "))
+			if !slices.Contains(names, v) {
+				return Dissemination{}, fmt.Errorf("workload: %q: %s=%q (want %s)", spec, k, v, strings.Join(names, " or "))
 			}
-			d.Choke = v
+			*policy = v
 		case "pieces":
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 1 || n > transfer.MaxPieces {
