@@ -365,8 +365,8 @@ func (s *swarm) deliver(q, p int) bool {
 	return true
 }
 
-// pair is one end of a pair that moved bytes: the other end's index (-1 the
-// origin), and in a sent row what moved and how long it took.
+// pair is a row's record of one partner: its index (-1 the origin), the rate
+// between the two, and in a sent row the bytes and seconds it comes from.
 type pair struct {
 	peer       int
 	bytes      int64
@@ -396,9 +396,9 @@ func (s *swarm) pairOf(row *[]pair, peer int) *pair {
 	i, ok := slices.BinarySearchFunc(*row, peer, func(p pair, k int) int { return cmp.Compare(p.peer, k) })
 	if !ok {
 		if r := *row; len(r) == cap(r) {
-			c := max(2*cap(r), 4) // a chunk holds 16 a row
+			c := max(2*cap(r), 4) // a row starts with room for 4
 			if len(s.slab) < c {
-				s.slab = make([]pair, max(c, 16*(s.n+1)))
+				s.slab = make([]pair, max(c, 16*(s.n+1))) // a chunk: 16 a row
 			}
 			*row, s.slab = append(s.slab[:0:c], r...), s.slab[c:]
 		}
