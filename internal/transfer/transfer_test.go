@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -462,18 +463,32 @@ func TestAcceptedPetitionAllocatesOnlyWhatArrives(t *testing.T) {
 // TestBadPieceListRefused: a piece petition that names a position outside
 // the split or names one twice comes back refused in its petition ack, with
 // the first such position in its reason, before any part is sent.
-// SendPieces never sends one; a foreign sender may.
+// SendPieces never sends one; a foreign sender may. The long lists hold
+// more indices than any room kept inline, their one bad entry last.
 func TestBadPieceListRefused(t *testing.T) {
-	for _, tc := range []struct {
-		indices []int
-		bad     int
-	}{{[]int{-2, -1}, -2}, {[]int{0, 3}, 3}, {[]int{1, 2, 1}, 1}} {
-		pet := petition{FileName: "v.bin", TotalSize: 300, Parts: 3, Indices: tc.indices, Sender: "src"}
+	type badList struct {
+		indices    []int
+		parts, bad int
+	}
+	cases := []badList{{[]int{-2, -1}, 3, -2}, {[]int{0, 3}, 3, 3}, {[]int{1, 2, 1}, 3, 1}, {[]int{2, 0, 5, 0}, 4, 5}}
+	for _, n := range []int{1024, 4096} {
+		const parts = 8192
+		spread := make([]int, n-1)
+		for i := range spread {
+			spread[i] = (i * 7919) % parts // distinct, out of order
+		}
+		cases = append(cases,
+			badList{append(slices.Clone(spread), spread[n/2]), parts, spread[n/2]},
+			badList{append(slices.Clone(spread), parts), parts, parts},
+			badList{append(slices.Clone(spread), -1), parts, -1})
+	}
+	for _, tc := range cases {
+		pet := petition{FileName: "v.bin", TotalSize: 100 * tc.parts, Parts: tc.parts, Indices: tc.indices, Sender: "src"}
 		out := runReceiverProgram(receiverProgram{petition: wire.Frame(msgPetition, pet.encodeTo)}, realReceiver)
 		want := fmt.Sprintf("petition accept=false reason=%q err=<nil>",
-			fmt.Sprintf("piece list names part %d of 3 twice or outside the split", tc.bad))
+			fmt.Sprintf("piece list names part %d of %d twice or outside the split", tc.bad, tc.parts))
 		if len(out.acks) != 1 || out.acks[0] != want {
-			t.Errorf("pieces %v: the sender saw\n%v\nwant only %s", tc.indices, out, want)
+			t.Errorf("%d pieces ending %v: the sender saw\n%v\nwant only %s", len(tc.indices), tc.indices[len(tc.indices)-1], out, want)
 		}
 	}
 }
