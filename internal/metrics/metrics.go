@@ -50,28 +50,25 @@ func (f *Figure) Value(series, label string) (float64, bool) {
 
 // Markdown renders the figure as a markdown table (labels as rows).
 func (f *Figure) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s", f.Title)
-	if f.Unit != "" {
-		fmt.Fprintf(&b, " (%s)", f.Unit)
-	}
-	b.WriteString("\n\n|  |")
+	t := Table{Title: f.heading(), Columns: []string{""}}
 	for _, s := range f.Series {
-		fmt.Fprintf(&b, " %s |", s.Name)
+		t.Columns = append(t.Columns, s.Name)
 	}
-	b.WriteString("\n|---|")
-	for range f.Series {
-		b.WriteString("---|")
-	}
-	b.WriteString("\n")
 	for i, l := range f.Labels {
-		fmt.Fprintf(&b, "| %s |", l)
-		for _, s := range f.Series {
-			fmt.Fprintf(&b, " %s |", fmtVal(s.Values[i]))
+		t.AddRow(l)
+		for c, s := range f.Series {
+			t.Rows[i][c+1] = fmtVal(s.Values[i])
 		}
-		b.WriteString("\n")
 	}
-	return b.String()
+	return t.Markdown()
+}
+
+// heading is the figure's title, with its unit when it has one.
+func (f *Figure) heading() string {
+	if f.Unit == "" {
+		return f.Title
+	}
+	return f.Title + " (" + f.Unit + ")"
 }
 
 // CSV renders the figure as comma-separated values with a header row.
@@ -114,11 +111,7 @@ func (f *Figure) Bars(width int) string {
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s", f.Title)
-	if f.Unit != "" {
-		fmt.Fprintf(&b, " (%s)", f.Unit)
-	}
-	b.WriteString("\n")
+	b.WriteString(f.heading() + "\n")
 	nameW := 0
 	for _, l := range f.Labels {
 		for _, s := range f.Series {

@@ -305,13 +305,13 @@ func (b *Broker) answer(conn pipe.Conn, msg pipe.Message) bool {
 	case mtSelect:
 		reply = handle(conn, d, decodeSelectReq, b.handleSelect)
 	case mtReportTransfer:
-		reply = handle(conn, d, decodeReportTransfer, b.handleReportTransfer)
+		reply = b.handleReportTransfer(conn, d)
 	case mtPieceReport:
 		reply = handle(conn, d, decodePieceReport, b.handlePieceReport)
 	case mtReportTask:
-		reply = handle(conn, d, decodeReportTask, b.handleReportTask)
+		reply = b.handleReportTask(d)
 	case mtReportMessage:
-		reply = handle(conn, d, decodeReportMessage, b.handleReportMessage)
+		reply = b.handleReportMessage(d)
 	}
 	return reply != nil && conn.Post(reply) == nil
 }
@@ -407,20 +407,26 @@ func (b *Broker) handleSelect(conn pipe.Conn, req selectReq) []byte {
 	return wire.Frame(mtSelectResult, res.encodeTo)
 }
 
-func (b *Broker) handleReportTransfer(conn pipe.Conn, rep reportTransfer) []byte {
-	ps := b.registry.Peer(rep.Peer)
-	ps.RecordFileSent(rep.OK)
-	ps.RecordTransferOutcome(rep.Cancelled)
-	if rep.OK {
-		ps.ObserveTransferRate(rep.Bytes, rep.Duration)
+// handleReportTransfer reads what reportTransferFrame writes, the sink's name
+// left in the frame; a malformed report goes unanswered.
+func (b *Broker) handleReportTransfer(conn pipe.Conn, d *wire.Decoder) []byte {
+	sink, ok, cancelled, size, dur, delay := d.BytesField(), d.Bool(), d.Bool(), d.Int(), d.Duration(), d.Duration()
+	if d.Finish() != nil {
+		return nil
 	}
-	if rep.PetitionDelay > 0 {
-		ps.ObservePetitionDelay(rep.PetitionDelay)
+	ps := b.registry.PeerBytes(sink)
+	ps.RecordFileSent(ok)
+	ps.RecordTransferOutcome(cancelled)
+	if ok {
+		ps.ObserveTransferRate(size, dur)
+	}
+	if delay > 0 {
+		ps.ObservePetitionDelay(delay)
 	}
 	// Origin attribution, launch-level like RecordFileSent above: the source
 	// is the reporting conn's remote address (DESIGN.md "Workload layer").
 	if from := conn.Remote().Node(); from != "" {
-		b.registry.Peer(from).RecordTransferOriginated(rep.OK, rep.Bytes)
+		b.registry.Peer(from).RecordTransferOriginated(ok, size)
 	}
 	return ackFrame
 }
@@ -436,21 +442,30 @@ func (b *Broker) handlePieceReport(conn pipe.Conn, rep pieceReport) []byte {
 	return ackFrame
 }
 
-func (b *Broker) handleReportTask(conn pipe.Conn, rep reportTask) []byte {
-	ps := b.registry.Peer(rep.Peer)
-	ps.RecordTaskOffer(rep.Accepted)
-	if rep.Accepted {
+// handleReportTask reads what reportTaskFrame writes, like handleReportTransfer.
+func (b *Broker) handleReportTask(d *wire.Decoder) []byte {
+	peer, accepted, ok, spu := d.BytesField(), d.Bool(), d.Bool(), d.Float64()
+	if d.Finish() != nil {
+		return nil
+	}
+	ps := b.registry.PeerBytes(peer)
+	ps.RecordTaskOffer(accepted)
+	if accepted {
 		// A reported time counts only if it is finite, as a CPU score does.
-		spu := rep.SecondsPerUnit
 		if !finite(spu) {
 			spu = 0
 		}
-		ps.RecordTaskExecution(rep.OK, spu)
+		ps.RecordTaskExecution(ok, spu)
 	}
 	return ackFrame
 }
 
-func (b *Broker) handleReportMessage(conn pipe.Conn, rep reportMessage) []byte {
-	b.registry.Peer(rep.Peer).RecordMessage(rep.OK)
+// handleReportMessage reads what reportMessageFrame writes, likewise.
+func (b *Broker) handleReportMessage(d *wire.Decoder) []byte {
+	peer, ok := d.BytesField(), d.Bool()
+	if d.Finish() != nil {
+		return nil
+	}
+	b.registry.PeerBytes(peer).RecordMessage(ok)
 	return ackFrame
 }

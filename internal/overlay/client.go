@@ -320,15 +320,7 @@ func (c *Client) sendReported(peer string, m *transfer.Metrics, send func(transp
 	if sendErr != nil && c.stopped.Load() {
 		return fmt.Errorf("overlay: client stopped: %w", pipe.ErrClosed)
 	}
-	rep := reportTransfer{
-		Peer:          peer,
-		OK:            sendErr == nil,
-		Cancelled:     sendErr != nil && !errors.Is(sendErr, transfer.ErrRejected),
-		Bytes:         m.TotalBytes,
-		Duration:      m.TransmissionTime(),
-		PetitionDelay: m.PetitionDelay(),
-	}
-	_, _ = c.call(c.broker, wire.Frame(mtReportTransfer, rep.encodeTo)) // statistics are best-effort; the transfer outcome stands
+	_, _ = c.call(c.broker, reportTransferFrame(peer, m, sendErr)) // statistics are best-effort; the transfer outcome stands
 	return sendErr
 }
 
@@ -405,8 +397,7 @@ func (c *Client) SubmitTask(peer string, t task.Task) (task.Result, error) {
 }
 
 func (c *Client) reportTaskOutcome(peer string, accepted, ok bool, spu float64) {
-	rep := reportTask{Peer: peer, Accepted: accepted, OK: ok, SecondsPerUnit: spu}
-	_, _ = c.call(c.broker, wire.Frame(mtReportTask, rep.encodeTo)) // best-effort statistics
+	_, _ = c.call(c.broker, reportTaskFrame(peer, accepted, ok, spu)) // best-effort statistics
 }
 
 // SendInstant delivers a one-line message to the named peer and records the
@@ -416,8 +407,7 @@ func (c *Client) SendInstant(peer, text string) error {
 	reply, sendErr := c.call(transport.MakeAddr(peer, ServiceClient), wire.Frame(mtInstant, instant{From: c.host.Name(), Text: text}.encodeTo))
 	ok := sendErr == nil && len(reply) > 0 && reply[0] == mtInstantAck
 	if !errors.Is(sendErr, transport.ErrUnknownAddr) {
-		rep := reportMessage{Peer: peer, OK: ok}
-		_, _ = c.call(c.broker, wire.Frame(mtReportMessage, rep.encodeTo)) // best-effort statistics
+		_, _ = c.call(c.broker, reportMessageFrame(peer, ok)) // best-effort statistics
 	}
 	if !ok {
 		if sendErr == nil {

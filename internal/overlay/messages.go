@@ -9,6 +9,7 @@ package overlay
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -135,32 +136,25 @@ func (m selectResult) encodeTo(e *wire.Encoder) {
 	e.String(m.Err)
 }
 
-// reportTransfer carries a sender's observations of one transfer. Peer is
-// the sink the observations describe; the broker attributes the originating
-// peer from the reporting conn's remote address (no field on the wire), so a
-// multi-source workload's flows attribute to their true source instead of
-// all appearing to come from the control node.
-type reportTransfer struct {
-	Peer          string
-	OK            bool
-	Cancelled     bool
-	Bytes         int
-	Duration      time.Duration
-	PetitionDelay time.Duration
+// reportTransferFrame encodes a sender's observations of transfer m to
+// peer, which ended with sendErr: a refusal is a failure, any other error a
+// cancellation. The originating peer is the reporting conn's remote address
+// (no field on the wire), so a multi-source workload's flows attribute to
+// their true source instead of all appearing to come from the control node.
+func reportTransferFrame(peer string, m *transfer.Metrics, sendErr error) []byte {
+	return wire.Frame(mtReportTransfer, func(e *wire.Encoder) {
+		e.String(peer)
+		e.Bool(sendErr == nil)
+		e.Bool(sendErr != nil && !errors.Is(sendErr, transfer.ErrRejected))
+		e.Int(m.TotalBytes)
+		e.Duration(m.TransmissionTime())
+		e.Duration(m.PetitionDelay())
+	})
 }
 
-func (m reportTransfer) encodeTo(e *wire.Encoder) {
-	e.String(m.Peer)
-	e.Bool(m.OK)
-	e.Bool(m.Cancelled)
-	e.Int(m.Bytes)
-	e.Duration(m.Duration)
-	e.Duration(m.PetitionDelay)
-}
-
-// pieceReport is a piece report as the broker stores it: the reporter, and
-// its pieces and unchoked attribute values, the held indices and the
-// unchoked hostnames comma-joined, as substrings of one string.
+// pieceReport is a piece report as the broker stores it: the reporter's
+// name and its pieces and unchoked attribute values, the held indices and
+// the unchoked hostnames comma-joined, as substrings of one string.
 type pieceReport struct {
 	Peer             string
 	Pieces, Unchoked string
@@ -179,30 +173,22 @@ func pieceReportFrame(peer string, have []int, unchoked []string) []byte {
 	})
 }
 
-// reportTask carries a submitter's observations of one task offer.
-type reportTask struct {
-	Peer           string
-	Accepted       bool
-	OK             bool
-	SecondsPerUnit float64
+// reportTaskFrame encodes a submitter's observations of a task offer to peer.
+func reportTaskFrame(peer string, accepted, ok bool, spu float64) []byte {
+	return wire.Frame(mtReportTask, func(e *wire.Encoder) {
+		e.String(peer)
+		e.Bool(accepted)
+		e.Bool(ok)
+		e.Float64(spu)
+	})
 }
 
-func (m reportTask) encodeTo(e *wire.Encoder) {
-	e.String(m.Peer)
-	e.Bool(m.Accepted)
-	e.Bool(m.OK)
-	e.Float64(m.SecondsPerUnit)
-}
-
-// reportMessage records an instant-message outcome.
-type reportMessage struct {
-	Peer string
-	OK   bool
-}
-
-func (m reportMessage) encodeTo(e *wire.Encoder) {
-	e.String(m.Peer)
-	e.Bool(m.OK)
+// reportMessageFrame encodes the outcome of an instant message to peer.
+func reportMessageFrame(peer string, ok bool) []byte {
+	return wire.Frame(mtReportMessage, func(e *wire.Encoder) {
+		e.String(peer)
+		e.Bool(ok)
+	})
 }
 
 // taskSubmit offers a task to a peer's executor.
@@ -321,29 +307,20 @@ func decodeSelectResult(d *wire.Decoder) (selectResult, error) {
 	return selectResult{Peers: d.StringSlice(), Err: d.StringField()}, d.Finish()
 }
 
-func decodeReportTransfer(d *wire.Decoder) (reportTransfer, error) {
-	return reportTransfer{
-		Peer:          d.StringField(),
-		OK:            d.Bool(),
-		Cancelled:     d.Bool(),
-		Bytes:         d.Int(),
-		Duration:      d.Duration(),
-		PetitionDelay: d.Duration(),
-	}, d.Finish()
-}
-
-// decodePieceReport joins the report's fields into its attribute values as
-// it reads them, each followed by a comma that the value's last one drops,
-// in a stack buffer while they fit: an honest report allocates its name and
-// one string for both. A negative index, one from transfer.MaxPieces or a
-// name holding a comma is a malformed frame; an index count the frame cannot
-// hold is refused before anything is read.
+// decodePieceReport joins the reporter's name and the report's fields into
+// one string as it reads them, each field followed by a comma that the
+// value's last one drops, in a stack buffer while they fit: an honest report
+// allocates that one string, and its name and both attribute values are
+// substrings of it. A negative index, one from transfer.MaxPieces or a name
+// holding a comma is a malformed frame; an index count the frame cannot hold
+// is refused before anything is read.
 func decodePieceReport(d *wire.Decoder) (pieceReport, error) {
-	peer, n := d.StringField(), d.Int()
+	values := append(make([]byte, 0, 512), d.BytesField()...)
+	peer, n := len(values), d.Int()
 	if n < 0 || n > d.Remaining() { // each piece index needs at least 1 byte
 		return pieceReport{}, fmt.Errorf("%w: piece report of %d pieces in %d bytes", wire.ErrCorrupt, n, d.Remaining())
 	}
-	held, values := true, make([]byte, 0, 512)
+	held := true
 	for range n {
 		p := d.Int()
 		held = held && p >= 0 && p < transfer.MaxPieces
@@ -362,20 +339,7 @@ func decodePieceReport(d *wire.Decoder) (pieceReport, error) {
 		return pieceReport{}, fmt.Errorf("%w: piece report with an index or a name its attribute cannot hold", wire.ErrCorrupt)
 	}
 	joined := string(values)
-	return pieceReport{Peer: peer, Pieces: joined[:max(pieces-1, 0)], Unchoked: joined[pieces:max(len(joined)-1, pieces)]}, nil
-}
-
-func decodeReportTask(d *wire.Decoder) (reportTask, error) {
-	return reportTask{
-		Peer:           d.StringField(),
-		Accepted:       d.Bool(),
-		OK:             d.Bool(),
-		SecondsPerUnit: d.Float64(),
-	}, d.Finish()
-}
-
-func decodeReportMessage(d *wire.Decoder) (reportMessage, error) {
-	return reportMessage{Peer: d.StringField(), OK: d.Bool()}, d.Finish()
+	return pieceReport{Peer: joined[:peer], Pieces: joined[peer:max(pieces-1, peer)], Unchoked: joined[pieces:max(len(joined)-1, pieces)]}, nil
 }
 
 func decodeTaskSubmit(d *wire.Decoder) (taskSubmit, error) {

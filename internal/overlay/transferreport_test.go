@@ -15,6 +15,28 @@ import (
 	"peerlab/internal/wire"
 )
 
+// drawnReport is one transfer report as a program draws it.
+type drawnReport struct {
+	peer          string
+	ok, cancelled bool
+	bytes         int
+	dur, delay    time.Duration
+}
+
+// frame spells the report's frame out field by field, so the oracle below
+// does not lean on the client's encoder.
+func (r drawnReport) frame() []byte {
+	e := wire.NewEncoder(64)
+	e.Byte(mtReportTransfer)
+	e.String(r.peer)
+	e.Bool(r.ok)
+	e.Bool(r.cancelled)
+	e.Int(r.bytes)
+	e.Duration(r.dur)
+	e.Duration(r.delay)
+	return e.Bytes()
+}
+
 // refReportTransfer is the broker's transfer-report path written the plain
 // way: the frame decoded field by field with every name copied out of it,
 // then the sink's record and the origin's updated.
@@ -23,22 +45,22 @@ func refReportTransfer(reg *stats.Registry, from string, frame []byte) bool {
 	if err != nil || kind != mtReportTransfer {
 		return false
 	}
-	rep := reportTransfer{Peer: strings.Clone(string(d.BytesField())), OK: d.Bool(), Cancelled: d.Bool(),
-		Bytes: d.Int(), Duration: d.Duration(), PetitionDelay: d.Duration()}
+	rep := drawnReport{peer: strings.Clone(string(d.BytesField())), ok: d.Bool(), cancelled: d.Bool(),
+		bytes: d.Int(), dur: d.Duration(), delay: d.Duration()}
 	if d.Finish() != nil {
 		return false
 	}
-	ps := reg.Peer(rep.Peer)
-	ps.RecordFileSent(rep.OK)
-	ps.RecordTransferOutcome(rep.Cancelled)
-	if rep.OK {
-		ps.ObserveTransferRate(rep.Bytes, rep.Duration)
+	ps := reg.Peer(rep.peer)
+	ps.RecordFileSent(rep.ok)
+	ps.RecordTransferOutcome(rep.cancelled)
+	if rep.ok {
+		ps.ObserveTransferRate(rep.bytes, rep.dur)
 	}
-	if rep.PetitionDelay > 0 {
-		ps.ObservePetitionDelay(rep.PetitionDelay)
+	if rep.delay > 0 {
+		ps.ObservePetitionDelay(rep.delay)
 	}
 	if from != "" {
-		reg.Peer(from).RecordTransferOriginated(rep.OK, rep.Bytes)
+		reg.Peer(from).RecordTransferOriginated(rep.ok, rep.bytes)
 	}
 	return true
 }
@@ -84,21 +106,21 @@ func checkTransferReportProgram(seed int64, steps int) error {
 	records := func(reg *stats.Registry) string { return fmt.Sprintf("%v\n%+v", reg.Names(), reg.Snapshots()) }
 	var handed [][]byte
 	for step := 1; step <= steps; step++ {
-		rep := reportTransfer{
-			Peer:     sinks[rng.Intn(len(sinks))],
-			Bytes:    rng.Intn(1 << 24),
-			Duration: time.Duration(rng.Intn(3)) * time.Duration(rng.Int63n(int64(time.Minute))),
+		rep := drawnReport{
+			peer:  sinks[rng.Intn(len(sinks))],
+			bytes: rng.Intn(1 << 24),
+			dur:   time.Duration(rng.Intn(3)) * time.Duration(rng.Int63n(int64(time.Minute))),
 		}
 		switch outcome := rng.Intn(3); outcome {
 		case 0:
-			rep.OK = true
+			rep.ok = true
 		case 1:
-			rep.Cancelled = true
+			rep.cancelled = true
 		}
 		if rng.Intn(2) == 0 {
-			rep.PetitionDelay = time.Duration(rng.Int63n(int64(time.Second))) - time.Second/4
+			rep.delay = time.Duration(rng.Int63n(int64(time.Second))) - time.Second/4
 		}
-		frame := wire.Frame(mtReportTransfer, rep.encodeTo)
+		frame := rep.frame()
 		bad := ""
 		switch rng.Intn(8) {
 		case 0:
@@ -110,7 +132,7 @@ func checkTransferReportProgram(seed int64, steps int) error {
 		what := fmt.Sprintf("seed %d, step %d: %+v from %s (%s)", seed, step, rep, conn.Remote().Node(), bad)
 		before, version := records(b.registry), b.registry.Version()
 		_, d, _ := wire.Tag(frame)
-		reply := handle(conn, d, decodeReportTransfer, b.handleReportTransfer)
+		reply := b.handleReportTransfer(conn, d)
 		handed = append(handed, frame)
 		if bad != "" {
 			if reply != nil || b.registry.Version() != version || records(b.registry) != before {

@@ -397,6 +397,18 @@ func (r *Registry) Peer(name string) *PeerStats {
 	return p
 }
 
+// PeerBytes is Peer for a name held as bytes, a decoded frame's field say:
+// a known peer is found without a copy.
+func (r *Registry) PeerBytes(name []byte) *PeerStats {
+	r.mu.Lock()
+	p := r.peers[string(name)]
+	r.mu.Unlock()
+	if p == nil {
+		p = r.Peer(string(name))
+	}
+	return p
+}
+
 // Version returns the registry's mutation counter. It advances on every
 // state change of every registered peer and on peer creation, so a Snapshot
 // taken at one reading is still exact at an equal later one: the broker's

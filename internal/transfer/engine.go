@@ -249,10 +249,10 @@ func (s *Sender) handshake(conn pipe.Conn, m *Metrics, pet *petition) error {
 // stream is the part stream. Stop-and-wait is the paper's protocol: the
 // calling process sends one part at a time and waits for its confirmation
 // before the next leaves; on failure the timings stop at the part that
-// failed. Streamed, every part gets its own sending process, spawned in
-// list order, while the calling process collects the confirmations in
-// whatever order the parts land. The receiver cannot tell the two apart: it
-// confirms each part as it arrives either way.
+// failed. Streamed, each part gets a sending process, spawned from one func
+// that takes the next part in list order, while the calling process
+// collects the confirmations in whatever order the parts land. The receiver
+// cannot tell the two apart: it confirms each part as it arrives either way.
 func (s *Sender) stream(conn pipe.Conn, f File, split int, indices []int) ([]PartTiming, error) {
 	if indices == nil {
 		timings := make([]PartTiming, split)
@@ -267,21 +267,25 @@ func (s *Sender) stream(conn pipe.Conn, f File, split int, indices []int) ([]Par
 		return timings, nil
 	}
 	timings := make([]PartTiming, len(indices))
-	var first struct { // the first send to fail, wrapped only if surfaced
+	var first struct { // the next part to send; the first send to fail, wrapped only if surfaced
 		sync.Mutex
-		index int
-		err   error
+		next, index int
+		err         error
 	}
-	for n, idx := range indices {
-		s.host.Go(func() {
-			if err := s.sendPart(conn, f.Part(split, idx), &timings[n]); err != nil {
-				first.Lock()
-				if first.err == nil {
-					first.index, first.err = idx, err
-				}
-				first.Unlock()
-			}
-		})
+	send := func() {
+		first.Lock()
+		n := first.next
+		first.next++
+		first.Unlock()
+		err := s.sendPart(conn, f.Part(split, indices[n]), &timings[n])
+		first.Lock()
+		if first.err == nil && err != nil {
+			first.index, first.err = indices[n], err
+		}
+		first.Unlock()
+	}
+	for range indices {
+		s.host.Go(send)
 	}
 	for range indices {
 		if err := s.awaitAck(conn, timings); err != nil {
@@ -386,10 +390,16 @@ func Receiver(host transport.Host, onFile func(Received)) func(pipe.Conn) pipe.H
 // for each part as the previous answer completes; its firing, the peer's
 // FIN, a broken answer or a bad frame ends the transfer with Close.
 type inbound struct {
-	host      transport.Host
-	onFile    func(Received)
-	in        petition
-	arrived   map[int]bool // made as the petition is admitted
+	host   transport.Host
+	onFile func(Received)
+	in     petition
+	// A bit per announced slot, set as its part lands, nil until admission:
+	// a whole file's slot is the part's index, a piece list's its place in
+	// listed, sorted. Room and word hold both lists and a word while they fit.
+	landed    []uint64
+	listed    []int
+	room      [4]int
+	word      [1]uint64
 	parts     []Part
 	whole     bool
 	accepting bool // the outstanding answer lets the transfer go on
@@ -404,7 +414,7 @@ func (t *inbound) Handle(conn pipe.Conn, ev pipe.Event) {
 	case ev.Posted:
 		goOn = ev.Err == nil && t.accepting && t.answered(conn)
 	case ev.Err != nil:
-	case t.arrived == nil:
+	case t.landed == nil:
 		conn.CloseAfter(-1) // the wait is over
 		goOn = t.petition(conn, ev.Msg)
 	default:
@@ -418,21 +428,21 @@ func (t *inbound) Handle(conn pipe.Conn, ev pipe.Event) {
 
 // petition admits the transfer and answers it.
 func (t *inbound) petition(conn pipe.Conn, first pipe.Message) bool {
-	in, err := decodePetition(first.Payload)
+	in, err := decodePetition(first.Payload, t.room[:])
 	if err != nil {
 		return false
 	}
 	t.in = in
 	receivedAt := t.host.Now()
 
-	// The receiver keeps what arrived, never what was only promised: one
-	// map from a position to whether its part has landed holds the
-	// positions a piece list names, which the petition's own bytes carry,
-	// and every arrival. A whole file announces the range [0, Parts), a
-	// count straight off the wire, so it sizes nothing past MaxPieces. A
-	// count no sender of ours produces is refused, and so is a piece list
-	// naming a position outside the split or twice.
-	t.whole, t.expected = in.Indices == nil, len(in.Indices)
+	// The receiver keeps what arrived, never what was only promised: a
+	// piece list, which the petition's own bytes carry, and a bit per slot
+	// a part landed in. A whole file announces [0, Parts), a count straight
+	// off the wire, so it sizes nothing past MaxPieces. A count no sender of
+	// ours produces is refused, and so is a piece list naming a position
+	// outside the split or twice: in list order, a repeat finds its first
+	// sorted slot's bit set.
+	t.whole, t.expected, t.landed = in.Indices == nil, len(in.Indices), t.word[:0]
 	if t.whole {
 		t.expected = in.Parts
 	}
@@ -440,17 +450,17 @@ func (t *inbound) petition(conn pipe.Conn, first pipe.Message) bool {
 	if in.Parts < 0 || in.Parts > maxParts {
 		accept, reason = false, fmt.Sprintf("part count %d outside [0, %d]", in.Parts, maxParts)
 	}
-	hint := min(max(t.expected, 0), MaxPieces)
-	t.arrived = make(map[int]bool, hint)
+	t.listed = append(in.Indices[len(in.Indices):], in.Indices...)
+	slices.Sort(t.listed)
 	for n := 0; accept && n < len(in.Indices); n++ {
 		i := in.Indices[n]
-		if _, twice := t.arrived[i]; i < 0 || i >= in.Parts || twice {
+		if k, _ := slices.BinarySearch(t.listed, i); i < 0 || i >= in.Parts || !t.land(k) {
 			accept, reason = false, fmt.Sprintf("piece list names part %d of %d twice or outside the split", i, in.Parts)
 		}
-		t.arrived[i] = false
 	}
+	clear(t.landed)
 	if t.whole && accept {
-		t.parts = make([]Part, 0, hint)
+		t.parts = make([]Part, 0, min(max(t.expected, 0), MaxPieces))
 	}
 
 	// The per-part wait must outlive the sender's worst-case retry cycle:
@@ -481,23 +491,30 @@ func (t *inbound) part(conn pipe.Conn, msg pipe.Message) bool {
 	if err != nil {
 		return false
 	}
-	landed, named := t.arrived[ph.Index]
-	pa := partAck{
-		Index:       ph.Index,
-		OK:          !landed && (named || t.whole && ph.Index >= 0 && ph.Index < t.in.Parts),
-		DeliveredAt: t.host.Now(),
+	k, named := ph.Index, ph.Index >= 0 && ph.Index < t.in.Parts
+	if !t.whole {
+		k, named = slices.BinarySearch(t.listed, ph.Index)
 	}
+	pa := partAck{Index: ph.Index, OK: named && t.land(k), DeliveredAt: t.host.Now()}
 	if !pa.OK {
 		pa.Reason = fmt.Sprintf("unexpected part %d of %d", ph.Index, t.expected)
 	}
 	t.accepting, t.received = pa.OK, t.received+1
-	if pa.OK {
-		t.arrived[ph.Index] = true
-		if t.whole {
-			t.parts = append(t.parts, ph)
-		}
+	if pa.OK && t.whole {
+		t.parts = append(t.parts, ph)
 	}
 	return conn.Post(wire.Frame(msgPartAck, pa.encodeTo)) == nil
+}
+
+// land sets slot k's bit, growing the set to hold it, and reports whether
+// the bit was clear.
+func (t *inbound) land(k int) bool {
+	for k>>6 >= len(t.landed) {
+		t.landed = append(t.landed, 0)
+	}
+	was := t.landed[k>>6]
+	t.landed[k>>6] |= 1 << (k & 63)
+	return t.landed[k>>6] != was
 }
 
 // answered follows an accepting answer's ack: the transfer waits for its

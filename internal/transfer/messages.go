@@ -44,8 +44,8 @@ func (p *petition) encodeTo(e *wire.Encoder) {
 
 // decodePetition decodes the frame that opens a transfer conn: a petition,
 // and nothing else. Its three strings share one copy of the frame: the
-// transfer keeps them together.
-func decodePetition(payload []byte) (petition, error) {
+// transfer keeps them together. A piece list fills room, or outgrows it.
+func decodePetition(payload []byte, room []int) (petition, error) {
 	kind, d, err := wire.Tag(payload)
 	if err != nil {
 		return petition{}, err
@@ -70,7 +70,7 @@ func decodePetition(payload []byte) (petition, error) {
 		return petition{}, fmt.Errorf("%w: %d piece indices in %d bytes", wire.ErrCorrupt, n, d.Remaining())
 	}
 	if n > 0 {
-		p.Indices = make([]int, n)
+		p.Indices = append(room[:0], make([]int, n)...)
 		for i := range p.Indices {
 			p.Indices[i] = d.Int()
 		}

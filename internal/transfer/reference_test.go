@@ -26,7 +26,7 @@ func refHandle(host transport.Host, conn pipe.Conn, onFile func(Received)) {
 	if err != nil {
 		return
 	}
-	in, err := decodePetition(first.Payload)
+	in, err := decodePetition(first.Payload, nil)
 	if err != nil {
 		return
 	}

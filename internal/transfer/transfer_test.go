@@ -798,18 +798,18 @@ func TestDecodePiecePetitionBoundsCount(t *testing.T) {
 	e.Int(1 << 30)
 	e.Int(1 << 30) // Pieces
 	e.Int(1 << 30) // index count, and then no indices
-	if _, err := decodePetition(e.Bytes()); !errors.Is(err, wire.ErrCorrupt) {
+	if _, err := decodePetition(e.Bytes(), nil); !errors.Is(err, wire.ErrCorrupt) {
 		t.Fatalf("hostile count: err = %v, want ErrCorrupt", err)
 	}
 	in := petition{FileName: "f", Checksum: "c", TotalSize: 1000, Parts: 8,
 		Indices: []int{1, 5, 7}, Sender: "sc1"}
 	raw := wire.Frame(msgPetition, in.encodeTo)
-	out, err := decodePetition(raw)
+	out, err := decodePetition(raw, nil)
 	if err != nil || !reflect.DeepEqual(out, in) {
 		t.Fatalf("roundtrip = %+v, %v", out, err)
 	}
 	for cut := 0; cut < len(raw); cut++ {
-		if _, err := decodePetition(raw[:cut]); err == nil {
+		if _, err := decodePetition(raw[:cut], nil); err == nil {
 			t.Fatalf("petition cut at %d of %d decoded without error", cut, len(raw))
 		}
 	}
@@ -817,7 +817,7 @@ func TestDecodePiecePetitionBoundsCount(t *testing.T) {
 	// empty selection also encodes: both decode as the whole file.
 	for _, indices := range [][]int{nil, {}} {
 		in.Indices = indices
-		if out, err = decodePetition(wire.Frame(msgPetition, in.encodeTo)); err != nil || out.Indices != nil {
+		if out, err = decodePetition(wire.Frame(msgPetition, in.encodeTo), nil); err != nil || out.Indices != nil {
 			t.Fatalf("roundtrip of %#v = %+v, %v", indices, out, err)
 		}
 	}

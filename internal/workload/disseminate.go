@@ -140,11 +140,6 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 	// Reused across rounds: ReportPieces encodes before it blocks.
 	var holders, haveIdx []int
 	var unchokedHosts []string
-	type result struct {
-		m   transfer.Metrics
-		err error
-	}
-	var results []result
 
 	start := env.Host.Now()
 	gap, dry, rounds := roundGap, 0, 0
@@ -195,24 +190,26 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 			continue
 		}
 
-		// One SendPieces per (holder, downloader) group, spawned in
-		// canonical order, joined positionally into the reused results.
-		results = append(results[:0], make([]result, len(assigns))...)
-		join := env.Host.NewQueue()
-		for gi, g := range assigns {
-			env.Host.Go(func() {
-				src := env.Control
-				if g.holder >= 0 {
-					src = env.Clients[peers[g.holder].label]
-				}
-				if src == nil {
-					results[gi].err = fmt.Errorf("holder departed")
-				} else {
-					r := &results[gi]
-					r.err = src.SendPieces(peers[g.dl].host, payload, pieceCount, g.pieces, &r.m)
-				}
-				join.Push(gi)
-			})
+		// One SendPieces per (holder, downloader) group from one func, each
+		// process taking the next group as it starts (children run in spawn
+		// order); all are joined before the next plan reuses the scratch.
+		join, next := env.Host.NewQueue(), 0
+		send := func() {
+			g := &assigns[next]
+			next++
+			src := env.Control
+			if g.holder >= 0 {
+				src = env.Clients[peers[g.holder].label]
+			}
+			if src == nil {
+				g.err = fmt.Errorf("holder departed")
+			} else {
+				g.err = src.SendPieces(peers[g.dl].host, payload, pieceCount, g.pieces, &g.m)
+			}
+			join.Push(nil)
+		}
+		for range assigns {
+			env.Host.Go(send)
 		}
 		for range assigns {
 			if _, err := join.Pop(); err != nil {
@@ -221,19 +218,18 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 		}
 
 		progress := false
-		for gi, g := range assigns {
+		for _, g := range assigns {
 			q := &peers[g.dl]
-			r := results[gi]
-			if r.err != nil {
+			if g.err != nil {
 				q.fetchFails++
 				if q.fetchFails == Attempts {
 					warn(env.Logf, "workload: WARNING: flow %d (%s): piece fetches exhausted the %d-relaunch budget: %v",
-						flows[g.dl].Index, q.label, Attempts, r.err)
+						flows[g.dl].Index, q.label, Attempts, g.err)
 				}
 				continue
 			}
 			progress = true
-			for _, pt := range r.m.Parts {
+			for _, pt := range g.m.Parts {
 				if !s.deliver(g.dl, pt.Index) {
 					continue
 				}
@@ -248,7 +244,7 @@ func ExecuteDisseminate(env Env, d Dissemination, flows []Flow, seed int64) (Out
 			if g.holder >= 0 {
 				peers[g.holder].uploads += len(g.pieces)
 			}
-			s.credit(g.holder, g.dl, int64(r.m.TotalBytes), r.m.TransmissionTime().Seconds())
+			s.credit(g.holder, g.dl, int64(g.m.TotalBytes), g.m.TransmissionTime().Seconds())
 		}
 		if progress {
 			dry, gap = 0, roundGap
@@ -331,6 +327,9 @@ type swarm struct {
 	unchoked                            [unchokeSlots]int
 	avail                               []uint64
 	cands                               []pieceCand
+	// The last plan, and its piece lists: group g's at picks[g*piecesPerRound:].
+	plan  []roundAssign
+	picks []int
 }
 
 func newSwarm(n, pieces int) *swarm {
@@ -342,6 +341,7 @@ func newSwarm(n, pieces int) *swarm {
 		advertised: make([]bool, n+1), advHas: make([]uint64, (n+1)*pw), grantedBy: make([]uint64, n*rw),
 		interested: make([]int, 0, n), rarity: make([]int, pieces), slots: make([]int, n+1), avail: make([]uint64, pw),
 		granters: make([]int, 0, n+1), cands: make([]pieceCand, 0, pieces),
+		picks: make([]int, n*piecesPerRound*piecesPerRound), // a group per piece at most
 	}
 	for p := 0; p < pieces; p++ {
 		s.deliver(-1, p)
@@ -411,7 +411,11 @@ func (s *swarm) pairOf(row *[]pair, peer int) *pair {
 // origin's row first (From ""), then each holder's in flow order, downloaders
 // ascending.
 func (s *swarm) pairBytes(peers []dissemPeer) []PairBytes {
-	var out []PairBytes
+	count := 0
+	for _, sent := range s.sent {
+		count += len(sent)
+	}
+	out := make([]PairBytes, 0, count)
 	for row, sent := range s.sent {
 		from := ""
 		if row > 0 {
@@ -581,11 +585,14 @@ func (s *swarm) readDirectory(advs []jxta.Advertisement, ctlHost string, hostIdx
 	}
 }
 
-// roundAssign is one group of pieces a holder owes a downloader this round.
+// roundAssign is one group of pieces a holder owes a downloader this round,
+// and how sending it went.
 type roundAssign struct {
 	holder int // -1 = control
 	dl     int
 	pieces []int
+	m      transfer.Metrics
+	err    error
 }
 
 // pieceCand is one piece a downloader could fetch this round, with its
@@ -599,8 +606,9 @@ type pieceCand struct {
 // swarm state: each incomplete live downloader, in flow order, picks up to
 // piecesPerRound pieces by its policy from the holders that unchoked it,
 // each landing on the least loaded eligible holder, a peer before the
-// origin, then the lowest index. It allocates what it returns and nothing
-// else.
+// origin, then the lowest index. The plan and its piece lists are scratch
+// that the next plan overwrites (ExecuteDisseminate joins a round's
+// transfers before it plans the next), so a warm plan allocates nothing.
 func (s *swarm) planRound(d Dissemination, seed int64, live []bool) []roundAssign {
 	n, pw := s.n, s.pw
 	holding := func(row int) bool { return s.advertised[row] && (row == 0 || live[row-1]) }
@@ -613,7 +621,7 @@ func (s *swarm) planRound(d Dissemination, seed int64, live []bool) []roundAssig
 			}
 		}
 	}
-	out := make([]roundAssign, 0, n)
+	out := s.plan[:0]
 	for q := 0; q < n; q++ {
 		if !live[q] || s.got[q+1] == s.pieces {
 			continue
@@ -672,13 +680,14 @@ func (s *swarm) planRound(d Dissemination, seed int64, live []bool) []roundAssig
 				g++
 			}
 			if g == len(out) {
-				out = append(out, roundAssign{holder: best - 1, dl: q, pieces: make([]int, 0, piecesPerRound)})
+				out = append(out, roundAssign{holder: best - 1, dl: q, pieces: s.picks[g*piecesPerRound:][:0:piecesPerRound]})
 			}
 			out[g].pieces = append(out[g].pieces, c.piece)
 			s.slots[best]++
 			taken++
 		}
 	}
+	s.plan = out
 	return out
 }
 
