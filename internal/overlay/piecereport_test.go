@@ -189,9 +189,9 @@ func TestPieceReportAttributesMatchReference(t *testing.T) {
 	}
 }
 
-// TestPieceReportAllocBudget: on a warm broker a piece report costs its
-// reporter's name, one string holding both attribute values and one copy
-// of the attributes; publishing the renewed entry costs nothing more.
+// TestPieceReportAllocBudget: on a warm broker a piece report costs one
+// string holding its reporter's name and both attribute values, and one
+// copy of the attributes; publishing the renewed entry costs nothing more.
 func TestPieceReportAllocBudget(t *testing.T) {
 	b := bareBroker(t)
 	publishAll(b, []jxta.Advertisement{jxta.Advertisement{Kind: jxta.AdvPeer, Name: "p1"}.WithAttr(jxta.AttrCPUScore, "1.5")})
@@ -206,8 +206,8 @@ func TestPieceReportAllocBudget(t *testing.T) {
 			t.Fatal("the report was refused")
 		}
 	}
-	if allocs := testing.AllocsPerRun(50, report); allocs > 3 {
-		t.Errorf("a piece report: %v allocations, budget 3", allocs)
+	if allocs := testing.AllocsPerRun(50, report); allocs > 2 {
+		t.Errorf("a piece report: %v allocations, budget 2", allocs)
 	}
 	adv, _ := b.shardOf("p1").Lookup("p1")
 	sh := b.shardOf("p1")

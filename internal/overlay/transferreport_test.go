@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -15,64 +16,97 @@ import (
 	"peerlab/internal/wire"
 )
 
-// drawnReport is one transfer report as a program draws it.
+// drawnReport is one statistics report as a program draws it: a transfer
+// report (kind mtReportTransfer), a task report (ok is whether the task ran,
+// spu its seconds per work unit) or a message report.
 type drawnReport struct {
-	peer          string
-	ok, cancelled bool
-	bytes         int
-	dur, delay    time.Duration
+	kind                    byte
+	peer                    string
+	ok, cancelled, accepted bool
+	bytes                   int
+	dur, delay              time.Duration
+	spu                     float64
 }
 
 // frame spells the report's frame out field by field, so the oracle below
-// does not lean on the client's encoder.
+// does not lean on the client's encoders.
 func (r drawnReport) frame() []byte {
 	e := wire.NewEncoder(64)
-	e.Byte(mtReportTransfer)
+	e.Byte(r.kind)
 	e.String(r.peer)
-	e.Bool(r.ok)
-	e.Bool(r.cancelled)
-	e.Int(r.bytes)
-	e.Duration(r.dur)
-	e.Duration(r.delay)
+	switch r.kind {
+	case mtReportTransfer:
+		e.Bool(r.ok)
+		e.Bool(r.cancelled)
+		e.Int(r.bytes)
+		e.Duration(r.dur)
+		e.Duration(r.delay)
+	case mtReportTask:
+		e.Bool(r.accepted)
+		e.Bool(r.ok)
+		e.Float64(r.spu)
+	case mtReportMessage:
+		e.Bool(r.ok)
+	}
 	return e.Bytes()
 }
 
-// refReportTransfer is the broker's transfer-report path written the plain
-// way: the frame decoded field by field with every name copied out of it,
-// then the sink's record and the origin's updated.
-func refReportTransfer(reg *stats.Registry, from string, frame []byte) bool {
+// refReport is the broker's report path written the plain way: the frame
+// decoded field by field with every name copied out of it, then the
+// records updated. It reports whether the frame was well formed.
+func refReport(reg *stats.Registry, from string, frame []byte) bool {
 	kind, d, err := wire.Tag(frame)
-	if err != nil || kind != mtReportTransfer {
+	if err != nil {
 		return false
 	}
-	rep := drawnReport{peer: strings.Clone(string(d.BytesField())), ok: d.Bool(), cancelled: d.Bool(),
-		bytes: d.Int(), dur: d.Duration(), delay: d.Duration()}
+	rep := drawnReport{kind: kind, peer: strings.Clone(string(d.BytesField()))}
+	switch kind {
+	case mtReportTransfer:
+		rep.ok, rep.cancelled, rep.bytes, rep.dur, rep.delay = d.Bool(), d.Bool(), d.Int(), d.Duration(), d.Duration()
+	case mtReportTask:
+		rep.accepted, rep.ok, rep.spu = d.Bool(), d.Bool(), d.Float64()
+	case mtReportMessage:
+		rep.ok = d.Bool()
+	}
 	if d.Finish() != nil {
 		return false
 	}
 	ps := reg.Peer(rep.peer)
-	ps.RecordFileSent(rep.ok)
-	ps.RecordTransferOutcome(rep.cancelled)
-	if rep.ok {
-		ps.ObserveTransferRate(rep.bytes, rep.dur)
-	}
-	if rep.delay > 0 {
-		ps.ObservePetitionDelay(rep.delay)
-	}
-	if from != "" {
-		reg.Peer(from).RecordTransferOriginated(rep.ok, rep.bytes)
+	switch kind {
+	case mtReportTransfer:
+		ps.RecordFileSent(rep.ok)
+		ps.RecordTransferOutcome(rep.cancelled)
+		if rep.ok {
+			ps.ObserveTransferRate(rep.bytes, rep.dur)
+		}
+		if rep.delay > 0 {
+			ps.ObservePetitionDelay(rep.delay)
+		}
+		if from != "" {
+			reg.Peer(from).RecordTransferOriginated(rep.ok, rep.bytes)
+		}
+	case mtReportTask:
+		ps.RecordTaskOffer(rep.accepted)
+		if rep.accepted {
+			if math.IsNaN(rep.spu) || math.IsInf(rep.spu, 0) {
+				rep.spu = 0
+			}
+			ps.RecordTaskExecution(rep.ok, rep.spu)
+		}
+	case mtReportMessage:
+		ps.RecordMessage(rep.ok)
 	}
 	return true
 }
 
-// checkTransferReportProgram hands a seeded run of transfer reports to a
-// bare broker's handler and to refReportTransfer. The sinks are registered
-// peers, unregistered ones and the empty name; each report is a success, a
-// cancellation or a refusal. A truncated frame or one with a trailing byte
-// must get no ack and change no statistics. After every report both
-// registries must hold the same records; after the run, every frame's bytes
-// are overwritten and the broker's records must not move, so no stored name
-// shares a frame's bytes.
+// checkTransferReportProgram hands a seeded run of statistics reports to a
+// bare broker's handlers and to refReport: mostly transfer reports, each a
+// success, a cancellation or a refusal, and task and message reports. The
+// peers named are registered, unregistered and the empty name. A truncated
+// frame or one with a trailing byte must get no ack and change no
+// statistics. After every report both registries must hold the same
+// records; after the run, every frame's bytes are overwritten and the
+// broker's records must not move, so no stored name shares a frame's bytes.
 func checkTransferReportProgram(seed int64, steps int) error {
 	rng := rand.New(rand.NewSource(seed))
 	host := simnet.New(seed).MustAddNode("broker0", instantProfile())
@@ -107,15 +141,17 @@ func checkTransferReportProgram(seed int64, steps int) error {
 	var handed [][]byte
 	for step := 1; step <= steps; step++ {
 		rep := drawnReport{
+			kind:  [...]byte{mtReportTransfer, mtReportTransfer, mtReportTask, mtReportMessage}[rng.Intn(4)],
 			peer:  sinks[rng.Intn(len(sinks))],
 			bytes: rng.Intn(1 << 24),
 			dur:   time.Duration(rng.Intn(3)) * time.Duration(rng.Int63n(int64(time.Minute))),
+			spu:   [...]float64{0, 0.5, -1, math.Inf(1), math.NaN(), 3e-3}[rng.Intn(6)],
 		}
 		switch outcome := rng.Intn(3); outcome {
 		case 0:
-			rep.ok = true
+			rep.ok, rep.accepted = true, true
 		case 1:
-			rep.cancelled = true
+			rep.cancelled, rep.accepted = true, true
 		}
 		if rng.Intn(2) == 0 {
 			rep.delay = time.Duration(rng.Int63n(int64(time.Second))) - time.Second/4
@@ -131,8 +167,15 @@ func checkTransferReportProgram(seed int64, steps int) error {
 		conn := conns[rng.Intn(len(conns))]
 		what := fmt.Sprintf("seed %d, step %d: %+v from %s (%s)", seed, step, rep, conn.Remote().Node(), bad)
 		before, version := records(b.registry), b.registry.Version()
-		_, d, _ := wire.Tag(frame)
-		reply := b.handleReportTransfer(conn, d)
+		var reply []byte
+		switch _, d, _ := wire.Tag(frame); rep.kind {
+		case mtReportTransfer:
+			reply = b.handleReportTransfer(conn, d)
+		case mtReportTask:
+			reply = b.handleReportTask(d)
+		case mtReportMessage:
+			reply = b.handleReportMessage(d)
+		}
 		handed = append(handed, frame)
 		if bad != "" {
 			if reply != nil || b.registry.Version() != version || records(b.registry) != before {
@@ -140,7 +183,7 @@ func checkTransferReportProgram(seed int64, steps int) error {
 			}
 			continue
 		}
-		if string(reply) != string(ackFrame) || !refReportTransfer(ref, conn.Remote().Node(), frame) {
+		if string(reply) != string(ackFrame) || !refReport(ref, conn.Remote().Node(), frame) {
 			return fmt.Errorf("%s: reply %q", what, reply)
 		}
 		if got, want := records(b.registry), records(ref); got != want {
@@ -159,7 +202,8 @@ func checkTransferReportProgram(seed int64, steps int) error {
 }
 
 // TestReportTransferMatchesReference is the oracle for the broker's
-// transfer-report path, from frame to statistics records.
+// transfer-report path, from frame to statistics records, and for the task
+// and message reports that are read the same way.
 func TestReportTransferMatchesReference(t *testing.T) {
 	seeds := 6
 	if testing.Short() {

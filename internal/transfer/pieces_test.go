@@ -3,6 +3,8 @@ package transfer
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"peerlab/internal/pipe"
@@ -163,4 +165,70 @@ func TestReceiverAcceptAllocatesOnce(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { accept(conn) }); allocs != 1 {
 		t.Errorf("accepting a transfer conn: %v allocations, budget 1", allocs)
 	}
+}
+
+// pieceTransfers runs count two-piece streamed transfers, one after another,
+// over a rig that has already carried some, and returns what one costs end
+// to end: sender, both muxes, the simulated network and the receiver.
+func pieceTransfers(tb testing.TB, count int, timed func(run func())) (allocs float64) {
+	rig := newXferRig(tb, fastProfile(), fastProfile())
+	f, indices := NewVirtualFile("pieces", 16*Mb, 3), []int{9, 2}
+	var m Metrics
+	send := func(k int) {
+		for range k {
+			if err := rig.sender.SendPieces("dst/xfer", f, 16, indices, &m); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	rig.net.Run(func() {
+		send(8) // conns, free lists and pools settle
+		runtime.ReadMemStats(&before)
+		timed(func() { send(count) })
+		runtime.ReadMemStats(&after)
+	})
+	return float64(after.Mallocs-before.Mallocs) / float64(count)
+}
+
+// TestPieceTransferAllocBudget pins what a warm two-piece streamed transfer
+// allocates: 12. The sender makes its timings, one state record for the
+// stream and one spawn func; the receiver its inbound state, whose inline
+// room holds the piece list, its sorted copy and the landed bits. The rest
+// is the six frames the two ends encode (petition, parts and acks), the
+// petition's checksum and the receiver's one string copy of it.
+func TestPieceTransferAllocBudget(t *testing.T) {
+	const budget = 12
+	if poolDropsPuts() {
+		t.Skip("sync.Pool drops Puts at random (race detector): frame encoders are re-allocated and the count is not exact")
+	}
+	allocs := pieceTransfers(t, 256, func(run func()) { run() })
+	t.Logf("%.2f allocations per two-piece transfer", allocs)
+	if allocs > budget+0.5 {
+		t.Errorf("a warm two-piece transfer: %.2f allocations, budget %d", allocs, budget)
+	}
+}
+
+// BenchmarkPieceTransfer is one warm two-piece streamed transfer, sender and
+// receiver, as the piece engine sends it.
+func BenchmarkPieceTransfer(b *testing.B) {
+	b.ReportAllocs()
+	pieceTransfers(b, b.N, func(run func()) {
+		b.ResetTimer()
+		run()
+		b.StopTimer()
+	})
+}
+
+// poolDropsPuts reports whether sync.Pool may drop a Put, as it does on
+// purpose under the race detector.
+func poolDropsPuts() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(&i)
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
 }

@@ -193,7 +193,7 @@ type xferRig struct {
 	received []Received
 }
 
-func newXferRig(t *testing.T, src, dst simnet.Profile) *xferRig {
+func newXferRig(t testing.TB, src, dst simnet.Profile) *xferRig {
 	t.Helper()
 	n := simnet.New(11)
 	a := n.MustAddNode("src", src)
