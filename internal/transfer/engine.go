@@ -393,9 +393,9 @@ type inbound struct {
 	host   transport.Host
 	onFile func(Received)
 	in     petition
-	// A bit per announced slot, set as its part lands, nil until admission:
-	// a whole file's slot is the part's index, a piece list's its place in
-	// listed, sorted. Room and word hold both lists and a word while they fit.
+	// A bit per slot, set as its part lands (nil until admission): a whole
+	// file's slot is the part's index, a list's its place in listed, sorted.
+	// room and word hold the list, listed and a word of bits while they fit.
 	landed    []uint64
 	listed    []int
 	room      [4]int
