@@ -175,7 +175,8 @@ func TestCallsReadOnlyTheirOwnEchoes(t *testing.T) {
 	for _, window := range []int{1, 4} {
 		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
 			n := simnet.New(int64(window))
-			a, b := n.MustAddNode("a", lossyProfile(0.2)), n.MustAddNode("b", lossyProfile(0.2))
+			a, b := n.MustAddNode("a", cleanProfile()), n.MustAddNode("b", cleanProfile())
+			n.SetExtraLoss("a", 0.2)
 			epA, errA := a.Endpoint("pipe")
 			epB, errB := b.Endpoint("pipe")
 			if errA != nil || errB != nil {

@@ -20,8 +20,9 @@ import (
 func TestReorderedDeliveryUnderLoss(t *testing.T) {
 	const senders, n = 4, 16
 	net := simnet.New(7)
-	a := net.MustAddNode("a", lossyProfile(0.2))
-	b := net.MustAddNode("b", lossyProfile(0.2))
+	a := net.MustAddNode("a", cleanProfile())
+	b := net.MustAddNode("b", cleanProfile())
+	net.SetExtraLoss("a", 0.2)
 	epA, err := a.Endpoint("pipe")
 	if err != nil {
 		t.Fatal(err)

@@ -46,10 +46,13 @@ func cleanProfile() simnet.Profile {
 	return p
 }
 
-func lossyProfile(rate float64) simnet.Profile {
-	p := cleanProfile()
-	p.LossRate = rate
-	return p
+// lossyRig is a clean rig that loses every frame, in either direction, with
+// probability rate.
+func lossyRig(t testing.TB, rate float64, opts Options) *rig {
+	t.Helper()
+	r := newRig(t, cleanProfile(), cleanProfile(), opts)
+	r.net.SetExtraLoss("a", rate)
+	return r
 }
 
 func TestSendRecvBasic(t *testing.T) {
@@ -140,7 +143,7 @@ func TestManyMessagesInOrder(t *testing.T) {
 func TestExactlyOnceUnderLoss(t *testing.T) {
 	// 30% loss on both directions: retransmissions happen, yet the app sees
 	// each message exactly once, in order.
-	r := newRig(t, lossyProfile(0.3), lossyProfile(0.3), Options{})
+	r := lossyRig(t, 0.3, Options{})
 	const n = 30
 	var got []byte
 	r.net.Scheduler().Go(func() {
@@ -578,7 +581,7 @@ func TestStressManyConnsManyMessagesUnderLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	r := newRig(t, lossyProfile(0.15), lossyProfile(0.15), Options{})
+	r := lossyRig(t, 0.15, Options{})
 	const conns = 8
 	const msgs = 12
 	results := make([][]byte, conns)

@@ -220,11 +220,9 @@ func TestWakeLagAppliesWhenIdleOnly(t *testing.T) {
 	}
 }
 
-func TestLossRateDropsSomeMessages(t *testing.T) {
-	pa := DefaultProfile()
-	pb := DefaultProfile()
-	pb.LossRate = 0.5
-	n, epA, epB := twoNodeNet(t, pa, pb)
+func TestExtraLossDropsSomeMessages(t *testing.T) {
+	n, epA, epB := twoNodeNet(t, DefaultProfile(), DefaultProfile())
+	n.SetExtraLoss("b", 0.5)
 	const total = 200
 	received := 0
 	n.Scheduler().Go(func() {
@@ -396,10 +394,10 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		pa := DefaultProfile()
 		pa.Jitter = 5 * time.Millisecond
 		pb := pa
-		pb.LossRate = 0.2
 		pb.WakeLag = time.Second
 		pb.WakeLagSpread = 0.3
 		n, epA, epB := twoNodeNet(t, pa, pb)
+		n.SetExtraLoss("b", 0.2)
 		n.Scheduler().Go(func() {
 			for {
 				if _, err := epB.Recv(); err != nil {
@@ -481,41 +479,45 @@ func TestPartitionIsDirected(t *testing.T) {
 }
 
 // TestSetExtraLossAddsToEitherEndpoint pins the loss-burst hook: extra loss
-// attached to one node degrades traffic to and from it, sums over both
-// endpoints, and clearing it (rate 0) restores the baseline.
+// attached to one node degrades traffic to and from it, on the receiver's
+// side or the sender's, and clearing it (rate 0) restores the baseline.
 func TestSetExtraLossAddsToEitherEndpoint(t *testing.T) {
-	n, epA, epB := twoNodeNet(t, DefaultProfile(), DefaultProfile())
-	received := 0
-	n.Scheduler().Go(func() {
-		for {
-			if _, err := epB.Recv(); err != nil {
-				return
+	for _, lossy := range []string{"b", "a"} {
+		t.Run("lossy="+lossy, func(t *testing.T) {
+			n, epA, epB := twoNodeNet(t, DefaultProfile(), DefaultProfile())
+			received := 0
+			n.Scheduler().Go(func() {
+				for {
+					if _, err := epB.Recv(); err != nil {
+						return
+					}
+					received++
+				}
+			})
+			const burst = 200
+			var duringBurst int
+			n.Run(func() {
+				n.SetExtraLoss(lossy, 0.5)
+				for i := 0; i < burst; i++ {
+					epA.Send(epB.Addr(), []byte{byte(i)})
+				}
+				// Sends return at serialization, deliveries land one latency
+				// later; drain the pipe before snapshotting and clearing.
+				n.Scheduler().Sleep(time.Second)
+				duringBurst = received
+				n.SetExtraLoss(lossy, 0)
+				for i := 0; i < burst; i++ {
+					epA.Send(epB.Addr(), []byte{byte(i)})
+				}
+			})
+			if duringBurst < burst/4 || duringBurst > 3*burst/4 {
+				t.Fatalf("burst delivered %d of %d, want roughly half", duringBurst, burst)
 			}
-			received++
-		}
-	})
-	const burst = 200
-	var duringBurst int
-	n.Run(func() {
-		n.SetExtraLoss("b", 0.5)
-		for i := 0; i < burst; i++ {
-			epA.Send(epB.Addr(), []byte{byte(i)})
-		}
-		// Sends return at serialization, deliveries land one latency
-		// later; drain the pipe before snapshotting and clearing.
-		n.Scheduler().Sleep(time.Second)
-		duringBurst = received
-		n.SetExtraLoss("b", 0)
-		for i := 0; i < burst; i++ {
-			epA.Send(epB.Addr(), []byte{byte(i)})
-		}
-	})
-	if duringBurst < burst/4 || duringBurst > 3*burst/4 {
-		t.Fatalf("burst delivered %d of %d, want roughly half", duringBurst, burst)
-	}
-	n.Run(func() { n.Scheduler().Sleep(time.Second) })
-	if after := received - duringBurst; after != burst {
-		t.Fatalf("after clearing extra loss %d of %d delivered", after, burst)
+			n.Run(func() { n.Scheduler().Sleep(time.Second) })
+			if after := received - duringBurst; after != burst {
+				t.Fatalf("after clearing extra loss %d of %d delivered", after, burst)
+			}
+		})
 	}
 }
 

@@ -604,9 +604,8 @@ func TestGranularityWholeSlowerThanParts(t *testing.T) {
 }
 
 func TestTransferSurvivesLoss(t *testing.T) {
-	dst := fastProfile()
-	dst.LossRate = 0.2
-	rig := newXferRig(t, fastProfile(), dst)
+	rig := newXferRig(t, fastProfile(), fastProfile())
+	rig.net.SetExtraLoss("dst", 0.2)
 	var err error
 	rig.net.Run(func() {
 		err = rig.sender.Send("dst/xfer", NewVirtualFile("f", 2*Mb, 5), 8, new(Metrics))
