@@ -35,8 +35,6 @@ type Profile struct {
 	// Bandwidth is the access-link application-level throughput in
 	// bytes/second. The path bandwidth is the min of the two endpoints'.
 	Bandwidth float64
-	// LossRate is an independent per-message loss probability in [0,1).
-	LossRate float64
 	// MTBF is the node's mean time between receive failures: a message whose
 	// transmission occupies the link for d is lost with probability
 	// 1-exp(-d/MTBF). Zero disables the failure model.
@@ -81,7 +79,7 @@ type Network struct {
 	nodes     map[string]*Node
 	partsKey  map[pairKey]bool          // severed directed pairs
 	busy      map[pairKey]time.Duration // a directed pair's uplink busy-until
-	extraLoss map[string]float64        // per-node extra drop probability
+	extraLoss map[string]float64        // per-node drop probability (SetExtraLoss)
 
 	// Counters are cumulative across the network's lifetime.
 	sent      int64
@@ -166,11 +164,11 @@ func (n *Network) Partition(from, to string, severed bool) {
 	n.partsKey[pairKey{from, to}] = severed
 }
 
-// SetExtraLoss sets an extra per-message drop probability for every message
-// to or from the named node (a congested uplink, a loss burst); rate <= 0
-// clears it. Both endpoints' rates sum (capped at 1). The extra draw is made
-// only while a rate is positive, so a cleared rate leaves no trace in the
-// draw streams.
+// SetExtraLoss sets the per-message drop probability of every message to or
+// from the named node (a lossy link, a loss burst), the network's one loss
+// model; rate <= 0 clears it. Both endpoints' rates sum (capped at 1). The
+// draw is made only while a rate is positive, so a cleared rate leaves no
+// trace in the draw streams.
 func (n *Network) SetExtraLoss(name string, rate float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -289,8 +287,8 @@ func (ep *endpoint) Send(to transport.Addr, payload []byte) error {
 //     (sender blocks; back-to-back messages to the same node queue up),
 //  2. propagation (sum of both endpoints' one-way latencies, plus jitter),
 //  3. receiver wake-up lag if the destination is idle,
-//  4. loss: independent per-message loss plus a failure-restart draw with
-//     probability 1-exp(-txTime/MTBF) of the *receiver*.
+//  4. loss: Partition, both ends' SetExtraLoss rates, and a failure-restart
+//     draw with probability 1-exp(-txTime/MTBF) of the *receiver*.
 //
 // The effective bandwidth of the path is the min of the endpoints' access
 // links divided by the receiver's size-degradation factor.
@@ -367,9 +365,6 @@ func (ep *endpoint) SendFrame(to transport.Addr, head, body []byte, size int) er
 		if src.randLocked().Float64() < min(extra, 1) {
 			lost = true
 		}
-	}
-	if !lost && q.LossRate > 0 && src.randLocked().Float64() < q.LossRate {
-		lost = true
 	}
 	if !lost && q.MTBF > 0 && txDur > 0 {
 		pFail := 1 - math.Exp(-float64(txDur)/float64(q.MTBF))

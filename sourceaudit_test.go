@@ -87,7 +87,6 @@ var reachAllow = map[string]string{
 var fieldAllow = map[string]string{
 	"experiments.Config.CacheLimit": "ROADMAP item 1: only bench/ sets it, and no shard of a bench workload evicts",
 	"pipe.Options.Window":           "ROADMAP item 1: only bench/ sets it, for the pipe.msg_ns.w1/w4 probes",
-	"simnet.Profile.LossRate":       "ROADMAP item 12: only the loss tests and the lossy-link closed form set it",
 	"vtime.Scheduler.OnDeadlock":    "ROADMAP item 8 gives it a caller",
 }
 
